@@ -75,8 +75,9 @@ echo "== obs-golden =="
 cargo test -q --test trace_golden
 
 echo "== kernel-proptest =="
-# Kernels vs naive references (depthwise, pooling, ReLU — incl. the
-# NaN/Inf corners) and metrics-vs-truth (gemm.flops == analytic MACs,
+# Kernels vs naive references (depthwise across both loop orders and
+# thread counts, pooling, ReLU — incl. the NaN/Inf corners) and
+# metrics-vs-truth (gemm.flops == analytic MACs,
 # clean runs never trip the guard, pool runs what it queues).
 cargo test -q --test kernel_proptest
 cargo test -q --test obs_metrics
@@ -141,6 +142,20 @@ cargo test -q -p cnn-stack-nn liveness::
 MEMORY_BENCH_SMOKE=1 cargo bench -p cnn-stack-bench --bench memory
 
 conv_conformance
+
+echo "== portable-kernels =="
+# Every dispatched kernel (packed GEMM full and half tile, ternary/int8
+# through the conformance grid, depthwise) has a portable twin that an
+# AVX2 host never runs by default; pin it and re-run the suites that
+# hold the kernels to their references.
+CNN_STACK_GEMM_FORCE_SCALAR=1 cargo test -q \
+  --test kernel_proptest --test gemm_equivalence --test conv_conformance
+
+echo "== e2e-smoke =="
+# The end-to-end benchmark is its own package (own workspace and
+# lockfile); its tests include the declaration-vs-binary smoke run, so
+# a step-name or metric-set drift fails here, not in the driver.
+cargo test --release --offline --manifest-path e2e/Cargo.toml
 
 echo "== clippy (deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings

@@ -2,8 +2,9 @@
 //! experiment: GEMM variants, the im2col lowering, and dense vs sparse
 //! convolution at the paper's layer shapes.
 
+use cnn_stack_parallel::Schedule;
 use cnn_stack_sparse::{sparse_conv2d, CsrMatrix};
-use cnn_stack_tensor::{gemm, im2col, Conv2dGeometry, Tensor, TileConfig};
+use cnn_stack_tensor::{depthwise_conv2d_into, gemm, im2col, Conv2dGeometry, Tensor, TileConfig};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -113,11 +114,51 @@ fn bench_spmm(c: &mut Criterion) {
     group.finish();
 }
 
+/// The depthwise kernel at MobileNet's four plane sizes (with the
+/// channel count MobileNet has there) × stride 1/2, 3×3 "same" filters,
+/// fused ReLU, one thread. The 32×32 plane takes the kernel's row order,
+/// the smaller ones its channel-blocked order.
+fn bench_depthwise(c: &mut Criterion) {
+    let mut group = c.benchmark_group("depthwise");
+    group
+        .sample_size(200)
+        .measurement_time(Duration::from_secs(1));
+    for (plane, channels) in [(32usize, 64usize), (16, 128), (8, 256), (4, 512)] {
+        let input = random([1, channels, plane, plane], 1.0, 9);
+        let weight = random([channels, 1, 3, 3], 1.0, 10);
+        let bias = random([channels], 1.0, 11);
+        for stride in [1usize, 2] {
+            let geom = Conv2dGeometry::new(1, plane, plane, 3, 3, stride, 1);
+            let mut out = vec![0.0f32; channels * geom.out_positions()];
+            group.bench_function(
+                BenchmarkId::new(format!("{plane}x{plane}_c{channels}"), format!("s{stride}")),
+                |bencher| {
+                    bencher.iter(|| {
+                        depthwise_conv2d_into(
+                            input.data(),
+                            weight.data(),
+                            bias.data(),
+                            channels,
+                            &geom,
+                            true,
+                            &mut out,
+                            1,
+                            Schedule::Static,
+                        )
+                    })
+                },
+            );
+        }
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_gemm,
     bench_im2col,
     bench_sparse_conv,
-    bench_spmm
+    bench_spmm,
+    bench_depthwise
 );
 criterion_main!(benches);

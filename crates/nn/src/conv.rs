@@ -345,7 +345,8 @@ impl Conv2d {
     ///
     /// Merging pays exactly when the per-image column count is below one
     /// column-grain (`nc = 4·NR = 64`): micro-kernel lanes stop being
-    /// zero-padded (a 2×2 output plane uses 4 of `NR = 16` lanes alone)
+    /// zero-padded (a 2×2 output plane alone uses 4 of the half tile's 8
+    /// lanes)
     /// and the weight A-panels stream from memory once per grain instead
     /// of once per image. Beyond one grain per group the A-traffic is
     /// invariant in the group size, while the merged B/C working set

@@ -2,10 +2,8 @@
 
 use crate::descriptor::{LayerDescriptor, LayerKind};
 use crate::layer::{ExecConfig, Layer, Param, Phase, WeightFormat};
-use cnn_stack_parallel::parallel_for;
-use cnn_stack_parallel::DisjointWriter;
 use cnn_stack_tensor::init::{initialise, Init};
-use cnn_stack_tensor::{Conv2dGeometry, Tensor};
+use cnn_stack_tensor::{depthwise_conv2d_into, Conv2dGeometry, Tensor};
 
 /// A depthwise 2-D convolution: one `k × k` filter per channel, no
 /// cross-channel mixing (MobileNet pairs it with a 1×1 pointwise
@@ -114,69 +112,22 @@ impl DepthwiseConv2d {
         Conv2dGeometry::new(1, h, w, self.kernel, self.kernel, self.stride, self.padding)
     }
 
-    /// The shared inference kernel over raw slices. Both
+    /// The shared inference path over raw slices. Both
     /// [`Layer::forward`] and [`Layer::forward_into`] funnel through
     /// this, so the arena engine is bit-identical to the tensor path.
-    #[allow(clippy::needless_range_loop)]
-    fn eval_into(
-        &self,
-        in_data: &[f32],
-        n: usize,
-        h: usize,
-        w: usize,
-        out: &mut [f32],
-        cfg: &ExecConfig,
-    ) {
-        let geom = self.geometry(h, w);
-        let plane_in = h * w;
-        let plane_out = geom.out_h * geom.out_w;
-        let k = self.kernel;
-        let kk = k * k;
-        let wdata = self.weight.value.data();
-        let bdata = self.bias.value.data();
-        let writer = DisjointWriter::new(out);
-        let writer = &writer;
-        for img in 0..n {
-            parallel_for(cfg.threads, self.channels, cfg.schedule, |range| {
-                for c in range {
-                    // SAFETY: one output plane per grain.
-                    let dst = unsafe {
-                        writer.slice_mut(
-                            (img * self.channels + c) * plane_out,
-                            (img * self.channels + c + 1) * plane_out,
-                        )
-                    };
-                    dst.fill(bdata[c]);
-                    let x_plane = &in_data[(img * self.channels + c) * plane_in
-                        ..(img * self.channels + c + 1) * plane_in];
-                    let filter = &wdata[c * kk..(c + 1) * kk];
-                    for kh in 0..k {
-                        for kw in 0..k {
-                            // No zero-tap skip: `0.0 * NaN` must stay NaN
-                            // (same policy as the GEMM kernels), and
-                            // pruned depthwise weights are exactly zero.
-                            let wv = filter[kh * k + kw];
-                            for oh in 0..geom.out_h {
-                                let ih = (oh * geom.stride + kh) as isize - geom.padding as isize;
-                                if ih < 0 || ih as usize >= h {
-                                    continue;
-                                }
-                                let x_row = &x_plane[ih as usize * w..(ih as usize + 1) * w];
-                                let d_row = &mut dst[oh * geom.out_w..(oh + 1) * geom.out_w];
-                                for ow in 0..geom.out_w {
-                                    let iw =
-                                        (ow * geom.stride + kw) as isize - geom.padding as isize;
-                                    if iw < 0 || iw as usize >= w {
-                                        continue;
-                                    }
-                                    d_row[ow] += wv * x_row[iw as usize];
-                                }
-                            }
-                        }
-                    }
-                }
-            });
-        }
+    /// Honours [`ExecConfig::fused_relu`].
+    fn eval_into(&self, in_data: &[f32], h: usize, w: usize, out: &mut [f32], cfg: &ExecConfig) {
+        depthwise_conv2d_into(
+            in_data,
+            self.weight.value.data(),
+            self.bias.value.data(),
+            self.channels,
+            &self.geometry(h, w),
+            cfg.fused_relu,
+            out,
+            cfg.threads,
+            cfg.schedule,
+        );
     }
 }
 
@@ -209,7 +160,7 @@ impl Layer for DepthwiseConv2d {
             self.cached_input = Some(input.clone());
         }
         let mut out = Tensor::zeros([n, self.channels, geom.out_h, geom.out_w]);
-        self.eval_into(input.data(), n, h, w, out.data_mut(), cfg);
+        self.eval_into(input.data(), h, w, out.data_mut(), cfg);
         out
     }
 
@@ -285,14 +236,9 @@ impl Layer for DepthwiseConv2d {
         _scratch: &mut [f32],
         cfg: &ExecConfig,
     ) {
-        let (n, in_c, h, w) = (
-            input_shape[0],
-            input_shape[1],
-            input_shape[2],
-            input_shape[3],
-        );
+        let (in_c, h, w) = (input_shape[1], input_shape[2], input_shape[3]);
         assert_eq!(in_c, self.channels, "{}: channel mismatch", self.name());
-        self.eval_into(input, n, h, w, out, cfg);
+        self.eval_into(input, h, w, out, cfg);
     }
 
     fn descriptor(&self, input_shape: &[usize]) -> LayerDescriptor {

@@ -75,7 +75,7 @@ pub enum OpKind {
         identity: bool,
     },
     /// The ReLU activation specifically — fusable into a preceding
-    /// conv/linear kernel.
+    /// conv/depthwise/linear kernel.
     Relu,
     /// Anything else (pooling, reshapes, composites, other activations);
     /// passes leave these alone.
@@ -84,10 +84,14 @@ pub enum OpKind {
 
 impl OpKind {
     /// Whether this op's kernel can absorb a trailing ReLU via
-    /// [`ExecConfig::fused_relu`] (every Conv2d and Linear evaluation
-    /// path honours the flag; depthwise does not implement it).
+    /// [`ExecConfig::fused_relu`]: every Conv2d and Linear evaluation
+    /// path honours the flag, and the depthwise kernel clamps on its
+    /// final write.
     pub fn fuses_relu(&self) -> bool {
-        matches!(self, OpKind::Conv { .. } | OpKind::Linear { .. })
+        matches!(
+            self,
+            OpKind::Conv { .. } | OpKind::DepthwiseConv { .. } | OpKind::Linear { .. }
+        )
     }
 
     /// Whether this op produces a channel-major activation an identity

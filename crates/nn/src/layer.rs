@@ -165,13 +165,15 @@ pub struct ExecConfig {
     /// fallback the degradation ladder demotes to.
     pub gemm_algo: GemmAlgorithm,
     /// Fuse a trailing ReLU into this layer's kernel (set by the
-    /// fold-and-fuse plan pass when a `conv → [identity BN] → ReLU` or
-    /// `linear → ReLU` chain collapses into one step). Every conv/linear
-    /// evaluation path honours it — the packed engine via the GEMM
-    /// write-back epilogue, the scalar paths by clamping each finished
-    /// output block — so a demoted fused step stays correct. The
-    /// activation is `max(x, 0)`, bit-identical to the standalone
-    /// [`crate::ReLU`] layer (including the NaN-flush).
+    /// fold-and-fuse plan pass when a `conv → [identity BN] → ReLU`,
+    /// `dwconv → [identity BN] → ReLU` or `linear → ReLU` chain
+    /// collapses into one step). Every conv/linear evaluation path
+    /// honours it — the packed engine via the GEMM write-back epilogue,
+    /// the scalar paths by clamping each finished output block — so a
+    /// demoted fused step stays correct; the depthwise kernel clamps
+    /// each output as it is written. The activation is `max(x, 0)`,
+    /// bit-identical to the standalone [`crate::ReLU`] layer (including
+    /// the NaN-flush).
     pub fused_relu: bool,
     /// Observability level for sessions compiled from this config:
     /// [`ObsLevel::Off`] (default) pays one relaxed atomic load per

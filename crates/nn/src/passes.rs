@@ -253,7 +253,8 @@ impl InferencePlan {
 // ---------------------------------------------------------------------
 
 /// Folds batch norms into their producers, then absorbs exact-identity
-/// batch norms and trailing ReLUs into the producing conv/linear step;
+/// batch norms and trailing ReLUs into the producing conv/depthwise/linear
+/// step;
 /// see the [module docs](self).
 pub struct FoldAndFuse;
 
@@ -287,7 +288,8 @@ impl PlanPass for FoldAndFuse {
                 op.output_shape = bn.output_shape;
                 op.name.push_str(" + bn");
             }
-            // conv/linear + ReLU → one kernel via the write-back epilogue.
+            // conv/dw/linear + ReLU → one kernel (GEMM write-back epilogue,
+            // or the depthwise kernel's final write).
             if op.kind.fuses_relu() && matches!(iter.peek().map(|n| &n.kind), Some(OpKind::Relu)) {
                 let relu = iter.next().expect("peeked");
                 op.span += relu.span;
@@ -422,13 +424,22 @@ const FFT_GFLOPS: f64 = 1.5;
 const PACK_BYTES_PER_SEC: f64 = 4.0e9;
 
 /// FLOPs the packed tile grid actually executes for an `[m × k]·[k × n]`
-/// product: ragged edges run full `MR × NR` micro-kernels on zero-padded
-/// lanes, so tiny dimensions pay their round-up. This is what makes the
-/// transposed ternary convolution win on late VGG layers — a 2×2 output
-/// plane pads 4 → 16 columns under f32 but only 4 → 6 rows transposed.
-fn tile_padded_flops(m: usize, k: usize, n: usize) -> f64 {
-    let m_pad = m.div_ceil(cnn_stack_tensor::MR) * cnn_stack_tensor::MR;
-    let n_pad = n.div_ceil(cnn_stack_tensor::NR) * cnn_stack_tensor::NR;
+/// product: ragged edges run whole micro-kernels on zero-padded lanes,
+/// so tiny dimensions pay their round-up — rows to `MR`, columns to `NR`,
+/// except that the f32 engine (`half_tile`) runs a last panel of at most
+/// `NR / 2` live columns on its half-width tile. The quantised engines
+/// have no half tile. This is what makes the transposed ternary
+/// convolution win on late VGG layers — a 2×2 output plane pads 4 → 8
+/// columns under f32 but only 4 → 6 rows transposed.
+fn tile_padded_flops(m: usize, k: usize, n: usize, half_tile: bool) -> f64 {
+    use cnn_stack_tensor::{MR, NR};
+    let m_pad = m.div_ceil(MR) * MR;
+    let last = match n % NR {
+        0 => 0,
+        live if half_tile && live <= NR / 2 => NR / 2,
+        _ => NR,
+    };
+    let n_pad = n / NR * NR + last;
     2.0 * m_pad as f64 * k as f64 * n_pad as f64
 }
 
@@ -452,10 +463,10 @@ fn predicted_seconds(op: &IrOp, choice: AlgoChoice) -> f64 {
             let k = geom.patch_len();
             // Mirror the engine's small-plane batching: groups of images
             // merge their columns until one column grain is filled, so
-            // the NR round-up is paid once per group, not per image.
+            // the panel round-up is paid once per group, not per image.
             let group = ((4 * cnn_stack_tensor::NR) / plane.max(1)).clamp(1, batch);
             let groups = batch as f64 / group as f64;
-            let eff = groups * tile_padded_flops(*out_channels, k, group * plane);
+            let eff = groups * tile_padded_flops(*out_channels, k, group * plane, true);
             let weight_traffic = groups * (out_channels * k * 4) as f64;
             let footprint = (k * plane * 4) as f64 * batch as f64;
             // Pointwise stride-1 convolutions skip the im2col
@@ -480,7 +491,7 @@ fn predicted_seconds(op: &IrOp, choice: AlgoChoice) -> f64 {
             // Transposed product Outᵀ = Colᵀ·Wᵀ, per image: the plane is
             // the MR-padded row dimension, the weights stream as 2-bit
             // codes (16× less panel traffic than f32).
-            let eff = batch as f64 * tile_padded_flops(plane, k, *out_channels);
+            let eff = batch as f64 * tile_padded_flops(plane, k, *out_channels, false);
             let weight_traffic = batch as f64 * (out_channels * k) as f64 / 4.0;
             let footprint = (k * plane * 4) as f64 * batch as f64;
             eff / (TERNARY_GFLOPS * 1e9) + (footprint + weight_traffic) / PACK_BYTES_PER_SEC
@@ -494,7 +505,12 @@ fn predicted_seconds(op: &IrOp, choice: AlgoChoice) -> f64 {
             else {
                 return f64::INFINITY;
             };
-            let eff = tile_padded_flops(batch, *in_features, *out_features);
+            let eff = tile_padded_flops(
+                batch,
+                *in_features,
+                *out_features,
+                choice == AlgoChoice::PackedLinear,
+            );
             // At serving batch sizes the product is bound by streaming
             // the weight panels; the quantised formats' narrower panels
             // are exactly where they win.

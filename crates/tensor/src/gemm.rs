@@ -27,7 +27,10 @@
 //! never padded, so padding can never contaminate valid outputs). The
 //! micro-kernel then streams both panels with unit stride: one `MR×NR`
 //! tile costs `kc` contiguous loads of `MR` A-values and `NR` B-values
-//! and `MR·NR` fused multiply-adds per step.
+//! and `MR·NR` fused multiply-adds per step. A B panel with at most
+//! `NR/2` live columns (a 2×2 output plane at batch 1 has 4) runs the
+//! same ladder over its first vector only — a half-width `MR×NR/2` tile
+//! on the unchanged panel layout, bit-identical lane for lane.
 
 use crate::tensor::Tensor;
 use cnn_stack_obs::{self as obs, Metric};
@@ -544,9 +547,10 @@ pub fn pack_b_transposed_i8_into(plan: &GemmPlan, w: &[f32], scale: f32, buf: &m
     obs::count(Metric::GemmBytesPacked, plan.packed_b_elems() as u64);
 }
 
-/// Which micro-kernel the packed engine dispatches to.
+/// Which micro-kernel the packed engine (and every other dispatched
+/// kernel in this crate) runs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum MicroKernel {
+pub(crate) enum MicroKernel {
     Scalar,
     #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
     Avx2Fma,
@@ -555,7 +559,7 @@ enum MicroKernel {
 /// Runtime kernel selection, resolved once per process. Set
 /// `CNN_STACK_GEMM_FORCE_SCALAR=1` (before the first GEMM) to pin the
 /// portable kernel for A/B comparisons.
-fn active_kernel() -> MicroKernel {
+pub(crate) fn active_kernel() -> MicroKernel {
     static KERNEL: OnceLock<MicroKernel> = OnceLock::new();
     *KERNEL.get_or_init(|| {
         #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
@@ -582,18 +586,23 @@ pub fn gemm_kernel_name() -> &'static str {
     }
 }
 
-/// Portable micro-kernel: `acc[MR][NR] += A-panel-block · B-panel-block`
-/// over `a.len()/MR` reduction steps. Written so the inner loop
-/// autovectorises: fixed-width rows, `chunks_exact`, no bounds checks in
-/// the hot loop.
-fn microkernel_scalar(a: &[f32], b: &[f32], acc: &mut [[f32; NR]; MR]) {
+/// Live-column count up to which a B panel runs the half-width tile:
+/// one 8-lane vector per accumulator row instead of two.
+const HALF_NR: usize = NR / 2;
+
+/// Portable micro-kernel: `acc[MR][..W] += A-panel-block · B-panel-block`
+/// over `a.len()/MR` reduction steps, `W` being the full tile width
+/// [`NR`] or the half tile [`HALF_NR`] (lanes `W..` are left untouched).
+/// Written so the inner loop autovectorises: fixed-width rows,
+/// `chunks_exact`, no bounds checks in the hot loop.
+fn microkernel_scalar<const W: usize>(a: &[f32], b: &[f32], acc: &mut [[f32; NR]; MR]) {
     for (ap, bp) in a.chunks_exact(MR).zip(b.chunks_exact(NR)) {
         let ap: &[f32; MR] = ap.try_into().expect("chunks_exact yields MR");
         let bp: &[f32; NR] = bp.try_into().expect("chunks_exact yields NR");
         for r in 0..MR {
             let ar = ap[r];
             let row = &mut acc[r];
-            for c in 0..NR {
+            for c in 0..W {
                 row[c] += ar * bp[c];
             }
         }
@@ -679,16 +688,76 @@ unsafe fn microkernel_avx2(a: &[f32], b: &[f32], acc: &mut [[f32; NR]; MR]) {
     _mm256_storeu_ps(acc[5].as_mut_ptr().add(8), c51);
 }
 
-/// Dispatches one `MR×NR` reduction block to the active micro-kernel.
+/// Half-width twin of [`microkernel_avx2`] for B panels with at most
+/// [`HALF_NR`] live columns: six accumulators over the first 8 lanes of
+/// the same `NR`-wide packed panel. Lane for lane it is the same FMA
+/// ladder, so the live lanes are bit-identical to the full tile's; the
+/// upper 8 lanes of `acc` are left untouched.
+///
+/// # Safety
+///
+/// As [`microkernel_avx2`].
+#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+#[target_feature(enable = "avx2", enable = "fma")]
+unsafe fn microkernel_avx2_half(a: &[f32], b: &[f32], acc: &mut [[f32; NR]; MR]) {
+    #[cfg(target_arch = "x86")]
+    use core::arch::x86::*;
+    #[cfg(target_arch = "x86_64")]
+    use core::arch::x86_64::*;
+
+    debug_assert_eq!(a.len() % MR, 0);
+    debug_assert_eq!(b.len() % NR, 0);
+    debug_assert_eq!(a.len() / MR, b.len() / NR);
+    let kc = a.len() / MR;
+
+    // SAFETY (all intrinsics below): loads/stores stay inside `a`, `b`
+    // and the first 8 lanes of each `acc` row, whose lengths are
+    // checked above; the unaligned forms need no alignment.
+    let mut c0 = _mm256_loadu_ps(acc[0].as_ptr());
+    let mut c1 = _mm256_loadu_ps(acc[1].as_ptr());
+    let mut c2 = _mm256_loadu_ps(acc[2].as_ptr());
+    let mut c3 = _mm256_loadu_ps(acc[3].as_ptr());
+    let mut c4 = _mm256_loadu_ps(acc[4].as_ptr());
+    let mut c5 = _mm256_loadu_ps(acc[5].as_ptr());
+
+    let mut ap = a.as_ptr();
+    let mut bp = b.as_ptr();
+    for _ in 0..kc {
+        let b0 = _mm256_loadu_ps(bp);
+        c0 = _mm256_fmadd_ps(_mm256_set1_ps(*ap), b0, c0);
+        c1 = _mm256_fmadd_ps(_mm256_set1_ps(*ap.add(1)), b0, c1);
+        c2 = _mm256_fmadd_ps(_mm256_set1_ps(*ap.add(2)), b0, c2);
+        c3 = _mm256_fmadd_ps(_mm256_set1_ps(*ap.add(3)), b0, c3);
+        c4 = _mm256_fmadd_ps(_mm256_set1_ps(*ap.add(4)), b0, c4);
+        c5 = _mm256_fmadd_ps(_mm256_set1_ps(*ap.add(5)), b0, c5);
+        ap = ap.add(MR);
+        bp = bp.add(NR);
+    }
+
+    _mm256_storeu_ps(acc[0].as_mut_ptr(), c0);
+    _mm256_storeu_ps(acc[1].as_mut_ptr(), c1);
+    _mm256_storeu_ps(acc[2].as_mut_ptr(), c2);
+    _mm256_storeu_ps(acc[3].as_mut_ptr(), c3);
+    _mm256_storeu_ps(acc[4].as_mut_ptr(), c4);
+    _mm256_storeu_ps(acc[5].as_mut_ptr(), c5);
+}
+
+/// Dispatches one `MR×NR` reduction block to the active micro-kernel;
+/// `half` selects the [`HALF_NR`]-lane tile (the caller's panel has no
+/// live column beyond it).
 #[inline]
-fn microkernel(kernel: MicroKernel, a: &[f32], b: &[f32], acc: &mut [[f32; NR]; MR]) {
-    match kernel {
-        MicroKernel::Scalar => microkernel_scalar(a, b, acc),
+fn microkernel(kernel: MicroKernel, half: bool, a: &[f32], b: &[f32], acc: &mut [[f32; NR]; MR]) {
+    match (kernel, half) {
+        (MicroKernel::Scalar, false) => microkernel_scalar::<NR>(a, b, acc),
+        (MicroKernel::Scalar, true) => microkernel_scalar::<HALF_NR>(a, b, acc),
         #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
         // SAFETY: `Avx2Fma` is only ever selected by `active_kernel`
         // after `is_x86_feature_detected!` confirmed AVX2 and FMA; the
         // slice-length contract is upheld by the panel driver.
-        MicroKernel::Avx2Fma => unsafe { microkernel_avx2(a, b, acc) },
+        (MicroKernel::Avx2Fma, false) => unsafe { microkernel_avx2(a, b, acc) },
+        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+        // SAFETY: as above.
+        (MicroKernel::Avx2Fma, true) => unsafe { microkernel_avx2_half(a, b, acc) },
     }
 }
 
@@ -1071,11 +1140,14 @@ pub fn gemm_prepacked_epilogue(
                         &packed_b[jp * NR * k + pc * NR..jp * NR * k + (pc + kc_eff) * NR];
                     let j0 = jp * NR;
                     let cols = NR.min(n - j0);
+                    // A panel whose live columns fit one vector skips
+                    // the all-padding upper half of the tile.
+                    let half = cols <= HALF_NR;
                     for ip in ip0..ip1 {
                         let a_block =
                             &packed_a[ip * MR * k + pc * MR..ip * MR * k + (pc + kc_eff) * MR];
                         let mut acc = [[0.0f32; NR]; MR];
-                        microkernel(kernel, a_block, b_block, &mut acc);
+                        microkernel(kernel, half, a_block, b_block, &mut acc);
                         let i0 = ip * MR;
                         let rows = MR.min(m - i0);
                         for (r, acc_row) in acc.iter().enumerate().take(rows) {
@@ -1647,7 +1719,7 @@ mod tests {
         pack_a_into(&plan, a.data(), &mut pa);
         pack_b_into(&plan, b.data(), &mut pb);
         let mut scalar = [[0.0f32; NR]; MR];
-        microkernel_scalar(&pa, &pb, &mut scalar);
+        microkernel_scalar::<NR>(&pa, &pb, &mut scalar);
         let mut other = [[0.0f32; NR]; MR];
         #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
         if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma") {
@@ -1655,16 +1727,54 @@ mod tests {
             // plan-consistent by construction.
             unsafe { microkernel_avx2(&pa, &pb, &mut other) };
         } else {
-            microkernel_scalar(&pa, &pb, &mut other);
+            microkernel_scalar::<NR>(&pa, &pb, &mut other);
         }
         #[cfg(not(any(target_arch = "x86", target_arch = "x86_64")))]
-        microkernel_scalar(&pa, &pb, &mut other);
+        microkernel_scalar::<NR>(&pa, &pb, &mut other);
         for r in 0..MR {
             for c in 0..NR {
                 assert!(
                     (scalar[r][c] - other[r][c]).abs() <= 1e-4,
                     "kernel mismatch at ({r},{c})"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn half_tile_bit_matches_full_tile_lanes() {
+        // Both dispatched kernels: the half tile's 8 lanes carry the
+        // same bits as the full tile's first 8 (NaN/Inf included) and
+        // the upper lanes are not written.
+        let (m, k, n) = (MR, 41, HALF_NR);
+        let a = random_tensor([m, k], 31);
+        let mut b = random_tensor([k, n], 32);
+        b.data_mut()[3] = f32::NAN;
+        b.data_mut()[n + 5] = f32::INFINITY;
+        let plan = GemmPlan::new(m, k, n);
+        let mut pa = vec![0.0f32; plan.packed_a_elems()];
+        let mut pb = vec![0.0f32; plan.packed_b_elems()];
+        pack_a_into(&plan, a.data(), &mut pa);
+        pack_b_into(&plan, b.data(), &mut pb);
+        let mut kernels = vec![MicroKernel::Scalar];
+        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+        if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma") {
+            kernels.push(MicroKernel::Avx2Fma);
+        }
+        for kernel in kernels {
+            let mut full = [[0.5f32; NR]; MR];
+            let mut half = [[0.5f32; NR]; MR];
+            microkernel(kernel, false, &pa, &pb, &mut full);
+            microkernel(kernel, true, &pa, &pb, &mut half);
+            for r in 0..MR {
+                for c in 0..NR {
+                    let want = if c < HALF_NR { full[r][c] } else { 0.5 };
+                    assert_eq!(
+                        half[r][c].to_bits(),
+                        want.to_bits(),
+                        "{kernel:?} lane ({r},{c})"
+                    );
+                }
             }
         }
     }

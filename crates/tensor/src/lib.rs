@@ -18,6 +18,7 @@
 //! assert_eq!(c.data(), &[58.0, 64.0, 139.0, 154.0]);
 //! ```
 
+pub mod depthwise;
 pub mod error;
 pub mod fft;
 pub mod gemm;
@@ -28,6 +29,7 @@ pub mod shape;
 pub mod tensor;
 pub mod winograd;
 
+pub use depthwise::depthwise_conv2d_into;
 pub use error::KernelError;
 pub use fft::{fft_conv2d, fft_conv2d_into, fft_conv_scratch_elems, fft_plane_dims};
 pub use gemm::{

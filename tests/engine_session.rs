@@ -10,16 +10,27 @@ use cnn_stack::models::ModelKind;
 use cnn_stack::nn::{ExecConfig, InferencePlan, InferenceSession, Phase};
 use cnn_stack::tensor::Tensor;
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
-/// System allocator wrapper that counts every allocation.
+/// System allocator wrapper that counts the allocations of whichever
+/// thread has armed it. The harness runs this file's tests on parallel
+/// threads, so a process-wide count would charge the sibling tests'
+/// allocations to the measured window.
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// `Some(n)` while this thread is measuring. Const-initialised and
+    /// without a destructor, so touching it from inside the allocator
+    /// never allocates or registers a TLS dtor.
+    static COUNTED: Cell<Option<u64>> = const { Cell::new(None) };
+}
 
+// SAFETY: defers every operation to `System` unchanged; the counter is
+// thread-local and publishes no other data.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // `try_with`: a thread that is being torn down no longer counts.
+        let _ = COUNTED.try_with(|c| c.set(c.get().map(|n| n + 1)));
         System.alloc(layout)
     }
 
@@ -31,10 +42,13 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// Heap allocations the calling thread makes while running `f`.
 fn allocations_during(mut f: impl FnMut()) -> u64 {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    COUNTED.with(|c| c.set(Some(0)));
     f();
-    ALLOCATIONS.load(Ordering::Relaxed) - before
+    COUNTED
+        .with(|c| c.replace(None))
+        .expect("armed on this thread above")
 }
 
 /// The headline acceptance criterion: after the plan is compiled and one

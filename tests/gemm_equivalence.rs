@@ -219,6 +219,47 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A last B panel with at most 8 live columns runs the half-width
+    /// tile. Widening the same product by 8 extra columns pushes that
+    /// panel back onto the full tile, so the shared columns must carry
+    /// the same bits — for whole products of 1..=8 columns and for
+    /// ragged last panels (`n mod 16 ∈ 1..=8`), NaN/Inf included.
+    #[test]
+    fn half_tile_bit_matches_full_tile(
+        m in 1usize..20,
+        k in 1usize..300,
+        full_panels in 0usize..3,
+        live in 1usize..=8,
+        poison in 0usize..3,
+        pos in 0usize..10_000,
+        seed in 0u64..1000,
+    ) {
+        let n = full_panels * NR + live;
+        let wide = n + NR / 2;
+        let a = fill(m * k, seed);
+        let mut b_wide = fill(k * wide, seed + 8);
+        if poison > 0 {
+            // Somewhere in the shared columns.
+            let (row, col) = (pos % k, (pos / k) % n);
+            b_wide[row * wide + col] = if poison == 1 { f32::NAN } else { f32::INFINITY };
+        }
+        let b: Vec<f32> = b_wide
+            .chunks(wide)
+            .flat_map(|row| row[..n].iter().copied())
+            .collect();
+        let half = packed(&a, &b, m, k, n, 1);
+        let full = packed(&a, &b_wide, m, k, wide, 1);
+        for (i, (h_row, f_row)) in half.chunks(n).zip(full.chunks(wide)).enumerate() {
+            let h_bits: Vec<u32> = h_row.iter().map(|v| v.to_bits()).collect();
+            let f_bits: Vec<u32> = f_row[..n].iter().map(|v| v.to_bits()).collect();
+            prop_assert_eq!(h_bits, f_bits, "row {} (m={} k={} n={})", i, m, k, n);
+        }
+    }
+}
+
 /// Zero-extent reductions leave C exactly as initialised (the
 /// accumulate contract with nothing to add): the packed driver must not
 /// touch C when k == 0, and empty A/B slices must not panic.

@@ -83,79 +83,142 @@ fn naive_depthwise(
     out
 }
 
-/// ((n, c, h, w), (k, stride, padding), input values, weight values).
-/// Nested tuples keep each tuple within the 6-element `Strategy` impls.
-type DwCase = (
-    (usize, usize, usize, usize),
-    (usize, usize, usize),
-    Vec<f32>,
-    Vec<f32>,
-);
-
-fn depthwise_case() -> impl Strategy<Value = DwCase> {
-    (
-        (1usize..3, 1usize..4, 3usize..8, 3usize..8),
-        (0usize..2, 1usize..3, 0usize..3),
-    )
-        .prop_flat_map(|((n, c, h, w), (k_pick, stride, padding))| {
-            let k = if k_pick == 0 { 1 } else { 3 };
-            let input = proptest::collection::vec(-4.0f32..4.0, n * c * h * w);
-            let weight = proptest::collection::vec(-2.0f32..2.0, c * k * k);
-            (
-                Just((n, c, h, w)),
-                Just((k, stride, padding)),
-                input,
-                weight,
-            )
-        })
-}
-
-fn build_depthwise(
+/// One depthwise problem: shape, filter geometry, fused ReLU, data.
+#[derive(Clone, Debug)]
+struct DwCase {
+    n: usize,
     c: usize,
+    h: usize,
+    w: usize,
     k: usize,
     stride: usize,
     padding: usize,
-    weight: &[f32],
-) -> DepthwiseConv2d {
-    let mut layer = DepthwiseConv2d::new(c, k, stride, padding, 42);
-    layer.weight_mut().value.data_mut().copy_from_slice(weight);
-    layer
+    relu: bool,
+    input: Vec<f32>,
+    weight: Vec<f32>,
+    bias: Vec<f32>,
+}
+
+/// Channels 1..=19 cover whole 8-channel blocks plus every tail; planes
+/// 1..=34 with independent `h` and `w` sit on both sides of the
+/// kernel's loop-order threshold (half the cases are folded down to at
+/// most 8×8 so the channel-blocked order is drawn as often as the row
+/// order); `k ∈ {1, 3, 5}`, stride 1..=3, padding 0..=2, ReLU on/off.
+fn depthwise_case() -> impl Strategy<Value = DwCase> {
+    (
+        (1usize..3, 1usize..=19, 1usize..=34, 1usize..=34, 0usize..2),
+        (0usize..3, 1usize..=3, 0usize..=2, 0usize..2),
+    )
+        .prop_flat_map(|((n, c, h, w, small), (k_pick, stride, padding, relu))| {
+            let (h, w) = if small == 0 {
+                (1 + (h - 1) % 8, 1 + (w - 1) % 8)
+            } else {
+                (h, w)
+            };
+            let k = [1, 3, 5][k_pick];
+            (
+                proptest::collection::vec(-4.0f32..4.0, n * c * h * w),
+                proptest::collection::vec(-2.0f32..2.0, c * k * k),
+                proptest::collection::vec(-1.0f32..1.0, c),
+            )
+                .prop_map(move |(input, weight, bias)| DwCase {
+                    n,
+                    c,
+                    h,
+                    w,
+                    k,
+                    stride,
+                    padding,
+                    relu: relu == 1,
+                    input,
+                    weight,
+                    bias,
+                })
+        })
+}
+
+impl DwCase {
+    fn fits(&self) -> bool {
+        self.h + 2 * self.padding >= self.k && self.w + 2 * self.padding >= self.k
+    }
+
+    /// The layer's output on `threads` workers.
+    fn run(&self, threads: usize) -> Tensor {
+        let mut layer = DepthwiseConv2d::new(self.c, self.k, self.stride, self.padding, 42);
+        layer
+            .weight_mut()
+            .value
+            .data_mut()
+            .copy_from_slice(&self.weight);
+        layer
+            .bias_mut()
+            .value
+            .data_mut()
+            .copy_from_slice(&self.bias);
+        let cfg = ExecConfig {
+            fused_relu: self.relu,
+            ..ExecConfig::with_threads(threads)
+        };
+        let x = Tensor::from_vec([self.n, self.c, self.h, self.w], self.input.clone());
+        layer.forward(&x, Phase::Eval, &cfg)
+    }
+
+    /// The naive reference, clamped by `max(0)` when ReLU is fused.
+    fn reference(&self) -> Vec<f32> {
+        let mut want = naive_depthwise(
+            &self.input,
+            &self.weight,
+            &self.bias,
+            self.n,
+            self.c,
+            self.h,
+            self.w,
+            self.k,
+            self.stride,
+            self.padding,
+        );
+        if self.relu {
+            for v in &mut want {
+                *v = v.max(0.0);
+            }
+        }
+        want
+    }
+
+    /// Checks the serial kernel against the reference, and that three
+    /// workers (one parallel region over image × channel-block grains)
+    /// reproduce the serial bits.
+    fn check(&self) {
+        let serial = self.run(1);
+        assert_tensors_match(&serial, &self.reference());
+        let parallel = self.run(3);
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&serial), bits(&parallel), "threads 1 vs 3 differ");
+    }
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+    #![proptest_config(ProptestConfig::with_cases(96))]
 
     #[test]
-    fn depthwise_matches_naive_reference(
-        ((n, c, h, w), (k, stride, padding), input, weight) in depthwise_case()
-    ) {
-        prop_assume!(h + 2 * padding >= k && w + 2 * padding >= k);
-        let mut layer = build_depthwise(c, k, stride, padding, &weight);
-        let bias: Vec<f32> = layer.bias().value.data().to_vec();
-        let x = Tensor::from_vec([n, c, h, w], input.clone());
-        let y = layer.forward(&x, Phase::Eval, &ExecConfig::serial());
-        let expected = naive_depthwise(&input, &weight, &bias, n, c, h, w, k, stride, padding);
-        assert_tensors_match(&y, &expected);
+    fn depthwise_matches_naive_reference(case in depthwise_case()) {
+        prop_assume!(case.fits());
+        case.check();
     }
 
     #[test]
-    fn depthwise_propagates_nan_and_inf(
-        ((n, c, h, w), (k, stride, padding), input, weight) in depthwise_case(),
-        poison in 0usize..2,
-    ) {
-        prop_assume!(h + 2 * padding >= k && w + 2 * padding >= k);
-        // Poison one in-bounds input element with NaN or +inf; the
-        // reference and the kernel must agree on exactly which outputs
-        // it reaches.
-        let mut input = input;
-        let idx = input.len() / 2;
-        input[idx] = if poison == 0 { f32::NAN } else { f32::INFINITY };
-        let mut layer = build_depthwise(c, k, stride, padding, &weight);
-        let bias: Vec<f32> = layer.bias().value.data().to_vec();
-        let x = Tensor::from_vec([n, c, h, w], input.clone());
-        let y = layer.forward(&x, Phase::Eval, &ExecConfig::serial());
-        let expected = naive_depthwise(&input, &weight, &bias, n, c, h, w, k, stride, padding);
-        assert_tensors_match(&y, &expected);
+    fn depthwise_propagates_nan_and_inf(case in depthwise_case(), poison in 0usize..2) {
+        prop_assume!(case.fits());
+        // Poison one input element per channel plane with NaN or +inf
+        // (and zero a weight, which must not stop it); the reference and
+        // the kernel must agree on exactly which outputs it reaches.
+        let mut case = case;
+        let plane = case.h * case.w;
+        for (i, px) in case.input.chunks_mut(plane).enumerate() {
+            px[(i * 7) % plane] = if poison == 0 { f32::NAN } else { f32::INFINITY };
+        }
+        case.weight[0] = 0.0;
+        case.check();
     }
 }
 

@@ -1,13 +1,14 @@
 //! Integration tests for the pass-based plan compiler: fused
-//! conv+BN+ReLU equivalence against the unfused reference (property
-//! based, across strides/paddings/non-finite inputs), the pointwise
+//! conv+BN+ReLU and dwconv+BN+ReLU equivalence against the unfused
+//! reference (property based, across strides/paddings/non-finite inputs
+//! and both depthwise loop orders), the pointwise
 //! packed-GEMM fast path, weight-panel cache invalidation through
 //! residual-block accessors, and autotune cache determinism.
 
 use cnn_stack::nn::{
-    fold_batchnorm, Autotune, BatchNorm2d, Conv2d, ConvAlgorithm, ExecConfig, Flatten, FoldAndFuse,
-    GuardConfig, InferencePlan, InferenceSession, Linear, MaxPool2d, Network, Phase, PlanCompiler,
-    ReLU, ResidualBlock, WeightFormat,
+    fold_batchnorm, Autotune, BatchNorm2d, Conv2d, ConvAlgorithm, DepthwiseConv2d, ExecConfig,
+    Flatten, FoldAndFuse, GuardConfig, InferencePlan, InferenceSession, Layer, Linear, MaxPool2d,
+    Network, Phase, PlanCompiler, ReLU, ResidualBlock, WeightFormat,
 };
 use cnn_stack::tensor::Tensor;
 use proptest::prelude::*;
@@ -19,12 +20,29 @@ fn same_bits(a: f32, b: f32) -> bool {
     (a.is_nan() && b.is_nan()) || (a == 0.0 && b == 0.0) || a.to_bits() == b.to_bits()
 }
 
-/// conv(k, stride, padding) + BN + ReLU with the batch norm pushed away
-/// from the identity, deterministically per seed.
-fn conv_bn_relu_net(kernel: usize, stride: usize, padding: usize, seed: u64) -> Network {
+/// conv or depthwise conv (k, stride, padding) + BN + ReLU with the
+/// batch norm pushed away from the identity, deterministically per seed.
+fn conv_bn_relu_net(
+    depthwise: bool,
+    kernel: usize,
+    stride: usize,
+    padding: usize,
+    seed: u64,
+) -> Network {
+    let (producer, channels): (Box<dyn Layer>, usize) = if depthwise {
+        (
+            Box::new(DepthwiseConv2d::new(3, kernel, stride, padding, seed)),
+            3,
+        )
+    } else {
+        (
+            Box::new(Conv2d::new(3, 6, kernel, stride, padding, seed)),
+            6,
+        )
+    };
     let mut net = Network::new(vec![
-        Box::new(Conv2d::new(3, 6, kernel, stride, padding, seed)),
-        Box::new(BatchNorm2d::new(6)),
+        producer,
+        Box::new(BatchNorm2d::new(channels)),
         Box::new(ReLU::new()),
     ])
     .unwrap();
@@ -43,22 +61,29 @@ fn deterministic_input(shape: [usize; 4]) -> Tensor {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+    #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// The fused plan (BN folded + absorbed, ReLU applied in the kernel
     /// epilogue) must reproduce the unfused reference — same folded
     /// weights, but BN and ReLU executed as separate layer sweeps —
-    /// element for element, including NaN/Inf propagation.
+    /// element for element, including NaN/Inf propagation. The
+    /// producer is a convolution or a depthwise convolution; the 8×8
+    /// plane takes the depthwise kernel's channel-blocked order, the
+    /// 20×20 one its row order.
     #[test]
     fn fused_conv_bn_relu_matches_unfused_reference(
+        depthwise in 0usize..2,
+        wide in 0usize..2,
         k in 0usize..2,
         stride in 1usize..3,
         padding in 0usize..2,
         nonfinite in 0usize..3,
         seed in 0u64..25,
     ) {
+        let depthwise = depthwise == 1;
         let kernel = if k == 0 { 1 } else { 3 };
-        let shape = [1usize, 3, 8, 8];
+        let plane = if wide == 1 { 20 } else { 8 };
+        let shape = [1usize, 3, plane, plane];
         let mut input = deterministic_input(shape);
         match nonfinite {
             1 => {
@@ -76,7 +101,7 @@ proptest! {
         // Reference: fold the batch norm by hand (the same arithmetic
         // the fold-and-fuse pass applies), then execute every layer
         // separately — identity BN sweep, standalone ReLU sweep.
-        let mut ref_net = conv_bn_relu_net(kernel, stride, padding, seed);
+        let mut ref_net = conv_bn_relu_net(depthwise, kernel, stride, padding, seed);
         fold_batchnorm(&mut ref_net);
         let ref_plan = InferencePlan::compile(&ref_net, &shape, &cfg).unwrap();
         prop_assert_eq!(ref_plan.steps().len(), 3);
@@ -87,7 +112,7 @@ proptest! {
 
         // Fused: the fold-and-fuse pass collapses all three layers into
         // one step with a ReLU epilogue.
-        let mut fused_net = conv_bn_relu_net(kernel, stride, padding, seed);
+        let mut fused_net = conv_bn_relu_net(depthwise, kernel, stride, padding, seed);
         let plan = PlanCompiler::new()
             .with_pass(FoldAndFuse)
             .run(&mut fused_net, &shape, &cfg)
@@ -104,8 +129,8 @@ proptest! {
         for (i, (w, g)) in want.data().iter().zip(got.data()).enumerate() {
             prop_assert!(
                 same_bits(*w, *g),
-                "elem {}: unfused {:?} vs fused {:?} (k={} s={} p={} nf={})",
-                i, w, g, kernel, stride, padding, nonfinite
+                "elem {}: unfused {:?} vs fused {:?} (dw={} plane={} k={} s={} p={} nf={})",
+                i, w, g, depthwise, plane, kernel, stride, padding, nonfinite
             );
         }
     }

@@ -19,7 +19,7 @@ conv_conformance() {
   cargo test -q --test conv_conformance
   cargo test -q --features fault-inject --test fault_injection fft
   cargo test -q --features fault-inject --test fault_injection winograd4
-  CONV_BENCH_SMOKE=1 cargo bench -p cnn-stack-bench --bench conv_algo
+  BENCH_SMOKE=1 cargo bench -p cnn-stack-bench --bench conv_algo
 }
 
 # `./ci.sh conv-conformance` runs just that job (fast inner loop for
@@ -32,6 +32,14 @@ fi
 
 echo "== build (release) =="
 cargo build --workspace --release
+
+echo "== e2e-smoke =="
+# The end-to-end benchmark is its own package (own workspace and
+# lockfile) that this repo's PRs may not edit, so it runs first: a
+# public-API removal that breaks it fails in the first minute. Its tests
+# include the declaration-vs-binary smoke run, so a step-name or
+# metric-set drift fails here, not in the driver.
+cargo test --release --offline --manifest-path e2e/Cargo.toml
 
 echo "== tests =="
 cargo test --workspace -q
@@ -52,7 +60,7 @@ cargo test -q --test gemm_equivalence
 echo "== gemm bench smoke =="
 # Exercises the benchmark harness end to end on a tiny shape; the full
 # sweep (which regenerates BENCH_gemm.json) is run manually.
-GEMM_BENCH_SMOKE=1 cargo bench -p cnn-stack-bench --bench gemm
+BENCH_SMOKE=1 cargo bench -p cnn-stack-bench --bench gemm
 
 echo "== plan-passes =="
 # Pass-based plan compiler: fusion equivalence (property-based, incl.
@@ -66,7 +74,7 @@ CNN_STACK_TUNE_CACHE="$TUNE_DIR/tune.tsv" cargo test -q -p cnn-stack-nn passes::
 rm -rf "$TUNE_DIR"
 # End-to-end plan bench harness on a tiny width (full run regenerates
 # BENCH_plan.json manually).
-PLAN_BENCH_SMOKE=1 cargo bench -p cnn-stack-bench --bench plan
+BENCH_SMOKE=1 cargo bench -p cnn-stack-bench --bench plan
 
 echo "== obs-golden =="
 # Golden-trace harness: serial traced sessions must reproduce the
@@ -85,22 +93,21 @@ cargo test -q --test obs_metrics
 echo "== obs bench smoke =="
 # Tracing-off must stay within 5% of the frozen PR 4 baseline (the full
 # run, which regenerates BENCH_obs.json, enforces the 1% gate manually).
-OBS_BENCH_SMOKE=1 cargo bench -p cnn-stack-bench --bench obs
+BENCH_SMOKE=1 cargo bench -p cnn-stack-bench --bench obs
 
 echo "== serve-tests =="
 # Serving layer: deterministic ManualClock batching/shedding semantics,
-# the fault-injected co-batch integrity proof, the serve crate's own
-# unit + doc tests, and the deprecated-path compatibility shims.
+# the fault-injected co-batch integrity proof, and the serve crate's
+# own unit + doc tests.
 cargo test -q --test serve_batching
 cargo test -q --test serve_batching --features fault-inject
 cargo test -q -p cnn-stack-serve
-cargo test -q --test deprecated_shims
 
 echo "== serve-bench-smoke =="
 # Tiny open-loop run through the real threaded server (width 0.25,
 # max-batch 4) with a loose 5% batching gate; the full run (which
 # regenerates BENCH_serve.json and enforces the 2x gate) is manual.
-SERVE_BENCH_SMOKE=1 cargo bench -p cnn-stack-bench --bench serve
+BENCH_SMOKE=1 cargo bench -p cnn-stack-bench --bench serve
 
 echo "== serve-chaos =="
 # Self-healing runtime: deterministic ManualClock supervision tests
@@ -112,7 +119,7 @@ echo "== serve-chaos =="
 # breaker-on < breaker-off miss-rate gate) is manual.
 cargo test -q --test serve_supervision
 cargo test -q --test serve_supervision --features fault-inject
-CHAOS_BENCH_SMOKE=1 cargo bench -p cnn-stack-bench --bench chaos --features fault-inject
+BENCH_SMOKE=1 cargo bench -p cnn-stack-bench --bench chaos --features fault-inject
 
 echo "== quant-proptest =="
 # Quantised compute path: the 2-bit spmm and the ternary/int8 packed
@@ -127,19 +134,22 @@ echo "== quant-bench-smoke =="
 # path stays bit-identical to f32 before timing; the full run (which
 # regenerates BENCH_quant.json and enforces the >= 1.5x conv5 speedup
 # gate) is manual.
-QUANT_BENCH_SMOKE=1 cargo bench -p cnn-stack-bench --bench quant
+BENCH_SMOKE=1 cargo bench -p cnn-stack-bench --bench quant
 
 echo "== plan-memory =="
-# Memory-budgeted planning: coloured-arena bit-identity vs ping-pong
-# (property-based, incl. non-finite payloads), the 16 MB VGG-16 budget
-# acceptance scenario, budget-infeasibility floor reporting, and the
-# liveness/colouring unit tests. The smoke bench exercises the memory
-# harness end to end on a thin model; the full run (which regenerates
-# BENCH_memory.json and enforces the >= 30% peak-reduction / <= 5%
-# latency gates) is manual.
+# Memory-budgeted planning: coloured-arena bit-identity vs unshared
+# per-step buffers (property-based, incl. non-finite payloads), the
+# VGG-16 budget acceptance scenario, budget-infeasibility floor
+# reporting, "every budgeted plan runs inside its arena with zero
+# steady-state allocations" (engine_session, which owns the counting
+# allocator), and the liveness/colouring unit tests. The smoke bench
+# exercises the memory harness end to end on a thin model; the full run
+# (which regenerates BENCH_memory.json and enforces the >= 30%
+# peak-reduction gate) is manual.
 cargo test -q --test plan_memory
+cargo test -q --test engine_session
 cargo test -q -p cnn-stack-nn liveness::
-MEMORY_BENCH_SMOKE=1 cargo bench -p cnn-stack-bench --bench memory
+BENCH_SMOKE=1 cargo bench -p cnn-stack-bench --bench memory
 
 conv_conformance
 
@@ -150,12 +160,6 @@ echo "== portable-kernels =="
 # hold the kernels to their references.
 CNN_STACK_GEMM_FORCE_SCALAR=1 cargo test -q \
   --test kernel_proptest --test gemm_equivalence --test conv_conformance
-
-echo "== e2e-smoke =="
-# The end-to-end benchmark is its own package (own workspace and
-# lockfile); its tests include the declaration-vs-binary smoke run, so
-# a step-name or metric-set drift fails here, not in the driver.
-cargo test --release --offline --manifest-path e2e/Cargo.toml
 
 echo "== clippy (deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings

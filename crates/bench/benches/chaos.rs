@@ -20,7 +20,7 @@
 //! Run modes (both need `--features fault-inject`):
 //!   cargo bench -p cnn-stack-bench --bench chaos --features fault-inject
 //!       # full: width 0.5, writes BENCH_chaos.json
-//!   CHAOS_BENCH_SMOKE=1 cargo bench ...
+//!   BENCH_SMOKE=1 cargo bench ...
 //!       # small width/request count, writes target/BENCH_chaos.smoke.json
 
 #[cfg(not(feature = "fault-inject"))]
@@ -249,7 +249,7 @@ mod chaos {
     }
 
     pub fn main() {
-        let smoke = std::env::var("CHAOS_BENCH_SMOKE").is_ok();
+        let smoke = cnn_stack_bench::smoke();
         let (width, requests, cal_iters) = if smoke { (0.25, 48, 3) } else { (0.5, 160, 5) };
         println!(
             "chaos bench: VGG-16 width {width}, Paranoid primary plan, max_batch {MAX_BATCH}{}",

@@ -16,7 +16,7 @@
 //!
 //! Run modes:
 //!   cargo bench -p cnn-stack-bench --bench conv_algo      # full + gates
-//!   CONV_BENCH_SMOKE=1 cargo bench ... --bench conv_algo  # tiny shapes,
+//!   BENCH_SMOKE=1 cargo bench ... --bench conv_algo  # tiny shapes,
 //!       one iteration, no gates, writes target/BENCH_conv.smoke.json
 
 use cnn_stack_nn::{Conv2d, ConvAlgorithm, ExecConfig, Layer, Phase};
@@ -100,7 +100,7 @@ fn time_forward(conv: &mut Conv2d, input: &Tensor, cfg: &ExecConfig, iters: usiz
 }
 
 fn main() {
-    let smoke = std::env::var("CONV_BENCH_SMOKE").is_ok();
+    let smoke = cnn_stack_bench::smoke();
     let cases: Vec<Case> = if smoke {
         vec![
             Case {

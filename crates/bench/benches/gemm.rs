@@ -8,7 +8,7 @@
 //!
 //! Run modes:
 //!   cargo bench -p cnn-stack-bench --bench gemm       # full sweep
-//!   GEMM_BENCH_SMOKE=1 cargo bench ... --bench gemm   # tiny shapes,
+//!   BENCH_SMOKE=1 cargo bench ... --bench gemm   # tiny shapes,
 //!       writes to target/BENCH_gemm.smoke.json (CI correctness check)
 
 use cnn_stack_parallel::{parallel_for, DisjointWriter, Schedule};
@@ -129,7 +129,7 @@ struct Measurement {
 }
 
 fn main() {
-    let smoke = std::env::var("GEMM_BENCH_SMOKE").is_ok();
+    let smoke = cnn_stack_bench::smoke();
     let shapes = if smoke { SMOKE_SHAPES } else { SHAPES };
     let (min_iters, min_total_s) = if smoke { (1, 0.0) } else { (3, 0.3) };
     let thread_counts = [1usize, 2, 4];

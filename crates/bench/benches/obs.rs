@@ -6,7 +6,7 @@
 //!   cargo bench -p cnn-stack-bench --bench obs      # full measurement,
 //!       asserts tracing-off <1% over the frozen PR 4 baseline and
 //!       writes BENCH_obs.json at the workspace root
-//!   OBS_BENCH_SMOKE=1 cargo bench ... --bench obs   # quick regression
+//!   BENCH_SMOKE=1 cargo bench ... --bench obs   # quick regression
 //!       check (CI job): fails on >5% tracing-off overhead vs the
 //!       frozen baseline, writes target/obs_bench_smoke.json
 
@@ -93,7 +93,7 @@ fn write_json(path: &std::path::Path, entries: &[(&str, f64)], baseline: f64) {
 }
 
 fn main() {
-    if std::env::var_os("OBS_BENCH_SMOKE").is_some() {
+    if cnn_stack_bench::smoke() {
         // CI quick mode: one short tracing-off measurement against the
         // recorded baseline.
         let off = measure(ObsLevel::Off, 30);

@@ -13,7 +13,7 @@
 //!
 //! Run modes:
 //!   cargo bench -p cnn-stack-bench --bench plan       # full measurement
-//!   PLAN_BENCH_SMOKE=1 cargo bench ... --bench plan   # tiny width, one
+//!   BENCH_SMOKE=1 cargo bench ... --bench plan   # tiny width, one
 //!       iteration, writes to target/BENCH_plan.smoke.json (CI check)
 
 use cnn_stack_models::{Model, ModelKind};
@@ -85,7 +85,7 @@ struct Measurement {
 }
 
 fn main() {
-    let smoke = std::env::var("PLAN_BENCH_SMOKE").is_ok();
+    let smoke = cnn_stack_bench::smoke();
     let (width, iters) = if smoke { (0.1, 1) } else { (0.5, 7) };
     // Prune everything above ~16k weight elements: at width 0.5 that is
     // the back half of VGG-16 (which dominates dense runtime) plus the

@@ -20,7 +20,7 @@
 //!
 //! Run modes:
 //!   cargo bench -p cnn-stack-bench --bench quant       # full measurement
-//!   QUANT_BENCH_SMOKE=1 cargo bench ... --bench quant  # tiny shapes, one
+//!   BENCH_SMOKE=1 cargo bench ... --bench quant  # tiny shapes, one
 //!       iteration, writes to target/BENCH_quant.smoke.json (CI check)
 
 use cnn_stack_compress::accuracy::{AccuracyModel, Technique};
@@ -81,7 +81,7 @@ struct Measurement {
 }
 
 fn main() {
-    let smoke = std::env::var("QUANT_BENCH_SMOKE").is_ok();
+    let smoke = cnn_stack_bench::smoke();
     let iters = if smoke { 1 } else { 31 };
     let cases: Vec<LayerCase> = if smoke {
         vec![LayerCase {

@@ -19,7 +19,7 @@
 //! Run modes:
 //!   cargo bench -p cnn-stack-bench --bench serve        # full, VGG-16
 //!       width 1.0, Paranoid guard, writes BENCH_serve.json
-//!   SERVE_BENCH_SMOKE=1 cargo bench ... --bench serve   # width 0.25,
+//!   BENCH_SMOKE=1 cargo bench ... --bench serve   # width 0.25,
 //!       few requests, loose 5% gate, writes target/BENCH_serve.smoke.json
 
 use cnn_stack_models::ModelKind;
@@ -142,7 +142,7 @@ fn json_policy(r: &PolicyResult) -> String {
 }
 
 fn main() {
-    let smoke = std::env::var("SERVE_BENCH_SMOKE").is_ok();
+    let smoke = cnn_stack_bench::smoke();
     let (width, max_batch, requests, cal_iters, gate) = if smoke {
         (0.25, 4, 24, 9, 1.05)
     } else {

@@ -4,11 +4,19 @@
 //! evaluation section (see `DESIGN.md` §3 for the index) and prints the
 //! same rows/series the paper reports. This library holds the pieces
 //! they share: the Table III / Table V operating-point lookups, cell
-//! construction, and plain-text table rendering.
+//! construction, and plain-text table rendering — plus the one
+//! `BENCH_SMOKE` switch the hand-rolled benches read.
 
 use cnn_stack_compress::{AccuracyModel, Technique};
 use cnn_stack_core::{CompressionChoice, PlatformChoice, StackConfig};
 use cnn_stack_models::ModelKind;
+
+/// Whether `BENCH_SMOKE` is set: every hand-rolled bench then runs its
+/// quick CI mode (tiny shapes, one iteration, gates off, JSON under
+/// `target/` instead of the repository root).
+pub fn smoke() -> bool {
+    std::env::var_os("BENCH_SMOKE").is_some()
+}
 
 /// Which table's operating points to use when configuring a technique.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

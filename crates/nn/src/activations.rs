@@ -72,10 +72,6 @@ impl Layer for ReLU {
         f(self);
     }
 
-    fn forward_into_supported(&self, _cfg: &ExecConfig) -> bool {
-        true
-    }
-
     fn forward_into(
         &self,
         input: &[f32],

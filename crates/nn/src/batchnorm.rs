@@ -311,10 +311,6 @@ impl Layer for BatchNorm2d {
         f(self);
     }
 
-    fn forward_into_supported(&self, _cfg: &ExecConfig) -> bool {
-        true
-    }
-
     fn forward_into(
         &self,
         input: &[f32],

@@ -11,7 +11,7 @@ use cnn_stack_tensor::init::{initialise, Init};
 use cnn_stack_tensor::{
     col2im, fft_conv2d_into, fft_conv_scratch_elems, gemm, im2col, im2col_into, ops,
     pack_b_im2col_batch_into, pack_b_im2col_into, winograd4_conv2d_into, winograd4_scratch_elems,
-    winograd_conv2d, Conv2dGeometry, GemmAlgorithm, GemmPlan, Tensor,
+    winograd_conv2d_into, winograd_scratch_elems, Conv2dGeometry, GemmAlgorithm, GemmPlan, Tensor,
 };
 use std::sync::Arc;
 
@@ -358,10 +358,10 @@ impl Conv2d {
         ((4 * cnn_stack_tensor::NR) / plane).clamp(1, n.max(1))
     }
 
-    /// Direct (7-loop) dense kernel over raw slices. All `eval_*_into`
-    /// kernels are shared verbatim by [`Layer::forward`] and
-    /// [`Layer::forward_into`], so the arena engine is bit-identical to
-    /// the tensor path.
+    /// Direct (7-loop) dense kernel over raw slices. Every `eval_*_into`
+    /// kernel is reached only through [`Layer::forward_into`], which
+    /// [`Layer::forward`] wraps, so the arena engine is bit-identical
+    /// to the tensor path.
     fn eval_dense_direct_into(
         &self,
         in_data: &[f32],
@@ -783,28 +783,27 @@ impl Conv2d {
         }
     }
 
-    /// Whether a dense-weights Winograd execution would take the true
-    /// Winograd transform (3×3, stride 1) rather than the direct
-    /// fallback. The transform allocates internally and rounds
-    /// differently, so the engine routes such layers through
-    /// [`Layer::forward`] to stay bit-identical.
+    /// Whether a Winograd execution (either tile size) takes the
+    /// transform (3×3, stride 1, non-CSR weights) rather than the
+    /// direct fallback.
     fn takes_winograd_transform(&self, cfg: &ExecConfig) -> bool {
-        self.format == WeightFormat::Dense
-            && cfg.conv_algo == ConvAlgorithm::Winograd
+        self.format != WeightFormat::Csr
+            && matches!(
+                cfg.conv_algo,
+                ConvAlgorithm::Winograd | ConvAlgorithm::WinogradF4
+            )
             && self.kernel == 3
             && self.stride == 1
     }
 
-    /// Whether an F(4×4, 3×3) execution takes the Winograd transform
-    /// (3×3, stride 1, non-CSR weights) rather than the direct
-    /// fallback. Unlike F(2×2), the F(4×4) kernel runs in
-    /// caller-provided scratch, so it stays on the `forward_into` path
-    /// and its workspace is visible to the liveness planner.
-    fn takes_winograd4_transform(&self, cfg: &ExecConfig) -> bool {
-        self.format != WeightFormat::Csr
-            && cfg.conv_algo == ConvAlgorithm::WinogradF4
-            && self.kernel == 3
-            && self.stride == 1
+    /// Workspace floats of the Winograd kernel `cfg` selects (filter
+    /// transforms plus the tile panels, see the kernels' own docs).
+    fn winograd_workspace_elems(&self, cfg: &ExecConfig) -> usize {
+        if cfg.conv_algo == ConvAlgorithm::WinogradF4 {
+            winograd4_scratch_elems(self.in_channels, self.out_channels)
+        } else {
+            winograd_scratch_elems(self.in_channels, self.out_channels)
+        }
     }
 
     /// Whether an FFT execution takes the frequency-domain kernel.
@@ -815,10 +814,11 @@ impl Conv2d {
         self.format != WeightFormat::Csr && cfg.conv_algo == ConvAlgorithm::Fft
     }
 
-    /// F(4×4, 3×3) evaluation into caller buffers: the shared kernel
-    /// for `forward` and `forward_into`, plus the fused-ReLU epilogue.
+    /// Winograd evaluation into caller buffers — F(4×4) or F(2×2) as
+    /// `cfg` selects (the kernels share one signature) — plus the
+    /// fused-ReLU epilogue.
     #[allow(clippy::too_many_arguments)]
-    fn eval_winograd4_into(
+    fn eval_winograd_into(
         &self,
         in_data: &[f32],
         n: usize,
@@ -828,7 +828,12 @@ impl Conv2d {
         scratch: &mut [f32],
         cfg: &ExecConfig,
     ) {
-        winograd4_conv2d_into(
+        let kernel = if cfg.conv_algo == ConvAlgorithm::WinogradF4 {
+            winograd4_conv2d_into
+        } else {
+            winograd_conv2d_into
+        };
+        kernel(
             in_data,
             n,
             self.in_channels,
@@ -841,7 +846,7 @@ impl Conv2d {
             out,
             scratch,
         )
-        .expect("takes_winograd4_transform checked eligibility");
+        .expect("takes_winograd_transform checked eligibility");
         if cfg.fused_relu {
             for v in out.iter_mut() {
                 *v = v.max(0.0);
@@ -849,8 +854,8 @@ impl Conv2d {
         }
     }
 
-    /// FFT evaluation into caller buffers: the shared kernel for
-    /// `forward` and `forward_into`, plus the fused-ReLU epilogue.
+    /// FFT evaluation into caller buffers, plus the fused-ReLU
+    /// epilogue.
     #[allow(clippy::too_many_arguments)]
     fn eval_fft_into(
         &self,
@@ -982,84 +987,14 @@ impl Layer for Conv2d {
 
     fn forward(&mut self, input: &Tensor, phase: Phase, cfg: &ExecConfig) -> Tensor {
         let (n, in_c, h, w) = input.shape().nchw();
-        assert_eq!(
-            in_c,
-            self.in_channels,
-            "{}: input channel mismatch",
-            self.name()
-        );
-        let geom = self.geometry(h, w);
         if phase == Phase::Train {
             self.cached_input = Some(input.clone());
         }
-        if self.takes_winograd_transform(cfg) {
-            let mut out = winograd_conv2d(
-                input,
-                &self.weight.value,
-                Some(self.bias.value.data()),
-                self.padding,
-            )
-            .expect("takes_winograd_transform checked eligibility");
-            if cfg.fused_relu {
-                for v in out.data_mut().iter_mut() {
-                    *v = v.max(0.0);
-                }
-            }
-            return out;
-        }
+        let shape = [n, in_c, h, w];
+        let geom = self.geometry(h, w);
         let mut out = Tensor::zeros([n, self.out_channels, geom.out_h, geom.out_w]);
-        let mut scratch = vec![0.0f32; self.forward_scratch_elems(&[n, in_c, h, w], cfg)];
-        match self.format {
-            WeightFormat::Csr => self.eval_csr_into(
-                input.data(),
-                n,
-                h,
-                w,
-                &geom,
-                out.data_mut(),
-                &mut scratch,
-                cfg,
-            ),
-            // Dense master weights drive every other format; quantised
-            // formats route through the packed dispatcher, which falls
-            // back to the f32 engine when no snapshot applies.
-            _ => match cfg.conv_algo {
-                ConvAlgorithm::Im2col if self.uses_packed_gemm(cfg) => self
-                    .eval_packed_dispatch_into(
-                        input.data(),
-                        n,
-                        h,
-                        w,
-                        &geom,
-                        out.data_mut(),
-                        &mut scratch,
-                        cfg,
-                    ),
-                ConvAlgorithm::Im2col => self.eval_dense_im2col_into(
-                    input.data(),
-                    n,
-                    h,
-                    w,
-                    &geom,
-                    out.data_mut(),
-                    &mut scratch,
-                    cfg,
-                ),
-                ConvAlgorithm::WinogradF4 if self.takes_winograd4_transform(cfg) => self
-                    .eval_winograd4_into(input.data(), n, h, w, out.data_mut(), &mut scratch, cfg),
-                ConvAlgorithm::Fft if self.takes_fft(cfg) => {
-                    self.eval_fft_into(input.data(), n, &geom, out.data_mut(), &mut scratch, cfg)
-                }
-                // Winograd variants on a non-3x3/stride-1 layer fall
-                // back to the direct kernel.
-                ConvAlgorithm::Direct
-                | ConvAlgorithm::Winograd
-                | ConvAlgorithm::WinogradF4
-                | ConvAlgorithm::Fft => {
-                    self.eval_dense_direct_into(input.data(), n, &geom, out.data_mut(), cfg)
-                }
-            },
-        }
+        let mut scratch = vec![0.0f32; self.forward_scratch_elems(&shape, cfg)];
+        self.forward_into(input.data(), &shape, out.data_mut(), &mut scratch, cfg);
         out
     }
 
@@ -1163,15 +1098,9 @@ impl Layer for Conv2d {
         f(self);
     }
 
-    fn forward_into_supported(&self, cfg: &ExecConfig) -> bool {
-        // The true Winograd transform allocates internally and rounds
-        // differently; the engine falls back to `forward` for it.
-        !self.takes_winograd_transform(cfg)
-    }
-
     fn forward_scratch_elems(&self, input_shape: &[usize], cfg: &ExecConfig) -> usize {
-        if self.takes_winograd4_transform(cfg) {
-            return winograd4_scratch_elems(self.in_channels, self.out_channels);
+        if self.takes_winograd_transform(cfg) {
+            return self.winograd_workspace_elems(cfg);
         }
         if self.takes_fft(cfg) {
             let geom = self.geometry(input_shape[2], input_shape[3]);
@@ -1217,7 +1146,7 @@ impl Layer for Conv2d {
     fn forward_workspace_elems(&self, input_shape: &[usize], cfg: &ExecConfig) -> usize {
         // The transform-domain kernels have no prepare-time caching, so
         // their steady-state workspace equals the conservative bound.
-        if self.takes_winograd4_transform(cfg) || self.takes_fft(cfg) {
+        if self.takes_winograd_transform(cfg) || self.takes_fft(cfg) {
             return self.forward_scratch_elems(input_shape, cfg);
         }
         if cfg.conv_algo == ConvAlgorithm::Im2col {
@@ -1352,16 +1281,16 @@ impl Layer for Conv2d {
                 ConvAlgorithm::Im2col => {
                     self.eval_dense_im2col_into(input, n, h, w, &geom, out, scratch, cfg)
                 }
-                ConvAlgorithm::WinogradF4 if self.takes_winograd4_transform(cfg) => {
-                    self.eval_winograd4_into(input, n, h, w, out, scratch, cfg)
+                ConvAlgorithm::Winograd | ConvAlgorithm::WinogradF4
+                    if self.takes_winograd_transform(cfg) =>
+                {
+                    self.eval_winograd_into(input, n, h, w, out, scratch, cfg)
                 }
                 ConvAlgorithm::Fft if self.takes_fft(cfg) => {
                     self.eval_fft_into(input, n, &geom, out, scratch, cfg)
                 }
-                // The F(2x2) Winograd arm only sees non-eligible layers
-                // here (`forward_into_supported` gates the rest) —
-                // direct fallback, same as `forward`. Non-eligible
-                // F(4x4) layers fall back the same way.
+                // Winograd variants on a non-3x3/stride-1 layer fall
+                // back to the direct kernel.
                 ConvAlgorithm::Direct
                 | ConvAlgorithm::Winograd
                 | ConvAlgorithm::WinogradF4

@@ -224,10 +224,6 @@ impl Layer for DepthwiseConv2d {
         f(self);
     }
 
-    fn forward_into_supported(&self, _cfg: &ExecConfig) -> bool {
-        true
-    }
-
     fn forward_into(
         &self,
         input: &[f32],

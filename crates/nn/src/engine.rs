@@ -4,25 +4,22 @@
 //! which is exactly the per-inference heap traffic the paper's embedded
 //! targets cannot afford (§IV-B measures whole-network memory footprints
 //! for this reason). This module compiles a network once into an
-//! [`InferencePlan`] — every layer's output shape, its scratch
-//! requirement, and whether its allocation-free kernel applies — and then
-//! executes it through an [`InferenceSession`] over one pre-sized arena,
-//! so steady-state inference performs **zero** per-layer heap
-//! allocations. By default the arena is laid out by the liveness
-//! colouring in [`crate::liveness`]: each step's output and workspace
-//! get offsets such that buffers with overlapping live intervals never
-//! share bytes while everything else does, which roughly halves the
-//! peak footprint of deep sequential nets against the legacy two-buffer
-//! ping-pong layout ([`crate::layer::ArenaStrategy::PingPong`], kept as
-//! a bit-exact baseline).
+//! [`InferencePlan`] — every layer's output shape and workspace
+//! requirement — and then executes it through an [`InferenceSession`]
+//! over one pre-sized arena, so steady-state inference performs **zero**
+//! per-layer heap allocations: every kernel runs through
+//! [`Layer::forward_into`] over arena slices. The arena is laid out by
+//! the liveness colouring in [`crate::liveness`]: each step's output
+//! and workspace get offsets such that buffers with overlapping live
+//! intervals never share bytes while everything else does.
 //!
-//! When every layer supports the arena path and the configuration asks
-//! for more than one thread, the session switches to data-parallel batch
-//! execution: the batch dimension is split into chunks, each chunk runs
-//! the whole layer pipeline on its own arena pair with one thread, and a
-//! persistent [`ThreadPool`] drives the chunks concurrently. Because each
-//! output element is computed by exactly the same loop nest either way,
-//! the result is bit-identical to the sequential path.
+//! When the configuration asks for more than one thread, the session
+//! switches to data-parallel batch execution: the batch dimension is
+//! split into chunks, each chunk runs the whole layer pipeline on its
+//! own arena with one thread, and a persistent [`ThreadPool`] drives
+//! the chunks concurrently. Because each output element is computed by
+//! exactly the same loop nest either way, the result is bit-identical
+//! to the single-chunk path.
 //!
 //! # Guarded execution
 //!
@@ -67,7 +64,7 @@ use crate::guard::{
     scan_non_finite, BudgetBreachRecord, DemotionAction, DemotionReason, DemotionRecord, FaultPlan,
     GuardConfig, GuardReport, GuardViolation, HealthReport,
 };
-use crate::layer::{ArenaStrategy, ConvAlgorithm, ExecConfig, Layer, Phase, WeightFormat};
+use crate::layer::{ConvAlgorithm, ExecConfig, Layer, WeightFormat};
 use crate::liveness::{ArenaLayout, MemoryFootprint, StepExtent};
 use crate::network::Network;
 use cnn_stack_obs::{Metric, NameId, Observer};
@@ -110,21 +107,14 @@ pub struct PlanStep {
     pub input_elems: usize,
     /// Elements leaving the layer.
     pub output_elems: usize,
-    /// Conservative scratch floats the arena kernel may need on any
-    /// path, including cold ones such as repacking dropped weight
-    /// panels (0 when unsupported). Sizes the legacy ping-pong scratch
-    /// region.
+    /// Conservative scratch floats the kernel may need on any path,
+    /// including cold ones such as repacking dropped weight panels.
     pub scratch_elems: usize,
     /// Steady-state workspace floats the kernel needs once `prepare()`
-    /// has cached its panels (0 when unsupported). The liveness
-    /// colouring sizes arena slots with this; for packed VGG-scale
-    /// convolutions it is far below
+    /// has cached its panels. The liveness colouring sizes arena slots
+    /// with this; for packed VGG-scale convolutions it is far below
     /// [`scratch_elems`](PlanStep::scratch_elems).
     pub workspace_elems: usize,
-    /// Whether [`Layer::forward_into`] executes this step; `false` routes
-    /// it through the allocating [`Layer::forward`] fallback (e.g. the
-    /// true Winograd transform).
-    pub supported: bool,
     /// Blocking plan of the step's packed GEMM, when the step routes
     /// through the packed engine under the compiled configuration
     /// (conv-im2col and linear layers with dense weights).
@@ -147,13 +137,12 @@ pub struct InferencePlan {
     steps: Vec<PlanStep>,
     buf_elems: usize,
     scratch_elems: usize,
-    all_supported: bool,
 }
 
 impl InferencePlan {
     /// Walks the network's [`Layer::descriptor`] chain at `input_shape`,
-    /// recording every layer's output shape, scratch requirement, and
-    /// arena eligibility under `cfg`.
+    /// recording every layer's output shape and scratch requirement
+    /// under `cfg`.
     ///
     /// # Errors
     ///
@@ -182,7 +171,7 @@ impl InferencePlan {
         // the budget is a straight admission check: this exact plan
         // either fits or nothing does.
         if let Some(budget) = cfg.plan_budget {
-            let peak = plan.strategy_peak_bytes();
+            let peak = plan.footprint().peak_bytes;
             if peak > budget {
                 return Err(Error::Plan(PlanError::BudgetInfeasible {
                     budget_bytes: budget,
@@ -207,7 +196,6 @@ impl InferencePlan {
             .unwrap_or_else(|| input_shape.clone());
         let buf_elems = steps.iter().map(|s| s.output_elems).max().unwrap_or(0);
         let scratch_elems = steps.iter().map(|s| s.scratch_elems).max().unwrap_or(0);
-        let all_supported = steps.iter().all(|s| s.supported);
         InferencePlan {
             input_shape,
             output_shape,
@@ -215,7 +203,6 @@ impl InferencePlan {
             steps,
             buf_elems,
             scratch_elems,
-            all_supported,
         }
     }
 
@@ -239,21 +226,14 @@ impl InferencePlan {
         &self.steps
     }
 
-    /// Elements of each of the two ping-pong arena buffers (the largest
-    /// single-layer output).
+    /// Elements of the largest single-layer output.
     pub fn buf_elems(&self) -> usize {
         self.buf_elems
     }
 
-    /// Elements of the shared scratch buffer (the largest single-layer
-    /// scratch requirement).
+    /// The largest single-layer conservative scratch requirement.
     pub fn scratch_elems(&self) -> usize {
         self.scratch_elems
-    }
-
-    /// Whether every step runs through the allocation-free arena path.
-    pub fn fully_supported(&self) -> bool {
-        self.all_supported
     }
 
     /// Per-step memory extents for the liveness planner, at the plan's
@@ -270,22 +250,13 @@ impl InferencePlan {
     }
 
     /// The plan's predicted arena requirement: the liveness-coloured
-    /// peak and the counterfactual ping-pong footprint, for the full
-    /// batch executed sequentially (batch-parallel sessions size one
-    /// smaller arena per chunk; their exact total is reported by
+    /// peak (what a memory budget is compared against) and the
+    /// counterfactual unshared footprint, for the full batch executed
+    /// in one chunk (batch-parallel sessions size one smaller arena per
+    /// chunk; their exact total is reported by
     /// [`InferenceSession::arena_bytes`]).
     pub fn footprint(&self) -> MemoryFootprint {
         MemoryFootprint::of(&self.step_extents())
-    }
-
-    /// Peak bytes under the plan's own arena strategy — what a memory
-    /// budget is compared against.
-    pub fn strategy_peak_bytes(&self) -> usize {
-        let fp = self.footprint();
-        match self.cfg.arena {
-            ArenaStrategy::Coloured => fp.peak_bytes,
-            ArenaStrategy::PingPong => fp.naive_bytes,
-        }
     }
 }
 
@@ -308,15 +279,6 @@ pub(crate) fn compile_step(
         )));
     }
     let d = layer.descriptor(shape);
-    let supported = layer.forward_into_supported(cfg);
-    let (scratch, workspace) = if supported {
-        (
-            layer.forward_scratch_elems(shape, cfg),
-            layer.forward_workspace_elems(shape, cfg),
-        )
-    } else {
-        (0, 0)
-    };
     Ok(PlanStep {
         name: d.name,
         layer: layer_idx,
@@ -326,9 +288,8 @@ pub(crate) fn compile_step(
         output_shape: d.output_shape,
         input_elems: d.input_elems,
         output_elems: d.output_elems,
-        scratch_elems: scratch,
-        workspace_elems: workspace,
-        supported,
+        scratch_elems: layer.forward_scratch_elems(shape, cfg),
+        workspace_elems: layer.forward_workspace_elems(shape, cfg),
         gemm: layer.gemm_plan(shape, cfg),
         macs: d.macs,
         bytes: 4 * (d.input_elems + d.output_elems + d.weight_nnz) as u64,
@@ -340,10 +301,9 @@ pub(crate) fn compile_step(
 pub struct ProfileRow {
     /// Layer name.
     pub name: String,
-    /// Cumulative wall-clock time across runs. Sequential runs time each
-    /// step in-line; batch-parallel runs time every step inside each
-    /// chunk worker and attribute the slowest chunk's time — the step's
-    /// critical path — so rows advance in both modes.
+    /// Cumulative wall-clock time across successful runs. Every step
+    /// is timed inside its chunk; batch-parallel runs attribute the
+    /// slowest chunk's time — the step's critical path.
     pub time: Duration,
     /// Cumulative dense multiply-accumulates.
     pub macs: u64,
@@ -412,22 +372,15 @@ impl SessionProfile {
     }
 }
 
-/// Per-step execution state the session can change at runtime (unlike
-/// the immutable compiled [`PlanStep`]): the effective configuration
-/// after demotions, its single-threaded chunk twin, and whether the
-/// arena fast path applies under that configuration.
-#[derive(Clone, Copy, Debug)]
-struct ExecStep {
-    cfg: ExecConfig,
-    chunk_cfg: ExecConfig,
-    supported: bool,
-}
-
 /// A per-chunk view of the plan: the same steps re-shaped to the chunk's
 /// batch size, plus each step's slots in the chunk's arena.
 #[derive(Debug)]
 struct ChunkStep {
     layer: usize,
+    /// The step's effective configuration inside this chunk: the
+    /// session's current (possibly demoted) per-step config, pinned to
+    /// one thread when the batch is split across chunks.
+    cfg: ExecConfig,
     input_shape: Vec<usize>,
     input_elems: usize,
     output_elems: usize,
@@ -448,12 +401,13 @@ struct ChunkArena {
     /// The chunk's single arena: every intermediate activation and
     /// workspace lives at a liveness-assigned offset in here.
     arena: Vec<f32>,
-    /// Elements the legacy ping-pong layout would have reserved for
-    /// this chunk (the counterfactual behind the reuse gauge).
+    /// Elements the unshared `naive_bytes` sizing model would have
+    /// reserved for this chunk (the counterfactual behind the reuse
+    /// gauge).
     naive_elems: usize,
-    /// Wall-clock nanoseconds per step on the most recent attempt,
-    /// written by the chunk worker so the session can attribute
-    /// per-layer time (max over chunks) after a parallel run.
+    /// Wall-clock nanoseconds per step on the most recent attempt, so
+    /// the session can attribute per-layer time (max over chunks)
+    /// after a run.
     step_ns: Vec<u64>,
 }
 
@@ -495,13 +449,28 @@ impl RunFailure {
     }
 }
 
-/// Sizes per-chunk arenas for the current execution state: one chunk
-/// (sequential) unless every step supports the arena path and the
-/// configuration asks for batch parallelism.
-fn build_chunks(net: &Network, plan: &InferencePlan, exec: &[ExecStep]) -> Vec<ChunkArena> {
+/// Memory extent of one step at `input_shape` under `cfg` — the kernel's
+/// own workspace numbers, re-derived whenever batch size or (demoted)
+/// configuration differ from what the plan was compiled with.
+fn step_extent(
+    layer: &dyn Layer,
+    input_shape: &[usize],
+    output_elems: usize,
+    cfg: &ExecConfig,
+) -> StepExtent {
+    StepExtent {
+        output_elems,
+        workspace_elems: layer.forward_workspace_elems(input_shape, cfg),
+        scratch_elems: layer.forward_scratch_elems(input_shape, cfg),
+    }
+}
+
+/// Sizes per-chunk arenas for the current execution state (`exec` holds
+/// each step's effective, possibly demoted, configuration): one chunk
+/// unless the configuration asks for batch parallelism.
+fn build_chunks(net: &Network, plan: &InferencePlan, exec: &[ExecConfig]) -> Vec<ChunkArena> {
     let n = plan.input_shape()[0];
-    let all_supported = exec.iter().all(|e| e.supported);
-    let chunk_count = if all_supported && plan.cfg().threads > 1 && n > 1 {
+    let chunk_count = if plan.cfg().threads > 1 && n > 1 {
         plan.cfg().threads.min(n)
     } else {
         1
@@ -513,47 +482,33 @@ fn build_chunks(net: &Network, plan: &InferencePlan, exec: &[ExecStep]) -> Vec<C
         let m = base + usize::from(c < extra);
         let mut steps = Vec::with_capacity(plan.steps().len());
         let mut extents = Vec::with_capacity(plan.steps().len());
-        for (i, ps) in plan.steps().iter().enumerate() {
+        for (ps, &step_cfg) in plan.steps().iter().zip(exec) {
             let mut input_shape = ps.input_shape.clone();
             input_shape[0] = m;
-            let input_elems = ps.input_elems / n * m;
             let output_elems = ps.output_elems / n * m;
-            // Workspace/scratch are re-derived at the chunk's batch
-            // size and effective (possibly demoted) configuration —
-            // the plan-level numbers cover the full batch only.
-            let (workspace_elems, scratch_elems) = if exec[i].supported {
-                let cfg = if chunk_count > 1 {
-                    &exec[i].chunk_cfg
-                } else {
-                    &exec[i].cfg
-                };
-                let layer = net.layers()[ps.layer].as_ref();
-                (
-                    layer.forward_workspace_elems(&input_shape, cfg),
-                    layer.forward_scratch_elems(&input_shape, cfg),
-                )
+            // Chunks run concurrently, one thread each.
+            let cfg = if chunk_count > 1 {
+                ExecConfig {
+                    threads: 1,
+                    ..step_cfg
+                }
             } else {
-                (0, 0)
+                step_cfg
             };
-            extents.push(StepExtent {
-                output_elems,
-                workspace_elems,
-                scratch_elems,
-            });
+            let layer = net.layers()[ps.layer].as_ref();
+            extents.push(step_extent(layer, &input_shape, output_elems, &cfg));
             steps.push(ChunkStep {
                 layer: ps.layer,
+                cfg,
                 input_shape,
-                input_elems,
+                input_elems: ps.input_elems / n * m,
                 output_elems,
                 dst_off: 0,
                 ws_off: 0,
                 ws_len: 0,
             });
         }
-        let layout = match plan.cfg().arena {
-            ArenaStrategy::Coloured => ArenaLayout::colour(&extents),
-            ArenaStrategy::PingPong => ArenaLayout::ping_pong(&extents),
-        };
+        let layout = ArenaLayout::colour(&extents);
         for (step, slot) in steps.iter_mut().zip(&layout.slots) {
             step.dst_off = slot.dst_off;
             step.ws_off = slot.ws_off;
@@ -577,8 +532,8 @@ fn build_chunks(net: &Network, plan: &InferencePlan, exec: &[ExecStep]) -> Vec<C
 /// The liveness layout guarantees that the three ranges are pairwise
 /// disjoint: the previous step's output, this step's output, and this
 /// step's workspace are all live at this step, so the colouring placed
-/// them in non-overlapping byte ranges (the ping-pong layout trivially
-/// so). `debug_assert`s re-check that invariant here.
+/// them in non-overlapping byte ranges. `debug_assert`s re-check that
+/// invariant here.
 fn arena_views(
     arena: &mut [f32],
     src: Option<(usize, usize)>,
@@ -711,7 +666,9 @@ impl std::ops::DerefMut for NetHandle<'_> {
 pub struct InferenceSession<'n> {
     net: NetHandle<'n>,
     plan: InferencePlan,
-    exec: Vec<ExecStep>,
+    /// Per-step effective configuration: the compiled [`PlanStep::cfg`]
+    /// with every demotion so far applied.
+    exec: Vec<ExecConfig>,
     chunks: Vec<ChunkArena>,
     pool: Option<ThreadPool>,
     profile: SessionProfile,
@@ -780,18 +737,7 @@ impl<'n> InferenceSession<'n> {
                 net.len()
             )));
         }
-        let exec: Vec<ExecStep> = plan
-            .steps
-            .iter()
-            .map(|s| ExecStep {
-                cfg: s.cfg,
-                chunk_cfg: ExecConfig {
-                    threads: 1,
-                    ..s.cfg
-                },
-                supported: s.supported,
-            })
-            .collect();
+        let exec: Vec<ExecConfig> = plan.steps.iter().map(|s| s.cfg).collect();
         let chunks = build_chunks(&net, &plan, &exec);
         let pool = (chunks.len() > 1).then(|| ThreadPool::new(chunks.len()));
         let profile = SessionProfile::new(&plan.steps);
@@ -899,11 +845,11 @@ impl<'n> InferenceSession<'n> {
             .steps
             .iter()
             .zip(&self.exec)
-            .map(|(s, e)| {
-                let relu = if e.cfg.fused_relu { " +relu" } else { "" };
+            .map(|(s, cfg)| {
+                let relu = if cfg.fused_relu { " +relu" } else { "" };
                 w.observer.intern(&format!(
                     "{} [span {}] {:?}/{:?}{}",
-                    s.name, s.span, e.cfg.conv_algo, e.cfg.gemm_algo, relu
+                    s.name, s.span, cfg.conv_algo, cfg.gemm_algo, relu
                 ))
             })
             .collect();
@@ -932,9 +878,8 @@ impl<'n> InferenceSession<'n> {
             .sum()
     }
 
-    /// Bytes the session's arena layout saves over the legacy
-    /// ping-pong layout (zero when the plan was compiled with
-    /// [`ArenaStrategy::PingPong`]).
+    /// Bytes the session's arena layout saves over the unshared
+    /// [`MemoryFootprint::naive_bytes`] sizing model.
     pub fn arena_reuse_bytes(&self) -> usize {
         self.chunks
             .iter()
@@ -1012,7 +957,7 @@ impl<'n> InferenceSession<'n> {
     }
 
     /// Runs one inference into a caller-provided output tensor with zero
-    /// heap allocation on the sequential hot path.
+    /// heap allocation on the single-chunk hot path.
     ///
     /// Kernel panics are contained; guard trips and panics in steps with
     /// a safer algorithm demote the step and re-run (bounded attempts);
@@ -1156,7 +1101,7 @@ impl<'n> InferenceSession<'n> {
         None
     }
 
-    /// One pass over the pipeline: sequential when there is a single
+    /// One pass over the pipeline: in-line when there is a single
     /// chunk, batch-parallel over the pool otherwise.
     fn execute_attempt(
         &mut self,
@@ -1164,29 +1109,27 @@ impl<'n> InferenceSession<'n> {
         out: &mut Tensor,
         run: u64,
     ) -> Result<(), RunFailure> {
-        if self.chunks.len() == 1 {
-            let chunk = &mut self.chunks[0];
-            run_steps_sequential(
-                self.net.layers_mut(),
-                &self.exec,
+        let layers: &[Box<dyn Layer>] = self.net.layers();
+        let guard = self.guard;
+        let faults: &FaultPlan = &self.faults;
+        let obs: Option<&ObsWiring> = self.obs.as_ref();
+        let failure = if let [chunk] = self.chunks.as_mut_slice() {
+            run_steps(
+                layers,
                 chunk,
+                None,
                 input.data(),
                 out.data_mut(),
-                self.guard,
-                &mut self.profile.rows,
-                &self.faults,
+                guard,
+                faults,
                 run,
-                self.obs.as_ref(),
+                obs,
             )
+            .err()
         } else {
             let n = self.plan.input_shape[0];
             let in_per_image = self.plan.steps[0].input_elems / n;
             let out_per_image = self.plan.steps.last().expect("non-empty plan").output_elems / n;
-            let layers: &[Box<dyn Layer>] = self.net.layers();
-            let exec: &[ExecStep] = &self.exec;
-            let guard = self.guard;
-            let faults: &FaultPlan = &self.faults;
-            let obs: Option<&ObsWiring> = self.obs.as_ref();
             let mut failures: Vec<Option<RunFailure>> = Vec::new();
             failures.resize_with(self.chunks.len(), || None);
             let mut in_rest = input.data();
@@ -1201,8 +1144,16 @@ impl<'n> InferenceSession<'n> {
                 let (out_c, rest) = out_rest.split_at_mut(chunk.len * out_per_image);
                 out_rest = rest;
                 tasks.push(Box::new(move || {
-                    *failure = run_steps_chunk(
-                        layers, exec, chunk, ci, in_c, out_c, guard, faults, run, obs,
+                    *failure = run_steps(
+                        layers,
+                        chunk,
+                        Some(ci),
+                        in_c,
+                        out_c,
+                        guard,
+                        faults,
+                        run,
+                        obs,
                     )
                     .err();
                 }));
@@ -1217,28 +1168,21 @@ impl<'n> InferenceSession<'n> {
             }
             // Several chunks can fail in one attempt; report the earliest
             // pipeline position (the first offender).
-            let mut chosen: Option<RunFailure> = None;
-            for f in failures.into_iter().flatten() {
-                chosen = Some(match chosen {
-                    None => f,
-                    Some(prev) if f.step() < prev.step() => f,
-                    Some(prev) => prev,
-                });
-            }
-            match chosen {
-                None => {
-                    // Attribute per-layer time for the parallel run: the
-                    // chunks execute step i concurrently, so the slowest
-                    // chunk is the step's critical-path contribution.
-                    for (i, row) in self.profile.rows.iter_mut().enumerate() {
-                        let ns = self.chunks.iter().map(|c| c.step_ns[i]).max().unwrap_or(0);
-                        row.time += Duration::from_nanos(ns);
-                    }
-                    Ok(())
-                }
-                Some(f) => Err(f),
-            }
+            failures
+                .into_iter()
+                .flatten()
+                .reduce(|prev, f| if f.step() < prev.step() { f } else { prev })
+        };
+        if let Some(f) = failure {
+            return Err(f);
         }
+        // Attribute per-layer time: chunks execute step i concurrently,
+        // so the slowest chunk is the step's critical-path contribution.
+        for (i, row) in self.profile.rows.iter_mut().enumerate() {
+            let ns = self.chunks.iter().map(|c| c.step_ns[i]).max().unwrap_or(0);
+            row.time += Duration::from_nanos(ns);
+        }
+        Ok(())
     }
 
     /// Applies the strongest available demotion lever to `step`:
@@ -1260,58 +1204,47 @@ impl<'n> InferenceSession<'n> {
         }
         // FFT drops straight to im2col; F(4x4) Winograd steps down to
         // the better-conditioned F(2x2) transform first, whose own rung
-        // below continues the ladder to im2col.
-        if self.exec[step].cfg.conv_algo == ConvAlgorithm::Fft
-            && layer_has_conv(self.net.layers_mut()[li].as_mut())
-        {
-            self.exec[step].cfg.conv_algo = ConvAlgorithm::Im2col;
-            self.exec[step].chunk_cfg.conv_algo = ConvAlgorithm::Im2col;
-            self.record_demotion(step, DemotionAction::FftToIm2col, reason);
-            self.rebuild(step);
-            return true;
+        // continues the ladder to im2col.
+        let cfg = self.exec[step];
+        let conv_rung = match cfg.conv_algo {
+            ConvAlgorithm::Fft => Some((ConvAlgorithm::Im2col, DemotionAction::FftToIm2col)),
+            ConvAlgorithm::WinogradF4 => Some((
+                ConvAlgorithm::Winograd,
+                DemotionAction::Winograd4ToWinograd2,
+            )),
+            ConvAlgorithm::Winograd => {
+                Some((ConvAlgorithm::Im2col, DemotionAction::WinogradToIm2col))
+            }
+            ConvAlgorithm::Direct | ConvAlgorithm::Im2col => None,
+        };
+        if let Some((conv_algo, action)) = conv_rung {
+            if layer_has_conv(self.net.layers_mut()[li].as_mut()) {
+                self.exec[step].conv_algo = conv_algo;
+                self.record_demotion(step, action, reason);
+                self.rebuild(step);
+                return true;
+            }
         }
-        if self.exec[step].cfg.conv_algo == ConvAlgorithm::WinogradF4
-            && layer_has_conv(self.net.layers_mut()[li].as_mut())
-        {
-            self.exec[step].cfg.conv_algo = ConvAlgorithm::Winograd;
-            self.exec[step].chunk_cfg.conv_algo = ConvAlgorithm::Winograd;
-            self.record_demotion(step, DemotionAction::Winograd4ToWinograd2, reason);
-            self.rebuild(step);
-            return true;
-        }
-        if self.exec[step].cfg.conv_algo == ConvAlgorithm::Winograd
-            && layer_has_conv(self.net.layers_mut()[li].as_mut())
-        {
-            self.exec[step].cfg.conv_algo = ConvAlgorithm::Im2col;
-            self.exec[step].chunk_cfg.conv_algo = ConvAlgorithm::Im2col;
-            self.record_demotion(step, DemotionAction::WinogradToIm2col, reason);
-            self.rebuild(step);
-            return true;
-        }
-        let cfg = self.exec[step].cfg;
         // Quantised packed GEMM demotes to the f32 packed engine on the
         // dense master weights first — for exactly-ternary weights that
         // rung is bit-identical, and a further failure still has the
         // packed→blocked rung below.
-        if matches!(
-            cfg.gemm_algo,
-            GemmAlgorithm::TernaryPacked | GemmAlgorithm::Int8Packed
-        ) && layer_uses_packed_gemm(self.net.layers_mut()[li].as_mut(), &cfg)
-        {
-            self.exec[step].cfg.gemm_algo = GemmAlgorithm::Packed;
-            self.exec[step].chunk_cfg.gemm_algo = GemmAlgorithm::Packed;
-            self.record_demotion(step, DemotionAction::QuantisedToPacked, reason);
-            self.rebuild(step);
-            return true;
-        }
-        if cfg.gemm_algo == GemmAlgorithm::Packed
-            && layer_uses_packed_gemm(self.net.layers_mut()[li].as_mut(), &cfg)
-        {
-            self.exec[step].cfg.gemm_algo = GemmAlgorithm::Blocked;
-            self.exec[step].chunk_cfg.gemm_algo = GemmAlgorithm::Blocked;
-            self.record_demotion(step, DemotionAction::PackedToBlocked, reason);
-            self.rebuild(step);
-            return true;
+        let gemm_rung = match cfg.gemm_algo {
+            GemmAlgorithm::TernaryPacked | GemmAlgorithm::Int8Packed => {
+                Some((GemmAlgorithm::Packed, DemotionAction::QuantisedToPacked))
+            }
+            GemmAlgorithm::Packed => {
+                Some((GemmAlgorithm::Blocked, DemotionAction::PackedToBlocked))
+            }
+            _ => None,
+        };
+        if let Some((gemm_algo, action)) = gemm_rung {
+            if layer_uses_packed_gemm(self.net.layers_mut()[li].as_mut(), &cfg) {
+                self.exec[step].gemm_algo = gemm_algo;
+                self.record_demotion(step, action, reason);
+                self.rebuild(step);
+                return true;
+            }
         }
         false
     }
@@ -1332,26 +1265,21 @@ impl<'n> InferenceSession<'n> {
     /// so the caches never go stale against the master weights.
     fn reprepare(&mut self) {
         let layers = self.net.layers_mut();
-        for (ps, exec) in self.plan.steps.iter().zip(&self.exec) {
-            let cfg = exec.cfg;
-            layers[ps.layer].visit_mut(&mut |l| l.prepare(&cfg));
+        for (ps, cfg) in self.plan.steps.iter().zip(&self.exec) {
+            layers[ps.layer].visit_mut(&mut |l| l.prepare(cfg));
         }
     }
 
-    /// Re-derives arena support, chunking, layer caches, and the worker
-    /// pool after the demotion of `demoted_step` changed its algorithm
-    /// or weight format. The rebuilt arena re-runs the liveness sizing;
-    /// when the plan carries a memory budget and the demoted plan no
-    /// longer fits (a demotion can *raise* workspace need — e.g.
-    /// Winograd→im2col trades an unsupported zero-workspace step for a
-    /// real im2col buffer), the overshoot is recorded as a
-    /// [`BudgetBreachRecord`] health event: correctness wins over fit,
-    /// since the demoted algorithm is the only safe one left.
+    /// Re-derives layer caches, chunk arenas, and the worker pool after
+    /// the demotion of `demoted_step` changed its algorithm or weight
+    /// format. The rebuilt arena re-runs the liveness sizing; when the
+    /// plan carries a memory budget and the demoted plan no longer fits
+    /// (a demotion can *raise* workspace need — e.g. Winograd→im2col
+    /// trades the transform's small workspace for a real im2col
+    /// buffer), the overshoot is recorded as a [`BudgetBreachRecord`]
+    /// health event: correctness wins over fit, since the demoted
+    /// algorithm is the only safe one left.
     fn rebuild(&mut self, demoted_step: usize) {
-        let layers = self.net.layers();
-        for (i, ps) in self.plan.steps.iter().enumerate() {
-            self.exec[i].supported = layers[ps.layer].forward_into_supported(&self.exec[i].cfg);
-        }
         self.reprepare();
         self.chunks = build_chunks(&self.net, &self.plan, &self.exec);
         let needed = self.chunks.len();
@@ -1380,8 +1308,8 @@ impl<'n> InferenceSession<'n> {
     }
 
     /// Plan-level peak bytes re-derived from the *current* execution
-    /// state (post-demotion configs and support flags), comparable to
-    /// the compile-time number a budget admitted.
+    /// state (post-demotion configs), comparable to the compile-time
+    /// number a budget admitted.
     fn current_footprint_peak_bytes(&self) -> usize {
         let layers = self.net.layers();
         let extents: Vec<StepExtent> = self
@@ -1389,49 +1317,43 @@ impl<'n> InferenceSession<'n> {
             .steps
             .iter()
             .zip(&self.exec)
-            .map(|(ps, e)| {
-                let (workspace_elems, scratch_elems) = if e.supported {
-                    let layer = layers[ps.layer].as_ref();
-                    (
-                        layer.forward_workspace_elems(&ps.input_shape, &e.cfg),
-                        layer.forward_scratch_elems(&ps.input_shape, &e.cfg),
-                    )
-                } else {
-                    (0, 0)
-                };
-                StepExtent {
-                    output_elems: ps.output_elems,
-                    workspace_elems,
-                    scratch_elems,
-                }
+            .map(|(ps, cfg)| {
+                let layer = layers[ps.layer].as_ref();
+                step_extent(layer, &ps.input_shape, ps.output_elems, cfg)
             })
             .collect();
-        let fp = MemoryFootprint::of(&extents);
-        match self.plan.cfg().arena {
-            ArenaStrategy::Coloured => fp.peak_bytes,
-            ArenaStrategy::PingPong => fp.naive_bytes,
-        }
+        MemoryFootprint::of(&extents).peak_bytes
     }
 }
 
-/// Sequential execution of every step over one arena pair, timing each
-/// step, containing kernel panics, applying boundary guards, and routing
-/// unsupported steps through the allocating [`Layer::forward`] fallback.
+/// Allocation-free execution of every step over one chunk's arena — the
+/// whole batch in-line (`chunk_idx == None`) or one batch-parallel
+/// worker's share — timing each step, containing kernel panics, and
+/// applying boundary guards.
 #[allow(clippy::too_many_arguments)]
-fn run_steps_sequential(
-    layers: &mut [Box<dyn Layer>],
-    exec: &[ExecStep],
+fn run_steps(
+    layers: &[Box<dyn Layer>],
     chunk: &mut ChunkArena,
+    chunk_idx: Option<usize>,
     input: &[f32],
     out: &mut [f32],
     guard: GuardConfig,
-    rows: &mut [ProfileRow],
     faults: &FaultPlan,
     run: u64,
     obs: Option<&ObsWiring>,
 ) -> Result<(), RunFailure> {
+    if let Some(ci) = chunk_idx {
+        faults.worker_entry(ci, run);
+    }
+    // Span lane: 0 for the in-line run, 1 + chunk index for workers.
+    let lane = chunk_idx.map_or(0, |ci| ci as u32 + 1);
     let last = chunk.steps.len() - 1;
-    let ChunkArena { steps, arena, .. } = chunk;
+    let ChunkArena {
+        steps,
+        arena,
+        step_ns,
+        ..
+    } = chunk;
     // Arena offset of the previous step's output (the current source);
     // step 0 reads the caller's input instead.
     let mut prev_off = 0usize;
@@ -1454,133 +1376,10 @@ fn run_steps_sequential(
             Some(d) => d,
             None => &mut out[..],
         };
-        let layer = &mut layers[step.layer];
-        let kernel = catch_unwind(AssertUnwindSafe(|| -> Result<(), GuardViolation> {
-            faults.kernel_entry(i, run);
-            if exec[i].supported {
-                layer.forward_into(
-                    src_slice,
-                    &step.input_shape,
-                    dst_slice,
-                    ws_slice,
-                    &exec[i].cfg,
-                );
-            } else {
-                let x = Tensor::from_vec(step.input_shape.clone(), src_slice.to_vec());
-                let y = layer.forward(&x, Phase::Eval, &exec[i].cfg);
-                if y.data().len() != dst_slice.len() {
-                    // With guards off this would panic in copy_from_slice
-                    // below; report it as a shape violation instead.
-                    return Err(GuardViolation::ShapeMismatch {
-                        expected_elems: dst_slice.len(),
-                        actual_elems: y.data().len(),
-                    });
-                }
-                dst_slice.copy_from_slice(y.data());
-            }
-            Ok(())
-        }));
-        match kernel {
-            Err(payload) => {
-                return Err(RunFailure::Panic {
-                    step: i,
-                    message: panic_message(payload),
-                })
-            }
-            Ok(Err(violation)) => {
-                return Err(RunFailure::Guard {
-                    step: i,
-                    chunk: None,
-                    violation,
-                })
-            }
-            Ok(Ok(())) => {}
-        }
-        faults.corrupt_output(i, run, 0, dst_slice);
-        if guard.checks_boundaries() {
-            if let Some(w) = obs {
-                w.observer.metrics().add(Metric::GuardScans, 1);
-            }
-            if let Some((first_index, kind, count)) = scan_non_finite(dst_slice) {
-                return Err(RunFailure::Guard {
-                    step: i,
-                    chunk: None,
-                    violation: GuardViolation::NonFiniteActivation {
-                        kind,
-                        first_index,
-                        count,
-                    },
-                });
-            }
-        }
-        let elapsed = started.elapsed();
-        rows[i].time += elapsed;
-        if let Some(w) = obs {
-            let ns = elapsed.as_nanos() as u64;
-            let m = w.observer.metrics();
-            m.add(Metric::StepsExecuted, 1);
-            m.observe(Metric::StepNs, ns);
-            w.observer
-                .span(w.step_names[i], obs_ts.unwrap_or(0), ns.max(1), 0);
-        }
-        prev_off = step.dst_off;
-    }
-    Ok(())
-}
-
-/// Allocation-free execution of an all-supported step list over one
-/// chunk's arena pair (the batch-parallel worker body), with per-step
-/// panic containment and boundary guards.
-#[allow(clippy::too_many_arguments)]
-fn run_steps_chunk(
-    layers: &[Box<dyn Layer>],
-    exec: &[ExecStep],
-    chunk: &mut ChunkArena,
-    chunk_idx: usize,
-    input: &[f32],
-    out: &mut [f32],
-    guard: GuardConfig,
-    faults: &FaultPlan,
-    run: u64,
-    obs: Option<&ObsWiring>,
-) -> Result<(), RunFailure> {
-    faults.worker_entry(chunk_idx, run);
-    let last = chunk.steps.len() - 1;
-    let ChunkArena {
-        steps,
-        arena,
-        step_ns,
-        ..
-    } = chunk;
-    let mut prev_off = 0usize;
-    for (i, step) in steps.iter().enumerate() {
-        debug_assert!(exec[i].supported, "parallel chunks require full support");
-        let obs_ts = obs.map(|w| w.observer.now_ns());
-        let started = Instant::now();
-        let (src_a, dst_a, ws_slice) = arena_views(
-            arena,
-            (i > 0).then_some((prev_off, step.input_elems)),
-            (i != last).then_some((step.dst_off, step.output_elems)),
-            (step.ws_off, step.ws_len),
-        );
-        let src_slice: &[f32] = match src_a {
-            Some(s) => s,
-            None => &input[..step.input_elems],
-        };
-        let dst_slice: &mut [f32] = match dst_a {
-            Some(d) => d,
-            None => &mut out[..],
-        };
         let layer = &layers[step.layer];
         let kernel = catch_unwind(AssertUnwindSafe(|| {
             faults.kernel_entry(i, run);
-            layer.forward_into(
-                src_slice,
-                &step.input_shape,
-                dst_slice,
-                ws_slice,
-                &exec[i].chunk_cfg,
-            );
+            layer.forward_into(src_slice, &step.input_shape, dst_slice, ws_slice, &step.cfg);
         }));
         if let Err(payload) = kernel {
             return Err(RunFailure::Panic {
@@ -1588,7 +1387,7 @@ fn run_steps_chunk(
                 message: panic_message(payload),
             });
         }
-        faults.corrupt_output(i, run, chunk_idx, dst_slice);
+        faults.corrupt_output(i, run, chunk_idx.unwrap_or(0), dst_slice);
         if guard.checks_boundaries() {
             if let Some(w) = obs {
                 w.observer.metrics().add(Metric::GuardScans, 1);
@@ -1596,7 +1395,7 @@ fn run_steps_chunk(
             if let Some((first_index, kind, count)) = scan_non_finite(dst_slice) {
                 return Err(RunFailure::Guard {
                     step: i,
-                    chunk: Some(chunk_idx),
+                    chunk: chunk_idx,
                     violation: GuardViolation::NonFiniteActivation {
                         kind,
                         first_index,
@@ -1611,12 +1410,8 @@ fn run_steps_chunk(
             let m = w.observer.metrics();
             m.add(Metric::StepsExecuted, 1);
             m.observe(Metric::StepNs, ns);
-            w.observer.span(
-                w.step_names[i],
-                obs_ts.unwrap_or(0),
-                ns.max(1),
-                chunk_idx as u32 + 1,
-            );
+            w.observer
+                .span(w.step_names[i], obs_ts.unwrap_or(0), ns.max(1), lane);
         }
         prev_off = step.dst_off;
     }
@@ -1626,7 +1421,7 @@ fn run_steps_chunk(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layer::{ConvAlgorithm, WeightFormat};
+    use crate::layer::{ConvAlgorithm, Phase, WeightFormat};
     use crate::network::set_network_format;
     use crate::{Conv2d, Flatten, Linear, MaxPool2d, ReLU, ResidualBlock};
     use rand::{Rng, SeedableRng};
@@ -1714,10 +1509,6 @@ mod tests {
             f(self);
         }
 
-        fn forward_into_supported(&self, _cfg: &ExecConfig) -> bool {
-            true
-        }
-
         fn forward_into(
             &self,
             input: &[f32],
@@ -1788,10 +1579,6 @@ mod tests {
             f(self);
         }
 
-        fn forward_into_supported(&self, _cfg: &ExecConfig) -> bool {
-            true
-        }
-
         fn forward_into(
             &self,
             input: &[f32],
@@ -1817,7 +1604,6 @@ mod tests {
         assert_eq!(plan.steps()[0].output_shape, vec![2, 6, 8, 8]);
         // Largest activation: the first conv output, 2*6*8*8.
         assert_eq!(plan.buf_elems(), 2 * 6 * 8 * 8);
-        assert!(plan.fully_supported());
         // Direct convolutions need no scratch, but the final Linear layer
         // runs the packed GEMM and needs room for its A/B panels.
         let linear_plan = cnn_stack_tensor::GemmPlan::new(2, 4 * 4 * 4, 5);
@@ -1930,20 +1716,30 @@ mod tests {
         }
     }
 
+    /// F(2×2) is an arena kernel like any other: its workspace is
+    /// planned, the session splits the batch across chunks, and the
+    /// output bit-matches `forward` (which wraps the same kernel).
     #[test]
-    fn winograd_layers_fall_back_and_still_match() {
-        let x = random([2, 3, 8, 8], 11);
-        let mut net = conv_net();
-        let cfg = ExecConfig {
-            conv_algo: ConvAlgorithm::Winograd,
-            ..ExecConfig::serial()
-        };
-        let expected = net.forward(&x, Phase::Eval, &cfg);
-        let plan = InferencePlan::compile(&net, x.shape().dims(), &cfg).unwrap();
-        assert!(!plan.fully_supported());
-        let mut session = InferenceSession::new(&mut net, plan).unwrap();
-        let got = session.run(&x).unwrap();
-        assert_eq!(got.data(), expected.data());
+    fn winograd_session_is_chunked_and_bit_matches_forward() {
+        let x = random([3, 3, 8, 8], 11);
+        for threads in [1, 2, 4] {
+            let mut net = conv_net();
+            let cfg = ExecConfig {
+                threads,
+                conv_algo: ConvAlgorithm::Winograd,
+                ..ExecConfig::serial()
+            };
+            let expected = net.forward(&x, Phase::Eval, &cfg);
+            let plan = InferencePlan::compile(&net, x.shape().dims(), &cfg).unwrap();
+            assert_eq!(
+                plan.steps()[0].workspace_elems,
+                cnn_stack_tensor::winograd_scratch_elems(3, 6)
+            );
+            let mut session = InferenceSession::new(&mut net, plan).unwrap();
+            assert_eq!(session.chunks.len(), threads.min(3));
+            let got = session.run(&x).unwrap();
+            assert_eq!(got.data(), expected.data(), "threads={threads}");
+        }
     }
 
     #[test]

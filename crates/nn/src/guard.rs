@@ -28,8 +28,7 @@ use std::fmt;
 ///
 /// * `Off` — no checks; the hot path is byte-for-byte the PR-1 engine.
 /// * `BoundaryCheck` — after every layer, scan the produced activation
-///   for non-finite values and verify the fallback path produced the
-///   planned shape; report the first offending layer.
+///   for non-finite values; report the first offending layer.
 /// * `Paranoid` — everything `BoundaryCheck` does, plus a pre-run scan
 ///   of the input tensor and of every parameter tensor.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
@@ -37,7 +36,7 @@ pub enum GuardConfig {
     /// No checks (the default): identical semantics to an unguarded run.
     #[default]
     Off,
-    /// Finiteness + shape checks at every layer boundary.
+    /// Finiteness checks at every layer boundary.
     BoundaryCheck,
     /// Boundary checks plus input and parameter scans before each run.
     Paranoid,
@@ -78,14 +77,6 @@ pub enum GuardViolation {
         /// Total non-finite elements in the activation.
         count: usize,
     },
-    /// A fallback-path layer produced an output whose element count does
-    /// not match the compiled plan.
-    ShapeMismatch {
-        /// Elements the plan expects the layer to produce.
-        expected_elems: usize,
-        /// Elements the layer actually produced.
-        actual_elems: usize,
-    },
     /// A parameter tensor holds a non-finite value (paranoid mode).
     NonFiniteWeight {
         /// Index of the parameter within the layer's parameter list.
@@ -110,13 +101,6 @@ impl fmt::Display for GuardViolation {
             } => write!(
                 f,
                 "{count} non-finite activation(s), first {kind:?} at element {first_index}"
-            ),
-            GuardViolation::ShapeMismatch {
-                expected_elems,
-                actual_elems,
-            } => write!(
-                f,
-                "layer produced {actual_elems} elements where the plan expects {expected_elems}"
             ),
             GuardViolation::NonFiniteWeight { param, first_index } => write!(
                 f,

@@ -26,14 +26,16 @@ pub enum ConvAlgorithm {
     /// Lower to im2col, then one dense GEMM — the CLBlast pipeline.
     Im2col,
     /// F(2×2, 3×3) Winograd transform (the §II-B layer-3 candidate the
-    /// paper names but does not evaluate). Applies to dense 3×3 stride-1
-    /// convolutions; other layers fall back to the direct kernel.
+    /// paper names but does not evaluate). Applies to non-CSR 3×3
+    /// stride-1 convolutions; other layers fall back to the direct
+    /// kernel.
     Winograd,
     /// F(4×4, 3×3) Winograd transform: 6×6 tiles, 36 multiplies per 16
     /// outputs — 4× fewer than direct and 16/9 fewer than F(2×2), at a
     /// looser (still bounded) error budget from the worse-conditioned
-    /// {0, ±1, ±2} interpolation points. Applies to dense 3×3 stride-1
-    /// convolutions; other layers fall back to the direct kernel.
+    /// {0, ±1, ±2} interpolation points. Applies to non-CSR 3×3
+    /// stride-1 convolutions; other layers fall back to the direct
+    /// kernel.
     WinogradF4,
     /// Real 2-D FFT convolution: frequency-domain pointwise
     /// multiply-accumulate over channels on power-of-two planes. Wins
@@ -126,20 +128,6 @@ pub(crate) fn scan_ternary(data: &[f32]) -> Option<(f32, f32)> {
     Some((positive, negative))
 }
 
-/// How the engine lays out the activation/workspace arena for a
-/// compiled session.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
-pub enum ArenaStrategy {
-    /// Liveness-coloured single arena: activations and workspaces with
-    /// disjoint live intervals share bytes (see [`crate::liveness`]).
-    #[default]
-    Coloured,
-    /// The legacy layout — two ping-pong activation buffers sized by
-    /// the largest step plus one conservative scratch region. Kept as
-    /// a bit-exact baseline for benchmarks and differential tests.
-    PingPong,
-}
-
 /// Execution configuration for a forward pass: the knobs of the paper's
 /// "Systems Techniques" stack layer.
 ///
@@ -189,8 +177,6 @@ pub struct ExecConfig {
     /// [`crate::error::PlanError::BudgetInfeasible`] when no choice of
     /// algorithms can fit.
     pub plan_budget: Option<usize>,
-    /// Arena layout strategy for sessions built from this config.
-    pub arena: ArenaStrategy,
 }
 
 impl ExecConfig {
@@ -205,7 +191,6 @@ impl ExecConfig {
             fused_relu: false,
             observer: ObsLevel::Off,
             plan_budget: None,
-            arena: ArenaStrategy::Coloured,
         }
     }
 
@@ -298,12 +283,6 @@ impl ExecConfigBuilder {
     /// Caps the peak arena footprint of compiled plans at `bytes`.
     pub fn plan_budget(mut self, bytes: usize) -> Self {
         self.config.plan_budget = Some(bytes);
-        self
-    }
-
-    /// Selects the arena layout strategy for compiled sessions.
-    pub fn arena(mut self, strategy: ArenaStrategy) -> Self {
-        self.config.arena = strategy;
         self
     }
 
@@ -473,14 +452,6 @@ pub trait Layer: std::fmt::Debug + std::any::Any + Send + Sync {
     /// `f(self)` and then forward to each child.
     fn visit_mut(&mut self, f: &mut dyn FnMut(&mut dyn Layer));
 
-    /// Whether [`forward_into`](Layer::forward_into) can execute this
-    /// layer under `cfg`. The default is `false`, routing the layer
-    /// through the allocating [`forward`](Layer::forward) fallback in
-    /// [`crate::engine::InferenceSession`].
-    fn forward_into_supported(&self, _cfg: &ExecConfig) -> bool {
-        false
-    }
-
     /// One-time plan-level preparation for repeated inference under
     /// `cfg` — e.g. packing weight panels for the packed GEMM engine.
     /// The engine calls this (through [`visit_mut`](Layer::visit_mut))
@@ -565,20 +536,17 @@ pub trait Layer: std::fmt::Debug + std::any::Any + Send + Sync {
     /// `input_shape` (row-major), `out` has exactly the layer's output
     /// element count, and `scratch` has at least
     /// [`forward_scratch_elems`](Layer::forward_scratch_elems) floats.
-    ///
-    /// Only called when [`forward_into_supported`](Layer::forward_into_supported)
-    /// returned `true` for the same `cfg`; the default implementation
-    /// (never reached through [`crate::engine`]) panics.
+    /// This is the one way a kernel runs: the engine calls it over
+    /// arena slices, and the allocating [`forward`](Layer::forward) of
+    /// the kernel-bearing layers is a wrapper around it.
     fn forward_into(
         &self,
-        _input: &[f32],
-        _input_shape: &[usize],
-        _out: &mut [f32],
-        _scratch: &mut [f32],
-        _cfg: &ExecConfig,
-    ) {
-        unreachable!("forward_into called on a layer that does not support it");
-    }
+        input: &[f32],
+        input_shape: &[usize],
+        out: &mut [f32],
+        scratch: &mut [f32],
+        cfg: &ExecConfig,
+    );
 }
 
 #[cfg(test)]

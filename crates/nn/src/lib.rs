@@ -81,8 +81,7 @@ pub use guard::{
 };
 pub use ir::{IrOp, OpKind};
 pub use layer::{
-    ArenaStrategy, ConvAlgorithm, ExecConfig, ExecConfigBuilder, Layer, Param, Phase, QuantPanels,
-    WeightFormat,
+    ConvAlgorithm, ExecConfig, ExecConfigBuilder, Layer, Param, Phase, QuantPanels, WeightFormat,
 };
 pub use linear::Linear;
 pub use liveness::{ArenaLayout, MemoryFootprint, StepExtent, StepSlots};

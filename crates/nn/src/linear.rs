@@ -275,9 +275,7 @@ impl Linear {
     /// Packed-GEMM dense kernel: the activations are packed into MR-row
     /// A-panels per run (`scratch`), the `Wᵀ` B-panels come from the
     /// plan-time cache (or are packed into scratch when absent), and one
-    /// whole-layer GEMM runs over the pool. Shared by
-    /// [`Layer::forward`] and [`Layer::forward_into`], so the arena
-    /// engine is bit-identical to the tensor path.
+    /// whole-layer GEMM runs over the pool.
     fn eval_dense_packed_into(
         &self,
         in_data: &[f32],
@@ -323,9 +321,7 @@ impl Linear {
     }
 
     /// The shared scalar inference kernel: `out = in · Wᵀ + b` over raw
-    /// slices (CSR, and the non-packed dense kernels). Both
-    /// [`Layer::forward`] and [`Layer::forward_into`] funnel through
-    /// this, so the arena engine is bit-identical to the tensor path.
+    /// slices (CSR, and the non-packed dense kernels).
     fn eval_into(&self, in_data: &[f32], batch: usize, out: &mut [f32], cfg: &ExecConfig) {
         let feat = self.in_features;
         let bdata = self.bias.value.data();
@@ -425,17 +421,13 @@ impl Layer for Linear {
 
     fn forward(&mut self, input: &Tensor, phase: Phase, cfg: &ExecConfig) -> Tensor {
         let (batch, feat) = input.shape().matrix();
-        assert_eq!(feat, self.in_features, "{}: feature mismatch", self.name());
         if phase == Phase::Train {
             self.cached_input = Some(input.clone());
         }
+        let shape = [batch, feat];
         let mut out = Tensor::zeros([batch, self.out_features]);
-        if self.uses_packed_gemm(cfg) {
-            let mut scratch = vec![0.0f32; self.packed_plan(batch).scratch_elems()];
-            self.eval_packed_dispatch_into(input.data(), batch, out.data_mut(), &mut scratch, cfg);
-        } else {
-            self.eval_into(input.data(), batch, out.data_mut(), cfg);
-        }
+        let mut scratch = vec![0.0f32; self.forward_scratch_elems(&shape, cfg)];
+        self.forward_into(input.data(), &shape, out.data_mut(), &mut scratch, cfg);
         out
     }
 
@@ -476,10 +468,6 @@ impl Layer for Linear {
 
     fn visit_mut(&mut self, f: &mut dyn FnMut(&mut dyn Layer)) {
         f(self);
-    }
-
-    fn forward_into_supported(&self, _cfg: &ExecConfig) -> bool {
-        true
     }
 
     fn forward_scratch_elems(&self, input_shape: &[usize], cfg: &ExecConfig) -> usize {

@@ -1,14 +1,9 @@
 //! Liveness-driven arena planning for compiled step sequences.
 //!
-//! The engine used to ping-pong activations between two fixed buffers,
-//! each sized by the largest step, plus one conservative scratch region
-//! sized by the hungriest kernel. That is simple but wasteful: on a
-//! deep sequential net the large early-layer activations and the large
-//! late-layer workspaces are never live at the same time, so their
-//! bytes can be shared.
-//!
-//! This module computes the exact requirement instead. Over a compiled
-//! step sequence:
+//! On a deep sequential net the large early-layer activations and the
+//! large late-layer workspaces are never live at the same time, so
+//! their bytes can be shared. This module computes the exact
+//! requirement. Over a compiled step sequence:
 //!
 //! * the output activation of step *i* is written at *i* and consumed
 //!   at *i + 1*, so it is live over the interval `[i, i + 1]` (the last
@@ -25,11 +20,11 @@
 //! three-way overlap pattern these sequential plans produce and runs in
 //! `O(n²)` on plans that are tens of steps long.
 //!
-//! [`ArenaLayout::colour`] produces the packed layout;
-//! [`ArenaLayout::ping_pong`] reproduces the legacy two-buffer layout
-//! byte for byte so the engine can keep it as a baseline strategy, and
-//! [`MemoryFootprint`] summarises both for the planner, the budget
-//! solver, and the observability gauges.
+//! [`ArenaLayout::colour`] produces the one layout the engine runs;
+//! [`MemoryFootprint`] summarises it for the planner, the budget
+//! solver, and the observability gauges, next to `naive_bytes` — a
+//! pure sizing model of an unshared two-buffer layout that the reuse
+//! gauge is measured against.
 
 /// Memory extents of one compiled step, in `f32` elements.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -40,8 +35,8 @@ pub struct StepExtent {
     /// assuming `prepare()` has been honoured (packed panels cached).
     pub workspace_elems: usize,
     /// Conservative scratch bound the kernel may touch on a cold path
-    /// (e.g. re-packing weights when no panel cache exists). Sizes the
-    /// legacy ping-pong scratch region.
+    /// (e.g. re-packing weights when no panel cache exists). Only the
+    /// `naive_bytes` sizing model reads it.
     pub scratch_elems: usize,
 }
 
@@ -65,7 +60,7 @@ pub struct ArenaLayout {
     pub slots: Vec<StepSlots>,
     /// Total arena elements this layout needs.
     pub total_elems: usize,
-    /// Counterfactual legacy footprint: two max-size activation
+    /// Counterfactual unshared footprint: two max-size activation
     /// buffers plus the largest conservative scratch region.
     pub naive_elems: usize,
 }
@@ -152,39 +147,17 @@ impl ArenaLayout {
         }
     }
 
-    /// The legacy layout, reproduced byte for byte: activations
-    /// alternate between two buffers each sized by the largest step
-    /// output, and one conservative scratch region sits after them.
-    pub fn ping_pong(steps: &[StepExtent]) -> ArenaLayout {
-        let buf = steps.iter().map(|s| s.output_elems).max().unwrap_or(0);
-        let scratch = steps.iter().map(|s| s.scratch_elems).max().unwrap_or(0);
-        let slots = steps
-            .iter()
-            .enumerate()
-            .map(|(i, s)| StepSlots {
-                dst_off: if i % 2 == 0 { 0 } else { buf },
-                ws_off: 2 * buf,
-                // The legacy engine handed every kernel the full
-                // conservative region.
-                ws_elems: s.scratch_elems.max(s.workspace_elems),
-            })
-            .collect();
-        let total = 2 * buf + scratch;
-        ArenaLayout {
-            slots,
-            total_elems: total,
-            naive_elems: total,
-        }
-    }
-
-    /// Elements the legacy ping-pong layout would reserve.
+    /// Elements a two-buffer ping-pong layout would reserve: two
+    /// activation buffers sized by the largest step output plus one
+    /// scratch region sized by the hungriest kernel's conservative
+    /// bound. A sizing model only — no such layout is ever built.
     fn naive_elems(steps: &[StepExtent]) -> usize {
         let buf = steps.iter().map(|s| s.output_elems).max().unwrap_or(0);
         let scratch = steps.iter().map(|s| s.scratch_elems).max().unwrap_or(0);
         2 * buf + scratch
     }
 
-    /// Elements this layout saves over the legacy ping-pong layout.
+    /// Elements this layout saves over `naive_elems`.
     pub fn reuse_elems(&self) -> usize {
         self.naive_elems.saturating_sub(self.total_elems)
     }
@@ -198,7 +171,8 @@ impl ArenaLayout {
 pub struct MemoryFootprint {
     /// Peak arena bytes under the coloured layout.
     pub peak_bytes: usize,
-    /// Counterfactual bytes under the legacy ping-pong layout.
+    /// Counterfactual bytes of the unshared two-buffer (ping-pong)
+    /// sizing model — never a layout the engine runs.
     pub naive_bytes: usize,
 }
 
@@ -212,7 +186,7 @@ impl MemoryFootprint {
         }
     }
 
-    /// Bytes the coloured layout saves over ping-pong.
+    /// Bytes the coloured layout saves over `naive_bytes`.
     pub fn reuse_bytes(&self) -> usize {
         self.naive_bytes.saturating_sub(self.peak_bytes)
     }
@@ -295,18 +269,6 @@ mod tests {
     }
 
     #[test]
-    fn ping_pong_reproduces_legacy_sizing() {
-        let steps = [ext(64, 8), ext(32, 128), ext(16, 0)];
-        let layout = ArenaLayout::ping_pong(&steps);
-        assert_eq!(layout.total_elems, 2 * 64 + 128);
-        assert_eq!(layout.slots[0].dst_off, 0);
-        assert_eq!(layout.slots[1].dst_off, 64);
-        assert_eq!(layout.slots[2].dst_off, 0);
-        assert!(layout.slots.iter().all(|s| s.ws_off == 128));
-        assert_eq!(layout.reuse_elems(), 0);
-    }
-
-    #[test]
     fn footprint_reports_reuse() {
         let steps = [ext(1000, 200), ext(10, 0), ext(1000, 0)];
         let fp = MemoryFootprint::of(&steps);
@@ -318,7 +280,7 @@ mod tests {
     #[test]
     fn colour_never_exceeds_naive() {
         // Pseudo-random extents; the coloured peak must never beat the
-        // clique lower bound or exceed the ping-pong upper bound.
+        // clique lower bound or exceed the unshared upper bound.
         let mut state = 0x9e3779b97f4a7c15u64;
         let mut next = move || {
             state ^= state << 13;

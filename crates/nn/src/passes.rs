@@ -65,7 +65,7 @@ use crate::engine::{compile_step, InferencePlan, PlanStep};
 use crate::error::{Error, PlanError};
 use crate::fold;
 use crate::ir::{self, IrOp, OpKind};
-use crate::layer::{ArenaStrategy, ConvAlgorithm, ExecConfig, Phase, WeightFormat};
+use crate::layer::{ConvAlgorithm, ExecConfig, Phase, WeightFormat};
 use crate::liveness::{MemoryFootprint, StepExtent};
 use crate::network::Network;
 use cnn_stack_tensor::{GemmAlgorithm, Tensor};
@@ -221,7 +221,7 @@ impl PlanCompiler {
         // overrides) the plan either fits or nothing reachable does —
         // the solved plan's peak *is* the smallest feasible budget.
         if let Some(budget) = cfg.plan_budget {
-            let peak = plan.strategy_peak_bytes();
+            let peak = plan.footprint().peak_bytes;
             if peak > budget {
                 return Err(Error::Plan(PlanError::BudgetInfeasible {
                     budget_bytes: budget,
@@ -348,41 +348,72 @@ pub enum AlgoChoice {
     Int8Linear,
 }
 
+/// Everything an [`AlgoChoice`] implies, stated once: the tuning-cache
+/// tag, the config fields it sets (`None` = leaves the field alone) and
+/// the weight format it puts the layer in.
+struct ChoiceSpec {
+    tag: &'static str,
+    conv_algo: Option<ConvAlgorithm>,
+    gemm_algo: Option<GemmAlgorithm>,
+    format: WeightFormat,
+}
+
 impl AlgoChoice {
-    /// Stable tag used in the tuning cache.
-    fn tag(self) -> &'static str {
-        match self {
-            AlgoChoice::DirectConv => "direct",
-            AlgoChoice::Im2colPacked => "im2col-packed",
-            AlgoChoice::Winograd => "winograd",
-            AlgoChoice::WinogradF4 => "winograd-f4",
-            AlgoChoice::FftConv => "fft",
-            AlgoChoice::CsrConv => "csr",
-            AlgoChoice::PackedLinear => "gemm-packed",
-            AlgoChoice::ScalarLinear => "gemm-scalar",
-            AlgoChoice::CsrLinear => "gemm-csr",
-            AlgoChoice::TernaryConv => "im2col-ternary",
-            AlgoChoice::TernaryLinear => "gemm-ternary",
-            AlgoChoice::Int8Linear => "gemm-int8",
+    const ALL: [AlgoChoice; 12] = [
+        AlgoChoice::DirectConv,
+        AlgoChoice::Im2colPacked,
+        AlgoChoice::Winograd,
+        AlgoChoice::WinogradF4,
+        AlgoChoice::FftConv,
+        AlgoChoice::CsrConv,
+        AlgoChoice::PackedLinear,
+        AlgoChoice::ScalarLinear,
+        AlgoChoice::CsrLinear,
+        AlgoChoice::TernaryConv,
+        AlgoChoice::TernaryLinear,
+        AlgoChoice::Int8Linear,
+    ];
+
+    const fn spec(self) -> ChoiceSpec {
+        use ConvAlgorithm as C;
+        use GemmAlgorithm as G;
+        use WeightFormat as F;
+        let (tag, conv_algo, gemm_algo, format) = match self {
+            AlgoChoice::DirectConv => ("direct", Some(C::Direct), None, F::Dense),
+            AlgoChoice::Im2colPacked => {
+                ("im2col-packed", Some(C::Im2col), Some(G::Packed), F::Dense)
+            }
+            AlgoChoice::Winograd => ("winograd", Some(C::Winograd), None, F::Dense),
+            AlgoChoice::WinogradF4 => ("winograd-f4", Some(C::WinogradF4), None, F::Dense),
+            AlgoChoice::FftConv => ("fft", Some(C::Fft), None, F::Dense),
+            AlgoChoice::CsrConv => ("csr", Some(C::Direct), None, F::Csr),
+            AlgoChoice::PackedLinear => ("gemm-packed", None, Some(G::Packed), F::Dense),
+            AlgoChoice::ScalarLinear => ("gemm-scalar", None, Some(G::Blocked), F::Dense),
+            AlgoChoice::CsrLinear => ("gemm-csr", None, None, F::Csr),
+            AlgoChoice::TernaryConv => (
+                "im2col-ternary",
+                Some(C::Im2col),
+                Some(G::TernaryPacked),
+                F::Ternary,
+            ),
+            AlgoChoice::TernaryLinear => ("gemm-ternary", None, Some(G::TernaryPacked), F::Ternary),
+            AlgoChoice::Int8Linear => ("gemm-int8", None, Some(G::Int8Packed), F::Int8),
+        };
+        ChoiceSpec {
+            tag,
+            conv_algo,
+            gemm_algo,
+            format,
         }
     }
 
+    /// Stable tag used in the tuning cache.
+    fn tag(self) -> &'static str {
+        self.spec().tag
+    }
+
     fn from_tag(tag: &str) -> Option<Self> {
-        Some(match tag {
-            "direct" => AlgoChoice::DirectConv,
-            "im2col-packed" => AlgoChoice::Im2colPacked,
-            "winograd" => AlgoChoice::Winograd,
-            "winograd-f4" => AlgoChoice::WinogradF4,
-            "fft" => AlgoChoice::FftConv,
-            "csr" => AlgoChoice::CsrConv,
-            "gemm-packed" => AlgoChoice::PackedLinear,
-            "gemm-scalar" => AlgoChoice::ScalarLinear,
-            "gemm-csr" => AlgoChoice::CsrLinear,
-            "im2col-ternary" => AlgoChoice::TernaryConv,
-            "gemm-ternary" => AlgoChoice::TernaryLinear,
-            "gemm-int8" => AlgoChoice::Int8Linear,
-            _ => return None,
-        })
+        Self::ALL.into_iter().find(|c| c.tag() == tag)
     }
 }
 
@@ -393,7 +424,7 @@ impl AlgoChoice {
 // on its stored nonzeros), which reproduces the paper's §V finding that
 // sparse formats only win at extreme sparsity: against the packed engine
 // the crossover density is ≈ 1.2/54 ≈ 2%. The Winograd number prices the
-// current naive, allocating transform — the 2.25× MAC reduction does not
+// current per-tile scalar transform — the 2.25× MAC reduction does not
 // survive it, so the model never picks it unasked.
 const PACKED_GFLOPS: f64 = 54.0;
 const SCALAR_GFLOPS: f64 = 1.8;
@@ -612,66 +643,17 @@ fn candidates(op: &IrOp) -> Vec<(AlgoChoice, f64)> {
 /// Applies `choice` to the op's config and, when the choice implies a
 /// weight-format switch, to the layer itself.
 fn apply_choice(net: &mut Network, op: &mut IrOp, choice: AlgoChoice) {
-    let layers = net.layers_mut();
-    match choice {
-        AlgoChoice::DirectConv => {
-            op.cfg.conv_algo = ConvAlgorithm::Direct;
-            set_layer_format(layers, op.layer, WeightFormat::Dense);
-        }
-        AlgoChoice::Im2colPacked => {
-            op.cfg.conv_algo = ConvAlgorithm::Im2col;
-            op.cfg.gemm_algo = GemmAlgorithm::Packed;
-            set_layer_format(layers, op.layer, WeightFormat::Dense);
-        }
-        AlgoChoice::Winograd => {
-            op.cfg.conv_algo = ConvAlgorithm::Winograd;
-            set_layer_format(layers, op.layer, WeightFormat::Dense);
-        }
-        AlgoChoice::WinogradF4 => {
-            op.cfg.conv_algo = ConvAlgorithm::WinogradF4;
-            set_layer_format(layers, op.layer, WeightFormat::Dense);
-        }
-        AlgoChoice::FftConv => {
-            op.cfg.conv_algo = ConvAlgorithm::Fft;
-            set_layer_format(layers, op.layer, WeightFormat::Dense);
-        }
-        AlgoChoice::CsrConv => {
-            op.cfg.conv_algo = ConvAlgorithm::Direct;
-            set_layer_format(layers, op.layer, WeightFormat::Csr);
-        }
-        AlgoChoice::PackedLinear => {
-            op.cfg.gemm_algo = GemmAlgorithm::Packed;
-            set_layer_format(layers, op.layer, WeightFormat::Dense);
-        }
-        AlgoChoice::ScalarLinear => {
-            op.cfg.gemm_algo = GemmAlgorithm::Blocked;
-            set_layer_format(layers, op.layer, WeightFormat::Dense);
-        }
-        AlgoChoice::CsrLinear => {
-            set_layer_format(layers, op.layer, WeightFormat::Csr);
-        }
-        AlgoChoice::TernaryConv => {
-            op.cfg.conv_algo = ConvAlgorithm::Im2col;
-            op.cfg.gemm_algo = GemmAlgorithm::TernaryPacked;
-            set_layer_format(layers, op.layer, WeightFormat::Ternary);
-        }
-        AlgoChoice::TernaryLinear => {
-            op.cfg.gemm_algo = GemmAlgorithm::TernaryPacked;
-            set_layer_format(layers, op.layer, WeightFormat::Ternary);
-        }
-        AlgoChoice::Int8Linear => {
-            op.cfg.gemm_algo = GemmAlgorithm::Int8Packed;
-            set_layer_format(layers, op.layer, WeightFormat::Int8);
-        }
+    let spec = choice.spec();
+    if let Some(conv_algo) = spec.conv_algo {
+        op.cfg.conv_algo = conv_algo;
     }
+    if let Some(gemm_algo) = spec.gemm_algo {
+        op.cfg.gemm_algo = gemm_algo;
+    }
+    set_layer_format(net.layers_mut(), op.layer, spec.format);
     // Keep the IR's format fact in sync for later passes.
     if let OpKind::Conv { format, .. } | OpKind::Linear { format, .. } = &mut op.kind {
-        *format = match choice {
-            AlgoChoice::CsrConv | AlgoChoice::CsrLinear => WeightFormat::Csr,
-            AlgoChoice::TernaryConv | AlgoChoice::TernaryLinear => WeightFormat::Ternary,
-            AlgoChoice::Int8Linear => WeightFormat::Int8,
-            _ => WeightFormat::Dense,
-        };
+        *format = spec.format;
     }
     // Tag the step name with the winning algorithm so plan reports show
     // per-layer choices. Replace any tag from an earlier pass (autotune
@@ -681,7 +663,7 @@ fn apply_choice(net: &mut Network, op: &mut IrOp, choice: AlgoChoice) {
             op.name.truncate(pos);
         }
     }
-    let _ = write!(op.name, " [{}]", choice.tag());
+    let _ = write!(op.name, " [{}]", spec.tag);
 }
 
 fn set_layer_format(layers: &mut [Box<dyn crate::layer::Layer>], idx: usize, format: WeightFormat) {
@@ -800,17 +782,6 @@ struct BudgetCand {
     extent: StepExtent,
 }
 
-/// Peak arena bytes of a step-extent sequence under `arena` — the same
-/// number `InferencePlan::strategy_peak_bytes` reports for the compiled
-/// plan, so solver decisions and the admission check agree.
-fn arena_peak_bytes(extents: &[StepExtent], arena: ArenaStrategy) -> usize {
-    let fp = MemoryFootprint::of(extents);
-    match arena {
-        ArenaStrategy::Coloured => fp.peak_bytes,
-        ArenaStrategy::PingPong => fp.naive_bytes,
-    }
-}
-
 /// Memory extent of one op compiled under its current per-op config —
 /// a real `compile_step` probe, so the workspace numbers are the
 /// kernels' own, not a cost-model estimate.
@@ -837,29 +808,13 @@ fn matches_current(op: &IrOp, choice: AlgoChoice) -> bool {
         OpKind::Conv { format, .. } | OpKind::Linear { format, .. } => *format,
         _ => return false,
     };
-    let cfg = &op.cfg;
-    match choice {
-        AlgoChoice::DirectConv => {
-            cfg.conv_algo == ConvAlgorithm::Direct && format == WeightFormat::Dense
-        }
-        AlgoChoice::Im2colPacked => {
-            cfg.conv_algo == ConvAlgorithm::Im2col
-                && cfg.gemm_algo == GemmAlgorithm::Packed
-                && format == WeightFormat::Dense
-        }
-        AlgoChoice::Winograd => cfg.conv_algo == ConvAlgorithm::Winograd,
-        AlgoChoice::WinogradF4 => cfg.conv_algo == ConvAlgorithm::WinogradF4,
-        AlgoChoice::FftConv => cfg.conv_algo == ConvAlgorithm::Fft,
-        AlgoChoice::CsrConv | AlgoChoice::CsrLinear => format == WeightFormat::Csr,
-        AlgoChoice::TernaryConv | AlgoChoice::TernaryLinear => format == WeightFormat::Ternary,
-        AlgoChoice::Int8Linear => format == WeightFormat::Int8,
-        AlgoChoice::PackedLinear => {
-            cfg.gemm_algo == GemmAlgorithm::Packed && format == WeightFormat::Dense
-        }
-        AlgoChoice::ScalarLinear => {
-            cfg.gemm_algo == GemmAlgorithm::Blocked && format == WeightFormat::Dense
-        }
-    }
+    let spec = choice.spec();
+    // CSR and quantised rows are identified by their format alone;
+    // dense rows also by the config fields they set.
+    format == spec.format
+        && (spec.format != WeightFormat::Dense
+            || (spec.conv_algo.is_none_or(|a| a == op.cfg.conv_algo)
+                && spec.gemm_algo.is_none_or(|g| g == op.cfg.gemm_algo)))
 }
 
 /// Solves "fastest plan under the budget" over the pipeline's op list.
@@ -889,13 +844,13 @@ fn fit_budget(ctx: &mut PassContext, budget_bytes: usize) -> Result<(), Error> {
     {
         return Ok(());
     }
-    let arena = ctx.base_cfg.arena;
+    let peak_bytes = |extents: &[StepExtent]| MemoryFootprint::of(extents).peak_bytes;
     let current: Vec<StepExtent> = ctx
         .ops
         .iter()
         .map(|op| op_extent(ctx.net, op))
         .collect::<Result<_, _>>()?;
-    if arena_peak_bytes(&current, arena) <= budget_bytes {
+    if peak_bytes(&current) <= budget_bytes {
         return Ok(());
     }
 
@@ -938,7 +893,7 @@ fn fit_budget(ctx: &mut PassContext, budget_bytes: usize) -> Result<(), Error> {
             .zip(&selected)
             .map(|(t, &j)| t[j].extent)
             .collect();
-        if arena_peak_bytes(&extents, arena) <= budget_bytes {
+        if peak_bytes(&extents) <= budget_bytes {
             break;
         }
         let mut best: Option<(usize, usize, usize, f64)> = None;
@@ -954,7 +909,7 @@ fn fit_budget(ctx: &mut PassContext, budget_bytes: usize) -> Result<(), Error> {
             };
             let mut trial = extents.clone();
             trial[i] = table[j].extent;
-            let new_peak = arena_peak_bytes(&trial, arena);
+            let new_peak = peak_bytes(&trial);
             let dsecs = table[j].secs - cur.secs;
             let better = match best {
                 None => true,

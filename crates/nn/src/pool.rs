@@ -119,10 +119,6 @@ impl Layer for MaxPool2d {
         f(self);
     }
 
-    fn forward_into_supported(&self, _cfg: &ExecConfig) -> bool {
-        true
-    }
-
     fn forward_into(
         &self,
         input: &[f32],
@@ -263,10 +259,6 @@ impl Layer for GlobalAvgPool {
         f(self);
     }
 
-    fn forward_into_supported(&self, _cfg: &ExecConfig) -> bool {
-        true
-    }
-
     fn forward_into(
         &self,
         input: &[f32],
@@ -360,10 +352,6 @@ impl Layer for Flatten {
 
     fn visit_mut(&mut self, f: &mut dyn FnMut(&mut dyn Layer)) {
         f(self);
-    }
-
-    fn forward_into_supported(&self, _cfg: &ExecConfig) -> bool {
-        true
     }
 
     fn forward_into(

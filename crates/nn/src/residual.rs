@@ -291,15 +291,6 @@ impl Layer for ResidualBlock {
         }
     }
 
-    fn forward_into_supported(&self, cfg: &ExecConfig) -> bool {
-        self.conv1.forward_into_supported(cfg)
-            && self.conv2.forward_into_supported(cfg)
-            && self
-                .shortcut
-                .as_ref()
-                .is_none_or(|(conv, _)| conv.forward_into_supported(cfg))
-    }
-
     fn forward_scratch_elems(&self, input_shape: &[usize], cfg: &ExecConfig) -> usize {
         let (n, h, w) = (input_shape[0], input_shape[2], input_shape[3]);
         let geom1 = self.conv1.geometry(h, w);

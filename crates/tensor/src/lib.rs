@@ -46,4 +46,5 @@ pub use shape::Shape;
 pub use tensor::Tensor;
 pub use winograd::{
     winograd4_conv2d, winograd4_conv2d_into, winograd4_scratch_elems, winograd_conv2d,
+    winograd_conv2d_into, winograd_scratch_elems,
 };

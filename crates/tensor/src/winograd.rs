@@ -165,12 +165,184 @@ fn transform_output(m: &[f32; 16]) -> [f32; 4] {
     ]
 }
 
-/// F(2×2, 3×3) Winograd convolution for a `[n, c, h, w]` input and
-/// `[out_c, c, 3, 3]` filters at stride 1.
+/// Validates the slice-level preconditions shared by both `_into`
+/// kernels and returns the output extent `(out_h, out_w)`.
+#[allow(clippy::too_many_arguments)]
+fn validate_into(
+    input: &[f32],
+    (n, in_c, h, w): (usize, usize, usize, usize),
+    weights: &[f32],
+    out_c: usize,
+    bias: Option<&[f32]>,
+    padding: usize,
+    out: &[f32],
+    scratch: &[f32],
+    needed: usize,
+) -> Result<(usize, usize), KernelError> {
+    if input.len() != n * in_c * h * w {
+        return Err(KernelError::BufferSize {
+            what: "input",
+            expected: n * in_c * h * w,
+            got: input.len(),
+        });
+    }
+    if weights.len() != out_c * in_c * 9 {
+        return Err(KernelError::BufferSize {
+            what: "weights",
+            expected: out_c * in_c * 9,
+            got: weights.len(),
+        });
+    }
+    if let Some(b) = bias {
+        if b.len() != out_c {
+            return Err(KernelError::BiasLength {
+                expected: out_c,
+                got: b.len(),
+            });
+        }
+    }
+    if h + 2 * padding < 3 || w + 2 * padding < 3 {
+        return Err(KernelError::InputTooSmall {
+            padded_h: h + 2 * padding,
+            padded_w: w + 2 * padding,
+            k_h: 3,
+            k_w: 3,
+        });
+    }
+    let out_h = h + 2 * padding - 2;
+    let out_w = w + 2 * padding - 2;
+    if out.len() != n * out_c * out_h * out_w {
+        return Err(KernelError::BufferSize {
+            what: "output",
+            expected: n * out_c * out_h * out_w,
+            got: out.len(),
+        });
+    }
+    if scratch.len() < needed {
+        return Err(KernelError::ScratchTooSmall {
+            needed,
+            got: scratch.len(),
+        });
+    }
+    Ok((out_h, out_w))
+}
+
+/// Scratch floats [`winograd_conv2d_into`] needs: the transformed
+/// filter bank `[out_c, in_c, 16]` plus one tile column of transformed
+/// inputs `[in_c, 16]`.
+pub fn winograd_scratch_elems(in_channels: usize, out_channels: usize) -> usize {
+    16 * (out_channels * in_channels + in_channels)
+}
+
+/// F(2×2, 3×3) Winograd convolution over raw NCHW slices, writing the
+/// `[n, out_c, out_h, out_w]` result into `out` using caller-provided
+/// scratch (at least [`winograd_scratch_elems`] floats) — no hidden
+/// allocation, so the memory planner can account the workspace.
 ///
-/// Results match direct convolution to floating-point tolerance; odd
-/// output extents are handled by edge tiles that read zero padding and
-/// write only their valid quadrant.
+/// Stride is fixed at 1; `out_h = h + 2·padding − 2`. Results match
+/// direct convolution to floating-point tolerance; odd output extents
+/// are handled by edge tiles that read zero padding and write only
+/// their valid quadrant.
+///
+/// # Errors
+///
+/// Returns [`KernelError`] on mismatched buffer lengths, bias length,
+/// an input smaller than the padded window, or undersized scratch.
+#[allow(clippy::too_many_arguments)]
+pub fn winograd_conv2d_into(
+    input: &[f32],
+    n: usize,
+    in_c: usize,
+    h: usize,
+    w: usize,
+    weights: &[f32],
+    out_c: usize,
+    bias: Option<&[f32]>,
+    padding: usize,
+    out: &mut [f32],
+    scratch: &mut [f32],
+) -> Result<(), KernelError> {
+    let needed = winograd_scratch_elems(in_c, out_c);
+    let (out_h, out_w) = validate_into(
+        input,
+        (n, in_c, h, w),
+        weights,
+        out_c,
+        bias,
+        padding,
+        out,
+        scratch,
+        needed,
+    )?;
+
+    // Pre-transform all filters: [out_c, in_c, 16].
+    let (u, vs) = scratch[..needed].split_at_mut(out_c * in_c * 16);
+    for (g, uf) in weights.chunks_exact(9).zip(u.chunks_exact_mut(16)) {
+        uf.copy_from_slice(&transform_filter(g));
+    }
+
+    let tiles_y = out_h.div_ceil(2);
+    let tiles_x = out_w.div_ceil(2);
+    for img in 0..n {
+        for ty in 0..tiles_y {
+            for tx in 0..tiles_x {
+                // Gather and transform the input tile for every channel.
+                for (c, v) in vs.chunks_exact_mut(16).enumerate() {
+                    let mut d = [0.0f32; 16];
+                    for dy in 0..4 {
+                        let iy = (ty * 2 + dy) as isize - padding as isize;
+                        if iy < 0 || iy as usize >= h {
+                            continue;
+                        }
+                        for dx in 0..4 {
+                            let ix = (tx * 2 + dx) as isize - padding as isize;
+                            if ix < 0 || ix as usize >= w {
+                                continue;
+                            }
+                            d[dy * 4 + dx] =
+                                input[((img * in_c + c) * h + iy as usize) * w + ix as usize];
+                        }
+                    }
+                    v.copy_from_slice(&transform_input(&d));
+                }
+                // Per output channel: elementwise accumulate + inverse.
+                for o in 0..out_c {
+                    let mut m = [0.0f32; 16];
+                    for (c, v) in vs.chunks_exact(16).enumerate() {
+                        let uf = &u[(o * in_c + c) * 16..(o * in_c + c + 1) * 16];
+                        for k in 0..16 {
+                            m[k] += uf[k] * v[k];
+                        }
+                    }
+                    let y = transform_output(&m);
+                    let b = bias.map_or(0.0, |b| b[o]);
+                    for dy in 0..2 {
+                        let oy = ty * 2 + dy;
+                        if oy >= out_h {
+                            continue;
+                        }
+                        for dx in 0..2 {
+                            let ox = tx * 2 + dx;
+                            if ox >= out_w {
+                                continue;
+                            }
+                            out[((img * out_c + o) * out_h + oy) * out_w + ox] = y[dy * 2 + dx] + b;
+                        }
+                    }
+                }
+            }
+        }
+    }
+    obs::with_current(|o| {
+        o.metrics()
+            .add(Metric::WinogradTiles, (n * tiles_y * tiles_x) as u64);
+    });
+    Ok(())
+}
+
+/// Allocating wrapper over [`winograd_conv2d_into`] for tensor
+/// arguments: F(2×2, 3×3) convolution of a `[n, c, h, w]` input with
+/// `[out_c, c, 3, 3]` filters at stride 1.
 ///
 /// # Errors
 ///
@@ -192,78 +364,21 @@ pub fn winograd_conv2d(
         out_h,
         out_w,
     } = validate_winograd("Winograd F(2x2,3x3)", input, weights, bias, padding)?;
-
-    // Pre-transform all filters: [out_c, in_c, 16].
-    let mut u = vec![0.0f32; out_c * in_c * 16];
-    for o in 0..out_c {
-        for c in 0..in_c {
-            let g = &weights.data()[(o * in_c + c) * 9..(o * in_c + c) * 9 + 9];
-            u[(o * in_c + c) * 16..(o * in_c + c + 1) * 16].copy_from_slice(&transform_filter(g));
-        }
-    }
-
-    let tiles_y = out_h.div_ceil(2);
-    let tiles_x = out_w.div_ceil(2);
     let mut out = Tensor::zeros([n, out_c, out_h, out_w]);
-    let odata = out.data_mut();
-    let idata = input.data();
-
-    for img in 0..n {
-        for ty in 0..tiles_y {
-            for tx in 0..tiles_x {
-                // Gather and transform the input tile for every channel.
-                let mut vs = vec![[0.0f32; 16]; in_c];
-                for (c, v) in vs.iter_mut().enumerate() {
-                    let mut d = [0.0f32; 16];
-                    for dy in 0..4 {
-                        let iy = (ty * 2 + dy) as isize - padding as isize;
-                        if iy < 0 || iy as usize >= h {
-                            continue;
-                        }
-                        for dx in 0..4 {
-                            let ix = (tx * 2 + dx) as isize - padding as isize;
-                            if ix < 0 || ix as usize >= w {
-                                continue;
-                            }
-                            d[dy * 4 + dx] =
-                                idata[((img * in_c + c) * h + iy as usize) * w + ix as usize];
-                        }
-                    }
-                    *v = transform_input(&d);
-                }
-                // Per output channel: elementwise accumulate + inverse.
-                for o in 0..out_c {
-                    let mut m = [0.0f32; 16];
-                    for (c, v) in vs.iter().enumerate() {
-                        let uf = &u[(o * in_c + c) * 16..(o * in_c + c + 1) * 16];
-                        for k in 0..16 {
-                            m[k] += uf[k] * v[k];
-                        }
-                    }
-                    let y = transform_output(&m);
-                    let b = bias.map_or(0.0, |b| b[o]);
-                    for dy in 0..2 {
-                        let oy = ty * 2 + dy;
-                        if oy >= out_h {
-                            continue;
-                        }
-                        for dx in 0..2 {
-                            let ox = tx * 2 + dx;
-                            if ox >= out_w {
-                                continue;
-                            }
-                            odata[((img * out_c + o) * out_h + oy) * out_w + ox] =
-                                y[dy * 2 + dx] + b;
-                        }
-                    }
-                }
-            }
-        }
-    }
-    obs::with_current(|o| {
-        o.metrics()
-            .add(Metric::WinogradTiles, (n * tiles_y * tiles_x) as u64);
-    });
+    let mut scratch = vec![0.0f32; winograd_scratch_elems(in_c, out_c)];
+    winograd_conv2d_into(
+        input.data(),
+        n,
+        in_c,
+        h,
+        w,
+        weights.data(),
+        out_c,
+        bias,
+        padding,
+        out.data_mut(),
+        &mut scratch,
+    )?;
     Ok(out)
 }
 
@@ -421,52 +536,17 @@ pub fn winograd4_conv2d_into(
     out: &mut [f32],
     scratch: &mut [f32],
 ) -> Result<(), KernelError> {
-    if input.len() != n * in_c * h * w {
-        return Err(KernelError::BufferSize {
-            what: "input",
-            expected: n * in_c * h * w,
-            got: input.len(),
-        });
-    }
-    if weights.len() != out_c * in_c * 9 {
-        return Err(KernelError::BufferSize {
-            what: "weights",
-            expected: out_c * in_c * 9,
-            got: weights.len(),
-        });
-    }
-    if let Some(b) = bias {
-        if b.len() != out_c {
-            return Err(KernelError::BiasLength {
-                expected: out_c,
-                got: b.len(),
-            });
-        }
-    }
-    if h + 2 * padding < 3 || w + 2 * padding < 3 {
-        return Err(KernelError::InputTooSmall {
-            padded_h: h + 2 * padding,
-            padded_w: w + 2 * padding,
-            k_h: 3,
-            k_w: 3,
-        });
-    }
-    let out_h = h + 2 * padding - 2;
-    let out_w = w + 2 * padding - 2;
-    if out.len() != n * out_c * out_h * out_w {
-        return Err(KernelError::BufferSize {
-            what: "output",
-            expected: n * out_c * out_h * out_w,
-            got: out.len(),
-        });
-    }
-    let needed = winograd4_scratch_elems(in_c, out_c);
-    if scratch.len() < needed {
-        return Err(KernelError::ScratchTooSmall {
-            needed,
-            got: scratch.len(),
-        });
-    }
+    let (out_h, out_w) = validate_into(
+        input,
+        (n, in_c, h, w),
+        weights,
+        out_c,
+        bias,
+        padding,
+        out,
+        scratch,
+        winograd4_scratch_elems(in_c, out_c),
+    )?;
 
     const T: usize = WINOGRAD4_TILE_BLOCK;
     let oc_ic = out_c * in_c;

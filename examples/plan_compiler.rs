@@ -94,7 +94,7 @@ fn budget_sweep() {
             Ok(plan) => {
                 let fp = plan.footprint();
                 println!(
-                    "  budget {label:>9}: peak {:>6.2} MB (naive ping-pong {:>6.2} MB)",
+                    "  budget {label:>9}: peak {:>6.2} MB (unshared model {:>6.2} MB)",
                     fp.peak_bytes as f64 / (1 << 20) as f64,
                     fp.naive_bytes as f64 / (1 << 20) as f64,
                 );

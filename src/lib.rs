@@ -66,8 +66,8 @@ pub mod prelude {
         mobilenet, mobilenet_width, resnet18, resnet18_width, vgg16, vgg16_width, Model, ModelKind,
     };
     pub use crate::nn::{
-        ArenaStrategy, ConvAlgorithm, ExecConfig, GuardConfig, HealthReport, InferencePlan,
-        InferenceSession, Network, Phase, PlanCompiler, PlanError,
+        ConvAlgorithm, ExecConfig, GuardConfig, HealthReport, InferencePlan, InferenceSession,
+        Network, Phase, PlanCompiler, PlanError,
     };
     pub use crate::obs::ObsLevel;
     pub use crate::serve::{
@@ -77,37 +77,3 @@ pub mod prelude {
     pub use crate::stack::{serve_cell, CellResult, PlatformChoice, StackConfig};
     pub use crate::tensor::{ops, Tensor};
 }
-
-// ---------------------------------------------------------------------
-// Deprecated shims: the pre-serve import paths. The serving-relevant
-// knobs these types scattered (threads, guard level, observer) are
-// gathered by `serve::ServeConfig`; for everything else, import through
-// `prelude` (or the owning subsystem module).
-
-/// Deprecated root-level alias of [`nn::ExecConfig`].
-#[deprecated(
-    since = "0.2.0",
-    note = "import via `cnn_stack::prelude`; serving-side knobs (threads, observer) now live in `cnn_stack::serve::ServeConfig`"
-)]
-pub type ExecConfig = nn::ExecConfig;
-
-/// Deprecated root-level alias of [`nn::GuardConfig`].
-#[deprecated(
-    since = "0.2.0",
-    note = "import via `cnn_stack::prelude`; the serving guard level is set on `cnn_stack::serve::ServeConfig::builder`"
-)]
-pub type GuardConfig = nn::GuardConfig;
-
-/// Deprecated root-level alias of [`obs::ObsLevel`].
-#[deprecated(
-    since = "0.2.0",
-    note = "import via `cnn_stack::prelude`; the serving observer level is set on `cnn_stack::serve::ServeConfig::builder`"
-)]
-pub type ObsLevel = obs::ObsLevel;
-
-/// Deprecated root-level alias of [`stack::StackConfig`].
-#[deprecated(
-    since = "0.2.0",
-    note = "import via `cnn_stack::prelude`; to serve a configured cell use `cnn_stack::stack::serve_cell`"
-)]
-pub type StackConfig = stack::StackConfig;

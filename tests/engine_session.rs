@@ -7,8 +7,12 @@
 //! their own integration-test file.
 
 use cnn_stack::models::ModelKind;
-use cnn_stack::nn::{ExecConfig, InferencePlan, InferenceSession, Phase};
+use cnn_stack::nn::{
+    Conv2d, Error, ExecConfig, Flatten, InferencePlan, InferenceSession, Layer, Linear, MaxPool2d,
+    Network, Phase, PlanCompiler, PlanError, ReLU,
+};
 use cnn_stack::tensor::Tensor;
+use proptest::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -61,10 +65,6 @@ fn vgg16_batch4_steady_state_makes_no_heap_allocations() {
     let input = Tensor::zeros([4, 3, 32, 32]);
     let plan = InferencePlan::compile(&model.network, input.shape().dims(), &cfg)
         .expect("VGG-16 accepts CIFAR-shaped input");
-    assert!(
-        plan.fully_supported(),
-        "every VGG-16 layer should take the arena fast path"
-    );
     let mut session =
         InferenceSession::new(&mut model.network, plan).expect("plan matches this network");
     let mut out = Tensor::zeros(session.plan().output_shape().to_vec());
@@ -81,6 +81,123 @@ fn vgg16_batch4_steady_state_makes_no_heap_allocations() {
         allocs, 0,
         "steady-state session pass performed {allocs} heap allocations"
     );
+}
+
+/// The memory planner's promise, checked end to end on one network and
+/// budget: the budgeted compile either fits or names a floor that is
+/// itself compilable; the plan that comes out predicts a peak inside
+/// the budget; the serial session allocates no more arena than that
+/// peak; and a steady-state run allocates nothing outside the arena.
+/// Returns the budget the plan was admitted under.
+fn assert_budgeted_plan_runs_inside_its_arena(
+    build: impl Fn() -> Network,
+    shape: &[usize],
+    budget: usize,
+) -> usize {
+    let compile = |budget: usize| {
+        let mut net = build();
+        let cfg = ExecConfig::builder()
+            .plan_budget(budget)
+            .build()
+            .expect("valid config");
+        PlanCompiler::standard()
+            .run(&mut net, shape, &cfg)
+            .map(|plan| (net, plan))
+    };
+    let (admitted, (mut net, plan)) = match compile(budget) {
+        Ok(compiled) => (budget, compiled),
+        Err(Error::Plan(PlanError::BudgetInfeasible {
+            min_feasible_bytes, ..
+        })) => (
+            min_feasible_bytes,
+            compile(min_feasible_bytes).expect("the reported floor must itself compile"),
+        ),
+        Err(other) => panic!("unexpected compile error: {other:?}"),
+    };
+    let peak = plan.footprint().peak_bytes;
+    assert!(
+        peak <= admitted,
+        "plan peak {peak} B over its {admitted} B budget"
+    );
+    let mut session = InferenceSession::new(&mut net, plan).expect("plan matches this network");
+    assert!(
+        session.arena_bytes() <= peak,
+        "session arena {} B over the planned peak {peak} B",
+        session.arena_bytes()
+    );
+    let input = Tensor::from_fn(shape.to_vec(), |i| ((i % 31) as f32 - 15.0) * 0.05);
+    let mut out = Tensor::zeros(session.plan().output_shape().to_vec());
+    session.run_into(&input, &mut out).expect("clean run");
+    let allocs = allocations_during(|| session.run_into(&input, &mut out).expect("clean run"));
+    assert_eq!(
+        allocs, 0,
+        "steady-state pass of a {admitted} B-budget plan performed {allocs} heap allocations"
+    );
+    admitted
+}
+
+/// 4 MiB cannot hold batch-32 VGG-16 (width 0.25) on the fastest
+/// kernels, so the solver demotes a convolution — and the demoted plan
+/// must really live inside 4 MiB. A kernel that heap-allocates behind
+/// the planner's back would pass the compile-time check and fail here.
+#[test]
+fn budget_demoted_vgg16_runs_inside_its_four_mib_arena() {
+    let budget = 4 << 20;
+    let shape = [32usize, 3, 32, 32];
+    let free_peak = {
+        let mut model = ModelKind::Vgg16.build_width(10, 0.25);
+        PlanCompiler::standard()
+            .run(&mut model.network, &shape, &ExecConfig::serial())
+            .expect("unbudgeted compile")
+            .footprint()
+            .peak_bytes
+    };
+    assert!(free_peak > budget, "the budget must force a demotion");
+    let admitted = assert_budgeted_plan_runs_inside_its_arena(
+        || ModelKind::Vgg16.build_width(10, 0.25).network,
+        &shape,
+        budget,
+    );
+    assert_eq!(admitted, budget, "4 MiB is feasible for this model");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Every plan the budget solver can emit — fitting, demoted, or the
+    /// floor of an infeasible request — runs inside the arena it
+    /// planned, whatever mix of im2col / Winograd / direct / scalar
+    /// kernels the budget forced.
+    #[test]
+    fn every_budgeted_plan_runs_inside_its_arena(
+        conv1 in 1usize..20,
+        conv2 in 0usize..20, // 0 = no second conv
+        batch in 1usize..5,
+        eighths in 0usize..10,
+        seed in 0u64..1000,
+    ) {
+        let shape = [batch, 3, 12, 12];
+        let build = || {
+            let mut layers: Vec<Box<dyn Layer>> = Vec::new();
+            let mut c = 3;
+            for (i, oc) in [conv1, conv2].into_iter().filter(|&oc| oc > 0).enumerate() {
+                layers.push(Box::new(Conv2d::new(c, oc, 3, 1, 1, seed + i as u64)));
+                layers.push(Box::new(ReLU::new()));
+                c = oc;
+            }
+            layers.push(Box::new(MaxPool2d::new(2)));
+            layers.push(Box::new(Flatten::new()));
+            layers.push(Box::new(Linear::new(c * 6 * 6, 10, seed + 9)));
+            Network::new(layers).expect("valid network")
+        };
+        let free_peak = PlanCompiler::standard()
+            .run(&mut build(), &shape, &ExecConfig::serial())
+            .expect("unbudgeted compile")
+            .footprint()
+            .peak_bytes;
+        // From hopeless (0) through every demotion tier to roomy.
+        assert_budgeted_plan_runs_inside_its_arena(build, &shape, free_peak * eighths / 8);
+    }
 }
 
 /// The session profile has one row per top-level layer, index-aligned

@@ -523,34 +523,41 @@ fn fft_kernel_panic_demotes_to_im2col_bit_identically() {
 
 /// One non-finite trip on a Winograd F(4×4) conv takes a single rung:
 /// down to F(2×2), whose result must be bit-identical to a session that
-/// ran F(2×2) from the start.
+/// ran F(2×2) from the start — also on a layer *labelled* `Ternary`
+/// (dense master weights, no ternary conv snapshot for these random
+/// weights), where both transforms apply exactly as on `Dense`: the
+/// rung the health report names is the kernel that runs, not the
+/// direct loop.
 #[test]
 fn winograd4_guard_trip_demotes_one_rung_to_winograd2() {
     let seed = 83;
     let input = ramp_input(2);
-    let mut net = conv_stack(seed);
-    let cfg = cfg_with(ConvAlgorithm::WinogradF4, 1);
-    let plan = InferencePlan::compile(&net, input.shape().dims(), &cfg).unwrap();
-    let mut session =
-        InferenceSession::with_guard(&mut net, plan, GuardConfig::BoundaryCheck).unwrap();
-    session.inject_faults(FaultPlan::new().nan_output(0, 0));
-
-    let got = session.run(&input).expect("session recovers by demotion");
-
-    let health = session.health().clone();
-    assert_eq!(health.guards_tripped, 1);
-    assert_eq!(health.demotions.len(), 1);
-    assert_eq!(health.demotions[0].layer_index, 0);
-    assert_eq!(
-        health.demotions[0].action,
-        DemotionAction::Winograd4ToWinograd2
-    );
-    assert_eq!(health.demotions[0].reason, DemotionReason::GuardTripped);
-
     let want = run_reference(seed, &cfg_with(ConvAlgorithm::Winograd, 1), &input);
-    let got_bits: Vec<u32> = got.data().iter().map(|v| v.to_bits()).collect();
     let want_bits: Vec<u32> = want.data().iter().map(|v| v.to_bits()).collect();
-    assert_eq!(got_bits, want_bits);
+    for format in [WeightFormat::Dense, WeightFormat::Ternary] {
+        let mut net = conv_stack(seed);
+        set_network_format(&mut net, format);
+        let cfg = cfg_with(ConvAlgorithm::WinogradF4, 1);
+        let plan = InferencePlan::compile(&net, input.shape().dims(), &cfg).unwrap();
+        let mut session =
+            InferenceSession::with_guard(&mut net, plan, GuardConfig::BoundaryCheck).unwrap();
+        session.inject_faults(FaultPlan::new().nan_output(0, 0));
+
+        let got = session.run(&input).expect("session recovers by demotion");
+
+        let health = session.health().clone();
+        assert_eq!(health.guards_tripped, 1);
+        assert_eq!(health.demotions.len(), 1);
+        assert_eq!(health.demotions[0].layer_index, 0);
+        assert_eq!(
+            health.demotions[0].action,
+            DemotionAction::Winograd4ToWinograd2
+        );
+        assert_eq!(health.demotions[0].reason, DemotionReason::GuardTripped);
+
+        let got_bits: Vec<u32> = got.data().iter().map(|v| v.to_bits()).collect();
+        assert_eq!(got_bits, want_bits, "{format:?}");
+    }
 }
 
 /// Two consecutive non-finite trips walk the full Winograd ladder:

@@ -152,7 +152,7 @@ proptest! {
 
 /// On a real deep network the coloured arena must actually reuse bytes:
 /// the session reports its allocated arena, the plan's predicted peak,
-/// and a strictly positive saving over the legacy ping-pong layout.
+/// and a strictly positive saving over the `naive_bytes` sizing model.
 #[test]
 fn vgg16_reports_positive_arena_reuse() {
     let mut model = cnn_stack::models::vgg16(10);
@@ -168,7 +168,7 @@ fn vgg16_reports_positive_arena_reuse() {
     assert!(arena > 0, "session allocated an arena");
     assert!(
         reuse > 0,
-        "liveness colouring must save bytes over ping-pong on VGG-16"
+        "liveness colouring must save bytes over naive_bytes on VGG-16"
     );
     // The serial session's one arena is exactly the plan-level layout.
     assert_eq!(arena, peak);

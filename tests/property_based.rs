@@ -159,26 +159,49 @@ proptest! {
 
     #[test]
     fn winograd_matches_im2col_reference(
-        c in 1usize..4, out_c in 1usize..4,
+        n in 1usize..3, c in 1usize..4, out_c in 1usize..4,
         h in 4usize..9, w in 4usize..9,
-        pad in 0usize..2, seed in 0u64..50,
+        pad in 0usize..3, use_bias in 0usize..2, seed in 0u64..50,
     ) {
-        prop_assume!(h + 2 * pad > 2 && w + 2 * pad > 2);
-        let input = Tensor::from_fn([1, c, h, w], |i| {
+        let input = Tensor::from_fn([n, c, h, w], |i| {
             (((i as u64 + seed) * 2654435761) % 97) as f32 * 0.02 - 1.0
         });
         let weights = Tensor::from_fn([out_c, c, 3, 3], |i| {
             (((i as u64 + seed) * 40503) % 31) as f32 * 0.05 - 0.75
         });
-        let got = cnn_stack::tensor::winograd_conv2d(&input, &weights, None, pad)
+        let bias_vec: Vec<f32> = (0..out_c).map(|o| o as f32 * 0.25 - 0.3).collect();
+        let bias = (use_bias == 1).then_some(bias_vec.as_slice());
+        let got = cnn_stack::tensor::winograd_conv2d(&input, &weights, bias, pad)
             .expect("eligible 3x3 layer");
-        // Reference via im2col + GEMM.
+        // Reference via im2col + GEMM, per image.
         let geom = Conv2dGeometry::new(c, h, w, 3, 3, 1, pad);
         let wmat = weights.reshape([out_c, c * 9]);
-        let cols = im2col(input.data(), &geom);
-        let want = gemm::matmul(&wmat, &cols)
-            .reshape([1, out_c, geom.out_h, geom.out_w]);
-        prop_assert!(want.allclose(&got, 1e-2));
+        let plane = geom.out_positions();
+        for img in 0..n {
+            let cols = im2col(&input.data()[img * c * h * w..(img + 1) * c * h * w], &geom);
+            let mut want = gemm::matmul(&wmat, &cols);
+            if let Some(b) = bias {
+                for (o, row) in want.data_mut().chunks_exact_mut(plane).enumerate() {
+                    row.iter_mut().for_each(|v| *v += b[o]);
+                }
+            }
+            let got_img = Tensor::from_vec(
+                [out_c, plane],
+                got.data()[img * out_c * plane..(img + 1) * out_c * plane].to_vec(),
+            );
+            prop_assert!(want.allclose(&got_img, 1e-2));
+        }
+        // The caller-scratch kernel over a NaN-poisoned, oversized
+        // scratch is the allocating wrapper bit for bit: the advertised
+        // workspace is sufficient and initialised before it is read.
+        let mut out = vec![f32::NAN; got.len()];
+        let mut scratch =
+            vec![f32::NAN; cnn_stack::tensor::winograd_scratch_elems(c, out_c) + 3];
+        cnn_stack::tensor::winograd_conv2d_into(
+            input.data(), n, c, h, w, weights.data(), out_c, bias, pad, &mut out, &mut scratch,
+        )
+        .expect("same geometry as the wrapper");
+        prop_assert!(out.iter().zip(got.data()).all(|(a, b)| a.to_bits() == b.to_bits()));
     }
 
     #[test]

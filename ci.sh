@@ -124,8 +124,10 @@ BENCH_SMOKE=1 cargo bench -p cnn-stack-bench --bench chaos --features fault-inje
 echo "== quant-proptest =="
 # Quantised compute path: the 2-bit spmm and the ternary/int8 packed
 # GEMM engines vs their f32/exact-integer references (incl. the 0·NaN
-# propagation policy), plus the panel-cache lifecycle (weight_mut /
-# set_format / TTQ reproject must drop stale code snapshots).
+# propagation policy), plus the derived-weight-form property: after any
+# sequence of weight writes, relabels, channel surgery, prepares,
+# adoptions and TTQ reprojections, every kernel of a conv/linear layer
+# equals a freshly built layer's, bit for bit.
 cargo test -q --test quant_kernels
 cargo test -q --test quant_invalidation
 
@@ -144,8 +146,8 @@ echo "== plan-memory =="
 # steady-state allocations" (engine_session, which owns the counting
 # allocator), and the liveness/colouring unit tests. The smoke bench
 # exercises the memory harness end to end on a thin model; the full run
-# (which regenerates BENCH_memory.json and enforces the >= 30%
-# peak-reduction gate) is manual.
+# (which regenerates BENCH_memory.json and enforces the budget-fit gate)
+# is manual.
 cargo test -q --test plan_memory
 cargo test -q --test engine_session
 cargo test -q -p cnn-stack-nn liveness::
@@ -159,10 +161,16 @@ echo "== portable-kernels =="
 # AVX2 host never runs by default; pin it and re-run the suites that
 # hold the kernels to their references.
 CNN_STACK_GEMM_FORCE_SCALAR=1 cargo test -q \
-  --test kernel_proptest --test gemm_equivalence --test conv_conformance
+  --test kernel_proptest --test gemm_equivalence --test conv_conformance \
+  --test quant_invalidation
 
 echo "== clippy (deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "== rustdoc (deny warnings) =="
+# Broken or private intra-doc links fail here, so deleting a documented
+# item cannot leave a dangling reference behind.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 echo "== rustfmt check =="
 cargo fmt --all -- --check

@@ -1,5 +1,5 @@
 //! Ablation: the §III-C quantisation family side by side — BinaryConnect
-//! [19], HashedNet [20], INQ [18] and the paper's chosen TTQ [36] —
+//! \[19\], HashedNet \[20\], INQ \[18\] and the paper's chosen TTQ \[36\] —
 //! on weight storage, projection distortion, induced sparsity, and the
 //! immediate (no fine-tune) accuracy hit on a trained model.
 

@@ -1,5 +1,5 @@
 //! Ablation: does saliency matter? Channel pruning by weight-norm
-//! saliency versus uniform-random choice (the paper's [35] observation
+//! saliency versus uniform-random choice (the paper's \[35\] observation
 //! that random pruning can compete) — measured as immediate accuracy
 //! damage on a trained model, before any fine-tuning.
 

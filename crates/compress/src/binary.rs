@@ -1,5 +1,5 @@
 //! BinaryConnect-style binary weight quantisation (Courbariaux et al.,
-//! the paper's [19]): "the extreme case is achieved by BinaryNet
+//! the paper's \[19\]): "the extreme case is achieved by BinaryNet
 //! transforming all weights to a one bit representation, with minimal
 //! accuracy degradation" (§III-C).
 //!

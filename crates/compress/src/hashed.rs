@@ -1,4 +1,4 @@
-//! HashedNet weight sharing (Chen et al., the paper's [20]): "HashedNet
+//! HashedNet weight sharing (Chen et al., the paper's \[20\]): "HashedNet
 //! restricts weights to a smaller set of possible values by using a hash
 //! function to map weights to hash buckets, in which they share the same
 //! floating point value" (§III-C).

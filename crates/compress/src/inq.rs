@@ -1,4 +1,4 @@
-//! Incremental Network Quantisation (Zhou et al., the paper's [18]):
+//! Incremental Network Quantisation (Zhou et al., the paper's \[18\]):
 //! "the number of bits used to represent each weight is reduced"
 //! (§III-C), by constraining weights to powers of two (plus zero) so
 //! inference multiplications become shifts.

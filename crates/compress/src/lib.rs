@@ -15,10 +15,10 @@
 //!   coding of the quantised weight stream.
 //! * [`packed`] — 2-bit packed ternary storage, realising the paper's
 //!   "hashing at the level of bits" memory/time trade-off remark (§V-D).
-//! * [`random`] — random pruning baselines (the paper's [35]).
+//! * [`random`] — random pruning baselines (the paper's \[35\]).
 //! * [`binary`], [`hashed`], [`inq`] — the rest of the §III-C
-//!   quantisation family: BinaryConnect [19], HashedNet [20] and
-//!   Incremental Network Quantisation [18], implemented as projection
+//!   quantisation family: BinaryConnect \[19\], HashedNet \[20\] and
+//!   Incremental Network Quantisation \[18\], implemented as projection
 //!   passes for the quantisation-family ablation.
 //! * [`accuracy`] — per-model accuracy-response functions calibrated to
 //!   the paper's reported anchor points (see `DESIGN.md` §4.3); these

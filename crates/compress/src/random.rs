@@ -1,4 +1,4 @@
-//! Random pruning baselines (Mittal et al., the paper's [35]): "random
+//! Random pruning baselines (Mittal et al., the paper's \[35\]): "random
 //! pruning is also an effective strategy for removing filters" — the
 //! null hypothesis every saliency method must beat. The
 //! `ablate_saliency` bench compares these against Fisher/magnitude
@@ -66,7 +66,7 @@ pub fn random_weight_prune(net: &mut Network, sparsity: f64, seed: u64) -> f64 {
 }
 
 /// Uniform round-robin channel pruning to a parameter-compression target:
-/// deterministic, saliency-free — the structured analogue of [35]'s
+/// deterministic, saliency-free — the structured analogue of \[35\]'s
 /// "retrain after randomly removing progressively more filters".
 ///
 /// # Panics

@@ -1,10 +1,10 @@
 //! Energy estimation for inference.
 //!
 //! The paper motivates compression by "memory, compute time, and energy
-//! consumption" and leans on its [12] citation that "the bottleneck for
+//! consumption" and leans on its \[12\] citation that "the bottleneck for
 //! inference computation was off-chip DRAM accesses, and that when the
 //! memory requirements of a CNN are reduced, the energy consumption ...
-//! [is] also reduced" (§I). This module turns that argument into
+//! \[is\] also reduced" (§I). This module turns that argument into
 //! numbers: an event-cost model (pJ per MAC, pJ per DRAM byte, static
 //! power over the modelled runtime) evaluated from the same layer
 //! descriptors as the timing model, so every experiment can report

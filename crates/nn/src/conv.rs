@@ -1,27 +1,26 @@
 //! Standard 2-D convolution with selectable algorithm and weight format.
 
 use crate::descriptor::{LayerDescriptor, LayerKind};
-use crate::layer::{
-    scan_ternary, ConvAlgorithm, ExecConfig, Layer, Param, Phase, QuantPanels, WeightFormat,
-};
+use crate::layer::{ConvAlgorithm, ExecConfig, Layer, Param, Phase, WeightFormat};
+use crate::weights::{Form, PanelOperand, TernaryCodes, WeightPanels, Weights};
 use cnn_stack_parallel::parallel_for;
 use cnn_stack_parallel::DisjointWriter;
-use cnn_stack_sparse::CsrMatrix;
 use cnn_stack_tensor::init::{initialise, Init};
 use cnn_stack_tensor::{
     col2im, fft_conv2d_into, fft_conv_scratch_elems, gemm, im2col, im2col_into, ops,
     pack_b_im2col_batch_into, pack_b_im2col_into, winograd4_conv2d_into, winograd4_scratch_elems,
     winograd_conv2d_into, winograd_scratch_elems, Conv2dGeometry, GemmAlgorithm, GemmPlan, Tensor,
 };
-use std::sync::Arc;
 
 /// A standard (grouped-by-1) 2-D convolution layer.
 ///
-/// The layer owns dense weights of shape `[out_c, in_c, k, k]` and can be
-/// switched to CSR inference storage with
-/// [`set_format`](Conv2d::set_format), mirroring the paper's format layer.
-/// Both the direct and the im2col algorithms are implemented for both
-/// formats; training (backward) always runs on the dense weights.
+/// The layer owns dense master weights of shape `[out_c, in_c, k, k]`;
+/// [`set_format`](Conv2d::set_format) labels how inference stores them
+/// (the paper's format layer), and the storage forms derived from the
+/// master — CSR, packed GEMM panels, ternary codes — are built on first
+/// use and dropped by every route that can change the master. Both the
+/// direct and the im2col algorithms are implemented for dense and CSR
+/// storage; training (backward) always runs on the dense master.
 ///
 /// # Example
 ///
@@ -40,30 +39,8 @@ pub struct Conv2d {
     kernel: usize,
     stride: usize,
     padding: usize,
-    weight: Param,
+    weights: Weights,
     bias: Param,
-    format: WeightFormat,
-    /// CSR snapshot of the weights, rebuilt lazily when `format == Csr`.
-    csr: Option<CsrMatrix>,
-    /// Plan-time packed GEMM A-panels of `weight_matrix()` (MR-row
-    /// panels), built by [`Layer::prepare`] for the packed im2col path
-    /// and reused by every `forward_into` run. Like `csr`, any weight
-    /// mutation invalidates it.
-    ///
-    /// The panels are behind an [`Arc`] so pre-warmed serving sessions
-    /// can share one prepack across many identical model replicas
-    /// (compile once, serve many). The buffer is **never mutated through
-    /// the `Arc`**: `prepare` always builds a fresh `Vec` and wraps it,
-    /// and every invalidation site merely drops this handle — so a peer
-    /// holding a clone of the old `Arc` keeps a fully consistent panel
-    /// set and can never observe a half-invalidated cache.
-    packed_weights: Option<Arc<Vec<f32>>>,
-    /// Quantised weight snapshot (2-bit ternary B-panel codes), built
-    /// eagerly by `set_format(Ternary)` when the weights are exactly
-    /// ternary. Shares the `packed_weights` invalidation contract: any
-    /// weight mutation drops the handle and the layer falls back to the
-    /// f32 packed engine until `set_format` re-snapshots.
-    quant_weights: Option<QuantPanels>,
     /// Cached training-forward input.
     cached_input: Option<Tensor>,
 }
@@ -98,12 +75,8 @@ impl Conv2d {
             kernel,
             stride,
             padding,
-            weight,
+            weights: Weights::new(weight, PanelOperand::A),
             bias,
-            format: WeightFormat::Dense,
-            csr: None,
-            packed_weights: None,
-            quant_weights: None,
             cached_input: None,
         }
     }
@@ -125,16 +98,13 @@ impl Conv2d {
 
     /// The weight parameter (dense master copy).
     pub fn weight(&self) -> &Param {
-        &self.weight
+        self.weights.master()
     }
 
-    /// Mutable weight parameter. Invalidate the CSR snapshot afterwards by
-    /// calling [`set_format`](Conv2d::set_format) again if needed.
+    /// Mutable weight parameter. Drops every derived storage form; the
+    /// next evaluation rebuilds the one it reads from the new weights.
     pub fn weight_mut(&mut self) -> &mut Param {
-        self.csr = None;
-        self.packed_weights = None;
-        self.quant_weights = None;
-        &mut self.weight
+        self.weights.master_mut()
     }
 
     /// The bias parameter.
@@ -149,46 +119,22 @@ impl Conv2d {
 
     /// Current inference weight format.
     pub fn format(&self) -> WeightFormat {
-        self.format
+        self.weights.format()
     }
 
-    /// Selects the inference weight format; `Csr` snapshots the current
-    /// dense weights into CSR, `Ternary` snapshots exactly-ternary
-    /// weights into 2-bit packed B-panel codes (non-ternary weights
-    /// leave no snapshot and the layer runs the dense f32 engine).
-    /// `Int8` has no convolution kernel — it also runs dense f32.
+    /// Selects the inference weight format. The label is durable: the
+    /// matching storage form (CSR matrix, or 2-bit ternary codes when
+    /// the weights are exactly ternary) is derived from the current
+    /// master on first use and re-derived after any weight change.
+    /// `Int8` has no convolution kernel — it runs dense f32.
     pub fn set_format(&mut self, format: WeightFormat) {
-        self.format = format;
-        self.packed_weights = None;
-        self.quant_weights = None;
-        self.csr = match format {
-            WeightFormat::Csr => Some(CsrMatrix::from_dense(&self.weight_matrix(), 0.0)),
-            _ => None,
-        };
-        if format == WeightFormat::Ternary {
-            if let Some((positive, negative)) = scan_ternary(self.weight.value.data()) {
-                // The codes are the B operand of the transposed product
-                // Outᵀ = Colᵀ·Wᵀ; their layout depends only on
-                // (out_c, patch_len), so one snapshot serves every
-                // input shape. `weight_matrix()` is `[out_c × patch_len]`
-                // row-major — exactly the `[n × k]` the packer expects.
-                let k_dim = self.in_channels * self.kernel * self.kernel;
-                let plan = GemmPlan::new(1, k_dim, self.out_channels);
-                let mut codes = vec![0u32; plan.ternary_b_words()];
-                gemm::pack_b_ternary_transposed_into(&plan, self.weight.value.data(), &mut codes);
-                self.quant_weights = Some(QuantPanels::Ternary {
-                    codes: Arc::new(codes),
-                    positive,
-                    negative,
-                });
-            }
-        }
+        self.weights.set_format(format);
     }
 
     /// The weights viewed as a `[out_c, in_c*k*k]` matrix (same memory
     /// order).
     pub fn weight_matrix(&self) -> Tensor {
-        self.weight.value.reshape([
+        self.weight().value.reshape([
             self.out_channels,
             self.in_channels * self.kernel * self.kernel,
         ])
@@ -220,12 +166,12 @@ impl Conv2d {
             "cannot remove the last output channel"
         );
         let row = self.in_channels * self.kernel * self.kernel;
-        let mut w = self.weight.value.data().to_vec();
+        let mut w = self.weight().value.data().to_vec();
         w.drain(o * row..(o + 1) * row);
         let mut b = self.bias.value.data().to_vec();
         b.remove(o);
         self.out_channels -= 1;
-        self.weight = Param::new(Tensor::from_vec(
+        self.weights.replace(Tensor::from_vec(
             [
                 self.out_channels,
                 self.in_channels,
@@ -235,9 +181,6 @@ impl Conv2d {
             w,
         ));
         self.bias = Param::new(Tensor::from_vec([self.out_channels], b));
-        self.csr = None;
-        self.packed_weights = None;
-        self.quant_weights = None;
     }
 
     /// Removes input channel `c`: drops that slice from every filter.
@@ -251,7 +194,7 @@ impl Conv2d {
         assert!(self.in_channels > 1, "cannot remove the last input channel");
         let kk = self.kernel * self.kernel;
         let old_row = self.in_channels * kk;
-        let src = self.weight.value.data();
+        let src = self.weight().value.data();
         let mut w = Vec::with_capacity(self.out_channels * (old_row - kk));
         for o in 0..self.out_channels {
             let row = &src[o * old_row..(o + 1) * old_row];
@@ -259,7 +202,7 @@ impl Conv2d {
             w.extend_from_slice(&row[(c + 1) * kk..]);
         }
         self.in_channels -= 1;
-        self.weight = Param::new(Tensor::from_vec(
+        self.weights.replace(Tensor::from_vec(
             [
                 self.out_channels,
                 self.in_channels,
@@ -268,9 +211,6 @@ impl Conv2d {
             ],
             w,
         ));
-        self.csr = None;
-        self.packed_weights = None;
-        self.quant_weights = None;
     }
 
     /// Scratch floats the im2col lowering needs for one image at the
@@ -281,12 +221,12 @@ impl Conv2d {
 
     /// Whether `cfg` routes this layer through the packed GEMM engine
     /// (weights lowered to im2col with a packed micro-kernel). The
-    /// quantised algorithms are included: when their snapshot is absent
-    /// or stale they run the same f32 packed engine on the dense master
-    /// weights, so the routing predicate — and therefore scratch sizing
-    /// and plan-time prepacking — does not depend on snapshot state.
+    /// quantised algorithms are included: weights without the matching
+    /// code form run the same f32 packed engine, so the routing
+    /// predicate — and therefore workspace sizing — does not depend on
+    /// the weight values.
     pub(crate) fn uses_packed_gemm(&self, cfg: &ExecConfig) -> bool {
-        self.format != WeightFormat::Csr
+        self.format() != WeightFormat::Csr
             && cfg.conv_algo == ConvAlgorithm::Im2col
             && matches!(
                 cfg.gemm_algo,
@@ -303,23 +243,19 @@ impl Conv2d {
         GemmPlan::new(geom.out_positions(), geom.patch_len(), self.out_channels)
     }
 
-    /// Length of a valid ternary code snapshot (shape-independent: the
-    /// B-panel layout depends only on `(out_c, patch_len)`).
-    fn ternary_code_words(&self) -> usize {
-        let k_dim = self.in_channels * self.kernel * self.kernel;
-        GemmPlan::new(1, k_dim, self.out_channels).ternary_b_words()
-    }
-
-    /// Whether a valid quantised snapshot matches `cfg`'s kernel choice.
-    /// Convolution only has a ternary kernel; `Int8Packed` always runs
-    /// the f32 fallback here.
-    fn quant_snapshot_active(&self, cfg: &ExecConfig) -> bool {
-        matches!(
-            (cfg.gemm_algo, &self.quant_weights),
-            (GemmAlgorithm::TernaryPacked, Some(QuantPanels::Ternary { codes, .. }))
-                if self.format == WeightFormat::Ternary
-                    && codes.len() == self.ternary_code_words()
-        )
+    /// The derived weight form `cfg`'s kernel reads, if any (the direct,
+    /// Winograd, FFT and unpacked-GEMM kernels read the master).
+    fn form_read_under(&self, cfg: &ExecConfig) -> Option<Form> {
+        if self.format() == WeightFormat::Csr {
+            Some(Form::Csr)
+        } else if !self.uses_packed_gemm(cfg) {
+            None
+        } else if cfg.gemm_algo == GemmAlgorithm::TernaryPacked && self.weights.ternary().is_some()
+        {
+            Some(Form::Quant)
+        } else {
+            Some(Form::Panels)
+        }
     }
 
     /// Blocking plan of the packed per-image GEMM: `[out_c × patch_len]`
@@ -374,7 +310,7 @@ impl Conv2d {
         let plane = geom.out_h * geom.out_w;
         let in_img = self.in_channels * h * w;
         let out_img = self.out_channels * plane;
-        let wdata = self.weight.value.data();
+        let wdata = self.weight().value.data();
         let bdata = self.bias.value.data();
         let k = self.kernel;
         let row = self.in_channels * k * k;
@@ -473,11 +409,10 @@ impl Conv2d {
 
     /// Packed-GEMM im2col kernel: column panels are packed straight from
     /// the image (fused im2col→pack, the `[patch_len × out_positions]`
-    /// matrix is never materialised) and multiplied against the
-    /// plan-time packed weight panels in one whole-layer GEMM whose
-    /// panel grid is distributed over the pool. `scratch` holds the
-    /// packed-B region plus a packed-A region used only when the
-    /// plan-time panels are absent or stale.
+    /// matrix is never materialised) and multiplied against the packed
+    /// weight panels in one whole-layer GEMM whose panel grid is
+    /// distributed over the pool. `scratch` holds the packed-B region
+    /// plus, for grouped batches, the merged-C region.
     #[allow(clippy::too_many_arguments)]
     fn eval_dense_im2col_packed_into(
         &self,
@@ -501,29 +436,9 @@ impl Conv2d {
         } else {
             0
         };
-        let have_panels =
-            matches!(&self.packed_weights, Some(panels) if panels.len() == plan.packed_a_elems());
-        // The A-panel repack region is needed only when the plan-time
-        // panels are absent or stale; the steady-state workspace the
-        // liveness planner sizes (`forward_workspace_elems`) excludes
-        // it, so slice it only on the cold path.
-        let a_elems = if have_panels {
-            0
-        } else {
-            plan.packed_a_elems()
-        };
-        let (b_buf, rest) = scratch[..plan.packed_b_elems() + c_elems + a_elems]
-            .split_at_mut(plan.packed_b_elems());
-        let (c_buf, a_buf) = rest.split_at_mut(c_elems);
-        let packed_a: &[f32] = match &self.packed_weights {
-            Some(panels) if panels.len() == plan.packed_a_elems() => panels.as_slice(),
-            // No plan-time panels (plain `forward`, or a cache dropped by
-            // weight surgery/fault injection): pack into scratch.
-            _ => {
-                gemm::pack_a_into(&plan, self.weight.value.data(), a_buf);
-                a_buf
-            }
-        };
+        let (b_buf, c_buf) =
+            scratch[..plan.packed_b_elems() + c_elems].split_at_mut(plan.packed_b_elems());
+        let packed_a = self.weights.panels();
         let mut img = 0;
         while img < n {
             let g = group.min(n - img);
@@ -605,9 +520,7 @@ impl Conv2d {
     #[allow(clippy::too_many_arguments)]
     fn eval_ternary_im2col_into(
         &self,
-        codes: &[u32],
-        positive: f32,
-        negative: f32,
+        ternary: TernaryCodes<'_>,
         in_data: &[f32],
         n: usize,
         h: usize,
@@ -637,9 +550,9 @@ impl Conv2d {
             gemm::gemm_prepacked_ternary(
                 &plan,
                 a_buf,
-                codes,
-                positive,
-                negative,
+                ternary.codes,
+                ternary.positive,
+                ternary.negative,
                 c_buf,
                 cfg.threads,
                 cfg.schedule,
@@ -654,12 +567,11 @@ impl Conv2d {
         }
     }
 
-    /// Routes a packed-engine run to the quantised kernel when `cfg`
-    /// selects one *and* a valid snapshot is installed; anything else —
-    /// plain `Packed`, `Int8Packed` (no int8 convolution kernel), or a
-    /// missing/stale ternary snapshot — runs the f32 packed engine on
-    /// the dense master weights. A dropped snapshot is a performance
-    /// event, never a correctness event.
+    /// Routes a packed-engine run to the ternary kernel when `cfg`
+    /// selects it and the weights have a ternary code form; anything
+    /// else — plain `Packed`, `Int8Packed` (no int8 convolution kernel),
+    /// weights that are not exactly ternary — runs the f32 packed
+    /// engine.
     #[allow(clippy::too_many_arguments)]
     fn eval_packed_dispatch_into(
         &self,
@@ -672,19 +584,10 @@ impl Conv2d {
         scratch: &mut [f32],
         cfg: &ExecConfig,
     ) {
-        if let (
-            GemmAlgorithm::TernaryPacked,
-            Some(QuantPanels::Ternary {
-                codes,
-                positive,
-                negative,
-            }),
-        ) = (cfg.gemm_algo, &self.quant_weights)
-        {
-            if self.format == WeightFormat::Ternary && codes.len() == self.ternary_code_words() {
-                return self.eval_ternary_im2col_into(
-                    codes, *positive, *negative, in_data, n, h, w, geom, out, scratch, cfg,
-                );
+        if cfg.gemm_algo == GemmAlgorithm::TernaryPacked {
+            if let Some(ternary) = self.weights.ternary() {
+                return self
+                    .eval_ternary_im2col_into(ternary, in_data, n, h, w, geom, out, scratch, cfg);
             }
         }
         self.eval_dense_im2col_packed_into(in_data, n, h, w, geom, out, scratch, cfg)
@@ -704,10 +607,7 @@ impl Conv2d {
         scratch: &mut [f32],
         cfg: &ExecConfig,
     ) {
-        let csr = self
-            .csr
-            .as_ref()
-            .expect("CSR snapshot missing; call set_format(WeightFormat::Csr)");
+        let csr = self.weights.csr();
         let plane = geom.out_positions();
         let in_img = self.in_channels * h * w;
         let out_img = self.out_channels * plane;
@@ -787,7 +687,7 @@ impl Conv2d {
     /// transform (3×3, stride 1, non-CSR weights) rather than the
     /// direct fallback.
     fn takes_winograd_transform(&self, cfg: &ExecConfig) -> bool {
-        self.format != WeightFormat::Csr
+        self.format() != WeightFormat::Csr
             && matches!(
                 cfg.conv_algo,
                 ConvAlgorithm::Winograd | ConvAlgorithm::WinogradF4
@@ -811,7 +711,7 @@ impl Conv2d {
     /// master weights; only CSR storage falls back to the sparse
     /// kernels.
     fn takes_fft(&self, cfg: &ExecConfig) -> bool {
-        self.format != WeightFormat::Csr && cfg.conv_algo == ConvAlgorithm::Fft
+        self.format() != WeightFormat::Csr && cfg.conv_algo == ConvAlgorithm::Fft
     }
 
     /// Winograd evaluation into caller buffers — F(4×4) or F(2×2) as
@@ -839,7 +739,7 @@ impl Conv2d {
             self.in_channels,
             h,
             w,
-            self.weight.value.data(),
+            self.weight().value.data(),
             self.out_channels,
             Some(self.bias.value.data()),
             self.padding,
@@ -870,7 +770,7 @@ impl Conv2d {
             in_data,
             n,
             geom,
-            self.weight.value.data(),
+            self.weight().value.data(),
             self.out_channels,
             Some(self.bias.value.data()),
             out,
@@ -994,7 +894,13 @@ impl Layer for Conv2d {
         let geom = self.geometry(h, w);
         let mut out = Tensor::zeros([n, self.out_channels, geom.out_h, geom.out_w]);
         let mut scratch = vec![0.0f32; self.forward_scratch_elems(&shape, cfg)];
+        // A one-shot call on a layer nobody prepared leaves no packed
+        // copy of the weights behind.
+        let cold = self.weights.is_cold();
         self.forward_into(input.data(), &shape, out.data_mut(), &mut scratch, cfg);
+        if cold {
+            self.weights.drop_derived();
+        }
         out
     }
 
@@ -1023,7 +929,7 @@ impl Layer for Conv2d {
             let cols_t = ops::transpose(&cols);
             let dw = cnn_stack_tensor::matmul(&dy, &cols_t);
             debug_assert_eq!(dw.len(), self.out_channels * row);
-            self.weight.grad.axpy(
+            self.weights.master_mut().grad.axpy(
                 1.0,
                 &dw.reshape([
                     self.out_channels,
@@ -1049,20 +955,11 @@ impl Layer for Conv2d {
     }
 
     fn params(&self) -> Vec<&Param> {
-        vec![&self.weight, &self.bias]
+        vec![self.weights.master(), &self.bias]
     }
 
     fn params_mut(&mut self) -> Vec<&mut Param> {
-        // The caller may rewrite the weights (masked pruning does), which
-        // would leave plan-time packed panels stale — drop them; the
-        // next `prepare` or scratch-path run repacks. The quantised
-        // snapshot goes too: stale codes would silently diverge from the
-        // master weights, so the layer falls back to the dense f32
-        // engine until `set_format` re-snapshots. The CSR snapshot is
-        // left alone: its refresh contract is an explicit `set_format`.
-        self.packed_weights = None;
-        self.quant_weights = None;
-        vec![&mut self.weight, &mut self.bias]
+        vec![self.weights.master_mut(), &mut self.bias]
     }
 
     fn descriptor(&self, input_shape: &[usize]) -> LayerDescriptor {
@@ -1072,10 +969,7 @@ impl Layer for Conv2d {
         let positions = geom.out_positions();
         let row = self.in_channels * self.kernel * self.kernel;
         let weight_elems = self.out_channels * row;
-        let weight_nnz = match (&self.csr, self.format) {
-            (Some(csr), WeightFormat::Csr) => csr.nnz(),
-            _ => self.weight.value.len() - self.weight.value.count_zeros(0.0),
-        };
+        let weight_nnz = self.weight().value.len() - self.weight().value.count_zeros(0.0);
         LayerDescriptor {
             name: self.name(),
             kind: LayerKind::Conv {
@@ -1085,7 +979,7 @@ impl Layer for Conv2d {
             macs: (n * self.out_channels * row * positions) as u64,
             weight_elems,
             weight_nnz,
-            format: self.format,
+            format: self.format(),
             input_elems: input_shape.iter().product(),
             output_elems: n * self.out_channels * positions,
             output_shape: vec![n, self.out_channels, geom.out_h, geom.out_w],
@@ -1106,140 +1000,50 @@ impl Layer for Conv2d {
             let geom = self.geometry(input_shape[2], input_shape[3]);
             return fft_conv_scratch_elems(&geom, self.out_channels);
         }
-        if cfg.conv_algo == ConvAlgorithm::Im2col {
-            let geom = self.geometry(input_shape[2], input_shape[3]);
-            if self.uses_packed_gemm(cfg) {
-                // Packed-B panels (group-merged when the group is > 1), a
-                // merged-C region for the grouped product, plus a
-                // packed-A region so the `&self` run path can repack
-                // weights even when the plan-time panels have been
-                // dropped.
-                let group = self.packed_group(&geom, input_shape[0]);
-                let plan = self.packed_batch_plan(&geom, group);
-                let c_elems = if group > 1 {
-                    self.out_channels * group * geom.out_positions()
-                } else {
-                    0
-                };
-                let f32_elems = plan.packed_b_elems() + c_elems + plan.packed_a_elems();
-                if cfg.gemm_algo == GemmAlgorithm::TernaryPacked {
-                    // Quant dispatch is decided at run time, so cover
-                    // both paths: the ternary kernel needs the im2col
-                    // matrix, its transposed A-panels, and the
-                    // `[positions × out_c]` Outᵀ buffer.
-                    let tplan = self.ternary_plan(&geom);
-                    let t_elems = self.im2col_scratch_elems(&geom)
-                        + tplan.packed_a_elems()
-                        + geom.out_positions() * self.out_channels;
-                    f32_elems.max(t_elems)
-                } else {
-                    f32_elems
-                }
-            } else {
-                self.im2col_scratch_elems(&geom)
-            }
+        if cfg.conv_algo != ConvAlgorithm::Im2col {
+            return 0;
+        }
+        let geom = self.geometry(input_shape[2], input_shape[3]);
+        if !self.uses_packed_gemm(cfg) {
+            return self.im2col_scratch_elems(&geom);
+        }
+        // Packed-B panels (group-merged when the group is > 1) plus a
+        // merged-C region for the grouped product; the weight panels
+        // are a derived form the layer holds itself.
+        let group = self.packed_group(&geom, input_shape[0]);
+        let plan = self.packed_batch_plan(&geom, group);
+        let c_elems = if group > 1 {
+            self.out_channels * group * geom.out_positions()
         } else {
             0
-        }
-    }
-
-    fn forward_workspace_elems(&self, input_shape: &[usize], cfg: &ExecConfig) -> usize {
-        // The transform-domain kernels have no prepare-time caching, so
-        // their steady-state workspace equals the conservative bound.
-        if self.takes_winograd_transform(cfg) || self.takes_fft(cfg) {
-            return self.forward_scratch_elems(input_shape, cfg);
-        }
-        if cfg.conv_algo == ConvAlgorithm::Im2col {
-            let geom = self.geometry(input_shape[2], input_shape[3]);
-            if self.uses_packed_gemm(cfg) {
-                // Steady state: `prepare()` has cached the weight
-                // A-panels (or the quantised snapshot), so unlike
-                // `forward_scratch_elems` the repack region is never
-                // paid — for VGG-scale layers that region dominates
-                // the conservative bound.
-                let group = self.packed_group(&geom, input_shape[0]);
-                let plan = self.packed_batch_plan(&geom, group);
-                let c_elems = if group > 1 {
-                    self.out_channels * group * geom.out_positions()
-                } else {
-                    0
-                };
-                let f32_elems = plan.packed_b_elems() + c_elems;
-                if cfg.gemm_algo == GemmAlgorithm::TernaryPacked {
-                    // Quant dispatch is decided at run time, so cover
-                    // both the ternary kernel and the dense fallback.
-                    let tplan = self.ternary_plan(&geom);
-                    let t_elems = self.im2col_scratch_elems(&geom)
-                        + tplan.packed_a_elems()
-                        + geom.out_positions() * self.out_channels;
-                    f32_elems.max(t_elems)
-                } else {
-                    f32_elems
-                }
-            } else {
-                self.im2col_scratch_elems(&geom)
-            }
+        };
+        let f32_elems = plan.packed_b_elems() + c_elems;
+        if cfg.gemm_algo == GemmAlgorithm::TernaryPacked {
+            // Whether the weights have a ternary code form depends on
+            // their values, so cover both kernels: the ternary one needs
+            // the im2col matrix, its transposed A-panels, and the
+            // `[positions × out_c]` Outᵀ buffer.
+            let tplan = self.ternary_plan(&geom);
+            let t_elems = self.im2col_scratch_elems(&geom)
+                + tplan.packed_a_elems()
+                + geom.out_positions() * self.out_channels;
+            f32_elems.max(t_elems)
         } else {
-            0
+            f32_elems
         }
     }
 
     fn prepare(&mut self, cfg: &ExecConfig) {
-        if self.uses_packed_gemm(cfg) {
-            // An active quantised snapshot *is* the weight prepack: the
-            // f32 panels would never be read, so don't build them.
-            if self.quant_snapshot_active(cfg) {
-                self.packed_weights = None;
-                return;
-            }
-            let k_dim = self.in_channels * self.kernel * self.kernel;
-            // A-panel layout depends only on (out_c, patch_len), not on
-            // the output extent, so the panels serve every input shape.
-            let plan = GemmPlan::new(self.out_channels, k_dim, 1);
-            // A still-valid cache (own or adopted from a donor session)
-            // is kept as-is: every weight mutation drops the handle, so
-            // `Some` + matching length implies the panels are fresh.
-            if matches!(&self.packed_weights, Some(p) if p.len() == plan.packed_a_elems()) {
-                return;
-            }
-            let mut panels = vec![0.0f32; plan.packed_a_elems()];
-            gemm::pack_a_into(&plan, self.weight.value.data(), &mut panels);
-            // Fresh Vec, then Arc::new — never mutate through the Arc.
-            self.packed_weights = Some(Arc::new(panels));
-        } else {
-            self.packed_weights = None;
-        }
+        let keep = self.form_read_under(cfg);
+        self.weights.prepare(keep);
     }
 
-    fn packed_panels(&self) -> Option<Arc<Vec<f32>>> {
-        self.packed_weights.clone()
+    fn export_panels(&self) -> Option<WeightPanels> {
+        self.weights.export()
     }
 
-    fn install_packed_panels(&mut self, panels: Arc<Vec<f32>>) -> bool {
-        let k_dim = self.in_channels * self.kernel * self.kernel;
-        let want = GemmPlan::new(self.out_channels, k_dim, 1).packed_a_elems();
-        if panels.len() == want {
-            self.packed_weights = Some(panels);
-            true
-        } else {
-            false
-        }
-    }
-
-    fn quant_panels(&self) -> Option<QuantPanels> {
-        self.quant_weights.clone()
-    }
-
-    fn install_quant_panels(&mut self, panels: QuantPanels) -> bool {
-        match &panels {
-            QuantPanels::Ternary { codes, .. } if codes.len() == self.ternary_code_words() => {
-                self.quant_weights = Some(panels);
-                true
-            }
-            // No int8 convolution kernel — refuse the panels so the
-            // layer never advertises a snapshot it cannot run.
-            _ => false,
-        }
+    fn adopt_panels(&mut self, panels: &WeightPanels) -> bool {
+        self.weights.adopt(panels)
     }
 
     fn gemm_plan(&self, input_shape: &[usize], cfg: &ExecConfig) -> Option<GemmPlan> {
@@ -1272,7 +1076,7 @@ impl Layer for Conv2d {
             self.name()
         );
         let geom = self.geometry(h, w);
-        match self.format {
+        match self.format() {
             WeightFormat::Csr => self.eval_csr_into(input, n, h, w, &geom, out, scratch, cfg),
             _ => match cfg.conv_algo {
                 ConvAlgorithm::Im2col if self.uses_packed_gemm(cfg) => {
@@ -1378,17 +1182,21 @@ mod tests {
             ..ExecConfig::serial()
         };
         let cacheless = conv.forward(&x, Phase::Eval, &cfg);
+        assert!(
+            conv.export_panels().is_none(),
+            "one-shot forward keeps nothing"
+        );
         conv.prepare(&cfg);
-        assert!(conv.packed_weights.is_some());
+        assert!(conv.export_panels().is_some());
         let shape = [2, 3, 8, 8];
         let mut out = vec![0.0f32; cacheless.len()];
         let mut scratch = vec![0.0f32; conv.forward_scratch_elems(&shape, &cfg)];
         conv.forward_into(x.data(), &shape, &mut out, &mut scratch, &cfg);
         // Same plan, same kernel, same panel layout -> bit-identical.
         assert_eq!(out.as_slice(), cacheless.data());
-        // Touching the weights drops the cache.
+        // Touching the weights drops the panels.
         let _ = conv.weight_mut();
-        assert!(conv.packed_weights.is_none());
+        assert!(conv.export_panels().is_none());
     }
 
     #[test]
@@ -1506,15 +1314,15 @@ mod tests {
         let y = conv.forward(&x, Phase::Train, &cfg);
         let ones = Tensor::ones(y.shape().dims().to_vec());
         conv.backward(&ones);
-        let analytic = conv.weight.grad.clone();
+        let analytic = conv.weight().grad.clone();
         let eps = 1e-3;
         for &i in &[0usize, 5, 17, 30, analytic.len() - 1] {
-            let orig = conv.weight.value.data()[i];
-            conv.weight.value.data_mut()[i] = orig + eps;
+            let orig = conv.weight().value.data()[i];
+            conv.weight_mut().value.data_mut()[i] = orig + eps;
             let lp = conv.forward(&x, Phase::Eval, &cfg).sum();
-            conv.weight.value.data_mut()[i] = orig - eps;
+            conv.weight_mut().value.data_mut()[i] = orig - eps;
             let lm = conv.forward(&x, Phase::Eval, &cfg).sum();
-            conv.weight.value.data_mut()[i] = orig;
+            conv.weight_mut().value.data_mut()[i] = orig;
             let fd = (lp - lm) / (2.0 * eps);
             assert!(
                 (fd - analytic.data()[i]).abs() < 2e-2,
@@ -1574,7 +1382,7 @@ mod tests {
     #[test]
     fn remove_in_channel_drops_slice() {
         let mut conv = Conv2d::new(3, 2, 3, 1, 1, 2);
-        let before = conv.weight.value.clone();
+        let before = conv.weight().value.clone();
         conv.remove_in_channel(0);
         assert_eq!(conv.in_channels(), 2);
         // For each filter, channels 1..3 of the old weights survive.
@@ -1582,7 +1390,7 @@ mod tests {
             for c in 0..2 {
                 for t in 0..9 {
                     assert_eq!(
-                        conv.weight.value.data()[(o * 2 + c) * 9 + t],
+                        conv.weight().value.data()[(o * 2 + c) * 9 + t],
                         before.data()[(o * 3 + c + 1) * 9 + t]
                     );
                 }

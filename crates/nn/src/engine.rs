@@ -67,6 +67,7 @@ use crate::guard::{
 use crate::layer::{ConvAlgorithm, ExecConfig, Layer, WeightFormat};
 use crate::liveness::{ArenaLayout, MemoryFootprint, StepExtent};
 use crate::network::Network;
+use crate::weights::WeightPanels;
 use cnn_stack_obs::{Metric, NameId, Observer};
 use cnn_stack_parallel::{panic_message, PoolError, ThreadPool};
 use cnn_stack_tensor::{GemmAlgorithm, GemmPlan, Tensor};
@@ -107,13 +108,9 @@ pub struct PlanStep {
     pub input_elems: usize,
     /// Elements leaving the layer.
     pub output_elems: usize,
-    /// Conservative scratch floats the kernel may need on any path,
-    /// including cold ones such as repacking dropped weight panels.
-    pub scratch_elems: usize,
-    /// Steady-state workspace floats the kernel needs once `prepare()`
-    /// has cached its panels. The liveness colouring sizes arena slots
-    /// with this; for packed VGG-scale convolutions it is far below
-    /// [`scratch_elems`](PlanStep::scratch_elems).
+    /// Workspace floats the kernel needs
+    /// ([`Layer::forward_scratch_elems`]); the liveness colouring sizes
+    /// the step's arena slot with exactly this.
     pub workspace_elems: usize,
     /// Blocking plan of the step's packed GEMM, when the step routes
     /// through the packed engine under the compiled configuration
@@ -195,7 +192,7 @@ impl InferencePlan {
             .map(|s| s.output_shape.clone())
             .unwrap_or_else(|| input_shape.clone());
         let buf_elems = steps.iter().map(|s| s.output_elems).max().unwrap_or(0);
-        let scratch_elems = steps.iter().map(|s| s.scratch_elems).max().unwrap_or(0);
+        let scratch_elems = steps.iter().map(|s| s.workspace_elems).max().unwrap_or(0);
         InferencePlan {
             input_shape,
             output_shape,
@@ -231,7 +228,7 @@ impl InferencePlan {
         self.buf_elems
     }
 
-    /// The largest single-layer conservative scratch requirement.
+    /// The largest single-step workspace requirement.
     pub fn scratch_elems(&self) -> usize {
         self.scratch_elems
     }
@@ -244,7 +241,6 @@ impl InferencePlan {
             .map(|s| StepExtent {
                 output_elems: s.output_elems,
                 workspace_elems: s.workspace_elems,
-                scratch_elems: s.scratch_elems,
             })
             .collect()
     }
@@ -288,8 +284,7 @@ pub(crate) fn compile_step(
         output_shape: d.output_shape,
         input_elems: d.input_elems,
         output_elems: d.output_elems,
-        scratch_elems: layer.forward_scratch_elems(shape, cfg),
-        workspace_elems: layer.forward_workspace_elems(shape, cfg),
+        workspace_elems: layer.forward_scratch_elems(shape, cfg),
         gemm: layer.gemm_plan(shape, cfg),
         macs: d.macs,
         bytes: 4 * (d.input_elems + d.output_elems + d.weight_nnz) as u64,
@@ -460,8 +455,7 @@ fn step_extent(
 ) -> StepExtent {
     StepExtent {
         output_elems,
-        workspace_elems: layer.forward_workspace_elems(input_shape, cfg),
-        scratch_elems: layer.forward_scratch_elems(input_shape, cfg),
+        workspace_elems: layer.forward_scratch_elems(input_shape, cfg),
     }
 }
 
@@ -783,41 +777,23 @@ impl<'n> InferenceSession<'n> {
         }
     }
 
-    /// Exports every (nested) layer's prepacked weight-panel handle in
-    /// `visit_mut` order — `None` entries for layers without a panel
-    /// cache. A serving pool calls this once on a fully-prepared donor
-    /// session and feeds the result to
-    /// [`adopt_packed_panels`](Self::adopt_packed_panels) on each
-    /// replica, so the whole pool shares one prepack per model
-    /// (compile once, serve many).
-    pub fn export_packed_panels(&mut self) -> Vec<Option<Arc<Vec<f32>>>> {
-        crate::network::export_packed_panels(&mut self.net)
+    /// Exports every (nested) layer's [`WeightPanels`] handle in
+    /// `visit_mut` order — `None` entries for layers with no derived
+    /// weight form built. A serving pool calls this once on a prepared
+    /// donor session and feeds the result to
+    /// [`adopt_panels`](Self::adopt_panels) on each replica, so the
+    /// whole pool shares one prepack per model (compile once, serve
+    /// many).
+    pub fn export_panels(&mut self) -> Vec<Option<WeightPanels>> {
+        crate::network::export_panels(&mut self.net)
     }
 
-    /// Installs panel handles exported from an identically-built donor
-    /// session, returning how many layers accepted a shared handle.
-    /// Layers whose expected panel length differs (a mismatched donor)
-    /// keep their own cache, and the run path would fall back to
-    /// scratch repacking regardless — adoption can degrade sharing but
-    /// never correctness.
-    pub fn adopt_packed_panels(&mut self, panels: &[Option<Arc<Vec<f32>>>]) -> usize {
-        crate::network::adopt_packed_panels(&mut self.net, panels)
-    }
-
-    /// Exports every (nested) layer's quantised weight snapshot in
-    /// `visit_mut` order — the quantised counterpart of
-    /// [`export_packed_panels`](Self::export_packed_panels); the 2-bit
-    /// code panels are `Arc`-shared across a pool the same way.
-    pub fn export_quant_panels(&mut self) -> Vec<Option<crate::QuantPanels>> {
-        crate::network::export_quant_panels(&mut self.net)
-    }
-
-    /// Installs quantised snapshots exported from an identically-built
-    /// donor session, returning how many layers accepted one. Rejected
-    /// snapshots leave the layer on its f32 fallback — adoption can
-    /// degrade sharing, never correctness.
-    pub fn adopt_quant_panels(&mut self, panels: &[Option<crate::QuantPanels>]) -> usize {
-        crate::network::adopt_quant_panels(&mut self.net, panels)
+    /// Installs handles exported from an identically-built donor
+    /// session, returning how many layers adopted one. A layer whose
+    /// label or master weights differ from the handle's source keeps
+    /// its own forms — adoption can degrade sharing, never correctness.
+    pub fn adopt_panels(&mut self, panels: &[Option<WeightPanels>]) -> usize {
+        crate::network::adopt_panels(&mut self.net, panels)
     }
 
     /// The session's observer, when the plan was compiled with an
@@ -923,8 +899,8 @@ impl<'n> InferenceSession<'n> {
     #[cfg(feature = "fault-inject")]
     pub fn inject_faults(&mut self, faults: FaultPlan) {
         faults.apply_weight_faults(&mut self.net);
-        // Bit-flips bypass `weight_mut`, so plan-time packed panels
-        // would otherwise keep the pre-fault weights.
+        // The flips dropped the touched layers' derived forms; re-warm
+        // so the next run stays allocation-free.
         self.reprepare();
         self.faults = faults;
     }
@@ -1259,10 +1235,10 @@ impl<'n> InferenceSession<'n> {
         });
     }
 
-    /// Rebuilds every layer's plan-time caches (packed GEMM weight
-    /// panels) for its step's current effective configuration. Run at
-    /// session build, after demotions, and after weight-fault injection
-    /// so the caches never go stale against the master weights.
+    /// Warms every layer for its step's current effective configuration
+    /// (see [`Layer::prepare`]). Run at session build, after demotions,
+    /// and after weight-fault injection, so the runs that follow build
+    /// nothing.
     fn reprepare(&mut self) {
         let layers = self.net.layers_mut();
         for (ps, cfg) in self.plan.steps.iter().zip(&self.exec) {
@@ -1605,9 +1581,9 @@ mod tests {
         // Largest activation: the first conv output, 2*6*8*8.
         assert_eq!(plan.buf_elems(), 2 * 6 * 8 * 8);
         // Direct convolutions need no scratch, but the final Linear layer
-        // runs the packed GEMM and needs room for its A/B panels.
+        // runs the packed GEMM and needs room for its activation panels.
         let linear_plan = cnn_stack_tensor::GemmPlan::new(2, 4 * 4 * 4, 5);
-        assert_eq!(plan.scratch_elems(), linear_plan.scratch_elems());
+        assert_eq!(plan.scratch_elems(), linear_plan.packed_a_elems());
         // With the blocked GEMM everything is scratch-free.
         let blocked = ExecConfig {
             gemm_algo: cnn_stack_tensor::GemmAlgorithm::Blocked,
@@ -1656,20 +1632,17 @@ mod tests {
         let plan = InferencePlan::compile(&net, &[1, 3, 8, 8], &cfg).unwrap();
         // First conv: patch 3*3*3=27, 64 positions -> 1728 floats.
         assert_eq!(plan.scratch_elems(), 27 * 64);
-        // Packed GEMM: scratch is the packed panel buffers instead; the
-        // im2col matrix is never materialised.
+        // Packed GEMM: scratch is the packed activation panels instead
+        // (the weight panels live with the layer); the im2col matrix is
+        // never materialised.
         let cfg = ExecConfig {
             conv_algo: ConvAlgorithm::Im2col,
             ..ExecConfig::serial()
         };
         let plan = InferencePlan::compile(&net, &[1, 3, 8, 8], &cfg).unwrap();
-        // First conv dominates: A = 6x27 weights, B = 27x64 columns.
+        // First conv dominates: its B operand is the 27x64 columns.
         let conv_plan = cnn_stack_tensor::GemmPlan::new(6, 27, 64);
-        let linear_plan = cnn_stack_tensor::GemmPlan::new(1, 4 * 4 * 4, 5);
-        assert_eq!(
-            plan.scratch_elems(),
-            conv_plan.scratch_elems().max(linear_plan.scratch_elems())
-        );
+        assert_eq!(plan.scratch_elems(), conv_plan.packed_b_elems());
     }
 
     #[test]
@@ -2019,6 +1992,18 @@ mod tests {
         }
     }
 
+    /// Two exports list the same layers and share every buffer.
+    fn assert_same_storage(a: &[Option<WeightPanels>], b: &[Option<WeightPanels>]) {
+        assert_eq!(a.len(), b.len());
+        for (a, b) in a.iter().zip(b) {
+            match (a, b) {
+                (Some(a), Some(b)) => assert!(a.ptr_eq(b)),
+                (None, None) => {}
+                _ => panic!("panel export order diverged"),
+            }
+        }
+    }
+
     /// Builds an owned session over a fresh `conv_net` replica.
     fn owned_session(cfg: &ExecConfig, shape: &[usize]) -> InferenceSession<'static> {
         let net = conv_net();
@@ -2036,21 +2021,15 @@ mod tests {
         let x = random(shape, 7);
 
         let mut donor = owned_session(&cfg, &shape);
-        let panels = donor.export_packed_panels();
-        // conv_net has two convs + one linear with panel caches.
+        let panels = donor.export_panels();
+        // conv_net has two convs + one linear with packed panels.
         assert_eq!(panels.iter().flatten().count(), 3);
         let y_donor = donor.run(&x).unwrap();
 
         let mut replica = owned_session(&cfg, &shape);
-        assert_eq!(replica.adopt_packed_panels(&panels), 3);
+        assert_eq!(replica.adopt_panels(&panels), 3);
         // The replica's handles are the donor's buffers, not copies.
-        for (a, b) in panels.iter().zip(replica.export_packed_panels()) {
-            match (a, b) {
-                (Some(a), Some(b)) => assert!(Arc::ptr_eq(a, &b)),
-                (None, None) => {}
-                _ => panic!("panel export order diverged between replicas"),
-            }
-        }
+        assert_same_storage(&panels, &replica.export_panels());
         let y_replica = replica.run(&x).unwrap();
         assert_eq!(y_donor.data(), y_replica.data());
         assert!(replica.into_network().is_some());
@@ -2067,9 +2046,9 @@ mod tests {
         let x = random(shape, 11);
 
         let mut donor = owned_session(&cfg, &shape);
-        let panels = donor.export_packed_panels();
+        let panels = donor.export_panels();
         let mut replica = owned_session(&cfg, &shape);
-        assert_eq!(replica.adopt_packed_panels(&panels), 3);
+        assert_eq!(replica.adopt_panels(&panels), 3);
         let before = replica.run(&x).unwrap();
 
         // Surgery on the donor's network: zero the first conv's weights.
@@ -2094,8 +2073,8 @@ mod tests {
         }
     }
 
-    /// Panels from a differently-shaped donor are rejected layer-by-layer
-    /// (length check), leaving the replica's own prepack intact.
+    /// Panels from a different model are rejected layer-by-layer (source
+    /// fingerprint), leaving the replica's own prepack intact.
     #[test]
     fn mismatched_panel_adoption_is_rejected() {
         let cfg = packed_cfg();
@@ -2105,18 +2084,12 @@ mod tests {
             let plan = InferencePlan::compile(&net, &shape, &cfg).unwrap();
             InferenceSession::owned(net, plan, GuardConfig::Off).unwrap()
         };
-        let foreign = donor.export_packed_panels();
+        let foreign = donor.export_panels();
         let mut replica = owned_session(&cfg, &shape);
-        let own = replica.export_packed_panels();
-        assert_eq!(replica.adopt_packed_panels(&foreign), 0);
+        let own = replica.export_panels();
+        assert_eq!(replica.adopt_panels(&foreign), 0);
         // Own panels untouched by the failed adoption.
-        for (a, b) in own.iter().zip(replica.export_packed_panels()) {
-            match (a, b) {
-                (Some(a), Some(b)) => assert!(Arc::ptr_eq(a, &b)),
-                (None, None) => {}
-                _ => panic!("panel export order changed"),
-            }
-        }
+        assert_same_storage(&own, &replica.export_panels());
         let x = random(shape, 13);
         let mut fresh = owned_session(&cfg, &shape);
         let want = fresh.run(&x).unwrap();

@@ -500,11 +500,13 @@ mod inject {
             None
         }
 
-        /// Applies every `BitFlipWeight` fault to the network, then
-        /// refreshes CSR snapshots so sparse kernels see the flip too.
+        /// Applies every `BitFlipWeight` fault to the network. The flip
+        /// goes through `params_mut`, which drops the layer's derived
+        /// weight forms, so CSR values, packed panels and code panels
+        /// are all re-derived from the flipped master (a flip that makes
+        /// ternary weights non-ternary leaves no code form, and the f32
+        /// kernels are the defined behaviour).
         pub(crate) fn apply_weight_faults(&self, net: &mut crate::network::Network) {
-            use crate::layer::WeightFormat;
-            let mut flipped = false;
             for slot in &self.slots {
                 let Fault::BitFlipWeight {
                     layer,
@@ -525,31 +527,6 @@ mod inject {
                 let data = params[param].value.data_mut();
                 assert!(elem < data.len(), "bit-flip target element out of range");
                 data[elem] = f32::from_bits(data[elem].to_bits() ^ (1u32 << bit));
-                flipped = true;
-            }
-            if flipped {
-                // Re-running `set_format` re-snapshots the dense master,
-                // so the flipped bit reaches the derived-format kernels
-                // too: CSR values, and the quantised code panels (the
-                // `params_mut` above already dropped those, so without
-                // this the layer would silently fall back to f32; a flip
-                // that makes the weights non-ternary leaves no snapshot
-                // and the f32 fallback is the defined behaviour).
-                for layer in net.layers_mut() {
-                    layer.visit_mut(&mut |l| {
-                        if let Some(c) = l.as_any_mut().downcast_mut::<crate::Conv2d>() {
-                            let f = c.format();
-                            if f != WeightFormat::Dense {
-                                c.set_format(f);
-                            }
-                        } else if let Some(fc) = l.as_any_mut().downcast_mut::<crate::Linear>() {
-                            let f = fc.format();
-                            if f != WeightFormat::Dense {
-                                fc.set_format(f);
-                            }
-                        }
-                    });
-                }
             }
         }
 

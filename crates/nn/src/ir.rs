@@ -203,9 +203,9 @@ pub fn lower(net: &Network, input_shape: &[usize], cfg: &ExecConfig) -> Result<V
 /// only the op, never the network.
 fn exact_ternary(layer: &dyn Layer) -> bool {
     if let Some(c) = layer.as_any().downcast_ref::<Conv2d>() {
-        crate::layer::scan_ternary(c.weight().value.data()).is_some()
+        crate::weights::scan_ternary(c.weight().value.data()).is_some()
     } else if let Some(fc) = layer.as_any().downcast_ref::<Linear>() {
-        crate::layer::scan_ternary(fc.weight().value.data()).is_some()
+        crate::weights::scan_ternary(fc.weight().value.data()).is_some()
     } else {
         false
     }

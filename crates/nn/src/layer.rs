@@ -3,6 +3,7 @@
 
 use crate::descriptor::LayerDescriptor;
 use crate::error::Error;
+use crate::weights::WeightPanels;
 use cnn_stack_obs::ObsLevel;
 use cnn_stack_parallel::Schedule;
 use cnn_stack_tensor::{GemmAlgorithm, GemmEpilogue, GemmPlan, Tensor};
@@ -58,74 +59,15 @@ pub enum WeightFormat {
     /// 2-bit packed ternary codes with two per-layer magnitudes (the TTQ
     /// output format). Value-preserving: the dense master already holds
     /// exactly {−Wₙ, 0, +Wₚ}, so the quantised kernel and the dense
-    /// fallback produce identical bits. If the weights are *not* exactly
-    /// ternary when this format is selected, no quant snapshot is built
-    /// and every evaluation path falls back to the dense f32 kernels
-    /// (defined, value-correct behaviour).
+    /// fallback produce identical bits. Weights that are *not* exactly
+    /// ternary have no code form: every evaluation path then runs the
+    /// dense f32 kernels (defined, value-correct behaviour).
     Ternary,
     /// Per-tensor int8 weight codes with an f32 scale; activations are
     /// quantised per call. Lossy (≈0.4% per-weight rounding at int8),
     /// so the plan compiler only proposes the int8 kernel for layers a
     /// caller has explicitly put in this format.
     Int8,
-}
-
-/// Shared handle to a layer's quantised weight snapshot, exported and
-/// adopted across serving replicas exactly like the f32
-/// [`packed_panels`](Layer::packed_panels) set. The buffers are
-/// immutable for the lifetime of the handle: invalidation drops the
-/// `Arc`, never mutates through it.
-#[derive(Clone, Debug)]
-pub enum QuantPanels {
-    /// 2-bit ternary B-panel codes (one `u32` per reduction step per
-    /// NR-panel, see `pack_b_ternary_transposed_into`) plus the two
-    /// per-layer magnitudes (`negative` stored positive).
-    Ternary {
-        /// Packed sign codes.
-        codes: std::sync::Arc<Vec<u32>>,
-        /// Value encoded by `0b01`.
-        positive: f32,
-        /// Magnitude encoded by `0b10`.
-        negative: f32,
-    },
-    /// Int8 B-panels (NR-column i8 layout) plus the weight scale
-    /// `qw = 127 / max|W|`.
-    Int8 {
-        /// Quantised weight panels.
-        codes: std::sync::Arc<Vec<i8>>,
-        /// Weight quantisation scale.
-        scale: f32,
-    },
-}
-
-/// Scans a weight slice for exact ternary structure: at most one
-/// distinct positive magnitude and one distinct negative magnitude, all
-/// values finite. Returns `(positive, negative)` magnitudes (both
-/// non-negative; zero when that sign is absent), or `None` when the
-/// weights are not ternary — the quantised snapshot is then skipped and
-/// the layer keeps its dense fallback.
-pub(crate) fn scan_ternary(data: &[f32]) -> Option<(f32, f32)> {
-    let mut positive = 0.0f32;
-    let mut negative = 0.0f32;
-    for &v in data {
-        if !v.is_finite() {
-            return None;
-        }
-        if v > 0.0 {
-            if positive == 0.0 {
-                positive = v;
-            } else if positive != v {
-                return None;
-            }
-        } else if v < 0.0 {
-            if negative == 0.0 {
-                negative = -v;
-            } else if negative != -v {
-                return None;
-            }
-        }
-    }
-    Some((positive, negative))
 }
 
 /// Execution configuration for a forward pass: the knobs of the paper's
@@ -405,7 +347,7 @@ pub trait Layer: std::fmt::Debug + std::any::Any + Send + Sync {
 
     /// Read-only access to the layer's trainable parameters (empty for
     /// stateless layers). Unlike [`params_mut`](Layer::params_mut) this
-    /// never invalidates plan-time caches, so scans that only *inspect*
+    /// never drops derived weight forms, so scans that only *inspect*
     /// weights (e.g. the paranoid guard's per-run parameter check) go
     /// through here.
     fn params(&self) -> Vec<&Param> {
@@ -413,9 +355,9 @@ pub trait Layer: std::fmt::Debug + std::any::Any + Send + Sync {
     }
 
     /// Mutable access to the layer's trainable parameters (empty for
-    /// stateless layers). Layers that cache derived weight state (packed
-    /// GEMM panels) drop those caches here, since the caller may mutate
-    /// any returned value — masked pruning reaches weights this way.
+    /// stateless layers). Layers with derived weight forms (CSR, packed
+    /// or code panels) drop them here, since the caller may mutate any
+    /// returned value — masked pruning reaches weights this way.
     fn params_mut(&mut self) -> Vec<&mut Param> {
         Vec::new()
     }
@@ -452,53 +394,32 @@ pub trait Layer: std::fmt::Debug + std::any::Any + Send + Sync {
     /// `f(self)` and then forward to each child.
     fn visit_mut(&mut self, f: &mut dyn FnMut(&mut dyn Layer));
 
-    /// One-time plan-level preparation for repeated inference under
-    /// `cfg` — e.g. packing weight panels for the packed GEMM engine.
-    /// The engine calls this (through [`visit_mut`](Layer::visit_mut))
-    /// when a session is built and after every demotion rebuild, so the
-    /// per-run [`forward_into`](Layer::forward_into) path can reuse the
-    /// prepared state instead of re-deriving it. Layers with nothing to
-    /// prepare keep the default no-op.
+    /// Plan-level warm-up for repeated inference under `cfg`: builds the
+    /// one derived weight form `cfg`'s kernel reads (so steady-state
+    /// [`forward_into`](Layer::forward_into) runs allocate nothing) and
+    /// drops the others. The engine calls this (through
+    /// [`visit_mut`](Layer::visit_mut)) when a session is built and
+    /// after every demotion rebuild or weight-fault injection. Skipping
+    /// it is never wrong, only slower on the first run. Layers with
+    /// nothing to prepare keep the default no-op.
     fn prepare(&mut self, _cfg: &ExecConfig) {}
 
-    /// Shared handle to the plan-time prepacked weight panels built by
-    /// [`prepare`](Layer::prepare), if this layer has any. Serving
-    /// session pools clone this `Arc` into replica layers so many
-    /// pre-warmed sessions of one model share a single prepack
-    /// (compile once, serve many). The panel buffer is immutable for
-    /// the lifetime of the handle: invalidation drops the `Arc`, never
-    /// mutates through it.
-    fn packed_panels(&self) -> Option<std::sync::Arc<Vec<f32>>> {
+    /// Shared handle to the derived weight forms (packed panels, code
+    /// panels, CSR) this layer currently has built — after
+    /// [`prepare`](Layer::prepare), the one form its plan reads. A
+    /// serving pool exports once from a prepared donor and hands the
+    /// result to [`adopt_panels`](Layer::adopt_panels) on every replica,
+    /// so many sessions of one model share a single prepack. Layers
+    /// without derived forms keep the default `None`.
+    fn export_panels(&self) -> Option<WeightPanels> {
         None
     }
 
-    /// Installs a shared prepacked panel handle exported from an
-    /// identically-shaped donor layer via
-    /// [`packed_panels`](Layer::packed_panels). Returns `false` (leaving
-    /// the cache untouched) when the panel length does not match what
-    /// this layer's `prepare` would build — the run path then falls back
-    /// to scratch repacking, so a mismatched install is safe, just
-    /// wasted. Layers without a panel cache keep the default no-op.
-    fn install_packed_panels(&mut self, _panels: std::sync::Arc<Vec<f32>>) -> bool {
-        false
-    }
-
-    /// Shared handle to the quantised weight snapshot built by
-    /// [`prepare`](Layer::prepare) / `set_format`, if this layer holds
-    /// one. The serving pool clones this next to
-    /// [`packed_panels`](Layer::packed_panels) so replicas share one
-    /// quantised prepack.
-    fn quant_panels(&self) -> Option<QuantPanels> {
-        None
-    }
-
-    /// Installs a shared quantised snapshot exported from an
-    /// identically-shaped donor via [`quant_panels`](Layer::quant_panels).
-    /// Returns `false` (cache untouched) when the panel length or
-    /// variant does not match what this layer would build — evaluation
-    /// then falls back to the dense f32 path, so a mismatched install is
-    /// safe, just wasted.
-    fn install_quant_panels(&mut self, _panels: QuantPanels) -> bool {
+    /// Adopts a handle exported from the same layer of an identically
+    /// built donor. Returns `false`, leaving the layer untouched, unless
+    /// the handle carries this layer's format label and was derived
+    /// from bit-identical master weights.
+    fn adopt_panels(&mut self, _panels: &WeightPanels) -> bool {
         false
     }
 
@@ -511,24 +432,13 @@ pub trait Layer: std::fmt::Debug + std::any::Any + Send + Sync {
         None
     }
 
-    /// Scratch floats [`forward_into`](Layer::forward_into) needs for
-    /// the given input shape (0 for layers that need none). This is the
-    /// conservative bound: it must cover every path the kernel can
-    /// take, including cold ones such as re-packing weight panels when
-    /// no [`prepare`](Layer::prepare)d cache exists.
+    /// Workspace floats [`forward_into`](Layer::forward_into) needs for
+    /// the given input shape under `cfg` (0 for layers that need none):
+    /// the one bound a kernel states. The engine hands the kernel an
+    /// arena slice of exactly this length, and the liveness planner and
+    /// the budget solver size plans with it.
     fn forward_scratch_elems(&self, _input_shape: &[usize], _cfg: &ExecConfig) -> usize {
         0
-    }
-
-    /// Steady-state workspace floats
-    /// [`forward_into`](Layer::forward_into) needs per call once
-    /// [`prepare`](Layer::prepare) has run (packed panels cached). The
-    /// liveness planner sizes coloured arena slots with this, so it
-    /// may be far below [`forward_scratch_elems`](Layer::forward_scratch_elems)
-    /// — e.g. a packed convolution drops the A-panel repack region.
-    /// The default assumes no prepared state helps.
-    fn forward_workspace_elems(&self, input_shape: &[usize], cfg: &ExecConfig) -> usize {
-        self.forward_scratch_elems(input_shape, cfg)
     }
 
     /// Inference forward into a caller-provided output buffer, with no

@@ -63,6 +63,7 @@ pub mod pool;
 pub mod residual;
 pub mod serialize;
 pub mod train;
+mod weights;
 
 pub use activations::ReLU;
 pub use batchnorm::BatchNorm2d;
@@ -80,15 +81,11 @@ pub use guard::{
     GuardReport, GuardViolation, HealthReport, NonFiniteKind, ServeBatchFault,
 };
 pub use ir::{IrOp, OpKind};
-pub use layer::{
-    ConvAlgorithm, ExecConfig, ExecConfigBuilder, Layer, Param, Phase, QuantPanels, WeightFormat,
-};
+pub use layer::{ConvAlgorithm, ExecConfig, ExecConfigBuilder, Layer, Param, Phase, WeightFormat};
 pub use linear::Linear;
 pub use liveness::{ArenaLayout, MemoryFootprint, StepExtent, StepSlots};
 pub use memory::{network_memory, MemoryBreakdown};
-pub use network::{
-    adopt_packed_panels, adopt_quant_panels, export_packed_panels, export_quant_panels, Network,
-};
+pub use network::{adopt_panels, export_panels, Network};
 pub use passes::{
     AlgoChoice, Autotune, FoldAndFuse, ForceThroughput, PassContext, PlanCompiler, PlanPass,
     SelectAlgorithms,
@@ -97,3 +94,4 @@ pub use pool::{Flatten, GlobalAvgPool, MaxPool2d};
 pub use residual::ResidualBlock;
 pub use serialize::{load_params, save_params, LoadParamsError};
 pub use train::{LrSchedule, Sgd, TrainConfig};
+pub use weights::WeightPanels;

@@ -1,19 +1,19 @@
 //! Fully connected (dense) layer.
 
 use crate::descriptor::{LayerDescriptor, LayerKind};
-use crate::layer::{scan_ternary, ExecConfig, Layer, Param, Phase, QuantPanels, WeightFormat};
+use crate::layer::{ExecConfig, Layer, Param, Phase, WeightFormat};
+use crate::weights::{Form, PanelOperand, WeightPanels, Weights};
 use cnn_stack_parallel::parallel_for;
 use cnn_stack_parallel::DisjointWriter;
-use cnn_stack_sparse::CsrMatrix;
 use cnn_stack_tensor::init::{initialise, Init};
 use cnn_stack_tensor::{gemm, ops, GemmAlgorithm, GemmPlan, Tensor};
-use std::sync::Arc;
 
 /// A fully connected layer `y = x · Wᵀ + b` over `[batch, in]` inputs.
 ///
-/// Like [`crate::Conv2d`], the dense master weights can be snapshotted
-/// into CSR for sparse inference. The parallel grain is the output
-/// feature.
+/// Like [`crate::Conv2d`], the dense master weights carry a storage
+/// format label, and the CSR / packed-panel / code forms derived from
+/// them are built on first use and dropped by every route that can
+/// change the master. The parallel grain is the output feature.
 ///
 /// # Example
 ///
@@ -29,25 +29,9 @@ use std::sync::Arc;
 pub struct Linear {
     in_features: usize,
     out_features: usize,
-    /// `[out, in]` weight matrix.
-    weight: Param,
+    /// `[out, in]` weight matrix and its derived storage forms.
+    weights: Weights,
     bias: Param,
-    format: WeightFormat,
-    csr: Option<CsrMatrix>,
-    /// Plan-time packed GEMM B-panels of `Wᵀ` (NR-column panels packed
-    /// straight from the `[out, in]` weights), built by
-    /// [`Layer::prepare`] and reused by every `forward_into` run. Any
-    /// weight mutation invalidates it. Shared across serving replicas
-    /// via `Arc` (see [`Conv2d`](crate::Conv2d) for the immutability
-    /// invariant: fresh `Vec` then `Arc::new`, never mutated through
-    /// the handle).
-    packed_weights: Option<Arc<Vec<f32>>>,
-    /// Quantised weight snapshot (ternary codes or int8 panels), built
-    /// eagerly by [`set_format`](Linear::set_format) for the quantised
-    /// formats — mirroring the CSR snapshot — and dropped by any weight
-    /// mutation. Shares the `Arc` immutability invariant of
-    /// `packed_weights`.
-    quant_weights: Option<QuantPanels>,
     cached_input: Option<Tensor>,
 }
 
@@ -65,16 +49,15 @@ impl Linear {
         Linear {
             in_features,
             out_features,
-            weight: Param::new(initialise(
-                [out_features, in_features],
-                Init::XavierUniform,
-                seed,
-            )),
+            weights: Weights::new(
+                Param::new(initialise(
+                    [out_features, in_features],
+                    Init::XavierUniform,
+                    seed,
+                )),
+                PanelOperand::BTransposed,
+            ),
             bias: Param::new(Tensor::zeros([out_features])),
-            format: WeightFormat::Dense,
-            csr: None,
-            packed_weights: None,
-            quant_weights: None,
             cached_input: None,
         }
     }
@@ -91,16 +74,13 @@ impl Linear {
 
     /// The weight parameter.
     pub fn weight(&self) -> &Param {
-        &self.weight
+        self.weights.master()
     }
 
-    /// Mutable weight parameter (invalidates any CSR, packed-panel or
-    /// quantised snapshot).
+    /// Mutable weight parameter. Drops every derived storage form; the
+    /// next evaluation rebuilds the one it reads from the new weights.
     pub fn weight_mut(&mut self) -> &mut Param {
-        self.csr = None;
-        self.packed_weights = None;
-        self.quant_weights = None;
-        &mut self.weight
+        self.weights.master_mut()
     }
 
     /// The bias parameter.
@@ -110,62 +90,26 @@ impl Linear {
 
     /// Current inference weight format.
     pub fn format(&self) -> WeightFormat {
-        self.format
+        self.weights.format()
     }
 
-    /// Selects the inference weight format. Like the CSR snapshot, the
-    /// quantised snapshots are built eagerly here from the dense master:
-    /// `Ternary` scans the weights and packs 2-bit codes only when they
-    /// are *exactly* ternary (otherwise no snapshot is built and every
-    /// run takes the dense fallback); `Int8` always snapshots, with the
-    /// per-tensor scale `qw = 127 / max|W|`.
+    /// Selects the inference weight format. The label is durable: the
+    /// matching storage form — CSR, 2-bit codes for `Ternary` (only
+    /// when the weights are *exactly* ternary), int8 panels with the
+    /// per-tensor scale `qw = 127 / max|W|` for `Int8` — is derived from
+    /// the current master on first use and re-derived after any weight
+    /// change.
     pub fn set_format(&mut self, format: WeightFormat) {
-        self.format = format;
-        self.packed_weights = None;
-        self.quant_weights = None;
-        self.csr = match format {
-            WeightFormat::Csr => Some(CsrMatrix::from_dense(&self.weight.value, 0.0)),
-            _ => None,
-        };
-        match format {
-            WeightFormat::Ternary => {
-                if let Some((positive, negative)) = scan_ternary(self.weight.value.data()) {
-                    let plan = self.packed_plan(1);
-                    let mut codes = vec![0u32; plan.ternary_b_words()];
-                    gemm::pack_b_ternary_transposed_into(
-                        &plan,
-                        self.weight.value.data(),
-                        &mut codes,
-                    );
-                    // Fresh Vec, then Arc::new — never mutate through it.
-                    self.quant_weights = Some(QuantPanels::Ternary {
-                        codes: Arc::new(codes),
-                        positive,
-                        negative,
-                    });
-                }
-            }
-            WeightFormat::Int8 => {
-                let scale = gemm::quantise_scale_i8(self.weight.value.data());
-                let plan = self.packed_plan(1);
-                let mut codes = vec![0i8; plan.packed_b_elems()];
-                gemm::pack_b_transposed_i8_into(&plan, self.weight.value.data(), scale, &mut codes);
-                self.quant_weights = Some(QuantPanels::Int8 {
-                    codes: Arc::new(codes),
-                    scale,
-                });
-            }
-            _ => {}
-        }
+        self.weights.set_format(format);
     }
 
     /// Whether `cfg` routes this layer through the packed GEMM engine —
-    /// f32 or quantised. A quantised `gemm_algo` without a matching
-    /// quant snapshot still lands here: the run then takes the f32
-    /// packed path over the dense master (the bit-identical fallback the
-    /// guard demotion also uses).
+    /// f32 or quantised. A quantised `gemm_algo` on weights without the
+    /// matching code form still lands here: the run then takes the f32
+    /// packed path (the bit-identical fallback the guard demotion also
+    /// uses).
     pub(crate) fn uses_packed_gemm(&self, cfg: &ExecConfig) -> bool {
-        self.format != WeightFormat::Csr
+        self.format() != WeightFormat::Csr
             && matches!(
                 cfg.gemm_algo,
                 GemmAlgorithm::Packed | GemmAlgorithm::TernaryPacked | GemmAlgorithm::Int8Packed
@@ -177,11 +121,26 @@ impl Linear {
         GemmPlan::new(batch, self.in_features, self.out_features)
     }
 
-    /// Routes one packed-engine evaluation: the quantised kernel when
-    /// `cfg` asks for it *and* a valid matching snapshot exists,
-    /// otherwise the f32 packed kernel on the dense master. Keeping the
-    /// fallback inside one router is what makes a missing/stale quant
-    /// snapshot a performance event, never a correctness one.
+    /// The derived weight form `cfg`'s kernel reads, if any (the scalar
+    /// dense kernel reads the master).
+    fn form_read_under(&self, cfg: &ExecConfig) -> Option<Form> {
+        if self.format() == WeightFormat::Csr {
+            return Some(Form::Csr);
+        }
+        if !self.uses_packed_gemm(cfg) {
+            return None;
+        }
+        let quantised = match cfg.gemm_algo {
+            GemmAlgorithm::TernaryPacked => self.weights.ternary().is_some(),
+            GemmAlgorithm::Int8Packed => self.weights.int8().is_some(),
+            _ => false,
+        };
+        Some(if quantised { Form::Quant } else { Form::Panels })
+    }
+
+    /// Routes one packed-engine evaluation: the quantised kernel `cfg`
+    /// asks for when the weights have the matching code form, otherwise
+    /// the f32 packed kernel.
     fn eval_packed_dispatch_into(
         &self,
         in_data: &[f32],
@@ -191,33 +150,26 @@ impl Linear {
         cfg: &ExecConfig,
     ) {
         let plan = self.packed_plan(batch);
-        match (cfg.gemm_algo, &self.quant_weights) {
-            (
-                GemmAlgorithm::TernaryPacked,
-                Some(QuantPanels::Ternary {
-                    codes,
-                    positive,
-                    negative,
-                }),
-            ) if self.format == WeightFormat::Ternary && codes.len() == plan.ternary_b_words() => {
+        if cfg.gemm_algo == GemmAlgorithm::TernaryPacked {
+            if let Some(ternary) = self.weights.ternary() {
                 let a_buf = &mut scratch[..plan.packed_a_elems()];
                 gemm::pack_a_into(&plan, in_data, a_buf);
                 self.prefill_bias(out);
-                gemm::gemm_prepacked_ternary(
+                return gemm::gemm_prepacked_ternary(
                     &plan,
                     a_buf,
-                    codes,
-                    *positive,
-                    *negative,
+                    ternary.codes,
+                    ternary.positive,
+                    ternary.negative,
                     out,
                     cfg.threads,
                     cfg.schedule,
                     cfg.epilogue(),
                 );
             }
-            (GemmAlgorithm::Int8Packed, Some(QuantPanels::Int8 { codes, scale }))
-                if self.format == WeightFormat::Int8 && codes.len() == plan.packed_b_elems() =>
-            {
+        }
+        if cfg.gemm_algo == GemmAlgorithm::Int8Packed {
+            if let Some(int8) = self.weights.int8() {
                 // Per-call activation quantisation: NaN activations map
                 // to 0 and magnitudes saturate at ±127 — the documented
                 // lossy contract of the int8 path.
@@ -233,34 +185,19 @@ impl Linear {
                 };
                 gemm::pack_a_i8_into(&plan, in_data, qa, &mut a_buf[..elems]);
                 self.prefill_bias(out);
-                gemm::gemm_prepacked_int8(
+                return gemm::gemm_prepacked_int8(
                     &plan,
                     &a_buf[..elems],
-                    codes,
-                    1.0 / (qa * scale),
+                    int8.codes,
+                    1.0 / (qa * int8.scale),
                     out,
                     cfg.threads,
                     cfg.schedule,
                     cfg.epilogue(),
                 );
             }
-            _ => self.eval_dense_packed_into(in_data, batch, out, scratch, cfg),
         }
-    }
-
-    /// Whether a valid quantised snapshot matches `cfg`'s kernel choice
-    /// (the quant arms of [`eval_packed_dispatch_into`]'s match).
-    fn quant_snapshot_active(&self, cfg: &ExecConfig) -> bool {
-        let plan = self.packed_plan(1);
-        match (cfg.gemm_algo, &self.quant_weights) {
-            (GemmAlgorithm::TernaryPacked, Some(QuantPanels::Ternary { codes, .. })) => {
-                self.format == WeightFormat::Ternary && codes.len() == plan.ternary_b_words()
-            }
-            (GemmAlgorithm::Int8Packed, Some(QuantPanels::Int8 { codes, .. })) => {
-                self.format == WeightFormat::Int8 && codes.len() == plan.packed_b_elems()
-            }
-            _ => false,
-        }
+        self.eval_dense_packed_into(in_data, batch, out, scratch, cfg)
     }
 
     /// Copies the bias vector into every output row (the `+=` GEMM
@@ -273,9 +210,8 @@ impl Linear {
     }
 
     /// Packed-GEMM dense kernel: the activations are packed into MR-row
-    /// A-panels per run (`scratch`), the `Wᵀ` B-panels come from the
-    /// plan-time cache (or are packed into scratch when absent), and one
-    /// whole-layer GEMM runs over the pool.
+    /// A-panels per run (`scratch`), the `Wᵀ` B-panels are the layer's
+    /// derived panel form, and one whole-layer GEMM runs over the pool.
     fn eval_dense_packed_into(
         &self,
         in_data: &[f32],
@@ -285,34 +221,13 @@ impl Linear {
         cfg: &ExecConfig,
     ) {
         let plan = self.packed_plan(batch);
-        let have_panels =
-            matches!(&self.packed_weights, Some(panels) if panels.len() == plan.packed_b_elems());
-        // The B-panel repack region is needed only when the plan-time
-        // panels are absent or stale; the steady-state workspace the
-        // liveness planner sizes (`forward_workspace_elems`) excludes
-        // it, so slice it only on the cold path.
-        let b_elems = if have_panels {
-            0
-        } else {
-            plan.packed_b_elems()
-        };
-        let (a_buf, b_buf) =
-            scratch[..plan.packed_a_elems() + b_elems].split_at_mut(plan.packed_a_elems());
+        let a_buf = &mut scratch[..plan.packed_a_elems()];
         gemm::pack_a_into(&plan, in_data, a_buf);
-        let packed_b: &[f32] = match &self.packed_weights {
-            Some(panels) if panels.len() == plan.packed_b_elems() => panels.as_slice(),
-            // No plan-time panels (plain `forward`, or a cache dropped by
-            // weight surgery/fault injection): pack into scratch.
-            _ => {
-                gemm::pack_b_transposed_into(&plan, self.weight.value.data(), b_buf);
-                b_buf
-            }
-        };
         self.prefill_bias(out);
         gemm::gemm_prepacked_epilogue(
             &plan,
             a_buf,
-            packed_b,
+            self.weights.panels(),
             out,
             cfg.threads,
             cfg.schedule,
@@ -328,8 +243,9 @@ impl Linear {
         let out_f = self.out_features;
         let writer = DisjointWriter::new(out);
         let writer = &writer;
-        match (self.format, &self.csr) {
-            (WeightFormat::Csr, Some(csr)) => {
+        match self.format() {
+            WeightFormat::Csr => {
+                let csr = self.weights.csr();
                 parallel_for(cfg.threads, out_f, cfg.schedule, |range| {
                     for o in range {
                         let (idx, val) = csr.row(o);
@@ -351,7 +267,7 @@ impl Linear {
                 });
             }
             _ => {
-                let wdata = self.weight.value.data();
+                let wdata = self.weight().value.data();
                 parallel_for(cfg.threads, out_f, cfg.schedule, |range| {
                     for o in range {
                         let w_row = &wdata[o * feat..(o + 1) * feat];
@@ -388,7 +304,7 @@ impl Linear {
         );
         assert!(len < self.in_features, "cannot remove every input feature");
         let old_in = self.in_features;
-        let src = self.weight.value.data();
+        let src = self.weight().value.data();
         let mut w = Vec::with_capacity(self.out_features * (old_in - len));
         for o in 0..self.out_features {
             let row = &src[o * old_in..(o + 1) * old_in];
@@ -396,10 +312,8 @@ impl Linear {
             w.extend_from_slice(&row[start + len..]);
         }
         self.in_features -= len;
-        self.weight = Param::new(Tensor::from_vec([self.out_features, self.in_features], w));
-        self.csr = None;
-        self.packed_weights = None;
-        self.quant_weights = None;
+        self.weights
+            .replace(Tensor::from_vec([self.out_features, self.in_features], w));
     }
 }
 
@@ -427,7 +341,13 @@ impl Layer for Linear {
         let shape = [batch, feat];
         let mut out = Tensor::zeros([batch, self.out_features]);
         let mut scratch = vec![0.0f32; self.forward_scratch_elems(&shape, cfg)];
+        // A one-shot call on a layer nobody prepared leaves no packed
+        // copy of the weights behind.
+        let cold = self.weights.is_cold();
         self.forward_into(input.data(), &shape, out.data_mut(), &mut scratch, cfg);
+        if cold {
+            self.weights.drop_derived();
+        }
         out
     }
 
@@ -440,30 +360,21 @@ impl Layer for Linear {
         // dW += dYᵀ · X ; db += colsum(dY) ; dX = dY · W.
         let dy_t = ops::transpose(grad_out);
         let dw = cnn_stack_tensor::matmul(&dy_t, &input);
-        self.weight.grad.axpy(1.0, &dw);
+        self.weights.master_mut().grad.axpy(1.0, &dw);
         for b in 0..batch {
             for o in 0..self.out_features {
                 self.bias.grad.data_mut()[o] += grad_out.data()[b * self.out_features + o];
             }
         }
-        cnn_stack_tensor::matmul(grad_out, &self.weight.value)
+        cnn_stack_tensor::matmul(grad_out, &self.weight().value)
     }
 
     fn params(&self) -> Vec<&Param> {
-        vec![&self.weight, &self.bias]
+        vec![self.weights.master(), &self.bias]
     }
 
     fn params_mut(&mut self) -> Vec<&mut Param> {
-        // The caller may rewrite the weights (masked pruning does), which
-        // would leave plan-time packed panels stale — drop them; the
-        // next `prepare` or scratch-path run repacks. The quantised
-        // snapshot drops too (its codes would silently diverge from the
-        // master; the run then falls back to the dense f32 path until a
-        // `set_format` re-snapshot). The CSR snapshot is left alone: its
-        // refresh contract is an explicit `set_format`.
-        self.packed_weights = None;
-        self.quant_weights = None;
-        vec![&mut self.weight, &mut self.bias]
+        vec![self.weights.master_mut(), &mut self.bias]
     }
 
     fn visit_mut(&mut self, f: &mut dyn FnMut(&mut dyn Layer)) {
@@ -472,22 +383,11 @@ impl Layer for Linear {
 
     fn forward_scratch_elems(&self, input_shape: &[usize], cfg: &ExecConfig) -> usize {
         if self.uses_packed_gemm(cfg) {
-            // A-panels for the activations plus a B-panel region so the
-            // `&self` run path can repack weights even when the plan-time
-            // panels have been dropped.
-            self.packed_plan(input_shape[0]).scratch_elems()
-        } else {
-            0
-        }
-    }
-
-    fn forward_workspace_elems(&self, input_shape: &[usize], cfg: &ExecConfig) -> usize {
-        if self.uses_packed_gemm(cfg) {
-            // Steady state: `prepare()` has cached the Wᵀ B-panels (or
-            // the quantised snapshot), so only the activation A-panel
-            // region is paid per call. The int8 arm's byte panels fit
-            // in `packed_a_elems().div_ceil(4)` floats, and the ternary
-            // arm packs the same A region — one bound covers all arms.
+            // The activation A-panel region. The int8 arm's byte panels
+            // fit in `packed_a_elems().div_ceil(4)` floats and the
+            // ternary arm packs the same A region — one bound covers
+            // all arms; the weight panels are a derived form the layer
+            // holds itself.
             self.packed_plan(input_shape[0]).packed_a_elems()
         } else {
             0
@@ -495,56 +395,16 @@ impl Layer for Linear {
     }
 
     fn prepare(&mut self, cfg: &ExecConfig) {
-        if self.uses_packed_gemm(cfg) {
-            // An active quantised snapshot *is* the weight prepack: the
-            // f32 panels would never be read, so don't build them.
-            if self.quant_snapshot_active(cfg) {
-                self.packed_weights = None;
-                return;
-            }
-            // B-panel layout depends only on (in, out), not on the batch.
-            let plan = self.packed_plan(1);
-            // Keep a still-valid cache (own or adopted) — `Some` +
-            // matching length implies fresh, since mutation drops it.
-            if matches!(&self.packed_weights, Some(p) if p.len() == plan.packed_b_elems()) {
-                return;
-            }
-            let mut panels = vec![0.0f32; plan.packed_b_elems()];
-            gemm::pack_b_transposed_into(&plan, self.weight.value.data(), &mut panels);
-            // Fresh Vec, then Arc::new — never mutate through the Arc.
-            self.packed_weights = Some(Arc::new(panels));
-        } else {
-            self.packed_weights = None;
-        }
+        let keep = self.form_read_under(cfg);
+        self.weights.prepare(keep);
     }
 
-    fn packed_panels(&self) -> Option<Arc<Vec<f32>>> {
-        self.packed_weights.clone()
+    fn export_panels(&self) -> Option<WeightPanels> {
+        self.weights.export()
     }
 
-    fn install_packed_panels(&mut self, panels: Arc<Vec<f32>>) -> bool {
-        if panels.len() == self.packed_plan(1).packed_b_elems() {
-            self.packed_weights = Some(panels);
-            true
-        } else {
-            false
-        }
-    }
-
-    fn quant_panels(&self) -> Option<QuantPanels> {
-        self.quant_weights.clone()
-    }
-
-    fn install_quant_panels(&mut self, panels: QuantPanels) -> bool {
-        let plan = self.packed_plan(1);
-        let ok = match &panels {
-            QuantPanels::Ternary { codes, .. } => codes.len() == plan.ternary_b_words(),
-            QuantPanels::Int8 { codes, .. } => codes.len() == plan.packed_b_elems(),
-        };
-        if ok {
-            self.quant_weights = Some(panels);
-        }
-        ok
+    fn adopt_panels(&mut self, panels: &WeightPanels) -> bool {
+        self.weights.adopt(panels)
     }
 
     fn gemm_plan(&self, input_shape: &[usize], cfg: &ExecConfig) -> Option<GemmPlan> {
@@ -580,10 +440,7 @@ impl Layer for Linear {
     fn descriptor(&self, input_shape: &[usize]) -> LayerDescriptor {
         let batch = input_shape[0];
         let weight_elems = self.in_features * self.out_features;
-        let weight_nnz = match (&self.csr, self.format) {
-            (Some(csr), WeightFormat::Csr) => csr.nnz(),
-            _ => self.weight.value.len() - self.weight.value.count_zeros(0.0),
-        };
+        let weight_nnz = self.weight().value.len() - self.weight().value.count_zeros(0.0);
         LayerDescriptor {
             name: self.name(),
             kind: LayerKind::Linear {
@@ -593,7 +450,7 @@ impl Layer for Linear {
             macs: (batch * weight_elems) as u64,
             weight_elems,
             weight_nnz,
-            format: self.format,
+            format: self.format(),
             input_elems: batch * self.in_features,
             output_elems: batch * self.out_features,
             output_shape: vec![batch, self.out_features],
@@ -619,7 +476,7 @@ mod tests {
         let mut fc = Linear::new(6, 4, 1);
         let x = random([3, 6], 2);
         let y = fc.forward(&x, Phase::Eval, &ExecConfig::default());
-        let want = cnn_stack_tensor::matmul(&x, &ops::transpose(&fc.weight.value));
+        let want = cnn_stack_tensor::matmul(&x, &ops::transpose(&fc.weight().value));
         assert!(y.allclose(&want, 1e-5)); // bias is zero at init
     }
 
@@ -642,17 +499,21 @@ mod tests {
         let x = random([3, 13], 9);
         let cfg = ExecConfig::serial();
         let cacheless = fc.forward(&x, Phase::Eval, &cfg);
+        assert!(
+            fc.export_panels().is_none(),
+            "one-shot forward keeps nothing"
+        );
         fc.prepare(&cfg);
-        assert!(fc.packed_weights.is_some());
+        assert!(fc.export_panels().is_some());
         let shape = [3, 13];
         let mut out = vec![0.0f32; cacheless.len()];
         let mut scratch = vec![0.0f32; fc.forward_scratch_elems(&shape, &cfg)];
         fc.forward_into(x.data(), &shape, &mut out, &mut scratch, &cfg);
         // Same plan, same kernel, same panel layout -> bit-identical.
         assert_eq!(out.as_slice(), cacheless.data());
-        // Touching the weights drops the cache.
+        // Touching the weights drops the panels.
         let _ = fc.weight_mut();
-        assert!(fc.packed_weights.is_none());
+        assert!(fc.export_panels().is_none());
     }
 
     #[test]
@@ -668,7 +529,7 @@ mod tests {
     fn sparse_and_parallel_paths_agree() {
         let mut fc = Linear::new(16, 8, 3);
         // Plant zeros so CSR differs structurally.
-        for i in (0..fc.weight.value.len()).step_by(3) {
+        for i in (0..fc.weight().value.len()).step_by(3) {
             fc.weight_mut().value.data_mut()[i] = 0.0;
         }
         let x = random([5, 16], 4);
@@ -692,14 +553,14 @@ mod tests {
         let dx = fc.backward(&ones);
         let eps = 1e-3;
         for &i in &[0usize, 5, 11] {
-            let orig = fc.weight.value.data()[i];
-            fc.weight.value.data_mut()[i] = orig + eps;
+            let orig = fc.weight().value.data()[i];
+            fc.weight_mut().value.data_mut()[i] = orig + eps;
             let lp = fc.forward(&x, Phase::Eval, &cfg).sum();
-            fc.weight.value.data_mut()[i] = orig - eps;
+            fc.weight_mut().value.data_mut()[i] = orig - eps;
             let lm = fc.forward(&x, Phase::Eval, &cfg).sum();
-            fc.weight.value.data_mut()[i] = orig;
+            fc.weight_mut().value.data_mut()[i] = orig;
             let fd = (lp - lm) / (2.0 * eps);
-            assert!((fd - fc.weight.grad.data()[i]).abs() < 1e-2, "dW[{i}]");
+            assert!((fd - fc.weight().grad.data()[i]).abs() < 1e-2, "dW[{i}]");
         }
         for &i in &[0usize, 3, 7] {
             let mut xp = x.clone();
@@ -718,12 +579,15 @@ mod tests {
     #[test]
     fn remove_in_features_block() {
         let mut fc = Linear::new(6, 2, 7);
-        let before = fc.weight.value.clone();
+        let before = fc.weight().value.clone();
         fc.remove_in_features(2, 2);
         assert_eq!(fc.in_features(), 4);
         for o in 0..2 {
-            assert_eq!(fc.weight.value.data()[o * 4], before.data()[o * 6]);
-            assert_eq!(fc.weight.value.data()[o * 4 + 2], before.data()[o * 6 + 4]);
+            assert_eq!(fc.weight().value.data()[o * 4], before.data()[o * 6]);
+            assert_eq!(
+                fc.weight().value.data()[o * 4 + 2],
+                before.data()[o * 6 + 4]
+            );
         }
     }
 

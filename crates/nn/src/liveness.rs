@@ -31,13 +31,9 @@
 pub struct StepExtent {
     /// Elements of the step's output activation.
     pub output_elems: usize,
-    /// Steady-state workspace the kernel needs while the step runs,
-    /// assuming `prepare()` has been honoured (packed panels cached).
+    /// Workspace the kernel needs while the step runs (the layer's
+    /// `forward_scratch_elems`).
     pub workspace_elems: usize,
-    /// Conservative scratch bound the kernel may touch on a cold path
-    /// (e.g. re-packing weights when no panel cache exists). Only the
-    /// `naive_bytes` sizing model reads it.
-    pub scratch_elems: usize,
 }
 
 /// Arena offsets assigned to one step.
@@ -61,7 +57,7 @@ pub struct ArenaLayout {
     /// Total arena elements this layout needs.
     pub total_elems: usize,
     /// Counterfactual unshared footprint: two max-size activation
-    /// buffers plus the largest conservative scratch region.
+    /// buffers plus the largest workspace region.
     pub naive_elems: usize,
 }
 
@@ -149,12 +145,12 @@ impl ArenaLayout {
 
     /// Elements a two-buffer ping-pong layout would reserve: two
     /// activation buffers sized by the largest step output plus one
-    /// scratch region sized by the hungriest kernel's conservative
-    /// bound. A sizing model only — no such layout is ever built.
+    /// workspace region sized by the hungriest kernel. A sizing model
+    /// only — no such layout is ever built.
     fn naive_elems(steps: &[StepExtent]) -> usize {
         let buf = steps.iter().map(|s| s.output_elems).max().unwrap_or(0);
-        let scratch = steps.iter().map(|s| s.scratch_elems).max().unwrap_or(0);
-        2 * buf + scratch
+        let workspace = steps.iter().map(|s| s.workspace_elems).max().unwrap_or(0);
+        2 * buf + workspace
     }
 
     /// Elements this layout saves over `naive_elems`.
@@ -200,7 +196,6 @@ mod tests {
         StepExtent {
             output_elems: out,
             workspace_elems: ws,
-            scratch_elems: ws,
         }
     }
 

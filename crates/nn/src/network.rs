@@ -3,6 +3,7 @@
 use crate::descriptor::LayerDescriptor;
 use crate::error::Error;
 use crate::layer::{ExecConfig, Layer, Param, Phase, WeightFormat};
+use crate::weights::WeightPanels;
 use cnn_stack_tensor::Tensor;
 use std::time::{Duration, Instant};
 
@@ -281,75 +282,32 @@ pub fn set_network_format(net: &mut Network, format: WeightFormat) {
     }
 }
 
-/// Exports every (nested) layer's prepacked weight-panel handle in
-/// [`Layer::visit_mut`] order — `None` entries for layers without a
-/// panel cache. Feed the result to [`adopt_packed_panels`] on an
+/// Exports every (nested) layer's [`WeightPanels`] handle in
+/// [`Layer::visit_mut`] order — `None` entries for layers with no
+/// derived weight form built. Feed the result to [`adopt_panels`] on an
 /// identically-built network so replicas share one prepack
 /// (compile once, serve many).
-pub fn export_packed_panels(net: &mut Network) -> Vec<Option<std::sync::Arc<Vec<f32>>>> {
+pub fn export_panels(net: &mut Network) -> Vec<Option<WeightPanels>> {
     let mut out = Vec::new();
     for layer in net.layers_mut() {
-        layer.visit_mut(&mut |l| out.push(l.packed_panels()));
+        layer.visit_mut(&mut |l| out.push(l.export_panels()));
     }
     out
 }
 
-/// Installs panel handles exported from an identically-built donor
-/// network, returning how many layers accepted a shared handle. A layer
-/// whose expected panel length differs rejects the handle and keeps its
-/// own cache, so a mismatched donor degrades sharing, never correctness.
-/// Because [`Layer::prepare`] keeps a cache that is already valid,
-/// adopting before the session is built means its prepack step packs
-/// nothing at all.
-pub fn adopt_packed_panels(
-    net: &mut Network,
-    panels: &[Option<std::sync::Arc<Vec<f32>>>],
-) -> usize {
+/// Installs handles exported from an identically-built donor network,
+/// returning how many layers adopted one. A layer whose format label or
+/// master weights differ from the handle's source refuses it and keeps
+/// its own forms, so a mismatched donor degrades sharing, never
+/// correctness. Adopting before a session is built means its prepare
+/// step packs nothing at all.
+pub fn adopt_panels(net: &mut Network, panels: &[Option<WeightPanels>]) -> usize {
     let mut i = 0usize;
     let mut adopted = 0usize;
     for layer in net.layers_mut() {
         layer.visit_mut(&mut |l| {
             if let Some(Some(p)) = panels.get(i) {
-                if l.install_packed_panels(std::sync::Arc::clone(p)) {
-                    adopted += 1;
-                }
-            }
-            i += 1;
-        });
-    }
-    adopted
-}
-
-/// Exports every (nested) layer's quantised weight snapshot in
-/// [`Layer::visit_mut`] order — `None` entries for layers without one.
-/// The quantised counterpart of [`export_packed_panels`]: the code
-/// panels sit behind an `Arc`, so a serving pool shares one ternary
-/// prepack across all replicas of a model.
-pub fn export_quant_panels(net: &mut Network) -> Vec<Option<crate::layer::QuantPanels>> {
-    let mut out = Vec::new();
-    for layer in net.layers_mut() {
-        layer.visit_mut(&mut |l| out.push(l.quant_panels()));
-    }
-    out
-}
-
-/// Installs quantised snapshots exported from an identically-built
-/// donor network, returning how many layers accepted one. A layer whose
-/// expected code length differs (or that has no kernel for the panel
-/// kind) rejects the snapshot and runs its f32 fallback — adoption can
-/// degrade sharing, never correctness.
-pub fn adopt_quant_panels(
-    net: &mut Network,
-    panels: &[Option<crate::layer::QuantPanels>],
-) -> usize {
-    let mut i = 0usize;
-    let mut adopted = 0usize;
-    for layer in net.layers_mut() {
-        layer.visit_mut(&mut |l| {
-            if let Some(Some(p)) = panels.get(i) {
-                if l.install_quant_panels(p.clone()) {
-                    adopted += 1;
-                }
+                adopted += usize::from(l.adopt_panels(p));
             }
             i += 1;
         });

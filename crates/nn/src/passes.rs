@@ -5,7 +5,7 @@
 //! whole network" baseline. This module replaces that construction with
 //! a compilation pipeline: the network is lowered to a typed op list
 //! ([`crate::ir`]), a sequence of [`PlanPass`]es rewrites it, and the
-//! result is lowered to [`PlanStep`](crate::engine::PlanStep)s with
+//! result is lowered to [`PlanStep`]s with
 //! per-step spans and per-step configurations.
 //!
 //! The three shipped passes implement the paper's across-stack levers:
@@ -667,21 +667,13 @@ fn apply_choice(net: &mut Network, op: &mut IrOp, choice: AlgoChoice) {
 }
 
 fn set_layer_format(layers: &mut [Box<dyn crate::layer::Layer>], idx: usize, format: WeightFormat) {
-    // Quantised formats always re-run `set_format`, even when the label
-    // already matches: an earlier pass (BN folding) may have rewritten
-    // the weights through `weight_mut`, which drops the code snapshot —
-    // without a fresh pack the step would silently run the f32
-    // fallback. Re-packing is a compile-time cost only. Dense/CSR keep
-    // the skip (CSR snapshots are rebuilt by `weight_mut` callers via
-    // `set_format`, and re-snapshotting dense is a no-op).
-    let refresh = matches!(format, WeightFormat::Ternary | WeightFormat::Int8);
     let layer = layers[idx].as_any_mut();
     if let Some(c) = layer.downcast_mut::<crate::Conv2d>() {
-        if refresh || c.format() != format {
+        if c.format() != format {
             c.set_format(format);
         }
     } else if let Some(fc) = layer.downcast_mut::<crate::Linear>() {
-        if refresh || fc.format() != format {
+        if fc.format() != format {
             fc.set_format(format);
         }
     }
@@ -795,7 +787,6 @@ fn op_extent(net: &Network, op: &IrOp) -> Result<StepExtent, Error> {
     Ok(StepExtent {
         output_elems: step.output_elems,
         workspace_elems: step.workspace_elems,
-        scratch_elems: step.scratch_elems,
     })
 }
 
@@ -947,12 +938,13 @@ fn fit_budget(ctx: &mut PassContext, budget_bytes: usize) -> Result<(), Error> {
 /// measured winner, persisting it to a tuning cache so later
 /// compilations of the same shape skip the measurement.
 ///
-/// Cache resolution order: an explicit [`with_cache_path`]
-/// (Autotune::with_cache_path) argument, the `CNN_STACK_TUNE_CACHE`
-/// environment variable, then `~/.cache/cnn-stack/tune.tsv`. Entries are
-/// keyed by op kind, GEMM dimensions, batch, measured-sparsity bucket,
-/// and thread count. Cache I/O is best-effort: an unreadable or
-/// unwritable cache degrades to measuring every compilation.
+/// Cache resolution order: an explicit
+/// [`with_cache_path`](Autotune::with_cache_path) argument, the
+/// `CNN_STACK_TUNE_CACHE` environment variable, then
+/// `~/.cache/cnn-stack/tune.tsv`. Entries are keyed by op kind, GEMM
+/// dimensions, batch, measured-sparsity bucket, and thread count. Cache
+/// I/O is best-effort: an unreadable or unwritable cache degrades to
+/// measuring every compilation.
 pub struct Autotune {
     cache_path: Option<PathBuf>,
     samples: u32,

@@ -313,32 +313,6 @@ impl Layer for ResidualBlock {
         main_elems + skip_elems + child
     }
 
-    fn forward_workspace_elems(&self, input_shape: &[usize], cfg: &ExecConfig) -> usize {
-        // Same layout as `forward_scratch_elems` — [conv1 output | skip
-        // buffer | child region] — but the child region is sized by the
-        // children's steady-state workspace (panels cached by
-        // `prepare()`), not their conservative repack bound.
-        let (n, h, w) = (input_shape[0], input_shape[2], input_shape[3]);
-        let geom1 = self.conv1.geometry(h, w);
-        let main_elems = n * self.conv1.out_channels() * geom1.out_h * geom1.out_w;
-        let shape1 = [n, self.conv1.out_channels(), geom1.out_h, geom1.out_w];
-        let geom2 = self.conv2.geometry(geom1.out_h, geom1.out_w);
-        let out_elems = n * self.conv2.out_channels() * geom2.out_h * geom2.out_w;
-        let skip_elems = if self.shortcut.is_some() {
-            out_elems
-        } else {
-            0
-        };
-        let mut child = self
-            .conv1
-            .forward_workspace_elems(input_shape, cfg)
-            .max(self.conv2.forward_workspace_elems(&shape1, cfg));
-        if let Some((conv, _)) = &self.shortcut {
-            child = child.max(conv.forward_workspace_elems(input_shape, cfg));
-        }
-        main_elems + skip_elems + child
-    }
-
     fn forward_into(
         &self,
         input: &[f32],

@@ -1,6 +1,6 @@
 //! The pre-warmed session ladder: one owned [`InferenceSession`] per
-//! ladder batch size, all sharing a single set of `Arc`'d prepacked
-//! weight panels ("compile once, serve many").
+//! ladder batch size, all sharing a single set of prepacked weight
+//! panels ("compile once, serve many").
 //!
 //! Each worker owns a ladder (sessions are not `Sync`). A batch of `n`
 //! requests runs on the smallest ladder rung whose batch size covers
@@ -13,20 +13,17 @@ use crate::clock::Clock;
 use crate::config::ServeConfig;
 use crate::error::ServeError;
 use cnn_stack_nn::{
-    adopt_packed_panels, adopt_quant_panels, GuardConfig, InferenceSession, Network, PlanCompiler,
-    QuantPanels,
+    adopt_panels, GuardConfig, InferenceSession, Network, PlanCompiler, WeightPanels,
 };
 use cnn_stack_tensor::Tensor;
-use std::sync::Arc;
 
 /// Shared prepack exported from the first session built for a model:
-/// the f32 packed weight panels plus any quantised (2-bit ternary /
-/// int8) code panels — both `Arc`-shared, so every replica in a pool
+/// per layer, the weight form its plan reads (f32 packed panels, 2-bit
+/// ternary / int8 code panels, or CSR), so every replica in a pool
 /// reads one physical copy of each.
 #[derive(Clone)]
 pub(crate) struct PanelSet {
-    packed: Vec<Option<Arc<Vec<f32>>>>,
-    quant: Vec<Option<QuantPanels>>,
+    panels: Vec<Option<WeightPanels>>,
 }
 
 /// Which plan pipeline a ladder compiles with.
@@ -74,6 +71,14 @@ impl SessionLadder {
     /// first adopts the first rung's exported panels *before* its
     /// session is built, so its prepare pass packs nothing — the whole
     /// ladder shares one physical prepack.
+    ///
+    /// # Errors
+    ///
+    /// Besides compile/session failures, returns
+    /// [`ServeError::InvalidConfig`] when a replica shares *no* layer
+    /// with the exported prepack: adoption checks each layer's weights
+    /// against the donor's, so that means `build_net` does not produce
+    /// identical networks and the rungs would serve different models.
     pub(crate) fn build(
         cfg: &ServeConfig,
         kind: LadderKind,
@@ -105,9 +110,14 @@ impl SessionLadder {
                 LadderKind::Degraded => PlanCompiler::degraded(),
             };
             let plan = compiler.run(&mut net, &shape, &exec)?;
-            if let Some(panels) = shared.as_ref() {
-                adopt_packed_panels(&mut net, &panels.packed);
-                adopt_quant_panels(&mut net, &panels.quant);
+            if let Some(set) = shared.as_ref() {
+                let offered = set.panels.iter().flatten().count();
+                if offered > 0 && adopt_panels(&mut net, &set.panels) == 0 {
+                    return Err(ServeError::InvalidConfig(format!(
+                        "build_net must produce identical networks: the batch-{batch} replica \
+                         matches none of the {offered} prepacked layers of the first one"
+                    )));
+                }
             }
             let guard = match kind {
                 LadderKind::Primary => cfg.guard(),
@@ -116,8 +126,7 @@ impl SessionLadder {
             let mut session = InferenceSession::owned(net, plan, guard)?;
             if shared.is_none() {
                 *shared = Some(PanelSet {
-                    packed: session.export_packed_panels(),
-                    quant: session.export_quant_panels(),
+                    panels: session.export_panels(),
                 });
             }
             let input = Tensor::zeros(shape);
@@ -221,5 +230,71 @@ impl SessionLadder {
         for rung in &mut self.rungs {
             rung.session.inject_faults(faults());
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::clock::ManualClock;
+    use cnn_stack_nn::{Conv2d, Flatten, Linear, ReLU};
+    use std::sync::atomic::{AtomicU64, Ordering};
+
+    fn tiny_net(seed: u64) -> Network {
+        Network::new(vec![
+            Box::new(Conv2d::new(3, 4, 3, 1, 1, seed)),
+            Box::new(ReLU::new()),
+            Box::new(Flatten::new()),
+            Box::new(Linear::new(4 * 6 * 6, 5, seed + 1)),
+        ])
+        .expect("stack is non-empty")
+    }
+
+    fn two_rung_cfg() -> ServeConfig {
+        ServeConfig::builder([3, 6, 6])
+            .max_batch(4)
+            .workers(0)
+            .build()
+            .expect("test config is valid")
+    }
+
+    #[test]
+    fn every_rung_shares_the_first_rungs_panels() {
+        let mut shared = None;
+        let mut ladder = SessionLadder::build(
+            &two_rung_cfg(),
+            LadderKind::Primary,
+            &|| tiny_net(7),
+            &mut shared,
+            &ManualClock::new(),
+        )
+        .expect("ladder builds");
+        assert_eq!(ladder.rungs.len(), 2);
+        let first = ladder.rungs[0].session.export_panels();
+        let second = ladder.rungs[1].session.export_panels();
+        assert_eq!(first.iter().flatten().count(), 2, "conv + linear prepacks");
+        for (a, b) in first.iter().zip(&second) {
+            match (a, b) {
+                (Some(a), Some(b)) => assert!(a.ptr_eq(b), "rung 2 packed its own copy"),
+                (None, None) => {}
+                _ => panic!("rungs export different layers"),
+            }
+        }
+    }
+
+    #[test]
+    fn irreproducible_model_factory_is_a_typed_error() {
+        let calls = AtomicU64::new(0);
+        let mut shared = None;
+        let err = SessionLadder::build(
+            &two_rung_cfg(),
+            LadderKind::Primary,
+            &|| tiny_net(calls.fetch_add(1, Ordering::Relaxed)),
+            &mut shared,
+            &ManualClock::new(),
+        )
+        .err()
+        .expect("the second rung shares nothing with the first");
+        assert!(matches!(err, ServeError::InvalidConfig(_)), "{err}");
     }
 }

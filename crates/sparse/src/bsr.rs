@@ -3,7 +3,7 @@
 //! Part of the format exploration the paper defers (§IV-C). BSR stores
 //! one column index per *block* instead of per element, amortising index
 //! overhead by `block_size²` and restoring dense-kernel locality inside
-//! blocks — the structured-sparsity story of the paper's [26]/[30]
+//! blocks — the structured-sparsity story of the paper's \[26\]/\[30\]
 //! citations (group Lasso pushes weights towards exactly this layout).
 //! The trade-off: zeros inside a partially occupied block are stored
 //! explicitly, so unstructured pruning fills many blocks and erases the

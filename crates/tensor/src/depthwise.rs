@@ -7,14 +7,14 @@
 //! useful things to do. The kernel therefore has two loop orders and
 //! picks one from the plane it is given:
 //!
-//! * **Row order** (planes of more than [`TILE_PIXELS`] pixels): a
+//! * **Row order** (planes of more than `TILE_PIXELS` pixels): a
 //!   channel plane is walked one output row at a time. The output
 //!   columns whose every tap reads inside the input row are known
 //!   before the loop, so they are computed eight at a time with the
 //!   accumulators in registers and no per-pixel bounds test — each tap
 //!   is one contiguous load for stride 1, a strided pick for stride ≥ 2
 //!   — and only the few columns at either edge take the per-pixel path.
-//! * **Channel-blocked order** (planes of at most [`TILE_PIXELS`]
+//! * **Channel-blocked order** (planes of at most `TILE_PIXELS`
 //!   pixels, whose rows are too narrow to fill vectors): eight channels
 //!   are transposed into pixel-major 8-lane tiles on the stack, every
 //!   output pixel accumulates its valid taps as lane vectors, and the

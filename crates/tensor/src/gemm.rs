@@ -1780,7 +1780,7 @@ mod tests {
     }
 
     #[test]
-    fn prepacked_weights_reusable_across_calls() {
+    fn prepacked_b_reusable_across_calls() {
         // Pack B once, run two products against different A operands —
         // the plan-time weight-packing pattern the engine relies on.
         let (m, k, n) = (10, 24, 20);

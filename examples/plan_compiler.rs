@@ -63,6 +63,12 @@ fn main() {
                     s.macs as f64 / 1e6
                 );
             }
+            let fp = plan.footprint();
+            println!(
+                "  arena peak {} B; liveness colouring saves {} B over two buffers + one workspace",
+                fp.peak_bytes,
+                fp.reuse_bytes()
+            );
             println!();
         }
     }
@@ -94,9 +100,9 @@ fn budget_sweep() {
             Ok(plan) => {
                 let fp = plan.footprint();
                 println!(
-                    "  budget {label:>9}: peak {:>6.2} MB (unshared model {:>6.2} MB)",
+                    "  budget {label:>9}: peak {:>6.2} MB (colouring saves {:>6.2} MB)",
                     fp.peak_bytes as f64 / (1 << 20) as f64,
-                    fp.naive_bytes as f64 / (1 << 20) as f64,
+                    fp.reuse_bytes() as f64 / (1 << 20) as f64,
                 );
                 for s in plan.steps() {
                     // Step names carry the selected algorithm as a

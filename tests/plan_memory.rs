@@ -62,14 +62,15 @@ fn poisoned_input(shape: Vec<usize>, seed: u64) -> Tensor {
 
 /// The aliasing oracle: executes the compiled steps with **no** buffer
 /// sharing — a fresh output `Vec` and a fresh NaN-poisoned workspace
-/// (`PlanStep::scratch_elems`, the cold-path bound: this network was
-/// never `prepare`d) per step, the whole batch on the plan's thread
+/// of exactly `PlanStep::workspace_elems` (the kernel's one bound; this
+/// network was never `prepare`d, so the layers derive their weight
+/// forms on first read) per step, the whole batch on the plan's thread
 /// count. Whatever the arena layout aliases wrongly, this cannot.
 fn run_unshared(net: &Network, plan: &InferencePlan, x: &Tensor) -> Vec<f32> {
     let mut act = x.data().to_vec();
     for step in plan.steps() {
         let mut out = vec![f32::NAN; step.output_elems];
-        let mut workspace = vec![f32::NAN; step.scratch_elems];
+        let mut workspace = vec![f32::NAN; step.workspace_elems];
         net.layers()[step.layer].forward_into(
             &act,
             &step.input_shape,

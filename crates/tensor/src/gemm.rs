@@ -13,9 +13,10 @@
 //! * [`GemmAlgorithm::Packed`] — the tuned-BLAS analogue: a BLIS-style
 //!   packed engine that copies A into `MR`-row panels and B into
 //!   `NR`-column panels, then drives an `MR×NR` register-tiled
-//!   micro-kernel (scalar autovectorised, or AVX2/FMA when the CPU
-//!   supports it — detected at runtime) over the panel grid, with the
-//!   grid distributed across the `cnn-stack-parallel` pool.
+//!   micro-kernel (scalar autovectorised, AVX2/FMA, or an AVX-512 tile
+//!   two A panels tall — whichever the CPU supports, detected at
+//!   runtime) over the panel grid, with the grid distributed across the
+//!   `cnn-stack-parallel` pool.
 //!
 //! # Packed engine layout
 //!
@@ -30,7 +31,12 @@
 //! and `MR·NR` fused multiply-adds per step. A B panel with at most
 //! `NR/2` live columns (a 2×2 output plane at batch 1 has 4) runs the
 //! same ladder over its first vector only — a half-width `MR×NR/2` tile
-//! on the unchanged panel layout, bit-identical lane for lane.
+//! on the unchanged panel layout, bit-identical lane for lane. On an
+//! AVX-512 host a full-width tile instead spans two vertically adjacent
+//! A panels (`2·MR×NR`, twelve ZMM accumulators sharing one B load) —
+//! again on the unchanged panels, and again every lane sees the FMA
+//! sequence it would have seen, so all three SIMD tiles agree bit for
+//! bit.
 
 use crate::tensor::Tensor;
 use cnn_stack_obs::{self as obs, Metric};
@@ -43,7 +49,10 @@ pub const MR: usize = 6;
 ///
 /// Two 8-lane AVX2 vectors; with `MR = 6` the kernel holds 12 YMM
 /// accumulators plus two B loads and one A broadcast — 15 of the 16
-/// architectural YMM registers.
+/// architectural YMM registers. It is also exactly one 16-lane AVX-512
+/// vector, which is why the AVX-512 tile grows along M (two A panels)
+/// and every packed layout, plan and workspace size is shared by all
+/// kernels.
 pub const NR: usize = 16;
 
 /// Which GEMM kernel to run.
@@ -55,8 +64,9 @@ pub enum GemmAlgorithm {
     Blocked,
     /// Parameterised register/cache tiling; see [`TileConfig`].
     Tiled(TileConfig),
-    /// BLIS-style packed panels + `MR×NR` micro-kernel (AVX2/FMA when
-    /// available). The fast path for conv-im2col and linear layers.
+    /// BLIS-style packed panels + `MR×NR` micro-kernel (AVX-512 or
+    /// AVX2/FMA when available). The fast path for conv-im2col and
+    /// linear layers.
     #[default]
     Packed,
     /// Packed engine whose B-panels stay 2-bit ternary codes (one `u32`
@@ -190,8 +200,8 @@ pub struct GemmPlan {
     /// working set of one grain to `mc × kc` floats (L2-resident).
     pub mc: usize,
     /// Reduction block: the micro-kernel walks K in `kc` steps so one
-    /// `kc×NR` B block (64 KiB at `kc = 1024`... sized to 16 KiB here)
-    /// stays L1-resident while it is reused across a whole row-chunk.
+    /// `kc×NR` B block (16 KiB at the `kc = 256` cap) stays L1-resident
+    /// while it is reused across a whole row-chunk.
     pub kc: usize,
     /// Columns per parallel column-grain (multiple of [`NR`]).
     pub nc: usize,
@@ -554,36 +564,118 @@ pub(crate) enum MicroKernel {
     Scalar,
     #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
     Avx2Fma,
+    /// [`Avx2Fma`](Self::Avx2Fma) everywhere except the f32 full-width
+    /// tile, where two adjacent `MR`-row A panels share one 16-lane B
+    /// load: [`microkernel_avx512_pair`].
+    #[cfg(target_arch = "x86_64")]
+    Avx512,
 }
 
-/// Runtime kernel selection, resolved once per process. Set
-/// `CNN_STACK_GEMM_FORCE_SCALAR=1` (before the first GEMM) to pin the
-/// portable kernel for A/B comparisons.
+impl MicroKernel {
+    /// Whether this host can execute the kernel. Every `unsafe` call
+    /// into a `#[target_feature]` body in this crate rests on it:
+    /// [`active_kernel`] only returns supported kernels and
+    /// [`gemm_prepacked_on`] asserts it on entry.
+    fn supported(self) -> bool {
+        match self {
+            MicroKernel::Scalar => true,
+            #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+            MicroKernel::Avx2Fma => {
+                is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma")
+            }
+            #[cfg(target_arch = "x86_64")]
+            MicroKernel::Avx512 => {
+                MicroKernel::Avx2Fma.supported() && is_x86_feature_detected!("avx512f")
+            }
+        }
+    }
+
+    /// The kernels this host can run, slowest first: what the
+    /// cross-kernel tests and benches iterate over.
+    pub(crate) fn available() -> impl Iterator<Item = MicroKernel> {
+        [
+            MicroKernel::Scalar,
+            #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+            MicroKernel::Avx2Fma,
+            #[cfg(target_arch = "x86_64")]
+            MicroKernel::Avx512,
+        ]
+        .into_iter()
+        .filter(|k| k.supported())
+    }
+
+    fn name(self) -> &'static str {
+        match self {
+            MicroKernel::Scalar => "scalar",
+            #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+            MicroKernel::Avx2Fma => "avx2+fma",
+            #[cfg(target_arch = "x86_64")]
+            MicroKernel::Avx512 => "avx512f",
+        }
+    }
+}
+
+/// Runtime kernel selection, resolved once per process: the widest
+/// kernel the host supports. Set `CNN_STACK_GEMM_FORCE_SCALAR=1` (before
+/// the first GEMM) to pin the portable kernel for A/B comparisons.
 pub(crate) fn active_kernel() -> MicroKernel {
     static KERNEL: OnceLock<MicroKernel> = OnceLock::new();
     *KERNEL.get_or_init(|| {
-        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-        {
-            if std::env::var_os("CNN_STACK_GEMM_FORCE_SCALAR").is_none()
-                && is_x86_feature_detected!("avx2")
-                && is_x86_feature_detected!("fma")
-            {
-                return MicroKernel::Avx2Fma;
-            }
+        if std::env::var_os("CNN_STACK_GEMM_FORCE_SCALAR").is_some() {
+            return MicroKernel::Scalar;
         }
-        MicroKernel::Scalar
+        MicroKernel::available()
+            .last()
+            .expect("the scalar kernel is always available")
     })
 }
 
 /// Name of the micro-kernel the packed engine will use on this host
-/// (`"avx2+fma"` or `"scalar"`). Benchmarks record it next to their
-/// numbers.
+/// (`"avx512f"`, `"avx2+fma"` or `"scalar"`). Benchmarks record it next
+/// to their numbers.
 pub fn gemm_kernel_name() -> &'static str {
-    match active_kernel() {
-        MicroKernel::Scalar => "scalar",
-        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-        MicroKernel::Avx2Fma => "avx2+fma",
-    }
+    active_kernel().name()
+}
+
+/// Bench hook, not API: the [`gemm_kernel_name`]-style names of every
+/// micro-kernel this host can run, slowest first. `MicroKernel` stays
+/// crate-private; this and [`gemm_prepacked_named`] are how
+/// `benches/kernels.rs` prints one row per kernel.
+#[doc(hidden)]
+pub fn gemm_kernel_names() -> Vec<&'static str> {
+    MicroKernel::available().map(MicroKernel::name).collect()
+}
+
+/// Bench hook, not API: [`gemm_prepacked`] on the micro-kernel called
+/// `kernel` (one of [`gemm_kernel_names`]).
+///
+/// # Panics
+///
+/// Panics if this host has no kernel of that name, or as
+/// [`gemm_prepacked`].
+#[doc(hidden)]
+pub fn gemm_prepacked_named(
+    kernel: &str,
+    plan: &GemmPlan,
+    packed_a: &[f32],
+    packed_b: &[f32],
+    c: &mut [f32],
+    threads: usize,
+    schedule: Schedule,
+) {
+    let kernel = MicroKernel::available()
+        .find(|k| k.name() == kernel)
+        .unwrap_or_else(|| panic!("no micro-kernel named {kernel:?} on this host"));
+    gemm_prepacked_on(
+        kernel,
+        plan,
+        packed_a,
+        packed_b,
+        c,
+        threads,
+        schedule,
+        GemmEpilogue::None,
+    );
 }
 
 /// Live-column count up to which a B panel runs the half-width tile:
@@ -742,22 +834,95 @@ unsafe fn microkernel_avx2_half(a: &[f32], b: &[f32], acc: &mut [[f32; NR]; MR])
     _mm256_storeu_ps(acc[5].as_mut_ptr(), c5);
 }
 
-/// Dispatches one `MR×NR` reduction block to the active micro-kernel;
+/// AVX-512F micro-kernel over **two** vertically adjacent A panels and
+/// one B panel: 12 ZMM accumulators (6 rows of `a0`'s tile, 6 of
+/// `a1`'s), and per reduction step one 16-lane B load feeding twelve
+/// broadcast-FMAs. A ZMM register is a whole `NR`-wide accumulator row,
+/// so the packed layouts are exactly the ones [`microkernel_avx2`]
+/// reads; and because every lane still sees the same FMA sequence over
+/// the same `kc` block, each accumulator is bit-identical to what two
+/// [`microkernel_avx2`] calls produce.
+///
+/// # Safety
+///
+/// Caller must ensure the CPU supports AVX-512F
+/// ([`MicroKernel::supported`]). `a0.len()` must be a multiple of `MR`,
+/// `a1.len()` must equal it, and `b.len()/NR` must equal `a0.len()/MR`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn microkernel_avx512_pair(
+    a0: &[f32],
+    a1: &[f32],
+    b: &[f32],
+    acc0: &mut [[f32; NR]; MR],
+    acc1: &mut [[f32; NR]; MR],
+) {
+    use core::arch::x86_64::*;
+
+    debug_assert_eq!(a0.len() % MR, 0);
+    debug_assert_eq!(a1.len(), a0.len());
+    debug_assert_eq!(b.len() % NR, 0);
+    debug_assert_eq!(a0.len() / MR, b.len() / NR);
+    let kc = a0.len() / MR;
+
+    // SAFETY (all intrinsics below): loads/stores stay inside `a0`,
+    // `a1`, `b` and the two accumulators, whose lengths are checked
+    // above; only the unaligned forms are used. The constant-trip row
+    // loops unroll, so `c0`/`c1` live in twelve ZMM registers.
+    let mut c0 = [_mm512_setzero_ps(); MR];
+    let mut c1 = [_mm512_setzero_ps(); MR];
+    for r in 0..MR {
+        c0[r] = _mm512_loadu_ps(acc0[r].as_ptr());
+        c1[r] = _mm512_loadu_ps(acc1[r].as_ptr());
+    }
+
+    let mut ap0 = a0.as_ptr();
+    let mut ap1 = a1.as_ptr();
+    let mut bp = b.as_ptr();
+    for _ in 0..kc {
+        let bv = _mm512_loadu_ps(bp);
+        for (r, c) in c0.iter_mut().enumerate() {
+            *c = _mm512_fmadd_ps(_mm512_set1_ps(*ap0.add(r)), bv, *c);
+        }
+        for (r, c) in c1.iter_mut().enumerate() {
+            *c = _mm512_fmadd_ps(_mm512_set1_ps(*ap1.add(r)), bv, *c);
+        }
+        ap0 = ap0.add(MR);
+        ap1 = ap1.add(MR);
+        bp = bp.add(NR);
+    }
+
+    for r in 0..MR {
+        _mm512_storeu_ps(acc0[r].as_mut_ptr(), c0[r]);
+        _mm512_storeu_ps(acc1[r].as_mut_ptr(), c1[r]);
+    }
+}
+
+/// Dispatches one `MR×NR` reduction block to the given micro-kernel;
 /// `half` selects the [`HALF_NR`]-lane tile (the caller's panel has no
-/// live column beyond it).
+/// live column beyond it). [`MicroKernel::Avx512`] runs the AVX2 bodies
+/// here: its own tile takes two A panels and is dispatched by the
+/// driver, which sends only the odd tail panel and half tiles this way.
 #[inline]
 fn microkernel(kernel: MicroKernel, half: bool, a: &[f32], b: &[f32], acc: &mut [[f32; NR]; MR]) {
     match (kernel, half) {
         (MicroKernel::Scalar, false) => microkernel_scalar::<NR>(a, b, acc),
         (MicroKernel::Scalar, true) => microkernel_scalar::<HALF_NR>(a, b, acc),
         #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-        // SAFETY: `Avx2Fma` is only ever selected by `active_kernel`
-        // after `is_x86_feature_detected!` confirmed AVX2 and FMA; the
-        // slice-length contract is upheld by the panel driver.
+        // SAFETY: a SIMD variant only reaches here after
+        // `MicroKernel::supported` confirmed AVX2 and FMA (`Avx512`
+        // implies both); the slice-length contract is upheld by the
+        // panel driver.
         (MicroKernel::Avx2Fma, false) => unsafe { microkernel_avx2(a, b, acc) },
         #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
         // SAFETY: as above.
         (MicroKernel::Avx2Fma, true) => unsafe { microkernel_avx2_half(a, b, acc) },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: as above.
+        (MicroKernel::Avx512, false) => unsafe { microkernel_avx2(a, b, acc) },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: as above.
+        (MicroKernel::Avx512, true) => unsafe { microkernel_avx2_half(a, b, acc) },
     }
 }
 
@@ -899,10 +1064,16 @@ fn microkernel_ternary(
     match kernel {
         MicroKernel::Scalar => microkernel_ternary_scalar(a, codes, positive, negative, acc),
         #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-        // SAFETY: `Avx2Fma` is only ever selected by `active_kernel`
-        // after `is_x86_feature_detected!` confirmed AVX2 and FMA; the
-        // slice-length contract is upheld by the panel driver.
+        // SAFETY: `active_kernel` only selects a SIMD variant after
+        // `MicroKernel::supported` confirmed AVX2 and FMA (`Avx512`
+        // implies both); the slice-length contract is upheld by the
+        // panel driver.
         MicroKernel::Avx2Fma => unsafe {
+            microkernel_ternary_avx2(a, codes, positive, negative, acc)
+        },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: as above.
+        MicroKernel::Avx512 => unsafe {
             microkernel_ternary_avx2(a, codes, positive, negative, acc)
         },
     }
@@ -1013,10 +1184,14 @@ fn microkernel_int8(kernel: MicroKernel, a: &[i8], b: &[i8], acc: &mut [[f32; NR
     match kernel {
         MicroKernel::Scalar => microkernel_int8_scalar(a, b, acc),
         #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-        // SAFETY: `Avx2Fma` is only ever selected by `active_kernel`
-        // after `is_x86_feature_detected!` confirmed AVX2 and FMA; the
-        // slice-length contract is upheld by the panel driver.
+        // SAFETY: `active_kernel` only selects a SIMD variant after
+        // `MicroKernel::supported` confirmed AVX2 and FMA (`Avx512`
+        // implies both); the slice-length contract is upheld by the
+        // panel driver.
         MicroKernel::Avx2Fma => unsafe { microkernel_int8_avx2(a, b, acc) },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: as above.
+        MicroKernel::Avx512 => unsafe { microkernel_int8_avx2(a, b, acc) },
     }
 }
 
@@ -1068,7 +1243,43 @@ pub fn gemm_prepacked_epilogue(
     schedule: Schedule,
     epilogue: GemmEpilogue,
 ) {
+    gemm_prepacked_on(
+        active_kernel(),
+        plan,
+        packed_a,
+        packed_b,
+        c,
+        threads,
+        schedule,
+        epilogue,
+    );
+}
+
+/// [`gemm_prepacked_epilogue`] on an explicit micro-kernel: the driver
+/// body, split out so the cross-kernel tests can hold every kernel the
+/// host supports to the same product (on an AVX-512 host the AVX2 tile
+/// is otherwise only reached by tail panels).
+///
+/// # Panics
+///
+/// Panics if a buffer is shorter than the plan requires or the host
+/// cannot run `kernel`.
+#[allow(clippy::too_many_arguments)] // low-level kernel: the argument list *is* the GEMM shape
+pub(crate) fn gemm_prepacked_on(
+    kernel: MicroKernel,
+    plan: &GemmPlan,
+    packed_a: &[f32],
+    packed_b: &[f32],
+    c: &mut [f32],
+    threads: usize,
+    schedule: Schedule,
+    epilogue: GemmEpilogue,
+) {
     let GemmPlan { m, k, n, .. } = *plan;
+    assert!(
+        kernel.supported(),
+        "{kernel:?} is not supported on this host"
+    );
     assert!(
         packed_a.len() >= plan.packed_a_elems(),
         "packed-A too small"
@@ -1088,7 +1299,6 @@ pub fn gemm_prepacked_epilogue(
         }
         return;
     }
-    let kernel = active_kernel();
     let m_panels = plan.m_panels();
     let n_panels = plan.n_panels();
     let panels_per_row_chunk = plan.mc / MR;
@@ -1110,6 +1320,8 @@ pub fn gemm_prepacked_epilogue(
             MicroKernel::Scalar => Metric::GemmKernelScalar,
             #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
             MicroKernel::Avx2Fma => Metric::GemmKernelAvx2,
+            #[cfg(target_arch = "x86_64")]
+            MicroKernel::Avx512 => Metric::GemmKernelAvx512,
         };
         metrics.add(kernel_metric, 1);
     });
@@ -1134,7 +1346,9 @@ pub fn gemm_prepacked_epilogue(
                 let kc_eff = kc.min(k - pc);
                 // The epilogue may only clamp completed accumulators:
                 // every earlier block writes raw partial sums.
-                let last_block = pc + kc_eff >= k;
+                let relu = epilogue == GemmEpilogue::Relu && pc + kc_eff >= k;
+                let a_block =
+                    |ip: usize| &packed_a[ip * MR * k + pc * MR..ip * MR * k + (pc + kc_eff) * MR];
                 for jp in jp0..jp1 {
                     let b_block =
                         &packed_b[jp * NR * k + pc * NR..jp * NR * k + (pc + kc_eff) * NR];
@@ -1143,11 +1357,9 @@ pub fn gemm_prepacked_epilogue(
                     // A panel whose live columns fit one vector skips
                     // the all-padding upper half of the tile.
                     let half = cols <= HALF_NR;
-                    for ip in ip0..ip1 {
-                        let a_block =
-                            &packed_a[ip * MR * k + pc * MR..ip * MR * k + (pc + kc_eff) * MR];
-                        let mut acc = [[0.0f32; NR]; MR];
-                        microkernel(kernel, half, a_block, b_block, &mut acc);
+                    // `C += acc` for the live rows and columns of panel
+                    // `ip`'s tile.
+                    let write_back = |ip: usize, acc: &[[f32; NR]; MR]| {
                         let i0 = ip * MR;
                         let rows = MR.min(m - i0);
                         for (r, acc_row) in acc.iter().enumerate().take(rows) {
@@ -1159,7 +1371,7 @@ pub fn gemm_prepacked_epilogue(
                             // the parallel region.
                             let dst =
                                 unsafe { writer.slice_mut(row * n + j0, row * n + j0 + cols) };
-                            if last_block && epilogue == GemmEpilogue::Relu {
+                            if relu {
                                 for (d, &v) in dst.iter_mut().zip(&acc_row[..cols]) {
                                     *d = (*d + v).max(0.0);
                                 }
@@ -1169,6 +1381,37 @@ pub fn gemm_prepacked_epilogue(
                                 }
                             }
                         }
+                    };
+                    let mut ip = ip0;
+                    while ip < ip1 {
+                        // The AVX-512 tile is two A panels tall; the odd
+                        // tail panel of a chunk and the half tile run
+                        // the one-panel kernels.
+                        #[cfg(target_arch = "x86_64")]
+                        if kernel == MicroKernel::Avx512 && !half && ip + 1 < ip1 {
+                            let mut acc = [[[0.0f32; NR]; MR]; 2];
+                            let [acc0, acc1] = &mut acc;
+                            // SAFETY: `kernel.supported()` was asserted
+                            // on entry; both A blocks and the B block
+                            // span the same `kc_eff` reduction steps.
+                            unsafe {
+                                microkernel_avx512_pair(
+                                    a_block(ip),
+                                    a_block(ip + 1),
+                                    b_block,
+                                    acc0,
+                                    acc1,
+                                );
+                            }
+                            write_back(ip, &acc[0]);
+                            write_back(ip + 1, &acc[1]);
+                            ip += 2;
+                            continue;
+                        }
+                        let mut acc = [[0.0f32; NR]; MR];
+                        microkernel(kernel, half, a_block(ip), b_block, &mut acc);
+                        write_back(ip, &acc);
+                        ip += 1;
                     }
                 }
                 pc += kc_eff;
@@ -1708,9 +1951,11 @@ mod tests {
 
     #[test]
     fn scalar_and_simd_kernels_agree() {
-        // Drive both micro-kernels directly over the same packed panels;
-        // on non-x86 hosts this degenerates to scalar-vs-scalar.
-        let (m, k, n) = (MR, 37, NR);
+        // Drive every micro-kernel directly over the same packed panels
+        // (two A panels, so the AVX-512 pair tile has both its halves):
+        // SIMD within 1e-4 of scalar, and the SIMD kernels equal bit
+        // for bit. On non-x86 hosts only the scalar kernel exists.
+        let (m, k, n) = (2 * MR, 37, NR);
         let a = random_tensor([m, k], 21);
         let b = random_tensor([k, n], 22);
         let plan = GemmPlan::new(m, k, n);
@@ -1718,32 +1963,132 @@ mod tests {
         let mut pb = vec![0.0f32; plan.packed_b_elems()];
         pack_a_into(&plan, a.data(), &mut pa);
         pack_b_into(&plan, b.data(), &mut pb);
-        let mut scalar = [[0.0f32; NR]; MR];
-        microkernel_scalar::<NR>(&pa, &pb, &mut scalar);
-        let mut other = [[0.0f32; NR]; MR];
+        let (pa0, pa1) = pa.split_at(MR * k);
+        let mut scalar = [[[0.25f32; NR]; MR]; 2];
+        microkernel_scalar::<NR>(pa0, &pb, &mut scalar[0]);
+        microkernel_scalar::<NR>(pa1, &pb, &mut scalar[1]);
         #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-        if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma") {
+        if MicroKernel::Avx2Fma.supported() {
+            let mut avx2 = [[[0.25f32; NR]; MR]; 2];
             // SAFETY: AVX2+FMA presence just checked; panel lengths are
             // plan-consistent by construction.
-            unsafe { microkernel_avx2(&pa, &pb, &mut other) };
-        } else {
-            microkernel_scalar::<NR>(&pa, &pb, &mut other);
+            unsafe {
+                microkernel_avx2(pa0, &pb, &mut avx2[0]);
+                microkernel_avx2(pa1, &pb, &mut avx2[1]);
+            }
+            for (s, o) in scalar.as_flattened().iter().zip(avx2.as_flattened()) {
+                for (s, o) in s.iter().zip(o) {
+                    assert!((s - o).abs() <= 1e-4, "avx2 vs scalar: {o} vs {s}");
+                }
+            }
+            #[cfg(target_arch = "x86_64")]
+            if MicroKernel::Avx512.supported() {
+                let mut pair = [[[0.25f32; NR]; MR]; 2];
+                let [acc0, acc1] = &mut pair;
+                // SAFETY: AVX-512F presence just checked; both A panels
+                // and the B panel span the same `k` steps.
+                unsafe { microkernel_avx512_pair(pa0, pa1, &pb, acc0, acc1) };
+                let bits = |t: &[[[f32; NR]; MR]; 2]| {
+                    t.as_flattened()
+                        .as_flattened()
+                        .iter()
+                        .map(|v| v.to_bits())
+                        .collect::<Vec<_>>()
+                };
+                assert_eq!(bits(&pair), bits(&avx2), "avx512 pair vs avx2");
+            }
         }
-        #[cfg(not(any(target_arch = "x86", target_arch = "x86_64")))]
-        microkernel_scalar::<NR>(&pa, &pb, &mut other);
-        for r in 0..MR {
-            for c in 0..NR {
-                assert!(
-                    (scalar[r][c] - other[r][c]).abs() <= 1e-4,
-                    "kernel mismatch at ({r},{c})"
-                );
+    }
+
+    /// `c += a·b` through the whole driver on `kernel`, from a fixed
+    /// bias, as bit patterns.
+    fn driver_bits(
+        kernel: MicroKernel,
+        plan: &GemmPlan,
+        pa: &[f32],
+        pb: &[f32],
+        threads: usize,
+        epilogue: GemmEpilogue,
+    ) -> Vec<u32> {
+        let mut c: Vec<f32> = (0..plan.m * plan.n)
+            .map(|i| (i as f32 * 0.3).cos())
+            .collect();
+        let schedule = if threads == 1 {
+            Schedule::Static
+        } else {
+            Schedule::Dynamic { chunk: 1 }
+        };
+        gemm_prepacked_on(kernel, plan, pa, pb, &mut c, threads, schedule, epilogue);
+        c.iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn every_kernel_agrees_at_driver_level() {
+        // Every kernel the host supports over ragged products: m walks a
+        // single panel, an exact pair, an odd tail, a last panel short
+        // of MR and more than one row chunk; n the half tile, a ragged
+        // last panel and more than one column grain; k both sides of
+        // `kc`. NaN and ±Inf sit in A and B. The SIMD kernels must agree
+        // bit for bit (same FMA sequence per lane) and with themselves
+        // across thread counts; scalar (mul + add, not fused) within
+        // 1e-4 wherever the value is finite, and non-finite in the same
+        // places.
+        let kernels: Vec<MicroKernel> = MicroKernel::available().collect();
+        let (scalar, simd) = kernels.split_first().expect("scalar is always available");
+        assert_eq!(*scalar, MicroKernel::Scalar);
+        for m in [1, 5, 6, 7, 11, 12, 13, 97, 193] {
+            for n in [1, 4, 8, 9, 16, 17, 70] {
+                for k in [1, 37, 256, 257, 600] {
+                    let mut a = random_tensor([m, k], (m * 1000 + k) as u64);
+                    let mut b = random_tensor([k, n], (n * 1000 + k) as u64);
+                    a.data_mut()[(m / 2) * k + k / 2] = f32::NAN;
+                    a.data_mut()[(m - 1) * k] = f32::NEG_INFINITY;
+                    b.data_mut()[(k / 3) * n + n / 2] = f32::INFINITY;
+                    b.data_mut()[(k - 1) * n] = f32::NAN;
+                    let plan = GemmPlan::new(m, k, n);
+                    let mut pa = vec![0.0f32; plan.packed_a_elems()];
+                    let mut pb = vec![0.0f32; plan.packed_b_elems()];
+                    pack_a_into(&plan, a.data(), &mut pa);
+                    pack_b_into(&plan, b.data(), &mut pb);
+                    for epilogue in [GemmEpilogue::None, GemmEpilogue::Relu] {
+                        let what = format!("{m}x{k}x{n} {epilogue:?}");
+                        let want = driver_bits(*scalar, &plan, &pa, &pb, 1, epilogue);
+                        assert_eq!(
+                            want,
+                            driver_bits(*scalar, &plan, &pa, &pb, 3, epilogue),
+                            "{what}: scalar, threads 1 vs 3"
+                        );
+                        let Some(first) = simd.first() else {
+                            continue;
+                        };
+                        let got = driver_bits(*first, &plan, &pa, &pb, 1, epilogue);
+                        for (i, (&g, &w)) in got.iter().zip(&want).enumerate() {
+                            let (g, w) = (f32::from_bits(g), f32::from_bits(w));
+                            assert!(
+                                (g.is_nan() && w.is_nan())
+                                    || g == w
+                                    || (g - w).abs() <= 1e-4 * w.abs().max(1.0),
+                                "{what}: {first:?} vs scalar at {i}: {g} vs {w}"
+                            );
+                        }
+                        for kernel in simd {
+                            for threads in [1, 3] {
+                                assert_eq!(
+                                    got,
+                                    driver_bits(*kernel, &plan, &pa, &pb, threads, epilogue),
+                                    "{what}: {kernel:?} ({threads} threads) vs {first:?}"
+                                );
+                            }
+                        }
+                    }
+                }
             }
         }
     }
 
     #[test]
     fn half_tile_bit_matches_full_tile_lanes() {
-        // Both dispatched kernels: the half tile's 8 lanes carry the
+        // Every dispatched kernel: the half tile's 8 lanes carry the
         // same bits as the full tile's first 8 (NaN/Inf included) and
         // the upper lanes are not written.
         let (m, k, n) = (MR, 41, HALF_NR);
@@ -1756,12 +2101,7 @@ mod tests {
         let mut pb = vec![0.0f32; plan.packed_b_elems()];
         pack_a_into(&plan, a.data(), &mut pa);
         pack_b_into(&plan, b.data(), &mut pb);
-        let mut kernels = vec![MicroKernel::Scalar];
-        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-        if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma") {
-            kernels.push(MicroKernel::Avx2Fma);
-        }
-        for kernel in kernels {
+        for kernel in MicroKernel::available() {
             let mut full = [[0.5f32; NR]; MR];
             let mut half = [[0.5f32; NR]; MR];
             microkernel(kernel, false, &pa, &pb, &mut full);

@@ -6,6 +6,7 @@
 //! blocks to columns"). Its inverse, `col2im`, scatter-adds columns back
 //! into an image and is the core of the convolution backward pass.
 
+use crate::gemm::NR;
 use crate::shape::Shape;
 use crate::tensor::Tensor;
 use cnn_stack_obs::{self as obs, Metric};
@@ -167,30 +168,16 @@ pub fn im2col_into(image: &[f32], geom: &Conv2dGeometry, out: &mut [f32]) {
     });
 }
 
-/// Fused im2col → pack-B: writes the NR-column GEMM panels of the im2col
-/// matrix directly from the NCHW image, without materialising the
-/// `[patch_len, out_positions]` column matrix in between.
-///
-/// The output layout is identical to
-/// [`pack_b_into`](crate::gemm::pack_b_into) applied to the [`im2col`]
-/// matrix with `k = patch_len()` and `n = out_positions()`: panel `jp`
-/// holds output positions `[jp·NR, jp·NR+NR)` at
-/// `buf[jp·NR·k + p·NR + c]`, with out-of-range positions zero-filled.
-/// Out-of-bounds image taps read as zero (zero padding). Every element
-/// of the panel region is written, so `buf` may hold arbitrary scratch
-/// garbage on entry.
-///
-/// # Panics
-///
-/// Panics if `image` or `buf` lengths do not match the geometry.
 /// Fills `d` with im2col row `(c, kh, kw)` values for the output-position
 /// range `[pos0, pos0 + d.len())` of one input-channel plane.
 ///
-/// The hot path of both packers: positions sharing an output row map to
-/// *contiguous* input columns when `stride == 1`, so the run splits into
-/// a zero prefix (left padding), one `copy_from_slice` of the interior,
-/// and a zero suffix (right padding) — no per-element bounds arithmetic.
-/// Strided geometries keep the per-element gather.
+/// Positions sharing an output row map to *contiguous* input columns
+/// when `stride == 1`, so the run splits into a zero prefix (left
+/// padding), one `copy_from_slice` of the interior, and a zero suffix
+/// (right padding) — no per-element bounds arithmetic. Strided
+/// geometries keep the per-element gather. [`im2col_into`] calls this
+/// once per whole matrix row; the fused packers, whose rows are only
+/// `NR` long, decode per panel instead ([`PanelTap`]).
 fn gather_row_segment(
     d: &mut [f32],
     plane: &[f32],
@@ -238,48 +225,172 @@ fn gather_row_segment(
     }
 }
 
-pub fn pack_b_im2col_into(image: &[f32], geom: &Conv2dGeometry, buf: &mut [f32]) {
-    use crate::gemm::NR;
-    assert_eq!(
-        image.len(),
-        geom.in_channels * geom.in_h * geom.in_w,
-        "image length does not match geometry"
-    );
-    let k = geom.patch_len();
-    let n = geom.out_positions();
-    let n_panels = n.div_ceil(NR);
-    assert!(
-        buf.len() >= n_panels * NR * k,
-        "packed-B buffer does not match geometry"
-    );
-    for jp in 0..n_panels {
-        let j0 = jp * NR;
-        let cols = NR.min(n - j0);
-        let dst = &mut buf[jp * NR * k..(jp + 1) * NR * k];
-        let mut row = 0;
-        for c in 0..geom.in_channels {
-            let plane = &image[c * geom.in_h * geom.in_w..(c + 1) * geom.in_h * geom.in_w];
-            for kh in 0..geom.k_h {
-                for kw in 0..geom.k_w {
-                    let d = &mut dst[row * NR..row * NR + NR];
-                    gather_row_segment(&mut d[..cols], plane, geom, kh, kw, j0);
-                    d[cols..].fill(0.0);
-                    row += 1;
-                }
+/// Kernel taps decoded per sweep over a panel's channels. Bounds the
+/// on-stack table ([`PanelTap`] is 200 bytes); a 3×3 kernel is one
+/// sweep, larger kernels take several.
+const TAP_CHUNK: usize = 9;
+
+/// One kernel tap `(kh, kw)` of one `NR`-column panel, decoded once and
+/// replayed for every input channel.
+///
+/// Which image, output row and output column a panel lane stands for —
+/// and so whether the tap reads the image or padding there, and at what
+/// offset — does not depend on the channel: channel `c` only adds
+/// `c·H·W`. So the two divisions, the bounds tests and the row/image
+/// straddling are paid per (panel, tap), and the channel loop only
+/// moves floats.
+#[derive(Clone, Copy)]
+struct PanelTap {
+    /// Per lane, the source offset in `images` for channel 0 (the
+    /// lane's image base included); 0 where `keep` is 0.
+    off: [usize; NR],
+    /// Per lane, all ones where the tap reads the image and 0 where it
+    /// reads zero padding or the lane is past the last column. ANDed
+    /// onto the loaded bits, so NaN/Inf payloads pass through exactly.
+    keep: [u32; NR],
+    /// `Some(s)` when every kept lane `l` reads offset `s + l`: the tap
+    /// is one unaligned `NR`-float load plus the mask. `s` is negative
+    /// where a left or top edge starts before the image.
+    run: Option<isize>,
+}
+
+impl PanelTap {
+    const DEAD: PanelTap = PanelTap {
+        off: [0; NR],
+        keep: [0; NR],
+        run: None,
+    };
+
+    /// Writes this tap's row of the channel starting at `images[chan]`:
+    /// the image value in the kept lanes, 0 elsewhere.
+    #[inline(always)]
+    fn gather(&self, images: &[f32], chan: usize, d: &mut [f32; NR]) {
+        // The run's masked lanes read whatever neighbours the kept ones
+        // (the previous row's end, the next channel's start); only a run
+        // that would leave `images` altogether takes the per-lane path.
+        let run = self
+            .run
+            .and_then(|s| usize::try_from(chan as isize + s).ok())
+            .and_then(|s| images.get(s..s + NR));
+        if let Some(src) = run {
+            for l in 0..NR {
+                d[l] = f32::from_bits(src[l].to_bits() & self.keep[l]);
+            }
+        } else {
+            for l in 0..NR {
+                d[l] = f32::from_bits(images[chan + self.off[l]].to_bits() & self.keep[l]);
             }
         }
     }
-    // The fused path both lowers (im2col) and packs (B panels) in one
-    // sweep, so it feeds both instrument families.
-    obs::with_current(|o| {
-        let bytes = (n_panels * NR * k * std::mem::size_of::<f32>()) as u64;
-        o.metrics().add(Metric::Im2colCalls, 1);
-        o.metrics().add(Metric::Im2colBytesLowered, bytes);
-        o.metrics().add(Metric::GemmBytesPacked, bytes);
-    });
 }
 
-/// Batch-merged [`pack_b_im2col_into`]: packs the im2col matrices of `n`
+/// Packs panel columns `[j0, j0 + cols)` of the merged im2col matrix of
+/// `images` into `dst` (`patch_len × NR`, every element written).
+fn pack_panel_im2col(
+    images: &[f32],
+    geom: &Conv2dGeometry,
+    j0: usize,
+    cols: usize,
+    dst: &mut [f32],
+) {
+    let plane_in = geom.in_h * geom.in_w;
+    let in_img = geom.in_channels * plane_in;
+    let plane = geom.out_positions();
+    let taps = geom.k_h * geom.k_w;
+    // Window coordinates are `i32` so that the per-tap lane loops below
+    // vectorise four lanes to a compare (they build the table, which is
+    // most of the work when there are only three channels to replay it
+    // for).
+    assert!(
+        i32::try_from(geom.in_h.max(geom.in_w) + 2 * geom.padding).is_ok(),
+        "padded plane extent must fit i32"
+    );
+    let (in_h, in_w) = (geom.in_h as u32, geom.in_w as u32);
+
+    // Lane → input row/column of its window's top-left tap and that
+    // tap's offset in `images` (outside the image where padding starts
+    // the window), stepping the (image, row, column) odometer instead of
+    // dividing per lane. Lanes past the last column sit at a row no tap
+    // brings inside the image.
+    let mut ih0 = [i32::MIN / 2; NR];
+    let mut iw0 = [0i32; NR];
+    let mut first = [0isize; NR];
+    let (mut img, mut oh, mut ow) = (j0 / plane, j0 % plane / geom.out_w, j0 % geom.out_w);
+    for l in 0..cols {
+        ih0[l] = (oh * geom.stride) as i32 - geom.padding as i32;
+        iw0[l] = (ow * geom.stride) as i32 - geom.padding as i32;
+        first[l] = (img * in_img) as isize + (ih0[l] as isize) * in_w as isize + iw0[l] as isize;
+        ow += 1;
+        if ow == geom.out_w {
+            ow = 0;
+            oh += 1;
+            if oh == geom.out_h {
+                oh = 0;
+                img += 1;
+            }
+        }
+    }
+    // When the lanes' windows are consecutive in memory — a stride-1
+    // panel inside one output row, or anywhere inside one image of a
+    // "same" convolution, where `out_w == in_w` makes the offset
+    // `position + const` — every tap of the panel is one `NR`-float run.
+    let run0 = first[0];
+    let is_run = (1..cols).all(|l| first[l] == run0 + l as isize);
+
+    let mut table = [PanelTap::DEAD; TAP_CHUNK];
+    let (mut kh, mut kw) = (0, 0);
+    for tap0 in (0..taps).step_by(TAP_CHUNK) {
+        let table = &mut table[..TAP_CHUNK.min(taps - tap0)];
+        for tap in table.iter_mut() {
+            let shift = (kh * geom.in_w + kw) as isize;
+            for l in 0..NR {
+                // One unsigned compare per axis: a negative coordinate
+                // wraps far above any extent.
+                let inside =
+                    (((ih0[l] + kh as i32) as u32) < in_h) & (((iw0[l] + kw as i32) as u32) < in_w);
+                tap.keep[l] = if inside { u32::MAX } else { 0 };
+            }
+            for ((off, first), keep) in tap.off.iter_mut().zip(first).zip(tap.keep) {
+                // (The mask sign-extends to the offset's width.)
+                *off = (first + shift) as usize & keep as i32 as usize;
+            }
+            tap.run = is_run.then_some(run0 + shift);
+            kw += 1;
+            if kw == geom.k_w {
+                (kh, kw) = (kh + 1, 0);
+            }
+        }
+        for c in 0..geom.in_channels {
+            let rows = &mut dst[(c * taps + tap0) * NR..(c * taps + tap0 + table.len()) * NR];
+            for (tap, d) in table.iter().zip(rows.chunks_exact_mut(NR)) {
+                let d: &mut [f32; NR] = d.try_into().expect("chunks_exact yields NR");
+                tap.gather(images, c * plane_in, d);
+            }
+        }
+    }
+}
+
+/// Fused im2col → pack-B: writes the NR-column GEMM panels of the im2col
+/// matrix directly from the NCHW image, without materialising the
+/// `[patch_len, out_positions]` column matrix in between.
+///
+/// The output layout is identical to
+/// [`pack_b_into`](crate::gemm::pack_b_into) applied to the [`im2col`]
+/// matrix with `k = patch_len()` and `n = out_positions()`: panel `jp`
+/// holds output positions `[jp·NR, jp·NR+NR)` at
+/// `buf[jp·NR·k + p·NR + c]`, with out-of-range positions zero-filled.
+/// Out-of-bounds image taps read as zero (zero padding). Every element
+/// of the panel region is written, so `buf` may hold arbitrary scratch
+/// garbage on entry. This is [`pack_b_im2col_batch_into`] at `n = 1`.
+///
+/// # Panics
+///
+/// Panics if `image` or `buf` lengths do not match the geometry.
+pub fn pack_b_im2col_into(image: &[f32], geom: &Conv2dGeometry, buf: &mut [f32]) {
+    pack_b_im2col_batch_into(image, 1, geom, buf);
+}
+
+/// Batch-merged fused im2col → pack-B: packs the im2col matrices of `n`
 /// NCHW images side by side into one NR-column panel buffer, as if the
 /// per-image `[patch_len, out_positions]` column matrices had been
 /// concatenated along the column axis into a single
@@ -296,12 +407,16 @@ pub fn pack_b_im2col_into(image: &[f32], geom: &Conv2dGeometry, buf: &mut [f32])
 /// VGG layers at CIFAR extent have 4 output positions against `NR = 16`:
 /// three quarters of every micro-kernel tile is wasted un-merged).
 ///
+/// Geometry is decoded once per panel and kernel tap — which lanes read
+/// the image, at what offsets, and whether those are one contiguous run
+/// — and replayed for every input channel, which only adds `c·H·W`.
+///
 /// # Panics
 ///
-/// Panics if `images` is not `n` images of the geometry's extent or
-/// `buf` is shorter than the merged panel region.
+/// Panics if `images` is not `n` images of the geometry's extent, `buf`
+/// is shorter than the merged panel region, or a padded plane extent
+/// exceeds `i32::MAX`.
 pub fn pack_b_im2col_batch_into(images: &[f32], n: usize, geom: &Conv2dGeometry, buf: &mut [f32]) {
-    use crate::gemm::NR;
     let in_img = geom.in_channels * geom.in_h * geom.in_w;
     assert_eq!(
         images.len(),
@@ -316,54 +431,41 @@ pub fn pack_b_im2col_batch_into(images: &[f32], n: usize, geom: &Conv2dGeometry,
         buf.len() >= n_panels * NR * k,
         "packed-B buffer does not match geometry × batch"
     );
-    let pointwise = geom.is_pointwise_identity();
-    for jp in 0..n_panels {
-        let j0 = jp * NR;
-        let cols = NR.min(total - j0);
-        let dst = &mut buf[jp * NR * k..(jp + 1) * NR * k];
-        let mut row = 0;
-        for c in 0..geom.in_channels {
-            for kh in 0..geom.k_h {
-                for kw in 0..geom.k_w {
-                    let d = &mut dst[row * NR..row * NR + NR];
-                    // Walk the panel's columns in per-image runs: a panel
-                    // can straddle image boundaries when `plane % NR != 0`
-                    // (merged columns are image-major), so decode the image
-                    // once per run, not once per element.
-                    let mut ci = 0;
-                    while ci < cols {
-                        let col = j0 + ci;
-                        let img = col / plane;
-                        let pos0 = col % plane;
-                        let run = (plane - pos0).min(cols - ci);
-                        let image = &images[img * in_img..(img + 1) * in_img];
-                        if pointwise {
-                            // 1×1/s1/p0: the im2col matrix is the image —
-                            // row `c` of image `img` is contiguous.
-                            d[ci..ci + run]
-                                .copy_from_slice(&image[c * plane + pos0..c * plane + pos0 + run]);
-                        } else {
-                            let plane_data =
-                                &image[c * geom.in_h * geom.in_w..(c + 1) * geom.in_h * geom.in_w];
-                            gather_row_segment(
-                                &mut d[ci..ci + run],
-                                plane_data,
-                                geom,
-                                kh,
-                                kw,
-                                pos0,
-                            );
-                        }
-                        ci += run;
-                    }
-                    d[cols..].fill(0.0);
-                    row += 1;
+    let buf = &mut buf[..n_panels * NR * k];
+    if images.is_empty() {
+        // Nothing but padding to read (or nothing to write).
+        buf.fill(0.0);
+    } else if geom.is_pointwise_identity() {
+        // 1×1/s1/p0: the im2col matrix is the image — row `c` of image
+        // `img` is contiguous. Walk each panel row in per-image runs (a
+        // panel straddles images when `plane % NR != 0`).
+        for jp in 0..n_panels {
+            let j0 = jp * NR;
+            let cols = NR.min(total - j0);
+            let dst = &mut buf[jp * NR * k..(jp + 1) * NR * k];
+            for (c, d) in dst.chunks_exact_mut(NR).enumerate() {
+                let mut ci = 0;
+                while ci < cols {
+                    let (img, pos0) = ((j0 + ci) / plane, (j0 + ci) % plane);
+                    let run = (plane - pos0).min(cols - ci);
+                    let src = img * in_img + c * plane + pos0;
+                    d[ci..ci + run].copy_from_slice(&images[src..src + run]);
+                    ci += run;
                 }
+                d[cols..].fill(0.0);
             }
         }
+    } else {
+        for jp in 0..n_panels {
+            let j0 = jp * NR;
+            let dst = &mut buf[jp * NR * k..(jp + 1) * NR * k];
+            pack_panel_im2col(images, geom, j0, NR.min(total - j0), dst);
+        }
     }
+    // The fused path both lowers (im2col) and packs (B panels) in one
+    // sweep, so it feeds both instrument families.
     obs::with_current(|o| {
-        let bytes = (n_panels * NR * k * std::mem::size_of::<f32>()) as u64;
+        let bytes = std::mem::size_of_val(buf) as u64;
         o.metrics().add(Metric::Im2colCalls, n as u64);
         o.metrics().add(Metric::Im2colBytesLowered, bytes);
         o.metrics().add(Metric::GemmBytesPacked, bytes);

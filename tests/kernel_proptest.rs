@@ -1,5 +1,6 @@
 //! Property tests pinning the stand-alone kernels to naive reference
-//! implementations: depthwise convolution, max/average pooling and ReLU.
+//! implementations: depthwise convolution, max/average pooling, ReLU and
+//! the fused im2col→pack-B packers.
 //!
 //! Besides the finite-value equivalence, these deliberately exercise the
 //! IEEE-754 corners the kernels commit to:
@@ -13,7 +14,10 @@
 //!   and maps `-inf` to `0.0`, `+inf` to `+inf`.
 
 use cnn_stack::nn::{DepthwiseConv2d, ExecConfig, GlobalAvgPool, Layer, MaxPool2d, Phase, ReLU};
-use cnn_stack::tensor::Tensor;
+use cnn_stack::tensor::{
+    im2col, pack_b_im2col_batch_into, pack_b_im2col_into, pack_b_into, Conv2dGeometry, GemmPlan,
+    Tensor, NR,
+};
 use proptest::prelude::*;
 
 /// Bitwise-ish f32 equality: NaN matches NaN, everything else must
@@ -408,5 +412,100 @@ proptest! {
             }
             prop_assert!(out >= 0.0 || out == 0.0);
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Fused im2col → pack-B
+// ---------------------------------------------------------------------------
+
+/// What the tail of every packer destination is pre-filled with: a NaN
+/// with a payload no kernel produces, so "untouched" is a bit compare.
+const CANARY: u32 = 0x7fc0_1234;
+
+/// Checks both fused packers against the two-step reference — `im2col`
+/// per image, matrices concatenated along the column axis, `pack_b_into`
+/// — bit for bit, with the destination pre-filled with NaN and `NR`
+/// elements longer than the panel region (which must stay untouched).
+/// Every third input element is NaN or ±Inf: a packer only moves bits.
+fn check_im2col_packers(images: usize, geom: &Conv2dGeometry) {
+    let in_img = geom.in_channels * geom.in_h * geom.in_w;
+    let input: Vec<f32> = (0..images * in_img)
+        .map(|i| match i % 9 {
+            0 => f32::NAN,
+            3 => f32::INFINITY,
+            6 => f32::NEG_INFINITY,
+            _ => (i as f32 * 0.37).sin(),
+        })
+        .collect();
+    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let (k, plane) = (geom.patch_len(), geom.out_positions());
+    for n in [images, 1] {
+        let merged = n * plane;
+        let mut concat = vec![0.0f32; k * merged];
+        for img in 0..n {
+            let cols = im2col(&input[img * in_img..(img + 1) * in_img], geom);
+            for p in 0..k {
+                concat[p * merged + img * plane..p * merged + (img + 1) * plane]
+                    .copy_from_slice(&cols.data()[p * plane..(p + 1) * plane]);
+            }
+        }
+        let plan = GemmPlan::new(1, k, merged);
+        let mut want = vec![0.0f32; plan.packed_b_elems()];
+        pack_b_into(&plan, &concat, &mut want);
+
+        let canary = f32::from_bits(CANARY);
+        let mut got = vec![canary; plan.packed_b_elems() + NR];
+        pack_b_im2col_batch_into(&input[..n * in_img], n, geom, &mut got);
+        let (body, tail) = got.split_at(plan.packed_b_elems());
+        assert_eq!(bits(body), bits(&want), "batch packer, n={n}, {geom:?}");
+        assert!(
+            tail.iter().all(|v| v.to_bits() == CANARY),
+            "batch packer wrote past its panels, n={n}, {geom:?}"
+        );
+        if n == 1 {
+            let mut single = vec![canary; plan.packed_b_elems() + NR];
+            pack_b_im2col_into(&input[..in_img], geom, &mut single);
+            assert_eq!(bits(&single), bits(&got), "single-image packer, {geom:?}");
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Non-square planes on both sides of `NR`, every kernel/stride/pad
+    /// mix the models use (and some they do not), batches whose merged
+    /// columns end mid-panel.
+    #[test]
+    fn im2col_packers_match_im2col_then_pack(
+        (in_c, h, w) in (1usize..=9, 1usize..=34, 1usize..=34),
+        (k_pick, stride, padding, images) in (0usize..4, 1usize..=3, 0usize..=2, 1usize..=9),
+    ) {
+        let k = [1, 2, 3, 5][k_pick];
+        prop_assume!(h != w && h + 2 * padding >= k && w + 2 * padding >= k);
+        check_im2col_packers(images, &Conv2dGeometry::new(in_c, h, w, k, k, stride, padding));
+    }
+}
+
+/// The panel/plane alignments the property can only hit by luck.
+#[test]
+fn im2col_packers_pinned_alignments() {
+    for (images, geom) in [
+        // One ragged panel straddling three 2×2 images (12 live columns),
+        // and five of them (a full panel of four, then one).
+        (3, Conv2dGeometry::new(3, 2, 2, 3, 3, 1, 1)),
+        (5, Conv2dGeometry::new(3, 2, 2, 3, 3, 1, 1)),
+        // out_w = NR exactly: every panel is one whole output row.
+        (2, Conv2dGeometry::new(2, 5, NR, 3, 3, 1, 1)),
+        // out_w = NR + 1: every panel after the first straddles two rows.
+        (2, Conv2dGeometry::new(2, 5, NR + 1, 3, 3, 1, 1)),
+        // A plane smaller than its padding: most taps read only zeros.
+        (3, Conv2dGeometry::new(2, 1, 2, 3, 3, 1, 2)),
+        // MobileNet's strided stem and a wide strided plane.
+        (2, Conv2dGeometry::new(3, 32, 32, 3, 3, 2, 1)),
+        (1, Conv2dGeometry::new(1, 3, 40, 3, 3, 2, 1)),
+    ] {
+        check_im2col_packers(images, &geom);
     }
 }

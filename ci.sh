@@ -128,17 +128,30 @@ echo "== serve-chaos =="
 # crash + hang at 1.5x capacity asserting zero lost tickets. The full
 # chaos run (which regenerates BENCH_chaos.json and enforces the
 # breaker-on < breaker-off miss-rate gate) is manual.
+# Both feature sets also carry the one-model-per-server proofs: a
+# counting `build_net` runs once across start, crash respawn and
+# watchdog failover (serve_supervision), and every rung before and after
+# each respawn reads the frozen templates' buffers while an injected
+# weight fault stays in its rung (the serve crate's unit tests; the
+# default-feature run is in serve-tests above).
 cargo test -q --test serve_supervision
 cargo test -q --test serve_supervision --features fault-inject
+cargo test -q -p cnn-stack-serve --features fault-inject
 BENCH_SMOKE=1 cargo bench -p cnn-stack-bench --bench chaos --features fault-inject
+# The mechanism replicas replaced is gone, not forked.
+if grep -rnE 'export_panels|adopt_panels|WeightPanels|PanelSet' crates src tests examples; then
+  echo "ci: the panel export/adopt API is back" >&2
+  exit 1
+fi
 
 echo "== quant-proptest =="
 # Quantised compute path: the 2-bit spmm and the ternary/int8 packed
 # GEMM engines vs their f32/exact-integer references (incl. the 0·NaN
 # propagation policy), plus the derived-weight-form property: after any
-# sequence of weight writes, relabels, channel surgery, prepares,
-# adoptions and TTQ reprojections, every kernel of a conv/linear layer
-# equals a freshly built layer's, bit for bit.
+# interleaving of weight writes, relabels, channel surgery, prepares,
+# replicas and TTQ reprojections on a conv/linear layer and its replica,
+# every kernel of each side equals a freshly built layer's, bit for bit,
+# and the sides share storage exactly while they may.
 cargo test -q --test quant_kernels
 cargo test -q --test quant_invalidation
 

@@ -2,7 +2,7 @@
 //! faults and overload, emitting `BENCH_chaos.json` at the repository
 //! root.
 //!
-//! Two experiments, both on the VGG-16 serving plan:
+//! Three experiments, all on the VGG-16 serving plan:
 //!
 //! 1. **Survival** — a threaded server is offered 1.5× its calibrated
 //!    capacity while a worker crash and a worker hang are injected
@@ -16,6 +16,11 @@
 //!    onto the degraded (guards-off, throughput-tuned) plan ladder,
 //!    which carries more of the offered load — the deadline-miss rates
 //!    at equal offered load are the comparison.
+//! 3. **Recovery** — one worker crash on an otherwise idle server: the
+//!    time from the crashed batch's typed failure to the first request
+//!    served by the respawned worker. A respawn stamps replicas of the
+//!    compiled model (no build, no compile, no pack), so this is the
+//!    respawn backoff, the ladder's pre-warm runs, and one batch window.
 //!
 //! Run modes (both need `--features fault-inject`):
 //!   cargo bench -p cnn-stack-bench --bench chaos --features fault-inject
@@ -51,6 +56,8 @@ mod chaos {
     use std::time::{Duration, Instant};
 
     const MAX_BATCH: usize = 8;
+    /// How long an under-full batch is held open.
+    const BATCH_WINDOW: Duration = Duration::from_millis(20);
 
     fn build_net(width: f64) -> Network {
         ModelKind::Vgg16.build_width(10, width).network
@@ -108,7 +115,7 @@ mod chaos {
     ) -> ServeConfig {
         let mut builder = ServeConfig::builder([3, 32, 32])
             .max_batch(MAX_BATCH)
-            .max_delay(Duration::from_millis(20))
+            .max_delay(BATCH_WINDOW)
             .queue_depth(queue_depth)
             .guard(guard)
             .supervision(bench_supervision());
@@ -200,6 +207,32 @@ mod chaos {
         }
         r.health = server.shutdown();
         r
+    }
+
+    /// The recovery run: request 0 is served (batch 0), request 1
+    /// crashes its worker (batch 1), then single requests are offered
+    /// back to back until one is served. The clock runs from the crashed
+    /// ticket's typed failure to that first served response; requests
+    /// queue while the worker is down, so the first retry normally is
+    /// the one served.
+    fn crash_to_first_served(width: f64) -> Duration {
+        let cfg = chaos_config(GuardConfig::Paranoid, 4 * MAX_BATCH, None);
+        let server = Server::start(cfg, move || build_net(width)).expect("server starts");
+        let outcome = |i: usize| {
+            let ticket = server.submit(request_input(i));
+            ticket.expect("well-shaped request").wait().outcome
+        };
+        assert!(matches!(outcome(0), Outcome::Served(_)));
+        server.inject_serve_faults(FaultPlan::new().crash_serve_batch(1));
+        assert!(matches!(
+            outcome(1),
+            Outcome::Failed(FailureCause::WorkerCrashed(_))
+        ));
+        let crashed = Instant::now();
+        while !matches!(outcome(2), Outcome::Served(_)) {}
+        let recovery = crashed.elapsed();
+        server.shutdown();
+        recovery
     }
 
     struct BrownoutResult {
@@ -356,6 +389,10 @@ mod chaos {
             );
         }
 
+        // --- Recovery: crash to first served --------------------------
+        let recovery_ms = crash_to_first_served(width).as_secs_f64() * 1e3;
+        println!("recovery: crash -> first request served by the respawn {recovery_ms:.1} ms");
+
         // --- Report --------------------------------------------------
         let mut json = String::new();
         let _ = writeln!(json, "{{");
@@ -385,6 +422,14 @@ mod chaos {
             sv.health.respawns,
             sv.health.hung_batches,
             sv.served_after_respawn,
+        );
+        let supervision = bench_supervision();
+        let _ = writeln!(
+            json,
+            "  \"recovery\": {{\"crash_to_first_served_ms\": {recovery_ms:.1}, \
+             \"includes_backoff_ms\": {}, \"includes_batch_window_ms\": {}}},",
+            supervision.backoff_base.as_millis(),
+            BATCH_WINDOW.as_millis(),
         );
         let _ = writeln!(json, "  \"brownout\": [");
         let _ = writeln!(json, "    {},", json_brownout("breaker-off", &off));

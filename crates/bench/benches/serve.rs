@@ -16,6 +16,12 @@
 //! against a small queue to demonstrate typed admission-control
 //! shedding (no hangs, no panics, every ticket resolves).
 //!
+//! Every policy row also records what its server cost to bring up:
+//! `start_s` (`Server::start`, model build included) and
+//! `resident_mb_after_start` (the process's resident set once it is up:
+//! one model, its prepack and one arena per ladder rung, on top of what
+//! the harness itself holds).
+//!
 //! Run modes:
 //!   cargo bench -p cnn-stack-bench --bench serve        # full, VGG-16
 //!       width 1.0, Paranoid guard, writes BENCH_serve.json
@@ -75,6 +81,8 @@ struct PolicyResult {
     label: &'static str,
     max_batch: usize,
     calibrated_qps: f64,
+    start_s: f64,
+    resident_mb_after_start: f64,
     report: LoadReport,
 }
 
@@ -99,7 +107,10 @@ fn run_policy(
         .guard(guard)
         .build()
         .expect("bench config is valid");
+    let t0 = Instant::now();
     let server = Server::start(cfg, move || build_net(width)).expect("server starts");
+    let start_s = t0.elapsed().as_secs_f64();
+    let resident_mb_after_start = cnn_stack_bench::resident_mb();
     let spec = LoadSpec {
         qps,
         requests,
@@ -112,6 +123,8 @@ fn run_policy(
         label,
         max_batch,
         calibrated_qps,
+        start_s,
+        resident_mb_after_start,
         report,
     }
 }
@@ -119,13 +132,16 @@ fn run_policy(
 fn json_policy(r: &PolicyResult) -> String {
     let rep = &r.report;
     format!(
-        "{{\"policy\": \"{}\", \"max_batch\": {}, \"calibrated_capacity_qps\": {:.2}, \
+        "{{\"policy\": \"{}\", \"max_batch\": {}, \"start_s\": {:.2}, \
+         \"resident_mb_after_start\": {:.0}, \"calibrated_capacity_qps\": {:.2}, \
          \"offered_qps\": {:.2}, \"served_qps\": {:.2}, \"served\": {}, \"submitted\": {}, \
          \"shed_queue_full\": {}, \"shed_deadline\": {}, \"failed\": {}, \
          \"deadline_miss_rate\": {:.4}, \"p50_ms\": {:.2}, \"p99_ms\": {:.2}, \
          \"mean_batch\": {:.2}}}",
         r.label,
         r.max_batch,
+        r.start_s,
+        r.resident_mb_after_start,
         r.calibrated_qps,
         rep.offered_qps,
         rep.served_qps,
@@ -196,9 +212,11 @@ fn main() {
     for r in [&single, &batched] {
         let rep = &r.report;
         println!(
-            "{:>16}: offered {:6.1} qps -> served {:6.1} qps, p50 {:7.2} ms, p99 {:7.2} ms, \
-             miss {:.2}%, mean batch {:.1}",
+            "{:>16}: up in {:.2} s ({:.0} MB resident); offered {:6.1} qps -> served {:6.1} \
+             qps, p50 {:7.2} ms, p99 {:7.2} ms, miss {:.2}%, mean batch {:.1}",
             r.label,
+            r.start_s,
+            r.resident_mb_after_start,
             rep.offered_qps,
             rep.served_qps,
             rep.p50_ms,

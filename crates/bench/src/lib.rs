@@ -5,7 +5,8 @@
 //! same rows/series the paper reports. This library holds the pieces
 //! they share: the Table III / Table V operating-point lookups, cell
 //! construction, and plain-text table rendering — plus the one
-//! `BENCH_SMOKE` switch the hand-rolled benches read.
+//! `BENCH_SMOKE` switch and the resident-memory reading the hand-rolled
+//! benches share.
 
 use cnn_stack_compress::{AccuracyModel, Technique};
 use cnn_stack_core::{CompressionChoice, PlatformChoice, StackConfig};
@@ -16,6 +17,17 @@ use cnn_stack_models::ModelKind;
 /// `target/` instead of the repository root).
 pub fn smoke() -> bool {
     std::env::var_os("BENCH_SMOKE").is_some()
+}
+
+/// Resident set size of this process in MB (`VmRSS`), or 0 where
+/// `/proc` does not say.
+pub fn resident_mb() -> f64 {
+    let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
+    let kb = status
+        .lines()
+        .find_map(|l| l.strip_prefix("VmRSS:"))
+        .and_then(|rest| rest.split_whitespace().next()?.parse::<f64>().ok());
+    kb.unwrap_or(0.0) / 1024.0
 }
 
 /// Which table's operating points to use when configuring a technique.

@@ -216,7 +216,7 @@ pub struct HuffmanReport {
 pub fn code_ternary_network(net: &mut Network) -> HuffmanReport {
     let mut stream: Vec<u16> = Vec::new();
     let mut layers = 0usize;
-    for p in net.params_mut() {
+    for p in net.params() {
         // Only weight tensors (rank >= 2) are ternarised; biases and
         // batch-norm parameters stay full precision.
         if p.value.shape().rank() < 2 {

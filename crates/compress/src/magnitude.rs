@@ -89,14 +89,15 @@ pub fn magnitude_threshold(weights: &Tensor, sparsity: f64) -> f32 {
         return -1.0; // nothing is <= -1 in magnitude
     }
     let mut mags: Vec<f32> = weights.data().iter().map(|v| v.abs()).collect();
-    mags.sort_by(|a, b| a.partial_cmp(b).expect("no NaN weights"));
     let k = ((mags.len() as f64 * sparsity) as usize).min(mags.len() - 1);
     // Threshold sits at the k-th smallest magnitude: everything <= it is
-    // pruned.
+    // pruned. Only that one order statistic is read, so select it in
+    // O(n) instead of sorting.
     if k == 0 {
         -1.0
     } else {
-        mags[k - 1]
+        let by_magnitude = |a: &f32, b: &f32| a.partial_cmp(b).expect("no NaN weights");
+        *mags.select_nth_unstable_by(k - 1, by_magnitude).1
     }
 }
 
@@ -180,6 +181,50 @@ mod tests {
         let t = magnitude_threshold(&w, 0.5);
         assert!((t - 0.4).abs() < 1e-6);
         assert_eq!(magnitude_threshold(&w, 0.0), -1.0);
+    }
+
+    /// The threshold the full sort reads at `k - 1`.
+    fn sorted_reference(weights: &Tensor, sparsity: f64) -> f32 {
+        let mut mags: Vec<f32> = weights.data().iter().map(|v| v.abs()).collect();
+        mags.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        let k = ((mags.len() as f64 * sparsity) as usize).min(mags.len() - 1);
+        if k == 0 {
+            -1.0
+        } else {
+            mags[k - 1]
+        }
+    }
+
+    #[test]
+    fn threshold_bit_matches_the_sorting_reference() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(18);
+        let mut cases: Vec<Vec<f32>> = Vec::new();
+        for len in [1usize, 2, 3, 7, 64, 1000, 4097] {
+            // Continuous values, then heavy ties (signed, so `abs`
+            // merges ±v and ±0), then all equal.
+            cases.push((0..len).map(|_| rng.gen_range(-1.0f32..1.0)).collect());
+            cases.push(
+                (0..len)
+                    .map(|_| [-0.5f32, -0.0, 0.0, 0.25, 0.5][rng.gen_range(0..5usize)])
+                    .collect(),
+            );
+            cases.push(vec![-0.75; len]);
+        }
+        for data in cases {
+            let n = data.len();
+            let w = Tensor::from_vec([1, n], data);
+            // k = 0, 1, len - 1 (also via the clamp), and the interior.
+            let edges = [0.0, 0.5 / n as f64, 1.5 / n as f64, 1.0 - 0.5 / n as f64];
+            let sparsities = edges.into_iter().chain([0.1, 0.5, 0.9, 0.999_999]);
+            for sparsity in sparsities.filter(|s| *s < 1.0) {
+                assert_eq!(
+                    magnitude_threshold(&w, sparsity).to_bits(),
+                    sorted_reference(&w, sparsity).to_bits(),
+                    "len {n}, sparsity {sparsity}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -72,6 +72,10 @@ impl Layer for ReLU {
         f(self);
     }
 
+    fn replica(&self) -> Box<dyn Layer> {
+        Box::new(ReLU::new())
+    }
+
     fn forward_into(
         &self,
         input: &[f32],

@@ -58,6 +58,20 @@ impl BatchNorm2d {
         }
     }
 
+    /// [`Layer::replica`] at the concrete type (composite layers hold
+    /// their batch norms by value). Per-channel state is small: copied.
+    pub fn replica(&self) -> BatchNorm2d {
+        BatchNorm2d {
+            gamma: self.gamma.clone(),
+            beta: self.beta.clone(),
+            running_mean: self.running_mean.clone(),
+            running_var: self.running_var.clone(),
+            cached_xhat: None,
+            cached_inv_std: None,
+            ..*self
+        }
+    }
+
     /// Channel count.
     pub fn channels(&self) -> usize {
         self.channels
@@ -309,6 +323,10 @@ impl Layer for BatchNorm2d {
 
     fn visit_mut(&mut self, f: &mut dyn FnMut(&mut dyn Layer)) {
         f(self);
+    }
+
+    fn replica(&self) -> Box<dyn Layer> {
+        Box::new(BatchNorm2d::replica(self))
     }
 
     fn forward_into(

@@ -2,7 +2,7 @@
 
 use crate::descriptor::{LayerDescriptor, LayerKind};
 use crate::layer::{ConvAlgorithm, ExecConfig, Layer, Param, Phase, WeightFormat};
-use crate::weights::{Form, PanelOperand, TernaryCodes, WeightPanels, Weights};
+use crate::weights::{Form, PanelOperand, TernaryCodes, Weights};
 use cnn_stack_parallel::parallel_for;
 use cnn_stack_parallel::DisjointWriter;
 use cnn_stack_tensor::init::{initialise, Init};
@@ -79,6 +79,23 @@ impl Conv2d {
             bias,
             cached_input: None,
         }
+    }
+
+    /// [`Layer::replica`] at the concrete type (composite layers hold
+    /// their convolutions by value).
+    pub fn replica(&self) -> Conv2d {
+        Conv2d {
+            weights: self.weights.replica(),
+            bias: self.bias.clone(),
+            cached_input: None,
+            ..*self
+        }
+    }
+
+    /// The weights with their derived forms and cached facts (the plan
+    /// compiler reads the non-zero count and ternarity through this).
+    pub(crate) fn weights(&self) -> &Weights {
+        &self.weights
     }
 
     /// Input channel count.
@@ -969,7 +986,7 @@ impl Layer for Conv2d {
         let positions = geom.out_positions();
         let row = self.in_channels * self.kernel * self.kernel;
         let weight_elems = self.out_channels * row;
-        let weight_nnz = self.weight().value.len() - self.weight().value.count_zeros(0.0);
+        let weight_nnz = self.weights.nnz();
         LayerDescriptor {
             name: self.name(),
             kind: LayerKind::Conv {
@@ -1038,12 +1055,8 @@ impl Layer for Conv2d {
         self.weights.prepare(keep);
     }
 
-    fn export_panels(&self) -> Option<WeightPanels> {
-        self.weights.export()
-    }
-
-    fn adopt_panels(&mut self, panels: &WeightPanels) -> bool {
-        self.weights.adopt(panels)
+    fn replica(&self) -> Box<dyn Layer> {
+        Box::new(Conv2d::replica(self))
     }
 
     fn gemm_plan(&self, input_shape: &[usize], cfg: &ExecConfig) -> Option<GemmPlan> {
@@ -1182,12 +1195,9 @@ mod tests {
             ..ExecConfig::serial()
         };
         let cacheless = conv.forward(&x, Phase::Eval, &cfg);
-        assert!(
-            conv.export_panels().is_none(),
-            "one-shot forward keeps nothing"
-        );
+        assert!(conv.weights.is_cold(), "one-shot forward keeps nothing");
         conv.prepare(&cfg);
-        assert!(conv.export_panels().is_some());
+        assert!(!conv.weights.is_cold());
         let shape = [2, 3, 8, 8];
         let mut out = vec![0.0f32; cacheless.len()];
         let mut scratch = vec![0.0f32; conv.forward_scratch_elems(&shape, &cfg)];
@@ -1196,7 +1206,7 @@ mod tests {
         assert_eq!(out.as_slice(), cacheless.data());
         // Touching the weights drops the panels.
         let _ = conv.weight_mut();
-        assert!(conv.export_panels().is_none());
+        assert!(conv.weights.is_cold());
     }
 
     #[test]

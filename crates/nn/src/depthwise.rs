@@ -224,6 +224,17 @@ impl Layer for DepthwiseConv2d {
         f(self);
     }
 
+    fn replica(&self) -> Box<dyn Layer> {
+        // Depthwise filters are `k²` floats per channel — copied, not
+        // shared.
+        Box::new(DepthwiseConv2d {
+            weight: self.weight.clone(),
+            bias: self.bias.clone(),
+            cached_input: None,
+            ..*self
+        })
+    }
+
     fn forward_into(
         &self,
         input: &[f32],

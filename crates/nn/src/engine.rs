@@ -67,7 +67,6 @@ use crate::guard::{
 use crate::layer::{ConvAlgorithm, ExecConfig, Layer, WeightFormat};
 use crate::liveness::{ArenaLayout, MemoryFootprint, StepExtent};
 use crate::network::Network;
-use crate::weights::WeightPanels;
 use cnn_stack_obs::{Metric, NameId, Observer};
 use cnn_stack_parallel::{panic_message, PoolError, ThreadPool};
 use cnn_stack_tensor::{GemmAlgorithm, GemmPlan, Tensor};
@@ -777,25 +776,6 @@ impl<'n> InferenceSession<'n> {
         }
     }
 
-    /// Exports every (nested) layer's [`WeightPanels`] handle in
-    /// `visit_mut` order — `None` entries for layers with no derived
-    /// weight form built. A serving pool calls this once on a prepared
-    /// donor session and feeds the result to
-    /// [`adopt_panels`](Self::adopt_panels) on each replica, so the
-    /// whole pool shares one prepack per model (compile once, serve
-    /// many).
-    pub fn export_panels(&mut self) -> Vec<Option<WeightPanels>> {
-        crate::network::export_panels(&mut self.net)
-    }
-
-    /// Installs handles exported from an identically-built donor
-    /// session, returning how many layers adopted one. A layer whose
-    /// label or master weights differ from the handle's source keeps
-    /// its own forms — adoption can degrade sharing, never correctness.
-    pub fn adopt_panels(&mut self, panels: &[Option<WeightPanels>]) -> usize {
-        crate::network::adopt_panels(&mut self.net, panels)
-    }
-
     /// The session's observer, when the plan was compiled with an
     /// [`cnn_stack_obs::ObsLevel`] above `Off` (see
     /// [`ExecConfig::observer`]). Snapshot its metrics or export its
@@ -1485,6 +1465,10 @@ mod tests {
             f(self);
         }
 
+        fn replica(&self) -> Box<dyn Layer> {
+            Box::new(NanLayer)
+        }
+
         fn forward_into(
             &self,
             input: &[f32],
@@ -1553,6 +1537,11 @@ mod tests {
 
         fn visit_mut(&mut self, f: &mut dyn FnMut(&mut dyn Layer)) {
             f(self);
+        }
+
+        fn replica(&self) -> Box<dyn Layer> {
+            let remaining = self.remaining.load(std::sync::atomic::Ordering::Acquire);
+            Box::new(FlakyLayer::new(remaining))
         }
 
         fn forward_into(
@@ -1992,68 +1981,52 @@ mod tests {
         }
     }
 
-    /// Two exports list the same layers and share every buffer.
-    fn assert_same_storage(a: &[Option<WeightPanels>], b: &[Option<WeightPanels>]) {
-        assert_eq!(a.len(), b.len());
-        for (a, b) in a.iter().zip(b) {
-            match (a, b) {
-                (Some(a), Some(b)) => assert!(a.ptr_eq(b)),
-                (None, None) => {}
-                _ => panic!("panel export order diverged"),
-            }
-        }
-    }
-
-    /// Builds an owned session over a fresh `conv_net` replica.
-    fn owned_session(cfg: &ExecConfig, shape: &[usize]) -> InferenceSession<'static> {
-        let net = conv_net();
-        let plan = InferencePlan::compile(&net, shape, cfg).unwrap();
+    /// Builds an owned session over `net` under `packed_cfg`.
+    fn owned_session(net: Network, shape: &[usize]) -> InferenceSession<'static> {
+        let plan = InferencePlan::compile(&net, shape, &packed_cfg()).unwrap();
         InferenceSession::owned(net, plan, GuardConfig::Off).unwrap()
     }
 
-    /// An owned session has no borrowed lifetime, can hand its panels to
-    /// a replica (which then physically shares the same `Arc` buffers),
-    /// and gives the network back via `into_network`.
+    /// An owned session has no borrowed lifetime; a session over a
+    /// replica of its network reads the very same master and panel
+    /// buffers (packing nothing), computes the same bits, and gives the
+    /// network back via `into_network`.
     #[test]
-    fn owned_sessions_share_arc_panels_across_replicas() {
-        let cfg = packed_cfg();
+    fn owned_sessions_share_storage_across_replicas() {
         let shape = [2usize, 3, 8, 8];
         let x = random(shape, 7);
 
-        let mut donor = owned_session(&cfg, &shape);
-        let panels = donor.export_panels();
-        // conv_net has two convs + one linear with packed panels.
-        assert_eq!(panels.iter().flatten().count(), 3);
-        let y_donor = donor.run(&x).unwrap();
+        let mut source = owned_session(conv_net(), &shape);
+        let storage = source.network().weight_storage();
+        // conv_net has two convs + one linear, each with packed panels.
+        assert_eq!(storage.len(), 3);
+        assert!(storage.iter().all(|s| s.forms[1].is_some()));
+        let y_source = source.run(&x).unwrap();
 
-        let mut replica = owned_session(&cfg, &shape);
-        assert_eq!(replica.adopt_panels(&panels), 3);
-        // The replica's handles are the donor's buffers, not copies.
-        assert_same_storage(&panels, &replica.export_panels());
+        let mut replica = owned_session(source.network().replica(), &shape);
+        assert_eq!(replica.network().weight_storage(), storage);
         let y_replica = replica.run(&x).unwrap();
-        assert_eq!(y_donor.data(), y_replica.data());
+        assert_eq!(y_source.data(), y_replica.data());
         assert!(replica.into_network().is_some());
     }
 
-    /// The half-invalidation regression (ISSUE 6 satellite): weight
-    /// surgery on one network drops only that network's `Arc` handle —
-    /// a peer session sharing the panels keeps a complete, consistent
-    /// prepack and its outputs stay bit-identical.
+    /// The half-invalidation regression (ISSUE 6 satellite), on
+    /// replicas: weight surgery on one network copies and re-derives
+    /// only that network's touched layer — a peer session keeps the
+    /// original master and a complete, consistent prepack, its outputs
+    /// stay bit-identical, and the untouched layers stay shared.
     #[test]
-    fn shared_panels_survive_peer_weight_surgery() {
-        let cfg = packed_cfg();
+    fn shared_storage_survives_peer_weight_surgery() {
         let shape = [2usize, 3, 8, 8];
         let x = random(shape, 11);
 
-        let mut donor = owned_session(&cfg, &shape);
-        let panels = donor.export_panels();
-        let mut replica = owned_session(&cfg, &shape);
-        assert_eq!(replica.adopt_panels(&panels), 3);
+        let source = owned_session(conv_net(), &shape);
+        let mut replica = owned_session(source.network().replica(), &shape);
+        let storage = replica.network().weight_storage();
         let before = replica.run(&x).unwrap();
 
-        // Surgery on the donor's network: zero the first conv's weights.
-        // `weight_mut` must drop (not mutate) the donor's panel handle.
-        let mut net = donor.into_network().unwrap();
+        // Surgery on the source's network: zero the first conv's weights.
+        let mut net = source.into_network().unwrap();
         net.layers_mut()[0]
             .as_any_mut()
             .downcast_mut::<Conv2d>()
@@ -2061,40 +2034,20 @@ mod tests {
             .weight_mut()
             .value
             .fill(0.0);
-        let plan = InferencePlan::compile(&net, &shape, &cfg).unwrap();
-        let mut donor = InferenceSession::owned(net, plan, GuardConfig::Off).unwrap();
-        let y_mutated = donor.run(&x).unwrap();
+        let mut source = owned_session(net, &shape);
+        let y_mutated = source.run(&x).unwrap();
         assert_ne!(y_mutated.data(), before.data());
 
         // The replica still holds the original buffers and is unaffected.
+        assert_eq!(replica.network().weight_storage(), storage);
         let after = replica.run(&x).unwrap();
         for (a, b) in before.data().iter().zip(after.data()) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
-    }
-
-    /// Panels from a different model are rejected layer-by-layer (source
-    /// fingerprint), leaving the replica's own prepack intact.
-    #[test]
-    fn mismatched_panel_adoption_is_rejected() {
-        let cfg = packed_cfg();
-        let shape = [2usize, 3, 8, 8];
-        let mut donor = {
-            let net = resblock_net();
-            let plan = InferencePlan::compile(&net, &shape, &cfg).unwrap();
-            InferenceSession::owned(net, plan, GuardConfig::Off).unwrap()
-        };
-        let foreign = donor.export_panels();
-        let mut replica = owned_session(&cfg, &shape);
-        let own = replica.export_panels();
-        assert_eq!(replica.adopt_panels(&foreign), 0);
-        // Own panels untouched by the failed adoption.
-        assert_same_storage(&own, &replica.export_panels());
-        let x = random(shape, 13);
-        let mut fresh = owned_session(&cfg, &shape);
-        let want = fresh.run(&x).unwrap();
-        let got = replica.run(&x).unwrap();
-        assert_eq!(want.data(), got.data());
+        let touched = source.network().weight_storage();
+        assert_ne!(touched[0].master, storage[0].master);
+        assert_ne!(touched[0].forms, storage[0].forms);
+        assert_eq!(touched[1..], storage[1..]);
     }
 
     /// Batch-parallel runs used to advance only the profile total; the

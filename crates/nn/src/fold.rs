@@ -37,20 +37,16 @@ fn fold_into(weights: &mut [f32], bias: &mut [f32], row: usize, bn: &BatchNorm2d
 
 pub(crate) fn fold_conv_bn_pair(conv: &mut Conv2d, bn: &mut BatchNorm2d) {
     let row = conv.in_channels() * conv.kernel() * conv.kernel();
-    let mut weights = conv.weight().value.data().to_vec();
     let mut bias = conv.bias().value.data().to_vec();
-    fold_into(&mut weights, &mut bias, row, bn);
-    conv.weight_mut().value.data_mut().copy_from_slice(&weights);
+    fold_into(conv.weight_mut().value.data_mut(), &mut bias, row, bn);
     conv.bias_mut().value.data_mut().copy_from_slice(&bias);
     bn.reset_to_identity();
 }
 
 fn fold_dw_bn(dw: &mut DepthwiseConv2d, bn: &mut BatchNorm2d) {
     let row = dw.weight().value.len() / dw.channels();
-    let mut weights = dw.weight().value.data().to_vec();
     let mut bias = dw.bias().value.data().to_vec();
-    fold_into(&mut weights, &mut bias, row, bn);
-    dw.weight_mut().value.data_mut().copy_from_slice(&weights);
+    fold_into(dw.weight_mut().value.data_mut(), &mut bias, row, bn);
     dw.bias_mut().value.data_mut().copy_from_slice(&bias);
     bn.reset_to_identity();
 }

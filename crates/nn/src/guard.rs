@@ -505,7 +505,9 @@ mod inject {
         /// weight forms, so CSR values, packed panels and code panels
         /// are all re-derived from the flipped master (a flip that makes
         /// ternary weights non-ternary leaves no code form, and the f32
-        /// kernels are the defined behaviour).
+        /// kernels are the defined behaviour) — and which copies a
+        /// master shared with replicas first, so the fault stays in
+        /// this one network.
         pub(crate) fn apply_weight_faults(&self, net: &mut crate::network::Network) {
             for slot in &self.slots {
                 let Fault::BitFlipWeight {

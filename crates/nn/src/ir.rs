@@ -14,14 +14,12 @@
 //! *really*?).
 
 use crate::batchnorm::BatchNorm2d;
-use crate::conv::Conv2d;
 use crate::descriptor::LayerKind;
 use crate::error::Error;
 use crate::layer::{ExecConfig, Layer, WeightFormat};
-use crate::linear::Linear;
 use crate::network::Network;
+use crate::weights::Weights;
 use crate::ReLU;
-use cnn_stack_sparse::SparsityStats;
 use cnn_stack_tensor::Conv2dGeometry;
 
 /// What an [`IrOp`] computes, with the facts algorithm selection prices.
@@ -202,26 +200,16 @@ pub fn lower(net: &Network, input_shape: &[usize], cfg: &ExecConfig) -> Result<V
 /// selector cannot quantise. Computed here because pass candidates see
 /// only the op, never the network.
 fn exact_ternary(layer: &dyn Layer) -> bool {
-    if let Some(c) = layer.as_any().downcast_ref::<Conv2d>() {
-        crate::weights::scan_ternary(c.weight().value.data()).is_some()
-    } else if let Some(fc) = layer.as_any().downcast_ref::<Linear>() {
-        crate::weights::scan_ternary(fc.weight().value.data()).is_some()
-    } else {
-        false
-    }
+    Weights::of(layer).is_some_and(|w| w.ternary_magnitudes().is_some())
 }
 
-/// Measured exact-zero sparsity of the layer's first (weight) parameter;
-/// 0 for layers without parameters.
+/// Measured exact-zero sparsity of the layer's weight parameter; 0 for
+/// layers without one.
 fn measured_sparsity(layer: &dyn Layer) -> f64 {
-    // Downcast so composites are not mis-measured by their first child.
-    if let Some(c) = layer.as_any().downcast_ref::<Conv2d>() {
-        SparsityStats::measure(c.weight().value.data()).sparsity()
-    } else if let Some(fc) = layer.as_any().downcast_ref::<Linear>() {
-        SparsityStats::measure(fc.weight().value.data()).sparsity()
-    } else {
-        0.0
-    }
+    Weights::of(layer).map_or(0.0, |w| {
+        let elems = w.master().value.len();
+        (elems - w.nnz()) as f64 / elems as f64
+    })
 }
 
 #[cfg(test)]

@@ -3,7 +3,6 @@
 
 use crate::descriptor::LayerDescriptor;
 use crate::error::Error;
-use crate::weights::WeightPanels;
 use cnn_stack_obs::ObsLevel;
 use cnn_stack_parallel::Schedule;
 use cnn_stack_tensor::{GemmAlgorithm, GemmEpilogue, GemmPlan, Tensor};
@@ -357,7 +356,9 @@ pub trait Layer: std::fmt::Debug + std::any::Any + Send + Sync {
     /// Mutable access to the layer's trainable parameters (empty for
     /// stateless layers). Layers with derived weight forms (CSR, packed
     /// or code panels) drop them here, since the caller may mutate any
-    /// returned value — masked pruning reaches weights this way.
+    /// returned value — masked pruning reaches weights this way — and
+    /// weights shared with a [`replica`](Layer::replica) are copied
+    /// first. Read through [`params`](Layer::params) to do neither.
     fn params_mut(&mut self) -> Vec<&mut Param> {
         Vec::new()
     }
@@ -404,24 +405,18 @@ pub trait Layer: std::fmt::Debug + std::any::Any + Send + Sync {
     /// nothing to prepare keep the default no-op.
     fn prepare(&mut self, _cfg: &ExecConfig) {}
 
-    /// Shared handle to the derived weight forms (packed panels, code
-    /// panels, CSR) this layer currently has built — after
-    /// [`prepare`](Layer::prepare), the one form its plan reads. A
-    /// serving pool exports once from a prepared donor and hands the
-    /// result to [`adopt_panels`](Layer::adopt_panels) on every replica,
-    /// so many sessions of one model share a single prepack. Layers
-    /// without derived forms keep the default `None`.
-    fn export_panels(&self) -> Option<WeightPanels> {
-        None
-    }
-
-    /// Adopts a handle exported from the same layer of an identically
-    /// built donor. Returns `false`, leaving the layer untouched, unless
-    /// the handle carries this layer's format label and was derived
-    /// from bit-identical master weights.
-    fn adopt_panels(&mut self, _panels: &WeightPanels) -> bool {
-        false
-    }
+    /// A second instance of this layer serving the same model: the
+    /// structure is cloned, conv/linear master weights (with their
+    /// masks) and every derived form built so far are *shared*, not
+    /// copied, and the training caches start empty. A replica made
+    /// after [`prepare`](Layer::prepare) therefore prepares without
+    /// packing anything — this is how a serving pool runs any number of
+    /// sessions over one physical model. Writing to either side's
+    /// weights copies that layer first (see [`params_mut`]), so the
+    /// two can never observe each other's writes.
+    ///
+    /// [`params_mut`]: Layer::params_mut
+    fn replica(&self) -> Box<dyn Layer>;
 
     /// The packed-GEMM blocking plan this layer would execute for the
     /// given input shape, if its `cfg` routes it through

@@ -85,7 +85,7 @@ pub use layer::{ConvAlgorithm, ExecConfig, ExecConfigBuilder, Layer, Param, Phas
 pub use linear::Linear;
 pub use liveness::{ArenaLayout, MemoryFootprint, StepExtent, StepSlots};
 pub use memory::{network_memory, MemoryBreakdown};
-pub use network::{adopt_panels, export_panels, Network};
+pub use network::Network;
 pub use passes::{
     AlgoChoice, Autotune, FoldAndFuse, ForceThroughput, PassContext, PlanCompiler, PlanPass,
     SelectAlgorithms,
@@ -94,4 +94,4 @@ pub use pool::{Flatten, GlobalAvgPool, MaxPool2d};
 pub use residual::ResidualBlock;
 pub use serialize::{load_params, save_params, LoadParamsError};
 pub use train::{LrSchedule, Sgd, TrainConfig};
-pub use weights::WeightPanels;
+pub use weights::WeightStorage;

@@ -2,7 +2,7 @@
 
 use crate::descriptor::{LayerDescriptor, LayerKind};
 use crate::layer::{ExecConfig, Layer, Param, Phase, WeightFormat};
-use crate::weights::{Form, PanelOperand, WeightPanels, Weights};
+use crate::weights::{Form, PanelOperand, Weights};
 use cnn_stack_parallel::parallel_for;
 use cnn_stack_parallel::DisjointWriter;
 use cnn_stack_tensor::init::{initialise, Init};
@@ -60,6 +60,12 @@ impl Linear {
             bias: Param::new(Tensor::zeros([out_features])),
             cached_input: None,
         }
+    }
+
+    /// The weights with their derived forms and cached facts (the plan
+    /// compiler reads the non-zero count and ternarity through this).
+    pub(crate) fn weights(&self) -> &Weights {
+        &self.weights
     }
 
     /// Input feature count.
@@ -399,12 +405,13 @@ impl Layer for Linear {
         self.weights.prepare(keep);
     }
 
-    fn export_panels(&self) -> Option<WeightPanels> {
-        self.weights.export()
-    }
-
-    fn adopt_panels(&mut self, panels: &WeightPanels) -> bool {
-        self.weights.adopt(panels)
+    fn replica(&self) -> Box<dyn Layer> {
+        Box::new(Linear {
+            weights: self.weights.replica(),
+            bias: self.bias.clone(),
+            cached_input: None,
+            ..*self
+        })
     }
 
     fn gemm_plan(&self, input_shape: &[usize], cfg: &ExecConfig) -> Option<GemmPlan> {
@@ -440,7 +447,7 @@ impl Layer for Linear {
     fn descriptor(&self, input_shape: &[usize]) -> LayerDescriptor {
         let batch = input_shape[0];
         let weight_elems = self.in_features * self.out_features;
-        let weight_nnz = self.weight().value.len() - self.weight().value.count_zeros(0.0);
+        let weight_nnz = self.weights.nnz();
         LayerDescriptor {
             name: self.name(),
             kind: LayerKind::Linear {
@@ -499,12 +506,9 @@ mod tests {
         let x = random([3, 13], 9);
         let cfg = ExecConfig::serial();
         let cacheless = fc.forward(&x, Phase::Eval, &cfg);
-        assert!(
-            fc.export_panels().is_none(),
-            "one-shot forward keeps nothing"
-        );
+        assert!(fc.weights.is_cold(), "one-shot forward keeps nothing");
         fc.prepare(&cfg);
-        assert!(fc.export_panels().is_some());
+        assert!(!fc.weights.is_cold());
         let shape = [3, 13];
         let mut out = vec![0.0f32; cacheless.len()];
         let mut scratch = vec![0.0f32; fc.forward_scratch_elems(&shape, &cfg)];
@@ -513,7 +517,7 @@ mod tests {
         assert_eq!(out.as_slice(), cacheless.data());
         // Touching the weights drops the panels.
         let _ = fc.weight_mut();
-        assert!(fc.export_panels().is_none());
+        assert!(fc.weights.is_cold());
     }
 
     #[test]

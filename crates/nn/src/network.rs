@@ -3,7 +3,7 @@
 use crate::descriptor::LayerDescriptor;
 use crate::error::Error;
 use crate::layer::{ExecConfig, Layer, Param, Phase, WeightFormat};
-use crate::weights::WeightPanels;
+use crate::weights::{WeightStorage, Weights};
 use cnn_stack_tensor::Tensor;
 use std::time::{Duration, Instant};
 
@@ -47,6 +47,33 @@ impl Network {
             return Err(Error::EmptyNetwork);
         }
         Ok(Network { layers })
+    }
+
+    /// A second network serving the same model: every layer's
+    /// [`Layer::replica`]. Conv/linear weights and the derived forms
+    /// built so far are shared, so the cost is structure, biases and
+    /// batch-norm state — a replica of a compiled, prepared network
+    /// compiles without rewriting a weight and prepares without packing
+    /// one. A write to either network's weights copies the written
+    /// layer first.
+    pub fn replica(&self) -> Network {
+        Network {
+            layers: self.layers.iter().map(|l| l.replica()).collect(),
+        }
+    }
+
+    /// Storage identity of every `Conv2d` and `Linear` (descending into
+    /// residual blocks), in [`Layer::visit_mut`] order: equal entries
+    /// in two networks mean one physical copy of that layer's weights.
+    pub fn weight_storage(&self) -> Vec<WeightStorage> {
+        let mut out = Vec::new();
+        for layer in &self.layers {
+            match layer.as_any().downcast_ref::<crate::ResidualBlock>() {
+                Some(block) => out.extend(block.convs().map(|c| c.weights().storage())),
+                None => out.extend(Weights::of(layer.as_ref()).map(Weights::storage)),
+            }
+        }
+        out
     }
 
     /// Number of top-level layers (composites count as one).
@@ -191,6 +218,13 @@ impl Network {
         g
     }
 
+    /// All trainable parameters, in layer order, read-only: unlike
+    /// [`params_mut`](Self::params_mut) this neither drops a derived
+    /// weight form nor copies weights shared with a replica.
+    pub fn params(&self) -> Vec<&Param> {
+        self.layers.iter().flat_map(|l| l.params()).collect()
+    }
+
     /// All trainable parameters, in layer order.
     pub fn params_mut(&mut self) -> Vec<&mut Param> {
         self.layers
@@ -213,9 +247,10 @@ impl Network {
         }
     }
 
-    /// Total trainable parameter count.
+    /// Total trainable parameter count. (`&mut self` is historical;
+    /// nothing is written.)
     pub fn num_params(&mut self) -> usize {
-        self.params_mut().iter().map(|p| p.value.len()).sum()
+        self.params().iter().map(|p| p.value.len()).sum()
     }
 
     /// Flat primitive-layer descriptors for a given input shape
@@ -280,39 +315,6 @@ pub fn set_network_format(net: &mut Network, format: WeightFormat) {
             }
         });
     }
-}
-
-/// Exports every (nested) layer's [`WeightPanels`] handle in
-/// [`Layer::visit_mut`] order — `None` entries for layers with no
-/// derived weight form built. Feed the result to [`adopt_panels`] on an
-/// identically-built network so replicas share one prepack
-/// (compile once, serve many).
-pub fn export_panels(net: &mut Network) -> Vec<Option<WeightPanels>> {
-    let mut out = Vec::new();
-    for layer in net.layers_mut() {
-        layer.visit_mut(&mut |l| out.push(l.export_panels()));
-    }
-    out
-}
-
-/// Installs handles exported from an identically-built donor network,
-/// returning how many layers adopted one. A layer whose format label or
-/// master weights differ from the handle's source refuses it and keeps
-/// its own forms, so a mismatched donor degrades sharing, never
-/// correctness. Adopting before a session is built means its prepare
-/// step packs nothing at all.
-pub fn adopt_panels(net: &mut Network, panels: &[Option<WeightPanels>]) -> usize {
-    let mut i = 0usize;
-    let mut adopted = 0usize;
-    for layer in net.layers_mut() {
-        layer.visit_mut(&mut |l| {
-            if let Some(Some(p)) = panels.get(i) {
-                adopted += usize::from(l.adopt_panels(p));
-            }
-            i += 1;
-        });
-    }
-    adopted
 }
 
 #[cfg(test)]
@@ -391,6 +393,50 @@ mod tests {
             losses.last().unwrap() < &(losses[0] * 0.5),
             "loss did not drop: {losses:?}"
         );
+    }
+
+    #[test]
+    fn replica_shares_weights_and_copies_the_rest() {
+        let mut net = tiny_net();
+        let x = random([2, 1, 8, 8], 3);
+        let cfg = ExecConfig::serial();
+        let want = net.forward(&x, Phase::Eval, &cfg);
+        let mut twin = net.replica();
+        assert_eq!(twin.weight_storage(), net.weight_storage());
+        assert_eq!(twin.forward(&x, Phase::Eval, &cfg), want);
+
+        // Biases are per replica; a weight write copies that layer only.
+        fn first_conv(n: &mut Network) -> &mut Conv2d {
+            let any = n.layers_mut()[0].as_any_mut();
+            any.downcast_mut().expect("tiny_net starts with a conv")
+        }
+        first_conv(&mut twin).bias_mut().value.fill(1.0);
+        assert_eq!(first_conv(&mut net).bias().value.sum(), 0.0);
+        first_conv(&mut twin).weight_mut().value.fill(0.0);
+        assert_eq!(net.forward(&x, Phase::Eval, &cfg), want);
+        let (a, b) = (twin.weight_storage(), net.weight_storage());
+        assert_ne!(a[0].master, b[0].master);
+        assert_eq!(a[1], b[1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "backward without")]
+    fn replica_starts_with_cold_training_caches() {
+        let mut net = tiny_net();
+        let y = net.forward(
+            &random([1, 1, 8, 8], 4),
+            Phase::Train,
+            &ExecConfig::serial(),
+        );
+        net.replica().backward(&y);
+    }
+
+    #[test]
+    fn num_params_reads_without_unsharing() {
+        let mut net = tiny_net();
+        let mut twin = net.replica();
+        assert_eq!(twin.num_params(), net.num_params());
+        assert_eq!(twin.weight_storage(), net.weight_storage());
     }
 
     #[test]

@@ -119,6 +119,10 @@ impl Layer for MaxPool2d {
         f(self);
     }
 
+    fn replica(&self) -> Box<dyn Layer> {
+        Box::new(MaxPool2d::new(self.window))
+    }
+
     fn forward_into(
         &self,
         input: &[f32],
@@ -259,6 +263,10 @@ impl Layer for GlobalAvgPool {
         f(self);
     }
 
+    fn replica(&self) -> Box<dyn Layer> {
+        Box::new(GlobalAvgPool::new())
+    }
+
     fn forward_into(
         &self,
         input: &[f32],
@@ -352,6 +360,10 @@ impl Layer for Flatten {
 
     fn visit_mut(&mut self, f: &mut dyn FnMut(&mut dyn Layer)) {
         f(self);
+    }
+
+    fn replica(&self) -> Box<dyn Layer> {
+        Box::new(Flatten::new())
     }
 
     fn forward_into(

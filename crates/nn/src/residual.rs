@@ -80,6 +80,13 @@ impl ResidualBlock {
         }
     }
 
+    /// Every convolution of the block, in [`Layer::visit_mut`] order.
+    pub(crate) fn convs(&self) -> impl Iterator<Item = &Conv2d> {
+        [&self.conv1, &self.conv2]
+            .into_iter()
+            .chain(self.shortcut.as_ref().map(|(conv, _)| conv))
+    }
+
     /// The first (prunable) convolution.
     pub fn conv1(&self) -> &Conv2d {
         &self.conv1
@@ -289,6 +296,21 @@ impl Layer for ResidualBlock {
             conv.visit_mut(f);
             bn.visit_mut(f);
         }
+    }
+
+    fn replica(&self) -> Box<dyn Layer> {
+        Box::new(ResidualBlock {
+            conv1: self.conv1.replica(),
+            bn1: self.bn1.replica(),
+            relu1: ReLU::new(),
+            conv2: self.conv2.replica(),
+            bn2: self.bn2.replica(),
+            shortcut: self
+                .shortcut
+                .as_ref()
+                .map(|(conv, bn)| (conv.replica(), bn.replica())),
+            cached_final_mask: None,
+        })
     }
 
     fn forward_scratch_elems(&self, input_shape: &[usize], cfg: &ExecConfig) -> usize {

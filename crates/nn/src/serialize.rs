@@ -144,7 +144,7 @@ impl<'a> Reader<'a> {
 
 /// Serialises every parameter (values and pruning masks) of `net`.
 pub fn save_params(net: &mut Network) -> Vec<u8> {
-    let params = net.params_mut();
+    let params = net.params();
     let mut out = Vec::new();
     out.extend_from_slice(MAGIC);
     push_usize(&mut out, params.len());
@@ -181,7 +181,7 @@ pub fn load_params(net: &mut Network, bytes: &[u8]) -> Result<(), LoadParamsErro
         return Err(LoadParamsError::BadMagic);
     }
     let count = r.read_usize()?;
-    let expected = net.params_mut().len();
+    let expected = net.params().len();
     if count != expected {
         return Err(LoadParamsError::ParamCountMismatch {
             stored: count,
@@ -205,12 +205,9 @@ pub fn load_params(net: &mut Network, bytes: &[u8]) -> Result<(), LoadParamsErro
         });
     }
     // Validate shapes before touching the network.
-    {
-        let params = net.params_mut();
-        for (i, (p, v)) in params.iter().zip(&values).enumerate() {
-            if p.value.shape() != v.shape() {
-                return Err(LoadParamsError::ShapeMismatch { index: i });
-            }
+    for (i, (p, v)) in net.params().iter().zip(&values).enumerate() {
+        if p.value.shape() != v.shape() {
+            return Err(LoadParamsError::ShapeMismatch { index: i });
         }
     }
     for ((p, value), mask) in net.params_mut().into_iter().zip(values).zip(masks) {

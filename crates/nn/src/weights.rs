@@ -2,9 +2,11 @@
 //!
 //! [`Conv2d`](crate::Conv2d) and [`Linear`](crate::Linear) keep a dense
 //! master [`Param`], a [`WeightFormat`] label, and up to three storage
-//! forms *derived* from that pair: a CSR matrix, packed f32 GEMM panels,
-//! and quantised code panels. A derived form is a function of
-//! `(master, format)`, never state kept beside them:
+//! forms *derived* from that pair — a CSR matrix, packed f32 GEMM
+//! panels, quantised code panels — plus two facts about the master that
+//! each cost a pass over it (its non-zero count, whether it is exactly
+//! ternary). A derived form or fact is a function of `(master,
+//! format)`, never state kept beside them:
 //!
 //! * the only `&mut` routes to the master or the label —
 //!   [`master_mut`](Weights::master_mut), [`replace`](Weights::replace),
@@ -12,12 +14,17 @@
 //! * each form is built on first read and kept until the next reset,
 //!   so a kernel can observe neither an absent nor a stale form.
 //!
-//! Built forms sit behind `Arc`s that are never written through: a form
-//! is a fresh `Vec` wrapped once, and a reset drops the handle. A
-//! [`WeightPanels`] clone held by another replica therefore stays a
-//! complete, consistent prepack whatever happens to the donor.
+//! The master and every built form sit behind `Arc`s, and a
+//! [`replica`](Weights::replica) is a second set of handles to the same
+//! buffers: any number of sessions serve one physical model. Nothing is
+//! ever written through a shared handle — a form is a fresh `Vec`
+//! wrapped once and a reset drops the handle, and `master_mut` goes
+//! through [`Arc::make_mut`] — so writing to one replica un-shares
+//! exactly the layer written (copy-on-write) and leaves every other
+//! holder a complete, consistent model.
 
-use crate::layer::{Param, WeightFormat};
+use crate::layer::{Layer, Param, WeightFormat};
+use crate::{Conv2d, Linear};
 use cnn_stack_sparse::CsrMatrix;
 use cnn_stack_tensor::{gemm, GemmPlan, Tensor};
 use std::sync::{Arc, OnceLock};
@@ -72,49 +79,44 @@ pub(crate) struct Int8Codes<'a> {
 /// The derived forms, each built at most once per reset. `quant` holds
 /// `None` when the label is `Ternary` but the master is not exactly
 /// ternary: such weights have no code form and run the f32 kernels.
+/// `nnz` and `ternary` are facts about the master, not storage forms:
+/// a few bytes each, so [`Weights::prepare`] keeps them whichever form
+/// it keeps. Each costs a pass over the weights, and plan compilation
+/// asks for both several times per layer.
 #[derive(Clone, Debug, Default)]
 struct Derived {
     csr: OnceLock<Arc<CsrMatrix>>,
     panels: OnceLock<Arc<Vec<f32>>>,
     quant: OnceLock<Option<QuantPanels>>,
+    nnz: OnceLock<usize>,
+    ternary: OnceLock<Option<(f32, f32)>>,
 }
 
 impl Derived {
     /// Buffer address of each built form: identity, not content.
-    fn addresses(&self) -> [Option<*const ()>; 3] {
+    fn addresses(&self) -> [Option<usize>; 3] {
         [
-            self.csr.get().map(|a| Arc::as_ptr(a).cast()),
-            self.panels.get().map(|a| Arc::as_ptr(a).cast()),
+            self.csr.get().map(|a| Arc::as_ptr(a) as usize),
+            self.panels.get().map(|a| Arc::as_ptr(a) as usize),
             self.quant.get().and_then(Option::as_ref).map(|q| match q {
-                QuantPanels::Ternary { codes, .. } => Arc::as_ptr(codes).cast(),
-                QuantPanels::Int8 { codes, .. } => Arc::as_ptr(codes).cast(),
+                QuantPanels::Ternary { codes, .. } => Arc::as_ptr(codes) as usize,
+                QuantPanels::Int8 { codes, .. } => Arc::as_ptr(codes) as usize,
             }),
         ]
     }
 }
 
-/// Shared handle to the derived forms a layer had built when it was
-/// exported, for adoption by replicas of the same model (compile once,
-/// serve many). It records the format label and a 64-bit fingerprint of
-/// the master it was derived from; [`Layer::adopt_panels`] refuses a
-/// handle whose source differs from the adopting layer's own weights.
-/// The fingerprint guards against accidents (a replica built from
-/// another seed or checkpoint), not adversaries.
-///
-/// [`Layer::adopt_panels`]: crate::Layer::adopt_panels
-#[derive(Clone, Debug)]
-pub struct WeightPanels {
-    fingerprint: u64,
-    format: WeightFormat,
-    derived: Derived,
-}
-
-impl WeightPanels {
-    /// Whether both handles point at the same physical buffers (and
-    /// have the same forms built) — sharing, not equal copies.
-    pub fn ptr_eq(&self, other: &WeightPanels) -> bool {
-        self.derived.addresses() == other.derived.addresses()
-    }
+/// Identity — addresses, not contents — of the buffers behind one
+/// layer's weights. Two layers with equal `master` read one physical
+/// parameter; equal `Some` entries in `forms` read one physical prepack.
+/// This is how tests and probes tell a replica from an equal copy.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct WeightStorage {
+    /// Address of the master parameter.
+    pub master: usize,
+    /// Address of each resident derived form — CSR, f32 panels, code
+    /// panels, in that order — or `None` where none is built.
+    pub forms: [Option<usize>; 3],
 }
 
 /// Scans a weight slice for exact ternary structure: at most one
@@ -122,35 +124,29 @@ impl WeightPanels {
 /// values finite. Returns `(positive, negative)` magnitudes (both
 /// non-negative; zero when that sign is absent), or `None` when the
 /// weights are not ternary.
-pub(crate) fn scan_ternary(data: &[f32]) -> Option<(f32, f32)> {
-    let mut positive = 0.0f32;
-    let mut negative = 0.0f32;
-    for &v in data {
-        if !v.is_finite() {
-            return None;
-        }
-        if v > 0.0 {
-            if positive == 0.0 {
-                positive = v;
-            } else if positive != v {
-                return None;
-            }
-        } else if v < 0.0 {
-            if negative == 0.0 {
-                negative = -v;
-            } else if negative != -v {
-                return None;
-            }
-        }
+fn scan_ternary(data: &[f32]) -> Option<(f32, f32)> {
+    // The only candidates are the first value of each sign; every
+    // element must then be one of them or zero.
+    let first = |wanted: fn(&f32) -> bool| data.iter().copied().find(wanted);
+    let positive = first(|v| *v > 0.0).unwrap_or(0.0);
+    let negative = first(|v| *v < 0.0).map_or(0.0, |v| -v);
+    if !positive.is_finite() || !negative.is_finite() {
+        return None;
     }
-    Some((positive, negative))
+    // Branch-free within a block, so the membership test vectorises
+    // (NaN equals nothing and fails it); block by block, so weights
+    // that are not ternary are still rejected early.
+    let member = |v: f32| (v == 0.0) | (v == positive) | (v == -negative);
+    data.chunks(4096)
+        .all(|block| block.iter().fold(true, |all, &v| all & member(v)))
+        .then_some((positive, negative))
 }
 
 /// Master weights, format label and derived forms of one layer; see the
 /// [module docs](self).
 #[derive(Debug)]
 pub(crate) struct Weights {
-    master: Param,
+    master: Arc<Param>,
     format: WeightFormat,
     operand: PanelOperand,
     derived: Derived,
@@ -160,10 +156,37 @@ impl Weights {
     /// Wraps `master` (leading extent = output rows) in `Dense` format.
     pub(crate) fn new(master: Param, operand: PanelOperand) -> Self {
         Weights {
-            master,
+            master: Arc::new(master),
             format: WeightFormat::Dense,
             operand,
             derived: Derived::default(),
+        }
+    }
+
+    /// The weights of a conv or linear layer; `None` for every other
+    /// layer (composites included: a downcast, not their first child).
+    pub(crate) fn of(layer: &dyn Layer) -> Option<&Weights> {
+        let any = layer.as_any();
+        let conv = any.downcast_ref::<Conv2d>().map(Conv2d::weights);
+        conv.or_else(|| any.downcast_ref::<Linear>().map(Linear::weights))
+    }
+
+    /// A second set of handles to this master and to every form built
+    /// so far: no weight is copied. The label is per replica.
+    pub(crate) fn replica(&self) -> Weights {
+        Weights {
+            master: Arc::clone(&self.master),
+            format: self.format,
+            operand: self.operand,
+            derived: self.derived.clone(),
+        }
+    }
+
+    /// Which buffers this layer reads, by address.
+    pub(crate) fn storage(&self) -> WeightStorage {
+        WeightStorage {
+            master: Arc::as_ptr(&self.master) as usize,
+            forms: self.derived.addresses(),
         }
     }
 
@@ -173,16 +196,18 @@ impl Weights {
     }
 
     /// Mutable master; the caller may rewrite it, so every derived form
-    /// goes.
+    /// goes, and a master shared with replicas is copied first — they
+    /// keep the old one.
     pub(crate) fn master_mut(&mut self) -> &mut Param {
         self.drop_derived();
-        &mut self.master
+        Arc::make_mut(&mut self.master)
     }
 
-    /// Replaces the master with a re-shaped value (channel surgery).
+    /// Replaces the master with a re-shaped value (channel surgery);
+    /// replicas keep the old one.
     pub(crate) fn replace(&mut self, value: Tensor) {
         self.drop_derived();
-        self.master = Param::new(value);
+        self.master = Arc::new(Param::new(value));
     }
 
     /// The inference storage format label.
@@ -201,9 +226,27 @@ impl Weights {
         self.derived = Derived::default();
     }
 
-    /// Whether no derived form is resident.
+    /// Whether no derived storage form is resident.
     pub(crate) fn is_cold(&self) -> bool {
         self.derived.addresses().iter().all(Option::is_none)
+    }
+
+    /// Exactly non-zero master elements, counted once per reset: every
+    /// descriptor and the plan compiler's sparsity measure read this.
+    pub(crate) fn nnz(&self) -> usize {
+        *self.derived.nnz.get_or_init(|| {
+            let value = &self.master.value;
+            value.len() - value.count_zeros(0.0)
+        })
+    }
+
+    /// [`scan_ternary`] of the master, scanned once per reset: the
+    /// `(positive, negative)` magnitudes iff it is exactly ternary.
+    pub(crate) fn ternary_magnitudes(&self) -> Option<(f32, f32)> {
+        *self
+            .derived
+            .ternary
+            .get_or_init(|| scan_ternary(self.master.value.data()))
     }
 
     /// The master viewed as a `[rows × cols]` matrix (same memory).
@@ -257,7 +300,7 @@ impl Weights {
                 let plan = GemmPlan::new(1, cols, rows);
                 match self.format {
                     WeightFormat::Ternary => {
-                        let (positive, negative) = scan_ternary(data)?;
+                        let (positive, negative) = self.ternary_magnitudes()?;
                         let mut codes = vec![0u32; plan.ternary_b_words()];
                         gemm::pack_b_ternary_transposed_into(&plan, data, &mut codes);
                         Some(QuantPanels::Ternary {
@@ -320,6 +363,8 @@ impl Weights {
     /// will (so steady-state runs allocate nothing).
     pub(crate) fn prepare(&mut self, keep: Option<Form>) {
         let built = std::mem::take(&mut self.derived);
+        self.derived.nnz = built.nnz;
+        self.derived.ternary = built.ternary;
         match keep {
             Some(Form::Csr) => {
                 self.derived.csr = built.csr;
@@ -335,42 +380,6 @@ impl Weights {
             }
             None => {}
         }
-    }
-
-    /// Fingerprint of what every derived form is a function of besides
-    /// the label: the panel operand, the master's extents and its bit
-    /// pattern (word-wise FNV-1a).
-    fn fingerprint(&self) -> u64 {
-        let mut hash = 0xcbf2_9ce4_8422_2325u64;
-        let mut mix = |word: u64| hash = (hash ^ word).wrapping_mul(0x0000_0100_0000_01b3);
-        mix(self.operand as u64);
-        for &d in self.master.value.shape().dims() {
-            mix(d as u64);
-        }
-        for v in self.master.value.data() {
-            mix(u64::from(v.to_bits()));
-        }
-        hash
-    }
-
-    /// Handle to the forms currently built; `None` when there are none.
-    pub(crate) fn export(&self) -> Option<WeightPanels> {
-        (!self.is_cold()).then(|| WeightPanels {
-            fingerprint: self.fingerprint(),
-            format: self.format,
-            derived: self.derived.clone(),
-        })
-    }
-
-    /// Adopts a donor's built forms in place of this layer's own.
-    /// Returns `false`, leaving the layer untouched, unless the donor
-    /// had the same label and was derived from bit-identical weights.
-    pub(crate) fn adopt(&mut self, panels: &WeightPanels) -> bool {
-        let matches = panels.format == self.format && panels.fingerprint == self.fingerprint();
-        if matches {
-            self.derived = panels.derived.clone();
-        }
-        matches
     }
 }
 
@@ -389,18 +398,88 @@ mod tests {
         let warm = |w: &mut Weights| {
             w.csr();
             w.panels();
+            w.nnz();
+            w.ternary_magnitudes();
             assert!(!w.is_cold());
+        };
+        let cold = |w: &Weights| {
+            w.is_cold() && w.derived.nnz.get().is_none() && w.derived.ternary.get().is_none()
         };
         warm(&mut w);
         let _ = w.master_mut();
-        assert!(w.is_cold());
+        assert!(cold(&w));
         warm(&mut w);
         w.replace(Tensor::zeros([4, 7]));
-        assert!(w.is_cold());
+        assert!(cold(&w));
         warm(&mut w);
         w.set_format(WeightFormat::Csr);
-        assert!(w.is_cold());
+        assert!(cold(&w));
         assert_eq!(w.format(), WeightFormat::Csr);
+    }
+
+    #[test]
+    fn nnz_follows_the_master() {
+        let mut w = weights(0.0, PanelOperand::A);
+        assert_eq!(w.nnz(), 34, "sin(0) is the one exact zero of 35");
+        w.master_mut().value.data_mut()[..10].fill(0.0);
+        assert_eq!(w.nnz(), 25);
+        w.replace(Tensor::zeros([4, 7]));
+        assert_eq!(w.nnz(), 0);
+    }
+
+    #[test]
+    fn ternary_scan_matches_the_one_pass_definition() {
+        /// The definition, one element at a time.
+        fn reference(data: &[f32]) -> Option<(f32, f32)> {
+            let (mut positive, mut negative) = (0.0f32, 0.0f32);
+            for &v in data {
+                if !v.is_finite() {
+                    return None;
+                }
+                let (seen, magnitude) = if v > 0.0 {
+                    (&mut positive, v)
+                } else if v < 0.0 {
+                    (&mut negative, -v)
+                } else {
+                    continue;
+                };
+                if *seen == 0.0 {
+                    *seen = magnitude;
+                } else if *seen != magnitude {
+                    return None;
+                }
+            }
+            Some((positive, negative))
+        }
+        let pattern = |len: usize, values: &[f32]| -> Vec<f32> {
+            (0..len)
+                .map(|i| values[(i * 2654435761) % values.len()])
+                .collect()
+        };
+        let mut cases = vec![
+            Vec::new(),
+            pattern(9000, &[0.0]),
+            pattern(9000, &[0.0, -0.0, 0.5]),
+            pattern(9000, &[0.0, -0.25]),
+            pattern(9000, &[0.5, 0.0, -0.25, 0.0, 0.0]),
+            pattern(9000, &[0.5, 0.0, -0.25, 0.75]),
+            pattern(9000, &[f32::INFINITY, 0.0]),
+            pattern(9000, &[0.0, f32::NEG_INFINITY]),
+        ];
+        // One stray value in an otherwise ternary tensor, in the first
+        // block, across a block boundary, and last.
+        for at in [0usize, 4095, 4096, 8999] {
+            for stray in [0.75, -0.5, f32::NAN, f32::INFINITY, f32::MIN_POSITIVE] {
+                let mut data = pattern(9000, &[0.5, 0.0, -0.25]);
+                data[at] = stray;
+                cases.push(data);
+            }
+        }
+        for data in cases {
+            let (got, want) = (scan_ternary(&data), reference(&data));
+            let bits = |m: Option<(f32, f32)>| m.map(|(p, n)| (p.to_bits(), n.to_bits()));
+            assert_eq!(bits(got), bits(want), "{:?}…", &data[..data.len().min(4)]);
+        }
     }
 
     #[test]
@@ -421,34 +500,45 @@ mod tests {
     fn prepare_keeps_exactly_one_form() {
         let mut w = weights(0.0, PanelOperand::A);
         w.csr();
+        w.nnz();
+        w.ternary_magnitudes();
         w.prepare(Some(Form::Panels));
         assert!(w.derived.csr.get().is_none() && w.derived.panels.get().is_some());
         w.prepare(None);
         assert!(w.is_cold());
+        let facts = w.derived.nnz.get().is_some() && w.derived.ternary.get().is_some();
+        assert!(facts, "facts about the master are not forms");
     }
 
     #[test]
-    fn adoption_checks_source_and_label() {
-        let mut donor = weights(0.0, PanelOperand::A);
-        donor.panels();
-        let handle = donor.export().expect("a built form exports");
+    fn replica_shares_until_written() {
+        let source = weights(0.0, PanelOperand::A);
+        source.panels();
+        source.nnz();
+        let mut replica = source.replica();
+        assert_eq!(replica.storage(), source.storage());
+        assert_eq!(replica.derived.nnz.get(), Some(&34));
 
-        let mut twin = weights(0.0, PanelOperand::A);
-        assert!(twin.adopt(&handle));
-        assert!(twin.export().unwrap().ptr_eq(&handle));
+        // A relabel is per replica: it drops that side's forms only and
+        // copies nothing.
+        replica.set_format(WeightFormat::Csr);
+        assert!(replica.is_cold());
+        assert_eq!(replica.storage().master, source.storage().master);
+        assert_eq!(source.format(), WeightFormat::Dense);
 
-        // The donor moving on never disturbs the twin's clone.
-        donor.master_mut().value.fill(0.0);
-        assert!(twin.export().unwrap().ptr_eq(&handle));
+        // A write copies first: the source keeps the old master and the
+        // panels packed from it.
+        let before = source.storage();
+        let packed = source.panels().to_vec();
+        replica.master_mut().value.fill(0.0);
+        assert_ne!(replica.storage().master, before.master);
+        assert_eq!(source.storage(), before);
+        assert_eq!(source.panels(), packed.as_slice());
+        assert!(source.master().value.data().iter().any(|&v| v != 0.0));
 
-        let mut other_seed = weights(1.0, PanelOperand::A);
-        let mut other_operand = weights(0.0, PanelOperand::BTransposed);
-        let mut other_label = weights(0.0, PanelOperand::A);
-        other_label.set_format(WeightFormat::Ternary);
-        for foreign in [&mut other_seed, &mut other_operand, &mut other_label] {
-            assert!(!foreign.adopt(&handle));
-            assert!(foreign.is_cold(), "a refused handle leaves no trace");
-        }
-        assert!(weights(0.0, PanelOperand::A).export().is_none());
+        // Once un-shared, further writes stay in place.
+        let own = replica.storage().master;
+        replica.master_mut().value.fill(1.0);
+        assert_eq!(replica.storage().master, own);
     }
 }

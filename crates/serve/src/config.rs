@@ -149,8 +149,11 @@ impl ServeConfig {
 
     /// Session-ladder batch sizes: 1, 4, 16, … capped at `max_batch`
     /// (always including both 1 and `max_batch`). Quarter steps bound
-    /// padding waste at 4× in the worst mid-size case while keeping the
-    /// replica count — and with it resident weight memory — small.
+    /// padding waste at 4× in the worst mid-size case. A rung costs no
+    /// weight memory — every rung is a replica of one model — so what
+    /// the coarse steps still save is one activation arena and one
+    /// pre-warm run per rung not built, at start-up and on every
+    /// respawn.
     pub(crate) fn ladder_sizes(&self) -> Vec<usize> {
         let mut sizes = Vec::new();
         let mut s = 1usize;

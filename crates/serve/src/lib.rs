@@ -29,17 +29,25 @@
 //!   is shed ([`ShedReason::DeadlineExpired`]) when its batch is
 //!   assembled, rather than burning batch capacity on an answer nobody
 //!   is waiting for.
-//! * **Compile once, serve many** — each worker owns a quarter-stepped
-//!   ladder of pre-warmed [`cnn_stack_nn::InferenceSession`]s; all
-//!   sessions in the pool share one set of `Arc`'d prepacked weight
-//!   panels, so replica count scales activation memory, not weights.
+//! * **One physical model per server** — each worker owns a
+//!   quarter-stepped ladder of pre-warmed
+//!   [`cnn_stack_nn::InferenceSession`]s, and every session — each
+//!   rung, each worker, each respawn — runs on a copy-on-write
+//!   [`replica`](cnn_stack_nn::Network::replica) of the one network
+//!   `build_net` returned: [`Server::start`] calls it exactly once, the
+//!   master weights, their pruning masks and each prepacked form exist
+//!   once, and a session count scales arenas, not weights. A write to
+//!   one session's weights (a guard demotion never writes; an injected
+//!   bit flip does) copies that one layer for that one session.
 //! * **Typed outcomes** — every accepted [`Ticket`] resolves to exactly
 //!   one [`Outcome`]; shutdown resolves stragglers to
 //!   [`ShedReason::ShuttingDown`]. [`Ticket::wait`] never hangs.
 //! * **Worker supervision** — a panicking worker's batch resolves as
 //!   typed [`FailureCause::WorkerCrashed`] failures (never lost
-//!   tickets); the worker respawns with a fresh session ladder rebuilt
-//!   from the shared prepack, under capped exponential backoff
+//!   tickets); the worker respawns with a fresh session ladder stamped
+//!   from the templates frozen at start-up — replicas and the plans
+//!   compiled for them, so a respawn builds no model, compiles no plan
+//!   and packs no weight — under capped exponential backoff
 //!   ([`SupervisionPolicy`]).
 //! * **Hung-batch watchdog** — a batch running past a configurable
 //!   multiple of its rung's expected latency gets its worker deposed:

@@ -1,30 +1,26 @@
 //! The pre-warmed session ladder: one owned [`InferenceSession`] per
-//! ladder batch size, all sharing a single set of prepacked weight
-//! panels ("compile once, serve many").
+//! ladder batch size, every one of them a copy-on-write replica of the
+//! one network the server was started with ("build once, compile once
+//! per rung, serve many").
 //!
 //! Each worker owns a ladder (sessions are not `Sync`). A batch of `n`
 //! requests runs on the smallest ladder rung whose batch size covers
 //! `n`, padding the tail with zero images whose outputs are discarded;
 //! the quarter-stepped rung sizes (see
-//! [`ServeConfig`](crate::ServeConfig)) bound that padding waste while
-//! keeping weight-replica memory low.
+//! [`ServeConfig`](crate::ServeConfig)) bound that padding waste.
+//!
+//! A [`LadderTemplate`] is what ladders are stamped from: per rung, a
+//! replica of the compiled and prepared network plus the plan compiled
+//! for it. Stamping a ladder — for another worker, or after a crash —
+//! clones `Arc`s, allocates arenas and pre-warms; it builds, compiles
+//! and packs nothing, and the new sessions read the same physical
+//! weights and prepack as every other session of the server.
 
 use crate::clock::Clock;
 use crate::config::ServeConfig;
 use crate::error::ServeError;
-use cnn_stack_nn::{
-    adopt_panels, GuardConfig, InferenceSession, Network, PlanCompiler, WeightPanels,
-};
+use cnn_stack_nn::{GuardConfig, InferencePlan, InferenceSession, Network, PlanCompiler};
 use cnn_stack_tensor::Tensor;
-
-/// Shared prepack exported from the first session built for a model:
-/// per layer, the weight form its plan reads (f32 packed panels, 2-bit
-/// ternary / int8 code panels, or CSR), so every replica in a pool
-/// reads one physical copy of each.
-#[derive(Clone)]
-pub(crate) struct PanelSet {
-    panels: Vec<Option<WeightPanels>>,
-}
 
 /// Which plan pipeline a ladder compiles with.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -59,36 +55,72 @@ pub(crate) struct RunInfo {
     pub guarded: bool,
 }
 
-pub(crate) struct SessionLadder {
-    rungs: Vec<Rung>,
+impl Rung {
+    /// Binds `plan` to `net` and pre-warms the session: the first run
+    /// settles lazy state (thread pools, page faults on the arenas) off
+    /// the serving path. Timing it gives the watchdog its
+    /// expected-latency baseline (zero under ManualClock — the hang
+    /// floor covers that).
+    fn warm(
+        net: Network,
+        plan: InferencePlan,
+        guard: GuardConfig,
+        clock: &dyn Clock,
+    ) -> Result<Rung, ServeError> {
+        let input = Tensor::zeros(plan.input_shape().to_vec());
+        let mut output = Tensor::zeros(plan.output_shape().to_vec());
+        let mut session = InferenceSession::owned(net, plan, guard)?;
+        let warm_start = clock.now_ns();
+        session.run_into(&input, &mut output)?;
+        let expected_ns = clock.now_ns().saturating_sub(warm_start);
+        Ok(Rung {
+            batch: input.shape().dims()[0],
+            session,
+            input,
+            output,
+            expected_ns,
+        })
+    }
+}
+
+/// What one rung is stamped from: a replica of the rung's compiled,
+/// prepared network (so it carries the built prepack) and its plan.
+struct RungTemplate {
+    net: Network,
+    plan: InferencePlan,
+}
+
+/// Everything needed to stamp out one kind of [`SessionLadder`] without
+/// touching a weight; see the [module docs](self).
+pub(crate) struct LadderTemplate {
+    rungs: Vec<RungTemplate>,
+    guard: GuardConfig,
     request_elems: usize,
 }
 
-impl SessionLadder {
-    /// Builds, prepares, and pre-warms one session per ladder size.
+impl LadderTemplate {
+    /// Compiles one plan per ladder size over replicas of `net`,
+    /// returning the template together with the first ladder stamped
+    /// from it (the sessions the plans were prepared on).
     ///
-    /// `build_net` is invoked once per rung; every replica after the
-    /// first adopts the first rung's exported panels *before* its
-    /// session is built, so its prepare pass packs nothing — the whole
-    /// ladder shares one physical prepack.
-    ///
-    /// # Errors
-    ///
-    /// Besides compile/session failures, returns
-    /// [`ServeError::InvalidConfig`] when a replica shares *no* layer
-    /// with the exported prepack: adoption checks each layer's weights
-    /// against the donor's, so that means `build_net` does not produce
-    /// identical networks and the rungs would serve different models.
-    pub(crate) fn build(
+    /// The first rung compiles and prepares on `net` itself — batch-norm
+    /// folding and weight packing happen once, there. Every later rung
+    /// compiles on a replica of that prepared network: folding finds
+    /// nothing left to fold, preparing finds every form already built.
+    pub(crate) fn compile(
         cfg: &ServeConfig,
         kind: LadderKind,
-        build_net: &(dyn Fn() -> Network + Send + Sync),
-        shared: &mut Option<PanelSet>,
+        net: Network,
         clock: &dyn Clock,
-    ) -> Result<Self, ServeError> {
+    ) -> Result<(LadderTemplate, SessionLadder), ServeError> {
         let base_exec = cfg.exec();
-        let request_elems: usize = cfg.input_shape().iter().product();
+        let (compiler, guard) = match kind {
+            LadderKind::Primary => (PlanCompiler::standard(), cfg.guard()),
+            LadderKind::Degraded => (PlanCompiler::degraded(), GuardConfig::Off),
+        };
+        let mut templates: Vec<RungTemplate> = Vec::new();
         let mut rungs = Vec::new();
+        let mut first = Some(net);
         for &batch in &cfg.ladder_sizes() {
             // Under a memory envelope each rung compiles against its
             // proportional share, and the conv override is released so
@@ -104,54 +136,58 @@ impl SessionLadder {
             };
             let mut shape = vec![batch];
             shape.extend_from_slice(cfg.input_shape());
-            let mut net = build_net();
-            let compiler = match kind {
-                LadderKind::Primary => PlanCompiler::standard(),
-                LadderKind::Degraded => PlanCompiler::degraded(),
+            let mut net = match first.take() {
+                Some(net) => net,
+                None => templates[0].net.replica(),
             };
             let plan = compiler.run(&mut net, &shape, &exec)?;
-            if let Some(set) = shared.as_ref() {
-                let offered = set.panels.iter().flatten().count();
-                if offered > 0 && adopt_panels(&mut net, &set.panels) == 0 {
-                    return Err(ServeError::InvalidConfig(format!(
-                        "build_net must produce identical networks: the batch-{batch} replica \
-                         matches none of the {offered} prepacked layers of the first one"
-                    )));
-                }
-            }
-            let guard = match kind {
-                LadderKind::Primary => cfg.guard(),
-                LadderKind::Degraded => GuardConfig::Off,
-            };
-            let mut session = InferenceSession::owned(net, plan, guard)?;
-            if shared.is_none() {
-                *shared = Some(PanelSet {
-                    panels: session.export_panels(),
-                });
-            }
-            let input = Tensor::zeros(shape);
-            let mut output = Tensor::zeros(session.plan().output_shape().to_vec());
-            // Pre-warm: the first run settles lazy state (thread pools,
-            // page faults on the arenas) off the serving path. Timing
-            // it gives the watchdog its expected-latency baseline
-            // (zero under ManualClock — the hang floor covers that).
-            let warm_start = clock.now_ns();
-            session.run_into(&input, &mut output)?;
-            let expected_ns = clock.now_ns().saturating_sub(warm_start);
-            rungs.push(Rung {
-                batch,
-                session,
-                input,
-                output,
-                expected_ns,
+            let rung = Rung::warm(net, plan.clone(), guard, clock)?;
+            templates.push(RungTemplate {
+                net: rung.session.network().replica(),
+                plan,
             });
+            rungs.push(rung);
         }
-        Ok(SessionLadder {
+        let request_elems: usize = cfg.input_shape().iter().product();
+        let template = LadderTemplate {
+            rungs: templates,
+            guard,
+            request_elems,
+        };
+        let ladder = SessionLadder {
             rungs,
             request_elems,
+        };
+        Ok((template, ladder))
+    }
+
+    /// Stamps a fresh, pre-warmed ladder: per rung, one replica, one
+    /// arena, one warm-up run.
+    pub(crate) fn instantiate(&self, clock: &dyn Clock) -> Result<SessionLadder, ServeError> {
+        let rungs = self
+            .rungs
+            .iter()
+            .map(|t| Rung::warm(t.net.replica(), t.plan.clone(), self.guard, clock))
+            .collect::<Result<_, _>>()?;
+        Ok(SessionLadder {
+            rungs,
+            request_elems: self.request_elems,
         })
     }
 
+    /// A replica of the compiled model, for compiling another kind of
+    /// ladder over the same weights.
+    pub(crate) fn network(&self) -> Network {
+        self.rungs[0].net.replica()
+    }
+}
+
+pub(crate) struct SessionLadder {
+    rungs: Vec<Rung>,
+    request_elems: usize,
+}
+
+impl SessionLadder {
     /// Expected latency of the rung that would carry an `n`-request
     /// batch (the pre-warm measurement).
     pub(crate) fn expected_ns(&self, n: usize) -> u64 {
@@ -234,15 +270,42 @@ impl SessionLadder {
 }
 
 #[cfg(test)]
-mod tests {
+impl SessionLadder {
+    /// Per rung, which buffers its session's weights live in.
+    pub(crate) fn weight_storage(&self) -> Vec<Vec<cnn_stack_nn::WeightStorage>> {
+        let storage = |r: &Rung| r.session.network().weight_storage();
+        self.rungs.iter().map(storage).collect()
+    }
+
+    /// Arms `faults` on the session of rung `rung` only.
+    #[cfg(feature = "fault-inject")]
+    pub(crate) fn inject_rung_faults(&mut self, rung: usize, faults: cnn_stack_nn::FaultPlan) {
+        self.rungs[rung].session.inject_faults(faults);
+    }
+}
+
+#[cfg(test)]
+impl LadderTemplate {
+    /// Per rung, which buffers a ladder stamped from it will read.
+    pub(crate) fn weight_storage(&self) -> Vec<Vec<cnn_stack_nn::WeightStorage>> {
+        self.rungs.iter().map(|t| t.net.weight_storage()).collect()
+    }
+}
+
+#[cfg(test)]
+pub(crate) mod tests {
     use super::*;
     use crate::clock::ManualClock;
-    use cnn_stack_nn::{Conv2d, Flatten, Linear, ReLU};
-    use std::sync::atomic::{AtomicU64, Ordering};
+    use cnn_stack_nn::{BatchNorm2d, Conv2d, Flatten, Linear, ReLU};
 
-    fn tiny_net(seed: u64) -> Network {
+    /// Conv + live batch norm (so compiling folds, i.e. rewrites
+    /// weights) + classifier.
+    pub(crate) fn tiny_net(seed: u64) -> Network {
+        let mut bn = BatchNorm2d::new(4);
+        bn.gamma_mut().value.fill(1.5);
         Network::new(vec![
             Box::new(Conv2d::new(3, 4, 3, 1, 1, seed)),
+            Box::new(bn),
             Box::new(ReLU::new()),
             Box::new(Flatten::new()),
             Box::new(Linear::new(4 * 6 * 6, 5, seed + 1)),
@@ -250,7 +313,7 @@ mod tests {
         .expect("stack is non-empty")
     }
 
-    fn two_rung_cfg() -> ServeConfig {
+    pub(crate) fn two_rung_cfg() -> ServeConfig {
         ServeConfig::builder([3, 6, 6])
             .max_batch(4)
             .workers(0)
@@ -260,41 +323,50 @@ mod tests {
 
     #[test]
     fn every_rung_shares_the_first_rungs_panels() {
-        let mut shared = None;
-        let mut ladder = SessionLadder::build(
+        let clock = ManualClock::new();
+        let (template, ladder) =
+            LadderTemplate::compile(&two_rung_cfg(), LadderKind::Primary, tiny_net(7), &clock)
+                .expect("ladder builds");
+        let storage = ladder.weight_storage();
+        assert_eq!(storage.len(), 2);
+        assert_eq!(storage[0].len(), 2, "conv + linear");
+        for layer in &storage[0] {
+            assert!(layer.forms[1].is_some(), "rung 1 packed no f32 panels");
+        }
+        assert_eq!(storage[1], storage[0], "rung 2 copied or re-packed");
+        assert_eq!(template.weight_storage(), storage);
+
+        // So does every ladder stamped afterwards, and a different kind
+        // of ladder over the same model shares at least the masters.
+        let stamped = template.instantiate(&clock).expect("ladder stamps");
+        assert_eq!(stamped.weight_storage(), storage);
+        let (_, degraded) = LadderTemplate::compile(
             &two_rung_cfg(),
-            LadderKind::Primary,
-            &|| tiny_net(7),
-            &mut shared,
-            &ManualClock::new(),
+            LadderKind::Degraded,
+            template.network(),
+            &clock,
         )
-        .expect("ladder builds");
-        assert_eq!(ladder.rungs.len(), 2);
-        let first = ladder.rungs[0].session.export_panels();
-        let second = ladder.rungs[1].session.export_panels();
-        assert_eq!(first.iter().flatten().count(), 2, "conv + linear prepacks");
-        for (a, b) in first.iter().zip(&second) {
-            match (a, b) {
-                (Some(a), Some(b)) => assert!(a.ptr_eq(b), "rung 2 packed its own copy"),
-                (None, None) => {}
-                _ => panic!("rungs export different layers"),
+        .expect("degraded ladder builds");
+        for rung in degraded.weight_storage() {
+            for (layer, first) in rung.iter().zip(&storage[0]) {
+                assert_eq!(layer.master, first.master);
             }
         }
     }
 
     #[test]
-    fn irreproducible_model_factory_is_a_typed_error() {
-        let calls = AtomicU64::new(0);
-        let mut shared = None;
-        let err = SessionLadder::build(
-            &two_rung_cfg(),
-            LadderKind::Primary,
-            &|| tiny_net(calls.fetch_add(1, Ordering::Relaxed)),
-            &mut shared,
-            &ManualClock::new(),
-        )
-        .err()
-        .expect("the second rung shares nothing with the first");
-        assert!(matches!(err, ServeError::InvalidConfig(_)), "{err}");
+    fn stamped_ladders_compute_what_the_first_one_does() {
+        let clock = ManualClock::new();
+        let (template, mut first) =
+            LadderTemplate::compile(&two_rung_cfg(), LadderKind::Primary, tiny_net(7), &clock)
+                .expect("ladder builds");
+        let mut stamped = template.instantiate(&clock).expect("ladder stamps");
+        let x = Tensor::from_fn([3, 6, 6], |i| (i as f32 * 0.37).sin());
+        for n in [1, 3] {
+            let inputs = vec![&x; n];
+            let (want, _) = first.run(&inputs).expect("first ladder runs");
+            let (got, _) = stamped.run(&inputs).expect("stamped ladder runs");
+            assert_eq!(want, got, "batch of {n}");
+        }
     }
 }

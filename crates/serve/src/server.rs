@@ -12,7 +12,7 @@ use crate::clock::{Clock, MonotonicClock};
 use crate::config::ServeConfig;
 use crate::error::ServeError;
 use crate::health::{ServerHealth, WorkerHealth};
-use crate::pool::{LadderKind, PanelSet, SessionLadder};
+use crate::pool::{LadderKind, LadderTemplate, SessionLadder};
 use crate::supervisor::{lock_unpoisoned, SupervisionPolicy, WorkerSlot};
 use crate::ticket::{FailureCause, Outcome, Request, Served, ShedReason, Ticket};
 use cnn_stack_nn::{HealthReport, Network};
@@ -87,43 +87,27 @@ fn fold_health(into: &mut HealthReport, from: &HealthReport) {
 }
 
 /// Everything needed to rebuild a worker's ladders after a crash or a
-/// watchdog failover. The prepacked panel sets are frozen from the
-/// initial build, so respawns adopt the shared prepack instead of
-/// re-packing weights.
+/// watchdog failover: the ladder templates frozen at start-up. A
+/// respawn stamps replicas of the one compiled model — no model build,
+/// no plan compile, no weight pack — so it costs arenas and pre-warm
+/// runs, and a weight a dying session corrupted never reaches it (the
+/// write copied that session's layer; the templates kept the original).
 struct Respawner {
-    cfg: ServeConfig,
-    primary_panels: PanelSet,
-    degraded_panels: Option<PanelSet>,
-    build_net: Arc<dyn Fn() -> Network + Send + Sync>,
+    primary: LadderTemplate,
+    degraded: Option<LadderTemplate>,
     clock: Arc<dyn Clock>,
 }
 
 impl Respawner {
     fn primary(&self) -> Result<SessionLadder, ServeError> {
-        let mut shared = Some(self.primary_panels.clone());
-        SessionLadder::build(
-            &self.cfg,
-            LadderKind::Primary,
-            &*self.build_net,
-            &mut shared,
-            &*self.clock,
-        )
+        self.primary.instantiate(&*self.clock)
     }
 
     fn degraded(&self) -> Result<Option<SessionLadder>, ServeError> {
-        match &self.degraded_panels {
-            None => Ok(None),
-            Some(panels) => {
-                let mut shared = Some(panels.clone());
-                Ok(Some(SessionLadder::build(
-                    &self.cfg,
-                    LadderKind::Degraded,
-                    &*self.build_net,
-                    &mut shared,
-                    &*self.clock,
-                )?))
-            }
-        }
+        self.degraded
+            .as_ref()
+            .map(|t| t.instantiate(&*self.clock))
+            .transpose()
     }
 }
 
@@ -172,7 +156,7 @@ struct Worker {
 }
 
 impl Worker {
-    /// Builds a replacement worker for `slot` from the frozen prepack.
+    /// Builds a replacement worker for `slot` from the frozen templates.
     fn fresh(
         ctx: &SupervisorCtx,
         slot: Arc<WorkerSlot>,
@@ -387,7 +371,7 @@ impl Worker {
         self.slot.note_failure();
     }
 
-    /// Rebuilds both ladders in place from the frozen prepack (a
+    /// Rebuilds both ladders in place from the frozen templates (a
     /// respawn), folding the dying ladders' engine health into the
     /// base so history survives. Leaves the worker untouched on error.
     fn rebuild(&mut self) -> Result<(), ServeError> {
@@ -540,19 +524,21 @@ pub struct Server {
 }
 
 impl Server {
-    /// Builds the session pool (one ladder per worker, all sharing one
-    /// prepack — two ladders per worker when a breaker is configured),
-    /// pre-warms every session, and starts the batch workers plus the
-    /// supervision monitor. `build_net` must produce
-    /// identically-initialised networks — it is called once per session
-    /// replica, including respawns after a crash.
+    /// Builds the session pool (one ladder per worker — two when a
+    /// breaker is configured), pre-warms every session, and starts the
+    /// batch workers plus the supervision monitor. `build_net` is
+    /// called exactly once, here: every session the server ever runs —
+    /// each rung, each worker, each respawn after a crash or failover —
+    /// is a copy-on-write replica of the network it returns, so the
+    /// server holds one physical copy of the weights and of each
+    /// prepacked form.
     ///
     /// # Errors
     ///
     /// Propagates plan-compilation or session-construction failures.
     pub fn start<F>(cfg: ServeConfig, build_net: F) -> Result<Self, ServeError>
     where
-        F: Fn() -> Network + Send + Sync + 'static,
+        F: FnOnce() -> Network + Send + 'static,
     {
         Self::start_with_clock(cfg, Arc::new(MonotonicClock::new()), build_net)
     }
@@ -567,7 +553,7 @@ impl Server {
         build_net: F,
     ) -> Result<Self, ServeError>
     where
-        F: Fn() -> Network + Send + Sync + 'static,
+        F: FnOnce() -> Network + Send + 'static,
     {
         let worker_count = cfg.workers().max(1);
         let (tx, rx) = mpsc::sync_channel::<Request>(cfg.queue_depth());
@@ -594,44 +580,30 @@ impl Server {
             Arc::clone(&clock),
             cfg.batch_policy(),
         )));
-        let build_net: Arc<dyn Fn() -> Network + Send + Sync> = Arc::new(build_net);
 
-        // Build every ladder up front on this thread: the first session
-        // exports its prepacked panels and all later replicas adopt
-        // them, so the whole pool shares one prepack per plan kind.
-        // The panel sets are then frozen in the respawner, making
-        // post-crash rebuilds adopt-only too.
-        let mut primary_panels: Option<PanelSet> = None;
-        let mut degraded_panels: Option<PanelSet> = None;
-        let mut ladders = Vec::new();
-        for _ in 0..worker_count {
-            let primary = SessionLadder::build(
-                &cfg,
-                LadderKind::Primary,
-                &*build_net,
-                &mut primary_panels,
-                &*clock,
-            )?;
-            let degraded = if inner.breaker.is_some() {
-                Some(SessionLadder::build(
-                    &cfg,
-                    LadderKind::Degraded,
-                    &*build_net,
-                    &mut degraded_panels,
-                    &*clock,
-                )?)
-            } else {
-                None
-            };
-            ladders.push((primary, degraded));
-        }
+        // Build and compile on this thread, once: the first worker's
+        // ladders are the sessions the plans were prepared on, every
+        // other worker's are stamped from the templates, which are then
+        // frozen in the respawner for post-crash rebuilds.
+        let (primary, first_primary) =
+            LadderTemplate::compile(&cfg, LadderKind::Primary, build_net(), &*clock)?;
+        let (degraded, first_degraded) = inner
+            .breaker
+            .as_ref()
+            .map(|_| {
+                LadderTemplate::compile(&cfg, LadderKind::Degraded, primary.network(), &*clock)
+            })
+            .transpose()?
+            .unzip();
         let respawner = Arc::new(Respawner {
-            cfg: cfg.clone(),
-            primary_panels: primary_panels.expect("first ladder exports its panels"),
-            degraded_panels,
-            build_net,
+            primary,
+            degraded,
             clock: Arc::clone(&clock),
         });
+        let mut ladders = vec![(first_primary, first_degraded)];
+        for _ in 1..worker_count {
+            ladders.push((respawner.primary()?, respawner.degraded()?));
+        }
         let ctx = Arc::new(SupervisorCtx {
             inner: Arc::clone(&inner),
             batcher: Arc::clone(&batcher),
@@ -956,5 +928,91 @@ impl Server {
 impl Drop for Server {
     fn drop(&mut self) {
         self.shutdown_in_place();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::breaker::BreakerPolicy;
+    use crate::clock::ManualClock;
+    use crate::pool::tests::tiny_net;
+
+    fn manual_server(cfg: ServeConfig) -> Server {
+        Server::start_with_clock(cfg, Arc::new(ManualClock::new()), || tiny_net(7))
+            .expect("tiny net compiles and serves")
+    }
+
+    /// Every session the server runs — at start and after each respawn,
+    /// on either kind of ladder — reads the buffers the frozen
+    /// templates hold: one physical model per server.
+    #[test]
+    fn every_respawn_shares_the_templates_storage() {
+        let cfg = ServeConfig::builder([3, 6, 6])
+            .max_batch(4)
+            .workers(0)
+            .breaker(BreakerPolicy::default())
+            .build()
+            .expect("test config is valid");
+        let server = manual_server(cfg);
+        let respawner = &server.ctx.respawner;
+        let primary = respawner.primary.weight_storage();
+        let degraded = respawner
+            .degraded
+            .as_ref()
+            .expect("a breaker is configured")
+            .weight_storage();
+        for (p, d) in primary.iter().flatten().zip(degraded.iter().flatten()) {
+            assert_eq!(p.master, d.master, "the degraded ladder copied a master");
+        }
+        let mut worker = lock_unpoisoned(server.manual.as_ref().expect("workers(0)"));
+        for respawn in 0..3 {
+            if respawn > 0 {
+                worker.rebuild().expect("respawn succeeds");
+            }
+            assert_eq!(worker.primary.weight_storage(), primary);
+            let live = worker.degraded.as_ref().expect("a breaker is configured");
+            assert_eq!(live.weight_storage(), degraded);
+        }
+    }
+
+    /// A weight fault in one rung's session copies that one layer: the
+    /// sibling rung and the templates keep the original, so the sibling
+    /// computes the same bits and a respawn brings the pristine rung
+    /// back.
+    #[cfg(feature = "fault-inject")]
+    #[test]
+    fn a_weight_fault_stays_in_its_rung_and_dies_with_it() {
+        let server = manual_server(crate::pool::tests::two_rung_cfg());
+        let template = server.ctx.respawner.primary.weight_storage();
+        let mut worker = lock_unpoisoned(server.manual.as_ref().expect("workers(0)"));
+        let x = Tensor::from_fn([3, 6, 6], |i| (i as f32 * 0.37).sin());
+        let run = |worker: &mut Worker, n: usize| {
+            let (outputs, _) = worker.primary.run(&vec![&x; n]).expect("rung runs");
+            outputs
+        };
+        let pristine = [run(&mut worker, 1), run(&mut worker, 3)];
+
+        // Flip the sign of the first conv weight in the batch-1 rung.
+        let flip = cnn_stack_nn::FaultPlan::new().bit_flip_weight(0, 0, 0, 31);
+        worker.primary.inject_rung_faults(0, flip);
+        let storage = worker.primary.weight_storage();
+        assert_ne!(storage[0][0].master, template[0][0].master);
+        assert_eq!(
+            storage[0][1], template[0][1],
+            "the linear layer was not written"
+        );
+        assert_eq!(storage[1], template[1], "the batch-4 rung was not written");
+        assert_ne!(
+            run(&mut worker, 1),
+            pristine[0],
+            "the flip changes the output"
+        );
+        assert_eq!(run(&mut worker, 3), pristine[1]);
+
+        worker.rebuild().expect("respawn succeeds");
+        assert_eq!(worker.primary.weight_storage(), template);
+        assert_eq!(run(&mut worker, 1), pristine[0]);
+        assert_eq!(run(&mut worker, 3), pristine[1]);
     }
 }

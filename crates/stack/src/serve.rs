@@ -5,8 +5,8 @@
 //! [`runner::evaluate`](crate::runner::evaluate) answers "how fast is
 //! one inference of this cell"; this module answers "what does this
 //! cell sustain under open-loop traffic" by materialising the cell's
-//! network once per session replica and handing it to the serving
-//! layer.
+//! network once and handing it to the serving layer, which runs every
+//! session on a replica of it.
 
 use crate::build::try_materialise;
 use crate::config::StackConfig;
@@ -32,13 +32,6 @@ pub fn serve_cell(
     width: f64,
     serve_cfg: ServeConfig,
 ) -> Result<Server, ServeError> {
-    // Validate the cell once up front so a bad operating point surfaces
-    // here as an error instead of panicking inside a replica build.
-    try_materialise(cfg, width)?;
-    let cfg = *cfg;
-    Server::start(serve_cfg, move || {
-        try_materialise(&cfg, width)
-            .expect("validated above; materialisation is deterministic")
-            .network
-    })
+    let model = try_materialise(cfg, width)?;
+    Server::start(serve_cfg, move || model.network)
 }

@@ -8,8 +8,8 @@
 
 use cnn_stack::models::ModelKind;
 use cnn_stack::nn::{
-    Conv2d, Error, ExecConfig, Flatten, InferencePlan, InferenceSession, Layer, Linear, MaxPool2d,
-    Network, Phase, PlanCompiler, PlanError, ReLU,
+    Conv2d, ConvAlgorithm, Error, ExecConfig, Flatten, GuardConfig, InferencePlan,
+    InferenceSession, Layer, Linear, MaxPool2d, Network, Phase, PlanCompiler, PlanError, ReLU,
 };
 use cnn_stack::tensor::Tensor;
 use proptest::prelude::*;
@@ -260,6 +260,48 @@ fn session_profile_rows_align_with_descriptors() {
         session.reset_profile();
         assert_eq!(session.profile().runs(), 0);
         assert_eq!(session.profile().rows().len(), descs.len());
+    }
+}
+
+/// `Network::replica` on all three paper models — plain stacks,
+/// `ResidualBlock` children, depthwise stages: compiling and preparing
+/// a replica of a compiled network rewrites and packs nothing (every
+/// master and every built form keeps the source's address), and the
+/// two sessions compute the same bits.
+#[test]
+fn replicas_of_paper_models_share_storage_and_bit_match() {
+    let cfg = ExecConfig {
+        conv_algo: ConvAlgorithm::Im2col,
+        ..ExecConfig::serial()
+    };
+    let input = Tensor::from_fn([2, 3, 32, 32], |i| {
+        ((i as u64 * 2654435761) % 197) as f32 * 0.01 - 1.0
+    });
+    let compile = |mut net: Network| {
+        let plan = PlanCompiler::standard()
+            .run(&mut net, input.shape().dims(), &cfg)
+            .expect("paper models accept CIFAR-shaped input");
+        InferenceSession::owned(net, plan, GuardConfig::Off).expect("plan matches this network")
+    };
+    for kind in ModelKind::all() {
+        let mut source = compile(kind.build_width(10, 0.25).network);
+        let storage = source.network().weight_storage();
+        assert!(
+            storage.iter().all(|s| s.forms[1].is_some()),
+            "{}: every conv and linear layer is packed",
+            kind.name()
+        );
+        let mut replica = compile(source.network().replica());
+        assert_eq!(
+            replica.network().weight_storage(),
+            storage,
+            "{}: the replica copied or re-packed a layer",
+            kind.name()
+        );
+        let bits = |t: Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let want = bits(source.run(&input).expect("input matches plan"));
+        let got = bits(replica.run(&input).expect("input matches plan"));
+        assert_eq!(got, want, "{}: outputs diverge", kind.name());
     }
 }
 

@@ -1,13 +1,18 @@
-//! Derived weight forms track the master, whatever happens to it.
+//! Derived weight forms track the master, whatever happens to it — and
+//! to any replica sharing it.
 //!
 //! `Conv2d` and `Linear` derive up to three storage forms (CSR, packed
 //! f32 panels, ternary/int8 codes) from `(master weights, format
-//! label)`. One property covers the lifecycle: after *any* sequence of
-//! weight writes, relabels, surgery, warm-ups, adoptions and TTQ
-//! reprojections, every kernel computes exactly what a freshly
-//! constructed layer holding the same master and label computes — under
-//! all four weight routes, over NaN-poisoned scratch of exactly the one
-//! bound the layer states. `ci.sh` runs this file under both
+//! label)`, and a replica shares the master and the built forms instead
+//! of copying them. One property covers the lifecycle: after *any*
+//! interleaving of weight writes, relabels, surgery, warm-ups, replicas
+//! and TTQ reprojections on a layer and its replica, every kernel of
+//! each side computes exactly what a freshly constructed layer holding
+//! that side's master and label computes — under all four weight
+//! routes, over NaN-poisoned scratch of exactly the one bound the layer
+//! states — and the two sides share a buffer exactly when they may:
+//! the master until either side writes, a form only while master and
+//! label agree. `ci.sh` runs this file under both
 //! `CNN_STACK_GEMM_FORCE_SCALAR` settings. The named cases pin
 //! sequences that were once hand-written tests (or bugs) as fixed
 //! inputs of the same check.
@@ -16,8 +21,8 @@ use cnn_stack::compress::for_each_weight_param;
 use cnn_stack::compress::ttq::reproject;
 use cnn_stack::nn::network::set_network_format;
 use cnn_stack::nn::{
-    adopt_panels, export_panels, Conv2d, ConvAlgorithm, ExecConfig, Layer, Linear, Network,
-    WeightFormat,
+    Conv2d, ConvAlgorithm, ExecConfig, Flatten, Layer, Linear, Network, ReLU, WeightFormat,
+    WeightStorage,
 };
 use cnn_stack::tensor::{GemmAlgorithm, Tensor};
 use proptest::prelude::*;
@@ -76,8 +81,8 @@ enum Op {
     Remove(u64),
     /// `prepare` under `cfgs()[i]`.
     Prepare(usize),
-    /// Adopt what a fresh twin exports after preparing under `cfgs()[i]`.
-    Adopt(usize),
+    /// Become a replica of the other side, built forms included.
+    Replica,
     /// TTQ re-projection at one of three thresholds.
     Reproject(u64),
 }
@@ -89,13 +94,13 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         2 => SetFormat([Dense, Csr, Ternary, Int8][seed as usize % 4]),
         3 => Remove(seed),
         4 => Prepare(seed as usize % 4),
-        5 => Adopt(seed as usize % 4),
+        5 => Replica,
         _ => Reproject(seed),
     })
 }
 
 /// The layer under test, as a one-layer network so the network-level
-/// passes (`reproject`, `set_network_format`, panel sharing) reach it.
+/// passes (`reproject`, `set_network_format`, `replica`) reach it.
 struct Subject(Network);
 
 impl Subject {
@@ -153,6 +158,16 @@ impl Subject {
         out.iter().map(|v| v.to_bits()).collect()
     }
 
+    /// Which buffers the layer's weights live in.
+    fn storage(&self) -> WeightStorage {
+        self.0.weight_storage()[0]
+    }
+
+    fn format(&self) -> WeightFormat {
+        self.layer().descriptor(self.input().shape().dims()).format
+    }
+
+    /// Applies a one-sided `op` (`Pair::step` handles `Replica`).
     fn apply(&mut self, op: Op) {
         match op {
             WeightMut(seed) => {
@@ -175,13 +190,7 @@ impl Subject {
                 }
             }
             Prepare(i) => self.layer_mut().prepare(&cfgs()[i]),
-            Adopt(i) => {
-                let mut twin = self.fresh_twin();
-                twin.layer_mut().prepare(&cfgs()[i]);
-                let offered = export_panels(&mut twin.0);
-                let adopted = adopt_panels(&mut self.0, &offered);
-                assert_eq!(adopted, offered.iter().flatten().count(), "twin refused");
-            }
+            Replica => unreachable!("needs the other side"),
             Reproject(seed) => {
                 reproject(&mut self.0, [0.05, 0.2, 0.4][seed as usize % 3]);
             }
@@ -202,24 +211,98 @@ impl Subject {
                 cfg.gemm_algo,
             );
         }
-        if self.layer().descriptor(x.shape().dims()).format == Ternary {
+        if self.format() == Ternary {
             assert!(self.run(&x, &cfgs()[2]) == self.run(&x, &cfgs()[1]));
         }
     }
 }
 
-/// Applies `ops` to a conv and a linear layer, checking after each.
-fn check_sequence(ops: &[Op]) {
-    for mut subject in [
-        Subject::of(Conv2d::new(3, 5, 3, 1, 1, 9)),
-        Subject::of(Linear::new(12, 7, 5)),
-    ] {
-        subject.check(&[]);
-        for (i, &op) in ops.iter().enumerate() {
-            subject.apply(op);
-            subject.check(&ops[..=i]);
+/// A layer and its replica. The model of what they may share is two
+/// lines: a `Replica` op shares the master, a write to either side
+/// un-shares it for good (until the next `Replica`).
+struct Pair {
+    sides: [Subject; 2],
+    master_shared: bool,
+}
+
+impl Pair {
+    fn of(layer: impl Layer) -> Pair {
+        let source = Subject::of(layer);
+        let replica = Subject(source.0.replica());
+        Pair {
+            sides: [source, replica],
+            master_shared: true,
         }
     }
+
+    /// Applies `op` to side `on`, then checks both sides' kernels and
+    /// what the sides share.
+    fn step(&mut self, on: usize, op: Op, after: &[(usize, Op)]) {
+        let [a, b] = &mut self.sides;
+        let (subject, other) = if on == 0 { (a, &*b) } else { (b, &*a) };
+        let (before, bystander) = (subject.storage(), other.storage());
+        match op {
+            Replica => subject.0 = other.0.replica(),
+            _ => subject.apply(op),
+        }
+        let now = subject.storage();
+        // `Remove` writes unless the layer is down to one channel.
+        let wrote = match op {
+            WeightMut(_) | ParamsMut(_) | Reproject(_) => true,
+            Remove(_) => now.master != before.master,
+            Replica | SetFormat(_) | Prepare(_) => false,
+        };
+        if wrote {
+            assert_eq!(now.forms, [None; 3], "a write drops every form");
+            self.master_shared = false;
+        } else if let Replica = op {
+            assert_eq!(now, bystander, "a replica shares everything built");
+            self.master_shared = true;
+        } else {
+            assert_eq!(now.master, before.master, "{op:?} is not a write");
+        }
+        assert_eq!(other.storage(), bystander, "{op:?} reached the other side");
+
+        let [a, b] = &self.sides;
+        let (sa, sb) = (a.storage(), b.storage());
+        assert_eq!(
+            sa.master == sb.master,
+            self.master_shared,
+            "master sharing after {after:?}"
+        );
+        for (fa, fb) in sa.forms.iter().zip(&sb.forms) {
+            if fa.is_some() && fa == fb {
+                assert!(
+                    self.master_shared && a.format() == b.format(),
+                    "a form outlived the master or label it was derived from, after {after:?}"
+                );
+            }
+        }
+        let ops: Vec<Op> = after.iter().map(|&(_, op)| op).collect();
+        a.check(&ops);
+        b.check(&ops);
+    }
+}
+
+/// Applies `ops` to a conv and a linear layer (or to its replica, per
+/// the side index), checking both sides after each.
+fn check_interleaving(ops: &[(usize, Op)]) {
+    for mut pair in [
+        Pair::of(Conv2d::new(3, 5, 3, 1, 1, 9)),
+        Pair::of(Linear::new(12, 7, 5)),
+    ] {
+        pair.sides[0].check(&[]);
+        pair.sides[1].check(&[]);
+        for (i, &(on, op)) in ops.iter().enumerate() {
+            pair.step(on, op, &ops[..=i]);
+        }
+    }
+}
+
+/// The single-layer lifecycle: every op on the source side.
+fn check_sequence(ops: &[Op]) {
+    let ops: Vec<(usize, Op)> = ops.iter().map(|&op| (0, op)).collect();
+    check_interleaving(&ops);
 }
 
 proptest! {
@@ -227,9 +310,9 @@ proptest! {
 
     #[test]
     fn derived_forms_equal_a_fresh_layers_after_any_sequence(
-        ops in collection::vec(op_strategy(), 1..8),
+        ops in collection::vec((0usize..2, op_strategy()), 1..8),
     ) {
-        check_sequence(&ops);
+        check_interleaving(&ops);
     }
 }
 
@@ -246,7 +329,7 @@ macro_rules! pinned {
 
 pinned! {
     conv_ternary_snapshot_bit_matches_f32_packed: [WeightMut(TERNARY_A), SetFormat(Ternary), Prepare(2)];
-    linear_ternary_snapshot_bit_matches_f32_packed: [SetFormat(Ternary), ParamsMut(TERNARY_B), Adopt(2)];
+    linear_ternary_snapshot_bit_matches_f32_packed: [SetFormat(Ternary), ParamsMut(TERNARY_B), Prepare(2)];
     conv_weight_mut_drops_stale_ternary_panels:
         [WeightMut(TERNARY_A), SetFormat(Ternary), Prepare(2), WeightMut(TERNARY_B)];
     linear_weight_mut_drops_stale_ternary_panels:
@@ -265,41 +348,59 @@ pinned! {
         [SetFormat(Csr), Prepare(0), ParamsMut(ZERO), ParamsMut(MIXED)];
 }
 
+/// A replica reads the source's buffers, not equal copies of them;
+/// each side's label is its own; and in a multi-layer network a write
+/// un-shares exactly the layer written.
 #[test]
-fn adoption_shares_storage_and_rejects_foreign_donors() {
-    let build = |in_features, fill_seed, format| {
-        let mut subject = Subject::of(Linear::new(in_features, 7, 31));
-        subject.apply(WeightMut(fill_seed));
-        subject.apply(SetFormat(format));
-        subject
-    };
+fn replica_shares_storage_until_written() {
     let ternary = cfgs()[2];
-    let mut donor = build(12, TERNARY_A, Ternary);
-    donor.apply(Prepare(2));
-    let panels = export_panels(&mut donor.0);
-    assert_eq!(panels.iter().flatten().count(), 1);
+    let mut source = Subject::of(Linear::new(12, 7, 31));
+    source.apply(WeightMut(TERNARY_A));
+    source.apply(SetFormat(Ternary));
+    source.apply(Prepare(2));
+    assert!(
+        source.storage().forms[2].is_some(),
+        "ternary codes are built"
+    );
 
-    // A replica holding the same weights shares the donor's buffers.
-    let mut replica = build(12, TERNARY_A, Ternary);
-    assert_eq!(adopt_panels(&mut replica.0, &panels), 1);
-    let shared = export_panels(&mut replica.0);
-    assert!(shared[0]
-        .as_ref()
-        .unwrap()
-        .ptr_eq(panels[0].as_ref().unwrap()));
+    let mut replica = Subject(source.0.replica());
+    assert_eq!(replica.storage(), source.storage());
     let x = replica.input();
-    assert_eq!(replica.run(&x, &ternary), donor.run(&x, &ternary));
+    assert_eq!(replica.run(&x, &ternary), source.run(&x, &ternary));
 
-    // Same shape, same label, other weights: refused, and the layer
-    // computes exactly what it computes cold.
-    let cold = build(12, TERNARY_B, Ternary).run(&x, &ternary);
-    let mut foreign = build(12, TERNARY_B, Ternary);
-    assert_eq!(adopt_panels(&mut foreign.0, &panels), 0);
-    assert_eq!(foreign.run(&x, &ternary), cold);
-    assert_ne!(cold, donor.run(&x, &ternary));
+    // A relabel is per side and copies nothing.
+    replica.apply(SetFormat(Dense));
+    assert_eq!(replica.storage().master, source.storage().master);
+    assert_eq!(replica.storage().forms, [None; 3]);
+    assert!(source.storage().forms[2].is_some());
+    assert_eq!(source.format(), Ternary);
 
-    // Other label, other shape: refused.
-    for mut misfit in [build(12, TERNARY_A, Dense), build(10, TERNARY_A, Ternary)] {
-        assert_eq!(adopt_panels(&mut misfit.0, &panels), 0);
+    // A write copies: the source computes what it did.
+    let before = source.run(&x, &ternary);
+    replica.apply(WeightMut(TERNARY_B));
+    assert_ne!(replica.storage().master, source.storage().master);
+    assert_eq!(source.run(&x, &ternary), before);
+    assert_ne!(replica.run(&x, &ternary), before);
+
+    let mut net = Network::new(vec![
+        Box::new(Conv2d::new(3, 4, 3, 1, 1, 1)),
+        Box::new(ReLU::new()),
+        Box::new(Conv2d::new(4, 4, 3, 1, 1, 2)),
+        Box::new(Flatten::new()),
+        Box::new(Linear::new(4 * 6 * 6, 5, 3)),
+    ])
+    .unwrap();
+    for layer in net.layers_mut() {
+        layer.prepare(&cfgs()[1]);
     }
+    let mut twin = net.replica();
+    assert_eq!(twin.weight_storage(), net.weight_storage());
+    let middle = twin.layers_mut()[2].as_any_mut();
+    let middle = middle.downcast_mut::<Conv2d>().unwrap();
+    middle.weight_mut().value.fill(0.5);
+    let (ours, theirs) = (twin.weight_storage(), net.weight_storage());
+    assert_ne!(ours[1].master, theirs[1].master);
+    assert_eq!(ours[1].forms, [None; 3]);
+    assert!(theirs[1].forms[1].is_some(), "the source keeps its panels");
+    assert_eq!((ours[0], ours[2]), (theirs[0], theirs[2]));
 }

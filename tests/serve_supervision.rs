@@ -17,9 +17,8 @@ use std::time::Duration;
 const SHAPE: [usize; 3] = [3, 8, 8];
 const MAX_DELAY: Duration = Duration::from_millis(5);
 
-/// A small conv net; deterministic for a given seed, so every session
-/// replica the server builds — including post-crash respawns — is
-/// identical.
+/// A small conv net. The server builds it once; every session it runs,
+/// post-crash respawns included, is a replica of that one network.
 fn small_net(seed: u64) -> Network {
     Network::new(vec![
         Box::new(Conv2d::new(3, 6, 3, 1, 1, seed)),
@@ -366,6 +365,81 @@ fn breaker_trips_to_degraded_ladder_then_recovers_through_probe() {
         health.is_clean(),
         "a brownout degrades fidelity but is not a fault"
     );
+}
+
+// ---------------------------------------------------------------------
+// One model per server.
+
+/// `build_net` runs exactly once in a server's life — both ladders of a
+/// breaker-equipped server at start-up, and (with `fault-inject`) a
+/// crash respawn and a watchdog failover, are replicas of the network
+/// it returned — and a respawned worker computes, bit for bit, what the
+/// first one did.
+#[test]
+fn build_net_runs_once_for_the_servers_whole_life() {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    let clock = ManualClock::new();
+    let cfg = ServeConfig::builder(SHAPE)
+        .max_batch(4)
+        .max_delay(MAX_DELAY)
+        .workers(0)
+        .observer(ObsLevel::Off)
+        .supervision(test_supervision())
+        .breaker(BreakerPolicy::default())
+        .build()
+        .expect("test config is valid");
+    let builds = Arc::new(AtomicUsize::new(0));
+    let counter = Arc::clone(&builds);
+    let server = Server::start_with_clock(cfg, Arc::new(clock.clone()), move || {
+        counter.fetch_add(1, Ordering::Relaxed);
+        small_net(7)
+    })
+    .expect("small net compiles and serves");
+
+    // One batch of two (the batch-4 rung) and, after it, one single
+    // (the batch-1 rung).
+    let round = |server: &Server| -> Vec<Tensor> {
+        let pair: Vec<Ticket> = (0..2)
+            .map(|i| server.submit(request_input(i)).unwrap())
+            .collect();
+        assert!(server.pump());
+        let single = server.submit(request_input(2)).unwrap();
+        assert!(server.pump());
+        let served = pair.into_iter().chain([single]).map(served);
+        served.map(|s| s.output).collect()
+    };
+    let pristine = round(&server);
+    assert_eq!(builds.load(Ordering::Relaxed), 1);
+
+    #[cfg(feature = "fault-inject")]
+    {
+        use cnn_stack::nn::FaultPlan;
+
+        // Batches 0 and 1 ran above: crash the next, hang the one after
+        // the respawn.
+        server.inject_serve_faults(FaultPlan::new().crash_serve_batch(2).hang_serve_batch(3));
+        let doomed = server.submit(request_input(0)).unwrap();
+        assert!(server.pump());
+        assert!(matches!(
+            doomed.wait().outcome,
+            Outcome::Failed(FailureCause::WorkerCrashed(_))
+        ));
+        clock.advance(test_supervision().backoff_base);
+        let hung = server.submit(request_input(0)).unwrap();
+        assert!(server.pump(), "respawn, then wedge");
+        clock.advance(test_supervision().hang_floor + Duration::from_millis(1));
+        assert_eq!(server.supervise(), 1);
+        assert!(matches!(
+            hung.wait().outcome,
+            Outcome::Failed(FailureCause::BatchHung)
+        ));
+        assert_eq!(server.health().respawns, 2);
+    }
+
+    assert_eq!(round(&server), pristine, "a respawn changed the model");
+    assert_eq!(server.shutdown().served, 6);
+    assert_eq!(builds.load(Ordering::Relaxed), 1);
 }
 
 // ---------------------------------------------------------------------

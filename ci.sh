@@ -7,25 +7,26 @@ cd "$(dirname "$0")"
 # so CI never needs the network.
 export CARGO_NET_OFFLINE=true
 
-# Cross-algorithm convolution conformance: every algorithm (direct,
-# im2col over both GEMM engines, Winograd F(2x2)/F(4x4), FFT, CSR)
-# against the naive reference under per-algorithm error budgets, plus
-# the transform-ladder fault-injection rungs and a tiny-shape pass
-# through the conv-algo bench harness. The full bench run (which
+# Cross-algorithm convolution conformance: every conv row of the kernel
+# registry (direct, im2col over the packed/scalar/ternary GEMM engines,
+# Winograd F(2x2)/F(4x4), FFT, both CSR kernels) against the naive
+# reference under per-kernel error budgets, the registry's own table
+# tests, the transform-ladder fault-injection rungs and a tiny-shape
+# pass through the conv-algo bench harness. The full bench run (which
 # regenerates BENCH_conv.json and enforces the FFT-beats-im2col and
 # F4 >= 1.3x F2 gates) is manual.
-conv_conformance() {
+#
+# `./ci.sh conv-conformance` runs just this job (fast inner loop for
+# kernel work). The full gate below does not call it: its test
+# invocations are subsets of the `tests` and `fault-injection tests`
+# stages, so only the bench smoke runs again there.
+if [[ "${1:-all}" == "conv-conformance" ]]; then
   echo "== conv-conformance =="
   cargo test -q --test conv_conformance
+  cargo test -q -p cnn-stack-nn algo::
   cargo test -q --features fault-inject --test fault_injection fft
   cargo test -q --features fault-inject --test fault_injection winograd4
   BENCH_SMOKE=1 cargo bench -p cnn-stack-bench --bench conv_algo
-}
-
-# `./ci.sh conv-conformance` runs just that job (fast inner loop for
-# kernel work); no argument runs the whole tier-1 gate.
-if [[ "${1:-all}" == "conv-conformance" ]]; then
-  conv_conformance
   echo "ci: conv-conformance green"
   exit 0
 fi
@@ -42,28 +43,79 @@ echo "== e2e-smoke =="
 cargo test --release --offline --manifest-path e2e/Cargo.toml
 
 echo "== tests =="
+# Every unit, integration and doc test of every crate under default
+# features. The stages this one run carries, so none of them is invoked
+# a second time below:
+# * gemm equivalence (proptest): the packed/SIMD GEMM engine agrees with
+#   the naive reference on arbitrary shapes, incl. non-finite
+#   propagation.
+# * plan-passes: fusion equivalence (property-based, incl. non-finite
+#   inputs), pointwise fast path, residual cache invalidation, the
+#   tuning-cache replay regressions.
+# * obs-golden: serial traced sessions reproduce the checked-in
+#   deterministic text traces (regenerate intentionally with
+#   CNN_STACK_BLESS=1).
+# * kernel-proptest: kernels vs naive references (depthwise across both
+#   loop orders and thread counts, pooling, ReLU, the fused im2col
+#   packers vs im2col-then-pack, incl. the NaN/Inf corners) and
+#   metrics-vs-truth (gemm.flops == analytic MACs, clean runs never trip
+#   the guard, pool runs what it queues).
+# * serve-tests: deterministic ManualClock batching/shedding semantics
+#   and the serve crate's own unit + doc tests; serve-chaos's
+#   default-feature half: a counting `build_net` runs once across start,
+#   crash respawn and watchdog failover (serve_supervision).
+# * quant-proptest: the 2-bit spmm and the ternary/int8 packed GEMM
+#   engines vs their f32/exact-integer references (incl. the 0*NaN
+#   propagation policy), plus the derived-weight-form property: after
+#   any interleaving of weight writes, relabels, channel surgery,
+#   prepares, replicas and TTQ reprojections on a conv/linear layer and
+#   its replica, every kernel of each side equals a freshly built
+#   layer's, bit for bit, and the sides share storage exactly while they
+#   may.
+# * plan-memory: coloured-arena bit-identity vs unshared per-step
+#   buffers (property-based, incl. non-finite payloads), the VGG-16
+#   budget acceptance scenario, budget-infeasibility floor reporting,
+#   "every budgeted plan runs inside its arena with zero steady-state
+#   allocations" (engine_session, which owns the counting allocator),
+#   and the liveness/colouring unit tests.
+# * conv-conformance and the kernel registry's table tests
+#   (`nn::algo::tests`).
 cargo test --workspace -q
 
 echo "== fault-injection tests =="
 # The injector only compiles under this feature; the run above doubles
 # as the proof that the default build excludes it (the
 # `default_build_excludes_fault_injection` unit test asserts a
-# zero-sized no-op FaultPlan when the feature is off).
+# zero-sized no-op FaultPlan when the feature is off). Under the feature
+# the root package re-runs every integration test, which carries: the
+# guard ladder (tests/fault_injection.rs, incl. the FFT and Winograd
+# rungs), the fault-injected co-batch integrity proof (serve_batching),
+# and the self-healing runtime's deterministic ManualClock supervision
+# tests (serve_supervision: worker-panic -> typed failures + respawn,
+# hung-batch watchdog failover, crash-loop backoff caps, breaker trip ->
+# degraded -> half-open recovery). The serve crate's run carries the
+# one-model-per-server proofs: every rung before and after each respawn
+# reads the frozen templates' buffers while an injected weight fault
+# stays in its rung.
 cargo test -q --features fault-inject
 cargo test -q -p cnn-stack-nn --features fault-inject
+cargo test -q -p cnn-stack-serve --features fault-inject
+
+echo "== plan-passes (pinned tune cache) =="
+# A deterministic autotune smoke with the cache pinned through the
+# environment to a temp dir, so the runner's real cache is never
+# touched.
+TUNE_DIR="$(mktemp -d)"
+CNN_STACK_TUNE_CACHE="$TUNE_DIR/tune.tsv" cargo test -q -p cnn-stack-nn passes::tests::autotune
+rm -rf "$TUNE_DIR"
 
 echo "== gemm bench smoke =="
 # Exercises the benchmark harness end to end on a tiny shape; the full
 # sweep (which regenerates BENCH_gemm.json) is run manually. It runs
-# first in the gemm stage because its first line prints
+# first of the bench stages because its first line prints
 # `gemm_kernel_name()` — the tile (avx512f / avx2+fma / scalar) every
-# later stage of this log exercised.
+# other stage of this log exercised.
 BENCH_SMOKE=1 cargo bench -p cnn-stack-bench --bench gemm
-
-echo "== gemm equivalence (proptest) =="
-# The packed/SIMD GEMM engine must agree with the naive reference on
-# arbitrary shapes, including non-finite propagation.
-cargo test -q --test gemm_equivalence
 
 echo "== kernels bench smoke =="
 # Five samples of every Criterion group in benches/kernels.rs: the
@@ -73,46 +125,10 @@ echo "== kernels bench smoke =="
 # off the numbers; the full run is manual.
 BENCH_SMOKE=1 cargo bench -p cnn-stack-bench --bench kernels
 
-echo "== plan-passes =="
-# Pass-based plan compiler: fusion equivalence (property-based, incl.
-# non-finite inputs), pointwise fast path, residual cache invalidation,
-# and a deterministic autotune smoke with the cache pinned to a temp
-# dir so the runner's real cache is never touched.
-cargo test -q --test plan_passes
-cargo test -q -p cnn-stack-nn passes::
-TUNE_DIR="$(mktemp -d)"
-CNN_STACK_TUNE_CACHE="$TUNE_DIR/tune.tsv" cargo test -q -p cnn-stack-nn passes::tests::autotune
-rm -rf "$TUNE_DIR"
+echo "== plan bench smoke =="
 # End-to-end plan bench harness on a tiny width (full run regenerates
 # BENCH_plan.json manually).
 BENCH_SMOKE=1 cargo bench -p cnn-stack-bench --bench plan
-
-echo "== obs-golden =="
-# Golden-trace harness: serial traced sessions must reproduce the
-# checked-in deterministic text traces (regenerate intentionally with
-# CNN_STACK_BLESS=1).
-cargo test -q --test trace_golden
-
-echo "== kernel-proptest =="
-# Kernels vs naive references (depthwise across both loop orders and
-# thread counts, pooling, ReLU, the fused im2col packers vs
-# im2col-then-pack — incl. the NaN/Inf corners) and metrics-vs-truth (gemm.flops == analytic MACs,
-# clean runs never trip the guard, pool runs what it queues).
-cargo test -q --test kernel_proptest
-cargo test -q --test obs_metrics
-
-echo "== obs bench smoke =="
-# Tracing-off must stay within 5% of the frozen PR 4 baseline (the full
-# run, which regenerates BENCH_obs.json, enforces the 1% gate manually).
-BENCH_SMOKE=1 cargo bench -p cnn-stack-bench --bench obs
-
-echo "== serve-tests =="
-# Serving layer: deterministic ManualClock batching/shedding semantics,
-# the fault-injected co-batch integrity proof, and the serve crate's
-# own unit + doc tests.
-cargo test -q --test serve_batching
-cargo test -q --test serve_batching --features fault-inject
-cargo test -q -p cnn-stack-serve
 
 echo "== serve-bench-smoke =="
 # Tiny open-loop run through the real threaded server (width 0.25,
@@ -121,39 +137,11 @@ echo "== serve-bench-smoke =="
 BENCH_SMOKE=1 cargo bench -p cnn-stack-bench --bench serve
 
 echo "== serve-chaos =="
-# Self-healing runtime: deterministic ManualClock supervision tests
-# (worker-panic -> typed failures + respawn, hung-batch watchdog
-# failover, crash-loop backoff caps, breaker trip -> degraded ->
-# half-open recovery), then a small threaded chaos run with an injected
-# crash + hang at 1.5x capacity asserting zero lost tickets. The full
-# chaos run (which regenerates BENCH_chaos.json and enforces the
-# breaker-on < breaker-off miss-rate gate) is manual.
-# Both feature sets also carry the one-model-per-server proofs: a
-# counting `build_net` runs once across start, crash respawn and
-# watchdog failover (serve_supervision), and every rung before and after
-# each respawn reads the frozen templates' buffers while an injected
-# weight fault stays in its rung (the serve crate's unit tests; the
-# default-feature run is in serve-tests above).
-cargo test -q --test serve_supervision
-cargo test -q --test serve_supervision --features fault-inject
-cargo test -q -p cnn-stack-serve --features fault-inject
+# A small threaded chaos run with an injected crash + hang at 1.5x
+# capacity asserting zero lost tickets. The full chaos run (which
+# regenerates BENCH_chaos.json and enforces the breaker-on < breaker-off
+# miss-rate gate) is manual.
 BENCH_SMOKE=1 cargo bench -p cnn-stack-bench --bench chaos --features fault-inject
-# The mechanism replicas replaced is gone, not forked.
-if grep -rnE 'export_panels|adopt_panels|WeightPanels|PanelSet' crates src tests examples; then
-  echo "ci: the panel export/adopt API is back" >&2
-  exit 1
-fi
-
-echo "== quant-proptest =="
-# Quantised compute path: the 2-bit spmm and the ternary/int8 packed
-# GEMM engines vs their f32/exact-integer references (incl. the 0·NaN
-# propagation policy), plus the derived-weight-form property: after any
-# interleaving of weight writes, relabels, channel surgery, prepares,
-# replicas and TTQ reprojections on a conv/linear layer and its replica,
-# every kernel of each side equals a freshly built layer's, bit for bit,
-# and the sides share storage exactly while they may.
-cargo test -q --test quant_kernels
-cargo test -q --test quant_invalidation
 
 echo "== quant-bench-smoke =="
 # Tiny-shape pass through the quant bench harness, asserting the ternary
@@ -162,29 +150,24 @@ echo "== quant-bench-smoke =="
 # gate) is manual.
 BENCH_SMOKE=1 cargo bench -p cnn-stack-bench --bench quant
 
-echo "== plan-memory =="
-# Memory-budgeted planning: coloured-arena bit-identity vs unshared
-# per-step buffers (property-based, incl. non-finite payloads), the
-# VGG-16 budget acceptance scenario, budget-infeasibility floor
-# reporting, "every budgeted plan runs inside its arena with zero
-# steady-state allocations" (engine_session, which owns the counting
-# allocator), and the liveness/colouring unit tests. The smoke bench
-# exercises the memory harness end to end on a thin model; the full run
+echo "== memory bench smoke =="
+# Exercises the memory harness end to end on a thin model; the full run
 # (which regenerates BENCH_memory.json and enforces the budget-fit gate)
 # is manual.
-cargo test -q --test plan_memory
-cargo test -q --test engine_session
-cargo test -q -p cnn-stack-nn liveness::
 BENCH_SMOKE=1 cargo bench -p cnn-stack-bench --bench memory
 
-conv_conformance
+echo "== conv-algo bench smoke =="
+# The one part of the conv-conformance job the stages above have not
+# already run.
+BENCH_SMOKE=1 cargo bench -p cnn-stack-bench --bench conv_algo
 
 echo "== portable-kernels =="
 # Every dispatched kernel (packed GEMM full and half tile, ternary/int8
 # through the conformance grid, depthwise) has a portable twin that an
 # AVX2 host never runs by default; pin it and re-run the suites that
 # hold the kernels to their references (the im2col packer property in
-# kernel_proptest is ISA-independent and simply runs again). The same
+# kernel_proptest is ISA-independent and simply runs again), and the
+# registry's table tests, which drive every row's dispatch arm. The same
 # now holds one level up: on an AVX-512 host the AVX2 f32 full tile only
 # runs on odd tail panels. No variable pins it — its cover is the
 # in-crate `gemm::tests::every_kernel_agrees_at_driver_level`, which
@@ -193,6 +176,21 @@ echo "== portable-kernels =="
 CNN_STACK_GEMM_FORCE_SCALAR=1 cargo test -q \
   --test kernel_proptest --test gemm_equivalence --test conv_conformance \
   --test quant_invalidation
+CNN_STACK_GEMM_FORCE_SCALAR=1 cargo test -q -p cnn-stack-nn algo::
+
+echo "== name gates =="
+# The mechanism replicas replaced is gone, not forked.
+if grep -rnE 'export_panels|adopt_panels|WeightPanels|PanelSet' crates src tests examples; then
+  echo "ci: the panel export/adopt API is back" >&2
+  exit 1
+fi
+# One place decides which kernel a step runs (`nn::algo::resolve`): the
+# per-site re-derivations it replaced, the options nobody set and the
+# frozen obs gate stay deleted.
+if grep -rnE 'uses_packed_gemm|takes_winograd_transform|takes_fft|eval_packed_dispatch_into|layer_has_conv|layer_has_csr|layer_uses_packed_gemm|densify_layer|matches_current|honor_overrides|DemotionAction|PR4_BASELINE' crates src tests examples; then
+  echo "ci: a second copy of the kernel routing (or a deleted option) is back" >&2
+  exit 1
+fi
 
 echo "== clippy (deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings

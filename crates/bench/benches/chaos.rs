@@ -437,13 +437,6 @@ mod chaos {
         let _ = writeln!(json, "  ]");
         let _ = writeln!(json, "}}");
 
-        let path = if smoke {
-            std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-                .join("../../target/BENCH_chaos.smoke.json")
-        } else {
-            std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_chaos.json")
-        };
-        std::fs::write(&path, json).expect("write chaos bench report");
-        println!("report written to {}", path.display());
+        cnn_stack_bench::write_report("chaos", &json);
     }
 }

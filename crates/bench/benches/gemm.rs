@@ -74,11 +74,11 @@ fn random_vec(len: usize, seed: u64) -> Vec<f32> {
     (0..len).map(|_| rng.gen_range(-1.0..1.0)).collect()
 }
 
-/// Row-split driver for the algorithms without internal parallelism:
-/// each worker computes a contiguous row slab of C with `algo`.
+/// Row-split driver for the kernels without internal parallelism:
+/// each worker computes a contiguous row slab of C with `kernel`.
 #[allow(clippy::too_many_arguments)]
 fn gemm_rowsplit(
-    algo: gemm::GemmAlgorithm,
+    kernel: impl Fn(&[f32], &[f32], &mut [f32], usize, usize, usize) + Sync,
     a: &[f32],
     b: &[f32],
     c: &mut [f32],
@@ -94,7 +94,7 @@ fn gemm_rowsplit(
         // range, so the written C slabs never overlap.
         let rows = unsafe { writer.slice_mut(range.start * n, range.end * n) };
         let a_rows = &a[range.start * k..range.end * k];
-        gemm::gemm_into(a_rows, b, rows, range.len(), k, n, algo);
+        kernel(a_rows, b, rows, range.len(), k, n);
     });
 }
 
@@ -154,7 +154,7 @@ fn main() {
 
         // Correctness cross-check before timing anything.
         let mut want = vec![0.0f32; m * n];
-        gemm::gemm_into(&a, &b, &mut want, m, k, n, gemm::GemmAlgorithm::Naive);
+        gemm::gemm_naive_into(&a, &b, &mut want, m, k, n);
         gemm::gemm_packed_into(&a, &b, &mut c, m, k, n, &mut scratch, 1, Schedule::Static);
         let max_diff = want
             .iter()
@@ -172,14 +172,17 @@ fn main() {
                     "naive",
                     Box::new(|c: &mut [f32], scratch: &mut [f32], threads: usize| {
                         let _ = scratch;
-                        gemm_rowsplit(gemm::GemmAlgorithm::Naive, &a, &b, c, m, k, n, threads);
+                        gemm_rowsplit(gemm::gemm_naive_into, &a, &b, c, m, k, n, threads);
                     }) as Box<dyn Fn(&mut [f32], &mut [f32], usize)>,
                 ),
                 (
                     "blocked",
                     Box::new(|c: &mut [f32], scratch: &mut [f32], threads: usize| {
                         let _ = scratch;
-                        gemm_rowsplit(gemm::GemmAlgorithm::Blocked, &a, &b, c, m, k, n, threads);
+                        let blocked = |a: &[f32], b: &[f32], c: &mut [f32], m, k, n| {
+                            gemm::gemm_into(a, b, c, m, k, n, gemm::GemmAlgorithm::Blocked)
+                        };
+                        gemm_rowsplit(blocked, &a, &b, c, m, k, n, threads);
                     }),
                 ),
                 (
@@ -251,12 +254,5 @@ fn main() {
     }
     json.push_str("  ]\n}\n");
 
-    let path = if smoke {
-        std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-            .join("../../target/BENCH_gemm.smoke.json")
-    } else {
-        std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_gemm.json")
-    };
-    std::fs::write(&path, json).expect("write benchmark JSON");
-    println!("wrote {}", path.display());
+    cnn_stack_bench::write_report("gemm", &json);
 }

@@ -50,18 +50,15 @@ fn bench_gemm(c: &mut Criterion) {
     let mut group = group(c, "gemm_256x2304x64", 10, 2);
     let a = random([256, 2304], 1.0, 1);
     let b = random([2304, 64], 1.0, 2);
-    for (label, algo) in [
-        ("naive", gemm::GemmAlgorithm::Naive),
-        ("blocked", gemm::GemmAlgorithm::Blocked),
-        (
-            "tiled_32x32x32u4",
-            gemm::GemmAlgorithm::Tiled(TileConfig::default()),
-        ),
-    ] {
-        group.bench_function(label, |bencher| {
-            bencher.iter(|| gemm::matmul_with(&a, &b, algo))
-        });
-    }
+    group.bench_function("naive", |bencher| {
+        bencher.iter(|| gemm::matmul_naive(&a, &b))
+    });
+    group.bench_function("blocked", |bencher| {
+        bencher.iter(|| gemm::matmul_with(&a, &b, gemm::GemmAlgorithm::Blocked))
+    });
+    group.bench_function("tiled_32x32x32u4", |bencher| {
+        bencher.iter(|| gemm::matmul_tiled(&a, &b, TileConfig::default()))
+    });
     group.finish();
 }
 

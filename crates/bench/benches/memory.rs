@@ -162,12 +162,5 @@ fn main() {
     }
     json.push_str("  ]\n}\n");
 
-    let path = if smoke {
-        std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-            .join("../../target/BENCH_memory.smoke.json")
-    } else {
-        std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_memory.json")
-    };
-    std::fs::write(&path, json).expect("write benchmark JSON");
-    println!("wrote {}", path.display());
+    cnn_stack_bench::write_report("memory", &json);
 }

@@ -229,12 +229,5 @@ fn main() {
     }
     json.push_str("  ]\n}\n");
 
-    let path = if smoke {
-        std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-            .join("../../target/BENCH_plan.smoke.json")
-    } else {
-        std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_plan.json")
-    };
-    std::fs::write(&path, json).expect("write benchmark JSON");
-    println!("wrote {}", path.display());
+    cnn_stack_bench::write_report("plan", &json);
 }

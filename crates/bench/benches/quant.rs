@@ -232,12 +232,5 @@ fn main() {
     }
     json.push_str("  ]\n}\n");
 
-    let path = if smoke {
-        std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-            .join("../../target/BENCH_quant.smoke.json")
-    } else {
-        std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_quant.json")
-    };
-    std::fs::write(&path, json).expect("write benchmark JSON");
-    println!("wrote {}", path.display());
+    cnn_stack_bench::write_report("quant", &json);
 }

@@ -364,12 +364,5 @@ fn main() {
     );
     let _ = writeln!(json, "}}");
 
-    let path = if smoke {
-        std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-            .join("../../target/BENCH_serve.smoke.json")
-    } else {
-        std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_serve.json")
-    };
-    std::fs::write(&path, json).expect("write serve bench report");
-    println!("report written to {}", path.display());
+    cnn_stack_bench::write_report("serve", &json);
 }

@@ -5,8 +5,8 @@
 //! same rows/series the paper reports. This library holds the pieces
 //! they share: the Table III / Table V operating-point lookups, cell
 //! construction, and plain-text table rendering — plus the one
-//! `BENCH_SMOKE` switch and the resident-memory reading the hand-rolled
-//! benches share.
+//! `BENCH_SMOKE` switch, the report writer and the resident-memory
+//! reading the hand-rolled benches share.
 
 use cnn_stack_compress::{AccuracyModel, Technique};
 use cnn_stack_core::{CompressionChoice, PlatformChoice, StackConfig};
@@ -17,6 +17,24 @@ use cnn_stack_models::ModelKind;
 /// `target/` instead of the repository root).
 pub fn smoke() -> bool {
     std::env::var_os("BENCH_SMOKE").is_some()
+}
+
+/// Writes a hand-rolled bench's JSON report: `BENCH_<name>.json` at the
+/// repository root, or `target/BENCH_<name>.smoke.json` under
+/// [`smoke`] so a CI run never touches a checked-in report.
+///
+/// # Panics
+///
+/// Panics if the file cannot be written.
+pub fn write_report(name: &str, json: &str) {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let path = if smoke() {
+        root.join(format!("target/BENCH_{name}.smoke.json"))
+    } else {
+        root.join(format!("BENCH_{name}.json"))
+    };
+    std::fs::write(&path, json).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
+    println!("wrote {}", path.display());
 }
 
 /// Resident set size of this process in MB (`VmRSS`), or 0 where

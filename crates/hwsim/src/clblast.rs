@@ -54,7 +54,7 @@ impl TunedGemm {
         a: &cnn_stack_tensor::Tensor,
         b: &cnn_stack_tensor::Tensor,
     ) -> cnn_stack_tensor::Tensor {
-        gemm::matmul_with(a, b, gemm::GemmAlgorithm::Tiled(self.config))
+        gemm::matmul_tiled(a, b, self.config)
     }
 }
 
@@ -118,7 +118,7 @@ pub fn tune_gemm(
         let mut times = Vec::with_capacity(repeats);
         for _ in 0..repeats {
             let start = Instant::now();
-            let c = gemm::matmul_with(&a, &b, gemm::GemmAlgorithm::Tiled(cfg));
+            let c = gemm::matmul_tiled(&a, &b, cfg);
             // Keep the result alive so the computation cannot be elided.
             std::hint::black_box(c.data()[0]);
             times.push(start.elapsed().as_secs_f64());

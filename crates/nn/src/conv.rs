@@ -1,16 +1,33 @@
 //! Standard 2-D convolution with selectable algorithm and weight format.
 
+use crate::algo::{self, AlgoChoice, LayerShape};
 use crate::descriptor::{LayerDescriptor, LayerKind};
-use crate::layer::{ConvAlgorithm, ExecConfig, Layer, Param, Phase, WeightFormat};
-use crate::weights::{Form, PanelOperand, TernaryCodes, Weights};
+use crate::layer::{ExecConfig, Layer, Param, Phase, WeightFormat};
+use crate::weights::{PanelOperand, TernaryCodes, Weights};
 use cnn_stack_parallel::parallel_for;
 use cnn_stack_parallel::DisjointWriter;
 use cnn_stack_tensor::init::{initialise, Init};
 use cnn_stack_tensor::{
     col2im, fft_conv2d_into, fft_conv_scratch_elems, gemm, im2col, im2col_into, ops,
     pack_b_im2col_batch_into, pack_b_im2col_into, winograd4_conv2d_into, winograd4_scratch_elems,
-    winograd_conv2d_into, winograd_scratch_elems, Conv2dGeometry, GemmAlgorithm, GemmPlan, Tensor,
+    winograd_conv2d_into, winograd_scratch_elems, Conv2dGeometry, GemmAlgorithm, GemmPlan,
+    KernelError, Tensor,
 };
+
+/// Signature the two Winograd kernels share.
+type WinogradKernel = fn(
+    &[f32],
+    usize,
+    usize,
+    usize,
+    usize,
+    &[f32],
+    usize,
+    Option<&[f32]>,
+    usize,
+    &mut [f32],
+    &mut [f32],
+) -> Result<(), KernelError>;
 
 /// A standard (grouped-by-1) 2-D convolution layer.
 ///
@@ -96,6 +113,26 @@ impl Conv2d {
     /// compiler reads the non-zero count and ternarity through this).
     pub(crate) fn weights(&self) -> &Weights {
         &self.weights
+    }
+
+    /// Mutable [`weights`](Self::weights), for relabelling.
+    pub(crate) fn weights_mut(&mut self) -> &mut Weights {
+        &mut self.weights
+    }
+
+    /// The kernel this layer runs under `cfg` (see [`algo::resolve`]).
+    pub fn runs(&self, cfg: &ExecConfig) -> AlgoChoice {
+        algo::resolve(self.shape(), self.format(), cfg, || {
+            self.weights.ternary_magnitudes().is_some()
+        })
+    }
+
+    fn shape(&self) -> LayerShape {
+        LayerShape::Conv {
+            k_h: self.kernel,
+            k_w: self.kernel,
+            stride: self.stride,
+        }
     }
 
     /// Input channel count.
@@ -236,21 +273,6 @@ impl Conv2d {
         geom.patch_len() * geom.out_positions()
     }
 
-    /// Whether `cfg` routes this layer through the packed GEMM engine
-    /// (weights lowered to im2col with a packed micro-kernel). The
-    /// quantised algorithms are included: weights without the matching
-    /// code form run the same f32 packed engine, so the routing
-    /// predicate — and therefore workspace sizing — does not depend on
-    /// the weight values.
-    pub(crate) fn uses_packed_gemm(&self, cfg: &ExecConfig) -> bool {
-        self.format() != WeightFormat::Csr
-            && cfg.conv_algo == ConvAlgorithm::Im2col
-            && matches!(
-                cfg.gemm_algo,
-                GemmAlgorithm::Packed | GemmAlgorithm::TernaryPacked | GemmAlgorithm::Int8Packed
-            )
-    }
-
     /// Blocking plan of the transposed per-image ternary GEMM:
     /// `Outᵀ [positions × out_c] = Colᵀ · Wᵀ`. Running the product
     /// transposed keeps the 2-bit weight codes in the streaming B
@@ -258,21 +280,6 @@ impl Conv2d {
     /// NR-padded column dimension onto the cheaper MR-padded rows.
     fn ternary_plan(&self, geom: &Conv2dGeometry) -> GemmPlan {
         GemmPlan::new(geom.out_positions(), geom.patch_len(), self.out_channels)
-    }
-
-    /// The derived weight form `cfg`'s kernel reads, if any (the direct,
-    /// Winograd, FFT and unpacked-GEMM kernels read the master).
-    fn form_read_under(&self, cfg: &ExecConfig) -> Option<Form> {
-        if self.format() == WeightFormat::Csr {
-            Some(Form::Csr)
-        } else if !self.uses_packed_gemm(cfg) {
-            None
-        } else if cfg.gemm_algo == GemmAlgorithm::TernaryPacked && self.weights.ternary().is_some()
-        {
-            Some(Form::Quant)
-        } else {
-            Some(Form::Panels)
-        }
     }
 
     /// Blocking plan of the packed per-image GEMM: `[out_c × patch_len]`
@@ -309,6 +316,20 @@ impl Conv2d {
     fn packed_group(&self, geom: &Conv2dGeometry, n: usize) -> usize {
         let plane = geom.out_positions().max(1);
         ((4 * cnn_stack_tensor::NR) / plane).clamp(1, n.max(1))
+    }
+
+    /// Workspace floats of the packed f32 kernel: the packed-B panels
+    /// (group-merged when the group is > 1) plus a merged-C region for
+    /// the grouped product; the weight panels are a derived form the
+    /// layer holds itself.
+    fn packed_scratch_elems(&self, geom: &Conv2dGeometry, n: usize) -> usize {
+        let group = self.packed_group(geom, n);
+        let c_elems = if group > 1 {
+            self.out_channels * group * geom.out_positions()
+        } else {
+            0
+        };
+        self.packed_batch_plan(geom, group).packed_b_elems() + c_elems
     }
 
     /// Direct (7-loop) dense kernel over raw slices. Every `eval_*_into`
@@ -355,8 +376,9 @@ impl Conv2d {
         }
     }
 
-    /// im2col + GEMM dense kernel over raw slices; `scratch` holds the
-    /// per-image column matrix ([`Self::im2col_scratch_elems`] floats).
+    /// im2col + scalar blocked GEMM dense kernel over raw slices (what a
+    /// failing packed step is demoted to); `scratch` holds the per-image
+    /// column matrix ([`Self::im2col_scratch_elems`] floats).
     #[allow(clippy::too_many_arguments)]
     fn eval_dense_im2col_into(
         &self,
@@ -397,14 +419,8 @@ impl Conv2d {
                 for (local, o) in range.clone().enumerate() {
                     dst[local * plane..(local + 1) * plane].fill(bdata[o]);
                 }
-                // One GEMM over the claimed row block. `Packed` is routed
-                // through `eval_dense_im2col_packed_into`, so this arm only
-                // sees the row-splittable kernels (it also serves as the
-                // degradation target when packed demotes to blocked).
-                let algo = match cfg.gemm_algo {
-                    GemmAlgorithm::Packed => GemmAlgorithm::Blocked,
-                    other => other,
-                };
+                // One row-splittable scalar GEMM over the claimed row
+                // block.
                 let wslice = &wmat.data()[range.start * k_dim..range.end * k_dim];
                 gemm::gemm_into(
                     wslice,
@@ -413,7 +429,7 @@ impl Conv2d {
                     range.end - range.start,
                     k_dim,
                     plane,
-                    algo,
+                    GemmAlgorithm::Blocked,
                 );
                 if cfg.fused_relu {
                     for d in dst.iter_mut() {
@@ -584,41 +600,51 @@ impl Conv2d {
         }
     }
 
-    /// Routes a packed-engine run to the ternary kernel when `cfg`
-    /// selects it and the weights have a ternary code form; anything
-    /// else — plain `Packed`, `Int8Packed` (no int8 convolution kernel),
-    /// weights that are not exactly ternary — runs the f32 packed
-    /// engine.
-    #[allow(clippy::too_many_arguments)]
-    fn eval_packed_dispatch_into(
+    /// CSR sparse-direct kernel over raw slices.
+    fn eval_csr_direct_into(
         &self,
         in_data: &[f32],
         n: usize,
-        h: usize,
-        w: usize,
         geom: &Conv2dGeometry,
         out: &mut [f32],
-        scratch: &mut [f32],
         cfg: &ExecConfig,
     ) {
-        if cfg.gemm_algo == GemmAlgorithm::TernaryPacked {
-            if let Some(ternary) = self.weights.ternary() {
-                return self
-                    .eval_ternary_im2col_into(ternary, in_data, n, h, w, geom, out, scratch, cfg);
-            }
+        let csr = self.weights.csr();
+        let (h, w) = (geom.in_h, geom.in_w);
+        let plane = geom.out_positions();
+        let in_img = self.in_channels * h * w;
+        let out_img = self.out_channels * plane;
+        let bdata = self.bias.value.data();
+        let k = self.kernel;
+        let writer = DisjointWriter::new(out);
+        let writer = &writer;
+        for img in 0..n {
+            let x = &in_data[img * in_img..(img + 1) * in_img];
+            parallel_for(cfg.threads, self.out_channels, cfg.schedule, |range| {
+                for o in range {
+                    // SAFETY: one output plane per grain.
+                    let dst = unsafe {
+                        writer.slice_mut(img * out_img + o * plane, img * out_img + (o + 1) * plane)
+                    };
+                    dst.fill(bdata[o]);
+                    let (idx, val) = csr.row(o);
+                    sparse_channel_conv(x, idx, val, dst, geom, h, w, k);
+                    if cfg.fused_relu {
+                        for d in dst.iter_mut() {
+                            *d = d.max(0.0);
+                        }
+                    }
+                }
+            });
         }
-        self.eval_dense_im2col_packed_into(in_data, n, h, w, geom, out, scratch, cfg)
     }
 
-    /// CSR kernel over raw slices; `scratch` is only read by the im2col
-    /// lowering (empty slice is fine for direct).
-    #[allow(clippy::too_many_arguments)]
-    fn eval_csr_into(
+    /// CSR × im2col kernel over raw slices: every stored weight scales
+    /// one row of the per-image column matrix held in `scratch`.
+    fn eval_csr_im2col_into(
         &self,
         in_data: &[f32],
         n: usize,
-        h: usize,
-        w: usize,
         geom: &Conv2dGeometry,
         out: &mut [f32],
         scratch: &mut [f32],
@@ -626,117 +652,53 @@ impl Conv2d {
     ) {
         let csr = self.weights.csr();
         let plane = geom.out_positions();
-        let in_img = self.in_channels * h * w;
+        let in_img = self.in_channels * geom.in_h * geom.in_w;
         let out_img = self.out_channels * plane;
         let bdata = self.bias.value.data();
-        let k = self.kernel;
         let cols_len = self.im2col_scratch_elems(geom);
         let writer = DisjointWriter::new(out);
         let writer = &writer;
         for img in 0..n {
-            match cfg.conv_algo {
-                // The transform-domain algorithms apply to dense
-                // weights only; CSR falls back to the direct sparse
-                // kernel.
-                ConvAlgorithm::Direct
-                | ConvAlgorithm::Winograd
-                | ConvAlgorithm::WinogradF4
-                | ConvAlgorithm::Fft => {
-                    let x = &in_data[img * in_img..(img + 1) * in_img];
-                    parallel_for(cfg.threads, self.out_channels, cfg.schedule, |range| {
-                        for o in range {
-                            // SAFETY: one output plane per grain.
-                            let dst = unsafe {
-                                writer.slice_mut(
-                                    img * out_img + o * plane,
-                                    img * out_img + (o + 1) * plane,
-                                )
-                            };
-                            dst.fill(bdata[o]);
-                            let (idx, val) = csr.row(o);
-                            sparse_channel_conv(x, idx, val, dst, geom, h, w, k);
-                            if cfg.fused_relu {
-                                for d in dst.iter_mut() {
-                                    *d = d.max(0.0);
-                                }
-                            }
+            im2col_into(
+                &in_data[img * in_img..(img + 1) * in_img],
+                geom,
+                &mut scratch[..cols_len],
+            );
+            let cols: &[f32] = &scratch[..cols_len];
+            parallel_for(cfg.threads, self.out_channels, cfg.schedule, |range| {
+                // SAFETY: whole-row block per grain range.
+                let dst = unsafe {
+                    writer.slice_mut(
+                        img * out_img + range.start * plane,
+                        img * out_img + range.end * plane,
+                    )
+                };
+                for (local, o) in range.clone().enumerate() {
+                    dst[local * plane..(local + 1) * plane].fill(bdata[o]);
+                    let (idx, val) = csr.row(o);
+                    let drow = &mut dst[local * plane..(local + 1) * plane];
+                    for (&col, &v) in idx.iter().zip(val) {
+                        let brow = &cols[col as usize * plane..(col as usize + 1) * plane];
+                        for (d, &b) in drow.iter_mut().zip(brow) {
+                            *d += v * b;
                         }
-                    });
-                }
-                ConvAlgorithm::Im2col => {
-                    im2col_into(
-                        &in_data[img * in_img..(img + 1) * in_img],
-                        geom,
-                        &mut scratch[..cols_len],
-                    );
-                    let cols: &[f32] = &scratch[..cols_len];
-                    parallel_for(cfg.threads, self.out_channels, cfg.schedule, |range| {
-                        // SAFETY: whole-row block per grain range.
-                        let dst = unsafe {
-                            writer.slice_mut(
-                                img * out_img + range.start * plane,
-                                img * out_img + range.end * plane,
-                            )
-                        };
-                        for (local, o) in range.clone().enumerate() {
-                            dst[local * plane..(local + 1) * plane].fill(bdata[o]);
-                            let (idx, val) = csr.row(o);
-                            let drow = &mut dst[local * plane..(local + 1) * plane];
-                            for (&col, &v) in idx.iter().zip(val) {
-                                let brow = &cols[col as usize * plane..(col as usize + 1) * plane];
-                                for (d, &b) in drow.iter_mut().zip(brow) {
-                                    *d += v * b;
-                                }
-                            }
-                            if cfg.fused_relu {
-                                for d in dst[local * plane..(local + 1) * plane].iter_mut() {
-                                    *d = d.max(0.0);
-                                }
-                            }
+                    }
+                    if cfg.fused_relu {
+                        for d in dst[local * plane..(local + 1) * plane].iter_mut() {
+                            *d = d.max(0.0);
                         }
-                    });
+                    }
                 }
-            }
+            });
         }
     }
 
-    /// Whether a Winograd execution (either tile size) takes the
-    /// transform (3×3, stride 1, non-CSR weights) rather than the
-    /// direct fallback.
-    fn takes_winograd_transform(&self, cfg: &ExecConfig) -> bool {
-        self.format() != WeightFormat::Csr
-            && matches!(
-                cfg.conv_algo,
-                ConvAlgorithm::Winograd | ConvAlgorithm::WinogradF4
-            )
-            && self.kernel == 3
-            && self.stride == 1
-    }
-
-    /// Workspace floats of the Winograd kernel `cfg` selects (filter
-    /// transforms plus the tile panels, see the kernels' own docs).
-    fn winograd_workspace_elems(&self, cfg: &ExecConfig) -> usize {
-        if cfg.conv_algo == ConvAlgorithm::WinogradF4 {
-            winograd4_scratch_elems(self.in_channels, self.out_channels)
-        } else {
-            winograd_scratch_elems(self.in_channels, self.out_channels)
-        }
-    }
-
-    /// Whether an FFT execution takes the frequency-domain kernel.
-    /// FFT convolution handles any kernel/stride/padding over dense
-    /// master weights; only CSR storage falls back to the sparse
-    /// kernels.
-    fn takes_fft(&self, cfg: &ExecConfig) -> bool {
-        self.format() != WeightFormat::Csr && cfg.conv_algo == ConvAlgorithm::Fft
-    }
-
-    /// Winograd evaluation into caller buffers — F(4×4) or F(2×2) as
-    /// `cfg` selects (the kernels share one signature) — plus the
-    /// fused-ReLU epilogue.
+    /// Winograd evaluation into caller buffers through `kernel` — the
+    /// F(4×4) or the F(2×2) transform — plus the fused-ReLU epilogue.
     #[allow(clippy::too_many_arguments)]
     fn eval_winograd_into(
         &self,
+        kernel: WinogradKernel,
         in_data: &[f32],
         n: usize,
         h: usize,
@@ -745,11 +707,6 @@ impl Conv2d {
         scratch: &mut [f32],
         cfg: &ExecConfig,
     ) {
-        let kernel = if cfg.conv_algo == ConvAlgorithm::WinogradF4 {
-            winograd4_conv2d_into
-        } else {
-            winograd_conv2d_into
-        };
         kernel(
             in_data,
             n,
@@ -763,7 +720,7 @@ impl Conv2d {
             out,
             scratch,
         )
-        .expect("takes_winograd_transform checked eligibility");
+        .expect("resolve checked eligibility");
         if cfg.fused_relu {
             for v in out.iter_mut() {
                 *v = v.max(0.0);
@@ -1010,48 +967,32 @@ impl Layer for Conv2d {
     }
 
     fn forward_scratch_elems(&self, input_shape: &[usize], cfg: &ExecConfig) -> usize {
-        if self.takes_winograd_transform(cfg) {
-            return self.winograd_workspace_elems(cfg);
-        }
-        if self.takes_fft(cfg) {
-            let geom = self.geometry(input_shape[2], input_shape[3]);
-            return fft_conv_scratch_elems(&geom, self.out_channels);
-        }
-        if cfg.conv_algo != ConvAlgorithm::Im2col {
-            return 0;
-        }
+        use AlgoChoice as K;
         let geom = self.geometry(input_shape[2], input_shape[3]);
-        if !self.uses_packed_gemm(cfg) {
-            return self.im2col_scratch_elems(&geom);
-        }
-        // Packed-B panels (group-merged when the group is > 1) plus a
-        // merged-C region for the grouped product; the weight panels
-        // are a derived form the layer holds itself.
-        let group = self.packed_group(&geom, input_shape[0]);
-        let plan = self.packed_batch_plan(&geom, group);
-        let c_elems = if group > 1 {
-            self.out_channels * group * geom.out_positions()
-        } else {
-            0
-        };
-        let f32_elems = plan.packed_b_elems() + c_elems;
-        if cfg.gemm_algo == GemmAlgorithm::TernaryPacked {
-            // Whether the weights have a ternary code form depends on
-            // their values, so cover both kernels: the ternary one needs
-            // the im2col matrix, its transposed A-panels, and the
+        // The bound is a function of (label, cfg, geometry) only: weight
+        // values can change under a compiled plan, so a quantised cfg is
+        // sized as if the code form its label allows existed, and that
+        // row's bound covers the f32 kernel it falls back to.
+        match algo::resolve(self.shape(), self.format(), cfg, || true) {
+            K::DirectConv | K::CsrConv => 0,
+            K::Im2colScalar | K::CsrIm2col => self.im2col_scratch_elems(&geom),
+            K::Winograd => winograd_scratch_elems(self.in_channels, self.out_channels),
+            K::WinogradF4 => winograd4_scratch_elems(self.in_channels, self.out_channels),
+            K::FftConv => fft_conv_scratch_elems(&geom, self.out_channels),
+            K::Im2colPacked => self.packed_scratch_elems(&geom, input_shape[0]),
+            // The im2col matrix, its transposed A-panels, and the
             // `[positions × out_c]` Outᵀ buffer.
-            let tplan = self.ternary_plan(&geom);
-            let t_elems = self.im2col_scratch_elems(&geom)
-                + tplan.packed_a_elems()
-                + geom.out_positions() * self.out_channels;
-            f32_elems.max(t_elems)
-        } else {
-            f32_elems
+            K::TernaryConv => self.packed_scratch_elems(&geom, input_shape[0]).max(
+                self.im2col_scratch_elems(&geom)
+                    + self.ternary_plan(&geom).packed_a_elems()
+                    + geom.out_positions() * self.out_channels,
+            ),
+            algo::linear_rows!() => unreachable!("a convolution resolves to a conv row"),
         }
     }
 
     fn prepare(&mut self, cfg: &ExecConfig) {
-        let keep = self.form_read_under(cfg);
+        let keep = self.runs(cfg).form();
         self.weights.prepare(keep);
     }
 
@@ -1060,11 +1001,20 @@ impl Layer for Conv2d {
     }
 
     fn gemm_plan(&self, input_shape: &[usize], cfg: &ExecConfig) -> Option<GemmPlan> {
-        if self.uses_packed_gemm(cfg) {
-            let geom = self.geometry(input_shape[2], input_shape[3]);
-            Some(self.packed_batch_plan(&geom, self.packed_group(&geom, input_shape[0])))
-        } else {
-            None
+        use AlgoChoice as K;
+        match self.runs(cfg) {
+            K::Im2colPacked | K::TernaryConv => {
+                let geom = self.geometry(input_shape[2], input_shape[3]);
+                Some(self.packed_batch_plan(&geom, self.packed_group(&geom, input_shape[0])))
+            }
+            K::DirectConv
+            | K::Im2colScalar
+            | K::CsrConv
+            | K::CsrIm2col
+            | K::Winograd
+            | K::WinogradF4
+            | K::FftConv => None,
+            algo::linear_rows!() => unreachable!("a convolution resolves to a conv row"),
         }
     }
 
@@ -1089,30 +1039,32 @@ impl Layer for Conv2d {
             self.name()
         );
         let geom = self.geometry(h, w);
-        match self.format() {
-            WeightFormat::Csr => self.eval_csr_into(input, n, h, w, &geom, out, scratch, cfg),
-            _ => match cfg.conv_algo {
-                ConvAlgorithm::Im2col if self.uses_packed_gemm(cfg) => {
-                    self.eval_packed_dispatch_into(input, n, h, w, &geom, out, scratch, cfg)
-                }
-                ConvAlgorithm::Im2col => {
-                    self.eval_dense_im2col_into(input, n, h, w, &geom, out, scratch, cfg)
-                }
-                ConvAlgorithm::Winograd | ConvAlgorithm::WinogradF4
-                    if self.takes_winograd_transform(cfg) =>
-                {
-                    self.eval_winograd_into(input, n, h, w, out, scratch, cfg)
-                }
-                ConvAlgorithm::Fft if self.takes_fft(cfg) => {
-                    self.eval_fft_into(input, n, &geom, out, scratch, cfg)
-                }
-                // Winograd variants on a non-3x3/stride-1 layer fall
-                // back to the direct kernel.
-                ConvAlgorithm::Direct
-                | ConvAlgorithm::Winograd
-                | ConvAlgorithm::WinogradF4
-                | ConvAlgorithm::Fft => self.eval_dense_direct_into(input, n, &geom, out, cfg),
-            },
+        use AlgoChoice as K;
+        match self.runs(cfg) {
+            K::DirectConv => self.eval_dense_direct_into(input, n, &geom, out, cfg),
+            K::Im2colPacked => {
+                self.eval_dense_im2col_packed_into(input, n, h, w, &geom, out, scratch, cfg)
+            }
+            K::Im2colScalar => {
+                self.eval_dense_im2col_into(input, n, h, w, &geom, out, scratch, cfg)
+            }
+            K::CsrConv => self.eval_csr_direct_into(input, n, &geom, out, cfg),
+            K::CsrIm2col => self.eval_csr_im2col_into(input, n, &geom, out, scratch, cfg),
+            K::Winograd => {
+                self.eval_winograd_into(winograd_conv2d_into, input, n, h, w, out, scratch, cfg)
+            }
+            K::WinogradF4 => {
+                self.eval_winograd_into(winograd4_conv2d_into, input, n, h, w, out, scratch, cfg)
+            }
+            K::FftConv => self.eval_fft_into(input, n, &geom, out, scratch, cfg),
+            K::TernaryConv => {
+                let ternary = self
+                    .weights
+                    .ternary()
+                    .expect("resolve checked the label and the weight values");
+                self.eval_ternary_im2col_into(ternary, input, n, h, w, &geom, out, scratch, cfg)
+            }
+            algo::linear_rows!() => unreachable!("a convolution resolves to a conv row"),
         }
     }
 }
@@ -1120,6 +1072,7 @@ impl Layer for Conv2d {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layer::ConvAlgorithm;
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
 

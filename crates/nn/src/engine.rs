@@ -59,17 +59,19 @@
 //! assert!(session.health().is_clean());
 //! ```
 
+use crate::algo::AlgoChoice;
 use crate::error::{Error, PlanError};
 use crate::guard::{
-    scan_non_finite, BudgetBreachRecord, DemotionAction, DemotionReason, DemotionRecord, FaultPlan,
-    GuardConfig, GuardReport, GuardViolation, HealthReport,
+    scan_non_finite, BudgetBreachRecord, DemotionReason, DemotionRecord, FaultPlan, GuardConfig,
+    GuardReport, GuardViolation, HealthReport,
 };
-use crate::layer::{ConvAlgorithm, ExecConfig, Layer, WeightFormat};
+use crate::layer::{ExecConfig, Layer};
 use crate::liveness::{ArenaLayout, MemoryFootprint, StepExtent};
 use crate::network::Network;
+use crate::weights::Weights;
 use cnn_stack_obs::{Metric, NameId, Observer};
 use cnn_stack_parallel::{panic_message, PoolError, ThreadPool};
-use cnn_stack_tensor::{GemmAlgorithm, GemmPlan, Tensor};
+use cnn_stack_tensor::{GemmPlan, Tensor};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -557,67 +559,6 @@ fn arena_views(
             std::slice::from_raw_parts_mut(ptr.add(ws.0), ws.1),
         )
     }
-}
-
-/// Whether the layer (or any nested layer) runs a convolution that
-/// responds to [`ExecConfig::conv_algo`] — the precondition for the
-/// Winograd→im2col demotion lever to change anything.
-fn layer_has_conv(layer: &mut dyn Layer) -> bool {
-    let mut found = false;
-    layer.visit_mut(&mut |l| {
-        if l.as_any_mut().downcast_mut::<crate::Conv2d>().is_some() {
-            found = true;
-        }
-    });
-    found
-}
-
-/// Whether the layer (or any nested layer) currently evaluates CSR
-/// sparse weights — the precondition for the CSR→dense demotion lever.
-fn layer_has_csr(layer: &mut dyn Layer) -> bool {
-    let mut found = false;
-    layer.visit_mut(&mut |l| {
-        if let Some(c) = l.as_any_mut().downcast_mut::<crate::Conv2d>() {
-            if c.format() == WeightFormat::Csr {
-                found = true;
-            }
-        } else if let Some(fc) = l.as_any_mut().downcast_mut::<crate::Linear>() {
-            if fc.format() == WeightFormat::Csr {
-                found = true;
-            }
-        }
-    });
-    found
-}
-
-/// Whether the layer (or any nested layer) would route through the
-/// packed GEMM engine under `cfg` — the precondition for the
-/// packed→blocked demotion lever to change anything.
-fn layer_uses_packed_gemm(layer: &mut dyn Layer, cfg: &ExecConfig) -> bool {
-    let mut found = false;
-    layer.visit_mut(&mut |l| {
-        if let Some(c) = l.as_any_mut().downcast_mut::<crate::Conv2d>() {
-            found |= c.uses_packed_gemm(cfg);
-        } else if let Some(fc) = l.as_any_mut().downcast_mut::<crate::Linear>() {
-            found |= fc.uses_packed_gemm(cfg);
-        }
-    });
-    found
-}
-
-/// Densifies every CSR weight in the layer (and nested layers).
-fn densify_layer(layer: &mut dyn Layer) {
-    layer.visit_mut(&mut |l| {
-        if let Some(c) = l.as_any_mut().downcast_mut::<crate::Conv2d>() {
-            if c.format() == WeightFormat::Csr {
-                c.set_format(WeightFormat::Dense);
-            }
-        } else if let Some(fc) = l.as_any_mut().downcast_mut::<crate::Linear>() {
-            if fc.format() == WeightFormat::Csr {
-                fc.set_format(WeightFormat::Dense);
-            }
-        }
-    });
 }
 
 /// Owned-or-borrowed network binding for a session.
@@ -1141,78 +1082,47 @@ impl<'n> InferenceSession<'n> {
         Ok(())
     }
 
-    /// Applies the strongest available demotion lever to `step`:
-    /// CSR→dense first, then FFT→im2col, Winograd F(4×4)→F(2×2),
-    /// Winograd→im2col, then quantised→f32 packed, then packed→blocked
-    /// GEMM. Returns `false` when no lever applies (the failure is not
-    /// recoverable by demotion).
+    /// Moves `step` one edge down the kernel registry's demotion graph
+    /// ([`AlgoChoice::demotes_to`]): resolves the kernel that *ran*,
+    /// and puts the step on that row's safer neighbour. A composite
+    /// step runs several kernels under one cfg: the first child whose
+    /// row has an edge names it, every child on that row takes it, and
+    /// the step cfg moves as a whole. Returns `false` when every kernel
+    /// of the step sits on a floor row (the failure is not recoverable
+    /// by demotion).
     fn try_demote(&mut self, step: usize, reason: DemotionReason) -> bool {
         if step >= self.plan.steps.len() {
             return false;
         }
         let li = self.plan.steps[step].layer;
         let layer = self.net.layers_mut()[li].as_mut();
-        if layer_has_csr(layer) {
-            densify_layer(layer);
-            self.record_demotion(step, DemotionAction::CsrToDense, reason);
-            self.rebuild(step);
-            return true;
-        }
-        // FFT drops straight to im2col; F(4x4) Winograd steps down to
-        // the better-conditioned F(2x2) transform first, whose own rung
-        // continues the ladder to im2col.
-        let cfg = self.exec[step];
-        let conv_rung = match cfg.conv_algo {
-            ConvAlgorithm::Fft => Some((ConvAlgorithm::Im2col, DemotionAction::FftToIm2col)),
-            ConvAlgorithm::WinogradF4 => Some((
-                ConvAlgorithm::Winograd,
-                DemotionAction::Winograd4ToWinograd2,
-            )),
-            ConvAlgorithm::Winograd => {
-                Some((ConvAlgorithm::Im2col, DemotionAction::WinogradToIm2col))
-            }
-            ConvAlgorithm::Direct | ConvAlgorithm::Im2col => None,
+        let ran = self.exec[step];
+        let mut edge = None;
+        layer.visit_mut(&mut |l| {
+            edge = edge.or_else(|| {
+                let from = AlgoChoice::of(l, &ran)?;
+                Some((from, from.demotes_to()?))
+            });
+        });
+        let Some((from, to)) = edge else {
+            return false;
         };
-        if let Some((conv_algo, action)) = conv_rung {
-            if layer_has_conv(self.net.layers_mut()[li].as_mut()) {
-                self.exec[step].conv_algo = conv_algo;
-                self.record_demotion(step, action, reason);
-                self.rebuild(step);
-                return true;
+        let cfg = &mut self.exec[step];
+        layer.visit_mut(&mut |l| {
+            if AlgoChoice::of(l, &ran) == Some(from) {
+                to.apply(cfg, Weights::of_mut(l).expect("a row has weights"));
             }
-        }
-        // Quantised packed GEMM demotes to the f32 packed engine on the
-        // dense master weights first — for exactly-ternary weights that
-        // rung is bit-identical, and a further failure still has the
-        // packed→blocked rung below.
-        let gemm_rung = match cfg.gemm_algo {
-            GemmAlgorithm::TernaryPacked | GemmAlgorithm::Int8Packed => {
-                Some((GemmAlgorithm::Packed, DemotionAction::QuantisedToPacked))
-            }
-            GemmAlgorithm::Packed => {
-                Some((GemmAlgorithm::Blocked, DemotionAction::PackedToBlocked))
-            }
-            _ => None,
-        };
-        if let Some((gemm_algo, action)) = gemm_rung {
-            if layer_uses_packed_gemm(self.net.layers_mut()[li].as_mut(), &cfg) {
-                self.exec[step].gemm_algo = gemm_algo;
-                self.record_demotion(step, action, reason);
-                self.rebuild(step);
-                return true;
-            }
-        }
-        false
-    }
-
-    fn record_demotion(&mut self, step: usize, action: DemotionAction, reason: DemotionReason) {
+        });
         self.obs_count(Metric::GuardDemotions, 1);
         self.profile.health.demotions.push(DemotionRecord {
             layer_index: step,
             layer_name: self.plan.steps[step].name.clone(),
-            action,
+            from,
+            to,
             reason,
         });
+        self.rebuild(step);
+        true
     }
 
     /// Warms every layer for its step's current effective configuration

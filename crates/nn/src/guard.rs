@@ -13,8 +13,8 @@
 //!   *first* offending layer.
 //! * [`HealthReport`] / [`DemotionRecord`] — what the session survived:
 //!   guards tripped, kernel panics contained, pool retries, and which
-//!   steps were demoted to a safer algorithm (Winograd→im2col,
-//!   CSR→dense).
+//!   steps were demoted to a safer kernel (Winograd→im2col,
+//!   CSR→dense: the edges of [`crate::algo`]'s registry).
 //! * `FaultPlan` — a deterministic fault injector, compiled only under
 //!   the `fault-inject` cargo feature, able to corrupt a chosen layer's
 //!   output with NaN/Inf, flip a weight bit, panic inside a chosen
@@ -22,6 +22,7 @@
 //!   default build compiles an inert zero-cost stand-in so the engine
 //!   hot path carries no injection code.
 
+use crate::algo::AlgoChoice;
 use std::fmt;
 
 /// How much runtime checking an inference session performs.
@@ -141,31 +142,6 @@ impl fmt::Display for GuardReport {
     }
 }
 
-/// The safer algorithm a step was demoted to.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum DemotionAction {
-    /// The step's Winograd lowering was replaced with im2col+GEMM.
-    WinogradToIm2col,
-    /// The step's F(4×4, 3×3) Winograd lowering was replaced with the
-    /// better-conditioned F(2×2, 3×3) transform — the first rung of
-    /// the Winograd ladder (a further failure still has
-    /// [`DemotionAction::WinogradToIm2col`] below it).
-    Winograd4ToWinograd2,
-    /// The step's FFT lowering was replaced with im2col+GEMM.
-    FftToIm2col,
-    /// The step's CSR sparse weights were densified.
-    CsrToDense,
-    /// The step's packed micro-kernel GEMM was replaced with the
-    /// scalar blocked GEMM.
-    PackedToBlocked,
-    /// The step's quantised (ternary/int8) packed GEMM was replaced
-    /// with the f32 packed GEMM on the dense master weights — the
-    /// defined first rung of the quantised degradation ladder (for
-    /// exactly-ternary weights the f32 product is bit-identical to the
-    /// healthy quantised kernel).
-    QuantisedToPacked,
-}
-
 /// Why a step was demoted.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DemotionReason {
@@ -175,15 +151,20 @@ pub enum DemotionReason {
     KernelPanicked,
 }
 
-/// One recorded demotion: which step, what changed, and why.
+/// One recorded demotion: which step, from which kernel to which, and
+/// why. The pair is an edge of the kernel registry
+/// ([`AlgoChoice::demotes_to`]): `from` is the kernel that ran when the
+/// step failed, `to` the one it runs next.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DemotionRecord {
     /// Index of the demoted top-level layer (plan step).
     pub layer_index: usize,
     /// Its name, as recorded in the plan.
     pub layer_name: String,
-    /// What the demotion changed.
-    pub action: DemotionAction,
+    /// The kernel that failed.
+    pub from: AlgoChoice,
+    /// The safer kernel the step was moved to.
+    pub to: AlgoChoice,
     /// What triggered it.
     pub reason: DemotionReason,
 }
@@ -689,7 +670,8 @@ mod tests {
         h.demotions.push(DemotionRecord {
             layer_index: 3,
             layer_name: "conv3".to_string(),
-            action: DemotionAction::WinogradToIm2col,
+            from: AlgoChoice::Winograd,
+            to: AlgoChoice::Im2colPacked,
             reason: DemotionReason::GuardTripped,
         });
         assert!(!h.is_clean());

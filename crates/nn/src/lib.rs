@@ -43,6 +43,7 @@
 //! budget.
 
 pub mod activations;
+pub mod algo;
 pub mod batchnorm;
 pub mod conv;
 pub mod depthwise;
@@ -66,6 +67,7 @@ pub mod train;
 mod weights;
 
 pub use activations::ReLU;
+pub use algo::{AlgoChoice, LayerShape};
 pub use batchnorm::BatchNorm2d;
 pub use cnn_stack_obs::ObsLevel;
 pub use conv::Conv2d;
@@ -77,8 +79,8 @@ pub use fold::{fold_batchnorm, strip_identity_batchnorms};
 #[cfg(feature = "fault-inject")]
 pub use guard::Fault;
 pub use guard::{
-    BudgetBreachRecord, DemotionAction, DemotionReason, DemotionRecord, FaultPlan, GuardConfig,
-    GuardReport, GuardViolation, HealthReport, NonFiniteKind, ServeBatchFault,
+    BudgetBreachRecord, DemotionReason, DemotionRecord, FaultPlan, GuardConfig, GuardReport,
+    GuardViolation, HealthReport, NonFiniteKind, ServeBatchFault,
 };
 pub use ir::{IrOp, OpKind};
 pub use layer::{ConvAlgorithm, ExecConfig, ExecConfigBuilder, Layer, Param, Phase, WeightFormat};
@@ -87,8 +89,7 @@ pub use liveness::{ArenaLayout, MemoryFootprint, StepExtent, StepSlots};
 pub use memory::{network_memory, MemoryBreakdown};
 pub use network::Network;
 pub use passes::{
-    AlgoChoice, Autotune, FoldAndFuse, ForceThroughput, PassContext, PlanCompiler, PlanPass,
-    SelectAlgorithms,
+    Autotune, FoldAndFuse, ForceThroughput, PassContext, PlanCompiler, PlanPass, SelectAlgorithms,
 };
 pub use pool::{Flatten, GlobalAvgPool, MaxPool2d};
 pub use residual::ResidualBlock;

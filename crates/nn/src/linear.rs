@@ -1,12 +1,13 @@
 //! Fully connected (dense) layer.
 
+use crate::algo::{self, AlgoChoice, LayerShape};
 use crate::descriptor::{LayerDescriptor, LayerKind};
 use crate::layer::{ExecConfig, Layer, Param, Phase, WeightFormat};
-use crate::weights::{Form, PanelOperand, Weights};
+use crate::weights::{Int8Codes, PanelOperand, TernaryCodes, Weights};
 use cnn_stack_parallel::parallel_for;
 use cnn_stack_parallel::DisjointWriter;
 use cnn_stack_tensor::init::{initialise, Init};
-use cnn_stack_tensor::{gemm, ops, GemmAlgorithm, GemmPlan, Tensor};
+use cnn_stack_tensor::{gemm, ops, GemmPlan, Tensor};
 
 /// A fully connected layer `y = x · Wᵀ + b` over `[batch, in]` inputs.
 ///
@@ -68,6 +69,18 @@ impl Linear {
         &self.weights
     }
 
+    /// Mutable [`weights`](Self::weights), for relabelling.
+    pub(crate) fn weights_mut(&mut self) -> &mut Weights {
+        &mut self.weights
+    }
+
+    /// The kernel this layer runs under `cfg` (see [`algo::resolve`]).
+    pub fn runs(&self, cfg: &ExecConfig) -> AlgoChoice {
+        algo::resolve(LayerShape::Linear, self.format(), cfg, || {
+            self.weights.ternary_magnitudes().is_some()
+        })
+    }
+
     /// Input feature count.
     pub fn in_features(&self) -> usize {
         self.in_features
@@ -109,46 +122,16 @@ impl Linear {
         self.weights.set_format(format);
     }
 
-    /// Whether `cfg` routes this layer through the packed GEMM engine —
-    /// f32 or quantised. A quantised `gemm_algo` on weights without the
-    /// matching code form still lands here: the run then takes the f32
-    /// packed path (the bit-identical fallback the guard demotion also
-    /// uses).
-    pub(crate) fn uses_packed_gemm(&self, cfg: &ExecConfig) -> bool {
-        self.format() != WeightFormat::Csr
-            && matches!(
-                cfg.gemm_algo,
-                GemmAlgorithm::Packed | GemmAlgorithm::TernaryPacked | GemmAlgorithm::Int8Packed
-            )
-    }
-
     /// Blocking plan of the packed product `X[batch×in] · Wᵀ[in×out]`.
     fn packed_plan(&self, batch: usize) -> GemmPlan {
         GemmPlan::new(batch, self.in_features, self.out_features)
     }
 
-    /// The derived weight form `cfg`'s kernel reads, if any (the scalar
-    /// dense kernel reads the master).
-    fn form_read_under(&self, cfg: &ExecConfig) -> Option<Form> {
-        if self.format() == WeightFormat::Csr {
-            return Some(Form::Csr);
-        }
-        if !self.uses_packed_gemm(cfg) {
-            return None;
-        }
-        let quantised = match cfg.gemm_algo {
-            GemmAlgorithm::TernaryPacked => self.weights.ternary().is_some(),
-            GemmAlgorithm::Int8Packed => self.weights.int8().is_some(),
-            _ => false,
-        };
-        Some(if quantised { Form::Quant } else { Form::Panels })
-    }
-
-    /// Routes one packed-engine evaluation: the quantised kernel `cfg`
-    /// asks for when the weights have the matching code form, otherwise
-    /// the f32 packed kernel.
-    fn eval_packed_dispatch_into(
+    /// Packed ternary kernel: activations packed into A-panels in
+    /// `scratch`, weights streamed as 2-bit codes.
+    fn eval_ternary_packed_into(
         &self,
+        ternary: TernaryCodes<'_>,
         in_data: &[f32],
         batch: usize,
         out: &mut [f32],
@@ -156,54 +139,59 @@ impl Linear {
         cfg: &ExecConfig,
     ) {
         let plan = self.packed_plan(batch);
-        if cfg.gemm_algo == GemmAlgorithm::TernaryPacked {
-            if let Some(ternary) = self.weights.ternary() {
-                let a_buf = &mut scratch[..plan.packed_a_elems()];
-                gemm::pack_a_into(&plan, in_data, a_buf);
-                self.prefill_bias(out);
-                return gemm::gemm_prepacked_ternary(
-                    &plan,
-                    a_buf,
-                    ternary.codes,
-                    ternary.positive,
-                    ternary.negative,
-                    out,
-                    cfg.threads,
-                    cfg.schedule,
-                    cfg.epilogue(),
-                );
-            }
-        }
-        if cfg.gemm_algo == GemmAlgorithm::Int8Packed {
-            if let Some(int8) = self.weights.int8() {
-                // Per-call activation quantisation: NaN activations map
-                // to 0 and magnitudes saturate at ±127 — the documented
-                // lossy contract of the int8 path.
-                let qa = gemm::quantise_scale_i8(in_data);
-                let elems = plan.packed_a_elems();
-                let a_f32 = &mut scratch[..elems.div_ceil(4)];
-                // SAFETY: an f32 slice is always valid byte storage —
-                // same allocation, stricter alignment (4 → 1), length
-                // `elems.div_ceil(4) · 4 ≥ elems` bytes, and the i8 view
-                // is dropped before anyone reads the floats again.
-                let a_buf = unsafe {
-                    std::slice::from_raw_parts_mut(a_f32.as_mut_ptr() as *mut i8, a_f32.len() * 4)
-                };
-                gemm::pack_a_i8_into(&plan, in_data, qa, &mut a_buf[..elems]);
-                self.prefill_bias(out);
-                return gemm::gemm_prepacked_int8(
-                    &plan,
-                    &a_buf[..elems],
-                    int8.codes,
-                    1.0 / (qa * int8.scale),
-                    out,
-                    cfg.threads,
-                    cfg.schedule,
-                    cfg.epilogue(),
-                );
-            }
-        }
-        self.eval_dense_packed_into(in_data, batch, out, scratch, cfg)
+        let a_buf = &mut scratch[..plan.packed_a_elems()];
+        gemm::pack_a_into(&plan, in_data, a_buf);
+        self.prefill_bias(out);
+        gemm::gemm_prepacked_ternary(
+            &plan,
+            a_buf,
+            ternary.codes,
+            ternary.positive,
+            ternary.negative,
+            out,
+            cfg.threads,
+            cfg.schedule,
+            cfg.epilogue(),
+        );
+    }
+
+    /// Packed int8 kernel: activations quantised and packed per call
+    /// into the byte view of `scratch`.
+    fn eval_int8_packed_into(
+        &self,
+        int8: Int8Codes<'_>,
+        in_data: &[f32],
+        batch: usize,
+        out: &mut [f32],
+        scratch: &mut [f32],
+        cfg: &ExecConfig,
+    ) {
+        let plan = self.packed_plan(batch);
+        // Per-call activation quantisation: NaN activations map
+        // to 0 and magnitudes saturate at ±127 — the documented
+        // lossy contract of the int8 path.
+        let qa = gemm::quantise_scale_i8(in_data);
+        let elems = plan.packed_a_elems();
+        let a_f32 = &mut scratch[..elems.div_ceil(4)];
+        // SAFETY: an f32 slice is always valid byte storage —
+        // same allocation, stricter alignment (4 → 1), length
+        // `elems.div_ceil(4) · 4 ≥ elems` bytes, and the i8 view
+        // is dropped before anyone reads the floats again.
+        let a_buf = unsafe {
+            std::slice::from_raw_parts_mut(a_f32.as_mut_ptr() as *mut i8, a_f32.len() * 4)
+        };
+        gemm::pack_a_i8_into(&plan, in_data, qa, &mut a_buf[..elems]);
+        self.prefill_bias(out);
+        gemm::gemm_prepacked_int8(
+            &plan,
+            &a_buf[..elems],
+            int8.codes,
+            1.0 / (qa * int8.scale),
+            out,
+            cfg.threads,
+            cfg.schedule,
+            cfg.epilogue(),
+        );
     }
 
     /// Copies the bias vector into every output row (the `+=` GEMM
@@ -241,60 +229,63 @@ impl Linear {
         );
     }
 
-    /// The shared scalar inference kernel: `out = in · Wᵀ + b` over raw
-    /// slices (CSR, and the non-packed dense kernels).
-    fn eval_into(&self, in_data: &[f32], batch: usize, out: &mut [f32], cfg: &ExecConfig) {
+    /// CSR kernel: `out = in · Wᵀ + b` over the stored non-zeros.
+    fn eval_csr_into(&self, in_data: &[f32], batch: usize, out: &mut [f32], cfg: &ExecConfig) {
         let feat = self.in_features;
         let bdata = self.bias.value.data();
         let out_f = self.out_features;
         let writer = DisjointWriter::new(out);
         let writer = &writer;
-        match self.format() {
-            WeightFormat::Csr => {
-                let csr = self.weights.csr();
-                parallel_for(cfg.threads, out_f, cfg.schedule, |range| {
-                    for o in range {
-                        let (idx, val) = csr.row(o);
-                        for b in 0..batch {
-                            let x = &in_data[b * feat..(b + 1) * feat];
-                            let mut acc = bdata[o];
-                            for (&c, &v) in idx.iter().zip(val) {
-                                acc += v * x[c as usize];
-                            }
-                            if cfg.fused_relu {
-                                acc = acc.max(0.0);
-                            }
-                            // SAFETY: element (b, o) is owned by grain o.
-                            unsafe {
-                                writer.slice_mut(b * out_f + o, b * out_f + o + 1)[0] = acc;
-                            }
-                        }
+        let csr = self.weights.csr();
+        parallel_for(cfg.threads, out_f, cfg.schedule, |range| {
+            for o in range {
+                let (idx, val) = csr.row(o);
+                for b in 0..batch {
+                    let x = &in_data[b * feat..(b + 1) * feat];
+                    let mut acc = bdata[o];
+                    for (&c, &v) in idx.iter().zip(val) {
+                        acc += v * x[c as usize];
                     }
-                });
-            }
-            _ => {
-                let wdata = self.weight().value.data();
-                parallel_for(cfg.threads, out_f, cfg.schedule, |range| {
-                    for o in range {
-                        let w_row = &wdata[o * feat..(o + 1) * feat];
-                        for b in 0..batch {
-                            let x = &in_data[b * feat..(b + 1) * feat];
-                            let mut acc = bdata[o];
-                            for (wv, xv) in w_row.iter().zip(x) {
-                                acc += wv * xv;
-                            }
-                            if cfg.fused_relu {
-                                acc = acc.max(0.0);
-                            }
-                            // SAFETY: element (b, o) is owned by grain o.
-                            unsafe {
-                                writer.slice_mut(b * out_f + o, b * out_f + o + 1)[0] = acc;
-                            }
-                        }
+                    if cfg.fused_relu {
+                        acc = acc.max(0.0);
                     }
-                });
+                    // SAFETY: element (b, o) is owned by grain o.
+                    unsafe {
+                        writer.slice_mut(b * out_f + o, b * out_f + o + 1)[0] = acc;
+                    }
+                }
             }
-        }
+        });
+    }
+
+    /// Scalar dense kernel: one row loop per output feature over the
+    /// master weights (the linear ladder's floor).
+    fn eval_scalar_into(&self, in_data: &[f32], batch: usize, out: &mut [f32], cfg: &ExecConfig) {
+        let feat = self.in_features;
+        let bdata = self.bias.value.data();
+        let out_f = self.out_features;
+        let writer = DisjointWriter::new(out);
+        let writer = &writer;
+        let wdata = self.weight().value.data();
+        parallel_for(cfg.threads, out_f, cfg.schedule, |range| {
+            for o in range {
+                let w_row = &wdata[o * feat..(o + 1) * feat];
+                for b in 0..batch {
+                    let x = &in_data[b * feat..(b + 1) * feat];
+                    let mut acc = bdata[o];
+                    for (wv, xv) in w_row.iter().zip(x) {
+                        acc += wv * xv;
+                    }
+                    if cfg.fused_relu {
+                        acc = acc.max(0.0);
+                    }
+                    // SAFETY: element (b, o) is owned by grain o.
+                    unsafe {
+                        writer.slice_mut(b * out_f + o, b * out_f + o + 1)[0] = acc;
+                    }
+                }
+            }
+        });
     }
 
     /// Removes a contiguous block of input features (used when channel
@@ -388,20 +379,16 @@ impl Layer for Linear {
     }
 
     fn forward_scratch_elems(&self, input_shape: &[usize], cfg: &ExecConfig) -> usize {
-        if self.uses_packed_gemm(cfg) {
-            // The activation A-panel region. The int8 arm's byte panels
-            // fit in `packed_a_elems().div_ceil(4)` floats and the
-            // ternary arm packs the same A region — one bound covers
-            // all arms; the weight panels are a derived form the layer
-            // holds itself.
-            self.packed_plan(input_shape[0]).packed_a_elems()
-        } else {
-            0
-        }
+        // The packed product's activation A-panel region. The int8
+        // kernel's byte panels fit in `packed_a_elems().div_ceil(4)`
+        // floats and the ternary kernel packs the same A region; the
+        // weight panels are a derived form the layer holds itself.
+        self.gemm_plan(input_shape, cfg)
+            .map_or(0, |plan| plan.packed_a_elems())
     }
 
     fn prepare(&mut self, cfg: &ExecConfig) {
-        let keep = self.form_read_under(cfg);
+        let keep = self.runs(cfg).form();
         self.weights.prepare(keep);
     }
 
@@ -415,10 +402,16 @@ impl Layer for Linear {
     }
 
     fn gemm_plan(&self, input_shape: &[usize], cfg: &ExecConfig) -> Option<GemmPlan> {
-        if self.uses_packed_gemm(cfg) {
-            Some(self.packed_plan(input_shape[0]))
-        } else {
-            None
+        use AlgoChoice as K;
+        // A quantised row and the f32 row it falls back to share one
+        // plan (and so one workspace bound): answered from (label, cfg)
+        // alone, no weight is scanned.
+        match algo::resolve(LayerShape::Linear, self.format(), cfg, || true) {
+            K::PackedLinear | K::TernaryLinear | K::Int8Linear => {
+                Some(self.packed_plan(input_shape[0]))
+            }
+            K::ScalarLinear | K::CsrLinear => None,
+            algo::conv_rows!() => unreachable!("a linear layer resolves to a linear row"),
         }
     }
 
@@ -437,10 +430,21 @@ impl Layer for Linear {
             "{}: feature mismatch",
             self.name()
         );
-        if self.uses_packed_gemm(cfg) {
-            self.eval_packed_dispatch_into(input, batch, out, scratch, cfg);
-        } else {
-            self.eval_into(input, batch, out, cfg);
+        use AlgoChoice as K;
+        let codes = "resolve checked the label and the weight values";
+        match self.runs(cfg) {
+            K::PackedLinear => self.eval_dense_packed_into(input, batch, out, scratch, cfg),
+            K::TernaryLinear => {
+                let ternary = self.weights.ternary().expect(codes);
+                self.eval_ternary_packed_into(ternary, input, batch, out, scratch, cfg)
+            }
+            K::Int8Linear => {
+                let int8 = self.weights.int8().expect(codes);
+                self.eval_int8_packed_into(int8, input, batch, out, scratch, cfg)
+            }
+            K::ScalarLinear => self.eval_scalar_into(input, batch, out, cfg),
+            K::CsrLinear => self.eval_csr_into(input, batch, out, cfg),
+            algo::conv_rows!() => unreachable!("a linear layer resolves to a linear row"),
         }
     }
 
@@ -493,7 +497,7 @@ mod tests {
         let x = random([4, 19], 10);
         let packed = fc.forward(&x, Phase::Eval, &ExecConfig::serial());
         let blocked_cfg = ExecConfig {
-            gemm_algo: GemmAlgorithm::Blocked,
+            gemm_algo: cnn_stack_tensor::GemmAlgorithm::Blocked,
             ..ExecConfig::serial()
         };
         let blocked = fc.forward(&x, Phase::Eval, &blocked_cfg);

@@ -308,10 +308,8 @@ impl Network {
 pub fn set_network_format(net: &mut Network, format: WeightFormat) {
     for layer in net.layers_mut() {
         layer.visit_mut(&mut |l| {
-            if let Some(conv) = l.as_any_mut().downcast_mut::<crate::Conv2d>() {
-                conv.set_format(format);
-            } else if let Some(fc) = l.as_any_mut().downcast_mut::<crate::Linear>() {
-                fc.set_format(format);
+            if let Some(weights) = Weights::of_mut(l) {
+                weights.set_format(format);
             }
         });
     }

@@ -8,7 +8,9 @@
 //! result is lowered to [`PlanStep`]s with
 //! per-step spans and per-step configurations.
 //!
-//! The three shipped passes implement the paper's across-stack levers:
+//! The four shipped passes implement the paper's across-stack levers
+//! ([`ForceThroughput`], the brownout pass, replaces selection in
+//! [`PlanCompiler::degraded`]):
 //!
 //! * [`FoldAndFuse`] — folds batch norms into their producing
 //!   convolutions ([`crate::fold_batchnorm`]), then absorbs the exact
@@ -16,10 +18,10 @@
 //!   `conv → BN → ReLU` executes as **one kernel** (the ReLU runs in the
 //!   packed GEMM write-back epilogue — no extra sweep over the output).
 //! * [`SelectAlgorithms`] — a per-layer cost model (FLOPs, im2col
-//!   footprint, *measured* weight sparsity) choosing direct /
-//!   im2col+packed / Winograd / CSR per layer. The global
-//!   `conv_algo`/`gemm_algo` knobs remain available as overrides: a
-//!   non-default base value wins over the model.
+//!   footprint, *measured* weight sparsity) choosing among the kernel
+//!   registry's rows ([`crate::algo`]) that apply to the layer. The
+//!   global `conv_algo`/`gemm_algo` knobs remain available as
+//!   overrides: a non-default base value wins over the model.
 //! * [`Autotune`] — opt-in empirical refinement: micro-benchmarks the
 //!   top-2 cost-model candidates per layer shape and persists winners to
 //!   a tuning cache keyed by shape and thread count, reused across
@@ -61,14 +63,17 @@
 //! assert_eq!(y.shape().dims(), &[1, 10]);
 //! ```
 
+pub use crate::algo::AlgoChoice;
+use crate::algo::{self, LayerShape};
 use crate::engine::{compile_step, InferencePlan, PlanStep};
 use crate::error::{Error, PlanError};
 use crate::fold;
 use crate::ir::{self, IrOp, OpKind};
-use crate::layer::{ConvAlgorithm, ExecConfig, Phase, WeightFormat};
+use crate::layer::{ExecConfig, Phase, WeightFormat};
 use crate::liveness::{MemoryFootprint, StepExtent};
 use crate::network::Network;
-use cnn_stack_tensor::{GemmAlgorithm, Tensor};
+use crate::weights::Weights;
+use cnn_stack_tensor::Tensor;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
@@ -137,13 +142,7 @@ impl PlanCompiler {
     pub fn standard() -> Self {
         Self::new()
             .with_pass(FoldAndFuse)
-            .with_pass(SelectAlgorithms::new())
-    }
-
-    /// [`standard`](Self::standard) plus the opt-in [`Autotune`] pass
-    /// with its default cache location.
-    pub fn autotuned() -> Self {
-        Self::standard().with_pass(Autotune::new())
+            .with_pass(SelectAlgorithms)
     }
 
     /// The brownout pipeline: [`FoldAndFuse`] then [`ForceThroughput`].
@@ -233,21 +232,6 @@ impl PlanCompiler {
     }
 }
 
-impl InferencePlan {
-    /// Compiles `net` through `compiler`'s pass pipeline — the pass-based
-    /// successor of [`compile`](InferencePlan::compile). Mutates the
-    /// network (folding, weight-format switches); see the
-    /// [`passes`](self) module docs.
-    pub fn build(
-        net: &mut Network,
-        input_shape: &[usize],
-        cfg: &ExecConfig,
-        compiler: &PlanCompiler,
-    ) -> Result<InferencePlan, Error> {
-        compiler.run(net, input_shape, cfg)
-    }
-}
-
 // ---------------------------------------------------------------------
 // Pass 1: fold-and-fuse
 // ---------------------------------------------------------------------
@@ -309,114 +293,6 @@ impl PlanPass for FoldAndFuse {
 // Pass 2: algorithm selection
 // ---------------------------------------------------------------------
 
-/// A per-layer execution strategy the cost model can pick.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum AlgoChoice {
-    /// Direct 7-loop dense convolution.
-    DirectConv,
-    /// im2col lowering into the packed GEMM engine.
-    Im2colPacked,
-    /// F(2×2, 3×3) Winograd (3×3 stride-1 dense convolutions only).
-    Winograd,
-    /// F(4×4, 3×3) Winograd (3×3 stride-1 dense convolutions only):
-    /// 4× fewer multiplies than direct at a tiny fixed workspace, so
-    /// it is the budget solver's fastest small-footprint refuge when
-    /// the packed engine's im2col workspace does not fit.
-    WinogradF4,
-    /// Real 2-D FFT convolution (dense weights, any kernel/stride).
-    /// Only proposed for kernels strictly larger than 3×3 — the plane
-    /// transforms never amortise at CNN-typical 3×3/1×1 shapes.
-    FftConv,
-    /// CSR sparse-direct convolution.
-    CsrConv,
-    /// Packed GEMM linear layer.
-    PackedLinear,
-    /// Scalar row-loop linear layer.
-    ScalarLinear,
-    /// CSR sparse linear layer.
-    CsrLinear,
-    /// im2col lowering into the packed **ternary** GEMM engine (2-bit
-    /// weight codes, transposed product). Value-preserving, so proposed
-    /// whenever the weights are exactly ternary.
-    TernaryConv,
-    /// Packed ternary GEMM linear layer. Value-preserving, proposed
-    /// whenever the weights are exactly ternary.
-    TernaryLinear,
-    /// Packed int8 GEMM linear layer. **Lossy** (activations are
-    /// re-quantised per call), so only proposed for layers already
-    /// placed in [`WeightFormat::Int8`] by the caller.
-    Int8Linear,
-}
-
-/// Everything an [`AlgoChoice`] implies, stated once: the tuning-cache
-/// tag, the config fields it sets (`None` = leaves the field alone) and
-/// the weight format it puts the layer in.
-struct ChoiceSpec {
-    tag: &'static str,
-    conv_algo: Option<ConvAlgorithm>,
-    gemm_algo: Option<GemmAlgorithm>,
-    format: WeightFormat,
-}
-
-impl AlgoChoice {
-    const ALL: [AlgoChoice; 12] = [
-        AlgoChoice::DirectConv,
-        AlgoChoice::Im2colPacked,
-        AlgoChoice::Winograd,
-        AlgoChoice::WinogradF4,
-        AlgoChoice::FftConv,
-        AlgoChoice::CsrConv,
-        AlgoChoice::PackedLinear,
-        AlgoChoice::ScalarLinear,
-        AlgoChoice::CsrLinear,
-        AlgoChoice::TernaryConv,
-        AlgoChoice::TernaryLinear,
-        AlgoChoice::Int8Linear,
-    ];
-
-    const fn spec(self) -> ChoiceSpec {
-        use ConvAlgorithm as C;
-        use GemmAlgorithm as G;
-        use WeightFormat as F;
-        let (tag, conv_algo, gemm_algo, format) = match self {
-            AlgoChoice::DirectConv => ("direct", Some(C::Direct), None, F::Dense),
-            AlgoChoice::Im2colPacked => {
-                ("im2col-packed", Some(C::Im2col), Some(G::Packed), F::Dense)
-            }
-            AlgoChoice::Winograd => ("winograd", Some(C::Winograd), None, F::Dense),
-            AlgoChoice::WinogradF4 => ("winograd-f4", Some(C::WinogradF4), None, F::Dense),
-            AlgoChoice::FftConv => ("fft", Some(C::Fft), None, F::Dense),
-            AlgoChoice::CsrConv => ("csr", Some(C::Direct), None, F::Csr),
-            AlgoChoice::PackedLinear => ("gemm-packed", None, Some(G::Packed), F::Dense),
-            AlgoChoice::ScalarLinear => ("gemm-scalar", None, Some(G::Blocked), F::Dense),
-            AlgoChoice::CsrLinear => ("gemm-csr", None, None, F::Csr),
-            AlgoChoice::TernaryConv => (
-                "im2col-ternary",
-                Some(C::Im2col),
-                Some(G::TernaryPacked),
-                F::Ternary,
-            ),
-            AlgoChoice::TernaryLinear => ("gemm-ternary", None, Some(G::TernaryPacked), F::Ternary),
-            AlgoChoice::Int8Linear => ("gemm-int8", None, Some(G::Int8Packed), F::Int8),
-        };
-        ChoiceSpec {
-            tag,
-            conv_algo,
-            gemm_algo,
-            format,
-        }
-    }
-
-    /// Stable tag used in the tuning cache.
-    fn tag(self) -> &'static str {
-        self.spec().tag
-    }
-
-    fn from_tag(tag: &str) -> Option<Self> {
-        Self::ALL.into_iter().find(|c| c.tag() == tag)
-    }
-}
-
 // Cost-model throughput anchors, measured on this crate's own kernels
 // (BENCH_gemm.json as first checked in — the AVX2 tile's single-thread
 // `packed` rows, 52.8–58.8 GFLOP/s over the four shapes; the AVX-512
@@ -428,7 +304,9 @@ impl AlgoChoice {
 // sparse formats only win at extreme sparsity: against the packed engine
 // the crossover density is ≈ 1.2/54 ≈ 2%. The Winograd number prices the
 // current per-tile scalar transform — the 2.25× MAC reduction does not
-// survive it, so the model never picks it unasked.
+// survive it, so F(2×2) loses to the packed engine on every paper shape
+// (F(4×4) below does not: the flat estimate charges no tile waste and
+// wins the conv5 trio it then runs 15× slower — ROADMAP 1(b)).
 const PACKED_GFLOPS: f64 = 54.0;
 const SCALAR_GFLOPS: f64 = 1.8;
 const SPARSE_GFLOPS: f64 = 1.2;
@@ -485,7 +363,9 @@ fn predicted_seconds(op: &IrOp, choice: AlgoChoice) -> f64 {
     let flops = 2.0 * op.macs as f64;
     let batch = op.input_shape.first().copied().unwrap_or(1).max(1);
     match choice {
-        AlgoChoice::DirectConv | AlgoChoice::ScalarLinear => flops / (SCALAR_GFLOPS * 1e9),
+        AlgoChoice::DirectConv | AlgoChoice::Im2colScalar | AlgoChoice::ScalarLinear => {
+            flops / (SCALAR_GFLOPS * 1e9)
+        }
         AlgoChoice::Im2colPacked => {
             let OpKind::Conv {
                 geom, out_channels, ..
@@ -581,7 +461,7 @@ fn predicted_seconds(op: &IrOp, choice: AlgoChoice) -> f64 {
             let pointwise = batch as f64 * oc * in_c * ps * 8.0;
             (transforms * plane_flops + pointwise) / (FFT_GFLOPS * 1e9)
         }
-        AlgoChoice::CsrConv | AlgoChoice::CsrLinear => {
+        AlgoChoice::CsrConv | AlgoChoice::CsrIm2col | AlgoChoice::CsrLinear => {
             let density = match &op.kind {
                 OpKind::Conv { sparsity, .. } | OpKind::Linear { sparsity, .. } => 1.0 - sparsity,
                 _ => 1.0,
@@ -591,72 +471,60 @@ fn predicted_seconds(op: &IrOp, choice: AlgoChoice) -> f64 {
     }
 }
 
-/// Valid candidates for `op`, cheapest predicted first; empty for ops
-/// the selector does not touch.
-fn candidates(op: &IrOp) -> Vec<(AlgoChoice, f64)> {
-    let mut c: Vec<AlgoChoice> = match &op.kind {
-        OpKind::Conv { geom, ternary, .. } => {
-            let mut v = vec![
-                AlgoChoice::DirectConv,
-                AlgoChoice::Im2colPacked,
-                AlgoChoice::CsrConv,
-            ];
-            if geom.k_h == 3 && geom.k_w == 3 && geom.stride == 1 {
-                v.push(AlgoChoice::Winograd);
-                v.push(AlgoChoice::WinogradF4);
-            }
-            // FFT never amortises its plane transforms at 3×3 and
-            // below; proposing it there would only churn the autotuner.
-            if geom.k_h * geom.k_w > 9 {
-                v.push(AlgoChoice::FftConv);
-            }
-            // Value-preserving, so auto-selectable: the packed ternary
-            // kernel decodes the codes to the exact weight values.
-            if *ternary {
-                v.push(AlgoChoice::TernaryConv);
-            }
-            v
+/// What the registry needs to know about a conv/linear op — geometry,
+/// label, exact ternarity; `None` for ops the selector does not touch.
+fn facts(op: &IrOp) -> Option<(LayerShape, WeightFormat, bool)> {
+    match &op.kind {
+        OpKind::Conv {
+            geom,
+            format,
+            ternary,
+            ..
+        } => {
+            let shape = LayerShape::Conv {
+                k_h: geom.k_h,
+                k_w: geom.k_w,
+                stride: geom.stride,
+            };
+            Some((shape, *format, *ternary))
         }
         OpKind::Linear {
             format, ternary, ..
-        } => {
-            let mut v = vec![
-                AlgoChoice::PackedLinear,
-                AlgoChoice::ScalarLinear,
-                AlgoChoice::CsrLinear,
-            ];
-            if *ternary {
-                v.push(AlgoChoice::TernaryLinear);
-            }
-            // Int8 is lossy (per-call activation quantisation): only a
-            // candidate when the caller already opted the layer in.
-            if *format == WeightFormat::Int8 {
-                v.push(AlgoChoice::Int8Linear);
-            }
-            v
-        }
-        _ => Vec::new(),
-    };
-    c.sort_by(|a, b| predicted_seconds(op, *a).total_cmp(&predicted_seconds(op, *b)));
-    c.into_iter()
-        .map(|ch| (ch, predicted_seconds(op, ch)))
-        .collect()
+        } => Some((LayerShape::Linear, *format, *ternary)),
+        _ => None,
+    }
 }
 
-/// Applies `choice` to the op's config and, when the choice implies a
-/// weight-format switch, to the layer itself.
+/// The kernel `op` runs under its current label and config.
+fn resolved(op: &IrOp) -> Option<AlgoChoice> {
+    let (shape, label, ternary) = facts(op)?;
+    Some(algo::resolve(shape, label, &op.cfg, || ternary))
+}
+
+/// Valid candidates for `op` — the proposable registry rows that apply
+/// to it — cheapest predicted first; empty for ops the selector does
+/// not touch.
+fn candidates(op: &IrOp) -> Vec<(AlgoChoice, f64)> {
+    let Some((shape, label, ternary)) = facts(op) else {
+        return Vec::new();
+    };
+    let mut c: Vec<(AlgoChoice, f64)> = AlgoChoice::ALL
+        .into_iter()
+        .filter(|row| row.applies(shape, ternary) && row.proposed(shape, label))
+        .map(|row| (row, predicted_seconds(op, row)))
+        .collect();
+    c.sort_by(|a, b| a.1.total_cmp(&b.1));
+    c
+}
+
+/// Applies `choice` to the op's config and to the layer's label.
 fn apply_choice(net: &mut Network, op: &mut IrOp, choice: AlgoChoice) {
-    let spec = choice.spec();
-    if let Some(conv_algo) = spec.conv_algo {
-        op.cfg.conv_algo = conv_algo;
-    }
-    if let Some(gemm_algo) = spec.gemm_algo {
-        op.cfg.gemm_algo = gemm_algo;
-    }
-    set_layer_format(net.layers_mut(), op.layer, spec.format);
+    let weights = Weights::of_mut(net.layers_mut()[op.layer].as_mut())
+        .expect("choices are only proposed for conv/linear ops");
+    choice.apply(&mut op.cfg, weights);
     // Keep the IR's format fact in sync for later passes.
     if let OpKind::Conv { format, .. } | OpKind::Linear { format, .. } = &mut op.kind {
-        *format = spec.format;
+        *format = weights.format();
     }
     // Tag the step name with the winning algorithm so plan reports show
     // per-layer choices. Replace any tag from an earlier pass (autotune
@@ -666,52 +534,21 @@ fn apply_choice(net: &mut Network, op: &mut IrOp, choice: AlgoChoice) {
             op.name.truncate(pos);
         }
     }
-    let _ = write!(op.name, " [{}]", spec.tag);
+    let _ = write!(op.name, " [{}]", choice.tag());
 }
 
-fn set_layer_format(layers: &mut [Box<dyn crate::layer::Layer>], idx: usize, format: WeightFormat) {
-    let layer = layers[idx].as_any_mut();
-    if let Some(c) = layer.downcast_mut::<crate::Conv2d>() {
-        if c.format() != format {
-            c.set_format(format);
-        }
-    } else if let Some(fc) = layer.downcast_mut::<crate::Linear>() {
-        if fc.format() != format {
-            fc.set_format(format);
-        }
-    }
+/// Whether the base config carries a user override: a non-default
+/// `conv_algo` or `gemm_algo` is the caller's choice, and neither
+/// [`SelectAlgorithms`] nor the budget solver rewrites it.
+fn user_override(base: &ExecConfig) -> bool {
+    let defaults = ExecConfig::serial();
+    base.conv_algo != defaults.conv_algo || base.gemm_algo != defaults.gemm_algo
 }
 
 /// Chooses an execution strategy per conv/linear op from the cost model;
 /// see the [module docs](self). A non-default `conv_algo` or `gemm_algo`
-/// in the base config is treated as a user override and left untouched
-/// (use [`SelectAlgorithms::forced`] to select regardless).
-pub struct SelectAlgorithms {
-    honor_overrides: bool,
-}
-
-impl SelectAlgorithms {
-    /// Selector that honours non-default base knobs as overrides.
-    pub fn new() -> Self {
-        SelectAlgorithms {
-            honor_overrides: true,
-        }
-    }
-
-    /// Selector that always applies the cost model, ignoring the base
-    /// `conv_algo`/`gemm_algo`.
-    pub fn forced() -> Self {
-        SelectAlgorithms {
-            honor_overrides: false,
-        }
-    }
-}
-
-impl Default for SelectAlgorithms {
-    fn default() -> Self {
-        Self::new()
-    }
-}
+/// in the base config is treated as a user override and left untouched.
+pub struct SelectAlgorithms;
 
 impl PlanPass for SelectAlgorithms {
     fn name(&self) -> &'static str {
@@ -719,11 +556,7 @@ impl PlanPass for SelectAlgorithms {
     }
 
     fn run(&self, ctx: &mut PassContext) -> Result<(), Error> {
-        let defaults = ExecConfig::serial();
-        if self.honor_overrides
-            && (ctx.base_cfg.conv_algo != defaults.conv_algo
-                || ctx.base_cfg.gemm_algo != defaults.gemm_algo)
-        {
+        if user_override(&ctx.base_cfg) {
             return Ok(());
         }
         let mut ops = std::mem::take(&mut ctx.ops);
@@ -793,24 +626,6 @@ fn op_extent(net: &Network, op: &IrOp) -> Result<StepExtent, Error> {
     })
 }
 
-/// Whether `choice` describes the op's *current* configuration, so the
-/// solver can start from the pass pipeline's selection (including an
-/// autotuned winner) rather than resetting every op to the cost model's
-/// predicted-fastest.
-fn matches_current(op: &IrOp, choice: AlgoChoice) -> bool {
-    let format = match &op.kind {
-        OpKind::Conv { format, .. } | OpKind::Linear { format, .. } => *format,
-        _ => return false,
-    };
-    let spec = choice.spec();
-    // CSR and quantised rows are identified by their format alone;
-    // dense rows also by the config fields they set.
-    format == spec.format
-        && (spec.format != WeightFormat::Dense
-            || (spec.conv_algo.is_none_or(|a| a == op.cfg.conv_algo)
-                && spec.gemm_algo.is_none_or(|g| g == op.cfg.gemm_algo)))
-}
-
 /// Solves "fastest plan under the budget" over the pipeline's op list.
 ///
 /// The solver first checks the liveness-derived peak of the current
@@ -833,9 +648,7 @@ fn matches_current(op: &IrOp, choice: AlgoChoice) -> bool {
 /// [`SelectAlgorithms`]: the admission check then reports infeasibility
 /// rather than silently rewriting the user's plan.
 fn fit_budget(ctx: &mut PassContext, budget_bytes: usize) -> Result<(), Error> {
-    let defaults = ExecConfig::serial();
-    if ctx.base_cfg.conv_algo != defaults.conv_algo || ctx.base_cfg.gemm_algo != defaults.gemm_algo
-    {
+    if user_override(&ctx.base_cfg) {
         return Ok(());
     }
     let peak_bytes = |extents: &[StepExtent]| MemoryFootprint::of(extents).peak_bytes;
@@ -863,10 +676,13 @@ fn fit_budget(ctx: &mut PassContext, budget_bytes: usize) -> Result<(), Error> {
             continue;
         }
         // Record which candidate the pipeline currently has applied
-        // *before* probing overwrites the op's config.
+        // *before* probing overwrites the op's config, so the solver
+        // starts from the pipeline's selection (including an autotuned
+        // winner) rather than from the predicted-fastest.
+        let current = resolved(op);
         let init = cands
             .iter()
-            .position(|&(c, _)| matches_current(op, c))
+            .position(|&(c, _)| Some(c) == current)
             .unwrap_or(0);
         let mut table = Vec::with_capacity(cands.len());
         for (choice, secs) in cands {
@@ -1077,12 +893,20 @@ impl PlanPass for Autotune {
             let Some(key) = tune_key(op, threads) else {
                 continue;
             };
-            if let Some((_, cached)) = cache.iter().find(|(k, _)| *k == key) {
-                apply_choice(ctx.net, op, *cached);
-                continue;
+            let cands = candidates(op);
+            if let Some(pos) = cache.iter().position(|(k, _)| *k == key) {
+                let cached = cache[pos].1;
+                if cands.iter().any(|&(c, _)| c == cached) {
+                    apply_choice(ctx.net, op, cached);
+                    continue;
+                }
+                // The line names a kernel that is no candidate for this
+                // op (a colliding key, a relabelled layer, a hand-edited
+                // file): drop it and measure, like a miss.
+                cache.remove(pos);
+                dirty = true;
             }
-            let mut top: Vec<AlgoChoice> =
-                candidates(op).into_iter().take(2).map(|(c, _)| c).collect();
+            let mut top: Vec<AlgoChoice> = cands.into_iter().take(2).map(|(c, _)| c).collect();
             if top.len() < 2 {
                 continue; // nothing to compare; keep the selector's pick
             }
@@ -1142,7 +966,9 @@ impl PlanPass for Autotune {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layer::{ConvAlgorithm, Layer};
     use crate::{BatchNorm2d, Conv2d, Flatten, InferenceSession, Linear, MaxPool2d, Network, ReLU};
+    use cnn_stack_tensor::GemmAlgorithm;
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
 
@@ -1363,21 +1189,92 @@ mod tests {
 
     #[test]
     fn cache_round_trips_tags() {
-        for choice in [
-            AlgoChoice::DirectConv,
-            AlgoChoice::Im2colPacked,
-            AlgoChoice::Winograd,
-            AlgoChoice::CsrConv,
-            AlgoChoice::PackedLinear,
-            AlgoChoice::ScalarLinear,
-            AlgoChoice::CsrLinear,
-            AlgoChoice::TernaryConv,
-            AlgoChoice::TernaryLinear,
-            AlgoChoice::Int8Linear,
-        ] {
+        for choice in AlgoChoice::ALL {
             assert_eq!(AlgoChoice::from_tag(choice.tag()), Some(choice));
         }
         assert_eq!(AlgoChoice::from_tag("nonsense"), None);
+    }
+
+    /// Compiles `net` through `standard() + Autotune` against a cache
+    /// file holding exactly `line`, returning the plan and the file's
+    /// contents afterwards.
+    fn compile_with_cache_line(
+        net: &mut Network,
+        shape: &[usize],
+        line: &str,
+        name: &str,
+    ) -> (InferencePlan, String) {
+        let dir = std::env::temp_dir().join(format!("cnn-stack-{name}-{}", std::process::id()));
+        let path = dir.join("tune.tsv");
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(&path, format!("{line}\n")).unwrap();
+        let plan = PlanCompiler::standard()
+            .with_pass(Autotune::with_cache_path(path.clone()))
+            .run(net, shape, &ExecConfig::serial())
+            .unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+        (plan, text)
+    }
+
+    /// The `[tag]` the compiler left on a step name.
+    fn step_tag(step: &PlanStep) -> &str {
+        let open = step.name.rfind(" [").expect("tagged step");
+        &step.name[open + 2..step.name.len() - 1]
+    }
+
+    #[test]
+    fn autotune_ignores_int8_line_on_dense_linear() {
+        // Int8 is lossy: a cached `gemm-int8` winner may only replay
+        // onto a layer the caller labelled Int8.
+        let shape = [1usize, 64];
+        let line = "linear:m1k64n10:sp0.00:t1\tgemm-int8";
+        let mut net = Network::new(vec![Box::new(Linear::new(64, 10, 3))]).unwrap();
+        let (plan, text) = compile_with_cache_line(&mut net, &shape, line, "replay-int8");
+        let fc = net.layers()[0].as_any().downcast_ref::<Linear>().unwrap();
+        assert_eq!(fc.format(), WeightFormat::Dense);
+        let cfg = plan.steps()[0].cfg;
+        assert_ne!(fc.runs(&cfg), AlgoChoice::Int8Linear);
+        assert_eq!(step_tag(&plan.steps()[0]), fc.runs(&cfg).tag());
+        // Ignored like a miss: measured again, and the line overwritten.
+        assert_eq!(text.lines().count(), 1, "{text}");
+        assert!(!text.contains("gemm-int8"), "stale line survived: {text}");
+        // The output is the f32 kernel's the step names, bit for bit —
+        // what compiling without the cache line produces.
+        let x = random(shape, 5);
+        let want = Linear::new(64, 10, 3).forward(&x, Phase::Eval, &cfg);
+        let got = InferenceSession::new(&mut net, plan)
+            .unwrap()
+            .run(&x)
+            .unwrap();
+        assert_eq!(got.data(), want.data());
+    }
+
+    #[test]
+    fn autotune_ignores_winograd_line_on_colliding_pointwise_key() {
+        // conv1x1(27->8) and conv3x3(3->8) over an 8×8 map share the key
+        // m8k27n64; a Winograd winner cached for the 3×3 layer is no
+        // candidate for the 1×1 one.
+        let shape = [1usize, 27, 8, 8];
+        let line = "conv:m8k27n64:b1:sp0.00:t1\twinograd-f4";
+        let mut net = Network::new(vec![Box::new(Conv2d::new(27, 8, 1, 1, 0, 4))]).unwrap();
+        let (plan, _) = compile_with_cache_line(&mut net, &shape, line, "replay-f4");
+        let conv = net.layers()[0].as_any().downcast_ref::<Conv2d>().unwrap();
+        let step = &plan.steps()[0];
+        assert_ne!(step.cfg.conv_algo, ConvAlgorithm::WinogradF4);
+        assert_eq!(step_tag(step), conv.runs(&step.cfg).tag());
+    }
+
+    #[test]
+    fn autotune_ignores_ternary_line_on_non_ternary_weights() {
+        let shape = [1usize, 3, 8, 8];
+        let line = "conv:m8k27n64:b1:sp0.00:t1\tim2col-ternary";
+        let mut net = Network::new(vec![Box::new(Conv2d::new(3, 8, 3, 1, 1, 4))]).unwrap();
+        let (plan, _) = compile_with_cache_line(&mut net, &shape, line, "replay-ternary");
+        let conv = net.layers()[0].as_any().downcast_ref::<Conv2d>().unwrap();
+        assert_ne!(conv.format(), WeightFormat::Ternary);
+        let step = &plan.steps()[0];
+        assert_eq!(step_tag(step), conv.runs(&step.cfg).tag());
     }
 
     fn budget_net(seed: u64) -> Network {

@@ -171,6 +171,16 @@ impl Weights {
         conv.or_else(|| any.downcast_ref::<Linear>().map(Linear::weights))
     }
 
+    /// [`of`](Self::of), mutably — the route by which a plan pass or a
+    /// demotion relabels whichever layer type it was handed.
+    pub(crate) fn of_mut(layer: &mut dyn Layer) -> Option<&mut Weights> {
+        let any = layer.as_any_mut();
+        if any.is::<Conv2d>() {
+            return any.downcast_mut::<Conv2d>().map(Conv2d::weights_mut);
+        }
+        any.downcast_mut::<Linear>().map(Linear::weights_mut)
+    }
+
     /// A second set of handles to this master and to every form built
     /// so far: no weight is copied. The label is per replica.
     pub(crate) fn replica(&self) -> Weights {

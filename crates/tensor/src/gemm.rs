@@ -3,13 +3,21 @@
 //! The paper's systems layer leans heavily on GEMM: the im2col convolution
 //! lowering (§IV-D) turns every convolution into one `M×K · K×N` product,
 //! and the CLBlast comparison in Fig. 6 is a GEMM-library study. This
-//! module provides the CPU variants the characterisation needs:
+//! module provides the CPU variants the characterisation needs. Two are
+//! plain functions no execution config selects:
 //!
-//! * [`GemmAlgorithm::Naive`] — triple loop in `ijk` order; the reference.
-//! * [`GemmAlgorithm::Blocked`] — cache-blocked `ikj` loops with a
-//!   fixed block size; the "hand-optimised serial C" analogue.
-//! * [`GemmAlgorithm::Tiled`] — fully parameterised tiling mirroring
-//!   CLBlast's tuning surface (used by `cnn-stack-hwsim`'s auto-tuner).
+//! * [`gemm_naive_into`] — triple loop in `ijk` order; the reference
+//!   every equivalence test and bench compares against.
+//! * [`gemm_tiled_into`] — fully parameterised tiling mirroring
+//!   CLBlast's tuning surface (`cnn-stack-hwsim`'s auto-tuner drives it).
+//!
+//! The rest are the engines a layer can run, named by [`GemmAlgorithm`]:
+//!
+//! * [`GemmAlgorithm::Blocked`] — the tiled kernel at a fixed 64³
+//!   blocking; the "hand-optimised serial C" analogue and the scalar
+//!   floor the guard ladder demotes to.
+//! * [`GemmAlgorithm::TernaryPacked`] / [`GemmAlgorithm::Int8Packed`] —
+//!   the packed engine over quantised weight panels.
 //! * [`GemmAlgorithm::Packed`] — the tuned-BLAS analogue: a BLIS-style
 //!   packed engine that copies A into `MR`-row panels and B into
 //!   `NR`-column panels, then drives an `MR×NR` register-tiled
@@ -55,15 +63,11 @@ pub const MR: usize = 6;
 /// kernels.
 pub const NR: usize = 16;
 
-/// Which GEMM kernel to run.
+/// Which GEMM engine a layer runs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
 pub enum GemmAlgorithm {
-    /// Textbook triple loop (`ijk`). O(MNK), poor locality on large K.
-    Naive,
     /// Cache-blocked `ikj` ordering with 64-element square blocks.
     Blocked,
-    /// Parameterised register/cache tiling; see [`TileConfig`].
-    Tiled(TileConfig),
     /// BLIS-style packed panels + `MR×NR` micro-kernel (AVX-512 or
     /// AVX2/FMA when available). The fast path for conv-im2col and
     /// linear layers.
@@ -116,7 +120,7 @@ impl GemmEpilogue {
     }
 }
 
-/// Tiling parameters for [`GemmAlgorithm::Tiled`].
+/// Tiling parameters for [`gemm_tiled_into`].
 ///
 /// These mirror the subset of CLBlast's 14-parameter GEMM tuning surface
 /// that is meaningful on a CPU: tile extents in the M/N/K dimensions and
@@ -1707,11 +1711,41 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
 ///
 /// Panics if `a` or `b` is not rank-2 or the inner dimensions disagree.
 pub fn matmul_with(a: &Tensor, b: &Tensor, algo: GemmAlgorithm) -> Tensor {
+    matmul_by(a, b, |a, b, c, m, k, n| gemm_into(a, b, c, m, k, n, algo))
+}
+
+/// Computes `C = A · B` with the naive reference kernel
+/// ([`gemm_naive_into`]).
+///
+/// # Panics
+///
+/// Panics if `a` or `b` is not rank-2 or the inner dimensions disagree.
+pub fn matmul_naive(a: &Tensor, b: &Tensor) -> Tensor {
+    matmul_by(a, b, gemm_naive_into)
+}
+
+/// Computes `C = A · B` with the parameterised tiled kernel
+/// ([`gemm_tiled_into`]).
+///
+/// # Panics
+///
+/// Panics if `a` or `b` is not rank-2 or the inner dimensions disagree.
+pub fn matmul_tiled(a: &Tensor, b: &Tensor, cfg: TileConfig) -> Tensor {
+    matmul_by(a, b, |a, b, c, m, k, n| {
+        gemm_tiled_into(a, b, c, m, k, n, cfg)
+    })
+}
+
+fn matmul_by(
+    a: &Tensor,
+    b: &Tensor,
+    gemm: impl FnOnce(&[f32], &[f32], &mut [f32], usize, usize, usize),
+) -> Tensor {
     let (m, ka) = a.shape().matrix();
     let (kb, n) = b.shape().matrix();
     assert_eq!(ka, kb, "inner dimension mismatch: {ka} vs {kb}");
     let mut c = Tensor::zeros([m, n]);
-    gemm_into(a.data(), b.data(), c.data_mut(), m, ka, n, algo);
+    gemm(a.data(), b.data(), c.data_mut(), m, ka, n);
     c
 }
 
@@ -1740,9 +1774,7 @@ pub fn gemm_into(
     assert_eq!(b.len(), k * n, "B length mismatch");
     assert_eq!(c.len(), m * n, "C length mismatch");
     match algo {
-        GemmAlgorithm::Naive => gemm_naive(a, b, c, m, k, n),
-        GemmAlgorithm::Blocked => gemm_tiled(a, b, c, m, k, n, TileConfig::new(64, 64, 64, 4)),
-        GemmAlgorithm::Tiled(cfg) => gemm_tiled(a, b, c, m, k, n, cfg),
+        GemmAlgorithm::Blocked => gemm_tiled_into(a, b, c, m, k, n, TileConfig::new(64, 64, 64, 4)),
         // The quantised engines operate on prepacked quantised panels;
         // from plain f32 slices the defined fallback is the f32 packed
         // path — the same bit-identical demotion the guard applies.
@@ -1785,7 +1817,7 @@ pub fn gemm_rows_into(
         let a_row = &a[i * k..(i + 1) * k];
         let c_row = &mut c[i * n..(i + 1) * n];
         // No zero-value skip here: `0 · NaN` must stay NaN, exactly as in
-        // `gemm_naive` — sparsity exploitation belongs to the CSR path.
+        // `gemm_naive_into` — sparsity exploitation belongs to the CSR path.
         for (p, &av) in a_row.iter().enumerate() {
             let b_row = &b[p * n..(p + 1) * n];
             for (cv, &bv) in c_row.iter_mut().zip(b_row) {
@@ -1795,7 +1827,18 @@ pub fn gemm_rows_into(
     }
 }
 
-fn gemm_naive(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
+/// The reference GEMM: textbook `ijk` triple loop, `c[m×n] += a[m×k] ·
+/// b[k×n]`. O(MNK) with poor locality on large K — nothing runs it for
+/// speed; the equivalence tests and benches hold every other kernel to
+/// it.
+///
+/// # Panics
+///
+/// Panics if slice lengths do not match the given dimensions.
+pub fn gemm_naive_into(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
+    assert_eq!(a.len(), m * k, "A length mismatch");
+    assert_eq!(b.len(), k * n, "B length mismatch");
+    assert_eq!(c.len(), m * n, "C length mismatch");
     for i in 0..m {
         for j in 0..n {
             let mut acc = 0.0;
@@ -1807,7 +1850,25 @@ fn gemm_naive(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize)
     }
 }
 
-fn gemm_tiled(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize, cfg: TileConfig) {
+/// Scalar GEMM with parameterised register/cache tiling, `c[m×n] +=
+/// a[m×k] · b[k×n]`; see [`TileConfig`]. [`GemmAlgorithm::Blocked`] is
+/// this kernel at 64³ tiles.
+///
+/// # Panics
+///
+/// Panics if slice lengths do not match the given dimensions.
+pub fn gemm_tiled_into(
+    a: &[f32],
+    b: &[f32],
+    c: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+    cfg: TileConfig,
+) {
+    assert_eq!(a.len(), m * k, "A length mismatch");
+    assert_eq!(b.len(), k * n, "B length mismatch");
+    assert_eq!(c.len(), m * n, "C length mismatch");
     let TileConfig {
         tile_m,
         tile_n,
@@ -1826,7 +1887,7 @@ fn gemm_tiled(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize,
                 for i in i0..i1 {
                     for p in p0..p1 {
                         // No zero-value skip: `0 · NaN` must stay NaN to
-                        // match `gemm_naive` on non-finite inputs.
+                        // match `gemm_naive_into` on non-finite inputs.
                         let av = a[i * k + p];
                         let b_row = &b[p * n..p * n + n];
                         let c_row = &mut c[i * n..i * n + n];
@@ -1890,9 +1951,9 @@ mod tests {
         ] {
             let a = random_tensor([m, k], m as u64);
             let b = random_tensor([k, n], n as u64);
-            let naive = matmul_with(&a, &b, GemmAlgorithm::Naive);
+            let naive = matmul_naive(&a, &b);
             let blocked = matmul_with(&a, &b, GemmAlgorithm::Blocked);
-            let tiled = matmul_with(&a, &b, GemmAlgorithm::Tiled(TileConfig::new(8, 8, 8, 2)));
+            let tiled = matmul_tiled(&a, &b, TileConfig::new(8, 8, 8, 2));
             let packed = matmul_with(&a, &b, GemmAlgorithm::Packed);
             assert!(
                 naive.allclose(&blocked, 1e-4),
@@ -1917,7 +1978,7 @@ mod tests {
         ] {
             let a = random_tensor([m, k], (m + k) as u64);
             let b = random_tensor([k, n], (k + n) as u64);
-            let naive = matmul_with(&a, &b, GemmAlgorithm::Naive);
+            let naive = matmul_naive(&a, &b);
             let packed = matmul_with(&a, &b, GemmAlgorithm::Packed);
             assert!(naive.allclose(&packed, 1e-4), "packed mismatch {m}x{k}x{n}");
         }
@@ -2134,7 +2195,7 @@ mod tests {
             pack_a_into(&plan, a.data(), &mut pa);
             let mut c = vec![0.0f32; m * n];
             gemm_prepacked(&plan, &pa, &pb, &mut c, 1, Schedule::Static);
-            let reference = matmul_with(&a, &b, GemmAlgorithm::Naive);
+            let reference = matmul_naive(&a, &b);
             let c = Tensor::from_vec([m, n], c);
             assert!(reference.allclose(&c, 1e-4), "seed {seed}");
         }
@@ -2169,28 +2230,36 @@ mod tests {
         let mut b = vec![1.0f32; k * n];
         b[2 * n + 1] = f32::NAN; // column 1 sees a NaN at k-step 2
         b[3 * n + 4] = f32::INFINITY; // column 4 sees +Inf (all products ≥ 0)
-        for algo in [
-            GemmAlgorithm::Naive,
-            GemmAlgorithm::Blocked,
-            GemmAlgorithm::Tiled(TileConfig::new(8, 8, 8, 2)),
-            GemmAlgorithm::Packed,
-        ] {
+        type Kernel<'a> = &'a dyn Fn(&mut [f32]);
+        let kernels: [(&str, Kernel); 4] = [
+            ("naive", &|c| gemm_naive_into(&a, &b, c, m, k, n)),
+            ("blocked", &|c| {
+                gemm_into(&a, &b, c, m, k, n, GemmAlgorithm::Blocked)
+            }),
+            ("tiled", &|c| {
+                gemm_tiled_into(&a, &b, c, m, k, n, TileConfig::new(8, 8, 8, 2))
+            }),
+            ("packed", &|c| {
+                gemm_into(&a, &b, c, m, k, n, GemmAlgorithm::Packed)
+            }),
+        ];
+        for (algo, kernel) in kernels {
             let mut c = vec![0.0f32; m * n];
-            gemm_into(&a, &b, &mut c, m, k, n, algo);
+            kernel(&mut c);
             for i in 0..m {
                 assert!(
                     c[i * n + 1].is_nan(),
-                    "row {i} col 1 must be NaN under {algo:?}, got {}",
+                    "row {i} col 1 must be NaN under {algo}, got {}",
                     c[i * n + 1]
                 );
             }
             // The all-zero A row turns +Inf into 0 · Inf = NaN; other rows
             // accumulate +Inf.
-            assert!(c[4].is_nan(), "0 · Inf must be NaN under {algo:?}");
+            assert!(c[4].is_nan(), "0 · Inf must be NaN under {algo}");
             for i in 1..m {
                 assert!(
                     c[i * n + 4] == f32::INFINITY,
-                    "row {i} col 4 must be +Inf under {algo:?}"
+                    "row {i} col 4 must be +Inf under {algo}"
                 );
             }
         }
@@ -2206,7 +2275,7 @@ mod tests {
         let (m, k, n) = (10, 12, 8);
         let a = random_tensor([m, k], 42);
         let b = random_tensor([k, n], 43);
-        let full = matmul_with(&a, &b, GemmAlgorithm::Naive);
+        let full = matmul_naive(&a, &b);
         let mut c = vec![0.0; m * n];
         gemm_rows_into(a.data(), b.data(), &mut c, m, k, n, 0, 4);
         gemm_rows_into(a.data(), b.data(), &mut c, m, k, n, 4, 10);
@@ -2218,11 +2287,12 @@ mod tests {
     fn accumulates_into_c() {
         let a = Tensor::ones([2, 2]);
         let b = Tensor::ones([2, 2]);
-        for algo in [GemmAlgorithm::Naive, GemmAlgorithm::Packed] {
-            let mut c = vec![10.0; 4];
-            gemm_into(a.data(), b.data(), &mut c, 2, 2, 2, algo);
-            assert_eq!(c, vec![12.0; 4], "{algo:?}");
-        }
+        let mut c = vec![10.0; 4];
+        gemm_naive_into(a.data(), b.data(), &mut c, 2, 2, 2);
+        assert_eq!(c, vec![12.0; 4], "naive");
+        let mut c = vec![10.0; 4];
+        gemm_into(a.data(), b.data(), &mut c, 2, 2, 2, GemmAlgorithm::Packed);
+        assert_eq!(c, vec![12.0; 4], "packed");
     }
 
     #[test]
@@ -2563,7 +2633,7 @@ mod tests {
                 }
             }
             let mut want = vec![0.0f32; m * n];
-            gemm_naive(&deq_a, &deq_b, &mut want, m, k, n);
+            gemm_naive_into(&deq_a, &deq_b, &mut want, m, k, n);
             for (i, (&got, &exp)) in c.iter().zip(&want).enumerate() {
                 let tol = 1e-5 * exp.abs().max(1.0);
                 assert!(

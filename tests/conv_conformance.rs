@@ -1,14 +1,16 @@
 //! Cross-algorithm convolution conformance harness.
 //!
-//! Every convolution algorithm the stack can select — direct, im2col
-//! over both GEMM engines, Winograd F(2×2,3×3), Winograd F(4×4,3×3),
-//! FFT, and CSR sparse-direct — is run against one naive reference
-//! (loop order matched to the direct kernel) across randomized
-//! shape/stride/pad/channel grids and a curated list of degenerate
-//! shapes. Each algorithm carries its own error budget:
+//! Every convolution kernel in the registry (`AlgoChoice::ALL`: direct,
+//! im2col over the packed, scalar and ternary GEMM engines, Winograd
+//! F(2×2,3×3) and F(4×4,3×3), FFT, and CSR sparse-direct and
+//! CSR × im2col) is run against one naive reference (loop order matched
+//! to the direct kernel) across randomized shape/stride/pad/channel
+//! grids and a curated list of degenerate shapes. Each kernel carries
+//! its own error budget, stated once in [`tolerance`]:
 //!
-//! * **Bit-exact** — direct and CSR accumulate in the reference order,
-//!   so their outputs must match the reference to the bit.
+//! * **Bit-exact** — direct and both CSR kernels accumulate in the
+//!   reference order, so their outputs must match the reference to the
+//!   bit.
 //! * **Relative** — im2col reassociates the reduction (GEMM blocking),
 //!   Winograd evaluates it through transform matrices whose
 //!   conditioning amplifies rounding; each gets a max-norm relative
@@ -24,8 +26,10 @@
 //! NaN-poisoned scratch of exactly `forward_scratch_elems` floats must
 //! reproduce `forward` bit-for-bit).
 
-use cnn_stack::nn::{Conv2d, ConvAlgorithm, ExecConfig, Layer, Phase, WeightFormat};
-use cnn_stack::tensor::{gemm::GemmAlgorithm, Tensor};
+use cnn_stack::nn::{
+    AlgoChoice, Conv2d, ConvAlgorithm, ExecConfig, Layer, LayerShape, Phase, WeightFormat,
+};
+use cnn_stack::tensor::Tensor;
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -41,68 +45,59 @@ enum Tolerance {
     FftScaled,
 }
 
-/// One row of the conformance table.
+/// The error budget of each conv row: one arm per kernel, so a new row
+/// does not compile until its budget is stated here.
+fn tolerance(row: AlgoChoice) -> Tolerance {
+    match row {
+        AlgoChoice::DirectConv => Tolerance::BitExact,
+        AlgoChoice::Im2colPacked => Tolerance::Rel(1e-5),
+        AlgoChoice::Im2colScalar => Tolerance::Rel(1e-5),
+        AlgoChoice::CsrConv => Tolerance::BitExact,
+        // Each stored weight scales one im2col row, in the reference's
+        // tap order; padding taps add an exact 0.
+        AlgoChoice::CsrIm2col => Tolerance::BitExact,
+        AlgoChoice::Winograd => Tolerance::Rel(2e-4),
+        AlgoChoice::WinogradF4 => Tolerance::Rel(1e-3),
+        AlgoChoice::FftConv => Tolerance::FftScaled,
+        // On exactly-ternary weights: the packed reassociation with
+        // two-valued products (2.2e-7 measured over these grids; 2e-7
+        // fails).
+        AlgoChoice::TernaryConv => Tolerance::Rel(1e-6),
+        AlgoChoice::PackedLinear
+        | AlgoChoice::ScalarLinear
+        | AlgoChoice::CsrLinear
+        | AlgoChoice::TernaryLinear
+        | AlgoChoice::Int8Linear => unreachable!("{row:?} is not a conv row"),
+    }
+}
+
+/// One row of the conformance table: a conv kernel, the config and
+/// label that select it, and its budget.
 struct AlgoCase {
+    row: AlgoChoice,
     name: &'static str,
     format: WeightFormat,
-    conv_algo: ConvAlgorithm,
-    gemm_algo: GemmAlgorithm,
+    cfg: ExecConfig,
     tol: Tolerance,
 }
 
-/// Every convolution path the planner can select.
+/// Every convolution kernel in the registry.
 fn conformance_table() -> Vec<AlgoCase> {
-    vec![
-        AlgoCase {
-            name: "direct",
-            format: WeightFormat::Dense,
-            conv_algo: ConvAlgorithm::Direct,
-            gemm_algo: GemmAlgorithm::Packed,
-            tol: Tolerance::BitExact,
-        },
-        AlgoCase {
-            name: "im2col-blocked",
-            format: WeightFormat::Dense,
-            conv_algo: ConvAlgorithm::Im2col,
-            gemm_algo: GemmAlgorithm::Blocked,
-            tol: Tolerance::Rel(1e-5),
-        },
-        AlgoCase {
-            name: "im2col-packed",
-            format: WeightFormat::Dense,
-            conv_algo: ConvAlgorithm::Im2col,
-            gemm_algo: GemmAlgorithm::Packed,
-            tol: Tolerance::Rel(1e-5),
-        },
-        AlgoCase {
-            name: "winograd-f2",
-            format: WeightFormat::Dense,
-            conv_algo: ConvAlgorithm::Winograd,
-            gemm_algo: GemmAlgorithm::Packed,
-            tol: Tolerance::Rel(2e-4),
-        },
-        AlgoCase {
-            name: "winograd-f4",
-            format: WeightFormat::Dense,
-            conv_algo: ConvAlgorithm::WinogradF4,
-            gemm_algo: GemmAlgorithm::Packed,
-            tol: Tolerance::Rel(1e-3),
-        },
-        AlgoCase {
-            name: "fft",
-            format: WeightFormat::Dense,
-            conv_algo: ConvAlgorithm::Fft,
-            gemm_algo: GemmAlgorithm::Packed,
-            tol: Tolerance::FftScaled,
-        },
-        AlgoCase {
-            name: "csr-direct",
-            format: WeightFormat::Csr,
-            conv_algo: ConvAlgorithm::Direct,
-            gemm_algo: GemmAlgorithm::Packed,
-            tol: Tolerance::BitExact,
-        },
-    ]
+    AlgoChoice::ALL
+        .into_iter()
+        .filter(|row| row.is_conv())
+        .map(|row| {
+            let mut cfg = ExecConfig::serial();
+            let format = row.select(&mut cfg);
+            AlgoCase {
+                row,
+                name: row.tag(),
+                format,
+                cfg,
+                tol: tolerance(row),
+            }
+        })
+        .collect()
 }
 
 /// One convolution shape under test.
@@ -208,14 +203,6 @@ fn reference_f64(x: &[f32], weights: &[f32], bias: &[f32], s: ConvShape) -> Vec<
     out
 }
 
-fn exec_cfg(case: &AlgoCase) -> ExecConfig {
-    ExecConfig {
-        conv_algo: case.conv_algo,
-        gemm_algo: case.gemm_algo,
-        ..ExecConfig::serial()
-    }
-}
-
 /// Builds a seeded conv layer plus a random input/bias for a shape.
 fn build_layer(s: ConvShape, seed: u64) -> (Conv2d, Tensor) {
     let mut conv = Conv2d::new(s.in_c, s.out_c, s.k, s.stride, s.pad, seed);
@@ -223,6 +210,33 @@ fn build_layer(s: ConvShape, seed: u64) -> (Conv2d, Tensor) {
     conv.bias_mut().value = Tensor::from_fn([s.out_c], |_| rng.gen_range(-0.5..0.5f32));
     let x = Tensor::from_fn([s.n, s.in_c, s.h, s.w], |_| rng.gen_range(-2.0..2.0f32));
     (conv, x)
+}
+
+/// Puts `conv` on the case's row: its label, and — for a row whose
+/// precondition is on the weight values (the ternary kernel) — weights
+/// snapped to exactly `{−0.25, +0.5}`, non-zero so a poisoned input
+/// still reaches every output it should. Where the row applies the
+/// layer then runs it; elsewhere (Winograd off 3×3 stride 1) it runs
+/// the row's fall-back, which the same budget must cover.
+fn put_on_row(conv: &mut Conv2d, case: &AlgoCase, s: ConvShape) {
+    let shape = LayerShape::Conv {
+        k_h: s.k,
+        k_w: s.k,
+        stride: s.stride,
+    };
+    let ternary = !case.row.applies(shape, false) && case.row.applies(shape, true);
+    if ternary {
+        for w in conv.weight_mut().value.data_mut() {
+            *w = if *w >= 0.0 { 0.5 } else { -0.25 };
+        }
+    }
+    conv.set_format(case.format);
+    assert_eq!(
+        conv.runs(&case.cfg) == case.row,
+        case.row.applies(shape, ternary),
+        "{}: `applies` and the dispatcher disagree on {s:?}",
+        case.name
+    );
 }
 
 /// Max-norm relative error of `got` against `reference`.
@@ -239,14 +253,14 @@ fn max_rel_err(got: &[f32], reference: &[f32]) -> f32 {
 
 fn check_case(case: &AlgoCase, s: ConvShape, seed: u64) {
     let (mut conv, x) = build_layer(s, seed);
-    conv.set_format(case.format);
+    put_on_row(&mut conv, case, s);
     let reference = reference_f32(
         x.data(),
         conv.weight().value.data(),
         conv.bias().value.data(),
         s,
     );
-    let got = conv.forward(&x, Phase::Eval, &exec_cfg(case));
+    let got = conv.forward(&x, Phase::Eval, &case.cfg);
     let (out_h, out_w) = s.out_extent();
     assert_eq!(
         got.shape().dims(),
@@ -474,9 +488,9 @@ fn check_poison(poison: f32) {
                 *wv = 0.05f32.copysign(*wv + 0.01);
             }
         }
-        conv.set_format(case.format);
+        put_on_row(&mut conv, case, s);
         x.data_mut()[y0 * s.w + x0] = poison;
-        let got = conv.forward(&x, Phase::Eval, &exec_cfg(case));
+        let got = conv.forward(&x, Phase::Eval, &case.cfg);
         let (out_h, out_w) = s.out_extent();
         let plane = out_h * out_w;
         // Every output whose receptive field saw the poison must be
@@ -495,8 +509,8 @@ fn check_poison(poison: f32) {
         }
         // Direct-sum algorithms must confine it to the receptive field.
         let spreads = matches!(
-            case.conv_algo,
-            ConvAlgorithm::Winograd | ConvAlgorithm::WinogradF4 | ConvAlgorithm::Fft
+            case.row,
+            AlgoChoice::Winograd | AlgoChoice::WinogradF4 | AlgoChoice::FftConv
         );
         if !spreads {
             let hits = receptive_outputs(s, y0, x0);
@@ -589,8 +603,8 @@ fn advertised_workspace_is_sufficient_and_fully_initialised() {
     for s in shapes {
         for case in &conformance_table() {
             let (mut conv, x) = build_layer(s, 0x5C4A);
-            conv.set_format(case.format);
-            let cfg = exec_cfg(case);
+            put_on_row(&mut conv, case, s);
+            let cfg = case.cfg;
             let want = conv.forward(&x, Phase::Eval, &cfg);
             Layer::prepare(&mut conv, &cfg);
             let shape = [s.n, s.in_c, s.h, s.w];

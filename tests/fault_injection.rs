@@ -9,9 +9,9 @@
 
 use cnn_stack::nn::network::set_network_format;
 use cnn_stack::nn::{
-    Conv2d, ConvAlgorithm, DemotionAction, DemotionReason, Error, ExecConfig, FaultPlan, Flatten,
-    GuardConfig, GuardViolation, InferencePlan, InferenceSession, Layer, Linear, Network,
-    NonFiniteKind, ReLU, WeightFormat,
+    AlgoChoice, Conv2d, ConvAlgorithm, DemotionReason, DemotionRecord, Error, ExecConfig,
+    FaultPlan, Flatten, GuardConfig, GuardViolation, InferencePlan, InferenceSession, Layer,
+    Linear, Network, NonFiniteKind, ReLU, WeightFormat,
 };
 use cnn_stack::tensor::Tensor;
 use proptest::prelude::*;
@@ -39,6 +39,11 @@ fn cfg_with(algo: ConvAlgorithm, threads: usize) -> ExecConfig {
         conv_algo: algo,
         ..ExecConfig::serial()
     }
+}
+
+/// The registry edge a demotion record names.
+fn edge(record: &DemotionRecord) -> (AlgoChoice, AlgoChoice) {
+    (record.from, record.to)
 }
 
 fn run_reference(seed: u64, cfg: &ExecConfig, input: &Tensor) -> Tensor {
@@ -69,7 +74,10 @@ fn winograd_kernel_panic_demotes_to_im2col_bit_identically() {
     assert_eq!(health.panics_contained, 1);
     assert_eq!(health.demotions.len(), 1);
     assert_eq!(health.demotions[0].layer_index, 0);
-    assert_eq!(health.demotions[0].action, DemotionAction::WinogradToIm2col);
+    assert_eq!(
+        edge(&health.demotions[0]),
+        (AlgoChoice::Winograd, AlgoChoice::Im2colPacked)
+    );
     assert_eq!(health.demotions[0].reason, DemotionReason::KernelPanicked);
 
     // Bit-identical to a session that ran im2col from the start.
@@ -115,7 +123,10 @@ fn packed_gemm_panic_demotes_to_blocked_bit_identically() {
     assert_eq!(health.panics_contained, 1);
     assert_eq!(health.demotions.len(), 1);
     assert_eq!(health.demotions[0].layer_index, 0);
-    assert_eq!(health.demotions[0].action, DemotionAction::PackedToBlocked);
+    assert_eq!(
+        edge(&health.demotions[0]),
+        (AlgoChoice::Im2colPacked, AlgoChoice::Im2colScalar)
+    );
     assert_eq!(health.demotions[0].reason, DemotionReason::KernelPanicked);
 
     // Bit-identical to the demoted configuration run layer by layer:
@@ -167,7 +178,10 @@ fn guard_trip_on_csr_conv_demotes_to_dense() {
     assert_eq!(health.guards_tripped, 1);
     assert_eq!(health.demotions.len(), 1);
     assert_eq!(health.demotions[0].layer_index, 0);
-    assert_eq!(health.demotions[0].action, DemotionAction::CsrToDense);
+    assert_eq!(
+        edge(&health.demotions[0]),
+        (AlgoChoice::CsrIm2col, AlgoChoice::Im2colPacked)
+    );
     assert_eq!(health.demotions[0].reason, DemotionReason::GuardTripped);
     assert!(got.data().iter().all(|v| v.is_finite()));
 }
@@ -490,7 +504,7 @@ fn demotion_past_the_budget_surfaces_a_breach_event() {
 
 /// A panic inside the FFT convolution kernel demotes the step straight
 /// to im2col and re-runs, bit-identical to a session that ran im2col
-/// from the start, with the rung recorded as [`DemotionAction::FftToIm2col`].
+/// from the start, with the rung recorded as `FftConv → Im2colPacked`.
 #[test]
 fn fft_kernel_panic_demotes_to_im2col_bit_identically() {
     let seed = 71;
@@ -507,7 +521,10 @@ fn fft_kernel_panic_demotes_to_im2col_bit_identically() {
     assert_eq!(health.panics_contained, 1);
     assert_eq!(health.demotions.len(), 1);
     assert_eq!(health.demotions[0].layer_index, 0);
-    assert_eq!(health.demotions[0].action, DemotionAction::FftToIm2col);
+    assert_eq!(
+        edge(&health.demotions[0]),
+        (AlgoChoice::FftConv, AlgoChoice::Im2colPacked)
+    );
     assert_eq!(health.demotions[0].reason, DemotionReason::KernelPanicked);
 
     let want = run_reference(seed, &cfg_with(ConvAlgorithm::Im2col, 2), &input);
@@ -550,8 +567,8 @@ fn winograd4_guard_trip_demotes_one_rung_to_winograd2() {
         assert_eq!(health.demotions.len(), 1);
         assert_eq!(health.demotions[0].layer_index, 0);
         assert_eq!(
-            health.demotions[0].action,
-            DemotionAction::Winograd4ToWinograd2
+            edge(&health.demotions[0]),
+            (AlgoChoice::WinogradF4, AlgoChoice::Winograd)
         );
         assert_eq!(health.demotions[0].reason, DemotionReason::GuardTripped);
 
@@ -582,10 +599,13 @@ fn winograd4_double_trip_walks_ladder_to_im2col() {
     assert_eq!(health.guards_tripped, 2);
     assert_eq!(health.demotions.len(), 2);
     assert_eq!(
-        health.demotions[0].action,
-        DemotionAction::Winograd4ToWinograd2
+        edge(&health.demotions[0]),
+        (AlgoChoice::WinogradF4, AlgoChoice::Winograd)
     );
-    assert_eq!(health.demotions[1].action, DemotionAction::WinogradToIm2col);
+    assert_eq!(
+        edge(&health.demotions[1]),
+        (AlgoChoice::Winograd, AlgoChoice::Im2colPacked)
+    );
     assert!(health
         .demotions
         .iter()
@@ -596,4 +616,134 @@ fn winograd4_double_trip_walks_ladder_to_im2col() {
     let want_bits: Vec<u32> = want.data().iter().map(|v| v.to_bits()).collect();
     assert_eq!(got_bits, want_bits);
     assert!(got.data().iter().all(|v| v.is_finite()));
+}
+
+/// A demotion record names the kernel that ran, not the cfg field that
+/// asked for another: a 1×1 convolution compiled under
+/// `ConvAlgorithm::WinogradF4` runs the direct loop — the conv floor —
+/// so a contained panic there has no rung to take and surfaces typed,
+/// exactly as it does for the same layer compiled under `Direct`.
+#[test]
+fn pointwise_conv_under_winograd_cfg_has_no_phantom_rung() {
+    let input = Tensor::from_fn([2, 3, 8, 8], |i| (i % 13) as f32 * 0.1 - 0.6);
+    for algo in [ConvAlgorithm::WinogradF4, ConvAlgorithm::Direct] {
+        let mut net = Network::new(vec![Box::new(Conv2d::new(3, 4, 1, 1, 0, 9))]).unwrap();
+        let cfg = cfg_with(algo, 1);
+        let plan = InferencePlan::compile(&net, input.shape().dims(), &cfg).unwrap();
+        let mut session = InferenceSession::new(&mut net, plan).unwrap();
+        session.inject_faults(FaultPlan::new().panic_in_kernel(0, 0));
+
+        let err = session.run(&input).unwrap_err();
+        assert!(
+            matches!(err, Error::KernelPanicked { layer: 0, .. }),
+            "{algo:?}: {err:?}"
+        );
+        let health = session.health();
+        assert_eq!(health.panics_contained, 1, "{algo:?}");
+        assert!(
+            health.demotions.is_empty(),
+            "{algo:?}: {:?}",
+            health.demotions
+        );
+        // The fault was one-shot; the session is not poisoned.
+        session.run(&input).expect("session stays usable");
+    }
+}
+
+/// A `TernaryPacked` cfg over weights that are not exactly ternary runs
+/// the f32 packed kernel, so a failure there demotes straight to the
+/// scalar GEMM row — not through a quantised→packed rung that would
+/// re-run the very kernel that failed.
+#[test]
+fn ternary_cfg_over_non_ternary_weights_demotes_straight_to_scalar() {
+    use cnn_stack::tensor::GemmAlgorithm;
+    let seed = 29;
+    let input = ramp_input(2);
+    let mut net = conv_stack(seed);
+    set_network_format(&mut net, WeightFormat::Ternary);
+    let cfg = ExecConfig {
+        gemm_algo: GemmAlgorithm::TernaryPacked,
+        ..cfg_with(ConvAlgorithm::Im2col, 1)
+    };
+    let plan = InferencePlan::compile(&net, input.shape().dims(), &cfg).unwrap();
+    let mut session = InferenceSession::new(&mut net, plan).unwrap();
+    session.inject_faults(FaultPlan::new().panic_in_kernel(0, 0));
+
+    let got = session.run(&input).expect("session recovers by demotion");
+
+    let health = session.health().clone();
+    assert_eq!(health.demotions.len(), 1);
+    assert_eq!(
+        edge(&health.demotions[0]),
+        (AlgoChoice::Im2colPacked, AlgoChoice::Im2colScalar)
+    );
+    // Bit-identical to the conv on the scalar GEMM from the start.
+    let want = {
+        use cnn_stack::nn::Phase;
+        let mut rnet = conv_stack(seed);
+        let scalar_cfg = ExecConfig {
+            gemm_algo: GemmAlgorithm::Blocked,
+            ..cfg
+        };
+        let layers = rnet.layers_mut();
+        let mut x = layers[0].forward(&input, Phase::Eval, &scalar_cfg);
+        for layer in &mut layers[1..] {
+            x = layer.forward(&x, Phase::Eval, &cfg);
+        }
+        x
+    };
+    let got_bits: Vec<u32> = got.data().iter().map(|v| v.to_bits()).collect();
+    let want_bits: Vec<u32> = want.data().iter().map(|v| v.to_bits()).collect();
+    assert_eq!(got_bits, want_bits);
+}
+
+/// The quantised rung with weights that *are* exactly ternary: the
+/// ternary kernel ran, so the step moves to the f32 packed kernel on the
+/// same values — bit-identical to the healthy quantised run.
+#[test]
+fn ternary_kernel_panic_demotes_to_f32_packed_bit_identically() {
+    use cnn_stack::tensor::GemmAlgorithm;
+    fn ternary_stack() -> Network {
+        let mut net = conv_stack(31);
+        for layer in net.layers_mut() {
+            if let Some(w) = layer.params_mut().first_mut() {
+                for v in w.value.data_mut() {
+                    *v = match *v {
+                        x if x > 0.05 => 0.5,
+                        x if x < -0.05 => -0.25,
+                        _ => 0.0,
+                    };
+                }
+            }
+        }
+        set_network_format(&mut net, WeightFormat::Ternary);
+        net
+    }
+    let input = ramp_input(2);
+    let cfg = ExecConfig {
+        gemm_algo: GemmAlgorithm::TernaryPacked,
+        ..cfg_with(ConvAlgorithm::Im2col, 1)
+    };
+    let mut healthy = ternary_stack();
+    let plan = InferencePlan::compile(&healthy, input.shape().dims(), &cfg).unwrap();
+    let want = InferenceSession::new(&mut healthy, plan)
+        .unwrap()
+        .run(&input)
+        .unwrap();
+
+    let mut net = ternary_stack();
+    let plan = InferencePlan::compile(&net, input.shape().dims(), &cfg).unwrap();
+    let mut session = InferenceSession::new(&mut net, plan).unwrap();
+    session.inject_faults(FaultPlan::new().panic_in_kernel(0, 0));
+    let got = session.run(&input).expect("session recovers by demotion");
+
+    let health = session.health().clone();
+    assert_eq!(health.demotions.len(), 1);
+    assert_eq!(
+        edge(&health.demotions[0]),
+        (AlgoChoice::TernaryConv, AlgoChoice::Im2colPacked)
+    );
+    let got_bits: Vec<u32> = got.data().iter().map(|v| v.to_bits()).collect();
+    let want_bits: Vec<u32> = want.data().iter().map(|v| v.to_bits()).collect();
+    assert_eq!(got_bits, want_bits);
 }

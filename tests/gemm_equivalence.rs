@@ -17,7 +17,7 @@ fn fill(len: usize, seed: u64) -> Vec<f32> {
 
 fn naive(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
     let mut c = vec![0.0f32; m * n];
-    gemm::gemm_into(a, b, &mut c, m, k, n, gemm::GemmAlgorithm::Naive);
+    gemm::gemm_naive_into(a, b, &mut c, m, k, n);
     c
 }
 
@@ -114,7 +114,7 @@ proptest! {
         let b = fill(k * n, seed + 4);
         let c0 = fill(m * n, seed + 5);
         let mut want = c0.clone();
-        gemm::gemm_into(&a, &b, &mut want, m, k, n, gemm::GemmAlgorithm::Naive);
+        gemm::gemm_naive_into(&a, &b, &mut want, m, k, n);
         let plan = GemmPlan::new(m, k, n);
         let mut scratch = vec![0.0f32; plan.scratch_elems()];
         let mut got = c0;
@@ -304,7 +304,7 @@ fn minimal_extents_match_naive() {
 fn matmul_default_is_packed_and_correct() {
     let a = Tensor::from_fn([23, 37], |i| (i as f32 * 0.37).sin());
     let b = Tensor::from_fn([37, 19], |i| (i as f32 * 0.21).cos());
-    let want = gemm::matmul_with(&a, &b, gemm::GemmAlgorithm::Naive);
+    let want = gemm::matmul_naive(&a, &b);
     let got = gemm::matmul(&a, &b);
     assert!(want.allclose(&got, 1e-4));
 }

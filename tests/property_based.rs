@@ -76,10 +76,10 @@ proptest! {
     ) {
         let a = Tensor::from_fn([m, k], |i| ((i * 31 % 17) as f32) * 0.25 - 2.0);
         let b = Tensor::from_fn([k, n], |i| ((i * 13 % 11) as f32) * 0.5 - 2.5);
-        let naive = gemm::matmul_with(&a, &b, gemm::GemmAlgorithm::Naive);
+        let naive = gemm::matmul_naive(&a, &b);
         let blocked = gemm::matmul_with(&a, &b, gemm::GemmAlgorithm::Blocked);
         let cfg = cnn_stack::tensor::TileConfig::new(tile, tile, tile, 2);
-        let tiled = gemm::matmul_with(&a, &b, gemm::GemmAlgorithm::Tiled(cfg));
+        let tiled = gemm::matmul_tiled(&a, &b, cfg);
         prop_assert!(naive.allclose(&blocked, 1e-3));
         prop_assert!(naive.allclose(&tiled, 1e-3));
     }

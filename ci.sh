@@ -9,12 +9,11 @@ export CARGO_NET_OFFLINE=true
 
 # Cross-algorithm convolution conformance: every conv row of the kernel
 # registry (direct, im2col over the packed/scalar/ternary GEMM engines,
-# Winograd F(2x2)/F(4x4), FFT, both CSR kernels) against the naive
-# reference under per-kernel error budgets, the registry's own table
-# tests, the transform-ladder fault-injection rungs and a tiny-shape
-# pass through the conv-algo bench harness. The full bench run (which
-# regenerates BENCH_conv.json and enforces the FFT-beats-im2col and
-# F4 >= 1.3x F2 gates) is manual.
+# Winograd F(2x2)/F(4x4), both CSR kernels) against the naive reference
+# under per-kernel error budgets, the registry's own table tests, the
+# transform-ladder fault-injection rungs and a tiny-shape pass through
+# the conv-algo bench harness. The full bench run (which regenerates
+# BENCH_conv.json and enforces the F4 >= 1.3x F2 gate) is manual.
 #
 # `./ci.sh conv-conformance` runs just this job (fast inner loop for
 # kernel work). The full gate below does not call it: its test
@@ -24,7 +23,6 @@ if [[ "${1:-all}" == "conv-conformance" ]]; then
   echo "== conv-conformance =="
   cargo test -q --test conv_conformance
   cargo test -q -p cnn-stack-nn algo::
-  cargo test -q --features fault-inject --test fault_injection fft
   cargo test -q --features fault-inject --test fault_injection winograd4
   BENCH_SMOKE=1 cargo bench -p cnn-stack-bench --bench conv_algo
   echo "ci: conv-conformance green"
@@ -64,9 +62,8 @@ echo "== tests =="
 #   and the serve crate's own unit + doc tests; serve-chaos's
 #   default-feature half: a counting `build_net` runs once across start,
 #   crash respawn and watchdog failover (serve_supervision).
-# * quant-proptest: the 2-bit spmm and the ternary/int8 packed GEMM
-#   engines vs their f32/exact-integer references (incl. the 0*NaN
-#   propagation policy), plus the derived-weight-form property: after
+# * quant-proptest: the 2-bit spmm and the ternary packed GEMM engine
+#   vs their f32 references (incl. the 0*NaN propagation policy), plus the derived-weight-form property: after
 #   any interleaving of weight writes, relabels, channel surgery,
 #   prepares, replicas and TTQ reprojections on a conv/linear layer and
 #   its replica, every kernel of each side equals a freshly built
@@ -88,8 +85,7 @@ echo "== fault-injection tests =="
 # `default_build_excludes_fault_injection` unit test asserts a
 # zero-sized no-op FaultPlan when the feature is off). Under the feature
 # the root package re-runs every integration test, which carries: the
-# guard ladder (tests/fault_injection.rs, incl. the FFT and Winograd
-# rungs), the fault-injected co-batch integrity proof (serve_batching),
+# guard ladder (tests/fault_injection.rs, incl. the Winograd rungs), the fault-injected co-batch integrity proof (serve_batching),
 # and the self-healing runtime's deterministic ManualClock supervision
 # tests (serve_supervision: worker-panic -> typed failures + respawn,
 # hung-batch watchdog failover, crash-loop backoff caps, breaker trip ->
@@ -162,7 +158,7 @@ echo "== conv-algo bench smoke =="
 BENCH_SMOKE=1 cargo bench -p cnn-stack-bench --bench conv_algo
 
 echo "== portable-kernels =="
-# Every dispatched kernel (packed GEMM full and half tile, ternary/int8
+# Every dispatched kernel (packed GEMM full and half tile, ternary
 # through the conformance grid, depthwise) has a portable twin that an
 # AVX2 host never runs by default; pin it and re-run the suites that
 # hold the kernels to their references (the im2col packer property in
@@ -189,6 +185,13 @@ fi
 # frozen obs gate stay deleted.
 if grep -rnE 'uses_packed_gemm|takes_winograd_transform|takes_fft|eval_packed_dispatch_into|layer_has_conv|layer_has_csr|layer_uses_packed_gemm|densify_layer|matches_current|honor_overrides|DemotionAction|PR4_BASELINE' crates src tests examples; then
   echo "ci: a second copy of the kernel routing (or a deleted option) is back" >&2
+  exit 1
+fi
+# A registry row stays only while some model, technique, batch or budget
+# reaches it (tests/row_reachability.rs): the FFT convolution and the
+# int8 linear kernel were withdrawn, not parked.
+if grep -rnE 'FftConv|ConvAlgorithm::Fft|fft_conv2d|fft_plane_dims|FFT_GFLOPS|Int8Linear|Int8Packed|WeightFormat::Int8|gemm_prepacked_int8|pack_a_i8_into|quantise_scale_i8|INT8_GFLOPS' crates src tests examples; then
+  echo "ci: a withdrawn kernel (FFT conv / int8 linear) is back" >&2
   exit 1
 fi
 

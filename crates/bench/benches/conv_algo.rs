@@ -1,23 +1,16 @@
 //! Convolution-algorithm benchmark: direct, im2col + packed GEMM,
-//! Winograd F(2×2,3×3), Winograd F(4×4,3×3), and FFT convolution over
-//! VGG-16 / MobileNet layer shapes plus one large-kernel stem, emitting
-//! `BENCH_conv.json` at the repository root.
+//! Winograd F(2×2,3×3) and Winograd F(4×4,3×3) over VGG-16 / MobileNet
+//! layer shapes, emitting `BENCH_conv.json` at the repository root.
 //!
-//! Two gates are asserted outside smoke mode:
-//!
-//! * **FFT vs im2col+packed** — on the large-kernel stem (33×33 over a
-//!   220×220 map) the FFT path must beat im2col + packed GEMM: im2col
-//!   materialises a ~616 MB column matrix there, while FFT does a
-//!   handful of 256×256 plane transforms.
-//! * **F(4×4) vs F(2×2)** — on a VGG-16 conv4_1-shaped 3×3 layer
-//!   (28×28 map, so the 4×4 tiles divide the output exactly) F(4×4)
-//!   must be ≥ 1.3× faster than F(2×2); the algebra gives 16/9 ≈ 1.78×
-//!   fewer multiplies per output.
+//! One gate is asserted outside smoke mode: on a VGG-16 conv4_1-shaped
+//! 3×3 layer (28×28 map, so the 4×4 tiles divide the output exactly)
+//! F(4×4) must be ≥ 1.3× faster than F(2×2); the algebra gives
+//! 16/9 ≈ 1.78× fewer multiplies per output.
 //!
 //! Run modes:
-//!   cargo bench -p cnn-stack-bench --bench conv_algo      # full + gates
+//!   cargo bench -p cnn-stack-bench --bench conv_algo      # full + gate
 //!   BENCH_SMOKE=1 cargo bench ... --bench conv_algo  # tiny shapes,
-//!       one iteration, no gates, writes target/BENCH_conv.smoke.json
+//!       one iteration, no gate, writes target/BENCH_conv.smoke.json
 
 use cnn_stack_nn::{Conv2d, ConvAlgorithm, ExecConfig, Layer, Phase};
 use cnn_stack_tensor::{GemmAlgorithm, Tensor};
@@ -51,11 +44,6 @@ const WINOGRAD_F2: Algo = Algo {
 const WINOGRAD_F4: Algo = Algo {
     label: "winograd-f4",
     conv: ConvAlgorithm::WinogradF4,
-    gemm: GemmAlgorithm::Packed,
-};
-const FFT: Algo = Algo {
-    label: "fft",
-    conv: ConvAlgorithm::Fft,
     gemm: GemmAlgorithm::Packed,
 };
 
@@ -113,7 +101,7 @@ fn main() {
                 stride: 1,
                 pad: 1,
                 iters: 1,
-                algos: &[DIRECT, IM2COL_PACKED, WINOGRAD_F2, WINOGRAD_F4, FFT],
+                algos: &[DIRECT, IM2COL_PACKED, WINOGRAD_F2, WINOGRAD_F4],
                 seed: 1,
             },
             Case {
@@ -126,7 +114,7 @@ fn main() {
                 stride: 1,
                 pad: 0,
                 iters: 1,
-                algos: &[DIRECT, IM2COL_PACKED, FFT],
+                algos: &[DIRECT, IM2COL_PACKED],
                 seed: 2,
             },
         ]
@@ -149,7 +137,7 @@ fn main() {
                 seed: 41,
             },
             // VGG-16 conv2_2 at CIFAR scale: mid-size 3×3 where all
-            // five algorithms are cheap enough to time.
+            // four algorithms are cheap enough to time.
             Case {
                 name: "vgg16-conv2_2(128->128)@16x16-k3",
                 in_c: 128,
@@ -160,7 +148,7 @@ fn main() {
                 stride: 1,
                 pad: 1,
                 iters: 9,
-                algos: &[DIRECT, IM2COL_PACKED, WINOGRAD_F2, WINOGRAD_F4, FFT],
+                algos: &[DIRECT, IM2COL_PACKED, WINOGRAD_F2, WINOGRAD_F4],
                 seed: 22,
             },
             // MobileNet pointwise 1×1: the im2col identity fast path.
@@ -190,22 +178,6 @@ fn main() {
                 iters: 9,
                 algos: &[DIRECT, IM2COL_PACKED],
                 seed: 32,
-            },
-            // Large-kernel stem: the FFT gate shape. im2col's column
-            // matrix is ~616 MB here; FFT pays a few 256×256 plane
-            // transforms instead.
-            Case {
-                name: "stem-fft(4->4)@220x220-k33",
-                in_c: 4,
-                out_c: 4,
-                h: 220,
-                w: 220,
-                k: 33,
-                stride: 1,
-                pad: 0,
-                iters: 5,
-                algos: &[IM2COL_PACKED, FFT],
-                seed: 71,
             },
         ]
     };
@@ -260,30 +232,17 @@ fn main() {
             "F(4x4) must be >= 1.3x over F(2x2) on the VGG conv4_1 shape \
              (16/9 multiplies), got {f4_speedup:.2}x"
         );
-        let fft_case = &results
-            .iter()
-            .find(|(n, ..)| n.starts_with("stem-fft"))
-            .expect("gate case present")
-            .3;
-        let fft_speedup = fft_case["im2col-packed"] / fft_case["fft"];
-        assert!(
-            fft_speedup > 1.0,
-            "FFT must beat im2col+packed on the large-kernel stem, got {fft_speedup:.2}x"
-        );
-        println!(
-            "gates: winograd-f4 {f4_speedup:.2}x over f2 (>=1.3 required); \
-             fft {fft_speedup:.2}x over im2col-packed (>1.0 required)"
-        );
+        println!("gate: winograd-f4 {f4_speedup:.2}x over f2 (>=1.3 required)");
     }
 
     let mut json = String::from("{\n");
     let _ = writeln!(
         json,
-        "  \"workload\": \"convolution algorithms over VGG-16/MobileNet layer shapes plus a large-kernel stem, single thread\","
+        "  \"workload\": \"convolution algorithms over VGG-16/MobileNet layer shapes, single thread\","
     );
     let _ = writeln!(
         json,
-        "  \"note\": \"median Conv2d::forward seconds per algorithm (includes lowering, packing, transforms, epilogue); gates: winograd-f4 >= 1.3x winograd-f2 on the 28x28 VGG shape, fft > 1.0x im2col-packed on the 33x33-kernel stem\","
+        "  \"note\": \"median Conv2d::forward seconds per algorithm (includes lowering, packing, transforms, epilogue); gate: winograd-f4 >= 1.3x winograd-f2 on the 28x28 VGG shape\","
     );
     json.push_str("  \"results\": [\n");
     for (i, (name, macs, k, timings)) in results.iter().enumerate() {

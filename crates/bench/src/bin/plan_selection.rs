@@ -1,7 +1,7 @@
 //! Prints the cost model's per-layer algorithm selection over a mixed
-//! VGG-16 / MobileNet layer sweep (plus one large-kernel stem), both
-//! unbudgeted and under a tight arena budget — the source of the
-//! plan-selection table in `EXPERIMENTS.md`.
+//! VGG-16 / MobileNet layer sweep, both unbudgeted and under a tight
+//! arena budget — the source of the plan-selection table in
+//! `EXPERIMENTS.md`.
 //!
 //!   cargo run --release -p cnn-stack-bench --bin plan_selection
 
@@ -101,16 +101,6 @@ fn main() {
             h: 8,
             w: 8,
             k: 1,
-            stride: 1,
-            pad: 0,
-        },
-        Row {
-            name: "lpf stem       2->2     98x98 k31 s1",
-            in_c: 2,
-            out_c: 2,
-            h: 98,
-            w: 98,
-            k: 31,
             stride: 1,
             pad: 0,
         },

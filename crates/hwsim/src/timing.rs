@@ -125,10 +125,10 @@ fn is_parallelised(kind: &LayerKind) -> bool {
 /// (see the module docs).
 fn effective_work(platform: &Platform, desc: &LayerDescriptor) -> f64 {
     match desc.format {
-        // The quantised kernels run the same dense MAC grid (the codes
+        // The ternary kernels run the same dense MAC grid (the codes
         // decode to full-rate FMA operands), so their compute work is
         // dense work — the win is on the memory side.
-        WeightFormat::Dense | WeightFormat::Ternary | WeightFormat::Int8 => desc.macs as f64,
+        WeightFormat::Dense | WeightFormat::Ternary => desc.macs as f64,
         WeightFormat::Csr => {
             let density = if desc.weight_elems == 0 {
                 1.0
@@ -150,9 +150,8 @@ fn streamed_weight_bytes(desc: &LayerDescriptor) -> f64 {
     match desc.format {
         WeightFormat::Dense => desc.weight_elems as f64 * 4.0,
         WeightFormat::Csr => desc.weight_nnz as f64 * 8.0 + (desc.parallel_grains + 1) as f64 * 8.0,
-        // 2-bit codes / 1-byte elements plus the per-layer scales.
+        // 2-bit codes plus the two per-layer scales.
         WeightFormat::Ternary => desc.weight_elems as f64 / 4.0 + 8.0,
-        WeightFormat::Int8 => desc.weight_elems as f64 + 4.0,
     }
 }
 

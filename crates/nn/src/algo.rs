@@ -56,10 +56,6 @@ pub enum AlgoChoice {
     /// budget solver's fastest small-footprint refuge when the packed
     /// engine's im2col workspace does not fit.
     WinogradF4,
-    /// Real 2-D FFT convolution (any kernel/stride). Only proposed for
-    /// kernels strictly larger than 3×3 — the plane transforms never
-    /// amortise at CNN-typical 3×3/1×1 shapes.
-    FftConv,
     /// im2col lowering into the packed **ternary** GEMM engine (2-bit
     /// weight codes, transposed product). Value-preserving, so proposed
     /// whenever the weights are exactly ternary.
@@ -73,10 +69,6 @@ pub enum AlgoChoice {
     /// Packed ternary GEMM linear layer. Value-preserving, proposed
     /// whenever the weights are exactly ternary.
     TernaryLinear,
-    /// Packed int8 GEMM linear layer. **Lossy** (activations are
-    /// re-quantised per call), so only proposed for layers a caller has
-    /// already labelled [`WeightFormat::Int8`].
-    Int8Linear,
 }
 
 /// The linear rows as one pattern: the arm on which a convolution's
@@ -88,7 +80,6 @@ macro_rules! linear_rows {
             | AlgoChoice::ScalarLinear
             | AlgoChoice::CsrLinear
             | AlgoChoice::TernaryLinear
-            | AlgoChoice::Int8Linear
     };
 }
 /// The conv rows as one pattern; see [`linear_rows`].
@@ -101,7 +92,6 @@ macro_rules! conv_rows {
             | AlgoChoice::CsrIm2col
             | AlgoChoice::Winograd
             | AlgoChoice::WinogradF4
-            | AlgoChoice::FftConv
             | AlgoChoice::TernaryConv
     };
 }
@@ -141,7 +131,7 @@ struct Row {
 impl AlgoChoice {
     /// Every row. Conv rows first, in the order the planner breaks
     /// cost ties.
-    pub const ALL: [AlgoChoice; 14] = [
+    pub const ALL: [AlgoChoice; 12] = [
         AlgoChoice::DirectConv,
         AlgoChoice::Im2colPacked,
         AlgoChoice::Im2colScalar,
@@ -149,13 +139,11 @@ impl AlgoChoice {
         AlgoChoice::CsrIm2col,
         AlgoChoice::Winograd,
         AlgoChoice::WinogradF4,
-        AlgoChoice::FftConv,
         AlgoChoice::TernaryConv,
         AlgoChoice::PackedLinear,
         AlgoChoice::ScalarLinear,
         AlgoChoice::CsrLinear,
         AlgoChoice::TernaryLinear,
-        AlgoChoice::Int8Linear,
     ];
 
     #[rustfmt::skip]
@@ -170,13 +158,11 @@ impl AlgoChoice {
             K::CsrIm2col     => ("csr-im2col",     Some(C::Im2col),     None,                   F::Csr,     Some(Form::Csr),   Some(K::Im2colPacked)),
             K::Winograd      => ("winograd",       Some(C::Winograd),   None,                   F::Dense,   None,              Some(K::Im2colPacked)),
             K::WinogradF4    => ("winograd-f4",    Some(C::WinogradF4), None,                   F::Dense,   None,              Some(K::Winograd)),
-            K::FftConv       => ("fft",            Some(C::Fft),        None,                   F::Dense,   None,              Some(K::Im2colPacked)),
             K::TernaryConv   => ("im2col-ternary", Some(C::Im2col),     Some(G::TernaryPacked), F::Ternary, Some(Form::Quant), Some(K::Im2colPacked)),
             K::PackedLinear  => ("gemm-packed",    None,                Some(G::Packed),        F::Dense,   Some(Form::Panels), Some(K::ScalarLinear)),
             K::ScalarLinear  => ("gemm-scalar",    None,                Some(G::Blocked),       F::Dense,   None,              None),
             K::CsrLinear     => ("gemm-csr",       None,                None,                   F::Csr,     Some(Form::Csr),   Some(K::PackedLinear)),
             K::TernaryLinear => ("gemm-ternary",   None,                Some(G::TernaryPacked), F::Ternary, Some(Form::Quant), Some(K::PackedLinear)),
-            K::Int8Linear    => ("gemm-int8",      None,                Some(G::Int8Packed),    F::Int8,    Some(Form::Quant), Some(K::PackedLinear)),
         };
         Row { tag, conv_algo, gemm_algo, format, form, demotes_to }
     }
@@ -234,20 +220,9 @@ impl AlgoChoice {
     }
 
     /// Whether the planner may propose this row for a layer it applies
-    /// to, currently labelled `label`.
-    pub fn proposed(self, shape: LayerShape, label: WeightFormat) -> bool {
-        match self {
-            // Reachable only by demotion or by hand.
-            AlgoChoice::Im2colScalar | AlgoChoice::CsrIm2col => false,
-            // FFT never amortises its plane transforms at 3×3 and below;
-            // proposing it there would only churn the autotuner.
-            AlgoChoice::FftConv => {
-                matches!(shape, LayerShape::Conv { k_h, k_w, .. } if k_h * k_w > 9)
-            }
-            // Lossy: only for layers the caller already opted in.
-            AlgoChoice::Int8Linear => label == WeightFormat::Int8,
-            _ => true,
-        }
+    /// to: every row but the two reachable only by demotion or by hand.
+    pub fn proposed(self) -> bool {
+        !matches!(self, AlgoChoice::Im2colScalar | AlgoChoice::CsrIm2col)
     }
 
     /// Writes the `conv_algo`/`gemm_algo` values that select this row
@@ -308,13 +283,12 @@ pub fn resolve(
     match shape {
         LayerShape::Conv { .. } if label == F::Csr => match cfg.conv_algo {
             C::Im2col => K::CsrIm2col,
-            C::Direct | C::Winograd | C::WinogradF4 | C::Fft => K::CsrConv,
+            C::Direct | C::Winograd | C::WinogradF4 => K::CsrConv,
         },
         LayerShape::Conv { .. } => match cfg.conv_algo {
             C::Winograd if K::Winograd.applies(shape, false) => K::Winograd,
             C::WinogradF4 if K::WinogradF4.applies(shape, false) => K::WinogradF4,
             C::Direct | C::Winograd | C::WinogradF4 => K::DirectConv,
-            C::Fft => K::FftConv,
             C::Im2col => match cfg.gemm_algo {
                 G::Blocked => K::Im2colScalar,
                 G::TernaryPacked
@@ -322,7 +296,7 @@ pub fn resolve(
                 {
                     K::TernaryConv
                 }
-                G::Packed | G::TernaryPacked | G::Int8Packed => K::Im2colPacked,
+                G::Packed | G::TernaryPacked => K::Im2colPacked,
             },
         },
         LayerShape::Linear if label == F::Csr => K::CsrLinear,
@@ -333,8 +307,7 @@ pub fn resolve(
             {
                 K::TernaryLinear
             }
-            G::Int8Packed if label == F::Int8 => K::Int8Linear,
-            G::Packed | G::TernaryPacked | G::Int8Packed => K::PackedLinear,
+            G::Packed | G::TernaryPacked => K::PackedLinear,
         },
     }
 }
@@ -346,24 +319,21 @@ mod tests {
     use cnn_stack_tensor::Tensor;
     use std::cell::Cell;
 
-    const LABELS: [WeightFormat; 4] = [
+    const LABELS: [WeightFormat; 3] = [
         WeightFormat::Dense,
         WeightFormat::Csr,
         WeightFormat::Ternary,
-        WeightFormat::Int8,
     ];
-    const CONV_ALGOS: [ConvAlgorithm; 5] = [
+    const CONV_ALGOS: [ConvAlgorithm; 4] = [
         ConvAlgorithm::Direct,
         ConvAlgorithm::Im2col,
         ConvAlgorithm::Winograd,
         ConvAlgorithm::WinogradF4,
-        ConvAlgorithm::Fft,
     ];
-    const GEMM_ALGOS: [GemmAlgorithm; 4] = [
+    const GEMM_ALGOS: [GemmAlgorithm; 3] = [
         GemmAlgorithm::Blocked,
         GemmAlgorithm::Packed,
         GemmAlgorithm::TernaryPacked,
-        GemmAlgorithm::Int8Packed,
     ];
 
     /// Conv 1×1/3×3/5×5 at stride 1/2, and linear.

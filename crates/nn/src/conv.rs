@@ -8,10 +8,9 @@ use cnn_stack_parallel::parallel_for;
 use cnn_stack_parallel::DisjointWriter;
 use cnn_stack_tensor::init::{initialise, Init};
 use cnn_stack_tensor::{
-    col2im, fft_conv2d_into, fft_conv_scratch_elems, gemm, im2col, im2col_into, ops,
-    pack_b_im2col_batch_into, pack_b_im2col_into, winograd4_conv2d_into, winograd4_scratch_elems,
-    winograd_conv2d_into, winograd_scratch_elems, Conv2dGeometry, GemmAlgorithm, GemmPlan,
-    KernelError, Tensor,
+    col2im, gemm, im2col, im2col_into, ops, pack_b_im2col_batch_into, pack_b_im2col_into,
+    winograd4_conv2d_into, winograd4_scratch_elems, winograd_conv2d_into, winograd_scratch_elems,
+    Conv2dGeometry, GemmAlgorithm, GemmPlan, KernelError, Tensor,
 };
 
 /// Signature the two Winograd kernels share.
@@ -180,7 +179,6 @@ impl Conv2d {
     /// matching storage form (CSR matrix, or 2-bit ternary codes when
     /// the weights are exactly ternary) is derived from the current
     /// master on first use and re-derived after any weight change.
-    /// `Int8` has no convolution kernel — it runs dense f32.
     pub fn set_format(&mut self, format: WeightFormat) {
         self.weights.set_format(format);
     }
@@ -727,36 +725,6 @@ impl Conv2d {
             }
         }
     }
-
-    /// FFT evaluation into caller buffers, plus the fused-ReLU
-    /// epilogue.
-    #[allow(clippy::too_many_arguments)]
-    fn eval_fft_into(
-        &self,
-        in_data: &[f32],
-        n: usize,
-        geom: &Conv2dGeometry,
-        out: &mut [f32],
-        scratch: &mut [f32],
-        cfg: &ExecConfig,
-    ) {
-        fft_conv2d_into(
-            in_data,
-            n,
-            geom,
-            self.weight().value.data(),
-            self.out_channels,
-            Some(self.bias.value.data()),
-            out,
-            scratch,
-        )
-        .expect("geometry and scratch sized by forward_scratch_elems");
-        if cfg.fused_relu {
-            for v in out.iter_mut() {
-                *v = v.max(0.0);
-            }
-        }
-    }
 }
 
 /// Accumulates one dense filter over one image into one output plane.
@@ -978,7 +946,6 @@ impl Layer for Conv2d {
             K::Im2colScalar | K::CsrIm2col => self.im2col_scratch_elems(&geom),
             K::Winograd => winograd_scratch_elems(self.in_channels, self.out_channels),
             K::WinogradF4 => winograd4_scratch_elems(self.in_channels, self.out_channels),
-            K::FftConv => fft_conv_scratch_elems(&geom, self.out_channels),
             K::Im2colPacked => self.packed_scratch_elems(&geom, input_shape[0]),
             // The im2col matrix, its transposed A-panels, and the
             // `[positions × out_c]` Outᵀ buffer.
@@ -1012,8 +979,7 @@ impl Layer for Conv2d {
             | K::CsrConv
             | K::CsrIm2col
             | K::Winograd
-            | K::WinogradF4
-            | K::FftConv => None,
+            | K::WinogradF4 => None,
             algo::linear_rows!() => unreachable!("a convolution resolves to a conv row"),
         }
     }
@@ -1056,7 +1022,6 @@ impl Layer for Conv2d {
             K::WinogradF4 => {
                 self.eval_winograd_into(winograd4_conv2d_into, input, n, h, w, out, scratch, cfg)
             }
-            K::FftConv => self.eval_fft_into(input, n, &geom, out, scratch, cfg),
             K::TernaryConv => {
                 let ternary = self
                     .weights

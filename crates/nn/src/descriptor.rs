@@ -112,8 +112,6 @@ impl LayerDescriptor {
             }
             // 2-bit codes (4 per byte) plus the two per-layer scales.
             WeightFormat::Ternary => self.weight_elems.div_ceil(4) + 8,
-            // One byte per element plus the per-tensor scale.
-            WeightFormat::Int8 => self.weight_elems + 4,
         }
     }
 }

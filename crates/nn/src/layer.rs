@@ -37,14 +37,6 @@ pub enum ConvAlgorithm {
     /// stride-1 convolutions; other layers fall back to the direct
     /// kernel.
     WinogradF4,
-    /// Real 2-D FFT convolution: frequency-domain pointwise
-    /// multiply-accumulate over channels on power-of-two planes. Wins
-    /// on large kernels over large feature maps, where im2col pays a
-    /// k²-fold lowering copy; costs a large workspace (per-channel-pair
-    /// filter spectra) that the memory planner accounts. Applies to
-    /// dense weights at any kernel/stride/padding; quantised or CSR
-    /// layers fall back to their own kernels.
-    Fft,
 }
 
 /// How a layer's weights are stored at inference time (§IV-C).
@@ -62,11 +54,6 @@ pub enum WeightFormat {
     /// ternary have no code form: every evaluation path then runs the
     /// dense f32 kernels (defined, value-correct behaviour).
     Ternary,
-    /// Per-tensor int8 weight codes with an f32 scale; activations are
-    /// quantised per call. Lossy (≈0.4% per-weight rounding at int8),
-    /// so the plan compiler only proposes the int8 kernel for layers a
-    /// caller has explicitly put in this format.
-    Int8,
 }
 
 /// Execution configuration for a forward pass: the knobs of the paper's

@@ -3,7 +3,7 @@
 use crate::algo::{self, AlgoChoice, LayerShape};
 use crate::descriptor::{LayerDescriptor, LayerKind};
 use crate::layer::{ExecConfig, Layer, Param, Phase, WeightFormat};
-use crate::weights::{Int8Codes, PanelOperand, TernaryCodes, Weights};
+use crate::weights::{PanelOperand, TernaryCodes, Weights};
 use cnn_stack_parallel::parallel_for;
 use cnn_stack_parallel::DisjointWriter;
 use cnn_stack_tensor::init::{initialise, Init};
@@ -113,10 +113,9 @@ impl Linear {
     }
 
     /// Selects the inference weight format. The label is durable: the
-    /// matching storage form — CSR, 2-bit codes for `Ternary` (only
-    /// when the weights are *exactly* ternary), int8 panels with the
-    /// per-tensor scale `qw = 127 / max|W|` for `Int8` — is derived from
-    /// the current master on first use and re-derived after any weight
+    /// matching storage form — CSR, or 2-bit codes for `Ternary` (only
+    /// when the weights are *exactly* ternary) — is derived from the
+    /// current master on first use and re-derived after any weight
     /// change.
     pub fn set_format(&mut self, format: WeightFormat) {
         self.weights.set_format(format);
@@ -148,45 +147,6 @@ impl Linear {
             ternary.codes,
             ternary.positive,
             ternary.negative,
-            out,
-            cfg.threads,
-            cfg.schedule,
-            cfg.epilogue(),
-        );
-    }
-
-    /// Packed int8 kernel: activations quantised and packed per call
-    /// into the byte view of `scratch`.
-    fn eval_int8_packed_into(
-        &self,
-        int8: Int8Codes<'_>,
-        in_data: &[f32],
-        batch: usize,
-        out: &mut [f32],
-        scratch: &mut [f32],
-        cfg: &ExecConfig,
-    ) {
-        let plan = self.packed_plan(batch);
-        // Per-call activation quantisation: NaN activations map
-        // to 0 and magnitudes saturate at ±127 — the documented
-        // lossy contract of the int8 path.
-        let qa = gemm::quantise_scale_i8(in_data);
-        let elems = plan.packed_a_elems();
-        let a_f32 = &mut scratch[..elems.div_ceil(4)];
-        // SAFETY: an f32 slice is always valid byte storage —
-        // same allocation, stricter alignment (4 → 1), length
-        // `elems.div_ceil(4) · 4 ≥ elems` bytes, and the i8 view
-        // is dropped before anyone reads the floats again.
-        let a_buf = unsafe {
-            std::slice::from_raw_parts_mut(a_f32.as_mut_ptr() as *mut i8, a_f32.len() * 4)
-        };
-        gemm::pack_a_i8_into(&plan, in_data, qa, &mut a_buf[..elems]);
-        self.prefill_bias(out);
-        gemm::gemm_prepacked_int8(
-            &plan,
-            &a_buf[..elems],
-            int8.codes,
-            1.0 / (qa * int8.scale),
             out,
             cfg.threads,
             cfg.schedule,
@@ -379,10 +339,9 @@ impl Layer for Linear {
     }
 
     fn forward_scratch_elems(&self, input_shape: &[usize], cfg: &ExecConfig) -> usize {
-        // The packed product's activation A-panel region. The int8
-        // kernel's byte panels fit in `packed_a_elems().div_ceil(4)`
-        // floats and the ternary kernel packs the same A region; the
-        // weight panels are a derived form the layer holds itself.
+        // The packed product's activation A-panel region (the ternary
+        // kernel packs the same A region); the weight panels are a
+        // derived form the layer holds itself.
         self.gemm_plan(input_shape, cfg)
             .map_or(0, |plan| plan.packed_a_elems())
     }
@@ -407,9 +366,7 @@ impl Layer for Linear {
         // plan (and so one workspace bound): answered from (label, cfg)
         // alone, no weight is scanned.
         match algo::resolve(LayerShape::Linear, self.format(), cfg, || true) {
-            K::PackedLinear | K::TernaryLinear | K::Int8Linear => {
-                Some(self.packed_plan(input_shape[0]))
-            }
+            K::PackedLinear | K::TernaryLinear => Some(self.packed_plan(input_shape[0])),
             K::ScalarLinear | K::CsrLinear => None,
             algo::conv_rows!() => unreachable!("a linear layer resolves to a linear row"),
         }
@@ -431,16 +388,14 @@ impl Layer for Linear {
             self.name()
         );
         use AlgoChoice as K;
-        let codes = "resolve checked the label and the weight values";
         match self.runs(cfg) {
             K::PackedLinear => self.eval_dense_packed_into(input, batch, out, scratch, cfg),
             K::TernaryLinear => {
-                let ternary = self.weights.ternary().expect(codes);
+                let ternary = self
+                    .weights
+                    .ternary()
+                    .expect("resolve checked the label and the weight values");
                 self.eval_ternary_packed_into(ternary, input, batch, out, scratch, cfg)
-            }
-            K::Int8Linear => {
-                let int8 = self.weights.int8().expect(codes);
-                self.eval_int8_packed_into(int8, input, batch, out, scratch, cfg)
             }
             K::ScalarLinear => self.eval_scalar_into(input, batch, out, cfg),
             K::CsrLinear => self.eval_csr_into(input, batch, out, cfg),

@@ -71,8 +71,6 @@ pub fn layer_weight_bytes(desc: &LayerDescriptor) -> usize {
         },
         // 2-bit packed codes (4 per byte) plus the two per-layer scales.
         WeightFormat::Ternary => desc.weight_elems.div_ceil(4) + 8,
-        // One byte per element plus the per-tensor activation scale.
-        WeightFormat::Int8 => desc.weight_elems + 4,
     }
 }
 

@@ -304,33 +304,28 @@ impl PlanPass for FoldAndFuse {
 // sparse formats only win at extreme sparsity: against the packed engine
 // the crossover density is ≈ 1.2/54 ≈ 2%. The Winograd number prices the
 // current per-tile scalar transform — the 2.25× MAC reduction does not
-// survive it, so F(2×2) loses to the packed engine on every paper shape
-// (F(4×4) below does not: the flat estimate charges no tile waste and
-// wins the conv5 trio it then runs 15× slower — ROADMAP 1(b)).
+// survive it, so F(2×2) loses to the packed engine on every paper shape.
 const PACKED_GFLOPS: f64 = 54.0;
 const SCALAR_GFLOPS: f64 = 1.8;
 const SPARSE_GFLOPS: f64 = 1.2;
 const WINOGRAD_GFLOPS: f64 = 0.9;
-// The quantised micro-kernels run the same FMA ladder as the f32 kernel
-// with a per-step decode prologue (2-bit shift/permute select, or i8 →
-// f32 widening); the anchors price that overhead. Their wins come from
-// the traffic terms below (2-bit/1-byte weight streams) and, for the
-// transposed ternary convolution, from moving a tiny output plane off
-// the NR-padded column dimension — both modelled explicitly.
+// The ternary micro-kernel runs the same FMA ladder as the f32 kernel
+// with a per-step decode prologue (2-bit shift/permute select); the
+// anchor prices that overhead. Its wins come from the traffic terms
+// below (2-bit weight streams) and, for the transposed ternary
+// convolution, from moving a tiny output plane off the NR-padded column
+// dimension — both modelled explicitly.
 const TERNARY_GFLOPS: f64 = 48.0;
-const INT8_GFLOPS: f64 = 50.0;
 // F(4×4, 3×3) executes 4× fewer multiplies per output than direct and
 // runs them as tile-blocked frequency-wise GEMMs (BENCH_conv.json:
 // ~5 GFLOP/s on the multiply count across the VGG shapes), so its
 // anchor sits well above the per-tile scalar F(2×2) loop while staying
-// far below the packed im2col engine.
+// far below the packed im2col engine. Both Winograd rows are charged
+// for whole tiles and for the transformed-filter bank they rebuild every
+// call, so neither wins a plane smaller than its tile: on VGG-16's 2×2
+// conv5 plane at batch 1, F(4×4) measures 15× slower than the packed
+// engine.
 const WINOGRAD4_GFLOPS: f64 = 4.0;
-// The radix-2 split-complex FFT kernel's sustained rate over plane
-// transforms + frequency-domain MACs (BENCH_conv.json, large-kernel
-// sweep). Scalar, so ~30× below the packed GEMM engine — FFT wins only
-// where it removes ~two orders of magnitude of arithmetic and im2col
-// pack traffic, i.e. large kernels over large maps.
-const FFT_GFLOPS: f64 = 1.5;
 /// Streaming bandwidth charged for building/packing the im2col matrix
 /// and for weight-panel traffic.
 const PACK_BYTES_PER_SEC: f64 = 4.0e9;
@@ -410,7 +405,7 @@ fn predicted_seconds(op: &IrOp, choice: AlgoChoice) -> f64 {
             let footprint = (k * plane * 4) as f64 * batch as f64;
             eff / (TERNARY_GFLOPS * 1e9) + (footprint + weight_traffic) / PACK_BYTES_PER_SEC
         }
-        AlgoChoice::PackedLinear | AlgoChoice::TernaryLinear | AlgoChoice::Int8Linear => {
+        AlgoChoice::PackedLinear | AlgoChoice::TernaryLinear => {
             let OpKind::Linear {
                 in_features,
                 out_features,
@@ -426,40 +421,38 @@ fn predicted_seconds(op: &IrOp, choice: AlgoChoice) -> f64 {
                 choice == AlgoChoice::PackedLinear,
             );
             // At serving batch sizes the product is bound by streaming
-            // the weight panels; the quantised formats' narrower panels
-            // are exactly where they win.
+            // the weight panels; the ternary format's narrower panels
+            // are exactly where it wins.
             let elems = (in_features * out_features) as f64;
-            let (gflops, weight_traffic) = match choice {
-                AlgoChoice::PackedLinear => (PACKED_GFLOPS, elems * 4.0),
-                AlgoChoice::TernaryLinear => (TERNARY_GFLOPS, elems / 4.0),
-                _ => (INT8_GFLOPS, elems),
+            let (gflops, weight_traffic) = if choice == AlgoChoice::PackedLinear {
+                (PACKED_GFLOPS, elems * 4.0)
+            } else {
+                (TERNARY_GFLOPS, elems / 4.0)
             };
             eff / (gflops * 1e9) + weight_traffic / PACK_BYTES_PER_SEC
         }
-        AlgoChoice::Winograd => flops / 2.25 / (WINOGRAD_GFLOPS * 1e9),
-        AlgoChoice::WinogradF4 => flops / 4.0 / (WINOGRAD4_GFLOPS * 1e9),
-        AlgoChoice::FftConv => {
+        AlgoChoice::Winograd | AlgoChoice::WinogradF4 => {
             let OpKind::Conv {
                 geom, out_channels, ..
             } = &op.kind
             else {
                 return f64::INFINITY;
             };
-            let (ph, pw) = cnn_stack_tensor::fft_plane_dims(geom);
-            let ps = (ph * pw) as f64;
-            let in_c = geom.in_channels as f64;
-            let oc = *out_channels as f64;
-            // One radix-2 plane transform ≈ 5·ps·log₂(ps) flops;
-            // conjugate-pair packing halves the transform count.
-            // Filter spectra are computed once per call, so they
-            // amortise over the batch; input/inverse transforms and
-            // the 8-flop complex MAC per (o, c, frequency) do not.
-            let plane_flops = 5.0 * ps * ps.log2().max(1.0);
-            let filter_planes = (oc * in_c / 2.0).ceil();
-            let image_planes = (in_c / 2.0).ceil() + (oc / 2.0).ceil();
-            let transforms = filter_planes + batch as f64 * image_planes;
-            let pointwise = batch as f64 * oc * in_c * ps * 8.0;
-            (transforms * plane_flops + pointwise) / (FFT_GFLOPS * 1e9)
+            // F(t×t, 3×3): (t + 2)² multiplies per t² outputs.
+            let (t, gflops) = if choice == AlgoChoice::Winograd {
+                (2, WINOGRAD_GFLOPS)
+            } else {
+                (4, WINOGRAD4_GFLOPS)
+            };
+            let taps = (t + 2) * (t + 2);
+            let saving = (9 * t * t) as f64 / taps as f64;
+            // Edge tiles run whole: a 2×2 plane costs F(4×4) a full tile.
+            let tiles = geom.out_h.div_ceil(t) * geom.out_w.div_ceil(t);
+            let round_up = (tiles * t * t) as f64 / geom.out_positions() as f64;
+            // The transformed filter bank is rebuilt (written, then
+            // streamed by the multiply stage) every call.
+            let filter_traffic = (taps * out_channels * geom.in_channels * 4) as f64;
+            flops / saving * round_up / (gflops * 1e9) + filter_traffic / PACK_BYTES_PER_SEC
         }
         AlgoChoice::CsrConv | AlgoChoice::CsrIm2col | AlgoChoice::CsrLinear => {
             let density = match &op.kind {
@@ -505,12 +498,12 @@ fn resolved(op: &IrOp) -> Option<AlgoChoice> {
 /// to it — cheapest predicted first; empty for ops the selector does
 /// not touch.
 fn candidates(op: &IrOp) -> Vec<(AlgoChoice, f64)> {
-    let Some((shape, label, ternary)) = facts(op) else {
+    let Some((shape, _, ternary)) = facts(op) else {
         return Vec::new();
     };
     let mut c: Vec<(AlgoChoice, f64)> = AlgoChoice::ALL
         .into_iter()
-        .filter(|row| row.applies(shape, ternary) && row.proposed(shape, label))
+        .filter(|row| row.applies(shape, ternary) && row.proposed())
         .map(|row| (row, predicted_seconds(op, row)))
         .collect();
     c.sort_by(|a, b| a.1.total_cmp(&b.1));
@@ -761,9 +754,10 @@ fn fit_budget(ctx: &mut PassContext, budget_bytes: usize) -> Result<(), Error> {
 /// [`with_cache_path`](Autotune::with_cache_path) argument, the
 /// `CNN_STACK_TUNE_CACHE` environment variable, then
 /// `~/.cache/cnn-stack/tune.tsv`. Entries are keyed by op kind, GEMM
-/// dimensions, batch, measured-sparsity bucket, and thread count. Cache
-/// I/O is best-effort: an unreadable or unwritable cache degrades to
-/// measuring every compilation.
+/// dimensions, kernel extent and stride (convolutions), batch,
+/// measured-sparsity bucket, and thread count. Cache I/O is best-effort:
+/// an unreadable or unwritable cache degrades to measuring every
+/// compilation.
 pub struct Autotune {
     cache_path: Option<PathBuf>,
     samples: u32,
@@ -823,7 +817,11 @@ impl Default for Autotune {
     }
 }
 
-/// Stable cache key for an op at one shape and thread count.
+/// Stable cache key for an op at one shape and thread count. A conv key
+/// states the kernel extent and stride beside the GEMM dimensions: the
+/// candidate list depends on them (Winograd is 3×3 stride-1 only), and
+/// two layers equal in `m·k·n` alone — conv3x3(3→8) and conv1x1(27→8)
+/// on one plane — are different problems for every kernel.
 fn tune_key(op: &IrOp, threads: usize) -> Option<String> {
     let batch = op.input_shape.first().copied().unwrap_or(1);
     match &op.kind {
@@ -833,10 +831,13 @@ fn tune_key(op: &IrOp, threads: usize) -> Option<String> {
             sparsity,
             ..
         } => Some(format!(
-            "conv:m{}k{}n{}:b{batch}:sp{:.2}:t{threads}",
+            "conv:m{}k{}n{}:k{}x{}s{}:b{batch}:sp{:.2}:t{threads}",
             out_channels,
             geom.patch_len(),
             geom.out_positions(),
+            geom.k_h,
+            geom.k_w,
+            geom.stride,
             sparsity,
         )),
         OpKind::Linear {
@@ -1224,9 +1225,10 @@ mod tests {
     }
 
     #[test]
-    fn autotune_ignores_int8_line_on_dense_linear() {
-        // Int8 is lossy: a cached `gemm-int8` winner may only replay
-        // onto a layer the caller labelled Int8.
+    fn autotune_drops_lines_naming_withdrawn_kernels() {
+        // `gemm-int8` and `fft` named registry rows that were withdrawn:
+        // a line whose tag no longer parses is dropped on load, the op is
+        // measured like a miss, and the stale line does not survive.
         let shape = [1usize, 64];
         let line = "linear:m1k64n10:sp0.00:t1\tgemm-int8";
         let mut net = Network::new(vec![Box::new(Linear::new(64, 10, 3))]).unwrap();
@@ -1234,10 +1236,9 @@ mod tests {
         let fc = net.layers()[0].as_any().downcast_ref::<Linear>().unwrap();
         assert_eq!(fc.format(), WeightFormat::Dense);
         let cfg = plan.steps()[0].cfg;
-        assert_ne!(fc.runs(&cfg), AlgoChoice::Int8Linear);
         assert_eq!(step_tag(&plan.steps()[0]), fc.runs(&cfg).tag());
-        // Ignored like a miss: measured again, and the line overwritten.
         assert_eq!(text.lines().count(), 1, "{text}");
+        assert!(text.starts_with("linear:m1k64n10:sp0.00:t1\t"), "{text}");
         assert!(!text.contains("gemm-int8"), "stale line survived: {text}");
         // The output is the f32 kernel's the step names, bit for bit —
         // what compiling without the cache line produces.
@@ -1248,15 +1249,28 @@ mod tests {
             .run(&x)
             .unwrap();
         assert_eq!(got.data(), want.data());
+
+        let shape = [1usize, 3, 8, 8];
+        let line = "conv:m8k75n64:k5x5s1:b1:sp0.00:t1\tfft";
+        let mut net = Network::new(vec![Box::new(Conv2d::new(3, 8, 5, 1, 2, 4))]).unwrap();
+        let (plan, text) = compile_with_cache_line(&mut net, &shape, line, "replay-fft");
+        let conv = net.layers()[0].as_any().downcast_ref::<Conv2d>().unwrap();
+        let step = &plan.steps()[0];
+        assert_eq!(step_tag(step), conv.runs(&step.cfg).tag());
+        assert_eq!(text.lines().count(), 1, "{text}");
+        assert!(
+            text.starts_with("conv:m8k75n64:k5x5s1:b1:sp0.00:t1\t"),
+            "{text}"
+        );
+        assert!(!text.contains("fft"), "stale line survived: {text}");
     }
 
     #[test]
     fn autotune_ignores_winograd_line_on_colliding_pointwise_key() {
-        // conv1x1(27->8) and conv3x3(3->8) over an 8×8 map share the key
-        // m8k27n64; a Winograd winner cached for the 3×3 layer is no
-        // candidate for the 1×1 one.
+        // A line keyed for the 1×1 layer but naming a kernel that is no
+        // candidate for it (a hand-edited file): dropped, not replayed.
         let shape = [1usize, 27, 8, 8];
-        let line = "conv:m8k27n64:b1:sp0.00:t1\twinograd-f4";
+        let line = "conv:m8k27n64:k1x1s1:b1:sp0.00:t1\twinograd-f4";
         let mut net = Network::new(vec![Box::new(Conv2d::new(27, 8, 1, 1, 0, 4))]).unwrap();
         let (plan, _) = compile_with_cache_line(&mut net, &shape, line, "replay-f4");
         let conv = net.layers()[0].as_any().downcast_ref::<Conv2d>().unwrap();
@@ -1266,9 +1280,47 @@ mod tests {
     }
 
     #[test]
+    fn colliding_gemm_dims_get_their_own_cache_lines() {
+        // conv3x3(3->8) and conv1x1(27->8) over an 8×8 map are both
+        // m8·k27·n64; keyed by that alone, the second layer compiled
+        // through the file replayed the first one's winner unmeasured.
+        let dir = std::env::temp_dir().join(format!("cnn-stack-tune-clash-{}", std::process::id()));
+        let path = dir.join("tune.tsv");
+        let _ = std::fs::remove_file(&path);
+        let wide = || Network::new(vec![Box::new(Conv2d::new(3, 8, 3, 1, 1, 4))]).unwrap();
+        let point = || Network::new(vec![Box::new(Conv2d::new(27, 8, 1, 1, 0, 4))]).unwrap();
+        let compile = |mut net: Network, shape: [usize; 4]| {
+            let plan = PlanCompiler::standard()
+                .with_pass(Autotune::with_cache_path(path.clone()))
+                .run(&mut net, &shape, &ExecConfig::serial())
+                .unwrap();
+            step_tag(&plan.steps()[0]).to_string()
+        };
+        let measured_wide = compile(wide(), [1, 3, 8, 8]);
+        let measured_point = compile(point(), [1, 27, 8, 8]);
+        let text = std::fs::read_to_string(&path).unwrap();
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), 2, "one line per layer: {text}");
+        assert_eq!(
+            lines[0],
+            format!("conv:m8k27n64:k3x3s1:b1:sp0.00:t1\t{measured_wide}")
+        );
+        assert_eq!(
+            lines[1],
+            format!("conv:m8k27n64:k1x1s1:b1:sp0.00:t1\t{measured_point}")
+        );
+        // Each layer replays the row measured on it, and a hit rewrites
+        // nothing.
+        assert_eq!(compile(point(), [1, 27, 8, 8]), measured_point);
+        assert_eq!(compile(wide(), [1, 3, 8, 8]), measured_wide);
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), text);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn autotune_ignores_ternary_line_on_non_ternary_weights() {
         let shape = [1usize, 3, 8, 8];
-        let line = "conv:m8k27n64:b1:sp0.00:t1\tim2col-ternary";
+        let line = "conv:m8k27n64:k3x3s1:b1:sp0.00:t1\tim2col-ternary";
         let mut net = Network::new(vec![Box::new(Conv2d::new(3, 8, 3, 1, 1, 4))]).unwrap();
         let (plan, _) = compile_with_cache_line(&mut net, &shape, line, "replay-ternary");
         let conv = net.layers()[0].as_any().downcast_ref::<Conv2d>().unwrap();

@@ -46,19 +46,15 @@ pub(crate) enum Form {
     Quant,
 }
 
-/// Quantised code panels of the `Wᵀ` B operand; the layout depends only
-/// on the weight matrix extents, so one build serves every input shape.
+/// Ternary code panels of the `Wᵀ` B operand — 2-bit sign codes (see
+/// `pack_b_ternary_transposed_into`) plus the two per-layer magnitudes
+/// (`negative` stored positive). The layout depends only on the weight
+/// matrix extents, so one build serves every input shape.
 #[derive(Clone, Debug)]
-enum QuantPanels {
-    /// 2-bit sign codes (see `pack_b_ternary_transposed_into`) plus the
-    /// two per-layer magnitudes (`negative` stored positive).
-    Ternary {
-        codes: Arc<Vec<u32>>,
-        positive: f32,
-        negative: f32,
-    },
-    /// Int8 panels plus the weight scale `qw = 127 / max|W|`.
-    Int8 { codes: Arc<Vec<i8>>, scale: f32 },
+struct QuantPanels {
+    codes: Arc<Vec<u32>>,
+    positive: f32,
+    negative: f32,
 }
 
 /// Borrowed view of built ternary codes.
@@ -67,13 +63,6 @@ pub(crate) struct TernaryCodes<'a> {
     pub codes: &'a [u32],
     pub positive: f32,
     pub negative: f32,
-}
-
-/// Borrowed view of built int8 codes.
-#[derive(Clone, Copy)]
-pub(crate) struct Int8Codes<'a> {
-    pub codes: &'a [i8],
-    pub scale: f32,
 }
 
 /// The derived forms, each built at most once per reset. `quant` holds
@@ -98,10 +87,10 @@ impl Derived {
         [
             self.csr.get().map(|a| Arc::as_ptr(a) as usize),
             self.panels.get().map(|a| Arc::as_ptr(a) as usize),
-            self.quant.get().and_then(Option::as_ref).map(|q| match q {
-                QuantPanels::Ternary { codes, .. } => Arc::as_ptr(codes) as usize,
-                QuantPanels::Int8 { codes, .. } => Arc::as_ptr(codes) as usize,
-            }),
+            self.quant
+                .get()
+                .and_then(Option::as_ref)
+                .map(|q| Arc::as_ptr(&q.codes) as usize),
         ]
     }
 }
@@ -298,38 +287,26 @@ impl Weights {
         })
     }
 
-    /// The code form the label asks for, if the master has one.
+    /// The code form, if the label asks for it and the master has one.
     fn quant(&self) -> Option<&QuantPanels> {
         self.derived
             .quant
             .get_or_init(|| {
-                let (rows, cols) = self.matrix_extents();
-                let data = self.master.value.data();
-                // Both code forms are the B operand of `X · Wᵀ` (the
-                // ternary convolution runs its product transposed).
-                let plan = GemmPlan::new(1, cols, rows);
-                match self.format {
-                    WeightFormat::Ternary => {
-                        let (positive, negative) = self.ternary_magnitudes()?;
-                        let mut codes = vec![0u32; plan.ternary_b_words()];
-                        gemm::pack_b_ternary_transposed_into(&plan, data, &mut codes);
-                        Some(QuantPanels::Ternary {
-                            codes: Arc::new(codes),
-                            positive,
-                            negative,
-                        })
-                    }
-                    WeightFormat::Int8 => {
-                        let scale = gemm::quantise_scale_i8(data);
-                        let mut codes = vec![0i8; plan.packed_b_elems()];
-                        gemm::pack_b_transposed_i8_into(&plan, data, scale, &mut codes);
-                        Some(QuantPanels::Int8 {
-                            codes: Arc::new(codes),
-                            scale,
-                        })
-                    }
-                    WeightFormat::Dense | WeightFormat::Csr => None,
+                if self.format != WeightFormat::Ternary {
+                    return None;
                 }
+                let (positive, negative) = self.ternary_magnitudes()?;
+                let (rows, cols) = self.matrix_extents();
+                // The codes are the B operand of `X · Wᵀ` (the ternary
+                // convolution runs its product transposed).
+                let plan = GemmPlan::new(1, cols, rows);
+                let mut codes = vec![0u32; plan.ternary_b_words()];
+                gemm::pack_b_ternary_transposed_into(&plan, self.master.value.data(), &mut codes);
+                Some(QuantPanels {
+                    codes: Arc::new(codes),
+                    positive,
+                    negative,
+                })
             })
             .as_ref()
     }
@@ -337,35 +314,11 @@ impl Weights {
     /// Ternary codes: `Some` iff the label is `Ternary` and the master
     /// is exactly ternary.
     pub(crate) fn ternary(&self) -> Option<TernaryCodes<'_>> {
-        if self.format != WeightFormat::Ternary {
-            return None;
-        }
-        match self.quant()? {
-            QuantPanels::Ternary {
-                codes,
-                positive,
-                negative,
-            } => Some(TernaryCodes {
-                codes,
-                positive: *positive,
-                negative: *negative,
-            }),
-            QuantPanels::Int8 { .. } => None,
-        }
-    }
-
-    /// Int8 codes: `Some` iff the label is `Int8`.
-    pub(crate) fn int8(&self) -> Option<Int8Codes<'_>> {
-        if self.format != WeightFormat::Int8 {
-            return None;
-        }
-        match self.quant()? {
-            QuantPanels::Int8 { codes, scale } => Some(Int8Codes {
-                codes,
-                scale: *scale,
-            }),
-            QuantPanels::Ternary { .. } => None,
-        }
+        self.quant().map(|q| TernaryCodes {
+            codes: &q.codes,
+            positive: q.positive,
+            negative: q.negative,
+        })
     }
 
     /// Plan-time warm-up: drops the forms the coming runs will not read
@@ -495,15 +448,14 @@ mod tests {
     #[test]
     fn code_forms_follow_the_label() {
         let mut w = weights(0.0, PanelOperand::BTransposed);
-        assert!(w.ternary().is_none() && w.int8().is_none());
+        assert!(w.ternary().is_none());
         w.set_format(WeightFormat::Ternary);
         assert!(w.ternary().is_none(), "sine weights are not ternary");
         assert!(w.is_cold(), "a master without a code form keeps nothing");
         w.master_mut().value.map_inplace(|v| v.signum() * 0.5);
         assert_eq!(w.ternary().map(|t| t.positive), Some(0.5));
-        assert!(w.int8().is_none());
-        w.set_format(WeightFormat::Int8);
-        assert!(w.int8().is_some() && w.ternary().is_none());
+        w.set_format(WeightFormat::Csr);
+        assert!(w.ternary().is_none());
     }
 
     #[test]

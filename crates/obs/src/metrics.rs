@@ -64,16 +64,12 @@ metrics! {
     GemmKernelAvx512 => ("gemm.kernel.avx512", Counter),
     GemmKernelScalar => ("gemm.kernel.scalar", Counter),
     GemmKernelTernary => ("gemm.kernel.ternary", Counter),
-    GemmKernelInt8 => ("gemm.kernel.int8", Counter),
     GemmBytesPacked => ("gemm.bytes_packed", Counter),
     // im2col lowering (tensor::im2col), incl. the fused im2col→pack path.
     Im2colCalls => ("im2col.calls", Counter),
     Im2colBytesLowered => ("im2col.bytes_lowered", Counter),
-    // Transform-domain convolution kernels (tensor::winograd, tensor::fft).
+    // Transform-domain convolution kernels (tensor::winograd).
     WinogradTiles => ("conv.winograd.tiles", Counter),
-    FftConvCalls => ("conv.fft.calls", Counter),
-    FftPlaneTransforms => ("conv.fft.plane_transforms", Counter),
-    FftPointwiseMacs => ("conv.fft.pointwise_macs", Counter),
     // Thread pool (parallel::ThreadPool).
     PoolTasksQueued => ("pool.tasks_queued", Counter),
     PoolTasksRun => ("pool.tasks_run", Counter),

@@ -338,7 +338,7 @@ impl StackConfigBuilder {
     ///
     /// Returns [`Error::InvalidConfig`] if `threads == 0`, or if the
     /// weight format is CSR while the algorithm is a transform-domain
-    /// one (Winograd F(2×2)/F(4×4) or FFT) — those transforms need
+    /// one (Winograd F(2×2)/F(4×4)) — those transforms need
     /// dense filter taps, so the combinations have no execution path
     /// (the paper pairs transform algorithms with dense formats only,
     /// §V-C).
@@ -351,12 +351,12 @@ impl StackConfigBuilder {
         if self.config.format == WeightFormat::Csr
             && matches!(
                 self.config.algorithm,
-                ConvAlgorithm::Winograd | ConvAlgorithm::WinogradF4 | ConvAlgorithm::Fft
+                ConvAlgorithm::Winograd | ConvAlgorithm::WinogradF4
             )
         {
             return Err(Error::InvalidConfig(
                 "CSR weight format cannot be combined with a transform-domain \
-                 algorithm (Winograd/FFT): the transform needs dense filter taps"
+                 algorithm (Winograd): the transform needs dense filter taps"
                     .to_string(),
             ));
         }

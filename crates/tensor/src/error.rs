@@ -1,8 +1,8 @@
 //! Typed errors for fallible kernel entry points.
 //!
-//! The transform-domain convolution kernels ([`crate::winograd`],
-//! [`crate::fft`]) originally panicked on misuse (wrong kernel rank,
-//! channel mismatches, undersized buffers). Those invariants are now
+//! The Winograd convolution kernels ([`crate::winograd`]) originally
+//! panicked on misuse (wrong kernel rank, channel mismatches,
+//! undersized buffers). Those invariants are now
 //! surfaced as [`KernelError`] values from `Result`-returning entry
 //! points, matching the fallible-API convention of the `nn` crate, so
 //! planners and serving code can reject a bad configuration instead of

@@ -16,8 +16,8 @@
 //! * [`GemmAlgorithm::Blocked`] — the tiled kernel at a fixed 64³
 //!   blocking; the "hand-optimised serial C" analogue and the scalar
 //!   floor the guard ladder demotes to.
-//! * [`GemmAlgorithm::TernaryPacked`] / [`GemmAlgorithm::Int8Packed`] —
-//!   the packed engine over quantised weight panels.
+//! * [`GemmAlgorithm::TernaryPacked`] — the packed engine over 2-bit
+//!   ternary weight panels.
 //! * [`GemmAlgorithm::Packed`] — the tuned-BLAS analogue: a BLIS-style
 //!   packed engine that copies A into `MR`-row panels and B into
 //!   `NR`-column panels, then drives an `MR×NR` register-tiled
@@ -81,12 +81,6 @@ pub enum GemmAlgorithm {
     /// dequantised weights. Requires prepacked ternary panels; callers
     /// without them (e.g. [`gemm_into`]) take the f32 packed path.
     TernaryPacked,
-    /// Packed engine over int8 operands (per-tensor scales, f32
-    /// accumulate): both panels are quantised `i8`, products accumulate
-    /// exactly in f32, and the driver rescales at write-back. Requires
-    /// prepacked int8 panels; callers without them take the f32 packed
-    /// path.
-    Int8Packed,
 }
 
 /// Element-wise epilogue fused into the packed engine's write-back.
@@ -464,101 +458,6 @@ pub fn pack_b_ternary_transposed_into(plan: &GemmPlan, w: &[f32], buf: &mut [u32
         Metric::GemmBytesPacked,
         (plan.ternary_b_words() * std::mem::size_of::<u32>()) as u64,
     );
-}
-
-/// Per-tensor int8 quantisation scale: `127 / max|x|`, or `1.0` when the
-/// data is empty, all-zero, or contains a non-finite value (every
-/// element then saturates/zeroes predictably under [`quantise_i8`]).
-pub fn quantise_scale_i8(data: &[f32]) -> f32 {
-    let mut maxabs = 0.0f32;
-    for &v in data {
-        // `f32::max` would silently drop a NaN operand, so reject
-        // non-finite values explicitly.
-        if !v.is_finite() {
-            return 1.0;
-        }
-        maxabs = maxabs.max(v.abs());
-    }
-    if maxabs > 0.0 {
-        127.0 / maxabs
-    } else {
-        1.0
-    }
-}
-
-/// Quantises one value to int8: `round(v · scale)` clamped to
-/// `[-127, 127]`. NaN maps to 0 (the `as` cast's saturating contract) —
-/// the int8 path is documented lossy, unlike the ternary path.
-#[inline]
-pub fn quantise_i8(v: f32, scale: f32) -> i8 {
-    (v * scale).round().clamp(-127.0, 127.0) as i8
-}
-
-/// [`pack_a_into`] for the int8 engine: quantises `a[m×k]` by `scale`
-/// while packing into MR-row i8 panels (same `buf[ip·MR·k + p·MR + r]`
-/// layout, one byte per element).
-///
-/// # Panics
-///
-/// Panics if `a` or `buf` is shorter than the plan requires.
-pub fn pack_a_i8_into(plan: &GemmPlan, a: &[f32], scale: f32, buf: &mut [i8]) {
-    let (m, k) = (plan.m, plan.k);
-    assert_eq!(a.len(), m * k, "A length mismatch");
-    assert!(
-        buf.len() >= plan.packed_a_elems(),
-        "packed-A buffer too small"
-    );
-    for ip in 0..plan.m_panels() {
-        let dst = &mut buf[ip * MR * k..(ip + 1) * MR * k];
-        for r in 0..MR {
-            let row = ip * MR + r;
-            if row < m {
-                let src = &a[row * k..row * k + k];
-                for (p, &v) in src.iter().enumerate() {
-                    dst[p * MR + r] = quantise_i8(v, scale);
-                }
-            } else {
-                for p in 0..k {
-                    dst[p * MR + r] = 0;
-                }
-            }
-        }
-    }
-    obs::count(Metric::GemmBytesPacked, plan.packed_a_elems() as u64);
-}
-
-/// [`pack_b_transposed_into`] for the int8 engine: quantises `w[n×k]` by
-/// `scale` while packing `Wᵀ` into NR-column i8 panels (same
-/// `buf[jp·NR·k + p·NR + c]` layout, one byte per element).
-///
-/// # Panics
-///
-/// Panics if `w` or `buf` is shorter than the plan requires.
-pub fn pack_b_transposed_i8_into(plan: &GemmPlan, w: &[f32], scale: f32, buf: &mut [i8]) {
-    let (k, n) = (plan.k, plan.n);
-    assert_eq!(w.len(), n * k, "W length mismatch");
-    assert!(
-        buf.len() >= plan.packed_b_elems(),
-        "packed-B buffer too small"
-    );
-    for jp in 0..plan.n_panels() {
-        let j0 = jp * NR;
-        let dst = &mut buf[jp * NR * k..(jp + 1) * NR * k];
-        for c in 0..NR {
-            let col = j0 + c;
-            if col < n {
-                let src = &w[col * k..col * k + k];
-                for (p, &v) in src.iter().enumerate() {
-                    dst[p * NR + c] = quantise_i8(v, scale);
-                }
-            } else {
-                for p in 0..k {
-                    dst[p * NR + c] = 0;
-                }
-            }
-        }
-    }
-    obs::count(Metric::GemmBytesPacked, plan.packed_b_elems() as u64);
 }
 
 /// Which micro-kernel the packed engine (and every other dispatched
@@ -1083,122 +982,6 @@ fn microkernel_ternary(
     }
 }
 
-/// Portable int8 micro-kernel: products of i8 operands accumulate in
-/// f32. Every product is an integer with |p| ≤ 127² = 16129 and a block
-/// partial sum is bounded by `kc · 16129 < 2²⁴` (kc ≤ 256), so the f32
-/// accumulation is *exact* — the scalar and FMA kernels agree bit for
-/// bit.
-fn microkernel_int8_scalar(a: &[i8], b: &[i8], acc: &mut [[f32; NR]; MR]) {
-    for (ap, bp) in a.chunks_exact(MR).zip(b.chunks_exact(NR)) {
-        let ap: &[i8; MR] = ap.try_into().expect("chunks_exact yields MR");
-        let bp: &[i8; NR] = bp.try_into().expect("chunks_exact yields NR");
-        for r in 0..MR {
-            let ar = ap[r] as f32;
-            let row = &mut acc[r];
-            for c in 0..NR {
-                row[c] += ar * bp[c] as f32;
-            }
-        }
-    }
-}
-
-/// AVX2/FMA int8 micro-kernel: one 16-byte B load per step sign-extends
-/// to two i32 vectors (`vpmovsxbd`) and converts to f32; the FMA ladder
-/// matches [`microkernel_avx2`]. Exact for the same reason as the scalar
-/// variant (all intermediates are integers below 2²⁴).
-///
-/// # Safety
-///
-/// Caller must ensure AVX2 and FMA are available. `a.len()` must be a
-/// multiple of `MR` and `b.len() / NR` must equal `a.len() / MR`.
-#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-#[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn microkernel_int8_avx2(a: &[i8], b: &[i8], acc: &mut [[f32; NR]; MR]) {
-    #[cfg(target_arch = "x86")]
-    use core::arch::x86::*;
-    #[cfg(target_arch = "x86_64")]
-    use core::arch::x86_64::*;
-
-    debug_assert_eq!(a.len() % MR, 0);
-    debug_assert_eq!(b.len() % NR, 0);
-    debug_assert_eq!(a.len() / MR, b.len() / NR);
-    let kc = a.len() / MR;
-
-    // SAFETY (all intrinsics below): loads/stores stay inside `a`, `b`
-    // and `acc`, whose lengths are checked above; only unaligned forms
-    // are used.
-    let mut c00 = _mm256_loadu_ps(acc[0].as_ptr());
-    let mut c01 = _mm256_loadu_ps(acc[0].as_ptr().add(8));
-    let mut c10 = _mm256_loadu_ps(acc[1].as_ptr());
-    let mut c11 = _mm256_loadu_ps(acc[1].as_ptr().add(8));
-    let mut c20 = _mm256_loadu_ps(acc[2].as_ptr());
-    let mut c21 = _mm256_loadu_ps(acc[2].as_ptr().add(8));
-    let mut c30 = _mm256_loadu_ps(acc[3].as_ptr());
-    let mut c31 = _mm256_loadu_ps(acc[3].as_ptr().add(8));
-    let mut c40 = _mm256_loadu_ps(acc[4].as_ptr());
-    let mut c41 = _mm256_loadu_ps(acc[4].as_ptr().add(8));
-    let mut c50 = _mm256_loadu_ps(acc[5].as_ptr());
-    let mut c51 = _mm256_loadu_ps(acc[5].as_ptr().add(8));
-
-    let mut ap = a.as_ptr();
-    let mut bp = b.as_ptr();
-    for _ in 0..kc {
-        let raw = _mm_loadu_si128(bp as *const __m128i);
-        let b0 = _mm256_cvtepi32_ps(_mm256_cvtepi8_epi32(raw));
-        let b1 = _mm256_cvtepi32_ps(_mm256_cvtepi8_epi32(_mm_srli_si128::<8>(raw)));
-        let a0 = _mm256_set1_ps(*ap as f32);
-        c00 = _mm256_fmadd_ps(a0, b0, c00);
-        c01 = _mm256_fmadd_ps(a0, b1, c01);
-        let a1 = _mm256_set1_ps(*ap.add(1) as f32);
-        c10 = _mm256_fmadd_ps(a1, b0, c10);
-        c11 = _mm256_fmadd_ps(a1, b1, c11);
-        let a2 = _mm256_set1_ps(*ap.add(2) as f32);
-        c20 = _mm256_fmadd_ps(a2, b0, c20);
-        c21 = _mm256_fmadd_ps(a2, b1, c21);
-        let a3 = _mm256_set1_ps(*ap.add(3) as f32);
-        c30 = _mm256_fmadd_ps(a3, b0, c30);
-        c31 = _mm256_fmadd_ps(a3, b1, c31);
-        let a4 = _mm256_set1_ps(*ap.add(4) as f32);
-        c40 = _mm256_fmadd_ps(a4, b0, c40);
-        c41 = _mm256_fmadd_ps(a4, b1, c41);
-        let a5 = _mm256_set1_ps(*ap.add(5) as f32);
-        c50 = _mm256_fmadd_ps(a5, b0, c50);
-        c51 = _mm256_fmadd_ps(a5, b1, c51);
-        ap = ap.add(MR);
-        bp = bp.add(NR);
-    }
-
-    _mm256_storeu_ps(acc[0].as_mut_ptr(), c00);
-    _mm256_storeu_ps(acc[0].as_mut_ptr().add(8), c01);
-    _mm256_storeu_ps(acc[1].as_mut_ptr(), c10);
-    _mm256_storeu_ps(acc[1].as_mut_ptr().add(8), c11);
-    _mm256_storeu_ps(acc[2].as_mut_ptr(), c20);
-    _mm256_storeu_ps(acc[2].as_mut_ptr().add(8), c21);
-    _mm256_storeu_ps(acc[3].as_mut_ptr(), c30);
-    _mm256_storeu_ps(acc[3].as_mut_ptr().add(8), c31);
-    _mm256_storeu_ps(acc[4].as_mut_ptr(), c40);
-    _mm256_storeu_ps(acc[4].as_mut_ptr().add(8), c41);
-    _mm256_storeu_ps(acc[5].as_mut_ptr(), c50);
-    _mm256_storeu_ps(acc[5].as_mut_ptr().add(8), c51);
-}
-
-/// Dispatches one int8 reduction block to the active micro-kernel.
-#[inline]
-fn microkernel_int8(kernel: MicroKernel, a: &[i8], b: &[i8], acc: &mut [[f32; NR]; MR]) {
-    match kernel {
-        MicroKernel::Scalar => microkernel_int8_scalar(a, b, acc),
-        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-        // SAFETY: `active_kernel` only selects a SIMD variant after
-        // `MicroKernel::supported` confirmed AVX2 and FMA (`Avx512`
-        // implies both); the slice-length contract is upheld by the
-        // panel driver.
-        MicroKernel::Avx2Fma => unsafe { microkernel_int8_avx2(a, b, acc) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: as above.
-        MicroKernel::Avx512 => unsafe { microkernel_int8_avx2(a, b, acc) },
-    }
-}
-
 /// Packed GEMM over pre-packed operands: `c[m×n] += packed_a · packed_b`.
 ///
 /// Both operands must be packed with this `plan`'s shape (see
@@ -1539,119 +1322,6 @@ pub fn gemm_prepacked_ternary(
     );
 }
 
-/// Int8 packed GEMM: `c[m×n] += scale · (packed_a · packed_b)` over i8
-/// panels (see [`pack_a_i8_into`] / [`pack_b_transposed_i8_into`]), with
-/// `scale = 1 / (qa · qw)` folding both quantisation scales back out.
-/// Products accumulate exactly in f32 inside each `kc` block, and the
-/// rescale happens at *every* block's write-back (a constant scale
-/// distributes over the blocked partial sums), so K-blocking cannot
-/// change the result; a fused ReLU still fires only on the final block.
-///
-/// # Panics
-///
-/// Panics if a buffer is shorter than the plan requires.
-#[allow(clippy::too_many_arguments)] // low-level kernel: the argument list *is* the GEMM shape
-pub fn gemm_prepacked_int8(
-    plan: &GemmPlan,
-    packed_a: &[i8],
-    packed_b: &[i8],
-    scale: f32,
-    c: &mut [f32],
-    threads: usize,
-    schedule: Schedule,
-    epilogue: GemmEpilogue,
-) {
-    let GemmPlan { m, k, n, .. } = *plan;
-    assert!(
-        packed_a.len() >= plan.packed_a_elems(),
-        "packed-A too small"
-    );
-    assert!(
-        packed_b.len() >= plan.packed_b_elems(),
-        "packed-B too small"
-    );
-    assert_eq!(c.len(), m * n, "C length mismatch");
-    if m == 0 || n == 0 || k == 0 {
-        if k == 0 && epilogue == GemmEpilogue::Relu {
-            for v in c.iter_mut() {
-                *v = v.max(0.0);
-            }
-        }
-        return;
-    }
-    let kernel = active_kernel();
-    let m_panels = plan.m_panels();
-    let n_panels = plan.n_panels();
-    let panels_per_row_chunk = plan.mc / MR;
-    let panels_per_col_chunk = plan.nc / NR;
-    let kc = plan.kc;
-
-    obs::with_current(|o| {
-        let metrics = o.metrics();
-        metrics.add(Metric::GemmCalls, 1);
-        metrics.add(Metric::GemmFlops, 2 * (m * k * n) as u64);
-        metrics.add(
-            Metric::GemmPanels,
-            (m_panels * n_panels * k.div_ceil(kc)) as u64,
-        );
-        metrics.add(Metric::GemmKernelInt8, 1);
-    });
-
-    let writer = DisjointWriter::new(c);
-    let writer = &writer;
-    parallel_tiles(
-        threads,
-        plan.row_chunks(),
-        plan.col_chunks(),
-        schedule,
-        |rc, cc| {
-            let ip0 = rc * panels_per_row_chunk;
-            let ip1 = (ip0 + panels_per_row_chunk).min(m_panels);
-            let jp0 = cc * panels_per_col_chunk;
-            let jp1 = (jp0 + panels_per_col_chunk).min(n_panels);
-            let mut pc = 0;
-            while pc < k {
-                let kc_eff = kc.min(k - pc);
-                let last_block = pc + kc_eff >= k;
-                for jp in jp0..jp1 {
-                    let b_block =
-                        &packed_b[jp * NR * k + pc * NR..jp * NR * k + (pc + kc_eff) * NR];
-                    let j0 = jp * NR;
-                    let cols = NR.min(n - j0);
-                    for ip in ip0..ip1 {
-                        let a_block =
-                            &packed_a[ip * MR * k + pc * MR..ip * MR * k + (pc + kc_eff) * MR];
-                        let mut acc = [[0.0f32; NR]; MR];
-                        microkernel_int8(kernel, a_block, b_block, &mut acc);
-                        let i0 = ip * MR;
-                        let rows = MR.min(m - i0);
-                        for (r, acc_row) in acc.iter().enumerate().take(rows) {
-                            let row = i0 + r;
-                            // SAFETY: grain (rc, cc) exclusively owns
-                            // rows [ip0·MR, ip1·MR) × cols [jp0·NR,
-                            // jp1·NR) of C; ranges from distinct grains
-                            // never overlap, and the buffer outlives
-                            // the parallel region.
-                            let dst =
-                                unsafe { writer.slice_mut(row * n + j0, row * n + j0 + cols) };
-                            if last_block && epilogue == GemmEpilogue::Relu {
-                                for (d, &v) in dst.iter_mut().zip(&acc_row[..cols]) {
-                                    *d = (*d + v * scale).max(0.0);
-                                }
-                            } else {
-                                for (d, &v) in dst.iter_mut().zip(&acc_row[..cols]) {
-                                    *d += v * scale;
-                                }
-                            }
-                        }
-                    }
-                }
-                pc += kc_eff;
-            }
-        },
-    );
-}
-
 /// Packed GEMM from unpacked operands: packs A and B into `scratch`
 /// (sized by [`GemmPlan::scratch_elems`]), then runs [`gemm_prepacked`].
 /// `c[m×n] += a[m×k] · b[k×n]`; never allocates.
@@ -1775,10 +1445,10 @@ pub fn gemm_into(
     assert_eq!(c.len(), m * n, "C length mismatch");
     match algo {
         GemmAlgorithm::Blocked => gemm_tiled_into(a, b, c, m, k, n, TileConfig::new(64, 64, 64, 4)),
-        // The quantised engines operate on prepacked quantised panels;
-        // from plain f32 slices the defined fallback is the f32 packed
-        // path — the same bit-identical demotion the guard applies.
-        GemmAlgorithm::Packed | GemmAlgorithm::TernaryPacked | GemmAlgorithm::Int8Packed => {
+        // The ternary engine operates on prepacked code panels; from
+        // plain f32 slices the defined fallback is the f32 packed path —
+        // the same bit-identical demotion the guard applies.
+        GemmAlgorithm::Packed | GemmAlgorithm::TernaryPacked => {
             let plan = GemmPlan::new(m, k, n);
             let mut scratch = vec![0.0f32; plan.scratch_elems()];
             gemm_packed_into(a, b, c, m, k, n, &mut scratch, 1, Schedule::Static);
@@ -2594,144 +2264,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn int8_prepacked_matches_dequantised_reference() {
-        // The int8 engine must equal the f32 naive reference computed
-        // from the *dequantised* operands to ≤1e-5 relative tolerance
-        // (the only rounding is the per-block scaled write-back).
-        for &(m, k, n) in &[(1, 9, 1), (MR + 1, 300, NR + 1), (7, 256, 33)] {
-            let a = random_tensor([m, k], (m + 7 * k) as u64);
-            let w = random_tensor([n, k], (n + 3 * k) as u64);
-            let qa = quantise_scale_i8(a.data());
-            let qw = quantise_scale_i8(w.data());
-            let plan = GemmPlan::new(m, k, n);
-            let mut pa = vec![0i8; plan.packed_a_elems()];
-            pack_a_i8_into(&plan, a.data(), qa, &mut pa);
-            let mut pb = vec![0i8; plan.packed_b_elems()];
-            pack_b_transposed_i8_into(&plan, w.data(), qw, &mut pb);
-            let mut c = vec![0.0f32; m * n];
-            gemm_prepacked_int8(
-                &plan,
-                &pa,
-                &pb,
-                1.0 / (qa * qw),
-                &mut c,
-                1,
-                Schedule::Static,
-                GemmEpilogue::None,
-            );
-            // Dequantised reference.
-            let deq_a: Vec<f32> = (0..m * k)
-                .map(|i| quantise_i8(a.data()[i], qa) as f32 / qa)
-                .collect();
-            let mut deq_b = vec![0.0f32; k * n];
-            for j in 0..n {
-                for p in 0..k {
-                    deq_b[p * n + j] = quantise_i8(w.data()[j * k + p], qw) as f32 / qw;
-                }
-            }
-            let mut want = vec![0.0f32; m * n];
-            gemm_naive_into(&deq_a, &deq_b, &mut want, m, k, n);
-            for (i, (&got, &exp)) in c.iter().zip(&want).enumerate() {
-                let tol = 1e-5 * exp.abs().max(1.0);
-                assert!(
-                    (got - exp).abs() <= tol,
-                    "{m}x{k}x{n} elem {i}: {got} vs {exp}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn int8_scalar_and_simd_kernels_agree_exactly() {
-        // All int8 intermediates are integers below 2^24, so mul+add and
-        // FMA round identically: the two kernels must agree bit for bit.
-        let (m, k, n) = (MR, 37, NR);
-        let a = random_tensor([m, k], 25);
-        let w = random_tensor([n, k], 26);
-        let plan = GemmPlan::new(m, k, n);
-        let mut pa = vec![0i8; plan.packed_a_elems()];
-        pack_a_i8_into(&plan, a.data(), quantise_scale_i8(a.data()), &mut pa);
-        let mut pb = vec![0i8; plan.packed_b_elems()];
-        pack_b_transposed_i8_into(&plan, w.data(), quantise_scale_i8(w.data()), &mut pb);
-        let mut scalar = [[0.0f32; NR]; MR];
-        microkernel_int8_scalar(&pa, &pb, &mut scalar);
-        let mut other = [[0.0f32; NR]; MR];
-        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-        if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma") {
-            // SAFETY: AVX2+FMA presence just checked; panel lengths are
-            // plan-consistent by construction.
-            unsafe { microkernel_int8_avx2(&pa, &pb, &mut other) };
-        } else {
-            microkernel_int8_scalar(&pa, &pb, &mut other);
-        }
-        #[cfg(not(any(target_arch = "x86", target_arch = "x86_64")))]
-        microkernel_int8_scalar(&pa, &pb, &mut other);
-        assert_eq!(scalar, other);
-    }
-
-    #[test]
-    fn int8_relu_epilogue_fires_only_on_last_block() {
-        // k = 300 > kc: earlier blocks must write raw scaled partial
-        // sums; only the final block clamps. Compare against an unfused
-        // run plus a separate sweep.
-        let (m, k, n) = (7, 300, 17);
-        let a = random_tensor([m, k], 31);
-        let w = random_tensor([n, k], 32);
-        let qa = quantise_scale_i8(a.data());
-        let qw = quantise_scale_i8(w.data());
-        let plan = GemmPlan::new(m, k, n);
-        let mut pa = vec![0i8; plan.packed_a_elems()];
-        pack_a_i8_into(&plan, a.data(), qa, &mut pa);
-        let mut pb = vec![0i8; plan.packed_b_elems()];
-        pack_b_transposed_i8_into(&plan, w.data(), qw, &mut pb);
-        let bias: Vec<f32> = (0..m * n).map(|i| (i as f32 * 0.3).cos()).collect();
-        let scale = 1.0 / (qa * qw);
-        let mut fused = bias.clone();
-        gemm_prepacked_int8(
-            &plan,
-            &pa,
-            &pb,
-            scale,
-            &mut fused,
-            1,
-            Schedule::Static,
-            GemmEpilogue::Relu,
-        );
-        let mut swept = bias;
-        gemm_prepacked_int8(
-            &plan,
-            &pa,
-            &pb,
-            scale,
-            &mut swept,
-            1,
-            Schedule::Static,
-            GemmEpilogue::None,
-        );
-        for v in swept.iter_mut() {
-            *v = v.max(0.0);
-        }
-        assert_eq!(
-            fused.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            swept.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-        );
-    }
-
-    #[test]
-    fn quantise_helpers_guard_degenerate_inputs() {
-        assert_eq!(quantise_scale_i8(&[]), 1.0);
-        assert_eq!(quantise_scale_i8(&[0.0, 0.0]), 1.0);
-        assert_eq!(quantise_scale_i8(&[1.0, f32::NAN]), 1.0);
-        assert_eq!(quantise_scale_i8(&[f32::INFINITY]), 1.0);
-        assert_eq!(quantise_scale_i8(&[-2.0, 0.5]), 127.0 / 2.0);
-        // NaN activations quantise to 0 (saturating cast) — documented
-        // lossy, unlike the ternary path.
-        assert_eq!(quantise_i8(f32::NAN, 1.0), 0);
-        assert_eq!(quantise_i8(f32::INFINITY, 1.0), 127);
-        assert_eq!(quantise_i8(-1e9, 1.0), -127);
     }
 
     #[test]

@@ -20,7 +20,6 @@
 
 pub mod depthwise;
 pub mod error;
-pub mod fft;
 pub mod gemm;
 pub mod im2col;
 pub mod init;
@@ -31,13 +30,11 @@ pub mod winograd;
 
 pub use depthwise::depthwise_conv2d_into;
 pub use error::KernelError;
-pub use fft::{fft_conv2d, fft_conv2d_into, fft_conv_scratch_elems, fft_plane_dims};
 pub use gemm::{
     gemm_kernel_name, gemm_naive_into, gemm_packed_into, gemm_prepacked, gemm_prepacked_epilogue,
-    gemm_prepacked_int8, gemm_prepacked_ternary, gemm_tiled_into, matmul, pack_a_i8_into,
-    pack_a_into, pack_a_transposed_into, pack_b_into, pack_b_ternary_transposed_into,
-    pack_b_transposed_i8_into, pack_b_transposed_into, quantise_i8, quantise_scale_i8,
-    GemmAlgorithm, GemmEpilogue, GemmPlan, TileConfig, MR, NR,
+    gemm_prepacked_ternary, gemm_tiled_into, matmul, pack_a_into, pack_a_transposed_into,
+    pack_b_into, pack_b_ternary_transposed_into, pack_b_transposed_into, GemmAlgorithm,
+    GemmEpilogue, GemmPlan, TileConfig, MR, NR,
 };
 pub use im2col::{
     col2im, im2col, im2col_into, pack_b_im2col_batch_into, pack_b_im2col_into, Conv2dGeometry,

@@ -2,7 +2,7 @@
 //!
 //! Every convolution kernel in the registry (`AlgoChoice::ALL`: direct,
 //! im2col over the packed, scalar and ternary GEMM engines, Winograd
-//! F(2×2,3×3) and F(4×4,3×3), FFT, and CSR sparse-direct and
+//! F(2×2,3×3) and F(4×4,3×3), and CSR sparse-direct and
 //! CSR × im2col) is run against one naive reference (loop order matched
 //! to the direct kernel) across randomized shape/stride/pad/channel
 //! grids and a curated list of degenerate shapes. Each kernel carries
@@ -15,9 +15,6 @@
 //!   Winograd evaluates it through transform matrices whose
 //!   conditioning amplifies rounding; each gets a max-norm relative
 //!   budget sized to its reassociation depth.
-//! * **FFT-scaled** — FFT error grows with the transform length, so
-//!   its budget scales with `log2(plane)` per the standard
-//!   Gentleman–Sande bound.
 //!
 //! The harness also checks the NaN/Inf propagation contract (outputs
 //! whose receptive field saw a non-finite input must be non-finite;
@@ -41,8 +38,6 @@ enum Tolerance {
     BitExact,
     /// Max-norm relative error budget.
     Rel(f32),
-    /// Max-norm relative budget scaled by `log2` of the FFT plane size.
-    FftScaled,
 }
 
 /// The error budget of each conv row: one arm per kernel, so a new row
@@ -58,7 +53,6 @@ fn tolerance(row: AlgoChoice) -> Tolerance {
         AlgoChoice::CsrIm2col => Tolerance::BitExact,
         AlgoChoice::Winograd => Tolerance::Rel(2e-4),
         AlgoChoice::WinogradF4 => Tolerance::Rel(1e-3),
-        AlgoChoice::FftConv => Tolerance::FftScaled,
         // On exactly-ternary weights: the packed reassociation with
         // two-valued products (2.2e-7 measured over these grids; 2e-7
         // fails).
@@ -66,8 +60,7 @@ fn tolerance(row: AlgoChoice) -> Tolerance {
         AlgoChoice::PackedLinear
         | AlgoChoice::ScalarLinear
         | AlgoChoice::CsrLinear
-        | AlgoChoice::TernaryLinear
-        | AlgoChoice::Int8Linear => unreachable!("{row:?} is not a conv row"),
+        | AlgoChoice::TernaryLinear => unreachable!("{row:?} is not a conv row"),
     }
 }
 
@@ -123,12 +116,6 @@ impl ConvShape {
 
     fn valid(&self) -> bool {
         self.h + 2 * self.pad >= self.k && self.w + 2 * self.pad >= self.k
-    }
-
-    /// FFT plane size (padded to powers of two) for the FFT budget.
-    fn fft_plane(&self) -> usize {
-        let pow2 = |x: usize| x.next_power_of_two();
-        pow2(self.h + 2 * self.pad + self.k - 1) * pow2(self.w + 2 * self.pad + self.k - 1)
     }
 }
 
@@ -287,15 +274,6 @@ fn check_case(case: &AlgoCase, s: ConvShape, seed: u64) {
             assert!(
                 err <= tol,
                 "{}: rel error {err:e} > budget {tol:e} for {s:?}",
-                case.name
-            );
-        }
-        Tolerance::FftScaled => {
-            let tol = 32.0 * (s.fft_plane() as f32).log2().max(1.0) * f32::EPSILON;
-            let err = max_rel_err(got.data(), &reference);
-            assert!(
-                err <= tol,
-                "{}: rel error {err:e} > log-scaled budget {tol:e} for {s:?}",
                 case.name
             );
         }
@@ -508,10 +486,7 @@ fn check_poison(poison: f32) {
             }
         }
         // Direct-sum algorithms must confine it to the receptive field.
-        let spreads = matches!(
-            case.row,
-            AlgoChoice::Winograd | AlgoChoice::WinogradF4 | AlgoChoice::FftConv
-        );
+        let spreads = matches!(case.row, AlgoChoice::Winograd | AlgoChoice::WinogradF4);
         if !spreads {
             let hits = receptive_outputs(s, y0, x0);
             for o in 0..s.out_c {
@@ -626,41 +601,6 @@ fn advertised_workspace_is_sufficient_and_fully_initialised() {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// Tolerance model, FFT arm: the max-norm relative error against an
-    /// f64 reference stays under a budget proportional to log₂ of the
-    /// padded plane size (Gentleman–Sande-style growth).
-    #[test]
-    fn fft_error_grows_at_most_with_log_plane(
-        h in 3usize..24, w in 3usize..24,
-        in_c in 1usize..4, out_c in 1usize..4,
-        k_idx in 0usize..3, pad in 0usize..3, seed in 0u64..64,
-    ) {
-        let k = [3usize, 5, 7][k_idx];
-        let s = ConvShape { n: 1, in_c, out_c, h, w, k, stride: 1, pad };
-        prop_assume!(s.valid());
-        let (mut conv, x) = build_layer(s, seed);
-        let truth = reference_f64(
-            x.data(),
-            conv.weight().value.data(),
-            conv.bias().value.data(),
-            s,
-        );
-        let cfg = ExecConfig { conv_algo: ConvAlgorithm::Fft, ..ExecConfig::serial() };
-        let got = conv.forward(&x, Phase::Eval, &cfg);
-        let scale = truth.iter().fold(0.0f64, |m, v| m.max(v.abs())).max(1e-6);
-        let err = got
-            .data()
-            .iter()
-            .zip(&truth)
-            .fold(0.0f64, |m, (g, r)| m.max((f64::from(*g) - r).abs()))
-            / scale;
-        let budget = 24.0 * (s.fft_plane() as f64).log2().max(1.0) * f64::from(f32::EPSILON);
-        prop_assert!(
-            err <= budget,
-            "fft rel err {err:e} above log-scaled budget {budget:e} for {s:?}",
-        );
-    }
 
     /// Tolerance model, Winograd F(4×4) arm: the absolute error is
     /// bounded by (conditioning constant) × (input magnitude) — i.e.

@@ -502,42 +502,6 @@ fn demotion_past_the_budget_surfaces_a_breach_event() {
     );
 }
 
-/// A panic inside the FFT convolution kernel demotes the step straight
-/// to im2col and re-runs, bit-identical to a session that ran im2col
-/// from the start, with the rung recorded as `FftConv → Im2colPacked`.
-#[test]
-fn fft_kernel_panic_demotes_to_im2col_bit_identically() {
-    let seed = 71;
-    let input = ramp_input(4);
-    let mut net = conv_stack(seed);
-    let cfg = cfg_with(ConvAlgorithm::Fft, 2);
-    let plan = InferencePlan::compile(&net, input.shape().dims(), &cfg).unwrap();
-    let mut session = InferenceSession::new(&mut net, plan).unwrap();
-    session.inject_faults(FaultPlan::new().panic_in_kernel(0, 0));
-
-    let got = session.run(&input).expect("session recovers by demotion");
-
-    let health = session.health().clone();
-    assert_eq!(health.panics_contained, 1);
-    assert_eq!(health.demotions.len(), 1);
-    assert_eq!(health.demotions[0].layer_index, 0);
-    assert_eq!(
-        edge(&health.demotions[0]),
-        (AlgoChoice::FftConv, AlgoChoice::Im2colPacked)
-    );
-    assert_eq!(health.demotions[0].reason, DemotionReason::KernelPanicked);
-
-    let want = run_reference(seed, &cfg_with(ConvAlgorithm::Im2col, 2), &input);
-    let got_bits: Vec<u32> = got.data().iter().map(|v| v.to_bits()).collect();
-    let want_bits: Vec<u32> = want.data().iter().map(|v| v.to_bits()).collect();
-    assert_eq!(got_bits, want_bits);
-
-    // The session stays healthy after the contained panic.
-    let again = session.run(&input).expect("pool survives");
-    assert_eq!(again.data(), want.data());
-    assert_eq!(session.health().demotions.len(), 1);
-}
-
 /// One non-finite trip on a Winograd F(4×4) conv takes a single rung:
 /// down to F(2×2), whose result must be bit-identical to a session that
 /// ran F(2×2) from the start — also on a layer *labelled* `Ternary`

@@ -2,13 +2,13 @@
 //! to any replica sharing it.
 //!
 //! `Conv2d` and `Linear` derive up to three storage forms (CSR, packed
-//! f32 panels, ternary/int8 codes) from `(master weights, format
+//! f32 panels, ternary codes) from `(master weights, format
 //! label)`, and a replica shares the master and the built forms instead
 //! of copying them. One property covers the lifecycle: after *any*
 //! interleaving of weight writes, relabels, surgery, warm-ups, replicas
 //! and TTQ reprojections on a layer and its replica, every kernel of
 //! each side computes exactly what a freshly constructed layer holding
-//! that side's master and label computes — under all four weight
+//! that side's master and label computes — under all three weight
 //! routes, over NaN-poisoned scratch of exactly the one bound the layer
 //! states — and the two sides share a buffer exactly when they may:
 //! the master until either side writes, a form only while master and
@@ -27,18 +27,13 @@ use cnn_stack::nn::{
 use cnn_stack::tensor::{GemmAlgorithm, Tensor};
 use proptest::prelude::*;
 use Op::*;
-use WeightFormat::{Csr, Dense, Int8, Ternary};
+use WeightFormat::{Csr, Dense, Ternary};
 
-/// The four weight routes: master (direct conv / scalar linear), f32
-/// panels, ternary codes, int8 codes (linear only; conv runs f32).
-fn cfgs() -> [ExecConfig; 4] {
+/// The three weight routes: master (direct conv / scalar linear), f32
+/// panels, ternary codes.
+fn cfgs() -> [ExecConfig; 3] {
     use {ConvAlgorithm::*, GemmAlgorithm::*};
-    let routes = [
-        (Direct, Blocked),
-        (Im2col, Packed),
-        (Im2col, TernaryPacked),
-        (Im2col, Int8Packed),
-    ];
+    let routes = [(Direct, Blocked), (Im2col, Packed), (Im2col, TernaryPacked)];
     routes.map(|(conv_algo, gemm_algo)| ExecConfig {
         conv_algo,
         gemm_algo,
@@ -91,9 +86,9 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     (0usize..7, 0u64..1000).prop_map(|(kind, seed)| match kind {
         0 => WeightMut(seed),
         1 => ParamsMut(seed),
-        2 => SetFormat([Dense, Csr, Ternary, Int8][seed as usize % 4]),
+        2 => SetFormat([Dense, Csr, Ternary][seed as usize % 3]),
         3 => Remove(seed),
-        4 => Prepare(seed as usize % 4),
+        4 => Prepare(seed as usize % 3),
         5 => Replica,
         _ => Reproject(seed),
     })
@@ -197,9 +192,8 @@ impl Subject {
         }
     }
 
-    /// Every weight route agrees, bit for bit, with a fresh twin (int8
-    /// included: both quantise the same master), and a layer with
-    /// ternary codes agrees with itself on f32 panels.
+    /// Every weight route agrees, bit for bit, with a fresh twin, and a
+    /// layer with ternary codes agrees with itself on f32 panels.
     fn check(&self, after: &[Op]) {
         let (twin, x) = (self.fresh_twin(), self.input());
         for cfg in &cfgs() {
@@ -335,7 +329,7 @@ pinned! {
     linear_weight_mut_drops_stale_ternary_panels:
         [SetFormat(Ternary), WeightMut(TERNARY_A), WeightMut(MIXED), WeightMut(TERNARY_B)];
     linear_format_flips_replace_or_drop_panels:
-        [WeightMut(TERNARY_A), SetFormat(Ternary), SetFormat(Int8), SetFormat(Dense)];
+        [WeightMut(TERNARY_A), SetFormat(Ternary), SetFormat(Csr), SetFormat(Dense)];
     conv_non_ternary_weights_fall_back_defined: [WeightMut(MIXED), SetFormat(Ternary), Prepare(2)];
     reproject_drops_stale_quant_panels:
         [WeightMut(MIXED), Reproject(0), SetFormat(Ternary), Prepare(2), Reproject(2)];

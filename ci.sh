@@ -114,11 +114,15 @@ echo "== gemm bench smoke =="
 BENCH_SMOKE=1 cargo bench -p cnn-stack-bench --bench gemm
 
 echo "== kernels bench smoke =="
-# Five samples of every Criterion group in benches/kernels.rs: the
-# depthwise kernel, the fused im2col packer at VGG-16's batch-8 shapes,
-# and the prepacked GEMM on every micro-kernel this host supports
-# (reached by name through the doc-hidden bench hook). Nothing is read
-# off the numbers; the full run is manual.
+# Five samples of every group in benches/kernels.rs: the depthwise
+# kernel, the fused im2col packer at VGG-16's batch-8 shapes, and the
+# prepacked GEMM on every micro-kernel this host supports (reached by
+# name through the doc-hidden bench hook). The `gemm_prepacked` group
+# prints the core's register-only FMA rate first (`fma_rate`), then each
+# product as GFLOP/s and a share of it; the cache-resident 96x256x64
+# rows are the kernel with nothing else in the way. A report, not a
+# gate: the FMA row itself moves by several percent between runs of a
+# shared host. The full run is manual.
 BENCH_SMOKE=1 cargo bench -p cnn-stack-bench --bench kernels
 
 echo "== plan bench smoke =="
@@ -164,11 +168,12 @@ echo "== portable-kernels =="
 # hold the kernels to their references (the im2col packer property in
 # kernel_proptest is ISA-independent and simply runs again), and the
 # registry's table tests, which drive every row's dispatch arm. The same
-# now holds one level up: on an AVX-512 host the AVX2 f32 full tile only
-# runs on odd tail panels. No variable pins it — its cover is the
-# in-crate `gemm::tests::every_kernel_agrees_at_driver_level`, which
-# passes each supported kernel to the driver explicitly and runs in the
-# workspace test stage above.
+# holds one level up: on an AVX-512 host the AVX2 f32 full tile never
+# runs (the AVX-512 body takes the odd tail panels too). No variable
+# pins it — its cover is the in-crate
+# `gemm::tests::every_kernel_agrees_at_driver_level`, which passes each
+# supported kernel to the one shared loop nest explicitly and runs in
+# the workspace test stage above.
 CNN_STACK_GEMM_FORCE_SCALAR=1 cargo test -q \
   --test kernel_proptest --test gemm_equivalence --test conv_conformance \
   --test quant_invalidation
@@ -192,6 +197,14 @@ fi
 # int8 linear kernel were withdrawn, not parked.
 if grep -rnE 'FftConv|ConvAlgorithm::Fft|fft_conv2d|fft_plane_dims|FFT_GFLOPS|Int8Linear|Int8Packed|WeightFormat::Int8|gemm_prepacked_int8|pack_a_i8_into|quantise_scale_i8|INT8_GFLOPS' crates src tests examples; then
   echo "ci: a withdrawn kernel (FFT conv / int8 linear) is back" >&2
+  exit 1
+fi
+
+# The AVX-512 tile is one body generic over its panel counts: the
+# two-A-panel pair kernel it replaced is gone, not kept beside it, and
+# no prototype switch survives.
+if grep -rnE 'microkernel_avx512_pair|PROTO_' crates src tests examples; then
+  echo "ci: the replaced AVX-512 pair kernel (or a prototype switch) is back" >&2
   exit 1
 fi
 

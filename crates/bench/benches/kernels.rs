@@ -11,8 +11,8 @@ use cnn_stack_nn::{Conv2d, ConvAlgorithm, ExecConfig, Layer};
 use cnn_stack_parallel::Schedule;
 use cnn_stack_sparse::{sparse_conv2d, CsrMatrix};
 use cnn_stack_tensor::{
-    depthwise_conv2d_into, gemm, im2col, pack_b_im2col_batch_into, Conv2dGeometry, GemmPlan,
-    Tensor, TileConfig,
+    depthwise_conv2d_into, gemm, im2col, pack_b_im2col_batch_into, AlignedBuf, Conv2dGeometry,
+    GemmPlan, Tensor, TileConfig,
 };
 use criterion::{criterion_group, criterion_main, BenchmarkGroup, BenchmarkId, Criterion};
 use rand::{Rng, SeedableRng};
@@ -203,50 +203,151 @@ fn bench_pack_im2col(c: &mut Criterion) {
     group.finish();
 }
 
-/// The prepacked f32 GEMM at VGG-16's batch-8 conv products (m = out
-/// channels, k = patch length, n = one group's merged columns), one row
-/// per micro-kernel this host can run: what the kernel alone is worth,
-/// with packing outside the timed body. One thread.
-fn bench_gemm_prepacked(c: &mut Criterion) {
-    let mut group = group(c, "gemm_prepacked", 50, 1);
-    for (m, k, n) in [
-        (512usize, 4608usize, 64usize),
-        (512, 4608, 128),
-        (64, 576, 1024),
-        (128, 1152, 256),
-        (256, 2304, 64),
+/// Register-only FMA throughput of one core in GFLOP/s: 24 independent
+/// accumulator vectors (the packed GEMM's largest tile), no loads or
+/// stores — the ceiling the kernel rows below are a share of. Uses the
+/// widest of AVX-512F / AVX2+FMA the host has; `None` elsewhere.
+fn fma_rate_gflops(samples: usize) -> Option<f64> {
+    #[cfg(target_arch = "x86_64")]
+    {
+        use core::arch::x86_64::*;
+        use std::hint::black_box;
+
+        const ACCS: usize = 24;
+        const ITERS: usize = 200_000;
+
+        #[target_feature(enable = "avx512f")]
+        fn zmm_loop(x: f32, y: f32) -> f32 {
+            let (x, y) = (_mm512_set1_ps(x), _mm512_set1_ps(y));
+            let mut acc = [_mm512_setzero_ps(); ACCS];
+            for _ in 0..ITERS {
+                for a in &mut acc {
+                    *a = _mm512_fmadd_ps(x, y, *a);
+                }
+            }
+            let sum = acc
+                .into_iter()
+                .fold(_mm512_setzero_ps(), |s, a| _mm512_add_ps(s, a));
+            _mm512_reduce_add_ps(sum)
+        }
+
+        #[target_feature(enable = "avx2", enable = "fma")]
+        fn ymm_loop(x: f32, y: f32) -> f32 {
+            let (x, y) = (_mm256_set1_ps(x), _mm256_set1_ps(y));
+            // 12 of the 16 YMM registers: the AVX2 tile's accumulators.
+            let mut acc = [_mm256_setzero_ps(); ACCS / 2];
+            for _ in 0..4 * ITERS {
+                for a in &mut acc {
+                    *a = _mm256_fmadd_ps(x, y, *a);
+                }
+            }
+            let sum = acc
+                .into_iter()
+                .fold(_mm256_setzero_ps(), |s, a| _mm256_add_ps(s, a));
+            let mut lanes = [0.0f32; 8];
+            // SAFETY: `lanes` holds the eight floats the store writes.
+            unsafe { _mm256_storeu_ps(lanes.as_mut_ptr(), sum) };
+            lanes.iter().sum()
+        }
+
+        let body: fn() -> f32 = if is_x86_feature_detected!("avx512f") {
+            // SAFETY: AVX-512F was detected on the line above.
+            || unsafe { zmm_loop(black_box(1.000_001), black_box(0.999_999)) }
+        } else if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma") {
+            // SAFETY: AVX2 and FMA were detected on the line above.
+            || unsafe { ymm_loop(black_box(1.000_001), black_box(0.999_999)) }
+        } else {
+            return None;
+        };
+        // Both loops issue ACCS × ITERS × 16 lane-FMAs (the YMM one as
+        // 12 accumulators × 4·ITERS × 8 lanes).
+        let flops = 2.0 * (ACCS * ITERS * 16) as f64;
+        let best = (0..samples.max(3))
+            .map(|_| {
+                let t = std::time::Instant::now();
+                black_box(body());
+                t.elapsed().as_secs_f64()
+            })
+            .fold(f64::INFINITY, f64::min);
+        Some(flops / best / 1e9)
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        let _ = samples;
+        None
+    }
+}
+
+/// The prepacked f32 GEMM beside its ceiling. First row: the core's
+/// register-only FMA rate ([`fma_rate_gflops`]). Then a fully
+/// cache-resident 96×256×64 product (one row chunk × one `kc` block:
+/// the micro-kernel and its write-back with nothing else in the way),
+/// and VGG-16's batch-8 conv products as the conv path issues them
+/// (m = out channels, k = patch length, n = one group's merged columns
+/// — 256×2304×256, 512×4608×128 and 512×4608×32 are the four-, eight-
+/// and eight-image merges of conv3, conv4 and conv5), one row per
+/// micro-kernel this host can run. Packing is outside the timed body,
+/// and the packed B of every product but the cache-resident one cycles
+/// through eight copies, so it is as cold as the freshly packed panels
+/// of the conv loop. One thread. Hand-timed rather than through
+/// Criterion so each row can print GFLOP/s and its share of the FMA
+/// rate: read `min`, and the share as a report, not a gate — the FMA
+/// row itself moves by several percent between runs of this host.
+fn bench_gemm_prepacked(_: &mut Criterion) {
+    let samples = if cnn_stack_bench::smoke() { 5 } else { 50 };
+    let fma = fma_rate_gflops(samples);
+    match fma {
+        Some(rate) => {
+            println!("gemm_prepacked/fma_rate: {rate:.1} GFLOP/s (register-only, one core)")
+        }
+        None => println!("gemm_prepacked/fma_rate: n/a on this host"),
+    }
+    for (m, k, n, b_copies) in [
+        (96usize, 256usize, 64usize, 1usize),
+        (512, 4608, 64, 8),
+        (512, 4608, 128, 8),
+        (512, 4608, 32, 8),
+        (64, 576, 1024, 8),
+        (128, 1152, 256, 8),
+        (256, 2304, 64, 8),
+        (256, 2304, 256, 8),
     ] {
         let a = random([m, k], 1.0, 13);
         let b = random([k, n], 1.0, 14);
         let plan = GemmPlan::new(m, k, n);
-        let mut pa = vec![0.0f32; plan.packed_a_elems()];
-        let mut pb = vec![0.0f32; plan.packed_b_elems()];
+        let mut pa = AlignedBuf::zeroed(plan.packed_a_elems());
         gemm::pack_a_into(&plan, a.data(), &mut pa);
-        gemm::pack_b_into(&plan, b.data(), &mut pb);
+        let pbs: Vec<AlignedBuf> = (0..b_copies)
+            .map(|_| {
+                let mut pb = AlignedBuf::zeroed(plan.packed_b_elems());
+                gemm::pack_b_into(&plan, b.data(), &mut pb);
+                pb
+            })
+            .collect();
         let mut out = vec![0.0f32; m * n];
+        let gflop = 2e-9 * (m * k * n) as f64;
         for kernel in gemm::gemm_kernel_names() {
-            group.bench_function(
-                BenchmarkId::new(
-                    format!("{m}x{k}x{n}_{:.3}GFLOP", 2e-9 * (m * k * n) as f64),
-                    kernel,
-                ),
-                |bencher| {
-                    bencher.iter(|| {
-                        gemm::gemm_prepacked_named(
-                            kernel,
-                            &plan,
-                            &pa,
-                            &pb,
-                            &mut out,
-                            1,
-                            Schedule::Static,
-                        )
-                    })
-                },
+            let mut run = |i: usize| {
+                let pb = &pbs[i % b_copies];
+                let t = std::time::Instant::now();
+                gemm::gemm_prepacked_named(kernel, &plan, &pa, pb, &mut out, 1, Schedule::Static);
+                t.elapsed().as_secs_f64()
+            };
+            run(0);
+            let mut times: Vec<f64> = (1..=samples).map(&mut run).collect();
+            times.sort_by(f64::total_cmp);
+            let (min, median) = (times[0], times[times.len() / 2]);
+            let share = fma.map_or(String::new(), |rate| {
+                format!(", {:.0} % of the FMA rate", 100.0 * gflop / min / rate)
+            });
+            println!(
+                "gemm_prepacked/{m}x{k}x{n}_{gflop:.3}GFLOP/{kernel}: min {:.3} ms = {:.1} GFLOP/s{share}  (median {:.3} ms, {samples} samples)",
+                min * 1e3,
+                gflop / min,
+                median * 1e3,
             );
         }
     }
-    group.finish();
 }
 
 criterion_group!(

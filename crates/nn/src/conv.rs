@@ -299,21 +299,21 @@ impl Conv2d {
         )
     }
 
-    /// How many images of a batch the packed path merges into one GEMM.
+    /// How many images of a batch the packed path merges into one GEMM:
+    /// as many as fit one column chunk of the GEMM's loop nest (the
+    /// plan's `nc`, 256 columns), at least 1.
     ///
-    /// Merging pays exactly when the per-image column count is below one
-    /// column-grain (`nc = 4·NR = 64`): micro-kernel lanes stop being
-    /// zero-padded (a 2×2 output plane alone uses 4 of the half tile's 8
-    /// lanes)
-    /// and the weight A-panels stream from memory once per grain instead
-    /// of once per image. Beyond one grain per group the A-traffic is
-    /// invariant in the group size, while the merged B/C working set
-    /// keeps growing past cache — measured on VGG-16, whole-batch
-    /// merging *slows* the wide early layers. So: the largest group
-    /// whose merged columns still fit one grain, at least 1.
+    /// Merging pays while the merged columns fit one chunk: micro-kernel
+    /// lanes stop being zero-padded (a 2×2 output plane alone uses 4 of
+    /// the half tile's 8 lanes), and the weight A-panels — streamed from
+    /// memory once per column chunk — are read once per group instead of
+    /// once per image (conv4 at batch 8: all 8 images in one product,
+    /// conv3 four). Past one chunk the A traffic no longer falls with
+    /// the group size while the packed-B and merged-C regions keep
+    /// growing, and VGG-16 at batch 8 runs within ±3 % for merge widths
+    /// of 64 to 1024 columns; so the group stops at the chunk.
     fn packed_group(&self, geom: &Conv2dGeometry, n: usize) -> usize {
-        let plane = geom.out_positions().max(1);
-        ((4 * cnn_stack_tensor::NR) / plane).clamp(1, n.max(1))
+        packed_group_for(self.out_channels, geom.patch_len(), geom.out_positions(), n)
     }
 
     /// Workspace floats of the packed f32 kernel: the packed-B panels
@@ -725,6 +725,20 @@ impl Conv2d {
             }
         }
     }
+}
+
+/// The merge width behind [`Conv2d::packed_group`], on bare dimensions
+/// so the planner's cost model (`passes::predicted_seconds`) prices the
+/// group the layer will run: `nc / plane` of the whole-batch product's
+/// plan, between 1 and `batch`.
+pub(crate) fn packed_group_for(
+    out_channels: usize,
+    patch_len: usize,
+    plane: usize,
+    batch: usize,
+) -> usize {
+    let (plane, batch) = (plane.max(1), batch.max(1));
+    (GemmPlan::new(out_channels, patch_len, batch * plane).nc / plane).clamp(1, batch)
 }
 
 /// Accumulates one dense filter over one image into one output plane.

@@ -71,7 +71,7 @@ use crate::network::Network;
 use crate::weights::Weights;
 use cnn_stack_obs::{Metric, NameId, Observer};
 use cnn_stack_parallel::{panic_message, PoolError, ThreadPool};
-use cnn_stack_tensor::{GemmPlan, Tensor};
+use cnn_stack_tensor::{AlignedBuf, GemmPlan, Tensor};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -395,8 +395,10 @@ struct ChunkArena {
     len: usize,
     steps: Vec<ChunkStep>,
     /// The chunk's single arena: every intermediate activation and
-    /// workspace lives at a liveness-assigned offset in here.
-    arena: Vec<f32>,
+    /// workspace lives at a liveness-assigned offset in here. It starts
+    /// on a cache line and the layout places whole lines, so every
+    /// slice a step sees starts on one.
+    arena: AlignedBuf,
     /// Elements the unshared `naive_bytes` sizing model would have
     /// reserved for this chunk (the counterfactual behind the reuse
     /// gauge).
@@ -512,7 +514,7 @@ fn build_chunks(net: &Network, plan: &InferencePlan, exec: &[ExecConfig]) -> Vec
         chunks.push(ChunkArena {
             len: m,
             steps,
-            arena: vec![0.0; layout.total_elems],
+            arena: AlignedBuf::zeroed(layout.total_elems),
             naive_elems: layout.naive_elems,
             step_ns: vec![0; plan.steps().len()],
         });
@@ -548,6 +550,14 @@ fn arena_views(
         }
     }
     let ptr = arena.as_mut_ptr();
+    // The layout places whole cache lines in a line-aligned arena; the
+    // packed GEMM's B panels and merged-C rows inherit that alignment.
+    debug_assert!(
+        ranges
+            .iter()
+            .all(|&(o, l)| l == 0 || (ptr.wrapping_add(o) as usize).is_multiple_of(64)),
+        "an arena view is off its cache line: {ranges:?}"
+    );
     // SAFETY: every range is in-bounds and the mutable ranges (dst, ws)
     // are disjoint from each other and from src — asserted above and
     // guaranteed by the layout construction — so the raw reborrows
@@ -765,9 +775,10 @@ impl<'n> InferenceSession<'n> {
         }
     }
 
-    /// Bytes of arena actually allocated by this session, summed over
-    /// its chunks — the exact steady-state activation/workspace
-    /// footprint of [`run_into`](Self::run_into).
+    /// Bytes of arena this session holds, summed over its chunks — the
+    /// exact steady-state activation/workspace footprint of
+    /// [`run_into`](Self::run_into), in whole cache lines (each chunk's
+    /// allocation is under one line longer, to start on one).
     pub fn arena_bytes(&self) -> usize {
         self.chunks
             .iter()

@@ -20,11 +20,25 @@
 //! three-way overlap pattern these sequential plans produce and runs in
 //! `O(n²)` on plans that are tens of steps long.
 //!
+//! Every interval is placed at a whole number of 64-byte cache lines
+//! and occupies whole lines ([`LINE_ELEMS`] floats), so with the arena
+//! itself line-aligned every activation and workspace slice — hence
+//! every packed-B panel and merged-C row block a kernel carves from one
+//! — starts on a line. The rounding is part of the layout, so
+//! `total_elems`, `naive_elems` and [`MemoryFootprint`] all count it.
+//!
 //! [`ArenaLayout::colour`] produces the one layout the engine runs;
 //! [`MemoryFootprint`] summarises it for the planner, the budget
 //! solver, and the observability gauges, next to `naive_bytes` — a
 //! pure sizing model of an unshared two-buffer layout that the reuse
 //! gauge is measured against.
+
+use cnn_stack_tensor::aligned::LINE_ELEMS;
+
+/// `elems` rounded up to whole cache lines: what an interval occupies.
+fn whole_lines(elems: usize) -> usize {
+    elems.next_multiple_of(LINE_ELEMS)
+}
 
 /// Memory extents of one compiled step, in `f32` elements.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -88,7 +102,7 @@ impl ArenaLayout {
                 intervals.push(Interval {
                     start: i,
                     end: i + 1,
-                    elems: s.output_elems,
+                    elems: whole_lines(s.output_elems),
                     step: i,
                     is_workspace: false,
                 });
@@ -97,7 +111,7 @@ impl ArenaLayout {
                 intervals.push(Interval {
                     start: i,
                     end: i,
-                    elems: s.workspace_elems,
+                    elems: whole_lines(s.workspace_elems),
                     step: i,
                     is_workspace: true,
                 });
@@ -145,12 +159,13 @@ impl ArenaLayout {
 
     /// Elements a two-buffer ping-pong layout would reserve: two
     /// activation buffers sized by the largest step output plus one
-    /// workspace region sized by the hungriest kernel. A sizing model
-    /// only — no such layout is ever built.
+    /// workspace region sized by the hungriest kernel, each in whole
+    /// lines like the coloured layout's. A sizing model only — no such
+    /// layout is ever built.
     fn naive_elems(steps: &[StepExtent]) -> usize {
         let buf = steps.iter().map(|s| s.output_elems).max().unwrap_or(0);
         let workspace = steps.iter().map(|s| s.workspace_elems).max().unwrap_or(0);
-        2 * buf + workspace
+        2 * whole_lines(buf) + whole_lines(workspace)
     }
 
     /// Elements this layout saves over `naive_elems`.
@@ -222,9 +237,14 @@ mod tests {
                 );
             }
         }
+        // Every interval starts on a cache line and the arena is whole
+        // lines, so a line-aligned arena hands out line-aligned slices.
         for (_, _, off, len) in live {
             assert!(off + len <= layout.total_elems);
+            assert_eq!(off % LINE_ELEMS, 0, "interval at {off} is off-line");
         }
+        assert_eq!(layout.total_elems % LINE_ELEMS, 0);
+        assert_eq!(layout.naive_elems % LINE_ELEMS, 0);
     }
 
     #[test]
@@ -232,7 +252,7 @@ mod tests {
         let steps = [ext(100, 40)];
         let layout = ArenaLayout::colour(&steps);
         // Sole output goes to the caller's buffer.
-        assert_eq!(layout.total_elems, 40);
+        assert_eq!(layout.total_elems, whole_lines(40));
         assert_disjoint(&steps, &layout);
     }
 
@@ -259,7 +279,7 @@ mod tests {
         // greedy layout should hit it exactly.
         let steps = [ext(100, 100), ext(100, 100), ext(100, 100), ext(100, 100)];
         let layout = ArenaLayout::colour(&steps);
-        assert_eq!(layout.total_elems, 300);
+        assert_eq!(layout.total_elems, 3 * whole_lines(100));
         assert_disjoint(&steps, &layout);
     }
 
@@ -267,7 +287,10 @@ mod tests {
     fn footprint_reports_reuse() {
         let steps = [ext(1000, 200), ext(10, 0), ext(1000, 0)];
         let fp = MemoryFootprint::of(&steps);
-        assert_eq!(fp.naive_bytes, (2 * 1000 + 200) * 4);
+        assert_eq!(
+            fp.naive_bytes,
+            (2 * whole_lines(1000) + whole_lines(200)) * 4
+        );
         assert!(fp.peak_bytes < fp.naive_bytes);
         assert_eq!(fp.reuse_bytes(), fp.naive_bytes - fp.peak_bytes);
     }

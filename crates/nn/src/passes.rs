@@ -370,10 +370,11 @@ fn predicted_seconds(op: &IrOp, choice: AlgoChoice) -> f64 {
             };
             let plane = geom.out_positions();
             let k = geom.patch_len();
-            // Mirror the engine's small-plane batching: groups of images
-            // merge their columns until one column grain is filled, so
-            // the panel round-up is paid once per group, not per image.
-            let group = ((4 * cnn_stack_tensor::NR) / plane.max(1)).clamp(1, batch);
+            // The engine's small-plane batching: images merge their
+            // columns until one column chunk of the GEMM's loop nest is
+            // filled, so the panel round-up is paid once per group, not
+            // per image.
+            let group = crate::conv::packed_group_for(*out_channels, k, plane, batch);
             let groups = batch as f64 / group as f64;
             let eff = groups * tile_padded_flops(*out_channels, k, group * plane, true);
             let weight_traffic = groups * (out_channels * k * 4) as f64;

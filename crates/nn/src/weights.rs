@@ -26,7 +26,7 @@
 use crate::layer::{Layer, Param, WeightFormat};
 use crate::{Conv2d, Linear};
 use cnn_stack_sparse::CsrMatrix;
-use cnn_stack_tensor::{gemm, GemmPlan, Tensor};
+use cnn_stack_tensor::{gemm, AlignedBuf, GemmPlan, Tensor};
 use std::sync::{Arc, OnceLock};
 
 /// Which GEMM operand a layer's f32 panels are: convolution multiplies
@@ -75,7 +75,7 @@ pub(crate) struct TernaryCodes<'a> {
 #[derive(Clone, Debug, Default)]
 struct Derived {
     csr: OnceLock<Arc<CsrMatrix>>,
-    panels: OnceLock<Arc<Vec<f32>>>,
+    panels: OnceLock<Arc<AlignedBuf>>,
     quant: OnceLock<Option<QuantPanels>>,
     nnz: OnceLock<usize>,
     ternary: OnceLock<Option<(f32, f32)>>,
@@ -263,8 +263,9 @@ impl Weights {
         })
     }
 
-    /// Packed f32 GEMM panels of the master. The layout depends only on
-    /// the weight matrix extents, not on the other operand's, so one
+    /// Packed f32 GEMM panels of the master, cache-line-aligned (they are
+    /// the streamed B operand of a linear layer). The layout depends only
+    /// on the weight matrix extents, not on the other operand's, so one
     /// build serves every input shape.
     pub(crate) fn panels(&self) -> &[f32] {
         self.derived.panels.get_or_init(|| {
@@ -273,13 +274,13 @@ impl Weights {
             Arc::new(match self.operand {
                 PanelOperand::A => {
                     let plan = GemmPlan::new(rows, cols, 1);
-                    let mut panels = vec![0.0f32; plan.packed_a_elems()];
+                    let mut panels = AlignedBuf::zeroed(plan.packed_a_elems());
                     gemm::pack_a_into(&plan, data, &mut panels);
                     panels
                 }
                 PanelOperand::BTransposed => {
                     let plan = GemmPlan::new(1, cols, rows);
-                    let mut panels = vec![0.0f32; plan.packed_b_elems()];
+                    let mut panels = AlignedBuf::zeroed(plan.packed_b_elems());
                     gemm::pack_b_transposed_into(&plan, data, &mut panels);
                     panels
                 }

@@ -22,9 +22,9 @@
 //!   packed engine that copies A into `MR`-row panels and B into
 //!   `NR`-column panels, then drives an `MR×NR` register-tiled
 //!   micro-kernel (scalar autovectorised, AVX2/FMA, or an AVX-512 tile
-//!   two A panels tall — whichever the CPU supports, detected at
-//!   runtime) over the panel grid, with the grid distributed across the
-//!   `cnn-stack-parallel` pool.
+//!   spanning up to two A panels × two B panels — whichever the CPU
+//!   supports, detected at runtime) over the panel grid, with the grid
+//!   distributed across the `cnn-stack-parallel` pool.
 //!
 //! # Packed engine layout
 //!
@@ -40,12 +40,26 @@
 //! `NR/2` live columns (a 2×2 output plane at batch 1 has 4) runs the
 //! same ladder over its first vector only — a half-width `MR×NR/2` tile
 //! on the unchanged panel layout, bit-identical lane for lane. On an
-//! AVX-512 host a full-width tile instead spans two vertically adjacent
-//! A panels (`2·MR×NR`, twelve ZMM accumulators sharing one B load) —
-//! again on the unchanged panels, and again every lane sees the FMA
-//! sequence it would have seen, so all three SIMD tiles agree bit for
-//! bit.
+//! AVX-512 host a full-width tile instead *composes* the panels: two
+//! vertically adjacent A panels × two adjacent B panels (`2·MR×2·NR`,
+//! 24 ZMM accumulators fed by 2 B loads and 12 broadcasts per 24 FMAs),
+//! shrinking to 2×1, 1×2 or 1×1 panels at the odd edges — again on the
+//! unchanged panels, and again every lane sees the FMA sequence it
+//! would have seen, so every SIMD tile agrees bit for bit on every
+//! output that is not NaN (and on *which* outputs are NaN; see
+//! `microkernel_avx512` for why a NaN's payload is not promised).
+//!
+//! # Loop nest
+//!
+//! One walk serves every kernel, serial or threaded
+//! (`blocked_walk`): column chunk (`nc` = 256 columns) → `kc` block →
+//! row chunk (`mc` = 96 rows) → B panel (pair) → A panel (pair). With
+//! K outside the row chunks a `kc × nc` B block (256 KiB) is re-read
+//! from L2 by every row chunk and A streams from memory once per 256
+//! output columns; the two-panel B block the tile reads (32 KiB) stays
+//! in L1 while the row chunk's A panels pass it.
 
+use crate::aligned::AlignedBuf;
 use crate::tensor::Tensor;
 use cnn_stack_obs::{self as obs, Metric};
 use cnn_stack_parallel::{parallel_tiles, DisjointWriter, Schedule};
@@ -58,9 +72,11 @@ pub const MR: usize = 6;
 /// Two 8-lane AVX2 vectors; with `MR = 6` the kernel holds 12 YMM
 /// accumulators plus two B loads and one A broadcast — 15 of the 16
 /// architectural YMM registers. It is also exactly one 16-lane AVX-512
-/// vector, which is why the AVX-512 tile grows along M (two A panels)
-/// and every packed layout, plan and workspace size is shared by all
-/// kernels.
+/// vector and one 64-byte cache line, which is why the AVX-512 tile
+/// grows by whole panels (two A panels × two B panels), every packed
+/// layout, plan and workspace size is shared by all kernels, and a
+/// packed-B panel in an [`AlignedBuf`] never
+/// straddles a line.
 pub const NR: usize = 16;
 
 /// Which GEMM engine a layer runs.
@@ -194,31 +210,39 @@ pub struct GemmPlan {
     pub k: usize,
     /// Output columns (columns of B).
     pub n: usize,
-    /// Rows per parallel row-chunk (multiple of [`MR`]); bounds the A
-    /// working set of one grain to `mc × kc` floats (L2-resident).
+    /// Rows per row-chunk (multiple of [`MR`]): the `mc × kc` A block
+    /// (96 KiB) that streams past one resident B panel pair. A parallel
+    /// grain is a contiguous range of A panels, walked in row chunks.
     pub mc: usize,
-    /// Reduction block: the micro-kernel walks K in `kc` steps so one
-    /// `kc×NR` B block (16 KiB at the `kc = 256` cap) stays L1-resident
-    /// while it is reused across a whole row-chunk.
+    /// Reduction block: every C element is accumulated from zero over
+    /// `kc` steps and then added into C, block after block, so `kc`
+    /// alone fixes the summation order — and the output bits — whatever
+    /// `mc`, `nc`, the tile shape or the thread count. One `kc×NR` B
+    /// block is 16 KiB at the `kc = 256` cap; the AVX-512 tile keeps
+    /// two of them in L1.
     pub kc: usize,
-    /// Columns per parallel column-grain (multiple of [`NR`]).
+    /// Columns per column chunk (multiple of [`NR`]): A is streamed
+    /// once per chunk, and a conv merges as many images as fit one.
     pub nc: usize,
 }
 
 impl GemmPlan {
     /// Chooses blocking parameters for an `m×k · k×n` product.
     pub fn new(m: usize, k: usize, n: usize) -> Self {
-        // kc = 256: one NR-wide B block is 256·16·4 = 16 KiB — half of a
-        // typical 32 KiB L1D, leaving room for the 6 KiB A block and the
-        // C tile.
+        // kc = 256: one NR-wide B block is 256·16·4 = 16 KiB. The
+        // AVX-512 tile reads two at once — 32 KiB of the 48 KiB L1D
+        // this was tuned on, beside the 6 KiB A block streaming past; a
+        // 32 KiB-L1D AVX-512 host is untested. The one-panel kernels
+        // keep half of a 32 KiB L1D free.
         let kc = k.clamp(1, 256);
-        // mc = 96 rows = 16 MR-panels: the A working set of a grain is
-        // mc·kc·4 ≈ 96 KiB, comfortably L2-resident.
+        // mc = 96 rows = 16 MR-panels: the A block of a row chunk is
+        // mc·kc·4 ≈ 96 KiB, read from L2 once per B panel (pair).
         let mc = (MR * 16).min(m.div_ceil(MR) * MR).max(MR);
-        // nc = 64 cols = 4 NR-panels per grain: coarse enough that grain
-        // dispatch is amortised, fine enough that row_chunks × col_chunks
-        // exceeds the pool size for every conv shape in the paper models.
-        let nc = (NR * 4).min(n.div_ceil(NR) * NR).max(NR);
+        // nc = 256 cols = 16 NR-panels per column chunk: the kc×nc B
+        // block (256 KiB) plus an m×kc A block stay in a 2 MiB L2 for
+        // every paper shape, and A leaves memory once per 256 columns
+        // (64 / 128 / 512 / 1024 measured within ±3 % on VGG-16).
+        let nc = (NR * 16).min(n.div_ceil(NR) * NR).max(NR);
         GemmPlan {
             m,
             k,
@@ -256,12 +280,12 @@ impl GemmPlan {
         self.packed_a_elems() + self.packed_b_elems()
     }
 
-    /// Parallel grains along M (row-chunks of `mc` rows).
+    /// Row chunks of `mc` rows along M.
     pub fn row_chunks(&self) -> usize {
         self.m_panels().div_ceil(self.mc / MR)
     }
 
-    /// Parallel grains along N (column-grains of `nc` columns).
+    /// Column chunks of `nc` columns along N.
     pub fn col_chunks(&self) -> usize {
         self.n_panels().div_ceil(self.nc / NR)
     }
@@ -291,18 +315,15 @@ pub fn pack_a_into(plan: &GemmPlan, a: &[f32], buf: &mut [f32]) {
         "packed-A buffer too small"
     );
     for ip in 0..plan.m_panels() {
+        let rows = MR.min(m - ip * MR);
+        let src = &a[ip * MR * k..(ip * MR + rows) * k];
         let dst = &mut buf[ip * MR * k..(ip + 1) * MR * k];
-        for r in 0..MR {
-            let row = ip * MR + r;
-            if row < m {
-                let src = &a[row * k..row * k + k];
-                for (p, &v) in src.iter().enumerate() {
-                    dst[p * MR + r] = v;
-                }
-            } else {
-                for p in 0..k {
-                    dst[p * MR + r] = 0.0;
-                }
+        // `p` outermost: up to six read streams, one sequential write
+        // stream. (A row at a time scatters every write `MR` floats
+        // apart and ran at ≈ 5 GB/s.)
+        for (p, d) in dst.chunks_exact_mut(MR).enumerate() {
+            for (r, v) in d.iter_mut().enumerate() {
+                *v = if r < rows { src[r * k + p] } else { 0.0 };
             }
         }
     }
@@ -468,8 +489,8 @@ pub(crate) enum MicroKernel {
     #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
     Avx2Fma,
     /// [`Avx2Fma`](Self::Avx2Fma) everywhere except the f32 full-width
-    /// tile, where two adjacent `MR`-row A panels share one 16-lane B
-    /// load: [`microkernel_avx512_pair`].
+    /// tile, which composes up to two A panels × two B panels in ZMM
+    /// registers: [`microkernel_avx512`].
     #[cfg(target_arch = "x86_64")]
     Avx512,
 }
@@ -737,75 +758,125 @@ unsafe fn microkernel_avx2_half(a: &[f32], b: &[f32], acc: &mut [[f32; NR]; MR])
     _mm256_storeu_ps(acc[5].as_mut_ptr(), c5);
 }
 
-/// AVX-512F micro-kernel over **two** vertically adjacent A panels and
-/// one B panel: 12 ZMM accumulators (6 rows of `a0`'s tile, 6 of
-/// `a1`'s), and per reduction step one 16-lane B load feeding twelve
-/// broadcast-FMAs. A ZMM register is a whole `NR`-wide accumulator row,
-/// so the packed layouts are exactly the ones [`microkernel_avx2`]
-/// reads; and because every lane still sees the same FMA sequence over
-/// the same `kc` block, each accumulator is bit-identical to what two
-/// [`microkernel_avx2`] calls produce.
+/// One C row per accumulator row of the largest AVX-512 tile. Row `r`
+/// of the tile adds into `c[r]`, whose length is the row's live column
+/// count; a row past the ragged bottom edge is an empty slice.
+#[cfg(target_arch = "x86_64")]
+type TileRows<'c> = [&'c mut [f32]; 2 * MR];
+
+/// The AVX-512F micro-kernel: `AP` ∈ {1, 2} vertically adjacent A panels
+/// × `BP` ∈ {1, 2} adjacent B panels of the unchanged packed layouts,
+/// `AP·MR × BP·NR` outputs in `AP·MR·BP` ZMM accumulators. The 2×2 tile
+/// issues 2 B loads and 12 broadcasts per 24 FMAs (the 2×1 tile it
+/// replaced: 1 + 12 per 12); 2×1, 1×2 and 1×1 take the odd last panel
+/// of a row chunk or column chunk. A ZMM register is a whole `NR`-wide
+/// accumulator row, so the packed layouts are exactly the ones
+/// [`microkernel_avx2`] reads.
+///
+/// Accumulators start at zero, run the `kc` FMAs of this block, and are
+/// added into C **from registers**: `c[r] = acc + c[r]` over the
+/// `c[r].len()` live lanes (masked load and store, so a ragged last
+/// panel or a short last A panel touches nothing beyond the slice),
+/// clamped at zero when `relu` (the caller passes it on the last `kc`
+/// block only). Every lane therefore sees the same FMA sequence and
+/// the same single add per block as the stack-tile kernels, so finite
+/// and infinite outputs are bit-identical to theirs. A NaN output is a
+/// NaN in both, but its sign and payload are not promised: when an
+/// `Inf − Inf` partial sum meets a propagated input NaN, x86 returns
+/// whichever operand the compiler placed first, and LLVM may commute a
+/// floating-point add.
 ///
 /// # Safety
 ///
 /// Caller must ensure the CPU supports AVX-512F
-/// ([`MicroKernel::supported`]). `a0.len()` must be a multiple of `MR`,
-/// `a1.len()` must equal it, and `b.len()/NR` must equal `a0.len()/MR`.
+/// ([`MicroKernel::supported`]). Every `a[i].len()` must be the same
+/// multiple `kc·MR` of `MR`, every `b[j].len()` must be `kc·NR`, and no
+/// `c[r]` may be longer than `BP·NR`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
-unsafe fn microkernel_avx512_pair(
-    a0: &[f32],
-    a1: &[f32],
-    b: &[f32],
-    acc0: &mut [[f32; NR]; MR],
-    acc1: &mut [[f32; NR]; MR],
+unsafe fn microkernel_avx512<const AP: usize, const BP: usize>(
+    a: [&[f32]; AP],
+    b: [&[f32]; BP],
+    c: &mut TileRows<'_>,
+    relu: bool,
 ) {
     use core::arch::x86_64::*;
 
-    debug_assert_eq!(a0.len() % MR, 0);
-    debug_assert_eq!(a1.len(), a0.len());
-    debug_assert_eq!(b.len() % NR, 0);
-    debug_assert_eq!(a0.len() / MR, b.len() / NR);
-    let kc = a0.len() / MR;
+    let kc = a[0].len() / MR;
+    debug_assert!(a.iter().all(|p| p.len() == kc * MR));
+    debug_assert!(b.iter().all(|p| p.len() == kc * NR));
+    debug_assert!(c.iter().all(|row| row.len() <= BP * NR));
 
-    // SAFETY (all intrinsics below): loads/stores stay inside `a0`,
-    // `a1`, `b` and the two accumulators, whose lengths are checked
-    // above; only the unaligned forms are used. The constant-trip row
-    // loops unroll, so `c0`/`c1` live in twelve ZMM registers.
-    let mut c0 = [_mm512_setzero_ps(); MR];
-    let mut c1 = [_mm512_setzero_ps(); MR];
-    for r in 0..MR {
-        c0[r] = _mm512_loadu_ps(acc0[r].as_ptr());
-        c1[r] = _mm512_loadu_ps(acc1[r].as_ptr());
-    }
-
-    let mut ap0 = a0.as_ptr();
-    let mut ap1 = a1.as_ptr();
-    let mut bp = b.as_ptr();
+    // SAFETY (all intrinsics below): the reduction loop reads `kc`
+    // steps of `MR` floats from each A panel and `NR` from each B panel
+    // — their checked lengths — through the unaligned load forms. The
+    // constant-trip loops unroll, so `acc` lives in `AP·MR·BP` ZMM
+    // registers.
+    let mut acc = [[[_mm512_setzero_ps(); BP]; MR]; AP];
+    let mut ap = a.map(<[f32]>::as_ptr);
+    let mut bp = b.map(<[f32]>::as_ptr);
     for _ in 0..kc {
-        let bv = _mm512_loadu_ps(bp);
-        for (r, c) in c0.iter_mut().enumerate() {
-            *c = _mm512_fmadd_ps(_mm512_set1_ps(*ap0.add(r)), bv, *c);
+        let mut bv = [_mm512_setzero_ps(); BP];
+        for (v, p) in bv.iter_mut().zip(&mut bp) {
+            *v = _mm512_loadu_ps(*p);
+            *p = p.add(NR);
         }
-        for (r, c) in c1.iter_mut().enumerate() {
-            *c = _mm512_fmadd_ps(_mm512_set1_ps(*ap1.add(r)), bv, *c);
+        for (tile, p) in acc.iter_mut().zip(&mut ap) {
+            for (r, row) in tile.iter_mut().enumerate() {
+                let av = _mm512_set1_ps(*p.add(r));
+                for (c, &v) in row.iter_mut().zip(&bv) {
+                    *c = _mm512_fmadd_ps(av, v, *c);
+                }
+            }
+            *p = p.add(MR);
         }
-        ap0 = ap0.add(MR);
-        ap1 = ap1.add(MR);
-        bp = bp.add(NR);
     }
 
-    for r in 0..MR {
-        _mm512_storeu_ps(acc0[r].as_mut_ptr(), c0[r]);
-        _mm512_storeu_ps(acc1[r].as_mut_ptr(), c1[r]);
+    // `c = acc + c`, written out per accumulator so every index into
+    // `acc` is a constant: a loop the optimiser declines to unroll would
+    // index it dynamically and push all of it through the stack on
+    // every reduction step. Arms beyond this instance's `AP`/`BP` fold
+    // away.
+    let zero = _mm512_setzero_ps();
+    macro_rules! add_into_c {
+        ($i:literal, $r:literal, $j:literal) => {
+            if $i < AP && $j < BP && c[$i * MR + $r].len() > $j * NR {
+                let row = &mut *c[$i * MR + $r];
+                let lanes = (row.len() - $j * NR).min(NR);
+                let mask = ((1u32 << lanes) - 1) as __mmask16;
+                // SAFETY: `j·NR < row.len()`, and the mask enables only
+                // lanes `< row.len() − j·NR`, so the load and the store
+                // stay inside `row`.
+                let p = row.as_mut_ptr().add($j * NR);
+                let sum = _mm512_add_ps(acc[$i][$r][$j], _mm512_maskz_loadu_ps(mask, p));
+                // `max(sum, 0)` returns its second operand on NaN, like
+                // `f32::max(sum, 0.0)`.
+                let out = if relu { _mm512_max_ps(sum, zero) } else { sum };
+                _mm512_mask_storeu_ps(p, mask, out);
+            }
+        };
+        ($i:literal, $r:literal) => {
+            add_into_c!($i, $r, 0);
+            add_into_c!($i, $r, 1);
+        };
+        ($i:literal) => {
+            add_into_c!($i, 0);
+            add_into_c!($i, 1);
+            add_into_c!($i, 2);
+            add_into_c!($i, 3);
+            add_into_c!($i, 4);
+            add_into_c!($i, 5);
+        };
     }
+    add_into_c!(0);
+    add_into_c!(1);
 }
 
 /// Dispatches one `MR×NR` reduction block to the given micro-kernel;
 /// `half` selects the [`HALF_NR`]-lane tile (the caller's panel has no
 /// live column beyond it). [`MicroKernel::Avx512`] runs the AVX2 bodies
-/// here: its own tile takes two A panels and is dispatched by the
-/// driver, which sends only the odd tail panel and half tiles this way.
+/// here: its own tile adds into C itself and is dispatched by the
+/// driver, which sends only half tiles this way.
 #[inline]
 fn microkernel(kernel: MicroKernel, half: bool, a: &[f32], b: &[f32], acc: &mut [[f32; NR]; MR]) {
     match (kernel, half) {
@@ -982,14 +1053,123 @@ fn microkernel_ternary(
     }
 }
 
+/// One step of [`blocked_walk`]: the `kc` block `[pc, pc + kc)` of the
+/// product restricted to A panels `[ip0, ip1)` (one row chunk) and B
+/// panels `[jp0, jp1)` (one column chunk).
+struct Block {
+    pc: usize,
+    kc: usize,
+    /// Whether this is the last `kc` block — the only one on which a
+    /// fused epilogue may clamp, since earlier blocks leave partial
+    /// sums in C.
+    last: bool,
+    ip0: usize,
+    ip1: usize,
+    jp0: usize,
+    jp1: usize,
+}
+
+/// The one loop nest of the packed engines, shared by every kernel and
+/// thread count: column chunk → `kc` block → row chunk, `body` doing
+/// the panels of each [`Block`]. With K outside the row chunks, the
+/// `kc × nc` B block is re-read from L2 by every row chunk and A is
+/// streamed from memory once per column chunk.
+///
+/// A parallel grain is one column chunk × one contiguous range of A
+/// panels cut into row chunks. The `min(threads, pairs)` ranges (one
+/// when serial) are balanced by panel *pair* — the AVX-512 tile's
+/// height — not by row chunk: `m = 128` is 22 panels, 10 + 12 on two
+/// threads where whole 16-panel chunks would split it 16 + 6. A product
+/// too short to hand every thread a row range narrows its column chunk
+/// until every thread has a grain (a batch-8 `Linear` is two A panels).
+/// Grains own disjoint regions of C, and each C element receives its
+/// `kc` blocks in ascending order whatever the split. Two ranges per
+/// thread measured within this host's noise of one (EXPERIMENTS
+/// §PR 23).
+fn blocked_walk(plan: &GemmPlan, threads: usize, schedule: Schedule, body: impl Fn(Block) + Sync) {
+    assert!(threads > 0, "at least one thread required");
+    let (m_panels, n_panels) = (plan.m_panels(), plan.n_panels());
+    let pairs = m_panels.div_ceil(2);
+    let ranges = threads.min(pairs);
+    // Whole column chunks unless that leaves threads idle; an even
+    // panel count keeps the two-panel B tile.
+    let chunk_panels = (plan.nc / NR).min(
+        n_panels
+            .div_ceil(threads.div_ceil(ranges))
+            .next_multiple_of(2),
+    );
+    parallel_tiles(
+        threads,
+        ranges,
+        n_panels.div_ceil(chunk_panels),
+        schedule,
+        |range, cc| {
+            let jp0 = cc * chunk_panels;
+            let jp1 = (jp0 + chunk_panels).min(n_panels);
+            let p0 = 2 * (range * pairs / ranges);
+            let p1 = (2 * ((range + 1) * pairs / ranges)).min(m_panels);
+            let mut pc = 0;
+            while pc < plan.k {
+                let kc = plan.kc.min(plan.k - pc);
+                for ip0 in (p0..p1).step_by(plan.mc / MR) {
+                    body(Block {
+                        pc,
+                        kc,
+                        last: pc + kc >= plan.k,
+                        ip0,
+                        ip1: (ip0 + plan.mc / MR).min(p1),
+                        jp0,
+                        jp1,
+                    });
+                }
+                pc += kc;
+            }
+        },
+    );
+}
+
+/// `C += acc` (clamped at zero when `relu`) for the live rows and
+/// columns of A panel `ip` × B panel `jp`: the write-back of every
+/// kernel that accumulates into a stack tile.
+///
+/// # Safety
+///
+/// The caller's grain must own rows `[ip·MR, ip·MR + MR)` × columns
+/// `[jp·NR, jp·NR + NR)` of the `m×n` matrix behind `writer`.
+unsafe fn write_back(
+    writer: &DisjointWriter,
+    (m, n): (usize, usize),
+    (ip, jp): (usize, usize),
+    acc: &[[f32; NR]; MR],
+    relu: bool,
+) {
+    let (i0, j0) = (ip * MR, jp * NR);
+    let cols = NR.min(n - j0);
+    for (r, acc_row) in acc.iter().enumerate().take(MR.min(m - i0)) {
+        let at = (i0 + r) * n + j0;
+        // SAFETY: inside the tile the caller owns; distinct grains own
+        // disjoint tiles and the buffer outlives the parallel region.
+        let dst = unsafe { writer.slice_mut(at, at + cols) };
+        if relu {
+            for (d, &v) in dst.iter_mut().zip(&acc_row[..cols]) {
+                *d = (*d + v).max(0.0);
+            }
+        } else {
+            for (d, &v) in dst.iter_mut().zip(&acc_row[..cols]) {
+                *d += v;
+            }
+        }
+    }
+}
+
 /// Packed GEMM over pre-packed operands: `c[m×n] += packed_a · packed_b`.
 ///
 /// Both operands must be packed with this `plan`'s shape (see
-/// [`pack_a_into`] / [`pack_b_into`]). The `(row-chunk, column-grain)`
-/// grid is distributed over `threads` workers via
-/// `cnn_stack_parallel::parallel_tiles`; each grain walks K in `kc`
-/// blocks so the active B block stays cache-resident while it is reused
-/// across the row-chunk. Never allocates.
+/// [`pack_a_into`] / [`pack_b_into`]). The product is cut into column
+/// chunks × panel-balanced row ranges, distributed over `threads` workers
+/// via `cnn_stack_parallel::parallel_tiles`; each grain walks K in `kc`
+/// blocks outside its row chunks, so the active B block stays
+/// cache-resident while every row chunk reuses it. Never allocates.
 ///
 /// # Panics
 ///
@@ -1044,8 +1224,8 @@ pub fn gemm_prepacked_epilogue(
 
 /// [`gemm_prepacked_epilogue`] on an explicit micro-kernel: the driver
 /// body, split out so the cross-kernel tests can hold every kernel the
-/// host supports to the same product (on an AVX-512 host the AVX2 tile
-/// is otherwise only reached by tail panels).
+/// host supports to the same product (on an AVX-512 host the AVX2 full
+/// tile is otherwise never reached).
 ///
 /// # Panics
 ///
@@ -1086,11 +1266,6 @@ pub(crate) fn gemm_prepacked_on(
         }
         return;
     }
-    let m_panels = plan.m_panels();
-    let n_panels = plan.n_panels();
-    let panels_per_row_chunk = plan.mc / MR;
-    let panels_per_col_chunk = plan.nc / NR;
-    let kc = plan.kc;
 
     // One batched registry update per call (the panel/k-block counts are
     // known analytically); the logical m·k·n — not the padded panel work
@@ -1101,7 +1276,7 @@ pub(crate) fn gemm_prepacked_on(
         metrics.add(Metric::GemmFlops, 2 * (m * k * n) as u64);
         metrics.add(
             Metric::GemmPanels,
-            (m_panels * n_panels * k.div_ceil(kc)) as u64,
+            (plan.m_panels() * plan.n_panels() * k.div_ceil(plan.kc)) as u64,
         );
         let kernel_metric = match kernel {
             MicroKernel::Scalar => Metric::GemmKernelScalar,
@@ -1115,107 +1290,105 @@ pub(crate) fn gemm_prepacked_on(
 
     let writer = DisjointWriter::new(c);
     let writer = &writer;
-    parallel_tiles(
-        threads,
-        plan.row_chunks(),
-        plan.col_chunks(),
-        schedule,
-        |rc, cc| {
-            let ip0 = rc * panels_per_row_chunk;
-            let ip1 = (ip0 + panels_per_row_chunk).min(m_panels);
-            let jp0 = cc * panels_per_col_chunk;
-            let jp1 = (jp0 + panels_per_col_chunk).min(n_panels);
-            // K-blocked panel walk: the kc×NR B block loaded for `jp`
-            // stays L1-resident while every row panel of the chunk
-            // streams past it.
-            let mut pc = 0;
-            while pc < k {
-                let kc_eff = kc.min(k - pc);
-                // The epilogue may only clamp completed accumulators:
-                // every earlier block writes raw partial sums.
-                let relu = epilogue == GemmEpilogue::Relu && pc + kc_eff >= k;
-                let a_block =
-                    |ip: usize| &packed_a[ip * MR * k + pc * MR..ip * MR * k + (pc + kc_eff) * MR];
-                for jp in jp0..jp1 {
-                    let b_block =
-                        &packed_b[jp * NR * k + pc * NR..jp * NR * k + (pc + kc_eff) * NR];
-                    let j0 = jp * NR;
-                    let cols = NR.min(n - j0);
-                    // A panel whose live columns fit one vector skips
-                    // the all-padding upper half of the tile.
-                    let half = cols <= HALF_NR;
-                    // `C += acc` for the live rows and columns of panel
-                    // `ip`'s tile.
-                    let write_back = |ip: usize, acc: &[[f32; NR]; MR]| {
-                        let i0 = ip * MR;
-                        let rows = MR.min(m - i0);
-                        for (r, acc_row) in acc.iter().enumerate().take(rows) {
-                            let row = i0 + r;
-                            // SAFETY: grain (rc, cc) exclusively owns
-                            // rows [ip0·MR, ip1·MR) × cols [jp0·NR,
-                            // jp1·NR) of C; ranges from distinct grains
-                            // never overlap, and the buffer outlives
-                            // the parallel region.
-                            let dst =
-                                unsafe { writer.slice_mut(row * n + j0, row * n + j0 + cols) };
-                            if relu {
-                                for (d, &v) in dst.iter_mut().zip(&acc_row[..cols]) {
-                                    *d = (*d + v).max(0.0);
-                                }
-                            } else {
-                                for (d, &v) in dst.iter_mut().zip(&acc_row[..cols]) {
-                                    *d += v;
-                                }
-                            }
-                        }
-                    };
-                    let mut ip = ip0;
-                    while ip < ip1 {
-                        // The AVX-512 tile is two A panels tall; the odd
-                        // tail panel of a chunk and the half tile run
-                        // the one-panel kernels.
-                        #[cfg(target_arch = "x86_64")]
-                        if kernel == MicroKernel::Avx512 && !half && ip + 1 < ip1 {
-                            let mut acc = [[[0.0f32; NR]; MR]; 2];
-                            let [acc0, acc1] = &mut acc;
-                            // SAFETY: `kernel.supported()` was asserted
-                            // on entry; both A blocks and the B block
-                            // span the same `kc_eff` reduction steps.
-                            unsafe {
-                                microkernel_avx512_pair(
-                                    a_block(ip),
-                                    a_block(ip + 1),
-                                    b_block,
-                                    acc0,
-                                    acc1,
-                                );
-                            }
-                            write_back(ip, &acc[0]);
-                            write_back(ip + 1, &acc[1]);
-                            ip += 2;
-                            continue;
-                        }
-                        let mut acc = [[0.0f32; NR]; MR];
-                        microkernel(kernel, half, a_block(ip), b_block, &mut acc);
-                        write_back(ip, &acc);
-                        ip += 1;
+    blocked_walk(plan, threads, schedule, |blk| {
+        let relu = epilogue == GemmEpilogue::Relu && blk.last;
+        let a_block =
+            |ip: usize| &packed_a[(ip * k + blk.pc) * MR..(ip * k + blk.pc + blk.kc) * MR];
+        let b_block =
+            |jp: usize| &packed_b[(jp * k + blk.pc) * NR..(jp * k + blk.pc + blk.kc) * NR];
+        // The AVX-512 tile streams whole lines of B whenever the caller
+        // packed into line-aligned storage (`AlignedBuf`, the session
+        // arena): a panel and a `kc` block are both whole lines.
+        debug_assert_eq!(
+            b_block(blk.jp0).as_ptr() as usize % 64,
+            packed_b.as_ptr() as usize % 64,
+            "a packed-B block left its base's cache-line phase"
+        );
+        let mut jp = blk.jp0;
+        while jp < blk.jp1 {
+            // A panel whose live columns fit one vector runs the half
+            // tile, skipping the all-padding upper half.
+            let half = n - jp * NR <= HALF_NR;
+            #[cfg(target_arch = "x86_64")]
+            if kernel == MicroKernel::Avx512 && !half {
+                // Two B panels wide when the next one is in this chunk
+                // and is not itself a half tile (only the last panel of
+                // the product can be short).
+                let wide = jp + 1 < blk.jp1 && n - (jp + 1) * NR > HALF_NR;
+                let bp = if wide { 2 } else { 1 };
+                let cols = (bp * NR).min(n - jp * NR);
+                let mut ip = blk.ip0;
+                while ip < blk.ip1 {
+                    let tall = ip + 1 < blk.ip1;
+                    let ap = if tall { 2 } else { 1 };
+                    let rows = (ap * MR).min(m - ip * MR);
+                    // Rows past the short last A panel stay empty.
+                    let mut c_rows: TileRows<'_> = std::array::from_fn(|_| &mut [][..]);
+                    for (r, c_row) in c_rows.iter_mut().enumerate().take(rows) {
+                        let at = (ip * MR + r) * n + jp * NR;
+                        // SAFETY: this grain exclusively owns rows
+                        // [ip0·MR, ip1·MR) × cols [jp0·NR, jp1·NR) of C;
+                        // the tile's live rows and columns lie inside
+                        // it, ranges from distinct grains never overlap,
+                        // and the buffer outlives the parallel region
+                        // (`slice_mut` debug-asserts the bounds).
+                        *c_row = unsafe { writer.slice_mut(at, at + cols) };
                     }
+                    // SAFETY: `kernel.supported()` was asserted on
+                    // entry; every A and B block spans the same
+                    // `blk.kc` steps, and no C row is longer than
+                    // `bp·NR`.
+                    unsafe {
+                        match (tall, wide) {
+                            (true, true) => microkernel_avx512(
+                                [a_block(ip), a_block(ip + 1)],
+                                [b_block(jp), b_block(jp + 1)],
+                                &mut c_rows,
+                                relu,
+                            ),
+                            (true, false) => microkernel_avx512(
+                                [a_block(ip), a_block(ip + 1)],
+                                [b_block(jp)],
+                                &mut c_rows,
+                                relu,
+                            ),
+                            (false, true) => microkernel_avx512(
+                                [a_block(ip)],
+                                [b_block(jp), b_block(jp + 1)],
+                                &mut c_rows,
+                                relu,
+                            ),
+                            (false, false) => {
+                                microkernel_avx512([a_block(ip)], [b_block(jp)], &mut c_rows, relu)
+                            }
+                        }
+                    }
+                    ip += ap;
                 }
-                pc += kc_eff;
+                jp += bp;
+                continue;
             }
-        },
-    );
+            for ip in blk.ip0..blk.ip1 {
+                let mut acc = [[0.0f32; NR]; MR];
+                microkernel(kernel, half, a_block(ip), b_block(jp), &mut acc);
+                // SAFETY: tile (ip, jp) lies in this grain's rows
+                // [ip0·MR, ip1·MR) × cols [jp0·NR, jp1·NR) of C.
+                unsafe { write_back(writer, (m, n), (ip, jp), &acc, relu) };
+            }
+            jp += 1;
+        }
+    });
 }
 
 /// Ternary packed GEMM: `c[m×n] += packed_a · B` where B lives as 2-bit
 /// codes (see [`pack_b_ternary_transposed_into`]) with per-layer
 /// magnitudes `positive`/`negative` (the −Wₙ sign is applied in the
 /// kernel; pass `negative` as a positive magnitude). Blocking, K-walk,
-/// parallel grid, and the fused epilogue are identical to
-/// [`gemm_prepacked_epilogue`]; since the decoded weights are exact
-/// f32s, the output is bit-identical to the f32 engine run on the
-/// dequantised weights — the property the guard's quantised→packed
-/// demotion relies on.
+/// parallel grid, and the fused epilogue are those of
+/// [`gemm_prepacked_epilogue`] (the same `blocked_walk`); since the
+/// decoded weights are exact f32s, the output is bit-identical to the
+/// f32 engine run on the dequantised weights — the property the guard's
+/// quantised→packed demotion relies on.
 ///
 /// # Panics
 ///
@@ -1251,11 +1424,6 @@ pub fn gemm_prepacked_ternary(
         return;
     }
     let kernel = active_kernel();
-    let m_panels = plan.m_panels();
-    let n_panels = plan.n_panels();
-    let panels_per_row_chunk = plan.mc / MR;
-    let panels_per_col_chunk = plan.nc / NR;
-    let kc = plan.kc;
 
     obs::with_current(|o| {
         let metrics = o.metrics();
@@ -1263,63 +1431,27 @@ pub fn gemm_prepacked_ternary(
         metrics.add(Metric::GemmFlops, 2 * (m * k * n) as u64);
         metrics.add(
             Metric::GemmPanels,
-            (m_panels * n_panels * k.div_ceil(kc)) as u64,
+            (plan.m_panels() * plan.n_panels() * k.div_ceil(plan.kc)) as u64,
         );
         metrics.add(Metric::GemmKernelTernary, 1);
     });
 
     let writer = DisjointWriter::new(c);
     let writer = &writer;
-    parallel_tiles(
-        threads,
-        plan.row_chunks(),
-        plan.col_chunks(),
-        schedule,
-        |rc, cc| {
-            let ip0 = rc * panels_per_row_chunk;
-            let ip1 = (ip0 + panels_per_row_chunk).min(m_panels);
-            let jp0 = cc * panels_per_col_chunk;
-            let jp1 = (jp0 + panels_per_col_chunk).min(n_panels);
-            let mut pc = 0;
-            while pc < k {
-                let kc_eff = kc.min(k - pc);
-                let last_block = pc + kc_eff >= k;
-                for jp in jp0..jp1 {
-                    let b_codes = &codes[jp * k + pc..jp * k + pc + kc_eff];
-                    let j0 = jp * NR;
-                    let cols = NR.min(n - j0);
-                    for ip in ip0..ip1 {
-                        let a_block =
-                            &packed_a[ip * MR * k + pc * MR..ip * MR * k + (pc + kc_eff) * MR];
-                        let mut acc = [[0.0f32; NR]; MR];
-                        microkernel_ternary(kernel, a_block, b_codes, positive, negative, &mut acc);
-                        let i0 = ip * MR;
-                        let rows = MR.min(m - i0);
-                        for (r, acc_row) in acc.iter().enumerate().take(rows) {
-                            let row = i0 + r;
-                            // SAFETY: grain (rc, cc) exclusively owns
-                            // rows [ip0·MR, ip1·MR) × cols [jp0·NR,
-                            // jp1·NR) of C; ranges from distinct grains
-                            // never overlap, and the buffer outlives
-                            // the parallel region.
-                            let dst =
-                                unsafe { writer.slice_mut(row * n + j0, row * n + j0 + cols) };
-                            if last_block && epilogue == GemmEpilogue::Relu {
-                                for (d, &v) in dst.iter_mut().zip(&acc_row[..cols]) {
-                                    *d = (*d + v).max(0.0);
-                                }
-                            } else {
-                                for (d, &v) in dst.iter_mut().zip(&acc_row[..cols]) {
-                                    *d += v;
-                                }
-                            }
-                        }
-                    }
-                }
-                pc += kc_eff;
+    blocked_walk(plan, threads, schedule, |blk| {
+        let relu = epilogue == GemmEpilogue::Relu && blk.last;
+        for jp in blk.jp0..blk.jp1 {
+            let b_codes = &codes[jp * k + blk.pc..jp * k + blk.pc + blk.kc];
+            for ip in blk.ip0..blk.ip1 {
+                let a_block = &packed_a[(ip * k + blk.pc) * MR..(ip * k + blk.pc + blk.kc) * MR];
+                let mut acc = [[0.0f32; NR]; MR];
+                microkernel_ternary(kernel, a_block, b_codes, positive, negative, &mut acc);
+                // SAFETY: tile (ip, jp) lies in this grain's rows
+                // [ip0·MR, ip1·MR) × cols [jp0·NR, jp1·NR) of C.
+                unsafe { write_back(writer, (m, n), (ip, jp), &acc, relu) };
             }
-        },
-    );
+        }
+    });
 }
 
 /// Packed GEMM from unpacked operands: packs A and B into `scratch`
@@ -1349,7 +1481,9 @@ pub fn gemm_packed_into(
         scratch.len(),
         plan.scratch_elems()
     );
-    let (pa, pb) = scratch.split_at_mut(plan.packed_a_elems());
+    // B first: its panels are whole cache lines, so they keep the
+    // scratch's alignment (and A, read by broadcast, needs none).
+    let (pb, pa) = scratch.split_at_mut(plan.packed_b_elems());
     pack_a_into(&plan, a, pa);
     pack_b_into(&plan, b, pb);
     gemm_prepacked(&plan, pa, pb, c, threads, schedule);
@@ -1450,7 +1584,7 @@ pub fn gemm_into(
         // the same bit-identical demotion the guard applies.
         GemmAlgorithm::Packed | GemmAlgorithm::TernaryPacked => {
             let plan = GemmPlan::new(m, k, n);
-            let mut scratch = vec![0.0f32; plan.scratch_elems()];
+            let mut scratch = AlignedBuf::zeroed(plan.scratch_elems());
             gemm_packed_into(a, b, c, m, k, n, &mut scratch, 1, Schedule::Static);
         }
     }
@@ -1654,6 +1788,59 @@ mod tests {
         }
     }
 
+    /// Every `(A panel, B panel, kc block)` exactly once, whatever the
+    /// thread count; and the split itself on the shapes it was written
+    /// for.
+    #[test]
+    fn blocked_walk_covers_once_and_balances_by_panel_pair() {
+        use std::sync::Mutex;
+        let blocks_of = |plan: &GemmPlan, threads: usize| {
+            let seen = Mutex::new(Vec::new());
+            blocked_walk(plan, threads, Schedule::Dynamic { chunk: 1 }, |b| {
+                seen.lock().expect("no panic under the lock").push((
+                    b.pc,
+                    b.kc,
+                    b.last,
+                    b.ip0..b.ip1,
+                    b.jp0..b.jp1,
+                ));
+            });
+            seen.into_inner().expect("no panic under the lock")
+        };
+        for (m, k, n) in [(1, 1, 1), (13, 300, 40), (128, 600, 257), (193, 37, 300)] {
+            let plan = GemmPlan::new(m, k, n);
+            for threads in [1, 2, 3, 4, 7] {
+                let k_blocks = k.div_ceil(plan.kc);
+                let mut hits = vec![0u32; plan.m_panels() * plan.n_panels() * k_blocks];
+                for (pc, kc, last, ips, jps) in blocks_of(&plan, threads) {
+                    assert_eq!((pc % plan.kc, last), (0, pc + kc == k));
+                    assert!(ips.len() <= plan.mc / MR && jps.len() <= plan.nc / NR);
+                    for ip in ips {
+                        for jp in jps.clone() {
+                            hits[(ip * plan.n_panels() + jp) * k_blocks + pc / plan.kc] += 1;
+                        }
+                    }
+                }
+                assert!(hits.iter().all(|&h| h == 1), "{m}x{k}x{n} t{threads}");
+            }
+        }
+        // VGG conv2_2 on two threads: 22 panels split 10 + 12, not the
+        // 16 + 6 of whole row chunks.
+        let mut rows: Vec<_> = blocks_of(&GemmPlan::new(128, 256, 256), 2)
+            .into_iter()
+            .map(|b| b.3)
+            .collect();
+        rows.sort_by_key(|r| r.start);
+        assert_eq!(rows, [0..10, 10..22]);
+        // A batch-8 `Linear` (two A panels, one pair) on four threads
+        // quarters its only column chunk; serial it stays whole.
+        let fc = GemmPlan::new(8, 256, 256);
+        let mut cols: Vec<_> = blocks_of(&fc, 4).into_iter().map(|b| b.4).collect();
+        cols.sort_by_key(|c| c.start);
+        assert_eq!(cols, [0..4, 4..8, 8..12, 12..16]);
+        assert_eq!(blocks_of(&fc, 1).len(), 1);
+    }
+
     #[test]
     fn packed_parallel_matches_serial() {
         let (m, k, n) = (41, 129, 53);
@@ -1680,13 +1867,30 @@ mod tests {
         }
     }
 
+    /// Bit patterns with every NaN mapped to one: what the cross-kernel
+    /// tests compare. Kernels that run the same FMA sequence agree on
+    /// every finite and infinite bit and on *where* the NaNs are, but a
+    /// NaN's sign and payload are outside what Rust (or LLVM) promises:
+    /// when an `Inf − Inf` partial sum is added to a C that already
+    /// holds a propagated input NaN, x86 returns whichever operand came
+    /// first, and the compiler may commute a floating-point add — so
+    /// `acc + C` from registers and `C += acc` from a stack tile can
+    /// legitimately yield `0xFFC00000` and `0x7FC00000`.
+    fn nan_blind_bits(values: &[f32]) -> Vec<u32> {
+        values
+            .iter()
+            .map(|v| if v.is_nan() { 0x7FC0_0000 } else { v.to_bits() })
+            .collect()
+    }
+
     #[test]
     fn scalar_and_simd_kernels_agree() {
         // Drive every micro-kernel directly over the same packed panels
-        // (two A panels, so the AVX-512 pair tile has both its halves):
-        // SIMD within 1e-4 of scalar, and the SIMD kernels equal bit
-        // for bit. On non-x86 hosts only the scalar kernel exists.
-        let (m, k, n) = (2 * MR, 37, NR);
+        // (two A panels × two B panels, so the AVX-512 tile has all four
+        // of its shapes): SIMD within 1e-4 of scalar, and the SIMD
+        // kernels equal bit for bit. On non-x86 hosts only the scalar
+        // kernel exists.
+        let (m, k, n) = (2 * MR, 37, 2 * NR);
         let a = random_tensor([m, k], 21);
         let b = random_tensor([k, n], 22);
         let plan = GemmPlan::new(m, k, n);
@@ -1694,45 +1898,81 @@ mod tests {
         let mut pb = vec![0.0f32; plan.packed_b_elems()];
         pack_a_into(&plan, a.data(), &mut pa);
         pack_b_into(&plan, b.data(), &mut pb);
-        let (pa0, pa1) = pa.split_at(MR * k);
-        let mut scalar = [[[0.25f32; NR]; MR]; 2];
-        microkernel_scalar::<NR>(pa0, &pb, &mut scalar[0]);
-        microkernel_scalar::<NR>(pa1, &pb, &mut scalar[1]);
+        let pa: [&[f32]; 2] = [&pa[..MR * k], &pa[MR * k..]];
+        let pb: [&[f32]; 2] = [&pb[..NR * k], &pb[NR * k..]];
+        // tile[i][j]: A panel i × B panel j, accumulated from zero.
+        let mut scalar = [[[[0.0f32; NR]; MR]; 2]; 2];
+        for i in 0..2 {
+            for j in 0..2 {
+                microkernel_scalar::<NR>(pa[i], pb[j], &mut scalar[i][j]);
+            }
+        }
         #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
         if MicroKernel::Avx2Fma.supported() {
-            let mut avx2 = [[[0.25f32; NR]; MR]; 2];
-            // SAFETY: AVX2+FMA presence just checked; panel lengths are
-            // plan-consistent by construction.
-            unsafe {
-                microkernel_avx2(pa0, &pb, &mut avx2[0]);
-                microkernel_avx2(pa1, &pb, &mut avx2[1]);
-            }
-            for (s, o) in scalar.as_flattened().iter().zip(avx2.as_flattened()) {
-                for (s, o) in s.iter().zip(o) {
-                    assert!((s - o).abs() <= 1e-4, "avx2 vs scalar: {o} vs {s}");
+            let mut avx2 = [[[[0.0f32; NR]; MR]; 2]; 2];
+            for i in 0..2 {
+                for j in 0..2 {
+                    // SAFETY: AVX2+FMA presence just checked; panel
+                    // lengths are plan-consistent by construction.
+                    unsafe { microkernel_avx2(pa[i], pb[j], &mut avx2[i][j]) };
                 }
+            }
+            let flat = |t: &[[[[f32; NR]; MR]; 2]; 2]| {
+                t.as_flattened().as_flattened().as_flattened().to_vec()
+            };
+            for (s, o) in flat(&scalar).iter().zip(flat(&avx2)) {
+                assert!((s - o).abs() <= 1e-4, "avx2 vs scalar: {o} vs {s}");
             }
             #[cfg(target_arch = "x86_64")]
             if MicroKernel::Avx512.supported() {
-                let mut pair = [[[0.25f32; NR]; MR]; 2];
-                let [acc0, acc1] = &mut pair;
-                // SAFETY: AVX-512F presence just checked; both A panels
-                // and the B panel span the same `k` steps.
-                unsafe { microkernel_avx512_pair(pa0, pa1, &pb, acc0, acc1) };
-                let bits = |t: &[[[f32; NR]; MR]; 2]| {
-                    t.as_flattened()
-                        .as_flattened()
-                        .iter()
-                        .map(|v| v.to_bits())
-                        .collect::<Vec<_>>()
-                };
-                assert_eq!(bits(&pair), bits(&avx2), "avx512 pair vs avx2");
+                // The AVX-512 tile adds into C itself; from C = 0.25 it
+                // must leave exactly `0.25 + acc` in its live lanes
+                // (clamped under ReLU) and nothing anywhere else.
+                for (ap, bp, relu) in [
+                    (2, 2, false),
+                    (2, 1, false),
+                    (1, 2, true),
+                    (1, 1, false),
+                    (2, 2, true),
+                ] {
+                    let mut c = [[0.25f32; 2 * NR]; 2 * MR];
+                    let mut rows = c.each_mut().map(|row| &mut row[..bp * NR]);
+                    for row in &mut rows[ap * MR..] {
+                        *row = &mut [];
+                    }
+                    // SAFETY: AVX-512F presence just checked; all panels
+                    // span `k` steps and no row exceeds `bp·NR`.
+                    unsafe {
+                        match (ap, bp) {
+                            (2, 2) => microkernel_avx512(pa, pb, &mut rows, relu),
+                            (2, 1) => microkernel_avx512(pa, [pb[0]], &mut rows, relu),
+                            (1, 2) => microkernel_avx512([pa[0]], pb, &mut rows, relu),
+                            _ => microkernel_avx512([pa[0]], [pb[0]], &mut rows, relu),
+                        }
+                    }
+                    for (r, row) in c.iter().enumerate() {
+                        for (col, got) in row.iter().enumerate() {
+                            let live = r < ap * MR && col < bp * NR;
+                            let sum = 0.25 + avx2[r / MR][col / NR][r % MR][col % NR];
+                            let want = match (live, relu) {
+                                (false, _) => 0.25,
+                                (true, false) => sum,
+                                (true, true) => sum.max(0.0),
+                            };
+                            assert_eq!(
+                                got.to_bits(),
+                                want.to_bits(),
+                                "avx512 {ap}x{bp} relu={relu} at ({r},{col})"
+                            );
+                        }
+                    }
+                }
             }
         }
     }
 
     /// `c += a·b` through the whole driver on `kernel`, from a fixed
-    /// bias, as bit patterns.
+    /// bias, as [`nan_blind_bits`].
     fn driver_bits(
         kernel: MicroKernel,
         plan: &GemmPlan,
@@ -1750,26 +1990,41 @@ mod tests {
             Schedule::Dynamic { chunk: 1 }
         };
         gemm_prepacked_on(kernel, plan, pa, pb, &mut c, threads, schedule, epilogue);
-        c.iter().map(|v| v.to_bits()).collect()
+        nan_blind_bits(&c)
     }
 
     #[test]
     fn every_kernel_agrees_at_driver_level() {
         // Every kernel the host supports over ragged products: m walks a
         // single panel, an exact pair, an odd tail, a last panel short
-        // of MR and more than one row chunk; n the half tile, a ragged
-        // last panel and more than one column grain; k both sides of
-        // `kc`. NaN and ±Inf sit in A and B. The SIMD kernels must agree
-        // bit for bit (same FMA sequence per lane) and with themselves
-        // across thread counts; scalar (mul + add, not fused) within
-        // 1e-4 wherever the value is finite, and non-finite in the same
+        // of MR, the 10⅔ panels of m = 64 and more than one row chunk
+        // (three threads own a panel range each; under m = 13 they
+        // split the column chunk instead); n the half tile, an
+        // exact and a ragged single panel, a pair whose second panel is
+        // a half tile (24, 40), ragged (25, 31, 33 → third) or exact
+        // (32, 48), and more than one 256-column chunk (257 leaves a
+        // one-column half tile in the second, 300 a ragged pair); k
+        // both sides of `kc`. Together they reach all four AVX-512
+        // tile shapes, the lane mask, the short last A panel and the
+        // AVX2 half-tile fallback. NaN and ±Inf sit in A and B — B's
+        // NaN in the last reduction row, so a NaN sum meets the ReLU
+        // clamp on the last block. The SIMD kernels must agree bit for
+        // bit outside NaNs and on where the NaNs are (same FMA sequence
+        // per lane; see `nan_blind_bits`), and with themselves across
+        // thread counts; scalar (mul + add, not fused) within 1e-4
+        // wherever the value is finite, and non-finite in the same
         // places.
         let kernels: Vec<MicroKernel> = MicroKernel::available().collect();
         let (scalar, simd) = kernels.split_first().expect("scalar is always available");
         assert_eq!(*scalar, MicroKernel::Scalar);
-        for m in [1, 5, 6, 7, 11, 12, 13, 97, 193] {
-            for n in [1, 4, 8, 9, 16, 17, 70] {
+        for m in [1, 5, 6, 7, 11, 12, 13, 64, 97, 193] {
+            for n in [1, 4, 8, 9, 16, 17, 24, 25, 31, 32, 33, 40, 48, 70, 257, 300] {
                 for k in [1, 37, 256, 257, 600] {
+                    // The wide products only add column chunks: one k
+                    // on each side of `kc` covers them.
+                    if n > 70 && !matches!(k, 37 | 257) {
+                        continue;
+                    }
                     let mut a = random_tensor([m, k], (m * 1000 + k) as u64);
                     let mut b = random_tensor([k, n], (n * 1000 + k) as u64);
                     a.data_mut()[(m / 2) * k + k / 2] = f32::NAN;
@@ -1813,6 +2068,106 @@ mod tests {
                         }
                     }
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn relu_clamps_negative_zero_and_nan_alike_on_every_simd_kernel() {
+        // A sum of exactly −0.0 on the last block: every product
+        // underflows to −0.0 under FMA (the scalar kernel's separate
+        // multiply and add give +0.0, so it is not held to this), C
+        // starts at −0.0, and `max(−0.0, 0)` may be either zero unless
+        // every write-back clamps the same way. One B column is NaN:
+        // ReLU must flush it to zero in every tile shape. 13×41 and
+        // 13×40 reach the 2×2, 1×2, 2×1 and 1×1 tiles and the half
+        // tile.
+        let simd: Vec<MicroKernel> = MicroKernel::available().skip(1).collect();
+        for n in [40, 41] {
+            let (m, k) = (13, 2);
+            let a = vec![-1e-30f32; m * k];
+            let mut b = vec![1e-30f32; k * n];
+            b[n + 3] = f32::NAN;
+            let plan = GemmPlan::new(m, k, n);
+            let mut pa = vec![0.0f32; plan.packed_a_elems()];
+            let mut pb = vec![0.0f32; plan.packed_b_elems()];
+            pack_a_into(&plan, &a, &mut pa);
+            pack_b_into(&plan, &b, &mut pb);
+            for epilogue in [GemmEpilogue::None, GemmEpilogue::Relu] {
+                let run = |kernel: MicroKernel| {
+                    let mut c = vec![-0.0f32; m * n];
+                    gemm_prepacked_on(
+                        kernel,
+                        &plan,
+                        &pa,
+                        &pb,
+                        &mut c,
+                        1,
+                        Schedule::Static,
+                        epilogue,
+                    );
+                    c
+                };
+                let Some(first) = simd.first().map(|&kernel| run(kernel)) else {
+                    return;
+                };
+                for (i, v) in first.iter().enumerate() {
+                    let want = match (i % n == 3, epilogue) {
+                        (true, GemmEpilogue::None) => f32::NAN,
+                        (true, GemmEpilogue::Relu) => 0.0,
+                        (false, GemmEpilogue::None) => -0.0,
+                        (false, GemmEpilogue::Relu) => (-0.0f32).max(0.0),
+                    };
+                    assert_eq!(
+                        nan_blind_bits(&[*v]),
+                        nan_blind_bits(&[want]),
+                        "n={n} {epilogue:?} at {i}"
+                    );
+                }
+                for &kernel in &simd[1..] {
+                    assert_eq!(
+                        nan_blind_bits(&first),
+                        nan_blind_bits(&run(kernel)),
+                        "n={n} {epilogue:?}: {kernel:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn unaligned_operands_change_no_bit() {
+        // Alignment is a speed matter only: every kernel reads through
+        // the unaligned load forms, so a caller's plain `Vec` — here
+        // packed A, packed B and C each pushed 1..3 floats off a cache
+        // line — yields the bits of line-aligned operands.
+        let (m, k, n) = (13, 300, 41);
+        let a = random_tensor([m, k], 51);
+        let b = random_tensor([k, n], 52);
+        let plan = GemmPlan::new(m, k, n);
+        let run = |kernel: MicroKernel, skew: usize| {
+            let mut pa = AlignedBuf::zeroed(plan.packed_a_elems() + skew);
+            let mut pb = AlignedBuf::zeroed(plan.packed_b_elems() + skew);
+            let mut c = AlignedBuf::zeroed(m * n + skew);
+            pack_a_into(&plan, a.data(), &mut pa[skew..]);
+            pack_b_into(&plan, b.data(), &mut pb[skew..]);
+            assert_eq!(pb[skew..].as_ptr() as usize % 64, 4 * skew);
+            gemm_prepacked_on(
+                kernel,
+                &plan,
+                &pa[skew..],
+                &pb[skew..],
+                &mut c[skew..],
+                1,
+                Schedule::Static,
+                GemmEpilogue::Relu,
+            );
+            c[skew..].iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+        };
+        for kernel in MicroKernel::available() {
+            let aligned = run(kernel, 0);
+            for skew in 1..4 {
+                assert_eq!(aligned, run(kernel, skew), "{kernel:?} skew {skew}");
             }
         }
     }

@@ -18,6 +18,7 @@
 //! assert_eq!(c.data(), &[58.0, 64.0, 139.0, 154.0]);
 //! ```
 
+pub mod aligned;
 pub mod depthwise;
 pub mod error;
 pub mod gemm;
@@ -28,6 +29,7 @@ pub mod shape;
 pub mod tensor;
 pub mod winograd;
 
+pub use aligned::AlignedBuf;
 pub use depthwise::depthwise_conv2d_into;
 pub use error::KernelError;
 pub use gemm::{

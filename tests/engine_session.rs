@@ -83,6 +83,46 @@ fn vgg16_batch4_steady_state_makes_no_heap_allocations() {
     );
 }
 
+/// The packed GEMM streams B panels and merged-C rows out of the arena
+/// with 64-byte loads; that they never straddle a cache line rests on
+/// every slice a step is handed starting on one. The arena is
+/// line-aligned and the layout places whole lines, whatever the model,
+/// batch or thread split.
+#[test]
+fn every_arena_slice_starts_on_a_cache_line() {
+    for (kind, batch, threads) in [
+        (ModelKind::Vgg16, 8, 1),
+        (ModelKind::MobileNet, 1, 1),
+        (ModelKind::MobileNet, 3, 2),
+    ] {
+        let mut model = kind.build_width(10, 0.25);
+        let cfg = ExecConfig {
+            threads,
+            ..ExecConfig::serial()
+        };
+        let input = Tensor::from_fn([batch, 3, 32, 32], |i| ((i * 7 % 13) as f32) * 0.1 - 0.6);
+        let plan = model
+            .compile_plan(batch, &cfg, &PlanCompiler::standard())
+            .expect("paper models compile at CIFAR shape");
+        let peak = plan.footprint().peak_bytes;
+        let mut session =
+            InferenceSession::new(&mut model.network, plan).expect("plan matches this network");
+        let what = format!("{kind:?} batch {batch}, {threads} thread(s)");
+        assert_eq!(session.arena_bytes() % 64, 0, "{what}");
+        if threads == 1 {
+            assert!(
+                session.arena_bytes() <= peak,
+                "{what}: arena above the plan's peak"
+            );
+        }
+        // The test profile keeps `debug_assert!`s: the engine checks
+        // every `src` / `dst` / `ws` view it hands a step, so a run is
+        // the assertion.
+        let mut out = Tensor::zeros(session.plan().output_shape().to_vec());
+        session.run_into(&input, &mut out).expect("clean run");
+    }
+}
+
 /// The memory planner's promise, checked end to end on one network and
 /// budget: the budgeted compile either fits or names a floor that is
 /// itself compilable; the plan that comes out predicts a peak inside

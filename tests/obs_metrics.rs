@@ -81,13 +81,16 @@ proptest! {
             2 * analytic_macs * runs as u64,
             "gemm.flops must equal 2x the plan's MAC count per run"
         );
-        // The packed conv path merges images whose output plane leaves
-        // micro-kernel lanes idle (up to one column-grain of `4·NR`
-        // merged columns) into one GEMM call, so the conv issues
-        // `ceil(batch / group)` calls; the linear layer adds one more.
-        // The im2col lowering is still recorded per image.
+        // The packed conv path merges as many images as fit one column
+        // chunk of the GEMM's loop nest (the whole-batch plan's `nc`)
+        // into one GEMM call, so the conv issues `ceil(batch / group)`
+        // calls; the linear layer adds one more. The im2col lowering is
+        // still recorded per image. The group is re-derived here, not
+        // read from the crate: this is the reference the engine's one
+        // helper (`conv::packed_group_for`) is held to.
         let plane = hw * hw;
-        let group = ((4 * cnn_stack::tensor::NR) / plane).clamp(1, batch);
+        let nc = cnn_stack::tensor::GemmPlan::new(out_c, 3 * 3 * 3, batch * plane).nc;
+        let group = (nc / plane).clamp(1, batch);
         let conv_calls = batch.div_ceil(group) as u64;
         prop_assert_eq!(counter(&m, "gemm.calls"), (conv_calls + 1) * runs as u64);
         prop_assert_eq!(counter(&m, "im2col.calls"), batch as u64 * runs as u64);

@@ -13,7 +13,8 @@ export CARGO_NET_OFFLINE=true
 # under per-kernel error budgets, the registry's own table tests, the
 # transform-ladder fault-injection rungs and a tiny-shape pass through
 # the conv-algo bench harness. The full bench run (which regenerates
-# BENCH_conv.json and enforces the F4 >= 1.3x F2 gate) is manual.
+# BENCH_conv.json and enforces the F4 >= 1.5x im2col-packed gate on
+# VGG-16 conv2_2 at batch 8) is manual.
 #
 # `./ci.sh conv-conformance` runs just this job (fast inner loop for
 # kernel work). The full gate below does not call it: its test
@@ -197,6 +198,16 @@ fi
 # int8 linear kernel were withdrawn, not parked.
 if grep -rnE 'FftConv|ConvAlgorithm::Fft|fft_conv2d|fft_plane_dims|FFT_GFLOPS|Int8Linear|Int8Packed|WeightFormat::Int8|gemm_prepacked_int8|pack_a_i8_into|quantise_scale_i8|INT8_GFLOPS' crates src tests examples; then
   echo "ci: a withdrawn kernel (FFT conv / int8 linear) is back" >&2
+  exit 1
+fi
+
+# Both Winograd tile sizes run one body on the packed engine against a
+# bank the layer keeps as a weight form: the per-tile scalar F(2x2)
+# loop, F(4x4)'s broadcast products, the per-call filter transforms and
+# the scratch sizes that held them stay deleted, as do the per-tile
+# multiply counters `tile_multiply_counts` replaced.
+if grep -rnE 'winograd4_conv2d_into|winograd4_scratch_elems|winograd_scratch_elems|WINOGRAD4_TILE_BLOCK|transform_filter4?\b|transform_input4?\b|transform_output4?\b|WinogradKernel|WINOGRAD4?_GFLOPS|\bmultiply_counts4?\b' crates src tests examples; then
+  echo "ci: a per-call Winograd filter transform or scalar multiply stage is back" >&2
   exit 1
 fi
 

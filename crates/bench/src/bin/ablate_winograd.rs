@@ -4,7 +4,7 @@
 //! layer shapes.
 
 use cnn_stack_bench::{fmt_seconds, render_table};
-use cnn_stack_tensor::winograd::{multiply_counts, winograd_conv2d};
+use cnn_stack_tensor::winograd::{tile_multiply_counts, winograd_conv2d, WinogradTile};
 use cnn_stack_tensor::{gemm, im2col, Conv2dGeometry, Tensor};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -43,7 +43,8 @@ fn main() {
         });
         let t_wino =
             time_it(|| winograd_conv2d(&input, &weights, None, 1).expect("eligible 3x3 layer"));
-        let (muls_direct, muls_wino) = multiply_counts(in_c, out_c, geom.out_h, geom.out_w);
+        let (muls_direct, muls_wino) =
+            tile_multiply_counts(WinogradTile::F2, (in_c, out_c), geom.out_h, geom.out_w);
         rows.push(vec![
             label.to_string(),
             format!("{:.2}x", muls_direct as f64 / muls_wino as f64),

@@ -2,7 +2,7 @@
 //! removable, and what surgery removing one entails.
 
 use cnn_stack_nn::{
-    BatchNorm2d, Conv2d, DepthwiseConv2d, Error, Layer, Linear, Network, ResidualBlock,
+    BatchNorm2d, Conv2d, DepthwiseConv2d, Error, Layer, Linear, Network, Param, ResidualBlock,
 };
 
 /// One group of jointly prunable channels and its consumers.
@@ -247,15 +247,10 @@ impl PruningPlan {
         Ok(match self.group(g)? {
             PruneGroup::ConvToConv { bn, .. }
             | PruneGroup::ConvToDepthwise { bn, .. }
-            | PruneGroup::ConvToLinear { bn, .. } => {
-                try_bn_mut(net, bn)?.gamma().grad.data().to_vec()
+            | PruneGroup::ConvToLinear { bn, .. } => gamma_grad(try_bn_mut(net, bn)?.gamma()),
+            PruneGroup::ResidualInner { block } => {
+                gamma_grad(try_block_mut(net, block)?.bn1_mut().gamma())
             }
-            PruneGroup::ResidualInner { block } => try_block_mut(net, block)?
-                .bn1_mut()
-                .gamma()
-                .grad
-                .data()
-                .to_vec(),
         })
     }
 
@@ -378,6 +373,14 @@ try_downcast!(try_bn, try_bn_mut, BatchNorm2d, "BatchNorm2d");
 try_downcast!(try_dw, try_dw_mut, DepthwiseConv2d, "DepthwiseConv2d");
 try_downcast!(try_linear, try_linear_mut, Linear, "Linear");
 try_downcast!(try_block, try_block_mut, ResidualBlock, "ResidualBlock");
+
+/// A batch norm's `dL/dγ` per channel; zeros before any backward pass
+/// has written a gradient.
+fn gamma_grad(gamma: &Param) -> Vec<f32> {
+    gamma
+        .grad()
+        .map_or_else(|| vec![0.0; gamma.value.len()], |g| g.data().to_vec())
+}
 
 #[cfg(test)]
 mod tests {

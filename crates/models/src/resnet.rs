@@ -122,7 +122,10 @@ mod tests {
         let ones = Tensor::ones(y.shape().dims().to_vec());
         m.network.backward(&ones);
         // Gradients landed on stem conv.
-        let g = m.network.params_mut()[0].grad.norm_sq();
+        let g = m.network.params()[0]
+            .grad()
+            .expect("backward wrote it")
+            .norm_sq();
         assert!(g.is_finite());
     }
 }

@@ -29,7 +29,7 @@
 use crate::layer::{ConvAlgorithm, ExecConfig, Layer, WeightFormat};
 use crate::weights::{Form, Weights};
 use crate::{Conv2d, Linear};
-use cnn_stack_tensor::GemmAlgorithm;
+use cnn_stack_tensor::{GemmAlgorithm, WinogradTile};
 
 /// A kernel: what one conv or linear step executes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -49,12 +49,16 @@ pub enum AlgoChoice {
     /// CSR-labelled layer runs under `conv_algo = Im2col`. Never
     /// proposed.
     CsrIm2col,
-    /// F(2×2, 3×3) Winograd (3×3 stride-1 convolutions only).
+    /// F(2×2, 3×3) Winograd (3×3 stride-1 convolutions only): its 16
+    /// frequency products run on the packed engine against the layer's
+    /// transformed filter bank. Wins where a small plane leaves F(4×4)
+    /// mostly padding (VGG-16's 4×4 planes at batch 8).
     Winograd,
-    /// F(4×4, 3×3) Winograd (3×3 stride-1 convolutions only): 4× fewer
-    /// multiplies than direct at a tiny fixed workspace, so it is the
-    /// budget solver's fastest small-footprint refuge when the packed
-    /// engine's im2col workspace does not fit.
+    /// F(4×4, 3×3) Winograd (3×3 stride-1 convolutions only): 36
+    /// frequency products on the packed engine, 4× fewer multiplies than
+    /// direct. Wins VGG-16's planes of 8×8 and up at batch 8 but only the
+    /// 32×32 one at batch 1: its bank is 4× the weights it replaces, and
+    /// with few tiles streaming it costs more than the multiplies save.
     WinogradF4,
     /// im2col lowering into the packed **ternary** GEMM engine (2-bit
     /// weight codes, transposed product). Value-preserving, so proposed
@@ -149,20 +153,21 @@ impl AlgoChoice {
     #[rustfmt::skip]
     const fn row(self) -> Row {
         use {AlgoChoice as K, ConvAlgorithm as C, GemmAlgorithm as G, WeightFormat as F};
+        use {Form::*, WinogradTile::*};
         let (tag, conv_algo, gemm_algo, format, form, demotes_to) = match self {
-            //                  tag               conv_algo            gemm_algo               label       form read          demotes to
-            K::DirectConv    => ("direct",         Some(C::Direct),     None,                   F::Dense,   None,              None),
-            K::Im2colPacked  => ("im2col-packed",  Some(C::Im2col),     Some(G::Packed),        F::Dense,   Some(Form::Panels), Some(K::Im2colScalar)),
-            K::Im2colScalar  => ("im2col-scalar",  Some(C::Im2col),     Some(G::Blocked),       F::Dense,   None,              None),
-            K::CsrConv       => ("csr",            Some(C::Direct),     None,                   F::Csr,     Some(Form::Csr),   Some(K::DirectConv)),
-            K::CsrIm2col     => ("csr-im2col",     Some(C::Im2col),     None,                   F::Csr,     Some(Form::Csr),   Some(K::Im2colPacked)),
-            K::Winograd      => ("winograd",       Some(C::Winograd),   None,                   F::Dense,   None,              Some(K::Im2colPacked)),
-            K::WinogradF4    => ("winograd-f4",    Some(C::WinogradF4), None,                   F::Dense,   None,              Some(K::Winograd)),
-            K::TernaryConv   => ("im2col-ternary", Some(C::Im2col),     Some(G::TernaryPacked), F::Ternary, Some(Form::Quant), Some(K::Im2colPacked)),
-            K::PackedLinear  => ("gemm-packed",    None,                Some(G::Packed),        F::Dense,   Some(Form::Panels), Some(K::ScalarLinear)),
-            K::ScalarLinear  => ("gemm-scalar",    None,                Some(G::Blocked),       F::Dense,   None,              None),
-            K::CsrLinear     => ("gemm-csr",       None,                None,                   F::Csr,     Some(Form::Csr),   Some(K::PackedLinear)),
-            K::TernaryLinear => ("gemm-ternary",   None,                Some(G::TernaryPacked), F::Ternary, Some(Form::Quant), Some(K::PackedLinear)),
+            //                  tag               conv_algo            gemm_algo               label       form read             demotes to
+            K::DirectConv    => ("direct",         Some(C::Direct),     None,                   F::Dense,   None,                 None),
+            K::Im2colPacked  => ("im2col-packed",  Some(C::Im2col),     Some(G::Packed),        F::Dense,   Some(Panels),         Some(K::Im2colScalar)),
+            K::Im2colScalar  => ("im2col-scalar",  Some(C::Im2col),     Some(G::Blocked),       F::Dense,   None,                 None),
+            K::CsrConv       => ("csr",            Some(C::Direct),     None,                   F::Csr,     Some(Csr),            Some(K::DirectConv)),
+            K::CsrIm2col     => ("csr-im2col",     Some(C::Im2col),     None,                   F::Csr,     Some(Csr),            Some(K::Im2colPacked)),
+            K::Winograd      => ("winograd",       Some(C::Winograd),   None,                   F::Dense,   Some(Winograd(F2)),   Some(K::Im2colPacked)),
+            K::WinogradF4    => ("winograd-f4",    Some(C::WinogradF4), None,                   F::Dense,   Some(Winograd(F4)),   Some(K::Winograd)),
+            K::TernaryConv   => ("im2col-ternary", Some(C::Im2col),     Some(G::TernaryPacked), F::Ternary, Some(Quant),          Some(K::Im2colPacked)),
+            K::PackedLinear  => ("gemm-packed",    None,                Some(G::Packed),        F::Dense,   Some(Panels),         Some(K::ScalarLinear)),
+            K::ScalarLinear  => ("gemm-scalar",    None,                Some(G::Blocked),       F::Dense,   None,                 None),
+            K::CsrLinear     => ("gemm-csr",       None,                None,                   F::Csr,     Some(Csr),            Some(K::PackedLinear)),
+            K::TernaryLinear => ("gemm-ternary",   None,                Some(G::TernaryPacked), F::Ternary, Some(Quant),          Some(K::PackedLinear)),
         };
         Row { tag, conv_algo, gemm_algo, format, form, demotes_to }
     }

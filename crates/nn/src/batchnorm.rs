@@ -298,8 +298,8 @@ impl Layer for BatchNorm2d {
                     dbeta += grad_out.data()[i];
                 }
             }
-            self.gamma.grad.data_mut()[ch] += dgamma;
-            self.beta.grad.data_mut()[ch] += dbeta;
+            self.gamma.grad_mut().data_mut()[ch] += dgamma;
+            self.beta.grad_mut().data_mut()[ch] += dbeta;
             // dX = (gamma/std) * (dY - mean(dY) - xhat * mean(dY*xhat)).
             let k = gamma * inv_stds[ch];
             for img in 0..n {
@@ -461,8 +461,8 @@ mod tests {
         let ones = Tensor::ones(y.shape().dims().to_vec());
         bn.backward(&ones);
         // dbeta = sum(dY) = 8; dgamma = sum(xhat) ≈ 0 for ones upstream.
-        assert!((bn.beta.grad.data()[0] - 8.0).abs() < 1e-4);
-        assert!(bn.gamma.grad.data()[0].abs() < 1e-3);
+        assert!((bn.beta.grad().unwrap().data()[0] - 8.0).abs() < 1e-4);
+        assert!(bn.gamma.grad().unwrap().data()[0].abs() < 1e-3);
     }
 
     #[test]

@@ -9,34 +9,20 @@ use cnn_stack_parallel::DisjointWriter;
 use cnn_stack_tensor::init::{initialise, Init};
 use cnn_stack_tensor::{
     col2im, gemm, im2col, im2col_into, ops, pack_b_im2col_batch_into, pack_b_im2col_into,
-    winograd4_conv2d_into, winograd4_scratch_elems, winograd_conv2d_into, winograd_scratch_elems,
-    Conv2dGeometry, GemmAlgorithm, GemmPlan, KernelError, Tensor,
+    winograd_conv2d_into, Conv2dGeometry, GemmAlgorithm, GemmPlan, Tensor, WinogradGeometry,
+    WinogradTile,
 };
-
-/// Signature the two Winograd kernels share.
-type WinogradKernel = fn(
-    &[f32],
-    usize,
-    usize,
-    usize,
-    usize,
-    &[f32],
-    usize,
-    Option<&[f32]>,
-    usize,
-    &mut [f32],
-    &mut [f32],
-) -> Result<(), KernelError>;
 
 /// A standard (grouped-by-1) 2-D convolution layer.
 ///
 /// The layer owns dense master weights of shape `[out_c, in_c, k, k]`;
 /// [`set_format`](Conv2d::set_format) labels how inference stores them
 /// (the paper's format layer), and the storage forms derived from the
-/// master — CSR, packed GEMM panels, ternary codes — are built on first
-/// use and dropped by every route that can change the master. Both the
-/// direct and the im2col algorithms are implemented for dense and CSR
-/// storage; training (backward) always runs on the dense master.
+/// master — CSR, packed GEMM panels, ternary codes, Winograd filter
+/// banks — are built on first use and dropped by every route that can
+/// change the master. Both the direct and the im2col algorithms are
+/// implemented for dense and CSR storage; training (backward) always
+/// runs on the dense master.
 ///
 /// # Example
 ///
@@ -314,6 +300,23 @@ impl Conv2d {
     /// of 64 to 1024 columns; so the group stops at the chunk.
     fn packed_group(&self, geom: &Conv2dGeometry, n: usize) -> usize {
         packed_group_for(self.out_channels, geom.patch_len(), geom.out_positions(), n)
+    }
+
+    /// The Winograd convolution of `n` images of `h × w` on `tile`.
+    fn winograd_geometry(
+        &self,
+        tile: WinogradTile,
+        n: usize,
+        h: usize,
+        w: usize,
+    ) -> WinogradGeometry {
+        WinogradGeometry::new(
+            tile,
+            (n, self.in_channels, h, w),
+            self.out_channels,
+            self.padding,
+        )
+        .expect("resolve checked eligibility")
     }
 
     /// Workspace floats of the packed f32 kernel: the packed-B panels
@@ -691,12 +694,13 @@ impl Conv2d {
         }
     }
 
-    /// Winograd evaluation into caller buffers through `kernel` — the
-    /// F(4×4) or the F(2×2) transform — plus the fused-ReLU epilogue.
+    /// Winograd evaluation on `tile` against the layer's transformed
+    /// filter bank, with the bias and the fused ReLU applied in the
+    /// output transform.
     #[allow(clippy::too_many_arguments)]
     fn eval_winograd_into(
         &self,
-        kernel: WinogradKernel,
+        tile: WinogradTile,
         in_data: &[f32],
         n: usize,
         h: usize,
@@ -705,25 +709,18 @@ impl Conv2d {
         scratch: &mut [f32],
         cfg: &ExecConfig,
     ) {
-        kernel(
+        winograd_conv2d_into(
+            &self.winograd_geometry(tile, n, h, w),
             in_data,
-            n,
-            self.in_channels,
-            h,
-            w,
-            self.weight().value.data(),
-            self.out_channels,
+            self.weights.winograd_bank(tile),
             Some(self.bias.value.data()),
-            self.padding,
+            cfg.epilogue(),
             out,
             scratch,
+            cfg.threads,
+            cfg.schedule,
         )
         .expect("resolve checked eligibility");
-        if cfg.fused_relu {
-            for v in out.iter_mut() {
-                *v = v.max(0.0);
-            }
-        }
     }
 }
 
@@ -885,7 +882,7 @@ impl Layer for Conv2d {
             let cols_t = ops::transpose(&cols);
             let dw = cnn_stack_tensor::matmul(&dy, &cols_t);
             debug_assert_eq!(dw.len(), self.out_channels * row);
-            self.weights.master_mut().grad.axpy(
+            self.weights.master_mut().grad_mut().axpy(
                 1.0,
                 &dw.reshape([
                     self.out_channels,
@@ -897,7 +894,7 @@ impl Layer for Conv2d {
             // db += rowsum(dY)
             for o in 0..self.out_channels {
                 let s: f32 = dy.data()[o * plane..(o + 1) * plane].iter().sum();
-                self.bias.grad.data_mut()[o] += s;
+                self.bias.grad_mut().data_mut()[o] += s;
             }
             // dX = col2im(Wᵀ · dY)
             let dcols = cnn_stack_tensor::matmul(&wmat_t, &dy);
@@ -950,7 +947,9 @@ impl Layer for Conv2d {
 
     fn forward_scratch_elems(&self, input_shape: &[usize], cfg: &ExecConfig) -> usize {
         use AlgoChoice as K;
-        let geom = self.geometry(input_shape[2], input_shape[3]);
+        let (n, h, w) = (input_shape[0], input_shape[2], input_shape[3]);
+        let geom = self.geometry(h, w);
+        let winograd = |tile| self.winograd_geometry(tile, n, h, w).scratch_elems();
         // The bound is a function of (label, cfg, geometry) only: weight
         // values can change under a compiled plan, so a quantised cfg is
         // sized as if the code form its label allows existed, and that
@@ -958,12 +957,12 @@ impl Layer for Conv2d {
         match algo::resolve(self.shape(), self.format(), cfg, || true) {
             K::DirectConv | K::CsrConv => 0,
             K::Im2colScalar | K::CsrIm2col => self.im2col_scratch_elems(&geom),
-            K::Winograd => winograd_scratch_elems(self.in_channels, self.out_channels),
-            K::WinogradF4 => winograd4_scratch_elems(self.in_channels, self.out_channels),
-            K::Im2colPacked => self.packed_scratch_elems(&geom, input_shape[0]),
+            K::Winograd => winograd(WinogradTile::F2),
+            K::WinogradF4 => winograd(WinogradTile::F4),
+            K::Im2colPacked => self.packed_scratch_elems(&geom, n),
             // The im2col matrix, its transposed A-panels, and the
             // `[positions × out_c]` Outᵀ buffer.
-            K::TernaryConv => self.packed_scratch_elems(&geom, input_shape[0]).max(
+            K::TernaryConv => self.packed_scratch_elems(&geom, n).max(
                 self.im2col_scratch_elems(&geom)
                     + self.ternary_plan(&geom).packed_a_elems()
                     + geom.out_positions() * self.out_channels,
@@ -1031,10 +1030,10 @@ impl Layer for Conv2d {
             K::CsrConv => self.eval_csr_direct_into(input, n, &geom, out, cfg),
             K::CsrIm2col => self.eval_csr_im2col_into(input, n, &geom, out, scratch, cfg),
             K::Winograd => {
-                self.eval_winograd_into(winograd_conv2d_into, input, n, h, w, out, scratch, cfg)
+                self.eval_winograd_into(WinogradTile::F2, input, n, h, w, out, scratch, cfg)
             }
             K::WinogradF4 => {
-                self.eval_winograd_into(winograd4_conv2d_into, input, n, h, w, out, scratch, cfg)
+                self.eval_winograd_into(WinogradTile::F4, input, n, h, w, out, scratch, cfg)
             }
             K::TernaryConv => {
                 let ternary = self
@@ -1256,7 +1255,7 @@ mod tests {
         let y = conv.forward(&x, Phase::Train, &cfg);
         let ones = Tensor::ones(y.shape().dims().to_vec());
         conv.backward(&ones);
-        let analytic = conv.weight().grad.clone();
+        let analytic = conv.weight().grad().expect("backward wrote it").clone();
         let eps = 1e-3;
         for &i in &[0usize, 5, 17, 30, analytic.len() - 1] {
             let orig = conv.weight().value.data()[i];
@@ -1307,7 +1306,7 @@ mod tests {
         let ones = Tensor::ones(y.shape().dims().to_vec());
         conv.backward(&ones);
         // dL/db_o = number of output positions summed = 2 images * 16.
-        assert!((conv.bias.grad.data()[0] - 32.0).abs() < 1e-4);
+        assert!((conv.bias.grad().unwrap().data()[0] - 32.0).abs() < 1e-4);
     }
 
     #[test]

@@ -184,7 +184,7 @@ impl Layer for DepthwiseConv2d {
                 let x_plane = &input.data()[base_in..base_in + plane_in];
                 let dy = &grad_out.data()[base_out..base_out + plane_out];
                 // Bias gradient.
-                self.bias.grad.data_mut()[c] += dy.iter().sum::<f32>();
+                self.bias.grad_mut().data_mut()[c] += dy.iter().sum::<f32>();
                 for kh in 0..k {
                     for kw in 0..k {
                         let mut dw = 0.0;
@@ -204,7 +204,7 @@ impl Layer for DepthwiseConv2d {
                                     g * wdata[c * kk + kh * k + kw];
                             }
                         }
-                        self.weight.grad.data_mut()[c * kk + kh * k + kw] += dw;
+                        self.weight.grad_mut().data_mut()[c * kk + kh * k + kw] += dw;
                     }
                 }
             }
@@ -342,7 +342,10 @@ mod tests {
             let lm = dw.forward(&x, Phase::Eval, &cfg).sum();
             dw.weight.value.data_mut()[i] = orig;
             let fd = (lp - lm) / (2.0 * eps);
-            assert!((fd - dw.weight.grad.data()[i]).abs() < 2e-2, "dW[{i}]");
+            assert!(
+                (fd - dw.weight.grad().unwrap().data()[i]).abs() < 2e-2,
+                "dW[{i}]"
+            );
         }
         // Input gradient.
         for &i in &[0usize, 10, 25, 31] {

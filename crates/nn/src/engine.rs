@@ -1614,9 +1614,15 @@ mod tests {
             };
             let expected = net.forward(&x, Phase::Eval, &cfg);
             let plan = InferencePlan::compile(&net, x.shape().dims(), &cfg).unwrap();
+            let wino = cnn_stack_tensor::WinogradGeometry::new(
+                cnn_stack_tensor::WinogradTile::F2,
+                (3, 3, 8, 8),
+                6,
+                1,
+            );
             assert_eq!(
                 plan.steps()[0].workspace_elems,
-                cnn_stack_tensor::winograd_scratch_elems(3, 6)
+                wino.unwrap().scratch_elems()
             );
             let mut session = InferenceSession::new(&mut net, plan).unwrap();
             assert_eq!(session.chunks.len(), threads.min(3));

@@ -247,12 +247,19 @@ impl Default for ExecConfig {
 }
 
 /// A trainable parameter: value plus gradient accumulator.
+///
+/// The accumulator is allocated by the first backward pass that writes
+/// it, not with the value: a model that only ever runs inference — every
+/// compiled session, every served replica — holds no gradient buffer.
+/// Until then the gradient reads as absent, which every consumer treats
+/// as zero.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Param {
     /// Current value.
     pub value: Tensor,
-    /// Gradient accumulated by the most recent backward pass(es).
-    pub grad: Tensor,
+    /// Gradient accumulated by the backward passes since the last
+    /// [`zero_grad`](Param::zero_grad); `None` until one writes it.
+    grad: Option<Tensor>,
     /// Optional binary mask; wherever the mask is zero the value is pinned
     /// to zero (weight pruning keeps masks so fine-tuning cannot revive
     /// pruned weights).
@@ -260,19 +267,40 @@ pub struct Param {
 }
 
 impl Param {
-    /// Wraps a value tensor with a zeroed gradient and no mask.
+    /// Wraps a value tensor with no gradient buffer and no mask.
     pub fn new(value: Tensor) -> Self {
-        let grad = Tensor::zeros(value.shape().dims().to_vec());
         Param {
             value,
-            grad,
+            grad: None,
             mask: None,
         }
     }
 
-    /// Zeroes the gradient accumulator.
+    /// The accumulated gradient; `None` (read: zero) before any backward
+    /// pass has written one.
+    pub fn grad(&self) -> Option<&Tensor> {
+        self.grad.as_ref()
+    }
+
+    /// The gradient accumulator for writing, allocated zeroed on first
+    /// use: the route by which backward passes accumulate.
+    pub fn grad_mut(&mut self) -> &mut Tensor {
+        let shape = self.value.shape();
+        self.grad
+            .get_or_insert_with(|| Tensor::zeros(shape.dims().to_vec()))
+    }
+
+    /// The value to update and the gradient to update it by, borrowed
+    /// together (an optimiser step reads one while writing the other).
+    pub fn value_and_grad(&mut self) -> (&mut Tensor, Option<&Tensor>) {
+        (&mut self.value, self.grad.as_ref())
+    }
+
+    /// Zeroes the gradient accumulator; a no-op while there is none.
     pub fn zero_grad(&mut self) {
-        self.grad.fill(0.0);
+        if let Some(grad) = &mut self.grad {
+            grad.fill(0.0);
+        }
     }
 
     /// Re-applies the mask to the value (a no-op without a mask).
@@ -488,9 +516,14 @@ mod tests {
     #[test]
     fn param_zero_grad() {
         let mut p = Param::new(Tensor::ones([3]));
-        p.grad.fill(5.0);
         p.zero_grad();
-        assert_eq!(p.grad.sum(), 0.0);
+        assert!(
+            p.grad().is_none(),
+            "zeroing an absent gradient allocates nothing"
+        );
+        p.grad_mut().fill(5.0);
+        p.zero_grad();
+        assert_eq!(p.grad().map(Tensor::sum), Some(0.0));
     }
 
     #[test]

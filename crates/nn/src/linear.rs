@@ -317,10 +317,10 @@ impl Layer for Linear {
         // dW += dYᵀ · X ; db += colsum(dY) ; dX = dY · W.
         let dy_t = ops::transpose(grad_out);
         let dw = cnn_stack_tensor::matmul(&dy_t, &input);
-        self.weights.master_mut().grad.axpy(1.0, &dw);
+        self.weights.master_mut().grad_mut().axpy(1.0, &dw);
         for b in 0..batch {
             for o in 0..self.out_features {
-                self.bias.grad.data_mut()[o] += grad_out.data()[b * self.out_features + o];
+                self.bias.grad_mut().data_mut()[o] += grad_out.data()[b * self.out_features + o];
             }
         }
         cnn_stack_tensor::matmul(grad_out, &self.weight().value)
@@ -523,7 +523,10 @@ mod tests {
             let lm = fc.forward(&x, Phase::Eval, &cfg).sum();
             fc.weight_mut().value.data_mut()[i] = orig;
             let fd = (lp - lm) / (2.0 * eps);
-            assert!((fd - fc.weight().grad.data()[i]).abs() < 1e-2, "dW[{i}]");
+            assert!(
+                (fd - fc.weight().grad().unwrap().data()[i]).abs() < 1e-2,
+                "dW[{i}]"
+            );
         }
         for &i in &[0usize, 3, 7] {
             let mut xp = x.clone();
@@ -536,7 +539,7 @@ mod tests {
             assert!((fd - dx.data()[i]).abs() < 1e-2, "dX[{i}]");
         }
         // Bias gradient: batch size.
-        assert!((fc.bias.grad.data()[0] - 2.0).abs() < 1e-5);
+        assert!((fc.bias.grad().unwrap().data()[0] - 2.0).abs() < 1e-5);
     }
 
     #[test]

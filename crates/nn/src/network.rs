@@ -383,8 +383,9 @@ mod tests {
             losses.push(loss);
             net.backward(&dlogits);
             for p in net.params_mut() {
-                let g = p.grad.clone();
-                p.value.axpy(-0.05, &g);
+                if let Some(g) = p.grad().cloned() {
+                    p.value.axpy(-0.05, &g);
+                }
             }
         }
         assert!(

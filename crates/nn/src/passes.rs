@@ -73,7 +73,7 @@ use crate::layer::{ExecConfig, Phase, WeightFormat};
 use crate::liveness::{MemoryFootprint, StepExtent};
 use crate::network::Network;
 use crate::weights::Weights;
-use cnn_stack_tensor::Tensor;
+use cnn_stack_tensor::{winograd_bank_elems, Tensor, WinogradGeometry, WinogradTile};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
@@ -302,13 +302,12 @@ impl PlanPass for FoldAndFuse {
 // ~1.8. CSR pays per-nonzero index chasing (~1.2 GFLOP/s dense-equivalent
 // on its stored nonzeros), which reproduces the paper's §V finding that
 // sparse formats only win at extreme sparsity: against the packed engine
-// the crossover density is ≈ 1.2/54 ≈ 2%. The Winograd number prices the
-// current per-tile scalar transform — the 2.25× MAC reduction does not
-// survive it, so F(2×2) loses to the packed engine on every paper shape.
+// the crossover density is ≈ 1.2/54 ≈ 2%. Both Winograd rows run their
+// frequency products on the packed engine and are priced with its
+// anchors (see the Winograd arm of `predicted_seconds`).
 const PACKED_GFLOPS: f64 = 54.0;
 const SCALAR_GFLOPS: f64 = 1.8;
 const SPARSE_GFLOPS: f64 = 1.2;
-const WINOGRAD_GFLOPS: f64 = 0.9;
 // The ternary micro-kernel runs the same FMA ladder as the f32 kernel
 // with a per-step decode prologue (2-bit shift/permute select); the
 // anchor prices that overhead. Its wins come from the traffic terms
@@ -316,19 +315,17 @@ const WINOGRAD_GFLOPS: f64 = 0.9;
 // convolution, from moving a tiny output plane off the NR-padded column
 // dimension — both modelled explicitly.
 const TERNARY_GFLOPS: f64 = 48.0;
-// F(4×4, 3×3) executes 4× fewer multiplies per output than direct and
-// runs them as tile-blocked frequency-wise GEMMs (BENCH_conv.json:
-// ~5 GFLOP/s on the multiply count across the VGG shapes), so its
-// anchor sits well above the per-tile scalar F(2×2) loop while staying
-// far below the packed im2col engine. Both Winograd rows are charged
-// for whole tiles and for the transformed-filter bank they rebuild every
-// call, so neither wins a plane smaller than its tile: on VGG-16's 2×2
-// conv5 plane at batch 1, F(4×4) measures 15× slower than the packed
-// engine.
-const WINOGRAD4_GFLOPS: f64 = 4.0;
-/// Streaming bandwidth charged for building/packing the im2col matrix
-/// and for weight-panel traffic.
+/// Streaming bandwidth charged for building/packing the im2col matrix,
+/// for weight-panel and Winograd-bank traffic and for the Winograd
+/// transforms.
 const PACK_BYTES_PER_SEC: f64 = 4.0e9;
+/// Weight of a Winograd bank byte against a weight-panel byte. Measured
+/// in whole VGG-16 sessions, where every run evicts it, a bank's α²
+/// operands stream at about two thirds of the rate im2col's single
+/// weight stream sustains beside its products: at batch 1 conv3_1's
+/// F(2×2) step streams its 2.1 MB bank in 0.35 ms, the im2col step its
+/// 1.2 MB of panels in 0.27 ms.
+const BANK_STREAM_COST: f64 = 1.5;
 
 /// FLOPs the packed tile grid actually executes for an `[m × k]·[k × n]`
 /// product: ragged edges run whole micro-kernels on zero-padded lanes,
@@ -439,21 +436,37 @@ fn predicted_seconds(op: &IrOp, choice: AlgoChoice) -> f64 {
             else {
                 return f64::INFINITY;
             };
-            // F(t×t, 3×3): (t + 2)² multiplies per t² outputs.
-            let (t, gflops) = if choice == AlgoChoice::Winograd {
-                (2, WINOGRAD_GFLOPS)
+            let tile = if choice == AlgoChoice::Winograd {
+                WinogradTile::F2
             } else {
-                (4, WINOGRAD4_GFLOPS)
+                WinogradTile::F4
             };
-            let taps = (t + 2) * (t + 2);
-            let saving = (9 * t * t) as f64 / taps as f64;
-            // Edge tiles run whole: a 2×2 plane costs F(4×4) a full tile.
-            let tiles = geom.out_h.div_ceil(t) * geom.out_w.div_ceil(t);
-            let round_up = (tiles * t * t) as f64 / geom.out_positions() as f64;
-            // The transformed filter bank is rebuilt (written, then
-            // streamed by the multiply stage) every call.
-            let filter_traffic = (taps * out_channels * geom.in_channels * 4) as f64;
-            flops / saving * round_up / (gflops * 1e9) + filter_traffic / PACK_BYTES_PER_SEC
+            let Ok(wino) = WinogradGeometry::new(
+                tile,
+                (batch, geom.in_channels, geom.in_h, geom.in_w),
+                *out_channels,
+                geom.padding,
+            ) else {
+                return f64::INFINITY;
+            };
+            let (ic, oc, freqs) = (geom.in_channels, *out_channels, tile.frequencies());
+            // Per chunk of tiles: α² products on the packed engine
+            // (whole tiles, tile-padded panels) and one pass over the
+            // bank, which is 4× (F(4×4)) or 1.78× (F(2×2)) the weights —
+            // on a 2×2 plane F(4×4) multiplies a whole 4×4 tile for a
+            // quarter of one, and on a small batch streaming the bank
+            // outweighs the multiplies it saves.
+            let (tiles, chunk) = (wino.tiles(), wino.chunk_tiles());
+            let products: f64 = (0..tiles)
+                .step_by(chunk)
+                .map(|t0| freqs as f64 * tile_padded_flops(oc, ic, chunk.min(tiles - t0), true))
+                .sum();
+            let bank = winograd_bank_elems(tile, ic, oc) * 4;
+            let bank_traffic = BANK_STREAM_COST * (tiles.div_ceil(chunk) * bank) as f64;
+            // The transforms: every tile's α² frequencies of every input
+            // channel into the products, and of every output channel out.
+            let transforms = (freqs * (ic + oc) * tiles * 4) as f64;
+            products / (PACKED_GFLOPS * 1e9) + (bank_traffic + transforms) / PACK_BYTES_PER_SEC
         }
         AlgoChoice::CsrConv | AlgoChoice::CsrIm2col | AlgoChoice::CsrLinear => {
             let density = match &op.kind {
@@ -631,7 +644,9 @@ fn op_extent(net: &Network, op: &IrOp) -> Result<StepExtent, Error> {
 /// packed falls back towards Winograd/direct, packed linear towards
 /// blocked), recomputes the coloured peak each move would produce, and
 /// applies the move with the lowest resulting peak, breaking ties
-/// towards the smallest predicted slowdown. When every op sits at its
+/// towards the smallest predicted slowdown. Once the plan fits, demotions
+/// the budget turns out not to need are handed back, largest predicted
+/// saving first. When every op sits at its
 /// smallest workspace and the plan still exceeds the budget, the floor
 /// selection is left applied and the caller's admission check reports
 /// [`PlanError::BudgetInfeasible`] with that floor as the smallest
@@ -690,6 +705,7 @@ fn fit_budget(ctx: &mut PassContext, budget_bytes: usize) -> Result<(), Error> {
         tables.push(table);
         selected.push(init);
     }
+    let init_of = selected.clone();
 
     loop {
         let extents: Vec<StepExtent> = tables
@@ -728,6 +744,39 @@ fn fit_budget(ctx: &mut PassContext, budget_bytes: usize) -> Result<(), Error> {
             // caller's admission check reports the floor.
             break;
         };
+        selected[i] = j;
+    }
+
+    // Undo what the budget no longer needs. A round whose every move
+    // leaves the peak where it was still takes one, so the loop can end
+    // with demotions that saved nothing. While the plan fits, hand back
+    // the largest predicted saving: a demoted op's fastest candidate
+    // between its starting one and its current one that still fits.
+    loop {
+        let extents: Vec<StepExtent> = tables
+            .iter()
+            .zip(&selected)
+            .map(|(t, &j)| t[j].extent)
+            .collect();
+        if peak_bytes(&extents) > budget_bytes {
+            break;
+        }
+        let mut best: Option<(usize, usize, f64)> = None;
+        for (i, table) in tables.iter().enumerate() {
+            let init = init_of[i];
+            let Some(j) = (init..selected[i]).find(|&j| {
+                let mut trial = extents.clone();
+                trial[i] = table[j].extent;
+                peak_bytes(&trial) <= budget_bytes
+            }) else {
+                continue;
+            };
+            let saved = table[selected[i]].secs - table[j].secs;
+            if best.is_none_or(|(_, _, bs)| saved > bs) {
+                best = Some((i, j, saved));
+            }
+        }
+        let Some((i, j, _)) = best else { break };
         selected[i] = j;
     }
 
@@ -1083,9 +1132,11 @@ mod tests {
 
     #[test]
     fn selection_picks_packed_for_dense_and_csr_for_extreme_sparsity() {
-        // out_c of 16 keeps the dense layer on the packed engine: below
-        // ~12 output channels the F(4×4) candidate's multiply saving
-        // outweighs the pack-bandwidth term and wins the stem instead.
+        // out_c of 16 keeps the dense stem on the packed engine: per
+        // tile F(4×4) moves 36·(in_c + out_c) transformed values where
+        // im2col packs 27 per output, so below ~12 output channels the
+        // transforms are the cheaper traffic and F(4×4) wins the stem
+        // instead.
         let mut net = Network::new(vec![
             Box::new(Conv2d::new(3, 16, 3, 1, 1, 2)),
             Box::new(Conv2d::new(16, 16, 3, 1, 1, 3)),

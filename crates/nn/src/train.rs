@@ -117,13 +117,15 @@ impl Sgd {
                 .collect();
         }
         for (param, vel) in params.into_iter().zip(&mut self.velocity) {
-            // v = m*v + g + wd*w ; w -= lr * v.
-            let n = param.value.len();
-            for i in 0..n {
-                let g = param.grad.data()[i] + self.weight_decay * param.value.data()[i];
+            // v = m*v + g + wd*w ; w -= lr * v. A parameter no backward
+            // pass reached has a zero gradient.
+            let (value, grad) = param.value_and_grad();
+            let grad = grad.map(Tensor::data);
+            for i in 0..value.len() {
+                let g = grad.map_or(0.0, |g| g[i]) + self.weight_decay * value.data()[i];
                 let v = self.momentum * vel.data()[i] + g;
                 vel.data_mut()[i] = v;
-                param.value.data_mut()[i] -= self.lr * v;
+                value.data_mut()[i] -= self.lr * v;
             }
             param.apply_mask();
         }
@@ -307,11 +309,11 @@ mod tests {
         // momentum variant must move farther on the second step.
         let w0 = n.params_mut()[0].value.data()[0];
         for p in n.params_mut() {
-            p.grad.fill(1.0);
+            p.grad_mut().fill(1.0);
         }
         plain.step(&mut n);
         for p in n.params_mut() {
-            p.grad.fill(1.0);
+            p.grad_mut().fill(1.0);
         }
         plain.step(&mut n);
         let plain_dist = (n.params_mut()[0].value.data()[0] - w0).abs();
@@ -319,11 +321,11 @@ mod tests {
         let mut n2 = net();
         let w0b = n2.params_mut()[0].value.data()[0];
         for p in n2.params_mut() {
-            p.grad.fill(1.0);
+            p.grad_mut().fill(1.0);
         }
         with_m.step(&mut n2);
         for p in n2.params_mut() {
-            p.grad.fill(1.0);
+            p.grad_mut().fill(1.0);
         }
         with_m.step(&mut n2);
         let mom_dist = (n2.params_mut()[0].value.data()[0] - w0b).abs();

@@ -1,11 +1,12 @@
 //! The one owner of a layer's weights and everything derived from them.
 //!
 //! [`Conv2d`](crate::Conv2d) and [`Linear`](crate::Linear) keep a dense
-//! master [`Param`], a [`WeightFormat`] label, and up to three storage
-//! forms *derived* from that pair — a CSR matrix, packed f32 GEMM
-//! panels, quantised code panels — plus two facts about the master that
-//! each cost a pass over it (its non-zero count, whether it is exactly
-//! ternary). A derived form or fact is a function of `(master,
+//! master [`Param`], a [`WeightFormat`] label, and storage forms
+//! *derived* from that pair — a CSR matrix, packed f32 GEMM panels,
+//! quantised code panels, a Winograd filter bank per tile size — plus
+//! two facts about the master that each cost a pass over it (its
+//! non-zero count, whether it is exactly ternary). A derived form or
+//! fact is a function of `(master,
 //! format)`, never state kept beside them:
 //!
 //! * the only `&mut` routes to the master or the label —
@@ -26,7 +27,9 @@
 use crate::layer::{Layer, Param, WeightFormat};
 use crate::{Conv2d, Linear};
 use cnn_stack_sparse::CsrMatrix;
-use cnn_stack_tensor::{gemm, AlignedBuf, GemmPlan, Tensor};
+use cnn_stack_tensor::{
+    gemm, pack_winograd_bank_into, winograd_bank_elems, AlignedBuf, GemmPlan, Tensor, WinogradTile,
+};
 use std::sync::{Arc, OnceLock};
 
 /// Which GEMM operand a layer's f32 panels are: convolution multiplies
@@ -38,12 +41,23 @@ pub(crate) enum PanelOperand {
     BTransposed,
 }
 
-/// One of the three derived storage forms.
+/// One of the derived storage forms.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum Form {
     Csr,
     Panels,
     Quant,
+    /// The transformed filter bank of a 3×3 convolution: one A-packed
+    /// `out_c × in_c` operand per frequency of the tile.
+    Winograd(WinogradTile),
+}
+
+/// Slot of a tile's bank in [`Derived::winograd`].
+fn bank_slot(tile: WinogradTile) -> usize {
+    match tile {
+        WinogradTile::F2 => 0,
+        WinogradTile::F4 => 1,
+    }
 }
 
 /// Ternary code panels of the `Wᵀ` B operand — 2-bit sign codes (see
@@ -77,13 +91,18 @@ struct Derived {
     csr: OnceLock<Arc<CsrMatrix>>,
     panels: OnceLock<Arc<AlignedBuf>>,
     quant: OnceLock<Option<QuantPanels>>,
+    /// Winograd banks, F(2×2) then F(4×4): the tile is a config choice,
+    /// not a label, so a demotion from one to the other rebuilds nothing
+    /// else.
+    winograd: [OnceLock<Arc<AlignedBuf>>; 2],
     nnz: OnceLock<usize>,
     ternary: OnceLock<Option<(f32, f32)>>,
 }
 
 impl Derived {
     /// Buffer address of each built form: identity, not content.
-    fn addresses(&self) -> [Option<usize>; 3] {
+    fn addresses(&self) -> [Option<usize>; 5] {
+        let bank = |slot: &OnceLock<Arc<AlignedBuf>>| slot.get().map(|a| Arc::as_ptr(a) as usize);
         [
             self.csr.get().map(|a| Arc::as_ptr(a) as usize),
             self.panels.get().map(|a| Arc::as_ptr(a) as usize),
@@ -91,6 +110,8 @@ impl Derived {
                 .get()
                 .and_then(Option::as_ref)
                 .map(|q| Arc::as_ptr(&q.codes) as usize),
+            bank(&self.winograd[0]),
+            bank(&self.winograd[1]),
         ]
     }
 }
@@ -104,8 +125,9 @@ pub struct WeightStorage {
     /// Address of the master parameter.
     pub master: usize,
     /// Address of each resident derived form — CSR, f32 panels, code
-    /// panels, in that order — or `None` where none is built.
-    pub forms: [Option<usize>; 3],
+    /// panels, the F(2×2) and the F(4×4) Winograd bank, in that order —
+    /// or `None` where none is built.
+    pub forms: [Option<usize>; 5],
 }
 
 /// Scans a weight slice for exact ternary structure: at most one
@@ -288,6 +310,20 @@ impl Weights {
         })
     }
 
+    /// The Winograd bank of `tile`, transformed from the master (a
+    /// `[out_c, in_c, 3, 3]` convolution) straight into its packed
+    /// operands. Like the f32 panels it does not depend on the input
+    /// shape, so one build serves every batch.
+    pub(crate) fn winograd_bank(&self, tile: WinogradTile) -> &[f32] {
+        self.derived.winograd[bank_slot(tile)].get_or_init(|| {
+            let (out_c, cols) = self.matrix_extents();
+            let in_c = cols / 9;
+            let mut bank = AlignedBuf::zeroed(winograd_bank_elems(tile, in_c, out_c));
+            pack_winograd_bank_into(tile, self.master.value.data(), out_c, in_c, &mut bank);
+            Arc::new(bank)
+        })
+    }
+
     /// The code form, if the label asks for it and the master has one.
     fn quant(&self) -> Option<&QuantPanels> {
         self.derived
@@ -342,6 +378,11 @@ impl Weights {
                 self.derived.quant = built.quant;
                 self.quant();
             }
+            Some(Form::Winograd(tile)) => {
+                let (slot, mut banks) = (bank_slot(tile), built.winograd);
+                self.derived.winograd[slot] = std::mem::take(&mut banks[slot]);
+                self.winograd_bank(tile);
+            }
             None => {}
         }
     }
@@ -356,15 +397,25 @@ mod tests {
         Weights::new(Param::new(value), operand)
     }
 
+    /// A 2 → 5 channel 3×3 convolution's weights: every form, the
+    /// Winograd banks included, can be built from them.
+    fn conv_weights() -> Weights {
+        let value = Tensor::from_fn([5, 2, 3, 3], |i| (i as f32 * 0.37).sin());
+        Weights::new(Param::new(value), PanelOperand::A)
+    }
+
     #[test]
     fn every_mut_route_drops_every_form() {
-        let mut w = weights(0.0, PanelOperand::A);
+        let mut w = conv_weights();
         let warm = |w: &mut Weights| {
             w.csr();
             w.panels();
+            w.winograd_bank(WinogradTile::F2);
+            w.winograd_bank(WinogradTile::F4);
             w.nnz();
             w.ternary_magnitudes();
-            assert!(!w.is_cold());
+            let forms = w.storage().forms;
+            assert!(forms[..2].iter().chain(&forms[3..]).all(Option::is_some));
         };
         let cold = |w: &Weights| {
             w.is_cold() && w.derived.nnz.get().is_none() && w.derived.ternary.get().is_none()
@@ -373,7 +424,7 @@ mod tests {
         let _ = w.master_mut();
         assert!(cold(&w));
         warm(&mut w);
-        w.replace(Tensor::zeros([4, 7]));
+        w.replace(Tensor::zeros([4, 2, 3, 3]));
         assert!(cold(&w));
         warm(&mut w);
         w.set_format(WeightFormat::Csr);
@@ -461,12 +512,24 @@ mod tests {
 
     #[test]
     fn prepare_keeps_exactly_one_form() {
-        let mut w = weights(0.0, PanelOperand::A);
+        let mut w = conv_weights();
         w.csr();
         w.nnz();
         w.ternary_magnitudes();
         w.prepare(Some(Form::Panels));
         assert!(w.derived.csr.get().is_none() && w.derived.panels.get().is_some());
+        // A bank is one form like any other, and a tile's bank is not
+        // the other tile's.
+        w.winograd_bank(WinogradTile::F2);
+        let f4 = w.winograd_bank(WinogradTile::F4).as_ptr();
+        w.prepare(Some(Form::Winograd(WinogradTile::F4)));
+        let forms = w.storage().forms;
+        assert_eq!(forms[..4], [None; 4]);
+        assert_eq!(
+            w.winograd_bank(WinogradTile::F4).as_ptr(),
+            f4,
+            "kept, not rebuilt"
+        );
         w.prepare(None);
         assert!(w.is_cold());
         let facts = w.derived.nnz.get().is_some() && w.derived.ternary.get().is_some();
@@ -481,6 +544,16 @@ mod tests {
         let mut replica = source.replica();
         assert_eq!(replica.storage(), source.storage());
         assert_eq!(replica.derived.nnz.get(), Some(&34));
+
+        // So does a bank, until that side's master is written.
+        let conv = conv_weights();
+        conv.winograd_bank(WinogradTile::F4);
+        let mut twin = conv.replica();
+        assert_eq!(twin.storage(), conv.storage());
+        assert!(twin.storage().forms[4].is_some());
+        twin.master_mut().value.fill(0.5);
+        assert_eq!(twin.storage().forms, [None; 5]);
+        assert!(conv.storage().forms[4].is_some());
 
         // A relabel is per replica: it drops that side's forms only and
         // copies nothing.

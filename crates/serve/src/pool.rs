@@ -124,8 +124,8 @@ impl LadderTemplate {
         for &batch in &cfg.ladder_sizes() {
             // Under a memory envelope each rung compiles against its
             // proportional share, and the conv override is released so
-            // the budget solver may demote layers (the cost model picks
-            // im2col+packed anyway wherever the share allows it).
+            // the budget solver may demote layers (wherever the share
+            // allows it, each layer runs the cost model's own pick).
             let exec = match cfg.rung_budget(batch) {
                 Some(budget) => cnn_stack_nn::ExecConfig {
                     conv_algo: cnn_stack_nn::ExecConfig::serial().conv_algo,
@@ -351,6 +351,23 @@ pub(crate) mod tests {
             for (layer, first) in rung.iter().zip(&storage[0]) {
                 assert_eq!(layer.master, first.master);
             }
+        }
+    }
+
+    #[test]
+    fn served_rungs_hold_no_gradient_buffers() {
+        let clock = ManualClock::new();
+        let (template, mut ladder) =
+            LadderTemplate::compile(&two_rung_cfg(), LadderKind::Primary, tiny_net(7), &clock)
+                .expect("ladder builds");
+        let mut stamped = template.instantiate(&clock).expect("ladder stamps");
+        let x = Tensor::from_fn([3, 6, 6], |i| (i as f32 * 0.37).sin());
+        ladder.run(&[&x, &x]).expect("ladder runs");
+        stamped.run(&[&x]).expect("stamped ladder runs");
+        for rung in ladder.rungs.iter().chain(&stamped.rungs) {
+            let params = rung.session.network().params();
+            assert!(!params.is_empty());
+            assert!(params.iter().all(|p| p.grad().is_none()));
         }
     }
 

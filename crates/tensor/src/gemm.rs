@@ -500,7 +500,7 @@ impl MicroKernel {
     /// into a `#[target_feature]` body in this crate rests on it:
     /// [`active_kernel`] only returns supported kernels and
     /// [`gemm_prepacked_on`] asserts it on entry.
-    fn supported(self) -> bool {
+    pub(crate) fn supported(self) -> bool {
         match self {
             MicroKernel::Scalar => true,
             #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]

@@ -44,6 +44,6 @@ pub use im2col::{
 pub use shape::Shape;
 pub use tensor::Tensor;
 pub use winograd::{
-    winograd4_conv2d, winograd4_conv2d_into, winograd4_scratch_elems, winograd_conv2d,
-    winograd_conv2d_into, winograd_scratch_elems,
+    pack_winograd_bank_into, winograd4_conv2d, winograd_bank_elems, winograd_conv2d,
+    winograd_conv2d_into, WinogradGeometry, WinogradTile,
 };

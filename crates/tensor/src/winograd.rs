@@ -1,56 +1,939 @@
-//! Winograd fast convolution, F(2×2, 3×3) and F(4×4, 3×3).
+//! Winograd fast convolution, F(2×2, 3×3) and F(4×4, 3×3), on the
+//! packed GEMM engine.
 //!
 //! The paper's "Data Formats and Algorithms" layer names the Winograd
 //! transform as one of the candidate data transformations (§II-B, item
-//! 3) but does not evaluate it; this module completes the set. For 3×3
-//! kernels at stride 1 — the dominant shape in all three models —
-//! F(2×2, 3×3) computes each 2×2 output tile with 16 multiplies instead
-//! of the direct method's 36, a 2.25× multiply reduction; F(4×4, 3×3)
-//! goes further, computing each 4×4 tile with 36 multiplies instead of
-//! 144 (4× fewer than direct; 2.25 muls per output against F(2×2)'s
-//! 4, a further 16/9 ≈ 1.78× reduction) at the cost of a
-//! worse-conditioned transform: its interpolation points {0, ±1, ±2}
-//! amplify rounding error by a constant factor, which is why the
-//! conformance harness grants F(4×4) a looser error budget than F(2×2)
-//! (see `tests/conv_conformance.rs`). The `ablate_conv_algo` bench
-//! measures where each trade pays off.
+//! 3) but does not evaluate it; this module completes the set. For a 3×3
+//! stride-1 convolution, F(m×m, 3×3) computes each m×m output tile from
+//! an α×α input tile (α = m + 2) with α² multiplies per channel pair
+//! instead of direct convolution's 9m²: F(2×2) spends 16 for 36 (2.25×
+//! fewer), F(4×4) 36 for 144 (4× fewer) at the cost of a worse
+//! conditioned transform — its interpolation points {0, ±1, ±2} amplify
+//! rounding error by a bounded constant, which is why the conformance
+//! harness grants F(4×4) a looser error budget than F(2×2) (see
+//! `tests/conv_conformance.rs`).
+//!
+//! # One path for both tile sizes
+//!
+//! [`WinogradTile`] names the tile; everything else is one body.
+//!
+//! * **Bank.** The filters are transformed once, `U = G g Gᵀ`, straight
+//!   into α² A-packed `out_c × in_c` operands of the packed GEMM engine
+//!   ([`pack_winograd_bank_into`]). A layer keeps the bank as a derived
+//!   weight form: no call transforms a filter.
+//! * **Input transform.** The batch's tiles — image by image, row-major
+//!   within an image — are cut into chunks of at most one column chunk of
+//!   the engine (`GemmPlan::nc`, 256 tiles). For each chunk `V = Bᵀ d B`
+//!   is written, for every frequency ξ, straight into the B-panel layout
+//!   of an `in_c × tiles` operand: the 16 tiles of one `NR` panel are the
+//!   16 lanes of one lane array, so a channel's row of a panel is one
+//!   contiguous 64-byte store per frequency. Interior tiles are gathered
+//!   as α contiguous row runs; only tiles that reach into the padding
+//!   take the bounds-checked path.
+//! * **Multiply.** α² prepacked products `M_ξ = U_ξ · V_ξ` run on the
+//!   engine's register tile, each into its own `out_c × tiles`
+//!   accumulator. A threaded call runs one frequency per grain.
+//! * **Output transform.** `Y = Aᵀ M A`, plus the bias, then the fused
+//!   ReLU as `max(·, 0)`, scattered into the NCHW output.
+//!
+//! The transforms run in parallel over (panel × 8-channel block) grains
+//! once a stage has enough of them to pay for its threads. They are
+//! lane-array bodies written once and instantiated for the baseline
+//! target, AVX2 and AVX-512 behind the GEMM engine's one dispatch (the
+//! kernel [`gemm_kernel_name`](crate::gemm::gemm_kernel_name) names, so
+//! `CNN_STACK_GEMM_FORCE_SCALAR` pins the portable twin here too).
+//!
+//! # Exactness
+//!
+//! Every transformed value is a fixed sequence of separate multiplies
+//! and adds (Rust never contracts them into an FMA), so the three
+//! instantiations of each transform agree bit for bit. A tile's
+//! products form one GEMM column, which never depends on the other
+//! columns of its chunk, so the output is also bit-identical for every
+//! thread count and every way the batch is split; only the micro-kernel
+//! itself — the portable one multiplies and adds where the SIMD ones
+//! fuse — separates a forced-scalar run from a SIMD one.
 //!
 //! All entry points return [`KernelError`] on misuse instead of
 //! panicking, matching the fallible-API convention of the `nn` crate.
 
 use crate::error::KernelError;
+use crate::gemm::{active_kernel, gemm_prepacked_on, GemmEpilogue, GemmPlan, MicroKernel, MR, NR};
 use crate::shape::Shape;
 use crate::tensor::Tensor;
 use cnn_stack_obs::{self as obs, Metric};
+use cnn_stack_parallel::{parallel_for, DisjointWriter, Schedule};
+use std::ops::Range;
 
-/// Multiplies per output element for direct 3×3 convolution vs
-/// F(2×2, 3×3) Winograd: `(36, 16)` per 2×2 tile per channel pair.
-pub const WINOGRAD_TILE_MULS: (usize, usize) = (36, 16);
+/// Channels per grain of the input and output transforms: the grain
+/// transforms them all, then moves them frequency by frequency, so each
+/// frequency is one run of this many panel rows instead of a 64-byte
+/// store (or load) per frequency at a 4 KiB-multiple stride.
+const CHANNEL_BLOCK: usize = 8;
 
-/// Multiplies per 4×4 output tile per channel pair for direct 3×3
-/// convolution vs F(4×4, 3×3) Winograd: `(144, 36)`.
-pub const WINOGRAD4_TILE_MULS: (usize, usize) = (144, 36);
+/// The output tile of a Winograd convolution.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum WinogradTile {
+    /// F(2×2, 3×3): 4×4 input tiles, interpolation points {0, ±1}.
+    F2,
+    /// F(4×4, 3×3): 6×6 input tiles, interpolation points {0, ±1, ±2}.
+    F4,
+}
 
-/// Validated geometry shared by both Winograd variants.
-struct WinogradGeometry {
+impl WinogradTile {
+    /// Output tile extent `m`.
+    pub const fn m(self) -> usize {
+        match self {
+            WinogradTile::F2 => 2,
+            WinogradTile::F4 => 4,
+        }
+    }
+
+    /// Input tile extent `α = m + 2`.
+    pub const fn alpha(self) -> usize {
+        self.m() + 2
+    }
+
+    /// Transform-domain frequencies per tile, `α²`: the number of
+    /// products the multiply stage runs.
+    pub const fn frequencies(self) -> usize {
+        self.alpha() * self.alpha()
+    }
+
+    fn algo(self) -> &'static str {
+        match self {
+            WinogradTile::F2 => "Winograd F(2x2,3x3)",
+            WinogradTile::F4 => "Winograd F(4x4,3x3)",
+        }
+    }
+}
+
+/// The geometry of one Winograd convolution: tile, batch, input extents,
+/// channel counts and padding. The kernel is 3×3 and the stride 1, so
+/// `out_h = h + 2·padding − 2`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct WinogradGeometry {
+    tile: WinogradTile,
     n: usize,
     in_c: usize,
     h: usize,
     w: usize,
     out_c: usize,
-    out_h: usize,
-    out_w: usize,
+    padding: usize,
 }
 
-/// Validates the shared preconditions of both Winograd variants over
-/// tensor arguments.
-fn validate_winograd(
-    algo: &'static str,
+impl WinogradGeometry {
+    /// Validates and describes a convolution of `n` `[in_c, h, w]`
+    /// images into `out_c` channels.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`KernelError::InputTooSmall`] when the padded input is
+    /// smaller than the 3×3 window.
+    pub fn new(
+        tile: WinogradTile,
+        (n, in_c, h, w): (usize, usize, usize, usize),
+        out_c: usize,
+        padding: usize,
+    ) -> Result<Self, KernelError> {
+        if h + 2 * padding < 3 || w + 2 * padding < 3 {
+            return Err(KernelError::InputTooSmall {
+                padded_h: h + 2 * padding,
+                padded_w: w + 2 * padding,
+                k_h: 3,
+                k_w: 3,
+            });
+        }
+        Ok(WinogradGeometry {
+            tile,
+            n,
+            in_c,
+            h,
+            w,
+            out_c,
+            padding,
+        })
+    }
+
+    /// Output height.
+    pub fn out_h(&self) -> usize {
+        self.h + 2 * self.padding - 2
+    }
+
+    /// Output width.
+    pub fn out_w(&self) -> usize {
+        self.w + 2 * self.padding - 2
+    }
+
+    fn tiles_x(&self) -> usize {
+        self.out_w().div_ceil(self.tile.m())
+    }
+
+    fn image_tiles(&self) -> usize {
+        self.out_h().div_ceil(self.tile.m()) * self.tiles_x()
+    }
+
+    /// Tiles of the whole batch; edge tiles that overhang the output
+    /// count whole.
+    pub fn tiles(&self) -> usize {
+        self.n * self.image_tiles()
+    }
+
+    /// Tiles per chunk of the multiply stage: one column chunk of the
+    /// packed engine's loop nest, so each bank operand streams from
+    /// memory once per chunk.
+    pub fn chunk_tiles(&self) -> usize {
+        let tiles = self.tiles();
+        GemmPlan::new(self.out_c, self.in_c, tiles).nc.min(tiles)
+    }
+
+    /// Workspace floats [`winograd_conv2d_into`] needs: for every
+    /// frequency, one chunk's transformed inputs as B panels
+    /// (`in_c × chunk`, columns padded to whole panels) and its
+    /// `out_c × chunk` product.
+    pub fn scratch_elems(&self) -> usize {
+        let chunk = self.chunk_tiles();
+        self.tile.frequencies() * (self.in_c * chunk.next_multiple_of(NR) + self.out_c * chunk)
+    }
+}
+
+/// Floats of a transformed filter bank: one A-packed `out_c × in_c`
+/// operand (rows padded to whole `MR` panels) per frequency.
+pub fn winograd_bank_elems(tile: WinogradTile, in_c: usize, out_c: usize) -> usize {
+    tile.frequencies() * GemmPlan::new(out_c, in_c, 1).packed_a_elems()
+}
+
+// ---------------------------------------------------------------------
+// Transforms as lane-array bodies
+// ---------------------------------------------------------------------
+
+/// F(4×4)'s α²: tiles are sized for the larger transform.
+const MAX_FREQS: usize = 36;
+
+/// One transform's values for `N` lanes — `N` tiles of a B panel
+/// (`N = NR`) or the `N` filters of an A panel (`N = MR`) — lanes
+/// innermost: `tile[i][l]`, `i` indexing the tile row-major.
+type Tile<const N: usize> = [[f32; N]; MAX_FREQS];
+
+/// The three 1-D transforms of one tile size, on one lane. Vectors are
+/// sized for F(4×4); F(2×2) reads and writes the leading entries.
+trait Transform {
+    const TILE: WinogradTile;
+    /// `Bᵀ·x` for one α-vector.
+    fn input(x: [f32; 6]) -> [f32; 6];
+    /// `G·x` for one 3-vector.
+    fn filter(x: [f32; 6]) -> [f32; 6];
+    /// `Aᵀ·x` for one α-vector: `m` values.
+    fn output(x: [f32; 6]) -> [f32; 6];
+}
+
+/// F(2×2, 3×3) (Lavin & Gray, "Fast Algorithms for Convolutional
+/// Neural Networks"): `Bᵀ` rows `[1,0,−1,0] [0,1,1,0] [0,−1,1,0]
+/// [0,1,0,−1]`, `G` rows `[1,0,0] [½,½,½] [½,−½,½] [0,0,1]`, `Aᵀ` rows
+/// `[1,1,1,0] [0,1,−1,−1]`.
+struct F2;
+
+impl Transform for F2 {
+    const TILE: WinogradTile = WinogradTile::F2;
+
+    #[inline(always)]
+    fn input(d: [f32; 6]) -> [f32; 6] {
+        [d[0] - d[2], d[1] + d[2], d[2] - d[1], d[1] - d[3], 0.0, 0.0]
+    }
+
+    #[inline(always)]
+    fn filter(g: [f32; 6]) -> [f32; 6] {
+        let s = g[0] + g[2];
+        [g[0], (s + g[1]) * 0.5, (s - g[1]) * 0.5, g[2], 0.0, 0.0]
+    }
+
+    #[inline(always)]
+    fn output(m: [f32; 6]) -> [f32; 6] {
+        [m[0] + m[1] + m[2], m[1] - m[2] - m[3], 0.0, 0.0, 0.0, 0.0]
+    }
+}
+
+/// F(4×4, 3×3), interpolation points {0, ±1, ±2}: `Bᵀ` rows
+/// `[4,0,−5,0,1,0] [0,−4,−4,1,1,0] [0,4,−4,−1,1,0] [0,−2,−1,2,1,0]
+/// [0,2,−1,−2,1,0] [0,4,0,−5,0,1]`, `G` rows `[¼,0,0] [−⅙,−⅙,−⅙]
+/// [−⅙,⅙,−⅙] [1/24,1/12,⅙] [1/24,−1/12,⅙] [0,0,1]`, `Aᵀ` rows
+/// `[1,1,1,1,1,0] [0,1,−1,2,−2,0] [0,1,1,4,4,0] [0,1,−1,8,−8,1]` — each
+/// evaluated through its shared sums. |Bᵀ| reaches 5 and |Aᵀ| 8, so
+/// rounding in the transform domain is amplified by a bounded constant
+/// (measured ≲ 30× of F(2×2)'s).
+struct F4;
+
+impl Transform for F4 {
+    const TILE: WinogradTile = WinogradTile::F4;
+
+    #[inline(always)]
+    fn input(d: [f32; 6]) -> [f32; 6] {
+        let a = d[4] - d[2] * 4.0;
+        let b = d[3] - d[1] * 4.0;
+        let c = d[4] - d[2];
+        let e = (d[3] - d[1]) * 2.0;
+        [
+            (d[0] - d[2]) * 4.0 + c,
+            a + b,
+            a - b,
+            c + e,
+            c - e,
+            (d[1] - d[3]) * 4.0 + (d[5] - d[3]),
+        ]
+    }
+
+    #[inline(always)]
+    fn filter(g: [f32; 6]) -> [f32; 6] {
+        let s = g[0] + g[2];
+        let q = g[0] + g[2] * 4.0;
+        let t = g[1] * 2.0;
+        [
+            g[0] * 0.25,
+            (s + g[1]) * (-1.0 / 6.0),
+            (s - g[1]) * (-1.0 / 6.0),
+            (q + t) * (1.0 / 24.0),
+            (q - t) * (1.0 / 24.0),
+            g[2],
+        ]
+    }
+
+    #[inline(always)]
+    fn output(m: [f32; 6]) -> [f32; 6] {
+        let p = m[1] + m[2];
+        let q = m[1] - m[2];
+        let r = m[3] + m[4];
+        let s = m[3] - m[4];
+        [
+            m[0] + p + r,
+            q + s * 2.0,
+            p + r * 4.0,
+            q + s * 8.0 + m[5],
+            0.0,
+            0.0,
+        ]
+    }
+}
+
+/// Which transform a 2-D pass applies.
+#[derive(Clone, Copy, PartialEq)]
+enum Pass {
+    /// `Bᵀ d B`: α×α to α×α.
+    Input,
+    /// `G g Gᵀ`: 3×3 to α×α.
+    Filter,
+    /// `Aᵀ m A + bias`, clamped at zero under `relu`: α×α to m×m.
+    Output { bias: f32, relu: bool },
+}
+
+/// The 2-D transform `pass` of every lane of `t`, in place: the tile
+/// (`k×k` row-major, `k` the pass's input extent) becomes its `o×o`
+/// image. The lane loop is outermost and its body scalar, so each
+/// instantiation vectorises it across the lanes with the same
+/// operations in the same order.
+#[inline(always)]
+#[allow(clippy::needless_range_loop)] // `l` picks one lane of every row of `t`
+fn transform_2d<T: Transform, const N: usize>(t: &mut Tile<N>, pass: Pass) {
+    let (a, m) = (T::TILE.alpha(), T::TILE.m());
+    let (k, o) = match pass {
+        Pass::Input => (a, a),
+        Pass::Filter => (3, a),
+        Pass::Output { .. } => (a, m),
+    };
+    let f = |x: [f32; 6]| match pass {
+        Pass::Input => T::input(x),
+        Pass::Filter => T::filter(x),
+        Pass::Output { .. } => T::output(x),
+    };
+    // The output epilogue runs in this loop too: written as its own
+    // pass over the tile, the vectoriser strides it across the rows.
+    let epilogue = |v: f32| match pass {
+        Pass::Output { bias, relu } => {
+            let v = v + bias;
+            // A select, not a branch, so the loop stays vectorised.
+            let clamped = v.max(0.0);
+            if relu {
+                clamped
+            } else {
+                v
+            }
+        }
+        _ => v,
+    };
+    for l in 0..N {
+        // Down the columns, then along the rows of the result.
+        let mut cols = [[0.0f32; 6]; 6];
+        for (c, col) in cols.iter_mut().enumerate().take(k) {
+            *col = f(std::array::from_fn(|r| {
+                if r < k {
+                    t[r * k + c][l]
+                } else {
+                    0.0
+                }
+            }));
+        }
+        for r in 0..o {
+            let y = f(std::array::from_fn(
+                |c| if c < k { cols[c][r] } else { 0.0 },
+            ));
+            for (s, &v) in y.iter().enumerate().take(o) {
+                t[r * o + s][l] = epilogue(v);
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Bank
+// ---------------------------------------------------------------------
+
+/// Transforms `[out_c, in_c, 3, 3]` filters into the bank
+/// ([`winograd_bank_elems`] floats): frequency ξ is the A-packed
+/// `out_c × in_c` matrix `U_ξ`, `bank[ξ·A + ip·MR·in_c + c·MR + r]` for
+/// filter `(ip·MR + r, c)`, `A` being one operand's packed size. The six
+/// filters of an A panel are the lanes of one transform, so each
+/// frequency is written as one sequential stream; rows past `out_c` are
+/// zero. Writes every element of the bank.
+///
+/// # Panics
+///
+/// Panics if `weights` or `bank` does not have the stated length.
+pub fn pack_winograd_bank_into(
+    tile: WinogradTile,
+    weights: &[f32],
+    out_c: usize,
+    in_c: usize,
+    bank: &mut [f32],
+) {
+    match tile {
+        WinogradTile::F2 => pack_bank::<F2>(weights, out_c, in_c, bank),
+        WinogradTile::F4 => pack_bank::<F4>(weights, out_c, in_c, bank),
+    }
+}
+
+fn pack_bank<T: Transform>(weights: &[f32], out_c: usize, in_c: usize, bank: &mut [f32]) {
+    assert_eq!(weights.len(), out_c * in_c * 9, "weights length mismatch");
+    assert_eq!(
+        bank.len(),
+        winograd_bank_elems(T::TILE, in_c, out_c),
+        "bank length mismatch"
+    );
+    let operand = bank.len() / T::TILE.frequencies();
+    for ip in 0..out_c.div_ceil(MR) {
+        let rows = MR.min(out_c - ip * MR);
+        for c in 0..in_c {
+            let mut u: Tile<MR> = [[0.0; MR]; MAX_FREQS];
+            for r in 0..rows {
+                let filter = &weights[((ip * MR + r) * in_c + c) * 9..][..9];
+                for (tap, &v) in u.iter_mut().zip(filter) {
+                    tap[r] = v;
+                }
+            }
+            transform_2d::<T, MR>(&mut u, Pass::Filter);
+            for (xi, lanes) in u.iter().take(T::TILE.frequencies()).enumerate() {
+                let at = xi * operand + (ip * in_c + c) * MR;
+                bank[at..at + MR].copy_from_slice(lanes);
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Kernel
+// ---------------------------------------------------------------------
+
+/// Where one tile sits: its image and the output position of its
+/// top-left corner (the input tile starts `padding` above and left).
+#[derive(Clone, Copy)]
+struct Origin {
+    img: usize,
+    oy: usize,
+    ox: usize,
+}
+
+/// Everything a grain reads; shared by reference across the pool.
+struct Job<'a> {
+    geom: WinogradGeometry,
+    input: &'a [f32],
+    bias: Option<&'a [f32]>,
+    epilogue: GemmEpilogue,
+}
+
+/// Tiles `[t0, t0 + tiles)` of the batch: one multiply-stage chunk.
+#[derive(Clone, Copy)]
+struct Chunk {
+    t0: usize,
+    tiles: usize,
+}
+
+impl Chunk {
+    fn panels(&self) -> usize {
+        self.tiles.div_ceil(NR)
+    }
+
+    /// Floats of one frequency's B panels: `in_c` rows of whole panels.
+    fn v_stride(&self, in_c: usize) -> usize {
+        in_c * self.panels() * NR
+    }
+}
+
+impl Job<'_> {
+    /// The tiles of panel `jp` of `chunk`, one per lane; `None` past the
+    /// chunk's last tile.
+    fn origins(&self, chunk: Chunk, jp: usize) -> [Option<Origin>; NR] {
+        let (m, tiles_x, per_image) = (
+            self.geom.tile.m(),
+            self.geom.tiles_x(),
+            self.geom.image_tiles(),
+        );
+        std::array::from_fn(|l| {
+            let local = jp * NR + l;
+            (local < chunk.tiles).then(|| {
+                let t = chunk.t0 + local;
+                let (img, at) = (t / per_image, t % per_image);
+                Origin {
+                    img,
+                    oy: at / tiles_x * m,
+                    ox: at % tiles_x * m,
+                }
+            })
+        })
+    }
+}
+
+/// One transform stage of a chunk, and the buffers it writes.
+#[derive(Clone, Copy)]
+enum Stage<'a> {
+    /// Input transform: writes every frequency's B panels.
+    Input { v: &'a DisjointWriter },
+    /// Output transform: reads the products, writes the output.
+    Output {
+        products: &'a [f32],
+        out: &'a DisjointWriter,
+    },
+}
+
+/// Input transform of grains `grains` of the (panel × channel block)
+/// grid: gathers each channel's α×α patch of the panel's 16 tiles into
+/// one lane array and transforms it, then stores the block frequency by
+/// frequency: channel `c`'s 16 values of frequency ξ are row `c` of
+/// B panel `jp` of `V_ξ`.
+#[inline(always)]
+fn input_grains<T: Transform>(job: &Job, chunk: Chunk, v: &DisjointWriter, grains: Range<usize>) {
+    /// Where a lane's patch comes from.
+    #[derive(Clone, Copy)]
+    enum Source {
+        /// Inside the image: α row runs from this offset (channel 0).
+        Interior(usize),
+        /// Reaches into the padding.
+        Edge(Origin),
+        /// Past the chunk's last tile: zeros.
+        Empty,
+    }
+    let g = &job.geom;
+    let (a, pad, h, w) = (g.tile.alpha(), g.padding, g.h, g.w);
+    let plane = h * w;
+    let blocks = g.in_c.div_ceil(CHANNEL_BLOCK);
+    let stride = chunk.v_stride(g.in_c);
+    let mut block = [[[0.0f32; NR]; MAX_FREQS]; CHANNEL_BLOCK];
+    for grain in grains {
+        let (jp, cb) = (grain / blocks, grain % blocks);
+        let c0 = cb * CHANNEL_BLOCK;
+        let channels = CHANNEL_BLOCK.min(g.in_c - c0);
+        let sources = job.origins(chunk, jp).map(|origin| match origin {
+            None => Source::Empty,
+            Some(o) if o.oy >= pad && o.oy - pad + a <= h && o.ox >= pad && o.ox - pad + a <= w => {
+                Source::Interior(o.img * g.in_c * plane + (o.oy - pad) * w + o.ox - pad)
+            }
+            Some(o) => Source::Edge(o),
+        });
+        for (c, d) in (c0..).zip(&mut block[..channels]) {
+            for (l, source) in sources.iter().enumerate() {
+                match *source {
+                    Source::Interior(top) => {
+                        let patch = &job.input[top + c * plane..];
+                        for dy in 0..a {
+                            for (dx, &x) in patch[dy * w..][..a].iter().enumerate() {
+                                d[dy * a + dx][l] = x;
+                            }
+                        }
+                    }
+                    Source::Edge(o) => {
+                        let image = &job.input[(o.img * g.in_c + c) * plane..][..plane];
+                        for dy in 0..a {
+                            let iy = (o.oy + dy).wrapping_sub(pad);
+                            for dx in 0..a {
+                                let ix = (o.ox + dx).wrapping_sub(pad);
+                                d[dy * a + dx][l] = if iy < h && ix < w {
+                                    image[iy * w + ix]
+                                } else {
+                                    0.0
+                                };
+                            }
+                        }
+                    }
+                    Source::Empty => {
+                        for value in d.iter_mut().take(a * a) {
+                            value[l] = 0.0;
+                        }
+                    }
+                }
+            }
+            transform_2d::<T, NR>(d, Pass::Input);
+        }
+        for xi in 0..a * a {
+            let at = xi * stride + (jp * g.in_c + c0) * NR;
+            // SAFETY: grain (jp, cb) alone writes rows `cb`'s channels
+            // of panel `jp`, in every frequency; those ranges are
+            // disjoint across grains and inside the V region.
+            let dst = unsafe { v.slice_mut(at, at + channels * NR) };
+            for (row, d) in dst.chunks_exact_mut(NR).zip(&block) {
+                row.copy_from_slice(&d[xi]);
+            }
+        }
+    }
+}
+
+/// Output transform of grains `grains` of the (panel × output-channel
+/// block) grid: loads the block's α² product rows of the panel's 16
+/// tiles frequency by frequency, transforms each channel's lane array,
+/// adds the bias, applies the epilogue and writes each tile's in-bounds
+/// m×m block.
+#[inline(always)]
+fn output_grains<T: Transform>(
+    job: &Job,
+    chunk: Chunk,
+    products: &[f32],
+    out: &DisjointWriter,
+    grains: Range<usize>,
+) {
+    let g = &job.geom;
+    let (a, m, out_c) = (g.tile.alpha(), g.tile.m(), g.out_c);
+    let (out_h, out_w) = (g.out_h(), g.out_w());
+    let plane = out_h * out_w;
+    let relu = job.epilogue == GemmEpilogue::Relu;
+    let blocks = out_c.div_ceil(CHANNEL_BLOCK);
+    let mut block = [[[0.0f32; NR]; MAX_FREQS]; CHANNEL_BLOCK];
+    for grain in grains {
+        let (jp, ob) = (grain / blocks, grain % blocks);
+        let o0 = ob * CHANNEL_BLOCK;
+        let channels = CHANNEL_BLOCK.min(out_c - o0);
+        let live = NR.min(chunk.tiles - jp * NR);
+        // Per live lane: the tile's top-left in channel 0 of its image,
+        // and how many of its rows and columns lie inside the output.
+        let targets = job.origins(chunk, jp).map(|origin| {
+            origin.map(|o| {
+                let at = o.img * out_c * plane + o.oy * out_w + o.ox;
+                (at, m.min(out_h - o.oy), m.min(out_w - o.ox))
+            })
+        });
+        for xi in 0..a * a {
+            for (k, d) in block[..channels].iter_mut().enumerate() {
+                let at = (xi * out_c + o0 + k) * chunk.tiles + jp * NR;
+                match products[at..].first_chunk::<NR>() {
+                    Some(full) if live == NR => d[xi] = *full,
+                    _ => d[xi][..live].copy_from_slice(&products[at..at + live]),
+                }
+            }
+        }
+        for (o, d) in (o0..).zip(&mut block[..channels]) {
+            let bias = job.bias.map_or(0.0, |b| b[o]);
+            transform_2d::<T, NR>(d, Pass::Output { bias, relu });
+            // Tile-major, so each output row is a run of `m` floats.
+            let mut tiles = [[0.0f32; 16]; NR];
+            for (i, y) in d.iter().take(m * m).enumerate() {
+                for (tile, &v) in tiles.iter_mut().zip(y) {
+                    tile[i] = v;
+                }
+            }
+            for (tile, target) in tiles.iter().zip(&targets).take(live) {
+                let (at, rows, cols) = target.expect("live lanes hold tiles");
+                for (i, y) in tile.chunks_exact(m).take(rows).enumerate() {
+                    let at = at + o * plane + i * out_w;
+                    // SAFETY: grain (jp, ob) alone writes the tiles of
+                    // panel `jp` in block `ob`'s channel planes; tiles do
+                    // not overlap and each row run stays inside its plane.
+                    let dst = unsafe { out.slice_mut(at, at + cols) };
+                    if cols == m {
+                        // The common whole row, as a constant-length copy.
+                        for (d, &v) in dst.iter_mut().zip(y).take(m) {
+                            *d = v;
+                        }
+                    } else {
+                        dst.copy_from_slice(&y[..cols]);
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[inline(always)]
+fn stage_grains<T: Transform>(job: &Job, chunk: Chunk, stage: Stage, grains: Range<usize>) {
+    match stage {
+        Stage::Input { v } => input_grains::<T>(job, chunk, v, grains),
+        Stage::Output { products, out } => output_grains::<T>(job, chunk, products, out, grains),
+    }
+}
+
+/// [`stage_grains`] compiled for AVX2: the portable body is the SIMD
+/// source, the wider target only lets it use 8-lane vectors.
+///
+/// # Safety
+///
+/// The CPU must support AVX2 and FMA ([`MicroKernel::supported`]).
+#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn stage_grains_avx2<T: Transform>(
+    job: &Job,
+    chunk: Chunk,
+    stage: Stage,
+    grains: Range<usize>,
+) {
+    stage_grains::<T>(job, chunk, stage, grains);
+}
+
+/// [`stage_grains`] compiled for AVX-512F: one lane array of 16 tiles
+/// is one register.
+///
+/// # Safety
+///
+/// The CPU must support AVX-512F ([`MicroKernel::supported`]).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn stage_grains_avx512<T: Transform>(
+    job: &Job,
+    chunk: Chunk,
+    stage: Stage,
+    grains: Range<usize>,
+) {
+    stage_grains::<T>(job, chunk, stage, grains);
+}
+
+/// Transform-domain values (panel rows × α², one row being one channel
+/// of one 16-tile panel) each worker must get before a transform stage
+/// is worth a parallel region. Above it two threads transform VGG-16's
+/// batch-8 conv1_2 and conv2_2 chunks 1.2–1.3× faster than one; below
+/// it the thread start-up costs more than the split saves (batch-1
+/// conv4_2's F(2×2) stages, 512 rows × 16, ran 1.15× slower on two).
+const VALUES_PER_WORKER: usize = 8192;
+
+/// Runs one transform stage of `chunk` over its (panel × channel block)
+/// grid on `kernel`'s instantiation.
+#[allow(clippy::too_many_arguments)]
+fn run_stage<T: Transform>(
+    kernel: MicroKernel,
+    job: &Job,
+    chunk: Chunk,
+    stage: Stage,
+    channels: usize,
+    threads: usize,
+    schedule: Schedule,
+) {
+    let grains = chunk.panels() * channels.div_ceil(CHANNEL_BLOCK);
+    let values = chunk.panels() * channels * job.geom.tile.frequencies();
+    let threads = threads.min(values / VALUES_PER_WORKER).max(1);
+    parallel_for(threads, grains, schedule, |range| match kernel {
+        MicroKernel::Scalar => stage_grains::<T>(job, chunk, stage, range),
+        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+        // SAFETY: a SIMD kernel is only ever selected after
+        // `MicroKernel::supported` confirmed AVX2 and FMA.
+        MicroKernel::Avx2Fma => unsafe { stage_grains_avx2::<T>(job, chunk, stage, range) },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: as above, for AVX-512F.
+        MicroKernel::Avx512 => unsafe { stage_grains_avx512::<T>(job, chunk, stage, range) },
+    });
+}
+
+/// F(m×m, 3×3) Winograd convolution over raw NCHW slices: `out =
+/// epilogue(bias + input ⋆ filters)`, the filters given as their
+/// transformed `bank` (see [`pack_winograd_bank_into`]), with caller
+/// workspace of at least [`WinogradGeometry::scratch_elems`] floats — no
+/// hidden allocation, so the memory planner accounts for it. Runs on
+/// `threads` workers; see the [module docs](self) for the stages.
+///
+/// # Errors
+///
+/// Returns [`KernelError`] on a mismatched input, bank, bias or output
+/// length, or undersized scratch.
+#[allow(clippy::too_many_arguments)] // low-level kernel: the argument list *is* the layer
+pub fn winograd_conv2d_into(
+    geom: &WinogradGeometry,
+    input: &[f32],
+    bank: &[f32],
+    bias: Option<&[f32]>,
+    epilogue: GemmEpilogue,
+    out: &mut [f32],
+    scratch: &mut [f32],
+    threads: usize,
+    schedule: Schedule,
+) -> Result<(), KernelError> {
+    winograd_conv2d_on(
+        active_kernel(),
+        geom,
+        input,
+        bank,
+        bias,
+        epilogue,
+        out,
+        scratch,
+        threads,
+        schedule,
+    )
+}
+
+/// [`winograd_conv2d_into`] on an explicit micro-kernel and transform
+/// instantiation, so the cross-kernel tests reach every one the host
+/// supports.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn winograd_conv2d_on(
+    kernel: MicroKernel,
+    geom: &WinogradGeometry,
+    input: &[f32],
+    bank: &[f32],
+    bias: Option<&[f32]>,
+    epilogue: GemmEpilogue,
+    out: &mut [f32],
+    scratch: &mut [f32],
+    threads: usize,
+    schedule: Schedule,
+) -> Result<(), KernelError> {
+    assert!(
+        kernel.supported(),
+        "{kernel:?} is not supported on this host"
+    );
+    let g = geom;
+    let lengths = [
+        ("input", g.n * g.in_c * g.h * g.w, input.len()),
+        (
+            "bank",
+            winograd_bank_elems(g.tile, g.in_c, g.out_c),
+            bank.len(),
+        ),
+        ("output", g.n * g.out_c * g.out_h() * g.out_w(), out.len()),
+    ];
+    for (what, expected, got) in lengths {
+        if expected != got {
+            return Err(KernelError::BufferSize {
+                what,
+                expected,
+                got,
+            });
+        }
+    }
+    if let Some(b) = bias {
+        if b.len() != g.out_c {
+            return Err(KernelError::BiasLength {
+                expected: g.out_c,
+                got: b.len(),
+            });
+        }
+    }
+    if scratch.len() < g.scratch_elems() {
+        return Err(KernelError::ScratchTooSmall {
+            needed: g.scratch_elems(),
+            got: scratch.len(),
+        });
+    }
+    match g.tile {
+        WinogradTile::F2 => run::<F2>(
+            kernel, g, input, bank, bias, epilogue, out, scratch, threads, schedule,
+        ),
+        WinogradTile::F4 => run::<F4>(
+            kernel, g, input, bank, bias, epilogue, out, scratch, threads, schedule,
+        ),
+    }
+    obs::with_current(|o| o.metrics().add(Metric::WinogradTiles, g.tiles() as u64));
+    Ok(())
+}
+
+/// The validated kernel: chunk by chunk, input transform → α² products →
+/// output transform.
+#[allow(clippy::too_many_arguments)]
+fn run<T: Transform>(
+    kernel: MicroKernel,
+    geom: &WinogradGeometry,
+    input: &[f32],
+    bank: &[f32],
+    bias: Option<&[f32]>,
+    epilogue: GemmEpilogue,
+    out: &mut [f32],
+    scratch: &mut [f32],
+    threads: usize,
+    schedule: Schedule,
+) {
+    let job = Job {
+        geom: *geom,
+        input,
+        bias,
+        epilogue,
+    };
+    let (in_c, out_c, freqs) = (geom.in_c, geom.out_c, geom.tile.frequencies());
+    let chunk_tiles = geom.chunk_tiles();
+    let operand = bank.len() / freqs;
+    let (v_region, m_region) =
+        scratch.split_at_mut(freqs * in_c * chunk_tiles.next_multiple_of(NR));
+    let out = DisjointWriter::new(out);
+    // The products run on pool threads, which have no observer of their
+    // own: hand them the caller's so the GEMM counters still land.
+    let observer = obs::current();
+    let mut t0 = 0;
+    while t0 < geom.tiles() {
+        let chunk = Chunk {
+            t0,
+            tiles: chunk_tiles.min(geom.tiles() - t0),
+        };
+        let stride = chunk.v_stride(in_c);
+        let v_writer = DisjointWriter::new(v_region);
+        let stage = Stage::Input { v: &v_writer };
+        run_stage::<T>(kernel, &job, chunk, stage, in_c, threads, schedule);
+
+        let v: &[f32] = v_region;
+        let plan = GemmPlan::new(out_c, in_c, chunk.tiles);
+        let product = out_c * chunk.tiles;
+        let m_writer = DisjointWriter::new(&mut m_region[..freqs * product]);
+        parallel_for(threads, freqs, schedule, |range| {
+            let _installed = (threads > 1).then(|| observer.clone().map(obs::install));
+            for xi in range {
+                // SAFETY: frequency `xi` owns its own product region.
+                let m = unsafe { m_writer.slice_mut(xi * product, (xi + 1) * product) };
+                m.fill(0.0);
+                gemm_prepacked_on(
+                    kernel,
+                    &plan,
+                    &bank[xi * operand..(xi + 1) * operand],
+                    &v[xi * stride..(xi + 1) * stride],
+                    m,
+                    1,
+                    schedule,
+                    GemmEpilogue::None,
+                );
+            }
+        });
+
+        let products: &[f32] = &m_region[..freqs * product];
+        let stage = Stage::Output {
+            products,
+            out: &out,
+        };
+        run_stage::<T>(kernel, &job, chunk, stage, out_c, threads, schedule);
+        t0 += chunk.tiles;
+    }
+}
+
+// ---------------------------------------------------------------------
+// Tensor-level wrappers
+// ---------------------------------------------------------------------
+
+/// Allocating one-shot convolution on `tile` of an NCHW input with
+/// `[out_c, in_c, 3, 3]` filters: transforms the bank, runs
+/// [`winograd_conv2d_into`] on one thread.
+fn conv_tensors(
+    tile: WinogradTile,
     input: &Tensor,
     weights: &Tensor,
     bias: Option<&[f32]>,
     padding: usize,
-) -> Result<WinogradGeometry, KernelError> {
+) -> Result<Tensor, KernelError> {
     let (n, in_c, h, w) = input.shape().nchw();
     let wd = weights.shape().dims();
     if wd.len() != 4 {
@@ -61,7 +944,7 @@ fn validate_winograd(
     }
     if wd[2] != 3 || wd[3] != 3 {
         return Err(KernelError::KernelShape {
-            algo,
+            algo: tile.algo(),
             expected: (3, 3),
             got: (wd[2], wd[3]),
         });
@@ -72,277 +955,36 @@ fn validate_winograd(
             input: in_c,
         });
     }
+    if let Some(b) = bias {
+        if b.len() != wd[0] {
+            return Err(KernelError::BiasLength {
+                expected: wd[0],
+                got: b.len(),
+            });
+        }
+    }
     let out_c = wd[0];
-    if let Some(b) = bias {
-        if b.len() != out_c {
-            return Err(KernelError::BiasLength {
-                expected: out_c,
-                got: b.len(),
-            });
-        }
-    }
-    if h + 2 * padding < 3 || w + 2 * padding < 3 {
-        return Err(KernelError::InputTooSmall {
-            padded_h: h + 2 * padding,
-            padded_w: w + 2 * padding,
-            k_h: 3,
-            k_w: 3,
-        });
-    }
-    Ok(WinogradGeometry {
-        n,
-        in_c,
-        h,
-        w,
-        out_c,
-        out_h: h + 2 * padding - 2,
-        out_w: w + 2 * padding - 2,
-    })
-}
-
-/// Transforms one 3×3 filter into its 4×4 Winograd domain image
-/// `U = G g Gᵀ`.
-fn transform_filter(g: &[f32]) -> [f32; 16] {
-    debug_assert_eq!(g.len(), 9);
-    // G (4x3) rows: [1,0,0], [1/2,1/2,1/2], [1/2,-1/2,1/2], [0,0,1].
-    let mut tmp = [0.0f32; 12]; // G·g → 4x3
-    for r in 0..4 {
-        for c in 0..3 {
-            tmp[r * 3 + c] = match r {
-                0 => g[c],
-                1 => 0.5 * (g[c] + g[3 + c] + g[6 + c]),
-                2 => 0.5 * (g[c] - g[3 + c] + g[6 + c]),
-                _ => g[6 + c],
-            };
-        }
-    }
-    let mut u = [0.0f32; 16]; // (G·g)·Gᵀ → 4x4
-    for r in 0..4 {
-        let row = &tmp[r * 3..r * 3 + 3];
-        u[r * 4] = row[0];
-        u[r * 4 + 1] = 0.5 * (row[0] + row[1] + row[2]);
-        u[r * 4 + 2] = 0.5 * (row[0] - row[1] + row[2]);
-        u[r * 4 + 3] = row[2];
-    }
-    u
-}
-
-/// Transforms one 4×4 input tile: `V = Bᵀ d B`.
-fn transform_input(d: &[f32; 16]) -> [f32; 16] {
-    // Bᵀ rows: [1,0,-1,0], [0,1,1,0], [0,-1,1,0], [0,1,0,-1].
-    let mut tmp = [0.0f32; 16];
-    for c in 0..4 {
-        tmp[c] = d[c] - d[8 + c];
-        tmp[4 + c] = d[4 + c] + d[8 + c];
-        tmp[8 + c] = d[8 + c] - d[4 + c];
-        tmp[12 + c] = d[4 + c] - d[12 + c];
-    }
-    let mut v = [0.0f32; 16];
-    for r in 0..4 {
-        let row = &tmp[r * 4..r * 4 + 4];
-        v[r * 4] = row[0] - row[2];
-        v[r * 4 + 1] = row[1] + row[2];
-        v[r * 4 + 2] = row[2] - row[1];
-        v[r * 4 + 3] = row[1] - row[3];
-    }
-    v
-}
-
-/// Inverse transform of one 4×4 accumulator to a 2×2 output tile:
-/// `Y = Aᵀ m A`.
-fn transform_output(m: &[f32; 16]) -> [f32; 4] {
-    // Aᵀ rows: [1,1,1,0], [0,1,-1,-1].
-    let mut tmp = [0.0f32; 8];
-    for c in 0..4 {
-        tmp[c] = m[c] + m[4 + c] + m[8 + c];
-        tmp[4 + c] = m[4 + c] - m[8 + c] - m[12 + c];
-    }
-    [
-        tmp[0] + tmp[1] + tmp[2],
-        tmp[1] - tmp[2] - tmp[3],
-        tmp[4] + tmp[5] + tmp[6],
-        tmp[5] - tmp[6] - tmp[7],
-    ]
-}
-
-/// Validates the slice-level preconditions shared by both `_into`
-/// kernels and returns the output extent `(out_h, out_w)`.
-#[allow(clippy::too_many_arguments)]
-fn validate_into(
-    input: &[f32],
-    (n, in_c, h, w): (usize, usize, usize, usize),
-    weights: &[f32],
-    out_c: usize,
-    bias: Option<&[f32]>,
-    padding: usize,
-    out: &[f32],
-    scratch: &[f32],
-    needed: usize,
-) -> Result<(usize, usize), KernelError> {
-    if input.len() != n * in_c * h * w {
-        return Err(KernelError::BufferSize {
-            what: "input",
-            expected: n * in_c * h * w,
-            got: input.len(),
-        });
-    }
-    if weights.len() != out_c * in_c * 9 {
-        return Err(KernelError::BufferSize {
-            what: "weights",
-            expected: out_c * in_c * 9,
-            got: weights.len(),
-        });
-    }
-    if let Some(b) = bias {
-        if b.len() != out_c {
-            return Err(KernelError::BiasLength {
-                expected: out_c,
-                got: b.len(),
-            });
-        }
-    }
-    if h + 2 * padding < 3 || w + 2 * padding < 3 {
-        return Err(KernelError::InputTooSmall {
-            padded_h: h + 2 * padding,
-            padded_w: w + 2 * padding,
-            k_h: 3,
-            k_w: 3,
-        });
-    }
-    let out_h = h + 2 * padding - 2;
-    let out_w = w + 2 * padding - 2;
-    if out.len() != n * out_c * out_h * out_w {
-        return Err(KernelError::BufferSize {
-            what: "output",
-            expected: n * out_c * out_h * out_w,
-            got: out.len(),
-        });
-    }
-    if scratch.len() < needed {
-        return Err(KernelError::ScratchTooSmall {
-            needed,
-            got: scratch.len(),
-        });
-    }
-    Ok((out_h, out_w))
-}
-
-/// Scratch floats [`winograd_conv2d_into`] needs: the transformed
-/// filter bank `[out_c, in_c, 16]` plus one tile column of transformed
-/// inputs `[in_c, 16]`.
-pub fn winograd_scratch_elems(in_channels: usize, out_channels: usize) -> usize {
-    16 * (out_channels * in_channels + in_channels)
-}
-
-/// F(2×2, 3×3) Winograd convolution over raw NCHW slices, writing the
-/// `[n, out_c, out_h, out_w]` result into `out` using caller-provided
-/// scratch (at least [`winograd_scratch_elems`] floats) — no hidden
-/// allocation, so the memory planner can account the workspace.
-///
-/// Stride is fixed at 1; `out_h = h + 2·padding − 2`. Results match
-/// direct convolution to floating-point tolerance; odd output extents
-/// are handled by edge tiles that read zero padding and write only
-/// their valid quadrant.
-///
-/// # Errors
-///
-/// Returns [`KernelError`] on mismatched buffer lengths, bias length,
-/// an input smaller than the padded window, or undersized scratch.
-#[allow(clippy::too_many_arguments)]
-pub fn winograd_conv2d_into(
-    input: &[f32],
-    n: usize,
-    in_c: usize,
-    h: usize,
-    w: usize,
-    weights: &[f32],
-    out_c: usize,
-    bias: Option<&[f32]>,
-    padding: usize,
-    out: &mut [f32],
-    scratch: &mut [f32],
-) -> Result<(), KernelError> {
-    let needed = winograd_scratch_elems(in_c, out_c);
-    let (out_h, out_w) = validate_into(
-        input,
-        (n, in_c, h, w),
-        weights,
-        out_c,
+    let geom = WinogradGeometry::new(tile, (n, in_c, h, w), out_c, padding)?;
+    let mut bank = vec![0.0f32; winograd_bank_elems(tile, in_c, out_c)];
+    pack_winograd_bank_into(tile, weights.data(), out_c, in_c, &mut bank);
+    let mut out = Tensor::zeros([geom.n, out_c, geom.out_h(), geom.out_w()]);
+    let mut scratch = vec![0.0f32; geom.scratch_elems()];
+    winograd_conv2d_into(
+        &geom,
+        input.data(),
+        &bank,
         bias,
-        padding,
-        out,
-        scratch,
-        needed,
+        GemmEpilogue::None,
+        out.data_mut(),
+        &mut scratch,
+        1,
+        Schedule::default(),
     )?;
-
-    // Pre-transform all filters: [out_c, in_c, 16].
-    let (u, vs) = scratch[..needed].split_at_mut(out_c * in_c * 16);
-    for (g, uf) in weights.chunks_exact(9).zip(u.chunks_exact_mut(16)) {
-        uf.copy_from_slice(&transform_filter(g));
-    }
-
-    let tiles_y = out_h.div_ceil(2);
-    let tiles_x = out_w.div_ceil(2);
-    for img in 0..n {
-        for ty in 0..tiles_y {
-            for tx in 0..tiles_x {
-                // Gather and transform the input tile for every channel.
-                for (c, v) in vs.chunks_exact_mut(16).enumerate() {
-                    let mut d = [0.0f32; 16];
-                    for dy in 0..4 {
-                        let iy = (ty * 2 + dy) as isize - padding as isize;
-                        if iy < 0 || iy as usize >= h {
-                            continue;
-                        }
-                        for dx in 0..4 {
-                            let ix = (tx * 2 + dx) as isize - padding as isize;
-                            if ix < 0 || ix as usize >= w {
-                                continue;
-                            }
-                            d[dy * 4 + dx] =
-                                input[((img * in_c + c) * h + iy as usize) * w + ix as usize];
-                        }
-                    }
-                    v.copy_from_slice(&transform_input(&d));
-                }
-                // Per output channel: elementwise accumulate + inverse.
-                for o in 0..out_c {
-                    let mut m = [0.0f32; 16];
-                    for (c, v) in vs.chunks_exact(16).enumerate() {
-                        let uf = &u[(o * in_c + c) * 16..(o * in_c + c + 1) * 16];
-                        for k in 0..16 {
-                            m[k] += uf[k] * v[k];
-                        }
-                    }
-                    let y = transform_output(&m);
-                    let b = bias.map_or(0.0, |b| b[o]);
-                    for dy in 0..2 {
-                        let oy = ty * 2 + dy;
-                        if oy >= out_h {
-                            continue;
-                        }
-                        for dx in 0..2 {
-                            let ox = tx * 2 + dx;
-                            if ox >= out_w {
-                                continue;
-                            }
-                            out[((img * out_c + o) * out_h + oy) * out_w + ox] = y[dy * 2 + dx] + b;
-                        }
-                    }
-                }
-            }
-        }
-    }
-    obs::with_current(|o| {
-        o.metrics()
-            .add(Metric::WinogradTiles, (n * tiles_y * tiles_x) as u64);
-    });
-    Ok(())
+    Ok(out)
 }
 
-/// Allocating wrapper over [`winograd_conv2d_into`] for tensor
-/// arguments: F(2×2, 3×3) convolution of a `[n, c, h, w]` input with
-/// `[out_c, c, 3, 3]` filters at stride 1.
+/// F(2×2, 3×3) convolution of a `[n, c, h, w]` input with
+/// `[out_c, c, 3, 3]` filters at stride 1, on one thread.
 ///
 /// # Errors
 ///
@@ -355,330 +997,11 @@ pub fn winograd_conv2d(
     bias: Option<&[f32]>,
     padding: usize,
 ) -> Result<Tensor, KernelError> {
-    let WinogradGeometry {
-        n,
-        in_c,
-        h,
-        w,
-        out_c,
-        out_h,
-        out_w,
-    } = validate_winograd("Winograd F(2x2,3x3)", input, weights, bias, padding)?;
-    let mut out = Tensor::zeros([n, out_c, out_h, out_w]);
-    let mut scratch = vec![0.0f32; winograd_scratch_elems(in_c, out_c)];
-    winograd_conv2d_into(
-        input.data(),
-        n,
-        in_c,
-        h,
-        w,
-        weights.data(),
-        out_c,
-        bias,
-        padding,
-        out.data_mut(),
-        &mut scratch,
-    )?;
-    Ok(out)
+    conv_tensors(WinogradTile::F2, input, weights, bias, padding)
 }
 
-// ---------------------------------------------------------------------------
-// F(4×4, 3×3): 6×6 tiles, 36 multiplies per 16 outputs.
-//
-// Transform matrices from Lavin & Gray, "Fast Algorithms for
-// Convolutional Neural Networks", with interpolation points
-// {0, ±1, ±2}. The larger point set is what makes the transforms
-// worse-conditioned than F(2×2)'s {0, ±1}: |Bᵀ| entries reach 5 and
-// |Aᵀ| entries reach 8, so rounding error in the transform domain is
-// amplified by a bounded constant (measured ≲ 30× of F(2×2)'s, see the
-// tolerance proptests).
-// ---------------------------------------------------------------------------
-
-/// Filter transform `G` (6×3) for F(4×4, 3×3).
-const G4: [[f32; 3]; 6] = [
-    [0.25, 0.0, 0.0],
-    [-1.0 / 6.0, -1.0 / 6.0, -1.0 / 6.0],
-    [-1.0 / 6.0, 1.0 / 6.0, -1.0 / 6.0],
-    [1.0 / 24.0, 1.0 / 12.0, 1.0 / 6.0],
-    [1.0 / 24.0, -1.0 / 12.0, 1.0 / 6.0],
-    [0.0, 0.0, 1.0],
-];
-
-/// Input transform `Bᵀ` (6×6) for F(4×4, 3×3).
-const BT4: [[f32; 6]; 6] = [
-    [4.0, 0.0, -5.0, 0.0, 1.0, 0.0],
-    [0.0, -4.0, -4.0, 1.0, 1.0, 0.0],
-    [0.0, 4.0, -4.0, -1.0, 1.0, 0.0],
-    [0.0, -2.0, -1.0, 2.0, 1.0, 0.0],
-    [0.0, 2.0, -1.0, -2.0, 1.0, 0.0],
-    [0.0, 4.0, 0.0, -5.0, 0.0, 1.0],
-];
-
-/// Output transform `Aᵀ` (4×6) for F(4×4, 3×3).
-const AT4: [[f32; 6]; 4] = [
-    [1.0, 1.0, 1.0, 1.0, 1.0, 0.0],
-    [0.0, 1.0, -1.0, 2.0, -2.0, 0.0],
-    [0.0, 1.0, 1.0, 4.0, 4.0, 0.0],
-    [0.0, 1.0, -1.0, 8.0, -8.0, 1.0],
-];
-
-/// Transforms one 3×3 filter into its 6×6 F(4×4) domain image
-/// `U = G g Gᵀ`.
-fn transform_filter4(g: &[f32]) -> [f32; 36] {
-    debug_assert_eq!(g.len(), 9);
-    let mut tmp = [0.0f32; 18]; // G·g → 6x3
-    for r in 0..6 {
-        for c in 0..3 {
-            tmp[r * 3 + c] = G4[r][0] * g[c] + G4[r][1] * g[3 + c] + G4[r][2] * g[6 + c];
-        }
-    }
-    let mut u = [0.0f32; 36]; // (G·g)·Gᵀ → 6x6
-    for r in 0..6 {
-        for c in 0..6 {
-            u[r * 6 + c] =
-                tmp[r * 3] * G4[c][0] + tmp[r * 3 + 1] * G4[c][1] + tmp[r * 3 + 2] * G4[c][2];
-        }
-    }
-    u
-}
-
-/// Transforms one 6×6 input tile: `V = Bᵀ d B`.
-fn transform_input4(d: &[f32; 36]) -> [f32; 36] {
-    let mut tmp = [0.0f32; 36]; // Bᵀ·d
-    for r in 0..6 {
-        for c in 0..6 {
-            let mut acc = 0.0f32;
-            for k in 0..6 {
-                acc += BT4[r][k] * d[k * 6 + c];
-            }
-            tmp[r * 6 + c] = acc;
-        }
-    }
-    let mut v = [0.0f32; 36]; // (Bᵀ·d)·B, B = (Bᵀ)ᵀ
-    for r in 0..6 {
-        for c in 0..6 {
-            let mut acc = 0.0f32;
-            for k in 0..6 {
-                acc += tmp[r * 6 + k] * BT4[c][k];
-            }
-            v[r * 6 + c] = acc;
-        }
-    }
-    v
-}
-
-/// Inverse transform of one 6×6 accumulator to a 4×4 output tile:
-/// `Y = Aᵀ m A`.
-fn transform_output4(m: &[f32; 36]) -> [f32; 16] {
-    let mut tmp = [0.0f32; 24]; // Aᵀ·m → 4x6
-    for r in 0..4 {
-        for c in 0..6 {
-            let mut acc = 0.0f32;
-            for k in 0..6 {
-                acc += AT4[r][k] * m[k * 6 + c];
-            }
-            tmp[r * 6 + c] = acc;
-        }
-    }
-    let mut y = [0.0f32; 16]; // (Aᵀ·m)·A
-    for r in 0..4 {
-        for c in 0..4 {
-            let mut acc = 0.0f32;
-            for k in 0..6 {
-                acc += tmp[r * 6 + k] * AT4[c][k];
-            }
-            y[r * 4 + c] = acc;
-        }
-    }
-    y
-}
-
-/// Tiles processed per batch by [`winograd4_conv2d_into`]. The
-/// multiply stage runs as 36 frequency-wise `out_c×in_c×T` products,
-/// so the transformed filter bank is streamed once per batch instead
-/// of once per tile — `T = 16` amortises that traffic 16× while the
-/// per-frequency `V`/`M` panels stay L2-resident.
-const WINOGRAD4_TILE_BLOCK: usize = 16;
-
-/// Scratch floats [`winograd4_conv2d_into`] needs: the transformed
-/// filter bank `[36, out_c, in_c]` (frequency-major) plus one
-/// `[36, in_c, T]` batch of transformed input tiles and the matching
-/// `[36, out_c, T]` product accumulator.
-pub fn winograd4_scratch_elems(in_channels: usize, out_channels: usize) -> usize {
-    36 * (out_channels * in_channels
-        + in_channels * WINOGRAD4_TILE_BLOCK
-        + out_channels * WINOGRAD4_TILE_BLOCK)
-}
-
-/// F(4×4, 3×3) Winograd convolution over raw NCHW slices, writing the
-/// `[n, out_c, out_h, out_w]` result into `out` using caller-provided
-/// scratch (at least [`winograd4_scratch_elems`] floats) — no hidden
-/// allocation, so the memory planner can account the workspace.
-///
-/// Stride is fixed at 1; `out_h = h + 2·padding − 2`. Edge tiles read
-/// zero padding and write only their valid region.
-///
-/// # Errors
-///
-/// Returns [`KernelError`] on mismatched buffer lengths, bias length,
-/// an input smaller than the padded window, or undersized scratch.
-#[allow(clippy::too_many_arguments)]
-pub fn winograd4_conv2d_into(
-    input: &[f32],
-    n: usize,
-    in_c: usize,
-    h: usize,
-    w: usize,
-    weights: &[f32],
-    out_c: usize,
-    bias: Option<&[f32]>,
-    padding: usize,
-    out: &mut [f32],
-    scratch: &mut [f32],
-) -> Result<(), KernelError> {
-    let (out_h, out_w) = validate_into(
-        input,
-        (n, in_c, h, w),
-        weights,
-        out_c,
-        bias,
-        padding,
-        out,
-        scratch,
-        winograd4_scratch_elems(in_c, out_c),
-    )?;
-
-    const T: usize = WINOGRAD4_TILE_BLOCK;
-    let oc_ic = out_c * in_c;
-    let (u, rest) = scratch.split_at_mut(36 * oc_ic);
-    let (vs, ms) = rest.split_at_mut(36 * in_c * T);
-    let ms = &mut ms[..36 * out_c * T];
-    // Frequency-major filter bank: `u[k·oc·ic + o·ic + c]`, so each of
-    // the 36 per-frequency products below reads one contiguous
-    // `out_c×in_c` panel.
-    for o in 0..out_c {
-        for c in 0..in_c {
-            let g = &weights[(o * in_c + c) * 9..(o * in_c + c) * 9 + 9];
-            let f = transform_filter4(g);
-            for (k, fv) in f.iter().enumerate() {
-                u[k * oc_ic + o * in_c + c] = *fv;
-            }
-        }
-    }
-
-    let tiles_y = out_h.div_ceil(4);
-    let tiles_x = out_w.div_ceil(4);
-    let tiles = tiles_y * tiles_x;
-    for img in 0..n {
-        let mut batch_start = 0;
-        while batch_start < tiles {
-            let bt = T.min(tiles - batch_start);
-            // Gather and transform a batch of 6×6 input tiles per
-            // channel, scattering frequency-major: `vs[k·ic·T + c·T + t]`.
-            for t in 0..bt {
-                let tile = batch_start + t;
-                let (ty, tx) = (tile / tiles_x, tile % tiles_x);
-                for c in 0..in_c {
-                    let mut d = [0.0f32; 36];
-                    for dy in 0..6 {
-                        let iy = (ty * 4 + dy) as isize - padding as isize;
-                        if iy < 0 || iy as usize >= h {
-                            continue;
-                        }
-                        for dx in 0..6 {
-                            let ix = (tx * 4 + dx) as isize - padding as isize;
-                            if ix < 0 || ix as usize >= w {
-                                continue;
-                            }
-                            d[dy * 6 + dx] =
-                                input[((img * in_c + c) * h + iy as usize) * w + ix as usize];
-                        }
-                    }
-                    let v = transform_input4(&d);
-                    for (k, vv) in v.iter().enumerate() {
-                        vs[(k * in_c + c) * T + t] = *vv;
-                    }
-                }
-            }
-            // 36 frequency-wise products M_k = U_k · V_k
-            // (out_c×in_c times in_c×T): broadcast-u over the tile
-            // lane, which vectorises, and stream the filter bank once
-            // per batch instead of once per tile.
-            for k in 0..36 {
-                let uk = &u[k * oc_ic..(k + 1) * oc_ic];
-                let vk = &vs[k * in_c * T..(k + 1) * in_c * T];
-                let mk = &mut ms[k * out_c * T..(k + 1) * out_c * T];
-                if bt == T {
-                    // Full batches keep the T-wide accumulator in a
-                    // fixed-size local so the lane loop has a
-                    // compile-time trip count and stays in registers
-                    // across the channel reduction.
-                    for o in 0..out_c {
-                        let mut acc = [0.0f32; T];
-                        for c in 0..in_c {
-                            let uv = uk[o * in_c + c];
-                            let vrow: &[f32; T] =
-                                vk[c * T..(c + 1) * T].try_into().expect("full lane");
-                            for (a, vv) in acc.iter_mut().zip(vrow) {
-                                *a += uv * *vv;
-                            }
-                        }
-                        mk[o * T..(o + 1) * T].copy_from_slice(&acc);
-                    }
-                } else {
-                    for o in 0..out_c {
-                        let mrow = &mut mk[o * T..o * T + bt];
-                        mrow.fill(0.0);
-                        for c in 0..in_c {
-                            let uv = uk[o * in_c + c];
-                            let vrow = &vk[c * T..c * T + bt];
-                            for (mv, vv) in mrow.iter_mut().zip(vrow) {
-                                *mv += uv * *vv;
-                            }
-                        }
-                    }
-                }
-            }
-            // Inverse-transform every (tile, output-channel) pair and
-            // write the clipped 4×4 block.
-            for t in 0..bt {
-                let tile = batch_start + t;
-                let (ty, tx) = (tile / tiles_x, tile % tiles_x);
-                for o in 0..out_c {
-                    let mut m = [0.0f32; 36];
-                    for (k, mv) in m.iter_mut().enumerate() {
-                        *mv = ms[(k * out_c + o) * T + t];
-                    }
-                    let y = transform_output4(&m);
-                    let b = bias.map_or(0.0, |b| b[o]);
-                    for dy in 0..4 {
-                        let oy = ty * 4 + dy;
-                        if oy >= out_h {
-                            continue;
-                        }
-                        for dx in 0..4 {
-                            let ox = tx * 4 + dx;
-                            if ox >= out_w {
-                                continue;
-                            }
-                            out[((img * out_c + o) * out_h + oy) * out_w + ox] = y[dy * 4 + dx] + b;
-                        }
-                    }
-                }
-            }
-            batch_start += bt;
-        }
-    }
-    obs::with_current(|o| {
-        o.metrics()
-            .add(Metric::WinogradTiles, (n * tiles_y * tiles_x) as u64);
-    });
-    Ok(())
-}
-
-/// Allocating wrapper over [`winograd4_conv2d_into`] for tensor
-/// arguments: F(4×4, 3×3) convolution of a `[n, c, h, w]` input with
-/// `[out_c, c, 3, 3]` filters at stride 1.
+/// F(4×4, 3×3) convolution of a `[n, c, h, w]` input with
+/// `[out_c, c, 3, 3]` filters at stride 1, on one thread.
 ///
 /// # Errors
 ///
@@ -690,64 +1013,24 @@ pub fn winograd4_conv2d(
     bias: Option<&[f32]>,
     padding: usize,
 ) -> Result<Tensor, KernelError> {
-    let WinogradGeometry {
-        n,
-        in_c,
-        h,
-        w,
-        out_c,
-        out_h,
-        out_w,
-    } = validate_winograd("Winograd F(4x4,3x3)", input, weights, bias, padding)?;
-    let mut out = Tensor::zeros([n, out_c, out_h, out_w]);
-    let mut scratch = vec![0.0f32; winograd4_scratch_elems(in_c, out_c)];
-    winograd4_conv2d_into(
-        input.data(),
-        n,
-        in_c,
-        h,
-        w,
-        weights.data(),
-        out_c,
-        bias,
-        padding,
-        out.data_mut(),
-        &mut scratch,
-    )?;
-    Ok(out)
+    conv_tensors(WinogradTile::F4, input, weights, bias, padding)
 }
 
 /// Multiply counts for a 3×3/stride-1 convolution at the given extents:
-/// `(direct, winograd)` — the algorithmic saving the paper's layer-3
-/// choices trade against transform overhead.
-pub fn multiply_counts(
-    in_channels: usize,
-    out_channels: usize,
+/// `(direct, winograd)` on `tile` — the algorithmic saving the paper's
+/// layer-3 choices trade against transform overhead. Where m divides
+/// both extents the ratio is 9m²/α²: 2.25× for F(2×2), 4× for F(4×4).
+pub fn tile_multiply_counts(
+    tile: WinogradTile,
+    (in_channels, out_channels): (usize, usize),
     out_h: usize,
     out_w: usize,
 ) -> (u64, u64) {
-    let tiles = (out_h.div_ceil(2) * out_w.div_ceil(2)) as u64;
+    let m = tile.m();
+    let tiles = (out_h.div_ceil(m) * out_w.div_ceil(m)) as u64;
     let pairs = (in_channels * out_channels) as u64;
     let direct = pairs * (out_h * out_w) as u64 * 9;
-    let winograd = pairs * tiles * 16;
-    (direct, winograd)
-}
-
-/// Multiply counts for F(4×4, 3×3) at the given extents:
-/// `(direct, winograd4)`. When 4 divides both output extents the ratio
-/// is exactly 4× (and 16/9 ≈ 1.78× better than F(2×2, 3×3) per
-/// output).
-pub fn multiply_counts4(
-    in_channels: usize,
-    out_channels: usize,
-    out_h: usize,
-    out_w: usize,
-) -> (u64, u64) {
-    let tiles = (out_h.div_ceil(4) * out_w.div_ceil(4)) as u64;
-    let pairs = (in_channels * out_channels) as u64;
-    let direct = pairs * (out_h * out_w) as u64 * 9;
-    let winograd4 = pairs * tiles * 36;
-    (direct, winograd4)
+    (direct, pairs * tiles * tile.frequencies() as u64)
 }
 
 /// Reshapes a `[out_c, in_c*9]` matrix back to rank-4 filters (helper for
@@ -772,6 +1055,8 @@ mod tests {
     use crate::im2col::{im2col, Conv2dGeometry};
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
+
+    const TILES: [WinogradTile; 2] = [WinogradTile::F2, WinogradTile::F4];
 
     fn random(shape: impl Into<Shape>, seed: u64) -> Tensor {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
@@ -804,136 +1089,314 @@ mod tests {
         out
     }
 
+    /// Bank, scratch and output of one convolution on an explicit
+    /// kernel and thread count; output as bit patterns.
+    fn run_on(
+        kernel: MicroKernel,
+        tile: WinogradTile,
+        input: &Tensor,
+        weights: &Tensor,
+        bias: &[f32],
+        threads: usize,
+    ) -> Vec<u32> {
+        let (n, in_c, h, w) = input.shape().nchw();
+        let out_c = weights.shape().dims()[0];
+        let geom = WinogradGeometry::new(tile, (n, in_c, h, w), out_c, 1).unwrap();
+        let mut bank = vec![f32::NAN; winograd_bank_elems(tile, in_c, out_c)];
+        pack_winograd_bank_into(tile, weights.data(), out_c, in_c, &mut bank);
+        let mut out = vec![f32::NAN; n * out_c * geom.out_h() * geom.out_w()];
+        let mut scratch = vec![f32::NAN; geom.scratch_elems()];
+        winograd_conv2d_on(
+            kernel,
+            &geom,
+            input.data(),
+            &bank,
+            Some(bias),
+            GemmEpilogue::Relu,
+            &mut out,
+            &mut scratch,
+            threads,
+            Schedule::default(),
+        )
+        .unwrap();
+        out.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// One layer through `tile`'s public wrapper against im2col + GEMM,
+    /// with a bias when `with_bias`, within `tol`.
+    fn check_against_direct(
+        tile: WinogradTile,
+        (shape, out_c, pad): ([usize; 4], usize, usize),
+        with_bias: bool,
+        seed: u64,
+        tol: f32,
+    ) {
+        let input = random(shape, seed);
+        let weights = random([out_c, shape[1], 3, 3], seed + 1);
+        let bias: Vec<f32> = (0..out_c).map(|o| o as f32 * 0.3 - 0.4).collect();
+        let bias = with_bias.then_some(bias.as_slice());
+        let want = reference(&input, &weights, bias, pad);
+        let got = match tile {
+            WinogradTile::F2 => winograd_conv2d(&input, &weights, bias, pad),
+            WinogradTile::F4 => winograd4_conv2d(&input, &weights, bias, pad),
+        }
+        .unwrap();
+        assert_eq!(got.shape().dims(), want.shape().dims());
+        assert!(want.allclose(&got, tol), "{tile:?} {shape:?}");
+    }
+
     #[test]
     fn matches_direct_even_extents() {
-        let input = random([2, 3, 8, 8], 1);
-        let weights = random([4, 3, 3, 3], 2);
-        let want = reference(&input, &weights, None, 1);
-        let got = winograd_conv2d(&input, &weights, None, 1).unwrap();
-        assert!(want.allclose(&got, 1e-3));
+        for tile in TILES {
+            check_against_direct(tile, ([2, 3, 8, 8], 4, 1), false, 1, 1e-3);
+        }
     }
 
     #[test]
     fn matches_direct_odd_extents_and_no_padding() {
-        let input = random([1, 2, 9, 7], 3);
-        let weights = random([3, 2, 3, 3], 4);
-        let want = reference(&input, &weights, None, 0);
-        let got = winograd_conv2d(&input, &weights, None, 0).unwrap();
-        assert_eq!(got.shape().dims(), want.shape().dims());
-        assert!(want.allclose(&got, 1e-3));
+        for tile in TILES {
+            check_against_direct(tile, ([1, 2, 9, 7], 3, 0), false, 3, 1e-3);
+        }
     }
 
     #[test]
     fn matches_direct_with_bias() {
-        let input = random([1, 3, 6, 6], 5);
-        let weights = random([2, 3, 3, 3], 6);
-        let bias = vec![0.7f32, -0.3];
-        let want = reference(&input, &weights, Some(&bias), 1);
-        let got = winograd_conv2d(&input, &weights, Some(&bias), 1).unwrap();
-        assert!(want.allclose(&got, 1e-3));
+        for tile in TILES {
+            check_against_direct(tile, ([1, 3, 6, 6], 2, 1), true, 5, 1e-3);
+        }
     }
 
     #[test]
     fn cifar_layer_shape_agrees() {
         // A real VGG layer shape: 32x32, 16->16 channels (scaled).
-        let input = random([1, 16, 32, 32], 7);
-        let weights = random([16, 16, 3, 3], 8);
-        let want = reference(&input, &weights, None, 1);
-        let got = winograd_conv2d(&input, &weights, None, 1).unwrap();
-        assert!(want.allclose(&got, 5e-3));
+        for tile in TILES {
+            check_against_direct(tile, ([1, 16, 32, 32], 16, 1), false, 7, 5e-3);
+        }
+    }
+
+    #[test]
+    fn f4_matches_direct_even_extents() {
+        check_against_direct(WinogradTile::F4, ([2, 3, 8, 8], 4, 1), true, 11, 1e-3);
+    }
+
+    #[test]
+    fn f4_matches_direct_unaligned_extents() {
+        // 9x7 output: edge tiles write partial 4x4 quadrants.
+        check_against_direct(WinogradTile::F4, ([1, 2, 11, 9], 3, 0), false, 13, 1e-3);
+    }
+
+    #[test]
+    fn chunks_and_ragged_panels_cover_the_batch() {
+        // 3 images × 64 F(2×2) tiles = 192 tiles; 5 images × 64 = 320
+        // tiles, two chunks (256 + 64); the 15×15 map's F(4×4) edge
+        // tiles overhang both axes and its 16 tiles per image leave
+        // panels that straddle images.
+        for (shape, tile) in [
+            ([3, 5, 16, 16], WinogradTile::F2),
+            ([5, 3, 16, 16], WinogradTile::F2),
+            ([7, 4, 15, 15], WinogradTile::F4),
+        ] {
+            let input = random(shape, 31);
+            let weights = random([9, shape[1], 3, 3], 32);
+            let want = reference(&input, &weights, None, 1);
+            let got = conv_tensors(tile, &input, &weights, None, 1).unwrap();
+            assert!(want.allclose(&got, 1e-3), "{tile:?} {shape:?}");
+        }
+    }
+
+    /// Filter = delta at centre: convolution is the identity.
+    fn check_identity(tile: WinogradTile, input: &Tensor) {
+        let mut weights = Tensor::zeros([1, 1, 3, 3]);
+        weights.data_mut()[4] = 1.0;
+        let got = conv_tensors(tile, input, &weights, None, 1).unwrap();
+        assert!(got.allclose(input, 1e-4), "{tile:?}");
+    }
+
+    #[test]
+    fn identity_filter_reproduces_input() {
+        check_identity(WinogradTile::F2, &random([1, 1, 6, 6], 9));
+    }
+
+    #[test]
+    fn f4_identity_filter_reproduces_input() {
+        check_identity(WinogradTile::F4, &random([1, 1, 8, 8], 19));
+    }
+
+    #[test]
+    fn bank_is_the_transformed_filter_per_frequency() {
+        // F(2×2)'s U = G g Gᵀ by the matrices, for filter (7, 1) of a
+        // 9×2 layer: row 7 sits in lane 1 of A panel 1.
+        let weights = random([9, 2, 3, 3], 5);
+        let mut bank = vec![f32::NAN; winograd_bank_elems(WinogradTile::F2, 2, 9)];
+        pack_winograd_bank_into(WinogradTile::F2, weights.data(), 9, 2, &mut bank);
+        let g = &weights.data()[(7 * 2 + 1) * 9..][..9];
+        let gm = [
+            [1.0, 0.0, 0.0],
+            [0.5, 0.5, 0.5],
+            [0.5, -0.5, 0.5],
+            [0.0, 0.0, 1.0],
+        ];
+        let operand = bank.len() / 16;
+        for r in 0..4 {
+            for s in 0..4 {
+                let mut u = 0.0f64;
+                for i in 0..3 {
+                    for j in 0..3 {
+                        u += gm[r][i] * f64::from(g[i * 3 + j]) * gm[s][j];
+                    }
+                }
+                let got = bank[(r * 4 + s) * operand + (MR * 2 + MR) + 1];
+                assert!((f64::from(got) - u).abs() < 1e-6, "U[{r}][{s}]");
+            }
+        }
+        // Rows past out_c = 9 are zero in every frequency.
+        for xi in 0..16 {
+            let panel = &bank[xi * operand + 2 * MR..xi * operand + 4 * MR];
+            assert!(panel.chunks(MR).all(|rows| rows[3..] == [0.0; 3]));
+        }
+    }
+
+    #[test]
+    fn output_is_bit_identical_across_threads_and_simd_kernels() {
+        // Several chunks (1280 F(2×2) tiles, 320 F(4×4) tiles) with
+        // enough channels that three
+        // workers split both transforms of both tiles too, a fused ReLU
+        // and NaN/Inf inputs: every thread count writes the same bits,
+        // and so does every SIMD instantiation. The portable kernel
+        // multiplies and adds where the SIMD tiles fuse, so it is held
+        // to a tolerance instead.
+        let mut input = random([5, 96, 32, 32], 41);
+        input.data_mut()[77] = f32::NAN;
+        input.data_mut()[100_000] = f32::INFINITY;
+        let weights = random([96, 96, 3, 3], 42);
+        let bias: Vec<f32> = (0..96).map(|o| o as f32 * 0.02 - 0.5).collect();
+        let kernels: Vec<MicroKernel> = MicroKernel::available().collect();
+        for tile in TILES {
+            for &kernel in &kernels {
+                let want = run_on(kernel, tile, &input, &weights, &bias, 1);
+                for threads in [2, 3] {
+                    let got = run_on(kernel, tile, &input, &weights, &bias, threads);
+                    assert!(got == want, "{tile:?} {kernel:?} at {threads} threads");
+                }
+            }
+            let simd: Vec<Vec<u32>> = kernels[1..]
+                .iter()
+                .map(|&k| run_on(k, tile, &input, &weights, &bias, 1))
+                .collect();
+            assert!(simd.windows(2).all(|p| p[0] == p[1]), "{tile:?}");
+            let scalar = run_on(MicroKernel::Scalar, tile, &input, &weights, &bias, 1);
+            for other in &simd {
+                let scale = other
+                    .iter()
+                    .map(|&b| f32::from_bits(b).abs())
+                    .filter(|v| v.is_finite())
+                    .fold(1.0f32, f32::max);
+                for (s, o) in scalar.iter().zip(other) {
+                    let (s, o) = (f32::from_bits(*s), f32::from_bits(*o));
+                    let close = (s - o).abs() <= 1e-5 * scale;
+                    assert!(
+                        s.is_finite() == o.is_finite() && (!s.is_finite() || close),
+                        "{tile:?}: {s} vs {o}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn transforms_are_bit_identical_on_every_instantiation() {
+        // Each stage alone on every kernel's instantiation, over the
+        // same NaN-free inputs: the transformed panels and the outputs
+        // agree bit for bit.
+        let geom = WinogradGeometry::new(WinogradTile::F4, (3, 5, 13, 11), 7, 1).unwrap();
+        let input = random([3, 5, 13, 11], 51);
+        let bias: Vec<f32> = (0..7).map(|o| o as f32 * 0.2).collect();
+        let job = Job {
+            geom,
+            input: input.data(),
+            bias: Some(&bias),
+            epilogue: GemmEpilogue::Relu,
+        };
+        let chunk = Chunk {
+            t0: 0,
+            tiles: geom.tiles(),
+        };
+        let products = random([36 * 7 * geom.tiles()], 52);
+        let stages = |kernel: MicroKernel| {
+            let mut v = vec![f32::NAN; 36 * chunk.v_stride(5)];
+            let mut out = vec![f32::NAN; 3 * 7 * 13 * 11];
+            let writer = DisjointWriter::new(&mut v);
+            run_stage::<F4>(
+                kernel,
+                &job,
+                chunk,
+                Stage::Input { v: &writer },
+                5,
+                1,
+                Schedule::default(),
+            );
+            let writer = DisjointWriter::new(&mut out);
+            let stage = Stage::Output {
+                products: products.data(),
+                out: &writer,
+            };
+            run_stage::<F4>(kernel, &job, chunk, stage, 7, 1, Schedule::default());
+            let bits = |x: &[f32]| x.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+            (bits(&v), bits(&out))
+        };
+        let want = stages(MicroKernel::Scalar);
+        assert!(want
+            .0
+            .iter()
+            .chain(&want.1)
+            .all(|&b| !f32::from_bits(b).is_nan()));
+        for kernel in MicroKernel::available().skip(1) {
+            assert!(stages(kernel) == want, "{kernel:?}");
+        }
     }
 
     #[test]
     fn multiply_savings_are_2_25x_for_even_tiles() {
-        let (direct, wino) = multiply_counts(64, 64, 32, 32);
+        let (direct, wino) = tile_multiply_counts(WinogradTile::F2, (64, 64), 32, 32);
         let ratio = direct as f64 / wino as f64;
         assert!((ratio - 2.25).abs() < 1e-9, "ratio {ratio}");
     }
 
     #[test]
     fn multiply_savings_are_4x_for_f4_on_aligned_tiles() {
-        let (direct, wino4) = multiply_counts4(64, 64, 32, 32);
+        let (direct, wino4) = tile_multiply_counts(WinogradTile::F4, (64, 64), 32, 32);
         let ratio = direct as f64 / wino4 as f64;
         assert!((ratio - 4.0).abs() < 1e-9, "ratio {ratio}");
         // 16/9 ≈ 1.78x fewer multiplies than F(2x2,3x3) on the same
         // extents: 36/16 = 2.25 muls per output vs F(2x2)'s 16/4 = 4.
-        let (_, wino2) = multiply_counts(64, 64, 32, 32);
+        let (_, wino2) = tile_multiply_counts(WinogradTile::F2, (64, 64), 32, 32);
         let f4_over_f2 = wino2 as f64 / wino4 as f64;
         assert!((f4_over_f2 - 16.0 / 9.0).abs() < 1e-9, "ratio {f4_over_f2}");
     }
 
     #[test]
-    fn identity_filter_reproduces_input() {
-        // Filter = delta at centre: convolution is the identity.
-        let input = random([1, 1, 6, 6], 9);
-        let mut weights = Tensor::zeros([1, 1, 3, 3]);
-        weights.data_mut()[4] = 1.0;
-        let got = winograd_conv2d(&input, &weights, None, 1).unwrap();
-        assert!(got.allclose(&input, 1e-4));
-    }
-
-    #[test]
-    fn f4_identity_filter_reproduces_input() {
-        let input = random([1, 1, 8, 8], 19);
-        let mut weights = Tensor::zeros([1, 1, 3, 3]);
-        weights.data_mut()[4] = 1.0;
-        let got = winograd4_conv2d(&input, &weights, None, 1).unwrap();
-        assert!(got.allclose(&input, 1e-4));
-    }
-
-    #[test]
-    fn f4_matches_direct_even_extents() {
-        let input = random([2, 3, 8, 8], 11);
-        let weights = random([4, 3, 3, 3], 12);
-        let bias = vec![0.4f32, -0.2, 0.1, 0.9];
-        let want = reference(&input, &weights, Some(&bias), 1);
-        let got = winograd4_conv2d(&input, &weights, Some(&bias), 1).unwrap();
-        assert!(want.allclose(&got, 1e-3));
-    }
-
-    #[test]
-    fn f4_matches_direct_unaligned_extents() {
-        // 9x7 output: edge tiles write partial 4x4 quadrants.
-        let input = random([1, 2, 11, 9], 13);
-        let weights = random([3, 2, 3, 3], 14);
-        let want = reference(&input, &weights, None, 0);
-        let got = winograd4_conv2d(&input, &weights, None, 0).unwrap();
-        assert_eq!(got.shape().dims(), want.shape().dims());
-        assert!(want.allclose(&got, 1e-3));
-    }
-
-    #[test]
     fn non_3x3_rejected_with_typed_error() {
-        let err = winograd_conv2d(
-            &Tensor::zeros([1, 1, 8, 8]),
-            &Tensor::zeros([1, 1, 5, 5]),
-            None,
-            1,
-        )
-        .unwrap_err();
-        assert_eq!(
-            err,
-            KernelError::KernelShape {
-                algo: "Winograd F(2x2,3x3)",
-                expected: (3, 3),
-                got: (5, 5),
-            }
-        );
-        let err4 = winograd4_conv2d(
-            &Tensor::zeros([1, 1, 8, 8]),
-            &Tensor::zeros([1, 1, 5, 5]),
-            None,
-            1,
-        )
-        .unwrap_err();
-        assert_eq!(
-            err4,
-            KernelError::KernelShape {
-                algo: "Winograd F(4x4,3x3)",
-                expected: (3, 3),
-                got: (5, 5),
-            }
-        );
+        for (tile, algo) in [
+            (WinogradTile::F2, "Winograd F(2x2,3x3)"),
+            (WinogradTile::F4, "Winograd F(4x4,3x3)"),
+        ] {
+            let err = conv_tensors(
+                tile,
+                &Tensor::zeros([1, 1, 8, 8]),
+                &Tensor::zeros([1, 1, 5, 5]),
+                None,
+                1,
+            )
+            .unwrap_err();
+            assert_eq!(
+                err,
+                KernelError::KernelShape {
+                    algo,
+                    expected: (3, 3),
+                    got: (5, 5),
+                }
+            );
+        }
     }
 
     #[test]
@@ -983,31 +1446,37 @@ mod tests {
 
     #[test]
     fn f4_into_rejects_undersized_scratch() {
+        // ...and, once the scratch fits, a bank one element short.
+        let geom = WinogradGeometry::new(WinogradTile::F4, (1, 2, 6, 6), 3, 1).unwrap();
         let input = vec![0.0f32; 2 * 6 * 6];
-        let weights = vec![0.0f32; 3 * 2 * 9];
+        let bank = vec![0.0f32; winograd_bank_elems(WinogradTile::F4, 2, 3)];
         let mut out = vec![0.0f32; 3 * 6 * 6];
         let mut scratch = vec![0.0f32; 7];
-        let err = winograd4_conv2d_into(
-            &input,
-            1,
-            2,
-            6,
-            6,
-            &weights,
-            3,
-            None,
-            1,
-            &mut out,
-            &mut scratch,
-        )
-        .unwrap_err();
+        let run = |bank: &[f32], scratch: &mut [f32], out: &mut [f32]| {
+            winograd_conv2d_into(
+                &geom,
+                &input,
+                bank,
+                None,
+                GemmEpilogue::None,
+                out,
+                scratch,
+                1,
+                Schedule::default(),
+            )
+        };
         assert_eq!(
-            err,
+            run(&bank, &mut scratch, &mut out).unwrap_err(),
             KernelError::ScratchTooSmall {
-                needed: winograd4_scratch_elems(2, 3),
+                needed: geom.scratch_elems(),
                 got: 7
             }
         );
+        let mut scratch = vec![0.0f32; geom.scratch_elems()];
+        assert!(matches!(
+            run(&bank[1..], &mut scratch, &mut out).unwrap_err(),
+            KernelError::BufferSize { what: "bank", .. }
+        ));
     }
 
     #[test]

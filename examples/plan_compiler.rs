@@ -76,10 +76,11 @@ fn main() {
 }
 
 /// "Fastest plan under N MB" on batch-8 VGG-16: the same model planned
-/// under a shrinking activation envelope. The unconstrained plan picks
-/// im2col + packed GEMM everywhere; as the budget bites, the solver
-/// demotes the widest layers to smaller-workspace algorithms, and an
-/// impossible envelope fails with the smallest budget that would work.
+/// under a shrinking activation envelope. The unconstrained plan puts
+/// the 32²…4² layers on Winograd and the rest on im2col + packed GEMM;
+/// as the budget bites, the solver demotes the layers whose workspace
+/// sets the peak to smaller-workspace algorithms, and an impossible
+/// envelope fails with the smallest budget that would work.
 fn budget_sweep() {
     println!("## VGG-16 (batch 8) under a memory budget");
     let batch = 8;

@@ -305,43 +305,77 @@ fn session_profile_rows_align_with_descriptors() {
 
 /// `Network::replica` on all three paper models — plain stacks,
 /// `ResidualBlock` children, depthwise stages: compiling and preparing
-/// a replica of a compiled network rewrites and packs nothing (every
-/// master and every built form keeps the source's address), and the
-/// two sessions compute the same bits.
+/// a replica of a compiled network rewrites, packs and transforms
+/// nothing (every master and every built form, f32 panels and Winograd
+/// banks alike, keeps the source's address), and the two sessions
+/// compute the same bits. Forced onto im2col every layer holds panels;
+/// as selected, VGG-16's mid-size convolutions hold banks instead.
 #[test]
 fn replicas_of_paper_models_share_storage_and_bit_match() {
-    let cfg = ExecConfig {
-        conv_algo: ConvAlgorithm::Im2col,
-        ..ExecConfig::serial()
-    };
     let input = Tensor::from_fn([2, 3, 32, 32], |i| {
         ((i as u64 * 2654435761) % 197) as f32 * 0.01 - 1.0
     });
-    let compile = |mut net: Network| {
-        let plan = PlanCompiler::standard()
-            .run(&mut net, input.shape().dims(), &cfg)
-            .expect("paper models accept CIFAR-shaped input");
-        InferenceSession::owned(net, plan, GuardConfig::Off).expect("plan matches this network")
+    let im2col = ExecConfig {
+        conv_algo: ConvAlgorithm::Im2col,
+        ..ExecConfig::serial()
     };
-    for kind in ModelKind::all() {
-        let mut source = compile(kind.build_width(10, 0.25).network);
-        let storage = source.network().weight_storage();
-        assert!(
-            storage.iter().all(|s| s.forms[1].is_some()),
-            "{}: every conv and linear layer is packed",
-            kind.name()
-        );
-        let mut replica = compile(source.network().replica());
-        assert_eq!(
-            replica.network().weight_storage(),
-            storage,
-            "{}: the replica copied or re-packed a layer",
-            kind.name()
-        );
-        let bits = |t: Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        let want = bits(source.run(&input).expect("input matches plan"));
-        let got = bits(replica.run(&input).expect("input matches plan"));
-        assert_eq!(got, want, "{}: outputs diverge", kind.name());
+    for (cfg, forced) in [(im2col, true), (ExecConfig::serial(), false)] {
+        let compile = |mut net: Network| {
+            let plan = PlanCompiler::standard()
+                .run(&mut net, input.shape().dims(), &cfg)
+                .expect("paper models accept CIFAR-shaped input");
+            InferenceSession::owned(net, plan, GuardConfig::Off).expect("plan matches this network")
+        };
+        for kind in ModelKind::all() {
+            let mut source = compile(kind.build_width(10, 0.25).network);
+            let storage = source.network().weight_storage();
+            if forced {
+                assert!(
+                    storage.iter().all(|s| s.forms[1].is_some()),
+                    "{}: every conv and linear layer is packed",
+                    kind.name()
+                );
+            } else if kind == ModelKind::Vgg16 {
+                assert!(
+                    storage.iter().any(|s| s.forms[3].or(s.forms[4]).is_some()),
+                    "VGG-16's selected plan holds a Winograd bank"
+                );
+            }
+            let mut replica = compile(source.network().replica());
+            assert_eq!(
+                replica.network().weight_storage(),
+                storage,
+                "{}: the replica copied, re-packed or re-transformed a layer",
+                kind.name()
+            );
+            let bits = |t: Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            let want = bits(source.run(&input).expect("input matches plan"));
+            let got = bits(replica.run(&input).expect("input matches plan"));
+            assert_eq!(got, want, "{}: outputs diverge", kind.name());
+        }
+    }
+}
+
+/// Inference allocates no gradient: a compiled VGG-16 session that has
+/// run, and a session over its replica, hold no gradient buffer in any
+/// parameter — the accumulators appear with the first backward pass.
+#[test]
+fn inference_sessions_hold_no_gradient_buffers() {
+    let mut model = ModelKind::Vgg16.build_width(10, 0.25);
+    let plan = model
+        .compile_plan(2, &ExecConfig::serial(), &PlanCompiler::standard())
+        .expect("VGG-16 compiles");
+    let input = Tensor::from_fn([2, 3, 32, 32], |i| (i % 17) as f32 * 0.1 - 0.8);
+    let mut session =
+        InferenceSession::owned(model.network, plan.clone(), GuardConfig::Off).expect("session");
+    session.run(&input).expect("clean run");
+    let mut replica = InferenceSession::owned(session.network().replica(), plan, GuardConfig::Off)
+        .expect("replica session");
+    replica.run(&input).expect("clean run");
+    for net in [session.network(), replica.network()] {
+        let params = net.params();
+        assert!(!params.is_empty());
+        assert!(params.iter().all(|p| p.grad().is_none()));
     }
 }
 

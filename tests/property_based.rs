@@ -194,11 +194,15 @@ proptest! {
         // The caller-scratch kernel over a NaN-poisoned, oversized
         // scratch is the allocating wrapper bit for bit: the advertised
         // workspace is sufficient and initialised before it is read.
+        use cnn_stack::tensor::{winograd_bank_elems, WinogradGeometry, WinogradTile::F2};
+        let geom = WinogradGeometry::new(F2, (n, c, h, w), out_c, pad).expect("eligible");
+        let mut bank = vec![f32::NAN; winograd_bank_elems(F2, c, out_c)];
+        cnn_stack::tensor::pack_winograd_bank_into(F2, weights.data(), out_c, c, &mut bank);
         let mut out = vec![f32::NAN; got.len()];
-        let mut scratch =
-            vec![f32::NAN; cnn_stack::tensor::winograd_scratch_elems(c, out_c) + 3];
+        let mut scratch = vec![f32::NAN; geom.scratch_elems() + 3];
         cnn_stack::tensor::winograd_conv2d_into(
-            input.data(), n, c, h, w, weights.data(), out_c, bias, pad, &mut out, &mut scratch,
+            &geom, input.data(), &bank, bias, gemm::GemmEpilogue::None, &mut out, &mut scratch,
+            1, Schedule::default(),
         )
         .expect("same geometry as the wrapper");
         prop_assert!(out.iter().zip(got.data()).all(|(a, b)| a.to_bits() == b.to_bits()));

@@ -1,15 +1,16 @@
 //! Derived weight forms track the master, whatever happens to it — and
 //! to any replica sharing it.
 //!
-//! `Conv2d` and `Linear` derive up to three storage forms (CSR, packed
-//! f32 panels, ternary codes) from `(master weights, format
-//! label)`, and a replica shares the master and the built forms instead
-//! of copying them. One property covers the lifecycle: after *any*
-//! interleaving of weight writes, relabels, surgery, warm-ups, replicas
-//! and TTQ reprojections on a layer and its replica, every kernel of
-//! each side computes exactly what a freshly constructed layer holding
-//! that side's master and label computes — under all three weight
-//! routes, over NaN-poisoned scratch of exactly the one bound the layer
+//! `Conv2d` and `Linear` derive storage forms (CSR, packed f32 panels,
+//! ternary codes, the F(2×2) and F(4×4) Winograd banks) from `(master
+//! weights, format label)`, and a replica shares the master and the
+//! built forms instead of copying them. One property covers the
+//! lifecycle: after *any* interleaving of weight writes, relabels,
+//! surgery, warm-ups, replicas and TTQ reprojections on a layer and its
+//! replica, every kernel of each side computes exactly what a freshly
+//! constructed layer holding that side's master and label computes —
+//! under all five weight routes, over NaN-poisoned scratch of exactly
+//! the one bound the layer
 //! states — and the two sides share a buffer exactly when they may:
 //! the master until either side writes, a form only while master and
 //! label agree. `ci.sh` runs this file under both
@@ -29,11 +30,18 @@ use proptest::prelude::*;
 use Op::*;
 use WeightFormat::{Csr, Dense, Ternary};
 
-/// The three weight routes: master (direct conv / scalar linear), f32
-/// panels, ternary codes.
-fn cfgs() -> [ExecConfig; 3] {
+/// The five weight routes: master (direct conv / scalar linear), f32
+/// panels, ternary codes, and the two Winograd banks (a linear layer
+/// runs its f32 panels under those).
+fn cfgs() -> [ExecConfig; 5] {
     use {ConvAlgorithm::*, GemmAlgorithm::*};
-    let routes = [(Direct, Blocked), (Im2col, Packed), (Im2col, TernaryPacked)];
+    let routes = [
+        (Direct, Blocked),
+        (Im2col, Packed),
+        (Im2col, TernaryPacked),
+        (Winograd, Packed),
+        (WinogradF4, Packed),
+    ];
     routes.map(|(conv_algo, gemm_algo)| ExecConfig {
         conv_algo,
         gemm_algo,
@@ -88,7 +96,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         1 => ParamsMut(seed),
         2 => SetFormat([Dense, Csr, Ternary][seed as usize % 3]),
         3 => Remove(seed),
-        4 => Prepare(seed as usize % 3),
+        4 => Prepare(seed as usize % 5),
         5 => Replica,
         _ => Reproject(seed),
     })
@@ -247,8 +255,11 @@ impl Pair {
             Replica | SetFormat(_) | Prepare(_) => false,
         };
         if wrote {
-            assert_eq!(now.forms, [None; 3], "a write drops every form");
+            assert_eq!(now.forms, [None; 5], "a write drops every form");
             self.master_shared = false;
+        } else if let SetFormat(_) = op {
+            assert_eq!(now.forms, [None; 5], "a relabel drops every form");
+            assert_eq!(now.master, before.master, "a relabel is not a write");
         } else if let Replica = op {
             assert_eq!(now, bystander, "a replica shares everything built");
             self.master_shared = true;
@@ -340,6 +351,11 @@ pinned! {
     /// Weights rewritten through `params_mut` reach the sparse kernel.
     csr_layers_follow_params_mut_writes:
         [SetFormat(Csr), Prepare(0), ParamsMut(ZERO), ParamsMut(MIXED)];
+    /// A built bank is dropped by `master_mut`, `replace` and
+    /// `set_format`, and whichever bank the next step reads is rebuilt
+    /// from the weights it then holds.
+    winograd_banks_follow_writes_surgery_and_relabels:
+        [Prepare(4), WeightMut(MIXED), Prepare(3), Remove(0), Prepare(4), SetFormat(Dense), Prepare(4)];
 }
 
 /// A replica reads the source's buffers, not equal copies of them;
@@ -365,7 +381,7 @@ fn replica_shares_storage_until_written() {
     // A relabel is per side and copies nothing.
     replica.apply(SetFormat(Dense));
     assert_eq!(replica.storage().master, source.storage().master);
-    assert_eq!(replica.storage().forms, [None; 3]);
+    assert_eq!(replica.storage().forms, [None; 5]);
     assert!(source.storage().forms[2].is_some());
     assert_eq!(source.format(), Ternary);
 
@@ -376,25 +392,35 @@ fn replica_shares_storage_until_written() {
     assert_eq!(source.run(&x, &ternary), before);
     assert_ne!(replica.run(&x, &ternary), before);
 
-    let mut net = Network::new(vec![
-        Box::new(Conv2d::new(3, 4, 3, 1, 1, 1)),
-        Box::new(ReLU::new()),
-        Box::new(Conv2d::new(4, 4, 3, 1, 1, 2)),
-        Box::new(Flatten::new()),
-        Box::new(Linear::new(4 * 6 * 6, 5, 3)),
-    ])
-    .unwrap();
-    for layer in net.layers_mut() {
-        layer.prepare(&cfgs()[1]);
+    // f32 panels under im2col, the F(4×4) bank under Winograd: the
+    // convolutions' form is shared, written, and un-shared alike.
+    for (cfg, conv_form) in [(cfgs()[1], 1), (cfgs()[4], 4)] {
+        let mut net = Network::new(vec![
+            Box::new(Conv2d::new(3, 4, 3, 1, 1, 1)),
+            Box::new(ReLU::new()),
+            Box::new(Conv2d::new(4, 4, 3, 1, 1, 2)),
+            Box::new(Flatten::new()),
+            Box::new(Linear::new(4 * 6 * 6, 5, 3)),
+        ])
+        .unwrap();
+        for layer in net.layers_mut() {
+            layer.prepare(&cfg);
+        }
+        let mut twin = net.replica();
+        assert_eq!(twin.weight_storage(), net.weight_storage());
+        assert!(net.weight_storage()[..2]
+            .iter()
+            .all(|s| s.forms[conv_form].is_some()));
+        let middle = twin.layers_mut()[2].as_any_mut();
+        let middle = middle.downcast_mut::<Conv2d>().unwrap();
+        middle.weight_mut().value.fill(0.5);
+        let (ours, theirs) = (twin.weight_storage(), net.weight_storage());
+        assert_ne!(ours[1].master, theirs[1].master);
+        assert_eq!(ours[1].forms, [None; 5]);
+        assert!(
+            theirs[1].forms[conv_form].is_some(),
+            "the source keeps its form"
+        );
+        assert_eq!((ours[0], ours[2]), (theirs[0], theirs[2]));
     }
-    let mut twin = net.replica();
-    assert_eq!(twin.weight_storage(), net.weight_storage());
-    let middle = twin.layers_mut()[2].as_any_mut();
-    let middle = middle.downcast_mut::<Conv2d>().unwrap();
-    middle.weight_mut().value.fill(0.5);
-    let (ours, theirs) = (twin.weight_storage(), net.weight_storage());
-    assert_ne!(ours[1].master, theirs[1].master);
-    assert_eq!(ours[1].forms, [None; 3]);
-    assert!(theirs[1].forms[1].is_some(), "the source keeps its panels");
-    assert_eq!((ours[0], ours[2]), (theirs[0], theirs[2]));
 }

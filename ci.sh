@@ -8,9 +8,11 @@ cd "$(dirname "$0")"
 export CARGO_NET_OFFLINE=true
 
 # Cross-algorithm convolution conformance: every conv row of the kernel
-# registry (direct, im2col over the packed/scalar/ternary GEMM engines,
-# Winograd F(2x2)/F(4x4), both CSR kernels) against the naive reference
-# under per-kernel error budgets, the registry's own table tests, the
+# registry (direct, im2col over the packed GEMM on f32 panels or 2-bit
+# codes and over the scalar GEMM, Winograd F(2x2)/F(4x4), both CSR
+# kernels) against the naive reference under per-kernel error budgets
+# (the code row bit-exact against im2col-packed), the registry's own
+# table tests, the
 # transform-ladder fault-injection rungs and a tiny-shape pass through
 # the conv-algo bench harness. The full bench run (which regenerates
 # BENCH_conv.json and enforces the F4 >= 1.5x im2col-packed gate on
@@ -63,8 +65,9 @@ echo "== tests =="
 #   and the serve crate's own unit + doc tests; serve-chaos's
 #   default-feature half: a counting `build_net` runs once across start,
 #   crash respawn and watchdog failover (serve_supervision).
-# * quant-proptest: the 2-bit spmm and the ternary packed GEMM engine
-#   vs their f32 references (incl. the 0*NaN propagation policy), plus the derived-weight-form property: after
+# * quant-proptest: the 2-bit spmm vs its f32 reference and the packed
+#   GEMM on 2-bit code panels vs the same GEMM on the f32 panels of the
+#   same values (incl. the 0*NaN propagation policy), plus the derived-weight-form property: after
 #   any interleaving of weight writes, relabels, channel surgery,
 #   prepares, replicas and TTQ reprojections on a conv/linear layer and
 #   its replica, every kernel of each side equals a freshly built
@@ -145,10 +148,10 @@ echo "== serve-chaos =="
 BENCH_SMOKE=1 cargo bench -p cnn-stack-bench --bench chaos --features fault-inject
 
 echo "== quant-bench-smoke =="
-# Tiny-shape pass through the quant bench harness, asserting the ternary
-# path stays bit-identical to f32 before timing; the full run (which
-# regenerates BENCH_quant.json and enforces the >= 1.2x conv5 speedup
-# gate) is manual.
+# Tiny-shape pass through the quant bench harness, asserting the codes
+# stay bit-identical to the f32 panels at 1/16 of their bytes before
+# timing; the full run (which regenerates BENCH_quant.json and enforces
+# codes <= 1.15x the f32 panels' time on the conv5 trio) is manual.
 BENCH_SMOKE=1 cargo bench -p cnn-stack-bench --bench quant
 
 echo "== memory bench smoke =="
@@ -163,8 +166,8 @@ echo "== conv-algo bench smoke =="
 BENCH_SMOKE=1 cargo bench -p cnn-stack-bench --bench conv_algo
 
 echo "== portable-kernels =="
-# Every dispatched kernel (packed GEMM full and half tile, ternary
-# through the conformance grid, depthwise) has a portable twin that an
+# Every dispatched kernel (packed GEMM full and half tile, the code
+# decoder through the conformance grid, depthwise) has a portable twin that an
 # AVX2 host never runs by default; pin it and re-run the suites that
 # hold the kernels to their references (the im2col packer property in
 # kernel_proptest is ISA-independent and simply runs again), and the
@@ -208,6 +211,16 @@ fi
 # multiply counters `tile_multiply_counts` replaced.
 if grep -rnE 'winograd4_conv2d_into|winograd4_scratch_elems|winograd_scratch_elems|WINOGRAD4_TILE_BLOCK|transform_filter4?\b|transform_input4?\b|transform_output4?\b|WinogradKernel|WINOGRAD4?_GFLOPS|\bmultiply_counts4?\b' crates src tests examples; then
   echo "ci: a per-call Winograd filter transform or scalar multiply stage is back" >&2
+  exit 1
+fi
+
+# A TTQ layer runs its 2-bit codes decoded into the f32 tile: the
+# transposed ternary engine (its B-code packer, its transposed A packer,
+# its micro-kernels, its driver, its cost anchor) is gone, not kept
+# beside it. `GemmAlgorithm::TernaryPacked` itself stays: the e2e
+# package's ledger classifies steps by it.
+if grep -rnE 'pack_a_transposed_into|pack_b_ternary_transposed_into|microkernel_ternary|gemm_prepacked_ternary|TERNARY_GFLOPS|ternary_b_words' crates src tests examples; then
+  echo "ci: the transposed ternary engine is back" >&2
   exit 1
 fi
 

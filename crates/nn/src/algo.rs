@@ -60,9 +60,12 @@ pub enum AlgoChoice {
     /// 32×32 one at batch 1: its bank is 4× the weights it replaces, and
     /// with few tiles streaming it costs more than the multiplies save.
     WinogradF4,
-    /// im2col lowering into the packed **ternary** GEMM engine (2-bit
-    /// weight codes, transposed product). Value-preserving, so proposed
-    /// whenever the weights are exactly ternary.
+    /// [`Im2colPacked`](Self::Im2colPacked) reading the layer's 2-bit
+    /// weight codes: the packed engine decodes them block by block into
+    /// the same f32 tile, so the output bits are `Im2colPacked`'s on the
+    /// same values while the resident weights shrink 16×. What a
+    /// `Ternary`-labelled layer with exactly-ternary weights runs under
+    /// im2col and the packed engine.
     TernaryConv,
     /// Packed GEMM linear layer.
     PackedLinear,
@@ -70,8 +73,11 @@ pub enum AlgoChoice {
     ScalarLinear,
     /// CSR sparse linear layer.
     CsrLinear,
-    /// Packed ternary GEMM linear layer. Value-preserving, proposed
-    /// whenever the weights are exactly ternary.
+    /// A linear layer on its 2-bit weight codes, lowered as `W · Xᵀ` so
+    /// the codes are the packed engine's A operand; bit for bit
+    /// [`PackedLinear`](Self::PackedLinear) on the same values. What a
+    /// `Ternary`-labelled layer with exactly-ternary weights runs on the
+    /// packed engine.
     TernaryLinear,
 }
 
@@ -163,11 +169,11 @@ impl AlgoChoice {
             K::CsrIm2col     => ("csr-im2col",     Some(C::Im2col),     None,                   F::Csr,     Some(Csr),            Some(K::Im2colPacked)),
             K::Winograd      => ("winograd",       Some(C::Winograd),   None,                   F::Dense,   Some(Winograd(F2)),   Some(K::Im2colPacked)),
             K::WinogradF4    => ("winograd-f4",    Some(C::WinogradF4), None,                   F::Dense,   Some(Winograd(F4)),   Some(K::Winograd)),
-            K::TernaryConv   => ("im2col-ternary", Some(C::Im2col),     Some(G::TernaryPacked), F::Ternary, Some(Quant),          Some(K::Im2colPacked)),
+            K::TernaryConv   => ("im2col-ternary", Some(C::Im2col),     Some(G::TernaryPacked), F::Ternary, Some(Codes),          Some(K::Im2colPacked)),
             K::PackedLinear  => ("gemm-packed",    None,                Some(G::Packed),        F::Dense,   Some(Panels),         Some(K::ScalarLinear)),
             K::ScalarLinear  => ("gemm-scalar",    None,                Some(G::Blocked),       F::Dense,   None,                 None),
             K::CsrLinear     => ("gemm-csr",       None,                None,                   F::Csr,     Some(Csr),            Some(K::PackedLinear)),
-            K::TernaryLinear => ("gemm-ternary",   None,                Some(G::TernaryPacked), F::Ternary, Some(Quant),          Some(K::PackedLinear)),
+            K::TernaryLinear => ("gemm-ternary",   None,                Some(G::TernaryPacked), F::Ternary, Some(Codes),          Some(K::PackedLinear)),
         };
         Row { tag, conv_algo, gemm_algo, format, form, demotes_to }
     }
@@ -270,9 +276,11 @@ impl AlgoChoice {
 ///   it runs the sparse-direct one;
 /// * a Winograd `conv_algo` on a layer it does not apply to runs the
 ///   direct kernel;
-/// * a quantised `gemm_algo` on weights with no matching code form (a
-///   different label, or a `Ternary` label on weights that are not
-///   exactly ternary) runs the f32 packed engine.
+/// * the packed engine reads a layer's 2-bit codes exactly when its
+///   label is `Ternary` and its weights are exactly ternary, whichever
+///   packed `gemm_algo` asked (`TernaryPacked` is how a code row records
+///   itself in a step's config); any other label or weights run f32
+///   panels.
 ///
 /// `exactly_ternary` is asked only when the answer decides the row.
 pub fn resolve(
@@ -296,23 +304,25 @@ pub fn resolve(
             C::Direct | C::Winograd | C::WinogradF4 => K::DirectConv,
             C::Im2col => match cfg.gemm_algo {
                 G::Blocked => K::Im2colScalar,
-                G::TernaryPacked
-                    if label == F::Ternary && K::TernaryConv.applies(shape, exactly_ternary()) =>
-                {
-                    K::TernaryConv
+                G::Packed | G::TernaryPacked => {
+                    if label == F::Ternary && K::TernaryConv.applies(shape, exactly_ternary()) {
+                        K::TernaryConv
+                    } else {
+                        K::Im2colPacked
+                    }
                 }
-                G::Packed | G::TernaryPacked => K::Im2colPacked,
             },
         },
         LayerShape::Linear if label == F::Csr => K::CsrLinear,
         LayerShape::Linear => match cfg.gemm_algo {
             G::Blocked => K::ScalarLinear,
-            G::TernaryPacked
-                if label == F::Ternary && K::TernaryLinear.applies(shape, exactly_ternary()) =>
-            {
-                K::TernaryLinear
+            G::Packed | G::TernaryPacked => {
+                if label == F::Ternary && K::TernaryLinear.applies(shape, exactly_ternary()) {
+                    K::TernaryLinear
+                } else {
+                    K::PackedLinear
+                }
             }
-            G::Packed | G::TernaryPacked => K::PackedLinear,
         },
     }
 }
@@ -425,10 +435,11 @@ mod tests {
                             // A reachable kernel missing from `ALL` would
                             // be invisible to every consumer of the table.
                             assert!(AlgoChoice::ALL.contains(&row), "{row:?}");
-                            // Weights are scanned for ternarity only when a
-                            // ternary kernel is one label and one cfg away.
+                            // Weights are scanned for ternarity only when
+                            // the label and a packed cfg leave the codes
+                            // one fact away.
                             let decides = label == WeightFormat::Ternary
-                                && gemm_algo == GemmAlgorithm::TernaryPacked
+                                && gemm_algo != GemmAlgorithm::Blocked
                                 && (shape == LayerShape::Linear
                                     || conv_algo == ConvAlgorithm::Im2col);
                             assert_eq!(asked.get(), decides, "{at}");

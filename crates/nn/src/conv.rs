@@ -3,14 +3,14 @@
 use crate::algo::{self, AlgoChoice, LayerShape};
 use crate::descriptor::{LayerDescriptor, LayerKind};
 use crate::layer::{ExecConfig, Layer, Param, Phase, WeightFormat};
-use crate::weights::{PanelOperand, TernaryCodes, Weights};
+use crate::weights::{PanelOperand, Weights};
 use cnn_stack_parallel::parallel_for;
 use cnn_stack_parallel::DisjointWriter;
 use cnn_stack_tensor::init::{initialise, Init};
 use cnn_stack_tensor::{
     col2im, gemm, im2col, im2col_into, ops, pack_b_im2col_batch_into, pack_b_im2col_into,
-    winograd_conv2d_into, Conv2dGeometry, GemmAlgorithm, GemmPlan, Tensor, WinogradGeometry,
-    WinogradTile,
+    winograd_conv2d_into, Conv2dGeometry, GemmAlgorithm, GemmPlan, PackedA, Tensor,
+    WinogradGeometry, WinogradTile,
 };
 
 /// A standard (grouped-by-1) 2-D convolution layer.
@@ -257,15 +257,6 @@ impl Conv2d {
         geom.patch_len() * geom.out_positions()
     }
 
-    /// Blocking plan of the transposed per-image ternary GEMM:
-    /// `Outᵀ [positions × out_c] = Colᵀ · Wᵀ`. Running the product
-    /// transposed keeps the 2-bit weight codes in the streaming B
-    /// operand, and moves the (often tiny) output plane from the
-    /// NR-padded column dimension onto the cheaper MR-padded rows.
-    fn ternary_plan(&self, geom: &Conv2dGeometry) -> GemmPlan {
-        GemmPlan::new(geom.out_positions(), geom.patch_len(), self.out_channels)
-    }
-
     /// Blocking plan of the packed per-image GEMM: `[out_c × patch_len]`
     /// weights times the `[patch_len × out_positions]` column matrix.
     fn packed_plan(&self, geom: &Conv2dGeometry) -> GemmPlan {
@@ -443,13 +434,15 @@ impl Conv2d {
 
     /// Packed-GEMM im2col kernel: column panels are packed straight from
     /// the image (fused im2col→pack, the `[patch_len × out_positions]`
-    /// matrix is never materialised) and multiplied against the packed
-    /// weight panels in one whole-layer GEMM whose panel grid is
-    /// distributed over the pool. `scratch` holds the packed-B region
-    /// plus, for grouped batches, the merged-C region.
+    /// matrix is never materialised) and multiplied against the weights'
+    /// A operand — f32 panels or 2-bit codes — in one whole-layer GEMM
+    /// whose panel grid is distributed over the pool. `scratch` holds
+    /// the packed-B region plus, for grouped batches, the merged-C
+    /// region.
     #[allow(clippy::too_many_arguments)]
-    fn eval_dense_im2col_packed_into(
+    fn eval_im2col_packed_into(
         &self,
+        packed_a: PackedA<'_>,
         in_data: &[f32],
         n: usize,
         h: usize,
@@ -472,7 +465,6 @@ impl Conv2d {
         };
         let (b_buf, c_buf) =
             scratch[..plan.packed_b_elems() + c_elems].split_at_mut(plan.packed_b_elems());
-        let packed_a = self.weights.panels();
         let mut img = 0;
         while img < n {
             let g = group.min(n - img);
@@ -509,9 +501,9 @@ impl Conv2d {
             // layer's single-core batching win: micro-kernel lanes that a
             // small output plane would leave zero-padded are filled by
             // co-batched images, and the weight A-panels stream through
-            // cache once per group instead of once per image. `kc` is
-            // unchanged, so per-output accumulation order — and every
-            // output bit — matches the ungrouped product.
+            // cache (and are decoded) once per group instead of once per
+            // image. `kc` is unchanged, so per-output accumulation order
+            // — and every output bit — matches the ungrouped product.
             let merged = g * plane;
             let gplan = self.packed_batch_plan(geom, g);
             pack_b_im2col_batch_into(images, g, geom, b_buf);
@@ -541,63 +533,6 @@ impl Conv2d {
                 }
             }
             img += g;
-        }
-    }
-
-    /// Ternary packed-GEMM im2col kernel, run **transposed**:
-    /// `Outᵀ [positions × out_c] = Colᵀ · Wᵀ`. The im2col matrix
-    /// `[patch_len × positions]` is exactly the Aᵀ operand, so it packs
-    /// straight into MR-row A-panels; the weights stay 2-bit packed in
-    /// the B codes and are decoded to `{+positive, −negative, 0}` inside
-    /// the micro-kernel. The product lands in a `[positions × out_c]`
-    /// buffer and is transpose-scattered into the NCHW plane.
-    #[allow(clippy::too_many_arguments)]
-    fn eval_ternary_im2col_into(
-        &self,
-        ternary: TernaryCodes<'_>,
-        in_data: &[f32],
-        n: usize,
-        h: usize,
-        w: usize,
-        geom: &Conv2dGeometry,
-        out: &mut [f32],
-        scratch: &mut [f32],
-        cfg: &ExecConfig,
-    ) {
-        let plane = geom.out_positions();
-        let in_img = self.in_channels * h * w;
-        let out_img = self.out_channels * plane;
-        let bdata = self.bias.value.data();
-        let cols_len = self.im2col_scratch_elems(geom);
-        let plan = self.ternary_plan(geom);
-        let (cols, rest) = scratch[..cols_len + plan.packed_a_elems() + plane * self.out_channels]
-            .split_at_mut(cols_len);
-        let (a_buf, c_buf) = rest.split_at_mut(plan.packed_a_elems());
-        for img in 0..n {
-            im2col_into(&in_data[img * in_img..(img + 1) * in_img], geom, cols);
-            gemm::pack_a_transposed_into(&plan, cols, a_buf);
-            // Every Outᵀ row is one output position: prefill each with
-            // the bias vector (the `+=` GEMM contract folds it in).
-            for row in c_buf.chunks_exact_mut(self.out_channels) {
-                row.copy_from_slice(bdata);
-            }
-            gemm::gemm_prepacked_ternary(
-                &plan,
-                a_buf,
-                ternary.codes,
-                ternary.positive,
-                ternary.negative,
-                c_buf,
-                cfg.threads,
-                cfg.schedule,
-                cfg.epilogue(),
-            );
-            let dst = &mut out[img * out_img..(img + 1) * out_img];
-            for (o, drow) in dst.chunks_exact_mut(plane).enumerate() {
-                for (pos, d) in drow.iter_mut().enumerate() {
-                    *d = c_buf[pos * self.out_channels + o];
-                }
-            }
         }
     }
 
@@ -959,14 +894,7 @@ impl Layer for Conv2d {
             K::Im2colScalar | K::CsrIm2col => self.im2col_scratch_elems(&geom),
             K::Winograd => winograd(WinogradTile::F2),
             K::WinogradF4 => winograd(WinogradTile::F4),
-            K::Im2colPacked => self.packed_scratch_elems(&geom, n),
-            // The im2col matrix, its transposed A-panels, and the
-            // `[positions × out_c]` Outᵀ buffer.
-            K::TernaryConv => self.packed_scratch_elems(&geom, n).max(
-                self.im2col_scratch_elems(&geom)
-                    + self.ternary_plan(&geom).packed_a_elems()
-                    + geom.out_positions() * self.out_channels,
-            ),
+            K::Im2colPacked | K::TernaryConv => self.packed_scratch_elems(&geom, n),
             algo::linear_rows!() => unreachable!("a convolution resolves to a conv row"),
         }
     }
@@ -1022,7 +950,16 @@ impl Layer for Conv2d {
         match self.runs(cfg) {
             K::DirectConv => self.eval_dense_direct_into(input, n, &geom, out, cfg),
             K::Im2colPacked => {
-                self.eval_dense_im2col_packed_into(input, n, h, w, &geom, out, scratch, cfg)
+                let a = PackedA::F32(self.weights.panels());
+                self.eval_im2col_packed_into(a, input, n, h, w, &geom, out, scratch, cfg)
+            }
+            K::TernaryConv => {
+                let codes = self
+                    .weights
+                    .codes()
+                    .expect("resolve checked the label and the weight values");
+                let a = PackedA::Codes(codes);
+                self.eval_im2col_packed_into(a, input, n, h, w, &geom, out, scratch, cfg)
             }
             K::Im2colScalar => {
                 self.eval_dense_im2col_into(input, n, h, w, &geom, out, scratch, cfg)
@@ -1034,13 +971,6 @@ impl Layer for Conv2d {
             }
             K::WinogradF4 => {
                 self.eval_winograd_into(WinogradTile::F4, input, n, h, w, out, scratch, cfg)
-            }
-            K::TernaryConv => {
-                let ternary = self
-                    .weights
-                    .ternary()
-                    .expect("resolve checked the label and the weight values");
-                self.eval_ternary_im2col_into(ternary, input, n, h, w, &geom, out, scratch, cfg)
             }
             algo::linear_rows!() => unreachable!("a convolution resolves to a conv row"),
         }

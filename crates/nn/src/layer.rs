@@ -260,10 +260,10 @@ pub struct Param {
     /// Gradient accumulated by the backward passes since the last
     /// [`zero_grad`](Param::zero_grad); `None` until one writes it.
     grad: Option<Tensor>,
-    /// Optional binary mask; wherever the mask is zero the value is pinned
+    /// Optional pruning mask; wherever it is clear the value is pinned
     /// to zero (weight pruning keeps masks so fine-tuning cannot revive
     /// pruned weights).
-    pub mask: Option<Tensor>,
+    pub mask: Option<Mask>,
 }
 
 impl Param {
@@ -306,9 +306,7 @@ impl Param {
     /// Re-applies the mask to the value (a no-op without a mask).
     pub fn apply_mask(&mut self) {
         if let Some(mask) = &self.mask {
-            for (v, m) in self.value.data_mut().iter_mut().zip(mask.data()) {
-                *v *= m;
-            }
+            mask.apply(self.value.data_mut());
         }
     }
 
@@ -316,15 +314,81 @@ impl Param {
     ///
     /// # Panics
     ///
-    /// Panics if the mask shape differs from the value shape.
+    /// Panics if the mask shape differs from the value shape, or a mask
+    /// value is neither `0.0` nor `1.0`.
     pub fn set_mask(&mut self, mask: Tensor) {
         assert_eq!(
             mask.shape(),
             self.value.shape(),
             "mask shape must match parameter shape"
         );
-        self.mask = Some(mask);
+        self.mask = Some(Mask::from_tensor(&mask));
         self.apply_mask();
+    }
+}
+
+/// A binary pruning mask at one bit per weight: a set bit keeps the
+/// weight, a clear one pins it to zero — 1/32 of the f32 mask
+/// [`Param::set_mask`] builds it from.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Mask {
+    shape: Vec<usize>,
+    bits: Vec<u64>,
+}
+
+impl Mask {
+    /// Packs a mask of `0.0`s (prune) and `1.0`s (keep).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a value is neither `0.0` nor `1.0` (a `−0.0` included:
+    /// multiplying by it is not multiplying by `0.0`).
+    fn from_tensor(mask: &Tensor) -> Self {
+        const ONE: u32 = 0x3F80_0000;
+        let data = mask.data();
+        // Folds, not searches: a branch on each pruning decision would
+        // mispredict on every other weight.
+        let binary = |m: &f32| (m.to_bits() == ONE) | (m.to_bits() == 0);
+        if !data.iter().fold(true, |all, m| all & binary(m)) {
+            let i = data
+                .iter()
+                .position(|m| !binary(m))
+                .expect("the fold found one");
+            panic!("mask values must be 0.0 or 1.0, got {} at {i}", data[i]);
+        }
+        // Of `1.0` and `+0.0`, only `1.0` has bit 29 set.
+        let word = |chunk: &[f32]| {
+            (chunk.iter().enumerate()).fold(0u64, |word, (j, m)| {
+                word | u64::from(m.to_bits() >> 29 & 1) << j
+            })
+        };
+        Mask {
+            shape: mask.shape().dims().to_vec(),
+            bits: data.chunks(64).map(word).collect(),
+        }
+    }
+
+    /// The mask as the tensor of `0.0`s and `1.0`s it was built from.
+    pub(crate) fn to_tensor(&self) -> Tensor {
+        let mut mask = Tensor::ones(self.shape.clone());
+        self.apply(mask.data_mut());
+        mask
+    }
+
+    /// `v *= 1.0` where kept and `v *= 0.0` where pruned — the product
+    /// the f32 mask it replaces computed, so a pruned NaN or infinity
+    /// stays NaN and a pruned negative weight becomes `−0.0`.
+    fn apply(&self, values: &mut [f32]) {
+        for (&word, chunk) in self.bits.iter().zip(values.chunks_mut(64)) {
+            for (j, v) in chunk.iter_mut().enumerate() {
+                *v *= (word >> j & 1) as f32;
+            }
+        }
+    }
+
+    /// Bytes the mask holds.
+    pub fn bytes(&self) -> usize {
+        self.bits.len() * std::mem::size_of::<u64>()
     }
 }
 
@@ -542,5 +606,44 @@ mod tests {
     fn mask_shape_checked() {
         let mut p = Param::new(Tensor::ones([4]));
         p.set_mask(Tensor::ones([3]));
+    }
+
+    #[test]
+    fn bit_mask_multiplies_like_the_f32_mask() {
+        // Every special value under both mask bits, across a word edge:
+        // the bits the f32 `*v *= m` left are the bits left now.
+        let specials = [
+            f32::NAN,
+            -f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            0.0,
+            -0.0,
+            -2.5,
+            3.0,
+            f32::MIN_POSITIVE,
+            -f32::MAX,
+        ];
+        let n = 2 * 64 + 3;
+        let value = Tensor::from_fn([n], |i| specials[i % specials.len()]);
+        let f32_mask = Tensor::from_fn([n], |i| ((i / specials.len()) % 2) as f32);
+        let mut want = value.clone();
+        for (v, m) in want.data_mut().iter_mut().zip(f32_mask.data()) {
+            *v *= m;
+        }
+        let mut p = Param::new(value);
+        p.set_mask(f32_mask.clone());
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&p.value), bits(&want));
+        let mask = p.mask.as_ref().expect("installed");
+        assert_eq!(mask.to_tensor(), f32_mask);
+        assert_eq!(mask.bytes(), 3 * 8, "one bit per weight");
+    }
+
+    #[test]
+    #[should_panic(expected = "mask values must be 0.0 or 1.0")]
+    fn non_binary_mask_rejected() {
+        let mut p = Param::new(Tensor::ones([2]));
+        p.set_mask(Tensor::from_vec([2], vec![1.0, -0.0]));
     }
 }

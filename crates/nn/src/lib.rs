@@ -83,7 +83,9 @@ pub use guard::{
     GuardViolation, HealthReport, NonFiniteKind, ServeBatchFault,
 };
 pub use ir::{IrOp, OpKind};
-pub use layer::{ConvAlgorithm, ExecConfig, ExecConfigBuilder, Layer, Param, Phase, WeightFormat};
+pub use layer::{
+    ConvAlgorithm, ExecConfig, ExecConfigBuilder, Layer, Mask, Param, Phase, WeightFormat,
+};
 pub use linear::Linear;
 pub use liveness::{ArenaLayout, MemoryFootprint, StepExtent, StepSlots};
 pub use memory::{network_memory, MemoryBreakdown};

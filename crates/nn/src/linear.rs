@@ -3,11 +3,11 @@
 use crate::algo::{self, AlgoChoice, LayerShape};
 use crate::descriptor::{LayerDescriptor, LayerKind};
 use crate::layer::{ExecConfig, Layer, Param, Phase, WeightFormat};
-use crate::weights::{PanelOperand, TernaryCodes, Weights};
+use crate::weights::{PanelOperand, Weights};
 use cnn_stack_parallel::parallel_for;
 use cnn_stack_parallel::DisjointWriter;
 use cnn_stack_tensor::init::{initialise, Init};
-use cnn_stack_tensor::{gemm, ops, GemmPlan, Tensor};
+use cnn_stack_tensor::{gemm, ops, CodePanels, GemmPlan, PackedA, Tensor};
 
 /// A fully connected layer `y = x · Wᵀ + b` over `[batch, in]` inputs.
 ///
@@ -126,32 +126,54 @@ impl Linear {
         GemmPlan::new(batch, self.in_features, self.out_features)
     }
 
-    /// Packed ternary kernel: activations packed into A-panels in
-    /// `scratch`, weights streamed as 2-bit codes.
-    fn eval_ternary_packed_into(
+    /// Blocking plan of the product on codes, `W[out×in] · Xᵀ[in×batch]`:
+    /// the codes are A panels, the one layout the packed engine decodes.
+    /// `kc` depends on `in` alone and every output is one FMA chain over
+    /// the same `(w, x)` pairs in the same order, so each output bit is
+    /// [`packed_plan`](Self::packed_plan)'s on the dequantised weights.
+    fn codes_plan(&self, batch: usize) -> GemmPlan {
+        GemmPlan::new(self.out_features, self.in_features, batch)
+    }
+
+    /// Workspace of [`eval_codes_into`](Self::eval_codes_into): `Xᵀ`'s
+    /// B panels and the `[out × batch]` product.
+    fn codes_scratch_elems(&self, batch: usize) -> usize {
+        self.codes_plan(batch).packed_b_elems() + self.out_features * batch
+    }
+
+    /// Code kernel: `Outᵀ = W · Xᵀ` with the weights' code panels as A
+    /// and the activations packed into B panels (`X`'s rows are `Xᵀ`'s
+    /// columns), then transposed into the `[batch × out]` output.
+    fn eval_codes_into(
         &self,
-        ternary: TernaryCodes<'_>,
+        codes: CodePanels<'_>,
         in_data: &[f32],
         batch: usize,
         out: &mut [f32],
         scratch: &mut [f32],
         cfg: &ExecConfig,
     ) {
-        let plan = self.packed_plan(batch);
-        let a_buf = &mut scratch[..plan.packed_a_elems()];
-        gemm::pack_a_into(&plan, in_data, a_buf);
-        self.prefill_bias(out);
-        gemm::gemm_prepacked_ternary(
+        let plan = self.codes_plan(batch);
+        let (b_buf, c_buf) =
+            scratch[..self.codes_scratch_elems(batch)].split_at_mut(plan.packed_b_elems());
+        gemm::pack_b_transposed_into(&plan, in_data, b_buf);
+        for (row, &b) in c_buf.chunks_exact_mut(batch).zip(self.bias.value.data()) {
+            row.fill(b);
+        }
+        gemm::gemm_prepacked_epilogue(
             &plan,
-            a_buf,
-            ternary.codes,
-            ternary.positive,
-            ternary.negative,
-            out,
+            PackedA::Codes(codes),
+            b_buf,
+            c_buf,
             cfg.threads,
             cfg.schedule,
             cfg.epilogue(),
         );
+        for (b, row) in out.chunks_exact_mut(self.out_features).enumerate() {
+            for (o, v) in row.iter_mut().enumerate() {
+                *v = c_buf[o * batch + b];
+            }
+        }
     }
 
     /// Copies the bias vector into every output row (the `+=` GEMM
@@ -180,7 +202,7 @@ impl Linear {
         self.prefill_bias(out);
         gemm::gemm_prepacked_epilogue(
             &plan,
-            a_buf,
+            PackedA::F32(a_buf),
             self.weights.panels(),
             out,
             cfg.threads,
@@ -339,11 +361,21 @@ impl Layer for Linear {
     }
 
     fn forward_scratch_elems(&self, input_shape: &[usize], cfg: &ExecConfig) -> usize {
-        // The packed product's activation A-panel region (the ternary
-        // kernel packs the same A region); the weight panels are a
-        // derived form the layer holds itself.
-        self.gemm_plan(input_shape, cfg)
-            .map_or(0, |plan| plan.packed_a_elems())
+        use AlgoChoice as K;
+        // The activation panels of the packed product; the weights are a
+        // derived form the layer holds itself. Answered from (label,
+        // cfg) alone, no weight is scanned: the code row's bound covers
+        // the f32 row it falls back to.
+        let batch = input_shape[0];
+        match algo::resolve(LayerShape::Linear, self.format(), cfg, || true) {
+            K::PackedLinear => self.packed_plan(batch).packed_a_elems(),
+            K::TernaryLinear => self
+                .packed_plan(batch)
+                .packed_a_elems()
+                .max(self.codes_scratch_elems(batch)),
+            K::ScalarLinear | K::CsrLinear => 0,
+            algo::conv_rows!() => unreachable!("a linear layer resolves to a linear row"),
+        }
     }
 
     fn prepare(&mut self, cfg: &ExecConfig) {
@@ -362,11 +394,9 @@ impl Layer for Linear {
 
     fn gemm_plan(&self, input_shape: &[usize], cfg: &ExecConfig) -> Option<GemmPlan> {
         use AlgoChoice as K;
-        // A quantised row and the f32 row it falls back to share one
-        // plan (and so one workspace bound): answered from (label, cfg)
-        // alone, no weight is scanned.
-        match algo::resolve(LayerShape::Linear, self.format(), cfg, || true) {
-            K::PackedLinear | K::TernaryLinear => Some(self.packed_plan(input_shape[0])),
+        match self.runs(cfg) {
+            K::PackedLinear => Some(self.packed_plan(input_shape[0])),
+            K::TernaryLinear => Some(self.codes_plan(input_shape[0])),
             K::ScalarLinear | K::CsrLinear => None,
             algo::conv_rows!() => unreachable!("a linear layer resolves to a linear row"),
         }
@@ -391,11 +421,11 @@ impl Layer for Linear {
         match self.runs(cfg) {
             K::PackedLinear => self.eval_dense_packed_into(input, batch, out, scratch, cfg),
             K::TernaryLinear => {
-                let ternary = self
+                let codes = self
                     .weights
-                    .ternary()
+                    .codes()
                     .expect("resolve checked the label and the weight values");
-                self.eval_ternary_packed_into(ternary, input, batch, out, scratch, cfg)
+                self.eval_codes_into(codes, input, batch, out, scratch, cfg)
             }
             K::ScalarLinear => self.eval_scalar_into(input, batch, out, cfg),
             K::CsrLinear => self.eval_csr_into(input, batch, out, cfg),

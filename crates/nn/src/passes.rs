@@ -21,7 +21,8 @@
 //!   footprint, *measured* weight sparsity) choosing among the kernel
 //!   registry's rows ([`crate::algo`]) that apply to the layer. The
 //!   global `conv_algo`/`gemm_algo` knobs remain available as
-//!   overrides: a non-default base value wins over the model.
+//!   overrides: a non-default base value wins over the model, and each
+//!   step is tagged with the row it resolves to.
 //! * [`Autotune`] — opt-in empirical refinement: micro-benchmarks the
 //!   top-2 cost-model candidates per layer shape and persists winners to
 //!   a tuning cache keyed by shape and thread count, reused across
@@ -308,17 +309,14 @@ impl PlanPass for FoldAndFuse {
 const PACKED_GFLOPS: f64 = 54.0;
 const SCALAR_GFLOPS: f64 = 1.8;
 const SPARSE_GFLOPS: f64 = 1.2;
-// The ternary micro-kernel runs the same FMA ladder as the f32 kernel
-// with a per-step decode prologue (2-bit shift/permute select); the
-// anchor prices that overhead. Its wins come from the traffic terms
-// below (2-bit weight streams) and, for the transposed ternary
-// convolution, from moving a tiny output plane off the NR-padded column
-// dimension — both modelled explicitly.
-const TERNARY_GFLOPS: f64 = 48.0;
 /// Streaming bandwidth charged for building/packing the im2col matrix,
 /// for weight-panel and Winograd-bank traffic and for the Winograd
 /// transforms.
 const PACK_BYTES_PER_SEC: f64 = 4.0e9;
+/// The decode of a 2-bit weight into its f32 panel value, charged as
+/// bytes streamed at [`PACK_BYTES_PER_SEC`]: one more pass over the
+/// codes.
+const CODE_DECODE_BYTES: f64 = 0.25;
 /// Weight of a Winograd bank byte against a weight-panel byte. Measured
 /// in whole VGG-16 sessions, where every run evicts it, a bank's α²
 /// operands stream at about two thirds of the rate im2col's single
@@ -330,21 +328,30 @@ const BANK_STREAM_COST: f64 = 1.5;
 /// FLOPs the packed tile grid actually executes for an `[m × k]·[k × n]`
 /// product: ragged edges run whole micro-kernels on zero-padded lanes,
 /// so tiny dimensions pay their round-up — rows to `MR`, columns to `NR`,
-/// except that the f32 engine (`half_tile`) runs a last panel of at most
-/// `NR / 2` live columns on its half-width tile. The quantised engines
-/// have no half tile. This is what makes the transposed ternary
-/// convolution win on late VGG layers — a 2×2 output plane pads 4 → 8
-/// columns under f32 but only 4 → 6 rows transposed.
-fn tile_padded_flops(m: usize, k: usize, n: usize, half_tile: bool) -> f64 {
+/// except that a last panel of at most `NR / 2` live columns runs the
+/// half-width tile.
+fn tile_padded_flops(m: usize, k: usize, n: usize) -> f64 {
     use cnn_stack_tensor::{MR, NR};
     let m_pad = m.div_ceil(MR) * MR;
     let last = match n % NR {
         0 => 0,
-        live if half_tile && live <= NR / 2 => NR / 2,
+        live if live <= NR / 2 => NR / 2,
         _ => NR,
     };
     let n_pad = n / NR * NR + last;
     2.0 * m_pad as f64 * k as f64 * n_pad as f64
+}
+
+/// Bytes the packed engine streams, and decodes, for one pass over a
+/// layer's `weights` under `choice`: 4 per f32 panel value; on 2-bit
+/// codes 0.25, plus their decode into f32 panels, priced as one more
+/// pass over the codes.
+fn weight_bytes(choice: AlgoChoice, weights: usize) -> f64 {
+    let per_weight = match choice {
+        AlgoChoice::TernaryConv | AlgoChoice::TernaryLinear => 0.25 + CODE_DECODE_BYTES,
+        _ => 4.0,
+    };
+    per_weight * weights as f64
 }
 
 /// Predicted seconds for one single-thread forward of `op` under
@@ -358,12 +365,12 @@ fn predicted_seconds(op: &IrOp, choice: AlgoChoice) -> f64 {
         AlgoChoice::DirectConv | AlgoChoice::Im2colScalar | AlgoChoice::ScalarLinear => {
             flops / (SCALAR_GFLOPS * 1e9)
         }
-        AlgoChoice::Im2colPacked => {
+        AlgoChoice::Im2colPacked | AlgoChoice::TernaryConv => {
             let OpKind::Conv {
                 geom, out_channels, ..
             } = &op.kind
             else {
-                return flops / (PACKED_GFLOPS * 1e9);
+                return f64::INFINITY;
             };
             let plane = geom.out_positions();
             let k = geom.patch_len();
@@ -373,8 +380,8 @@ fn predicted_seconds(op: &IrOp, choice: AlgoChoice) -> f64 {
             // per image.
             let group = crate::conv::packed_group_for(*out_channels, k, plane, batch);
             let groups = batch as f64 / group as f64;
-            let eff = groups * tile_padded_flops(*out_channels, k, group * plane, true);
-            let weight_traffic = groups * (out_channels * k * 4) as f64;
+            let eff = groups * tile_padded_flops(*out_channels, k, group * plane);
+            let weight_traffic = groups * weight_bytes(choice, out_channels * k);
             let footprint = (k * plane * 4) as f64 * batch as f64;
             // Pointwise stride-1 convolutions skip the im2col
             // indirection entirely (the image is the column matrix) —
@@ -386,23 +393,6 @@ fn predicted_seconds(op: &IrOp, choice: AlgoChoice) -> f64 {
             };
             eff / (PACKED_GFLOPS * 1e9) + (pack + weight_traffic) / PACK_BYTES_PER_SEC
         }
-        AlgoChoice::TernaryConv => {
-            let OpKind::Conv {
-                geom, out_channels, ..
-            } = &op.kind
-            else {
-                return f64::INFINITY;
-            };
-            let plane = geom.out_positions();
-            let k = geom.patch_len();
-            // Transposed product Outᵀ = Colᵀ·Wᵀ, per image: the plane is
-            // the MR-padded row dimension, the weights stream as 2-bit
-            // codes (16× less panel traffic than f32).
-            let eff = batch as f64 * tile_padded_flops(plane, k, *out_channels, false);
-            let weight_traffic = batch as f64 * (out_channels * k) as f64 / 4.0;
-            let footprint = (k * plane * 4) as f64 * batch as f64;
-            eff / (TERNARY_GFLOPS * 1e9) + (footprint + weight_traffic) / PACK_BYTES_PER_SEC
-        }
         AlgoChoice::PackedLinear | AlgoChoice::TernaryLinear => {
             let OpKind::Linear {
                 in_features,
@@ -412,22 +402,17 @@ fn predicted_seconds(op: &IrOp, choice: AlgoChoice) -> f64 {
             else {
                 return f64::INFINITY;
             };
-            let eff = tile_padded_flops(
-                batch,
-                *in_features,
-                *out_features,
-                choice == AlgoChoice::PackedLinear,
-            );
-            // At serving batch sizes the product is bound by streaming
-            // the weight panels; the ternary format's narrower panels
-            // are exactly where it wins.
-            let elems = (in_features * out_features) as f64;
-            let (gflops, weight_traffic) = if choice == AlgoChoice::PackedLinear {
-                (PACKED_GFLOPS, elems * 4.0)
+            // On codes the product runs as `W · Xᵀ`: the batch is the
+            // column dimension.
+            let eff = if choice == AlgoChoice::PackedLinear {
+                tile_padded_flops(batch, *in_features, *out_features)
             } else {
-                (TERNARY_GFLOPS, elems / 4.0)
+                tile_padded_flops(*out_features, *in_features, batch)
             };
-            eff / (gflops * 1e9) + weight_traffic / PACK_BYTES_PER_SEC
+            // At serving batch sizes the product is bound by streaming
+            // the weights.
+            let weight_traffic = weight_bytes(choice, in_features * out_features);
+            eff / (PACKED_GFLOPS * 1e9) + weight_traffic / PACK_BYTES_PER_SEC
         }
         AlgoChoice::Winograd | AlgoChoice::WinogradF4 => {
             let OpKind::Conv {
@@ -459,7 +444,7 @@ fn predicted_seconds(op: &IrOp, choice: AlgoChoice) -> f64 {
             let (tiles, chunk) = (wino.tiles(), wino.chunk_tiles());
             let products: f64 = (0..tiles)
                 .step_by(chunk)
-                .map(|t0| freqs as f64 * tile_padded_flops(oc, ic, chunk.min(tiles - t0), true))
+                .map(|t0| freqs as f64 * tile_padded_flops(oc, ic, chunk.min(tiles - t0)))
                 .sum();
             let bank = winograd_bank_elems(tile, ic, oc) * 4;
             let bank_traffic = BANK_STREAM_COST * (tiles.div_ceil(chunk) * bank) as f64;
@@ -554,7 +539,9 @@ fn user_override(base: &ExecConfig) -> bool {
 
 /// Chooses an execution strategy per conv/linear op from the cost model;
 /// see the [module docs](self). A non-default `conv_algo` or `gemm_algo`
-/// in the base config is treated as a user override and left untouched.
+/// in the base config is a user override: the model chooses nothing,
+/// and each op is put on the row the override resolves to, so its step
+/// names and records the kernel it runs.
 pub struct SelectAlgorithms;
 
 impl PlanPass for SelectAlgorithms {
@@ -563,13 +550,16 @@ impl PlanPass for SelectAlgorithms {
     }
 
     fn run(&self, ctx: &mut PassContext) -> Result<(), Error> {
-        if user_override(&ctx.base_cfg) {
-            return Ok(());
-        }
+        let overridden = user_override(&ctx.base_cfg);
         let mut ops = std::mem::take(&mut ctx.ops);
         for op in &mut ops {
-            if let Some(&(best, _)) = candidates(op).first() {
-                apply_choice(ctx.net, op, best);
+            let choice = if overridden {
+                resolved(op)
+            } else {
+                candidates(op).first().map(|&(best, _)| best)
+            };
+            if let Some(choice) = choice {
+                apply_choice(ctx.net, op, choice);
             }
         }
         ctx.ops = ops;

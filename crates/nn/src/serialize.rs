@@ -157,7 +157,7 @@ pub fn save_params(net: &mut Network) -> Vec<u8> {
     }
     for p in &params {
         if let Some(mask) = &p.mask {
-            push_tensor(&mut out, mask);
+            push_tensor(&mut out, &mask.to_tensor());
         }
     }
     out

@@ -3,7 +3,7 @@
 //! [`Conv2d`](crate::Conv2d) and [`Linear`](crate::Linear) keep a dense
 //! master [`Param`], a [`WeightFormat`] label, and storage forms
 //! *derived* from that pair — a CSR matrix, packed f32 GEMM panels,
-//! quantised code panels, a Winograd filter bank per tile size — plus
+//! 2-bit code panels, a Winograd filter bank per tile size — plus
 //! two facts about the master that each cost a pass over it (its
 //! non-zero count, whether it is exactly ternary). A derived form or
 //! fact is a function of `(master,
@@ -28,13 +28,16 @@ use crate::layer::{Layer, Param, WeightFormat};
 use crate::{Conv2d, Linear};
 use cnn_stack_sparse::CsrMatrix;
 use cnn_stack_tensor::{
-    gemm, pack_winograd_bank_into, winograd_bank_elems, AlignedBuf, GemmPlan, Tensor, WinogradTile,
+    gemm, pack_winograd_bank_into, winograd_bank_elems, AlignedBuf, CodePanels, GemmPlan, Tensor,
+    WinogradTile,
 };
 use std::sync::{Arc, OnceLock};
 
 /// Which GEMM operand a layer's f32 panels are: convolution multiplies
 /// `W · cols` (weights are the MR-row A operand), linear multiplies
 /// `X · Wᵀ` (weights are the NR-column B operand, packed transposed).
+/// Code panels are the A operand of both: a linear layer on codes runs
+/// `W · Xᵀ`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum PanelOperand {
     A,
@@ -46,7 +49,7 @@ pub(crate) enum PanelOperand {
 pub(crate) enum Form {
     Csr,
     Panels,
-    Quant,
+    Codes,
     /// The transformed filter bank of a 3×3 convolution: one A-packed
     /// `out_c × in_c` operand per frequency of the tile.
     Winograd(WinogradTile),
@@ -60,26 +63,18 @@ fn bank_slot(tile: WinogradTile) -> usize {
     }
 }
 
-/// Ternary code panels of the `Wᵀ` B operand — 2-bit sign codes (see
-/// `pack_b_ternary_transposed_into`) plus the two per-layer magnitudes
+/// The code form of an exactly-ternary master: its MR-row A panels as
+/// 2-bit codes (`pack_a_codes_into`) plus the two per-layer magnitudes
 /// (`negative` stored positive). The layout depends only on the weight
 /// matrix extents, so one build serves every input shape.
 #[derive(Clone, Debug)]
-struct QuantPanels {
-    codes: Arc<Vec<u32>>,
+struct Codes {
+    words: Arc<Vec<u32>>,
     positive: f32,
     negative: f32,
 }
 
-/// Borrowed view of built ternary codes.
-#[derive(Clone, Copy)]
-pub(crate) struct TernaryCodes<'a> {
-    pub codes: &'a [u32],
-    pub positive: f32,
-    pub negative: f32,
-}
-
-/// The derived forms, each built at most once per reset. `quant` holds
+/// The derived forms, each built at most once per reset. `codes` holds
 /// `None` when the label is `Ternary` but the master is not exactly
 /// ternary: such weights have no code form and run the f32 kernels.
 /// `nnz` and `ternary` are facts about the master, not storage forms:
@@ -90,7 +85,7 @@ pub(crate) struct TernaryCodes<'a> {
 struct Derived {
     csr: OnceLock<Arc<CsrMatrix>>,
     panels: OnceLock<Arc<AlignedBuf>>,
-    quant: OnceLock<Option<QuantPanels>>,
+    codes: OnceLock<Option<Codes>>,
     /// Winograd banks, F(2×2) then F(4×4): the tile is a config choice,
     /// not a label, so a demotion from one to the other rebuilds nothing
     /// else.
@@ -106,10 +101,10 @@ impl Derived {
         [
             self.csr.get().map(|a| Arc::as_ptr(a) as usize),
             self.panels.get().map(|a| Arc::as_ptr(a) as usize),
-            self.quant
+            self.codes
                 .get()
                 .and_then(Option::as_ref)
-                .map(|q| Arc::as_ptr(&q.codes) as usize),
+                .map(|c| Arc::as_ptr(&c.words) as usize),
             bank(&self.winograd[0]),
             bank(&self.winograd[1]),
         ]
@@ -325,22 +320,20 @@ impl Weights {
     }
 
     /// The code form, if the label asks for it and the master has one.
-    fn quant(&self) -> Option<&QuantPanels> {
+    fn code_form(&self) -> Option<&Codes> {
         self.derived
-            .quant
+            .codes
             .get_or_init(|| {
                 if self.format != WeightFormat::Ternary {
                     return None;
                 }
                 let (positive, negative) = self.ternary_magnitudes()?;
                 let (rows, cols) = self.matrix_extents();
-                // The codes are the B operand of `X · Wᵀ` (the ternary
-                // convolution runs its product transposed).
-                let plan = GemmPlan::new(1, cols, rows);
-                let mut codes = vec![0u32; plan.ternary_b_words()];
-                gemm::pack_b_ternary_transposed_into(&plan, self.master.value.data(), &mut codes);
-                Some(QuantPanels {
-                    codes: Arc::new(codes),
+                let plan = GemmPlan::new(rows, cols, 1);
+                let mut words = vec![0u32; plan.packed_a_code_words()];
+                gemm::pack_a_codes_into(&plan, self.master.value.data(), &mut words);
+                Some(Codes {
+                    words: Arc::new(words),
                     positive,
                     negative,
                 })
@@ -348,13 +341,13 @@ impl Weights {
             .as_ref()
     }
 
-    /// Ternary codes: `Some` iff the label is `Ternary` and the master
-    /// is exactly ternary.
-    pub(crate) fn ternary(&self) -> Option<TernaryCodes<'_>> {
-        self.quant().map(|q| TernaryCodes {
-            codes: &q.codes,
-            positive: q.positive,
-            negative: q.negative,
+    /// The master as 2-bit A code panels: `Some` iff the label is
+    /// `Ternary` and the master is exactly ternary.
+    pub(crate) fn codes(&self) -> Option<CodePanels<'_>> {
+        self.code_form().map(|c| CodePanels {
+            words: &c.words,
+            positive: c.positive,
+            negative: c.negative,
         })
     }
 
@@ -374,9 +367,9 @@ impl Weights {
                 self.derived.panels = built.panels;
                 self.panels();
             }
-            Some(Form::Quant) => {
-                self.derived.quant = built.quant;
-                self.quant();
+            Some(Form::Codes) => {
+                self.derived.codes = built.codes;
+                self.code_form();
             }
             Some(Form::Winograd(tile)) => {
                 let (slot, mut banks) = (bank_slot(tile), built.winograd);
@@ -500,14 +493,14 @@ mod tests {
     #[test]
     fn code_forms_follow_the_label() {
         let mut w = weights(0.0, PanelOperand::BTransposed);
-        assert!(w.ternary().is_none());
+        assert!(w.codes().is_none());
         w.set_format(WeightFormat::Ternary);
-        assert!(w.ternary().is_none(), "sine weights are not ternary");
+        assert!(w.codes().is_none(), "sine weights are not ternary");
         assert!(w.is_cold(), "a master without a code form keeps nothing");
         w.master_mut().value.map_inplace(|v| v.signum() * 0.5);
-        assert_eq!(w.ternary().map(|t| t.positive), Some(0.5));
+        assert_eq!(w.codes().map(|c| c.positive), Some(0.5));
         w.set_format(WeightFormat::Csr);
-        assert!(w.ternary().is_none());
+        assert!(w.codes().is_none());
     }
 
     #[test]

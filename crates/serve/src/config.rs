@@ -134,11 +134,14 @@ impl ServeConfig {
         }
     }
 
-    /// The engine configuration serving sessions compile against: the
-    /// packed im2col path (the fastest measured configuration), with
-    /// this config's thread count. Session-level observation stays off —
-    /// the server's own instruments cover serving, and per-step tracing
-    /// belongs to offline runs.
+    /// The engine configuration serving sessions compile against: every
+    /// convolution on im2col and the packed engine, with this config's
+    /// thread count. Not because it is fastest — Winograd wins several
+    /// VGG-16 layers at every rung — but because it keeps one weight
+    /// form per layer, shared by every rung: the f32 panels, or for a
+    /// `Ternary`-labelled (TTQ) model its 2-bit codes. Session-level
+    /// observation stays off — the server's own instruments cover
+    /// serving, and per-step tracing belongs to offline runs.
     pub(crate) fn exec(&self) -> ExecConfig {
         ExecConfig {
             threads: self.threads,

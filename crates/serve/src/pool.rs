@@ -296,7 +296,8 @@ impl LadderTemplate {
 pub(crate) mod tests {
     use super::*;
     use crate::clock::ManualClock;
-    use cnn_stack_nn::{BatchNorm2d, Conv2d, Flatten, Linear, ReLU};
+    use cnn_stack_nn::network::set_network_format;
+    use cnn_stack_nn::{BatchNorm2d, Conv2d, Flatten, Linear, ReLU, WeightFormat};
 
     /// Conv + live batch norm (so compiling folds, i.e. rewrites
     /// weights) + classifier.
@@ -350,6 +351,70 @@ pub(crate) mod tests {
         for rung in degraded.weight_storage() {
             for (layer, first) in rung.iter().zip(&storage[0]) {
                 assert_eq!(layer.master, first.master);
+            }
+        }
+    }
+
+    /// [`tiny_net`] after TTQ at the paper's VGG-16 operating point,
+    /// labelled `Ternary`: what a served TTQ model is.
+    fn ternary_tiny_net(seed: u64) -> Network {
+        let mut net = tiny_net(seed);
+        cnn_stack_compress::ttq::ttq_quantise(&mut net, 0.09);
+        set_network_format(&mut net, WeightFormat::Ternary);
+        net
+    }
+
+    #[test]
+    fn ternary_rungs_hold_one_set_of_codes_and_no_panels() {
+        // Folding rescales the TTQ weights by one batch-norm scale, so
+        // they stay exactly ternary and every rung runs its codes.
+        let clock = ManualClock::new();
+        let (template, mut ladder) = LadderTemplate::compile(
+            &two_rung_cfg(),
+            LadderKind::Primary,
+            ternary_tiny_net(7),
+            &clock,
+        )
+        .expect("ladder builds");
+        let x = Tensor::from_fn([3, 6, 6], |i| (i as f32 * 0.37).sin());
+        ladder.run(&[&x]).expect("rung 1 runs");
+        ladder.run(&[&x, &x, &x]).expect("rung 2 runs");
+        let stamped = template.instantiate(&clock).expect("ladder stamps");
+        let storage = ladder.weight_storage();
+        assert_eq!(stamped.weight_storage(), storage);
+        for rung in &storage {
+            for (layer, first) in rung.iter().zip(&storage[0]) {
+                assert!(layer.forms[2].is_some(), "a rung runs without codes");
+                assert_eq!(layer.forms[2], first.forms[2], "a rung re-packed codes");
+                assert_eq!(
+                    layer.forms.iter().flatten().count(),
+                    1,
+                    "a form beside the codes: {:?}",
+                    layer.forms
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn compiled_pruned_and_ttq_rungs_hold_one_bit_per_masked_weight() {
+        let clock = ManualClock::new();
+        let mut pruned = tiny_net(7);
+        cnn_stack_compress::magnitude::prune_network(&mut pruned, 0.5);
+        for net in [pruned, ternary_tiny_net(7)] {
+            let (_, ladder) =
+                LadderTemplate::compile(&two_rung_cfg(), LadderKind::Primary, net, &clock)
+                    .expect("ladder builds");
+            for rung in &ladder.rungs {
+                let params = rung.session.network().params();
+                let masked: Vec<_> = params
+                    .iter()
+                    .filter_map(|p| Some((p, p.mask.as_ref()?)))
+                    .collect();
+                assert_eq!(masked.len(), 2, "conv and linear weights keep their masks");
+                for (p, mask) in masked {
+                    assert_eq!(mask.bytes(), p.value.len().div_ceil(64) * 8);
+                }
             }
         }
     }

@@ -16,15 +16,15 @@
 //! * [`GemmAlgorithm::Blocked`] — the tiled kernel at a fixed 64³
 //!   blocking; the "hand-optimised serial C" analogue and the scalar
 //!   floor the guard ladder demotes to.
-//! * [`GemmAlgorithm::TernaryPacked`] — the packed engine over 2-bit
-//!   ternary weight panels.
 //! * [`GemmAlgorithm::Packed`] — the tuned-BLAS analogue: a BLIS-style
 //!   packed engine that copies A into `MR`-row panels and B into
 //!   `NR`-column panels, then drives an `MR×NR` register-tiled
 //!   micro-kernel (scalar autovectorised, AVX2/FMA, or an AVX-512 tile
 //!   spanning up to two A panels × two B panels — whichever the CPU
 //!   supports, detected at runtime) over the panel grid, with the grid
-//!   distributed across the `cnn-stack-parallel` pool.
+//!   distributed across the `cnn-stack-parallel` pool. Its A operand is
+//!   either f32 panels or 2-bit ternary codes in the same panel layout
+//!   ([`PackedA`]), decoded block by block into the same tile.
 //!
 //! # Packed engine layout
 //!
@@ -58,6 +58,16 @@
 //! from L2 by every row chunk and A streams from memory once per 256
 //! output columns; the two-panel B block the tile reads (32 KiB) stays
 //! in L1 while the row chunk's A panels pass it.
+//!
+//! # Code panels
+//!
+//! [`pack_a_codes_into`] stores an exactly-ternary A as 2 bits per
+//! value in the f32 panel order, each panel starting on a word. Per
+//! block, the driver decodes one A panel pair's `kc` steps at a time
+//! into a line-aligned L1 buffer and runs it against every B panel of
+//! the column chunk: every value is decoded once per column chunk, the
+//! tile and every output bit are the f32 engine's on the dequantised
+//! matrix, and A streams 16× fewer bytes.
 
 use crate::aligned::AlignedBuf;
 use crate::tensor::Tensor;
@@ -89,13 +99,11 @@ pub enum GemmAlgorithm {
     /// linear layers.
     #[default]
     Packed,
-    /// Packed engine whose B-panels stay 2-bit ternary codes (one `u32`
-    /// per reduction step per NR-panel): the micro-kernel sign-selects
-    /// {−Wₙ, 0, +Wₚ} in registers from two per-layer scales. The decoded
-    /// values are exact f32s, so the FMA sequence — and therefore the
-    /// output bits — match [`GemmAlgorithm::Packed`] run on the
-    /// dequantised weights. Requires prepacked ternary panels; callers
-    /// without them (e.g. [`gemm_into`]) take the f32 packed path.
+    /// The packed engine as a step that reads 2-bit codes records it. It
+    /// runs exactly as [`Packed`](Self::Packed): what makes a layer's A
+    /// operand codes ([`PackedA::Codes`]) is its weights — a `Ternary`
+    /// label on exactly-ternary values — not this value, and
+    /// [`gemm_into`] runs it on f32 panels.
     TernaryPacked,
 }
 
@@ -226,6 +234,20 @@ pub struct GemmPlan {
     pub nc: usize,
 }
 
+/// Largest `kc` [`GemmPlan::new`] chooses.
+const KC: usize = 256;
+/// 2-bit codes per `u32` code word.
+const CODES_PER_WORD: usize = 16;
+/// Floats of decoded A: one panel pair's `kc` steps (12 KiB), what the
+/// AVX-512 tile reads at once.
+const DECODED_ELEMS: usize = 2 * MR * KC;
+
+/// A grain's decoded A panel pair, on a cache line: the decoder's
+/// 64-byte stores would otherwise each straddle two lines, which costs
+/// it 1.6× (0.92 against 0.56 ns per word on a 2.1 GHz AVX-512 Xeon).
+#[repr(C, align(64))]
+struct DecodedPair([f32; DECODED_ELEMS]);
+
 impl GemmPlan {
     /// Chooses blocking parameters for an `m×k · k×n` product.
     pub fn new(m: usize, k: usize, n: usize) -> Self {
@@ -234,7 +256,7 @@ impl GemmPlan {
         // this was tuned on, beside the 6 KiB A block streaming past; a
         // 32 KiB-L1D AVX-512 host is untested. The one-panel kernels
         // keep half of a 32 KiB L1D free.
-        let kc = k.clamp(1, 256);
+        let kc = k.clamp(1, KC);
         // mc = 96 rows = 16 MR-panels: the A block of a row chunk is
         // mc·kc·4 ≈ 96 KiB, read from L2 once per B panel (pair).
         let mc = (MR * 16).min(m.div_ceil(MR) * MR).max(MR);
@@ -290,12 +312,17 @@ impl GemmPlan {
         self.n_panels().div_ceil(self.nc / NR)
     }
 
-    /// Words in a ternary packed-B buffer: one `u32` per reduction step
-    /// per NR-panel (16 columns × 2 bits). Compare
-    /// [`packed_b_elems`](Self::packed_b_elems): the same panels cost
-    /// 16× less memory traffic than f32.
-    pub fn ternary_b_words(&self) -> usize {
-        self.n_panels() * self.k
+    /// Code words of one A panel: its `MR·k` 2-bit codes, rounded up to
+    /// a whole word so every panel starts on one.
+    pub fn code_panel_words(&self) -> usize {
+        (MR * self.k).div_ceil(CODES_PER_WORD)
+    }
+
+    /// Words in an A code buffer ([`pack_a_codes_into`]): the same
+    /// panels as [`packed_a_elems`](Self::packed_a_elems) at 1/16 of
+    /// the bytes.
+    pub fn packed_a_code_words(&self) -> usize {
+        self.m_panels() * self.code_panel_words()
     }
 }
 
@@ -402,83 +429,142 @@ pub fn pack_b_transposed_into(plan: &GemmPlan, w: &[f32], buf: &mut [f32]) {
     );
 }
 
-/// Packs `Aᵀ` into MR-row panels directly from `at[k×m]` (row-major),
-/// without materialising the transpose: the packed A is the `m×k`
-/// matrix with `A[r][p] = at[p·m + r]`. This is the transposed-conv
-/// orientation — the im2col matrix `[patch_len, positions]` *is* `Aᵀ`
-/// when positions play the M role — and the copies are contiguous
-/// MR-wide runs of each `at` row, so it is cheaper than [`pack_a_into`]
-/// on an explicit transpose.
+/// Packs an exactly-ternary `a[m×k]` (row-major) as 2-bit codes in the
+/// layout of [`pack_a_into`]: value `(r, p)` of panel `ip` is code
+/// `p·MR + r` of the panel's [`GemmPlan::code_panel_words`] words, at
+/// bits `2·(i % 16)` of word `i / 16`. A positive value codes `0b01`, a
+/// negative one `0b10`, `+0.0` `0b00` and `−0.0` `0b11`; rows beyond `m`
+/// code `+0.0`, like the f32 panels' padding. The magnitudes are not
+/// stored: every positive value must be one number and every negative
+/// value one number, which the caller passes with the words as a
+/// [`CodePanels`].
 ///
 /// # Panics
 ///
-/// Panics if `at` or `buf` is shorter than the plan requires.
-pub fn pack_a_transposed_into(plan: &GemmPlan, at: &[f32], buf: &mut [f32]) {
+/// Panics if `a` or `buf` is shorter than the plan requires.
+pub fn pack_a_codes_into(plan: &GemmPlan, a: &[f32], buf: &mut [u32]) {
     let (m, k) = (plan.m, plan.k);
-    assert_eq!(at.len(), k * m, "Aᵀ length mismatch");
+    assert_eq!(a.len(), m * k, "A length mismatch");
     assert!(
-        buf.len() >= plan.packed_a_elems(),
-        "packed-A buffer too small"
+        buf.len() >= plan.packed_a_code_words(),
+        "A code buffer too small"
     );
+    let words = plan.code_panel_words();
     for ip in 0..plan.m_panels() {
-        let i0 = ip * MR;
-        let rows = MR.min(m - i0);
-        let dst = &mut buf[ip * MR * k..(ip + 1) * MR * k];
-        for p in 0..k {
-            let src = &at[p * m + i0..p * m + i0 + rows];
-            let d = &mut dst[p * MR..p * MR + MR];
-            d[..rows].copy_from_slice(src);
-            d[rows..].fill(0.0);
-        }
-    }
-    obs::count(
-        Metric::GemmBytesPacked,
-        (plan.packed_a_elems() * std::mem::size_of::<f32>()) as u64,
-    );
-}
-
-/// Packs the *signs* of `Wᵀ` into 2-bit ternary NR-column panels: one
-/// `u32` per reduction step per panel, the code for column `c` at bits
-/// `2c..2c+2` — `0b00` = 0, `0b01` = +Wₚ, `0b10` = −Wₙ. `w[n×k]` is the
-/// linear weight layout (`B = Wᵀ`), exactly as in
-/// [`pack_b_transposed_into`]; columns beyond `n` encode zero. The two
-/// magnitudes are *not* stored here — the caller passes them to
-/// [`gemm_prepacked_ternary`], which is what makes the panels reusable
-/// across scale updates.
-///
-/// # Panics
-///
-/// Panics if `w` or `buf` is shorter than the plan requires.
-pub fn pack_b_ternary_transposed_into(plan: &GemmPlan, w: &[f32], buf: &mut [u32]) {
-    let (k, n) = (plan.k, plan.n);
-    assert_eq!(w.len(), n * k, "W length mismatch");
-    assert!(
-        buf.len() >= plan.ternary_b_words(),
-        "ternary packed-B buffer too small"
-    );
-    for jp in 0..plan.n_panels() {
-        let j0 = jp * NR;
-        let cols = NR.min(n - j0);
-        let dst = &mut buf[jp * k..(jp + 1) * k];
+        let rows = MR.min(m - ip * MR);
+        let src = &a[ip * MR * k..(ip * MR + rows) * k];
+        let dst = &mut buf[ip * words..(ip + 1) * words];
         dst.fill(0);
-        for c in 0..cols {
-            let src = &w[(j0 + c) * k..(j0 + c) * k + k];
-            for (p, &v) in src.iter().enumerate() {
-                let code: u32 = if v > 0.0 {
-                    0b01
-                } else if v < 0.0 {
-                    0b10
-                } else {
-                    0b00
-                };
-                dst[p] |= code << (2 * c);
+        for p in 0..k {
+            for r in 0..rows {
+                // Bit 1 is the sign bit, bit 0 "positive or −0.0":
+                // branch-free, as the signs of trained weights are
+                // unpredictable.
+                let v = src[r * k + p];
+                let negative_zero = v.to_bits() == (-0.0f32).to_bits();
+                let code = (v.to_bits() >> 31) << 1 | u32::from(v > 0.0 || negative_zero);
+                let i = p * MR + r;
+                dst[i / CODES_PER_WORD] |= code << (2 * (i % CODES_PER_WORD));
             }
         }
     }
     obs::count(
         Metric::GemmBytesPacked,
-        (plan.ternary_b_words() * std::mem::size_of::<u32>()) as u64,
+        (plan.packed_a_code_words() * std::mem::size_of::<u32>()) as u64,
     );
+}
+
+/// An A operand held as code panels ([`pack_a_codes_into`]) and the two
+/// magnitudes its codes stand for.
+#[derive(Clone, Copy, Debug)]
+pub struct CodePanels<'a> {
+    /// The code words, [`GemmPlan::code_panel_words`] per A panel.
+    pub words: &'a [u32],
+    /// The value of code `0b01`.
+    pub positive: f32,
+    /// The magnitude of code `0b10`, which stands for `−negative`.
+    pub negative: f32,
+}
+
+impl CodePanels<'_> {
+    /// The value of each code, by code.
+    fn lut(&self) -> [f32; 4] {
+        [0.0, self.positive, -self.negative, -0.0]
+    }
+}
+
+/// The A operand of a prepacked product.
+#[derive(Clone, Copy, Debug)]
+pub enum PackedA<'a> {
+    /// f32 MR-row panels ([`pack_a_into`]).
+    F32(&'a [f32]),
+    /// 2-bit codes in the same panel layout, decoded into f32 panels one
+    /// block at a time.
+    Codes(CodePanels<'a>),
+}
+
+/// Decodes `out.len()` codes of one code panel, from code `start` on:
+/// portable code up to the first whole word and after the last one, and
+/// whole words on `kernel`'s decoder in between.
+fn decode_codes(kernel: MicroKernel, words: &[u32], start: usize, lut: [f32; 4], out: &mut [f32]) {
+    let decode_one =
+        |i: usize| lut[(words[i / CODES_PER_WORD] >> (2 * (i % CODES_PER_WORD))) as usize & 0b11];
+    let head = start
+        .next_multiple_of(CODES_PER_WORD)
+        .min(start + out.len())
+        - start;
+    let (head_out, rest) = out.split_at_mut(head);
+    for (i, v) in (start..).zip(head_out) {
+        *v = decode_one(i);
+    }
+    let first = (start + head) / CODES_PER_WORD;
+    let whole = rest.len() / CODES_PER_WORD;
+    let (body, tail) = rest.split_at_mut(whole * CODES_PER_WORD);
+    decode_words(kernel, &words[first..first + whole], lut, body);
+    for (i, v) in ((first + whole) * CODES_PER_WORD..).zip(tail) {
+        *v = decode_one(i);
+    }
+}
+
+/// Decodes whole code words: `out` holds 16 floats per word.
+fn decode_words(kernel: MicroKernel, words: &[u32], lut: [f32; 4], out: &mut [f32]) {
+    match kernel {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `Avx512` is only ever a kernel `MicroKernel::supported`
+        // confirmed (the driver asserts it on entry).
+        MicroKernel::Avx512 => unsafe { decode_words_avx512(words, lut, out) },
+        _ => {
+            for (&word, dst) in words.iter().zip(out.chunks_exact_mut(CODES_PER_WORD)) {
+                for (c, v) in dst.iter_mut().enumerate() {
+                    *v = lut[(word >> (2 * c)) as usize & 0b11];
+                }
+            }
+        }
+    }
+}
+
+/// [`decode_words`] on AVX-512F: per word, one broadcast and a variable
+/// right shift (`vpsrlvd`) that brings code `c` to the low bits of lane
+/// `c`, then a `vpermps` from the four-entry table repeated four times —
+/// `vpermps` reads an index's low four bits, so the next code in bits
+/// 2–3 needs no mask. Three instructions per 16 floats.
+///
+/// # Safety
+///
+/// Caller must ensure the CPU supports AVX-512F.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn decode_words_avx512(words: &[u32], lut: [f32; 4], out: &mut [f32]) {
+    use core::arch::x86_64::*;
+    let [a, b, c, d] = lut;
+    let table = _mm512_setr_ps(a, b, c, d, a, b, c, d, a, b, c, d, a, b, c, d);
+    let shifts = _mm512_setr_epi32(0, 2, 4, 6, 8, 10, 12, 14, 16, 18, 20, 22, 24, 26, 28, 30);
+    for (&word, dst) in words.iter().zip(out.chunks_exact_mut(CODES_PER_WORD)) {
+        let codes = _mm512_srlv_epi32(_mm512_set1_epi32(word as i32), shifts);
+        // SAFETY: `dst` is 16 floats, the store's width; the unaligned
+        // form needs no alignment.
+        _mm512_storeu_ps(dst.as_mut_ptr(), _mm512_permutexvar_ps(codes, table));
+    }
 }
 
 /// Which micro-kernel the packed engine (and every other dispatched
@@ -593,7 +679,7 @@ pub fn gemm_prepacked_named(
     gemm_prepacked_on(
         kernel,
         plan,
-        packed_a,
+        PackedA::F32(packed_a),
         packed_b,
         c,
         threads,
@@ -900,162 +986,10 @@ fn microkernel(kernel: MicroKernel, half: bool, a: &[f32], b: &[f32], acc: &mut 
     }
 }
 
-/// Portable ternary micro-kernel: decodes each 2-bit B code word into an
-/// exact f32 row {0, +Wₚ, −Wₙ}, then runs the identical FMA loop as
-/// [`microkernel_scalar`] — same operations on the same values, so the
-/// accumulator bits match the f32 kernel on dequantised weights.
-fn microkernel_ternary_scalar(
-    a: &[f32],
-    codes: &[u32],
-    positive: f32,
-    negative: f32,
-    acc: &mut [[f32; NR]; MR],
-) {
-    let lut = [0.0f32, positive, -negative, 0.0];
-    for (ap, &word) in a.chunks_exact(MR).zip(codes) {
-        let ap: &[f32; MR] = ap.try_into().expect("chunks_exact yields MR");
-        let mut bp = [0.0f32; NR];
-        for (c, b) in bp.iter_mut().enumerate() {
-            *b = lut[((word >> (2 * c)) & 0b11) as usize];
-        }
-        for r in 0..MR {
-            let ar = ap[r];
-            let row = &mut acc[r];
-            for c in 0..NR {
-                row[c] += ar * bp[c];
-            }
-        }
-    }
-}
-
-/// AVX2/FMA ternary micro-kernel: each `u32` code word expands into two
-/// B vectors with three instructions apiece — variable right-shift
-/// (`vpsrlvd`) to move each 2-bit code into lane bits 1:0, mask, then a
-/// `vpermps` gather from the in-register table {0, +Wₚ, −Wₙ, 0} — and
-/// the FMA ladder is byte-for-byte the one in [`microkernel_avx2`], so
-/// outputs are bit-identical to the f32 kernel on dequantised weights
-/// while B-panel traffic drops 16×.
-///
-/// # Safety
-///
-/// Caller must ensure AVX2 and FMA are available. `a.len()` must be a
-/// multiple of `MR` and `codes.len()` must equal `a.len() / MR`.
-#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-#[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn microkernel_ternary_avx2(
-    a: &[f32],
-    codes: &[u32],
-    positive: f32,
-    negative: f32,
-    acc: &mut [[f32; NR]; MR],
-) {
-    #[cfg(target_arch = "x86")]
-    use core::arch::x86::*;
-    #[cfg(target_arch = "x86_64")]
-    use core::arch::x86_64::*;
-
-    debug_assert_eq!(a.len() % MR, 0);
-    debug_assert_eq!(codes.len(), a.len() / MR);
-    let kc = a.len() / MR;
-
-    // Decode table: lane index = 2-bit code (0b11 is never produced by
-    // the packer but still lands on 0.0).
-    let lut = _mm256_setr_ps(0.0, positive, -negative, 0.0, 0.0, 0.0, 0.0, 0.0);
-    let shifts_lo = _mm256_setr_epi32(0, 2, 4, 6, 8, 10, 12, 14);
-    let shifts_hi = _mm256_setr_epi32(16, 18, 20, 22, 24, 26, 28, 30);
-    let mask3 = _mm256_set1_epi32(3);
-
-    // SAFETY (all intrinsics below): loads/stores stay inside `a`,
-    // `codes` and `acc`, whose lengths are checked above; only unaligned
-    // load/store forms are used.
-    let mut c00 = _mm256_loadu_ps(acc[0].as_ptr());
-    let mut c01 = _mm256_loadu_ps(acc[0].as_ptr().add(8));
-    let mut c10 = _mm256_loadu_ps(acc[1].as_ptr());
-    let mut c11 = _mm256_loadu_ps(acc[1].as_ptr().add(8));
-    let mut c20 = _mm256_loadu_ps(acc[2].as_ptr());
-    let mut c21 = _mm256_loadu_ps(acc[2].as_ptr().add(8));
-    let mut c30 = _mm256_loadu_ps(acc[3].as_ptr());
-    let mut c31 = _mm256_loadu_ps(acc[3].as_ptr().add(8));
-    let mut c40 = _mm256_loadu_ps(acc[4].as_ptr());
-    let mut c41 = _mm256_loadu_ps(acc[4].as_ptr().add(8));
-    let mut c50 = _mm256_loadu_ps(acc[5].as_ptr());
-    let mut c51 = _mm256_loadu_ps(acc[5].as_ptr().add(8));
-
-    let mut ap = a.as_ptr();
-    let mut wp = codes.as_ptr();
-    for _ in 0..kc {
-        let w = _mm256_set1_epi32(*wp as i32);
-        let idx0 = _mm256_and_si256(_mm256_srlv_epi32(w, shifts_lo), mask3);
-        let idx1 = _mm256_and_si256(_mm256_srlv_epi32(w, shifts_hi), mask3);
-        let b0 = _mm256_permutevar8x32_ps(lut, idx0);
-        let b1 = _mm256_permutevar8x32_ps(lut, idx1);
-        let a0 = _mm256_set1_ps(*ap);
-        c00 = _mm256_fmadd_ps(a0, b0, c00);
-        c01 = _mm256_fmadd_ps(a0, b1, c01);
-        let a1 = _mm256_set1_ps(*ap.add(1));
-        c10 = _mm256_fmadd_ps(a1, b0, c10);
-        c11 = _mm256_fmadd_ps(a1, b1, c11);
-        let a2 = _mm256_set1_ps(*ap.add(2));
-        c20 = _mm256_fmadd_ps(a2, b0, c20);
-        c21 = _mm256_fmadd_ps(a2, b1, c21);
-        let a3 = _mm256_set1_ps(*ap.add(3));
-        c30 = _mm256_fmadd_ps(a3, b0, c30);
-        c31 = _mm256_fmadd_ps(a3, b1, c31);
-        let a4 = _mm256_set1_ps(*ap.add(4));
-        c40 = _mm256_fmadd_ps(a4, b0, c40);
-        c41 = _mm256_fmadd_ps(a4, b1, c41);
-        let a5 = _mm256_set1_ps(*ap.add(5));
-        c50 = _mm256_fmadd_ps(a5, b0, c50);
-        c51 = _mm256_fmadd_ps(a5, b1, c51);
-        ap = ap.add(MR);
-        wp = wp.add(1);
-    }
-
-    _mm256_storeu_ps(acc[0].as_mut_ptr(), c00);
-    _mm256_storeu_ps(acc[0].as_mut_ptr().add(8), c01);
-    _mm256_storeu_ps(acc[1].as_mut_ptr(), c10);
-    _mm256_storeu_ps(acc[1].as_mut_ptr().add(8), c11);
-    _mm256_storeu_ps(acc[2].as_mut_ptr(), c20);
-    _mm256_storeu_ps(acc[2].as_mut_ptr().add(8), c21);
-    _mm256_storeu_ps(acc[3].as_mut_ptr(), c30);
-    _mm256_storeu_ps(acc[3].as_mut_ptr().add(8), c31);
-    _mm256_storeu_ps(acc[4].as_mut_ptr(), c40);
-    _mm256_storeu_ps(acc[4].as_mut_ptr().add(8), c41);
-    _mm256_storeu_ps(acc[5].as_mut_ptr(), c50);
-    _mm256_storeu_ps(acc[5].as_mut_ptr().add(8), c51);
-}
-
-/// Dispatches one ternary reduction block to the active micro-kernel.
-#[inline]
-fn microkernel_ternary(
-    kernel: MicroKernel,
-    a: &[f32],
-    codes: &[u32],
-    positive: f32,
-    negative: f32,
-    acc: &mut [[f32; NR]; MR],
-) {
-    match kernel {
-        MicroKernel::Scalar => microkernel_ternary_scalar(a, codes, positive, negative, acc),
-        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-        // SAFETY: `active_kernel` only selects a SIMD variant after
-        // `MicroKernel::supported` confirmed AVX2 and FMA (`Avx512`
-        // implies both); the slice-length contract is upheld by the
-        // panel driver.
-        MicroKernel::Avx2Fma => unsafe {
-            microkernel_ternary_avx2(a, codes, positive, negative, acc)
-        },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: as above.
-        MicroKernel::Avx512 => unsafe {
-            microkernel_ternary_avx2(a, codes, positive, negative, acc)
-        },
-    }
-}
-
 /// One step of [`blocked_walk`]: the `kc` block `[pc, pc + kc)` of the
 /// product restricted to A panels `[ip0, ip1)` (one row chunk) and B
 /// panels `[jp0, jp1)` (one column chunk).
+#[derive(Clone, Copy)]
 struct Block {
     pc: usize,
     kc: usize,
@@ -1069,11 +1003,12 @@ struct Block {
     jp1: usize,
 }
 
-/// The one loop nest of the packed engines, shared by every kernel and
-/// thread count: column chunk → `kc` block → row chunk, `body` doing
-/// the panels of each [`Block`]. With K outside the row chunks, the
-/// `kc × nc` B block is re-read from L2 by every row chunk and A is
-/// streamed from memory once per column chunk.
+/// The one loop nest of the packed engine, shared by every kernel, A
+/// operand and thread count: column chunk → `kc` block → row chunk,
+/// `body` doing the panels of each [`Block`] with the state `grain`
+/// made for its grain (a code operand's decode buffer). With K
+/// outside the row chunks, the `kc × nc` B block is re-read from L2 by
+/// every row chunk and A is streamed from memory once per column chunk.
 ///
 /// A parallel grain is one column chunk × one contiguous range of A
 /// panels cut into row chunks. The `min(threads, pairs)` ranges (one
@@ -1086,7 +1021,13 @@ struct Block {
 /// `kc` blocks in ascending order whatever the split. Two ranges per
 /// thread measured within this host's noise of one (EXPERIMENTS
 /// §PR 23).
-fn blocked_walk(plan: &GemmPlan, threads: usize, schedule: Schedule, body: impl Fn(Block) + Sync) {
+fn blocked_walk<S>(
+    plan: &GemmPlan,
+    threads: usize,
+    schedule: Schedule,
+    grain: impl Fn() -> S + Sync,
+    body: impl Fn(&mut S, Block) + Sync,
+) {
     assert!(threads > 0, "at least one thread required");
     let (m_panels, n_panels) = (plan.m_panels(), plan.n_panels());
     let pairs = m_panels.div_ceil(2);
@@ -1108,19 +1049,23 @@ fn blocked_walk(plan: &GemmPlan, threads: usize, schedule: Schedule, body: impl 
             let jp1 = (jp0 + chunk_panels).min(n_panels);
             let p0 = 2 * (range * pairs / ranges);
             let p1 = (2 * ((range + 1) * pairs / ranges)).min(m_panels);
+            let mut state = grain();
             let mut pc = 0;
             while pc < plan.k {
                 let kc = plan.kc.min(plan.k - pc);
                 for ip0 in (p0..p1).step_by(plan.mc / MR) {
-                    body(Block {
-                        pc,
-                        kc,
-                        last: pc + kc >= plan.k,
-                        ip0,
-                        ip1: (ip0 + plan.mc / MR).min(p1),
-                        jp0,
-                        jp1,
-                    });
+                    body(
+                        &mut state,
+                        Block {
+                            pc,
+                            kc,
+                            last: pc + kc >= plan.k,
+                            ip0,
+                            ip1: (ip0 + plan.mc / MR).min(p1),
+                            jp0,
+                            jp1,
+                        },
+                    );
                 }
                 pc += kc;
             }
@@ -1184,7 +1129,7 @@ pub fn gemm_prepacked(
 ) {
     gemm_prepacked_epilogue(
         plan,
-        packed_a,
+        PackedA::F32(packed_a),
         packed_b,
         c,
         threads,
@@ -1193,17 +1138,21 @@ pub fn gemm_prepacked(
     );
 }
 
-/// [`gemm_prepacked`] with a fused [`GemmEpilogue`]: the activation is
-/// applied in the micro-kernel's write-back on the final `kc` reduction
-/// block, so a fused conv/linear + ReLU costs zero extra passes over `C`.
+/// [`gemm_prepacked`] with a fused [`GemmEpilogue`] and either A
+/// operand: the activation is applied in the micro-kernel's write-back
+/// on the final `kc` reduction block, so a fused conv/linear + ReLU
+/// costs zero extra passes over `C`. A code operand is decoded one A
+/// panel pair's `kc` steps at a time and run on the same tile, so its
+/// product is bit for bit the f32 panels' of the values it encodes.
 ///
 /// # Panics
 ///
-/// Panics if a buffer is shorter than the plan requires.
+/// Panics if a buffer is shorter than the plan requires, or a code
+/// operand's plan has a longer `kc` than [`GemmPlan::new`] chooses.
 #[allow(clippy::too_many_arguments)] // low-level kernel: the argument list *is* the GEMM shape
 pub fn gemm_prepacked_epilogue(
     plan: &GemmPlan,
-    packed_a: &[f32],
+    a: PackedA<'_>,
     packed_b: &[f32],
     c: &mut [f32],
     threads: usize,
@@ -1213,7 +1162,7 @@ pub fn gemm_prepacked_epilogue(
     gemm_prepacked_on(
         active_kernel(),
         plan,
-        packed_a,
+        a,
         packed_b,
         c,
         threads,
@@ -1229,13 +1178,12 @@ pub fn gemm_prepacked_epilogue(
 ///
 /// # Panics
 ///
-/// Panics if a buffer is shorter than the plan requires or the host
-/// cannot run `kernel`.
+/// As [`gemm_prepacked_epilogue`], or if the host cannot run `kernel`.
 #[allow(clippy::too_many_arguments)] // low-level kernel: the argument list *is* the GEMM shape
 pub(crate) fn gemm_prepacked_on(
     kernel: MicroKernel,
     plan: &GemmPlan,
-    packed_a: &[f32],
+    a: PackedA<'_>,
     packed_b: &[f32],
     c: &mut [f32],
     threads: usize,
@@ -1247,10 +1195,23 @@ pub(crate) fn gemm_prepacked_on(
         kernel.supported(),
         "{kernel:?} is not supported on this host"
     );
-    assert!(
-        packed_a.len() >= plan.packed_a_elems(),
-        "packed-A too small"
-    );
+    match a {
+        PackedA::F32(packed_a) => assert!(
+            packed_a.len() >= plan.packed_a_elems(),
+            "packed-A too small"
+        ),
+        PackedA::Codes(codes) => {
+            assert!(
+                codes.words.len() >= plan.packed_a_code_words(),
+                "A codes too small"
+            );
+            assert!(
+                2 * MR * plan.kc <= DECODED_ELEMS,
+                "a code block of {} steps does not fit the decode buffer",
+                plan.kc
+            );
+        }
+    }
     assert!(
         packed_b.len() >= plan.packed_b_elems(),
         "packed-B too small"
@@ -1269,7 +1230,9 @@ pub(crate) fn gemm_prepacked_on(
 
     // One batched registry update per call (the panel/k-block counts are
     // known analytically); the logical m·k·n — not the padded panel work
-    // — so `gemm.flops` matches the IR's analytic FLOP count exactly.
+    // — so `gemm.flops` matches the IR's analytic FLOP count exactly. A
+    // call that reads codes counts as `gemm.kernel.ternary`, whatever
+    // tile ran.
     obs::with_current(|o| {
         let metrics = o.metrics();
         metrics.add(Metric::GemmCalls, 1);
@@ -1278,24 +1241,88 @@ pub(crate) fn gemm_prepacked_on(
             Metric::GemmPanels,
             (plan.m_panels() * plan.n_panels() * k.div_ceil(plan.kc)) as u64,
         );
-        let kernel_metric = match kernel {
-            MicroKernel::Scalar => Metric::GemmKernelScalar,
+        let kernel_metric = match (a, kernel) {
+            (PackedA::Codes(_), _) => Metric::GemmKernelTernary,
+            (_, MicroKernel::Scalar) => Metric::GemmKernelScalar,
             #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-            MicroKernel::Avx2Fma => Metric::GemmKernelAvx2,
+            (_, MicroKernel::Avx2Fma) => Metric::GemmKernelAvx2,
             #[cfg(target_arch = "x86_64")]
-            MicroKernel::Avx512 => Metric::GemmKernelAvx512,
+            (_, MicroKernel::Avx512) => Metric::GemmKernelAvx512,
         };
         metrics.add(kernel_metric, 1);
     });
 
     let writer = DisjointWriter::new(c);
-    let writer = &writer;
-    blocked_walk(plan, threads, schedule, |blk| {
+    let tiles = Tiles {
+        kernel,
+        plan,
+        packed_b,
+        writer: &writer,
+        epilogue,
+    };
+    match a {
+        PackedA::F32(packed_a) => blocked_walk(
+            plan,
+            threads,
+            schedule,
+            || (),
+            |(), blk| tiles.run(&blk, &packed_a[(blk.ip0 * k + blk.pc) * MR..], k * MR),
+        ),
+        PackedA::Codes(codes) => {
+            let (words, lut) = (plan.code_panel_words(), codes.lut());
+            blocked_walk(
+                plan,
+                threads,
+                schedule,
+                || DecodedPair([0.0; DECODED_ELEMS]),
+                |DecodedPair(decoded), blk| {
+                    // Panel pair by panel pair — the AVX-512 tile's
+                    // height — decoded into L1 and run against every B
+                    // panel of the column chunk before the next pair: a
+                    // pair is decoded once per block, and the decoded
+                    // floats never leave L1. Each panel starts on a line.
+                    let panel = blk.kc * MR;
+                    let stride = panel.next_multiple_of(CODES_PER_WORD);
+                    for ip0 in (blk.ip0..blk.ip1).step_by(2) {
+                        let ip1 = (ip0 + 2).min(blk.ip1);
+                        for (ip, dst) in (ip0..ip1).zip(decoded.chunks_exact_mut(stride)) {
+                            let src = &codes.words[ip * words..(ip + 1) * words];
+                            decode_codes(kernel, src, blk.pc * MR, lut, &mut dst[..panel]);
+                        }
+                        tiles.run(&Block { ip0, ip1, ..blk }, &decoded[..], stride);
+                    }
+                },
+            );
+        }
+    }
+}
+
+/// What every block of one product shares: the tile, the shape, B, C
+/// and the epilogue.
+struct Tiles<'a> {
+    kernel: MicroKernel,
+    plan: &'a GemmPlan,
+    packed_b: &'a [f32],
+    writer: &'a DisjointWriter,
+    epilogue: GemmEpilogue,
+}
+
+impl Tiles<'_> {
+    /// Runs the tiles of `blk`: every B panel (pair) of its column range
+    /// against every A panel (pair) of its row chunk, A panel `ip`'s `kc`
+    /// steps starting `(ip - blk.ip0) · a_stride` floats into `a`.
+    fn run(&self, blk: &Block, a: &[f32], a_stride: usize) {
+        let Tiles {
+            kernel,
+            plan,
+            packed_b,
+            writer,
+            epilogue,
+        } = *self;
+        let GemmPlan { m, k, n, .. } = *plan;
         let relu = epilogue == GemmEpilogue::Relu && blk.last;
-        let a_block =
-            |ip: usize| &packed_a[(ip * k + blk.pc) * MR..(ip * k + blk.pc + blk.kc) * MR];
-        let b_block =
-            |jp: usize| &packed_b[(jp * k + blk.pc) * NR..(jp * k + blk.pc + blk.kc) * NR];
+        let a_block = |ip: usize| &a[(ip - blk.ip0) * a_stride..][..blk.kc * MR];
+        let b_block = |jp: usize| &packed_b[(jp * k + blk.pc) * NR..][..blk.kc * NR];
         // The AVX-512 tile streams whole lines of B whenever the caller
         // packed into line-aligned storage (`AlignedBuf`, the session
         // arena): a panel and a `kc` block are both whole lines.
@@ -1377,81 +1404,7 @@ pub(crate) fn gemm_prepacked_on(
             }
             jp += 1;
         }
-    });
-}
-
-/// Ternary packed GEMM: `c[m×n] += packed_a · B` where B lives as 2-bit
-/// codes (see [`pack_b_ternary_transposed_into`]) with per-layer
-/// magnitudes `positive`/`negative` (the −Wₙ sign is applied in the
-/// kernel; pass `negative` as a positive magnitude). Blocking, K-walk,
-/// parallel grid, and the fused epilogue are those of
-/// [`gemm_prepacked_epilogue`] (the same `blocked_walk`); since the
-/// decoded weights are exact f32s, the output is bit-identical to the
-/// f32 engine run on the dequantised weights — the property the guard's
-/// quantised→packed demotion relies on.
-///
-/// # Panics
-///
-/// Panics if a buffer is shorter than the plan requires.
-#[allow(clippy::too_many_arguments)] // low-level kernel: the argument list *is* the GEMM shape
-pub fn gemm_prepacked_ternary(
-    plan: &GemmPlan,
-    packed_a: &[f32],
-    codes: &[u32],
-    positive: f32,
-    negative: f32,
-    c: &mut [f32],
-    threads: usize,
-    schedule: Schedule,
-    epilogue: GemmEpilogue,
-) {
-    let GemmPlan { m, k, n, .. } = *plan;
-    assert!(
-        packed_a.len() >= plan.packed_a_elems(),
-        "packed-A too small"
-    );
-    assert!(
-        codes.len() >= plan.ternary_b_words(),
-        "ternary packed-B too small"
-    );
-    assert_eq!(c.len(), m * n, "C length mismatch");
-    if m == 0 || n == 0 || k == 0 {
-        if k == 0 && epilogue == GemmEpilogue::Relu {
-            for v in c.iter_mut() {
-                *v = v.max(0.0);
-            }
-        }
-        return;
     }
-    let kernel = active_kernel();
-
-    obs::with_current(|o| {
-        let metrics = o.metrics();
-        metrics.add(Metric::GemmCalls, 1);
-        metrics.add(Metric::GemmFlops, 2 * (m * k * n) as u64);
-        metrics.add(
-            Metric::GemmPanels,
-            (plan.m_panels() * plan.n_panels() * k.div_ceil(plan.kc)) as u64,
-        );
-        metrics.add(Metric::GemmKernelTernary, 1);
-    });
-
-    let writer = DisjointWriter::new(c);
-    let writer = &writer;
-    blocked_walk(plan, threads, schedule, |blk| {
-        let relu = epilogue == GemmEpilogue::Relu && blk.last;
-        for jp in blk.jp0..blk.jp1 {
-            let b_codes = &codes[jp * k + blk.pc..jp * k + blk.pc + blk.kc];
-            for ip in blk.ip0..blk.ip1 {
-                let a_block = &packed_a[(ip * k + blk.pc) * MR..(ip * k + blk.pc + blk.kc) * MR];
-                let mut acc = [[0.0f32; NR]; MR];
-                microkernel_ternary(kernel, a_block, b_codes, positive, negative, &mut acc);
-                // SAFETY: tile (ip, jp) lies in this grain's rows
-                // [ip0·MR, ip1·MR) × cols [jp0·NR, jp1·NR) of C.
-                unsafe { write_back(writer, (m, n), (ip, jp), &acc, relu) };
-            }
-        }
-    });
 }
 
 /// Packed GEMM from unpacked operands: packs A and B into `scratch`
@@ -1579,9 +1532,6 @@ pub fn gemm_into(
     assert_eq!(c.len(), m * n, "C length mismatch");
     match algo {
         GemmAlgorithm::Blocked => gemm_tiled_into(a, b, c, m, k, n, TileConfig::new(64, 64, 64, 4)),
-        // The ternary engine operates on prepacked code panels; from
-        // plain f32 slices the defined fallback is the f32 packed path —
-        // the same bit-identical demotion the guard applies.
         GemmAlgorithm::Packed | GemmAlgorithm::TernaryPacked => {
             let plan = GemmPlan::new(m, k, n);
             let mut scratch = AlignedBuf::zeroed(plan.scratch_elems());
@@ -1796,15 +1746,22 @@ mod tests {
         use std::sync::Mutex;
         let blocks_of = |plan: &GemmPlan, threads: usize| {
             let seen = Mutex::new(Vec::new());
-            blocked_walk(plan, threads, Schedule::Dynamic { chunk: 1 }, |b| {
-                seen.lock().expect("no panic under the lock").push((
-                    b.pc,
-                    b.kc,
-                    b.last,
-                    b.ip0..b.ip1,
-                    b.jp0..b.jp1,
-                ));
-            });
+            let schedule = Schedule::Dynamic { chunk: 1 };
+            blocked_walk(
+                plan,
+                threads,
+                schedule,
+                || (),
+                |(), b| {
+                    seen.lock().expect("no panic under the lock").push((
+                        b.pc,
+                        b.kc,
+                        b.last,
+                        b.ip0..b.ip1,
+                        b.jp0..b.jp1,
+                    ));
+                },
+            );
             seen.into_inner().expect("no panic under the lock")
         };
         for (m, k, n) in [(1, 1, 1), (13, 300, 40), (128, 600, 257), (193, 37, 300)] {
@@ -1976,7 +1933,7 @@ mod tests {
     fn driver_bits(
         kernel: MicroKernel,
         plan: &GemmPlan,
-        pa: &[f32],
+        a: PackedA<'_>,
         pb: &[f32],
         threads: usize,
         epilogue: GemmEpilogue,
@@ -1989,7 +1946,7 @@ mod tests {
         } else {
             Schedule::Dynamic { chunk: 1 }
         };
-        gemm_prepacked_on(kernel, plan, pa, pb, &mut c, threads, schedule, epilogue);
+        gemm_prepacked_on(kernel, plan, a, pb, &mut c, threads, schedule, epilogue);
         nan_blind_bits(&c)
     }
 
@@ -2038,16 +1995,16 @@ mod tests {
                     pack_b_into(&plan, b.data(), &mut pb);
                     for epilogue in [GemmEpilogue::None, GemmEpilogue::Relu] {
                         let what = format!("{m}x{k}x{n} {epilogue:?}");
-                        let want = driver_bits(*scalar, &plan, &pa, &pb, 1, epilogue);
+                        let want = driver_bits(*scalar, &plan, PackedA::F32(&pa), &pb, 1, epilogue);
                         assert_eq!(
                             want,
-                            driver_bits(*scalar, &plan, &pa, &pb, 3, epilogue),
+                            driver_bits(*scalar, &plan, PackedA::F32(&pa), &pb, 3, epilogue),
                             "{what}: scalar, threads 1 vs 3"
                         );
                         let Some(first) = simd.first() else {
                             continue;
                         };
-                        let got = driver_bits(*first, &plan, &pa, &pb, 1, epilogue);
+                        let got = driver_bits(*first, &plan, PackedA::F32(&pa), &pb, 1, epilogue);
                         for (i, (&g, &w)) in got.iter().zip(&want).enumerate() {
                             let (g, w) = (f32::from_bits(g), f32::from_bits(w));
                             assert!(
@@ -2061,7 +2018,14 @@ mod tests {
                             for threads in [1, 3] {
                                 assert_eq!(
                                     got,
-                                    driver_bits(*kernel, &plan, &pa, &pb, threads, epilogue),
+                                    driver_bits(
+                                        *kernel,
+                                        &plan,
+                                        PackedA::F32(&pa),
+                                        &pb,
+                                        threads,
+                                        epilogue
+                                    ),
                                     "{what}: {kernel:?} ({threads} threads) vs {first:?}"
                                 );
                             }
@@ -2099,7 +2063,7 @@ mod tests {
                     gemm_prepacked_on(
                         kernel,
                         &plan,
-                        &pa,
+                        PackedA::F32(&pa),
                         &pb,
                         &mut c,
                         1,
@@ -2155,7 +2119,7 @@ mod tests {
             gemm_prepacked_on(
                 kernel,
                 &plan,
-                &pa[skew..],
+                PackedA::F32(&pa[skew..]),
                 &pb[skew..],
                 &mut c[skew..],
                 1,
@@ -2372,7 +2336,7 @@ mod tests {
         let mut fused = bias.clone();
         gemm_prepacked_epilogue(
             &plan,
-            pa,
+            PackedA::F32(pa),
             pb,
             &mut fused,
             1,
@@ -2436,7 +2400,7 @@ mod tests {
         let mut c = vec![-1.0, 2.0, -3.0, 4.0, -5.0, 6.0];
         gemm_prepacked_epilogue(
             &plan,
-            &[],
+            PackedA::F32(&[]),
             &[],
             &mut c,
             1,
@@ -2446,191 +2410,127 @@ mod tests {
         assert_eq!(c, vec![0.0, 2.0, 0.0, 4.0, 0.0, 6.0]);
     }
 
-    /// A deterministic ternary weight matrix drawn from {−0.4, 0, +0.7}.
-    fn ternary_weights(n: usize, k: usize, seed: u64) -> Vec<f32> {
-        (0..n * k)
-            .map(|i| match (i as u64 * 2654435761 + seed) % 5 {
-                0 => 0.7,
-                1 => -0.4,
+    /// A deterministic exactly-ternary `m×k` matrix over {−0.4, ±0, +0.7}
+    /// (both zeros, so the `0b11` code is exercised).
+    fn ternary_matrix(m: usize, k: usize, seed: u64) -> Vec<f32> {
+        (0..m * k)
+            .map(|i| match (i as u64 * 2654435761 + seed) % 7 {
+                0 | 1 => 0.7,
+                2 => -0.4,
+                3 => -0.0,
                 _ => 0.0,
             })
             .collect()
     }
 
-    #[test]
-    fn pack_a_transposed_matches_pack_a() {
-        let (m, k) = (13, 29);
-        let a = random_tensor([m, k], 91);
-        let mut at = vec![0.0f32; k * m];
-        for i in 0..m {
-            for p in 0..k {
-                at[p * m + i] = a.data()[i * k + p];
-            }
-        }
-        let plan = GemmPlan::new(m, k, 8);
-        let mut direct = vec![f32::NAN; plan.packed_a_elems()];
-        let mut via = vec![f32::NAN; plan.packed_a_elems()];
-        pack_a_into(&plan, a.data(), &mut direct);
-        pack_a_transposed_into(&plan, &at, &mut via);
-        assert_eq!(direct, via);
+    fn codes_of(plan: &GemmPlan, a: &[f32]) -> Vec<u32> {
+        let mut words = vec![u32::MAX; plan.packed_a_code_words()];
+        pack_a_codes_into(plan, a, &mut words);
+        words
     }
 
     #[test]
-    fn ternary_prepacked_bit_matches_f32_on_dequantised() {
-        // The quantised→packed demotion contract: the ternary engine must
-        // reproduce the f32 packed engine's exact bits when the f32
-        // engine runs on the dequantised weights. k = 300 > kc exercises
-        // multiple reduction blocks, ragged m/n the panel edges.
-        for &(m, k, n) in &[
-            (1, 9, 1),
-            (MR - 1, 13, NR - 1),
-            (MR + 1, 300, NR + 1),
-            (7, 256, 33),
-        ] {
-            let a = random_tensor([m, k], (m * k) as u64);
-            let w = ternary_weights(n, k, (k + n) as u64);
-            let plan = GemmPlan::new(m, k, n);
-            let mut pa = vec![f32::NAN; plan.packed_a_elems()];
-            pack_a_into(&plan, a.data(), &mut pa);
-            let mut pb = vec![f32::NAN; plan.packed_b_elems()];
-            pack_b_transposed_into(&plan, &w, &mut pb);
-            let mut codes = vec![0xffff_ffffu32; plan.ternary_b_words()];
-            pack_b_ternary_transposed_into(&plan, &w, &mut codes);
-            for epilogue in [GemmEpilogue::None, GemmEpilogue::Relu] {
-                let bias: Vec<f32> = (0..m * n).map(|i| (i as f32 * 0.4).sin()).collect();
-                let mut f32_c = bias.clone();
-                gemm_prepacked_epilogue(&plan, &pa, &pb, &mut f32_c, 1, Schedule::Static, epilogue);
-                let mut tern_c = bias;
-                gemm_prepacked_ternary(
-                    &plan,
-                    &pa,
-                    &codes,
-                    0.7,
-                    0.4,
-                    &mut tern_c,
-                    1,
-                    Schedule::Static,
-                    epilogue,
-                );
-                assert_eq!(
-                    f32_c.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                    tern_c.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                    "{m}x{k}x{n} {epilogue:?}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn ternary_parallel_matches_serial() {
-        let (m, k, n) = (41, 300, 53);
-        let a = random_tensor([m, k], 11);
-        let w = ternary_weights(n, k, 12);
-        let plan = GemmPlan::new(m, k, n);
-        let mut pa = vec![0.0f32; plan.packed_a_elems()];
-        pack_a_into(&plan, a.data(), &mut pa);
-        let mut codes = vec![0u32; plan.ternary_b_words()];
-        pack_b_ternary_transposed_into(&plan, &w, &mut codes);
-        let run = |threads: usize, schedule: Schedule| {
-            let mut c = vec![0.0f32; m * n];
-            gemm_prepacked_ternary(
-                &plan,
-                &pa,
-                &codes,
-                0.7,
-                0.4,
-                &mut c,
-                threads,
-                schedule,
-                GemmEpilogue::None,
-            );
-            c
+    fn codes_decode_to_the_f32_panels_bit_for_bit() {
+        // Every kernel's decoder, from every offset into a panel and for
+        // every length through and past a word: the f32 panels of the
+        // same matrix, −0.0 and the zero-padded rows included. k = 37
+        // leaves a panel's last word part full.
+        let (m, k) = (2 * MR - 1, 37);
+        let a = ternary_matrix(m, k, 5);
+        let plan = GemmPlan::new(m, k, 1);
+        let words = codes_of(&plan, &a);
+        let mut panels = vec![f32::NAN; plan.packed_a_elems()];
+        pack_a_into(&plan, &a, &mut panels);
+        let codes = CodePanels {
+            words: &words,
+            positive: 0.7,
+            negative: 0.4,
         };
-        let serial = run(1, Schedule::Static);
-        for threads in [2, 4] {
-            assert_eq!(
-                serial,
-                run(threads, Schedule::Dynamic { chunk: 1 }),
-                "threads={threads}"
-            );
-        }
-    }
-
-    #[test]
-    fn ternary_zero_weight_times_nan_activation_is_nan() {
-        // 0 · NaN policy: a zero *code* still multiplies the activation,
-        // so a NaN in A reaches every output column — including columns
-        // whose weights are all zero — exactly like the f32 kernels.
-        let (m, k, n) = (3, 5, 4);
-        let mut a = vec![1.0f32; m * k];
-        a[k] = f32::NAN; // row 1 sees a NaN at k-step 0
-        let w = vec![0.0f32; n * k]; // all-zero ternary weights
-        let plan = GemmPlan::new(m, k, n);
-        let mut pa = vec![0.0f32; plan.packed_a_elems()];
-        pack_a_into(&plan, &a, &mut pa);
-        let mut codes = vec![0u32; plan.ternary_b_words()];
-        pack_b_ternary_transposed_into(&plan, &w, &mut codes);
-        let mut c = vec![0.0f32; m * n];
-        gemm_prepacked_ternary(
-            &plan,
-            &pa,
-            &codes,
-            0.0,
-            0.0,
-            &mut c,
-            1,
-            Schedule::Static,
-            GemmEpilogue::None,
-        );
-        for j in 0..n {
-            assert!(c[n + j].is_nan(), "row 1 col {j} must be NaN");
-            assert_eq!(c[j], 0.0, "row 0 col {j} stays 0");
-        }
-    }
-
-    #[test]
-    fn ternary_scalar_and_simd_kernels_agree() {
-        let (m, k, n) = (MR, 37, NR);
-        let a = random_tensor([m, k], 23);
-        let w = ternary_weights(n, k, 24);
-        let plan = GemmPlan::new(m, k, n);
-        let mut pa = vec![0.0f32; plan.packed_a_elems()];
-        pack_a_into(&plan, a.data(), &mut pa);
-        let mut codes = vec![0u32; plan.ternary_b_words()];
-        pack_b_ternary_transposed_into(&plan, &w, &mut codes);
-        let mut scalar = [[0.0f32; NR]; MR];
-        microkernel_ternary_scalar(&pa, &codes, 0.7, 0.4, &mut scalar);
-        let mut other = [[0.0f32; NR]; MR];
-        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-        if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma") {
-            // SAFETY: AVX2+FMA presence just checked; panel lengths are
-            // plan-consistent by construction.
-            unsafe { microkernel_ternary_avx2(&pa, &codes, 0.7, 0.4, &mut other) };
-        } else {
-            microkernel_ternary_scalar(&pa, &codes, 0.7, 0.4, &mut other);
-        }
-        #[cfg(not(any(target_arch = "x86", target_arch = "x86_64")))]
-        microkernel_ternary_scalar(&pa, &codes, 0.7, 0.4, &mut other);
-        for r in 0..MR {
-            for c in 0..NR {
-                assert!(
-                    (scalar[r][c] - other[r][c]).abs() <= 1e-4,
-                    "kernel mismatch at ({r},{c})"
-                );
+        let per_panel = plan.code_panel_words();
+        for kernel in MicroKernel::available() {
+            for ip in 0..plan.m_panels() {
+                let src = &words[ip * per_panel..(ip + 1) * per_panel];
+                let want = &panels[ip * MR * k..(ip + 1) * MR * k];
+                for start in 0..40 {
+                    for len in [0, 1, 15, 16, 17, 33, MR * k - start] {
+                        let mut got = vec![f32::NAN; len];
+                        decode_codes(kernel, src, start, codes.lut(), &mut got);
+                        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                        assert_eq!(
+                            bits(&got),
+                            bits(&want[start..start + len]),
+                            "{kernel:?} panel {ip} from {start}, {len} codes"
+                        );
+                    }
+                }
             }
         }
     }
 
     #[test]
-    fn ternary_empty_reduction_applies_epilogue() {
+    fn code_operand_bit_matches_f32_panels_on_every_kernel() {
+        // The whole driver on codes against the same driver on the f32
+        // panels of the dequantised matrix: every kernel, serial and on
+        // three threads, both epilogues. m walks a short last panel and
+        // more than one row chunk; k one step, a panel whose codes end
+        // mid-word (37, 257: 6·k is no multiple of 16), exactly one `kc`
+        // block and several; n the half tile and a column chunk plus a
+        // ragged pair. NaN and ±Inf sit in B, one NaN where A's row is
+        // all zeros: 0 · NaN stays NaN through a zero code.
+        for m in [1, 5, 7, 13, 97, 193] {
+            for k in [1, 37, 256, 257, 600] {
+                for n in [4, 33, 300] {
+                    if n == 300 && !matches!(k, 37 | 257) {
+                        continue;
+                    }
+                    let mut a = ternary_matrix(m, k, (m * 1000 + k) as u64);
+                    a[..k].fill(0.0);
+                    let mut b = random_tensor([k, n], (n * 1000 + k) as u64);
+                    b.data_mut()[(k / 2) * n] = f32::NAN;
+                    b.data_mut()[(k - 1) * n + n - 1] = f32::INFINITY;
+                    b.data_mut()[(k / 3) * n + n / 2] = f32::NEG_INFINITY;
+                    let plan = GemmPlan::new(m, k, n);
+                    let mut pa = vec![0.0f32; plan.packed_a_elems()];
+                    let mut pb = vec![0.0f32; plan.packed_b_elems()];
+                    pack_a_into(&plan, &a, &mut pa);
+                    pack_b_into(&plan, b.data(), &mut pb);
+                    let words = codes_of(&plan, &a);
+                    let codes = PackedA::Codes(CodePanels {
+                        words: &words,
+                        positive: 0.7,
+                        negative: 0.4,
+                    });
+                    for kernel in MicroKernel::available() {
+                        for epilogue in [GemmEpilogue::None, GemmEpilogue::Relu] {
+                            let want =
+                                driver_bits(kernel, &plan, PackedA::F32(&pa), &pb, 1, epilogue);
+                            for threads in [1, 3] {
+                                assert_eq!(
+                                    driver_bits(kernel, &plan, codes, &pb, threads, epilogue),
+                                    want,
+                                    "{m}x{k}x{n} {kernel:?} {epilogue:?} threads {threads}"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn code_operand_applies_the_epilogue_on_an_empty_reduction() {
         let plan = GemmPlan::new(2, 0, 3);
         let mut c = vec![-1.0, 2.0, -3.0, 4.0, -5.0, 6.0];
-        gemm_prepacked_ternary(
+        let codes = CodePanels {
+            words: &[],
+            positive: 0.5,
+            negative: 0.5,
+        };
+        gemm_prepacked_epilogue(
             &plan,
+            PackedA::Codes(codes),
             &[],
-            &[],
-            0.5,
-            0.5,
             &mut c,
             1,
             Schedule::Static,

@@ -34,9 +34,8 @@ pub use depthwise::depthwise_conv2d_into;
 pub use error::KernelError;
 pub use gemm::{
     gemm_kernel_name, gemm_naive_into, gemm_packed_into, gemm_prepacked, gemm_prepacked_epilogue,
-    gemm_prepacked_ternary, gemm_tiled_into, matmul, pack_a_into, pack_a_transposed_into,
-    pack_b_into, pack_b_ternary_transposed_into, pack_b_transposed_into, GemmAlgorithm,
-    GemmEpilogue, GemmPlan, TileConfig, MR, NR,
+    gemm_tiled_into, matmul, pack_a_codes_into, pack_a_into, pack_b_into, pack_b_transposed_into,
+    CodePanels, GemmAlgorithm, GemmEpilogue, GemmPlan, PackedA, TileConfig, MR, NR,
 };
 pub use im2col::{
     col2im, im2col, im2col_into, pack_b_im2col_batch_into, pack_b_im2col_into, Conv2dGeometry,

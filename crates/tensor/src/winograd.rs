@@ -58,7 +58,9 @@
 //! panicking, matching the fallible-API convention of the `nn` crate.
 
 use crate::error::KernelError;
-use crate::gemm::{active_kernel, gemm_prepacked_on, GemmEpilogue, GemmPlan, MicroKernel, MR, NR};
+use crate::gemm::{
+    active_kernel, gemm_prepacked_on, GemmEpilogue, GemmPlan, MicroKernel, PackedA, MR, NR,
+};
 use crate::shape::Shape;
 use crate::tensor::Tensor;
 use cnn_stack_obs::{self as obs, Metric};
@@ -900,7 +902,7 @@ fn run<T: Transform>(
                 gemm_prepacked_on(
                     kernel,
                     &plan,
-                    &bank[xi * operand..(xi + 1) * operand],
+                    PackedA::F32(&bank[xi * operand..(xi + 1) * operand]),
                     &v[xi * stride..(xi + 1) * stride],
                     m,
                     1,

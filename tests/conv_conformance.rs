@@ -1,16 +1,18 @@
 //! Cross-algorithm convolution conformance harness.
 //!
 //! Every convolution kernel in the registry (`AlgoChoice::ALL`: direct,
-//! im2col over the packed, scalar and ternary GEMM engines, Winograd
-//! F(2×2,3×3) and F(4×4,3×3), and CSR sparse-direct and
-//! CSR × im2col) is run against one naive reference (loop order matched
-//! to the direct kernel) across randomized shape/stride/pad/channel
-//! grids and a curated list of degenerate shapes. Each kernel carries
-//! its own error budget, stated once in [`tolerance`]:
+//! im2col over the packed GEMM on f32 panels or on 2-bit codes and over
+//! the scalar GEMM, Winograd F(2×2,3×3) and F(4×4,3×3), and CSR
+//! sparse-direct and CSR × im2col) is run against one naive reference
+//! (loop order matched to the direct kernel) across randomized
+//! shape/stride/pad/channel grids and a curated list of degenerate
+//! shapes. Each kernel carries its own error budget, stated once in
+//! [`tolerance`]:
 //!
 //! * **Bit-exact** — direct and both CSR kernels accumulate in the
 //!   reference order, so their outputs must match the reference to the
-//!   bit.
+//!   bit; the code row must match `im2col-packed` on the same
+//!   (dequantised) weights to the bit.
 //! * **Relative** — im2col reassociates the reduction (GEMM blocking),
 //!   Winograd evaluates it through transform matrices whose
 //!   conditioning amplifies rounding; each gets a max-norm relative
@@ -36,6 +38,9 @@ use rand_chacha::ChaCha8Rng;
 enum Tolerance {
     /// Same accumulation order as the reference: bitwise equality.
     BitExact,
+    /// The same values through the same arithmetic as another row:
+    /// bitwise equality with that row on a dense-labelled replica.
+    SameBitsAs(AlgoChoice),
     /// Max-norm relative error budget.
     Rel(f32),
 }
@@ -53,10 +58,9 @@ fn tolerance(row: AlgoChoice) -> Tolerance {
         AlgoChoice::CsrIm2col => Tolerance::BitExact,
         AlgoChoice::Winograd => Tolerance::Rel(2e-4),
         AlgoChoice::WinogradF4 => Tolerance::Rel(1e-3),
-        // On exactly-ternary weights: the packed reassociation with
-        // two-valued products (2.2e-7 measured over these grids; 2e-7
-        // fails).
-        AlgoChoice::TernaryConv => Tolerance::Rel(1e-6),
+        // Its codes decode to the master's values, run on the packed
+        // tile and blocking.
+        AlgoChoice::TernaryConv => Tolerance::SameBitsAs(AlgoChoice::Im2colPacked),
         AlgoChoice::PackedLinear
         | AlgoChoice::ScalarLinear
         | AlgoChoice::CsrLinear
@@ -258,16 +262,24 @@ fn check_case(case: &AlgoCase, s: ConvShape, seed: u64) {
     // Winograd rows on non-eligible shapes fall back to the direct
     // kernel, so their effective budget there is bit-exactness; the
     // relative budget below covers both regimes.
+    let same_bits = |want: &[f32], of: &str| {
+        for (i, (g, r)) in got.data().iter().zip(want).enumerate() {
+            assert_eq!(
+                g.to_bits(),
+                r.to_bits(),
+                "{}: bit mismatch with {of} at {i} for {s:?}: {g} vs {r}",
+                case.name
+            );
+        }
+    };
     match case.tol {
-        Tolerance::BitExact => {
-            for (i, (g, r)) in got.data().iter().zip(&reference).enumerate() {
-                assert_eq!(
-                    g.to_bits(),
-                    r.to_bits(),
-                    "{}: bit mismatch at {i} for {s:?}: {g} vs {r}",
-                    case.name
-                );
-            }
+        Tolerance::BitExact => same_bits(&reference, "the reference"),
+        Tolerance::SameBitsAs(row) => {
+            let mut cfg = ExecConfig::serial();
+            let mut twin = conv.replica();
+            twin.set_format(row.select(&mut cfg));
+            assert_eq!(twin.runs(&cfg), row, "{}: twin row for {s:?}", case.name);
+            same_bits(twin.forward(&x, Phase::Eval, &cfg).data(), row.tag());
         }
         Tolerance::Rel(tol) => {
             let err = max_rel_err(got.data(), &reference);

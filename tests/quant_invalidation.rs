@@ -30,9 +30,11 @@ use proptest::prelude::*;
 use Op::*;
 use WeightFormat::{Csr, Dense, Ternary};
 
-/// The five weight routes: master (direct conv / scalar linear), f32
-/// panels, ternary codes, and the two Winograd banks (a linear layer
-/// runs its f32 panels under those).
+/// The five weight routes: master (direct conv / scalar linear), the
+/// packed engine asked for as `Packed` and as `TernaryPacked` (the value
+/// a code row records) — f32 panels, or the 2-bit codes of a `Ternary`
+/// label on exactly-ternary weights — and the two Winograd banks (a
+/// linear layer runs its packed route under those).
 fn cfgs() -> [ExecConfig; 5] {
     use {ConvAlgorithm::*, GemmAlgorithm::*};
     let routes = [
@@ -201,7 +203,8 @@ impl Subject {
     }
 
     /// Every weight route agrees, bit for bit, with a fresh twin, and a
-    /// layer with ternary codes agrees with itself on f32 panels.
+    /// `Ternary`-labelled layer's packed routes agree with a
+    /// dense-labelled twin's f32 panels.
     fn check(&self, after: &[Op]) {
         let (twin, x) = (self.fresh_twin(), self.input());
         for cfg in &cfgs() {
@@ -214,7 +217,16 @@ impl Subject {
             );
         }
         if self.format() == Ternary {
-            assert!(self.run(&x, &cfgs()[2]) == self.run(&x, &cfgs()[1]));
+            let mut dense = self.fresh_twin();
+            set_network_format(&mut dense.0, Dense);
+            let f32_panels = dense.run(&x, &cfgs()[1]);
+            for cfg in &cfgs()[1..3] {
+                assert!(
+                    self.run(&x, cfg) == f32_panels,
+                    "{} on its codes left the f32 panels' bits after {after:?}",
+                    self.layer().name()
+                );
+            }
         }
     }
 }

@@ -4,16 +4,17 @@
 //!   naive dense-reference product, including NaN/Inf inputs — zero
 //!   codes still multiply, so `0 · NaN` stays NaN exactly like the
 //!   dense GEMM kernels (no zero-skip);
-//! * the ternary packed GEMM engine against the f32 packed engine run
-//!   on the dequantised weights — bit-identical by construction (same
-//!   FMA ladder, same blocking), which is the property the guard's
+//! * the packed engine on 2-bit code panels against the same engine on
+//!   the f32 panels of the dequantised weights — bit-identical by
+//!   construction (the codes decode to exactly those panels and run on
+//!   the same tile and blocking), which is the property the guard's
 //!   quantised→packed demotion relies on.
 
 use cnn_stack::compress::packed::PackedTernaryMatrix;
 use cnn_stack::parallel::Schedule;
 use cnn_stack::tensor::{
-    gemm_prepacked_ternary, pack_a_into, pack_b_ternary_transposed_into, pack_b_transposed_into,
-    GemmEpilogue, GemmPlan, Tensor,
+    gemm_prepacked_epilogue, pack_a_codes_into, pack_a_into, pack_b_into, CodePanels, GemmEpilogue,
+    GemmPlan, PackedA, Tensor, MR,
 };
 use proptest::prelude::*;
 
@@ -137,18 +138,30 @@ fn spmm_zero_weight_times_nan_is_nan() {
 }
 
 // ---------------------------------------------------------------------------
-// Ternary packed GEMM vs the f32 engine on dequantised weights
+// Code panels vs f32 panels of the dequantised weights
 // ---------------------------------------------------------------------------
 
-/// ((m, k, n), A values, ternary weight codes, (Wp, Wn)).
-type TernaryGemmCase = ((usize, usize, usize), Vec<f32>, Vec<u8>, (f32, f32));
+/// ((m, k, n), ternary weight codes, (Wp, Wn), activations, poison).
+type TernaryGemmCase = (
+    (usize, usize, usize),
+    Vec<u8>,
+    (f32, f32),
+    Vec<f32>,
+    (usize, usize),
+);
 
+/// `m` off a multiple of `MR` (a short last panel) and `k` off a
+/// multiple of 16 — on both sides of the 256-step `kc` block — so a
+/// panel's `6·k` codes end inside a word.
 fn ternary_gemm_case() -> impl Strategy<Value = TernaryGemmCase> {
-    (1usize..15, 1usize..40, 1usize..36).prop_flat_map(|(m, k, n)| {
-        let a = proptest::collection::vec(-2.0f32..2.0, m * k);
-        let codes = proptest::collection::vec(0u8..3, n * k);
+    let m = (0usize..4, 1..MR).prop_map(|(q, r)| q * MR + r);
+    let k = (0usize..20, 1usize..16).prop_map(|(q, r)| q * 16 + r);
+    (m, k, 1usize..40).prop_flat_map(|(m, k, n)| {
+        let codes = proptest::collection::vec(0u8..3, m * k);
         let scales = (0.01f32..1.5, 0.01f32..1.5);
-        (Just((m, k, n)), a, codes, scales)
+        let b = proptest::collection::vec(-2.0f32..2.0, k * n);
+        let poison = (0usize..3, 0..k * n);
+        (Just((m, k, n)), codes, scales, b, poison)
     })
 }
 
@@ -157,36 +170,39 @@ proptest! {
 
     #[test]
     fn ternary_gemm_bit_identical_to_f32_on_dequantised(
-        ((m, k, n), a, codes, (wp, wn)) in ternary_gemm_case(),
+        ((m, k, n), codes, (wp, wn), mut b, (poison, at)) in ternary_gemm_case(),
         relu in 0usize..2,
     ) {
+        // One activation NaN, +Inf or left finite: it reaches its output
+        // column through zero codes too (0 · NaN stays NaN).
+        b[at] = [f32::NAN, f32::INFINITY, b[at]][poison];
         let plan = GemmPlan::new(m, k, n);
-        let weight = dense_ternary(n, k, &codes, wp, wn);
+        let weight = dense_ternary(m, k, &codes, wp, wn);
         let epilogue = if relu == 1 { GemmEpilogue::Relu } else { GemmEpilogue::None };
-
-        let mut packed_a = vec![0.0f32; plan.packed_a_elems()];
-        pack_a_into(&plan, &a, &mut packed_a);
-
-        let mut tern = vec![0u32; plan.ternary_b_words()];
-        pack_b_ternary_transposed_into(&plan, weight.data(), &mut tern);
-        let mut got = vec![0.0f32; m * n];
-        gemm_prepacked_ternary(
-            &plan, &packed_a, &tern, wp, wn, &mut got, 1, Schedule::Static, epilogue,
-        );
-
         let mut packed_b = vec![0.0f32; plan.packed_b_elems()];
-        pack_b_transposed_into(&plan, weight.data(), &mut packed_b);
-        let mut want = vec![0.0f32; m * n];
-        cnn_stack::tensor::gemm_prepacked_epilogue(
-            &plan, &packed_a, &packed_b, &mut want, 1, Schedule::Static, epilogue,
-        );
+        pack_b_into(&plan, &b, &mut packed_b);
 
-        // Same FMA ladder, same blocking: not merely within 1e-5
-        // relative (the plan-level acceptance bar) but equal to the bit.
-        assert_all_match(&got, &want, "ternary gemm");
-        for (&g, &w) in got.iter().zip(&want) {
-            let rel = (g - w).abs() / w.abs().max(1.0);
-            prop_assert!(rel <= 1e-5, "rel error {} exceeds 1e-5", rel);
+        let mut words = vec![u32::MAX; plan.packed_a_code_words()];
+        pack_a_codes_into(&plan, weight.data(), &mut words);
+        let codes = PackedA::Codes(CodePanels { words: &words, positive: wp, negative: wn });
+        let mut packed_a = vec![0.0f32; plan.packed_a_elems()];
+        pack_a_into(&plan, weight.data(), &mut packed_a);
+
+        let mut want = vec![0.0f32; m * n];
+        gemm_prepacked_epilogue(
+            &plan, PackedA::F32(&packed_a), &packed_b, &mut want, 1, Schedule::Static, epilogue,
+        );
+        for threads in [1, 3] {
+            let mut got = vec![0.0f32; m * n];
+            gemm_prepacked_epilogue(
+                &plan, codes, &packed_b, &mut got, threads, Schedule::Dynamic { chunk: 1 }, epilogue,
+            );
+            // Same panel values, same tile, same blocking: equal to the
+            // bit wherever the output is not NaN, NaN in the same places.
+            let bits = |v: &[f32]| -> Vec<u32> {
+                v.iter().map(|x| if x.is_nan() { u32::MAX } else { x.to_bits() }).collect()
+            };
+            prop_assert_eq!(bits(&got), bits(&want), "threads {}", threads);
         }
     }
 }

@@ -224,6 +224,14 @@ if grep -rnE 'pack_a_transposed_into|pack_b_ternary_transposed_into|microkernel_
   exit 1
 fi
 
+# Brownout is a guard level: an open breaker runs the same sessions with
+# guards off. The second plan pipeline, its pass and the second ladder
+# kind it compiled stay deleted.
+if grep -rnE 'ForceThroughput|PlanCompiler::degraded|LadderKind|force-throughput' crates src tests examples; then
+  echo "ci: a second (degraded) plan or ladder is back" >&2
+  exit 1
+fi
+
 # The AVX-512 tile is one body generic over its panel counts: the
 # two-A-panel pair kernel it replaced is gone, not kept beside it, and
 # no prototype switch survives.

@@ -12,10 +12,10 @@
 //!    keeps serving after the supervisor respawns the worker.
 //! 2. **Brownout** — the same 1.5× overload with a common deadline is
 //!    offered to a breaker-less server and to one with the brownout
-//!    circuit breaker. With the breaker, sustained misses swap workers
-//!    onto the degraded (guards-off, throughput-tuned) plan ladder,
-//!    which carries more of the offered load — the deadline-miss rates
-//!    at equal offered load are the comparison.
+//!    circuit breaker. With the breaker, sustained misses switch the
+//!    workers' guard level from Paranoid to off — same sessions, same
+//!    plans, no second ladder — which carries more of the offered load;
+//!    the deadline-miss rates at equal offered load are the comparison.
 //! 3. **Recovery** — one worker crash on an otherwise idle server: the
 //!    time from the crashed batch's typed failure to the first request
 //!    served by the respawned worker. A respawn stamps replicas of the
@@ -71,7 +71,8 @@ mod chaos {
 
     /// Peak engine throughput (req/s, best of `iters` timed runs) of one
     /// pre-warmed batch-`MAX_BATCH` session under `guard`, on the
-    /// serving exec path.
+    /// serving exec path. Under `GuardConfig::Off` this is exactly what a
+    /// browned-out worker runs.
     fn calibrate_qps(width: f64, guard: GuardConfig, iters: usize) -> f64 {
         let exec = ExecConfig {
             conv_algo: ConvAlgorithm::Im2col,
@@ -293,7 +294,7 @@ mod chaos {
         let degraded_capacity = calibrate_qps(width, GuardConfig::Off, cal_iters);
         println!(
             "calibrated capacity: primary (Paranoid) {capacity:.1} req/s, \
-             degraded plan bound (guards off) {degraded_capacity:.1} req/s"
+             browned out (guards off) {degraded_capacity:.1} req/s"
         );
 
         // --- Survival under crash + hang at 1.5x capacity ------------
@@ -336,8 +337,8 @@ mod chaos {
         // generous (double the full-queue drain time), so misses are
         // dominated by queue-full sheds — pure capacity arithmetic,
         // robust to scheduler noise. The breaker trips on those sheds
-        // and swaps onto the degraded ladder, whose extra throughput
-        // (guards off) sheds measurably less of the same load. The
+        // and turns the guards off, whose extra throughput sheds
+        // measurably less of the same load. The
         // cooldown outlasts the run so one trip decides the whole tail.
         let offered = 1.5 * capacity;
         let brownout_requests = 2 * requests;
@@ -398,8 +399,8 @@ mod chaos {
         let _ = writeln!(json, "{{");
         let _ = writeln!(
             json,
-            "  \"workload\": \"VGG-16 width {width}, Paranoid primary plan, guards-off degraded \
-             plan, single batch worker, open-loop arrivals at 1.5x calibrated capacity\","
+            "  \"workload\": \"VGG-16 width {width}, Paranoid guard, guards off while the breaker \
+             is open, single batch worker, open-loop arrivals at 1.5x calibrated capacity\","
         );
         let _ = writeln!(
             json,

@@ -78,7 +78,7 @@ pub struct ExecConfig {
     /// GEMM kernel for the im2col-convolution and linear layers. The
     /// default is [`GemmAlgorithm::Packed`], the BLIS-style packed
     /// micro-kernel engine; [`GemmAlgorithm::Blocked`] is the scalar
-    /// fallback the degradation ladder demotes to.
+    /// fallback the guard's demotion ladder demotes to.
     pub gemm_algo: GemmAlgorithm,
     /// Fuse a trailing ReLU into this layer's kernel (set by the
     /// fold-and-fuse plan pass when a `conv → [identity BN] → ReLU`,

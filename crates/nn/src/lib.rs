@@ -90,9 +90,7 @@ pub use linear::Linear;
 pub use liveness::{ArenaLayout, MemoryFootprint, StepExtent, StepSlots};
 pub use memory::{network_memory, MemoryBreakdown};
 pub use network::Network;
-pub use passes::{
-    Autotune, FoldAndFuse, ForceThroughput, PassContext, PlanCompiler, PlanPass, SelectAlgorithms,
-};
+pub use passes::{Autotune, FoldAndFuse, PassContext, PlanCompiler, PlanPass, SelectAlgorithms};
 pub use pool::{Flatten, GlobalAvgPool, MaxPool2d};
 pub use residual::ResidualBlock;
 pub use serialize::{load_params, save_params, LoadParamsError};

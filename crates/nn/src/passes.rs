@@ -8,9 +8,7 @@
 //! result is lowered to [`PlanStep`]s with
 //! per-step spans and per-step configurations.
 //!
-//! The four shipped passes implement the paper's across-stack levers
-//! ([`ForceThroughput`], the brownout pass, replaces selection in
-//! [`PlanCompiler::degraded`]):
+//! The three shipped passes implement the paper's across-stack levers:
 //!
 //! * [`FoldAndFuse`] — folds batch norms into their producing
 //!   convolutions ([`crate::fold_batchnorm`]), then absorbs the exact
@@ -144,20 +142,6 @@ impl PlanCompiler {
         Self::new()
             .with_pass(FoldAndFuse)
             .with_pass(SelectAlgorithms)
-    }
-
-    /// The brownout pipeline: [`FoldAndFuse`] then [`ForceThroughput`].
-    /// This is what the serving layer compiles its *degraded* session
-    /// ladder with — when the circuit breaker trips under overload,
-    /// workers swap onto plans that trade fidelity levers (cost-model
-    /// CSR wins, Winograd, paranoid guard scans — the guard level is the
-    /// caller's knob) for the flattest, most predictable throughput
-    /// path: im2col + packed GEMM with the fused-ReLU epilogue
-    /// everywhere.
-    pub fn degraded() -> Self {
-        Self::new()
-            .with_pass(FoldAndFuse)
-            .with_pass(ForceThroughput)
     }
 
     /// Appends a pass to the pipeline.
@@ -298,7 +282,7 @@ impl PlanPass for FoldAndFuse {
 // (BENCH_gemm.json as first checked in — the AVX2 tile's single-thread
 // `packed` rows, 52.8–58.8 GFLOP/s over the four shapes; the AVX-512
 // tile's rows are about twice that and the anchors have not followed,
-// which is ROADMAP 1(b)'s calibration): the packed micro-kernel engine
+// which is ROADMAP item 2(b)'s calibration): the packed micro-kernel engine
 // sustains ~54 GFLOP/s where the scalar blocked/naive kernels sustain
 // ~1.8. CSR pays per-nonzero index chasing (~1.2 GFLOP/s dense-equivalent
 // on its stored nonzeros), which reproduces the paper's §V finding that
@@ -560,33 +544,6 @@ impl PlanPass for SelectAlgorithms {
             };
             if let Some(choice) = choice {
                 apply_choice(ctx.net, op, choice);
-            }
-        }
-        ctx.ops = ops;
-        Ok(())
-    }
-}
-
-/// Degradation pass for brownout serving: forces the throughput-biased
-/// im2col+packed configuration on every conv and linear op, ignoring
-/// the cost model, measured sparsity, and any base-config override.
-/// Sparse layers are densified and Winograd candidates are ignored —
-/// under brownout the objective is the highest *predictable* batch
-/// throughput, not the fastest plan for this particular weight tensor.
-pub struct ForceThroughput;
-
-impl PlanPass for ForceThroughput {
-    fn name(&self) -> &'static str {
-        "force-throughput"
-    }
-
-    fn run(&self, ctx: &mut PassContext) -> Result<(), Error> {
-        let mut ops = std::mem::take(&mut ctx.ops);
-        for op in &mut ops {
-            match &op.kind {
-                OpKind::Conv { .. } => apply_choice(ctx.net, op, AlgoChoice::Im2colPacked),
-                OpKind::Linear { .. } => apply_choice(ctx.net, op, AlgoChoice::PackedLinear),
-                _ => {}
             }
         }
         ctx.ops = ops;

@@ -1,4 +1,4 @@
-//! Brownout circuit breaker: plan-level degradation under overload.
+//! Brownout circuit breaker: guard-level degradation under overload.
 //!
 //! The breaker watches a sliding window of per-request outcomes (met
 //! deadline vs. missed/failed/shed) and drives a three-state machine:
@@ -12,13 +12,13 @@
 //!                  (any miss while half-open re-trips to Open)
 //! ```
 //!
-//! While **Open**, batch workers route traffic onto a pre-compiled
-//! *degraded* plan ladder — compiled by `PlanCompiler::degraded()` for
-//! throughput over fidelity (forced im2col+packed GEMM, fused ReLU, no
-//! guard scans) — trading the paper's fidelity knobs for latency
-//! headroom instead of shedding outright. **HalfOpen** sends probe
-//! traffic back through the primary ladder; a clean probe window closes
-//! the breaker, any miss re-opens it.
+//! While **Open**, batch workers run their one session ladder with
+//! guards off ([`Route::Degraded`]) — the same plans, weights and
+//! arenas, minus the boundary checks, parameter scans and demotion
+//! re-runs of the configured guard level — trading fidelity checks for
+//! latency headroom instead of shedding outright. **HalfOpen** sends
+//! probe traffic through under the configured guard again; a clean
+//! probe window closes the breaker, any miss re-opens it.
 //!
 //! All timeline decisions take a caller-supplied `now_ns` from the
 //! server's [`Clock`](crate::clock::Clock), so the state machine is
@@ -45,8 +45,8 @@ pub struct BreakerPolicy {
     pub min_samples: usize,
     /// Miss-rate threshold in `(0, 1]` at which the breaker opens.
     pub trip_miss_rate: f64,
-    /// How long the breaker stays open (serving degraded) before
-    /// probing the primary ladder again.
+    /// How long the breaker stays open (serving with guards off)
+    /// before probing under the configured guard again.
     pub cooldown: Duration,
     /// Consecutive clean half-open outcomes required to close.
     pub probe_requests: u32,
@@ -94,13 +94,13 @@ impl BreakerPolicy {
 /// Externally visible breaker state.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum BreakerState {
-    /// Healthy: all traffic runs the primary (full-fidelity) ladder.
+    /// Healthy: all traffic runs under the configured guard.
     Closed,
-    /// Browned out: traffic runs the degraded ladder until the
-    /// cooldown expires.
+    /// Browned out: traffic runs with guards off until the cooldown
+    /// expires.
     Open,
-    /// Probing: traffic runs the primary ladder; a clean probe window
-    /// closes the breaker, any miss re-opens it.
+    /// Probing: traffic runs under the configured guard; a clean probe
+    /// window closes the breaker, any miss re-opens it.
     HalfOpen,
 }
 
@@ -113,14 +113,16 @@ pub struct BreakerSnapshot {
     /// Closed→Open transitions since the server started (including
     /// HalfOpen→Open re-trips).
     pub trips: u64,
-    /// Batches served on the degraded ladder.
+    /// Batches served with guards off while the breaker was open.
     pub degraded_batches: u64,
 }
 
-/// Which ladder the next batch should run on.
+/// Which guard level the next batch runs under.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum Route {
+    /// The configured one.
     Primary,
+    /// Off: the breaker is open.
     Degraded,
 }
 
@@ -238,7 +240,7 @@ impl CircuitBreaker {
         }
     }
 
-    /// Picks the ladder for the next batch, performing the time-driven
+    /// Picks the route for the next batch, performing the time-driven
     /// Open→HalfOpen transition when the cooldown has elapsed.
     pub(crate) fn route(&self, now_ns: u64) -> Route {
         let mut core = lock_unpoisoned(&self.core);

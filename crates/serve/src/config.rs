@@ -120,8 +120,8 @@ impl ServeConfig {
     }
 
     /// Brownout circuit-breaker policy, if one was configured. `Some`
-    /// means the server compiles a second, degraded plan ladder per
-    /// worker and swaps onto it while the breaker is open.
+    /// means workers run their sessions with guards off while the
+    /// breaker is open.
     pub fn breaker(&self) -> Option<&BreakerPolicy> {
         self.breaker.as_ref()
     }
@@ -263,10 +263,10 @@ impl ServeConfigBuilder {
         self
     }
 
-    /// Enables the brownout circuit breaker. Each worker additionally
-    /// compiles a degraded (throughput-over-fidelity, guards-off) plan
-    /// ladder and swaps onto it while the breaker is open; see
-    /// [`BreakerPolicy`] for the trip/recovery knobs.
+    /// Enables the brownout circuit breaker: while it is open, each
+    /// worker runs its one session ladder with guards off. Nothing
+    /// extra is compiled, packed or allocated; see [`BreakerPolicy`]
+    /// for the trip/recovery knobs.
     pub fn breaker(mut self, breaker: BreakerPolicy) -> Self {
         self.breaker = Some(breaker);
         self

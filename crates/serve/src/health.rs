@@ -29,7 +29,7 @@ pub struct WorkerHealth {
     pub respawns: u64,
     /// Batches the hung-batch watchdog failed over.
     pub hung_batches: u64,
-    /// Batches served on the breaker's degraded plan ladder.
+    /// Batches served with guards off while the breaker was open.
     pub degraded_batches: u64,
     /// Engine-level health merged across the worker's session ladder.
     pub engine: HealthReport,
@@ -52,7 +52,8 @@ pub struct ServerHealth {
     pub respawns: u64,
     /// Watchdog failovers, summed across workers.
     pub hung_batches: u64,
-    /// Degraded-ladder batches, summed across workers.
+    /// Batches served with guards off while the breaker was open,
+    /// summed across workers.
     pub degraded_batches: u64,
     /// Brownout breaker trips (0 when no breaker is configured).
     pub breaker_trips: u64,

@@ -56,10 +56,10 @@
 //! * **Brownout circuit breaker** — optionally
 //!   ([`ServeConfigBuilder::breaker`]), a sliding window over
 //!   deadline-miss/failure rate drives Closed → Open → HalfOpen; while
-//!   open, workers swap onto a pre-compiled *degraded* plan ladder
-//!   (throughput over fidelity: forced im2col+packed, fused ReLU,
-//!   guards off) instead of shedding, then recover through a clean
-//!   half-open probe window ([`BreakerPolicy`]).
+//!   open, workers run the same sessions with guards off instead of
+//!   shedding — brownout is a guard level, not a second plan, so a
+//!   breaker costs no memory — then recover through a clean half-open
+//!   probe window ([`BreakerPolicy`]).
 //! * **Observability** — queue depth, wait, occupancy, latency, shed,
 //!   crash/respawn/hang and breaker counters land in the `serve.*`
 //!   instruments of [`cnn_stack_obs`]; [`Server::health`] aggregates

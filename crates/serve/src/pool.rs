@@ -15,24 +15,18 @@
 //! clones `Arc`s, allocates arenas and pre-warms; it builds, compiles
 //! and packs nothing, and the new sessions read the same physical
 //! weights and prepack as every other session of the server.
+//!
+//! Brownout is a guard level, not a second ladder: while the breaker is
+//! open a batch runs on the same rung with guards off
+//! ([`Route::Degraded`]), and the next primary run restores the
+//! configured level.
 
+use crate::breaker::Route;
 use crate::clock::Clock;
 use crate::config::ServeConfig;
 use crate::error::ServeError;
 use cnn_stack_nn::{GuardConfig, InferencePlan, InferenceSession, Network, PlanCompiler};
 use cnn_stack_tensor::Tensor;
-
-/// Which plan pipeline a ladder compiles with.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum LadderKind {
-    /// Full fidelity: `PlanCompiler::standard()` plus the configured
-    /// guard policy.
-    Primary,
-    /// The brownout breaker's fallback: `PlanCompiler::degraded()`
-    /// (forced im2col+packed GEMM, fused ReLU) with guards off —
-    /// throughput over fidelity while the breaker is open.
-    Degraded,
-}
 
 /// One rung: a pre-warmed session at a fixed batch size plus its
 /// pre-allocated input/output staging tensors (runs are allocation-free).
@@ -41,8 +35,9 @@ struct Rung {
     session: InferenceSession<'static>,
     input: Tensor,
     output: Tensor,
-    /// Pre-warm latency on the server clock; the hung-batch watchdog's
-    /// baseline for "how long should a batch on this rung take".
+    /// Pre-warm latency on the server clock, under the configured
+    /// guard; the hung-batch watchdog's baseline for "how long should a
+    /// batch on this rung take", browned out or not.
     expected_ns: u64,
 }
 
@@ -90,8 +85,8 @@ struct RungTemplate {
     plan: InferencePlan,
 }
 
-/// Everything needed to stamp out one kind of [`SessionLadder`] without
-/// touching a weight; see the [module docs](self).
+/// Everything needed to stamp out a [`SessionLadder`] without touching
+/// a weight; see the [module docs](self).
 pub(crate) struct LadderTemplate {
     rungs: Vec<RungTemplate>,
     guard: GuardConfig,
@@ -109,15 +104,12 @@ impl LadderTemplate {
     /// nothing left to fold, preparing finds every form already built.
     pub(crate) fn compile(
         cfg: &ServeConfig,
-        kind: LadderKind,
         net: Network,
         clock: &dyn Clock,
     ) -> Result<(LadderTemplate, SessionLadder), ServeError> {
         let base_exec = cfg.exec();
-        let (compiler, guard) = match kind {
-            LadderKind::Primary => (PlanCompiler::standard(), cfg.guard()),
-            LadderKind::Degraded => (PlanCompiler::degraded(), GuardConfig::Off),
-        };
+        let compiler = PlanCompiler::standard();
+        let guard = cfg.guard();
         let mut templates: Vec<RungTemplate> = Vec::new();
         let mut rungs = Vec::new();
         let mut first = Some(net);
@@ -156,6 +148,7 @@ impl LadderTemplate {
         };
         let ladder = SessionLadder {
             rungs,
+            guard,
             request_elems,
         };
         Ok((template, ladder))
@@ -171,19 +164,16 @@ impl LadderTemplate {
             .collect::<Result<_, _>>()?;
         Ok(SessionLadder {
             rungs,
+            guard: self.guard,
             request_elems: self.request_elems,
         })
-    }
-
-    /// A replica of the compiled model, for compiling another kind of
-    /// ladder over the same weights.
-    pub(crate) fn network(&self) -> Network {
-        self.rungs[0].net.replica()
     }
 }
 
 pub(crate) struct SessionLadder {
     rungs: Vec<Rung>,
+    /// The configured guard level, restored on every primary run.
+    guard: GuardConfig,
     request_elems: usize,
 }
 
@@ -198,11 +188,14 @@ impl SessionLadder {
             .unwrap_or(0)
     }
 
-    /// Runs `inputs` as one batch on the smallest covering rung and
-    /// returns each request's output (batch dimension stripped).
+    /// Runs `inputs` as one batch on the smallest covering rung, under
+    /// the configured guard on the primary route and with guards off on
+    /// the degraded one, and returns each request's output (batch
+    /// dimension stripped).
     pub(crate) fn run(
         &mut self,
         inputs: &[&Tensor],
+        route: Route,
     ) -> Result<(Vec<Tensor>, RunInfo), cnn_stack_nn::Error> {
         let n = inputs.len();
         let rung = self
@@ -219,6 +212,10 @@ impl SessionLadder {
         // must not feed the guard (or the profile) garbage.
         staged[n * elems..].fill(0.0);
 
+        rung.session.set_guard(match route {
+            Route::Primary => self.guard,
+            Route::Degraded => GuardConfig::Off,
+        });
         let health_before = rung.session.health().clone();
         rung.session.run_into(&rung.input, &mut rung.output)?;
         let health = rung.session.health();
@@ -326,8 +323,7 @@ pub(crate) mod tests {
     fn every_rung_shares_the_first_rungs_panels() {
         let clock = ManualClock::new();
         let (template, ladder) =
-            LadderTemplate::compile(&two_rung_cfg(), LadderKind::Primary, tiny_net(7), &clock)
-                .expect("ladder builds");
+            LadderTemplate::compile(&two_rung_cfg(), tiny_net(7), &clock).expect("ladder builds");
         let storage = ladder.weight_storage();
         assert_eq!(storage.len(), 2);
         assert_eq!(storage[0].len(), 2, "conv + linear");
@@ -337,27 +333,14 @@ pub(crate) mod tests {
         assert_eq!(storage[1], storage[0], "rung 2 copied or re-packed");
         assert_eq!(template.weight_storage(), storage);
 
-        // So does every ladder stamped afterwards, and a different kind
-        // of ladder over the same model shares at least the masters.
+        // So does every ladder stamped afterwards.
         let stamped = template.instantiate(&clock).expect("ladder stamps");
         assert_eq!(stamped.weight_storage(), storage);
-        let (_, degraded) = LadderTemplate::compile(
-            &two_rung_cfg(),
-            LadderKind::Degraded,
-            template.network(),
-            &clock,
-        )
-        .expect("degraded ladder builds");
-        for rung in degraded.weight_storage() {
-            for (layer, first) in rung.iter().zip(&storage[0]) {
-                assert_eq!(layer.master, first.master);
-            }
-        }
     }
 
     /// [`tiny_net`] after TTQ at the paper's VGG-16 operating point,
     /// labelled `Ternary`: what a served TTQ model is.
-    fn ternary_tiny_net(seed: u64) -> Network {
+    pub(crate) fn ternary_tiny_net(seed: u64) -> Network {
         let mut net = tiny_net(seed);
         cnn_stack_compress::ttq::ttq_quantise(&mut net, 0.09);
         set_network_format(&mut net, WeightFormat::Ternary);
@@ -369,16 +352,14 @@ pub(crate) mod tests {
         // Folding rescales the TTQ weights by one batch-norm scale, so
         // they stay exactly ternary and every rung runs its codes.
         let clock = ManualClock::new();
-        let (template, mut ladder) = LadderTemplate::compile(
-            &two_rung_cfg(),
-            LadderKind::Primary,
-            ternary_tiny_net(7),
-            &clock,
-        )
-        .expect("ladder builds");
+        let (template, mut ladder) =
+            LadderTemplate::compile(&two_rung_cfg(), ternary_tiny_net(7), &clock)
+                .expect("ladder builds");
         let x = Tensor::from_fn([3, 6, 6], |i| (i as f32 * 0.37).sin());
-        ladder.run(&[&x]).expect("rung 1 runs");
-        ladder.run(&[&x, &x, &x]).expect("rung 2 runs");
+        ladder.run(&[&x], Route::Primary).expect("rung 1 runs");
+        ladder
+            .run(&[&x, &x, &x], Route::Primary)
+            .expect("rung 2 runs");
         let stamped = template.instantiate(&clock).expect("ladder stamps");
         let storage = ladder.weight_storage();
         assert_eq!(stamped.weight_storage(), storage);
@@ -403,8 +384,7 @@ pub(crate) mod tests {
         cnn_stack_compress::magnitude::prune_network(&mut pruned, 0.5);
         for net in [pruned, ternary_tiny_net(7)] {
             let (_, ladder) =
-                LadderTemplate::compile(&two_rung_cfg(), LadderKind::Primary, net, &clock)
-                    .expect("ladder builds");
+                LadderTemplate::compile(&two_rung_cfg(), net, &clock).expect("ladder builds");
             for rung in &ladder.rungs {
                 let params = rung.session.network().params();
                 let masked: Vec<_> = params
@@ -423,12 +403,13 @@ pub(crate) mod tests {
     fn served_rungs_hold_no_gradient_buffers() {
         let clock = ManualClock::new();
         let (template, mut ladder) =
-            LadderTemplate::compile(&two_rung_cfg(), LadderKind::Primary, tiny_net(7), &clock)
-                .expect("ladder builds");
+            LadderTemplate::compile(&two_rung_cfg(), tiny_net(7), &clock).expect("ladder builds");
         let mut stamped = template.instantiate(&clock).expect("ladder stamps");
         let x = Tensor::from_fn([3, 6, 6], |i| (i as f32 * 0.37).sin());
-        ladder.run(&[&x, &x]).expect("ladder runs");
-        stamped.run(&[&x]).expect("stamped ladder runs");
+        ladder.run(&[&x, &x], Route::Primary).expect("ladder runs");
+        stamped
+            .run(&[&x], Route::Primary)
+            .expect("stamped ladder runs");
         for rung in ladder.rungs.iter().chain(&stamped.rungs) {
             let params = rung.session.network().params();
             assert!(!params.is_empty());
@@ -440,14 +421,17 @@ pub(crate) mod tests {
     fn stamped_ladders_compute_what_the_first_one_does() {
         let clock = ManualClock::new();
         let (template, mut first) =
-            LadderTemplate::compile(&two_rung_cfg(), LadderKind::Primary, tiny_net(7), &clock)
-                .expect("ladder builds");
+            LadderTemplate::compile(&two_rung_cfg(), tiny_net(7), &clock).expect("ladder builds");
         let mut stamped = template.instantiate(&clock).expect("ladder stamps");
         let x = Tensor::from_fn([3, 6, 6], |i| (i as f32 * 0.37).sin());
         for n in [1, 3] {
             let inputs = vec![&x; n];
-            let (want, _) = first.run(&inputs).expect("first ladder runs");
-            let (got, _) = stamped.run(&inputs).expect("stamped ladder runs");
+            let (want, _) = first
+                .run(&inputs, Route::Primary)
+                .expect("first ladder runs");
+            let (got, _) = stamped
+                .run(&inputs, Route::Primary)
+                .expect("stamped ladder runs");
             assert_eq!(want, got, "batch of {n}");
         }
     }

@@ -3,8 +3,8 @@
 //! shedding, per-request typed outcomes — and self-healing: a
 //! supervisor that catches worker panics and respawns with capped
 //! backoff, a hung-batch watchdog that fails over wedged workers, and
-//! an optional brownout circuit breaker that swaps overloaded workers
-//! onto a degraded plan ladder.
+//! an optional brownout circuit breaker under which overloaded workers
+//! run their sessions with guards off.
 
 use crate::batcher::{BatchEnd, Batcher};
 use crate::breaker::{CircuitBreaker, Route};
@@ -12,7 +12,7 @@ use crate::clock::{Clock, MonotonicClock};
 use crate::config::ServeConfig;
 use crate::error::ServeError;
 use crate::health::{ServerHealth, WorkerHealth};
-use crate::pool::{LadderKind, LadderTemplate, SessionLadder};
+use crate::pool::{LadderTemplate, SessionLadder};
 use crate::supervisor::{lock_unpoisoned, SupervisionPolicy, WorkerSlot};
 use crate::ticket::{FailureCause, Outcome, Request, Served, ShedReason, Ticket};
 use cnn_stack_nn::{HealthReport, Network};
@@ -86,38 +86,15 @@ fn fold_health(into: &mut HealthReport, from: &HealthReport) {
     into.demotions.extend(from.demotions.iter().cloned());
 }
 
-/// Everything needed to rebuild a worker's ladders after a crash or a
-/// watchdog failover: the ladder templates frozen at start-up. A
-/// respawn stamps replicas of the one compiled model — no model build,
-/// no plan compile, no weight pack — so it costs arenas and pre-warm
-/// runs, and a weight a dying session corrupted never reaches it (the
-/// write copied that session's layer; the templates kept the original).
-struct Respawner {
-    primary: LadderTemplate,
-    degraded: Option<LadderTemplate>,
-    clock: Arc<dyn Clock>,
-}
-
-impl Respawner {
-    fn primary(&self) -> Result<SessionLadder, ServeError> {
-        self.primary.instantiate(&*self.clock)
-    }
-
-    fn degraded(&self) -> Result<Option<SessionLadder>, ServeError> {
-        self.degraded
-            .as_ref()
-            .map(|t| t.instantiate(&*self.clock))
-            .transpose()
-    }
-}
-
 /// Shared context the watchdog needs to fail over and respawn workers,
 /// whether it runs on the background monitor thread (threaded servers)
 /// or inside [`Server::supervise`] (manual servers).
 struct SupervisorCtx {
     inner: Arc<ServerInner>,
     batcher: Arc<Mutex<Batcher>>,
-    respawner: Arc<Respawner>,
+    /// The ladder template frozen at start-up, which every respawn
+    /// stamps; see [`Worker::rebuild`].
+    template: Arc<LadderTemplate>,
     clock: Arc<dyn Clock>,
     /// Live worker threads, including replacements spawned after
     /// failovers; drained at shutdown.
@@ -126,7 +103,7 @@ struct SupervisorCtx {
 }
 
 /// One batch worker: drains the shared queue through the batcher and
-/// runs batches on its own session ladder(s). The thread half of a
+/// runs batches on its own session ladder. The thread half of a
 /// worker — its durable half is the [`WorkerSlot`].
 struct Worker {
     slot: Arc<WorkerSlot>,
@@ -134,16 +111,13 @@ struct Worker {
     /// the watchdog deposed it and a replacement owns the queue.
     generation: u64,
     batcher: Arc<Mutex<Batcher>>,
-    primary: SessionLadder,
-    /// Present when a breaker is configured: the throughput-tuned
-    /// fallback ladder batches run on while the breaker is open.
-    degraded: Option<SessionLadder>,
+    ladder: SessionLadder,
     /// Engine health inherited from ladders discarded by earlier
     /// respawns, so history survives the rebuild.
     engine_base: HealthReport,
     inner: Arc<ServerInner>,
     clock: Arc<dyn Clock>,
-    respawner: Arc<Respawner>,
+    template: Arc<LadderTemplate>,
     supervision: SupervisionPolicy,
     /// Only consulted by the injected-hang path, which is feature-gated.
     #[cfg_attr(not(feature = "fault-inject"), allow(dead_code))]
@@ -162,19 +136,17 @@ impl Worker {
         slot: Arc<WorkerSlot>,
         generation: u64,
     ) -> Result<Worker, ServeError> {
-        let primary = ctx.respawner.primary()?;
-        let degraded = ctx.respawner.degraded()?;
+        let ladder = ctx.template.instantiate(&*ctx.clock)?;
         let engine_base = slot.engine_health();
         Ok(Worker {
             slot,
             generation,
             batcher: Arc::clone(&ctx.batcher),
-            primary,
-            degraded,
+            ladder,
             engine_base,
             inner: Arc::clone(&ctx.inner),
             clock: Arc::clone(&ctx.clock),
-            respawner: Arc::clone(&ctx.respawner),
+            template: Arc::clone(&ctx.template),
             supervision: ctx.supervision,
             manual: false,
             parked: false,
@@ -226,19 +198,15 @@ impl Worker {
             return Some(true);
         }
 
-        // Route: degraded ladder while the breaker is open.
-        let degraded_route = match (&inner.breaker, &self.degraded) {
-            (Some(b), Some(_)) => b.route(now) == Route::Degraded,
-            _ => false,
-        };
-        let expected_ns = if degraded_route {
-            self.degraded
-                .as_ref()
-                .map(|l| l.expected_ns(live.len()))
-                .unwrap_or(0)
-        } else {
-            self.primary.expected_ns(live.len())
-        };
+        // Route: guards off while the breaker is open. Either way the
+        // batch runs on the same rung, so the hang baseline is that
+        // rung's pre-warm under the configured guard.
+        let route = inner
+            .breaker
+            .as_ref()
+            .map_or(Route::Primary, |b| b.route(now));
+        let degraded_route = route == Route::Degraded;
+        let expected_ns = self.ladder.expected_ns(live.len());
 
         // Register the batch BEFORE any fallible work: from here on, a
         // panic or hang resolves these tickets as typed failures via
@@ -270,14 +238,7 @@ impl Worker {
 
         let batch_size = live.len();
         let inputs: Vec<&Tensor> = live.iter().map(|r| &r.input).collect();
-        let ladder = if degraded_route {
-            self.degraded
-                .as_mut()
-                .expect("degraded route checked above")
-        } else {
-            &mut self.primary
-        };
-        let run = ladder.run(&inputs);
+        let run = self.ladder.run(&inputs, route);
         drop(inputs);
 
         if self.deposed() {
@@ -371,20 +332,20 @@ impl Worker {
         self.slot.note_failure();
     }
 
-    /// Rebuilds both ladders in place from the frozen templates (a
-    /// respawn), folding the dying ladders' engine health into the
-    /// base so history survives. Leaves the worker untouched on error.
+    /// Rebuilds the ladder in place from the frozen template (a
+    /// respawn), folding the dying ladder's engine health into the base
+    /// so history survives. A respawn stamps replicas of the one
+    /// compiled model — no model build, no plan compile, no weight
+    /// pack — so it costs arenas and pre-warm runs, and a weight a dying
+    /// session corrupted never reaches it (the write copied that
+    /// session's layer; the template kept the original). Leaves the
+    /// worker untouched on error.
     fn rebuild(&mut self) -> Result<(), ServeError> {
         let mut base = self.engine_base.clone();
-        fold_health(&mut base, &self.primary.health());
-        if let Some(d) = &self.degraded {
-            fold_health(&mut base, &d.health());
-        }
-        let primary = self.respawner.primary()?;
-        let degraded = self.respawner.degraded()?;
+        fold_health(&mut base, &self.ladder.health());
+        let ladder = self.template.instantiate(&*self.clock)?;
         self.engine_base = base;
-        self.primary = primary;
-        self.degraded = degraded;
+        self.ladder = ladder;
         self.slot.respawns.fetch_add(1, Ordering::Relaxed);
         self.inner.count(Metric::ServeRespawns, 1);
         self.publish_health();
@@ -393,10 +354,7 @@ impl Worker {
 
     fn publish_health(&self) {
         let mut merged = self.engine_base.clone();
-        fold_health(&mut merged, &self.primary.health());
-        if let Some(d) = &self.degraded {
-            fold_health(&mut merged, &d.health());
-        }
+        fold_health(&mut merged, &self.ladder.health());
         self.slot.publish_engine(merged);
         if let Some(b) = &self.inner.breaker {
             self.inner.gauge(Metric::ServeBreakerState, b.state_gauge());
@@ -407,7 +365,7 @@ impl Worker {
 /// A threaded worker's life: cycle until the queue closes, catching
 /// panics; each crash resolves its batch as typed failures, backs off
 /// (capped exponential in the crash streak), and respawns in place
-/// with fresh ladders. Exits quietly if the watchdog deposed it.
+/// with a fresh ladder. Exits quietly if the watchdog deposed it.
 fn worker_loop(mut worker: Worker) {
     loop {
         if worker.deposed() {
@@ -439,7 +397,7 @@ fn worker_loop(mut worker: Worker) {
 }
 
 /// Spawns a replacement thread for a deposed worker's slot. The
-/// replacement builds its ladders on its own thread (so the monitor
+/// replacement builds its ladder on its own thread (so the monitor
 /// never blocks on session construction), retrying with backoff.
 fn spawn_replacement(ctx: &Arc<SupervisorCtx>, slot: Arc<WorkerSlot>) {
     let generation = slot.generation();
@@ -492,7 +450,7 @@ fn sweep(ctx: &Arc<SupervisorCtx>, manual: Option<&Mutex<Worker>>) -> usize {
         ctx.inner.count(Metric::ServeHungBatches, 1);
         match manual {
             // Manual mode: recycle the one worker in place — unpark it
-            // under the new generation with fresh ladders.
+            // under the new generation with a fresh ladder.
             Some(worker_mutex) => {
                 let mut worker = lock_unpoisoned(worker_mutex);
                 worker.generation = slot.generation();
@@ -524,8 +482,8 @@ pub struct Server {
 }
 
 impl Server {
-    /// Builds the session pool (one ladder per worker — two when a
-    /// breaker is configured), pre-warms every session, and starts the
+    /// Builds the session pool (one ladder per worker, with or without
+    /// a breaker), pre-warms every session, and starts the
     /// batch workers plus the supervision monitor. `build_net` is
     /// called exactly once, here: every session the server ever runs —
     /// each rung, each worker, each respawn after a crash or failover —
@@ -582,32 +540,19 @@ impl Server {
         )));
 
         // Build and compile on this thread, once: the first worker's
-        // ladders are the sessions the plans were prepared on, every
-        // other worker's are stamped from the templates, which are then
-        // frozen in the respawner for post-crash rebuilds.
-        let (primary, first_primary) =
-            LadderTemplate::compile(&cfg, LadderKind::Primary, build_net(), &*clock)?;
-        let (degraded, first_degraded) = inner
-            .breaker
-            .as_ref()
-            .map(|_| {
-                LadderTemplate::compile(&cfg, LadderKind::Degraded, primary.network(), &*clock)
-            })
-            .transpose()?
-            .unzip();
-        let respawner = Arc::new(Respawner {
-            primary,
-            degraded,
-            clock: Arc::clone(&clock),
-        });
-        let mut ladders = vec![(first_primary, first_degraded)];
+        // ladder is the sessions the plans were prepared on, every other
+        // worker's is stamped from the template, which is then frozen
+        // for post-crash rebuilds.
+        let (template, first) = LadderTemplate::compile(&cfg, build_net(), &*clock)?;
+        let template = Arc::new(template);
+        let mut ladders = vec![first];
         for _ in 1..worker_count {
-            ladders.push((respawner.primary()?, respawner.degraded()?));
+            ladders.push(template.instantiate(&*clock)?);
         }
         let ctx = Arc::new(SupervisorCtx {
             inner: Arc::clone(&inner),
             batcher: Arc::clone(&batcher),
-            respawner: Arc::clone(&respawner),
+            template: Arc::clone(&template),
             clock: Arc::clone(&clock),
             threads: Mutex::new(Vec::new()),
             supervision: *cfg.supervision(),
@@ -616,16 +561,15 @@ impl Server {
         let mut workers: Vec<Worker> = ladders
             .into_iter()
             .enumerate()
-            .map(|(index, (primary, degraded))| Worker {
+            .map(|(index, ladder)| Worker {
                 slot: Arc::clone(&inner.slots[index]),
                 generation: inner.slots[index].generation(),
                 batcher: Arc::clone(&batcher),
-                primary,
-                degraded,
+                ladder,
                 engine_base: HealthReport::default(),
                 inner: Arc::clone(&inner),
                 clock: Arc::clone(&clock),
-                respawner: Arc::clone(&respawner),
+                template: Arc::clone(&template),
                 supervision: *cfg.supervision(),
                 manual: manual_mode,
                 parked: false,
@@ -834,7 +778,7 @@ impl Server {
     }
 
     /// Installs a deterministic fault plan into every session of the
-    /// manual worker's ladders — the serving end of the engine's
+    /// manual worker's ladder — the serving end of the engine's
     /// fault-injection harness. Manual mode only.
     ///
     /// # Panics
@@ -846,11 +790,7 @@ impl Server {
             .manual
             .as_ref()
             .expect("inject_faults requires a manual server (workers == 0)");
-        let mut worker = lock_unpoisoned(worker);
-        worker.primary.inject_faults(&faults);
-        if let Some(degraded) = worker.degraded.as_mut() {
-            degraded.inject_faults(&faults);
-        }
+        lock_unpoisoned(worker).ladder.inject_faults(&faults);
     }
 
     /// Installs a serve-level fault plan: worker-crash, worker-hang
@@ -936,16 +876,18 @@ mod tests {
     use super::*;
     use crate::breaker::BreakerPolicy;
     use crate::clock::ManualClock;
-    use crate::pool::tests::tiny_net;
+    use crate::pool::tests::{ternary_tiny_net, tiny_net};
 
-    fn manual_server(cfg: ServeConfig) -> Server {
-        Server::start_with_clock(cfg, Arc::new(ManualClock::new()), || tiny_net(7))
+    fn manual_server(cfg: ServeConfig, net: fn(u64) -> Network) -> Server {
+        Server::start_with_clock(cfg, Arc::new(ManualClock::new()), move || net(7))
             .expect("tiny net compiles and serves")
     }
 
     /// Every session the server runs — at start and after each respawn,
-    /// on either kind of ladder — reads the buffers the frozen
-    /// templates hold: one physical model per server.
+    /// on either route — reads the buffers the frozen template holds:
+    /// one physical model per server, breaker or not. A served TTQ model
+    /// keeps its weights in one form, the 2-bit codes; an open breaker
+    /// runs the same sessions, so configuring one packs no f32 panels.
     #[test]
     fn every_respawn_shares_the_templates_storage() {
         let cfg = ServeConfig::builder([3, 6, 6])
@@ -954,25 +896,39 @@ mod tests {
             .breaker(BreakerPolicy::default())
             .build()
             .expect("test config is valid");
-        let server = manual_server(cfg);
-        let respawner = &server.ctx.respawner;
-        let primary = respawner.primary.weight_storage();
-        let degraded = respawner
-            .degraded
-            .as_ref()
-            .expect("a breaker is configured")
-            .weight_storage();
-        for (p, d) in primary.iter().flatten().zip(degraded.iter().flatten()) {
-            assert_eq!(p.master, d.master, "the degraded ladder copied a master");
-        }
-        let mut worker = lock_unpoisoned(server.manual.as_ref().expect("workers(0)"));
-        for respawn in 0..3 {
-            if respawn > 0 {
-                worker.rebuild().expect("respawn succeeds");
+        let x = Tensor::from_fn([3, 6, 6], |i| (i as f32 * 0.37).sin());
+        for (net, ternary) in [
+            (tiny_net as fn(u64) -> Network, false),
+            (ternary_tiny_net, true),
+        ] {
+            let server = manual_server(cfg.clone(), net);
+            let template = server.ctx.template.weight_storage();
+            let mut worker = lock_unpoisoned(server.manual.as_ref().expect("workers(0)"));
+            for respawn in 0..3 {
+                if respawn > 0 {
+                    worker.rebuild().expect("respawn succeeds");
+                }
+                for route in [Route::Primary, Route::Degraded] {
+                    worker.ladder.run(&[&x], route).expect("rung runs");
+                }
+                let live = worker.ladder.weight_storage();
+                assert_eq!(live, template, "respawn {respawn} left the template");
+                if !ternary {
+                    continue;
+                }
+                for layer in live.iter().flatten() {
+                    assert!(
+                        layer.forms[2].is_some(),
+                        "a ternary rung runs without codes"
+                    );
+                    assert_eq!(
+                        layer.forms.iter().flatten().count(),
+                        1,
+                        "a form beside the codes: {:?}",
+                        layer.forms
+                    );
+                }
             }
-            assert_eq!(worker.primary.weight_storage(), primary);
-            let live = worker.degraded.as_ref().expect("a breaker is configured");
-            assert_eq!(live.weight_storage(), degraded);
         }
     }
 
@@ -983,20 +939,23 @@ mod tests {
     #[cfg(feature = "fault-inject")]
     #[test]
     fn a_weight_fault_stays_in_its_rung_and_dies_with_it() {
-        let server = manual_server(crate::pool::tests::two_rung_cfg());
-        let template = server.ctx.respawner.primary.weight_storage();
+        let server = manual_server(crate::pool::tests::two_rung_cfg(), tiny_net);
+        let template = server.ctx.template.weight_storage();
         let mut worker = lock_unpoisoned(server.manual.as_ref().expect("workers(0)"));
         let x = Tensor::from_fn([3, 6, 6], |i| (i as f32 * 0.37).sin());
         let run = |worker: &mut Worker, n: usize| {
-            let (outputs, _) = worker.primary.run(&vec![&x; n]).expect("rung runs");
+            let (outputs, _) = worker
+                .ladder
+                .run(&vec![&x; n], Route::Primary)
+                .expect("rung runs");
             outputs
         };
         let pristine = [run(&mut worker, 1), run(&mut worker, 3)];
 
         // Flip the sign of the first conv weight in the batch-1 rung.
         let flip = cnn_stack_nn::FaultPlan::new().bit_flip_weight(0, 0, 0, 31);
-        worker.primary.inject_rung_faults(0, flip);
-        let storage = worker.primary.weight_storage();
+        worker.ladder.inject_rung_faults(0, flip);
+        let storage = worker.ladder.weight_storage();
         assert_ne!(storage[0][0].master, template[0][0].master);
         assert_eq!(
             storage[0][1], template[0][1],
@@ -1011,7 +970,7 @@ mod tests {
         assert_eq!(run(&mut worker, 3), pristine[1]);
 
         worker.rebuild().expect("respawn succeeds");
-        assert_eq!(worker.primary.weight_storage(), template);
+        assert_eq!(worker.ladder.weight_storage(), template);
         assert_eq!(run(&mut worker, 1), pristine[0]);
         assert_eq!(run(&mut worker, 3), pristine[1]);
     }

@@ -4,7 +4,7 @@
 //!
 //! The design splits a worker into two halves:
 //!
-//! * the **thread** (or the manual pump) — owns the session ladders,
+//! * the **thread** (or the manual pump) — owns the session ladder,
 //!   runs batches, and can die (panic) or wedge (hang);
 //! * the **slot** ([`WorkerSlot`]) — an `Arc`'d bookkeeping record
 //!   that *outlives* the thread: serving counters, the in-flight
@@ -141,7 +141,7 @@ pub(crate) struct WorkerSlot {
     /// Reply senders for the batch in flight, so a supervisor can
     /// resolve tickets on a dead worker's behalf.
     inflight: Mutex<Vec<(u64, Sender<Response>)>>,
-    /// Engine health merged across the worker's ladders, published
+    /// Engine health merged across the worker's ladder, published
     /// after each batch (and folded across respawns).
     engine: Mutex<HealthReport>,
 }

@@ -31,8 +31,8 @@ pub struct Served {
     pub demoted: bool,
     /// A guard tripped (and was recovered) during this run.
     pub guarded: bool,
-    /// Served on the brownout breaker's degraded plan ladder
-    /// (throughput-tuned, guards off) rather than the primary one.
+    /// Served while the brownout breaker was open: the same session and
+    /// plan, with guards off instead of the configured level.
     pub degraded: bool,
 }
 

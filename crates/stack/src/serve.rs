@@ -18,9 +18,11 @@ use cnn_stack_serve::{ServeConfig, ServeError, Server};
 /// comes from `cfg` at the given `width`; everything serving-side —
 /// batching policy, queue depth, deadlines, guard level, engine
 /// threads — comes from `serve_cfg`. The serving engine always runs
-/// the packed im2col path (the fastest measured host configuration),
-/// so `cfg`'s `algorithm`/`backend`/`platform` fields, which drive the
-/// *modelled* evaluation, do not apply here.
+/// im2col on the packed engine — not because it is fastest (Winograd
+/// wins several VGG-16 layers) but because it keeps one weight form per
+/// layer, shared by every session — so `cfg`'s
+/// `algorithm`/`backend`/`platform` fields, which drive the *modelled*
+/// evaluation, do not apply here.
 ///
 /// # Errors
 ///

@@ -278,10 +278,12 @@ fn crash_loop_backoff_doubles_then_caps() {
 // ---------------------------------------------------------------------
 // Brownout circuit breaker.
 
-/// The full brownout arc: a burst of deadline misses trips the breaker,
-/// traffic swaps onto the degraded plan ladder (served, not shed, and
-/// flagged `degraded`), the cooldown elapses, and a clean half-open
-/// probe window closes the breaker back onto the primary ladder.
+/// The full brownout arc on a `BoundaryCheck` server: a burst of
+/// deadline misses trips the breaker, traffic runs the same sessions
+/// with guards off (served, not shed, flagged `degraded`, and bit for
+/// bit what the guarded run computed), the cooldown elapses, a clean
+/// half-open probe window closes the breaker — and the guard is back: a
+/// non-finite input fails typed instead of being served.
 #[cfg(feature = "fault-inject")]
 #[test]
 fn breaker_trips_to_degraded_ladder_then_recovers_through_probe() {
@@ -302,6 +304,7 @@ fn breaker_trips_to_degraded_ladder_then_recovers_through_probe() {
         .workers(0)
         .observer(ObsLevel::Off)
         .supervision(test_supervision())
+        .guard(GuardConfig::BoundaryCheck)
         .breaker(breaker)
         .build()
         .expect("breaker config is valid");
@@ -319,11 +322,15 @@ fn breaker_trips_to_degraded_ladder_then_recovers_through_probe() {
         })
         .collect();
     assert!(server.pump());
-    for ticket in slow {
-        let s = served(ticket);
-        assert!(s.latency > Duration::from_millis(1), "the batch was slowed");
-        assert!(!s.degraded, "the tripping batch itself ran primary");
-    }
+    let guarded: Vec<Tensor> = slow
+        .into_iter()
+        .map(|ticket| {
+            let s = served(ticket);
+            assert!(s.latency > Duration::from_millis(1), "the batch was slowed");
+            assert!(!s.degraded, "the tripping batch itself ran primary");
+            s.output
+        })
+        .collect();
     let health = server.health();
     assert_eq!(health.breaker_trips, 1);
     assert_eq!(
@@ -331,16 +338,19 @@ fn breaker_trips_to_degraded_ladder_then_recovers_through_probe() {
         BreakerState::Open
     );
 
-    // Phase 2 — brownout: while open, batches run the degraded ladder
-    // instead of being shed, and say so.
-    let browned: Vec<Ticket> = (4..6)
+    // Phase 2 — brownout: while open, the same inputs run with guards
+    // off instead of being shed, say so, and compute the same bits.
+    let browned: Vec<Ticket> = (0..4)
         .map(|i| server.submit(request_input(i)).unwrap())
         .collect();
     assert!(server.pump());
-    for ticket in browned {
+    for (ticket, want) in browned.into_iter().zip(&guarded) {
         let s = served(ticket);
         assert!(s.degraded, "open breaker must route to the degraded plan");
-        assert!(s.output.data().iter().all(|v| v.is_finite()));
+        assert_eq!(
+            &s.output, want,
+            "browned-out output differs from the guarded one"
+        );
     }
     assert_eq!(server.health().degraded_batches, 1);
 
@@ -354,23 +364,43 @@ fn breaker_trips_to_degraded_ladder_then_recovers_through_probe() {
     for ticket in probes {
         assert!(!served(ticket).degraded, "probes run the primary ladder");
     }
-    let health = server.shutdown();
+    let health = server.health();
     assert_eq!(
         health.breaker.expect("breaker configured").state,
         BreakerState::Closed
     );
     assert_eq!(health.breaker_trips, 1, "recovery must not re-trip");
-    assert_eq!(health.served, 8);
+    assert_eq!(health.served, 10);
     assert!(
         health.is_clean(),
-        "a brownout degrades fidelity but is not a fault"
+        "a brownout lowers the guard level but is not a fault"
     );
+
+    // Phase 4 — the configured guard is back on the rung that ran the
+    // brownout: a batch holding a non-finite input trips it and fails
+    // typed rather than being served. (An infinity, not a NaN: the
+    // fused ReLU maps NaN to 0 before the first boundary check of this
+    // net.) Last, since the misses feed the breaker.
+    let inf = Tensor::from_fn(SHAPE, |e| if e == 0 { f32::INFINITY } else { 0.5 });
+    let tickets = [inf, request_input(8)].map(|x| server.submit(x).unwrap());
+    assert!(server.pump());
+    for ticket in tickets {
+        match ticket.wait().outcome {
+            Outcome::Failed(FailureCause::Engine(msg)) => {
+                assert!(msg.contains("guard"), "not a guard trip: {msg}")
+            }
+            other => panic!("a non-finite input must fail the restored guard, got {other:?}"),
+        }
+    }
+    let health = server.shutdown();
+    assert_eq!(health.failed, 2);
+    assert!(health.workers[0].engine.guards_tripped >= 1);
 }
 
 // ---------------------------------------------------------------------
 // One model per server.
 
-/// `build_net` runs exactly once in a server's life — both ladders of a
+/// `build_net` runs exactly once in a server's life — the ladder of a
 /// breaker-equipped server at start-up, and (with `fault-inject`) a
 /// crash respawn and a watchdog failover, are replicas of the network
 /// it returned — and a respawned worker computes, bit for bit, what the

@@ -16,9 +16,12 @@
 //! guards off ([`Route::Degraded`]) — the same plans, weights and
 //! arenas, minus the boundary checks, parameter scans and demotion
 //! re-runs of the configured guard level — trading fidelity checks for
-//! latency headroom instead of shedding outright. **HalfOpen** sends
-//! probe traffic through under the configured guard again; a clean
-//! probe window closes the breaker, any miss re-opens it.
+//! latency headroom instead of shedding outright. The headroom is the
+//! guard's cost and nothing more: the plan does not change, so a model
+//! whose layers are labelled CSR still runs its CSR kernels while
+//! open. **HalfOpen** sends probe traffic through under the configured
+//! guard again; a clean probe window closes the breaker, any miss
+//! re-opens it.
 //!
 //! All timeline decisions take a caller-supplied `now_ns` from the
 //! server's [`Clock`](crate::clock::Clock), so the state machine is

@@ -327,7 +327,10 @@ fn breaker_trips_to_degraded_ladder_then_recovers_through_probe() {
         .map(|ticket| {
             let s = served(ticket);
             assert!(s.latency > Duration::from_millis(1), "the batch was slowed");
-            assert!(!s.degraded, "the tripping batch itself ran primary");
+            assert!(
+                !s.degraded,
+                "the tripping batch itself ran under the configured guard"
+            );
             s.output
         })
         .collect();
@@ -346,7 +349,7 @@ fn breaker_trips_to_degraded_ladder_then_recovers_through_probe() {
     assert!(server.pump());
     for (ticket, want) in browned.into_iter().zip(&guarded) {
         let s = served(ticket);
-        assert!(s.degraded, "open breaker must route to the degraded plan");
+        assert!(s.degraded, "an open breaker must serve with guards off");
         assert_eq!(
             &s.output, want,
             "browned-out output differs from the guarded one"
@@ -355,14 +358,18 @@ fn breaker_trips_to_degraded_ladder_then_recovers_through_probe() {
     assert_eq!(server.health().degraded_batches, 1);
 
     // Phase 3 — recovery: after the cooldown the breaker half-opens,
-    // probes run primary, and a clean probe window closes it.
+    // probes run under the configured guard, and a clean probe window
+    // closes it.
     clock.advance(breaker.cooldown);
     let probes: Vec<Ticket> = (6..8)
         .map(|i| server.submit(request_input(i)).unwrap())
         .collect();
     assert!(server.pump());
     for ticket in probes {
-        assert!(!served(ticket).degraded, "probes run the primary ladder");
+        assert!(
+            !served(ticket).degraded,
+            "probes run under the configured guard"
+        );
     }
     let health = server.health();
     assert_eq!(
@@ -523,7 +530,10 @@ fn unfaulted_server_is_clean_and_quiet() {
     assert!(server.pump());
     for ticket in tickets {
         let s = served(ticket);
-        assert!(!s.degraded, "no breaker configured: primary only");
+        assert!(
+            !s.degraded,
+            "no breaker configured: never served with guards off"
+        );
     }
     assert_eq!(server.supervise(), 0, "nothing to fail over");
 

@@ -81,6 +81,11 @@ echo "== tests =="
 #   and the liveness/colouring unit tests.
 # * conv-conformance and the kernel registry's table tests
 #   (`nn::algo::tests`).
+# * resident-memory (tests/resident_memory.rs, its own binary: its
+#   counting allocator tracks the process's live bytes): a started
+#   width-0.5 TTQ VGG-16 server holds its 2-bit codes, masks, biases and
+#   arenas plus at most 1 MiB, and no dense master; a rung compiled on a
+#   replica of a prepared network allocates no master-sized buffer.
 cargo test --workspace -q
 
 echo "== fault-injection tests =="
@@ -237,6 +242,14 @@ fi
 # no prototype switch survives.
 if grep -rnE 'microkernel_avx512_pair|PROTO_' crates src tests examples; then
   echo "ci: the replaced AVX-512 pair kernel (or a prototype switch) is back" >&2
+  exit 1
+fi
+
+# One `extern "C"` block in the crates: glibc's `malloc_trim`, which
+# hands the pages of freed weight masters back to the kernel
+# (`nn::weights::release_freed_pages`). No other foreign call creeps in.
+if grep -rn 'extern "C"' crates | grep -v '^crates/nn/src/weights.rs:'; then
+  echo "ci: an extern \"C\" block outside the page-release site" >&2
   exit 1
 fi
 

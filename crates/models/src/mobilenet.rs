@@ -160,7 +160,7 @@ mod tests {
 
     #[test]
     fn parameter_count_is_mobilenet_scale() {
-        let mut m = mobilenet(10);
+        let m = mobilenet(10);
         // CIFAR MobileNet ≈ 3.2M parameters.
         let p = m.network.num_params();
         assert!(p > 3_000_000 && p < 3_600_000, "params {p}");
@@ -196,8 +196,8 @@ mod tests {
 
     #[test]
     fn width_half_is_quarter_params() {
-        let mut full = mobilenet(10);
-        let mut half = mobilenet_width(10, 0.5);
+        let full = mobilenet(10);
+        let half = mobilenet_width(10, 0.5);
         let ratio = full.network.num_params() as f64 / half.network.num_params() as f64;
         assert!(ratio > 3.0 && ratio < 5.0, "ratio {ratio}");
     }

@@ -84,7 +84,7 @@ mod tests {
 
     #[test]
     fn parameter_count_is_resnet18_scale() {
-        let mut m = resnet18(10);
+        let m = resnet18(10);
         // CIFAR ResNet-18 ≈ 11.2M parameters.
         let p = m.network.num_params();
         assert!(p > 10_500_000 && p < 11_800_000, "params {p}");

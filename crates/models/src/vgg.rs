@@ -115,7 +115,7 @@ mod tests {
 
     #[test]
     fn parameter_count_matches_formula() {
-        let mut m = vgg16(10);
+        let m = vgg16(10);
         // Conv params: sum(out*in*9 + out) + BN 2*out each; head:
         // 512*512+512 + 512*10+10.
         let mut expect = 0usize;
@@ -146,7 +146,7 @@ mod tests {
     #[test]
     fn width_scaling_reduces_size() {
         let mut small = vgg16_width(10, 0.25);
-        let mut full = vgg16(10);
+        let full = vgg16(10);
         assert!(small.network.num_params() < full.network.num_params() / 8);
         let y = small.network.forward(
             &Tensor::zeros([1, 3, 32, 32]),

@@ -975,7 +975,7 @@ impl<'n> InferenceSession<'n> {
     }
 
     /// Paranoid-mode pre-run scan of the input tensor and every
-    /// parameter tensor.
+    /// parameter tensor, each in the form its kernel reads.
     fn paranoid_precheck(&mut self, input: &Tensor) -> Option<GuardReport> {
         self.obs_count(Metric::GuardScans, 1);
         if let Some((first_index, _, _)) = scan_non_finite(input.data()) {
@@ -986,24 +986,21 @@ impl<'n> InferenceSession<'n> {
                 chunk: None,
             });
         }
-        // Read-only parameter walk: `params_mut` would drop plan-time
-        // packed panels on every guarded run.
+        // Read-only and form by form: `params_mut` would drop the
+        // plan-time forms, and `params` would rebuild dropped masters.
         for (i, layer) in self.net.layers().iter().enumerate() {
-            for (p, param) in layer.params().into_iter().enumerate() {
-                if let Some(w) = &self.obs {
-                    w.observer.metrics().add(Metric::GuardScans, 1);
-                }
-                if let Some((first_index, _, _)) = scan_non_finite(param.value.data()) {
-                    return Some(GuardReport {
-                        layer_index: i,
-                        layer_name: layer.name(),
-                        violation: GuardViolation::NonFiniteWeight {
-                            param: p,
-                            first_index,
-                        },
-                        chunk: None,
-                    });
-                }
+            let mut scanned = 0;
+            let hit = layer.first_non_finite_param(&mut scanned);
+            if let Some(w) = &self.obs {
+                w.observer.metrics().add(Metric::GuardScans, scanned as u64);
+            }
+            if let Some((param, first_index)) = hit {
+                return Some(GuardReport {
+                    layer_index: i,
+                    layer_name: layer.name(),
+                    violation: GuardViolation::NonFiniteWeight { param, first_index },
+                    chunk: None,
+                });
             }
         }
         None
@@ -1139,11 +1136,15 @@ impl<'n> InferenceSession<'n> {
     /// Warms every layer for its step's current effective configuration
     /// (see [`Layer::prepare`]). Run at session build, after demotions,
     /// and after weight-fault injection, so the runs that follow build
-    /// nothing.
+    /// nothing. A sweep that freed a master returns the pages.
     fn reprepare(&mut self) {
         let layers = self.net.layers_mut();
+        let mut freed = false;
         for (ps, cfg) in self.plan.steps.iter().zip(&self.exec) {
-            layers[ps.layer].visit_mut(&mut |l| l.prepare(cfg));
+            layers[ps.layer].visit_mut(&mut |l| freed |= l.prepare(cfg));
+        }
+        if freed {
+            crate::weights::release_freed_pages();
         }
     }
 
@@ -1972,7 +1973,9 @@ mod tests {
             assert_eq!(a.to_bits(), b.to_bits());
         }
         let touched = source.network().weight_storage();
-        assert_ne!(touched[0].master, storage[0].master);
+        // Both sessions hold their panels alone: the write re-packed, and
+        // the master it rebuilt went again.
+        assert_eq!((touched[0].master, storage[0].master), (None, None));
         assert_ne!(touched[0].forms, storage[0].forms);
         assert_eq!(touched[1..], storage[1..]);
     }

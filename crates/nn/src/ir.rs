@@ -207,7 +207,7 @@ fn exact_ternary(layer: &dyn Layer) -> bool {
 /// layers without one.
 fn measured_sparsity(layer: &dyn Layer) -> f64 {
     Weights::of(layer).map_or(0.0, |w| {
-        let elems = w.master().value.len();
+        let elems = w.elems();
         (elems - w.nnz()) as f64 / elems as f64
     })
 }

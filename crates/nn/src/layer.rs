@@ -425,11 +425,31 @@ pub trait Layer: std::fmt::Debug + std::any::Any + Send + Sync {
 
     /// Read-only access to the layer's trainable parameters (empty for
     /// stateless layers). Unlike [`params_mut`](Layer::params_mut) this
-    /// never drops derived weight forms, so scans that only *inspect*
-    /// weights (e.g. the paranoid guard's per-run parameter check) go
-    /// through here.
+    /// never drops derived weight forms; it does rebuild a conv/linear
+    /// master that [`prepare`](Layer::prepare) dropped, so per-run scans
+    /// read [`first_non_finite_param`](Layer::first_non_finite_param)
+    /// and counts read [`num_params`](Layer::num_params) instead.
     fn params(&self) -> Vec<&Param> {
         Vec::new()
+    }
+
+    /// Total element count of [`params`](Layer::params), read from
+    /// stored extents: no dropped master is rebuilt.
+    fn num_params(&self) -> usize {
+        self.params().iter().map(|p| p.value.len()).sum()
+    }
+
+    /// The paranoid guard's weight scan: the first non-finite parameter
+    /// element as `(param, index)` — `param` counts
+    /// [`params`](Layer::params) in order, `index` is into that
+    /// parameter's value — read from the form each kernel reads, so a
+    /// dropped master stays dropped. Adds one to `scanned` per parameter
+    /// tensor read.
+    fn first_non_finite_param(&self, scanned: &mut usize) -> Option<(usize, usize)> {
+        self.params().iter().enumerate().find_map(|(p, param)| {
+            *scanned += 1;
+            Some((p, crate::guard::scan_non_finite(param.value.data())?.0))
+        })
     }
 
     /// Mutable access to the layer's trainable parameters (empty for
@@ -475,14 +495,19 @@ pub trait Layer: std::fmt::Debug + std::any::Any + Send + Sync {
     fn visit_mut(&mut self, f: &mut dyn FnMut(&mut dyn Layer));
 
     /// Plan-level warm-up for repeated inference under `cfg`: builds the
-    /// one derived weight form `cfg`'s kernel reads (so steady-state
+    /// one weight form `cfg`'s kernel reads (so steady-state
     /// [`forward_into`](Layer::forward_into) runs allocate nothing) and
-    /// drops the others. The engine calls this (through
-    /// [`visit_mut`](Layer::visit_mut)) when a session is built and
-    /// after every demotion rebuild or weight-fault injection. Skipping
-    /// it is never wrong, only slower on the first run. Layers with
-    /// nothing to prepare keep the default no-op.
-    fn prepare(&mut self, _cfg: &ExecConfig) {}
+    /// drops the others, the master included when the kept form
+    /// re-encodes it losslessly. Returns whether that freed a master's
+    /// buffer, so the caller can return the pages once per sweep. The
+    /// engine calls this (through [`visit_mut`](Layer::visit_mut)) when
+    /// a session is built and after every demotion rebuild or
+    /// weight-fault injection. Skipping it is never wrong, only slower
+    /// on the first run. Layers with nothing to prepare keep the default
+    /// no-op.
+    fn prepare(&mut self, _cfg: &ExecConfig) -> bool {
+        false
+    }
 
     /// A second instance of this layer serving the same model: the
     /// structure is cloned, conv/linear master weights (with their

@@ -352,6 +352,14 @@ impl Layer for Linear {
         vec![self.weights.master(), &self.bias]
     }
 
+    fn num_params(&self) -> usize {
+        self.weights.elems() + self.bias.value.len()
+    }
+
+    fn first_non_finite_param(&self, scanned: &mut usize) -> Option<(usize, usize)> {
+        self.weights.first_non_finite_param(&self.bias, scanned)
+    }
+
     fn params_mut(&mut self) -> Vec<&mut Param> {
         vec![self.weights.master_mut(), &mut self.bias]
     }
@@ -378,9 +386,9 @@ impl Layer for Linear {
         }
     }
 
-    fn prepare(&mut self, cfg: &ExecConfig) {
+    fn prepare(&mut self, cfg: &ExecConfig) -> bool {
         let keep = self.runs(cfg).form();
-        self.weights.prepare(keep);
+        self.weights.prepare(keep)
     }
 
     fn replica(&self) -> Box<dyn Layer> {

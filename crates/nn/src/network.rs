@@ -247,10 +247,10 @@ impl Network {
         }
     }
 
-    /// Total trainable parameter count. (`&mut self` is historical;
-    /// nothing is written.)
-    pub fn num_params(&mut self) -> usize {
-        self.params().iter().map(|p| p.value.len()).sum()
+    /// Total trainable parameter count, from stored extents: no
+    /// dropped master is rebuilt.
+    pub fn num_params(&self) -> usize {
+        self.layers.iter().map(|l| l.num_params()).sum()
     }
 
     /// Flat primitive-layer descriptors for a given input shape
@@ -433,14 +433,26 @@ mod tests {
     #[test]
     fn num_params_reads_without_unsharing() {
         let mut net = tiny_net();
-        let mut twin = net.replica();
+        let twin = net.replica();
         assert_eq!(twin.num_params(), net.num_params());
         assert_eq!(twin.weight_storage(), net.weight_storage());
+        // Nor does it rebuild a master the panels stand in for.
+        let cfg = ExecConfig {
+            conv_algo: crate::ConvAlgorithm::Im2col,
+            ..ExecConfig::serial()
+        };
+        for layer in net.layers_mut() {
+            layer.prepare(&cfg);
+        }
+        let dropped = net.weight_storage();
+        assert!(dropped.iter().all(|s| s.master.is_none()));
+        assert_eq!(net.num_params(), twin.num_params());
+        assert_eq!(net.weight_storage(), dropped);
     }
 
     #[test]
     fn num_params_counts_everything() {
-        let mut net = tiny_net();
+        let net = tiny_net();
         // conv: 4*1*9 + 4; linear: 64*3 + 3.
         assert_eq!(net.num_params(), 36 + 4 + 192 + 3);
     }

@@ -795,7 +795,9 @@ impl Autotune {
     /// any plan-time panels via `prepare`).
     fn measure(net: &mut Network, op: &IrOp, cfg: &ExecConfig, samples: u32) -> f64 {
         let layer = &mut net.layers_mut()[op.layer];
-        layer.visit_mut(&mut |l| l.prepare(cfg));
+        layer.visit_mut(&mut |l| {
+            l.prepare(cfg);
+        });
         let x = Tensor::from_fn(op.input_shape.clone(), |i| ((i % 23) as f32 - 11.0) * 0.05);
         let _ = layer.forward(&x, Phase::Eval, cfg);
         let mut best = f64::INFINITY;

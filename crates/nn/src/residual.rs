@@ -87,6 +87,14 @@ impl ResidualBlock {
             .chain(self.shortcut.as_ref().map(|(conv, _)| conv))
     }
 
+    /// The children that hold parameters, in [`Layer::params`] order.
+    fn param_children(&self) -> impl Iterator<Item = &dyn Layer> {
+        let shortcut = self.shortcut.iter();
+        [&self.conv1 as &dyn Layer, &self.bn1, &self.conv2, &self.bn2]
+            .into_iter()
+            .chain(shortcut.flat_map(|(conv, bn)| [conv as &dyn Layer, bn]))
+    }
+
     /// The first (prunable) convolution.
     pub fn conv1(&self) -> &Conv2d {
         &self.conv1
@@ -242,16 +250,20 @@ impl Layer for ResidualBlock {
     }
 
     fn params(&self) -> Vec<&Param> {
-        let mut params = Vec::new();
-        params.extend(self.conv1.params());
-        params.extend(self.bn1.params());
-        params.extend(self.conv2.params());
-        params.extend(self.bn2.params());
-        if let Some((conv, bn)) = &self.shortcut {
-            params.extend(conv.params());
-            params.extend(bn.params());
-        }
-        params
+        self.param_children().flat_map(|c| c.params()).collect()
+    }
+
+    fn num_params(&self) -> usize {
+        self.param_children().map(|c| c.num_params()).sum()
+    }
+
+    fn first_non_finite_param(&self, scanned: &mut usize) -> Option<(usize, usize)> {
+        let start = *scanned;
+        self.param_children().find_map(|child| {
+            let before = *scanned - start;
+            let (p, index) = child.first_non_finite_param(scanned)?;
+            Some((before + p, index))
+        })
     }
 
     fn params_mut(&mut self) -> Vec<&mut Param> {

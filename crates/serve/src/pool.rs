@@ -367,6 +367,7 @@ pub(crate) mod tests {
             for (layer, first) in rung.iter().zip(&storage[0]) {
                 assert!(layer.forms[2].is_some(), "a rung runs without codes");
                 assert_eq!(layer.forms[2], first.forms[2], "a rung re-packed codes");
+                assert_eq!(layer.master, None, "a master beside the codes");
                 assert_eq!(
                     layer.forms.iter().flatten().count(),
                     1,

@@ -885,9 +885,10 @@ mod tests {
 
     /// Every session the server runs — at start and after each respawn,
     /// on either route — reads the buffers the frozen template holds:
-    /// one physical model per server, breaker or not. A served TTQ model
-    /// keeps its weights in one form, the 2-bit codes; an open breaker
-    /// runs the same sessions, so configuring one packs no f32 panels.
+    /// one physical model per server, breaker or not. A served model
+    /// keeps its weights in one form: the f32 panels, or a TTQ model's
+    /// 2-bit codes, with no master beside either; an open breaker runs
+    /// the same sessions, so configuring one packs no f32 panels.
     #[test]
     fn every_respawn_shares_the_templates_storage() {
         let cfg = ServeConfig::builder([3, 6, 6])
@@ -913,6 +914,11 @@ mod tests {
                 }
                 let live = worker.ladder.weight_storage();
                 assert_eq!(live, template, "respawn {respawn} left the template");
+                for layer in live.iter().flatten() {
+                    let lossless = layer.forms[1].is_some() || layer.forms[2].is_some();
+                    assert!(lossless, "a rung runs neither panels nor codes");
+                    assert_eq!(layer.master, None, "a master beside {:?}", layer.forms);
+                }
                 if !ternary {
                     continue;
                 }
@@ -956,7 +962,7 @@ mod tests {
         let flip = cnn_stack_nn::FaultPlan::new().bit_flip_weight(0, 0, 0, 31);
         worker.ladder.inject_rung_faults(0, flip);
         let storage = worker.ladder.weight_storage();
-        assert_ne!(storage[0][0].master, template[0][0].master);
+        assert_ne!(storage[0][0].forms, template[0][0].forms);
         assert_eq!(
             storage[0][1], template[0][1],
             "the linear layer was not written"

@@ -238,7 +238,7 @@ mod tests {
             },
         );
         let mut model = materialise(&cfg, 0.2);
-        let mut full = ModelKind::Vgg16.build_width(10, 0.2);
+        let full = ModelKind::Vgg16.build_width(10, 0.2);
         let now = model.network.num_params();
         let orig = full.network.num_params();
         let compression = 1.0 - now as f64 / orig as f64;

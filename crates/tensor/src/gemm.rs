@@ -474,6 +474,71 @@ pub fn pack_a_codes_into(plan: &GemmPlan, a: &[f32], buf: &mut [u32]) {
     );
 }
 
+/// Copies a matrix out of panels of `rows` rows each, k-major
+/// (`buf[ip·rows·k + p·rows + r]` is element `(ip·rows + r, p)`), into
+/// `out` (row-major). Padding rows past the matrix are not read.
+fn unpack_row_panels(rows: usize, k: usize, buf: &[f32], out: &mut [f32]) {
+    for (i, row) in out.chunks_exact_mut(k).enumerate() {
+        let panel = &buf[i / rows * rows * k..][..rows * k];
+        for (p, v) in row.iter_mut().enumerate() {
+            *v = panel[p * rows + i % rows];
+        }
+    }
+}
+
+/// Inverse of [`pack_a_into`]: `a[m×k]` back out of its MR-row panels,
+/// bit for bit.
+///
+/// # Panics
+///
+/// Panics if `a` or `buf` is shorter than the plan requires.
+pub fn unpack_a_into(plan: &GemmPlan, buf: &[f32], a: &mut [f32]) {
+    assert_eq!(a.len(), plan.m * plan.k, "A length mismatch");
+    assert!(
+        buf.len() >= plan.packed_a_elems(),
+        "packed-A buffer too small"
+    );
+    unpack_row_panels(MR, plan.k, buf, a);
+}
+
+/// Inverse of [`pack_b_transposed_into`]: `w[n×k]` back out of the
+/// NR-column panels of `Wᵀ`, bit for bit.
+///
+/// # Panics
+///
+/// Panics if `w` or `buf` is shorter than the plan requires.
+pub fn unpack_b_transposed_into(plan: &GemmPlan, buf: &[f32], w: &mut [f32]) {
+    assert_eq!(w.len(), plan.n * plan.k, "W length mismatch");
+    assert!(
+        buf.len() >= plan.packed_b_elems(),
+        "packed-B buffer too small"
+    );
+    unpack_row_panels(NR, plan.k, buf, w);
+}
+
+/// Inverse of [`pack_a_codes_into`]: decodes `a[m×k]` from its code
+/// panels and magnitudes, bit for bit (code `0b11` is `−0.0`).
+///
+/// # Panics
+///
+/// Panics if `a` or the code words are shorter than the plan requires.
+pub fn unpack_a_codes_into(plan: &GemmPlan, codes: CodePanels<'_>, a: &mut [f32]) {
+    let (k, words) = (plan.k, plan.code_panel_words());
+    assert_eq!(a.len(), plan.m * k, "A length mismatch");
+    assert!(
+        codes.words.len() >= plan.packed_a_code_words(),
+        "A code buffer too small"
+    );
+    let lut = codes.lut();
+    for (i, row) in a.chunks_exact_mut(k).enumerate() {
+        let panel = &codes.words[i / MR * words..][..words];
+        for (p, v) in row.iter_mut().enumerate() {
+            let c = p * MR + i % MR;
+            *v = lut[(panel[c / CODES_PER_WORD] >> (2 * (c % CODES_PER_WORD))) as usize & 0b11];
+        }
+    }
+}
+
 /// An A operand held as code panels ([`pack_a_codes_into`]) and the two
 /// magnitudes its codes stand for.
 #[derive(Clone, Copy, Debug)]
@@ -2465,6 +2530,40 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn every_weight_packer_round_trips_bit_for_bit() {
+        // Short last panels (m, n not multiples of MR, NR), a code panel
+        // ending mid-word, ±0, a NaN payload and ±Inf in the f32 panels.
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let (m, k) = (2 * MR + 1, 37);
+        let mut a: Vec<f32> = (0..m * k).map(|i| (i as f32 * 0.37).sin()).collect();
+        a[3] = -0.0;
+        a[40] = f32::from_bits(0x7fc0_1234);
+        a[41] = f32::NEG_INFINITY;
+        let plan = GemmPlan::new(m, k, 1);
+        let mut panels = vec![f32::NAN; plan.packed_a_elems()];
+        pack_a_into(&plan, &a, &mut panels);
+        let mut back = vec![1.0; a.len()];
+        unpack_a_into(&plan, &panels, &mut back);
+        assert_eq!(bits(&back), bits(&a), "A panels");
+
+        let w_plan = GemmPlan::new(1, k, m);
+        let mut panels = vec![f32::NAN; w_plan.packed_b_elems()];
+        pack_b_transposed_into(&w_plan, &a, &mut panels);
+        unpack_b_transposed_into(&w_plan, &panels, &mut back);
+        assert_eq!(bits(&back), bits(&a), "transposed B panels");
+
+        let t = ternary_matrix(m, k, 5);
+        let words = codes_of(&plan, &t);
+        let codes = CodePanels {
+            words: &words,
+            positive: 0.7,
+            negative: 0.4,
+        };
+        unpack_a_codes_into(&plan, codes, &mut back);
+        assert_eq!(bits(&back), bits(&t), "code panels");
     }
 
     #[test]

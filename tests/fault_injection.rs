@@ -363,6 +363,50 @@ fn paranoid_mode_catches_weight_corruption_before_running() {
     }
 }
 
+/// The paranoid scan reads what the kernels read: on layers that run
+/// f32 panels with their master dropped (the conv's A panels, the
+/// linear layer's transposed B panels), a flip that makes one weight
+/// NaN is named by its master index, and the re-prepare after the
+/// injection drops the rebuilt master again.
+#[test]
+fn paranoid_mode_names_a_panel_layers_corrupt_weight_by_master_index() {
+    let input = ramp_input(1);
+    let cfg = cfg_with(ConvAlgorithm::Im2col, 1);
+    for (layer, elem) in [(0, 7), (3, 100)] {
+        let mut net = conv_stack(3);
+        net.params_mut()[layer / 3 * 2].value.data_mut()[elem] = f32::MAX;
+        let plan = InferencePlan::compile(&net, input.shape().dims(), &cfg).unwrap();
+        let mut session =
+            InferenceSession::with_guard(&mut net, plan, GuardConfig::Paranoid).unwrap();
+        let storage = session.network().weight_storage();
+        assert!(storage
+            .iter()
+            .all(|s| s.master.is_none() && s.forms[1].is_some()));
+        session.inject_faults(FaultPlan::new().bit_flip_weight(layer, 0, elem, 23));
+        let storage = session.network().weight_storage();
+        assert!(storage.iter().all(|s| s.master.is_none()), "{storage:?}");
+        match session.run(&input).unwrap_err() {
+            Error::GuardTripped(report) => {
+                assert_eq!(report.layer_index, layer);
+                assert!(
+                    matches!(
+                        report.violation,
+                        GuardViolation::NonFiniteWeight { param: 0, first_index } if first_index == elem
+                    ),
+                    "{:?}",
+                    report.violation
+                );
+            }
+            other => panic!("expected GuardTripped, got {other:?}"),
+        }
+        assert_eq!(
+            session.network().weight_storage(),
+            storage,
+            "the scan rebuilt a master"
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 

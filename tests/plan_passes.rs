@@ -177,7 +177,9 @@ fn residual_weight_mut_invalidates_cached_panels() {
     let mut net = Network::new(vec![Box::new(ResidualBlock::new(4, 4, 1, 21))]).unwrap();
     // Prepare caches packed panels for the internal convolutions.
     for layer in net.layers_mut() {
-        layer.visit_mut(&mut |l| l.prepare(&cfg));
+        layer.visit_mut(&mut |l| {
+            l.prepare(&cfg);
+        });
     }
     let before = net.forward(&input, Phase::Eval, &cfg);
 
@@ -222,7 +224,9 @@ fn residual_set_format_refreshes_csr_from_current_weights() {
 
     let mut net = Network::new(vec![Box::new(ResidualBlock::new(4, 4, 1, 33))]).unwrap();
     for layer in net.layers_mut() {
-        layer.visit_mut(&mut |l| l.prepare(&packed_cfg));
+        layer.visit_mut(&mut |l| {
+            l.prepare(&packed_cfg);
+        });
     }
     let block = net.layers_mut()[0]
         .as_any_mut()

@@ -1,29 +1,32 @@
-//! Derived weight forms track the master, whatever happens to it — and
-//! to any replica sharing it.
+//! Weight forms track the master, whatever happens to it — and to any
+//! replica sharing it.
 //!
 //! `Conv2d` and `Linear` derive storage forms (CSR, packed f32 panels,
 //! ternary codes, the F(2×2) and F(4×4) Winograd banks) from `(master
-//! weights, format label)`, and a replica shares the master and the
-//! built forms instead of copying them. One property covers the
-//! lifecycle: after *any* interleaving of weight writes, relabels,
-//! surgery, warm-ups, replicas and TTQ reprojections on a layer and its
-//! replica, every kernel of each side computes exactly what a freshly
-//! constructed layer holding that side's master and label computes —
-//! under all five weight routes, over NaN-poisoned scratch of exactly
-//! the one bound the layer
-//! states — and the two sides share a buffer exactly when they may:
-//! the master until either side writes, a form only while master and
-//! label agree. `ci.sh` runs this file under both
-//! `CNN_STACK_GEMM_FORCE_SCALAR` settings. The named cases pin
-//! sequences that were once hand-written tests (or bugs) as fixed
-//! inputs of the same check.
+//! weights, format label)`, a warm-up keeps one of them and drops the
+//! master behind a lossless one (the panels or the codes), and a
+//! replica shares the master and the built forms instead of copying
+//! them. One property covers the lifecycle: after *any* interleaving of
+//! weight writes, relabels, surgery, warm-ups, master reads, saves,
+//! replicas and TTQ reprojections on a layer and its replica, every
+//! kernel of each side computes exactly what a freshly constructed
+//! layer holding that side's master and label computes — under all
+//! five weight routes, over NaN-poisoned scratch of exactly the one
+//! bound the layer states — `save_params` writes that layer's bytes, a
+//! warm-up leaves one physical form resident, and the two sides share
+//! a buffer only when they may: the master until either side writes, a
+//! form only while master and label agree. The check reads each side
+//! through a replica, so it never rebuilds a master the ops dropped.
+//! `ci.sh` runs this file under both `CNN_STACK_GEMM_FORCE_SCALAR`
+//! settings. The named cases pin sequences that were once hand-written
+//! tests (or bugs) as fixed inputs of the same check.
 
 use cnn_stack::compress::for_each_weight_param;
 use cnn_stack::compress::ttq::reproject;
 use cnn_stack::nn::network::set_network_format;
 use cnn_stack::nn::{
-    Conv2d, ConvAlgorithm, ExecConfig, Flatten, Layer, Linear, Network, ReLU, WeightFormat,
-    WeightStorage,
+    save_params, Conv2d, ConvAlgorithm, ExecConfig, Flatten, Layer, Linear, Network, ReLU,
+    WeightFormat, WeightStorage,
 };
 use cnn_stack::tensor::{GemmAlgorithm, Tensor};
 use proptest::prelude::*;
@@ -51,8 +54,9 @@ fn cfgs() -> [ExecConfig; 5] {
     })
 }
 
-/// `fill` seeds: two exactly-ternary patterns with different magnitudes,
-/// one with mixed magnitudes and planted zeros, one all zero.
+/// `fill` seeds: two exactly-ternary patterns with different magnitudes
+/// (`−0.0` among their zeros), one with mixed magnitudes and planted
+/// zeros, one all zero.
 const TERNARY_A: u64 = 3;
 const TERNARY_B: u64 = 6;
 const MIXED: u64 = 1;
@@ -69,6 +73,7 @@ fn fill(data: &mut [f32], seed: u64) {
         *v = match (seed % 3, draw) {
             (0, 0 | 1) => wp,
             (0, 2) => -wn,
+            (0, 3) => -0.0,
             (1, d) => [1.0, 0.8, -0.3, -0.2, 0.04, 0.0, 0.0][d as usize],
             _ => 0.0,
         };
@@ -88,18 +93,24 @@ enum Op {
     Prepare(usize),
     /// Become a replica of the other side, built forms included.
     Replica,
+    /// Read the master through `params` (rebuilding it if dropped).
+    ReadMaster,
+    /// `save_params` on the side's network.
+    Save,
     /// TTQ re-projection at one of three thresholds.
     Reproject(u64),
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
-    (0usize..7, 0u64..1000).prop_map(|(kind, seed)| match kind {
+    (0usize..9, 0u64..1000).prop_map(|(kind, seed)| match kind {
         0 => WeightMut(seed),
         1 => ParamsMut(seed),
         2 => SetFormat([Dense, Csr, Ternary][seed as usize % 3]),
         3 => Remove(seed),
         4 => Prepare(seed as usize % 5),
         5 => Replica,
+        6 => ReadMaster,
+        7 => Save,
         _ => Reproject(seed),
     })
 }
@@ -121,8 +132,14 @@ impl Subject {
         self.0.layers_mut()[0].as_mut()
     }
 
+    /// A replica: what the checks read through, so that a master they
+    /// rebuild is the replica's, not this side's.
+    fn probe(&self) -> Subject {
+        Subject(self.0.replica())
+    }
+
     /// A freshly constructed layer with this one's extents, parameters
-    /// and format label — and nothing derived yet.
+    /// (masks included) and format label — and nothing derived yet.
     fn fresh_twin(&self) -> Subject {
         let any = self.layer().as_any();
         let (mut twin, format) = match any.downcast_ref::<Conv2d>() {
@@ -136,9 +153,11 @@ impl Subject {
                 (twin, fc.format())
             }
         };
+        let probe = self.probe();
         let params = twin.layer_mut().params_mut();
-        for (dst, src) in params.into_iter().zip(self.layer().params()) {
+        for (dst, src) in params.into_iter().zip(probe.layer().params()) {
             dst.value = src.value.clone();
+            dst.mask = src.mask.clone();
         }
         set_network_format(&mut twin.0, format);
         twin
@@ -194,22 +213,33 @@ impl Subject {
                     }
                 }
             }
-            Prepare(i) => self.layer_mut().prepare(&cfgs()[i]),
+            Prepare(i) => {
+                self.layer_mut().prepare(&cfgs()[i]);
+            }
             Replica => unreachable!("needs the other side"),
+            ReadMaster => assert_eq!(self.layer().params().len(), 2),
+            Save => unreachable!("`Pair::step` compares the bytes"),
             Reproject(seed) => {
                 reproject(&mut self.0, [0.05, 0.2, 0.4][seed as usize % 3]);
             }
         }
     }
 
+    /// `save_params` of this side, read through a replica.
+    fn saved(&self) -> Vec<u8> {
+        save_params(&mut self.probe().0)
+    }
+
     /// Every weight route agrees, bit for bit, with a fresh twin, and a
     /// `Ternary`-labelled layer's packed routes agree with a
-    /// dense-labelled twin's f32 panels.
+    /// dense-labelled twin's f32 panels. Reads through a replica, so
+    /// this side's resident set stays as it was.
     fn check(&self, after: &[Op]) {
-        let (twin, x) = (self.fresh_twin(), self.input());
+        let before = self.storage();
+        let (twin, x, probe) = (self.fresh_twin(), self.input(), self.probe());
         for cfg in &cfgs() {
             assert!(
-                self.run(&x, cfg) == twin.run(&x, cfg),
+                probe.run(&x, cfg) == twin.run(&x, cfg),
                 "{} diverged from a fresh layer under {:?}/{:?} after {after:?}",
                 self.layer().name(),
                 cfg.conv_algo,
@@ -222,30 +252,39 @@ impl Subject {
             let f32_panels = dense.run(&x, &cfgs()[1]);
             for cfg in &cfgs()[1..3] {
                 assert!(
-                    self.run(&x, cfg) == f32_panels,
+                    probe.run(&x, cfg) == f32_panels,
                     "{} on its codes left the f32 panels' bits after {after:?}",
                     self.layer().name()
                 );
             }
         }
+        assert_eq!(self.storage(), before, "the check reached the side it read");
     }
 }
 
 /// A layer and its replica. The model of what they may share is two
 /// lines: a `Replica` op shares the master, a write to either side
-/// un-shares it for good (until the next `Replica`).
+/// un-shares it for good (until the next `Replica`). A side that drops
+/// its master and rebuilds it holds a copy of its own, so the model
+/// bounds physical sharing from above. `saved` is each side's
+/// `save_params` bytes, taken when it was last written (its master
+/// resident then): what every later save, of a rebuilt master
+/// included, must write.
 struct Pair {
     sides: [Subject; 2],
     master_shared: bool,
+    saved: [Vec<u8>; 2],
 }
 
 impl Pair {
     fn of(layer: impl Layer) -> Pair {
         let source = Subject::of(layer);
         let replica = Subject(source.0.replica());
+        let saved = [source.saved(), replica.saved()];
         Pair {
             sides: [source, replica],
             master_shared: true,
+            saved,
         }
     }
 
@@ -257,6 +296,10 @@ impl Pair {
         let (before, bystander) = (subject.storage(), other.storage());
         match op {
             Replica => subject.0 = other.0.replica(),
+            Save => assert!(
+                save_params(&mut subject.0) == self.saved[on],
+                "a save wrote other bytes than the layer holds, after {after:?}"
+            ),
             _ => subject.apply(op),
         }
         let now = subject.storage();
@@ -264,29 +307,40 @@ impl Pair {
         let wrote = match op {
             WeightMut(_) | ParamsMut(_) | Reproject(_) => true,
             Remove(_) => now.master != before.master,
-            Replica | SetFormat(_) | Prepare(_) => false,
+            Replica | SetFormat(_) | Prepare(_) | ReadMaster | Save => false,
         };
+        // A master that was resident stays put unless written or prepared
+        // away, and every route but a warm-up leaves one resident.
+        let kept = before.master.is_none() || now.master == before.master;
         if wrote {
             assert_eq!(now.forms, [None; 5], "a write drops every form");
+            assert!(now.master.is_some(), "a write leaves the master it wrote");
             self.master_shared = false;
+            self.saved[on] = subject.saved();
         } else if let SetFormat(_) = op {
             assert_eq!(now.forms, [None; 5], "a relabel drops every form");
-            assert_eq!(now.master, before.master, "a relabel is not a write");
+            assert!(now.master.is_some() && kept, "a relabel is not a write");
         } else if let Replica = op {
             assert_eq!(now, bystander, "a replica shares everything built");
             self.master_shared = true;
+            self.saved[on] = self.saved[1 - on].clone();
+        } else if let Prepare(_) = op {
+            // One physical form: a lossless one (f32 or code panels)
+            // alone, or the master with at most one form beside it.
+            let lossless = now.forms[1].is_some() || now.forms[2].is_some();
+            assert!(now.forms.iter().flatten().count() <= 1, "{now:?}");
+            assert_eq!(now.master.is_none(), lossless, "{now:?} after {after:?}");
         } else {
-            assert_eq!(now.master, before.master, "{op:?} is not a write");
+            assert!(now.master.is_some() || before.master.is_none(), "{op:?}");
+            assert!(kept && now.forms == before.forms, "{op:?} is not a write");
         }
         assert_eq!(other.storage(), bystander, "{op:?} reached the other side");
 
         let [a, b] = &self.sides;
         let (sa, sb) = (a.storage(), b.storage());
-        assert_eq!(
-            sa.master == sb.master,
-            self.master_shared,
-            "master sharing after {after:?}"
-        );
+        if sa.master.is_some() && sa.master == sb.master {
+            assert!(self.master_shared, "master sharing after {after:?}");
+        }
         for (fa, fb) in sa.forms.iter().zip(&sb.forms) {
             if fa.is_some() && fa == fb {
                 assert!(
@@ -296,8 +350,13 @@ impl Pair {
             }
         }
         let ops: Vec<Op> = after.iter().map(|&(_, op)| op).collect();
-        a.check(&ops);
-        b.check(&ops);
+        for (side, saved) in [a, b].into_iter().zip(&self.saved) {
+            assert!(
+                side.saved() == *saved,
+                "saved bytes drifted after {after:?}"
+            );
+            side.check(&ops);
+        }
     }
 }
 
@@ -368,6 +427,65 @@ pinned! {
     /// from the weights it then holds.
     winograd_banks_follow_writes_surgery_and_relabels:
         [Prepare(4), WeightMut(MIXED), Prepare(3), Remove(0), Prepare(4), SetFormat(Dense), Prepare(4)];
+    /// A master dropped behind its codes or panels comes back bit for
+    /// bit for a read, a save, a write, surgery and a warm-up that
+    /// switches forms, and goes again at the next lossless warm-up.
+    dropped_masters_rebuild_for_every_reader_and_writer:
+        [WeightMut(TERNARY_A), SetFormat(Ternary), Prepare(2), ReadMaster, Prepare(2), Save,
+         Prepare(1), Prepare(4), Prepare(1), Remove(3), Prepare(2), WeightMut(MIXED)];
+}
+
+/// A guard demotion from a layer whose master is dropped — codes → f32
+/// panels, packed → blocked — rebuilds the master from the form it
+/// leaves and lands bit-identical to a cold compile of the demoted plan.
+#[cfg(feature = "fault-inject")]
+#[test]
+fn demotion_from_a_dropped_master_matches_a_cold_compile() {
+    use cnn_stack::nn::{AlgoChoice, FaultPlan, InferencePlan, InferenceSession};
+    let x = Tensor::from_fn([2, 3, 6, 6], |i| (i as f32 * 0.17).sin());
+    let net = |label| {
+        let mut net = Network::new(vec![
+            Box::new(Conv2d::new(3, 5, 3, 1, 1, 9)),
+            Box::new(ReLU::new()),
+        ])
+        .unwrap();
+        for_each_weight_param(&mut net, |_, p| fill(p.value.data_mut(), TERNARY_A));
+        set_network_format(&mut net, label);
+        net
+    };
+    let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    use {AlgoChoice::*, GemmAlgorithm::*};
+    for (label, gemm_algo, from, to) in [
+        (Ternary, TernaryPacked, TernaryConv, Im2colPacked),
+        (Dense, Packed, Im2colPacked, Im2colScalar),
+    ] {
+        let cfg = ExecConfig {
+            conv_algo: ConvAlgorithm::Im2col,
+            gemm_algo,
+            ..ExecConfig::serial()
+        };
+        let mut hot = net(label);
+        let plan = InferencePlan::compile(&hot, x.shape().dims(), &cfg).unwrap();
+        let mut session = InferenceSession::new(&mut hot, plan).unwrap();
+        assert_eq!(session.network().weight_storage()[0].master, None);
+        session.inject_faults(FaultPlan::new().panic_in_kernel(0, 0));
+        let got = session.run(&x).expect("the session recovers by demotion");
+        let demotions = &session.health().demotions;
+        assert_eq!((demotions[0].from, demotions[0].to), (from, to));
+        // The blocked GEMM reads the master; the f32 panels stand in for
+        // it again.
+        let storage = session.network().weight_storage()[0];
+        assert_eq!(storage.master.is_some(), to == Im2colScalar, "{storage:?}");
+
+        let mut cold_cfg = cfg;
+        let mut cold = net(to.select(&mut cold_cfg));
+        let plan = InferencePlan::compile(&cold, x.shape().dims(), &cold_cfg).unwrap();
+        let want = InferenceSession::new(&mut cold, plan)
+            .unwrap()
+            .run(&x)
+            .unwrap();
+        assert_eq!(bits(&got), bits(&want), "{from:?} -> {to:?}");
+    }
 }
 
 /// A replica reads the source's buffers, not equal copies of them;
@@ -390,9 +508,13 @@ fn replica_shares_storage_until_written() {
     let x = replica.input();
     assert_eq!(replica.run(&x, &ternary), source.run(&x, &ternary));
 
-    // A relabel is per side and copies nothing.
+    // The codes stand in for the master on both sides. A relabel is per
+    // side: the replica rebuilds a master of its own from the shared
+    // codes, and the source keeps its codes alone.
+    assert_eq!(source.storage().master, None);
     replica.apply(SetFormat(Dense));
-    assert_eq!(replica.storage().master, source.storage().master);
+    assert!(replica.storage().master.is_some());
+    assert_eq!(source.storage().master, None);
     assert_eq!(replica.storage().forms, [None; 5]);
     assert!(source.storage().forms[2].is_some());
     assert_eq!(source.format(), Ternary);

@@ -237,6 +237,16 @@ if grep -rnE 'ForceThroughput|PlanCompiler::degraded|LadderKind|force-throughput
   exit 1
 fi
 
+# One kernel path per layer: `Layer::forward` is the one provided
+# wrapper over `forward_into`. The per-layer timed forward, the
+# row-range GEMM only tests reached, the second CSR convolution beside
+# the registry's CSR rows, the pre-colouring plan sizing and the
+# depthwise eval funnel stay deleted.
+if grep -rnE 'forward_timed|gemm_rows_into|sparse_conv2d|buf_elems|fn eval_into' crates src tests examples; then
+  echo "ci: a second copy of a layer's eval code is back" >&2
+  exit 1
+fi
+
 # The AVX-512 tile is one body generic over its panel counts: the
 # two-A-panel pair kernel it replaced is gone, not kept beside it, and
 # no prototype switch survives.

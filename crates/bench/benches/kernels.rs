@@ -1,15 +1,15 @@
 //! Criterion microbenchmarks of the compute kernels underlying every
-//! experiment: GEMM variants, the im2col lowering, dense vs sparse
-//! convolution at the paper's layer shapes, the depthwise kernel, and
+//! experiment: GEMM variants, the im2col lowering, the CSR convolution
+//! across sparsity levels, the depthwise kernel, and
 //! the two halves of the packed conv path — the fused im2col→pack-B
 //! packer and the prepacked GEMM on every micro-kernel the host has.
 //!
 //! `BENCH_SMOKE=1` takes five samples of everything (CI: the groups
 //! run, nothing is read off them).
 
-use cnn_stack_nn::{Conv2d, ConvAlgorithm, ExecConfig, Layer};
+use cnn_stack_nn::{AlgoChoice, Conv2d, ConvAlgorithm, ExecConfig, Layer, WeightFormat};
 use cnn_stack_parallel::Schedule;
-use cnn_stack_sparse::{sparse_conv2d, CsrMatrix};
+use cnn_stack_sparse::CsrMatrix;
 use cnn_stack_tensor::{
     depthwise_conv2d_into, gemm, im2col, pack_b_im2col_batch_into, AlignedBuf, Conv2dGeometry,
     GemmPlan, Tensor, TileConfig,
@@ -73,30 +73,37 @@ fn bench_im2col(c: &mut Criterion) {
     group.finish();
 }
 
-/// Dense GEMM-based conv vs direct sparse conv across sparsity levels —
+/// The CSR direct convolution the engine runs (a prepared `Conv2d`
+/// labelled `Csr` under direct convolution: the `csr` registry row)
+/// across sparsity levels, from fully dense weights stored as CSR up —
 /// the kernel-level version of Fig. 1's expected-vs-actual gap.
 fn bench_sparse_conv(c: &mut Criterion) {
     let mut group = group(c, "conv_64to64_16x16", 10, 2);
-    let geom = Conv2dGeometry::new(64, 16, 16, 3, 3, 1, 1);
-    let input = random([1, 64, 16, 16], 1.0, 3);
-
-    let dense_w = random([64, geom.patch_len()], 1.0, 4);
-    let dense_csr = CsrMatrix::from_dense(&dense_w, 0.0);
+    let shape = [1, 64, 16, 16];
+    let input = random(shape, 1.0, 3);
+    let cfg = ExecConfig::serial();
+    let csr_conv = |density: f64, seed: u64| {
+        let mut conv = Conv2d::new(64, 64, 3, 1, 1, seed);
+        conv.weight_mut().value = random([64, 64, 3, 3], density, seed);
+        conv.set_format(WeightFormat::Csr);
+        conv.prepare(&cfg);
+        assert_eq!(conv.runs(&cfg), AlgoChoice::CsrConv);
+        conv
+    };
+    let mut out = vec![0.0f32; 64 * 16 * 16];
+    let dense = csr_conv(1.0, 4);
     group.bench_function("dense_as_csr_0pct", |bencher| {
-        bencher.iter(|| sparse_conv2d(&input, &dense_csr, None, &geom))
+        bencher.iter(|| dense.forward_into(input.data(), &shape, &mut out, &mut [], &cfg))
     });
 
     for sparsity in [50u64, 80, 95] {
-        let w = random(
-            [64, geom.patch_len()],
-            1.0 - sparsity as f64 / 100.0,
-            sparsity,
-        );
-        let csr = CsrMatrix::from_dense(&w, 0.0);
+        let conv = csr_conv(1.0 - sparsity as f64 / 100.0, sparsity);
         group.bench_with_input(
             BenchmarkId::new("csr", format!("{sparsity}pct")),
-            &csr,
-            |bencher, csr| bencher.iter(|| sparse_conv2d(&input, csr, None, &geom)),
+            &conv,
+            |bencher, conv| {
+                bencher.iter(|| conv.forward_into(input.data(), &shape, &mut out, &mut [], &cfg))
+            },
         );
     }
     group.finish();

@@ -1,7 +1,7 @@
 //! Elementwise activation layers.
 
 use crate::descriptor::{LayerDescriptor, LayerKind};
-use crate::layer::{ExecConfig, Layer, Param, Phase, WeightFormat};
+use crate::layer::{ExecConfig, Layer, Param, WeightFormat};
 use cnn_stack_tensor::Tensor;
 
 /// Rectified linear unit: `y = max(0, x)`.
@@ -42,11 +42,8 @@ impl Layer for ReLU {
         "relu".into()
     }
 
-    fn forward(&mut self, input: &Tensor, phase: Phase, _cfg: &ExecConfig) -> Tensor {
-        if phase == Phase::Train {
-            self.cached_mask = Some(input.data().iter().map(|&v| v > 0.0).collect());
-        }
-        input.map(|v| v.max(0.0))
+    fn cache_for_backward(&mut self, input: &Tensor) {
+        self.cached_mask = Some(input.data().iter().map(|&v| v > 0.0).collect());
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
@@ -110,6 +107,7 @@ impl Layer for ReLU {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layer::Phase;
 
     #[test]
     fn clamps_negative_values() {

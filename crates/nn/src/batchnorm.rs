@@ -2,7 +2,7 @@
 //! and MobileNet (§IV-A).
 
 use crate::descriptor::{LayerDescriptor, LayerKind};
-use crate::layer::{ExecConfig, Layer, Param, Phase, WeightFormat};
+use crate::layer::{forward_eval, ExecConfig, Layer, Param, Phase, WeightFormat};
 use cnn_stack_tensor::Tensor;
 
 /// 2-D batch normalisation: per-channel statistics over `(N, H, W)`.
@@ -166,9 +166,7 @@ impl BatchNorm2d {
 
     /// Applies the inference-mode transform in place over a `[n, c, h, w]`
     /// activation slice with `plane = h * w`. Shared by
-    /// [`Layer::forward_into`] and the residual block's fused path; kept
-    /// loop-for-loop identical to the `Phase::Eval` branch of
-    /// [`Layer::forward`] so both produce bit-equal results.
+    /// [`Layer::forward_into`] and the residual block's fused path.
     pub(crate) fn eval_inplace(&self, data: &mut [f32], n: usize, plane: usize) {
         let c = self.channels;
         for ch in 0..c {
@@ -219,7 +217,13 @@ impl Layer for BatchNorm2d {
         format!("batchnorm(c={})", self.channels)
     }
 
-    fn forward(&mut self, input: &Tensor, phase: Phase, _cfg: &ExecConfig) -> Tensor {
+    /// Batch statistics under [`Phase::Train`] (updating the running
+    /// averages); [`Phase::Eval`] is the provided wrapper over
+    /// [`forward_into`](Layer::forward_into).
+    fn forward(&mut self, input: &Tensor, phase: Phase, cfg: &ExecConfig) -> Tensor {
+        if phase == Phase::Eval {
+            return forward_eval(self, input, cfg);
+        }
         let (n, c, h, w) = input.shape().nchw();
         assert_eq!(c, self.channels, "{}: channel mismatch", self.name());
         let plane = h * w;
@@ -227,51 +231,43 @@ impl Layer for BatchNorm2d {
         let mut out = input.clone();
         let gamma = self.gamma.value.data();
         let beta = self.beta.value.data();
-
-        match phase {
-            Phase::Train => {
-                let mut xhat = Tensor::zeros(input.shape().dims().to_vec());
-                let mut inv_stds = vec![0.0f32; c];
-                for ch in 0..c {
-                    // Batch mean/var over (N, H, W).
-                    let mut mean = 0.0f64;
-                    for img in 0..n {
-                        let base = (img * c + ch) * plane;
-                        for v in &input.data()[base..base + plane] {
-                            mean += *v as f64;
-                        }
-                    }
-                    let mean = (mean / per_channel as f64) as f32;
-                    let mut var = 0.0f64;
-                    for img in 0..n {
-                        let base = (img * c + ch) * plane;
-                        for v in &input.data()[base..base + plane] {
-                            var += ((*v - mean) as f64).powi(2);
-                        }
-                    }
-                    let var = (var / per_channel as f64) as f32;
-                    self.running_mean[ch] =
-                        (1.0 - self.momentum) * self.running_mean[ch] + self.momentum * mean;
-                    self.running_var[ch] =
-                        (1.0 - self.momentum) * self.running_var[ch] + self.momentum * var;
-                    let inv_std = 1.0 / (var + self.eps).sqrt();
-                    inv_stds[ch] = inv_std;
-                    for img in 0..n {
-                        let base = (img * c + ch) * plane;
-                        for i in base..base + plane {
-                            let xh = (input.data()[i] - mean) * inv_std;
-                            xhat.data_mut()[i] = xh;
-                            out.data_mut()[i] = gamma[ch] * xh + beta[ch];
-                        }
-                    }
+        let mut xhat = Tensor::zeros(input.shape().dims().to_vec());
+        let mut inv_stds = vec![0.0f32; c];
+        for ch in 0..c {
+            // Batch mean/var over (N, H, W).
+            let mut mean = 0.0f64;
+            for img in 0..n {
+                let base = (img * c + ch) * plane;
+                for v in &input.data()[base..base + plane] {
+                    mean += *v as f64;
                 }
-                self.cached_xhat = Some(xhat);
-                self.cached_inv_std = Some(inv_stds);
             }
-            Phase::Eval => {
-                self.eval_inplace(out.data_mut(), n, plane);
+            let mean = (mean / per_channel as f64) as f32;
+            let mut var = 0.0f64;
+            for img in 0..n {
+                let base = (img * c + ch) * plane;
+                for v in &input.data()[base..base + plane] {
+                    var += ((*v - mean) as f64).powi(2);
+                }
+            }
+            let var = (var / per_channel as f64) as f32;
+            self.running_mean[ch] =
+                (1.0 - self.momentum) * self.running_mean[ch] + self.momentum * mean;
+            self.running_var[ch] =
+                (1.0 - self.momentum) * self.running_var[ch] + self.momentum * var;
+            let inv_std = 1.0 / (var + self.eps).sqrt();
+            inv_stds[ch] = inv_std;
+            for img in 0..n {
+                let base = (img * c + ch) * plane;
+                for i in base..base + plane {
+                    let xh = (input.data()[i] - mean) * inv_std;
+                    xhat.data_mut()[i] = xh;
+                    out.data_mut()[i] = gamma[ch] * xh + beta[ch];
+                }
             }
         }
+        self.cached_xhat = Some(xhat);
+        self.cached_inv_std = Some(inv_stds);
         out
     }
 

@@ -2,7 +2,7 @@
 
 use crate::algo::{self, AlgoChoice, LayerShape};
 use crate::descriptor::{LayerDescriptor, LayerKind};
-use crate::layer::{ExecConfig, Layer, Param, Phase, WeightFormat};
+use crate::layer::{ExecConfig, Layer, Param, WeightFormat};
 use crate::weights::{PanelOperand, Weights};
 use cnn_stack_parallel::parallel_for;
 use cnn_stack_parallel::DisjointWriter;
@@ -773,23 +773,8 @@ impl Layer for Conv2d {
         )
     }
 
-    fn forward(&mut self, input: &Tensor, phase: Phase, cfg: &ExecConfig) -> Tensor {
-        let (n, in_c, h, w) = input.shape().nchw();
-        if phase == Phase::Train {
-            self.cached_input = Some(input.clone());
-        }
-        let shape = [n, in_c, h, w];
-        let geom = self.geometry(h, w);
-        let mut out = Tensor::zeros([n, self.out_channels, geom.out_h, geom.out_w]);
-        let mut scratch = vec![0.0f32; self.forward_scratch_elems(&shape, cfg)];
-        // A one-shot call on a layer nobody prepared leaves no packed
-        // copy of the weights behind.
-        let cold = self.weights.is_cold();
-        self.forward_into(input.data(), &shape, out.data_mut(), &mut scratch, cfg);
-        if cold {
-            self.weights.drop_derived();
-        }
-        out
+    fn cache_for_backward(&mut self, input: &Tensor) {
+        self.cached_input = Some(input.clone());
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
@@ -988,7 +973,7 @@ impl Layer for Conv2d {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layer::ConvAlgorithm;
+    use crate::layer::{ConvAlgorithm, Phase};
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
 

@@ -1,7 +1,7 @@
 //! Depthwise convolution — the defining operation of MobileNet.
 
 use crate::descriptor::{LayerDescriptor, LayerKind};
-use crate::layer::{ExecConfig, Layer, Param, Phase, WeightFormat};
+use crate::layer::{ExecConfig, Layer, Param, WeightFormat};
 use cnn_stack_tensor::init::{initialise, Init};
 use cnn_stack_tensor::{depthwise_conv2d_into, Conv2dGeometry, Tensor};
 
@@ -111,24 +111,6 @@ impl DepthwiseConv2d {
     fn geometry(&self, h: usize, w: usize) -> Conv2dGeometry {
         Conv2dGeometry::new(1, h, w, self.kernel, self.kernel, self.stride, self.padding)
     }
-
-    /// The shared inference path over raw slices. Both
-    /// [`Layer::forward`] and [`Layer::forward_into`] funnel through
-    /// this, so the arena engine is bit-identical to the tensor path.
-    /// Honours [`ExecConfig::fused_relu`].
-    fn eval_into(&self, in_data: &[f32], h: usize, w: usize, out: &mut [f32], cfg: &ExecConfig) {
-        depthwise_conv2d_into(
-            in_data,
-            self.weight.value.data(),
-            self.bias.value.data(),
-            self.channels,
-            &self.geometry(h, w),
-            cfg.fused_relu,
-            out,
-            cfg.threads,
-            cfg.schedule,
-        );
-    }
 }
 
 impl Layer for DepthwiseConv2d {
@@ -152,16 +134,8 @@ impl Layer for DepthwiseConv2d {
         )
     }
 
-    fn forward(&mut self, input: &Tensor, phase: Phase, cfg: &ExecConfig) -> Tensor {
-        let (n, in_c, h, w) = input.shape().nchw();
-        assert_eq!(in_c, self.channels, "{}: channel mismatch", self.name());
-        let geom = self.geometry(h, w);
-        if phase == Phase::Train {
-            self.cached_input = Some(input.clone());
-        }
-        let mut out = Tensor::zeros([n, self.channels, geom.out_h, geom.out_w]);
-        self.eval_into(input.data(), h, w, out.data_mut(), cfg);
-        out
+    fn cache_for_backward(&mut self, input: &Tensor) {
+        self.cached_input = Some(input.clone());
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
@@ -245,7 +219,17 @@ impl Layer for DepthwiseConv2d {
     ) {
         let (in_c, h, w) = (input_shape[1], input_shape[2], input_shape[3]);
         assert_eq!(in_c, self.channels, "{}: channel mismatch", self.name());
-        self.eval_into(input, h, w, out, cfg);
+        depthwise_conv2d_into(
+            input,
+            self.weight.value.data(),
+            self.bias.value.data(),
+            self.channels,
+            &self.geometry(h, w),
+            cfg.fused_relu,
+            out,
+            cfg.threads,
+            cfg.schedule,
+        );
     }
 
     fn descriptor(&self, input_shape: &[usize]) -> LayerDescriptor {
@@ -276,6 +260,7 @@ impl Layer for DepthwiseConv2d {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layer::Phase;
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
 

@@ -1,14 +1,19 @@
 //! The arena-backed inference engine.
 //!
-//! [`Network::forward`] allocates a fresh activation tensor per layer,
-//! which is exactly the per-inference heap traffic the paper's embedded
-//! targets cannot afford (§IV-B measures whole-network memory footprints
-//! for this reason). This module compiles a network once into an
-//! [`InferencePlan`] — every layer's output shape and workspace
-//! requirement — and then executes it through an [`InferenceSession`]
-//! over one pre-sized arena, so steady-state inference performs **zero**
-//! per-layer heap allocations: every kernel runs through
-//! [`Layer::forward_into`] over arena slices. The arena is laid out by
+//! Every layer computes its values in one place,
+//! [`Layer::forward_into`]. [`Network::forward`] runs those kernels
+//! through the allocating [`Layer::forward`] wrapper, a fresh activation
+//! tensor and workspace per layer, which is exactly the per-inference
+//! heap traffic the paper's embedded targets cannot afford (§IV-B
+//! measures whole-network memory footprints for this reason). This
+//! module compiles a network once into an [`InferencePlan`] — every
+//! step's output shape, kernel and workspace requirement — and then
+//! executes it through an [`InferenceSession`] over one pre-sized arena,
+//! so steady-state inference performs **zero** per-layer heap
+//! allocations: the same kernels run over arena slices. What the
+//! session adds over the wrapper is the plan — per-step algorithm
+//! choice, fusion, arena views and batch chunking — which is what the
+//! engine-vs-forward tests hold bit-identical. The arena is laid out by
 //! the liveness colouring in [`crate::liveness`]: each step's output
 //! and workspace get offsets such that buffers with overlapping live
 //! intervals never share bytes while everything else does.
@@ -125,16 +130,16 @@ pub struct PlanStep {
 }
 
 /// A network compiled for one input shape and one [`ExecConfig`]:
-/// per-layer shapes and costs plus the arena sizing, computed once so
-/// that every subsequent [`InferenceSession::run`] is allocation-free.
+/// per-step shapes, costs, output and workspace extents (the arena is
+/// laid out from these, see [`footprint`](Self::footprint)), computed
+/// once so that every subsequent [`InferenceSession::run`] is
+/// allocation-free.
 #[derive(Clone, Debug)]
 pub struct InferencePlan {
     input_shape: Vec<usize>,
     output_shape: Vec<usize>,
     cfg: ExecConfig,
     steps: Vec<PlanStep>,
-    buf_elems: usize,
-    scratch_elems: usize,
 }
 
 impl InferencePlan {
@@ -180,8 +185,7 @@ impl InferencePlan {
         Ok(plan)
     }
 
-    /// Assembles a plan from pre-built steps, re-deriving the arena
-    /// sizing. Used by the pass compiler (`passes.rs`), whose steps may
+    /// Assembles a plan from pre-built steps. Used by the pass compiler (`passes.rs`), whose steps may
     /// span several layers and carry per-step configurations.
     pub(crate) fn from_parts(
         input_shape: Vec<usize>,
@@ -192,15 +196,11 @@ impl InferencePlan {
             .last()
             .map(|s| s.output_shape.clone())
             .unwrap_or_else(|| input_shape.clone());
-        let buf_elems = steps.iter().map(|s| s.output_elems).max().unwrap_or(0);
-        let scratch_elems = steps.iter().map(|s| s.workspace_elems).max().unwrap_or(0);
         InferencePlan {
             input_shape,
             output_shape,
             cfg,
             steps,
-            buf_elems,
-            scratch_elems,
         }
     }
 
@@ -222,16 +222,6 @@ impl InferencePlan {
     /// The compiled steps, one per top-level layer.
     pub fn steps(&self) -> &[PlanStep] {
         &self.steps
-    }
-
-    /// Elements of the largest single-layer output.
-    pub fn buf_elems(&self) -> usize {
-        self.buf_elems
-    }
-
-    /// The largest single-step workspace requirement.
-    pub fn scratch_elems(&self) -> usize {
-        self.scratch_elems
     }
 
     /// Per-step memory extents for the liveness planner, at the plan's
@@ -308,8 +298,9 @@ pub struct ProfileRow {
 }
 
 /// Per-layer cumulative time/MAC/byte counters carried by an
-/// [`InferenceSession`] across runs. Supersedes
-/// [`Network::forward_timed`] for repeated measurement.
+/// [`InferenceSession`] across runs: the per-layer timing of the
+/// deployed loop, measured on the plan's own steps (fused steps count
+/// as one row) rather than on a second, allocating execution path.
 #[derive(Clone, Debug)]
 pub struct SessionProfile {
     rows: Vec<ProfileRow>,
@@ -357,8 +348,7 @@ impl SessionProfile {
         &self.health
     }
 
-    /// Per-layer `(name, mean time)` across runs — the drop-in shape of
-    /// the old `forward_timed` output.
+    /// Per-step `(name, mean time)` across runs.
     pub fn mean_layer_times(&self) -> Vec<(String, Duration)> {
         let runs = self.runs.max(1) as u32;
         self.rows
@@ -1369,12 +1359,6 @@ mod tests {
             self
         }
 
-        fn forward(&mut self, x: &Tensor, _phase: Phase, _cfg: &ExecConfig) -> Tensor {
-            let mut y = x.clone();
-            y.data_mut()[0] = f32::NAN;
-            y
-        }
-
         fn backward(&mut self, grad_out: &Tensor) -> Tensor {
             grad_out.clone()
         }
@@ -1442,13 +1426,6 @@ mod tests {
             self
         }
 
-        fn forward(&mut self, x: &Tensor, _phase: Phase, _cfg: &ExecConfig) -> Tensor {
-            if self.should_panic() {
-                panic!("flaky layer failure");
-            }
-            x.clone()
-        }
-
         fn backward(&mut self, grad_out: &Tensor) -> Tensor {
             grad_out.clone()
         }
@@ -1481,6 +1458,11 @@ mod tests {
         }
     }
 
+    /// The largest per-step value of `field` in `plan`.
+    fn largest(plan: &InferencePlan, field: fn(&PlanStep) -> usize) -> usize {
+        plan.steps().iter().map(field).max().unwrap_or(0)
+    }
+
     #[test]
     fn plan_walks_shapes_and_sizes_arena() {
         let net = conv_net();
@@ -1490,18 +1472,21 @@ mod tests {
         assert_eq!(plan.output_shape(), &[2, 5]);
         assert_eq!(plan.steps()[0].output_shape, vec![2, 6, 8, 8]);
         // Largest activation: the first conv output, 2*6*8*8.
-        assert_eq!(plan.buf_elems(), 2 * 6 * 8 * 8);
+        assert_eq!(largest(&plan, |s| s.output_elems), 2 * 6 * 8 * 8);
         // Direct convolutions need no scratch, but the final Linear layer
         // runs the packed GEMM and needs room for its activation panels.
         let linear_plan = cnn_stack_tensor::GemmPlan::new(2, 4 * 4 * 4, 5);
-        assert_eq!(plan.scratch_elems(), linear_plan.packed_a_elems());
+        assert_eq!(
+            largest(&plan, |s| s.workspace_elems),
+            linear_plan.packed_a_elems()
+        );
         // With the blocked GEMM everything is scratch-free.
         let blocked = ExecConfig {
             gemm_algo: cnn_stack_tensor::GemmAlgorithm::Blocked,
             ..ExecConfig::serial()
         };
         let plan = InferencePlan::compile(&net, &[2, 3, 8, 8], &blocked).unwrap();
-        assert_eq!(plan.scratch_elems(), 0);
+        assert_eq!(largest(&plan, |s| s.workspace_elems), 0);
     }
 
     #[test]
@@ -1542,7 +1527,7 @@ mod tests {
         };
         let plan = InferencePlan::compile(&net, &[1, 3, 8, 8], &cfg).unwrap();
         // First conv: patch 3*3*3=27, 64 positions -> 1728 floats.
-        assert_eq!(plan.scratch_elems(), 27 * 64);
+        assert_eq!(largest(&plan, |s| s.workspace_elems), 27 * 64);
         // Packed GEMM: scratch is the packed activation panels instead
         // (the weight panels live with the layer); the im2col matrix is
         // never materialised.
@@ -1553,7 +1538,10 @@ mod tests {
         let plan = InferencePlan::compile(&net, &[1, 3, 8, 8], &cfg).unwrap();
         // First conv dominates: its B operand is the 27x64 columns.
         let conv_plan = cnn_stack_tensor::GemmPlan::new(6, 27, 64);
-        assert_eq!(plan.scratch_elems(), conv_plan.packed_b_elems());
+        assert_eq!(
+            largest(&plan, |s| s.workspace_elems),
+            conv_plan.packed_b_elems()
+        );
     }
 
     #[test]

@@ -3,6 +3,7 @@
 
 use crate::descriptor::LayerDescriptor;
 use crate::error::Error;
+use crate::weights::Weights;
 use cnn_stack_obs::ObsLevel;
 use cnn_stack_parallel::Schedule;
 use cnn_stack_tensor::{GemmAlgorithm, GemmEpilogue, GemmPlan, Tensor};
@@ -395,12 +396,19 @@ impl Mask {
 /// A neural-network layer: forward, backward, parameters and a static
 /// descriptor for the hardware model.
 ///
-/// Layers own their backward-pass caches, so `forward` takes `&mut self`;
-/// calling [`backward`](Layer::backward) is only valid after a
-/// [`Phase::Train`] forward. [`Phase::Eval`] forwards never mutate the
-/// layer, which is what lets [`forward_into`](Layer::forward_into) take
-/// `&self` and the engine share a network across batch-parallel workers
-/// (hence the `Send + Sync` bound).
+/// [`forward_into`](Layer::forward_into) is the only place a layer
+/// computes values: the engine calls it over arena slices, and the
+/// provided [`forward`](Layer::forward) is an allocating wrapper around
+/// it. A [`Phase::Train`] forward first hands the input to
+/// [`cache_for_backward`](Layer::cache_for_backward), the one hook where
+/// a layer records what its [`backward`](Layer::backward) needs, then
+/// runs the same kernel; `backward` is only valid after such a forward.
+/// Only [`crate::BatchNorm2d`] (batch statistics) and
+/// [`crate::ResidualBlock`] (whose children cache) compute Train values
+/// their own way, and both send [`Phase::Eval`] to the shared wrapper.
+/// Eval forwards never mutate the layer, which is what lets
+/// `forward_into` take `&self` and the engine share a network across
+/// batch-parallel workers (hence the `Send + Sync` bound).
 pub trait Layer: std::fmt::Debug + std::any::Any + Send + Sync {
     /// Short human-readable layer name, e.g. `"conv3x3(64->128)"`.
     fn name(&self) -> String;
@@ -412,8 +420,26 @@ pub trait Layer: std::fmt::Debug + std::any::Any + Send + Sync {
     /// Mutable upcast; see [`as_any`](Layer::as_any).
     fn as_any_mut(&mut self) -> &mut dyn std::any::Any;
 
-    /// Computes the layer output.
-    fn forward(&mut self, input: &Tensor, phase: Phase, cfg: &ExecConfig) -> Tensor;
+    /// Computes the layer output: under [`Phase::Train`] first
+    /// [`cache_for_backward`](Layer::cache_for_backward), then, in either
+    /// phase, [`forward_into`](Layer::forward_into) into a tensor sized
+    /// by [`descriptor`](Layer::descriptor) over a workspace of
+    /// [`forward_scratch_elems`](Layer::forward_scratch_elems) floats. A
+    /// one-shot call leaves no derived weight form behind on any layer
+    /// (descendants included) nobody had prepared. Primitive layers keep
+    /// this provided body.
+    fn forward(&mut self, input: &Tensor, phase: Phase, cfg: &ExecConfig) -> Tensor {
+        if phase == Phase::Train {
+            self.cache_for_backward(input);
+        }
+        forward_eval(self, input, cfg)
+    }
+
+    /// The Train hook: records from a [`Phase::Train`] forward's input
+    /// what [`backward`](Layer::backward) needs (the input itself, a ReLU
+    /// mask, a shape). Never called for [`Phase::Eval`]. The default
+    /// records nothing.
+    fn cache_for_backward(&mut self, _input: &Tensor) {}
 
     /// Propagates `grad_out` (gradient w.r.t. this layer's output) to the
     /// input, accumulating parameter gradients along the way.
@@ -546,8 +572,8 @@ pub trait Layer: std::fmt::Debug + std::any::Any + Send + Sync {
     /// element count, and `scratch` has at least
     /// [`forward_scratch_elems`](Layer::forward_scratch_elems) floats.
     /// This is the one way a kernel runs: the engine calls it over
-    /// arena slices, and the allocating [`forward`](Layer::forward) of
-    /// the kernel-bearing layers is a wrapper around it.
+    /// arena slices, and the allocating [`forward`](Layer::forward) is a
+    /// wrapper around it.
     fn forward_into(
         &self,
         input: &[f32],
@@ -556,6 +582,31 @@ pub trait Layer: std::fmt::Debug + std::any::Any + Send + Sync {
         scratch: &mut [f32],
         cfg: &ExecConfig,
     );
+}
+
+/// The body of the provided [`Layer::forward`] after its Train hook, and
+/// the [`Phase::Eval`] arm of the two layers that override `forward`:
+/// sizes the output and the workspace, runs
+/// [`forward_into`](Layer::forward_into), and drops the derived weight
+/// forms the call built on every layer that held none before it.
+pub(crate) fn forward_eval<L: Layer + ?Sized>(
+    layer: &mut L,
+    input: &Tensor,
+    cfg: &ExecConfig,
+) -> Tensor {
+    let shape = input.shape().dims();
+    let mut out = Tensor::zeros(layer.descriptor(shape).output_shape);
+    let mut scratch = vec![0.0f32; layer.forward_scratch_elems(shape, cfg)];
+    let mut cold = Vec::new();
+    layer.visit_mut(&mut |l| cold.push(Weights::of(l).is_some_and(Weights::is_cold)));
+    layer.forward_into(input.data(), shape, out.data_mut(), &mut scratch, cfg);
+    let mut cold = cold.into_iter();
+    layer.visit_mut(&mut |l| {
+        if cold.next() == Some(true) {
+            Weights::of_mut(l).expect("the same walk").drop_derived();
+        }
+    });
+    out
 }
 
 #[cfg(test)]
@@ -670,5 +721,97 @@ mod tests {
     fn non_binary_mask_rejected() {
         let mut p = Param::new(Tensor::ones([2]));
         p.set_mask(Tensor::from_vec([2], vec![1.0, -0.0]));
+    }
+
+    /// Finite values with NaN, ±Inf and −0.0 strewn through the first
+    /// half (the first image), so the second half stays finite.
+    fn with_specials(shape: impl Into<cnn_stack_tensor::Shape>) -> Tensor {
+        let shape = shape.into();
+        let half = shape.len() / 2;
+        let specials = [f32::NAN, f32::INFINITY, -0.0, f32::NEG_INFINITY];
+        Tensor::from_fn(shape, |i| match i % 13 {
+            5 if i < half => specials[i / 13 % specials.len()],
+            _ => ((i * 37) % 23) as f32 / 8.0 - 1.375,
+        })
+    }
+
+    fn bits(data: &[f32]) -> Vec<u32> {
+        data.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// `forward(Train)`, `forward(Eval)` and `forward_into` over
+    /// NaN-poisoned scratch of the advertised size agree bit for bit,
+    /// and the Train forward leaves what `backward` needs.
+    fn assert_one_kernel(layer: &mut dyn Layer, x: &Tensor, cfg: &ExecConfig, what: &str) {
+        let shape = x.shape().dims();
+        let eval = layer.forward(x, Phase::Eval, cfg);
+        let mut out = vec![f32::NAN; eval.len()];
+        let mut scratch = vec![f32::NAN; layer.forward_scratch_elems(shape, cfg)];
+        layer.forward_into(x.data(), shape, &mut out, &mut scratch, cfg);
+        let train = layer.forward(x, Phase::Train, cfg);
+        assert_eq!(train.shape(), eval.shape(), "{what}: shapes");
+        assert_eq!(
+            bits(train.data()),
+            bits(eval.data()),
+            "{what}: Train vs Eval"
+        );
+        assert_eq!(
+            bits(&out),
+            bits(eval.data()),
+            "{what}: forward_into vs Eval"
+        );
+        let grad = layer.backward(&Tensor::ones(train.shape().dims().to_vec()));
+        assert_eq!(grad.shape().dims(), shape, "{what}: backward");
+    }
+
+    #[test]
+    fn train_forward_runs_the_eval_kernel() {
+        use crate::algo::{AlgoChoice, LayerShape};
+        use crate::{Conv2d, DepthwiseConv2d, Flatten, GlobalAvgPool, Linear, MaxPool2d, ReLU};
+        let image = with_specials([2, 3, 6, 6]);
+        let rows = with_specials([2, 12]);
+        for fused_relu in [false, true] {
+            let cfg = ExecConfig {
+                fused_relu,
+                ..ExecConfig::serial()
+            };
+            let layers: [Box<dyn Layer>; 5] = [
+                Box::new(ReLU::new()),
+                Box::new(MaxPool2d::new(2)),
+                Box::new(GlobalAvgPool::new()),
+                Box::new(Flatten::new()),
+                Box::new(DepthwiseConv2d::new(3, 3, 1, 1, 5)),
+            ];
+            for mut layer in layers {
+                let what = format!("{} fused_relu={fused_relu}", layer.name());
+                assert_one_kernel(layer.as_mut(), &image, &cfg, &what);
+            }
+            // Every conv and linear row, on weights it applies to (the
+            // ternary rows need exactly ternary ones).
+            for row in AlgoChoice::ALL {
+                let mut cfg = cfg;
+                let format = row.select(&mut cfg);
+                let (mut layer, shape, x): (Box<dyn Layer>, _, _) = if row.is_conv() {
+                    let shape = LayerShape::Conv {
+                        k_h: 3,
+                        k_w: 3,
+                        stride: 1,
+                    };
+                    (Box::new(Conv2d::new(3, 4, 3, 1, 1, 7)), shape, &image)
+                } else {
+                    (Box::new(Linear::new(12, 5, 7)), LayerShape::Linear, &rows)
+                };
+                let weights = Weights::of_mut(layer.as_mut()).expect("conv or linear");
+                if !row.applies(shape, false) {
+                    for w in weights.master_mut().value.data_mut() {
+                        *w = if *w >= 0.0 { 0.5 } else { -0.25 };
+                    }
+                }
+                weights.set_format(format);
+                assert_eq!(AlgoChoice::of(layer.as_ref(), &cfg), Some(row));
+                let what = format!("{} fused_relu={fused_relu}", row.tag());
+                assert_one_kernel(layer.as_mut(), x, &cfg, &what);
+            }
+        }
     }
 }

@@ -2,7 +2,7 @@
 
 use crate::algo::{self, AlgoChoice, LayerShape};
 use crate::descriptor::{LayerDescriptor, LayerKind};
-use crate::layer::{ExecConfig, Layer, Param, Phase, WeightFormat};
+use crate::layer::{ExecConfig, Layer, Param, WeightFormat};
 use crate::weights::{PanelOperand, Weights};
 use cnn_stack_parallel::parallel_for;
 use cnn_stack_parallel::DisjointWriter;
@@ -312,22 +312,8 @@ impl Layer for Linear {
         format!("linear({}->{})", self.in_features, self.out_features)
     }
 
-    fn forward(&mut self, input: &Tensor, phase: Phase, cfg: &ExecConfig) -> Tensor {
-        let (batch, feat) = input.shape().matrix();
-        if phase == Phase::Train {
-            self.cached_input = Some(input.clone());
-        }
-        let shape = [batch, feat];
-        let mut out = Tensor::zeros([batch, self.out_features]);
-        let mut scratch = vec![0.0f32; self.forward_scratch_elems(&shape, cfg)];
-        // A one-shot call on a layer nobody prepared leaves no packed
-        // copy of the weights behind.
-        let cold = self.weights.is_cold();
-        self.forward_into(input.data(), &shape, out.data_mut(), &mut scratch, cfg);
-        if cold {
-            self.weights.drop_derived();
-        }
-        out
+    fn cache_for_backward(&mut self, input: &Tensor) {
+        self.cached_input = Some(input.clone());
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
@@ -467,6 +453,7 @@ impl Layer for Linear {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layer::Phase;
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
 

@@ -5,7 +5,6 @@ use crate::error::Error;
 use crate::layer::{ExecConfig, Layer, Param, Phase, WeightFormat};
 use crate::weights::{WeightStorage, Weights};
 use cnn_stack_tensor::Tensor;
-use std::time::{Duration, Instant};
 
 /// A feed-forward network: an ordered pipeline of boxed layers.
 ///
@@ -162,7 +161,11 @@ impl Network {
         Ok(self.layers.remove(idx))
     }
 
-    /// Runs the network forward.
+    /// Runs the network forward, layer by layer through
+    /// [`Layer::forward`]: the same [`Layer::forward_into`] kernels an
+    /// [`crate::InferenceSession`] runs, at one allocated tensor per
+    /// layer and without the session's plan (fusion, per-step
+    /// algorithms, batch chunking).
     pub fn forward(&mut self, input: &Tensor, phase: Phase, cfg: &ExecConfig) -> Tensor {
         // The first layer reads the caller's tensor directly; cloning it
         // here would double the input's memory traffic for nothing.
@@ -175,33 +178,6 @@ impl Network {
             x = layer.forward(&x, phase, cfg);
         }
         x
-    }
-
-    /// Runs the network forward, returning per-layer wall-clock times
-    /// alongside the output.
-    ///
-    /// [`crate::engine::InferenceSession`] supersedes this for repeated
-    /// measurement: its [`crate::engine::SessionProfile`] accumulates the
-    /// same per-layer times across runs without reallocating activations.
-    pub fn forward_timed(
-        &mut self,
-        input: &Tensor,
-        cfg: &ExecConfig,
-    ) -> (Tensor, Vec<(String, Duration)>) {
-        let mut times = Vec::with_capacity(self.layers.len());
-        let (first, rest) = self
-            .layers
-            .split_first_mut()
-            .expect("networks are non-empty by construction");
-        let start = Instant::now();
-        let mut x = first.forward(input, Phase::Eval, cfg);
-        times.push((first.name(), start.elapsed()));
-        for layer in rest {
-            let start = Instant::now();
-            x = layer.forward(&x, Phase::Eval, cfg);
-            times.push((layer.name(), start.elapsed()));
-        }
-        (x, times)
     }
 
     /// Backpropagates `grad` (gradient w.r.t. the network output),
@@ -359,14 +335,6 @@ mod tests {
             &ExecConfig::default(),
         );
         assert_eq!(net.output_shape(&[2, 1, 8, 8]), y.shape().dims());
-    }
-
-    #[test]
-    fn forward_timed_covers_every_layer() {
-        let mut net = tiny_net();
-        let (_, times) = net.forward_timed(&Tensor::zeros([1, 1, 8, 8]), &ExecConfig::default());
-        assert_eq!(times.len(), 5);
-        assert!(times.iter().all(|(name, _)| !name.is_empty()));
     }
 
     #[test]

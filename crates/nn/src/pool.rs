@@ -1,7 +1,7 @@
 //! Pooling and shape layers: max pooling, global average pooling, flatten.
 
 use crate::descriptor::{LayerDescriptor, LayerKind};
-use crate::layer::{ExecConfig, Layer, Phase, WeightFormat};
+use crate::layer::{ExecConfig, Layer, WeightFormat};
 use cnn_stack_tensor::Tensor;
 
 /// Non-overlapping max pooling (the paper's networks use 2×2/stride-2
@@ -20,9 +20,8 @@ use cnn_stack_tensor::Tensor;
 #[derive(Debug)]
 pub struct MaxPool2d {
     window: usize,
-    /// Linear index of the argmax per output element, for backward.
-    cached_argmax: Option<Vec<usize>>,
-    cached_input_shape: Option<Vec<usize>>,
+    /// Cached training-forward input; backward rescans its windows.
+    cached_input: Option<Tensor>,
 }
 
 impl MaxPool2d {
@@ -35,8 +34,7 @@ impl MaxPool2d {
         assert!(window > 0, "window must be non-zero");
         MaxPool2d {
             window,
-            cached_argmax: None,
-            cached_input_shape: None,
+            cached_input: None,
         }
     }
 }
@@ -57,60 +55,40 @@ impl Layer for MaxPool2d {
         format!("maxpool{w}x{w}", w = self.window)
     }
 
-    fn forward(&mut self, input: &Tensor, phase: Phase, _cfg: &ExecConfig) -> Tensor {
-        let (n, c, h, w) = input.shape().nchw();
-        assert!(
-            h % self.window == 0 && w % self.window == 0,
-            "{}: input {h}x{w} not divisible by window {}",
-            self.name(),
-            self.window
-        );
-        let oh = h / self.window;
-        let ow = w / self.window;
-        let mut out = Tensor::zeros([n, c, oh, ow]);
-        let mut argmax = vec![0usize; out.len()];
-        let src = input.data();
-        let dst = out.data_mut();
-        for img in 0..n {
-            for ch in 0..c {
-                let in_base = (img * c + ch) * h * w;
-                let out_base = (img * c + ch) * oh * ow;
-                for py in 0..oh {
-                    for px in 0..ow {
-                        let mut best = f32::NEG_INFINITY;
-                        let mut best_idx = 0;
-                        for dy in 0..self.window {
-                            for dx in 0..self.window {
-                                let idx =
-                                    in_base + (py * self.window + dy) * w + px * self.window + dx;
-                                if src[idx] > best {
-                                    best = src[idx];
-                                    best_idx = idx;
-                                }
-                            }
-                        }
-                        dst[out_base + py * ow + px] = best;
-                        argmax[out_base + py * ow + px] = best_idx;
-                    }
-                }
-            }
-        }
-        if phase == Phase::Train {
-            self.cached_argmax = Some(argmax);
-            self.cached_input_shape = Some(input.shape().dims().to_vec());
-        }
-        out
+    fn cache_for_backward(&mut self, input: &Tensor) {
+        self.cached_input = Some(input.clone());
     }
 
+    /// Routes each output gradient to the first maximum of its window in
+    /// the cached input — the element the forward's strict `>` scan
+    /// kept. A window with no element above −∞ (all −∞ or NaN) sends it
+    /// to the window's first element.
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let argmax = self
-            .cached_argmax
+        let input = self
+            .cached_input
             .take()
             .expect("backward without a Train-phase forward");
-        let shape = self.cached_input_shape.take().expect("missing shape cache");
-        let mut grad_in = Tensor::zeros(shape);
-        for (g, &src_idx) in grad_out.data().iter().zip(&argmax) {
-            grad_in.data_mut()[src_idx] += g;
+        let (n, c, h, w) = input.shape().nchw();
+        let (oh, ow) = (h / self.window, w / self.window);
+        let src = input.data();
+        let mut grad_in = Tensor::zeros([n, c, h, w]);
+        let dst = grad_in.data_mut();
+        for plane in 0..n * c {
+            let (in_base, out_base) = (plane * h * w, plane * oh * ow);
+            for py in 0..oh {
+                for px in 0..ow {
+                    let first = in_base + py * self.window * w + px * self.window;
+                    let (mut best, mut best_idx) = (f32::NEG_INFINITY, first);
+                    for row in (0..self.window).map(|dy| first + dy * w) {
+                        for (dx, &v) in src[row..row + self.window].iter().enumerate() {
+                            if v > best {
+                                (best, best_idx) = (v, row + dx);
+                            }
+                        }
+                    }
+                    dst[best_idx] += grad_out.data()[out_base + py * ow + px];
+                }
+            }
         }
         grad_in
     }
@@ -222,21 +200,8 @@ impl Layer for GlobalAvgPool {
         "globalavgpool".into()
     }
 
-    fn forward(&mut self, input: &Tensor, phase: Phase, _cfg: &ExecConfig) -> Tensor {
-        let (n, c, h, w) = input.shape().nchw();
-        let plane = h * w;
-        let mut out = Tensor::zeros([n, c, 1, 1]);
-        for img in 0..n {
-            for ch in 0..c {
-                let base = (img * c + ch) * plane;
-                let s: f32 = input.data()[base..base + plane].iter().sum();
-                out.data_mut()[img * c + ch] = s / plane as f32;
-            }
-        }
-        if phase == Phase::Train {
-            self.cached_input_shape = Some(input.shape().dims().to_vec());
-        }
-        out
+    fn cache_for_backward(&mut self, input: &Tensor) {
+        self.cached_input_shape = Some(input.shape().dims().to_vec());
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
@@ -340,14 +305,8 @@ impl Layer for Flatten {
         "flatten".into()
     }
 
-    fn forward(&mut self, input: &Tensor, phase: Phase, _cfg: &ExecConfig) -> Tensor {
-        let dims = input.shape().dims();
-        let n = dims[0];
-        let rest: usize = dims[1..].iter().product();
-        if phase == Phase::Train {
-            self.cached_input_shape = Some(dims.to_vec());
-        }
-        input.reshape([n, rest])
+    fn cache_for_backward(&mut self, input: &Tensor) {
+        self.cached_input_shape = Some(input.shape().dims().to_vec());
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
@@ -399,6 +358,7 @@ impl Layer for Flatten {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layer::Phase;
 
     #[test]
     fn maxpool_picks_maxima() {
@@ -423,6 +383,22 @@ mod tests {
         let _ = pool.forward(&x, Phase::Train, &ExecConfig::default());
         let dx = pool.backward(&Tensor::from_vec([1, 1, 1, 1], vec![5.0]));
         assert_eq!(dx.data(), &[0.0, 5.0, 0.0, 0.0]);
+    }
+
+    #[test]
+    fn maxpool_backward_keeps_a_maxless_windows_gradient_in_its_image() {
+        // Image 1's only window is all −∞ (image 0's is ordinary): its
+        // gradient goes to its own first element, not to image 0's.
+        let mut pool = MaxPool2d::new(2);
+        let ninf = f32::NEG_INFINITY;
+        let x = Tensor::from_vec(
+            [2, 1, 2, 2],
+            vec![1.0, 9.0, 2.0, 3.0, ninf, ninf, ninf, ninf],
+        );
+        let y = pool.forward(&x, Phase::Train, &ExecConfig::default());
+        assert_eq!(y.data(), &[9.0, ninf]);
+        let dx = pool.backward(&Tensor::from_vec([2, 1, 1, 1], vec![5.0, 7.0]));
+        assert_eq!(dx.data(), &[0.0, 5.0, 0.0, 0.0, 7.0, 0.0, 0.0, 0.0]);
     }
 
     #[test]

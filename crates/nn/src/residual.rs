@@ -5,7 +5,7 @@
 use crate::batchnorm::BatchNorm2d;
 use crate::conv::Conv2d;
 use crate::descriptor::{LayerDescriptor, LayerKind};
-use crate::layer::{ExecConfig, Layer, Param, Phase, WeightFormat};
+use crate::layer::{forward_eval, ExecConfig, Layer, Param, Phase, WeightFormat};
 use crate::ReLU;
 use cnn_stack_tensor::Tensor;
 
@@ -200,7 +200,13 @@ impl Layer for ResidualBlock {
         )
     }
 
+    /// Under [`Phase::Train`] each child runs its own Train forward, so
+    /// it caches for its backward; [`Phase::Eval`] is the provided
+    /// wrapper over the fused [`forward_into`](Layer::forward_into).
     fn forward(&mut self, input: &Tensor, phase: Phase, cfg: &ExecConfig) -> Tensor {
+        if phase == Phase::Eval {
+            return forward_eval(self, input, cfg);
+        }
         let mut main = self.conv1.forward(input, phase, cfg);
         main = self.bn1.forward(&main, phase, cfg);
         main = self.relu1.forward(&main, phase, cfg);
@@ -214,9 +220,7 @@ impl Layer for ResidualBlock {
             None => input.clone(),
         };
         let mut out = &main + &skip;
-        if phase == Phase::Train {
-            self.cached_final_mask = Some(out.data().iter().map(|&v| v > 0.0).collect());
-        }
+        self.cached_final_mask = Some(out.data().iter().map(|&v| v > 0.0).collect());
         out.map_inplace(|v| v.max(0.0));
         out
     }

@@ -3,7 +3,8 @@
 //! The paper's "Data Formats and Algorithms" layer (§IV-C) stores
 //! weight-pruned and ternary-quantised models in Compressed Sparse Row
 //! (CSR) format. This crate provides CSR (and its column-major dual, CSC),
-//! the sparse compute kernels used at inference time, and — crucially for
+//! the sparse matrix kernels (the CSR convolutions themselves live with
+//! `nn::Conv2d`, whose kernel registry picks them), and — crucially for
 //! Tables IV and VI — *byte-exact memory accounting* for both formats,
 //! which is how the paper demonstrates that CSR storage of small 3×3
 //! filters costs **more** memory than dense storage.
@@ -21,7 +22,6 @@
 //! ```
 
 pub mod bsr;
-pub mod conv;
 pub mod coo;
 pub mod csc;
 pub mod csr;
@@ -29,7 +29,6 @@ pub mod memory;
 pub mod stats;
 
 pub use bsr::BsrMatrix;
-pub use conv::sparse_conv2d;
 pub use coo::CooMatrix;
 pub use csc::CscMatrix;
 pub use csr::CsrMatrix;

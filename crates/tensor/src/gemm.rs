@@ -1605,47 +1605,6 @@ pub fn gemm_into(
     }
 }
 
-/// GEMM over a sub-range of output rows: `c[rows, :] += a[rows, :] · b`.
-///
-/// This is the unit of work the OpenMP-style parallel executor distributes
-/// across threads (one chunk of output rows per task).
-///
-/// # Panics
-///
-/// Panics if `row_end > m` or slice lengths are inconsistent.
-// Low-level kernel signature: the argument list *is* the GEMM shape.
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_rows_into(
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    row_start: usize,
-    row_end: usize,
-) {
-    assert!(
-        row_start <= row_end && row_end <= m,
-        "row range out of bounds"
-    );
-    assert_eq!(a.len(), m * k, "A length mismatch");
-    assert_eq!(b.len(), k * n, "B length mismatch");
-    assert_eq!(c.len(), m * n, "C length mismatch");
-    for i in row_start..row_end {
-        let a_row = &a[i * k..(i + 1) * k];
-        let c_row = &mut c[i * n..(i + 1) * n];
-        // No zero-value skip here: `0 · NaN` must stay NaN, exactly as in
-        // `gemm_naive_into` — sparsity exploitation belongs to the CSR path.
-        for (p, &av) in a_row.iter().enumerate() {
-            let b_row = &b[p * n..(p + 1) * n];
-            for (cv, &bv) in c_row.iter_mut().zip(b_row) {
-                *cv += av * bv;
-            }
-        }
-    }
-}
-
 /// The reference GEMM: textbook `ijk` triple loop, `c[m×n] += a[m×k] ·
 /// b[k×n]`. O(MNK) with poor locality on large K — nothing runs it for
 /// speed; the equivalence tests and benches hold every other kernel to
@@ -2317,24 +2276,6 @@ mod tests {
                 );
             }
         }
-        // And through the row-partitioned kernel the parallel executor uses.
-        let mut c = vec![0.0f32; m * n];
-        gemm_rows_into(&a, &b, &mut c, m, k, n, 0, 2);
-        gemm_rows_into(&a, &b, &mut c, m, k, n, 2, m);
-        assert!(c[n + 1].is_nan() && c[4].is_nan());
-    }
-
-    #[test]
-    fn gemm_rows_partition_equals_full() {
-        let (m, k, n) = (10, 12, 8);
-        let a = random_tensor([m, k], 42);
-        let b = random_tensor([k, n], 43);
-        let full = matmul_naive(&a, &b);
-        let mut c = vec![0.0; m * n];
-        gemm_rows_into(a.data(), b.data(), &mut c, m, k, n, 0, 4);
-        gemm_rows_into(a.data(), b.data(), &mut c, m, k, n, 4, 10);
-        let part = Tensor::from_vec([m, n], c);
-        assert!(full.allclose(&part, 1e-5));
     }
 
     #[test]

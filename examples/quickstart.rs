@@ -36,7 +36,7 @@ fn main() {
     println!(
         "plan: {} steps, {:.1} KiB activation arena",
         plan.steps().len(),
-        (2 * plan.buf_elems() + plan.scratch_elems()) as f64 * 4.0 / 1024.0
+        plan.footprint().peak_bytes as f64 / 1024.0
     );
     let mut session =
         InferenceSession::new(&mut model.network, plan).expect("plan matches this network");

@@ -50,9 +50,11 @@ echo "== tests =="
 # * gemm equivalence (proptest): the packed/SIMD GEMM engine agrees with
 #   the naive reference on arbitrary shapes, incl. non-finite
 #   propagation.
-# * plan-passes: fusion equivalence (property-based, incl. non-finite
-#   inputs), pointwise fast path, residual cache invalidation, the
-#   tuning-cache replay regressions.
+# * plan-passes: one entry contract for both compile entry points (every
+#   bad input gets the same error and leaves the weights alone), fusion
+#   equivalence (property-based, incl. non-finite inputs), pointwise
+#   fast path, residual cache invalidation, the pinned VGG-16 selections
+#   and budget solutions.
 # * obs-golden: serial traced sessions reproduce the checked-in
 #   deterministic text traces (regenerate intentionally with
 #   CNN_STACK_BLESS=1).
@@ -105,14 +107,6 @@ echo "== fault-injection tests =="
 cargo test -q --features fault-inject
 cargo test -q -p cnn-stack-nn --features fault-inject
 cargo test -q -p cnn-stack-serve --features fault-inject
-
-echo "== plan-passes (pinned tune cache) =="
-# A deterministic autotune smoke with the cache pinned through the
-# environment to a temp dir, so the runner's real cache is never
-# touched.
-TUNE_DIR="$(mktemp -d)"
-CNN_STACK_TUNE_CACHE="$TUNE_DIR/tune.tsv" cargo test -q -p cnn-stack-nn passes::tests::autotune
-rm -rf "$TUNE_DIR"
 
 echo "== gemm bench smoke =="
 # Exercises the benchmark harness end to end on a tiny shape; the full
@@ -244,6 +238,15 @@ fi
 # depthwise eval funnel stay deleted.
 if grep -rnE 'forward_timed|gemm_rows_into|sparse_conv2d|buf_elems|fn eval_into' crates src tests examples; then
   echo "ci: a second copy of a layer's eval code is back" >&2
+  exit 1
+fi
+
+# One plan pipeline: `PlanCompiler::run` is a fixed sequence and
+# `InferencePlan::compile` the same one without fold, fuse, select and
+# fit. The pass plug-in API, the measuring tuner nothing called and its
+# on-disk cache stay deleted.
+if grep -rnE 'Autotune|PlanPass|PassContext|with_pass|relower|CNN_STACK_TUNE_CACHE|tune_key|from_tag' crates src tests examples; then
+  echo "ci: the pass plug-in API or the tune cache is back" >&2
   exit 1
 fi
 

@@ -25,7 +25,7 @@ fn net(r: &Row) -> Network {
     .expect("single-layer net")
 }
 
-/// The tag SelectAlgorithms appended to the step name, e.g. "im2col-packed".
+/// The tag selection appended to the step name, e.g. "im2col-packed".
 fn chosen(name: &str) -> String {
     name.rsplit_once(" [")
         .map(|(_, tag)| tag.trim_end_matches(']').to_string())

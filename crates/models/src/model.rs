@@ -83,7 +83,7 @@ impl Model {
     }
 
     /// Compiles the network into an inference plan at batch size `n`
-    /// through `compiler`'s pass pipeline. Passes may rewrite the
+    /// through `compiler`'s pipeline, which may rewrite the
     /// network in place (batch-norm folding, per-layer weight-format
     /// switches), which is why this takes `&mut self`.
     ///

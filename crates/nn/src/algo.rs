@@ -11,10 +11,9 @@
 //! * the layers dispatch, size their workspace, warm their weight form
 //!   and report their GEMM plan by matching on the resolved row;
 //! * the plan compiler proposes the rows that [`applies`] to an op and
-//!   may be [`proposed`] for it, prices them, and puts the layer on the
-//!   winner ([`select`] it in the op's config, relabel the weights);
-//! * the tuning cache stores a row's [`tag`] and replays it only onto an
-//!   op the row is a candidate for;
+//!   may be [`proposed`] for it, prices them, puts the layer on the
+//!   winner ([`select`] it in the op's config, relabel the weights) and
+//!   names it by its [`tag`] in the step name;
 //! * the guard ladder follows the [`demotes_to`] edge of the row that
 //!   *ran*, and puts the step on the target the same way;
 //! * the conformance suite runs every conv row in [`ALL`].
@@ -125,7 +124,7 @@ pub enum LayerShape {
 
 /// Everything a row states about its kernel.
 struct Row {
-    /// Stable name: the tuning-cache value and the `[tag]` on step names.
+    /// Stable name: the `[tag]` on step names.
     tag: &'static str,
     /// The config fields that select the row (`None` = the row does not
     /// read the field) and the label it puts the layer in.
@@ -178,15 +177,10 @@ impl AlgoChoice {
         Row { tag, conv_algo, gemm_algo, format, form, demotes_to }
     }
 
-    /// Stable name: the tuning-cache value and the `[tag]` the plan
-    /// compiler appends to step names.
+    /// Stable name: the `[tag]` the plan compiler appends to step names
+    /// (the conformance suite names its rows by it too).
     pub fn tag(self) -> &'static str {
         self.row().tag
-    }
-
-    /// The row a tag names.
-    pub fn from_tag(tag: &str) -> Option<Self> {
-        Self::ALL.into_iter().find(|c| c.tag() == tag)
     }
 
     /// Whether this is a convolution kernel (else a linear one).
@@ -252,7 +246,7 @@ impl AlgoChoice {
 
     /// Puts a layer on this row: [`select`](Self::select)s it in `cfg`
     /// and relabels the weights. The one way a choice is applied — by
-    /// the plan passes and by the guard ladder alike.
+    /// the plan compiler and by the guard ladder alike.
     pub(crate) fn apply(self, cfg: &mut ExecConfig, weights: &mut Weights) {
         let format = self.select(cfg);
         if weights.format() != format {

@@ -2,7 +2,8 @@
 //! and MobileNet (§IV-A).
 
 use crate::descriptor::{LayerDescriptor, LayerKind};
-use crate::layer::{forward_eval, ExecConfig, Layer, Param, Phase, WeightFormat};
+use crate::error::Error;
+use crate::layer::{check_nchw, forward_eval, ExecConfig, Layer, Param, Phase, WeightFormat};
 use cnn_stack_tensor::Tensor;
 
 /// 2-D batch normalisation: per-channel statistics over `(N, H, W)`.
@@ -140,7 +141,7 @@ impl BatchNorm2d {
     }
 
     /// Whether the inference transform is *exactly* `y = x * 1.0 + 0.0`
-    /// for every channel — the bar for the fold-and-fuse plan pass to
+    /// for every channel — the bar for the plan compiler's fusion to
     /// skip the layer entirely (bit-preserving up to the sign of
     /// negative zero). The tolerance-based
     /// [`is_inference_identity`](Self::is_inference_identity) is not
@@ -202,8 +203,8 @@ impl BatchNorm2d {
 }
 
 impl Layer for BatchNorm2d {
-    fn min_input_rank(&self) -> usize {
-        4
+    fn check_input(&self, input_shape: &[usize]) -> Result<(), Error> {
+        check_nchw(self, input_shape, Some(self.channels))
     }
 
     fn as_any(&self) -> &dyn std::any::Any {

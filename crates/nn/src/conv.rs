@@ -2,7 +2,8 @@
 
 use crate::algo::{self, AlgoChoice, LayerShape};
 use crate::descriptor::{LayerDescriptor, LayerKind};
-use crate::layer::{ExecConfig, Layer, Param, WeightFormat};
+use crate::error::Error;
+use crate::layer::{check_nchw, ExecConfig, Layer, Param, WeightFormat};
 use crate::weights::{PanelOperand, Weights};
 use cnn_stack_parallel::parallel_for;
 use cnn_stack_parallel::DisjointWriter;
@@ -752,8 +753,8 @@ fn accumulate_tap(
 }
 
 impl Layer for Conv2d {
-    fn min_input_rank(&self) -> usize {
-        4
+    fn check_input(&self, input_shape: &[usize]) -> Result<(), Error> {
+        check_nchw(self, input_shape, Some(self.in_channels))
     }
 
     fn as_any(&self) -> &dyn std::any::Any {

@@ -1,7 +1,8 @@
 //! Depthwise convolution — the defining operation of MobileNet.
 
 use crate::descriptor::{LayerDescriptor, LayerKind};
-use crate::layer::{ExecConfig, Layer, Param, WeightFormat};
+use crate::error::Error;
+use crate::layer::{check_nchw, ExecConfig, Layer, Param, WeightFormat};
 use cnn_stack_tensor::init::{initialise, Init};
 use cnn_stack_tensor::{depthwise_conv2d_into, Conv2dGeometry, Tensor};
 
@@ -114,8 +115,8 @@ impl DepthwiseConv2d {
 }
 
 impl Layer for DepthwiseConv2d {
-    fn min_input_rank(&self) -> usize {
-        4
+    fn check_input(&self, input_shape: &[usize]) -> Result<(), Error> {
+        check_nchw(self, input_shape, Some(self.channels))
     }
 
     fn as_any(&self) -> &dyn std::any::Any {

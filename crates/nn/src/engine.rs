@@ -65,7 +65,7 @@
 //! ```
 
 use crate::algo::AlgoChoice;
-use crate::error::{Error, PlanError};
+use crate::error::Error;
 use crate::guard::{
     scan_non_finite, BudgetBreachRecord, DemotionReason, DemotionRecord, FaultPlan, GuardConfig,
     GuardReport, GuardViolation, HealthReport,
@@ -89,12 +89,13 @@ const MAX_ATTEMPTS: u32 = 4;
 /// execute it.
 #[derive(Clone, Debug)]
 pub struct PlanStep {
-    /// Layer name, as reported by [`Layer::name`] (fused steps append
-    /// the absorbed layers, e.g. `"conv3x3(3->8)/s1 + bn + relu"`).
+    /// Layer name, as reported by [`Layer::name`]. The plan compiler
+    /// appends the absorbed layers and the kernel-registry row the step
+    /// runs, e.g. `"conv3x3(64->64)/s1 + bn + relu [winograd-f4]"`.
     pub name: String,
     /// Index of the step's *primary* network layer — the one whose
     /// kernel executes. [`InferencePlan::compile`] maps step `i` to
-    /// layer `i`; the fold-and-fuse pass produces fewer steps than
+    /// layer `i`; the plan compiler's fusion produces fewer steps than
     /// layers, so the mapping is explicit.
     pub layer: usize,
     /// Consecutive network layers this step covers, starting at
@@ -103,8 +104,8 @@ pub struct PlanStep {
     /// kernel). The spans of a plan's steps tile the network exactly.
     pub span: usize,
     /// Effective execution configuration for this step. Uniform (the
-    /// plan's global config) under [`InferencePlan::compile`]; the
-    /// algorithm-selection pass sets it per step.
+    /// plan's global config) under [`InferencePlan::compile`]; the plan
+    /// compiler's algorithm selection sets it per step.
     pub cfg: ExecConfig,
     /// Activation shape entering the layer (full batch).
     pub input_shape: Vec<usize>,
@@ -118,9 +119,10 @@ pub struct PlanStep {
     /// ([`Layer::forward_scratch_elems`]); the liveness colouring sizes
     /// the step's arena slot with exactly this.
     pub workspace_elems: usize,
-    /// Blocking plan of the step's packed GEMM, when the step routes
-    /// through the packed engine under the compiled configuration
-    /// (conv-im2col and linear layers with dense weights).
+    /// Blocking plan of the step's packed GEMM, when the step runs an
+    /// im2col or linear row of the packed engine under the compiled
+    /// configuration — on f32 panels or on 2-bit code panels alike;
+    /// `None` on direct, Winograd, CSR and scalar-GEMM rows.
     pub gemm: Option<GemmPlan>,
     /// Dense multiply-accumulates for the step.
     pub macs: u64,
@@ -143,50 +145,30 @@ pub struct InferencePlan {
 }
 
 impl InferencePlan {
-    /// Walks the network's [`Layer::descriptor`] chain at `input_shape`,
-    /// recording every layer's output shape and scratch requirement
-    /// under `cfg`.
+    /// Compiles one unfused step per layer under the one global `cfg`:
+    /// the plan compiler's pipeline ([`crate::passes`]) without folding,
+    /// fusion, algorithm selection or budget fitting. Every layer's
+    /// output shape, workspace and GEMM plan is recorded at
+    /// `input_shape`.
     ///
     /// # Errors
     ///
-    /// Returns [`Error::InvalidConfig`] if `cfg.threads == 0` or the
-    /// input shape is empty / has a zero extent.
+    /// The same contract as [`PlanCompiler::run`](crate::PlanCompiler::run):
+    /// [`Error::InvalidConfig`] if `cfg.threads == 0`, the input shape is
+    /// empty / has a zero extent, or some layer's
+    /// [`Layer::check_input`] refuses the shape reaching it; with
+    /// `cfg.plan_budget` set, [`PlanError::BudgetInfeasible`] (as
+    /// [`Error::Plan`]) when this plan's peak exceeds the budget — a
+    /// global compile has no per-layer freedom, so this exact plan
+    /// either fits or nothing does.
+    ///
+    /// [`PlanError::BudgetInfeasible`]: crate::PlanError::BudgetInfeasible
     pub fn compile(net: &Network, input_shape: &[usize], cfg: &ExecConfig) -> Result<Self, Error> {
-        if cfg.threads == 0 {
-            return Err(Error::InvalidConfig(
-                "at least one thread required".to_string(),
-            ));
-        }
-        if input_shape.is_empty() || input_shape.contains(&0) {
-            return Err(Error::InvalidConfig(format!(
-                "input shape {input_shape:?} must be non-empty with non-zero extents"
-            )));
-        }
-        let mut shape = input_shape.to_vec();
-        let mut steps = Vec::with_capacity(net.len());
-        for (li, layer) in net.layers().iter().enumerate() {
-            let step = compile_step(layer.as_ref(), li, &shape, cfg)?;
-            shape = step.output_shape.clone();
-            steps.push(step);
-        }
-        let plan = Self::from_parts(input_shape.to_vec(), *cfg, steps);
-        // A global-mode compile has no per-layer algorithm freedom, so
-        // the budget is a straight admission check: this exact plan
-        // either fits or nothing does.
-        if let Some(budget) = cfg.plan_budget {
-            let peak = plan.footprint().peak_bytes;
-            if peak > budget {
-                return Err(Error::Plan(PlanError::BudgetInfeasible {
-                    budget_bytes: budget,
-                    min_feasible_bytes: peak,
-                }));
-            }
-        }
-        Ok(plan)
+        crate::passes::compile_global(net, input_shape, cfg)
     }
 
-    /// Assembles a plan from pre-built steps. Used by the pass compiler (`passes.rs`), whose steps may
-    /// span several layers and carry per-step configurations.
+    /// Assembles a plan from emitted steps (`passes.rs`), which may span
+    /// several layers and carry per-step configurations.
     pub(crate) fn from_parts(
         input_shape: Vec<usize>,
         cfg: ExecConfig,
@@ -245,41 +227,6 @@ impl InferencePlan {
     pub fn footprint(&self) -> MemoryFootprint {
         MemoryFootprint::of(&self.step_extents())
     }
-}
-
-/// Compiles one layer at one input shape under one configuration into an
-/// unfused (`span == 1`) [`PlanStep`]. Shared by [`InferencePlan::compile`]
-/// and the pass compiler.
-pub(crate) fn compile_step(
-    layer: &dyn Layer,
-    layer_idx: usize,
-    shape: &[usize],
-    cfg: &ExecConfig,
-) -> Result<PlanStep, Error> {
-    // Catch wrong-rank inputs before `descriptor` would index past the
-    // shape — compile errors, never panics.
-    if shape.len() < layer.min_input_rank() {
-        return Err(Error::InvalidConfig(format!(
-            "layer {} needs a rank-{} input, got shape {shape:?}",
-            layer.name(),
-            layer.min_input_rank()
-        )));
-    }
-    let d = layer.descriptor(shape);
-    Ok(PlanStep {
-        name: d.name,
-        layer: layer_idx,
-        span: 1,
-        cfg: *cfg,
-        input_shape: shape.to_vec(),
-        output_shape: d.output_shape,
-        input_elems: d.input_elems,
-        output_elems: d.output_elems,
-        workspace_elems: layer.forward_scratch_elems(shape, cfg),
-        gemm: layer.gemm_plan(shape, cfg),
-        macs: d.macs,
-        bytes: 4 * (d.input_elems + d.output_elems + d.weight_nnz) as u64,
-    })
 }
 
 /// Cumulative per-layer execution counters, one row per plan step.

@@ -96,8 +96,7 @@ pub fn fold_batchnorm(net: &mut Network) -> usize {
 /// (e.g. freshly initialised layers, whose inference scale is
 /// `1/sqrt(1 + eps)`) that [`fold_batchnorm`] skips as within tolerance.
 /// After this, every foldable top-level batch norm is bit-exactly
-/// `y = x * 1.0 + 0.0` and the plan compiler's fold-and-fuse pass can
-/// absorb it. Returns the number folded.
+/// `y = x * 1.0 + 0.0` and the plan compiler's fusion can absorb it. Returns the number folded.
 pub(crate) fn fold_batchnorm_exact(net: &mut Network) -> usize {
     let mut folded = 0;
     for i in 0..net.len().saturating_sub(1) {

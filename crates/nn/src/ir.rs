@@ -1,12 +1,12 @@
-//! Typed layer IR for the pass-based plan compiler.
+//! Typed layer IR for the plan compiler.
 //!
 //! [`lower`] walks a [`Network`] at one input shape and produces one
-//! [`IrOp`] per top-level layer: the shape-resolved facts a plan pass
+//! [`IrOp`] per top-level layer: the shape-resolved facts the pipeline
 //! needs (what kind of computation it is, its geometry, its *measured*
-//! weight sparsity) plus the mutable decisions a pass makes (the op's
-//! effective [`ExecConfig`] and how many following layers it absorbs).
-//! The pass pipeline in [`crate::passes`] rewrites this op list and then
-//! lowers it to [`crate::engine::PlanStep`]s.
+//! weight sparsity) plus the decisions fusion and selection make (the
+//! op's effective [`ExecConfig`] and how many following layers it
+//! absorbs). The pipeline in [`crate::passes`] rewrites this op list and
+//! then emits it as [`crate::engine::PlanStep`]s.
 //!
 //! The IR is derived from [`Layer::descriptor`] plus `as_any` downcasts
 //! for the facts descriptors do not carry (is this activation a ReLU?
@@ -15,7 +15,6 @@
 
 use crate::batchnorm::BatchNorm2d;
 use crate::descriptor::LayerKind;
-use crate::error::Error;
 use crate::layer::{ExecConfig, Layer, WeightFormat};
 use crate::network::Network;
 use crate::weights::Weights;
@@ -41,12 +40,7 @@ pub enum OpKind {
         ternary: bool,
     },
     /// Depthwise convolution.
-    DepthwiseConv {
-        /// Shape-resolved per-channel geometry.
-        geom: Conv2dGeometry,
-        /// Channel count (input == output).
-        channels: usize,
-    },
+    DepthwiseConv,
     /// Fully connected layer.
     Linear {
         /// Input features.
@@ -63,12 +57,9 @@ pub enum OpKind {
     },
     /// Batch normalisation over channels.
     BatchNorm {
-        /// Channel count.
-        channels: usize,
         /// Whether the layer is an *exact* inference identity (scale
         /// bit-equal to 1, shift bit-equal to 0, as left by
-        /// [`crate::fold_batchnorm`]) so the fold-and-fuse pass may skip
-        /// it. A freshly initialised batch norm is only a
+        /// [`crate::fold_batchnorm`]) so fusion may skip it. A freshly initialised batch norm is only a
         /// near-identity (`scale = 1/sqrt(1 + eps)`) and stays `false`.
         identity: bool,
     },
@@ -76,7 +67,7 @@ pub enum OpKind {
     /// conv/depthwise/linear kernel.
     Relu,
     /// Anything else (pooling, reshapes, composites, other activations);
-    /// passes leave these alone.
+    /// fusion and selection leave these alone.
     Other,
 }
 
@@ -88,7 +79,7 @@ impl OpKind {
     pub fn fuses_relu(&self) -> bool {
         matches!(
             self,
-            OpKind::Conv { .. } | OpKind::DepthwiseConv { .. } | OpKind::Linear { .. }
+            OpKind::Conv { .. } | OpKind::DepthwiseConv | OpKind::Linear { .. }
         )
     }
 
@@ -97,13 +88,13 @@ impl OpKind {
     pub fn absorbs_identity_bn(&self) -> bool {
         matches!(
             self,
-            OpKind::Conv { .. } | OpKind::DepthwiseConv { .. } | OpKind::Linear { .. }
+            OpKind::Conv { .. } | OpKind::DepthwiseConv | OpKind::Linear { .. }
         )
     }
 }
 
 /// One plan-compiler op: a primary network layer plus the decisions the
-/// passes have made about it so far.
+/// pipeline has made about it so far.
 #[derive(Clone, Debug)]
 pub struct IrOp {
     /// Index of the primary network layer.
@@ -117,8 +108,6 @@ pub struct IrOp {
     pub kind: OpKind,
     /// Activation shape entering the op.
     pub input_shape: Vec<usize>,
-    /// Activation shape leaving the op (the last covered layer's output).
-    pub output_shape: Vec<usize>,
     /// Dense multiply-accumulates across the covered layers.
     pub macs: u64,
     /// Effective execution configuration; starts at the base config,
@@ -127,23 +116,13 @@ pub struct IrOp {
 }
 
 /// Lowers a network at `input_shape` into one [`IrOp`] per top-level
-/// layer, each with `span == 1` and `cfg == *cfg`.
-///
-/// # Errors
-///
-/// Returns [`Error::InvalidConfig`] when a layer's minimum input rank
-/// exceeds the incoming shape (same contract as plan compilation).
-pub fn lower(net: &Network, input_shape: &[usize], cfg: &ExecConfig) -> Result<Vec<IrOp>, Error> {
+/// layer, each with `span == 1` and `cfg == *cfg`. The shape must have
+/// passed the pipeline's validation (every layer's
+/// [`Layer::check_input`]), so no descriptor indexes past it.
+pub fn lower(net: &Network, input_shape: &[usize], cfg: &ExecConfig) -> Vec<IrOp> {
     let mut shape = input_shape.to_vec();
     let mut ops = Vec::with_capacity(net.len());
     for (i, layer) in net.layers().iter().enumerate() {
-        if shape.len() < layer.min_input_rank() {
-            return Err(Error::InvalidConfig(format!(
-                "layer {} needs a rank-{} input, got shape {shape:?}",
-                layer.name(),
-                layer.min_input_rank()
-            )));
-        }
         let d = layer.descriptor(&shape);
         let kind = match d.kind {
             LayerKind::Conv { geom, out_channels } => OpKind::Conv {
@@ -153,7 +132,7 @@ pub fn lower(net: &Network, input_shape: &[usize], cfg: &ExecConfig) -> Result<V
                 sparsity: measured_sparsity(layer.as_ref()),
                 ternary: exact_ternary(layer.as_ref()),
             },
-            LayerKind::DepthwiseConv { geom, channels } => OpKind::DepthwiseConv { geom, channels },
+            LayerKind::DepthwiseConv { .. } => OpKind::DepthwiseConv,
             LayerKind::Linear {
                 in_features,
                 out_features,
@@ -164,8 +143,7 @@ pub fn lower(net: &Network, input_shape: &[usize], cfg: &ExecConfig) -> Result<V
                 sparsity: measured_sparsity(layer.as_ref()),
                 ternary: exact_ternary(layer.as_ref()),
             },
-            LayerKind::BatchNorm { channels } => OpKind::BatchNorm {
-                channels,
+            LayerKind::BatchNorm { .. } => OpKind::BatchNorm {
                 identity: layer
                     .as_any()
                     .downcast_ref::<BatchNorm2d>()
@@ -186,19 +164,18 @@ pub fn lower(net: &Network, input_shape: &[usize], cfg: &ExecConfig) -> Result<V
             name: d.name,
             kind,
             input_shape: shape.clone(),
-            output_shape: d.output_shape.clone(),
             macs: d.macs,
             cfg: *cfg,
         });
         shape = d.output_shape;
     }
-    Ok(ops)
+    ops
 }
 
 /// Whether the layer's weights are exactly ternary (the packed ternary
 /// kernel's value-preserving precondition); `false` for layers the
-/// selector cannot quantise. Computed here because pass candidates see
-/// only the op, never the network.
+/// selector cannot quantise. Computed here because selection's
+/// candidates see only the op, never the network.
 fn exact_ternary(layer: &dyn Layer) -> bool {
     Weights::of(layer).is_some_and(|w| w.ternary_magnitudes().is_some())
 }
@@ -232,7 +209,7 @@ mod tests {
     #[test]
     fn lowering_walks_shapes_and_kinds() {
         let net = demo_net();
-        let ops = lower(&net, &[1, 3, 8, 8], &ExecConfig::serial()).unwrap();
+        let ops = lower(&net, &[1, 3, 8, 8], &ExecConfig::serial());
         assert_eq!(ops.len(), 6);
         assert!(matches!(ops[0].kind, OpKind::Conv { .. }));
         assert!(matches!(
@@ -249,11 +226,19 @@ mod tests {
         for op in &ops {
             assert_eq!(op.span, 1);
         }
-        assert_eq!(ops[5].output_shape, vec![1, 5]);
-        // Ops chain: each input shape is the previous output shape.
-        for pair in ops.windows(2) {
-            assert_eq!(pair[0].output_shape, pair[1].input_shape);
-        }
+        // Ops chain: each input shape is the previous layer's output.
+        let shapes: Vec<&[usize]> = ops.iter().map(|op| &op.input_shape[..]).collect();
+        assert_eq!(
+            shapes,
+            [
+                &[1, 3, 8, 8][..],
+                &[1, 4, 8, 8],
+                &[1, 4, 8, 8],
+                &[1, 4, 8, 8],
+                &[1, 4, 4, 4],
+                &[1, 64]
+            ]
+        );
     }
 
     #[test]
@@ -271,7 +256,7 @@ mod tests {
             .fill(1.5);
         let folded = crate::fold_batchnorm(&mut net);
         assert_eq!(folded, 1);
-        let ops = lower(&net, &[1, 3, 8, 8], &ExecConfig::serial()).unwrap();
+        let ops = lower(&net, &[1, 3, 8, 8], &ExecConfig::serial());
         assert!(matches!(
             ops[1].kind,
             OpKind::BatchNorm { identity: true, .. }
@@ -294,7 +279,7 @@ mod tests {
                 *v = 0.0;
             }
         }
-        let ops = lower(&net, &[1, 3, 8, 8], &ExecConfig::serial()).unwrap();
+        let ops = lower(&net, &[1, 3, 8, 8], &ExecConfig::serial());
         match ops[0].kind {
             OpKind::Conv { sparsity, .. } => assert!((sparsity - 0.5).abs() < 0.02),
             _ => panic!("expected conv op"),

@@ -81,8 +81,8 @@ pub struct ExecConfig {
     /// micro-kernel engine; [`GemmAlgorithm::Blocked`] is the scalar
     /// fallback the guard's demotion ladder demotes to.
     pub gemm_algo: GemmAlgorithm,
-    /// Fuse a trailing ReLU into this layer's kernel (set by the
-    /// fold-and-fuse plan pass when a `conv → [identity BN] → ReLU`,
+    /// Fuse a trailing ReLU into this layer's kernel (set by the plan
+    /// compiler's fusion when a `conv → [identity BN] → ReLU`,
     /// `dwconv → [identity BN] → ReLU` or `linear → ReLU` chain
     /// collapses into one step). Every conv/linear evaluation path
     /// honours it — the packed engine via the GEMM write-back epilogue,
@@ -493,14 +493,22 @@ pub trait Layer: std::fmt::Debug + std::any::Any + Send + Sync {
     /// platform timing model.
     fn descriptor(&self, input_shape: &[usize]) -> LayerDescriptor;
 
-    /// The minimum input rank [`descriptor`](Layer::descriptor) and the
-    /// forward paths accept. Spatial (NCHW) layers need 4, `Linear`
-    /// needs 2; rank-agnostic layers keep the default of 1. The engine
-    /// validates shapes against this before walking descriptors, so
-    /// plan compilation returns [`crate::Error::ShapeMismatch`] instead
-    /// of panicking on a wrong-rank input.
-    fn min_input_rank(&self) -> usize {
-        1
+    /// Whether [`descriptor`](Layer::descriptor) and the kernels accept
+    /// an input of `input_shape`: its rank (spatial NCHW layers need 4,
+    /// `Linear` 2) and, for a layer with a fixed input width, its
+    /// channel count (conv, depthwise, batch norm, residual block) or
+    /// per-image feature count (`Linear`). Plan compilation checks every
+    /// layer, on the shape that reaches it, before it folds or lowers
+    /// anything, so a shape the network cannot run is a compile error,
+    /// never a kernel panic. Layers that accept any shape keep the
+    /// default.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::InvalidConfig`] naming the layer, what it needs and the
+    /// shape it got.
+    fn check_input(&self, _input_shape: &[usize]) -> Result<(), Error> {
+        Ok(())
     }
 
     /// Flat descriptors of the primitive layers this layer comprises.
@@ -582,6 +590,32 @@ pub trait Layer: std::fmt::Debug + std::any::Any + Send + Sync {
         scratch: &mut [f32],
         cfg: &ExecConfig,
     );
+}
+
+/// [`Layer::check_input`] for an NCHW layer: rank 4 and, when
+/// `channels` is given, exactly that many input channels.
+pub(crate) fn check_nchw(
+    layer: &dyn Layer,
+    shape: &[usize],
+    channels: Option<usize>,
+) -> Result<(), Error> {
+    match channels {
+        _ if shape.len() < 4 => refuse_input(layer, shape, "a rank-4 input"),
+        Some(c) if shape[1] != c => refuse_input(layer, shape, format_args!("{c} input channels")),
+        _ => Ok(()),
+    }
+}
+
+/// The [`Layer::check_input`] error: `layer` needs `need`, not `shape`.
+pub(crate) fn refuse_input(
+    layer: &dyn Layer,
+    shape: &[usize],
+    need: impl std::fmt::Display,
+) -> Result<(), Error> {
+    Err(Error::InvalidConfig(format!(
+        "layer {} needs {need}, got shape {shape:?}",
+        layer.name()
+    )))
 }
 
 /// The body of the provided [`Layer::forward`] after its Train hook, and
@@ -813,5 +847,36 @@ mod tests {
                 assert_one_kernel(layer.as_mut(), x, &cfg, &what);
             }
         }
+    }
+
+    /// `layer` accepts `good` and names what it needs for too low a rank
+    /// and for the wrong channel or feature count.
+    fn refuses(layer: &dyn Layer, good: &[usize], low_rank: &[usize], wrong: &[usize], need: &str) {
+        assert_eq!(layer.check_input(good), Ok(()), "{}", layer.name());
+        for (bad, want) in [(low_rank, "rank-"), (wrong, need)] {
+            match layer.check_input(bad) {
+                Err(Error::InvalidConfig(msg)) => {
+                    assert!(msg.contains(want), "{}: {msg}", layer.name())
+                }
+                other => panic!("{} on {bad:?}: {other:?}", layer.name()),
+            }
+        }
+    }
+
+    #[test]
+    fn check_input_names_rank_and_width_mismatches() {
+        use crate::{BatchNorm2d, Conv2d, DepthwiseConv2d, Linear, ResidualBlock};
+        let channels = "3 input channels";
+        let conv = Conv2d::new(3, 4, 3, 1, 1, 0);
+        refuses(&conv, &[1, 3, 8, 8], &[3, 8, 8], &[1, 5, 8, 8], channels);
+        let dw = DepthwiseConv2d::new(3, 3, 1, 1, 0);
+        refuses(&dw, &[2, 3, 8, 8], &[3, 8, 8], &[2, 4, 8, 8], channels);
+        let bn = BatchNorm2d::new(3);
+        refuses(&bn, &[1, 3, 4, 4], &[1, 3], &[1, 2, 4, 4], channels);
+        let block = ResidualBlock::new(3, 4, 1, 0);
+        refuses(&block, &[1, 3, 8, 8], &[1, 3, 8], &[1, 4, 8, 8], channels);
+        // A linear layer reads every feature of an image, whatever its rank.
+        let fc = Linear::new(12, 2, 0);
+        refuses(&fc, &[2, 3, 2, 2], &[12], &[2, 13], "12 input features");
     }
 }

@@ -52,7 +52,7 @@ pub mod engine;
 pub mod error;
 pub mod fold;
 pub mod guard;
-pub mod ir;
+mod ir;
 pub mod layer;
 pub mod linear;
 pub mod liveness;
@@ -82,7 +82,6 @@ pub use guard::{
     BudgetBreachRecord, DemotionReason, DemotionRecord, FaultPlan, GuardConfig, GuardReport,
     GuardViolation, HealthReport, NonFiniteKind, ServeBatchFault,
 };
-pub use ir::{IrOp, OpKind};
 pub use layer::{
     ConvAlgorithm, ExecConfig, ExecConfigBuilder, Layer, Mask, Param, Phase, WeightFormat,
 };
@@ -90,7 +89,7 @@ pub use linear::Linear;
 pub use liveness::{ArenaLayout, MemoryFootprint, StepExtent, StepSlots};
 pub use memory::{network_memory, MemoryBreakdown};
 pub use network::Network;
-pub use passes::{Autotune, FoldAndFuse, PassContext, PlanCompiler, PlanPass, SelectAlgorithms};
+pub use passes::PlanCompiler;
 pub use pool::{Flatten, GlobalAvgPool, MaxPool2d};
 pub use residual::ResidualBlock;
 pub use serialize::{load_params, save_params, LoadParamsError};

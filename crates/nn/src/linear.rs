@@ -2,7 +2,8 @@
 
 use crate::algo::{self, AlgoChoice, LayerShape};
 use crate::descriptor::{LayerDescriptor, LayerKind};
-use crate::layer::{ExecConfig, Layer, Param, WeightFormat};
+use crate::error::Error;
+use crate::layer::{refuse_input, ExecConfig, Layer, Param, WeightFormat};
 use crate::weights::{PanelOperand, Weights};
 use cnn_stack_parallel::parallel_for;
 use cnn_stack_parallel::DisjointWriter;
@@ -297,8 +298,15 @@ impl Linear {
 }
 
 impl Layer for Linear {
-    fn min_input_rank(&self) -> usize {
-        2
+    fn check_input(&self, input_shape: &[usize]) -> Result<(), Error> {
+        if input_shape.len() < 2 {
+            refuse_input(self, input_shape, "a rank-2 input")
+        } else if input_shape[1..].iter().product::<usize>() != self.in_features {
+            let need = format_args!("{} input features", self.in_features);
+            refuse_input(self, input_shape, need)
+        } else {
+            Ok(())
+        }
     }
 
     fn as_any(&self) -> &dyn std::any::Any {

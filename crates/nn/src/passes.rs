@@ -1,36 +1,45 @@
-//! The pass-based plan compiler.
+//! The plan compiler: one fixed pipeline from a network to an
+//! [`InferencePlan`].
 //!
-//! [`InferencePlan::compile`] maps every layer to one step under one
-//! global [`ExecConfig`] — the paper's "pick a configuration for the
-//! whole network" baseline. This module replaces that construction with
-//! a compilation pipeline: the network is lowered to a typed op list
-//! ([`crate::ir`]), a sequence of [`PlanPass`]es rewrites it, and the
-//! result is lowered to [`PlanStep`]s with
-//! per-step spans and per-step configurations.
+//! [`PlanCompiler::run`] compiles in one fixed sequence:
 //!
-//! The three shipped passes implement the paper's across-stack levers:
+//! 1. **validate** — a non-zero thread count, a non-empty input shape
+//!    with non-zero extents, and every layer's [`Layer::check_input`] on
+//!    the shape that reaches it;
+//! 2. **fold** — batch norms into their producing convolutions (the
+//!    exact variant of [`crate::fold_batchnorm`]);
+//! 3. **lower** — one typed op per layer, carrying the shape-resolved
+//!    facts selection prices: geometry, *measured* weight sparsity,
+//!    exact ternarity;
+//! 4. **fuse** — exact-identity batch norms and trailing ReLUs are
+//!    absorbed into the producing conv/depthwise/linear step, so
+//!    `conv → BN → ReLU` executes as **one kernel** (the ReLU runs in the
+//!    packed GEMM write-back epilogue — no extra sweep over the output);
+//! 5. **select** — a per-layer cost model (FLOPs, im2col footprint,
+//!    measured weight sparsity) puts each conv/linear op on the cheapest
+//!    of the kernel registry's rows ([`crate::algo`]) that apply to it.
+//!    A non-default `conv_algo`/`gemm_algo` in the config is a user
+//!    override: the model chooses nothing and each op goes on the row
+//!    the override resolves to. Either way the step name is tagged with
+//!    the row it runs;
+//! 6. **fit** — with [`ExecConfig::plan_budget`] set, the fastest
+//!    selection whose liveness-coloured arena fits the budget;
+//! 7. **emit** — one [`PlanStep`] per op, with its span and its own
+//!    configuration;
+//! 8. **admit** — with a budget set, a plan whose peak still exceeds it
+//!    is [`PlanError::BudgetInfeasible`].
 //!
-//! * [`FoldAndFuse`] — folds batch norms into their producing
-//!   convolutions ([`crate::fold_batchnorm`]), then absorbs the exact
-//!   identity batch norms and trailing ReLUs into the producing step, so
-//!   `conv → BN → ReLU` executes as **one kernel** (the ReLU runs in the
-//!   packed GEMM write-back epilogue — no extra sweep over the output).
-//! * [`SelectAlgorithms`] — a per-layer cost model (FLOPs, im2col
-//!   footprint, *measured* weight sparsity) choosing among the kernel
-//!   registry's rows ([`crate::algo`]) that apply to the layer. The
-//!   global `conv_algo`/`gemm_algo` knobs remain available as
-//!   overrides: a non-default base value wins over the model, and each
-//!   step is tagged with the row it resolves to.
-//! * [`Autotune`] — opt-in empirical refinement: micro-benchmarks the
-//!   top-2 cost-model candidates per layer shape and persists winners to
-//!   a tuning cache keyed by shape and thread count, reused across
-//!   sessions (`CNN_STACK_TUNE_CACHE`, then `~/.cache/cnn-stack/`).
+//! [`InferencePlan::compile`] is the same function without steps 2, 4, 5
+//! and 6: one step per layer under the one global configuration — the
+//! paper's "pick a configuration for the whole network" baseline. Both
+//! share the validation, the lowering, the step emission and the
+//! admission check.
 //!
 //! Compilation mutates the network (folding rewrites weights, selection
 //! may switch weight formats) — it is a deployment-time transformation,
-//! like calling [`crate::fold_batchnorm`] by hand. Pass order matters:
-//! fusion first (it re-lowers after folding), selection second (it keeps
-//! fusion's `fused_relu` flags), autotune last.
+//! like calling [`crate::fold_batchnorm`] by hand. A rejected input
+//! leaves it untouched: validation runs before anything folds. It reads
+//! no environment variable and touches no file.
 //!
 //! # Example
 //!
@@ -61,221 +70,186 @@
 //! let y = session.run(&Tensor::zeros([1, 3, 8, 8])).unwrap();
 //! assert_eq!(y.shape().dims(), &[1, 10]);
 //! ```
+//!
+//! [`Layer::check_input`]: crate::Layer::check_input
 
 pub use crate::algo::AlgoChoice;
 use crate::algo::{self, LayerShape};
-use crate::engine::{compile_step, InferencePlan, PlanStep};
+use crate::engine::{InferencePlan, PlanStep};
 use crate::error::{Error, PlanError};
 use crate::fold;
 use crate::ir::{self, IrOp, OpKind};
-use crate::layer::{ExecConfig, Phase, WeightFormat};
+use crate::layer::{ExecConfig, WeightFormat};
 use crate::liveness::{MemoryFootprint, StepExtent};
 use crate::network::Network;
 use crate::weights::Weights;
-use cnn_stack_tensor::{winograd_bank_elems, Tensor, WinogradGeometry, WinogradTile};
+use cnn_stack_tensor::{winograd_bank_elems, WinogradGeometry, WinogradTile};
 use std::fmt::Write as _;
-use std::path::{Path, PathBuf};
-use std::time::Instant;
 
-/// Mutable compilation state handed to each [`PlanPass`]: the network,
-/// the base configuration, and the op list being rewritten.
-pub struct PassContext<'a> {
-    net: &'a mut Network,
-    input_shape: Vec<usize>,
-    base_cfg: ExecConfig,
-    /// The op list; passes rewrite it in place.
-    pub ops: Vec<IrOp>,
-}
-
-impl PassContext<'_> {
-    /// The network under compilation.
-    pub fn net(&mut self) -> &mut Network {
-        self.net
-    }
-
-    /// The compilation input shape.
-    pub fn input_shape(&self) -> &[usize] {
-        &self.input_shape
-    }
-
-    /// The base (global) configuration compilation started from.
-    pub fn base_cfg(&self) -> &ExecConfig {
-        &self.base_cfg
-    }
-
-    /// Re-lowers the network into a fresh op list, discarding all spans
-    /// and per-op configuration decisions made so far. Passes that
-    /// mutate network weights (e.g. batch-norm folding) call this before
-    /// making structural decisions.
-    pub fn relower(&mut self) -> Result<(), Error> {
-        self.ops = ir::lower(self.net, &self.input_shape, &self.base_cfg)?;
-        Ok(())
-    }
-}
-
-/// One rewrite of the op list; see the [module docs](self) for the
-/// shipped passes and their ordering contract.
-pub trait PlanPass {
-    /// Pass name, for diagnostics.
-    fn name(&self) -> &'static str;
-    /// Rewrites `ctx.ops` (and possibly the network).
-    fn run(&self, ctx: &mut PassContext) -> Result<(), Error>;
-}
-
-/// An ordered pass pipeline that compiles a network into an
-/// [`InferencePlan`]; see the [module docs](self).
-#[derive(Default)]
-pub struct PlanCompiler {
-    passes: Vec<Box<dyn PlanPass>>,
-}
+/// The plan compiler; see the [module docs](self) for its one pipeline.
+#[derive(Clone, Copy, Debug)]
+pub struct PlanCompiler;
 
 impl PlanCompiler {
-    /// An empty pipeline — [`run`](Self::run) then matches
-    /// [`InferencePlan::compile`] step for step.
-    pub fn new() -> Self {
-        PlanCompiler { passes: Vec::new() }
-    }
-
-    /// The default deployment pipeline: [`FoldAndFuse`] then
-    /// [`SelectAlgorithms`].
+    /// The deployment pipeline — the only one there is.
     pub fn standard() -> Self {
-        Self::new()
-            .with_pass(FoldAndFuse)
-            .with_pass(SelectAlgorithms)
+        PlanCompiler
     }
 
-    /// Appends a pass to the pipeline.
-    pub fn with_pass(mut self, pass: impl PlanPass + 'static) -> Self {
-        self.passes.push(Box::new(pass));
-        self
-    }
-
-    /// Runs the pipeline: lower, apply every pass in order, solve the
-    /// memory budget if one is set, lower the final op list to plan
-    /// steps.
+    /// Compiles `net` for `input_shape` under `cfg`: validate, fold,
+    /// lower, fuse, select, fit the budget if one is set, emit the
+    /// steps, admit.
     ///
     /// # Errors
     ///
     /// Returns [`Error::InvalidConfig`] on a zero thread count, an
-    /// empty/zero-extent input shape, or a layer/shape rank mismatch —
-    /// the same contract as [`InferencePlan::compile`]. With
-    /// `cfg.plan_budget` set, returns
-    /// [`PlanError::BudgetInfeasible`] (as [`Error::Plan`]) when even
-    /// the smallest-workspace algorithm selection cannot fit the
+    /// empty/zero-extent input shape, or a shape some layer's
+    /// [`Layer::check_input`] refuses (a rank, channel or feature
+    /// mismatch) — the same contract as [`InferencePlan::compile`], and
+    /// the network is left untouched. With `cfg.plan_budget` set,
+    /// returns [`PlanError::BudgetInfeasible`] (as [`Error::Plan`]) when
+    /// even the smallest-workspace algorithm selection cannot fit the
     /// budget; the error carries the smallest feasible budget.
+    ///
+    /// [`Layer::check_input`]: crate::Layer::check_input
     pub fn run(
         &self,
         net: &mut Network,
         input_shape: &[usize],
         cfg: &ExecConfig,
     ) -> Result<InferencePlan, Error> {
-        if cfg.threads == 0 {
-            return Err(Error::InvalidConfig(
-                "at least one thread required".to_string(),
-            ));
-        }
-        if input_shape.is_empty() || input_shape.contains(&0) {
-            return Err(Error::InvalidConfig(format!(
-                "input shape {input_shape:?} must be non-empty with non-zero extents"
-            )));
-        }
-        let mut ctx = PassContext {
-            ops: ir::lower(net, input_shape, cfg)?,
-            net,
-            input_shape: input_shape.to_vec(),
-            base_cfg: *cfg,
-        };
-        for pass in &self.passes {
-            pass.run(&mut ctx)?;
-        }
-        if let Some(budget) = cfg.plan_budget {
-            fit_budget(&mut ctx, budget)?;
-        }
-        let mut steps: Vec<PlanStep> = Vec::with_capacity(ctx.ops.len());
-        for op in &ctx.ops {
-            let layer = ctx.net.layers()[op.layer].as_ref();
-            let mut step = compile_step(layer, op.layer, &op.input_shape, &op.cfg)?;
-            step.span = op.span;
-            step.name = op.name.clone();
-            step.macs = op.macs;
-            steps.push(step);
-        }
-        let plan = InferencePlan::from_parts(input_shape.to_vec(), *cfg, steps);
-        // Admission: after best-effort solving (or a standdown on user
-        // overrides) the plan either fits or nothing reachable does —
-        // the solved plan's peak *is* the smallest feasible budget.
-        if let Some(budget) = cfg.plan_budget {
-            let peak = plan.footprint().peak_bytes;
-            if peak > budget {
-                return Err(Error::Plan(PlanError::BudgetInfeasible {
-                    budget_bytes: budget,
-                    min_feasible_bytes: peak,
-                }));
-            }
-        }
-        Ok(plan)
-    }
-}
-
-// ---------------------------------------------------------------------
-// Pass 1: fold-and-fuse
-// ---------------------------------------------------------------------
-
-/// Folds batch norms into their producers, then absorbs exact-identity
-/// batch norms and trailing ReLUs into the producing conv/depthwise/linear
-/// step;
-/// see the [module docs](self).
-pub struct FoldAndFuse;
-
-impl PlanPass for FoldAndFuse {
-    fn name(&self) -> &'static str {
-        "fold-and-fuse"
-    }
-
-    fn run(&self, ctx: &mut PassContext) -> Result<(), Error> {
+        validate(net, input_shape, cfg)?;
         // The exact variant also folds near-identity batch norms
         // (`scale = 1/sqrt(1 + eps)`), which must execute if kept but
         // become absorbable exact identities once folded.
-        fold::fold_batchnorm_exact(ctx.net);
-        // Folding rewrote weights and turned batch norms into exact
-        // identities — re-derive the op facts before fusing.
-        ctx.relower()?;
-        let ops = std::mem::take(&mut ctx.ops);
-        let mut fused: Vec<IrOp> = Vec::with_capacity(ops.len());
-        let mut iter = ops.into_iter().peekable();
-        while let Some(mut op) = iter.next() {
-            // conv/dw/linear + exact-identity BN → skip the BN.
-            if op.kind.absorbs_identity_bn()
-                && matches!(
-                    iter.peek().map(|n| &n.kind),
-                    Some(OpKind::BatchNorm { identity: true, .. })
-                )
-            {
-                let bn = iter.next().expect("peeked");
-                op.span += bn.span;
-                op.macs += bn.macs;
-                op.output_shape = bn.output_shape;
-                op.name.push_str(" + bn");
-            }
-            // conv/dw/linear + ReLU → one kernel (GEMM write-back epilogue,
-            // or the depthwise kernel's final write).
-            if op.kind.fuses_relu() && matches!(iter.peek().map(|n| &n.kind), Some(OpKind::Relu)) {
-                let relu = iter.next().expect("peeked");
-                op.span += relu.span;
-                op.macs += relu.macs;
-                op.output_shape = relu.output_shape;
-                op.cfg.fused_relu = true;
-                op.name.push_str(" + relu");
-            }
-            fused.push(op);
+        fold::fold_batchnorm_exact(net);
+        let mut ops = fuse(ir::lower(net, input_shape, cfg));
+        select(net, &mut ops, cfg);
+        if let Some(budget) = cfg.plan_budget {
+            fit_budget(net, &mut ops, cfg, budget);
         }
-        ctx.ops = fused;
-        Ok(())
+        emit(net, input_shape, cfg, &ops)
     }
 }
 
+/// [`InferencePlan::compile`]: the pipeline without fold, fuse, select
+/// and fit — one unfused step per layer under `cfg`.
+pub(crate) fn compile_global(
+    net: &Network,
+    input_shape: &[usize],
+    cfg: &ExecConfig,
+) -> Result<InferencePlan, Error> {
+    validate(net, input_shape, cfg)?;
+    emit(net, input_shape, cfg, &ir::lower(net, input_shape, cfg))
+}
+
+/// Step 1: rejects a zero thread count, an empty or zero-extent input
+/// shape, and the first layer whose [`Layer::check_input`] refuses the
+/// shape reaching it. Reads the network only, so a rejected input
+/// leaves it untouched, and everything after may index shapes freely.
+///
+/// [`Layer::check_input`]: crate::Layer::check_input
+fn validate(net: &Network, input_shape: &[usize], cfg: &ExecConfig) -> Result<(), Error> {
+    if cfg.threads == 0 {
+        return Err(Error::InvalidConfig(
+            "at least one thread required".to_string(),
+        ));
+    }
+    if input_shape.is_empty() || input_shape.contains(&0) {
+        return Err(Error::InvalidConfig(format!(
+            "input shape {input_shape:?} must be non-empty with non-zero extents"
+        )));
+    }
+    let mut shape = input_shape.to_vec();
+    for layer in net.layers() {
+        layer.check_input(&shape)?;
+        shape = layer.descriptor(&shape).output_shape;
+    }
+    Ok(())
+}
+
+/// Steps 7 and 8: one [`PlanStep`] per op, then the budget's admission
+/// check. After best-effort solving — or a standdown on a user override,
+/// or a global compile, which has no per-layer freedom — the plan either
+/// fits or nothing reachable does: its peak *is* the smallest feasible
+/// budget.
+fn emit(
+    net: &Network,
+    input_shape: &[usize],
+    cfg: &ExecConfig,
+    ops: &[IrOp],
+) -> Result<InferencePlan, Error> {
+    let steps = ops.iter().map(|op| step(net, op)).collect();
+    let plan = InferencePlan::from_parts(input_shape.to_vec(), *cfg, steps);
+    if let Some(budget) = cfg.plan_budget {
+        let peak = plan.footprint().peak_bytes;
+        if peak > budget {
+            return Err(Error::Plan(PlanError::BudgetInfeasible {
+                budget_bytes: budget,
+                min_feasible_bytes: peak,
+            }));
+        }
+    }
+    Ok(plan)
+}
+
+/// The plan step for `op` under its current configuration: the primary
+/// layer's shapes and traffic, the kernel's own workspace and GEMM plan,
+/// and the op's name, span and fused MACs.
+fn step(net: &Network, op: &IrOp) -> PlanStep {
+    let layer = net.layers()[op.layer].as_ref();
+    let shape = &op.input_shape;
+    let d = layer.descriptor(shape);
+    PlanStep {
+        name: op.name.clone(),
+        layer: op.layer,
+        span: op.span,
+        cfg: op.cfg,
+        input_shape: shape.clone(),
+        output_shape: d.output_shape,
+        input_elems: d.input_elems,
+        output_elems: d.output_elems,
+        workspace_elems: layer.forward_scratch_elems(shape, &op.cfg),
+        gemm: layer.gemm_plan(shape, &op.cfg),
+        macs: op.macs,
+        bytes: 4 * (d.input_elems + d.output_elems + d.weight_nnz) as u64,
+    }
+}
+
+/// Step 4: absorbs each exact-identity batch norm and each trailing
+/// ReLU into the conv/depthwise/linear op that produces its input.
+fn fuse(ops: Vec<IrOp>) -> Vec<IrOp> {
+    let mut fused: Vec<IrOp> = Vec::with_capacity(ops.len());
+    let mut iter = ops.into_iter().peekable();
+    while let Some(mut op) = iter.next() {
+        // conv/dw/linear + exact-identity BN → skip the BN.
+        if op.kind.absorbs_identity_bn()
+            && matches!(
+                iter.peek().map(|n| &n.kind),
+                Some(OpKind::BatchNorm { identity: true })
+            )
+        {
+            let bn = iter.next().expect("peeked");
+            op.span += bn.span;
+            op.macs += bn.macs;
+            op.name.push_str(" + bn");
+        }
+        // conv/dw/linear + ReLU → one kernel (GEMM write-back epilogue,
+        // or the depthwise kernel's final write).
+        if op.kind.fuses_relu() && matches!(iter.peek().map(|n| &n.kind), Some(OpKind::Relu)) {
+            let relu = iter.next().expect("peeked");
+            op.span += relu.span;
+            op.macs += relu.macs;
+            op.cfg.fused_relu = true;
+            op.name.push_str(" + relu");
+        }
+        fused.push(op);
+    }
+    fused
+}
+
 // ---------------------------------------------------------------------
-// Pass 2: algorithm selection
+// Step 5: algorithm selection
 // ---------------------------------------------------------------------
 
 // Cost-model throughput anchors, measured on this crate's own kernels
@@ -493,18 +467,19 @@ fn candidates(op: &IrOp) -> Vec<(AlgoChoice, f64)> {
     c
 }
 
-/// Applies `choice` to the op's config and to the layer's label.
+/// Applies `choice` to the op's config and to the layer's label, and
+/// tags the step name with it.
 fn apply_choice(net: &mut Network, op: &mut IrOp, choice: AlgoChoice) {
     let weights = Weights::of_mut(net.layers_mut()[op.layer].as_mut())
         .expect("choices are only proposed for conv/linear ops");
     choice.apply(&mut op.cfg, weights);
-    // Keep the IR's format fact in sync for later passes.
+    // Keep the IR's format fact in sync with the label.
     if let OpKind::Conv { format, .. } | OpKind::Linear { format, .. } = &mut op.kind {
         *format = weights.format();
     }
-    // Tag the step name with the winning algorithm so plan reports show
-    // per-layer choices. Replace any tag from an earlier pass (autotune
-    // re-applies on top of cost-model selection).
+    // Tag the step name with the algorithm so plan reports show
+    // per-layer choices, replacing the tag of an earlier application
+    // (the budget solver re-applies on top of selection).
     if op.name.ends_with(']') {
         if let Some(pos) = op.name.rfind(" [") {
             op.name.truncate(pos);
@@ -513,46 +488,33 @@ fn apply_choice(net: &mut Network, op: &mut IrOp, choice: AlgoChoice) {
     let _ = write!(op.name, " [{}]", choice.tag());
 }
 
-/// Whether the base config carries a user override: a non-default
+/// Whether the config carries a user override: a non-default
 /// `conv_algo` or `gemm_algo` is the caller's choice, and neither
-/// [`SelectAlgorithms`] nor the budget solver rewrites it.
-fn user_override(base: &ExecConfig) -> bool {
+/// [`select`] nor the budget solver rewrites it.
+fn user_override(cfg: &ExecConfig) -> bool {
     let defaults = ExecConfig::serial();
-    base.conv_algo != defaults.conv_algo || base.gemm_algo != defaults.gemm_algo
+    cfg.conv_algo != defaults.conv_algo || cfg.gemm_algo != defaults.gemm_algo
 }
 
-/// Chooses an execution strategy per conv/linear op from the cost model;
-/// see the [module docs](self). A non-default `conv_algo` or `gemm_algo`
-/// in the base config is a user override: the model chooses nothing,
-/// and each op is put on the row the override resolves to, so its step
-/// names and records the kernel it runs.
-pub struct SelectAlgorithms;
-
-impl PlanPass for SelectAlgorithms {
-    fn name(&self) -> &'static str {
-        "select-algorithms"
-    }
-
-    fn run(&self, ctx: &mut PassContext) -> Result<(), Error> {
-        let overridden = user_override(&ctx.base_cfg);
-        let mut ops = std::mem::take(&mut ctx.ops);
-        for op in &mut ops {
-            let choice = if overridden {
-                resolved(op)
-            } else {
-                candidates(op).first().map(|&(best, _)| best)
-            };
-            if let Some(choice) = choice {
-                apply_choice(ctx.net, op, choice);
-            }
+/// Step 5: puts each conv/linear op on its cheapest candidate — or,
+/// under a user override, on the row the override resolves to, so its
+/// step names and records the kernel it runs.
+fn select(net: &mut Network, ops: &mut [IrOp], cfg: &ExecConfig) {
+    let overridden = user_override(cfg);
+    for op in ops {
+        let choice = if overridden {
+            resolved(op)
+        } else {
+            candidates(op).first().map(|&(best, _)| best)
+        };
+        if let Some(choice) = choice {
+            apply_choice(net, op, choice);
         }
-        ctx.ops = ops;
-        Ok(())
     }
 }
 
 // ---------------------------------------------------------------------
-// Budget solver: fastest plan under N bytes
+// Step 6: budget solver — fastest plan under N bytes
 // ---------------------------------------------------------------------
 
 /// One algorithm option for one op during budget solving. `choice` is
@@ -564,62 +526,51 @@ struct BudgetCand {
     extent: StepExtent,
 }
 
-/// Memory extent of one op compiled under its current per-op config —
-/// a real `compile_step` probe, so the workspace numbers are the
-/// kernels' own, not a cost-model estimate.
-fn op_extent(net: &Network, op: &IrOp) -> Result<StepExtent, Error> {
-    let step = compile_step(
-        net.layers()[op.layer].as_ref(),
-        op.layer,
-        &op.input_shape,
-        &op.cfg,
-    )?;
-    Ok(StepExtent {
+/// Memory extent of one op under its current per-op config — the
+/// emitted step's own, so the workspace numbers are the kernels', not a
+/// cost-model estimate.
+fn op_extent(net: &Network, op: &IrOp) -> StepExtent {
+    let step = step(net, op);
+    StepExtent {
         output_elems: step.output_elems,
         workspace_elems: step.workspace_elems,
-    })
+    }
 }
 
-/// Solves "fastest plan under the budget" over the pipeline's op list.
+/// Step 6: solves "fastest plan under the budget" over the op list.
 ///
-/// The solver first checks the liveness-derived peak of the current
-/// selection; when it already fits, nothing changes (an autotuned
-/// winner stays an autotuned winner). When over budget, it probes every
-/// conv/linear candidate's true workspace via [`compile_step`] and then
-/// greedily demotes: each round it evaluates, for every op, a move to
+/// The solver first checks the liveness-derived peak of the selection;
+/// when it already fits, nothing changes. When over budget, it probes
+/// every conv/linear candidate's true workspace and then greedily
+/// demotes, starting from each op's cheapest candidate (the one
+/// [`select`] left): each round it evaluates, for every op, a move to
 /// that op's fastest strictly-smaller-workspace algorithm (im2col +
 /// packed falls back towards Winograd/direct, packed linear towards
 /// blocked), recomputes the coloured peak each move would produce, and
 /// applies the move with the lowest resulting peak, breaking ties
-/// towards the smallest predicted slowdown. Once the plan fits, demotions
-/// the budget turns out not to need are handed back, largest predicted
-/// saving first. When every op sits at its
-/// smallest workspace and the plan still exceeds the budget, the floor
-/// selection is left applied and the caller's admission check reports
+/// towards the smallest predicted slowdown. Once the plan fits,
+/// demotions the budget turns out not to need are handed back, largest
+/// predicted saving first. When every op sits at its smallest workspace
+/// and the plan still exceeds the budget, the floor selection is left
+/// applied and the admission check reports
 /// [`PlanError::BudgetInfeasible`] with that floor as the smallest
 /// feasible budget.
 ///
-/// A non-default `conv_algo`/`gemm_algo` in the base config is a user
-/// override and the solver stands down, exactly like
-/// [`SelectAlgorithms`]: the admission check then reports infeasibility
-/// rather than silently rewriting the user's plan.
-fn fit_budget(ctx: &mut PassContext, budget_bytes: usize) -> Result<(), Error> {
-    if user_override(&ctx.base_cfg) {
-        return Ok(());
+/// A non-default `conv_algo`/`gemm_algo` in the config is a user
+/// override and the solver stands down, exactly like [`select`]: the
+/// admission check then reports infeasibility rather than silently
+/// rewriting the user's plan.
+fn fit_budget(net: &mut Network, ops: &mut [IrOp], cfg: &ExecConfig, budget_bytes: usize) {
+    if user_override(cfg) {
+        return;
     }
     let peak_bytes = |extents: &[StepExtent]| MemoryFootprint::of(extents).peak_bytes;
-    let current: Vec<StepExtent> = ctx
-        .ops
-        .iter()
-        .map(|op| op_extent(ctx.net, op))
-        .collect::<Result<_, _>>()?;
+    let current: Vec<StepExtent> = ops.iter().map(|op| op_extent(net, op)).collect();
     if peak_bytes(&current) <= budget_bytes {
-        return Ok(());
+        return;
     }
 
-    let mut ops = std::mem::take(&mut ctx.ops);
     let mut tables: Vec<Vec<BudgetCand>> = Vec::with_capacity(ops.len());
-    let mut selected: Vec<usize> = Vec::with_capacity(ops.len());
     for (op, cur) in ops.iter_mut().zip(&current) {
         let cands = candidates(op);
         if cands.is_empty() {
@@ -628,31 +579,21 @@ fn fit_budget(ctx: &mut PassContext, budget_bytes: usize) -> Result<(), Error> {
                 secs: 0.0,
                 extent: *cur,
             }]);
-            selected.push(0);
             continue;
         }
-        // Record which candidate the pipeline currently has applied
-        // *before* probing overwrites the op's config, so the solver
-        // starts from the pipeline's selection (including an autotuned
-        // winner) rather than from the predicted-fastest.
-        let current = resolved(op);
-        let init = cands
-            .iter()
-            .position(|&(c, _)| Some(c) == current)
-            .unwrap_or(0);
         let mut table = Vec::with_capacity(cands.len());
         for (choice, secs) in cands {
-            apply_choice(ctx.net, op, choice);
+            apply_choice(net, op, choice);
             table.push(BudgetCand {
                 choice: Some(choice),
                 secs,
-                extent: op_extent(ctx.net, op)?,
+                extent: op_extent(net, op),
             });
         }
         tables.push(table);
-        selected.push(init);
     }
-    let init_of = selected.clone();
+    // Every op starts on its cheapest candidate, where selection put it.
+    let mut selected = vec![0usize; ops.len()];
 
     loop {
         let extents: Vec<StepExtent> = tables
@@ -688,7 +629,7 @@ fn fit_budget(ctx: &mut PassContext, budget_bytes: usize) -> Result<(), Error> {
         }
         let Some((i, j, _, _)) = best else {
             // Every op already sits at its smallest workspace; the
-            // caller's admission check reports the floor.
+            // admission check reports the floor.
             break;
         };
         selected[i] = j;
@@ -698,7 +639,7 @@ fn fit_budget(ctx: &mut PassContext, budget_bytes: usize) -> Result<(), Error> {
     // leaves the peak where it was still takes one, so the loop can end
     // with demotions that saved nothing. While the plan fits, hand back
     // the largest predicted saving: a demoted op's fastest candidate
-    // between its starting one and its current one that still fits.
+    // faster than its current one that still fits.
     loop {
         let extents: Vec<StepExtent> = tables
             .iter()
@@ -710,8 +651,7 @@ fn fit_budget(ctx: &mut PassContext, budget_bytes: usize) -> Result<(), Error> {
         }
         let mut best: Option<(usize, usize, f64)> = None;
         for (i, table) in tables.iter().enumerate() {
-            let init = init_of[i];
-            let Some(j) = (init..selected[i]).find(|&j| {
+            let Some(j) = (0..selected[i]).find(|&j| {
                 let mut trial = extents.clone();
                 trial[i] = table[j].extent;
                 peak_bytes(&trial) <= budget_bytes
@@ -731,244 +671,17 @@ fn fit_budget(ctx: &mut PassContext, budget_bytes: usize) -> Result<(), Error> {
     // them on each op's last-probed candidate).
     for (op, (table, &j)) in ops.iter_mut().zip(tables.iter().zip(&selected)) {
         if let Some(choice) = table[j].choice {
-            apply_choice(ctx.net, op, choice);
+            apply_choice(net, op, choice);
         }
-    }
-    ctx.ops = ops;
-    Ok(())
-}
-
-// ---------------------------------------------------------------------
-// Pass 3: empirical autotune
-// ---------------------------------------------------------------------
-
-/// Opt-in empirical refinement of the cost model: micro-benchmarks the
-/// top-2 predicted candidates per conv/linear op and applies the
-/// measured winner, persisting it to a tuning cache so later
-/// compilations of the same shape skip the measurement.
-///
-/// Cache resolution order: an explicit
-/// [`with_cache_path`](Autotune::with_cache_path) argument, the
-/// `CNN_STACK_TUNE_CACHE` environment variable, then
-/// `~/.cache/cnn-stack/tune.tsv`. Entries are keyed by op kind, GEMM
-/// dimensions, kernel extent and stride (convolutions), batch,
-/// measured-sparsity bucket, and thread count. Cache I/O is best-effort:
-/// an unreadable or unwritable cache degrades to measuring every
-/// compilation.
-pub struct Autotune {
-    cache_path: Option<PathBuf>,
-    samples: u32,
-}
-
-impl Autotune {
-    /// Autotuner with the default cache resolution.
-    pub fn new() -> Self {
-        Autotune {
-            cache_path: None,
-            samples: 3,
-        }
-    }
-
-    /// Autotuner writing to an explicit cache file (tests point this at
-    /// a temp dir for determinism).
-    pub fn with_cache_path(path: impl Into<PathBuf>) -> Self {
-        Autotune {
-            cache_path: Some(path.into()),
-            samples: 3,
-        }
-    }
-
-    fn resolve_cache_path(&self) -> Option<PathBuf> {
-        if let Some(p) = &self.cache_path {
-            return Some(p.clone());
-        }
-        if let Ok(p) = std::env::var("CNN_STACK_TUNE_CACHE") {
-            if !p.is_empty() {
-                return Some(PathBuf::from(p));
-            }
-        }
-        std::env::var_os("HOME").map(|h| PathBuf::from(h).join(".cache/cnn-stack/tune.tsv"))
-    }
-
-    /// Best-of-`samples` wall-clock seconds for one forward of the op's
-    /// primary layer under `cfg`, after a warm-up run (which also packs
-    /// any plan-time panels via `prepare`).
-    fn measure(net: &mut Network, op: &IrOp, cfg: &ExecConfig, samples: u32) -> f64 {
-        let layer = &mut net.layers_mut()[op.layer];
-        layer.visit_mut(&mut |l| {
-            l.prepare(cfg);
-        });
-        let x = Tensor::from_fn(op.input_shape.clone(), |i| ((i % 23) as f32 - 11.0) * 0.05);
-        let _ = layer.forward(&x, Phase::Eval, cfg);
-        let mut best = f64::INFINITY;
-        for _ in 0..samples.max(1) {
-            let t = Instant::now();
-            let _ = layer.forward(&x, Phase::Eval, cfg);
-            best = best.min(t.elapsed().as_secs_f64());
-        }
-        best
-    }
-}
-
-impl Default for Autotune {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// Stable cache key for an op at one shape and thread count. A conv key
-/// states the kernel extent and stride beside the GEMM dimensions: the
-/// candidate list depends on them (Winograd is 3×3 stride-1 only), and
-/// two layers equal in `m·k·n` alone — conv3x3(3→8) and conv1x1(27→8)
-/// on one plane — are different problems for every kernel.
-fn tune_key(op: &IrOp, threads: usize) -> Option<String> {
-    let batch = op.input_shape.first().copied().unwrap_or(1);
-    match &op.kind {
-        OpKind::Conv {
-            geom,
-            out_channels,
-            sparsity,
-            ..
-        } => Some(format!(
-            "conv:m{}k{}n{}:k{}x{}s{}:b{batch}:sp{:.2}:t{threads}",
-            out_channels,
-            geom.patch_len(),
-            geom.out_positions(),
-            geom.k_h,
-            geom.k_w,
-            geom.stride,
-            sparsity,
-        )),
-        OpKind::Linear {
-            in_features,
-            out_features,
-            sparsity,
-            ..
-        } => Some(format!(
-            "linear:m{batch}k{in_features}n{out_features}:sp{:.2}:t{threads}",
-            sparsity,
-        )),
-        _ => None,
-    }
-}
-
-fn load_cache(path: &Path) -> Vec<(String, AlgoChoice)> {
-    let Ok(text) = std::fs::read_to_string(path) else {
-        return Vec::new();
-    };
-    text.lines()
-        .filter_map(|line| {
-            let (key, tag) = line.split_once('\t')?;
-            Some((key.to_string(), AlgoChoice::from_tag(tag)?))
-        })
-        .collect()
-}
-
-fn store_cache(path: &Path, entries: &[(String, AlgoChoice)]) {
-    if let Some(dir) = path.parent() {
-        let _ = std::fs::create_dir_all(dir);
-    }
-    let mut text = String::new();
-    for (key, choice) in entries {
-        text.push_str(key);
-        text.push('\t');
-        text.push_str(choice.tag());
-        text.push('\n');
-    }
-    let _ = std::fs::write(path, text);
-}
-
-impl PlanPass for Autotune {
-    fn name(&self) -> &'static str {
-        "autotune"
-    }
-
-    fn run(&self, ctx: &mut PassContext) -> Result<(), Error> {
-        let cache_path = self.resolve_cache_path();
-        let mut cache = cache_path.as_deref().map(load_cache).unwrap_or_default();
-        let mut dirty = false;
-        let threads = ctx.base_cfg.threads;
-        let mut ops = std::mem::take(&mut ctx.ops);
-        for op in &mut ops {
-            let Some(key) = tune_key(op, threads) else {
-                continue;
-            };
-            let cands = candidates(op);
-            if let Some(pos) = cache.iter().position(|(k, _)| *k == key) {
-                let cached = cache[pos].1;
-                if cands.iter().any(|&(c, _)| c == cached) {
-                    apply_choice(ctx.net, op, cached);
-                    continue;
-                }
-                // The line names a kernel that is no candidate for this
-                // op (a colliding key, a relabelled layer, a hand-edited
-                // file): drop it and measure, like a miss.
-                cache.remove(pos);
-                dirty = true;
-            }
-            let mut top: Vec<AlgoChoice> = cands.into_iter().take(2).map(|(c, _)| c).collect();
-            if top.len() < 2 {
-                continue; // nothing to compare; keep the selector's pick
-            }
-            // Light budget filter: a candidate whose own step residency
-            // (input + output + workspace are simultaneously live)
-            // exceeds the budget can never appear in a feasible plan,
-            // so don't spend samples measuring it. A budget-influenced
-            // winner must not enter the budget-agnostic tuning cache.
-            let mut cacheable = true;
-            if let Some(budget) = ctx.base_cfg.plan_budget {
-                let input_elems: usize = op.input_shape.iter().product();
-                let mut keep = Vec::with_capacity(top.len());
-                for &choice in &top {
-                    apply_choice(ctx.net, op, choice);
-                    let ext = op_extent(ctx.net, op)?;
-                    let resident = 4 * (input_elems + ext.output_elems + ext.workspace_elems);
-                    if resident <= budget {
-                        keep.push(choice);
-                    }
-                }
-                cacheable = keep.len() == top.len();
-                top = keep;
-                if top.is_empty() {
-                    continue; // nothing fits here; the budget solver repairs later
-                }
-                if top.len() == 1 {
-                    apply_choice(ctx.net, op, top[0]);
-                    continue;
-                }
-            }
-            let mut winner = top[0];
-            let mut best = f64::INFINITY;
-            for &choice in &top {
-                apply_choice(ctx.net, op, choice);
-                let t = Self::measure(ctx.net, op, &op.cfg, self.samples);
-                if t < best {
-                    best = t;
-                    winner = choice;
-                }
-            }
-            apply_choice(ctx.net, op, winner);
-            if cacheable {
-                cache.push((key, winner));
-                dirty = true;
-            }
-        }
-        ctx.ops = ops;
-        if dirty {
-            if let Some(path) = &cache_path {
-                store_cache(path, &cache);
-            }
-        }
-        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layer::{ConvAlgorithm, Layer};
+    use crate::layer::{ConvAlgorithm, Phase};
     use crate::{BatchNorm2d, Conv2d, Flatten, InferenceSession, Linear, MaxPool2d, Network, ReLU};
-    use cnn_stack_tensor::GemmAlgorithm;
+    use cnn_stack_tensor::{GemmAlgorithm, Tensor};
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
 
@@ -1001,29 +714,20 @@ mod tests {
         net
     }
 
-    #[test]
-    fn empty_pipeline_matches_compile() {
-        let mut net = fusable_net(11);
-        let cfg = ExecConfig::serial();
-        let direct = InferencePlan::compile(&net, &[2, 3, 8, 8], &cfg).unwrap();
-        let built = PlanCompiler::new()
-            .run(&mut net, &[2, 3, 8, 8], &cfg)
-            .unwrap();
-        assert_eq!(built.steps().len(), direct.steps().len());
-        for (a, b) in built.steps().iter().zip(direct.steps()) {
-            assert_eq!(a.name, b.name);
-            assert_eq!(a.span, 1);
-            assert_eq!(a.output_shape, b.output_shape);
+    /// A user override (`conv_algo: Im2col`): selection and the budget
+    /// solver stand down, so what is left to observe is fold and fuse.
+    fn fold_only() -> ExecConfig {
+        ExecConfig {
+            conv_algo: ConvAlgorithm::Im2col,
+            ..ExecConfig::serial()
         }
     }
 
     #[test]
     fn fold_and_fuse_collapses_conv_bn_relu() {
         let mut net = fusable_net(3);
-        let cfg = ExecConfig::serial();
-        let plan = PlanCompiler::new()
-            .with_pass(FoldAndFuse)
-            .run(&mut net, &[2, 3, 8, 8], &cfg)
+        let plan = PlanCompiler::standard()
+            .run(&mut net, &[2, 3, 8, 8], &fold_only())
             .unwrap();
         // 7 layers → 4 steps: [conv+bn+relu][pool][flatten][linear+relu].
         assert_eq!(plan.steps().len(), 4);
@@ -1038,7 +742,7 @@ mod tests {
     #[test]
     fn fused_plan_matches_unfused_execution() {
         let x = random([2, 3, 8, 8], 42);
-        let cfg = ExecConfig::serial();
+        let cfg = fold_only();
         // Reference: unfused network, uniform plan (folding is applied
         // to both networks first so the weights are identical).
         let mut reference = fusable_net(3);
@@ -1048,8 +752,7 @@ mod tests {
         let want = ref_session.run(&x).unwrap();
 
         let mut net = fusable_net(3);
-        let plan = PlanCompiler::new()
-            .with_pass(FoldAndFuse)
+        let plan = PlanCompiler::standard()
             .run(&mut net, &[2, 3, 8, 8], &cfg)
             .unwrap();
         let mut session = InferenceSession::new(&mut net, plan).unwrap();
@@ -1071,10 +774,8 @@ mod tests {
             Box::new(BatchNorm2d::new(3)),
         ])
         .unwrap();
-        let cfg = ExecConfig::serial();
-        let plan = PlanCompiler::new()
-            .with_pass(FoldAndFuse)
-            .run(&mut net, &[1, 3, 8, 8], &cfg)
+        let plan = PlanCompiler::standard()
+            .run(&mut net, &[1, 3, 8, 8], &fold_only())
             .unwrap();
         assert_eq!(plan.steps().len(), 2);
     }
@@ -1156,178 +857,6 @@ mod tests {
             // to folding tolerance is.
             assert!(err <= 1e-4 * w.abs().max(1.0), "got {g}, want {w}");
         }
-    }
-
-    #[test]
-    fn autotune_persists_and_reuses_cache() {
-        let dir = std::env::temp_dir().join(format!("cnn-stack-tune-test-{}", std::process::id()));
-        let path = dir.join("tune.tsv");
-        let _ = std::fs::remove_file(&path);
-        let cfg = ExecConfig::serial();
-
-        let mut net = fusable_net(13);
-        let plan_a = PlanCompiler::standard()
-            .with_pass(Autotune::with_cache_path(path.clone()))
-            .run(&mut net, &[1, 3, 8, 8], &cfg)
-            .unwrap();
-        let text = std::fs::read_to_string(&path).expect("cache written");
-        assert!(text.lines().count() >= 2, "conv and linear entries: {text}");
-
-        // Second compilation replays the cache: identical selections,
-        // no re-measurement dependence.
-        let mut net_b = fusable_net(13);
-        let plan_b = PlanCompiler::standard()
-            .with_pass(Autotune::with_cache_path(path.clone()))
-            .run(&mut net_b, &[1, 3, 8, 8], &cfg)
-            .unwrap();
-        for (a, b) in plan_a.steps().iter().zip(plan_b.steps()) {
-            assert_eq!(a.cfg.conv_algo, b.cfg.conv_algo, "step {}", a.name);
-            assert_eq!(a.cfg.gemm_algo, b.cfg.gemm_algo, "step {}", a.name);
-        }
-        let text_b = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(text, text_b, "cache hit must not rewrite the file");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn cache_round_trips_tags() {
-        for choice in AlgoChoice::ALL {
-            assert_eq!(AlgoChoice::from_tag(choice.tag()), Some(choice));
-        }
-        assert_eq!(AlgoChoice::from_tag("nonsense"), None);
-    }
-
-    /// Compiles `net` through `standard() + Autotune` against a cache
-    /// file holding exactly `line`, returning the plan and the file's
-    /// contents afterwards.
-    fn compile_with_cache_line(
-        net: &mut Network,
-        shape: &[usize],
-        line: &str,
-        name: &str,
-    ) -> (InferencePlan, String) {
-        let dir = std::env::temp_dir().join(format!("cnn-stack-{name}-{}", std::process::id()));
-        let path = dir.join("tune.tsv");
-        std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(&path, format!("{line}\n")).unwrap();
-        let plan = PlanCompiler::standard()
-            .with_pass(Autotune::with_cache_path(path.clone()))
-            .run(net, shape, &ExecConfig::serial())
-            .unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        let _ = std::fs::remove_dir_all(&dir);
-        (plan, text)
-    }
-
-    /// The `[tag]` the compiler left on a step name.
-    fn step_tag(step: &PlanStep) -> &str {
-        let open = step.name.rfind(" [").expect("tagged step");
-        &step.name[open + 2..step.name.len() - 1]
-    }
-
-    #[test]
-    fn autotune_drops_lines_naming_withdrawn_kernels() {
-        // `gemm-int8` and `fft` named registry rows that were withdrawn:
-        // a line whose tag no longer parses is dropped on load, the op is
-        // measured like a miss, and the stale line does not survive.
-        let shape = [1usize, 64];
-        let line = "linear:m1k64n10:sp0.00:t1\tgemm-int8";
-        let mut net = Network::new(vec![Box::new(Linear::new(64, 10, 3))]).unwrap();
-        let (plan, text) = compile_with_cache_line(&mut net, &shape, line, "replay-int8");
-        let fc = net.layers()[0].as_any().downcast_ref::<Linear>().unwrap();
-        assert_eq!(fc.format(), WeightFormat::Dense);
-        let cfg = plan.steps()[0].cfg;
-        assert_eq!(step_tag(&plan.steps()[0]), fc.runs(&cfg).tag());
-        assert_eq!(text.lines().count(), 1, "{text}");
-        assert!(text.starts_with("linear:m1k64n10:sp0.00:t1\t"), "{text}");
-        assert!(!text.contains("gemm-int8"), "stale line survived: {text}");
-        // The output is the f32 kernel's the step names, bit for bit —
-        // what compiling without the cache line produces.
-        let x = random(shape, 5);
-        let want = Linear::new(64, 10, 3).forward(&x, Phase::Eval, &cfg);
-        let got = InferenceSession::new(&mut net, plan)
-            .unwrap()
-            .run(&x)
-            .unwrap();
-        assert_eq!(got.data(), want.data());
-
-        let shape = [1usize, 3, 8, 8];
-        let line = "conv:m8k75n64:k5x5s1:b1:sp0.00:t1\tfft";
-        let mut net = Network::new(vec![Box::new(Conv2d::new(3, 8, 5, 1, 2, 4))]).unwrap();
-        let (plan, text) = compile_with_cache_line(&mut net, &shape, line, "replay-fft");
-        let conv = net.layers()[0].as_any().downcast_ref::<Conv2d>().unwrap();
-        let step = &plan.steps()[0];
-        assert_eq!(step_tag(step), conv.runs(&step.cfg).tag());
-        assert_eq!(text.lines().count(), 1, "{text}");
-        assert!(
-            text.starts_with("conv:m8k75n64:k5x5s1:b1:sp0.00:t1\t"),
-            "{text}"
-        );
-        assert!(!text.contains("fft"), "stale line survived: {text}");
-    }
-
-    #[test]
-    fn autotune_ignores_winograd_line_on_colliding_pointwise_key() {
-        // A line keyed for the 1×1 layer but naming a kernel that is no
-        // candidate for it (a hand-edited file): dropped, not replayed.
-        let shape = [1usize, 27, 8, 8];
-        let line = "conv:m8k27n64:k1x1s1:b1:sp0.00:t1\twinograd-f4";
-        let mut net = Network::new(vec![Box::new(Conv2d::new(27, 8, 1, 1, 0, 4))]).unwrap();
-        let (plan, _) = compile_with_cache_line(&mut net, &shape, line, "replay-f4");
-        let conv = net.layers()[0].as_any().downcast_ref::<Conv2d>().unwrap();
-        let step = &plan.steps()[0];
-        assert_ne!(step.cfg.conv_algo, ConvAlgorithm::WinogradF4);
-        assert_eq!(step_tag(step), conv.runs(&step.cfg).tag());
-    }
-
-    #[test]
-    fn colliding_gemm_dims_get_their_own_cache_lines() {
-        // conv3x3(3->8) and conv1x1(27->8) over an 8×8 map are both
-        // m8·k27·n64; keyed by that alone, the second layer compiled
-        // through the file replayed the first one's winner unmeasured.
-        let dir = std::env::temp_dir().join(format!("cnn-stack-tune-clash-{}", std::process::id()));
-        let path = dir.join("tune.tsv");
-        let _ = std::fs::remove_file(&path);
-        let wide = || Network::new(vec![Box::new(Conv2d::new(3, 8, 3, 1, 1, 4))]).unwrap();
-        let point = || Network::new(vec![Box::new(Conv2d::new(27, 8, 1, 1, 0, 4))]).unwrap();
-        let compile = |mut net: Network, shape: [usize; 4]| {
-            let plan = PlanCompiler::standard()
-                .with_pass(Autotune::with_cache_path(path.clone()))
-                .run(&mut net, &shape, &ExecConfig::serial())
-                .unwrap();
-            step_tag(&plan.steps()[0]).to_string()
-        };
-        let measured_wide = compile(wide(), [1, 3, 8, 8]);
-        let measured_point = compile(point(), [1, 27, 8, 8]);
-        let text = std::fs::read_to_string(&path).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 2, "one line per layer: {text}");
-        assert_eq!(
-            lines[0],
-            format!("conv:m8k27n64:k3x3s1:b1:sp0.00:t1\t{measured_wide}")
-        );
-        assert_eq!(
-            lines[1],
-            format!("conv:m8k27n64:k1x1s1:b1:sp0.00:t1\t{measured_point}")
-        );
-        // Each layer replays the row measured on it, and a hit rewrites
-        // nothing.
-        assert_eq!(compile(point(), [1, 27, 8, 8]), measured_point);
-        assert_eq!(compile(wide(), [1, 3, 8, 8]), measured_wide);
-        assert_eq!(std::fs::read_to_string(&path).unwrap(), text);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn autotune_ignores_ternary_line_on_non_ternary_weights() {
-        let shape = [1usize, 3, 8, 8];
-        let line = "conv:m8k27n64:k3x3s1:b1:sp0.00:t1\tim2col-ternary";
-        let mut net = Network::new(vec![Box::new(Conv2d::new(3, 8, 3, 1, 1, 4))]).unwrap();
-        let (plan, _) = compile_with_cache_line(&mut net, &shape, line, "replay-ternary");
-        let conv = net.layers()[0].as_any().downcast_ref::<Conv2d>().unwrap();
-        assert_ne!(conv.format(), WeightFormat::Ternary);
-        let step = &plan.steps()[0];
-        assert_eq!(step_tag(step), conv.runs(&step.cfg).tag());
     }
 
     fn budget_net(seed: u64) -> Network {

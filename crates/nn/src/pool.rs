@@ -1,7 +1,8 @@
 //! Pooling and shape layers: max pooling, global average pooling, flatten.
 
 use crate::descriptor::{LayerDescriptor, LayerKind};
-use crate::layer::{ExecConfig, Layer, WeightFormat};
+use crate::error::Error;
+use crate::layer::{check_nchw, ExecConfig, Layer, WeightFormat};
 use cnn_stack_tensor::Tensor;
 
 /// Non-overlapping max pooling (the paper's networks use 2×2/stride-2
@@ -40,8 +41,8 @@ impl MaxPool2d {
 }
 
 impl Layer for MaxPool2d {
-    fn min_input_rank(&self) -> usize {
-        4
+    fn check_input(&self, input_shape: &[usize]) -> Result<(), Error> {
+        check_nchw(self, input_shape, None)
     }
 
     fn as_any(&self) -> &dyn std::any::Any {
@@ -185,8 +186,8 @@ impl GlobalAvgPool {
 }
 
 impl Layer for GlobalAvgPool {
-    fn min_input_rank(&self) -> usize {
-        4
+    fn check_input(&self, input_shape: &[usize]) -> Result<(), Error> {
+        check_nchw(self, input_shape, None)
     }
 
     fn as_any(&self) -> &dyn std::any::Any {
@@ -290,8 +291,8 @@ impl Flatten {
 }
 
 impl Layer for Flatten {
-    fn min_input_rank(&self) -> usize {
-        4
+    fn check_input(&self, input_shape: &[usize]) -> Result<(), Error> {
+        check_nchw(self, input_shape, None)
     }
 
     fn as_any(&self) -> &dyn std::any::Any {

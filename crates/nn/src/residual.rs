@@ -5,7 +5,8 @@
 use crate::batchnorm::BatchNorm2d;
 use crate::conv::Conv2d;
 use crate::descriptor::{LayerDescriptor, LayerKind};
-use crate::layer::{forward_eval, ExecConfig, Layer, Param, Phase, WeightFormat};
+use crate::error::Error;
+use crate::layer::{check_nchw, forward_eval, ExecConfig, Layer, Param, Phase, WeightFormat};
 use crate::ReLU;
 use cnn_stack_tensor::Tensor;
 
@@ -176,8 +177,8 @@ impl ResidualBlock {
 }
 
 impl Layer for ResidualBlock {
-    fn min_input_rank(&self) -> usize {
-        4
+    fn check_input(&self, input_shape: &[usize]) -> Result<(), Error> {
+        check_nchw(self, input_shape, Some(self.conv1.in_channels()))
     }
 
     fn as_any(&self) -> &dyn std::any::Any {

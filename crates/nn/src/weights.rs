@@ -233,8 +233,8 @@ impl Weights {
         conv.or_else(|| any.downcast_ref::<Linear>().map(Linear::weights))
     }
 
-    /// [`of`](Self::of), mutably — the route by which a plan pass or a
-    /// demotion relabels whichever layer type it was handed.
+    /// [`of`](Self::of), mutably — the route by which plan compilation or
+    /// a demotion relabels whichever layer type it was handed.
     pub(crate) fn of_mut(layer: &mut dyn Layer) -> Option<&mut Weights> {
         let any = layer.as_any_mut();
         if any.is::<Conv2d>() {

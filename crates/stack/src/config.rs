@@ -104,11 +104,11 @@ pub enum PlanMode {
     /// where each grid cell fixes a single stack-wide option.
     #[default]
     Global,
-    /// Pass-based plan compilation (`PlanCompiler::standard`):
+    /// The plan compiler's pipeline (`PlanCompiler::standard`):
     /// batch-norm fold + conv/linear+ReLU fusion, then a per-layer
     /// algorithm/format choice from the cost model. When [`StackConfig`]
     /// carries a non-default `algorithm` or `format`, those act as
-    /// global overrides and the selection pass stands down.
+    /// global overrides and selection stands down.
     Selection,
 }
 

@@ -109,7 +109,7 @@ pub enum GemmAlgorithm {
 
 /// Element-wise epilogue fused into the packed engine's write-back.
 ///
-/// The fold-and-fuse plan pass collapses `conv → BN → ReLU` chains into a
+/// The plan compiler's fusion collapses `conv → BN → ReLU` chains into a
 /// single kernel; the activation then runs here, applied to each output
 /// tile as it is stored (no second sweep over `C`). The epilogue fires
 /// only on the **final** `kc` reduction block, when the accumulator for a

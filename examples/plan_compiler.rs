@@ -1,4 +1,4 @@
-//! Prints the pass-compiled execution plan — fusion spans and per-layer
+//! Prints the compiled execution plan — fusion spans and per-layer
 //! algorithm choices — for the paper's three models, plain and with the
 //! large layers magnitude-pruned to 99.5% sparsity. This regenerates the
 //! per-layer selection table in EXPERIMENTS.md (the paper's Fig. 7
@@ -106,8 +106,9 @@ fn budget_sweep() {
                     fp.reuse_bytes() as f64 / (1 << 20) as f64,
                 );
                 for s in plan.steps() {
-                    // Step names carry the selected algorithm as a
-                    // bracketed tag, e.g. "conv1_1 [im2col+packed]".
+                    // Step names carry the selected kernel-registry row
+                    // as a bracketed tag, e.g.
+                    // "conv3x3(64->64)/s1 + bn + relu [winograd-f4]".
                     println!("    {}", s.name);
                 }
             }

@@ -1,14 +1,16 @@
-//! Integration tests for the pass-based plan compiler: fused
+//! Integration tests for the plan compiler: one entry contract for
+//! `InferencePlan::compile` and `PlanCompiler::run` (every bad input
+//! gets the same error from both and leaves the weights alone), fused
 //! conv+BN+ReLU and dwconv+BN+ReLU equivalence against the unfused
 //! reference (property based, across strides/paddings/non-finite inputs
-//! and both depthwise loop orders), the pointwise
-//! packed-GEMM fast path, weight-panel cache invalidation through
-//! residual-block accessors, and autotune cache determinism.
+//! and both depthwise loop orders), the pointwise packed-GEMM fast path,
+//! weight-panel cache invalidation through residual-block accessors, and
+//! the selections and budget solutions pinned to measured VGG-16 plans.
 
 use cnn_stack::nn::{
-    fold_batchnorm, Autotune, BatchNorm2d, Conv2d, ConvAlgorithm, DepthwiseConv2d, ExecConfig,
-    Flatten, FoldAndFuse, GuardConfig, InferencePlan, InferenceSession, Layer, Linear, MaxPool2d,
-    Network, Phase, PlanCompiler, ReLU, ResidualBlock, WeightFormat,
+    fold_batchnorm, BatchNorm2d, Conv2d, ConvAlgorithm, DepthwiseConv2d, Error, ExecConfig,
+    Flatten, GuardConfig, InferencePlan, InferenceSession, Layer, Linear, Network, Phase,
+    PlanCompiler, ReLU, ResidualBlock, WeightFormat,
 };
 use cnn_stack::tensor::Tensor;
 use proptest::prelude::*;
@@ -60,6 +62,87 @@ fn deterministic_input(shape: [usize; 4]) -> Tensor {
     Tensor::from_fn(shape, |i| ((i * 29 % 17) as f32) * 0.11 - 0.9)
 }
 
+/// conv(3→4) → BN → ReLU → flatten → linear(4·8·8 → 5), its batch norm
+/// pushed off the identity so a fold would rewrite the conv's weights.
+fn contract_net() -> Network {
+    let mut net = Network::new(vec![
+        Box::new(Conv2d::new(3, 4, 3, 1, 1, 7)),
+        Box::new(BatchNorm2d::new(4)),
+        Box::new(ReLU::new()),
+        Box::new(Flatten::new()),
+        Box::new(Linear::new(4 * 8 * 8, 5, 8)),
+    ])
+    .unwrap();
+    net.layers_mut()[1]
+        .as_any_mut()
+        .downcast_mut::<BatchNorm2d>()
+        .unwrap()
+        .gamma_mut()
+        .value
+        .data_mut()
+        .fill(1.5);
+    net
+}
+
+/// Every parameter value of `net`, as bits.
+fn param_bits(net: &Network) -> Vec<u32> {
+    net.params()
+        .iter()
+        .flat_map(|p| p.value.data().iter().map(|v| v.to_bits()))
+        .collect()
+}
+
+/// Both entry points share one validation and one admission check: each
+/// bad input gets the same `Error` variant from `InferencePlan::compile`
+/// and from `PlanCompiler::standard().run`, and an input the validation
+/// rejects leaves the network's weights bit for bit as they were — the
+/// compiler folds nothing before it has checked every layer. The channel
+/// and feature cases used to compile (the standard plan priced the conv
+/// onto a Winograd row) and panic in the kernel on the first run.
+#[test]
+fn both_entry_points_reject_bad_inputs_alike() {
+    let ok = [1usize, 3, 8, 8];
+    let serial = ExecConfig::serial();
+    let zero_threads = ExecConfig {
+        threads: 0,
+        ..serial
+    };
+    let tiny_budget = ExecConfig::builder().plan_budget(64).build().unwrap();
+    let cases: [(&str, &[usize], &ExecConfig); 7] = [
+        ("zero threads", &ok, &zero_threads),
+        ("empty shape", &[], &serial),
+        ("zero extent", &[1, 3, 0, 8], &serial),
+        ("rank too low", &[3, 8, 8], &serial),
+        ("channel mismatch", &[1, 5, 8, 8], &serial),
+        ("feature mismatch", &[1, 3, 16, 16], &serial),
+        ("infeasible budget", &ok, &tiny_budget),
+    ];
+    let pristine = param_bits(&contract_net());
+    for (what, shape, cfg) in cases {
+        let mut net = contract_net();
+        let global = InferencePlan::compile(&net, shape, cfg).expect_err(what);
+        let standard = PlanCompiler::standard()
+            .run(&mut net, shape, cfg)
+            .expect_err(what);
+        assert_eq!(
+            std::mem::discriminant(&global),
+            std::mem::discriminant(&standard),
+            "{what}: {global:?} vs {standard:?}"
+        );
+        if what == "infeasible budget" {
+            // Admission runs after selection, which prices the folded
+            // weights: the standard pipeline has folded by then.
+            assert!(matches!(standard, Error::Plan(_)), "{what}: {standard:?}");
+        } else {
+            assert!(
+                matches!(standard, Error::InvalidConfig(_)),
+                "{what}: {standard:?}"
+            );
+            assert_eq!(param_bits(&net), pristine, "{what}: the weights changed");
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -96,10 +179,15 @@ proptest! {
             }
             _ => {}
         }
-        let cfg = ExecConfig::serial();
+        // A user override, on both sides: the compiler's selection
+        // stands down, so the one difference is fold and fuse.
+        let cfg = ExecConfig {
+            conv_algo: ConvAlgorithm::Im2col,
+            ..ExecConfig::serial()
+        };
 
         // Reference: fold the batch norm by hand (the same arithmetic
-        // the fold-and-fuse pass applies), then execute every layer
+        // the plan compiler applies), then execute every layer
         // separately — identity BN sweep, standalone ReLU sweep.
         let mut ref_net = conv_bn_relu_net(depthwise, kernel, stride, padding, seed);
         fold_batchnorm(&mut ref_net);
@@ -110,11 +198,10 @@ proptest! {
         let mut want = Tensor::zeros(ref_session.plan().output_shape().to_vec());
         ref_session.run_into(&input, &mut want).unwrap();
 
-        // Fused: the fold-and-fuse pass collapses all three layers into
-        // one step with a ReLU epilogue.
+        // Fused: the plan compiler folds and collapses all three layers
+        // into one step with a ReLU epilogue.
         let mut fused_net = conv_bn_relu_net(depthwise, kernel, stride, padding, seed);
-        let plan = PlanCompiler::new()
-            .with_pass(FoldAndFuse)
+        let plan = PlanCompiler::standard()
             .run(&mut fused_net, &shape, &cfg)
             .unwrap();
         prop_assert_eq!(plan.steps().len(), 1);
@@ -251,53 +338,6 @@ fn residual_set_format_refreshes_csr_from_current_weights() {
     ref_block.conv2_mut().set_format(WeightFormat::Csr);
     let want = ref_net.forward(&input, Phase::Eval, &ExecConfig::serial());
     assert!(got.allclose(&want, 0.0));
-}
-
-/// A fusable multi-stage network for the autotune smoke test.
-fn autotune_net(seed: u64) -> Network {
-    Network::new(vec![
-        Box::new(Conv2d::new(3, 6, 3, 1, 1, seed)),
-        Box::new(BatchNorm2d::new(6)),
-        Box::new(ReLU::new()),
-        Box::new(MaxPool2d::new(2)),
-        Box::new(Flatten::new()),
-        Box::new(Linear::new(6 * 4 * 4, 5, seed + 1)),
-    ])
-    .unwrap()
-}
-
-/// Autotuning with a fixed cache file is deterministic: the second
-/// compilation reuses the persisted winners and produces the identical
-/// plan without rewriting the cache.
-#[test]
-fn autotune_cache_reuse_is_deterministic() {
-    let dir = std::env::temp_dir().join(format!("cnn-stack-plan-passes-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let cache = dir.join("tune.tsv");
-    let shape = [1usize, 3, 8, 8];
-    let cfg = ExecConfig::serial();
-    let compiler = PlanCompiler::standard().with_pass(Autotune::with_cache_path(&cache));
-
-    let mut net_a = autotune_net(3);
-    let plan_a = compiler.run(&mut net_a, &shape, &cfg).unwrap();
-    let cache_after_first = std::fs::read_to_string(&cache).unwrap();
-    assert!(!cache_after_first.is_empty());
-
-    let mut net_b = autotune_net(3);
-    let plan_b = compiler.run(&mut net_b, &shape, &cfg).unwrap();
-    let cache_after_second = std::fs::read_to_string(&cache).unwrap();
-
-    assert_eq!(plan_a.steps().len(), plan_b.steps().len());
-    for (a, b) in plan_a.steps().iter().zip(plan_b.steps()) {
-        assert_eq!(a.name, b.name);
-        assert_eq!(a.span, b.span);
-        assert_eq!(a.cfg.conv_algo, b.cfg.conv_algo);
-        assert_eq!(a.cfg.gemm_algo, b.cfg.gemm_algo);
-        assert_eq!(a.cfg.fused_relu, b.cfg.fused_relu);
-    }
-    // A pure cache hit must not rewrite the file.
-    assert_eq!(cache_after_first, cache_after_second);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// The kernel-registry tag a compiled step carries.
@@ -555,40 +595,4 @@ fn vgg16_4mb_budget_moves_only_the_layers_that_set_the_peak() {
             "conv3x3(128->128)/s1 + bn + relu [im2col-packed]",
         ]
     );
-}
-
-/// Autotune over a large-kernel stem (31×31: no Winograd candidate)
-/// stays deterministic: the second compilation is a pure cache hit
-/// (byte stable file) and reproduces the identical selection.
-#[test]
-fn autotune_on_large_kernel_stem_is_cache_deterministic() {
-    let dir = std::env::temp_dir().join(format!("cnn-stack-stem-tune-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let cache = dir.join("tune.tsv");
-    let shape = [1usize, 2, 98, 98];
-    let cfg = ExecConfig::serial();
-    let compiler = PlanCompiler::standard().with_pass(Autotune::with_cache_path(&cache));
-
-    let mut net_a = Network::new(vec![
-        Box::new(Conv2d::new(2, 2, 31, 1, 0, 17)) as Box<dyn cnn_stack::nn::Layer>
-    ])
-    .unwrap();
-    let plan_a = compiler.run(&mut net_a, &shape, &cfg).unwrap();
-    let cache_first = std::fs::read_to_string(&cache).unwrap();
-    assert!(!cache_first.is_empty());
-
-    let mut net_b = Network::new(vec![
-        Box::new(Conv2d::new(2, 2, 31, 1, 0, 17)) as Box<dyn cnn_stack::nn::Layer>
-    ])
-    .unwrap();
-    let plan_b = compiler.run(&mut net_b, &shape, &cfg).unwrap();
-    let cache_second = std::fs::read_to_string(&cache).unwrap();
-
-    assert_eq!(cache_first, cache_second, "cache hit must not rewrite");
-    assert_eq!(
-        plan_a.steps()[0].cfg.conv_algo,
-        plan_b.steps()[0].cfg.conv_algo
-    );
-    assert_eq!(plan_a.steps()[0].name, plan_b.steps()[0].name);
-    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -4,7 +4,7 @@
 //! The text exporter sorts by timestamp and emits no durations, so a
 //! *sequential* session's trace depends only on the compiled plan —
 //! step names, fusion decisions, algorithm choices and step order — and
-//! regenerating it flags any silent change to the pass pipeline.
+//! regenerating it flags any silent change to the plan pipeline.
 //!
 //! To bless a new golden after an intentional plan change:
 //!
@@ -44,7 +44,7 @@ fn check_golden(name: &str, actual: &str) {
     );
 }
 
-/// Compiles `kind` through the standard pass pipeline at width 0.25,
+/// Compiles `kind` through the standard plan pipeline at width 0.25,
 /// runs one serial traced inference and returns the text trace.
 fn traced_run(kind: ModelKind) -> String {
     let mut model = kind.build_width(10, 0.25);
@@ -67,8 +67,8 @@ fn traced_run(kind: ModelKind) -> String {
     )
 }
 
-/// MobileNet exercises depthwise separable steps and the fold-and-fuse
-/// pass (conv + BN + ReLU collapse into one traced span each).
+/// MobileNet exercises depthwise separable steps and fold-and-fuse
+/// (conv + BN + ReLU collapse into one traced span each).
 #[test]
 fn mobilenet_trace_matches_golden() {
     check_golden("mobilenet_trace.txt", &traced_run(ModelKind::MobileNet));

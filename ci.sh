@@ -90,6 +90,15 @@ echo "== tests =="
 #   replica of a prepared network allocates no master-sized buffer.
 cargo test --workspace -q
 
+echo "== gemm debug assertions =="
+# The packed GEMM's tiles under debug assertions, forced on whatever the
+# test profile says: the AVX-512 skinny tile asserts that no lane load
+# leaves its A panel (an 8-float load at a panel's last k-step would read
+# 2 floats past it, so that step must take the masked 6-float load) and
+# that no C row it writes is wider than its live columns; the driver
+# asserts its `DisjointWriter` slices stay in bounds.
+CARGO_PROFILE_TEST_DEBUG_ASSERTIONS=true cargo test -q -p cnn-stack-tensor gemm::
+
 echo "== fault-injection tests =="
 # The injector only compiles under this feature; the run above doubles
 # as the proof that the default build excludes it (the
@@ -171,12 +180,16 @@ echo "== portable-kernels =="
 # hold the kernels to their references (the im2col packer property in
 # kernel_proptest is ISA-independent and simply runs again), and the
 # registry's table tests, which drive every row's dispatch arm. The same
-# holds one level up: on an AVX-512 host the AVX2 f32 full tile never
-# runs (the AVX-512 body takes the odd tail panels too). No variable
-# pins it — its cover is the in-crate
-# `gemm::tests::every_kernel_agrees_at_driver_level`, which passes each
-# supported kernel to the one shared loop nest explicitly and runs in
-# the workspace test stage above.
+# holds one level up: on an AVX-512 host neither AVX2 f32 tile runs —
+# the AVX-512 body takes the odd tail panels too, and the AVX-512
+# skinny tile takes every B panel of at most 8 live columns (four A
+# panels' rows in two ZMM registers, the few B values broadcast), where
+# the AVX2 host runs its 6x8 half tile. No variable pins them — their
+# cover is the in-crate `gemm::tests::every_kernel_agrees_at_driver_level`
+# (and `half_tile_bit_matches_full_tile_lanes`), which passes each
+# supported kernel to the one shared loop nest explicitly, holds the
+# skinny tile bit for bit to the half tile, and runs in the workspace
+# test stage above.
 CNN_STACK_GEMM_FORCE_SCALAR=1 cargo test -q \
   --test kernel_proptest --test gemm_equivalence --test conv_conformance \
   --test quant_invalidation
@@ -255,6 +268,14 @@ fi
 # no prototype switch survives.
 if grep -rnE 'microkernel_avx512_pair|PROTO_' crates src tests examples; then
   echo "ci: the replaced AVX-512 pair kernel (or a prototype switch) is back" >&2
+  exit 1
+fi
+
+# One skinny path per host: on AVX-512 a B panel of at most 8 live
+# columns runs the AVX-512 skinny tile, and the AVX-512 kernel never
+# reaches the AVX2 half tile again.
+if grep -rnF '(MicroKernel::Avx512, true)' crates src tests examples; then
+  echo "ci: the AVX-512 kernel reaches the AVX2 half tile again" >&2
   exit 1
 fi
 

@@ -1,5 +1,6 @@
-//! GEMM engine throughput sweep: naive / blocked / packed at the
-//! paper's convolution GEMM shapes, across thread counts, emitting
+//! GEMM engine throughput sweep: naive / blocked / packed (packing both
+//! operands per call) / prepacked (the engine alone) at the paper's
+//! convolution GEMM shapes, across thread counts, emitting
 //! `BENCH_gemm.json` at the repository root.
 //!
 //! The vendored criterion is a plain sampler without machine-readable
@@ -12,7 +13,7 @@
 //!       writes to target/BENCH_gemm.smoke.json (CI correctness check)
 
 use cnn_stack_parallel::{parallel_for, DisjointWriter, Schedule};
-use cnn_stack_tensor::{gemm, GemmPlan};
+use cnn_stack_tensor::{gemm, AlignedBuf, GemmPlan};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::fmt::Write as _;
@@ -28,7 +29,8 @@ struct ShapeSpec {
 }
 
 /// im2col GEMM shapes of the paper's model zoo (m = output channels,
-/// k = patch length, n = output positions at 224×224 inputs).
+/// k = patch length, n = output positions: at 224×224 inputs for the
+/// first four, at 32×32 CIFAR-10 inputs and batch 1 for the last three).
 const SHAPES: &[ShapeSpec] = &[
     // VGG-16 conv2_2: 128 filters over 128×3×3 patches, 112×112 map
     // (n clipped to one 16×16 tile column to keep the naive arm sane).
@@ -60,14 +62,45 @@ const SHAPES: &[ShapeSpec] = &[
         k: 1152,
         n: 196,
     },
+    // The paper's own setting, CIFAR-10 at batch 1: the deepest layers
+    // see 2×2 planes, so their GEMMs have n = 4 live columns (the
+    // AVX-512 skinny tile's shapes). VGG-16 conv5_x:
+    ShapeSpec {
+        name: "vgg16_conv5_b1",
+        m: 512,
+        k: 4608,
+        n: 4,
+    },
+    // MobileNet's last pointwise layer on its 2×2 plane.
+    ShapeSpec {
+        name: "mobilenet_pw_2x2_b1",
+        m: 1024,
+        k: 1024,
+        n: 4,
+    },
+    // A TTQ VGG-16 linear(512→512) on codes, `W · Xᵀ`: one column.
+    ShapeSpec {
+        name: "ttq_linear_b1",
+        m: 512,
+        k: 512,
+        n: 1,
+    },
 ];
 
-const SMOKE_SHAPES: &[ShapeSpec] = &[ShapeSpec {
-    name: "smoke_17x33x29",
-    m: 17,
-    k: 33,
-    n: 29,
-}];
+const SMOKE_SHAPES: &[ShapeSpec] = &[
+    ShapeSpec {
+        name: "smoke_17x33x29",
+        m: 17,
+        k: 33,
+        n: 29,
+    },
+    ShapeSpec {
+        name: "smoke_skinny_31x300x4",
+        m: 31,
+        k: 300,
+        n: 4,
+    },
+];
 
 fn random_vec(len: usize, seed: u64) -> Vec<f32> {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
@@ -151,6 +184,13 @@ fn main() {
         let mut c = vec![0.0f32; m * n];
         let plan = GemmPlan::new(m, k, n);
         let mut scratch = vec![0.0f32; plan.scratch_elems()];
+        // Both operands packed once, on cache lines, as a deployed layer
+        // holds its weight panels: the `prepacked` rows time the engine
+        // alone.
+        let mut packed_a = AlignedBuf::zeroed(plan.packed_a_elems());
+        let mut packed_b = AlignedBuf::zeroed(plan.packed_b_elems());
+        gemm::pack_a_into(&plan, &a, &mut packed_a);
+        gemm::pack_b_into(&plan, &b, &mut packed_b);
 
         // Correctness cross-check before timing anything.
         let mut want = vec![0.0f32; m * n];
@@ -201,13 +241,20 @@ fn main() {
                         );
                     }),
                 ),
+                (
+                    "prepacked",
+                    Box::new(|c: &mut [f32], _: &mut [f32], threads: usize| {
+                        let (pa, pb) = (&packed_a[..], &packed_b[..]);
+                        gemm::gemm_prepacked(&plan, pa, pb, c, threads, Schedule::Static);
+                    }),
+                ),
             ] {
                 let seconds = time_median(min_iters, min_total_s, || {
                     c.fill(0.0);
                     runner(&mut c, &mut scratch, threads);
                 });
                 let gflops = flops / seconds / 1e9;
-                println!("  {name:<20} {algorithm:<8} t={threads}  {seconds:>9.5}s  {gflops:>7.2} GFLOP/s");
+                println!("  {name:<20} {algorithm:<9} t={threads}  {seconds:>9.5}s  {gflops:>7.2} GFLOP/s");
                 results.push(Measurement {
                     shape: name,
                     algorithm,

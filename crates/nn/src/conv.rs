@@ -3,7 +3,7 @@
 use crate::algo::{self, AlgoChoice, LayerShape};
 use crate::descriptor::{LayerDescriptor, LayerKind};
 use crate::error::Error;
-use crate::layer::{check_nchw, ExecConfig, Layer, Param, WeightFormat};
+use crate::layer::{check_conv, ExecConfig, Layer, Param, WeightFormat};
 use crate::weights::{PanelOperand, Weights};
 use cnn_stack_parallel::parallel_for;
 use cnn_stack_parallel::DisjointWriter;
@@ -754,7 +754,13 @@ fn accumulate_tap(
 
 impl Layer for Conv2d {
     fn check_input(&self, input_shape: &[usize]) -> Result<(), Error> {
-        check_nchw(self, input_shape, Some(self.in_channels))
+        check_conv(
+            self,
+            input_shape,
+            self.in_channels,
+            self.kernel,
+            self.padding,
+        )
     }
 
     fn as_any(&self) -> &dyn std::any::Any {

@@ -2,7 +2,7 @@
 
 use crate::descriptor::{LayerDescriptor, LayerKind};
 use crate::error::Error;
-use crate::layer::{check_nchw, ExecConfig, Layer, Param, WeightFormat};
+use crate::layer::{check_conv, ExecConfig, Layer, Param, WeightFormat};
 use cnn_stack_tensor::init::{initialise, Init};
 use cnn_stack_tensor::{depthwise_conv2d_into, Conv2dGeometry, Tensor};
 
@@ -116,7 +116,7 @@ impl DepthwiseConv2d {
 
 impl Layer for DepthwiseConv2d {
     fn check_input(&self, input_shape: &[usize]) -> Result<(), Error> {
-        check_nchw(self, input_shape, Some(self.channels))
+        check_conv(self, input_shape, self.channels, self.kernel, self.padding)
     }
 
     fn as_any(&self) -> &dyn std::any::Any {

@@ -606,6 +606,27 @@ pub(crate) fn check_nchw(
     }
 }
 
+/// [`Layer::check_input`] for a convolution: as [`check_nchw`], and its
+/// `kernel × kernel` window must fit the plane padded by `padding` on
+/// every side (the im2col geometry panics otherwise).
+pub(crate) fn check_conv(
+    layer: &dyn Layer,
+    shape: &[usize],
+    channels: usize,
+    kernel: usize,
+    padding: usize,
+) -> Result<(), Error> {
+    check_nchw(layer, shape, Some(channels))?;
+    if shape[2] + 2 * padding < kernel || shape[3] + 2 * padding < kernel {
+        return refuse_input(
+            layer,
+            shape,
+            format_args!("a plane that fits its {kernel}x{kernel} window after padding {padding}"),
+        );
+    }
+    Ok(())
+}
+
 /// The [`Layer::check_input`] error: `layer` needs `need`, not `shape`.
 pub(crate) fn refuse_input(
     layer: &dyn Layer,

@@ -2,7 +2,7 @@
 
 use crate::descriptor::{LayerDescriptor, LayerKind};
 use crate::error::Error;
-use crate::layer::{check_nchw, ExecConfig, Layer, WeightFormat};
+use crate::layer::{check_nchw, refuse_input, ExecConfig, Layer, WeightFormat};
 use cnn_stack_tensor::Tensor;
 
 /// Non-overlapping max pooling (the paper's networks use 2×2/stride-2
@@ -41,8 +41,19 @@ impl MaxPool2d {
 }
 
 impl Layer for MaxPool2d {
+    /// A rank-4 input whose plane the window divides: the kernel pools
+    /// whole windows only.
     fn check_input(&self, input_shape: &[usize]) -> Result<(), Error> {
-        check_nchw(self, input_shape, None)
+        check_nchw(self, input_shape, None)?;
+        let w = self.window;
+        if !input_shape[2].is_multiple_of(w) || !input_shape[3].is_multiple_of(w) {
+            return refuse_input(
+                self,
+                input_shape,
+                format_args!("a plane its {w}x{w} window divides"),
+            );
+        }
+        Ok(())
     }
 
     fn as_any(&self) -> &dyn std::any::Any {

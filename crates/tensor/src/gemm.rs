@@ -20,8 +20,9 @@
 //!   packed engine that copies A into `MR`-row panels and B into
 //!   `NR`-column panels, then drives an `MR×NR` register-tiled
 //!   micro-kernel (scalar autovectorised, AVX2/FMA, or an AVX-512 tile
-//!   spanning up to two A panels × two B panels — whichever the CPU
-//!   supports, detected at runtime) over the panel grid, with the grid
+//!   spanning up to two A panels × two B panels, with a skinny twin for
+//!   B panels of at most 8 live columns — whichever the CPU supports,
+//!   detected at runtime) over the panel grid, with the grid
 //!   distributed across the `cnn-stack-parallel` pool. Its A operand is
 //!   either f32 panels or 2-bit ternary codes in the same panel layout
 //!   ([`PackedA`]), decoded block by block into the same tile.
@@ -49,6 +50,18 @@
 //! output that is not NaN (and on *which* outputs are NaN; see
 //! `microkernel_avx512` for why a NaN's payload is not promised).
 //!
+//! An AVX-512 host runs a B panel of at most `NR/2` live columns on a
+//! *skinny* tile instead of the half tile: it vectorises over rows of A,
+//! not columns of B. Rows 0–5 of two adjacent A panels share one ZMM
+//! register (lanes 0–5 and 8–13), two registers cover four panels, and
+//! each of the `N` ∈ {1, 2, 4, 8} B values a step needs is broadcast
+//! into the `2·N` accumulators of its column — at `n = 4`, 4 broadcasts
+//! per 8 FMAs where the half tile issues one per FMA on half-padding
+//! vectors. It too reads the unchanged panels, and every output is one
+//! lane that sees the half tile's FMA sequence (zero start, ascending
+//! `p`) and its single `c + acc` per `kc` block, so it is bit-identical
+//! to it outside NaN payloads.
+//!
 //! # Loop nest
 //!
 //! One walk serves every kernel, serial or threaded
@@ -63,9 +76,10 @@
 //!
 //! [`pack_a_codes_into`] stores an exactly-ternary A as 2 bits per
 //! value in the f32 panel order, each panel starting on a word. Per
-//! block, the driver decodes one A panel pair's `kc` steps at a time
-//! into a line-aligned L1 buffer and runs it against every B panel of
-//! the column chunk: every value is decoded once per column chunk, the
+//! block, the driver decodes one group of A panels' `kc` steps at a
+//! time — a pair, or four when the skinny tile runs — into a
+//! line-aligned L1 buffer and runs it against every B panel of the
+//! column chunk: every value is decoded once per column chunk, the
 //! tile and every output bit are the f32 engine's on the dequantised
 //! matrix, and A streams 16× fewer bytes.
 
@@ -238,15 +252,15 @@ pub struct GemmPlan {
 const KC: usize = 256;
 /// 2-bit codes per `u32` code word.
 const CODES_PER_WORD: usize = 16;
-/// Floats of decoded A: one panel pair's `kc` steps (12 KiB), what the
-/// AVX-512 tile reads at once.
-const DECODED_ELEMS: usize = 2 * MR * KC;
+/// Floats of decoded A: four panels' `kc` steps (24 KiB), what the
+/// AVX-512 skinny tile reads at once (the full-width tile reads two).
+const DECODED_ELEMS: usize = SKINNY_PANELS * MR * KC;
 
-/// A grain's decoded A panel pair, on a cache line: the decoder's
-/// 64-byte stores would otherwise each straddle two lines, which costs
-/// it 1.6× (0.92 against 0.56 ns per word on a 2.1 GHz AVX-512 Xeon).
+/// A grain's decoded A panels, on a cache line: the decoder's 64-byte
+/// stores would otherwise each straddle two lines, which costs it 1.6×
+/// (0.92 against 0.56 ns per word on a 2.1 GHz AVX-512 Xeon).
 #[repr(C, align(64))]
-struct DecodedPair([f32; DECODED_ELEMS]);
+struct DecodedPanels([f32; DECODED_ELEMS]);
 
 impl GemmPlan {
     /// Chooses blocking parameters for an `m×k · k×n` product.
@@ -639,9 +653,11 @@ pub(crate) enum MicroKernel {
     Scalar,
     #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
     Avx2Fma,
-    /// [`Avx2Fma`](Self::Avx2Fma) everywhere except the f32 full-width
-    /// tile, which composes up to two A panels × two B panels in ZMM
-    /// registers: [`microkernel_avx512`].
+    /// [`Avx2Fma`](Self::Avx2Fma) everywhere except the packed engine's
+    /// tiles, which add into C from ZMM registers: up to two A panels ×
+    /// two B panels ([`microkernel_avx512`]), or up to four A panels × a
+    /// B panel of at most [`HALF_NR`] live columns
+    /// ([`microkernel_avx512_skinny`]).
     #[cfg(target_arch = "x86_64")]
     Avx512,
 }
@@ -1023,11 +1039,136 @@ unsafe fn microkernel_avx512<const AP: usize, const BP: usize>(
     add_into_c!(1);
 }
 
-/// Dispatches one `MR×NR` reduction block to the given micro-kernel;
-/// `half` selects the [`HALF_NR`]-lane tile (the caller's panel has no
-/// live column beyond it). [`MicroKernel::Avx512`] runs the AVX2 bodies
-/// here: its own tile adds into C itself and is dispatched by the
-/// driver, which sends only half tiles this way.
+/// A panels the AVX-512 skinny tile covers: two per ZMM register, in
+/// two registers.
+const SKINNY_PANELS: usize = 4;
+
+/// One C row per accumulator row of the AVX-512 skinny tile: the `MR`
+/// rows of each of its [`SKINNY_PANELS`] A panels. Row `r` adds into
+/// `c[r]`, whose length is the live column count; a row past the short
+/// last A panel, or of a panel the tile does not cover, is an empty
+/// slice.
+#[cfg(target_arch = "x86_64")]
+type SkinnyRows<'c> = [&'c mut [f32]; SKINNY_PANELS * MR];
+
+/// The AVX-512F skinny tile, for a B panel with at most [`HALF_NR`] live
+/// columns (a 2×2 output plane at batch 1 has 4, a batch-1 linear 1): it
+/// vectorises over the rows of A instead of the columns of B. Rows 0–5
+/// of A panels `2v` and `2v + 1` share ZMM `v`, at lanes 0–5 and 8–13,
+/// for `V` ∈ {1, 2} registers — two or four panels per reduction step —
+/// and each of the step's first `N` ∈ {1, 2, 4, 8} B values is
+/// broadcast and FMA'd into the `V` accumulators of its column. At
+/// `N = 4, V = 2` a step costs 2 A loads (each two ymm halves and an
+/// insert) and 4 broadcasts per 8 FMAs, 96 of whose 128 lanes are live,
+/// where the AVX2 half tile issues one broadcast per 8-lane FMA, half of
+/// whose lanes are padding at `n = 4`.
+///
+/// Every output is still accumulated from zero by one FMA per step in
+/// ascending `p`, then added into C as `c + acc` and clamped at zero
+/// when `relu` (the caller passes it on the last `kc` block only) —
+/// [`microkernel_avx2_half`]'s ladder and [`write_back`]'s add, so
+/// finite and infinite outputs are bit-identical to the half tile's
+/// (NaN payloads as for [`microkernel_avx512`]). Lanes 6–7 and 14–15
+/// hold the next step's first two rows, or zeros on the last step, and
+/// are never written back.
+///
+/// # Safety
+///
+/// Caller must ensure the CPU supports AVX-512F
+/// ([`MicroKernel::supported`]). Every `a[i].len()` must be `kc·MR`
+/// with `kc ≥ 1`, `b.len()` must be `kc·NR`, and no `c[r]` may be longer
+/// than `N`. Panels from `2·V` on are not read, and a row of a panel the
+/// caller repeated to fill the tile must be empty in `c`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn microkernel_avx512_skinny<const N: usize, const V: usize>(
+    a: [&[f32]; SKINNY_PANELS],
+    b: &[f32],
+    c: &mut SkinnyRows<'_>,
+    relu: bool,
+) {
+    use core::arch::x86_64::*;
+
+    let kc = b.len() / NR;
+    debug_assert!(N <= HALF_NR && 2 * V <= SKINNY_PANELS && kc > 0);
+    debug_assert!(a.iter().all(|p| p.len() == kc * MR));
+    debug_assert_eq!(b.len(), kc * NR);
+    debug_assert!(c.iter().all(|row| row.len() <= N));
+    debug_assert!(c[2 * V * MR..].iter().all(|row| row.is_empty()));
+
+    // ZMM `v`'s rows at step `p`: two 8-float loads joined by one
+    // insert, except on the last step, where 8 floats would read 2 past
+    // the panel and a masked 6-float load stops at its end.
+    macro_rules! rows {
+        ($v:expr, $p:expr, $last:expr) => {{
+            let (lo, hi) = (a[2 * $v], a[2 * $v + 1]);
+            let (at, width) = ($p * MR, if $last { MR } else { HALF_NR });
+            debug_assert!(
+                at + width <= lo.len() && at + width <= hi.len(),
+                "a lane load leaves its A panel"
+            );
+            // SAFETY: lanes `[at, at + width)` lie inside both panels
+            // (asserted above in debug builds: `p < kc − 1` leaves 2
+            // floats of the next step after an 8-float load); the masked
+            // form reads only its 6 enabled lanes.
+            let (lo, hi) = (lo.as_ptr().add(at), hi.as_ptr().add(at));
+            let (lo, hi) = if $last {
+                (
+                    _mm512_castps512_ps256(_mm512_maskz_loadu_ps(0x3F, lo)),
+                    _mm512_castps512_ps256(_mm512_maskz_loadu_ps(0x3F, hi)),
+                )
+            } else {
+                (_mm256_loadu_ps(lo), _mm256_loadu_ps(hi))
+            };
+            let lo = _mm512_castps_pd(_mm512_castps256_ps512(lo));
+            _mm512_castpd_ps(_mm512_insertf64x4::<1>(lo, _mm256_castps_pd(hi)))
+        }};
+    }
+    // SAFETY (the broadcasts): `j < N ≤ NR`, so step `p`'s value `j`
+    // lies inside `b`, whose length is checked above.
+    let mut acc = [[_mm512_setzero_ps(); V]; N];
+    macro_rules! step {
+        ($p:expr, $last:expr) => {{
+            let mut av = [_mm512_setzero_ps(); V];
+            for (v, r) in av.iter_mut().enumerate() {
+                *r = rows!(v, $p, $last);
+            }
+            for (j, col) in acc.iter_mut().enumerate() {
+                let bv = _mm512_set1_ps(*b.as_ptr().add($p * NR + j));
+                for (c, &r) in col.iter_mut().zip(&av) {
+                    *c = _mm512_fmadd_ps(r, bv, *c);
+                }
+            }
+        }};
+    }
+    for p in 0..kc - 1 {
+        step!(p, false);
+    }
+    step!(kc - 1, true);
+
+    // `c = c + acc`, row by row and column by column out of a stack copy
+    // of the accumulators: C's rows run across the lanes.
+    let mut sums = [[[0.0f32; NR]; V]; N];
+    for (col, out) in acc.iter().zip(&mut sums) {
+        for (&r, out) in col.iter().zip(out) {
+            // SAFETY: `out` is `NR` floats, the store's width.
+            _mm512_storeu_ps(out.as_mut_ptr(), r);
+        }
+    }
+    for (i, row) in c.iter_mut().enumerate() {
+        let (v, lane) = (i / (2 * MR), i / MR % 2 * HALF_NR + i % MR);
+        for (d, col) in row.iter_mut().zip(&sums) {
+            let sum = *d + col[v][lane];
+            *d = if relu { sum.max(0.0) } else { sum };
+        }
+    }
+}
+
+/// Dispatches one `MR×NR` reduction block to a kernel that accumulates
+/// into a stack tile; `half` selects the [`HALF_NR`]-lane tile (the
+/// caller's panel has no live column beyond it). [`MicroKernel::Avx512`]
+/// never comes here: its two tiles add into C themselves and are
+/// dispatched by the driver.
 #[inline]
 fn microkernel(kernel: MicroKernel, half: bool, a: &[f32], b: &[f32], acc: &mut [[f32; NR]; MR]) {
     match (kernel, half) {
@@ -1043,11 +1184,7 @@ fn microkernel(kernel: MicroKernel, half: bool, a: &[f32], b: &[f32], acc: &mut 
         // SAFETY: as above.
         (MicroKernel::Avx2Fma, true) => unsafe { microkernel_avx2_half(a, b, acc) },
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: as above.
-        (MicroKernel::Avx512, false) => unsafe { microkernel_avx2(a, b, acc) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: as above.
-        (MicroKernel::Avx512, true) => unsafe { microkernel_avx2_half(a, b, acc) },
+        (MicroKernel::Avx512, _) => unreachable!("the AVX-512 tiles add into C themselves"),
     }
 }
 
@@ -1206,8 +1343,8 @@ pub fn gemm_prepacked(
 /// [`gemm_prepacked`] with a fused [`GemmEpilogue`] and either A
 /// operand: the activation is applied in the micro-kernel's write-back
 /// on the final `kc` reduction block, so a fused conv/linear + ReLU
-/// costs zero extra passes over `C`. A code operand is decoded one A
-/// panel pair's `kc` steps at a time and run on the same tile, so its
+/// costs zero extra passes over `C`. A code operand is decoded a few A
+/// panels' `kc` steps at a time and run on the same tile, so its
 /// product is bit for bit the f32 panels' of the values it encodes.
 ///
 /// # Panics
@@ -1271,7 +1408,7 @@ pub(crate) fn gemm_prepacked_on(
                 "A codes too small"
             );
             assert!(
-                2 * MR * plan.kc <= DECODED_ELEMS,
+                SKINNY_PANELS * MR * plan.kc <= DECODED_ELEMS,
                 "a code block of {} steps does not fit the decode buffer",
                 plan.kc
             );
@@ -1339,17 +1476,24 @@ pub(crate) fn gemm_prepacked_on(
                 plan,
                 threads,
                 schedule,
-                || DecodedPair([0.0; DECODED_ELEMS]),
-                |DecodedPair(decoded), blk| {
-                    // Panel pair by panel pair — the AVX-512 tile's
-                    // height — decoded into L1 and run against every B
-                    // panel of the column chunk before the next pair: a
-                    // pair is decoded once per block, and the decoded
-                    // floats never leave L1. Each panel starts on a line.
+                || DecodedPanels([0.0; DECODED_ELEMS]),
+                |DecodedPanels(decoded), blk| {
+                    // Group by group of A panels — the height of the
+                    // AVX-512 tile that runs: four when the chunk ends
+                    // in a skinny B panel, else a pair — decoded into L1
+                    // and run against every B panel of the column chunk
+                    // before the next group: a panel is decoded once per
+                    // block, and the decoded floats never leave L1. Each
+                    // panel starts on a line.
                     let panel = blk.kc * MR;
                     let stride = panel.next_multiple_of(CODES_PER_WORD);
-                    for ip0 in (blk.ip0..blk.ip1).step_by(2) {
-                        let ip1 = (ip0 + 2).min(blk.ip1);
+                    let group = if tiles.skinny(blk.jp1 - 1) {
+                        SKINNY_PANELS
+                    } else {
+                        2
+                    };
+                    for ip0 in (blk.ip0..blk.ip1).step_by(group) {
+                        let ip1 = (ip0 + group).min(blk.ip1);
                         for (ip, dst) in (ip0..ip1).zip(decoded.chunks_exact_mut(stride)) {
                             let src = &codes.words[ip * words..(ip + 1) * words];
                             decode_codes(kernel, src, blk.pc * MR, lut, &mut dst[..panel]);
@@ -1373,6 +1517,16 @@ struct Tiles<'a> {
 }
 
 impl Tiles<'_> {
+    /// Whether B panel `jp` runs the AVX-512 skinny tile: its live
+    /// columns fit [`HALF_NR`] and the kernel is AVX-512.
+    fn skinny(&self, jp: usize) -> bool {
+        #[cfg(target_arch = "x86_64")]
+        let avx512 = self.kernel == MicroKernel::Avx512;
+        #[cfg(not(target_arch = "x86_64"))]
+        let avx512 = false;
+        avx512 && self.plan.n - jp * NR <= HALF_NR
+    }
+
     /// Runs the tiles of `blk`: every B panel (pair) of its column range
     /// against every A panel (pair) of its row chunk, A panel `ip`'s `kc`
     /// steps starting `(ip - blk.ip0) · a_stride` floats into `a`.
@@ -1399,10 +1553,17 @@ impl Tiles<'_> {
         let mut jp = blk.jp0;
         while jp < blk.jp1 {
             // A panel whose live columns fit one vector runs the half
-            // tile, skipping the all-padding upper half.
+            // tile, skipping the all-padding upper half — or, on
+            // AVX-512, the skinny tile.
             let half = n - jp * NR <= HALF_NR;
             #[cfg(target_arch = "x86_64")]
-            if kernel == MicroKernel::Avx512 && !half {
+            if self.skinny(jp) {
+                self.run_skinny(blk, a_block, b_block(jp), jp, relu);
+                jp += 1;
+                continue;
+            }
+            #[cfg(target_arch = "x86_64")]
+            if kernel == MicroKernel::Avx512 {
                 // Two B panels wide when the next one is in this chunk
                 // and is not itself a half tile (only the last panel of
                 // the product can be short).
@@ -1469,6 +1630,86 @@ impl Tiles<'_> {
             }
             jp += 1;
         }
+    }
+
+    /// The AVX-512 skinny tile down B panel `jp` (block `b`) over the A
+    /// panels of `blk`: four at a time, then the last one to three, a
+    /// tail of one or two on one ZMM register.
+    #[cfg(target_arch = "x86_64")]
+    fn run_skinny<'a>(
+        &self,
+        blk: &Block,
+        a_block: impl Fn(usize) -> &'a [f32],
+        b: &[f32],
+        jp: usize,
+        relu: bool,
+    ) {
+        let GemmPlan { m, n, .. } = *self.plan;
+        let cols = n - jp * NR;
+        let mut ip = blk.ip0;
+        while ip < blk.ip1 {
+            let panels = (blk.ip1 - ip).min(SKINNY_PANELS);
+            let rows = (panels * MR).min(m - ip * MR);
+            // Rows past the short last A panel stay empty.
+            let mut c_rows: SkinnyRows<'_> = std::array::from_fn(|_| &mut [][..]);
+            for (r, c_row) in c_rows.iter_mut().enumerate().take(rows) {
+                let at = (ip * MR + r) * n + jp * NR;
+                // SAFETY: this grain exclusively owns rows
+                // [ip0·MR, ip1·MR) × cols [jp0·NR, jp1·NR) of C; the
+                // tile's live rows and columns lie inside it, ranges
+                // from distinct grains never overlap, and the buffer
+                // outlives the parallel region (`slice_mut`
+                // debug-asserts the bounds).
+                *c_row = unsafe { self.writer.slice_mut(at, at + cols) };
+            }
+            // A tail short of four panels repeats its last one; the
+            // copy's lanes are computed and dropped.
+            let a = std::array::from_fn(|q| a_block(ip + q.min(panels - 1)));
+            // SAFETY: `kernel.supported()` was asserted on entry; every A
+            // block and `b` span the same `blk.kc ≥ 1` steps, no C row is
+            // longer than `cols`, and the rows of repeated panels are
+            // empty.
+            unsafe { skinny_tile(cols, panels, a, b, &mut c_rows, relu) };
+            ip += panels;
+        }
+    }
+}
+
+/// [`microkernel_avx512_skinny`] at the narrowest `N` that covers `cols`
+/// live columns and the fewest registers `V` that cover `panels` A
+/// panels.
+///
+/// # Safety
+///
+/// As [`microkernel_avx512_skinny`], with `1 ≤ cols ≤ HALF_NR`,
+/// `1 ≤ panels ≤ SKINNY_PANELS` and `a[panels..]` repeating a panel.
+#[cfg(target_arch = "x86_64")]
+unsafe fn skinny_tile(
+    cols: usize,
+    panels: usize,
+    a: [&[f32]; SKINNY_PANELS],
+    b: &[f32],
+    c: &mut SkinnyRows<'_>,
+    relu: bool,
+) {
+    macro_rules! tile {
+        ($n:literal) => {
+            // SAFETY: the caller's contract, and `$n ≥ cols`.
+            unsafe {
+                if panels > 2 {
+                    microkernel_avx512_skinny::<$n, 2>(a, b, c, relu)
+                } else {
+                    microkernel_avx512_skinny::<$n, 1>(a, b, c, relu)
+                }
+            }
+        };
+    }
+    debug_assert!((1..=HALF_NR).contains(&cols) && (1..=SKINNY_PANELS).contains(&panels));
+    match cols {
+        1 => tile!(1),
+        2 => tile!(2),
+        3 | 4 => tile!(4),
+        _ => tile!(8),
     }
 }
 
@@ -1978,16 +2219,20 @@ mod tests {
     fn every_kernel_agrees_at_driver_level() {
         // Every kernel the host supports over ragged products: m walks a
         // single panel, an exact pair, an odd tail, a last panel short
-        // of MR, the 10⅔ panels of m = 64 and more than one row chunk
-        // (three threads own a panel range each; under m = 13 they
-        // split the column chunk instead); n the half tile, an
+        // of MR, four panels (short or exact: one skinny quad), five (a
+        // quad and a one-panel tail), the 10⅔ panels of m = 64 and more
+        // than one row chunk (three threads own a panel range each;
+        // under m = 13 they split the column chunk instead); n the
+        // half tile at 1, 2, 3, 4, 5 and 8 live columns (every skinny
+        // width, masked or not), an
         // exact and a ragged single panel, a pair whose second panel is
         // a half tile (24, 40), ragged (25, 31, 33 → third) or exact
         // (32, 48), and more than one 256-column chunk (257 leaves a
         // one-column half tile in the second, 300 a ragged pair); k
         // both sides of `kc`. Together they reach all four AVX-512
-        // tile shapes, the lane mask, the short last A panel and the
-        // AVX2 half-tile fallback. NaN and ±Inf sit in A and B — B's
+        // tile shapes, the lane mask, the short last A panel, the
+        // skinny tile on one register and two, and the AVX2 half tile
+        // it stands in for. NaN and ±Inf sit in A and B — B's
         // NaN in the last reduction row, so a NaN sum meets the ReLU
         // clamp on the last block. The SIMD kernels must agree bit for
         // bit outside NaNs and on where the NaNs are (same FMA sequence
@@ -1998,8 +2243,10 @@ mod tests {
         let kernels: Vec<MicroKernel> = MicroKernel::available().collect();
         let (scalar, simd) = kernels.split_first().expect("scalar is always available");
         assert_eq!(*scalar, MicroKernel::Scalar);
-        for m in [1, 5, 6, 7, 11, 12, 13, 64, 97, 193] {
-            for n in [1, 4, 8, 9, 16, 17, 24, 25, 31, 32, 33, 40, 48, 70, 257, 300] {
+        for m in [1, 5, 6, 7, 11, 12, 13, 19, 24, 30, 64, 97, 193] {
+            for n in [
+                1, 2, 3, 4, 5, 8, 9, 16, 17, 24, 25, 31, 32, 33, 40, 48, 70, 257, 300,
+            ] {
                 for k in [1, 37, 256, 257, 600] {
                     // The wide products only add column chunks: one k
                     // on each side of `kc` covers them.
@@ -2162,9 +2409,10 @@ mod tests {
 
     #[test]
     fn half_tile_bit_matches_full_tile_lanes() {
-        // Every dispatched kernel: the half tile's 8 lanes carry the
+        // Every stack-tile kernel: the half tile's 8 lanes carry the
         // same bits as the full tile's first 8 (NaN/Inf included) and
-        // the upper lanes are not written.
+        // the upper lanes are not written. AVX-512 runs its skinny tile
+        // in the half tile's place: see `skinny_tile_bit_matches_half_tile`.
         let (m, k, n) = (MR, 41, HALF_NR);
         let a = random_tensor([m, k], 31);
         let mut b = random_tensor([k, n], 32);
@@ -2176,6 +2424,11 @@ mod tests {
         pack_a_into(&plan, a.data(), &mut pa);
         pack_b_into(&plan, b.data(), &mut pb);
         for kernel in MicroKernel::available() {
+            #[cfg(target_arch = "x86_64")]
+            if kernel == MicroKernel::Avx512 {
+                skinny_tile_bit_matches_half_tile();
+                continue;
+            }
             let mut full = [[0.5f32; NR]; MR];
             let mut half = [[0.5f32; NR]; MR];
             microkernel(kernel, false, &pa, &pb, &mut full);
@@ -2188,6 +2441,87 @@ mod tests {
                         want.to_bits(),
                         "{kernel:?} lane ({r},{c})"
                     );
+                }
+            }
+        }
+    }
+
+    /// The AVX-512 skinny tile on 1–4 A panels (one ZMM register or two;
+    /// a repeated tail panel; a short last panel) × 1, 2, 3, 4, 5 and 8
+    /// live columns × k = 1 (only the masked last step), 2 and 41, with
+    /// NaN and ±Inf in A and B: from C = 0.5 it leaves exactly
+    /// `0.5 + acc` of the AVX2 half tile's accumulator in its live rows
+    /// and columns (clamped under ReLU), outside NaN payloads, within
+    /// 1e-4 of the scalar half tile, and C untouched everywhere else.
+    /// The caller has checked AVX-512F.
+    #[cfg(target_arch = "x86_64")]
+    fn skinny_tile_bit_matches_half_tile() {
+        for k in [1, 2, 41] {
+            let m = SKINNY_PANELS * MR;
+            let mut a = random_tensor([m, k], 41 + k as u64);
+            let mut b = random_tensor([k, HALF_NR], 42 + k as u64);
+            a.data_mut()[(MR + 2) * k + k / 2] = f32::NAN;
+            a.data_mut()[(3 * MR + 5) * k] = f32::NEG_INFINITY;
+            b.data_mut()[(k - 1) * HALF_NR] = f32::INFINITY;
+            b.data_mut()[k / 2 * HALF_NR + 2] = f32::NAN;
+            let plan = GemmPlan::new(m, k, HALF_NR);
+            let mut pa = vec![0.0f32; plan.packed_a_elems()];
+            let mut pb = vec![0.0f32; plan.packed_b_elems()];
+            pack_a_into(&plan, a.data(), &mut pa);
+            pack_b_into(&plan, b.data(), &mut pb);
+            let panel = |q: usize| &pa[q * MR * k..(q + 1) * MR * k];
+            let mut avx2 = [[[0.0f32; NR]; MR]; SKINNY_PANELS];
+            let mut scalar = [[[0.0f32; NR]; MR]; SKINNY_PANELS];
+            for q in 0..SKINNY_PANELS {
+                microkernel(MicroKernel::Avx2Fma, true, panel(q), &pb, &mut avx2[q]);
+                microkernel(MicroKernel::Scalar, true, panel(q), &pb, &mut scalar[q]);
+            }
+            for panels in 1..=SKINNY_PANELS {
+                for rows in [panels * MR, panels * MR - 1] {
+                    for cols in [1, 2, 3, 4, 5, 8] {
+                        for relu in [false, true] {
+                            let what = format!("k={k} rows={rows} cols={cols} relu={relu}");
+                            let mut c = [[0.5f32; HALF_NR]; SKINNY_PANELS * MR];
+                            let mut c_rows: SkinnyRows<'_> =
+                                c.each_mut().map(|row| &mut row[..cols]);
+                            for row in &mut c_rows[rows..] {
+                                *row = &mut [];
+                            }
+                            let tile_a = std::array::from_fn(|q| panel(q.min(panels - 1)));
+                            // SAFETY: AVX-512F presence just checked; all
+                            // panels span `k` steps, no row exceeds
+                            // `cols` and the repeated panels' rows are
+                            // empty.
+                            unsafe { skinny_tile(cols, panels, tile_a, &pb, &mut c_rows, relu) };
+                            for (r, row) in c.iter().enumerate() {
+                                for (col, &got) in row.iter().enumerate() {
+                                    let (q, i) = (r / MR, r % MR);
+                                    if r >= rows || col >= cols {
+                                        assert_eq!(
+                                            got.to_bits(),
+                                            0.5f32.to_bits(),
+                                            "{what} ({r},{col})"
+                                        );
+                                        continue;
+                                    }
+                                    let clamp = |v: f32| if relu { v.max(0.0) } else { v };
+                                    let want = clamp(0.5 + avx2[q][i][col]);
+                                    assert_eq!(
+                                        nan_blind_bits(&[got]),
+                                        nan_blind_bits(&[want]),
+                                        "{what}: vs avx2 half at ({r},{col})"
+                                    );
+                                    let near = clamp(0.5 + scalar[q][i][col]);
+                                    assert!(
+                                        (got.is_nan() && near.is_nan())
+                                            || got == near
+                                            || (got - near).abs() <= 1e-4 * near.abs().max(1.0),
+                                        "{what}: vs scalar at ({r},{col}): {got} vs {near}"
+                                    );
+                                }
+                            }
+                        }
+                    }
                 }
             }
         }

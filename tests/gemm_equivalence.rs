@@ -5,8 +5,16 @@
 //! accumulation into a non-zero C, and non-finite inputs.
 
 use cnn_stack::parallel::Schedule;
-use cnn_stack::tensor::{gemm, GemmPlan, Tensor, MR, NR};
+use cnn_stack::tensor::{
+    gemm, gemm_prepacked_epilogue, pack_a_codes_into, pack_a_into, pack_b_into, CodePanels,
+    GemmEpilogue, GemmPlan, PackedA, Tensor, MR, NR,
+};
 use proptest::prelude::*;
+
+/// The widths every draw of the skinny-n properties runs: a batch-1
+/// linear (1), the live columns of 2×2 and larger batch-1 planes (2, 4,
+/// 8, 16) and the panel edges beside them (15, 17).
+const SKINNY_N: [usize; 7] = [1, 2, 4, 8, 15, 16, 17];
 
 fn fill(len: usize, seed: u64) -> Vec<f32> {
     (0..len)
@@ -225,6 +233,89 @@ proptest! {
             let h_bits: Vec<u32> = h_row.iter().map(|v| v.to_bits()).collect();
             let f_bits: Vec<u32> = f_row[..n].iter().map(|v| v.to_bits()).collect();
             prop_assert_eq!(h_bits, f_bits, "row {} (m={} k={} n={})", i, m, k, n);
+        }
+    }
+}
+
+/// `c = a·b` from zero on the prepacked engine, serial or on `threads`.
+fn prepacked(plan: &GemmPlan, a: PackedA<'_>, b: &[f32], threads: usize) -> Vec<f32> {
+    let mut packed_b = vec![0.0f32; plan.packed_b_elems()];
+    pack_b_into(plan, b, &mut packed_b);
+    let mut c = vec![0.0f32; plan.m * plan.n];
+    let schedule = Schedule::Dynamic { chunk: 1 };
+    gemm_prepacked_epilogue(
+        plan,
+        a,
+        &packed_b,
+        &mut c,
+        threads,
+        schedule,
+        GemmEpilogue::None,
+    );
+    c
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Every draw runs all of `SKINNY_N` on both operand forms: an
+    /// exactly-ternary A as f32 panels and as 2-bit code panels, against
+    /// the first `n` columns of one B, with a NaN or ±Inf activation (or
+    /// none) planted in a column each width has. m spans one to five A panels, short last panel
+    /// included; k lies on both sides of the 256-step `kc` block. The
+    /// f32 panels agree with the naive loop (non-finite in the same
+    /// places, within rounding elsewhere) and the code panels with the
+    /// f32 panels bit for bit outside NaN payloads, serial and on three
+    /// threads.
+    #[test]
+    fn skinny_n_matches_naive_on_both_operand_forms(
+        m in 1usize..=5 * MR,
+        k_side in 0usize..3,
+        k_off in 0usize..30,
+        poison in 0usize..4,
+        pos in 0usize..100_000,
+        seed in 0u64..1000,
+    ) {
+        let k = [1, 245, 500][k_side] + k_off;
+        let (wp, wn) = (0.75f32, 0.5f32);
+        let a: Vec<f32> = fill(m * k, seed)
+            .iter()
+            .map(|v| if *v > 0.3 { wp } else if *v < -0.3 { -wn } else { 0.0 })
+            .collect();
+        let widest = *SKINNY_N.iter().max().unwrap();
+        let b_wide = fill(k * widest, seed + 9);
+        let (row, col) = (pos % k, pos / k % widest);
+        for n in SKINNY_N {
+            let mut b: Vec<f32> = b_wide
+                .chunks(widest)
+                .flat_map(|row| row[..n].iter().copied())
+                .collect();
+            b[row * n + col % n] = [1.0, f32::NAN, f32::INFINITY, f32::NEG_INFINITY][poison];
+            let plan = GemmPlan::new(m, k, n);
+            let mut panels = vec![0.0f32; plan.packed_a_elems()];
+            pack_a_into(&plan, &a, &mut panels);
+            let mut words = vec![0u32; plan.packed_a_code_words()];
+            pack_a_codes_into(&plan, &a, &mut words);
+            let codes = PackedA::Codes(CodePanels { words: &words, positive: wp, negative: wn });
+            let want = naive(&a, &b, m, k, n);
+            let got = prepacked(&plan, PackedA::F32(&panels), &b, 1);
+            for (i, (w, g)) in want.iter().zip(&got).enumerate() {
+                if w.is_nan() {
+                    prop_assert!(g.is_nan(), "n={} C[{}] lost a NaN (m={} k={})", n, i, m, k);
+                } else if w.is_infinite() {
+                    prop_assert_eq!(*g, *w, "n={} C[{}] lost an infinity", n, i);
+                } else {
+                    prop_assert!((w - g).abs() <= 1e-3 + 1e-4 * w.abs(),
+                        "n={} C[{}] = {} vs naive {} (m={} k={})", n, i, g, w, m, k);
+                }
+            }
+            let bits = |v: &[f32]| -> Vec<u32> {
+                v.iter().map(|x| if x.is_nan() { u32::MAX } else { x.to_bits() }).collect()
+            };
+            for threads in [1, 3] {
+                let from_codes = prepacked(&plan, codes, &b, threads);
+                prop_assert_eq!(bits(&from_codes), bits(&got), "n={} threads {}", n, threads);
+            }
         }
     }
 }

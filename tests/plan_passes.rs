@@ -9,8 +9,8 @@
 
 use cnn_stack::nn::{
     fold_batchnorm, BatchNorm2d, Conv2d, ConvAlgorithm, DepthwiseConv2d, Error, ExecConfig,
-    Flatten, GuardConfig, InferencePlan, InferenceSession, Layer, Linear, Network, Phase,
-    PlanCompiler, ReLU, ResidualBlock, WeightFormat,
+    Flatten, GuardConfig, InferencePlan, InferenceSession, Layer, Linear, MaxPool2d, Network,
+    Phase, PlanCompiler, ReLU, ResidualBlock, WeightFormat,
 };
 use cnn_stack::tensor::Tensor;
 use proptest::prelude::*;
@@ -140,6 +140,68 @@ fn both_entry_points_reject_bad_inputs_alike() {
             );
             assert_eq!(param_bits(&net), pristine, "{what}: the weights changed");
         }
+    }
+}
+
+/// A window the input plane cannot hold is a typed compile error from
+/// both entry points, not a kernel panic: a 2×2 max pool on a 5×5 plane
+/// used to compile and panic on the first run, and a conv or depthwise
+/// kernel larger than its padded input panicked inside the compilers'
+/// shape propagation. The same layers on planes that fit compile.
+#[test]
+fn both_entry_points_refuse_windows_the_plane_cannot_hold() {
+    let serial = ExecConfig::serial();
+    /// (what, the layer, an input it refuses, one it takes, what the
+    /// refusal names).
+    type Case = (
+        &'static str,
+        fn() -> Box<dyn Layer>,
+        [usize; 4],
+        [usize; 4],
+        &'static str,
+    );
+    let cases: [Case; 3] = [
+        (
+            "maxpool2x2 on 5x5",
+            || Box::new(MaxPool2d::new(2)),
+            [1, 3, 5, 5],
+            [1, 3, 6, 4],
+            "window divides",
+        ),
+        (
+            "conv5x5 pad 0 on 3x3",
+            || Box::new(Conv2d::new(3, 4, 5, 1, 0, 7)),
+            [1, 3, 3, 3],
+            [1, 3, 5, 5],
+            "fits its 5x5 window after padding 0",
+        ),
+        (
+            "dwconv5x5 pad 1 on 2x2",
+            || Box::new(DepthwiseConv2d::new(3, 5, 1, 1, 7)),
+            [1, 3, 2, 2],
+            [1, 3, 3, 3],
+            "fits its 5x5 window after padding 1",
+        ),
+    ];
+    for (what, layer, bad, good, need) in cases {
+        let net = || Network::new(vec![layer(), Box::new(ReLU::new())]).unwrap();
+        let global = InferencePlan::compile(&net(), &bad, &serial).expect_err(what);
+        let standard = PlanCompiler::standard()
+            .run(&mut net(), &bad, &serial)
+            .expect_err(what);
+        for err in [global, standard] {
+            match err {
+                Error::InvalidConfig(msg) => assert!(msg.contains(need), "{what}: {msg}"),
+                other => panic!("{what}: {other:?}"),
+            }
+        }
+        InferencePlan::compile(&net(), &good, &serial).expect(what);
+        let mut net = net();
+        let plan = PlanCompiler::standard()
+            .run(&mut net, &good, &serial)
+            .expect(what);
+        let mut session = InferenceSession::new(&mut net, plan).expect(what);
+        session.run(&deterministic_input(good)).expect(what);
     }
 }
 

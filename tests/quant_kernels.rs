@@ -150,59 +150,79 @@ type TernaryGemmCase = (
     (usize, usize),
 );
 
-/// `m` off a multiple of `MR` (a short last panel) and `k` off a
-/// multiple of 16 — on both sides of the 256-step `kc` block — so a
-/// panel's `6·k` codes end inside a word.
+/// The widths every case runs besides its drawn one: a batch-1 linear
+/// (1), the live columns of 2×2 and larger batch-1 planes (2, 4, 8, 16)
+/// and the panel edges beside them (15, 17).
+const SKINNY_N: [usize; 7] = [1, 2, 4, 8, 15, 16, 17];
+
+/// `m` off a multiple of `MR` (a short last panel, one to four panels)
+/// and `k` off a multiple of 16 — on both sides of the 256-step `kc`
+/// block — so a panel's `6·k` codes end inside a word. The activations
+/// are `k × 40`: each width runs on their first `n` columns.
 fn ternary_gemm_case() -> impl Strategy<Value = TernaryGemmCase> {
     let m = (0usize..4, 1..MR).prop_map(|(q, r)| q * MR + r);
     let k = (0usize..20, 1usize..16).prop_map(|(q, r)| q * 16 + r);
     (m, k, 1usize..40).prop_flat_map(|(m, k, n)| {
         let codes = proptest::collection::vec(0u8..3, m * k);
         let scales = (0.01f32..1.5, 0.01f32..1.5);
-        let b = proptest::collection::vec(-2.0f32..2.0, k * n);
-        let poison = (0usize..3, 0..k * n);
+        let b = proptest::collection::vec(-2.0f32..2.0, k * ACTIVATION_COLS);
+        let poison = (0usize..3, 0..k * ACTIVATION_COLS);
         (Just((m, k, n)), codes, scales, b, poison)
     })
 }
+
+/// Columns of a [`ternary_gemm_case`]'s activations: more than the
+/// widest drawn `n` and every [`SKINNY_N`].
+const ACTIVATION_COLS: usize = 40;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
     fn ternary_gemm_bit_identical_to_f32_on_dequantised(
-        ((m, k, n), codes, (wp, wn), mut b, (poison, at)) in ternary_gemm_case(),
+        ((m, k, drawn), codes, (wp, wn), b, (poison, at)) in ternary_gemm_case(),
         relu in 0usize..2,
     ) {
-        // One activation NaN, +Inf or left finite: it reaches its output
-        // column through zero codes too (0 · NaN stays NaN).
-        b[at] = [f32::NAN, f32::INFINITY, b[at]][poison];
-        let plan = GemmPlan::new(m, k, n);
         let weight = dense_ternary(m, k, &codes, wp, wn);
         let epilogue = if relu == 1 { GemmEpilogue::Relu } else { GemmEpilogue::None };
-        let mut packed_b = vec![0.0f32; plan.packed_b_elems()];
-        pack_b_into(&plan, &b, &mut packed_b);
+        for n in std::iter::once(drawn).chain(SKINNY_N) {
+            let mut b: Vec<f32> = b
+                .chunks(ACTIVATION_COLS)
+                .flat_map(|r| r[..n].iter().copied())
+                .collect();
+            // One activation NaN, +Inf or left finite, in a column of
+            // this width: it reaches its output column through zero
+            // codes too (0 · NaN stays NaN).
+            let at = at / ACTIVATION_COLS * n + at % ACTIVATION_COLS % n;
+            b[at] = [f32::NAN, f32::INFINITY, b[at]][poison];
+            let plan = GemmPlan::new(m, k, n);
+            let mut packed_b = vec![0.0f32; plan.packed_b_elems()];
+            pack_b_into(&plan, &b, &mut packed_b);
 
-        let mut words = vec![u32::MAX; plan.packed_a_code_words()];
-        pack_a_codes_into(&plan, weight.data(), &mut words);
-        let codes = PackedA::Codes(CodePanels { words: &words, positive: wp, negative: wn });
-        let mut packed_a = vec![0.0f32; plan.packed_a_elems()];
-        pack_a_into(&plan, weight.data(), &mut packed_a);
+            let mut words = vec![u32::MAX; plan.packed_a_code_words()];
+            pack_a_codes_into(&plan, weight.data(), &mut words);
+            let codes = PackedA::Codes(CodePanels { words: &words, positive: wp, negative: wn });
+            let mut packed_a = vec![0.0f32; plan.packed_a_elems()];
+            pack_a_into(&plan, weight.data(), &mut packed_a);
 
-        let mut want = vec![0.0f32; m * n];
-        gemm_prepacked_epilogue(
-            &plan, PackedA::F32(&packed_a), &packed_b, &mut want, 1, Schedule::Static, epilogue,
-        );
-        for threads in [1, 3] {
-            let mut got = vec![0.0f32; m * n];
+            let mut want = vec![0.0f32; m * n];
             gemm_prepacked_epilogue(
-                &plan, codes, &packed_b, &mut got, threads, Schedule::Dynamic { chunk: 1 }, epilogue,
+                &plan, PackedA::F32(&packed_a), &packed_b, &mut want, 1, Schedule::Static, epilogue,
             );
-            // Same panel values, same tile, same blocking: equal to the
-            // bit wherever the output is not NaN, NaN in the same places.
-            let bits = |v: &[f32]| -> Vec<u32> {
-                v.iter().map(|x| if x.is_nan() { u32::MAX } else { x.to_bits() }).collect()
-            };
-            prop_assert_eq!(bits(&got), bits(&want), "threads {}", threads);
+            for threads in [1, 3] {
+                let mut got = vec![0.0f32; m * n];
+                gemm_prepacked_epilogue(
+                    &plan, codes, &packed_b, &mut got, threads, Schedule::Dynamic { chunk: 1 },
+                    epilogue,
+                );
+                // Same panel values, same tile, same blocking: equal to
+                // the bit wherever the output is not NaN, NaN in the same
+                // places.
+                let bits = |v: &[f32]| -> Vec<u32> {
+                    v.iter().map(|x| if x.is_nan() { u32::MAX } else { x.to_bits() }).collect()
+                };
+                prop_assert_eq!(bits(&got), bits(&want), "n {} threads {}", n, threads);
+            }
         }
     }
 }

@@ -236,6 +236,16 @@ if grep -rnE 'pack_a_transposed_into|pack_b_ternary_transposed_into|microkernel_
   exit 1
 fi
 
+# Every ticket resolves in one place: a batch's replies are moved into
+# the slot's one in-flight record, whose taker answers them through one
+# `settle`. The watchdog-deadline atomic, the cloned-sender registry and
+# its drains stay deleted, as do the second StackConfig construction API
+# and the second 2-bit ternary format.
+if grep -rnE 'busy_until_ns|fail_inflight|abort_batch|StackConfigBuilder|PackedTernaryMatrix' crates src tests examples; then
+  echo "ci: a second ticket ledger, StackConfigBuilder or PackedTernaryMatrix is back" >&2
+  exit 1
+fi
+
 # Brownout is a guard level: an open breaker runs the same sessions with
 # guards off. The second plan pipeline, its pass and the second ladder
 # kind it compiled stay deleted.

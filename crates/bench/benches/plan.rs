@@ -150,16 +150,7 @@ fn main() {
         let steps = plan.steps().len();
         let fused_steps = plan.steps().iter().filter(|s| s.cfg.fused_relu).count();
         if use_compiler {
-            for s in plan.steps() {
-                selection_lines.push(format!(
-                    "{} [span {}] {:?}/{:?}{}",
-                    s.name,
-                    s.span,
-                    s.cfg.conv_algo,
-                    s.cfg.gemm_algo,
-                    if s.cfg.fused_relu { " +relu" } else { "" }
-                ));
-            }
+            selection_lines.extend(plan.steps().iter().map(|s| s.label(&s.cfg)));
         }
         let mut session = InferenceSession::with_guard(&mut model.network, plan, GuardConfig::Off)
             .expect("session builds");

@@ -3,73 +3,93 @@
 //! an order of magnitude smaller although the inference time would also
 //! increase."
 //!
-//! Compares dense f32, CSR, and 2-bit packed ternary storage of a
-//! ternarised layer on both axes: bytes and real measured matmul time.
+//! Runs one ternarised VGG-scale layer (a 1152→512 linear over a batch
+//! of 64, single thread) on each row the kernel registry deploys for
+//! it — `gemm-packed` on f32 panels, `gemm-csr`, and `gemm-ternary` on
+//! 2-bit code panels — and reports the bytes each resident weight form
+//! holds (the code panels' are `GemmPlan::packed_a_code_words`) and the
+//! measured forward time.
 
 use cnn_stack_bench::{fmt_seconds, render_table};
-use cnn_stack_compress::packed::PackedTernaryMatrix;
 use cnn_stack_compress::ttq::ternarise_tensor;
+use cnn_stack_nn::{ExecConfig, Layer, Linear, Phase, WeightFormat};
 use cnn_stack_sparse::CsrMatrix;
-use cnn_stack_tensor::{gemm, Tensor};
+use cnn_stack_tensor::{GemmPlan, Tensor};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::time::Instant;
 
-fn time_it(mut f: impl FnMut() -> Tensor) -> f64 {
+const IN: usize = 1152;
+const OUT: usize = 512;
+const BATCH: usize = 64;
+
+/// Best of five timed forwards after one warm-up.
+fn min_seconds(mut f: impl FnMut() -> Tensor) -> f64 {
     let _ = f();
-    let start = Instant::now();
-    for _ in 0..3 {
-        std::hint::black_box(f().data()[0]);
-    }
-    start.elapsed().as_secs_f64() / 3.0
+    (0..5)
+        .map(|_| {
+            let start = Instant::now();
+            std::hint::black_box(f().data()[0]);
+            start.elapsed().as_secs_f64()
+        })
+        .fold(f64::INFINITY, f64::min)
 }
 
 fn main() {
-    // A ternarised VGG-scale layer matrix.
     let mut rng = ChaCha8Rng::seed_from_u64(3);
-    let mut w = Tensor::from_fn([512, 1152], |_| rng.gen_range(-1.0f32..1.0));
+    let mut w = Tensor::from_fn([OUT, IN], |_| rng.gen_range(-1.0f32..1.0));
     let (_, sparsity) = ternarise_tensor(&mut w, 0.35);
-    let b = Tensor::from_fn([1152, 64], |i| (i as f32 * 0.001).sin());
+    let x = Tensor::from_fn([BATCH, IN], |i| (i as f32 * 0.001).sin());
+    let cfg = ExecConfig::serial();
 
-    let csr = CsrMatrix::from_dense(&w, 0.0);
-    let packed = PackedTernaryMatrix::from_dense_ternary(&w).expect("ternarised");
-
-    let dense_bytes = 512 * 1152 * 4;
-    let rows = vec![
-        vec![
-            "dense f32".to_string(),
-            format!("{dense_bytes}"),
-            "1.00x".to_string(),
-            fmt_seconds(time_it(|| gemm::matmul(&w, &b))),
-        ],
-        vec![
-            "CSR".to_string(),
-            format!("{}", csr.storage_bytes()),
-            format!("{:.2}x", dense_bytes as f64 / csr.storage_bytes() as f64),
-            fmt_seconds(time_it(|| csr.spmm(&b))),
-        ],
-        vec![
-            "packed 2-bit".to_string(),
-            format!("{}", packed.storage_bytes()),
-            format!("{:.2}x", packed.ratio_vs_dense()),
-            fmt_seconds(time_it(|| packed.spmm(&b))),
-        ],
+    let plan = GemmPlan::new(OUT, IN, 1);
+    let dense_bytes = OUT * IN * 4;
+    let forms = [
+        (WeightFormat::Dense, plan.packed_a_elems() * 4),
+        (
+            WeightFormat::Csr,
+            CsrMatrix::from_dense(&w, 0.0).storage_bytes(),
+        ),
+        (WeightFormat::Ternary, plan.packed_a_code_words() * 4),
     ];
+    let mut f32_run: Option<(Tensor, f64)> = None;
+    let mut rows = Vec::new();
+    for (format, bytes) in forms {
+        let mut fc = Linear::new(IN, OUT, 0);
+        fc.weight_mut().value = w.clone();
+        fc.set_format(format);
+        fc.prepare(&cfg);
+        let out = fc.forward(&x, Phase::Eval, &cfg);
+        let seconds = min_seconds(|| fc.forward(&x, Phase::Eval, &cfg));
+        let (want, f32_seconds) = &*f32_run.get_or_insert((out.clone(), seconds));
+        if format == WeightFormat::Ternary {
+            assert_eq!(&out, want, "the code panels must compute the f32 bits");
+        } else {
+            assert!(out.allclose(want, 1e-3), "{format:?} diverged");
+        }
+        rows.push(vec![
+            fc.runs(&cfg).tag().to_string(),
+            format!("{bytes}"),
+            format!("{:.2}x", dense_bytes as f64 / bytes as f64),
+            fmt_seconds(seconds),
+            format!("{:.2}x", seconds / *f32_seconds),
+        ]);
+    }
     print!(
         "{}",
         render_table(
             &format!(
-                "Packed-ternary ablation: [512x1152] ternary layer at {:.0}% sparsity, . [1152x64]",
+                "Packed-ternary ablation: {IN}->{OUT} linear at {:.0}% sparsity, batch {BATCH}, 1 thread",
                 sparsity * 100.0
             ),
-            &["Storage", "Bytes", "vs dense", "Matmul (measured)"],
+            &["Row", "Weight bytes", "vs dense", "Forward (min of 5)", "vs gemm-packed"],
             &rows,
         )
     );
     println!(
-        "\nThe paper's remark compares against its CSR quantised models, and it\n\
-         holds here on both axes: packed storage is an order of magnitude\n\
-         smaller than CSR (~16x below dense), while its decode-per-weight\n\
-         kernel runs severalfold slower than the CSR kernel."
+        "\nThe paper's remark holds for storage — the code panels are 16x below\n\
+         the f32 panels and an order of magnitude below CSR — but not for time\n\
+         here: the codes decode into the same f32 tile, so gemm-ternary runs\n\
+         at the packed engine's speed, not a decode-per-weight kernel's."
     );
 }

@@ -10,11 +10,12 @@
 //!   recasts the network as a smaller dense network.
 //! * [`ttq`] — **Trained Ternary Quantisation** (Zhu et al.): per-layer
 //!   thresholded ternarisation with learned positive/negative scales,
-//!   trained by projection during fine-tuning.
+//!   trained by projection during fine-tuning. A ternarised layer
+//!   labelled `WeightFormat::Ternary` deploys as 2-bit code panels the
+//!   packed GEMM decodes in its tile — the paper's "hashing at the level
+//!   of bits" remark (§V-D), realised in `cnn_stack_nn`'s weight store.
 //! * [`huffman`] — Deep Compression's third storage stage: Huffman
 //!   coding of the quantised weight stream.
-//! * [`packed`] — 2-bit packed ternary storage, realising the paper's
-//!   "hashing at the level of bits" memory/time trade-off remark (§V-D).
 //! * [`random`] — random pruning baselines (the paper's \[35\]).
 //! * [`binary`], [`hashed`], [`inq`] — the rest of the §III-C
 //!   quantisation family: BinaryConnect \[19\], HashedNet \[20\] and
@@ -43,7 +44,6 @@ pub mod hashed;
 pub mod huffman;
 pub mod inq;
 pub mod magnitude;
-pub mod packed;
 pub mod random;
 pub mod ttq;
 pub mod visit;
@@ -55,6 +55,5 @@ pub use hashed::{hash_network, HashedReport};
 pub use huffman::{code_ternary_network, HuffmanCode, HuffmanReport};
 pub use inq::{inq_quantise, inq_step, InqReport};
 pub use magnitude::{prune_network, PruneReport};
-pub use packed::PackedTernaryMatrix;
 pub use ttq::{ttq_quantise, TtqReport};
 pub use visit::for_each_weight_param;

@@ -3,7 +3,7 @@
 use crate::algo::{self, AlgoChoice, LayerShape};
 use crate::descriptor::{LayerDescriptor, LayerKind};
 use crate::error::Error;
-use crate::layer::{check_conv, ExecConfig, Layer, Param, WeightFormat};
+use crate::layer::{check_conv, ExecConfig, Layer, Param, WeightFormat, LAYER_SCHEDULE};
 use crate::weights::{PanelOperand, Weights};
 use cnn_stack_parallel::parallel_for;
 use cnn_stack_parallel::DisjointWriter;
@@ -349,7 +349,7 @@ impl Conv2d {
         let writer = &writer;
         for img in 0..n {
             let x = &in_data[img * in_img..(img + 1) * in_img];
-            parallel_for(cfg.threads, self.out_channels, cfg.schedule, |range| {
+            parallel_for(cfg.threads, self.out_channels, LAYER_SCHEDULE, |range| {
                 for o in range {
                     // SAFETY: each grain `o` owns exactly one output
                     // plane; planes never overlap across grains.
@@ -400,7 +400,7 @@ impl Conv2d {
                 &mut scratch[..cols_len],
             );
             let cols: &[f32] = &scratch[..cols_len];
-            parallel_for(cfg.threads, self.out_channels, cfg.schedule, |range| {
+            parallel_for(cfg.threads, self.out_channels, LAYER_SCHEDULE, |range| {
                 // SAFETY: grain range covers whole output rows
                 // [start*plane, end*plane) of this image — disjoint.
                 let dst = unsafe {
@@ -492,7 +492,7 @@ impl Conv2d {
                     b_buf,
                     dst,
                     cfg.threads,
-                    cfg.schedule,
+                    LAYER_SCHEDULE,
                     cfg.epilogue(),
                 );
                 img += 1;
@@ -522,7 +522,7 @@ impl Conv2d {
                 b_buf,
                 c_buf,
                 cfg.threads,
-                cfg.schedule,
+                LAYER_SCHEDULE,
                 cfg.epilogue(),
             );
             for gi in 0..g {
@@ -557,7 +557,7 @@ impl Conv2d {
         let writer = &writer;
         for img in 0..n {
             let x = &in_data[img * in_img..(img + 1) * in_img];
-            parallel_for(cfg.threads, self.out_channels, cfg.schedule, |range| {
+            parallel_for(cfg.threads, self.out_channels, LAYER_SCHEDULE, |range| {
                 for o in range {
                     // SAFETY: one output plane per grain.
                     let dst = unsafe {
@@ -602,7 +602,7 @@ impl Conv2d {
                 &mut scratch[..cols_len],
             );
             let cols: &[f32] = &scratch[..cols_len];
-            parallel_for(cfg.threads, self.out_channels, cfg.schedule, |range| {
+            parallel_for(cfg.threads, self.out_channels, LAYER_SCHEDULE, |range| {
                 // SAFETY: whole-row block per grain range.
                 let dst = unsafe {
                     writer.slice_mut(
@@ -654,7 +654,7 @@ impl Conv2d {
             out,
             scratch,
             cfg.threads,
-            cfg.schedule,
+            LAYER_SCHEDULE,
         )
         .expect("resolve checked eligibility");
     }

@@ -2,7 +2,7 @@
 
 use crate::descriptor::{LayerDescriptor, LayerKind};
 use crate::error::Error;
-use crate::layer::{check_conv, ExecConfig, Layer, Param, WeightFormat};
+use crate::layer::{check_conv, ExecConfig, Layer, Param, WeightFormat, LAYER_SCHEDULE};
 use cnn_stack_tensor::init::{initialise, Init};
 use cnn_stack_tensor::{depthwise_conv2d_into, Conv2dGeometry, Tensor};
 
@@ -229,7 +229,7 @@ impl Layer for DepthwiseConv2d {
             cfg.fused_relu,
             out,
             cfg.threads,
-            cfg.schedule,
+            LAYER_SCHEDULE,
         );
     }
 

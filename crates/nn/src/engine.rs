@@ -131,6 +131,20 @@ pub struct PlanStep {
     pub bytes: u64,
 }
 
+impl PlanStep {
+    /// The step as traces and reports name it under `cfg`, the config
+    /// it runs (its own, or what a guard demotion left): `"{name} [span
+    /// n] {conv_algo:?}/{gemm_algo:?}"`, plus `" +relu"` when a ReLU is
+    /// fused.
+    pub fn label(&self, cfg: &ExecConfig) -> String {
+        let relu = if cfg.fused_relu { " +relu" } else { "" };
+        format!(
+            "{} [span {}] {:?}/{:?}{relu}",
+            self.name, self.span, cfg.conv_algo, cfg.gemm_algo
+        )
+    }
+}
+
 /// A network compiled for one input shape and one [`ExecConfig`]:
 /// per-step shapes, costs, output and workspace extents (the arena is
 /// laid out from these, see [`footprint`](Self::footprint)), computed
@@ -689,13 +703,7 @@ impl<'n> InferenceSession<'n> {
             .steps
             .iter()
             .zip(&self.exec)
-            .map(|(s, cfg)| {
-                let relu = if cfg.fused_relu { " +relu" } else { "" };
-                w.observer.intern(&format!(
-                    "{} [span {}] {:?}/{:?}{}",
-                    s.name, s.span, cfg.conv_algo, cfg.gemm_algo, relu
-                ))
-            })
+            .map(|(s, cfg)| w.observer.intern(&s.label(cfg)))
             .collect();
         w.step_names = names;
         w.observer

@@ -57,6 +57,12 @@ pub enum WeightFormat {
     Ternary,
 }
 
+/// The loop schedule every layer kernel parallelises its outer loop
+/// with: dynamic, one item per claim, as in the paper. The tensor-level
+/// kernels still take a `Schedule`, so the `ablate_schedule` bench can
+/// compare the others.
+pub(crate) const LAYER_SCHEDULE: Schedule = Schedule::Dynamic { chunk: 1 };
+
 /// Execution configuration for a forward pass: the knobs of the paper's
 /// "Systems Techniques" stack layer.
 ///
@@ -72,8 +78,6 @@ pub enum WeightFormat {
 pub struct ExecConfig {
     /// Worker thread count for the convolution/linear outer loops.
     pub threads: usize,
-    /// Loop schedule (the paper uses dynamic scheduling).
-    pub schedule: Schedule,
     /// Convolution lowering.
     pub conv_algo: ConvAlgorithm,
     /// GEMM kernel for the im2col-convolution and linear layers. The
@@ -114,7 +118,6 @@ impl ExecConfig {
     pub fn serial() -> Self {
         ExecConfig {
             threads: 1,
-            schedule: Schedule::Dynamic { chunk: 1 },
             conv_algo: ConvAlgorithm::Direct,
             gemm_algo: GemmAlgorithm::Packed,
             fused_relu: false,
@@ -185,12 +188,6 @@ impl ExecConfigBuilder {
         self
     }
 
-    /// Sets the parallel loop schedule.
-    pub fn schedule(mut self, schedule: Schedule) -> Self {
-        self.config.schedule = schedule;
-        self
-    }
-
     /// Sets the convolution lowering algorithm.
     pub fn conv_algo(mut self, algo: ConvAlgorithm) -> Self {
         self.config.conv_algo = algo;
@@ -219,22 +216,11 @@ impl ExecConfigBuilder {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::InvalidConfig`] if `threads == 0` or the chunk
-    /// size of a static/dynamic schedule is zero.
+    /// Returns [`Error::InvalidConfig`] if `threads == 0`.
     pub fn build(self) -> Result<ExecConfig, Error> {
         if self.config.threads == 0 {
             return Err(Error::InvalidConfig(
                 "at least one thread required".to_string(),
-            ));
-        }
-        let chunk = match self.config.schedule {
-            Schedule::Static => 1,
-            Schedule::Dynamic { chunk } => chunk,
-            Schedule::Guided { min_chunk } => min_chunk,
-        };
-        if chunk == 0 {
-            return Err(Error::InvalidConfig(
-                "schedule chunk size must be positive".to_string(),
             ));
         }
         Ok(self.config)
@@ -685,25 +671,17 @@ mod tests {
     fn builder_accepts_valid_config() {
         let cfg = ExecConfig::builder()
             .threads(4)
-            .schedule(Schedule::Dynamic { chunk: 2 })
             .conv_algo(ConvAlgorithm::Im2col)
             .build()
             .unwrap();
         assert_eq!(cfg.threads, 4);
-        assert_eq!(cfg.schedule, Schedule::Dynamic { chunk: 2 });
         assert_eq!(cfg.conv_algo, ConvAlgorithm::Im2col);
     }
 
     #[test]
-    fn builder_rejects_zero_threads_and_zero_chunk() {
+    fn builder_rejects_zero_threads() {
         assert!(matches!(
             ExecConfig::builder().threads(0).build(),
-            Err(Error::InvalidConfig(_))
-        ));
-        assert!(matches!(
-            ExecConfig::builder()
-                .schedule(Schedule::Dynamic { chunk: 0 })
-                .build(),
             Err(Error::InvalidConfig(_))
         ));
     }

@@ -3,7 +3,7 @@
 use crate::algo::{self, AlgoChoice, LayerShape};
 use crate::descriptor::{LayerDescriptor, LayerKind};
 use crate::error::Error;
-use crate::layer::{refuse_input, ExecConfig, Layer, Param, WeightFormat};
+use crate::layer::{refuse_input, ExecConfig, Layer, Param, WeightFormat, LAYER_SCHEDULE};
 use crate::weights::{PanelOperand, Weights};
 use cnn_stack_parallel::parallel_for;
 use cnn_stack_parallel::DisjointWriter;
@@ -167,7 +167,7 @@ impl Linear {
             b_buf,
             c_buf,
             cfg.threads,
-            cfg.schedule,
+            LAYER_SCHEDULE,
             cfg.epilogue(),
         );
         for (b, row) in out.chunks_exact_mut(self.out_features).enumerate() {
@@ -207,7 +207,7 @@ impl Linear {
             self.weights.panels(),
             out,
             cfg.threads,
-            cfg.schedule,
+            LAYER_SCHEDULE,
             cfg.epilogue(),
         );
     }
@@ -220,7 +220,7 @@ impl Linear {
         let writer = DisjointWriter::new(out);
         let writer = &writer;
         let csr = self.weights.csr();
-        parallel_for(cfg.threads, out_f, cfg.schedule, |range| {
+        parallel_for(cfg.threads, out_f, LAYER_SCHEDULE, |range| {
             for o in range {
                 let (idx, val) = csr.row(o);
                 for b in 0..batch {
@@ -250,7 +250,7 @@ impl Linear {
         let writer = DisjointWriter::new(out);
         let writer = &writer;
         let wdata = self.weight().value.data();
-        parallel_for(cfg.threads, out_f, cfg.schedule, |range| {
+        parallel_for(cfg.threads, out_f, LAYER_SCHEDULE, |range| {
             for o in range {
                 let w_row = &wdata[o * feat..(o + 1) * feat];
                 for b in 0..batch {

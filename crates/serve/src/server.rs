@@ -5,6 +5,16 @@
 //! backoff, a hung-batch watchdog that fails over wedged workers, and
 //! an optional brownout circuit breaker under which overloaded workers
 //! run their sessions with guards off.
+//!
+//! Every ticket resolves in one place: [`ServerInner::settle`] answers
+//! it and does the outcome's whole bookkeeping — the slot's counter
+//! (the server's, for a queue-full shed), the obs metric, the latency
+//! histogram, the breaker sample. A reply is moved, never cloned, so at
+//! each instant one owner holds it: the queue, the worker, or the
+//! slot's in-flight record, which the worker, the watchdog, the crash
+//! handler and shutdown can each take but only one of them does (see
+//! [`crate::supervisor`]). The server's `served`, `shed_deadline` and
+//! `failed` totals are the sums of the slots' counters.
 
 use crate::batcher::{BatchEnd, Batcher};
 use crate::breaker::{CircuitBreaker, Route};
@@ -14,7 +24,7 @@ use crate::error::ServeError;
 use crate::health::{ServerHealth, WorkerHealth};
 use crate::pool::{LadderTemplate, SessionLadder};
 use crate::supervisor::{lock_unpoisoned, SupervisionPolicy, WorkerSlot};
-use crate::ticket::{FailureCause, Outcome, Request, Served, ShedReason, Ticket};
+use crate::ticket::{FailureCause, Outcome, Reply, Request, Served, ShedReason, Ticket};
 use cnn_stack_nn::{HealthReport, Network};
 use cnn_stack_obs::{Metric, Observer};
 use cnn_stack_parallel::{panic_message, spawn_worker};
@@ -33,10 +43,7 @@ struct ServerInner {
     depth: AtomicI64,
     next_id: AtomicU64,
     submitted: AtomicU64,
-    served: AtomicU64,
     shed_queue_full: AtomicU64,
-    shed_deadline: AtomicU64,
-    failed: AtomicU64,
     /// Per-worker supervision slots; these outlive worker threads, so
     /// counters and in-flight tickets survive crashes and failovers.
     slots: Vec<Arc<WorkerSlot>>,
@@ -67,15 +74,50 @@ impl ServerInner {
             obs.metrics().set(m, v);
         }
     }
-}
 
-/// Feeds one request outcome to the breaker (if any), bumping the trip
-/// metric when this outcome opened it.
-fn breaker_record(inner: &ServerInner, now_ns: u64, ok: bool) {
-    if let Some(b) = &inner.breaker {
-        if b.record(now_ns, ok) {
-            inner.count(Metric::ServeBreakerTrips, 1);
+    /// Resolves one ticket at `now_ns`: the one place an outcome is
+    /// answered and counted. Bumps the outcome's counter — `slot`'s, or
+    /// the server's for a queue-full shed — and its obs metric, records
+    /// a served request's latency (stamped into the payload here) and
+    /// feeds the breaker, then sends the response. `slot` is `None`
+    /// only at admission; a shutdown refusal counts nothing, as nothing
+    /// was admitted.
+    fn settle(&self, slot: Option<&WorkerSlot>, reply: Reply, now_ns: u64, mut outcome: Outcome) {
+        let slot = || slot.expect("an outcome after admission belongs to a worker");
+        let ok = match &mut outcome {
+            Outcome::Served(served) => {
+                let latency_ns = now_ns.saturating_sub(reply.submitted_ns);
+                served.latency = Duration::from_nanos(latency_ns);
+                self.observe(Metric::ServeLatencyNs, latency_ns);
+                slot().served.fetch_add(1, Ordering::Relaxed);
+                self.count(Metric::ServeServed, 1);
+                Some(reply.deadline_ns.is_none_or(|d| d >= now_ns))
+            }
+            Outcome::Shed(ShedReason::QueueFull) => {
+                self.shed_queue_full.fetch_add(1, Ordering::Relaxed);
+                self.count(Metric::ServeShedQueueFull, 1);
+                Some(false)
+            }
+            Outcome::Shed(ShedReason::DeadlineExpired) => {
+                slot().shed_deadline.fetch_add(1, Ordering::Relaxed);
+                self.count(Metric::ServeShedDeadline, 1);
+                Some(false)
+            }
+            Outcome::Shed(ShedReason::ShuttingDown) => None,
+            Outcome::Failed(_) => {
+                slot().failed.fetch_add(1, Ordering::Relaxed);
+                self.count(Metric::ServeFailed, 1);
+                Some(false)
+            }
+        };
+        // Misses, failures and queue-full sheds are the overload
+        // pressure the breaker watches.
+        if let (Some(ok), Some(breaker)) = (ok, &self.breaker) {
+            if breaker.record(now_ns, ok) {
+                self.count(Metric::ServeBreakerTrips, 1);
+            }
         }
+        reply.send(outcome);
     }
 }
 
@@ -181,17 +223,15 @@ impl Worker {
         // only burn capacity the live requests need.
         let now = self.clock.now_ns();
         for r in &batch {
-            inner.observe(Metric::ServeQueueWaitNs, now.saturating_sub(r.submitted_ns));
+            let wait_ns = now.saturating_sub(r.reply.submitted_ns);
+            inner.observe(Metric::ServeQueueWaitNs, wait_ns);
         }
         let (live, dead): (Vec<Request>, Vec<Request>) = batch
             .into_iter()
-            .partition(|r| r.deadline_ns.is_none_or(|d| d >= now));
+            .partition(|r| r.reply.deadline_ns.is_none_or(|d| d >= now));
         for r in dead {
-            inner.count(Metric::ServeShedDeadline, 1);
-            inner.shed_deadline.fetch_add(1, Ordering::Relaxed);
-            self.slot.shed_deadline.fetch_add(1, Ordering::Relaxed);
-            breaker_record(&inner, now, false);
-            r.respond(Outcome::Shed(ShedReason::DeadlineExpired));
+            let shed = Outcome::Shed(ShedReason::DeadlineExpired);
+            inner.settle(Some(&self.slot), r.reply, now, shed);
         }
         if live.is_empty() {
             self.publish_health();
@@ -208,14 +248,17 @@ impl Worker {
         let degraded_route = route == Route::Degraded;
         let expected_ns = self.ladder.expected_ns(live.len());
 
-        // Register the batch BEFORE any fallible work: from here on, a
-        // panic or hang resolves these tickets as typed failures via
-        // the slot registry — they are never lost.
+        // Hand the replies to the slot BEFORE any fallible work: from
+        // here on, a panic or hang resolves these tickets as typed
+        // failures through the in-flight record — they are never lost.
         let watchdog_deadline = now.saturating_add(self.supervision.hang_timeout_ns(expected_ns));
         let batch_idx = self.slot.batches.fetch_add(1, Ordering::Relaxed);
-        self.slot.begin_batch(&live, watchdog_deadline);
+        let (inputs, replies): (Vec<Tensor>, Vec<Reply>) =
+            live.into_iter().map(|r| (r.input, r.reply)).unzip();
+        self.slot
+            .begin_batch(self.generation, watchdog_deadline, replies);
         inner.count(Metric::ServeBatches, 1);
-        inner.observe(Metric::ServeBatchOccupancy, live.len() as u64);
+        inner.observe(Metric::ServeBatchOccupancy, inputs.len() as u64);
 
         // Serve-level fault injection: crash, hang, or slow this batch.
         #[cfg(feature = "fault-inject")]
@@ -226,7 +269,7 @@ impl Worker {
                 Some(ServeBatchFault::Crash) => {
                     panic!("fault-inject: serve worker crash on batch {batch_idx}");
                 }
-                Some(ServeBatchFault::Hang) => return self.hang(live),
+                Some(ServeBatchFault::Hang) => return self.hang(),
                 Some(ServeBatchFault::Slow(nanos)) => {
                     self.clock.stall(Duration::from_nanos(nanos));
                 }
@@ -236,50 +279,37 @@ impl Worker {
         #[cfg(not(feature = "fault-inject"))]
         let _ = batch_idx;
 
-        let batch_size = live.len();
-        let inputs: Vec<&Tensor> = live.iter().map(|r| &r.input).collect();
-        let run = self.ladder.run(&inputs, route);
-        drop(inputs);
-
-        if self.deposed() {
-            // The watchdog gave up on this batch mid-run, already
-            // failed its tickets, and handed the queue to a
-            // replacement; responding now would be double-talk.
-            return Some(true);
-        }
+        let batch_size = inputs.len();
+        let run = self.ladder.run(&inputs.iter().collect::<Vec<_>>(), route);
         let done = self.clock.now_ns();
+        let Some(replies) = self.slot.finish_batch(self.generation) else {
+            // The watchdog gave up on this batch mid-run, already
+            // resolved its tickets, and handed the queue to a
+            // replacement.
+            return Some(true);
+        };
         match run {
             Ok((outputs, info)) => {
-                for (r, output) in live.into_iter().zip(outputs) {
-                    let latency_ns = done.saturating_sub(r.submitted_ns);
-                    let on_time = r.deadline_ns.is_none_or(|d| d >= done);
-                    breaker_record(&inner, done, on_time);
-                    inner.observe(Metric::ServeLatencyNs, latency_ns);
-                    inner.count(Metric::ServeServed, 1);
-                    inner.served.fetch_add(1, Ordering::Relaxed);
-                    self.slot.served.fetch_add(1, Ordering::Relaxed);
-                    r.respond(Outcome::Served(Served {
+                for (reply, output) in replies.into_iter().zip(outputs) {
+                    let served = Outcome::Served(Served {
                         output,
-                        latency: Duration::from_nanos(latency_ns),
+                        latency: Duration::ZERO,
                         batch_size,
                         demoted: info.demoted,
                         guarded: info.guarded,
                         degraded: degraded_route,
-                    }));
+                    });
+                    inner.settle(Some(&self.slot), reply, done, served);
                 }
             }
             Err(e) => {
                 let cause = FailureCause::Engine(e.to_string());
-                for r in live {
-                    breaker_record(&inner, done, false);
-                    inner.count(Metric::ServeFailed, 1);
-                    inner.failed.fetch_add(1, Ordering::Relaxed);
-                    self.slot.failed.fetch_add(1, Ordering::Relaxed);
-                    r.respond(Outcome::Failed(cause.clone()));
+                for reply in replies {
+                    let failed = Outcome::Failed(cause.clone());
+                    inner.settle(Some(&self.slot), reply, done, failed);
                 }
             }
         }
-        self.slot.end_batch(watchdog_deadline);
         if degraded_route {
             self.slot.degraded_batches.fetch_add(1, Ordering::Relaxed);
             inner.count(Metric::ServeDegradedBatches, 1);
@@ -298,7 +328,7 @@ impl Worker {
     /// keep driving the clock); threaded workers block until deposed
     /// or shutdown, like a genuinely stuck thread would.
     #[cfg(feature = "fault-inject")]
-    fn hang(&mut self, live: Vec<Request>) -> Option<bool> {
+    fn hang(&mut self) -> Option<bool> {
         if self.manual {
             self.parked = true;
         } else {
@@ -306,9 +336,6 @@ impl Worker {
                 std::thread::sleep(Duration::from_millis(1));
             }
         }
-        // Dropping `live` is safe: the slot registry holds reply-sender
-        // clones, so the watchdog resolves these tickets as BatchHung.
-        drop(live);
         Some(true)
     }
 
@@ -317,15 +344,11 @@ impl Worker {
     /// panic; the slot outlives the dead worker.
     fn handle_crash(&mut self, msg: String) {
         let now = self.clock.now_ns();
-        let n = self.slot.fail_inflight(FailureCause::WorkerCrashed(msg));
-        self.slot.abort_batch();
-        if n > 0 {
-            self.inner.failed.fetch_add(n, Ordering::Relaxed);
-            self.slot.failed.fetch_add(n, Ordering::Relaxed);
-            self.inner.count(Metric::ServeFailed, n);
-            for _ in 0..n {
-                breaker_record(&self.inner, now, false);
-            }
+        let cause = FailureCause::WorkerCrashed(msg);
+        let replies = self.slot.finish_batch(self.generation);
+        for reply in replies.unwrap_or_default() {
+            let failed = Outcome::Failed(cause.clone());
+            self.inner.settle(Some(&self.slot), reply, now, failed);
         }
         self.slot.crashes.fetch_add(1, Ordering::Relaxed);
         self.inner.count(Metric::ServeWorkerCrashes, 1);
@@ -424,27 +447,20 @@ fn spawn_replacement(ctx: &Arc<SupervisorCtx>, slot: Arc<WorkerSlot>) {
 }
 
 /// One hung-batch watchdog sweep: any slot whose in-flight batch has
-/// outlived its hang timeout is deposed, its tickets resolved as
-/// [`FailureCause::BatchHung`], and a replacement takes over the
-/// queue. Returns the number of failovers.
+/// outlived its hang timeout loses it — its worker deposed, its tickets
+/// resolved as [`FailureCause::BatchHung`] — and a replacement takes
+/// over the queue. Returns the number of failovers.
 fn sweep(ctx: &Arc<SupervisorCtx>, manual: Option<&Mutex<Worker>>) -> usize {
     let now = ctx.clock.now_ns();
     let mut failovers = 0;
     for slot in &ctx.inner.slots {
-        if !slot.is_overdue(now) {
+        let Some(replies) = slot.take_overdue(now) else {
             continue;
-        }
+        };
         failovers += 1;
-        slot.depose();
-        let n = slot.fail_inflight(FailureCause::BatchHung);
-        slot.abort_batch();
-        if n > 0 {
-            ctx.inner.failed.fetch_add(n, Ordering::Relaxed);
-            slot.failed.fetch_add(n, Ordering::Relaxed);
-            ctx.inner.count(Metric::ServeFailed, n);
-            for _ in 0..n {
-                breaker_record(&ctx.inner, now, false);
-            }
+        for reply in replies {
+            let failed = Outcome::Failed(FailureCause::BatchHung);
+            ctx.inner.settle(Some(slot), reply, now, failed);
         }
         slot.hung_batches.fetch_add(1, Ordering::Relaxed);
         ctx.inner.count(Metric::ServeHungBatches, 1);
@@ -521,10 +537,7 @@ impl Server {
             depth: AtomicI64::new(0),
             next_id: AtomicU64::new(0),
             submitted: AtomicU64::new(0),
-            served: AtomicU64::new(0),
             shed_queue_full: AtomicU64::new(0),
-            shed_deadline: AtomicU64::new(0),
-            failed: AtomicU64::new(0),
             slots: (0..worker_count)
                 .map(|i| Arc::new(WorkerSlot::new(i)))
                 .collect(),
@@ -661,34 +674,27 @@ impl Server {
         let id = inner.next_id.fetch_add(1, Ordering::Relaxed);
         inner.submitted.fetch_add(1, Ordering::Relaxed);
         inner.count(Metric::ServeSubmitted, 1);
-        let (reply, rx) = mpsc::channel();
+        let (tx, rx) = mpsc::channel();
         let ticket = Ticket { id, rx };
         let now = self.clock.now_ns();
-        let request = Request {
+        let reply = Reply {
             id,
-            input,
             submitted_ns: now,
             deadline_ns: deadline.map(|d| now.saturating_add(d.as_nanos() as u64)),
-            reply,
+            tx,
         };
-        let tx = lock_unpoisoned(&self.tx);
-        match tx.as_ref() {
-            None => request.respond(Outcome::Shed(ShedReason::ShuttingDown)),
-            Some(tx) => match tx.try_send(request) {
+        let refused = |reply, reason| inner.settle(None, reply, now, Outcome::Shed(reason));
+        let queue = lock_unpoisoned(&self.tx);
+        match queue.as_ref() {
+            None => refused(reply, ShedReason::ShuttingDown),
+            Some(queue) => match queue.try_send(Request { input, reply }) {
                 Ok(()) => {
                     let depth = inner.depth.fetch_add(1, Ordering::Relaxed) + 1;
                     inner.gauge(Metric::ServeQueueDepth, depth);
                 }
-                Err(TrySendError::Full(request)) => {
-                    inner.shed_queue_full.fetch_add(1, Ordering::Relaxed);
-                    inner.count(Metric::ServeShedQueueFull, 1);
-                    // Queue-full sheds are overload pressure the
-                    // breaker should see.
-                    breaker_record(inner, now, false);
-                    request.respond(Outcome::Shed(ShedReason::QueueFull));
-                }
+                Err(TrySendError::Full(request)) => refused(request.reply, ShedReason::QueueFull),
                 Err(TrySendError::Disconnected(request)) => {
-                    request.respond(Outcome::Shed(ShedReason::ShuttingDown));
+                    refused(request.reply, ShedReason::ShuttingDown)
                 }
             },
         }
@@ -764,10 +770,10 @@ impl Server {
         let breaker = inner.breaker.as_ref().map(|b| b.snapshot());
         ServerHealth {
             submitted: inner.submitted.load(Ordering::Relaxed),
-            served: inner.served.load(Ordering::Relaxed),
+            served: workers.iter().map(|w| w.served).sum(),
             shed_queue_full: inner.shed_queue_full.load(Ordering::Relaxed),
-            shed_deadline: inner.shed_deadline.load(Ordering::Relaxed),
-            failed: inner.failed.load(Ordering::Relaxed),
+            shed_deadline: workers.iter().map(|w| w.shed_deadline).sum(),
+            failed: workers.iter().map(|w| w.failed).sum(),
             respawns: workers.iter().map(|w| w.respawns).sum(),
             hung_batches: workers.iter().map(|w| w.hung_batches).sum(),
             degraded_batches: workers.iter().map(|w| w.degraded_batches).sum(),
@@ -853,13 +859,11 @@ impl Server {
         }
         // Resolve anything a wedged worker abandoned mid-flight so no
         // ticket is ever lost, even through shutdown.
+        let now = self.clock.now_ns();
         for slot in &self.inner.slots {
-            let n = slot.fail_inflight(FailureCause::BatchHung);
-            if n > 0 {
-                self.inner.failed.fetch_add(n, Ordering::Relaxed);
-                slot.failed.fetch_add(n, Ordering::Relaxed);
-                self.inner.count(Metric::ServeFailed, n);
-                slot.abort_batch();
+            for reply in slot.take_abandoned().unwrap_or_default() {
+                let failed = Outcome::Failed(FailureCause::BatchHung);
+                self.inner.settle(Some(slot), reply, now, failed);
             }
         }
     }
@@ -877,10 +881,138 @@ mod tests {
     use crate::breaker::BreakerPolicy;
     use crate::clock::ManualClock;
     use crate::pool::tests::{ternary_tiny_net, tiny_net};
+    use crate::ticket::Response;
 
     fn manual_server(cfg: ServeConfig, net: fn(u64) -> Network) -> Server {
         Server::start_with_clock(cfg, Arc::new(ManualClock::new()), move || net(7))
             .expect("tiny net compiles and serves")
+    }
+
+    /// Every submitted ticket is counted under exactly one outcome.
+    fn assert_every_ticket_counted_once(health: &ServerHealth) {
+        let settled = health.served + health.shed_queue_full + health.shed_deadline + health.failed;
+        assert_eq!(health.submitted, settled, "{health:?}");
+    }
+
+    /// Wall time, except for the worker's third reading once armed —
+    /// the one taken when its batch's run returns (the batcher read the
+    /// clock when the batch opened, the cycle when it was assembled).
+    /// That reading jumps the clock an hour ahead, so the batch is
+    /// overdue, and waits until the monitor has swept at the new time:
+    /// the watchdog fails the batch over while it finishes. It waits
+    /// ten seconds at most, so a broken monitor fails the test instead
+    /// of hanging it.
+    #[derive(Debug, Default)]
+    struct FailoverClock {
+        wall: MonotonicClock,
+        jump_ns: AtomicU64,
+        armed: AtomicBool,
+        worker_readings: AtomicU64,
+        monitor_readings: AtomicU64,
+    }
+
+    impl Clock for FailoverClock {
+        fn now_ns(&self) -> u64 {
+            match std::thread::current().name() {
+                Some("cnn-stack-serve-monitor") => {
+                    self.monitor_readings.fetch_add(1, Ordering::SeqCst);
+                }
+                Some("cnn-stack-serve-0")
+                    if self.armed.load(Ordering::SeqCst)
+                        && self.worker_readings.fetch_add(1, Ordering::SeqCst) == 2 =>
+                {
+                    self.jump_ns.store(3_600_000_000_000, Ordering::SeqCst);
+                    // The sweep after the next monitor reading began after
+                    // the jump, and has finished by the one after it.
+                    let swept = self.monitor_readings.load(Ordering::SeqCst) + 2;
+                    let give_up = std::time::Instant::now() + Duration::from_secs(10);
+                    while self.monitor_readings.load(Ordering::SeqCst) < swept
+                        && std::time::Instant::now() < give_up
+                    {
+                        std::thread::sleep(Duration::from_millis(1));
+                    }
+                }
+                _ => {}
+            }
+            self.wall.now_ns() + self.jump_ns.load(Ordering::SeqCst)
+        }
+
+        fn recv_deadline(
+            &self,
+            rx: &mpsc::Receiver<Request>,
+            deadline_ns: u64,
+        ) -> Result<Request, crate::clock::WaitError> {
+            let jump = self.jump_ns.load(Ordering::SeqCst);
+            self.wall
+                .recv_deadline(rx, deadline_ns.saturating_sub(jump))
+        }
+
+        fn stall(&self, dur: Duration) {
+            self.wall.stall(dur);
+        }
+    }
+
+    /// A batch that finishes while the watchdog fails it over is
+    /// answered once — by whichever of the two took it from the slot —
+    /// and counted once: both tickets resolve `BatchHung`, nothing is
+    /// sent after, and the server's totals add up.
+    #[test]
+    fn a_batch_finishing_during_its_failover_is_answered_once() {
+        let clock = Arc::new(FailoverClock::default());
+        let cfg = ServeConfig::builder([3, 6, 6])
+            .max_batch(2)
+            .max_delay(Duration::from_secs(10))
+            .workers(1)
+            .supervision(SupervisionPolicy {
+                hang_multiplier: 1.0,
+                hang_floor: Duration::from_secs(1),
+                monitor_interval: Duration::from_millis(1),
+                ..SupervisionPolicy::default()
+            })
+            .build()
+            .expect("test config is valid");
+        let server =
+            Server::start_with_clock(cfg, Arc::clone(&clock) as Arc<dyn Clock>, || tiny_net(7))
+                .expect("tiny net compiles and serves");
+        clock.armed.store(true, Ordering::SeqCst);
+        let x = Tensor::from_fn([3, 6, 6], |i| (i as f32 * 0.37).sin());
+        let tickets: Vec<Ticket> = (0..2).map(|_| server.submit(x.clone()).unwrap()).collect();
+        let give_up = std::time::Instant::now() + Duration::from_secs(30);
+        let first: Vec<Response> = tickets
+            .iter()
+            .map(|t| loop {
+                if let Some(r) = t.try_wait() {
+                    break r;
+                }
+                assert!(
+                    std::time::Instant::now() < give_up,
+                    "ticket {} unanswered",
+                    t.id()
+                );
+                std::thread::sleep(Duration::from_millis(1));
+            })
+            .collect();
+        let health = server.shutdown();
+
+        for (ticket, first) in tickets.iter().zip(&first) {
+            assert!(
+                matches!(first.outcome, Outcome::Failed(FailureCause::BatchHung)),
+                "the watchdog took the batch first: {:?}",
+                first.outcome
+            );
+            // Every sender is gone now; an empty channel reads as a
+            // shutdown shed.
+            let second = ticket.try_wait().expect("the channel is closed");
+            assert!(
+                matches!(second.outcome, Outcome::Shed(ShedReason::ShuttingDown)),
+                "ticket {} answered twice: {:?}, then {:?}",
+                ticket.id(),
+                first.outcome,
+                second.outcome
+            );
+        }
+        assert_eq!(health.hung_batches, 1);
+        assert_every_ticket_counted_once(&health);
     }
 
     /// Every session the server runs — at start and after each respawn,
@@ -935,6 +1067,8 @@ mod tests {
                     );
                 }
             }
+            drop(worker);
+            assert_every_ticket_counted_once(&server.shutdown());
         }
     }
 
@@ -979,5 +1113,7 @@ mod tests {
         assert_eq!(worker.ladder.weight_storage(), template);
         assert_eq!(run(&mut worker, 1), pristine[0]);
         assert_eq!(run(&mut worker, 3), pristine[1]);
+        drop(worker);
+        assert_every_ticket_counted_once(&server.shutdown());
     }
 }

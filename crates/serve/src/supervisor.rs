@@ -8,27 +8,32 @@
 //!   runs batches, and can die (panic) or wedge (hang);
 //! * the **slot** ([`WorkerSlot`]) — an `Arc`'d bookkeeping record
 //!   that *outlives* the thread: serving counters, the in-flight
-//!   ticket registry, a liveness deadline, and a generation number.
+//!   record, and a generation number.
 //!
-//! Because the slot holds a clone of every in-flight request's reply
-//! sender, a dead or hung worker's tickets can always be resolved as
-//! typed [`Outcome::Failed`](crate::Outcome::Failed) outcomes by
-//! whoever notices — the worker's own panic handler or the watchdog —
-//! instead of being dropped on the floor as spurious `ShuttingDown`
-//! sheds. The generation number lets the watchdog *depose* a wedged
-//! worker: the old thread discovers its generation is stale and exits
-//! without responding, while a replacement thread (same slot, new
-//! generation) takes over the queue.
+//! At batch start the worker *moves* its requests' replies into the
+//! slot's in-flight record: one lock holding the replies, the watchdog
+//! deadline and the generation that registered them. Whoever takes the
+//! record resolves those tickets, and nobody else can: the worker when
+//! its run returns ([`WorkerSlot::finish_batch`], only while the record
+//! is still its own), the watchdog once the record is overdue
+//! ([`WorkerSlot::take_overdue`], which deposes the worker in the same
+//! locked step), the crash handler, or shutdown
+//! ([`WorkerSlot::take_abandoned`]). A dead or hung worker's tickets
+//! thus resolve as typed [`Outcome::Failed`](crate::Outcome::Failed)
+//! outcomes, never as spurious `ShuttingDown` sheds, and a batch that
+//! finishes during a failover is answered once. The generation number
+//! lets the watchdog *depose* a wedged worker: the old thread finds its
+//! record gone and its generation stale and exits, while a replacement
+//! thread (same slot, new generation) takes over the queue.
 
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::sync::mpsc::Sender;
 use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 
 use cnn_stack_nn::HealthReport;
 
 use crate::health::WorkerHealth;
-use crate::ticket::{FailureCause, Outcome, Request, Response};
+use crate::ticket::Reply;
 
 /// Locks a mutex, recovering the guard if a previous holder panicked.
 ///
@@ -40,9 +45,6 @@ use crate::ticket::{FailureCause, Outcome, Request, Response};
 pub(crate) fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
-
-/// Sentinel for "no batch in flight" in [`WorkerSlot::busy_until_ns`].
-const IDLE: u64 = u64::MAX;
 
 /// Tuning for worker supervision: hang detection and crash-loop
 /// backoff.
@@ -113,20 +115,29 @@ impl SupervisionPolicy {
     }
 }
 
+/// A batch in flight: the replies its tickets are owed, moved here by
+/// the worker at batch start.
+#[derive(Debug)]
+struct InFlight {
+    /// The slot generation of the worker that registered the batch.
+    generation: u64,
+    /// The watchdog fails the batch over once the clock passes this.
+    deadline_ns: u64,
+    replies: Vec<Reply>,
+}
+
 /// Per-worker bookkeeping that survives the worker thread.
 ///
 /// Counters live here (not on the thread) so a respawn doesn't reset
 /// the worker's history; [`WorkerHealth`] snapshots read straight from
-/// the slot.
+/// the slot, and the server's totals are their sums.
 #[derive(Debug)]
 pub(crate) struct WorkerSlot {
     pub(crate) index: usize,
     /// Bumped to depose the current thread (watchdog failover). A
-    /// worker whose cached generation is stale must exit without
-    /// responding — its batch has already been resolved.
+    /// worker whose cached generation is stale must exit: its batch has
+    /// already been resolved.
     generation: AtomicU64,
-    /// Watchdog deadline for the in-flight batch ([`IDLE`] when idle).
-    busy_until_ns: AtomicU64,
     /// Crash-loop streak; cleared by a cleanly completed batch.
     consecutive_failures: AtomicU32,
     // Serving counters (see WorkerHealth for semantics).
@@ -138,9 +149,8 @@ pub(crate) struct WorkerSlot {
     pub(crate) respawns: AtomicU64,
     pub(crate) hung_batches: AtomicU64,
     pub(crate) degraded_batches: AtomicU64,
-    /// Reply senders for the batch in flight, so a supervisor can
-    /// resolve tickets on a dead worker's behalf.
-    inflight: Mutex<Vec<(u64, Sender<Response>)>>,
+    /// The batch in flight, if any: its owner resolves its tickets.
+    inflight: Mutex<Option<InFlight>>,
     /// Engine health merged across the worker's ladder, published
     /// after each batch (and folded across respawns).
     engine: Mutex<HealthReport>,
@@ -151,7 +161,6 @@ impl WorkerSlot {
         WorkerSlot {
             index,
             generation: AtomicU64::new(0),
-            busy_until_ns: AtomicU64::new(IDLE),
             consecutive_failures: AtomicU32::new(0),
             batches: AtomicU64::new(0),
             served: AtomicU64::new(0),
@@ -161,7 +170,7 @@ impl WorkerSlot {
             respawns: AtomicU64::new(0),
             hung_batches: AtomicU64::new(0),
             degraded_batches: AtomicU64::new(0),
-            inflight: Mutex::new(Vec::new()),
+            inflight: Mutex::new(None),
             engine: Mutex::new(HealthReport::default()),
         }
     }
@@ -170,69 +179,54 @@ impl WorkerSlot {
         self.generation.load(Ordering::Acquire)
     }
 
-    /// Deposes the current thread: bumps the generation and returns
-    /// the new value for the replacement to adopt.
-    pub(crate) fn depose(&self) -> u64 {
-        self.generation.fetch_add(1, Ordering::AcqRel) + 1
-    }
-
-    /// Registers a batch as in flight: remembers every ticket's reply
-    /// sender and arms the watchdog deadline. Must run before any
+    /// Registers a batch as in flight under `generation`: the slot now
+    /// owns every ticket's reply, and the watchdog may fail the batch
+    /// over once the clock passes `deadline_ns`. Must run before any
     /// fallible work on the batch.
-    pub(crate) fn begin_batch(&self, requests: &[Request], watchdog_deadline_ns: u64) {
+    pub(crate) fn begin_batch(&self, generation: u64, deadline_ns: u64, replies: Vec<Reply>) {
+        let previous = lock_unpoisoned(&self.inflight).replace(InFlight {
+            generation,
+            deadline_ns,
+            replies,
+        });
+        debug_assert!(previous.is_none(), "a batch began over an unresolved one");
+    }
+
+    /// Takes the in-flight batch if `owns` says so, in one locked step.
+    fn take_if(&self, owns: impl FnOnce(&InFlight) -> bool) -> Option<Vec<Reply>> {
         let mut inflight = lock_unpoisoned(&self.inflight);
-        inflight.clear();
-        inflight.extend(requests.iter().map(|r| (r.id, r.reply.clone())));
-        drop(inflight);
-        self.busy_until_ns
-            .store(watchdog_deadline_ns, Ordering::Release);
-    }
-
-    /// Clears the in-flight registry and disarms the watchdog, but
-    /// only if the armed deadline is still the one this caller set —
-    /// a worker that was deposed mid-batch must not clobber the
-    /// replacement's registration. Returns whether it disarmed.
-    pub(crate) fn end_batch(&self, armed_deadline_ns: u64) -> bool {
-        if self
-            .busy_until_ns
-            .compare_exchange(armed_deadline_ns, IDLE, Ordering::AcqRel, Ordering::Acquire)
-            .is_ok()
-        {
-            lock_unpoisoned(&self.inflight).clear();
-            true
+        if inflight.as_ref().is_some_and(owns) {
+            inflight.take().map(|batch| batch.replies)
         } else {
-            false
+            None
         }
     }
 
-    /// Unconditionally disarms the watchdog and clears the registry.
-    /// Crash-path only: the thread is dead, no replacement can have
-    /// registered yet.
-    pub(crate) fn abort_batch(&self) {
-        self.busy_until_ns.store(IDLE, Ordering::Release);
-        lock_unpoisoned(&self.inflight).clear();
+    /// The registering worker's claim on its batch — when its run
+    /// returns, or when it crashed. `None` once the watchdog took the
+    /// batch (a replacement's batch, registered under a later
+    /// generation, is not this worker's to take).
+    pub(crate) fn finish_batch(&self, generation: u64) -> Option<Vec<Reply>> {
+        self.take_if(|batch| batch.generation == generation)
     }
 
-    /// `true` once the in-flight batch has outlived its hang timeout.
-    pub(crate) fn is_overdue(&self, now_ns: u64) -> bool {
-        let deadline = self.busy_until_ns.load(Ordering::Acquire);
-        deadline != IDLE && now_ns > deadline
+    /// The watchdog's claim: takes the batch only if it has outlived its
+    /// hang timeout at `now_ns`, and deposes its worker in the same
+    /// locked step, so the worker can no longer claim it.
+    pub(crate) fn take_overdue(&self, now_ns: u64) -> Option<Vec<Reply>> {
+        self.take_if(|batch| {
+            let overdue = now_ns > batch.deadline_ns;
+            if overdue {
+                self.generation.fetch_add(1, Ordering::AcqRel);
+            }
+            overdue
+        })
     }
 
-    /// Resolves every in-flight ticket as `Failed(cause)` and returns
-    /// how many were resolved. Used by the panic handler (worker
-    /// crashed) and the watchdog (batch hung).
-    pub(crate) fn fail_inflight(&self, cause: FailureCause) -> u64 {
-        let drained: Vec<_> = lock_unpoisoned(&self.inflight).drain(..).collect();
-        let n = drained.len() as u64;
-        for (id, reply) in drained {
-            // A dropped ticket just means nobody is listening; fine.
-            let _ = reply.send(Response {
-                id,
-                outcome: Outcome::Failed(cause.clone()),
-            });
-        }
-        n
+    /// Shutdown's claim, once every worker thread has exited: whatever a
+    /// wedged worker left in flight.
+    pub(crate) fn take_abandoned(&self) -> Option<Vec<Reply>> {
+        self.take_if(|_| true)
     }
 
     /// Extends the crash streak; returns the new streak length.
@@ -309,18 +303,24 @@ mod tests {
     }
 
     #[test]
-    fn overdue_only_while_armed() {
+    fn each_claim_takes_only_what_it_owns() {
         let slot = WorkerSlot::new(0);
-        assert!(!slot.is_overdue(u64::MAX - 1));
-        slot.begin_batch(&[], 1_000);
-        assert!(!slot.is_overdue(1_000));
-        assert!(slot.is_overdue(1_001));
-        // A stale deadline doesn't disarm the current registration...
-        assert!(!slot.end_batch(999));
-        assert!(slot.is_overdue(1_001));
-        // ...the armed one does.
-        assert!(slot.end_batch(1_000));
-        assert!(!slot.is_overdue(1_001));
+        assert!(slot.take_overdue(u64::MAX - 1).is_none(), "idle");
+        slot.begin_batch(0, 1_000, Vec::new());
+        assert!(slot.take_overdue(1_000).is_none(), "not yet overdue");
+        assert!(slot.finish_batch(1).is_none(), "another generation's batch");
+        assert!(slot.finish_batch(0).is_some(), "the worker's own batch");
+        assert!(slot.take_abandoned().is_none(), "already taken");
+
+        // The watchdog's take deposes the worker, whose claim then
+        // finds nothing — not the replacement's batch either.
+        slot.begin_batch(0, 1_000, Vec::new());
+        assert!(slot.take_overdue(1_001).is_some());
+        assert_eq!(slot.generation(), 1);
+        slot.begin_batch(1, 5_000, Vec::new());
+        assert!(slot.finish_batch(0).is_none());
+        assert!(slot.take_overdue(1_001).is_none(), "the new deadline holds");
+        assert!(slot.take_abandoned().is_some());
     }
 
     #[test]

@@ -102,22 +102,33 @@ pub struct Response {
     pub outcome: Outcome,
 }
 
-/// A queued request, internal to the server.
+/// A queued request, internal to the server: the input a batch runs,
+/// and the reply that resolves its ticket.
 #[derive(Debug)]
 pub struct Request {
-    pub(crate) id: u64,
     pub(crate) input: Tensor,
+    pub(crate) reply: Reply,
+}
+
+/// What a ticket is owed: the one sender of its [`Response`] plus the
+/// instants its outcome is judged by. It is moved, never cloned, from
+/// the queue to the worker to the slot's in-flight record, and sending
+/// consumes it, so whoever holds it is the only one who can answer.
+#[derive(Debug)]
+pub(crate) struct Reply {
+    pub(crate) id: u64,
     /// Submission instant on the server clock.
     pub(crate) submitted_ns: u64,
     /// Absolute shed deadline on the server clock, if any.
     pub(crate) deadline_ns: Option<u64>,
-    pub(crate) reply: Sender<Response>,
+    pub(crate) tx: Sender<Response>,
 }
 
-impl Request {
-    pub(crate) fn respond(self, outcome: Outcome) {
+impl Reply {
+    /// Answers the ticket; only `settle` calls this.
+    pub(crate) fn send(self, outcome: Outcome) {
         // A dropped ticket just means nobody is listening; fine.
-        let _ = self.reply.send(Response {
+        let _ = self.tx.send(Response {
             id: self.id,
             outcome,
         });

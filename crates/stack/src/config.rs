@@ -3,7 +3,7 @@
 use cnn_stack_compress::Technique;
 use cnn_stack_hwsim::{intel_i7, odroid_xu4, Backend, Platform};
 use cnn_stack_models::ModelKind;
-use cnn_stack_nn::{ConvAlgorithm, Error, GuardConfig, WeightFormat};
+use cnn_stack_nn::{ConvAlgorithm, GuardConfig, WeightFormat};
 use cnn_stack_obs::ObsLevel;
 
 /// Layer 2 of the stack: the compression technique and its operating
@@ -226,36 +226,6 @@ impl StackConfig {
         self
     }
 
-    /// Starts a validating builder seeded with the plain dense
-    /// single-threaded baseline on `platform`.
-    ///
-    /// Unlike the panicking [`threads`](Self::threads) shim, the builder
-    /// defers every check to [`build`](StackConfigBuilder::build), which
-    /// reports bad combinations — zero threads, CSR weights with the
-    /// Winograd lowering — as [`Error::InvalidConfig`] values.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use cnn_stack_core::config::{PlatformChoice, StackConfig};
-    /// use cnn_stack_models::ModelKind;
-    ///
-    /// let cfg = StackConfig::builder(ModelKind::Vgg16, PlatformChoice::IntelI7)
-    ///     .threads(4)
-    ///     .build()
-    ///     .unwrap();
-    /// assert_eq!(cfg.threads, 4);
-    /// assert!(StackConfig::builder(ModelKind::Vgg16, PlatformChoice::IntelI7)
-    ///     .threads(0)
-    ///     .build()
-    ///     .is_err());
-    /// ```
-    pub fn builder(model: ModelKind, platform: PlatformChoice) -> StackConfigBuilder {
-        StackConfigBuilder {
-            config: StackConfig::plain(model, platform),
-        }
-    }
-
     /// Predicted top-1 accuracy (percent) of this configuration, from the
     /// calibrated response curves.
     pub fn predicted_accuracy(&self) -> f64 {
@@ -264,103 +234,6 @@ impl StackConfig {
             None => AccuracyModel::baseline(self.model),
             Some(t) => AccuracyModel::accuracy(self.model, t, self.compression.operating_point()),
         }
-    }
-}
-
-/// Validating builder for [`StackConfig`]; see [`StackConfig::builder`].
-#[derive(Clone, Debug)]
-pub struct StackConfigBuilder {
-    config: StackConfig,
-}
-
-impl StackConfigBuilder {
-    /// Applies a compression choice, also selecting the paper's format
-    /// for that technique.
-    pub fn compress(mut self, choice: CompressionChoice) -> Self {
-        self.config = self.config.compress(choice);
-        self
-    }
-
-    /// Sets the thread count (validated at [`build`](Self::build)).
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.config.threads = threads;
-        self
-    }
-
-    /// Sets the execution backend.
-    pub fn backend(mut self, backend: Backend) -> Self {
-        self.config.backend = backend;
-        self
-    }
-
-    /// Overrides the weight format (validated against the convolution
-    /// algorithm at [`build`](Self::build)).
-    pub fn format(mut self, format: WeightFormat) -> Self {
-        self.config.format = format;
-        self
-    }
-
-    /// Sets the convolution lowering algorithm (validated against the
-    /// weight format at [`build`](Self::build)).
-    pub fn algorithm(mut self, algorithm: ConvAlgorithm) -> Self {
-        self.config.algorithm = algorithm;
-        self
-    }
-
-    /// Sets the runtime guard level for host executions.
-    pub fn guard(mut self, guard: GuardConfig) -> Self {
-        self.config.guard = guard;
-        self
-    }
-
-    /// Sets the host plan-construction mode.
-    pub fn plan(mut self, plan: PlanMode) -> Self {
-        self.config.plan = plan;
-        self
-    }
-
-    /// Caps the host plan's arena footprint, overriding the platform's
-    /// default envelope.
-    pub fn plan_budget(mut self, bytes: usize) -> Self {
-        self.config.plan_budget = Some(bytes);
-        self
-    }
-
-    /// Sets the observability level for evaluations.
-    pub fn obs(mut self, obs: ObsLevel) -> Self {
-        self.config.obs = obs;
-        self
-    }
-
-    /// Validates and produces the configuration.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::InvalidConfig`] if `threads == 0`, or if the
-    /// weight format is CSR while the algorithm is a transform-domain
-    /// one (Winograd F(2×2)/F(4×4)) — those transforms need
-    /// dense filter taps, so the combinations have no execution path
-    /// (the paper pairs transform algorithms with dense formats only,
-    /// §V-C).
-    pub fn build(self) -> Result<StackConfig, Error> {
-        if self.config.threads == 0 {
-            return Err(Error::InvalidConfig(
-                "at least one thread required".to_string(),
-            ));
-        }
-        if self.config.format == WeightFormat::Csr
-            && matches!(
-                self.config.algorithm,
-                ConvAlgorithm::Winograd | ConvAlgorithm::WinogradF4
-            )
-        {
-            return Err(Error::InvalidConfig(
-                "CSR weight format cannot be combined with a transform-domain \
-                 algorithm (Winograd): the transform needs dense filter taps"
-                    .to_string(),
-            ));
-        }
-        Ok(self.config)
     }
 }
 
@@ -412,38 +285,11 @@ mod tests {
     }
 
     #[test]
-    fn builder_accepts_valid_config() {
-        let cfg = StackConfig::builder(ModelKind::ResNet18, PlatformChoice::OdroidXu4)
-            .compress(CompressionChoice::WeightPruning { sparsity_pct: 70.0 })
-            .threads(4)
-            .backend(Backend::OpenMp)
-            .build()
-            .unwrap();
-        assert_eq!(cfg.threads, 4);
-        assert_eq!(cfg.format, WeightFormat::Csr);
-        assert_eq!(cfg.model, ModelKind::ResNet18);
-    }
-
-    #[test]
-    fn builder_rejects_zero_threads() {
-        let err = StackConfig::builder(ModelKind::Vgg16, PlatformChoice::IntelI7)
-            .threads(0)
-            .build()
-            .unwrap_err();
-        assert!(matches!(err, Error::InvalidConfig(_)));
-    }
-
-    #[test]
     fn guard_level_defaults_off_and_is_configurable() {
         let cfg = StackConfig::plain(ModelKind::Vgg16, PlatformChoice::IntelI7);
         assert_eq!(cfg.guard, GuardConfig::Off);
         let cfg = cfg.guard(GuardConfig::BoundaryCheck);
         assert_eq!(cfg.guard, GuardConfig::BoundaryCheck);
-        let cfg = StackConfig::builder(ModelKind::Vgg16, PlatformChoice::IntelI7)
-            .guard(GuardConfig::Paranoid)
-            .build()
-            .unwrap();
-        assert_eq!(cfg.guard, GuardConfig::Paranoid);
     }
 
     #[test]
@@ -451,11 +297,6 @@ mod tests {
         let cfg = StackConfig::plain(ModelKind::Vgg16, PlatformChoice::IntelI7);
         assert_eq!(cfg.plan, PlanMode::Global);
         let cfg = cfg.plan(PlanMode::Selection);
-        assert_eq!(cfg.plan, PlanMode::Selection);
-        let cfg = StackConfig::builder(ModelKind::Vgg16, PlatformChoice::IntelI7)
-            .plan(PlanMode::Selection)
-            .build()
-            .unwrap();
         assert_eq!(cfg.plan, PlanMode::Selection);
     }
 
@@ -465,28 +306,5 @@ mod tests {
         assert_eq!(cfg.obs, ObsLevel::Off);
         let cfg = cfg.obs(ObsLevel::Metrics);
         assert_eq!(cfg.obs, ObsLevel::Metrics);
-        let cfg = StackConfig::builder(ModelKind::Vgg16, PlatformChoice::IntelI7)
-            .obs(ObsLevel::Trace)
-            .build()
-            .unwrap();
-        assert_eq!(cfg.obs, ObsLevel::Trace);
-    }
-
-    #[test]
-    fn builder_rejects_csr_winograd() {
-        let err = StackConfig::builder(ModelKind::Vgg16, PlatformChoice::IntelI7)
-            .compress(CompressionChoice::WeightPruning { sparsity_pct: 70.0 })
-            .algorithm(ConvAlgorithm::Winograd)
-            .build()
-            .unwrap_err();
-        assert!(matches!(err, Error::InvalidConfig(_)));
-        assert!(err.to_string().contains("Winograd"));
-        // Dense + Winograd is a supported point.
-        assert!(
-            StackConfig::builder(ModelKind::Vgg16, PlatformChoice::IntelI7)
-                .algorithm(ConvAlgorithm::Winograd)
-                .build()
-                .is_ok()
-        );
     }
 }

@@ -130,20 +130,7 @@ pub fn try_evaluate_with(
                 PlanCompiler::standard().run(&mut model.network, &input_shape, &exec)?
             }
         };
-        let plan_steps = plan
-            .steps()
-            .iter()
-            .map(|s| {
-                format!(
-                    "{} [span {}] {:?}/{:?}{}",
-                    s.name,
-                    s.span,
-                    s.cfg.conv_algo,
-                    s.cfg.gemm_algo,
-                    if s.cfg.fused_relu { " +relu" } else { "" }
-                )
-            })
-            .collect();
+        let plan_steps = plan.steps().iter().map(|s| s.label(&s.cfg)).collect();
         let mut session = InferenceSession::with_guard(&mut model.network, plan, cfg.guard)?;
         observer = session.observer().cloned();
         let input = Tensor::zeros(input_shape.to_vec());

@@ -1,20 +1,21 @@
 //! The deployment endgame: take a trained, compressed model all the way
 //! to a shippable artifact — batch-norm folding, parameter
 //! serialisation, and the Deep Compression storage pipeline
-//! (prune → ternarise → Huffman) with bit-packed ternary as the
-//! on-device format.
+//! (prune → ternarise → Huffman) with the 2-bit code panels a compiled
+//! plan runs as the on-device format.
 //!
 //! ```bash
 //! cargo run --release --example storage_deployment
 //! ```
 
-use cnn_stack::compress::packed::PackedTernaryMatrix;
 use cnn_stack::compress::{code_ternary_network, magnitude, ttq};
 use cnn_stack::models::vgg16_width;
+use cnn_stack::nn::network::set_network_format;
 use cnn_stack::nn::{
-    fold_batchnorm, load_params, save_params, strip_identity_batchnorms, Conv2d, ExecConfig, Phase,
+    fold_batchnorm, load_params, save_params, strip_identity_batchnorms, ConvAlgorithm, ExecConfig,
+    InferencePlan, InferenceSession, Phase, WeightFormat,
 };
-use cnn_stack::tensor::Tensor;
+use cnn_stack::tensor::{GemmPlan, Tensor};
 
 fn main() {
     let mut model = vgg16_width(10, 0.25);
@@ -68,23 +69,45 @@ fn main() {
         report.dense_bytes as f64 / report.coded_bytes as f64,
     );
 
-    // Step 4: the on-device format — 2-bit packed ternary per layer.
-    let mut packed_bytes = 0usize;
-    let mut dense_bytes = 0usize;
-    for i in 0..model.network.len() {
-        if let Some(conv) = model.network.layers()[i].as_any().downcast_ref::<Conv2d>() {
-            let m = conv.weight_matrix();
-            let packed = PackedTernaryMatrix::from_dense_ternary(&m)
-                .expect("network is ternary after step 3");
-            packed_bytes += packed.storage_bytes();
-            dense_bytes += m.len() * 4;
+    // Step 4: the on-device format — a plan compiled for the packed
+    // engine runs each `Ternary`-labelled layer on 2-bit code panels, and
+    // its session holds them in place of the f32 weights.
+    let extents: Vec<(usize, usize)> = model
+        .network
+        .params()
+        .iter()
+        .filter(|p| p.value.shape().rank() > 1)
+        .map(|p| {
+            (
+                p.value.shape().dims()[0],
+                p.value.len() / p.value.shape().dims()[0],
+            )
+        })
+        .collect();
+    set_network_format(&mut model.network, WeightFormat::Ternary);
+    let deploy = ExecConfig {
+        conv_algo: ConvAlgorithm::Im2col,
+        ..ExecConfig::serial()
+    };
+    let plan = InferencePlan::compile(&model.network, &[1, 3, 32, 32], &deploy)
+        .expect("VGG-16 compiles for the packed engine");
+    let session = InferenceSession::new(&mut model.network, plan).expect("session builds");
+    let storage = session.network().weight_storage();
+    let (mut dense_bytes, mut code_bytes, mut coded) = (0usize, 0usize, 0usize);
+    for (&(rows, cols), layer) in extents.iter().zip(&storage) {
+        dense_bytes += rows * cols * 4;
+        if layer.forms[2].is_some() {
+            code_bytes += GemmPlan::new(rows, cols, 1).packed_a_code_words() * 4;
+            coded += 1;
         }
     }
     println!(
-        "step 4: packed 2-bit conv weights: {:.2} MB -> {:.3} MB ({:.1}x)",
+        "step 4: the compiled plan holds {coded}/{} layers as 2-bit code panels: \
+         {:.2} MB of f32 weights -> {:.3} MB of codes ({:.1}x)",
+        storage.len(),
         dense_bytes as f64 / 1e6,
-        packed_bytes as f64 / 1e6,
-        dense_bytes as f64 / packed_bytes as f64,
+        code_bytes as f64 / 1e6,
+        dense_bytes as f64 / code_bytes as f64,
     );
     println!(
         "\nThe across-stack caveat (Tables IV/VI): these storage wins do not\n\

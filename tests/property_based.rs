@@ -4,10 +4,9 @@
 
 use cnn_stack::compress::huffman::HuffmanCode;
 use cnn_stack::compress::magnitude;
-use cnn_stack::compress::packed::PackedTernaryMatrix;
 use cnn_stack::nn::{
     BatchNorm2d, Conv2d, ConvAlgorithm, DepthwiseConv2d, ExecConfig, Flatten, InferencePlan,
-    InferenceSession, Layer, Linear, MaxPool2d, Network, Phase, ReLU, ResidualBlock,
+    InferenceSession, Layer, Linear, MaxPool2d, Network, Phase, ReLU, ResidualBlock, WeightFormat,
 };
 use cnn_stack::parallel::{parallel_for, Schedule};
 use cnn_stack::sparse::{CscMatrix, CsrMatrix};
@@ -217,6 +216,10 @@ proptest! {
         prop_assert_eq!(code.decode(&enc), stream);
     }
 
+    /// The deployed 2-bit ternary form round trips: a `Ternary` linear
+    /// layer warmed for the packed engine holds its code panels alone,
+    /// computes what its f32 weights compute, and rebuilds them from the
+    /// codes bit for bit.
     #[test]
     fn packed_ternary_roundtrips(
         r in 1usize..8, c in 1usize..20, seed in 0u64..100,
@@ -228,10 +231,23 @@ proptest! {
                 _ => 0.0,
             }
         });
-        let m = PackedTernaryMatrix::from_dense_ternary(&t).expect("ternary");
-        prop_assert!(m.to_dense().allclose(&t, 0.0));
-        let b = Tensor::from_fn([c, 3], |i| i as f32 * 0.1);
-        prop_assert!(gemm::matmul(&t, &b).allclose(&m.spmm(&b), 1e-4));
+        let x = Tensor::from_fn([3, c], |i| i as f32 * 0.1);
+        let cfg = ExecConfig::serial();
+        let mut fc = Linear::new(c, r, seed);
+        fc.weight_mut().value = t.clone();
+        let want = fc.forward(&x, Phase::Eval, &cfg);
+        fc.set_format(WeightFormat::Ternary);
+        fc.prepare(&cfg);
+        let mut net = Network::new(vec![Box::new(fc)]).expect("one layer");
+        let storage = net.weight_storage()[0];
+        prop_assert!(storage.master.is_none(), "{:?}", storage);
+        prop_assert_eq!(storage.forms.iter().flatten().count(), 1);
+        prop_assert!(storage.forms[2].is_some(), "{:?}", storage);
+        let got = net.forward(&x, Phase::Eval, &cfg);
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(bits(&got), bits(&want));
+        let fc = net.layers()[0].as_any().downcast_ref::<Linear>().expect("a linear layer");
+        prop_assert_eq!(bits(&fc.weight().value), bits(&t));
     }
 
     #[test]

@@ -1,16 +1,11 @@
-//! Property tests pinning the quantised compute path to f32 references:
-//!
-//! * [`PackedTernaryMatrix::spmm`] (the 2-bit storage path) against a
-//!   naive dense-reference product, including NaN/Inf inputs — zero
-//!   codes still multiply, so `0 · NaN` stays NaN exactly like the
-//!   dense GEMM kernels (no zero-skip);
-//! * the packed engine on 2-bit code panels against the same engine on
-//!   the f32 panels of the dequantised weights — bit-identical by
-//!   construction (the codes decode to exactly those panels and run on
-//!   the same tile and blocking), which is the property the guard's
-//!   quantised→packed demotion relies on.
+//! Property tests pinning the quantised compute path to its f32
+//! reference: the packed engine on 2-bit code panels against the same
+//! engine on the f32 panels of the dequantised weights — bit-identical
+//! by construction (the codes decode to exactly those panels and run on
+//! the same tile and blocking), NaN/Inf activations included: zero
+//! codes still multiply, so `0 · NaN` stays NaN exactly like the f32
+//! kernel. The guard's quantised→packed demotion relies on this.
 
-use cnn_stack::compress::packed::PackedTernaryMatrix;
 use cnn_stack::parallel::Schedule;
 use cnn_stack::tensor::{
     gemm_prepacked_epilogue, pack_a_codes_into, pack_a_into, pack_b_into, CodePanels, GemmEpilogue,
@@ -18,123 +13,13 @@ use cnn_stack::tensor::{
 };
 use proptest::prelude::*;
 
-/// Bitwise-ish f32 equality: NaN matches NaN, everything else must
-/// compare equal (covers ±inf; treats -0.0 == 0.0, which is fine here).
-fn same_f32(a: f32, b: f32) -> bool {
-    (a.is_nan() && b.is_nan()) || a == b
-}
-
-fn assert_all_match(actual: &[f32], expected: &[f32], what: &str) {
-    assert_eq!(actual.len(), expected.len());
-    for (i, (&a, &e)) in actual.iter().zip(expected).enumerate() {
-        assert!(
-            same_f32(a, e),
-            "{} element {} differs: got {}, reference {}",
-            what,
-            i,
-            a,
-            e
-        );
-    }
-}
-
-// ---------------------------------------------------------------------------
-// PackedTernaryMatrix::spmm
-// ---------------------------------------------------------------------------
-
-/// Naive `W·B` accumulating columns in the same ascending order as
-/// `spmm`'s packed traversal, so finite results — and the reach of any
-/// NaN/Inf — are bit-identical. Zero weights multiply; nothing skips.
-fn naive_spmm(w: &[f32], b: &[f32], rows: usize, cols: usize, bn: usize) -> Vec<f32> {
-    let mut out = vec![0.0f32; rows * bn];
-    for r in 0..rows {
-        for c in 0..cols {
-            let v = w[r * cols + c];
-            for j in 0..bn {
-                out[r * bn + j] += v * b[c * bn + j];
-            }
-        }
-    }
-    out
-}
-
-/// ((rows, cols, bn), ternary codes as 0/1/2, (Wp, Wn), B values).
-type SpmmCase = ((usize, usize, usize), Vec<u8>, (f32, f32), Vec<f32>);
-
-fn spmm_case() -> impl Strategy<Value = SpmmCase> {
-    (1usize..9, 1usize..14, 1usize..6).prop_flat_map(|(rows, cols, bn)| {
-        let codes = proptest::collection::vec(0u8..3, rows * cols);
-        let scales = (0.01f32..2.0, 0.01f32..2.0);
-        let b = proptest::collection::vec(-4.0f32..4.0, cols * bn);
-        (Just((rows, cols, bn)), codes, scales, b)
-    })
-}
-
+/// A `rows × cols` ternary weight from codes `0/1/2` → `0, +wp, −wn`.
 fn dense_ternary(rows: usize, cols: usize, codes: &[u8], wp: f32, wn: f32) -> Tensor {
     Tensor::from_fn([rows, cols], |i| match codes[i] {
         1 => wp,
         2 => -wn,
         _ => 0.0,
     })
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn spmm_matches_dense_reference(
-        ((rows, cols, bn), codes, (wp, wn), b) in spmm_case()
-    ) {
-        let dense = dense_ternary(rows, cols, &codes, wp, wn);
-        let m = PackedTernaryMatrix::from_dense_ternary(&dense).unwrap();
-        let bt = Tensor::from_vec([cols, bn], b.clone());
-        let got = m.spmm(&bt);
-        let want = naive_spmm(dense.data(), &b, rows, cols, bn);
-        assert_all_match(got.data(), &want, "spmm");
-    }
-
-    #[test]
-    fn spmm_propagates_nan_and_inf(
-        ((rows, cols, bn), codes, (wp, wn), b) in spmm_case(),
-        poison in 0usize..2,
-        at in 0usize..64,
-    ) {
-        // Poison one B element with NaN or +inf; the packed traversal
-        // must agree with the reference on exactly which outputs it
-        // reaches — including through zero codes (0 · NaN = NaN).
-        let mut b = b;
-        let idx = at % b.len();
-        b[idx] = if poison == 0 { f32::NAN } else { f32::INFINITY };
-        let dense = dense_ternary(rows, cols, &codes, wp, wn);
-        let m = PackedTernaryMatrix::from_dense_ternary(&dense).unwrap();
-        let bt = Tensor::from_vec([cols, bn], b.clone());
-        let got = m.spmm(&bt);
-        let want = naive_spmm(dense.data(), &b, rows, cols, bn);
-        assert_all_match(got.data(), &want, "spmm");
-        // The poisoned B row feeds every output row (all weights in its
-        // column multiply, zeros included), so column `idx % bn` of the
-        // output must be non-finite in every row.
-        for r in 0..rows {
-            let v = got.data()[r * bn + idx % bn];
-            prop_assert!(
-                !v.is_finite() || poison == 1,
-                "row {} lost the poison: {}", r, v
-            );
-        }
-    }
-}
-
-/// Regression for the removed zero-skip: an all-zero packed matrix
-/// times a NaN activation must produce NaN, exactly like dense GEMM.
-#[test]
-fn spmm_zero_weight_times_nan_is_nan() {
-    let m = PackedTernaryMatrix::from_dense_ternary(&Tensor::zeros([2, 3])).unwrap();
-    let b = Tensor::from_vec([3, 2], vec![f32::NAN, 1.0, 2.0, 3.0, 4.0, 5.0]);
-    let out = m.spmm(&b);
-    assert!(out.data()[0].is_nan(), "0 · NaN must stay NaN");
-    assert_eq!(out.data()[1], 0.0);
-    assert!(out.data()[2].is_nan());
-    assert_eq!(out.data()[3], 0.0);
 }
 
 // ---------------------------------------------------------------------------

@@ -10,6 +10,9 @@ use cnn_stack::serve::{Clock, ManualClock};
 use std::sync::Arc;
 use std::time::Duration;
 
+mod common;
+use common::assert_every_ticket_counted_once;
+
 const SHAPE: [usize; 3] = [3, 8, 8];
 const MAX_DELAY: Duration = Duration::from_millis(5);
 
@@ -97,7 +100,9 @@ fn max_delay_holds_batch_open_for_stragglers() {
             "co-batched output differs from the batch-1 reference"
         );
     }
-    assert_eq!(server.shutdown().served, 3);
+    let health = server.shutdown();
+    assert_eq!(health.served, 3);
+    assert_every_ticket_counted_once(&health);
 }
 
 /// A full batch flushes immediately: no max-delay wait appears on the
@@ -118,6 +123,7 @@ fn full_batch_flushes_without_waiting() {
     for ticket in tickets {
         assert_eq!(served(ticket).batch_size, 4);
     }
+    assert_every_ticket_counted_once(&server.shutdown());
 }
 
 /// `max_batch == 1` never opens a delay window, so batch-size-1 serving
@@ -133,6 +139,7 @@ fn batch_size_one_never_delays() {
     assert_eq!(clock.now_ns(), 0, "no delay window may open at max_batch 1");
     assert_eq!(served(a).batch_size, 1);
     assert_eq!(served(b).batch_size, 1);
+    assert_every_ticket_counted_once(&server.shutdown());
 }
 
 /// A request whose deadline passed while it sat in the queue is shed
@@ -163,6 +170,8 @@ fn expired_deadline_sheds_without_starving_the_batch() {
     );
 
     let health = server.shutdown();
+
+    assert_every_ticket_counted_once(&health);
     assert_eq!(health.shed_deadline, 1);
     assert_eq!(health.served, 1);
 }
@@ -197,6 +206,7 @@ fn full_queue_sheds_at_admission() {
         assert_eq!(served(ticket).batch_size, 4);
     }
     let health = server.shutdown();
+    assert_every_ticket_counted_once(&health);
     assert_eq!(health.shed_queue_full, 1);
     assert_eq!(health.served, 4);
 }
@@ -208,6 +218,7 @@ fn shape_mismatch_is_an_error_not_a_shed() {
     let server = manual_server(4, &clock);
     let err = server.submit(Tensor::zeros(vec![1, 3, 8, 8])).unwrap_err();
     assert!(err.to_string().contains("does not match"));
+    assert_every_ticket_counted_once(&server.shutdown());
 }
 
 /// Shutdown drains the queue — buffered requests are served, not
@@ -220,6 +231,7 @@ fn shutdown_drains_buffered_requests() {
         .map(|i| server.submit(request_input(i)).unwrap())
         .collect();
     let health = server.shutdown();
+    assert_every_ticket_counted_once(&health);
     assert_eq!(health.served, 3);
     assert_eq!(health.submitted, 3);
     for ticket in tickets {
@@ -276,6 +288,8 @@ fn guard_demotion_never_corrupts_co_batched_requests() {
     }
 
     let health = server.shutdown();
+
+    assert_every_ticket_counted_once(&health);
     assert_eq!(health.served, 3);
     assert!(health.total_demotions() >= 1);
     assert!(health.workers.iter().any(|w| w.engine.guards_tripped >= 1));

@@ -14,6 +14,9 @@ use cnn_stack::serve::ManualClock;
 use std::sync::Arc;
 use std::time::Duration;
 
+mod common;
+use common::assert_every_ticket_counted_once;
+
 const SHAPE: [usize; 3] = [3, 8, 8];
 const MAX_DELAY: Duration = Duration::from_millis(5);
 
@@ -116,6 +119,8 @@ fn worker_crash_fails_tickets_typed_then_respawn_serves() {
     }
 
     let health = server.shutdown();
+
+    assert_every_ticket_counted_once(&health);
     assert_eq!(health.served, 3);
     assert_eq!(health.failed, 3);
     assert_eq!(health.respawns, 1);
@@ -171,6 +176,8 @@ fn watchdog_recycles_hung_worker_and_fails_its_batch() {
     }
 
     let health = server.shutdown();
+
+    assert_every_ticket_counted_once(&health);
     assert_eq!(health.served, 2);
     assert_eq!(health.failed, 2);
     assert_eq!(health.hung_batches, 1);
@@ -196,6 +203,8 @@ fn shutdown_resolves_wedged_batch_instead_of_losing_it() {
     assert!(server.pump());
 
     let health = server.shutdown();
+
+    assert_every_ticket_counted_once(&health);
     for ticket in hung {
         match ticket.wait().outcome {
             Outcome::Failed(FailureCause::BatchHung) => {}
@@ -269,6 +278,8 @@ fn crash_loop_backoff_doubles_then_caps() {
     assert_eq!(s.batch_size, 1);
 
     let health = server.shutdown();
+
+    assert_every_ticket_counted_once(&health);
     assert_eq!(health.workers[0].crashes, 3);
     assert_eq!(health.respawns, 3);
     assert_eq!(health.failed, 3);
@@ -400,6 +411,7 @@ fn breaker_trips_to_degraded_ladder_then_recovers_through_probe() {
         }
     }
     let health = server.shutdown();
+    assert_every_ticket_counted_once(&health);
     assert_eq!(health.failed, 2);
     assert!(health.workers[0].engine.guards_tripped >= 1);
 }
@@ -475,7 +487,9 @@ fn build_net_runs_once_for_the_servers_whole_life() {
     }
 
     assert_eq!(round(&server), pristine, "a respawn changed the model");
-    assert_eq!(server.shutdown().served, 6);
+    let health = server.shutdown();
+    assert_eq!(health.served, 6);
+    assert_every_ticket_counted_once(&health);
     assert_eq!(builds.load(Ordering::Relaxed), 1);
 }
 
@@ -513,6 +527,8 @@ fn sheds_keep_health_clean_but_not_quiet() {
     let _ = served(admitted);
 
     let health = server.shutdown();
+
+    assert_every_ticket_counted_once(&health);
     assert_eq!(health.shed_queue_full, 2);
     assert!(health.is_clean(), "sheds are not faults");
     assert!(!health.is_quiet(), "but a shedding server is not quiet");
@@ -538,6 +554,8 @@ fn unfaulted_server_is_clean_and_quiet() {
     assert_eq!(server.supervise(), 0, "nothing to fail over");
 
     let health = server.shutdown();
+
+    assert_every_ticket_counted_once(&health);
     assert!(health.is_clean());
     assert!(health.is_quiet());
     assert_eq!(health.respawns, 0);

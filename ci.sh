@@ -58,8 +58,9 @@ echo "== tests =="
 # * obs-golden: serial traced sessions reproduce the checked-in
 #   deterministic text traces (regenerate intentionally with
 #   CNN_STACK_BLESS=1).
-# * kernel-proptest: kernels vs naive references (depthwise across both
-#   loop orders and thread counts, pooling, ReLU, the fused im2col
+# * kernel-proptest: kernels vs naive references (depthwise across its
+#   contiguous, permuted and gathered loads, planes that do and do not
+#   divide its 16-lane vectors, and thread counts, pooling, ReLU, the fused im2col
 #   packers vs im2col-then-pack, incl. the NaN/Inf corners) and
 #   metrics-vs-truth (gemm.flops == analytic MACs, clean runs never trip
 #   the guard, pool runs what it queues).
@@ -90,14 +91,19 @@ echo "== tests =="
 #   replica of a prepared network allocates no master-sized buffer.
 cargo test --workspace -q
 
-echo "== gemm debug assertions =="
+echo "== gemm and depthwise debug assertions =="
 # The packed GEMM's tiles under debug assertions, forced on whatever the
 # test profile says: the AVX-512 skinny tile asserts that no lane load
 # leaves its A panel (an 8-float load at a panel's last k-step would read
 # 2 floats past it, so that step must take the masked 6-float load) and
 # that no C row it writes is wider than its live columns; the driver
-# asserts its `DisjointWriter` slices stay in bounds.
+# asserts its `DisjointWriter` slices stay in bounds. The depthwise
+# kernel's AVX-512 and AVX2 bodies assert that every enabled lane of a
+# masked load, permuted pick or gather, and every plain load, reads
+# inside its slice (their pointers are formed outside the slice at
+# padded edges); the unit tests there run every instantiation.
 CARGO_PROFILE_TEST_DEBUG_ASSERTIONS=true cargo test -q -p cnn-stack-tensor gemm::
+CARGO_PROFILE_TEST_DEBUG_ASSERTIONS=true cargo test -q -p cnn-stack-tensor depthwise::
 
 echo "== fault-injection tests =="
 # The injector only compiles under this feature; the run above doubles
@@ -286,6 +292,15 @@ fi
 # reaches the AVX2 half tile again.
 if grep -rnF '(MicroKernel::Avx512, true)' crates src tests examples; then
   echo "ci: the AVX-512 kernel reaches the AVX2 half tile again" >&2
+  exit 1
+fi
+
+# One depthwise loop order: 16 outputs of the flattened NCHW block per
+# vector, out-of-range taps masked. The row order with its scalar edge
+# columns and the channel-blocked order with its transposed stack tiles
+# stay deleted.
+if grep -rnE 'block_by_tiles|plane_by_rows|TILE_PIXELS' crates src tests examples; then
+  echo "ci: a replaced depthwise loop order is back" >&2
   exit 1
 fi
 

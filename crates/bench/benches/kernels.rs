@@ -1,7 +1,7 @@
 //! Criterion microbenchmarks of the compute kernels underlying every
 //! experiment: GEMM variants, the im2col lowering, the CSR convolution
-//! across sparsity levels, the depthwise kernel, and
-//! the two halves of the packed conv path — the fused im2col→pack-B
+//! across sparsity levels, the depthwise kernel on every instantiation
+//! the host has, and the two halves of the packed conv path — the fused im2col→pack-B
 //! packer and the prepacked GEMM on every micro-kernel the host has.
 //!
 //! `BENCH_SMOKE=1` takes five samples of everything (CI: the groups
@@ -11,8 +11,8 @@ use cnn_stack_nn::{AlgoChoice, Conv2d, ConvAlgorithm, ExecConfig, Layer, WeightF
 use cnn_stack_parallel::Schedule;
 use cnn_stack_sparse::CsrMatrix;
 use cnn_stack_tensor::{
-    depthwise_conv2d_into, gemm, im2col, pack_b_im2col_batch_into, AlignedBuf, Conv2dGeometry,
-    GemmPlan, Tensor, TileConfig,
+    depthwise, gemm, im2col, pack_b_im2col_batch_into, AlignedBuf, Conv2dGeometry, GemmPlan,
+    Tensor, TileConfig,
 };
 use criterion::{criterion_group, criterion_main, BenchmarkGroup, BenchmarkId, Criterion};
 use rand::{Rng, SeedableRng};
@@ -129,37 +129,49 @@ fn bench_spmm(c: &mut Criterion) {
     group.finish();
 }
 
-/// The depthwise kernel at MobileNet's four plane sizes (with the
-/// channel count MobileNet has there) × stride 1/2, 3×3 "same" filters,
-/// fused ReLU, one thread. The 32×32 plane takes the kernel's row order,
-/// the smaller ones its channel-blocked order.
+/// The depthwise kernel at MobileNet's 13 depthwise layers: its 9
+/// distinct (plane, channels, stride) shapes, labelled by the layers
+/// that run them (`dw7-11` is the five 4×4 c512 stride-1 layers), 3×3
+/// "same" filters, fused ReLU, one thread, on every instantiation the
+/// host supports (`scalar` is the portable twin; the dispatch runs the
+/// last one listed).
 fn bench_depthwise(c: &mut Criterion) {
     let mut group = group(c, "depthwise", 200, 1);
-    for (plane, channels) in [(32usize, 64usize), (16, 128), (8, 256), (4, 512)] {
+    // (layers, input plane side, channels, stride)
+    for (layers, plane, channels, stride) in [
+        ("dw1", 32usize, 32usize, 1usize),
+        ("dw2", 32, 64, 2),
+        ("dw3", 16, 128, 1),
+        ("dw4", 16, 128, 2),
+        ("dw5", 8, 256, 1),
+        ("dw6", 8, 256, 2),
+        ("dw7-11", 4, 512, 1),
+        ("dw12", 4, 512, 2),
+        ("dw13", 2, 1024, 1),
+    ] {
         let input = random([1, channels, plane, plane], 1.0, 9);
         let weight = random([channels, 1, 3, 3], 1.0, 10);
         let bias = random([channels], 1.0, 11);
-        for stride in [1usize, 2] {
-            let geom = Conv2dGeometry::new(1, plane, plane, 3, 3, stride, 1);
-            let mut out = vec![0.0f32; channels * geom.out_positions()];
-            group.bench_function(
-                BenchmarkId::new(format!("{plane}x{plane}_c{channels}"), format!("s{stride}")),
-                |bencher| {
-                    bencher.iter(|| {
-                        depthwise_conv2d_into(
-                            input.data(),
-                            weight.data(),
-                            bias.data(),
-                            channels,
-                            &geom,
-                            true,
-                            &mut out,
-                            1,
-                            Schedule::Static,
-                        )
-                    })
-                },
-            );
+        let geom = Conv2dGeometry::new(1, plane, plane, 3, 3, stride, 1);
+        let mut out = vec![0.0f32; channels * geom.out_positions()];
+        for kernel in gemm::gemm_kernel_names() {
+            let shape = format!("{plane}x{plane}_c{channels}_s{stride}/{kernel}");
+            group.bench_function(BenchmarkId::new(layers, shape), |bencher| {
+                bencher.iter(|| {
+                    depthwise::depthwise_conv2d_named(
+                        kernel,
+                        input.data(),
+                        weight.data(),
+                        bias.data(),
+                        channels,
+                        &geom,
+                        true,
+                        &mut out,
+                        1,
+                        Schedule::Static,
+                    )
+                })
+            });
         }
     }
     group.finish();

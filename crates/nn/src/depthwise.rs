@@ -3,6 +3,7 @@
 use crate::descriptor::{LayerDescriptor, LayerKind};
 use crate::error::Error;
 use crate::layer::{check_conv, ExecConfig, Layer, Param, WeightFormat, LAYER_SCHEDULE};
+use cnn_stack_tensor::depthwise::MAX_TAPS;
 use cnn_stack_tensor::init::{initialise, Init};
 use cnn_stack_tensor::{depthwise_conv2d_into, Conv2dGeometry, Tensor};
 
@@ -42,11 +43,17 @@ impl DepthwiseConv2d {
     ///
     /// # Panics
     ///
-    /// Panics if any extent is zero.
+    /// Panics if any extent is zero, or if the filter has more than
+    /// [`MAX_TAPS`] taps (`kernel > 32`), more than the inference kernel
+    /// runs.
     pub fn new(channels: usize, kernel: usize, stride: usize, padding: usize, seed: u64) -> Self {
         assert!(
             channels > 0 && kernel > 0 && stride > 0,
             "extents must be non-zero"
+        );
+        assert!(
+            kernel * kernel <= MAX_TAPS,
+            "a depthwise filter holds at most {MAX_TAPS} taps"
         );
         DepthwiseConv2d {
             channels,
@@ -299,6 +306,23 @@ mod tests {
         let a = dw.forward(&x, Phase::Eval, &ExecConfig::default());
         let b = full.forward(&x, Phase::Eval, &ExecConfig::default());
         assert!(a.allclose(&b, 1e-4));
+    }
+
+    #[test]
+    fn the_largest_filter_the_kernel_runs_is_accepted() {
+        let mut dw = DepthwiseConv2d::new(2, 32, 1, 0, 5);
+        let y = dw.forward(
+            &Tensor::ones([1, 2, 32, 32]),
+            Phase::Eval,
+            &ExecConfig::default(),
+        );
+        assert_eq!(y.shape().dims(), &[1, 2, 1, 1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 1024 taps")]
+    fn a_filter_past_the_kernels_taps_is_rejected() {
+        DepthwiseConv2d::new(1, 33, 1, 0, 0);
     }
 
     #[test]

@@ -695,6 +695,17 @@ impl MicroKernel {
         .filter(|k| k.supported())
     }
 
+    /// The available kernel called `name` (one of [`gemm_kernel_names`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if this host has no kernel of that name.
+    pub(crate) fn named(name: &str) -> MicroKernel {
+        MicroKernel::available()
+            .find(|k| k.name() == name)
+            .unwrap_or_else(|| panic!("no micro-kernel named {name:?} on this host"))
+    }
+
     fn name(self) -> &'static str {
         match self {
             MicroKernel::Scalar => "scalar",
@@ -754,9 +765,7 @@ pub fn gemm_prepacked_named(
     threads: usize,
     schedule: Schedule,
 ) {
-    let kernel = MicroKernel::available()
-        .find(|k| k.name() == kernel)
-        .unwrap_or_else(|| panic!("no micro-kernel named {kernel:?} on this host"));
+    let kernel = MicroKernel::named(kernel);
     gemm_prepacked_on(
         kernel,
         plan,

@@ -14,6 +14,9 @@
 //!   and maps `-inf` to `0.0`, `+inf` to `+inf`.
 
 use cnn_stack::nn::{DepthwiseConv2d, ExecConfig, GlobalAvgPool, Layer, MaxPool2d, Phase, ReLU};
+use cnn_stack::parallel::Schedule;
+use cnn_stack::tensor::depthwise::depthwise_conv2d_named;
+use cnn_stack::tensor::gemm::gemm_kernel_names;
 use cnn_stack::tensor::{
     im2col, pack_b_im2col_batch_into, pack_b_im2col_into, pack_b_into, Conv2dGeometry, GemmPlan,
     Tensor, NR,
@@ -103,22 +106,32 @@ struct DwCase {
     bias: Vec<f32>,
 }
 
-/// Channels 1..=19 cover whole 8-channel blocks plus every tail; planes
-/// 1..=34 with independent `h` and `w` sit on both sides of the
-/// kernel's loop-order threshold (half the cases are folded down to at
-/// most 8×8 so the channel-blocked order is drawn as often as the row
-/// order); `k ∈ {1, 3, 5}`, stride 1..=3, padding 0..=2, ReLU on/off.
+/// Plane sides the kernel's vector layout turns on, drawn half the
+/// time: 1, 2, 4, 16 and 32 divide or are multiples of the 16-lane
+/// vector (a vector holds several channels, exactly one plane, or whole
+/// rows), 3, 5, 7, 17 and 33 do not (vectors straddle rows and channel
+/// planes, and a 33×33 plane has more positions than one mask table
+/// holds).
+const DW_SIDES: [usize; 10] = [1, 2, 4, 16, 32, 3, 5, 7, 17, 33];
+
+/// A plane side in 1..=34, one of [`DW_SIDES`] half the time.
+fn dw_side() -> impl Strategy<Value = usize> {
+    (0usize..2 * DW_SIDES.len(), 1usize..=34)
+        .prop_map(|(pick, side)| DW_SIDES.get(pick).copied().unwrap_or(side))
+}
+
+/// Channels 1..=40, so vectors straddle channel planes and an image's
+/// last vector ends ragged; independent `h` and `w` in 1..=34 (half of
+/// each drawn from [`DW_SIDES`]); `k ∈ {1, 3, 5}`, stride 1..=3, padding
+/// 0..=2 (stride 1 with "same" padding takes the contiguous loads, the
+/// rest the permuted picks or, for lanes spread over more than 64
+/// inputs, the gather), ReLU on/off.
 fn depthwise_case() -> impl Strategy<Value = DwCase> {
     (
-        (1usize..3, 1usize..=19, 1usize..=34, 1usize..=34, 0usize..2),
+        (1usize..3, 1usize..=40, dw_side(), dw_side()),
         (0usize..3, 1usize..=3, 0usize..=2, 0usize..2),
     )
-        .prop_flat_map(|((n, c, h, w, small), (k_pick, stride, padding, relu))| {
-            let (h, w) = if small == 0 {
-                (1 + (h - 1) % 8, 1 + (w - 1) % 8)
-            } else {
-                (h, w)
-            };
+        .prop_flat_map(|((n, c, h, w), (k_pick, stride, padding, relu))| {
             let k = [1, 3, 5][k_pick];
             (
                 proptest::collection::vec(-4.0f32..4.0, n * c * h * w),
@@ -189,15 +202,37 @@ impl DwCase {
         want
     }
 
-    /// Checks the serial kernel against the reference, and that three
-    /// workers (one parallel region over image × channel-block grains)
-    /// reproduce the serial bits.
+    /// Checks the serial kernel against the reference, that three
+    /// workers (parallel regions over image × run-of-periods grains)
+    /// reproduce the serial bits, and that so does every instantiation
+    /// this host runs (the dispatch picks one of them).
     fn check(&self) {
         let serial = self.run(1);
         assert_tensors_match(&serial, &self.reference());
         let parallel = self.run(3);
-        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&serial), bits(&parallel), "threads 1 vs 3 differ");
+        let bits = |v: &[f32]| v.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(serial.data()),
+            bits(parallel.data()),
+            "threads 1 vs 3 differ"
+        );
+        let g = Conv2dGeometry::new(1, self.h, self.w, self.k, self.k, self.stride, self.padding);
+        for kernel in gemm_kernel_names() {
+            let mut out = vec![f32::NAN; serial.data().len()];
+            depthwise_conv2d_named(
+                kernel,
+                &self.input,
+                &self.weight,
+                &self.bias,
+                self.c,
+                &g,
+                self.relu,
+                &mut out,
+                1,
+                Schedule::Static,
+            );
+            assert_eq!(bits(&out), bits(serial.data()), "{kernel} differs");
+        }
     }
 }
 

@@ -3,7 +3,8 @@
 //! gets the same error from both and leaves the weights alone), fused
 //! conv+BN+ReLU and dwconv+BN+ReLU equivalence against the unfused
 //! reference (property based, across strides/paddings/non-finite inputs
-//! and both depthwise loop orders), the pointwise packed-GEMM fast path,
+//! and depthwise output rows narrower and wider than one 16-lane
+//! vector), the pointwise packed-GEMM fast path,
 //! weight-panel cache invalidation through residual-block accessors, and
 //! the selections and budget solutions pinned to measured VGG-16 plans.
 
@@ -213,8 +214,8 @@ proptest! {
     /// weights, but BN and ReLU executed as separate layer sweeps —
     /// element for element, including NaN/Inf propagation. The
     /// producer is a convolution or a depthwise convolution; the 8×8
-    /// plane takes the depthwise kernel's channel-blocked order, the
-    /// 20×20 one its row order.
+    /// and 20×20 planes at both strides give depthwise output rows
+    /// narrower and wider than the kernel's 16-lane vectors.
     #[test]
     fn fused_conv_bn_relu_matches_unfused_reference(
         depthwise in 0usize..2,

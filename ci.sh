@@ -304,6 +304,15 @@ if grep -rnE 'block_by_tiles|plane_by_rows|TILE_PIXELS' crates src tests example
   exit 1
 fi
 
+# Every weight is an A operand: both packed linear rows run `W · Xᵀ`,
+# so the operand switch, the transposed-B unpacker, the second linear
+# lowering and the per-step GEMM plan stay deleted. One batch-norm fold
+# with one exact identity test, and no serving knob nobody sets.
+if grep -rnE 'PanelOperand|BTransposed|unpack_b_transposed_into|eval_dense_packed_into|fn gemm_plan|fold_batchnorm_exact|is_inference_identity|rung_budget|default_deadline' crates src tests examples; then
+  echo "ci: a second linear lowering, batch-norm fold or deleted serve knob is back" >&2
+  exit 1
+fi
+
 # One `extern "C"` block in the crates: glibc's `malloc_trim`, which
 # hands the pages of freed weight masters back to the kernel
 # (`nn::weights::release_freed_pages`). No other foreign call creeps in.

@@ -7,7 +7,7 @@
 //! `BENCH_SMOKE=1` takes five samples of everything (CI: the groups
 //! run, nothing is read off them).
 
-use cnn_stack_nn::{AlgoChoice, Conv2d, ConvAlgorithm, ExecConfig, Layer, WeightFormat};
+use cnn_stack_nn::{AlgoChoice, Conv2d, ExecConfig, Layer, WeightFormat};
 use cnn_stack_parallel::Schedule;
 use cnn_stack_sparse::CsrMatrix;
 use cnn_stack_tensor::{
@@ -178,11 +178,11 @@ fn bench_depthwise(c: &mut Criterion) {
 }
 
 /// The fused im2col→pack-B packer at VGG-16's nine distinct conv shapes
-/// (batch 8, merged the way the engine merges them: the group is read
-/// off `Conv2d::gemm_plan`) plus MobileNet's strided 3→32 stem. One
-/// iteration packs one group — the unit the engine packs between GEMMs —
-/// and the label carries the group's packed megabytes and how many such
-/// groups a batch-8 forward pass packs (`x13` sums VGG-16's 13 convs).
+/// (batch 8, merged the way the engine merges them) plus MobileNet's
+/// strided 3→32 stem. One iteration packs one group — the unit the
+/// engine packs between GEMMs — and the label carries the group's packed
+/// megabytes and how many such groups a batch-8 forward pass packs
+/// (`x13` sums VGG-16's 13 convs).
 fn bench_pack_im2col(c: &mut Criterion) {
     let mut group = group(c, "pack_im2col", 200, 1);
     const BATCH: usize = 8;
@@ -200,14 +200,12 @@ fn bench_pack_im2col(c: &mut Criterion) {
         (3, 32, 32, 2, 1),
     ] {
         let geom = Conv2dGeometry::new(in_c, plane, plane, 3, 3, stride, 1);
-        let cfg = ExecConfig {
-            conv_algo: ConvAlgorithm::Im2col,
-            ..ExecConfig::serial()
-        };
-        let plan = Conv2d::new(in_c, out_c, 3, stride, 1, 1)
-            .gemm_plan(&[BATCH, in_c, plane, plane], &cfg)
-            .expect("im2col over the packed engine has a GEMM plan");
-        let images = plan.n / geom.out_positions();
+        // The engine's merge width (`conv::packed_group_for`): as many
+        // images as fill one column chunk of the whole batch's product.
+        let positions = geom.out_positions();
+        let batch_plan = GemmPlan::new(out_c, geom.patch_len(), BATCH * positions);
+        let images = (batch_plan.nc / positions).clamp(1, BATCH);
+        let plan = GemmPlan::new(out_c, geom.patch_len(), images * positions);
         let input = random([images, in_c, plane, plane], 1.0, 12);
         let mut panels = vec![0.0f32; plan.packed_b_elems()];
         let label = format!(

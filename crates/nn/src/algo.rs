@@ -66,17 +66,18 @@ pub enum AlgoChoice {
     /// `Ternary`-labelled layer with exactly-ternary weights runs under
     /// im2col and the packed engine.
     TernaryConv,
-    /// Packed GEMM linear layer.
+    /// Packed GEMM linear layer, lowered as `Outᵀ = W · Xᵀ` so its f32
+    /// weight panels are the packed engine's A operand, as a
+    /// convolution's are.
     PackedLinear,
     /// Scalar row-loop linear layer; the linear ladder's floor.
     ScalarLinear,
     /// CSR sparse linear layer.
     CsrLinear,
-    /// A linear layer on its 2-bit weight codes, lowered as `W · Xᵀ` so
-    /// the codes are the packed engine's A operand; bit for bit
-    /// [`PackedLinear`](Self::PackedLinear) on the same values. What a
-    /// `Ternary`-labelled layer with exactly-ternary weights runs on the
-    /// packed engine.
+    /// [`PackedLinear`](Self::PackedLinear) reading the layer's 2-bit
+    /// weight codes as its A operand: bit for bit `PackedLinear` on the
+    /// same values. What a `Ternary`-labelled layer with exactly-ternary
+    /// weights runs on the packed engine.
     TernaryLinear,
 }
 

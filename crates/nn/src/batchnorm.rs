@@ -120,34 +120,13 @@ impl BatchNorm2d {
         self.running_var = vec![1.0 - self.eps; self.channels];
     }
 
-    /// Whether the layer currently applies the identity at inference
-    /// time (within floating-point tolerance).
-    pub fn is_inference_identity(&self) -> bool {
-        let scale_ok = self
-            .gamma
-            .value
-            .data()
-            .iter()
-            .zip(&self.running_var)
-            .all(|(&g, &v)| (g / (v + self.eps).sqrt() - 1.0).abs() < 1e-5);
-        let shift_ok = self
-            .beta
-            .value
-            .data()
-            .iter()
-            .zip(&self.running_mean)
-            .all(|(&b, &m)| (b - m).abs() < 1e-6);
-        scale_ok && shift_ok
-    }
-
     /// Whether the inference transform is *exactly* `y = x * 1.0 + 0.0`
-    /// for every channel — the bar for the plan compiler's fusion to
-    /// skip the layer entirely (bit-preserving up to the sign of
-    /// negative zero). The tolerance-based
-    /// [`is_inference_identity`](Self::is_inference_identity) is not
-    /// sufficient: skipping a *near*-identity (e.g. a freshly
-    /// initialised layer, whose scale is `1/sqrt(1 + eps)`) would
-    /// perturb outputs.
+    /// for every channel — the bar for folding to leave the layer alone,
+    /// for stripping to remove it and for the plan compiler's fusion to
+    /// skip it (bit-preserving up to the sign of negative zero). A
+    /// *near*-identity (e.g. a freshly initialised layer, whose scale is
+    /// `1/sqrt(1 + eps)`) does not pass: skipping it would perturb
+    /// outputs.
     pub fn is_exact_inference_identity(&self) -> bool {
         (0..self.channels).all(|ch| {
             let (scale, shift) = self.eval_scale_shift(ch);

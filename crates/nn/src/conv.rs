@@ -4,7 +4,7 @@ use crate::algo::{self, AlgoChoice, LayerShape};
 use crate::descriptor::{LayerDescriptor, LayerKind};
 use crate::error::Error;
 use crate::layer::{check_conv, ExecConfig, Layer, Param, WeightFormat, LAYER_SCHEDULE};
-use crate::weights::{PanelOperand, Weights};
+use crate::weights::Weights;
 use cnn_stack_parallel::parallel_for;
 use cnn_stack_parallel::DisjointWriter;
 use cnn_stack_tensor::init::{initialise, Init};
@@ -78,7 +78,7 @@ impl Conv2d {
             kernel,
             stride,
             padding,
-            weights: Weights::new(weight, PanelOperand::A),
+            weights: Weights::new(weight),
             bias,
             cached_input: None,
         }
@@ -906,23 +906,6 @@ impl Layer for Conv2d {
 
     fn replica(&self) -> Box<dyn Layer> {
         Box::new(Conv2d::replica(self))
-    }
-
-    fn gemm_plan(&self, input_shape: &[usize], cfg: &ExecConfig) -> Option<GemmPlan> {
-        use AlgoChoice as K;
-        match self.runs(cfg) {
-            K::Im2colPacked | K::TernaryConv => {
-                let geom = self.geometry(input_shape[2], input_shape[3]);
-                Some(self.packed_batch_plan(&geom, self.packed_group(&geom, input_shape[0])))
-            }
-            K::DirectConv
-            | K::Im2colScalar
-            | K::CsrConv
-            | K::CsrIm2col
-            | K::Winograd
-            | K::WinogradF4 => None,
-            algo::linear_rows!() => unreachable!("a convolution resolves to a conv row"),
-        }
     }
 
     fn forward_into(

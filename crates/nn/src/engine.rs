@@ -76,7 +76,7 @@ use crate::network::Network;
 use crate::weights::Weights;
 use cnn_stack_obs::{Metric, NameId, Observer};
 use cnn_stack_parallel::{panic_message, PoolError, ThreadPool};
-use cnn_stack_tensor::{AlignedBuf, GemmPlan, Tensor};
+use cnn_stack_tensor::{AlignedBuf, Tensor};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -119,11 +119,6 @@ pub struct PlanStep {
     /// ([`Layer::forward_scratch_elems`]); the liveness colouring sizes
     /// the step's arena slot with exactly this.
     pub workspace_elems: usize,
-    /// Blocking plan of the step's packed GEMM, when the step runs an
-    /// im2col or linear row of the packed engine under the compiled
-    /// configuration — on f32 panels or on 2-bit code panels alike;
-    /// `None` on direct, Winograd, CSR and scalar-GEMM rows.
-    pub gemm: Option<GemmPlan>,
     /// Dense multiply-accumulates for the step.
     pub macs: u64,
     /// Approximate bytes moved: activations in and out plus stored
@@ -1429,11 +1424,12 @@ mod tests {
         // Largest activation: the first conv output, 2*6*8*8.
         assert_eq!(largest(&plan, |s| s.output_elems), 2 * 6 * 8 * 8);
         // Direct convolutions need no scratch, but the final Linear layer
-        // runs the packed GEMM and needs room for its activation panels.
-        let linear_plan = cnn_stack_tensor::GemmPlan::new(2, 4 * 4 * 4, 5);
+        // runs the packed GEMM `Outᵀ = W · Xᵀ` and needs room for its
+        // activation panels and its `[out × batch]` product.
+        let linear_plan = cnn_stack_tensor::GemmPlan::new(5, 4 * 4 * 4, 2);
         assert_eq!(
             largest(&plan, |s| s.workspace_elems),
-            linear_plan.packed_a_elems()
+            linear_plan.packed_b_elems() + 5 * 2
         );
         // With the blocked GEMM everything is scratch-free.
         let blocked = ExecConfig {

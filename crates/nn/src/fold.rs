@@ -53,8 +53,13 @@ fn fold_dw_bn(dw: &mut DepthwiseConv2d, bn: &mut BatchNorm2d) {
 
 /// Folds every `Conv2d → BatchNorm2d` and `DepthwiseConv2d → BatchNorm2d`
 /// pair (including those inside residual blocks) into the convolution,
-/// leaving the batch-norm layers as exact inference identities. Returns
-/// the number of batch norms folded.
+/// leaving each batch norm bit-exactly `y = x · 1.0 + 0.0`. A batch norm
+/// already exactly that is left alone; any other is folded, a
+/// near-identity too (a freshly initialised layer's scale is
+/// `1/sqrt(1 + eps)`): removing one unfolded would change outputs, and
+/// keeping it would leave a layer that [`strip_identity_batchnorms`]
+/// may not remove and the plan compiler's fusion may not absorb.
+/// Returns the number folded.
 ///
 /// Only adjacent pairs at the top level are folded (the three models
 /// place their batch norms immediately after each convolution).
@@ -67,7 +72,7 @@ pub fn fold_batchnorm(net: &mut Network) -> usize {
         let Some(bn) = right[0].as_any_mut().downcast_mut::<BatchNorm2d>() else {
             continue;
         };
-        if bn.is_inference_identity() {
+        if bn.is_exact_inference_identity() {
             continue;
         }
         if let Some(conv) = producer.downcast_mut::<Conv2d>() {
@@ -91,43 +96,6 @@ pub fn fold_batchnorm(net: &mut Network) -> usize {
     folded
 }
 
-/// Like [`fold_batchnorm`], but folds every top-level pair whose batch
-/// norm is not already an *exact* identity — including near-identities
-/// (e.g. freshly initialised layers, whose inference scale is
-/// `1/sqrt(1 + eps)`) that [`fold_batchnorm`] skips as within tolerance.
-/// After this, every foldable top-level batch norm is bit-exactly
-/// `y = x * 1.0 + 0.0` and the plan compiler's fusion can absorb it. Returns the number folded.
-pub(crate) fn fold_batchnorm_exact(net: &mut Network) -> usize {
-    let mut folded = 0;
-    for i in 0..net.len().saturating_sub(1) {
-        let (left, right) = net.layers_split_at_mut(i + 1);
-        let producer = left[i].as_any_mut();
-        let Some(bn) = right[0].as_any_mut().downcast_mut::<BatchNorm2d>() else {
-            continue;
-        };
-        if bn.is_exact_inference_identity() {
-            continue;
-        }
-        if let Some(conv) = producer.downcast_mut::<Conv2d>() {
-            if conv.out_channels() == bn.channels() {
-                fold_conv_bn_pair(conv, bn);
-                folded += 1;
-            }
-        } else if let Some(dw) = producer.downcast_mut::<DepthwiseConv2d>() {
-            if dw.channels() == bn.channels() {
-                fold_dw_bn(dw, bn);
-                folded += 1;
-            }
-        }
-    }
-    for layer in net.layers_mut() {
-        if let Some(block) = layer.as_any_mut().downcast_mut::<ResidualBlock>() {
-            folded += block.fold_batchnorm();
-        }
-    }
-    folded
-}
-
 /// Removes top-level batch-norm layers that are exact inference
 /// identities (as left behind by [`fold_batchnorm`]). Returns the number
 /// removed.
@@ -142,7 +110,7 @@ pub fn strip_identity_batchnorms(net: &mut Network) -> usize {
         let is_identity_bn = net.layers()[i]
             .as_any()
             .downcast_ref::<BatchNorm2d>()
-            .is_some_and(BatchNorm2d::is_inference_identity);
+            .is_some_and(BatchNorm2d::is_exact_inference_identity);
         if is_identity_bn && net.len() > 1 {
             net.remove_layer(i).expect("index and length checked above");
             removed += 1;
@@ -277,15 +245,47 @@ mod tests {
     }
 
     #[test]
-    fn fresh_bn_is_identity_and_skipped() {
-        // An untrained BN (running stats 0/1) is already an inference
-        // identity; folding must not touch it.
+    fn fresh_bn_is_folded_not_skipped() {
+        // An untrained BN (running stats 0/1) scales by 1/sqrt(1 + eps):
+        // a near-identity, which folding moves into the convolution like
+        // any other, after which folding finds nothing left to do.
         let mut net = conv_bn_chain();
         let x = random_input(3, 5);
         let cfg = ExecConfig::default();
         let before = net.forward(&x, Phase::Eval, &cfg);
+        assert_eq!(fold_batchnorm(&mut net), 2);
         assert_eq!(fold_batchnorm(&mut net), 0);
         let after = net.forward(&x, Phase::Eval, &cfg);
-        assert!(before.allclose(&after, 0.0));
+        assert!(before.allclose(&after, 1e-5));
+    }
+
+    #[test]
+    fn a_near_identity_bn_is_folded_before_it_is_stripped() {
+        // A scale of 1 − 4e-6 is within 1e-5 of the identity, but not
+        // the identity: stripping it unfolded would drop the scale.
+        let mut net = Network::new(vec![
+            Box::new(Conv2d::new(3, 4, 3, 1, 1, 6)),
+            Box::new(BatchNorm2d::new(4)),
+        ])
+        .unwrap();
+        let conv = net.layers()[0].as_any().downcast_ref::<Conv2d>().unwrap();
+        let w = conv.weight().value.data().to_vec();
+        let bn = net.layers_mut()[1]
+            .as_any_mut()
+            .downcast_mut::<BatchNorm2d>()
+            .unwrap();
+        let eps = bn.eps();
+        let gamma = (1.0 - 4e-6) * (1.0 + eps).sqrt();
+        bn.gamma_mut().value.data_mut().fill(gamma);
+        let scale = gamma / (1.0 + eps).sqrt();
+        assert!(scale != 1.0 && (scale - 1.0).abs() < 1e-5);
+
+        assert_eq!(fold_batchnorm(&mut net), 1);
+        assert_eq!(strip_identity_batchnorms(&mut net), 1);
+        assert_eq!(net.len(), 1, "the batch norm is gone");
+        let conv = net.layers()[0].as_any().downcast_ref::<Conv2d>().unwrap();
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let want: Vec<f32> = w.iter().map(|v| v * scale).collect();
+        assert_eq!(bits(conv.weight().value.data()), bits(&want));
     }
 }

@@ -244,8 +244,7 @@ mod tests {
     #[test]
     fn identity_bn_is_flagged() {
         let mut net = demo_net();
-        // Perturb the batch norm so folding does real work (a fresh
-        // near-identity is skipped by `fold_batchnorm`).
+        // Perturb the batch norm so folding does real work.
         net.layers_mut()[1]
             .as_any_mut()
             .downcast_mut::<BatchNorm2d>()

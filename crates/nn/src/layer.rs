@@ -6,7 +6,7 @@ use crate::error::Error;
 use crate::weights::Weights;
 use cnn_stack_obs::ObsLevel;
 use cnn_stack_parallel::Schedule;
-use cnn_stack_tensor::{GemmAlgorithm, GemmEpilogue, GemmPlan, Tensor};
+use cnn_stack_tensor::{GemmAlgorithm, GemmEpilogue, Tensor};
 
 /// Whether a forward pass is part of training (caches activations for the
 /// backward pass, uses batch statistics) or pure inference.
@@ -541,15 +541,6 @@ pub trait Layer: std::fmt::Debug + std::any::Any + Send + Sync {
     ///
     /// [`params_mut`]: Layer::params_mut
     fn replica(&self) -> Box<dyn Layer>;
-
-    /// The packed-GEMM blocking plan this layer would execute for the
-    /// given input shape, if its `cfg` routes it through
-    /// [`GemmAlgorithm::Packed`]; `None` otherwise. `InferencePlan`
-    /// records this per step so the chosen MC/KC/NC blocking and the
-    /// packed-buffer sizes are inspectable.
-    fn gemm_plan(&self, _input_shape: &[usize], _cfg: &ExecConfig) -> Option<GemmPlan> {
-        None
-    }
 
     /// Workspace floats [`forward_into`](Layer::forward_into) needs for
     /// the given input shape under `cfg` (0 for layers that need none):

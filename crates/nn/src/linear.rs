@@ -4,18 +4,22 @@ use crate::algo::{self, AlgoChoice, LayerShape};
 use crate::descriptor::{LayerDescriptor, LayerKind};
 use crate::error::Error;
 use crate::layer::{refuse_input, ExecConfig, Layer, Param, WeightFormat, LAYER_SCHEDULE};
-use crate::weights::{PanelOperand, Weights};
+use crate::weights::Weights;
 use cnn_stack_parallel::parallel_for;
 use cnn_stack_parallel::DisjointWriter;
 use cnn_stack_tensor::init::{initialise, Init};
-use cnn_stack_tensor::{gemm, ops, CodePanels, GemmPlan, PackedA, Tensor};
+use cnn_stack_tensor::{gemm, ops, GemmPlan, PackedA, Tensor};
 
 /// A fully connected layer `y = x · Wᵀ + b` over `[batch, in]` inputs.
 ///
 /// Like [`crate::Conv2d`], the dense master weights carry a storage
 /// format label, and the CSR / packed-panel / code forms derived from
 /// them are built on first use and dropped by every route that can
-/// change the master. The parallel grain is the output feature.
+/// change the master. The packed rows compute `yᵀ = W · xᵀ` with the
+/// weights as the MR-row A operand, exactly as a convolution's are:
+/// `gemm-packed` and `gemm-ternary` run one product and differ only in
+/// whether that operand holds f32 panels or 2-bit codes. The scalar and
+/// CSR rows' parallel grain is the output feature.
 ///
 /// # Example
 ///
@@ -51,14 +55,11 @@ impl Linear {
         Linear {
             in_features,
             out_features,
-            weights: Weights::new(
-                Param::new(initialise(
-                    [out_features, in_features],
-                    Init::XavierUniform,
-                    seed,
-                )),
-                PanelOperand::BTransposed,
-            ),
+            weights: Weights::new(Param::new(initialise(
+                [out_features, in_features],
+                Init::XavierUniform,
+                seed,
+            ))),
             bias: Param::new(Tensor::zeros([out_features])),
             cached_input: None,
         }
@@ -122,48 +123,41 @@ impl Linear {
         self.weights.set_format(format);
     }
 
-    /// Blocking plan of the packed product `X[batch×in] · Wᵀ[in×out]`.
-    fn packed_plan(&self, batch: usize) -> GemmPlan {
-        GemmPlan::new(batch, self.in_features, self.out_features)
-    }
-
-    /// Blocking plan of the product on codes, `W[out×in] · Xᵀ[in×batch]`:
-    /// the codes are A panels, the one layout the packed engine decodes.
-    /// `kc` depends on `in` alone and every output is one FMA chain over
-    /// the same `(w, x)` pairs in the same order, so each output bit is
-    /// [`packed_plan`](Self::packed_plan)'s on the dequantised weights.
-    fn codes_plan(&self, batch: usize) -> GemmPlan {
+    /// Blocking plan of the packed product `Outᵀ[out×batch] =
+    /// W[out×in] · Xᵀ[in×batch]`: the weights are the A operand.
+    fn plan(&self, batch: usize) -> GemmPlan {
         GemmPlan::new(self.out_features, self.in_features, batch)
     }
 
-    /// Workspace of [`eval_codes_into`](Self::eval_codes_into): `Xᵀ`'s
+    /// Workspace of [`eval_packed_into`](Self::eval_packed_into): `Xᵀ`'s
     /// B panels and the `[out × batch]` product.
-    fn codes_scratch_elems(&self, batch: usize) -> usize {
-        self.codes_plan(batch).packed_b_elems() + self.out_features * batch
+    fn packed_scratch_elems(&self, batch: usize) -> usize {
+        self.plan(batch).packed_b_elems() + self.out_features * batch
     }
 
-    /// Code kernel: `Outᵀ = W · Xᵀ` with the weights' code panels as A
-    /// and the activations packed into B panels (`X`'s rows are `Xᵀ`'s
-    /// columns), then transposed into the `[batch × out]` output.
-    fn eval_codes_into(
+    /// Packed kernel: `Outᵀ = W · Xᵀ` with the weights — f32 panels or
+    /// 2-bit codes — as A and the activations packed into B panels
+    /// (`X`'s rows are `Xᵀ`'s columns), bias-prefilled, then transposed
+    /// into the `[batch × out]` output.
+    fn eval_packed_into(
         &self,
-        codes: CodePanels<'_>,
+        weights: PackedA<'_>,
         in_data: &[f32],
         batch: usize,
         out: &mut [f32],
         scratch: &mut [f32],
         cfg: &ExecConfig,
     ) {
-        let plan = self.codes_plan(batch);
+        let plan = self.plan(batch);
         let (b_buf, c_buf) =
-            scratch[..self.codes_scratch_elems(batch)].split_at_mut(plan.packed_b_elems());
+            scratch[..self.packed_scratch_elems(batch)].split_at_mut(plan.packed_b_elems());
         gemm::pack_b_transposed_into(&plan, in_data, b_buf);
         for (row, &b) in c_buf.chunks_exact_mut(batch).zip(self.bias.value.data()) {
             row.fill(b);
         }
         gemm::gemm_prepacked_epilogue(
             &plan,
-            PackedA::Codes(codes),
+            weights,
             b_buf,
             c_buf,
             cfg.threads,
@@ -175,41 +169,6 @@ impl Linear {
                 *v = c_buf[o * batch + b];
             }
         }
-    }
-
-    /// Copies the bias vector into every output row (the `+=` GEMM
-    /// contract folds it into the product).
-    fn prefill_bias(&self, out: &mut [f32]) {
-        let bdata = self.bias.value.data();
-        for row in out.chunks_exact_mut(self.out_features) {
-            row.copy_from_slice(bdata);
-        }
-    }
-
-    /// Packed-GEMM dense kernel: the activations are packed into MR-row
-    /// A-panels per run (`scratch`), the `Wᵀ` B-panels are the layer's
-    /// derived panel form, and one whole-layer GEMM runs over the pool.
-    fn eval_dense_packed_into(
-        &self,
-        in_data: &[f32],
-        batch: usize,
-        out: &mut [f32],
-        scratch: &mut [f32],
-        cfg: &ExecConfig,
-    ) {
-        let plan = self.packed_plan(batch);
-        let a_buf = &mut scratch[..plan.packed_a_elems()];
-        gemm::pack_a_into(&plan, in_data, a_buf);
-        self.prefill_bias(out);
-        gemm::gemm_prepacked_epilogue(
-            &plan,
-            PackedA::F32(a_buf),
-            self.weights.panels(),
-            out,
-            cfg.threads,
-            LAYER_SCHEDULE,
-            cfg.epilogue(),
-        );
     }
 
     /// CSR kernel: `out = in · Wᵀ + b` over the stored non-zeros.
@@ -364,17 +323,12 @@ impl Layer for Linear {
 
     fn forward_scratch_elems(&self, input_shape: &[usize], cfg: &ExecConfig) -> usize {
         use AlgoChoice as K;
-        // The activation panels of the packed product; the weights are a
-        // derived form the layer holds itself. Answered from (label,
-        // cfg) alone, no weight is scanned: the code row's bound covers
-        // the f32 row it falls back to.
-        let batch = input_shape[0];
+        // The activation panels and product of the packed rows; the
+        // weights are a derived form the layer holds itself. Answered
+        // from (label, cfg) alone, no weight is scanned: the code row
+        // and the f32 row it falls back to need the same workspace.
         match algo::resolve(LayerShape::Linear, self.format(), cfg, || true) {
-            K::PackedLinear => self.packed_plan(batch).packed_a_elems(),
-            K::TernaryLinear => self
-                .packed_plan(batch)
-                .packed_a_elems()
-                .max(self.codes_scratch_elems(batch)),
+            K::PackedLinear | K::TernaryLinear => self.packed_scratch_elems(input_shape[0]),
             K::ScalarLinear | K::CsrLinear => 0,
             algo::conv_rows!() => unreachable!("a linear layer resolves to a linear row"),
         }
@@ -394,16 +348,6 @@ impl Layer for Linear {
         })
     }
 
-    fn gemm_plan(&self, input_shape: &[usize], cfg: &ExecConfig) -> Option<GemmPlan> {
-        use AlgoChoice as K;
-        match self.runs(cfg) {
-            K::PackedLinear => Some(self.packed_plan(input_shape[0])),
-            K::TernaryLinear => Some(self.codes_plan(input_shape[0])),
-            K::ScalarLinear | K::CsrLinear => None,
-            algo::conv_rows!() => unreachable!("a linear layer resolves to a linear row"),
-        }
-    }
-
     fn forward_into(
         &self,
         input: &[f32],
@@ -421,13 +365,16 @@ impl Layer for Linear {
         );
         use AlgoChoice as K;
         match self.runs(cfg) {
-            K::PackedLinear => self.eval_dense_packed_into(input, batch, out, scratch, cfg),
+            K::PackedLinear => {
+                let panels = PackedA::F32(self.weights.panels());
+                self.eval_packed_into(panels, input, batch, out, scratch, cfg)
+            }
             K::TernaryLinear => {
                 let codes = self
                     .weights
                     .codes()
                     .expect("resolve checked the label and the weight values");
-                self.eval_codes_into(codes, input, batch, out, scratch, cfg)
+                self.eval_packed_into(PackedA::Codes(codes), input, batch, out, scratch, cfg)
             }
             K::ScalarLinear => self.eval_scalar_into(input, batch, out, cfg),
             K::CsrLinear => self.eval_csr_into(input, batch, out, cfg),

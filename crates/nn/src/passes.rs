@@ -6,8 +6,8 @@
 //! 1. **validate** — a non-zero thread count, a non-empty input shape
 //!    with non-zero extents, and every layer's [`Layer::check_input`] on
 //!    the shape that reaches it;
-//! 2. **fold** — batch norms into their producing convolutions (the
-//!    exact variant of [`crate::fold_batchnorm`]);
+//! 2. **fold** — batch norms into their producing convolutions
+//!    ([`crate::fold_batchnorm`]);
 //! 3. **lower** — one typed op per layer, carrying the shape-resolved
 //!    facts selection prices: geometry, *measured* weight sparsity,
 //!    exact ternarity;
@@ -119,10 +119,10 @@ impl PlanCompiler {
         cfg: &ExecConfig,
     ) -> Result<InferencePlan, Error> {
         validate(net, input_shape, cfg)?;
-        // The exact variant also folds near-identity batch norms
-        // (`scale = 1/sqrt(1 + eps)`), which must execute if kept but
-        // become absorbable exact identities once folded.
-        fold::fold_batchnorm_exact(net);
+        // Folding also takes near-identity batch norms (`scale =
+        // 1/sqrt(1 + eps)`), which must execute if kept but become
+        // absorbable exact identities once folded.
+        fold::fold_batchnorm(net);
         let mut ops = fuse(ir::lower(net, input_shape, cfg));
         select(net, &mut ops, cfg);
         if let Some(budget) = cfg.plan_budget {
@@ -194,8 +194,8 @@ fn emit(
 }
 
 /// The plan step for `op` under its current configuration: the primary
-/// layer's shapes and traffic, the kernel's own workspace and GEMM plan,
-/// and the op's name, span and fused MACs.
+/// layer's shapes and traffic, the kernel's own workspace, and the op's
+/// name, span and fused MACs.
 fn step(net: &Network, op: &IrOp) -> PlanStep {
     let layer = net.layers()[op.layer].as_ref();
     let shape = &op.input_shape;
@@ -210,7 +210,6 @@ fn step(net: &Network, op: &IrOp) -> PlanStep {
         input_elems: d.input_elems,
         output_elems: d.output_elems,
         workspace_elems: layer.forward_scratch_elems(shape, &op.cfg),
-        gemm: layer.gemm_plan(shape, &op.cfg),
         macs: op.macs,
         bytes: 4 * (d.input_elems + d.output_elems + d.weight_nnz) as u64,
     }
@@ -360,13 +359,9 @@ fn predicted_seconds(op: &IrOp, choice: AlgoChoice) -> f64 {
             else {
                 return f64::INFINITY;
             };
-            // On codes the product runs as `W · Xᵀ`: the batch is the
-            // column dimension.
-            let eff = if choice == AlgoChoice::PackedLinear {
-                tile_padded_flops(batch, *in_features, *out_features)
-            } else {
-                tile_padded_flops(*out_features, *in_features, batch)
-            };
+            // Both rows run `Outᵀ = W · Xᵀ`: the batch is the column
+            // dimension.
+            let eff = tile_padded_flops(*out_features, *in_features, batch);
             // At serving batch sizes the product is bound by streaming
             // the weights.
             let weight_traffic = weight_bytes(choice, in_features * out_features);

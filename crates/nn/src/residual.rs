@@ -144,21 +144,22 @@ impl ResidualBlock {
         self.conv2.remove_in_channel(c);
     }
 
-    /// Folds the block's batch norms into its convolutions (inference
-    /// statistics), leaving them as exact identities. Returns the number
-    /// folded. See [`crate::fold::fold_batchnorm`].
+    /// Folds each of the block's batch norms that is not already an
+    /// exact identity into its convolution (inference statistics),
+    /// leaving it one. Returns the number folded. See
+    /// [`crate::fold::fold_batchnorm`].
     pub fn fold_batchnorm(&mut self) -> usize {
         let mut folded = 0;
-        if !self.bn1.is_inference_identity() {
+        if !self.bn1.is_exact_inference_identity() {
             crate::fold::fold_conv_bn_pair(&mut self.conv1, &mut self.bn1);
             folded += 1;
         }
-        if !self.bn2.is_inference_identity() {
+        if !self.bn2.is_exact_inference_identity() {
             crate::fold::fold_conv_bn_pair(&mut self.conv2, &mut self.bn2);
             folded += 1;
         }
         if let Some((conv, bn)) = &mut self.shortcut {
-            if !bn.is_inference_identity() {
+            if !bn.is_exact_inference_identity() {
                 crate::fold::fold_conv_bn_pair(conv, bn);
                 folded += 1;
             }

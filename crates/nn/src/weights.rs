@@ -8,8 +8,8 @@
 //! bank per tile size. After [`prepare`](Weights::prepare) one physical
 //! form is resident, and every other form is a function of it:
 //!
-//! * f32 panels (a zero-padded permutation of either GEMM operand) and
-//!   the codes of an exactly-ternary master (`0b11` is `−0.0`) re-encode
+//! * f32 panels (the master as the GEMM's zero-padded MR-row A operand)
+//!   and the codes of an exactly-ternary master (`0b11` is `−0.0`) re-encode
 //!   the master losslessly, so while one of them is kept and no gradient
 //!   is held the master is dropped, and [`master`](Weights::master)
 //!   rebuilds it bit for bit on demand;
@@ -49,17 +49,6 @@ use cnn_stack_tensor::{
     Tensor, WinogradTile,
 };
 use std::sync::{Arc, OnceLock};
-
-/// Which GEMM operand a layer's f32 panels are: convolution multiplies
-/// `W · cols` (weights are the MR-row A operand), linear multiplies
-/// `X · Wᵀ` (weights are the NR-column B operand, packed transposed).
-/// Code panels are the A operand of both: a linear layer on codes runs
-/// `W · Xᵀ`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum PanelOperand {
-    A,
-    BTransposed,
-}
 
 /// One of the derived storage forms.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -208,19 +197,17 @@ pub(crate) struct Weights {
     /// dropped until the next write, so that a rebuilt master carries it.
     mask: Option<Arc<Mask>>,
     format: WeightFormat,
-    operand: PanelOperand,
     derived: Derived,
 }
 
 impl Weights {
     /// Wraps `master` (leading extent = output rows) in `Dense` format.
-    pub(crate) fn new(master: Param, operand: PanelOperand) -> Self {
+    pub(crate) fn new(master: Param) -> Self {
         Weights {
             shape: master.value.shape().clone(),
             master: OnceLock::from(Arc::new(master)),
             mask: None,
             format: WeightFormat::Dense,
-            operand,
             derived: Derived::default(),
         }
     }
@@ -251,7 +238,6 @@ impl Weights {
             master: self.master.clone(),
             mask: self.mask.clone(),
             format: self.format,
-            operand: self.operand,
             derived: self.derived.clone(),
         }
     }
@@ -279,18 +265,13 @@ impl Weights {
     /// in for it. Reads built forms only: building one reads the master.
     fn decode(&self) -> Vec<f32> {
         let mut values = vec![0.0; self.elems()];
-        let (rows, cols) = self.matrix_extents();
+        let plan = self.panel_plan();
         if let Some(Some(codes)) = self.derived.codes.get() {
-            let plan = GemmPlan::new(rows, cols, 1);
             gemm::unpack_a_codes_into(&plan, codes.panels(), &mut values);
-            return values;
-        }
-        let panels = (self.derived.panels.get()).expect("a dropped master leaves a lossless form");
-        match self.operand {
-            PanelOperand::A => gemm::unpack_a_into(&self.panel_plan(), panels, &mut values),
-            PanelOperand::BTransposed => {
-                gemm::unpack_b_transposed_into(&self.panel_plan(), panels, &mut values)
-            }
+        } else {
+            let panels = self.derived.panels.get();
+            let panels = panels.expect("a dropped master leaves a lossless form");
+            gemm::unpack_a_into(&plan, panels, &mut values);
         }
         values
     }
@@ -365,14 +346,11 @@ impl Weights {
         (rows, self.elems() / rows)
     }
 
-    /// The blocking plan whose panel layout the f32 panels take: the
-    /// weights as the A operand, or as the transposed B operand.
+    /// The blocking plan whose A panel layout the f32 and code panels
+    /// take: the weights as the `[rows × cols]` A operand.
     fn panel_plan(&self) -> GemmPlan {
         let (rows, cols) = self.matrix_extents();
-        match self.operand {
-            PanelOperand::A => GemmPlan::new(rows, cols, 1),
-            PanelOperand::BTransposed => GemmPlan::new(1, cols, rows),
-        }
+        GemmPlan::new(rows, cols, 1)
     }
 
     /// CSR form of the master (exact zeros dropped).
@@ -384,25 +362,15 @@ impl Weights {
         })
     }
 
-    /// Packed f32 GEMM panels of the master, cache-line-aligned (they are
-    /// the streamed B operand of a linear layer). The layout depends only
-    /// on the weight matrix extents, not on the other operand's, so one
-    /// build serves every input shape.
+    /// Packed f32 GEMM panels of the master: its MR-row A panels, on a
+    /// cache line. The layout depends only on the weight matrix extents,
+    /// not on the other operand's, so one build serves every input shape.
     pub(crate) fn panels(&self) -> &[f32] {
         self.derived.panels.get_or_init(|| {
-            let (plan, data) = (self.panel_plan(), self.master().value.data());
-            Arc::new(match self.operand {
-                PanelOperand::A => {
-                    let mut panels = AlignedBuf::zeroed(plan.packed_a_elems());
-                    gemm::pack_a_into(&plan, data, &mut panels);
-                    panels
-                }
-                PanelOperand::BTransposed => {
-                    let mut panels = AlignedBuf::zeroed(plan.packed_b_elems());
-                    gemm::pack_b_transposed_into(&plan, data, &mut panels);
-                    panels
-                }
-            })
+            let plan = self.panel_plan();
+            let mut panels = AlignedBuf::zeroed(plan.packed_a_elems());
+            gemm::pack_a_into(&plan, self.master().value.data(), &mut panels);
+            Arc::new(panels)
         })
     }
 
@@ -429,8 +397,7 @@ impl Weights {
                     return None;
                 }
                 let (positive, negative) = self.ternary_magnitudes()?;
-                let (rows, cols) = self.matrix_extents();
-                let plan = GemmPlan::new(rows, cols, 1);
+                let plan = self.panel_plan();
                 let mut words = vec![0u32; plan.packed_a_code_words()];
                 gemm::pack_a_codes_into(&plan, self.master().value.data(), &mut words);
                 Some(Codes {
@@ -549,16 +516,17 @@ impl Weights {
 mod tests {
     use super::*;
 
-    fn weights(seed: f32, operand: PanelOperand) -> Weights {
-        let value = Tensor::from_fn([5, 7], |i| ((i as f32 + seed) * 0.37).sin());
-        Weights::new(Param::new(value), operand)
+    /// A 7 → 5 linear layer's weights.
+    fn weights() -> Weights {
+        let value = Tensor::from_fn([5, 7], |i| (i as f32 * 0.37).sin());
+        Weights::new(Param::new(value))
     }
 
     /// A 2 → 5 channel 3×3 convolution's weights: every form, the
     /// Winograd banks included, can be built from them.
     fn conv_weights() -> Weights {
         let value = Tensor::from_fn([5, 2, 3, 3], |i| (i as f32 * 0.37).sin());
-        Weights::new(Param::new(value), PanelOperand::A)
+        Weights::new(Param::new(value))
     }
 
     /// Bit patterns of the master's values.
@@ -634,7 +602,7 @@ mod tests {
 
     #[test]
     fn nnz_follows_the_master() {
-        let mut w = weights(0.0, PanelOperand::A);
+        let mut w = weights();
         assert_eq!(w.nnz(), 34, "sin(0) is the one exact zero of 35");
         w.master_mut().value.data_mut()[..10].fill(0.0);
         assert_eq!(w.nnz(), 25);
@@ -699,7 +667,7 @@ mod tests {
 
     #[test]
     fn code_forms_follow_the_label() {
-        let mut w = weights(0.0, PanelOperand::BTransposed);
+        let mut w = weights();
         assert!(w.codes().is_none());
         w.set_format(WeightFormat::Ternary);
         assert!(w.codes().is_none(), "sine weights are not ternary");
@@ -784,7 +752,7 @@ mod tests {
 
     #[test]
     fn a_dropped_master_reads_from_what_the_kernel_reads() {
-        let mut w = weights(0.0, PanelOperand::BTransposed);
+        let mut w = weights();
         w.master_mut().value.data_mut()[23] = f32::NAN;
         w.master_mut().value.data_mut()[30] = f32::INFINITY;
         let bias = Param::new(Tensor::zeros([5]));
@@ -801,7 +769,7 @@ mod tests {
 
     #[test]
     fn replica_shares_until_written() {
-        let source = weights(0.0, PanelOperand::A);
+        let source = weights();
         source.panels();
         source.nnz();
         let mut replica = source.replica();

@@ -3,7 +3,7 @@
 //! `ServeConfig` gathers every serving-relevant knob that used to be
 //! scattered across `ExecConfig` (threads, observer level),
 //! `GuardConfig` (guarded execution), and ad-hoc call sites (batching,
-//! queueing, deadlines) into a single builder that validates once, at
+//! queueing) into a single builder that validates once, at
 //! `build()`. A `ServeConfig` in hand is always runnable.
 
 use crate::batcher::BatchPolicy;
@@ -22,13 +22,11 @@ pub struct ServeConfig {
     max_delay: Duration,
     queue_depth: usize,
     workers: usize,
-    default_deadline: Option<Duration>,
     guard: GuardConfig,
     threads: usize,
     observer: ObsLevel,
     supervision: SupervisionPolicy,
     breaker: Option<BreakerPolicy>,
-    memory_budget: Option<usize>,
 }
 
 impl ServeConfig {
@@ -41,13 +39,11 @@ impl ServeConfig {
             max_delay: Duration::from_millis(5),
             queue_depth: 64,
             workers: 1,
-            default_deadline: None,
             guard: GuardConfig::default(),
             threads: 1,
             observer: ObsLevel::Metrics,
             supervision: SupervisionPolicy::default(),
             breaker: None,
-            memory_budget: None,
         }
     }
 
@@ -59,23 +55,6 @@ impl ServeConfig {
     /// Largest number of requests coalesced into one session run.
     pub fn max_batch(&self) -> usize {
         self.max_batch
-    }
-
-    /// Activation-arena envelope for one worker's whole session ladder,
-    /// if one was configured.
-    pub fn memory_budget(&self) -> Option<usize> {
-        self.memory_budget
-    }
-
-    /// The slice of the memory envelope a rung of the given batch size
-    /// may claim: arenas grow roughly linearly with batch, so the
-    /// envelope is split across the ladder proportionally to batch
-    /// size. `None` when no envelope is configured.
-    pub(crate) fn rung_budget(&self, batch: usize) -> Option<usize> {
-        self.memory_budget.map(|total| {
-            let sum: usize = self.ladder_sizes().iter().sum();
-            total * batch / sum.max(1)
-        })
     }
 
     /// Longest a batch is held open waiting for co-batchable requests.
@@ -92,11 +71,6 @@ impl ServeConfig {
     /// [`crate::Server::pump`], for deterministic tests).
     pub fn workers(&self) -> usize {
         self.workers
-    }
-
-    /// Deadline applied to [`crate::Server::submit`] requests, if any.
-    pub fn default_deadline(&self) -> Option<Duration> {
-        self.default_deadline
     }
 
     /// Guarded-execution policy for the serving sessions.
@@ -177,13 +151,11 @@ pub struct ServeConfigBuilder {
     max_delay: Duration,
     queue_depth: usize,
     workers: usize,
-    default_deadline: Option<Duration>,
     guard: GuardConfig,
     threads: usize,
     observer: ObsLevel,
     supervision: SupervisionPolicy,
     breaker: Option<BreakerPolicy>,
-    memory_budget: Option<usize>,
 }
 
 impl ServeConfigBuilder {
@@ -215,13 +187,6 @@ impl ServeConfigBuilder {
         self
     }
 
-    /// Deadline budget applied to every plain `submit` (per-request
-    /// deadlines override it).
-    pub fn default_deadline(mut self, deadline: Duration) -> Self {
-        self.default_deadline = Some(deadline);
-        self
-    }
-
     /// Guarded-execution policy for the serving sessions.
     pub fn guard(mut self, guard: GuardConfig) -> Self {
         self.guard = guard;
@@ -250,19 +215,6 @@ impl ServeConfigBuilder {
         self
     }
 
-    /// Caps the total activation-arena bytes of one worker's session
-    /// ladder. The pool splits the envelope across rungs proportionally
-    /// to batch size and compiles each rung under its share, so the
-    /// plan compiler can demote layers onto smaller-workspace
-    /// algorithms where the envelope bites. An envelope that even the
-    /// smallest-workspace plans cannot fit fails server construction
-    /// with a typed `BudgetInfeasible` carrying the smallest feasible
-    /// budget.
-    pub fn memory_budget(mut self, bytes: usize) -> Self {
-        self.memory_budget = Some(bytes);
-        self
-    }
-
     /// Enables the brownout circuit breaker: while it is open, each
     /// worker runs its one session ladder with guards off. Nothing
     /// extra is compiled, packed or allocated; see [`BreakerPolicy`]
@@ -279,8 +231,7 @@ impl ServeConfigBuilder {
     /// [`ServeError::InvalidConfig`] when any knob is out of range:
     /// empty/zero input shape, `max_batch == 0`, `queue_depth == 0`,
     /// `queue_depth < max_batch` (a full batch could never accumulate),
-    /// `threads == 0`, a zero `default_deadline`, a zero
-    /// `memory_budget`, or an out-of-range supervision/breaker policy.
+    /// `threads == 0`, or an out-of-range supervision/breaker policy.
     pub fn build(self) -> Result<ServeConfig, ServeError> {
         if self.input_shape.is_empty() || self.input_shape.contains(&0) {
             return Err(ServeError::InvalidConfig(format!(
@@ -309,16 +260,6 @@ impl ServeConfigBuilder {
                 "threads must be at least 1".into(),
             ));
         }
-        if self.default_deadline == Some(Duration::ZERO) {
-            return Err(ServeError::InvalidConfig(
-                "default_deadline must be positive".into(),
-            ));
-        }
-        if self.memory_budget == Some(0) {
-            return Err(ServeError::InvalidConfig(
-                "memory_budget must be positive".into(),
-            ));
-        }
         self.supervision
             .validate()
             .map_err(ServeError::InvalidConfig)?;
@@ -331,13 +272,11 @@ impl ServeConfigBuilder {
             max_delay: self.max_delay,
             queue_depth: self.queue_depth,
             workers: self.workers,
-            default_deadline: self.default_deadline,
             guard: self.guard,
             threads: self.threads,
             observer: self.observer,
             supervision: self.supervision,
             breaker: self.breaker,
-            memory_budget: self.memory_budget,
         })
     }
 }
@@ -362,10 +301,6 @@ mod tests {
             .is_err());
         assert!(ServeConfig::builder([3, 32, 32])
             .threads(0)
-            .build()
-            .is_err());
-        assert!(ServeConfig::builder([3, 32, 32])
-            .default_deadline(Duration::ZERO)
             .build()
             .is_err());
         assert!(ServeConfig::builder([3, 32, 32])

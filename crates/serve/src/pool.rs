@@ -107,25 +107,13 @@ impl LadderTemplate {
         net: Network,
         clock: &dyn Clock,
     ) -> Result<(LadderTemplate, SessionLadder), ServeError> {
-        let base_exec = cfg.exec();
+        let exec = cfg.exec();
         let compiler = PlanCompiler::standard();
         let guard = cfg.guard();
         let mut templates: Vec<RungTemplate> = Vec::new();
         let mut rungs = Vec::new();
         let mut first = Some(net);
         for &batch in &cfg.ladder_sizes() {
-            // Under a memory envelope each rung compiles against its
-            // proportional share, and the conv override is released so
-            // the budget solver may demote layers (wherever the share
-            // allows it, each layer runs the cost model's own pick).
-            let exec = match cfg.rung_budget(batch) {
-                Some(budget) => cnn_stack_nn::ExecConfig {
-                    conv_algo: cnn_stack_nn::ExecConfig::serial().conv_algo,
-                    plan_budget: Some(budget),
-                    ..base_exec
-                },
-                None => base_exec,
-            };
             let mut shape = vec![batch];
             shape.extend_from_slice(cfg.input_shape());
             let mut net = match first.take() {

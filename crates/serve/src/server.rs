@@ -634,9 +634,9 @@ impl Server {
         self.inner.observer.as_ref()
     }
 
-    /// Submits a request under the configured default deadline (if
-    /// any). Admission control answers immediately: when the bounded
-    /// queue is full the returned ticket resolves to
+    /// Submits a request with no deadline: it waits in the queue until
+    /// its batch runs. Admission control answers immediately: when the
+    /// bounded queue is full the returned ticket resolves to
     /// [`Outcome::Shed`]`(`[`ShedReason::QueueFull`]`)` without the
     /// request ever queueing.
     ///
@@ -645,7 +645,7 @@ impl Server {
     /// [`ServeError::ShapeMismatch`] when `input` is not one request of
     /// the configured shape — that is a caller bug, not load shedding.
     pub fn submit(&self, input: Tensor) -> Result<Ticket, ServeError> {
-        self.submit_opts(input, self.cfg.default_deadline())
+        self.submit_opts(input, None)
     }
 
     /// Submits with an explicit deadline budget: if the request is

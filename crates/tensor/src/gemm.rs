@@ -349,25 +349,12 @@ impl GemmPlan {
 ///
 /// Panics if `a` or `buf` is shorter than the plan requires.
 pub fn pack_a_into(plan: &GemmPlan, a: &[f32], buf: &mut [f32]) {
-    let (m, k) = (plan.m, plan.k);
-    assert_eq!(a.len(), m * k, "A length mismatch");
+    assert_eq!(a.len(), plan.m * plan.k, "A length mismatch");
     assert!(
         buf.len() >= plan.packed_a_elems(),
         "packed-A buffer too small"
     );
-    for ip in 0..plan.m_panels() {
-        let rows = MR.min(m - ip * MR);
-        let src = &a[ip * MR * k..(ip * MR + rows) * k];
-        let dst = &mut buf[ip * MR * k..(ip + 1) * MR * k];
-        // `p` outermost: up to six read streams, one sequential write
-        // stream. (A row at a time scatters every write `MR` floats
-        // apart and ran at ≈ 5 GB/s.)
-        for (p, d) in dst.chunks_exact_mut(MR).enumerate() {
-            for (r, v) in d.iter_mut().enumerate() {
-                *v = if r < rows { src[r * k + p] } else { 0.0 };
-            }
-        }
-    }
+    pack_row_panels::<MR>(plan.m, plan.k, a, buf);
     obs::count(
         Metric::GemmBytesPacked,
         (plan.packed_a_elems() * std::mem::size_of::<f32>()) as u64,
@@ -405,42 +392,48 @@ pub fn pack_b_into(plan: &GemmPlan, b: &[f32], buf: &mut [f32]) {
     );
 }
 
-/// Packs `Wᵀ` into NR-column panels directly from `w[n×k]` (row-major),
+/// Packs `Xᵀ` into NR-column panels directly from `x[n×k]` (row-major),
 /// without materialising the transpose: the packed B is the `k×n`
-/// matrix with `B[p][j] = w[j·k + p]`. This is the linear layer's
-/// weight layout (`W[out, in]`, `B = Wᵀ`).
+/// matrix with `B[p][j] = x[j·k + p]`. This is how a linear layer packs
+/// its `[batch × in]` activations for `Outᵀ = W · Xᵀ`. Columns beyond
+/// `n` are zero-filled.
 ///
 /// # Panics
 ///
-/// Panics if `w` or `buf` is shorter than the plan requires.
-pub fn pack_b_transposed_into(plan: &GemmPlan, w: &[f32], buf: &mut [f32]) {
-    let (k, n) = (plan.k, plan.n);
-    assert_eq!(w.len(), n * k, "W length mismatch");
+/// Panics if `x` or `buf` is shorter than the plan requires.
+pub fn pack_b_transposed_into(plan: &GemmPlan, x: &[f32], buf: &mut [f32]) {
+    assert_eq!(x.len(), plan.n * plan.k, "X length mismatch");
     assert!(
         buf.len() >= plan.packed_b_elems(),
         "packed-B buffer too small"
     );
-    for jp in 0..plan.n_panels() {
-        let j0 = jp * NR;
-        let dst = &mut buf[jp * NR * k..(jp + 1) * NR * k];
-        for c in 0..NR {
-            let col = j0 + c;
-            if col < n {
-                let src = &w[col * k..col * k + k];
-                for (p, &v) in src.iter().enumerate() {
-                    dst[p * NR + c] = v;
-                }
-            } else {
-                for p in 0..k {
-                    dst[p * NR + c] = 0.0;
-                }
-            }
-        }
-    }
+    pack_row_panels::<NR>(plan.n, plan.k, x, buf);
     obs::count(
         Metric::GemmBytesPacked,
         (plan.packed_b_elems() * std::mem::size_of::<f32>()) as u64,
     );
+}
+
+/// Packs a row-major `[m × k]` matrix into panels of `W` rows each,
+/// k-major: panel `i` holds rows `[i·W, i·W+W)` as
+/// `buf[i·W·k + p·W + r]`, the rows past `m` zero-filled. Writes every
+/// element of the panel region, so `buf` may hold arbitrary garbage on
+/// entry.
+fn pack_row_panels<const W: usize>(m: usize, k: usize, src: &[f32], buf: &mut [f32]) {
+    for i in 0..m.div_ceil(W) {
+        let rows = W.min(m - i * W);
+        let src = &src[i * W * k..(i * W + rows) * k];
+        let dst = &mut buf[i * W * k..(i + 1) * W * k];
+        // `p` outermost: up to `W` read streams, one sequential write
+        // stream. (A row at a time scatters every write `W` floats
+        // apart: ≈ 5 GB/s for A panels, and 2–7× slower than this for
+        // a linear layer's `Xᵀ` at batch 1.)
+        for (p, d) in dst.chunks_exact_mut(W).enumerate() {
+            for (r, v) in d.iter_mut().enumerate() {
+                *v = if r < rows { src[r * k + p] } else { 0.0 };
+            }
+        }
+    }
 }
 
 /// Packs an exactly-ternary `a[m×k]` (row-major) as 2-bit codes in the
@@ -488,18 +481,6 @@ pub fn pack_a_codes_into(plan: &GemmPlan, a: &[f32], buf: &mut [u32]) {
     );
 }
 
-/// Copies a matrix out of panels of `rows` rows each, k-major
-/// (`buf[ip·rows·k + p·rows + r]` is element `(ip·rows + r, p)`), into
-/// `out` (row-major). Padding rows past the matrix are not read.
-fn unpack_row_panels(rows: usize, k: usize, buf: &[f32], out: &mut [f32]) {
-    for (i, row) in out.chunks_exact_mut(k).enumerate() {
-        let panel = &buf[i / rows * rows * k..][..rows * k];
-        for (p, v) in row.iter_mut().enumerate() {
-            *v = panel[p * rows + i % rows];
-        }
-    }
-}
-
 /// Inverse of [`pack_a_into`]: `a[m×k]` back out of its MR-row panels,
 /// bit for bit.
 ///
@@ -512,22 +493,13 @@ pub fn unpack_a_into(plan: &GemmPlan, buf: &[f32], a: &mut [f32]) {
         buf.len() >= plan.packed_a_elems(),
         "packed-A buffer too small"
     );
-    unpack_row_panels(MR, plan.k, buf, a);
-}
-
-/// Inverse of [`pack_b_transposed_into`]: `w[n×k]` back out of the
-/// NR-column panels of `Wᵀ`, bit for bit.
-///
-/// # Panics
-///
-/// Panics if `w` or `buf` is shorter than the plan requires.
-pub fn unpack_b_transposed_into(plan: &GemmPlan, buf: &[f32], w: &mut [f32]) {
-    assert_eq!(w.len(), plan.n * plan.k, "W length mismatch");
-    assert!(
-        buf.len() >= plan.packed_b_elems(),
-        "packed-B buffer too small"
-    );
-    unpack_row_panels(NR, plan.k, buf, w);
+    let k = plan.k;
+    for (i, row) in a.chunks_exact_mut(k).enumerate() {
+        let panel = &buf[i / MR * MR * k..][..MR * k];
+        for (p, v) in row.iter_mut().enumerate() {
+            *v = panel[p * MR + i % MR];
+        }
+    }
 }
 
 /// Inverse of [`pack_a_codes_into`]: decodes `a[m×k]` from its code
@@ -2559,20 +2531,34 @@ mod tests {
 
     #[test]
     fn pack_b_transposed_matches_explicit_transpose() {
-        let (n, k) = (23, 17); // W is [n × k]; B = Wᵀ is [k × n].
-        let w = random_tensor([n, k], 77);
-        let mut bt = vec![0.0f32; k * n];
-        for j in 0..n {
-            for p in 0..k {
-                bt[p * n + j] = w.data()[j * k + p];
+        // X is [n × k]; B = Xᵀ is [k × n]. n walks one column, the skinny
+        // tile's widths, a short, a full and a ragged second panel; k one
+        // step, one `kc` block and past it. A canary after the panels
+        // catches a write past them, and garbage in them one left out.
+        const CANARY: u32 = 0x7fc0_0bad;
+        for n in [1, 4, 8, 15, 16, 17, 23] {
+            for k in [1, 17, 256, 257] {
+                let x = random_tensor([n, k], (n * 1000 + k) as u64);
+                let mut bt = vec![0.0f32; k * n];
+                for j in 0..n {
+                    for p in 0..k {
+                        bt[p * n + j] = x.data()[j * k + p];
+                    }
+                }
+                let plan = GemmPlan::new(4, k, n);
+                let elems = plan.packed_b_elems();
+                let mut direct = vec![f32::from_bits(CANARY); elems + NR];
+                let mut via_transpose = vec![0.0f32; elems];
+                pack_b_transposed_into(&plan, x.data(), &mut direct);
+                pack_b_into(&plan, &bt, &mut via_transpose);
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&direct[..elems]), bits(&via_transpose), "n {n} k {k}");
+                assert!(
+                    direct[elems..].iter().all(|v| v.to_bits() == CANARY),
+                    "n {n} k {k}: wrote past the panels"
+                );
             }
         }
-        let plan = GemmPlan::new(4, k, n);
-        let mut direct = vec![0.0f32; plan.packed_b_elems()];
-        let mut via_transpose = vec![0.0f32; plan.packed_b_elems()];
-        pack_b_transposed_into(&plan, w.data(), &mut direct);
-        pack_b_into(&plan, &bt, &mut via_transpose);
-        assert_eq!(direct, via_transpose);
     }
 
     #[test]
@@ -2818,7 +2804,7 @@ mod tests {
 
     #[test]
     fn every_weight_packer_round_trips_bit_for_bit() {
-        // Short last panels (m, n not multiples of MR, NR), a code panel
+        // A short last panel (m not a multiple of MR), a code panel
         // ending mid-word, ±0, a NaN payload and ±Inf in the f32 panels.
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         let (m, k) = (2 * MR + 1, 37);
@@ -2832,12 +2818,6 @@ mod tests {
         let mut back = vec![1.0; a.len()];
         unpack_a_into(&plan, &panels, &mut back);
         assert_eq!(bits(&back), bits(&a), "A panels");
-
-        let w_plan = GemmPlan::new(1, k, m);
-        let mut panels = vec![f32::NAN; w_plan.packed_b_elems()];
-        pack_b_transposed_into(&w_plan, &a, &mut panels);
-        unpack_b_transposed_into(&w_plan, &panels, &mut back);
-        assert_eq!(bits(&back), bits(&a), "transposed B panels");
 
         let t = ternary_matrix(m, k, 5);
         let words = codes_of(&plan, &t);

@@ -35,8 +35,8 @@ pub use error::KernelError;
 pub use gemm::{
     gemm_kernel_name, gemm_naive_into, gemm_packed_into, gemm_prepacked, gemm_prepacked_epilogue,
     gemm_tiled_into, matmul, pack_a_codes_into, pack_a_into, pack_b_into, pack_b_transposed_into,
-    unpack_a_codes_into, unpack_a_into, unpack_b_transposed_into, CodePanels, GemmAlgorithm,
-    GemmEpilogue, GemmPlan, PackedA, TileConfig, MR, NR,
+    unpack_a_codes_into, unpack_a_into, CodePanels, GemmAlgorithm, GemmEpilogue, GemmPlan, PackedA,
+    TileConfig, MR, NR,
 };
 pub use im2col::{
     col2im, im2col, im2col_into, pack_b_im2col_batch_into, pack_b_im2col_into, Conv2dGeometry,

@@ -110,9 +110,11 @@ fn packed_gemm_panic_demotes_to_blocked_bit_identically() {
     let cfg = cfg_with(ConvAlgorithm::Im2col, 1);
     assert_eq!(cfg.gemm_algo, GemmAlgorithm::Packed);
     let plan = InferencePlan::compile(&net, input.shape().dims(), &cfg).unwrap();
-    assert!(
-        plan.steps()[0].gemm.is_some(),
-        "the conv step compiles a packed GEMM plan"
+    let conv = net.layers()[0].as_any().downcast_ref::<Conv2d>().unwrap();
+    assert_eq!(
+        conv.runs(&plan.steps()[0].cfg),
+        AlgoChoice::Im2colPacked,
+        "the conv step runs im2col on the packed engine"
     );
     let mut session = InferenceSession::new(&mut net, plan).unwrap();
     session.inject_faults(FaultPlan::new().panic_in_kernel(0, 0));

@@ -5,11 +5,16 @@
 //! the same tile and blocking), NaN/Inf activations included: zero
 //! codes still multiply, so `0 · NaN` stays NaN exactly like the f32
 //! kernel. The guard's quantised→packed demotion relies on this.
+//!
+//! A `Linear` runs both packed rows as `Outᵀ = W · Xᵀ`; the last test
+//! holds that lowering to the explicit `X · Wᵀ` product and the code row
+//! to the f32 row, through the layer itself.
 
+use cnn_stack::nn::{AlgoChoice, ExecConfig, Layer, Linear, WeightFormat};
 use cnn_stack::parallel::Schedule;
 use cnn_stack::tensor::{
-    gemm_prepacked_epilogue, pack_a_codes_into, pack_a_into, pack_b_into, CodePanels, GemmEpilogue,
-    GemmPlan, PackedA, Tensor, MR,
+    gemm_prepacked_epilogue, pack_a_codes_into, pack_a_into, pack_b_into, pack_b_transposed_into,
+    CodePanels, GemmEpilogue, GemmPlan, PackedA, Tensor, MR,
 };
 use proptest::prelude::*;
 
@@ -107,6 +112,133 @@ proptest! {
                     v.iter().map(|x| if x.is_nan() { u32::MAX } else { x.to_bits() }).collect()
                 };
                 prop_assert_eq!(bits(&got), bits(&want), "n {} threads {}", n, threads);
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Linear: `W · Xᵀ` against the explicit `X · Wᵀ`
+// ---------------------------------------------------------------------------
+
+/// Bit patterns, every NaN as one: the skinny tile may change a NaN's
+/// payload, never where a NaN is.
+fn nan_blind_bits(v: &[f32]) -> Vec<u32> {
+    v.iter()
+        .map(|x| if x.is_nan() { u32::MAX } else { x.to_bits() })
+        .collect()
+}
+
+/// `Y = X · Wᵀ + b` built from the public tensor API: `X` as MR-row A
+/// panels, `Wᵀ` as NR-column B panels, `C` bias-prefilled.
+fn x_times_w_transposed(
+    x: &[f32],
+    w: &[f32],
+    bias: &[f32],
+    (batch, inputs, outputs): (usize, usize, usize),
+    epilogue: GemmEpilogue,
+) -> Vec<f32> {
+    let plan = GemmPlan::new(batch, inputs, outputs);
+    let mut pa = vec![0.0f32; plan.packed_a_elems()];
+    let mut pb = vec![0.0f32; plan.packed_b_elems()];
+    pack_a_into(&plan, x, &mut pa);
+    pack_b_transposed_into(&plan, w, &mut pb);
+    let mut c: Vec<f32> = (0..batch).flat_map(|_| bias.iter().copied()).collect();
+    gemm_prepacked_epilogue(
+        &plan,
+        PackedA::F32(&pa),
+        &pb,
+        &mut c,
+        1,
+        Schedule::Static,
+        epilogue,
+    );
+    c
+}
+
+/// A prepared `fc` run once through `forward_into` on `cfg`'s row.
+fn run_linear(fc: &mut Linear, x: &[f32], batch: usize, cfg: &ExecConfig) -> Vec<f32> {
+    fc.prepare(cfg);
+    let shape = [batch, fc.in_features()];
+    let mut out = vec![f32::NAN; batch * fc.out_features()];
+    let mut scratch = vec![f32::NAN; fc.forward_scratch_elems(&shape, cfg)];
+    fc.forward_into(x, &shape, &mut out, &mut scratch, cfg);
+    out
+}
+
+/// A value of a deterministic sequence in [-1, 1).
+fn wave(i: usize, seed: usize) -> f32 {
+    ((i * 2654435761 + seed * 97) % 251) as f32 / 125.5 - 1.0
+}
+
+#[test]
+fn linear_lowering_matches_x_times_w_transposed() {
+    for batch in [1, 2, 5, 8, 13, 17] {
+        for inputs in [1, 255, 256, 257, 600] {
+            for outputs in [1, 5, 6, 7, 16, 17] {
+                let case = format!("batch {batch} in {inputs} out {outputs}");
+                let mut x: Vec<f32> = (0..batch * inputs).map(|i| wave(i, 1)).collect();
+                let n = x.len();
+                x[n / 2] = f32::NAN;
+                x[n - 1] = f32::INFINITY;
+                x[n / 3] = f32::NEG_INFINITY;
+                x[0] = -0.0;
+                let mut w: Vec<f32> = (0..outputs * inputs).map(|i| wave(i, 2)).collect();
+                let n = w.len();
+                w[n - 1] = f32::NAN;
+                w[n / 2] = f32::NEG_INFINITY;
+                w[n / 4] = f32::INFINITY;
+                w[0] = -0.0;
+                let bias: Vec<f32> = (0..outputs).map(|o| wave(o, 3)).collect();
+
+                let mut fc = Linear::new(inputs, outputs, 0);
+                let mut params = fc.params_mut();
+                params[0].value.data_mut().copy_from_slice(&w);
+                params[1].value.data_mut().copy_from_slice(&bias);
+                for relu in [false, true] {
+                    let cfg = ExecConfig {
+                        fused_relu: relu,
+                        ..ExecConfig::serial()
+                    };
+                    assert_eq!(fc.runs(&cfg), AlgoChoice::PackedLinear, "{case}");
+                    let epilogue = if relu {
+                        GemmEpilogue::Relu
+                    } else {
+                        GemmEpilogue::None
+                    };
+                    let shape = (batch, inputs, outputs);
+                    let want = x_times_w_transposed(&x, &w, &bias, shape, epilogue);
+                    let got = run_linear(&mut fc, &x, batch, &cfg);
+                    assert_eq!(
+                        nan_blind_bits(&got),
+                        nan_blind_bits(&want),
+                        "{case} relu {relu}"
+                    );
+                }
+
+                // Exactly-ternary weights (−0.0 among them): the code row
+                // against the f32 row on the same values.
+                let t: Vec<f32> = (0..outputs * inputs)
+                    .map(|i| [0.5, -0.25, 0.0, 0.5, -0.0][i * 7 % 5])
+                    .collect();
+                fc.params_mut()[0].value.data_mut().copy_from_slice(&t);
+                for relu in [false, true] {
+                    let cfg = ExecConfig {
+                        fused_relu: relu,
+                        ..ExecConfig::serial()
+                    };
+                    fc.set_format(WeightFormat::Dense);
+                    let want = run_linear(&mut fc, &x, batch, &cfg);
+                    fc.set_format(WeightFormat::Ternary);
+                    assert_eq!(fc.runs(&cfg), AlgoChoice::TernaryLinear, "{case}");
+                    let got = run_linear(&mut fc, &x, batch, &cfg);
+                    assert_eq!(
+                        nan_blind_bits(&got),
+                        nan_blind_bits(&want),
+                        "{case} relu {relu}: codes"
+                    );
+                }
+                fc.set_format(WeightFormat::Dense);
             }
         }
     }

@@ -91,7 +91,7 @@ echo "== tests =="
 #   replica of a prepared network allocates no master-sized buffer.
 cargo test --workspace -q
 
-echo "== gemm and depthwise debug assertions =="
+echo "== gemm, depthwise and winograd debug assertions =="
 # The packed GEMM's tiles under debug assertions, forced on whatever the
 # test profile says: the AVX-512 skinny tile asserts that no lane load
 # leaves its A panel (an 8-float load at a panel's last k-step would read
@@ -101,9 +101,14 @@ echo "== gemm and depthwise debug assertions =="
 # kernel's AVX-512 and AVX2 bodies assert that every enabled lane of a
 # masked load, permuted pick or gather, and every plain load, reads
 # inside its slice (their pointers are formed outside the slice at
-# padded edges); the unit tests there run every instantiation.
+# padded edges); the unit tests there run every instantiation. The
+# Winograd movers assert that every enabled lane of a masked gather or
+# scatter, and every transposed row store, stays inside its image's
+# channel plane (their base pointers, too, are formed outside it); the
+# property test there runs every mover, block size and instantiation.
 CARGO_PROFILE_TEST_DEBUG_ASSERTIONS=true cargo test -q -p cnn-stack-tensor gemm::
 CARGO_PROFILE_TEST_DEBUG_ASSERTIONS=true cargo test -q -p cnn-stack-tensor depthwise::
+CARGO_PROFILE_TEST_DEBUG_ASSERTIONS=true cargo test -q -p cnn-stack-tensor winograd::
 
 echo "== fault-injection tests =="
 # The injector only compiles under this feature; the run above doubles
@@ -133,11 +138,12 @@ BENCH_SMOKE=1 cargo bench -p cnn-stack-bench --bench gemm
 
 echo "== kernels bench smoke =="
 # Five samples of every group in benches/kernels.rs: the depthwise
-# kernel, the fused im2col packer at VGG-16's batch-8 shapes, and the
-# prepacked GEMM on every micro-kernel this host supports (reached by
-# name through the doc-hidden bench hook). The `gemm_prepacked` group
-# prints the core's register-only FMA rate first (`fma_rate`), then each
-# product as GFLOP/s and a share of it; the cache-resident 96x256x64
+# kernel and the Winograd convolution (VGG-16's Winograd layers at
+# batch 1 and 8), the fused im2col packer at VGG-16's batch-8 shapes,
+# and the prepacked GEMM, each on every instantiation this host
+# supports (reached by name through the doc-hidden bench hooks). The
+# `gemm_prepacked` group prints the core's register-only FMA rate first
+# (`fma_rate`), then each product as GFLOP/s and a share of it; the cache-resident 96x256x64
 # rows are the kernel with nothing else in the way. A report, not a
 # gate: the FMA row itself moves by several percent between runs of a
 # shared host. The full run is manual.

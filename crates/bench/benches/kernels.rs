@@ -1,7 +1,7 @@
 //! Criterion microbenchmarks of the compute kernels underlying every
 //! experiment: GEMM variants, the im2col lowering, the CSR convolution
-//! across sparsity levels, the depthwise kernel on every instantiation
-//! the host has, and the two halves of the packed conv path — the fused im2col→pack-B
+//! across sparsity levels, the depthwise kernel and the Winograd
+//! convolution on every instantiation the host has, and the two halves of the packed conv path — the fused im2col→pack-B
 //! packer and the prepacked GEMM on every micro-kernel the host has.
 //!
 //! `BENCH_SMOKE=1` takes five samples of everything (CI: the groups
@@ -172,6 +172,63 @@ fn bench_depthwise(c: &mut Criterion) {
                     )
                 })
             });
+        }
+    }
+    group.finish();
+}
+
+/// The Winograd convolution at VGG-16's nine Winograd layers (the tiles
+/// its batch-8 plan gives them: F(4×4) on the 32²…8² planes, F(2×2) on
+/// the 4² ones), its 7 distinct shapes labelled by the layers that run
+/// them (`conv3_2-3` is two layers), at batch 1 and 8, "same" padding,
+/// bias and fused ReLU, one thread, on every instantiation the host
+/// supports through the `winograd::winograd_conv2d_named` bench hook
+/// (`scalar` is the portable twin; the dispatch runs the last one
+/// listed). The bank is built outside the timed body, as a layer keeps
+/// it.
+fn bench_winograd(c: &mut Criterion) {
+    use cnn_stack_tensor::winograd::{self, WinogradGeometry, WinogradTile};
+    let mut group = group(c, "winograd", 30, 1);
+    // (layers, in channels, out channels, plane side, tile)
+    for (layers, in_c, out_c, plane, tile) in [
+        ("conv1_2", 64usize, 64usize, 32usize, WinogradTile::F4),
+        ("conv2_1", 64, 128, 16, WinogradTile::F4),
+        ("conv2_2", 128, 128, 16, WinogradTile::F4),
+        ("conv3_1", 128, 256, 8, WinogradTile::F4),
+        ("conv3_2-3", 256, 256, 8, WinogradTile::F4),
+        ("conv4_1", 256, 512, 4, WinogradTile::F2),
+        ("conv4_2-3", 512, 512, 4, WinogradTile::F2),
+    ] {
+        let weights = random([out_c, in_c, 3, 3], 1.0, 15);
+        let bias = random([out_c], 1.0, 16);
+        let mut bank = AlignedBuf::zeroed(winograd::winograd_bank_elems(tile, in_c, out_c));
+        winograd::pack_winograd_bank_into(tile, weights.data(), out_c, in_c, &mut bank);
+        for batch in [1usize, 8] {
+            let geom = WinogradGeometry::new(tile, (batch, in_c, plane, plane), out_c, 1)
+                .expect("a 3x3 window fits every VGG-16 plane");
+            let input = random([batch, in_c, plane, plane], 1.0, 17);
+            let mut out = vec![0.0f32; batch * out_c * plane * plane];
+            let mut scratch = AlignedBuf::zeroed(geom.scratch_elems());
+            for kernel in gemm::gemm_kernel_names() {
+                let shape = format!("{tile:?}_{plane}x{plane}_{in_c}to{out_c}_b{batch}/{kernel}");
+                group.bench_function(BenchmarkId::new(layers, shape), |bencher| {
+                    bencher.iter(|| {
+                        winograd::winograd_conv2d_named(
+                            kernel,
+                            &geom,
+                            input.data(),
+                            &bank,
+                            Some(bias.data()),
+                            gemm::GemmEpilogue::Relu,
+                            &mut out,
+                            &mut scratch,
+                            1,
+                            Schedule::Static,
+                        )
+                        .expect("buffers sized from the geometry")
+                    })
+                });
+            }
         }
     }
     group.finish();
@@ -374,6 +431,7 @@ criterion_group!(
     bench_sparse_conv,
     bench_spmm,
     bench_depthwise,
+    bench_winograd,
     bench_pack_im2col,
     bench_gemm_prepacked
 );

@@ -133,28 +133,12 @@ impl Layer for MaxPool2d {
             self.name(),
             self.window
         );
-        let oh = h / self.window;
-        let ow = w / self.window;
-        for img in 0..n {
-            for ch in 0..c {
-                let in_base = (img * c + ch) * h * w;
-                let out_base = (img * c + ch) * oh * ow;
-                for py in 0..oh {
-                    for px in 0..ow {
-                        let mut best = f32::NEG_INFINITY;
-                        for dy in 0..self.window {
-                            for dx in 0..self.window {
-                                let idx =
-                                    in_base + (py * self.window + dy) * w + px * self.window + dx;
-                                if input[idx] > best {
-                                    best = input[idx];
-                                }
-                            }
-                        }
-                        out[out_base + py * ow + px] = best;
-                    }
-                }
-            }
+        let len = n * c * h * w;
+        let (input, out) = (&input[..len], &mut out[..len / (self.window * self.window)]);
+        match self.window {
+            _ if input.is_empty() => {}
+            2 => max_pool::<2>(input, w, 2, out),
+            k => max_pool::<0>(input, w, k, out),
         }
     }
 
@@ -177,6 +161,34 @@ impl Layer for MaxPool2d {
             ],
             scratch_elems: 0,
             parallel_grains: 1,
+        }
+    }
+}
+
+/// Non-overlapping `k × k` max pooling of NCHW planes `w` wide whose
+/// height `k` divides: the planes stack into one sequence of `k`-line
+/// bands, each pooled into one output row, its lines two at a time (an
+/// odd last line paired with itself, which changes nothing). `K` fixes
+/// `k` at compile time (the paper's 2×2 windows: one pair, no fold
+/// through the row), `K = 0` reads `window`. Each window folds
+/// `if x > best` in (dy, dx) order from −∞ — `maxps` semantics, so a
+/// row pair folds as vectors: NaN never wins, an all-NaN window stays
+/// −∞, and of equal values (±0) the first stays.
+fn max_pool<const K: usize>(input: &[f32], w: usize, window: usize, out: &mut [f32]) {
+    let k = if K == 0 { window } else { K };
+    debug_assert_eq!(input.len() / (k * w) * (w / k), out.len());
+    for (band, row) in input.chunks_exact(k * w).zip(out.chunks_exact_mut(w / k)) {
+        for pair in 0..k.div_ceil(2) {
+            let (upper, lower) = band[2 * pair * w..].split_at(w);
+            let lower = if lower.is_empty() { upper } else { &lower[..w] };
+            let windows = upper.chunks_exact(k).zip(lower.chunks_exact(k));
+            for (best, (a, b)) in row.iter_mut().zip(windows) {
+                let from = if pair == 0 { f32::NEG_INFINITY } else { *best };
+                *best = a
+                    .iter()
+                    .chain(b)
+                    .fold(from, |m, &x| if x > m { x } else { m });
+            }
         }
     }
 }

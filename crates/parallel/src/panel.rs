@@ -66,6 +66,14 @@ impl DisjointWriter {
         self.len == 0
     }
 
+    /// The start of the wrapped buffer, for writes no subslice can
+    /// express (a masked SIMD scatter). Writing through it carries the
+    /// contract of [`slice_mut`](Self::slice_mut): only inside the
+    /// buffer, and never to an element another worker writes.
+    pub fn as_mut_ptr(&self) -> *mut f32 {
+        self.ptr
+    }
+
     /// Returns a mutable subslice `[start, end)`.
     ///
     /// # Safety

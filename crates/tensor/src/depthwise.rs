@@ -758,7 +758,7 @@ use core::arch::x86_64 as arch;
 #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
 #[target_feature(enable = "avx2")]
 #[inline]
-unsafe fn half_mask(mask: u32) -> arch::__m256i {
+pub(crate) unsafe fn half_mask(mask: u32) -> arch::__m256i {
     use arch::*;
     let shifts = _mm256_setr_epi32(31, 30, 29, 28, 27, 26, 25, 24);
     _mm256_sllv_epi32(_mm256_set1_epi32(mask as i32), shifts)

@@ -23,34 +23,50 @@
 //!   weight form: no call transforms a filter.
 //! * **Input transform.** The batch's tiles — image by image, row-major
 //!   within an image — are cut into chunks of at most one column chunk of
-//!   the engine (`GemmPlan::nc`, 256 tiles). For each chunk `V = Bᵀ d B`
-//!   is written, for every frequency ξ, straight into the B-panel layout
-//!   of an `in_c × tiles` operand: the 16 tiles of one `NR` panel are the
-//!   16 lanes of one lane array, so a channel's row of a panel is one
-//!   contiguous 64-byte store per frequency. Interior tiles are gathered
-//!   as α contiguous row runs; only tiles that reach into the padding
-//!   take the bounds-checked path.
+//!   the engine (`GemmPlan::nc`, 256 tiles), and a one-worker call walks
+//!   a chunk in blocks whose V and products fit a quarter of the L2 (at
+//!   least two panels; VGG-16's layers take 32 tiles), so they stay in
+//!   cache from one stage to the next. For each block `V = Bᵀ d B` is written, for
+//!   every frequency ξ, straight into the B-panel layout of an
+//!   `in_c × tiles` operand: the 16 tiles of one `NR` panel are the 16
+//!   lanes of one lane array, so a channel's row of a panel is one
+//!   contiguous 64-byte store per frequency. The AVX-512 and AVX2 bodies
+//!   fill a lane array with one masked gather per patch value (two 8-lane
+//!   ones on AVX2): each panel's 16 lane offsets and its per-row and
+//!   per-column lane masks are computed once, and the masks zero the
+//!   padding, the out-of-image part of edge tiles and the lanes past the
+//!   chunk's end. The portable body copies lane by lane (interior tiles
+//!   as α contiguous row runs, edge tiles bounds-checked) and is the
+//!   reference they match bit for bit.
 //! * **Multiply.** α² prepacked products `M_ξ = U_ξ · V_ξ` run on the
 //!   engine's register tile, each into its own `out_c × tiles`
 //!   accumulator. A threaded call runs one frequency per grain.
 //! * **Output transform.** `Y = Aᵀ M A`, plus the bias, then the fused
-//!   ReLU as `max(·, 0)`, scattered into the NCHW output.
+//!   ReLU as `max(·, 0)`, written into the NCHW output where each tile
+//!   lies inside it: F(4×4)'s four-float tile rows by in-register 4×4
+//!   transposes and one (masked at the right edge) store per row on both
+//!   SIMD targets, F(2×2)'s by one masked scatter per output value on
+//!   AVX-512 — whichever measured faster — and by tile-major copies in
+//!   the portable body.
 //!
 //! The transforms run in parallel over (panel × 8-channel block) grains
-//! once a stage has enough of them to pay for its threads. They are
-//! lane-array bodies written once and instantiated for the baseline
-//! target, AVX2 and AVX-512 behind the GEMM engine's one dispatch (the
-//! kernel [`gemm_kernel_name`](crate::gemm::gemm_kernel_name) names, so
-//! `CNN_STACK_GEMM_FORCE_SCALAR` pins the portable twin here too).
+//! once a stage has enough of them to pay for its threads. Their
+//! arithmetic is one lane-array body written once and instantiated for
+//! the baseline target, AVX2 and AVX-512 behind the GEMM engine's one
+//! dispatch (the kernel [`gemm_kernel_name`](crate::gemm::gemm_kernel_name)
+//! names, so `CNN_STACK_GEMM_FORCE_SCALAR` pins the portable twin here
+//! too); only the moves into and out of the lane arrays differ.
 //!
 //! # Exactness
 //!
 //! Every transformed value is a fixed sequence of separate multiplies
 //! and adds (Rust never contracts them into an FMA), so the three
-//! instantiations of each transform agree bit for bit. A tile's
+//! instantiations of each transform agree bit for bit (a NaN's sign
+//! and payload aside: which operand of an add it comes from is the
+//! compiler's pick), and the movers only move bits. A tile's
 //! products form one GEMM column, which never depends on the other
 //! columns of its chunk, so the output is also bit-identical for every
-//! thread count and every way the batch is split; only the micro-kernel
+//! thread count, every block size and every way the batch is split; only the micro-kernel
 //! itself — the portable one multiplies and adds where the SIMD ones
 //! fuse — separates a forced-scalar run from a SIMD one.
 //!
@@ -72,6 +88,11 @@ use std::ops::Range;
 /// frequency is one run of this many panel rows instead of a 64-byte
 /// store (or load) per frequency at a 4 KiB-multiple stride.
 const CHANNEL_BLOCK: usize = 8;
+
+/// V and products one block of a chunk keeps between its stages: a
+/// quarter of the 2 MiB L2 the engine's blocking is sized for (see
+/// `GemmPlan`), beside the bank's operands and the GEMM's own blocks.
+const BLOCK_BYTES: usize = 512 << 10;
 
 /// The output tile of a Winograd convolution.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -196,6 +217,25 @@ impl WinogradGeometry {
     pub fn scratch_elems(&self) -> usize {
         let chunk = self.chunk_tiles();
         self.tile.frequencies() * (self.in_c * chunk.next_multiple_of(NR) + self.out_c * chunk)
+    }
+
+    /// Tiles per block of the chunk walk on `threads` workers. On one,
+    /// as many whole panels as keep a block's V and products within
+    /// [`BLOCK_BYTES`], so they stay in L2 from one stage to the next
+    /// instead of making a round trip to memory, but at least the 32
+    /// columns (two panels) of the engine's widest register tile, below
+    /// which the products lose more than the cache saves; at most one
+    /// chunk. Each block re-reads the bank, from L2 or beyond. Several
+    /// workers take whole chunks: a block's stages are too small to
+    /// split (VGG-16's batch-8 conv1_2 ran 10–15 % slower on two in
+    /// 32-tile blocks than in whole chunks).
+    fn block_tiles(&self, threads: usize) -> usize {
+        let chunk = self.chunk_tiles();
+        if threads > 1 {
+            return chunk;
+        }
+        let per_panel = 4 * NR * self.tile.frequencies() * (self.in_c + self.out_c);
+        ((BLOCK_BYTES / per_panel).max(2) * NR).min(chunk)
     }
 }
 
@@ -514,26 +554,45 @@ enum Stage<'a> {
     },
 }
 
+/// How a transform stage moves one grain's values between the NCHW
+/// tensors and its lane arrays: a panel's 16 tiles are the 16 lanes, and
+/// the grain walks its channels with one [`Mover::load`] (input) or
+/// [`Mover::store`] (output) each. The portable mover copies lane by
+/// lane; the SIMD movers move all 16 lanes of a value at once (masked
+/// gathers and scatters) or four tiles' rows at once (transposed row
+/// stores). Movers do no arithmetic: the lane arrays, and every bit,
+/// are the same whichever moves them.
+trait Mover {
+    /// Where a panel's lanes read their patches.
+    type Patches;
+    /// Where a panel's lanes write their output tiles.
+    type Targets;
+    /// The patches of panel `jp` of `chunk`.
+    fn patches(job: &Job, chunk: Chunk, jp: usize) -> Self::Patches;
+    /// The output tiles of panel `jp` of `chunk`.
+    fn targets(job: &Job, chunk: Chunk, jp: usize) -> Self::Targets;
+    /// Fills the α² lane arrays of `d` with input channel `c`'s patches:
+    /// zero where a patch reaches into the padding and in lanes past the
+    /// chunk's last tile.
+    fn load(job: &Job, patches: &Self::Patches, c: usize, d: &mut Tile<NR>);
+    /// Writes output channel `o`'s m×m tiles, row-major in the first m²
+    /// lane arrays of `d`, where they lie inside the output.
+    fn store(job: &Job, targets: &Self::Targets, o: usize, d: &Tile<NR>, out: &DisjointWriter);
+}
+
 /// Input transform of grains `grains` of the (panel × channel block)
-/// grid: gathers each channel's α×α patch of the panel's 16 tiles into
+/// grid: loads each channel's α×α patch of the panel's 16 tiles into
 /// one lane array and transforms it, then stores the block frequency by
 /// frequency: channel `c`'s 16 values of frequency ξ are row `c` of
 /// B panel `jp` of `V_ξ`.
 #[inline(always)]
-fn input_grains<T: Transform>(job: &Job, chunk: Chunk, v: &DisjointWriter, grains: Range<usize>) {
-    /// Where a lane's patch comes from.
-    #[derive(Clone, Copy)]
-    enum Source {
-        /// Inside the image: α row runs from this offset (channel 0).
-        Interior(usize),
-        /// Reaches into the padding.
-        Edge(Origin),
-        /// Past the chunk's last tile: zeros.
-        Empty,
-    }
+fn input_grains<T: Transform, M: Mover>(
+    job: &Job,
+    chunk: Chunk,
+    v: &DisjointWriter,
+    grains: Range<usize>,
+) {
     let g = &job.geom;
-    let (a, pad, h, w) = (g.tile.alpha(), g.padding, g.h, g.w);
-    let plane = h * w;
     let blocks = g.in_c.div_ceil(CHANNEL_BLOCK);
     let stride = chunk.v_stride(g.in_c);
     let mut block = [[[0.0f32; NR]; MAX_FREQS]; CHANNEL_BLOCK];
@@ -541,48 +600,12 @@ fn input_grains<T: Transform>(job: &Job, chunk: Chunk, v: &DisjointWriter, grain
         let (jp, cb) = (grain / blocks, grain % blocks);
         let c0 = cb * CHANNEL_BLOCK;
         let channels = CHANNEL_BLOCK.min(g.in_c - c0);
-        let sources = job.origins(chunk, jp).map(|origin| match origin {
-            None => Source::Empty,
-            Some(o) if o.oy >= pad && o.oy - pad + a <= h && o.ox >= pad && o.ox - pad + a <= w => {
-                Source::Interior(o.img * g.in_c * plane + (o.oy - pad) * w + o.ox - pad)
-            }
-            Some(o) => Source::Edge(o),
-        });
+        let patches = M::patches(job, chunk, jp);
         for (c, d) in (c0..).zip(&mut block[..channels]) {
-            for (l, source) in sources.iter().enumerate() {
-                match *source {
-                    Source::Interior(top) => {
-                        let patch = &job.input[top + c * plane..];
-                        for dy in 0..a {
-                            for (dx, &x) in patch[dy * w..][..a].iter().enumerate() {
-                                d[dy * a + dx][l] = x;
-                            }
-                        }
-                    }
-                    Source::Edge(o) => {
-                        let image = &job.input[(o.img * g.in_c + c) * plane..][..plane];
-                        for dy in 0..a {
-                            let iy = (o.oy + dy).wrapping_sub(pad);
-                            for dx in 0..a {
-                                let ix = (o.ox + dx).wrapping_sub(pad);
-                                d[dy * a + dx][l] = if iy < h && ix < w {
-                                    image[iy * w + ix]
-                                } else {
-                                    0.0
-                                };
-                            }
-                        }
-                    }
-                    Source::Empty => {
-                        for value in d.iter_mut().take(a * a) {
-                            value[l] = 0.0;
-                        }
-                    }
-                }
-            }
+            M::load(job, &patches, c, d);
             transform_2d::<T, NR>(d, Pass::Input);
         }
-        for xi in 0..a * a {
+        for xi in 0..g.tile.frequencies() {
             let at = xi * stride + (jp * g.in_c + c0) * NR;
             // SAFETY: grain (jp, cb) alone writes rows `cb`'s channels
             // of panel `jp`, in every frequency; those ranges are
@@ -598,10 +621,10 @@ fn input_grains<T: Transform>(job: &Job, chunk: Chunk, v: &DisjointWriter, grain
 /// Output transform of grains `grains` of the (panel × output-channel
 /// block) grid: loads the block's α² product rows of the panel's 16
 /// tiles frequency by frequency, transforms each channel's lane array,
-/// adds the bias, applies the epilogue and writes each tile's in-bounds
+/// adds the bias, applies the epilogue and stores each tile's in-bounds
 /// m×m block.
 #[inline(always)]
-fn output_grains<T: Transform>(
+fn output_grains<T: Transform, M: Mover>(
     job: &Job,
     chunk: Chunk,
     products: &[f32],
@@ -609,9 +632,7 @@ fn output_grains<T: Transform>(
     grains: Range<usize>,
 ) {
     let g = &job.geom;
-    let (a, m, out_c) = (g.tile.alpha(), g.tile.m(), g.out_c);
-    let (out_h, out_w) = (g.out_h(), g.out_w());
-    let plane = out_h * out_w;
+    let out_c = g.out_c;
     let relu = job.epilogue == GemmEpilogue::Relu;
     let blocks = out_c.div_ceil(CHANNEL_BLOCK);
     let mut block = [[[0.0f32; NR]; MAX_FREQS]; CHANNEL_BLOCK];
@@ -620,15 +641,8 @@ fn output_grains<T: Transform>(
         let o0 = ob * CHANNEL_BLOCK;
         let channels = CHANNEL_BLOCK.min(out_c - o0);
         let live = NR.min(chunk.tiles - jp * NR);
-        // Per live lane: the tile's top-left in channel 0 of its image,
-        // and how many of its rows and columns lie inside the output.
-        let targets = job.origins(chunk, jp).map(|origin| {
-            origin.map(|o| {
-                let at = o.img * out_c * plane + o.oy * out_w + o.ox;
-                (at, m.min(out_h - o.oy), m.min(out_w - o.ox))
-            })
-        });
-        for xi in 0..a * a {
+        let targets = M::targets(job, chunk, jp);
+        for xi in 0..g.tile.frequencies() {
             for (k, d) in block[..channels].iter_mut().enumerate() {
                 let at = (xi * out_c + o0 + k) * chunk.tiles + jp * NR;
                 match products[at..].first_chunk::<NR>() {
@@ -640,29 +654,489 @@ fn output_grains<T: Transform>(
         for (o, d) in (o0..).zip(&mut block[..channels]) {
             let bias = job.bias.map_or(0.0, |b| b[o]);
             transform_2d::<T, NR>(d, Pass::Output { bias, relu });
-            // Tile-major, so each output row is a run of `m` floats.
-            let mut tiles = [[0.0f32; 16]; NR];
-            for (i, y) in d.iter().take(m * m).enumerate() {
-                for (tile, &v) in tiles.iter_mut().zip(y) {
-                    tile[i] = v;
+            M::store(job, &targets, o, d, out);
+        }
+    }
+}
+
+/// The portable mover, and the reference the SIMD ones match: lane by
+/// lane, interior patches as α contiguous row runs, edge patches
+/// bounds-checked value by value, and each output tile transposed to
+/// tile-major and written as runs of `m` floats.
+struct Portable;
+
+/// Where a lane's patch comes from.
+#[derive(Clone, Copy)]
+enum Source {
+    /// Inside the image: α row runs from this offset (channel 0).
+    Interior(usize),
+    /// Reaches into the padding.
+    Edge(Origin),
+    /// Past the chunk's last tile: zeros.
+    Empty,
+}
+
+impl Mover for Portable {
+    type Patches = [Source; NR];
+    /// Per live lane: the tile's top-left in channel 0 of its image,
+    /// and how many of its rows and columns lie inside the output.
+    type Targets = [Option<(usize, usize, usize)>; NR];
+
+    #[inline(always)]
+    fn patches(job: &Job, chunk: Chunk, jp: usize) -> [Source; NR] {
+        let g = &job.geom;
+        let (a, pad, h, w) = (g.tile.alpha(), g.padding, g.h, g.w);
+        job.origins(chunk, jp).map(|origin| match origin {
+            None => Source::Empty,
+            Some(o) if o.oy >= pad && o.oy - pad + a <= h && o.ox >= pad && o.ox - pad + a <= w => {
+                Source::Interior(o.img * g.in_c * h * w + (o.oy - pad) * w + o.ox - pad)
+            }
+            Some(o) => Source::Edge(o),
+        })
+    }
+
+    #[inline(always)]
+    fn targets(job: &Job, chunk: Chunk, jp: usize) -> Self::Targets {
+        let g = &job.geom;
+        let (m, out_h, out_w) = (g.tile.m(), g.out_h(), g.out_w());
+        job.origins(chunk, jp).map(|origin| {
+            origin.map(|o| {
+                let at = o.img * g.out_c * out_h * out_w + o.oy * out_w + o.ox;
+                (at, m.min(out_h - o.oy), m.min(out_w - o.ox))
+            })
+        })
+    }
+
+    #[inline(always)]
+    fn load(job: &Job, sources: &[Source; NR], c: usize, d: &mut Tile<NR>) {
+        let g = &job.geom;
+        let (a, pad, h, w) = (g.tile.alpha(), g.padding, g.h, g.w);
+        let plane = h * w;
+        let input = job.input;
+        for (l, &source) in sources.iter().enumerate() {
+            match source {
+                Source::Interior(top) => {
+                    let patch = &input[top + c * plane..];
+                    for dy in 0..a {
+                        for (dx, &x) in patch[dy * w..][..a].iter().enumerate() {
+                            d[dy * a + dx][l] = x;
+                        }
+                    }
+                }
+                Source::Edge(o) => {
+                    let image = &input[(o.img * g.in_c + c) * plane..][..plane];
+                    for dy in 0..a {
+                        let iy = (o.oy + dy).wrapping_sub(pad);
+                        for dx in 0..a {
+                            let ix = (o.ox + dx).wrapping_sub(pad);
+                            d[dy * a + dx][l] = if iy < h && ix < w {
+                                image[iy * w + ix]
+                            } else {
+                                0.0
+                            };
+                        }
+                    }
+                }
+                Source::Empty => {
+                    for value in d.iter_mut().take(a * a) {
+                        value[l] = 0.0;
+                    }
                 }
             }
-            for (tile, target) in tiles.iter().zip(&targets).take(live) {
-                let (at, rows, cols) = target.expect("live lanes hold tiles");
-                for (i, y) in tile.chunks_exact(m).take(rows).enumerate() {
-                    let at = at + o * plane + i * out_w;
-                    // SAFETY: grain (jp, ob) alone writes the tiles of
-                    // panel `jp` in block `ob`'s channel planes; tiles do
-                    // not overlap and each row run stays inside its plane.
-                    let dst = unsafe { out.slice_mut(at, at + cols) };
-                    if cols == m {
-                        // The common whole row, as a constant-length copy.
-                        for (d, &v) in dst.iter_mut().zip(y).take(m) {
-                            *d = v;
-                        }
-                    } else {
-                        dst.copy_from_slice(&y[..cols]);
+        }
+    }
+
+    #[inline(always)]
+    fn store(job: &Job, targets: &Self::Targets, o: usize, d: &Tile<NR>, out: &DisjointWriter) {
+        let g = &job.geom;
+        let (m, out_w) = (g.tile.m(), g.out_w());
+        let plane = g.out_h() * out_w;
+        // Tile-major, so each output row is a run of `m` floats.
+        let mut tiles = [[0.0f32; 16]; NR];
+        for (i, y) in d.iter().take(m * m).enumerate() {
+            for (tile, &v) in tiles.iter_mut().zip(y) {
+                tile[i] = v;
+            }
+        }
+        for (tile, target) in tiles.iter().zip(targets) {
+            let Some((at, rows, cols)) = *target else {
+                continue;
+            };
+            for (i, y) in tile.chunks_exact(m).take(rows).enumerate() {
+                let at = at + o * plane + i * out_w;
+                // SAFETY: grain (jp, ob) alone writes the tiles of
+                // panel `jp` in block `ob`'s channel planes; tiles do
+                // not overlap and each row run stays inside its plane.
+                let dst = unsafe { out.slice_mut(at, at + cols) };
+                if cols == m {
+                    // The common whole row, as a constant-length copy.
+                    for (d, &v) in dst.iter_mut().zip(y).take(m) {
+                        *d = v;
                     }
+                } else {
+                    dst.copy_from_slice(&y[..cols]);
+                }
+            }
+        }
+    }
+}
+
+/// A panel's 16 tiles as the SIMD movers address them: one signed
+/// offset per lane and one lane mask per tile row and per tile column.
+/// Lane `l` moves value (r, s) of its tile at `at[l] + r·w + s` from the
+/// start of the channel's plane in image 0 (`w` the plane's width), so
+/// all 16 lanes of one value are one gather or scatter; its enabled
+/// lanes are `rows[r] & cols[s]`.
+#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+#[derive(Clone, Copy)]
+struct Lanes {
+    /// Per lane: the tile's top-left relative to channel 0 of image 0,
+    /// negative where the tile starts in the padding.
+    at: [i32; NR],
+    /// Per lane: where channel 0 of its image starts (debug checks).
+    image: [usize; NR],
+    /// Per tile row: the live lanes whose row lies inside the plane.
+    rows: [u16; 6],
+    /// Per tile column: the live lanes whose column lies inside.
+    cols: [u16; 6],
+    /// Per lane: how many of its tile's columns lie inside (0 if dead).
+    width: [usize; NR],
+}
+
+#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+impl Lanes {
+    /// Panel `jp`'s tiles as `extent`² windows shifted `shift` up and
+    /// left of their output origins, over `channels` planes of `h × w`.
+    #[inline(always)]
+    fn new(
+        job: &Job,
+        chunk: Chunk,
+        jp: usize,
+        (extent, shift): (usize, usize),
+        (channels, h, w): (usize, usize, usize),
+    ) -> Lanes {
+        let mut lanes = Lanes {
+            at: [0; NR],
+            image: [0; NR],
+            rows: [0; 6],
+            cols: [0; 6],
+            width: [0; NR],
+        };
+        for (l, origin) in job.origins(chunk, jp).into_iter().enumerate() {
+            let Some(o) = origin else { continue };
+            let image = o.img * channels * h * w;
+            // Input patches start `shift` above and left of the output
+            // tile; the SIMD bodies only run on tensors whose lengths
+            // fit an i32 (`Lanes::fit`), so the offset does too.
+            let top = (o.oy * w + o.ox) as isize - (shift * w + shift) as isize;
+            lanes.at[l] = (image as isize + top) as i32;
+            lanes.image[l] = image;
+            for r in 0..extent {
+                if (o.oy + r).wrapping_sub(shift) < h {
+                    lanes.rows[r] |= 1 << l;
+                }
+                if (o.ox + r).wrapping_sub(shift) < w {
+                    lanes.cols[r] |= 1 << l;
+                    lanes.width[l] += 1;
+                }
+            }
+        }
+        lanes
+    }
+
+    /// Whether the SIMD movers can address a geometry: every offset of
+    /// its input and output tensors fits the gathers' i32 lanes.
+    fn fit(g: &WinogradGeometry) -> bool {
+        let largest = g.n * g.in_c.max(g.out_c) * (g.h * g.w).max(g.out_h() * g.out_w());
+        i32::try_from(largest).is_ok()
+    }
+
+    /// Whether every lane of `mask` stays inside its image's plane when
+    /// it moves value `at[l] + step` of a plane of `plane` floats.
+    fn inside(&self, plane: usize, step: usize, mask: u16) -> bool {
+        (0..NR).filter(|l| mask >> l & 1 != 0).all(|l| {
+            let i = self.at[l] as isize + step as isize;
+            (self.image[l] as isize..(self.image[l] + plane) as isize).contains(&i)
+        })
+    }
+}
+
+#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+impl Job<'_> {
+    fn patch_lanes(&self, chunk: Chunk, jp: usize) -> Lanes {
+        let g = &self.geom;
+        let window = (g.tile.alpha(), g.padding);
+        Lanes::new(self, chunk, jp, window, (g.in_c, g.h, g.w))
+    }
+
+    fn tile_lanes(&self, chunk: Chunk, jp: usize) -> Lanes {
+        let g = &self.geom;
+        let window = (g.tile.m(), 0);
+        Lanes::new(self, chunk, jp, window, (g.out_c, g.out_h(), g.out_w()))
+    }
+}
+
+/// The AVX-512 mover: one masked 16-lane gather per patch value; one
+/// masked 16-lane scatter per output value of an F(2×2) tile, the
+/// transposed row stores of [`store_rows`] for F(4×4).
+#[cfg(target_arch = "x86_64")]
+struct Avx512;
+
+#[cfg(target_arch = "x86_64")]
+impl Mover for Avx512 {
+    type Patches = Lanes;
+    type Targets = Lanes;
+
+    #[inline(always)]
+    fn patches(job: &Job, chunk: Chunk, jp: usize) -> Lanes {
+        job.patch_lanes(chunk, jp)
+    }
+
+    #[inline(always)]
+    fn targets(job: &Job, chunk: Chunk, jp: usize) -> Lanes {
+        job.tile_lanes(chunk, jp)
+    }
+
+    #[inline(always)]
+    fn load(job: &Job, lanes: &Lanes, c: usize, d: &mut Tile<NR>) {
+        // SAFETY: `Avx512` only runs under `stage_grains_avx512`, whose
+        // caller confirmed AVX-512F.
+        unsafe { gather_avx512(job, lanes, c, d) }
+    }
+
+    #[inline(always)]
+    fn store(job: &Job, lanes: &Lanes, o: usize, d: &Tile<NR>, out: &DisjointWriter) {
+        // F(4×4)'s 4-float tile rows are stored faster whole than
+        // scattered; F(2×2)'s 2-float rows the other way round.
+        // SAFETY: as above (AVX-512F implies the AVX2 `store_rows` needs).
+        unsafe {
+            if job.geom.tile == WinogradTile::F4 {
+                store_rows(job, lanes, o, d, out)
+            } else {
+                scatter_avx512(job, lanes, o, d, out)
+            }
+        }
+    }
+}
+
+/// [`Mover::load`] with one masked gather per patch value.
+///
+/// # Safety
+///
+/// The CPU must support AVX-512F and `lanes` must be `job`'s patches.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[inline]
+unsafe fn gather_avx512(job: &Job, lanes: &Lanes, c: usize, d: &mut Tile<NR>) {
+    use core::arch::x86_64::*;
+    let g = &job.geom;
+    let (a, w) = (g.tile.alpha(), g.w);
+    let plane = g.h * w;
+    let at = _mm512_loadu_si512(lanes.at.as_ptr().cast());
+    for dy in 0..a {
+        for dx in 0..a {
+            let step = dy * w + dx;
+            let mask = lanes.rows[dy] & lanes.cols[dx];
+            debug_assert!(
+                lanes.inside(plane, step, mask),
+                "a gathered lane leaves its plane"
+            );
+            // SAFETY: the lanes of `mask` read inside channel `c`'s plane
+            // of their images; the base pointer is only formed, never
+            // read, outside the input.
+            let x = _mm512_mask_i32gather_ps::<4>(
+                _mm512_setzero_ps(),
+                mask,
+                at,
+                job.input.as_ptr().wrapping_add(c * plane + step),
+            );
+            _mm512_storeu_ps(d[dy * a + dx].as_mut_ptr(), x);
+        }
+    }
+}
+
+/// [`Mover::store`] with one masked scatter per output value.
+///
+/// # Safety
+///
+/// The CPU must support AVX-512F, `lanes` must be `job`'s targets, and
+/// no other worker may write the panel's tiles of channel `o`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[inline]
+unsafe fn scatter_avx512(job: &Job, lanes: &Lanes, o: usize, d: &Tile<NR>, out: &DisjointWriter) {
+    use core::arch::x86_64::*;
+    let g = &job.geom;
+    let (m, out_w) = (g.tile.m(), g.out_w());
+    let plane = g.out_h() * out_w;
+    debug_assert!(o < g.out_c && out.len() == g.n * g.out_c * plane);
+    let at = _mm512_loadu_si512(lanes.at.as_ptr().cast());
+    for i in 0..m {
+        for j in 0..m {
+            let step = i * out_w + j;
+            let mask = lanes.rows[i] & lanes.cols[j];
+            debug_assert!(
+                lanes.inside(plane, step, mask),
+                "a scattered lane leaves its plane"
+            );
+            // SAFETY: the lanes of `mask` write inside channel `o`'s
+            // plane of their images, to values of this grain's tiles
+            // alone; the base pointer is only formed outside the output.
+            _mm512_mask_i32scatter_ps::<4>(
+                out.as_mut_ptr().wrapping_add(o * plane + step),
+                mask,
+                at,
+                _mm512_loadu_ps(d[i * m + j].as_ptr()),
+            );
+        }
+    }
+}
+
+/// The AVX2 mover: two masked 8-lane gathers per patch value; AVX2 has
+/// no scatter, so each group of four tiles is transposed in registers
+/// and written a tile row at a time.
+#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+struct Avx2;
+
+#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+impl Mover for Avx2 {
+    type Patches = Lanes;
+    type Targets = Lanes;
+
+    #[inline(always)]
+    fn patches(job: &Job, chunk: Chunk, jp: usize) -> Lanes {
+        job.patch_lanes(chunk, jp)
+    }
+
+    #[inline(always)]
+    fn targets(job: &Job, chunk: Chunk, jp: usize) -> Lanes {
+        job.tile_lanes(chunk, jp)
+    }
+
+    #[inline(always)]
+    fn load(job: &Job, lanes: &Lanes, c: usize, d: &mut Tile<NR>) {
+        // SAFETY: `Avx2` only runs under `stage_grains_avx2`, whose
+        // caller confirmed AVX2 and FMA.
+        unsafe { gather_avx2(job, lanes, c, d) }
+    }
+
+    #[inline(always)]
+    fn store(job: &Job, lanes: &Lanes, o: usize, d: &Tile<NR>, out: &DisjointWriter) {
+        // SAFETY: as above.
+        unsafe { store_rows(job, lanes, o, d, out) }
+    }
+}
+
+#[cfg(target_arch = "x86")]
+use core::arch::x86 as arch;
+#[cfg(target_arch = "x86_64")]
+use core::arch::x86_64 as arch;
+
+/// [`Mover::load`] with two masked 8-lane gathers per patch value.
+///
+/// # Safety
+///
+/// The CPU must support AVX2 and `lanes` must be `job`'s patches.
+#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+#[target_feature(enable = "avx2")]
+#[inline]
+unsafe fn gather_avx2(job: &Job, lanes: &Lanes, c: usize, d: &mut Tile<NR>) {
+    use arch::*;
+    const HALF: usize = NR / 2;
+    let g = &job.geom;
+    let (a, w) = (g.tile.alpha(), g.w);
+    let plane = g.h * w;
+    let at = [0, HALF].map(|l| _mm256_loadu_si256(lanes.at[l..].as_ptr().cast()));
+    for dy in 0..a {
+        for dx in 0..a {
+            let step = dy * w + dx;
+            let mask = lanes.rows[dy] & lanes.cols[dx];
+            debug_assert!(
+                lanes.inside(plane, step, mask),
+                "a gathered lane leaves its plane"
+            );
+            let src = job.input.as_ptr().wrapping_add(c * plane + step);
+            for (h, at) in at.iter().enumerate() {
+                let half = crate::depthwise::half_mask(u32::from(mask) >> (h * HALF) & 0xff);
+                // SAFETY: the lanes of `half` read inside channel `c`'s
+                // plane of their images; `src` is only formed, never
+                // read, outside the input.
+                let x = _mm256_mask_i32gather_ps::<4>(
+                    _mm256_setzero_ps(),
+                    src,
+                    *at,
+                    _mm256_castsi256_ps(half),
+                );
+                _mm256_storeu_ps(d[dy * a + dx][h * HALF..].as_mut_ptr(), x);
+            }
+        }
+    }
+}
+
+/// [`Mover::store`] by in-register transposes: for each group of four
+/// lanes and each tile row, the row's m values of the four tiles become
+/// four 4-float vectors, one per tile, each written with one store
+/// (masked where the tile overhangs the output's right edge).
+///
+/// # Safety
+///
+/// The CPU must support AVX2, `lanes` must be `job`'s targets, and no
+/// other worker may write the panel's tiles of channel `o`.
+#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+#[target_feature(enable = "avx2")]
+#[inline]
+unsafe fn store_rows(job: &Job, lanes: &Lanes, o: usize, d: &Tile<NR>, out: &DisjointWriter) {
+    use arch::*;
+    let g = &job.geom;
+    let (m, out_w) = (g.tile.m(), g.out_w());
+    let plane = g.out_h() * out_w;
+    for q in (0..NR).step_by(4) {
+        if lanes.width[q] == 0 {
+            // Lanes die in order: this group and the rest are past the
+            // chunk's last tile.
+            break;
+        }
+        for i in 0..m {
+            let at = |j: usize| _mm_loadu_ps(d[i * m + j][q..].as_ptr());
+            let rows = if m == 4 {
+                let (r0, r1, r2, r3) = (at(0), at(1), at(2), at(3));
+                let (t0, t1) = (_mm_unpacklo_ps(r0, r1), _mm_unpacklo_ps(r2, r3));
+                let (t2, t3) = (_mm_unpackhi_ps(r0, r1), _mm_unpackhi_ps(r2, r3));
+                [
+                    _mm_movelh_ps(t0, t1),
+                    _mm_movehl_ps(t1, t0),
+                    _mm_movelh_ps(t2, t3),
+                    _mm_movehl_ps(t3, t2),
+                ]
+            } else {
+                let (lo, hi) = (_mm_unpacklo_ps(at(0), at(1)), _mm_unpackhi_ps(at(0), at(1)));
+                [lo, _mm_movehl_ps(lo, lo), hi, _mm_movehl_ps(hi, hi)]
+            };
+            for (l, row) in (q..).zip(rows) {
+                if lanes.rows[i] >> l & 1 == 0 {
+                    continue;
+                }
+                let cols = lanes.width[l];
+                let start = (lanes.at[l] as isize + (o * plane + i * out_w) as isize) as usize;
+                debug_assert!(
+                    lanes.inside(plane, i * out_w, 1 << l)
+                        && lanes.inside(plane, i * out_w + cols - 1, 1 << l),
+                    "a stored row leaves its plane"
+                );
+                // SAFETY: grain (jp, ob) alone writes the tiles of panel
+                // `jp` in block `ob`'s channel planes; tiles do not
+                // overlap and each row run stays inside its plane.
+                let dst = out.slice_mut(start, start + cols);
+                if cols == 4 {
+                    _mm_storeu_ps(dst.as_mut_ptr(), row);
+                } else if cols == 2 {
+                    // F(2×2)'s whole row: the low two floats.
+                    _mm_store_sd(dst.as_mut_ptr().cast(), _mm_castps_pd(row));
+                } else {
+                    let first = _mm_setr_epi32(0, 1, 2, 3);
+                    let keep = _mm_cmplt_epi32(first, _mm_set1_epi32(cols as i32));
+                    // SAFETY: `keep` enables the `cols` floats of `dst`.
+                    _mm_maskstore_ps(dst.as_mut_ptr(), keep, row);
                 }
             }
         }
@@ -670,15 +1144,21 @@ fn output_grains<T: Transform>(
 }
 
 #[inline(always)]
-fn stage_grains<T: Transform>(job: &Job, chunk: Chunk, stage: Stage, grains: Range<usize>) {
+fn stage_grains<T: Transform, M: Mover>(
+    job: &Job,
+    chunk: Chunk,
+    stage: Stage,
+    grains: Range<usize>,
+) {
     match stage {
-        Stage::Input { v } => input_grains::<T>(job, chunk, v, grains),
-        Stage::Output { products, out } => output_grains::<T>(job, chunk, products, out, grains),
+        Stage::Input { v } => input_grains::<T, M>(job, chunk, v, grains),
+        Stage::Output { products, out } => output_grains::<T, M>(job, chunk, products, out, grains),
     }
 }
 
-/// [`stage_grains`] compiled for AVX2: the portable body is the SIMD
-/// source, the wider target only lets it use 8-lane vectors.
+/// [`stage_grains`] compiled for AVX2 on the [`Avx2`] mover: the
+/// transforms are the portable body, the wider target only lets it use
+/// 8-lane vectors.
 ///
 /// # Safety
 ///
@@ -691,11 +1171,11 @@ unsafe fn stage_grains_avx2<T: Transform>(
     stage: Stage,
     grains: Range<usize>,
 ) {
-    stage_grains::<T>(job, chunk, stage, grains);
+    stage_grains::<T, Avx2>(job, chunk, stage, grains);
 }
 
-/// [`stage_grains`] compiled for AVX-512F: one lane array of 16 tiles
-/// is one register.
+/// [`stage_grains`] compiled for AVX-512F on the [`Avx512`] mover: one
+/// lane array of 16 tiles is one register.
 ///
 /// # Safety
 ///
@@ -708,7 +1188,7 @@ unsafe fn stage_grains_avx512<T: Transform>(
     stage: Stage,
     grains: Range<usize>,
 ) {
-    stage_grains::<T>(job, chunk, stage, grains);
+    stage_grains::<T, Avx512>(job, chunk, stage, grains);
 }
 
 /// Transform-domain values (panel rows × α², one row being one channel
@@ -734,8 +1214,16 @@ fn run_stage<T: Transform>(
     let grains = chunk.panels() * channels.div_ceil(CHANNEL_BLOCK);
     let values = chunk.panels() * channels * job.geom.tile.frequencies();
     let threads = threads.min(values / VALUES_PER_WORKER).max(1);
+    // Lane offsets are i32: a tensor too long for them runs the
+    // portable mover, which writes the same bits.
+    #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+    let kernel = if Lanes::fit(&job.geom) {
+        kernel
+    } else {
+        MicroKernel::Scalar
+    };
     parallel_for(threads, grains, schedule, |range| match kernel {
-        MicroKernel::Scalar => stage_grains::<T>(job, chunk, stage, range),
+        MicroKernel::Scalar => stage_grains::<T, Portable>(job, chunk, stage, range),
         #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
         // SAFETY: a SIMD kernel is only ever selected after
         // `MicroKernel::supported` confirmed AVX2 and FMA.
@@ -783,11 +1271,50 @@ pub fn winograd_conv2d_into(
     )
 }
 
+/// Bench hook, not API: [`winograd_conv2d_into`] on the micro-kernel and
+/// transform instantiation called `kernel` (one of
+/// [`gemm_kernel_names`](crate::gemm::gemm_kernel_names)).
+///
+/// # Errors
+///
+/// As [`winograd_conv2d_into`].
+///
+/// # Panics
+///
+/// Panics if this host has no instantiation of that name.
+#[doc(hidden)]
+#[allow(clippy::too_many_arguments)] // as above, plus the instantiation
+pub fn winograd_conv2d_named(
+    kernel: &str,
+    geom: &WinogradGeometry,
+    input: &[f32],
+    bank: &[f32],
+    bias: Option<&[f32]>,
+    epilogue: GemmEpilogue,
+    out: &mut [f32],
+    scratch: &mut [f32],
+    threads: usize,
+    schedule: Schedule,
+) -> Result<(), KernelError> {
+    winograd_conv2d_on(
+        MicroKernel::named(kernel),
+        geom,
+        input,
+        bank,
+        bias,
+        epilogue,
+        out,
+        scratch,
+        threads,
+        schedule,
+    )
+}
+
 /// [`winograd_conv2d_into`] on an explicit micro-kernel and transform
 /// instantiation, so the cross-kernel tests reach every one the host
 /// supports.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn winograd_conv2d_on(
+fn winograd_conv2d_on(
     kernel: MicroKernel,
     geom: &WinogradGeometry,
     input: &[f32],
@@ -836,44 +1363,46 @@ pub(crate) fn winograd_conv2d_on(
             got: scratch.len(),
         });
     }
-    match g.tile {
-        WinogradTile::F2 => run::<F2>(
-            kernel, g, input, bank, bias, epilogue, out, scratch, threads, schedule,
-        ),
-        WinogradTile::F4 => run::<F4>(
-            kernel, g, input, bank, bias, epilogue, out, scratch, threads, schedule,
-        ),
-    }
-    obs::with_current(|o| o.metrics().add(Metric::WinogradTiles, g.tiles() as u64));
-    Ok(())
-}
-
-/// The validated kernel: chunk by chunk, input transform → α² products →
-/// output transform.
-#[allow(clippy::too_many_arguments)]
-fn run<T: Transform>(
-    kernel: MicroKernel,
-    geom: &WinogradGeometry,
-    input: &[f32],
-    bank: &[f32],
-    bias: Option<&[f32]>,
-    epilogue: GemmEpilogue,
-    out: &mut [f32],
-    scratch: &mut [f32],
-    threads: usize,
-    schedule: Schedule,
-) {
+    let run = match g.tile {
+        WinogradTile::F2 => run::<F2>,
+        WinogradTile::F4 => run::<F4>,
+    };
     let job = Job {
-        geom: *geom,
+        geom: *g,
         input,
         bias,
         epilogue,
     };
+    let block = g.block_tiles(threads);
+    run(kernel, &job, bank, out, scratch, block, threads, schedule);
+    obs::with_current(|o| o.metrics().add(Metric::WinogradTiles, g.tiles() as u64));
+    Ok(())
+}
+
+/// The validated kernel: block by block, input transform → α² products
+/// → output transform. A block is `block` tiles (a multiple of `NR`, at
+/// most one chunk) and lays out its V and products like a chunk of that
+/// many tiles; a tile's products are one GEMM column whichever block it
+/// falls in, so every block size writes the same bits.
+#[allow(clippy::too_many_arguments)]
+fn run<T: Transform>(
+    kernel: MicroKernel,
+    job: &Job,
+    bank: &[f32],
+    out: &mut [f32],
+    scratch: &mut [f32],
+    block: usize,
+    threads: usize,
+    schedule: Schedule,
+) {
+    let geom = &job.geom;
     let (in_c, out_c, freqs) = (geom.in_c, geom.out_c, geom.tile.frequencies());
-    let chunk_tiles = geom.chunk_tiles();
+    debug_assert!(
+        block <= geom.chunk_tiles() && (block.is_multiple_of(NR) || block == geom.tiles())
+    );
     let operand = bank.len() / freqs;
     let (v_region, m_region) =
-        scratch.split_at_mut(freqs * in_c * chunk_tiles.next_multiple_of(NR));
+        scratch.split_at_mut(freqs * in_c * geom.chunk_tiles().next_multiple_of(NR));
     let out = DisjointWriter::new(out);
     // The products run on pool threads, which have no observer of their
     // own: hand them the caller's so the GEMM counters still land.
@@ -882,12 +1411,12 @@ fn run<T: Transform>(
     while t0 < geom.tiles() {
         let chunk = Chunk {
             t0,
-            tiles: chunk_tiles.min(geom.tiles() - t0),
+            tiles: block.min(geom.tiles() - t0),
         };
         let stride = chunk.v_stride(in_c);
         let v_writer = DisjointWriter::new(v_region);
         let stage = Stage::Input { v: &v_writer };
-        run_stage::<T>(kernel, &job, chunk, stage, in_c, threads, schedule);
+        run_stage::<T>(kernel, job, chunk, stage, in_c, threads, schedule);
 
         let v: &[f32] = v_region;
         let plan = GemmPlan::new(out_c, in_c, chunk.tiles);
@@ -917,7 +1446,7 @@ fn run<T: Transform>(
             products,
             out: &out,
         };
-        run_stage::<T>(kernel, &job, chunk, stage, out_c, threads, schedule);
+        run_stage::<T>(kernel, job, chunk, stage, out_c, threads, schedule);
         t0 += chunk.tiles;
     }
 }
@@ -1305,55 +1834,208 @@ mod tests {
         }
     }
 
-    #[test]
-    fn transforms_are_bit_identical_on_every_instantiation() {
-        // Each stage alone on every kernel's instantiation, over the
-        // same NaN-free inputs: the transformed panels and the outputs
-        // agree bit for bit.
-        let geom = WinogradGeometry::new(WinogradTile::F4, (3, 5, 13, 11), 7, 1).unwrap();
-        let input = random([3, 5, 13, 11], 51);
-        let bias: Vec<f32> = (0..7).map(|o| o as f32 * 0.2).collect();
-        let job = Job {
-            geom,
-            input: input.data(),
-            bias: Some(&bias),
-            epilogue: GemmEpilogue::Relu,
-        };
-        let chunk = Chunk {
-            t0: 0,
-            tiles: geom.tiles(),
-        };
-        let products = random([36 * 7 * geom.tiles()], 52);
-        let stages = |kernel: MicroKernel| {
-            let mut v = vec![f32::NAN; 36 * chunk.v_stride(5)];
-            let mut out = vec![f32::NAN; 3 * 7 * 13 * 11];
-            let writer = DisjointWriter::new(&mut v);
-            run_stage::<F4>(
+    /// One geometry and its data: inputs, products (standing in for
+    /// the GEMM's, so each stage is checked alone) and bias, with NaN,
+    /// ±Inf and −0.0 sprinkled in.
+    struct BitCase {
+        geom: WinogradGeometry,
+        input: Vec<f32>,
+        products: Vec<f32>,
+        weights: Vec<f32>,
+        bias: Vec<f32>,
+    }
+
+    impl BitCase {
+        fn new(geom: WinogradGeometry, seed: u64) -> BitCase {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let specials = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.0];
+            let mut values = |len: usize| -> Vec<f32> {
+                (0..len)
+                    .map(|_| match rng.gen_range(0..40) {
+                        i @ 0..=3 => specials[i],
+                        _ => rng.gen_range(-2.0..2.0),
+                    })
+                    .collect()
+            };
+            let g = &geom;
+            BitCase {
+                input: values(g.n * g.in_c * g.h * g.w),
+                products: values(g.tile.frequencies() * g.out_c * g.chunk_tiles()),
+                weights: values(g.out_c * g.in_c * 9),
+                bias: values(g.out_c),
+                geom,
+            }
+        }
+
+        fn job(&self) -> Job<'_> {
+            Job {
+                geom: self.geom,
+                input: &self.input,
+                bias: Some(&self.bias),
+                epilogue: GemmEpilogue::Relu,
+            }
+        }
+
+        /// Each stage on `kernel`'s instantiation over blocks of
+        /// `block` tiles: every block's V (as bits), then the output
+        /// the output stage writes from the same products.
+        fn stages<T: Transform>(&self, kernel: MicroKernel, block: usize) -> Vec<u32> {
+            let g = &self.geom;
+            let job = self.job();
+            let mut bits = Vec::new();
+            let mut out = vec![f32::NAN; g.n * g.out_c * g.out_h() * g.out_w()];
+            let mut t0 = 0;
+            while t0 < g.tiles() {
+                let chunk = Chunk {
+                    t0,
+                    tiles: block.min(g.tiles() - t0),
+                };
+                let mut v = vec![f32::NAN; g.tile.frequencies() * chunk.v_stride(g.in_c)];
+                let writer = DisjointWriter::new(&mut v);
+                let stage = Stage::Input { v: &writer };
+                run_stage::<T>(kernel, &job, chunk, stage, g.in_c, 1, Schedule::default());
+                bits.extend(v.iter().map(|x| x.to_bits()));
+                let writer = DisjointWriter::new(&mut out);
+                let products = &self.products[..g.tile.frequencies() * g.out_c * chunk.tiles];
+                let stage = Stage::Output {
+                    products,
+                    out: &writer,
+                };
+                run_stage::<T>(kernel, &job, chunk, stage, g.out_c, 1, Schedule::default());
+                t0 += chunk.tiles;
+            }
+            bits.extend(out.iter().map(|x| x.to_bits()));
+            bits
+        }
+
+        /// The whole convolution on `kernel` over blocks of `block`
+        /// tiles, as bits.
+        fn conv<T: Transform>(&self, kernel: MicroKernel, block: usize) -> Vec<u32> {
+            let g = &self.geom;
+            let mut bank = vec![f32::NAN; winograd_bank_elems(g.tile, g.in_c, g.out_c)];
+            pack_winograd_bank_into(g.tile, &self.weights, g.out_c, g.in_c, &mut bank);
+            let mut out = vec![f32::NAN; g.n * g.out_c * g.out_h() * g.out_w()];
+            let mut scratch = vec![f32::NAN; g.scratch_elems()];
+            let job = self.job();
+            run::<T>(
                 kernel,
                 &job,
-                chunk,
-                Stage::Input { v: &writer },
-                5,
+                &bank,
+                &mut out,
+                &mut scratch,
+                block,
                 1,
                 Schedule::default(),
             );
+            out.iter().map(|x| x.to_bits()).collect()
+        }
+
+        /// What mover `M` loads for every panel and input channel of
+        /// blocks of `block` tiles, then the output it writes when it
+        /// stores the same lane values for every output channel, as
+        /// bits: the movers do no arithmetic, so NaN payloads must
+        /// survive too.
+        fn moved<M: Mover>(&self, block: usize) -> Vec<u32> {
+            let g = &self.geom;
+            let job = self.job();
+            let mut bits = Vec::new();
+            let mut out = vec![f32::NAN; g.n * g.out_c * g.out_h() * g.out_w()];
             let writer = DisjointWriter::new(&mut out);
-            let stage = Stage::Output {
-                products: products.data(),
-                out: &writer,
+            let mut t0 = 0;
+            while t0 < g.tiles() {
+                let chunk = Chunk {
+                    t0,
+                    tiles: block.min(g.tiles() - t0),
+                };
+                for jp in 0..chunk.panels() {
+                    let patches = M::patches(&job, chunk, jp);
+                    for c in 0..g.in_c {
+                        let mut d = [[f32::NAN; NR]; MAX_FREQS];
+                        M::load(&job, &patches, c, &mut d);
+                        let patch = d.iter().take(g.tile.frequencies()).flatten();
+                        bits.extend(patch.map(|x| x.to_bits()));
+                    }
+                    let targets = M::targets(&job, chunk, jp);
+                    for o in 0..g.out_c {
+                        let d: Tile<NR> = std::array::from_fn(|i| {
+                            std::array::from_fn(|l| {
+                                let at = ((o * MAX_FREQS + i) * NR + l) % self.products.len();
+                                self.products[at]
+                            })
+                        });
+                        M::store(&job, &targets, o, &d, &writer);
+                    }
+                }
+                t0 += chunk.tiles;
+            }
+            bits.extend(out.iter().map(|x| x.to_bits()));
+            bits
+        }
+
+        /// Every SIMD mover moves exactly the portable mover's bits;
+        /// every instantiation's stages match the portable ones (NaN
+        /// for NaN: the transforms' adds may take a NaN's sign or
+        /// payload from either operand, in whatever order each target
+        /// compiles them); and every kernel writes the same convolution
+        /// whole-chunk, in one-panel blocks and in the blocks `run`
+        /// picks.
+        fn check<T: Transform>(&self) {
+            let chunk = self.geom.chunk_tiles();
+            let blocks = [chunk, NR, self.geom.block_tiles(1)].map(|b| b.min(chunk));
+            let same = |a: &[u32], b: &[u32]| {
+                let nan = |x: u32| f32::from_bits(x).is_nan();
+                a.len() == b.len() && a.iter().zip(b).all(|(&x, &y)| x == y || nan(x) && nan(y))
             };
-            run_stage::<F4>(kernel, &job, chunk, stage, 7, 1, Schedule::default());
-            let bits = |x: &[f32]| x.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
-            (bits(&v), bits(&out))
-        };
-        let want = stages(MicroKernel::Scalar);
-        assert!(want
-            .0
-            .iter()
-            .chain(&want.1)
-            .all(|&b| !f32::from_bits(b).is_nan()));
-        for kernel in MicroKernel::available().skip(1) {
-            assert!(stages(kernel) == want, "{kernel:?}");
+            for block in blocks {
+                let want = self.moved::<Portable>(block);
+                for kernel in MicroKernel::available().skip(1) {
+                    let got = match kernel {
+                        MicroKernel::Scalar => unreachable!("skipped"),
+                        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+                        MicroKernel::Avx2Fma => self.moved::<Avx2>(block),
+                        #[cfg(target_arch = "x86_64")]
+                        MicroKernel::Avx512 => self.moved::<Avx512>(block),
+                    };
+                    assert!(got == want, "{kernel:?} mover, blocks of {block}");
+                }
+                let want = self.stages::<T>(MicroKernel::Scalar, block);
+                for kernel in MicroKernel::available().skip(1) {
+                    let got = self.stages::<T>(kernel, block);
+                    assert!(same(&got, &want), "{kernel:?} stages, blocks of {block}");
+                }
+            }
+            for kernel in MicroKernel::available() {
+                let whole = self.conv::<T>(kernel, chunk);
+                for block in blocks {
+                    let got = self.conv::<T>(kernel, block);
+                    assert!(got == whole, "{kernel:?} conv, blocks of {block}");
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// Both tiles over 1–3 images of 1–20 channels in and out (so
+        /// channel blocks end ragged) and planes of 1–19 on a side
+        /// (panels straddle tile rows and images; edge tiles overhang
+        /// the output), with and without padding.
+        #[test]
+        fn every_mover_and_block_size_writes_the_same_bits(
+            f4 in 0usize..2,
+            (n, in_c, out_c) in (1usize..=3, 1usize..=20, 1usize..=20),
+            (h, w, padding) in (1usize..=19, 1usize..=19, 0usize..=1),
+            seed in 0u64..1 << 32,
+        ) {
+            let tile = [WinogradTile::F2, WinogradTile::F4][f4];
+            proptest::prop_assume!(h + 2 * padding >= 3 && w + 2 * padding >= 3);
+            let geom = WinogradGeometry::new(tile, (n, in_c, h, w), out_c, padding).unwrap();
+            let case = BitCase::new(geom, seed);
+            match tile {
+                WinogradTile::F2 => case.check::<F2>(),
+                WinogradTile::F4 => case.check::<F4>(),
+            }
         }
     }
 

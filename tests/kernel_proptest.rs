@@ -280,8 +280,10 @@ fn depthwise_zero_weight_times_nan_is_nan() {
 // MaxPool2d
 // ---------------------------------------------------------------------------
 
-/// Reference max-pool using `f32::max`, which matches the kernel's
-/// NaN-flush: NaN never wins, an all-NaN window yields `-inf`.
+/// Reference max-pool: each window folded `if x > best` from `-inf` in
+/// (dy, dx) order, the kernel's contract — NaN never wins, an all-NaN
+/// window yields `-inf`, and of equal values (`-0.0` and `+0.0`) the
+/// first stays, which `f32::max` would not pin.
 fn naive_maxpool(input: &[f32], n: usize, c: usize, h: usize, w: usize, window: usize) -> Vec<f32> {
     let out_h = h / window;
     let out_w = w / window;
@@ -294,7 +296,10 @@ fn naive_maxpool(input: &[f32], n: usize, c: usize, h: usize, w: usize, window: 
                     let mut best = f32::NEG_INFINITY;
                     for dh in 0..window {
                         for dw in 0..window {
-                            best = best.max(plane[(oh * window + dh) * w + ow * window + dw]);
+                            let x = plane[(oh * window + dh) * w + ow * window + dw];
+                            if x > best {
+                                best = x;
+                            }
                         }
                     }
                     out.push(best);
@@ -305,14 +310,39 @@ fn naive_maxpool(input: &[f32], n: usize, c: usize, h: usize, w: usize, window: 
     out
 }
 
+/// The layer's serial output, as bit patterns.
+fn maxpool_bits(n: usize, c: usize, h: usize, w: usize, window: usize, values: &[f32]) -> Vec<u32> {
+    let mut layer = MaxPool2d::new(window);
+    let x = Tensor::from_vec([n, c, h, w], values.to_vec());
+    let y = layer.forward(&x, Phase::Eval, &ExecConfig::serial());
+    y.data().iter().map(|v| v.to_bits()).collect()
+}
+
 /// (n, c, h, w, window, values) with h and w divisible by window — the
-/// kernel asserts divisibility.
+/// kernel asserts divisibility. Windows 1..=3, so 2 (the compiled-in
+/// width) and the runtime widths both run, with odd windows pairing
+/// their last line with itself.
 fn maxpool_case() -> impl Strategy<Value = (usize, usize, usize, usize, usize, Vec<f32>)> {
-    (1usize..3, 1usize..4, 1usize..4, 1usize..4, 2usize..4).prop_flat_map(
+    (1usize..3, 1usize..4, 1usize..4, 1usize..4, 1usize..4).prop_flat_map(
         |(n, c, bh, bw, window)| {
             let (h, w) = (bh * window, bw * window);
             let values = proptest::collection::vec(-8.0f32..8.0, n * c * h * w);
             (Just(n), Just(c), Just(h), Just(w), Just(window), values)
+        },
+    )
+}
+
+/// Window-2 planes two wide (one output column) or a few wide, filled
+/// from `{-0.0, +0.0, ±1, NaN, ±inf}` so that most windows hold ties of
+/// signed zeros or of equal values.
+fn maxpool_tie_case() -> impl Strategy<Value = (usize, usize, usize, usize, Vec<f32>)> {
+    const PICKS: [f32; 8] = [-0.0, 0.0, -0.0, 0.0, 1.0, -1.0, f32::NAN, f32::NEG_INFINITY];
+    (1usize..3, 1usize..5, 1usize..6, 0usize..2, 1usize..6).prop_flat_map(
+        |(n, c, bh, two_wide, bw)| {
+            let (h, w) = (bh * 2, if two_wide == 1 { 2 } else { bw * 2 });
+            let values = proptest::collection::vec(0usize..PICKS.len(), n * c * h * w)
+                .prop_map(|picks| picks.into_iter().map(|i| PICKS[i]).collect::<Vec<_>>());
+            (Just(n), Just(c), Just(h), Just(w), values)
         },
     )
 }
@@ -322,11 +352,9 @@ proptest! {
 
     #[test]
     fn maxpool_matches_naive_reference((n, c, h, w, window, values) in maxpool_case()) {
-        let mut layer = MaxPool2d::new(window);
-        let x = Tensor::from_vec([n, c, h, w], values.clone());
-        let y = layer.forward(&x, Phase::Eval, &ExecConfig::serial());
         let expected = naive_maxpool(&values, n, c, h, w, window);
-        assert_tensors_match(&y, &expected);
+        let bits: Vec<u32> = expected.iter().map(|v| v.to_bits()).collect();
+        prop_assert_eq!(maxpool_bits(n, c, h, w, window, &values), bits);
     }
 
     #[test]
@@ -345,6 +373,38 @@ proptest! {
         assert_tensors_match(&y, &expected);
         prop_assert!(y.data().iter().all(|v| !v.is_nan()), "max-pool must flush NaN");
     }
+
+    #[test]
+    fn maxpool_keeps_the_first_of_tied_values((n, c, h, w, values) in maxpool_tie_case()) {
+        // Bit for bit: a window of -0.0 then +0.0 pools to -0.0, of
+        // +0.0 then -0.0 to +0.0.
+        let expected = naive_maxpool(&values, n, c, h, w, 2);
+        let bits: Vec<u32> = expected.iter().map(|v| v.to_bits()).collect();
+        prop_assert_eq!(maxpool_bits(n, c, h, w, 2, &values), bits);
+    }
+}
+
+/// Pinned signed-zero ties on a two-wide plane: the first zero of each
+/// window in (dy, dx) order survives.
+#[test]
+fn maxpool_signed_zero_ties_keep_the_first() {
+    let values = [
+        -0.0,
+        0.0,
+        0.0,
+        -0.0,
+        0.0,
+        -0.0,
+        -0.0,
+        -0.0,
+        f32::NAN,
+        -0.0,
+        0.0,
+        f32::NAN,
+    ];
+    let got = maxpool_bits(1, 1, 6, 2, 2, &values);
+    let want = [-0.0f32, 0.0, -0.0].map(f32::to_bits);
+    assert_eq!(got, want);
 }
 
 /// An all-NaN window has no winner under `>`, so the initial `-inf`

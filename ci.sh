@@ -97,16 +97,16 @@ echo "== gemm, depthwise and winograd debug assertions =="
 # leaves its A panel (an 8-float load at a panel's last k-step would read
 # 2 floats past it, so that step must take the masked 6-float load) and
 # that no C row it writes is wider than its live columns; the driver
-# asserts its `DisjointWriter` slices stay in bounds. The depthwise
-# kernel's AVX-512 and AVX2 bodies assert that every enabled lane of a
-# masked load, permuted pick or gather, and every plain load, reads
-# inside its slice (their pointers are formed outside the slice at
-# padded edges); the unit tests there run every instantiation. The
-# Winograd movers assert that every enabled lane of a masked gather or
-# scatter, and every transposed row store, stays inside its image's
-# channel plane (their base pointers, too, are formed outside it); the
-# property test there runs every mover, block size and instantiation.
+# asserts its `DisjointWriter` slices stay in bounds. The depthwise block
+# and the Winograd movers touch memory only through the 16-lane
+# vocabulary (`tensor::v16::V16`), whose every load, masked load, pick,
+# gather, store and scatter asserts that each enabled lane stays inside
+# its slice (the SIMD impls form pointers outside the slice at padded
+# edges); the tests below run every op on every impl (`v16::`), and
+# every depthwise instantiation and every Winograd mover, block size and
+# instantiation through them.
 CARGO_PROFILE_TEST_DEBUG_ASSERTIONS=true cargo test -q -p cnn-stack-tensor gemm::
+CARGO_PROFILE_TEST_DEBUG_ASSERTIONS=true cargo test -q -p cnn-stack-tensor v16::
 CARGO_PROFILE_TEST_DEBUG_ASSERTIONS=true cargo test -q -p cnn-stack-tensor depthwise::
 CARGO_PROFILE_TEST_DEBUG_ASSERTIONS=true cargo test -q -p cnn-stack-tensor winograd::
 
@@ -307,6 +307,14 @@ fi
 # stay deleted.
 if grep -rnE 'block_by_tiles|plane_by_rows|TILE_PIXELS' crates src tests examples; then
   echo "ci: a replaced depthwise loop order is back" >&2
+  exit 1
+fi
+
+# The depthwise block and the Winograd movers are written once over the
+# 16-lane vocabulary (`tensor::v16::V16`) and instantiated per target:
+# the per-ISA bodies, movers and trampolines it replaced stay deleted.
+if grep -rnE 'block_avx2|block_avx512|gather_avx512|scatter_avx512|gather_avx2|stage_grains_avx2|stage_grains_avx512|run_grains_avx2|run_grains_avx512|every_nth_half|gather_half|trait Body|trait Mover' crates src tests examples; then
+  echo "ci: a per-ISA depthwise body or Winograd mover is back" >&2
   exit 1
 fi
 

@@ -14,9 +14,9 @@
 //! * at stride 1 with "same" padding the input and output planes
 //!   coincide, so they are one contiguous load (masked where it would
 //!   leave the input);
-//! * otherwise they are picked out of up to four 16-float windows by
-//!   two-source permutes (stride 2 and the small planes), or gathered
-//!   when the lanes reach further.
+//! * otherwise they are picked out of the input by lane offsets
+//!   (`V16::pick`: windows and permutes, run loads or gathers,
+//!   whichever the target does best).
 //!
 //! A tap that falls outside the input in some lanes is skipped there: its
 //! add is masked, so those lanes keep their value. Which lanes a tap is
@@ -25,17 +25,14 @@
 //! channel, so the lane patterns and the (position, tap) masks are
 //! computed once per call into a stack table that every channel
 //! reads. The body computes one position in four consecutive
-//! periods at a time: the vectors share the table row, and their
-//! independent accumulators overlap each output's chain of dependent
-//! adds.
+//! periods, `V16::BLOCK` of them at a time: the vectors share the table
+//! row, and their independent accumulators overlap each output's chain of
+//! dependent adds.
 //!
-//! The body exists three times: with AVX-512F intrinsics (masked loads
-//! and adds, permutes, gathers), with AVX2 intrinsics (each vector as
-//! two 8-lane halves; blends for the masked adds, a fixed shuffle at
-//! stride 2 and gathers for the scattered picks — the compiler does not
-//! vectorise the lane-array form of the masked adds well enough), and
-//! as the portable lane-array twin. The GEMM engine's one-time dispatch
-//! picks one, so `CNN_STACK_GEMM_FORCE_SCALAR` pins the portable twin;
+//! The body is written once over the crate's 16-lane vocabulary
+//! (`V16`) and instantiated for AVX-512F, AVX2 and the portable target
+//! behind the GEMM engine's one-time dispatch, so
+//! `CNN_STACK_GEMM_FORCE_SCALAR` pins the portable instantiation;
 //! [`depthwise_conv2d_named`] runs any of them.
 //!
 //! # Exactness
@@ -50,11 +47,10 @@
 
 use crate::gemm::{active_kernel, MicroKernel};
 use crate::im2col::Conv2dGeometry;
+use crate::v16::{live_lanes, run_on, Offsets, Run, LANES, V16};
 use cnn_stack_parallel::{parallel_for, DisjointWriter, Schedule};
 use std::ops::Range;
 
-/// Outputs per vector: one 512-bit register of f32.
-const LANES: usize = 16;
 /// Period positions one [`Table`] holds: the 64 vectors of a 32×32
 /// output plane.
 const PHASES: usize = 64;
@@ -64,17 +60,9 @@ pub const MAX_TAPS: usize = 1024;
 /// Outputs a parallel grain covers at least (it covers whole blocks of
 /// periods) while there are enough grains for the workers.
 const GRAIN_OUTPUTS: usize = 256;
-/// Vectors one body call computes side by side: the same period position
-/// in this many consecutive periods. They share the lane pattern and tap
-/// masks, and their accumulators are independent, so one vector's chain
-/// of dependent adds does not wait on the last's.
+/// Vectors one [`Block`] holds: the same period position in this many
+/// consecutive periods. They share the lane pattern and tap masks.
 const BLOCK: usize = 4;
-/// Lanes of a vector half in the AVX2 body and the portable twin: one
-/// AVX2 register.
-const HALF: usize = 8;
-/// Lane offsets a pick reaches by permuting four 16-float windows; a
-/// pick that reaches further gathers.
-const PERMUTE_REACH: usize = 4 * LANES;
 
 /// How an image's flattened output block splits into vectors.
 #[derive(Clone, Copy)]
@@ -145,24 +133,18 @@ struct Phase {
     /// in the padding.
     input: isize,
     /// Each lane's offset from `input` of its tap `(0, 0)`.
-    lanes: [i32; LANES],
-    /// The largest of `lanes`.
-    reach: usize,
-    /// Each lane's channel minus `channel` (ascending).
-    channels: [i32; LANES],
-    /// Whether each [`HALF`]-lane half lies in one output-row run, so
-    /// its lane offsets step by the stride (the AVX2 and portable loads).
-    runs: [bool; LANES / HALF],
+    lanes: Offsets,
+    /// Each lane's channel minus `channel` (ascending): where its bias
+    /// lies from lane 0's.
+    channels: Offsets,
 }
 
 impl Phase {
     const EMPTY: Phase = Phase {
         channel: 0,
         input: 0,
-        lanes: [0; LANES],
-        reach: 0,
-        channels: [0; LANES],
-        runs: [false; LANES / HALF],
+        lanes: Offsets::ZERO,
+        channels: Offsets::ZERO,
     };
 
     /// The vector whose lane 0 is output `(c, oh, ow)` of the period
@@ -178,10 +160,7 @@ impl Phase {
         } = *lane0;
         let (stride, pad) = (g.stride, g.padding);
         let mut offsets = [0isize; LANES];
-        let mut phase = Phase {
-            channel,
-            ..Phase::EMPTY
-        };
+        let mut channels = [0i32; LANES];
         masks.fill(0);
         let mut j = 0;
         while j < LANES {
@@ -192,13 +171,10 @@ impl Phase {
                 - (pad * g.in_w + pad) as isize;
             let lanes = offsets[j..j + run]
                 .iter_mut()
-                .zip(&mut phase.channels[j..j + run]);
+                .zip(&mut channels[j..j + run]);
             for (k, (offset, lane_channel)) in lanes.enumerate() {
                 *offset = origin + (k * stride) as isize;
                 *lane_channel = (c - channel) as i32;
-            }
-            for (h, in_run) in phase.runs.iter_mut().enumerate() {
-                *in_run |= j <= h * HALF && (h + 1) * HALF <= j + run;
             }
             // Column tap `kw` reads inside the row for the run's lanes
             // `lo..hi`: `pad <= (ow + k)·stride + kw < in_w + pad`.
@@ -227,21 +203,21 @@ impl Phase {
             }
         }
         *lane0 = Pixel { c, oh, ow };
-        phase.input = offsets.into_iter().fold(isize::MAX, isize::min);
-        phase.reach = offsets.into_iter().fold(0, |r, o| r.max(o - phase.input)) as usize;
-        assert!(
-            phase.reach <= i32::MAX as usize,
-            "a vector's lanes lie less than 2^31 inputs apart"
-        );
-        for (lane, offset) in phase.lanes.iter_mut().zip(offsets) {
-            *lane = (offset - phase.input) as i32;
+        let input = offsets.into_iter().fold(isize::MAX, isize::min);
+        let lanes = offsets.map(|o| {
+            i32::try_from(o - input).expect("a vector's lanes lie less than 2^31 inputs apart")
+        });
+        Phase {
+            channel,
+            input,
+            lanes: Offsets::new(lanes),
+            channels: Offsets::new(channels),
         }
-        phase
     }
 
     /// Whether every lane is in lane 0's channel.
     fn uniform(&self) -> bool {
-        self.channels[LANES - 1] == 0
+        self.channels.reach == 0
     }
 }
 
@@ -415,8 +391,6 @@ fn depthwise_on(
         taps <= MAX_TAPS,
         "depthwise filters hold at most {MAX_TAPS} taps"
     );
-    assert!(kernel.supported(), "{kernel:?} is not supported here");
-
     let layout = Layout::new(channels, geom, images, threads);
     let job = Job {
         input,
@@ -431,53 +405,18 @@ fn depthwise_on(
     let step = Table::capacity(taps);
     for first in (0..layout.period).step_by(step) {
         let table = Table::new(&layout, geom, first..layout.period.min(first + step));
-        parallel_for(threads, grains, schedule, |range| match kernel {
-            MicroKernel::Scalar => run_grains::<Portable>(&job, &table, range),
-            #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-            // SAFETY: `kernel` is supported (asserted above): the CPU has
-            // AVX2 and FMA.
-            MicroKernel::Avx2Fma => unsafe { run_grains_avx2(&job, &table, range) },
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: as above, for AVX-512F.
-            MicroKernel::Avx512 => unsafe { run_grains_avx512(&job, &table, range) },
+        parallel_for(threads, grains, schedule, |grains| {
+            let (job, table) = (&job, &table);
+            // Literal 3×3 filters let the tap loops unroll; every other
+            // filter runs the same body on the geometry's extents. Each
+            // variant is its own instantiation of the target's trampoline.
+            match (geom.k_h, geom.k_w, layout.contiguous) {
+                (3, 3, true) => run_on(kernel, &Grains::<3, true> { job, table, grains }),
+                (3, 3, false) => run_on(kernel, &Grains::<3, false> { job, table, grains }),
+                (_, _, true) => run_on(kernel, &Grains::<0, true> { job, table, grains }),
+                (_, _, false) => run_on(kernel, &Grains::<0, false> { job, table, grains }),
+            }
         });
-    }
-}
-
-/// [`run_grains`] on the AVX2 body. (FMA is enabled to match the
-/// dispatch check; the body keeps the multiply and the add separate.)
-///
-/// # Safety
-///
-/// The CPU must support AVX2 and FMA ([`MicroKernel::supported`]).
-#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn run_grains_avx2(job: &Job, table: &Table, grains: Range<usize>) {
-    run_grains::<Avx2>(job, table, grains);
-}
-
-/// [`run_grains`] on the AVX-512 body.
-///
-/// # Safety
-///
-/// The CPU must support AVX-512F ([`MicroKernel::supported`]).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn run_grains_avx512(job: &Job, table: &Table, grains: Range<usize>) {
-    run_grains::<Avx512>(job, table, grains);
-}
-
-/// Runs grains `grains` of the (image × run of periods) grid over the
-/// period positions `table` holds. Literal 3×3 filters let the tap loops
-/// unroll; every other filter runs the same body on the geometry's
-/// extents.
-#[inline(always)]
-fn run_grains<B: Body>(job: &Job, table: &Table, grains: Range<usize>) {
-    match (job.geom.k_h, job.geom.k_w, job.layout.contiguous) {
-        (3, 3, true) => grains_of::<B, 3, true>(job, table, grains),
-        (3, 3, false) => grains_of::<B, 3, false>(job, table, grains),
-        (_, _, true) => grains_of::<B, 0, true>(job, table, grains),
-        (_, _, false) => grains_of::<B, 0, false>(job, table, grains),
     }
 }
 
@@ -500,11 +439,29 @@ struct Block {
     live: [u16; BLOCK],
 }
 
-/// [`run_grains`] with the filter side `K` (0: the geometry's) and the
-/// layout's `contiguous` flag as literals: each grain position by
-/// position, [`BLOCK`] periods at a time.
+/// Grains `grains` of the (image × run of periods) grid over the period
+/// positions `table` holds, with the filter side `K` (0: the geometry's)
+/// and the layout's `contiguous` flag as literals.
+struct Grains<'a, const K: usize, const CONTIGUOUS: bool> {
+    job: &'a Job<'a>,
+    table: &'a Table,
+    grains: Range<usize>,
+}
+
+impl<const K: usize, const CONTIGUOUS: bool> Run for Grains<'_, K, CONTIGUOUS> {
+    type Output = ();
+
+    #[inline(always)]
+    fn run<V: V16>(&self) {
+        grains_of::<V, K, CONTIGUOUS>(self.job, self.table, self.grains.clone());
+    }
+}
+
+/// [`Grains`] each grain position by position, [`BLOCK`] periods at a
+/// time. (`job` and `table` are parameters so that the compiler knows no
+/// output store changes them.)
 #[inline(always)]
-fn grains_of<B: Body, const K: usize, const CONTIGUOUS: bool>(
+fn grains_of<V: V16, const K: usize, const CONTIGUOUS: bool>(
     job: &Job,
     table: &Table,
     grains: Range<usize>,
@@ -533,7 +490,7 @@ fn grains_of<B: Body, const K: usize, const CONTIGUOUS: bool>(
                 for (v, live) in live.iter_mut().enumerate() {
                     let out = out + v * period_out;
                     if out < dst.len() {
-                        *live = live_lanes(LANES.min(dst.len() - out));
+                        *live = live_lanes(dst.len() - out);
                     }
                 }
                 let block = Block {
@@ -544,9 +501,9 @@ fn grains_of<B: Body, const K: usize, const CONTIGUOUS: bool>(
                     live,
                 };
                 if phase.uniform() {
-                    B::block::<K, CONTIGUOUS, true>(job, table, &block, dst);
+                    run_block::<V, K, CONTIGUOUS, true>(job, table, &block, dst);
                 } else {
-                    B::block::<K, CONTIGUOUS, false>(job, table, &block, dst);
+                    run_block::<V, K, CONTIGUOUS, false>(job, table, &block, dst);
                 }
             }
         }
@@ -563,23 +520,6 @@ fn filter<const K: usize>(g: &Conv2dGeometry) -> (usize, usize) {
     }
 }
 
-/// Lane offsets of 16 consecutive inputs.
-const CONSECUTIVE: [i32; LANES] = {
-    let mut lanes = [0; LANES];
-    let mut j = 0;
-    while j < LANES {
-        lanes[j] = j as i32;
-        j += 1;
-    }
-    lanes
-};
-
-/// The first `n` (0..=16) lanes.
-#[inline(always)]
-fn live_lanes(n: usize) -> u16 {
-    ((1u32 << n) - 1) as u16
-}
-
 /// Where vector `i` of `block` starts: its input origin, lane-0 channel
 /// (the first vector's for a vector with no live lane, which reads
 /// nothing) and outputs.
@@ -594,583 +534,94 @@ fn vector_at(l: &Layout, block: &Block, i: usize) -> (isize, usize, usize) {
     (input, channel, block.out + i * l.period * LANES)
 }
 
-/// The vector body of one instantiation.
-trait Body {
-    /// Computes `block` into the grain's outputs `dst`; `UNIFORM`: each
-    /// vector's lanes share one channel.
-    fn block<const K: usize, const CONTIGUOUS: bool, const UNIFORM: bool>(
-        job: &Job,
-        table: &Table,
-        block: &Block,
-        dst: &mut [f32],
-    );
-}
-
-/// The portable lane-array twin of [`block_avx512`], which computes each
-/// vector as two [`HALF`]-lane halves like [`block_avx2`] (8-lane arrays
-/// map onto SSE or NEON register pairs).
-struct Portable;
-
-/// One half of a portable vector.
-type Half = [f32; HALF];
-
-/// `src[at + offsets[j]]` in every lane `j`, the index clamped into
-/// `src`: lanes whose index leaves `src` hold some value of it, which a
-/// caller masks.
+/// Computes `block` into the grain's outputs `dst`, [`V16::BLOCK`]
+/// vectors at a time, tap by tap: `bias`, then per tap the product added
+/// where the tap is valid, then the clamp; one store per vector.
+/// `UNIFORM`: each vector's lanes share one channel, so its bias and
+/// weights are broadcasts rather than picks. The inputs are plain loads
+/// at stride 1 with "same" padding away from the input's ends, masked
+/// loads at those ends, and picks otherwise.
 #[inline(always)]
-fn pick_lanes(src: &[f32], at: isize, offsets: &[i32]) -> Half {
-    let last = src.len() as isize - 1;
-    let mut lanes = [0.0; HALF];
-    for (lane, &offset) in lanes.iter_mut().zip(offsets) {
-        *lane = src[(at + offset as isize).clamp(0, last) as usize];
-    }
-    lanes
-}
-
-/// `src[at + j·stride]` in every lane `j`: out of one window with vector
-/// moves (and a fixed shuffle for stride 2) where the window lies inside
-/// `src`, else as [`pick_lanes`].
-#[inline(always)]
-fn every_nth(src: &[f32], at: isize, stride: usize) -> Half {
-    let window = usize::try_from(at).ok().and_then(|at| src.get(at..));
-    match (window, stride) {
-        (Some(w), 1) if w.len() >= HALF => *w.first_chunk().expect("window checked"),
-        (Some(w), 2) if w.len() >= 2 * HALF => {
-            let pairs: &[f32; 2 * HALF] = w.first_chunk().expect("window checked");
-            let mut lanes = [0.0; HALF];
-            for (j, lane) in lanes.iter_mut().enumerate() {
-                *lane = pairs[2 * j];
-            }
-            lanes
-        }
-        _ => {
-            let mut offsets = [0; HALF];
-            for (j, offset) in offsets.iter_mut().enumerate() {
-                *offset = (j * stride) as i32;
-            }
-            pick_lanes(src, at, &offsets)
-        }
-    }
-}
-
-/// `acc + w·x` in the lanes of `mask`, `acc` in the others.
-#[inline(always)]
-fn masked_add(acc: &mut Half, w: &Half, x: &Half, mask: u32) {
-    for j in 0..HALF {
-        let sum = acc[j] + w[j] * x[j];
-        acc[j] = if mask >> j & 1 != 0 { sum } else { acc[j] };
-    }
-}
-
-impl Body for Portable {
-    #[inline(always)]
-    fn block<const K: usize, const CONTIGUOUS: bool, const UNIFORM: bool>(
-        job: &Job,
-        table: &Table,
-        block: &Block,
-        dst: &mut [f32],
-    ) {
-        let (k_h, k_w) = filter::<K>(&job.geom);
-        let taps = k_h * k_w;
-        let stride = if CONTIGUOUS { 1 } else { job.geom.stride };
-        let (phase, masks) = (&table.phases[block.phase], table.masks(block.phase));
-        let mut lane_weights = [0i32; LANES];
-        for (w, &c) in lane_weights.iter_mut().zip(&phase.channels) {
-            *w = c * taps as i32;
-        }
-        for i in 0..BLOCK {
-            let (input, channel, out) = vector_at(&job.layout, block, i);
-            let weights = &job.weight[channel * taps..];
-            for h in 0..LANES / HALF {
-                let live = u32::from(block.live[i]) >> (h * HALF) & 0xff;
-                if live == 0 {
-                    break;
-                }
-                let lanes = h * HALF..(h + 1) * HALF;
-                let offsets = &phase.lanes[lanes.clone()];
-                let run = CONTIGUOUS || phase.runs[h];
-                let mut acc = if UNIFORM {
-                    [job.bias[channel]; HALF]
-                } else {
-                    pick_lanes(job.bias, channel as isize, &phase.channels[lanes.clone()])
-                };
-                let mut t = 0;
-                for kh in 0..k_h {
-                    for kw in 0..k_w {
-                        let at = input + (kh * job.geom.in_w + kw) as isize;
-                        let x = if run {
-                            every_nth(job.input, at + offsets[0] as isize, stride)
-                        } else {
-                            pick_lanes(job.input, at, offsets)
-                        };
-                        let w = if UNIFORM {
-                            [weights[t]; HALF]
-                        } else {
-                            pick_lanes(weights, t as isize, &lane_weights[lanes.clone()])
-                        };
-                        masked_add(&mut acc, &w, &x, u32::from(masks[t]) >> (h * HALF) & live);
-                        t += 1;
-                    }
-                }
-                if job.relu {
-                    for x in acc.iter_mut() {
-                        *x = x.max(0.0);
-                    }
-                }
-                let len = live.count_ones() as usize;
-                dst[out + h * HALF..][..len].copy_from_slice(&acc[..len]);
-            }
-        }
-    }
-}
-
-/// The AVX2 body ([`block_avx2`]).
-#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-struct Avx2;
-
-#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-impl Body for Avx2 {
-    #[inline(always)]
-    fn block<const K: usize, const CONTIGUOUS: bool, const UNIFORM: bool>(
-        job: &Job,
-        table: &Table,
-        block: &Block,
-        dst: &mut [f32],
-    ) {
-        // SAFETY: `Avx2` only runs under `run_grains_avx2`, whose caller
-        // confirmed AVX2 and FMA.
-        unsafe { block_avx2::<K, CONTIGUOUS, UNIFORM>(job, table, block, dst) }
-    }
-}
-
-#[cfg(target_arch = "x86")]
-use core::arch::x86 as arch;
-#[cfg(target_arch = "x86_64")]
-use core::arch::x86_64 as arch;
-
-/// The lanes `j` of an 8-bit `mask` as an AVX2 lane mask: bit `j` moved
-/// to lane `j`'s sign bit, the one bit blends, masked gathers and masked
-/// stores read.
-///
-/// # Safety
-///
-/// The CPU must support AVX2.
-#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-#[target_feature(enable = "avx2")]
-#[inline]
-pub(crate) unsafe fn half_mask(mask: u32) -> arch::__m256i {
-    use arch::*;
-    let shifts = _mm256_setr_epi32(31, 30, 29, 28, 27, 26, 25, 24);
-    _mm256_sllv_epi32(_mm256_set1_epi32(mask as i32), shifts)
-}
-
-/// `src[at + offsets[j]]` in the lanes `j` of the 8-bit `mask`, zero in
-/// the others: a masked gather.
-///
-/// # Safety
-///
-/// The CPU must support AVX2, and every lane of `mask` must read inside
-/// `src` (debug builds assert it).
-#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-#[target_feature(enable = "avx2")]
-#[inline]
-unsafe fn gather_half(src: &[f32], at: isize, offsets: &[i32], mask: u32) -> arch::__m256 {
-    use arch::*;
-    let offsets = &offsets[..HALF];
-    debug_assert!(
-        lanes_inside(src.len(), at, offsets, mask),
-        "a gathered lane leaves its slice"
-    );
-    // SAFETY: only the lanes of `mask` are read, and they lie inside
-    // `src`; the base pointer is only formed outside it.
-    _mm256_mask_i32gather_ps::<4>(
-        _mm256_setzero_ps(),
-        src.as_ptr().wrapping_offset(at),
-        _mm256_loadu_si256(offsets.as_ptr().cast()),
-        _mm256_castsi256_ps(half_mask(mask)),
-    )
-}
-
-/// `src[at + j·stride]` in the lanes `j` of the 8-bit `mask`, the others
-/// unspecified: one load (stride 1) or two and a fixed shuffle (stride 2)
-/// where the window lies inside `src`, else a masked gather.
-///
-/// # Safety
-///
-/// The CPU must support AVX2, and every lane of `mask` must read inside
-/// `src` (debug builds assert it).
-#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-#[target_feature(enable = "avx2")]
-#[inline]
-unsafe fn every_nth_half(src: &[f32], at: isize, stride: usize, mask: u32) -> arch::__m256 {
-    use arch::*;
-    let inside = |len: usize| at >= 0 && at + len as isize <= src.len() as isize;
-    if stride == 1 && inside(HALF) {
-        // SAFETY: the 8 floats lie inside `src` (checked).
-        return _mm256_loadu_ps(src.as_ptr().offset(at));
-    }
-    if stride == 2 && inside(2 * HALF) {
-        // SAFETY: the 16 floats lie inside `src` (checked).
-        let lo = _mm256_loadu_ps(src.as_ptr().offset(at));
-        let hi = _mm256_loadu_ps(src.as_ptr().offset(at + HALF as isize));
-        // Even lanes per 128-bit half, then the halves back in order.
-        let evens = _mm256_castps_pd(_mm256_shuffle_ps::<0b10_00_10_00>(lo, hi));
-        return _mm256_castpd_ps(_mm256_permute4x64_pd::<0b11_01_10_00>(evens));
-    }
-    let mut offsets = [0i32; HALF];
-    for (j, offset) in offsets.iter_mut().enumerate() {
-        *offset = (j * stride) as i32;
-    }
-    gather_half(src, at, &offsets, mask)
-}
-
-/// A block with AVX2, each 16-lane vector as two 8-lane halves: the same
-/// arithmetic as [`block_avx512`] — `bias`, then per tap the product
-/// added where the tap is valid (a blend), then the clamp — with the
-/// inputs loaded by [`every_nth_half`] where a half lies in one run of
-/// an output row (always at stride 1 with "same" padding) and gathered
-/// otherwise, a broadcast or a gather for the weights, and one store per
-/// half.
-///
-/// # Safety
-///
-/// The CPU must support AVX2 and FMA. `table` and `block` must come from
-/// the call's [`Layout`], `dst` be the grain's outputs.
-#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-#[target_feature(enable = "avx2,fma")]
-#[inline]
-unsafe fn block_avx2<const K: usize, const CONTIGUOUS: bool, const UNIFORM: bool>(
+fn run_block<V: V16, const K: usize, const CONTIGUOUS: bool, const UNIFORM: bool>(
     job: &Job,
     table: &Table,
     block: &Block,
     dst: &mut [f32],
 ) {
-    use arch::*;
-    const HALVES: usize = LANES / HALF;
     let (k_h, k_w) = filter::<K>(&job.geom);
     let taps = k_h * k_w;
-    let stride = if CONTIGUOUS { 1 } else { job.geom.stride };
-    let (phase, masks) = (&table.phases[block.phase], table.masks(block.phase));
-    let mut lane_weights = [0i32; LANES];
-    for (w, &c) in lane_weights.iter_mut().zip(&phase.channels) {
-        *w = c * taps as i32;
-    }
-    // Two vectors at a time: their four accumulators, the tap's blend
-    // masks and the loads stay in the 16 YMM registers.
-    for pair in (0..BLOCK).step_by(2) {
-        if block.live[pair] == 0 {
+    let (phase, masks) = (
+        &table.phases[block.phase],
+        &table.masks(block.phase)[..taps],
+    );
+    // Where each lane's weights lie from lane 0's.
+    let lane_weights = if UNIFORM {
+        Offsets::ZERO
+    } else {
+        phase.channels.scaled(taps as i32)
+    };
+    // Stride 1 away from the input's ends: every tap of a vector reads 16
+    // floats inside the slice, so the loads need no mask.
+    let span = ((k_h - 1) * job.geom.in_w + k_w - 1 + LANES) as isize;
+    for first in (0..BLOCK).step_by(V::BLOCK) {
+        if block.live[first] == 0 {
             break;
         }
-        let mut at = [(0isize, 0usize, 0usize); 2];
-        let mut live = [[0u32; HALVES]; 2];
-        let mut acc = [[_mm256_setzero_ps(); HALVES]; 2];
-        for v in 0..2 {
-            at[v] = vector_at(&job.layout, block, pair + v);
-            for h in 0..HALVES {
-                live[v][h] = u32::from(block.live[pair + v]) >> (h * HALF) & 0xff;
-                acc[v][h] = if UNIFORM {
-                    _mm256_set1_ps(job.bias[at[v].1])
-                } else {
-                    let (first, channels) = (at[v].1 as isize, &phase.channels[h * HALF..]);
-                    gather_half(job.bias, first, channels, live[v][h])
-                };
+        let mut at = [(0isize, 0usize, 0usize); BLOCK];
+        let mut weights = [&[][..]; BLOCK];
+        let mut acc = [V::splat(0.0); BLOCK];
+        for i in 0..V::BLOCK {
+            at[i] = vector_at(&job.layout, block, first + i);
+            weights[i] = &job.weight[at[i].1 * taps..];
+            if UNIFORM {
+                weights[i] = &weights[i][..taps];
             }
+            // Per-lane channels (small planes): live lanes lie in the
+            // image's channels, so their bias and weights lie in the
+            // slices.
+            acc[i] = if UNIFORM {
+                V::splat(job.bias[at[i].1])
+            } else {
+                let live = block.live[first + i];
+                V::pick(job.bias, at[i].1 as isize, &phase.channels, live)
+            };
         }
+        let inside = CONTIGUOUS
+            && (0..V::BLOCK).all(|i| at[i].0 >= 0 && at[i].0 + span <= job.input.len() as isize);
         let mut t = 0;
         for kh in 0..k_h {
             for kw in 0..k_w {
                 let tap = (kh * job.geom.in_w + kw) as isize;
-                let mut valid = [0u32; HALVES];
-                let mut blend = [_mm256_setzero_ps(); HALVES];
-                for h in 0..HALVES {
-                    valid[h] = u32::from(masks[t]) >> (h * HALF) & 0xff;
-                    blend[h] = _mm256_castsi256_ps(half_mask(valid[h]));
-                }
-                for v in 0..2 {
-                    let (src, first) = (at[v].0 + tap, at[v].1 * taps + t);
-                    let uniform = _mm256_set1_ps(if UNIFORM { job.weight[first] } else { 0.0 });
-                    for h in 0..HALVES {
-                        let m = valid[h] & live[v][h];
-                        let lanes = &phase.lanes[h * HALF..];
-                        // SAFETY: the lanes of `m` are valid taps of live
-                        // lanes: they read inside the input.
-                        let x = if CONTIGUOUS || phase.runs[h] {
-                            every_nth_half(job.input, src + lanes[0] as isize, stride, m)
-                        } else {
-                            gather_half(job.input, src, lanes, m)
-                        };
-                        let w = if UNIFORM {
-                            uniform
-                        } else {
-                            let weights = &lane_weights[h * HALF..];
-                            let live = live[v][h];
-                            gather_half(job.weight, first as isize, weights, live)
-                        };
-                        let sum = _mm256_add_ps(acc[v][h], _mm256_mul_ps(w, x));
-                        acc[v][h] = _mm256_blendv_ps(acc[v][h], sum, blend[h]);
-                    }
+                for i in 0..V::BLOCK {
+                    let live = block.live[first + i];
+                    let src = at[i].0 + tap;
+                    let x = if CONTIGUOUS && inside {
+                        V::load(job.input, src)
+                    } else if CONTIGUOUS {
+                        V::load_masked(job.input, src, masks[t] & live)
+                    } else {
+                        V::pick(job.input, src, &phase.lanes, masks[t] & live)
+                    };
+                    let w = if UNIFORM {
+                        V::splat(weights[i][t])
+                    } else {
+                        V::pick(weights[i], t as isize, &lane_weights, live)
+                    };
+                    // Lanes past the grain's end are never stored: the
+                    // add needs the tap's mask alone.
+                    acc[i] = acc[i].mul_add(masks[t], w, x);
                 }
                 t += 1;
             }
         }
-        for v in 0..2 {
-            for h in 0..HALVES {
-                let live = live[v][h];
-                if live == 0 {
-                    continue;
-                }
-                let acc = if job.relu {
-                    _mm256_max_ps(acc[v][h], _mm256_setzero_ps())
-                } else {
-                    acc[v][h]
-                };
-                let out = &mut dst[at[v].2 + h * HALF..][..live.count_ones() as usize];
-                // SAFETY: `live` enables the first `out.len()` lanes.
-                _mm256_maskstore_ps(out.as_mut_ptr(), half_mask(live), acc);
+        for i in 0..V::BLOCK {
+            let live = block.live[first + i];
+            if live == 0 {
+                continue;
             }
+            let acc = if job.relu { acc[i].relu() } else { acc[i] };
+            acc.store(&mut dst[at[i].2..][..LANES - live.leading_zeros() as usize]);
         }
-    }
-}
-
-/// The AVX-512 body ([`block_avx512`]).
-#[cfg(target_arch = "x86_64")]
-struct Avx512;
-
-#[cfg(target_arch = "x86_64")]
-impl Body for Avx512 {
-    #[inline(always)]
-    fn block<const K: usize, const CONTIGUOUS: bool, const UNIFORM: bool>(
-        job: &Job,
-        table: &Table,
-        block: &Block,
-        dst: &mut [f32],
-    ) {
-        // SAFETY: `Avx512` only runs under `run_grains_avx512`, whose
-        // caller confirmed AVX-512F.
-        unsafe { block_avx512::<K, CONTIGUOUS, UNIFORM>(job, table, block, dst) }
-    }
-}
-
-/// Whether every lane of `mask` reads inside a slice of `len` floats
-/// when lane `j` reads `at + offsets[j]`.
-#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-fn lanes_inside(len: usize, at: isize, offsets: &[i32], mask: u32) -> bool {
-    (0..offsets.len())
-        .filter(|j| mask >> j & 1 != 0)
-        .all(|j| (0..len as isize).contains(&(at + offsets[j] as isize)))
-}
-
-/// `src[at + j]` in the lanes `j` of `mask`, zero in the others.
-///
-/// # Safety
-///
-/// The CPU must support AVX-512F, and every lane of `mask` must read
-/// inside `src` (debug builds assert it).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-#[inline]
-unsafe fn load_masked(src: &[f32], at: isize, mask: u16) -> core::arch::x86_64::__m512 {
-    use core::arch::x86_64::*;
-    debug_assert!(
-        lanes_inside(src.len(), at, &CONSECUTIVE, mask.into()),
-        "a masked load leaves its slice"
-    );
-    // SAFETY: only the lanes of `mask` are read, and they lie inside
-    // `src`; the pointer is only formed, never read, outside it.
-    _mm512_maskz_loadu_ps(mask, src.as_ptr().wrapping_offset(at))
-}
-
-/// The 16 floats of `src` from `at`, zero where they fall outside it.
-///
-/// # Safety
-///
-/// The CPU must support AVX-512F.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-#[inline]
-unsafe fn window(src: &[f32], at: isize) -> core::arch::x86_64::__m512 {
-    use core::arch::x86_64::*;
-    let len = src.len() as isize;
-    if at >= 0 && at + LANES as isize <= len {
-        // SAFETY: the 16 floats lie inside `src` (checked above).
-        return _mm512_loadu_ps(src.as_ptr().offset(at));
-    }
-    let lo = (-at).clamp(0, LANES as isize) as u32;
-    let hi = (len - at).clamp(0, LANES as isize) as u32;
-    let inside = ((1u32 << hi) - 1) as u16 & !(((1u32 << lo) - 1) as u16);
-    // SAFETY: `inside` enables exactly the lanes inside `src`.
-    load_masked(src, at, inside)
-}
-
-/// `src[at + offsets[j]]` in the lanes `j` of `mask` (the others
-/// unspecified), for offsets in `0..=reach`: out of the `reach / 16 + 1`
-/// 16-float windows from `at` by two-source permutes (and a blend past
-/// 32), each window loaded where it lies inside `src`; a gather past
-/// [`PERMUTE_REACH`].
-///
-/// # Safety
-///
-/// The CPU must support AVX-512F; `idx` must hold `offsets` and every
-/// lane of `mask` must read inside `src` (debug builds assert it).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-#[inline]
-unsafe fn pick(
-    src: &[f32],
-    at: isize,
-    offsets: &[i32; LANES],
-    idx: core::arch::x86_64::__m512i,
-    reach: usize,
-    mask: u16,
-) -> core::arch::x86_64::__m512 {
-    use core::arch::x86_64::*;
-    debug_assert!(
-        lanes_inside(src.len(), at, offsets, mask.into()),
-        "a picked lane leaves its slice"
-    );
-    if reach >= PERMUTE_REACH {
-        // SAFETY: only the lanes of `mask` are read, and they lie inside
-        // `src`; the base pointer is only formed outside it.
-        return _mm512_mask_i32gather_ps::<4>(
-            _mm512_setzero_ps(),
-            mask,
-            idx,
-            src.as_ptr().wrapping_offset(at),
-        );
-    }
-    let zero = _mm512_setzero_ps();
-    let lo = _mm512_permutex2var_ps(
-        window(src, at),
-        idx,
-        if reach >= LANES {
-            window(src, at + LANES as isize)
-        } else {
-            zero
-        },
-    );
-    if reach < 2 * LANES {
-        return lo;
-    }
-    let hi = _mm512_permutex2var_ps(
-        window(src, at + 2 * LANES as isize),
-        idx,
-        if reach >= 3 * LANES {
-            window(src, at + 3 * LANES as isize)
-        } else {
-            zero
-        },
-    );
-    let upper = _mm512_test_epi32_mask(idx, _mm512_set1_epi32(2 * LANES as i32));
-    _mm512_mask_blend_ps(upper, lo, hi)
-}
-
-/// A block with AVX-512F, tap by tap: lane-parallel the same arithmetic
-/// as [`Portable::block`] — `bias`, then per tap a masked add of the
-/// product, then the clamp — with plain loads (stride 1, "same" padding,
-/// away from the input's ends), masked loads (the same at the ends) or
-/// [`pick`]s for the inputs, a broadcast or a [`pick`] for the weights,
-/// and one masked store per vector.
-///
-/// # Safety
-///
-/// The CPU must support AVX-512F. `table` and `block` must come from the
-/// call's [`Layout`], `dst` be the grain's outputs.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-#[inline]
-unsafe fn block_avx512<const K: usize, const CONTIGUOUS: bool, const UNIFORM: bool>(
-    job: &Job,
-    table: &Table,
-    block: &Block,
-    dst: &mut [f32],
-) {
-    use core::arch::x86_64::*;
-    let (k_h, k_w) = filter::<K>(&job.geom);
-    let taps = k_h * k_w;
-    let (phase, masks) = (&table.phases[block.phase], table.masks(block.phase));
-    let mut at = [(0isize, 0usize, 0usize); BLOCK];
-    let mut weights = [&[][..]; BLOCK];
-    for i in 0..BLOCK {
-        at[i] = vector_at(&job.layout, block, i);
-        weights[i] = &job.weight[at[i].1 * taps..][..taps];
-    }
-    // Stride 1 away from the input's ends: every tap of every vector
-    // reads 16 floats inside the slice, so the loads need no mask.
-    let span = ((k_h - 1) * job.geom.in_w + k_w - 1 + LANES) as isize;
-    let inside = CONTIGUOUS
-        && (0..BLOCK).all(|i| at[i].0 >= 0 && at[i].0 + span <= job.input.len() as isize);
-    // Per-lane channels (small planes): live lanes lie in the image's
-    // channels, so their bias and weights lie in the slices.
-    let lane_channels = _mm512_loadu_epi32(phase.channels.as_ptr());
-    let mut lane_weights = [0i32; LANES];
-    for (w, &c) in lane_weights.iter_mut().zip(&phase.channels) {
-        *w = c * taps as i32;
-    }
-    let weight_idx = _mm512_loadu_epi32(lane_weights.as_ptr());
-    let input_idx = _mm512_loadu_epi32(phase.lanes.as_ptr());
-    let mut acc = [_mm512_setzero_ps(); BLOCK];
-    for i in 0..BLOCK {
-        acc[i] = if UNIFORM {
-            _mm512_set1_ps(job.bias[at[i].1])
-        } else {
-            let reach = phase.channels[LANES - 1] as usize;
-            let first = at[i].1 as isize;
-            pick(
-                job.bias,
-                first,
-                &phase.channels,
-                lane_channels,
-                reach,
-                block.live[i],
-            )
-        };
-    }
-    let mut t = 0;
-    for kh in 0..k_h {
-        for kw in 0..k_w {
-            let tap = (kh * job.geom.in_w + kw) as isize;
-            for i in 0..BLOCK {
-                let m = masks[t] & block.live[i];
-                let src = at[i].0 + tap;
-                // SAFETY: with `inside` the 16 inputs lie inside the
-                // slice; otherwise only the lanes of `m` are read, valid
-                // taps of live lanes, which lie inside it.
-                let x = if CONTIGUOUS && inside {
-                    debug_assert!(src >= 0 && src as usize + LANES <= job.input.len());
-                    _mm512_loadu_ps(job.input.as_ptr().offset(src))
-                } else if CONTIGUOUS {
-                    load_masked(job.input, src, m)
-                } else {
-                    pick(job.input, src, &phase.lanes, input_idx, phase.reach, m)
-                };
-                let w = if UNIFORM {
-                    _mm512_set1_ps(weights[i][t])
-                } else {
-                    let reach = lane_weights[LANES - 1] as usize;
-                    let first = (at[i].1 * taps + t) as isize;
-                    let live = block.live[i];
-                    pick(job.weight, first, &lane_weights, weight_idx, reach, live)
-                };
-                // Lanes past the grain's end are never stored: the
-                // add needs the tap's mask alone.
-                acc[i] = _mm512_mask_add_ps(acc[i], masks[t], acc[i], _mm512_mul_ps(w, x));
-            }
-            t += 1;
-        }
-    }
-    for i in 0..BLOCK {
-        let live = block.live[i];
-        if live == 0 {
-            continue;
-        }
-        let acc = if job.relu {
-            _mm512_max_ps(acc[i], _mm512_setzero_ps())
-        } else {
-            acc[i]
-        };
-        let out = &mut dst[at[i].2..][..LANES - live.leading_zeros() as usize];
-        // SAFETY: `live` enables the first `out.len()` lanes.
-        _mm512_mask_storeu_ps(out.as_mut_ptr(), live, acc);
     }
 }
 

@@ -27,6 +27,7 @@ pub mod init;
 pub mod ops;
 pub mod shape;
 pub mod tensor;
+mod v16;
 pub mod winograd;
 
 pub use aligned::AlignedBuf;

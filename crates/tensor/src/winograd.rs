@@ -30,32 +30,30 @@
 //!   every frequency ξ, straight into the B-panel layout of an
 //!   `in_c × tiles` operand: the 16 tiles of one `NR` panel are the 16
 //!   lanes of one lane array, so a channel's row of a panel is one
-//!   contiguous 64-byte store per frequency. The AVX-512 and AVX2 bodies
-//!   fill a lane array with one masked gather per patch value (two 8-lane
-//!   ones on AVX2): each panel's 16 lane offsets and its per-row and
-//!   per-column lane masks are computed once, and the masks zero the
-//!   padding, the out-of-image part of edge tiles and the lanes past the
-//!   chunk's end. The portable body copies lane by lane (interior tiles
-//!   as α contiguous row runs, edge tiles bounds-checked) and is the
-//!   reference they match bit for bit.
+//!   contiguous 64-byte store per frequency. A lane array is filled with
+//!   one masked `V16::gather` per patch value: each panel's 16 lane
+//!   offsets and its per-row and per-column lane masks are computed once
+//!   (`Lanes`), and the masks zero the padding, the out-of-image part of
+//!   edge tiles and the lanes past the chunk's end.
 //! * **Multiply.** α² prepacked products `M_ξ = U_ξ · V_ξ` run on the
 //!   engine's register tile, each into its own `out_c × tiles`
 //!   accumulator. A threaded call runs one frequency per grain.
 //! * **Output transform.** `Y = Aᵀ M A`, plus the bias, then the fused
 //!   ReLU as `max(·, 0)`, written into the NCHW output where each tile
-//!   lies inside it: F(4×4)'s four-float tile rows by in-register 4×4
-//!   transposes and one (masked at the right edge) store per row on both
-//!   SIMD targets, F(2×2)'s by one masked scatter per output value on
-//!   AVX-512 — whichever measured faster — and by tile-major copies in
-//!   the portable body.
+//!   lies inside it: each group of four tiles' rows by a 4×4 transpose
+//!   and one run per tile row (cut at the right edge), F(2×2)'s two-float
+//!   rows instead by one masked `V16::scatter` per output value where
+//!   the target has a native scatter (AVX-512) — whichever measured
+//!   faster.
 //!
 //! The transforms run in parallel over (panel × 8-channel block) grains
-//! once a stage has enough of them to pay for its threads. Their
-//! arithmetic is one lane-array body written once and instantiated for
-//! the baseline target, AVX2 and AVX-512 behind the GEMM engine's one
+//! once a stage has enough of them to pay for its threads. Arithmetic
+//! and moves are written once — the arithmetic as lane-array loops, the
+//! moves over the crate's 16-lane vocabulary (`V16`) — and instantiated
+//! for the baseline target, AVX2 and AVX-512 behind the GEMM engine's one
 //! dispatch (the kernel [`gemm_kernel_name`](crate::gemm::gemm_kernel_name)
 //! names, so `CNN_STACK_GEMM_FORCE_SCALAR` pins the portable twin here
-//! too); only the moves into and out of the lane arrays differ.
+//! too).
 //!
 //! # Exactness
 //!
@@ -79,8 +77,10 @@ use crate::gemm::{
 };
 use crate::shape::Shape;
 use crate::tensor::Tensor;
+use crate::v16::{run_on, store_rows, Run, V16};
 use cnn_stack_obs::{self as obs, Metric};
 use cnn_stack_parallel::{parallel_for, DisjointWriter, Schedule};
+use std::marker::PhantomData;
 use std::ops::Range;
 
 /// Channels per grain of the input and output transforms: the grain
@@ -554,39 +554,13 @@ enum Stage<'a> {
     },
 }
 
-/// How a transform stage moves one grain's values between the NCHW
-/// tensors and its lane arrays: a panel's 16 tiles are the 16 lanes, and
-/// the grain walks its channels with one [`Mover::load`] (input) or
-/// [`Mover::store`] (output) each. The portable mover copies lane by
-/// lane; the SIMD movers move all 16 lanes of a value at once (masked
-/// gathers and scatters) or four tiles' rows at once (transposed row
-/// stores). Movers do no arithmetic: the lane arrays, and every bit,
-/// are the same whichever moves them.
-trait Mover {
-    /// Where a panel's lanes read their patches.
-    type Patches;
-    /// Where a panel's lanes write their output tiles.
-    type Targets;
-    /// The patches of panel `jp` of `chunk`.
-    fn patches(job: &Job, chunk: Chunk, jp: usize) -> Self::Patches;
-    /// The output tiles of panel `jp` of `chunk`.
-    fn targets(job: &Job, chunk: Chunk, jp: usize) -> Self::Targets;
-    /// Fills the α² lane arrays of `d` with input channel `c`'s patches:
-    /// zero where a patch reaches into the padding and in lanes past the
-    /// chunk's last tile.
-    fn load(job: &Job, patches: &Self::Patches, c: usize, d: &mut Tile<NR>);
-    /// Writes output channel `o`'s m×m tiles, row-major in the first m²
-    /// lane arrays of `d`, where they lie inside the output.
-    fn store(job: &Job, targets: &Self::Targets, o: usize, d: &Tile<NR>, out: &DisjointWriter);
-}
-
 /// Input transform of grains `grains` of the (panel × channel block)
 /// grid: loads each channel's α×α patch of the panel's 16 tiles into
 /// one lane array and transforms it, then stores the block frequency by
 /// frequency: channel `c`'s 16 values of frequency ξ are row `c` of
 /// B panel `jp` of `V_ξ`.
 #[inline(always)]
-fn input_grains<T: Transform, M: Mover>(
+fn input_grains<T: Transform, V: V16>(
     job: &Job,
     chunk: Chunk,
     v: &DisjointWriter,
@@ -600,9 +574,9 @@ fn input_grains<T: Transform, M: Mover>(
         let (jp, cb) = (grain / blocks, grain % blocks);
         let c0 = cb * CHANNEL_BLOCK;
         let channels = CHANNEL_BLOCK.min(g.in_c - c0);
-        let patches = M::patches(job, chunk, jp);
+        let lanes = job.patch_lanes(chunk, jp);
         for (c, d) in (c0..).zip(&mut block[..channels]) {
-            M::load(job, &patches, c, d);
+            load::<T, V>(job, &lanes, c, d);
             transform_2d::<T, NR>(d, Pass::Input);
         }
         for xi in 0..g.tile.frequencies() {
@@ -624,7 +598,7 @@ fn input_grains<T: Transform, M: Mover>(
 /// adds the bias, applies the epilogue and stores each tile's in-bounds
 /// m×m block.
 #[inline(always)]
-fn output_grains<T: Transform, M: Mover>(
+fn output_grains<T: Transform, V: V16>(
     job: &Job,
     chunk: Chunk,
     products: &[f32],
@@ -641,7 +615,7 @@ fn output_grains<T: Transform, M: Mover>(
         let o0 = ob * CHANNEL_BLOCK;
         let channels = CHANNEL_BLOCK.min(out_c - o0);
         let live = NR.min(chunk.tiles - jp * NR);
-        let targets = M::targets(job, chunk, jp);
+        let lanes = job.tile_lanes(chunk, jp);
         for xi in 0..g.tile.frequencies() {
             for (k, d) in block[..channels].iter_mut().enumerate() {
                 let at = (xi * out_c + o0 + k) * chunk.tiles + jp * NR;
@@ -654,147 +628,22 @@ fn output_grains<T: Transform, M: Mover>(
         for (o, d) in (o0..).zip(&mut block[..channels]) {
             let bias = job.bias.map_or(0.0, |b| b[o]);
             transform_2d::<T, NR>(d, Pass::Output { bias, relu });
-            M::store(job, &targets, o, d, out);
+            store::<T, V>(job, &lanes, o, d, out);
         }
     }
 }
 
-/// The portable mover, and the reference the SIMD ones match: lane by
-/// lane, interior patches as α contiguous row runs, edge patches
-/// bounds-checked value by value, and each output tile transposed to
-/// tile-major and written as runs of `m` floats.
-struct Portable;
-
-/// Where a lane's patch comes from.
-#[derive(Clone, Copy)]
-enum Source {
-    /// Inside the image: α row runs from this offset (channel 0).
-    Interior(usize),
-    /// Reaches into the padding.
-    Edge(Origin),
-    /// Past the chunk's last tile: zeros.
-    Empty,
-}
-
-impl Mover for Portable {
-    type Patches = [Source; NR];
-    /// Per live lane: the tile's top-left in channel 0 of its image,
-    /// and how many of its rows and columns lie inside the output.
-    type Targets = [Option<(usize, usize, usize)>; NR];
-
-    #[inline(always)]
-    fn patches(job: &Job, chunk: Chunk, jp: usize) -> [Source; NR] {
-        let g = &job.geom;
-        let (a, pad, h, w) = (g.tile.alpha(), g.padding, g.h, g.w);
-        job.origins(chunk, jp).map(|origin| match origin {
-            None => Source::Empty,
-            Some(o) if o.oy >= pad && o.oy - pad + a <= h && o.ox >= pad && o.ox - pad + a <= w => {
-                Source::Interior(o.img * g.in_c * h * w + (o.oy - pad) * w + o.ox - pad)
-            }
-            Some(o) => Source::Edge(o),
-        })
-    }
-
-    #[inline(always)]
-    fn targets(job: &Job, chunk: Chunk, jp: usize) -> Self::Targets {
-        let g = &job.geom;
-        let (m, out_h, out_w) = (g.tile.m(), g.out_h(), g.out_w());
-        job.origins(chunk, jp).map(|origin| {
-            origin.map(|o| {
-                let at = o.img * g.out_c * out_h * out_w + o.oy * out_w + o.ox;
-                (at, m.min(out_h - o.oy), m.min(out_w - o.ox))
-            })
-        })
-    }
-
-    #[inline(always)]
-    fn load(job: &Job, sources: &[Source; NR], c: usize, d: &mut Tile<NR>) {
-        let g = &job.geom;
-        let (a, pad, h, w) = (g.tile.alpha(), g.padding, g.h, g.w);
-        let plane = h * w;
-        let input = job.input;
-        for (l, &source) in sources.iter().enumerate() {
-            match source {
-                Source::Interior(top) => {
-                    let patch = &input[top + c * plane..];
-                    for dy in 0..a {
-                        for (dx, &x) in patch[dy * w..][..a].iter().enumerate() {
-                            d[dy * a + dx][l] = x;
-                        }
-                    }
-                }
-                Source::Edge(o) => {
-                    let image = &input[(o.img * g.in_c + c) * plane..][..plane];
-                    for dy in 0..a {
-                        let iy = (o.oy + dy).wrapping_sub(pad);
-                        for dx in 0..a {
-                            let ix = (o.ox + dx).wrapping_sub(pad);
-                            d[dy * a + dx][l] = if iy < h && ix < w {
-                                image[iy * w + ix]
-                            } else {
-                                0.0
-                            };
-                        }
-                    }
-                }
-                Source::Empty => {
-                    for value in d.iter_mut().take(a * a) {
-                        value[l] = 0.0;
-                    }
-                }
-            }
-        }
-    }
-
-    #[inline(always)]
-    fn store(job: &Job, targets: &Self::Targets, o: usize, d: &Tile<NR>, out: &DisjointWriter) {
-        let g = &job.geom;
-        let (m, out_w) = (g.tile.m(), g.out_w());
-        let plane = g.out_h() * out_w;
-        // Tile-major, so each output row is a run of `m` floats.
-        let mut tiles = [[0.0f32; 16]; NR];
-        for (i, y) in d.iter().take(m * m).enumerate() {
-            for (tile, &v) in tiles.iter_mut().zip(y) {
-                tile[i] = v;
-            }
-        }
-        for (tile, target) in tiles.iter().zip(targets) {
-            let Some((at, rows, cols)) = *target else {
-                continue;
-            };
-            for (i, y) in tile.chunks_exact(m).take(rows).enumerate() {
-                let at = at + o * plane + i * out_w;
-                // SAFETY: grain (jp, ob) alone writes the tiles of
-                // panel `jp` in block `ob`'s channel planes; tiles do
-                // not overlap and each row run stays inside its plane.
-                let dst = unsafe { out.slice_mut(at, at + cols) };
-                if cols == m {
-                    // The common whole row, as a constant-length copy.
-                    for (d, &v) in dst.iter_mut().zip(y).take(m) {
-                        *d = v;
-                    }
-                } else {
-                    dst.copy_from_slice(&y[..cols]);
-                }
-            }
-        }
-    }
-}
-
-/// A panel's 16 tiles as the SIMD movers address them: one signed
-/// offset per lane and one lane mask per tile row and per tile column.
-/// Lane `l` moves value (r, s) of its tile at `at[l] + r·w + s` from the
-/// start of the channel's plane in image 0 (`w` the plane's width), so
-/// all 16 lanes of one value are one gather or scatter; its enabled
-/// lanes are `rows[r] & cols[s]`.
-#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+/// A panel's 16 tiles as the movers address them: one signed offset per
+/// lane and one lane mask per tile row and per tile column. Lane `l`
+/// moves value (r, s) of its tile at `at[l] + r·w + s` from the start of
+/// the channel's plane in image 0 (`w` the plane's width), so all 16
+/// lanes of one value are one gather or scatter; its enabled lanes are
+/// `rows[r] & cols[s]`.
 #[derive(Clone, Copy)]
 struct Lanes {
     /// Per lane: the tile's top-left relative to channel 0 of image 0,
     /// negative where the tile starts in the padding.
     at: [i32; NR],
-    /// Per lane: where channel 0 of its image starts (debug checks).
-    image: [usize; NR],
     /// Per tile row: the live lanes whose row lies inside the plane.
     rows: [u16; 6],
     /// Per tile column: the live lanes whose column lies inside.
@@ -803,7 +652,6 @@ struct Lanes {
     width: [usize; NR],
 }
 
-#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
 impl Lanes {
     /// Panel `jp`'s tiles as `extent`² windows shifted `shift` up and
     /// left of their output origins, over `channels` planes of `h × w`.
@@ -817,7 +665,6 @@ impl Lanes {
     ) -> Lanes {
         let mut lanes = Lanes {
             at: [0; NR],
-            image: [0; NR],
             rows: [0; 6],
             cols: [0; 6],
             width: [0; NR],
@@ -826,11 +673,10 @@ impl Lanes {
             let Some(o) = origin else { continue };
             let image = o.img * channels * h * w;
             // Input patches start `shift` above and left of the output
-            // tile; the SIMD bodies only run on tensors whose lengths
-            // fit an i32 (`Lanes::fit`), so the offset does too.
+            // tile; a job's tensors fit an i32 (`Lanes::fit`, else the
+            // batch runs image by image), so the offset does too.
             let top = (o.oy * w + o.ox) as isize - (shift * w + shift) as isize;
             lanes.at[l] = (image as isize + top) as i32;
-            lanes.image[l] = image;
             for r in 0..extent {
                 if (o.oy + r).wrapping_sub(shift) < h {
                     lanes.rows[r] |= 1 << l;
@@ -844,24 +690,14 @@ impl Lanes {
         lanes
     }
 
-    /// Whether the SIMD movers can address a geometry: every offset of
-    /// its input and output tensors fits the gathers' i32 lanes.
+    /// Whether the movers can address a geometry: every offset of its
+    /// input and output tensors fits the gathers' i32 lanes.
     fn fit(g: &WinogradGeometry) -> bool {
         let largest = g.n * g.in_c.max(g.out_c) * (g.h * g.w).max(g.out_h() * g.out_w());
         i32::try_from(largest).is_ok()
     }
-
-    /// Whether every lane of `mask` stays inside its image's plane when
-    /// it moves value `at[l] + step` of a plane of `plane` floats.
-    fn inside(&self, plane: usize, step: usize, mask: u16) -> bool {
-        (0..NR).filter(|l| mask >> l & 1 != 0).all(|l| {
-            let i = self.at[l] as isize + step as isize;
-            (self.image[l] as isize..(self.image[l] + plane) as isize).contains(&i)
-        })
-    }
 }
 
-#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
 impl Job<'_> {
     fn patch_lanes(&self, chunk: Chunk, jp: usize) -> Lanes {
         let g = &self.geom;
@@ -876,327 +712,102 @@ impl Job<'_> {
     }
 }
 
-/// The AVX-512 mover: one masked 16-lane gather per patch value; one
-/// masked 16-lane scatter per output value of an F(2×2) tile, the
-/// transposed row stores of [`store_rows`] for F(4×4).
-#[cfg(target_arch = "x86_64")]
-struct Avx512;
-
-#[cfg(target_arch = "x86_64")]
-impl Mover for Avx512 {
-    type Patches = Lanes;
-    type Targets = Lanes;
-
-    #[inline(always)]
-    fn patches(job: &Job, chunk: Chunk, jp: usize) -> Lanes {
-        job.patch_lanes(chunk, jp)
-    }
-
-    #[inline(always)]
-    fn targets(job: &Job, chunk: Chunk, jp: usize) -> Lanes {
-        job.tile_lanes(chunk, jp)
-    }
-
-    #[inline(always)]
-    fn load(job: &Job, lanes: &Lanes, c: usize, d: &mut Tile<NR>) {
-        // SAFETY: `Avx512` only runs under `stage_grains_avx512`, whose
-        // caller confirmed AVX-512F.
-        unsafe { gather_avx512(job, lanes, c, d) }
-    }
-
-    #[inline(always)]
-    fn store(job: &Job, lanes: &Lanes, o: usize, d: &Tile<NR>, out: &DisjointWriter) {
-        // F(4×4)'s 4-float tile rows are stored faster whole than
-        // scattered; F(2×2)'s 2-float rows the other way round.
-        // SAFETY: as above (AVX-512F implies the AVX2 `store_rows` needs).
-        unsafe {
-            if job.geom.tile == WinogradTile::F4 {
-                store_rows(job, lanes, o, d, out)
-            } else {
-                scatter_avx512(job, lanes, o, d, out)
-            }
-        }
-    }
-}
-
-/// [`Mover::load`] with one masked gather per patch value.
-///
-/// # Safety
-///
-/// The CPU must support AVX-512F and `lanes` must be `job`'s patches.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-#[inline]
-unsafe fn gather_avx512(job: &Job, lanes: &Lanes, c: usize, d: &mut Tile<NR>) {
-    use core::arch::x86_64::*;
-    let g = &job.geom;
-    let (a, w) = (g.tile.alpha(), g.w);
-    let plane = g.h * w;
-    let at = _mm512_loadu_si512(lanes.at.as_ptr().cast());
-    for dy in 0..a {
-        for dx in 0..a {
-            let step = dy * w + dx;
-            let mask = lanes.rows[dy] & lanes.cols[dx];
-            debug_assert!(
-                lanes.inside(plane, step, mask),
-                "a gathered lane leaves its plane"
-            );
-            // SAFETY: the lanes of `mask` read inside channel `c`'s plane
-            // of their images; the base pointer is only formed, never
-            // read, outside the input.
-            let x = _mm512_mask_i32gather_ps::<4>(
-                _mm512_setzero_ps(),
-                mask,
-                at,
-                job.input.as_ptr().wrapping_add(c * plane + step),
-            );
-            _mm512_storeu_ps(d[dy * a + dx].as_mut_ptr(), x);
-        }
-    }
-}
-
-/// [`Mover::store`] with one masked scatter per output value.
-///
-/// # Safety
-///
-/// The CPU must support AVX-512F, `lanes` must be `job`'s targets, and
-/// no other worker may write the panel's tiles of channel `o`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-#[inline]
-unsafe fn scatter_avx512(job: &Job, lanes: &Lanes, o: usize, d: &Tile<NR>, out: &DisjointWriter) {
-    use core::arch::x86_64::*;
-    let g = &job.geom;
-    let (m, out_w) = (g.tile.m(), g.out_w());
-    let plane = g.out_h() * out_w;
-    debug_assert!(o < g.out_c && out.len() == g.n * g.out_c * plane);
-    let at = _mm512_loadu_si512(lanes.at.as_ptr().cast());
-    for i in 0..m {
-        for j in 0..m {
-            let step = i * out_w + j;
-            let mask = lanes.rows[i] & lanes.cols[j];
-            debug_assert!(
-                lanes.inside(plane, step, mask),
-                "a scattered lane leaves its plane"
-            );
-            // SAFETY: the lanes of `mask` write inside channel `o`'s
-            // plane of their images, to values of this grain's tiles
-            // alone; the base pointer is only formed outside the output.
-            _mm512_mask_i32scatter_ps::<4>(
-                out.as_mut_ptr().wrapping_add(o * plane + step),
-                mask,
-                at,
-                _mm512_loadu_ps(d[i * m + j].as_ptr()),
-            );
-        }
-    }
-}
-
-/// The AVX2 mover: two masked 8-lane gathers per patch value; AVX2 has
-/// no scatter, so each group of four tiles is transposed in registers
-/// and written a tile row at a time.
-#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-struct Avx2;
-
-#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-impl Mover for Avx2 {
-    type Patches = Lanes;
-    type Targets = Lanes;
-
-    #[inline(always)]
-    fn patches(job: &Job, chunk: Chunk, jp: usize) -> Lanes {
-        job.patch_lanes(chunk, jp)
-    }
-
-    #[inline(always)]
-    fn targets(job: &Job, chunk: Chunk, jp: usize) -> Lanes {
-        job.tile_lanes(chunk, jp)
-    }
-
-    #[inline(always)]
-    fn load(job: &Job, lanes: &Lanes, c: usize, d: &mut Tile<NR>) {
-        // SAFETY: `Avx2` only runs under `stage_grains_avx2`, whose
-        // caller confirmed AVX2 and FMA.
-        unsafe { gather_avx2(job, lanes, c, d) }
-    }
-
-    #[inline(always)]
-    fn store(job: &Job, lanes: &Lanes, o: usize, d: &Tile<NR>, out: &DisjointWriter) {
-        // SAFETY: as above.
-        unsafe { store_rows(job, lanes, o, d, out) }
-    }
-}
-
-#[cfg(target_arch = "x86")]
-use core::arch::x86 as arch;
-#[cfg(target_arch = "x86_64")]
-use core::arch::x86_64 as arch;
-
-/// [`Mover::load`] with two masked 8-lane gathers per patch value.
-///
-/// # Safety
-///
-/// The CPU must support AVX2 and `lanes` must be `job`'s patches.
-#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-#[target_feature(enable = "avx2")]
-#[inline]
-unsafe fn gather_avx2(job: &Job, lanes: &Lanes, c: usize, d: &mut Tile<NR>) {
-    use arch::*;
-    const HALF: usize = NR / 2;
-    let g = &job.geom;
-    let (a, w) = (g.tile.alpha(), g.w);
-    let plane = g.h * w;
-    let at = [0, HALF].map(|l| _mm256_loadu_si256(lanes.at[l..].as_ptr().cast()));
-    for dy in 0..a {
-        for dx in 0..a {
-            let step = dy * w + dx;
-            let mask = lanes.rows[dy] & lanes.cols[dx];
-            debug_assert!(
-                lanes.inside(plane, step, mask),
-                "a gathered lane leaves its plane"
-            );
-            let src = job.input.as_ptr().wrapping_add(c * plane + step);
-            for (h, at) in at.iter().enumerate() {
-                let half = crate::depthwise::half_mask(u32::from(mask) >> (h * HALF) & 0xff);
-                // SAFETY: the lanes of `half` read inside channel `c`'s
-                // plane of their images; `src` is only formed, never
-                // read, outside the input.
-                let x = _mm256_mask_i32gather_ps::<4>(
-                    _mm256_setzero_ps(),
-                    src,
-                    *at,
-                    _mm256_castsi256_ps(half),
-                );
-                _mm256_storeu_ps(d[dy * a + dx][h * HALF..].as_mut_ptr(), x);
-            }
-        }
-    }
-}
-
-/// [`Mover::store`] by in-register transposes: for each group of four
-/// lanes and each tile row, the row's m values of the four tiles become
-/// four 4-float vectors, one per tile, each written with one store
-/// (masked where the tile overhangs the output's right edge).
-///
-/// # Safety
-///
-/// The CPU must support AVX2, `lanes` must be `job`'s targets, and no
-/// other worker may write the panel's tiles of channel `o`.
-#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-#[target_feature(enable = "avx2")]
-#[inline]
-unsafe fn store_rows(job: &Job, lanes: &Lanes, o: usize, d: &Tile<NR>, out: &DisjointWriter) {
-    use arch::*;
-    let g = &job.geom;
-    let (m, out_w) = (g.tile.m(), g.out_w());
-    let plane = g.out_h() * out_w;
-    for q in (0..NR).step_by(4) {
-        if lanes.width[q] == 0 {
-            // Lanes die in order: this group and the rest are past the
-            // chunk's last tile.
-            break;
-        }
-        for i in 0..m {
-            let at = |j: usize| _mm_loadu_ps(d[i * m + j][q..].as_ptr());
-            let rows = if m == 4 {
-                let (r0, r1, r2, r3) = (at(0), at(1), at(2), at(3));
-                let (t0, t1) = (_mm_unpacklo_ps(r0, r1), _mm_unpacklo_ps(r2, r3));
-                let (t2, t3) = (_mm_unpackhi_ps(r0, r1), _mm_unpackhi_ps(r2, r3));
-                [
-                    _mm_movelh_ps(t0, t1),
-                    _mm_movehl_ps(t1, t0),
-                    _mm_movelh_ps(t2, t3),
-                    _mm_movehl_ps(t3, t2),
-                ]
-            } else {
-                let (lo, hi) = (_mm_unpacklo_ps(at(0), at(1)), _mm_unpackhi_ps(at(0), at(1)));
-                [lo, _mm_movehl_ps(lo, lo), hi, _mm_movehl_ps(hi, hi)]
-            };
-            for (l, row) in (q..).zip(rows) {
-                if lanes.rows[i] >> l & 1 == 0 {
-                    continue;
-                }
-                let cols = lanes.width[l];
-                let start = (lanes.at[l] as isize + (o * plane + i * out_w) as isize) as usize;
-                debug_assert!(
-                    lanes.inside(plane, i * out_w, 1 << l)
-                        && lanes.inside(plane, i * out_w + cols - 1, 1 << l),
-                    "a stored row leaves its plane"
-                );
-                // SAFETY: grain (jp, ob) alone writes the tiles of panel
-                // `jp` in block `ob`'s channel planes; tiles do not
-                // overlap and each row run stays inside its plane.
-                let dst = out.slice_mut(start, start + cols);
-                if cols == 4 {
-                    _mm_storeu_ps(dst.as_mut_ptr(), row);
-                } else if cols == 2 {
-                    // F(2×2)'s whole row: the low two floats.
-                    _mm_store_sd(dst.as_mut_ptr().cast(), _mm_castps_pd(row));
-                } else {
-                    let first = _mm_setr_epi32(0, 1, 2, 3);
-                    let keep = _mm_cmplt_epi32(first, _mm_set1_epi32(cols as i32));
-                    // SAFETY: `keep` enables the `cols` floats of `dst`.
-                    _mm_maskstore_ps(dst.as_mut_ptr(), keep, row);
-                }
-            }
-        }
-    }
-}
-
+/// Fills the α² lane arrays of `d` with input channel `c`'s patches of
+/// the panel `lanes` describes, one masked gather per patch value: zero
+/// where a patch reaches into the padding and in lanes past the chunk's
+/// last tile.
 #[inline(always)]
-fn stage_grains<T: Transform, M: Mover>(
-    job: &Job,
-    chunk: Chunk,
-    stage: Stage,
-    grains: Range<usize>,
-) {
-    match stage {
-        Stage::Input { v } => input_grains::<T, M>(job, chunk, v, grains),
-        Stage::Output { products, out } => output_grains::<T, M>(job, chunk, products, out, grains),
+fn load<T: Transform, V: V16>(job: &Job, lanes: &Lanes, c: usize, d: &mut Tile<NR>) {
+    let (a, w) = (T::TILE.alpha(), job.geom.w);
+    let plane = job.geom.h * w;
+    for dy in 0..a {
+        for dx in 0..a {
+            let at = (c * plane + dy * w + dx) as isize;
+            let mask = lanes.rows[dy] & lanes.cols[dx];
+            V::gather(job.input, at, &lanes.at, mask).store(&mut d[dy * a + dx]);
+        }
     }
 }
 
-/// [`stage_grains`] compiled for AVX2 on the [`Avx2`] mover: the
-/// transforms are the portable body, the wider target only lets it use
-/// 8-lane vectors.
-///
-/// # Safety
-///
-/// The CPU must support AVX2 and FMA ([`MicroKernel::supported`]).
-#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn stage_grains_avx2<T: Transform>(
+/// Writes output channel `o`'s m×m tiles, row-major in the first m² lane
+/// arrays of `d`, where they lie inside the output. F(4×4)'s four-float
+/// tile rows leave as rows: each group of four lanes is transposed, and
+/// each lane's row is one run of as many floats as lie inside. F(2×2)'s
+/// two-float rows are scattered one value at a time where the target
+/// has a native scatter, which measured faster there.
+#[inline(always)]
+fn store<T: Transform, V: V16>(
     job: &Job,
-    chunk: Chunk,
-    stage: Stage,
-    grains: Range<usize>,
+    lanes: &Lanes,
+    o: usize,
+    d: &Tile<NR>,
+    out: &DisjointWriter,
 ) {
-    stage_grains::<T, Avx2>(job, chunk, stage, grains);
+    let (m, out_w) = (T::TILE.m(), job.geom.out_w());
+    let plane = job.geom.out_h() * out_w;
+    if V::SCATTER && m == 2 {
+        for i in 0..m {
+            for j in 0..m {
+                let at = (o * plane + i * out_w + j) as isize;
+                let mask = lanes.rows[i] & lanes.cols[j];
+                // SAFETY: grain (jp, ob) alone writes the tiles of panel
+                // `jp` in block `ob`'s channel planes, and tiles do not
+                // overlap.
+                unsafe { V::load(&d[i * m + j], 0).scatter(out, at, &lanes.at, mask) };
+            }
+        }
+        return;
+    }
+    for i in 0..m {
+        let at = o * plane + i * out_w;
+        // SAFETY: as above; each row run stays inside its plane.
+        unsafe {
+            store_rows(
+                &d[i * m..][..m],
+                out,
+                at,
+                &lanes.at,
+                &lanes.width,
+                lanes.rows[i],
+            )
+        };
+    }
 }
 
-/// [`stage_grains`] compiled for AVX-512F on the [`Avx512`] mover: one
-/// lane array of 16 tiles is one register.
-///
-/// # Safety
-///
-/// The CPU must support AVX-512F ([`MicroKernel::supported`]).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn stage_grains_avx512<T: Transform>(
-    job: &Job,
+/// One transform stage of a chunk over grains `grains` of its (panel ×
+/// channel block) grid.
+struct StageGrains<'a, T> {
+    job: &'a Job<'a>,
     chunk: Chunk,
-    stage: Stage,
+    stage: Stage<'a>,
     grains: Range<usize>,
-) {
-    stage_grains::<T, Avx512>(job, chunk, stage, grains);
+    transform: PhantomData<T>,
+}
+
+impl<T: Transform> Run for StageGrains<'_, T> {
+    type Output = ();
+
+    #[inline(always)]
+    fn run<V: V16>(&self) {
+        let StageGrains { job, chunk, .. } = *self;
+        let grains = self.grains.clone();
+        match self.stage {
+            Stage::Input { v } => input_grains::<T, V>(job, chunk, v, grains),
+            Stage::Output { products, out } => {
+                output_grains::<T, V>(job, chunk, products, out, grains)
+            }
+        }
+    }
 }
 
 /// Transform-domain values (panel rows × α², one row being one channel
 /// of one 16-tile panel) each worker must get before a transform stage
-/// is worth a parallel region. Above it two threads transform VGG-16's
-/// batch-8 conv1_2 and conv2_2 chunks 1.2–1.3× faster than one; below
-/// it the thread start-up costs more than the split saves (batch-1
-/// conv4_2's F(2×2) stages, 512 rows × 16, ran 1.15× slower on two).
+/// is worth a parallel region; below it the thread start-up costs more
+/// than the split saves (batch-1 conv4_2's F(2×2) stages, 512 rows × 16,
+/// ran 1.15× slower on two). Above it the split does not pay on every
+/// host either: on a 2-vCPU Sapphire Rapids Xeon, VGG-16's whole batch-8
+/// conv1_2 (`run` on whole chunks) took 3.14 ms on two workers against
+/// 2.63 ms on one, and conv2_1 1.22 against 1.13 ms.
 const VALUES_PER_WORKER: usize = 8192;
 
 /// Runs one transform stage of `chunk` over its (panel × channel block)
@@ -1214,23 +825,18 @@ fn run_stage<T: Transform>(
     let grains = chunk.panels() * channels.div_ceil(CHANNEL_BLOCK);
     let values = chunk.panels() * channels * job.geom.tile.frequencies();
     let threads = threads.min(values / VALUES_PER_WORKER).max(1);
-    // Lane offsets are i32: a tensor too long for them runs the
-    // portable mover, which writes the same bits.
-    #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-    let kernel = if Lanes::fit(&job.geom) {
-        kernel
-    } else {
-        MicroKernel::Scalar
-    };
-    parallel_for(threads, grains, schedule, |range| match kernel {
-        MicroKernel::Scalar => stage_grains::<T, Portable>(job, chunk, stage, range),
-        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-        // SAFETY: a SIMD kernel is only ever selected after
-        // `MicroKernel::supported` confirmed AVX2 and FMA.
-        MicroKernel::Avx2Fma => unsafe { stage_grains_avx2::<T>(job, chunk, stage, range) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: as above, for AVX-512F.
-        MicroKernel::Avx512 => unsafe { stage_grains_avx512::<T>(job, chunk, stage, range) },
+    parallel_for(threads, grains, schedule, |grains| {
+        let transform = PhantomData::<T>;
+        run_on(
+            kernel,
+            &StageGrains {
+                job,
+                chunk,
+                stage,
+                grains,
+                transform,
+            },
+        )
     });
 }
 
@@ -1373,8 +979,42 @@ fn winograd_conv2d_on(
         bias,
         epilogue,
     };
-    let block = g.block_tiles(threads);
-    run(kernel, &job, bank, out, scratch, block, threads, schedule);
+    if Lanes::fit(g) {
+        run(
+            kernel,
+            &job,
+            bank,
+            out,
+            scratch,
+            g.block_tiles(threads),
+            threads,
+            schedule,
+        );
+    } else {
+        // Lane offsets are i32: a batch too long for them runs image by
+        // image (every split writes the same bits), where they count
+        // within one image's channel planes.
+        let one = WinogradGeometry { n: 1, ..*g };
+        let plane = WinogradGeometry {
+            in_c: 1,
+            out_c: 1,
+            ..one
+        };
+        assert!(
+            Lanes::fit(&plane),
+            "a Winograd plane holds fewer than 2^31 floats"
+        );
+        let images = input.chunks(g.in_c * g.h * g.w);
+        for (input, out) in images.zip(out.chunks_mut(g.out_c * g.out_h() * g.out_w())) {
+            let job = Job {
+                geom: one,
+                input,
+                ..job
+            };
+            let block = one.block_tiles(threads);
+            run(kernel, &job, bank, out, scratch, block, threads, schedule);
+        }
+    }
     obs::with_current(|o| o.metrics().add(Metric::WinogradTiles, g.tiles() as u64));
     Ok(())
 }
@@ -1930,50 +1570,94 @@ mod tests {
             out.iter().map(|x| x.to_bits()).collect()
         }
 
-        /// What mover `M` loads for every panel and input channel of
-        /// blocks of `block` tiles, then the output it writes when it
-        /// stores the same lane values for every output channel, as
-        /// bits: the movers do no arithmetic, so NaN payloads must
-        /// survive too.
-        fn moved<M: Mover>(&self, block: usize) -> Vec<u32> {
+        /// What the movers load for every panel and input channel of
+        /// blocks of `block` tiles on `kernel`'s instantiation, then the
+        /// output they write when they store the same lane values for
+        /// every output channel, as bits: the movers do no arithmetic,
+        /// so NaN payloads must survive too.
+        fn moved<T: Transform>(&self, kernel: MicroKernel, block: usize) -> Vec<u32> {
+            let (case, transform) = (self, PhantomData::<T>);
+            let body = Moved {
+                case,
+                block,
+                transform,
+            };
+            crate::v16::run_on(kernel, &body)
+        }
+
+        /// The stand-in lane values the movers store for output channel
+        /// `o`: value `i` of lane `l`.
+        fn lane_value(&self, o: usize, i: usize, l: usize) -> f32 {
+            self.products[((o * MAX_FREQS + i) * NR + l) % self.products.len()]
+        }
+
+        /// [`moved`](Self::moved) straight from the definition of a
+        /// patch, lane by lane and value by value, every read bounds
+        /// checked: lane `l` of panel `jp` is tile `t0 + 16·jp + l`,
+        /// value `(r, s)` of its patch is `input[img, c, oy − pad + r,
+        /// ox − pad + s]`, 0.0 outside the image or past the chunk; its
+        /// in-bounds output value `(i, j)` is written to `out[img, o,
+        /// oy + i, ox + j]`.
+        fn moved_reference(&self, block: usize) -> Vec<u32> {
             let g = &self.geom;
-            let job = self.job();
+            let (a, m, pad) = (g.tile.alpha(), g.tile.m(), g.padding as isize);
+            let (out_h, out_w) = (g.out_h(), g.out_w());
             let mut bits = Vec::new();
-            let mut out = vec![f32::NAN; g.n * g.out_c * g.out_h() * g.out_w()];
-            let writer = DisjointWriter::new(&mut out);
+            let mut out = vec![f32::NAN; g.n * g.out_c * out_h * out_w];
             let mut t0 = 0;
             while t0 < g.tiles() {
-                let chunk = Chunk {
-                    t0,
-                    tiles: block.min(g.tiles() - t0),
-                };
-                for jp in 0..chunk.panels() {
-                    let patches = M::patches(&job, chunk, jp);
+                let tiles = block.min(g.tiles() - t0);
+                for jp in 0..tiles.div_ceil(NR) {
+                    let origin = |l: usize| {
+                        let t = t0 + jp * NR + l;
+                        let at = t % g.image_tiles();
+                        let (oy, ox) = (at / g.tiles_x() * m, at % g.tiles_x() * m);
+                        (jp * NR + l < tiles).then_some((t / g.image_tiles(), oy, ox))
+                    };
                     for c in 0..g.in_c {
-                        let mut d = [[f32::NAN; NR]; MAX_FREQS];
-                        M::load(&job, &patches, c, &mut d);
-                        let patch = d.iter().take(g.tile.frequencies()).flatten();
-                        bits.extend(patch.map(|x| x.to_bits()));
+                        for r in 0..a {
+                            for s in 0..a {
+                                for l in 0..NR {
+                                    let x = origin(l).map_or(0.0, |(img, oy, ox)| {
+                                        let iy = (oy + r) as isize - pad;
+                                        let ix = (ox + s) as isize - pad;
+                                        let inside = (0..g.h as isize).contains(&iy)
+                                            && (0..g.w as isize).contains(&ix);
+                                        if inside {
+                                            let (iy, ix) = (iy as usize, ix as usize);
+                                            self.input[((img * g.in_c + c) * g.h + iy) * g.w + ix]
+                                        } else {
+                                            0.0
+                                        }
+                                    });
+                                    bits.push(x.to_bits());
+                                }
+                            }
+                        }
                     }
-                    let targets = M::targets(&job, chunk, jp);
                     for o in 0..g.out_c {
-                        let d: Tile<NR> = std::array::from_fn(|i| {
-                            std::array::from_fn(|l| {
-                                let at = ((o * MAX_FREQS + i) * NR + l) % self.products.len();
-                                self.products[at]
-                            })
-                        });
-                        M::store(&job, &targets, o, &d, &writer);
+                        for l in 0..NR {
+                            let Some((img, oy, ox)) = origin(l) else {
+                                continue;
+                            };
+                            for i in (0..m).filter(|i| oy + i < out_h) {
+                                for j in (0..m).filter(|j| ox + j < out_w) {
+                                    let at =
+                                        ((img * g.out_c + o) * out_h + oy + i) * out_w + ox + j;
+                                    out[at] = self.lane_value(o, i * m + j, l);
+                                }
+                            }
+                        }
                     }
                 }
-                t0 += chunk.tiles;
+                t0 += tiles;
             }
             bits.extend(out.iter().map(|x| x.to_bits()));
             bits
         }
 
-        /// Every SIMD mover moves exactly the portable mover's bits;
-        /// every instantiation's stages match the portable ones (NaN
+        /// Every instantiation's movers move exactly the reference's
+        /// bits; every instantiation's stages match the portable ones (NaN
         /// for NaN: the transforms' adds may take a NaN's sign or
         /// payload from either operand, in whatever order each target
         /// compiles them); and every kernel writes the same convolution
@@ -1987,15 +1671,9 @@ mod tests {
                 a.len() == b.len() && a.iter().zip(b).all(|(&x, &y)| x == y || nan(x) && nan(y))
             };
             for block in blocks {
-                let want = self.moved::<Portable>(block);
-                for kernel in MicroKernel::available().skip(1) {
-                    let got = match kernel {
-                        MicroKernel::Scalar => unreachable!("skipped"),
-                        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-                        MicroKernel::Avx2Fma => self.moved::<Avx2>(block),
-                        #[cfg(target_arch = "x86_64")]
-                        MicroKernel::Avx512 => self.moved::<Avx512>(block),
-                    };
+                let want = self.moved_reference(block);
+                for kernel in MicroKernel::available() {
+                    let got = self.moved::<T>(kernel, block);
                     assert!(got == want, "{kernel:?} mover, blocks of {block}");
                 }
                 let want = self.stages::<T>(MicroKernel::Scalar, block);
@@ -2011,6 +1689,53 @@ mod tests {
                     assert!(got == whole, "{kernel:?} conv, blocks of {block}");
                 }
             }
+        }
+    }
+
+    /// [`BitCase::moved`]'s body, on the instantiation `run_on` picks.
+    struct Moved<'a, T> {
+        case: &'a BitCase,
+        block: usize,
+        transform: PhantomData<T>,
+    }
+
+    impl<T: Transform> Run for Moved<'_, T> {
+        type Output = Vec<u32>;
+
+        #[inline(always)]
+        fn run<V: V16>(&self) -> Vec<u32> {
+            let Moved { case, block, .. } = *self;
+            let g = &case.geom;
+            let job = case.job();
+            let mut bits = Vec::new();
+            let mut out = vec![f32::NAN; g.n * g.out_c * g.out_h() * g.out_w()];
+            let writer = DisjointWriter::new(&mut out);
+            let mut t0 = 0;
+            while t0 < g.tiles() {
+                let chunk = Chunk {
+                    t0,
+                    tiles: block.min(g.tiles() - t0),
+                };
+                for jp in 0..chunk.panels() {
+                    let lanes = job.patch_lanes(chunk, jp);
+                    for c in 0..g.in_c {
+                        let mut d = [[f32::NAN; NR]; MAX_FREQS];
+                        load::<T, V>(&job, &lanes, c, &mut d);
+                        let patch = d.iter().take(g.tile.frequencies()).flatten();
+                        bits.extend(patch.map(|x| x.to_bits()));
+                    }
+                    let lanes = job.tile_lanes(chunk, jp);
+                    for o in 0..g.out_c {
+                        let d: Tile<NR> = std::array::from_fn(|i| {
+                            std::array::from_fn(|l| case.lane_value(o, i, l))
+                        });
+                        store::<T, V>(&job, &lanes, o, &d, &writer);
+                    }
+                }
+                t0 += chunk.tiles;
+            }
+            bits.extend(out.iter().map(|x| x.to_bits()));
+            bits
         }
     }
 

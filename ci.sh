@@ -102,9 +102,11 @@ echo "== gemm, depthwise and winograd debug assertions =="
 # vocabulary (`tensor::v16::V16`), whose every load, masked load, pick,
 # gather, store and scatter asserts that each enabled lane stays inside
 # its slice (the SIMD impls form pointers outside the slice at padded
-# edges); the tests below run every op on every impl (`v16::`), and
-# every depthwise instantiation and every Winograd mover, block size and
-# instantiation through them.
+# edges), and the Winograd movers assert that every gathered, scattered
+# or row-stored lane stays inside its own image's channel plane; the
+# tests below run every op on every impl (`v16::`), and every depthwise
+# instantiation and every Winograd mover, block size and instantiation
+# through them.
 CARGO_PROFILE_TEST_DEBUG_ASSERTIONS=true cargo test -q -p cnn-stack-tensor gemm::
 CARGO_PROFILE_TEST_DEBUG_ASSERTIONS=true cargo test -q -p cnn-stack-tensor v16::
 CARGO_PROFILE_TEST_DEBUG_ASSERTIONS=true cargo test -q -p cnn-stack-tensor depthwise::

@@ -576,14 +576,14 @@ fn run_block<V: V16, const K: usize, const CONTIGUOUS: bool, const UNIFORM: bool
             if UNIFORM {
                 weights[i] = &weights[i][..taps];
             }
-            // Per-lane channels (small planes): live lanes lie in the
-            // image's channels, so their bias and weights lie in the
-            // slices.
             acc[i] = if UNIFORM {
                 V::splat(job.bias[at[i].1])
             } else {
                 let live = block.live[first + i];
-                V::pick(job.bias, at[i].1 as isize, &phase.channels, live)
+                // SAFETY: per-lane channels (small planes): the live lanes
+                // are outputs of the grain's image (`grains_of` cuts them at
+                // its end), so their channels' biases lie in `bias`.
+                unsafe { V::pick(job.bias, at[i].1 as isize, &phase.channels, live) }
             };
         }
         let inside = CONTIGUOUS
@@ -595,17 +595,27 @@ fn run_block<V: V16, const K: usize, const CONTIGUOUS: bool, const UNIFORM: bool
                 for i in 0..V::BLOCK {
                     let live = block.live[first + i];
                     let src = at[i].0 + tap;
-                    let x = if CONTIGUOUS && inside {
-                        V::load(job.input, src)
-                    } else if CONTIGUOUS {
-                        V::load_masked(job.input, src, masks[t] & live)
-                    } else {
-                        V::pick(job.input, src, &phase.lanes, masks[t] & live)
+                    // SAFETY: `inside` checked that the tap's 16 floats lie
+                    // in the input. Otherwise `masks[t]` holds the lanes
+                    // whose tap reads inside their channel's input plane
+                    // (`Phase::new`, from the call's layout), and the live
+                    // lanes are outputs of the grain's image, so each read
+                    // lies in `input`. A live lane's weights are its
+                    // channel's `taps` floats, which lie in `weight`.
+                    let x = unsafe {
+                        if CONTIGUOUS && inside {
+                            V::load(job.input, src)
+                        } else if CONTIGUOUS {
+                            V::load_masked(job.input, src, masks[t] & live)
+                        } else {
+                            V::pick(job.input, src, &phase.lanes, masks[t] & live)
+                        }
                     };
                     let w = if UNIFORM {
                         V::splat(weights[i][t])
                     } else {
-                        V::pick(weights[i], t as isize, &lane_weights, live)
+                        // SAFETY: as above.
+                        unsafe { V::pick(weights[i], t as isize, &lane_weights, live) }
                     };
                     // Lanes past the grain's end are never stored: the
                     // add needs the tap's mask alone.

@@ -20,10 +20,13 @@
 //! `debug_assert!`s that each enabled lane stays inside it: the SIMD
 //! impls form pointers outside the slice at padded edges and rely on the
 //! masks, so these asserts are the kernels' one bounds check. They are
-//! debug-only because checking 16 lanes costs as much as the op; the
-//! trait is crate-private, its callers derive every mask and offset from
-//! the geometry that sizes their slices, and `./ci.sh` runs the
-//! kernels' and this module's tests under debug assertions.
+//! debug-only because checking 16 lanes costs as much as the op, so the
+//! ops whose lanes the caller places (`load`, `load_masked`, `pick`,
+//! `gather`, `scatter`, and the shared [`store_rows`]) are `unsafe fn`s:
+//! the caller derives every mask and offset from the geometry that sizes
+//! its slices and states why at each call, and `./ci.sh` runs the
+//! kernels' and this module's tests under debug assertions. `store`
+//! writes a prefix of its slice and is safe.
 //!
 //! # Exactness
 //!
@@ -108,19 +111,37 @@ pub(crate) trait V16: Copy {
     /// `x` in every lane.
     fn splat(x: f32) -> Self;
 
-    /// `src[at + j]` in every lane `j`; all 16 lie inside `src`.
-    fn load(src: &[f32], at: isize) -> Self;
+    /// `src[at + j]` in every lane `j`.
+    ///
+    /// # Safety
+    ///
+    /// All 16 elements `at..at + 16` lie inside `src`.
+    unsafe fn load(src: &[f32], at: isize) -> Self;
 
     /// `src[at + j]` in the lanes `j` of `mask`, 0.0 in the others.
-    fn load_masked(src: &[f32], at: isize, mask: u16) -> Self;
+    ///
+    /// # Safety
+    ///
+    /// Element `at + j` lies inside `src` for every lane `j` of `mask`.
+    unsafe fn load_masked(src: &[f32], at: isize, mask: u16) -> Self;
 
     /// `src[at + offsets.lanes[j]]` in the lanes `j` of `mask`, some
     /// unspecified value in the others.
-    fn pick(src: &[f32], at: isize, offsets: &Offsets, mask: u16) -> Self;
+    ///
+    /// # Safety
+    ///
+    /// Element `at + offsets.lanes[j]` lies inside `src` for every lane
+    /// `j` of `mask`.
+    unsafe fn pick(src: &[f32], at: isize, offsets: &Offsets, mask: u16) -> Self;
 
     /// `src[at + offsets[j]]` in the lanes `j` of `mask`, 0.0 in the
     /// others.
-    fn gather(src: &[f32], at: isize, offsets: &[i32; LANES], mask: u16) -> Self;
+    ///
+    /// # Safety
+    ///
+    /// Element `at + offsets[j]` lies inside `src` for every lane `j` of
+    /// `mask`.
+    unsafe fn gather(src: &[f32], at: isize, offsets: &[i32; LANES], mask: u16) -> Self;
 
     /// `self + w·x` in the lanes of `mask` — a multiply, then an add,
     /// never fused — and `self` in the others.
@@ -133,24 +154,17 @@ pub(crate) trait V16: Copy {
     fn store(self, dst: &mut [f32]);
 
     /// Writes lane `j` of the lanes `j` of `mask` to element `at +
-    /// offsets[j]` of `dst`, one lane at a time (the impls with a native
-    /// scatter override it).
+    /// offsets[j]` of `dst`. Only the impls whose [`SCATTER`](V16::SCATTER)
+    /// is true (a native scatter) implement it; callers store rows
+    /// elsewhere.
     ///
     /// # Safety
     ///
-    /// No other thread may access those elements while this runs.
-    #[inline(always)]
-    unsafe fn scatter(self, dst: &DisjointWriter, at: isize, offsets: &[i32; LANES], mask: u16) {
-        debug_assert!(
-            lanes_inside(dst.len(), at, |j| offsets[j] as isize, mask),
-            "a scattered lane leaves its slice"
-        );
-        let mut lanes = [0.0; LANES];
-        self.store(&mut lanes);
-        for j in (0..LANES).filter(|j| mask >> j & 1 != 0) {
-            let i = (at + offsets[j] as isize) as usize;
-            dst.slice_mut(i, i + 1)[0] = lanes[j];
-        }
+    /// Element `at + offsets[j]` lies inside `dst` for every lane `j` of
+    /// `mask`, those elements are distinct, and no other thread accesses
+    /// them while this runs.
+    unsafe fn scatter(self, _: &DisjointWriter, _: isize, _: &[i32; LANES], _: u16) {
+        unreachable!("only impls with a native scatter scatter")
     }
 }
 
@@ -185,7 +199,10 @@ fn window_lanes(len: usize, at: isize) -> u16 {
 ///
 /// # Safety
 ///
-/// No other thread may access those elements while this runs.
+/// Every run `at + offsets[l] .. at + offsets[l] + widths[l]` of a lane
+/// `l` of `mask` lies inside `dst` (`DisjointWriter::slice_mut` checks it
+/// in debug builds alone), and no other thread accesses those elements
+/// while this runs.
 #[inline(always)]
 pub(crate) unsafe fn store_rows(
     rows: &[[f32; LANES]],
@@ -312,7 +329,7 @@ impl V16 for Portable {
     }
 
     #[inline(always)]
-    fn load(src: &[f32], at: isize) -> Self {
+    unsafe fn load(src: &[f32], at: isize) -> Self {
         let at = usize::try_from(at).expect("a load starts inside its slice");
         Portable(
             *src[at..]
@@ -322,7 +339,7 @@ impl V16 for Portable {
     }
 
     #[inline(always)]
-    fn load_masked(src: &[f32], at: isize, mask: u16) -> Self {
+    unsafe fn load_masked(src: &[f32], at: isize, mask: u16) -> Self {
         debug_assert!(
             lanes_inside(src.len(), at, |j| j as isize, mask),
             "a masked load leaves its slice"
@@ -330,7 +347,9 @@ impl V16 for Portable {
         let mut v = [0.0; LANES];
         for (j, v) in v.iter_mut().enumerate() {
             if mask >> j & 1 != 0 {
-                *v = src[(at + j as isize) as usize];
+                // SAFETY: the lanes of `mask` lie inside `src` (the
+                // caller's contract).
+                *v = *src.get_unchecked((at + j as isize) as usize);
             }
         }
         Portable(v)
@@ -340,8 +359,9 @@ impl V16 for Portable {
     /// the half is a run whose window lies inside `src`, else the lanes of
     /// `mask` read one by one.
     #[inline(always)]
-    fn pick(src: &[f32], at: isize, offsets: &Offsets, mask: u16) -> Self {
+    unsafe fn pick(src: &[f32], at: isize, offsets: &Offsets, mask: u16) -> Self {
         if offsets.steps == [0; 2] {
+            // SAFETY: the caller's contract is the gather's.
             return Self::gather(src, at, &offsets.lanes, mask);
         }
         debug_assert!(
@@ -364,7 +384,9 @@ impl V16 for Portable {
                 _ => {
                     for (j, (x, &o)) in half.iter_mut().zip(lanes).enumerate() {
                         if mask >> (h * 8 + j) & 1 != 0 {
-                            *x = src[(at + o as isize) as usize];
+                            // SAFETY: the lanes of `mask` lie inside
+                            // `src` (the caller's contract).
+                            *x = *src.get_unchecked((at + o as isize) as usize);
                         }
                     }
                 }
@@ -374,7 +396,7 @@ impl V16 for Portable {
     }
 
     #[inline(always)]
-    fn gather(src: &[f32], at: isize, offsets: &[i32; LANES], mask: u16) -> Self {
+    unsafe fn gather(src: &[f32], at: isize, offsets: &[i32; LANES], mask: u16) -> Self {
         debug_assert!(
             lanes_inside(src.len(), at, |j| offsets[j] as isize, mask),
             "a gathered lane leaves its slice"
@@ -382,7 +404,9 @@ impl V16 for Portable {
         let mut v = [0.0; LANES];
         for (j, v) in v.iter_mut().enumerate() {
             if mask >> j & 1 != 0 {
-                *v = src[(at + offsets[j] as isize) as usize];
+                // SAFETY: the lanes of `mask` lie inside `src` (the
+                // caller's contract).
+                *v = *src.get_unchecked((at + offsets[j] as isize) as usize);
             }
         }
         Portable(v)
@@ -443,47 +467,64 @@ fn half_mask(mask: u16, h: usize) -> arch::__m256i {
 /// Half `h` of [`Avx2`]'s [`V16::pick`]: one load (step 1) or two and a
 /// fixed shuffle (step 2) where the half is a run whose window lies
 /// inside `src`, else a masked gather.
+///
+/// # Safety
+///
+/// The CPU must support AVX2, and element `at + offsets.lanes[8h + j]`
+/// must lie inside `src` for every lane `j` of half `h` of `mask`.
 #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
 #[inline(always)]
-fn pick_half(src: &[f32], at: isize, offsets: &Offsets, mask: u16, h: usize) -> arch::__m256 {
+unsafe fn pick_half(
+    src: &[f32],
+    at: isize,
+    offsets: &Offsets,
+    mask: u16,
+    h: usize,
+) -> arch::__m256 {
     use arch::*;
     let (step, first) = (offsets.steps[h], at + offsets.lanes[8 * h] as isize);
     let inside = |len: isize| first >= 0 && first + len <= src.len() as isize;
     let p = src.as_ptr().wrapping_offset(first);
-    if !(step == 1 && inside(8) || step == 2 && inside(16)) {
-        return gather8(src, at, &offsets.lanes, mask, h);
-    }
-    // SAFETY: only `Avx2::pick` calls this (see the impl); the window
-    // lies inside `src` (checked).
-    unsafe {
-        if step == 1 {
-            _mm256_loadu_ps(p)
-        } else {
-            let (lo, hi) = (_mm256_loadu_ps(p), _mm256_loadu_ps(p.add(8)));
-            // Even lanes per 128-bit half, then the halves in order.
-            let evens = _mm256_castps_pd(_mm256_shuffle_ps::<0b10_00_10_00>(lo, hi));
-            _mm256_castpd_ps(_mm256_permute4x64_pd::<0b11_01_10_00>(evens))
-        }
+    if step == 1 && inside(8) {
+        // SAFETY: the 8 floats lie inside `src` (checked).
+        _mm256_loadu_ps(p)
+    } else if step == 2 && inside(16) {
+        // SAFETY: the 16 floats lie inside `src` (checked).
+        let (lo, hi) = (_mm256_loadu_ps(p), _mm256_loadu_ps(p.add(8)));
+        // Even lanes per 128-bit half, then the halves in order.
+        let evens = _mm256_castps_pd(_mm256_shuffle_ps::<0b10_00_10_00>(lo, hi));
+        _mm256_castpd_ps(_mm256_permute4x64_pd::<0b11_01_10_00>(evens))
+    } else {
+        // SAFETY: the caller's contract is the gather's.
+        gather8(src, at, &offsets.lanes, mask, h)
     }
 }
 
 /// `src[at + offsets[8h + j]]` in the lanes `j` of half `h` of `mask`,
 /// 0.0 in the others: one masked 8-lane gather.
+///
+/// # Safety
+///
+/// The CPU must support AVX2, and element `at + offsets[8h + j]` must
+/// lie inside `src` for every lane `j` of half `h` of `mask`.
 #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
 #[inline(always)]
-fn gather8(src: &[f32], at: isize, offsets: &[i32; LANES], mask: u16, h: usize) -> arch::__m256 {
+unsafe fn gather8(
+    src: &[f32],
+    at: isize,
+    offsets: &[i32; LANES],
+    mask: u16,
+    h: usize,
+) -> arch::__m256 {
     use arch::*;
-    // SAFETY: only `Avx2`'s methods call this (see the impl). Only the
-    // lanes of `mask` are read, and they lie inside `src`; the base
-    // pointer is only formed outside it.
-    unsafe {
-        _mm256_mask_i32gather_ps::<4>(
-            _mm256_setzero_ps(),
-            src.as_ptr().wrapping_offset(at),
-            _mm256_loadu_si256(offsets[8 * h..].as_ptr().cast()),
-            _mm256_castsi256_ps(half_mask(mask, h)),
-        )
-    }
+    // SAFETY: only the lanes of `mask` are read, and they lie inside
+    // `src`; the base pointer is only formed outside it.
+    _mm256_mask_i32gather_ps::<4>(
+        _mm256_setzero_ps(),
+        src.as_ptr().wrapping_offset(at),
+        _mm256_loadu_si256(offsets[8 * h..].as_ptr().cast()),
+        _mm256_castsi256_ps(half_mask(mask, h)),
+    )
 }
 
 // SAFETY (every `unsafe` block of this impl): `run_on` instantiates
@@ -502,18 +543,18 @@ impl V16 for Avx2 {
     }
 
     #[inline(always)]
-    fn load(src: &[f32], at: isize) -> Self {
+    unsafe fn load(src: &[f32], at: isize) -> Self {
         debug_assert!(
             at >= 0 && at as usize + LANES <= src.len(),
             "a load leaves its slice"
         );
-        let p = src.as_ptr().wrapping_offset(at);
-        // The 16 floats lie inside `src`.
-        unsafe { Avx2([arch::_mm256_loadu_ps(p), arch::_mm256_loadu_ps(p.add(8))]) }
+        // SAFETY: the 16 floats lie inside `src` (the caller's contract).
+        let p = src.as_ptr().offset(at);
+        Avx2([arch::_mm256_loadu_ps(p), arch::_mm256_loadu_ps(p.add(8))])
     }
 
     #[inline(always)]
-    fn load_masked(src: &[f32], at: isize, mask: u16) -> Self {
+    unsafe fn load_masked(src: &[f32], at: isize, mask: u16) -> Self {
         debug_assert!(
             lanes_inside(src.len(), at, |j| j as isize, mask),
             "a masked load leaves its slice"
@@ -521,19 +562,21 @@ impl V16 for Avx2 {
         let p = src.as_ptr().wrapping_offset(at);
         let mut v = Self::splat(0.0).0;
         for (h, v) in v.iter_mut().enumerate() {
-            // Only the lanes of `mask` are read, and they lie inside
-            // `src`; the pointer is only formed, never read, outside it.
-            *v = unsafe { arch::_mm256_maskload_ps(p.wrapping_add(8 * h), half_mask(mask, h)) };
+            // SAFETY: only the lanes of `mask` are read, and they lie
+            // inside `src` (the caller's contract); the pointer is only
+            // formed, never read, outside it.
+            *v = arch::_mm256_maskload_ps(p.wrapping_add(8 * h), half_mask(mask, h));
         }
         Avx2(v)
     }
 
     #[inline(always)]
-    fn pick(src: &[f32], at: isize, offsets: &Offsets, mask: u16) -> Self {
+    unsafe fn pick(src: &[f32], at: isize, offsets: &Offsets, mask: u16) -> Self {
         debug_assert!(
             lanes_inside(src.len(), at, |j| offsets.lanes[j] as isize, mask),
             "a picked lane leaves its slice"
         );
+        // SAFETY: the caller's contract is each half's.
         if offsets.steps == [0; 2] {
             return Self::gather(src, at, &offsets.lanes, mask);
         }
@@ -542,11 +585,12 @@ impl V16 for Avx2 {
     }
 
     #[inline(always)]
-    fn gather(src: &[f32], at: isize, offsets: &[i32; LANES], mask: u16) -> Self {
+    unsafe fn gather(src: &[f32], at: isize, offsets: &[i32; LANES], mask: u16) -> Self {
         debug_assert!(
             lanes_inside(src.len(), at, |j| offsets[j] as isize, mask),
             "a gathered lane leaves its slice"
         );
+        // SAFETY: the caller's contract is each half's.
         Avx2([
             gather8(src, at, offsets, mask, 0),
             gather8(src, at, offsets, mask, 1),
@@ -601,8 +645,14 @@ struct Avx512(arch::__m512);
 #[cfg(target_arch = "x86_64")]
 impl Avx512 {
     /// The 16 floats of `src` from `at`, 0.0 where they fall outside it.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX-512F.
     #[inline(always)]
-    fn window(src: &[f32], at: isize) -> arch::__m512 {
+    unsafe fn window(src: &[f32], at: isize) -> arch::__m512 {
+        // SAFETY: the whole window lies inside `src` (checked), or the
+        // mask enables exactly the lanes that do.
         if at >= 0 && at + LANES as isize <= src.len() as isize {
             Self::load(src, at).0
         } else {
@@ -627,96 +677,92 @@ impl V16 for Avx512 {
     }
 
     #[inline(always)]
-    fn load(src: &[f32], at: isize) -> Self {
+    unsafe fn load(src: &[f32], at: isize) -> Self {
         debug_assert!(
             at >= 0 && at as usize + LANES <= src.len(),
             "a load leaves its slice"
         );
-        // The 16 floats lie inside `src`.
-        unsafe { Avx512(arch::_mm512_loadu_ps(src.as_ptr().offset(at))) }
+        // SAFETY: the 16 floats lie inside `src` (the caller's contract).
+        Avx512(arch::_mm512_loadu_ps(src.as_ptr().offset(at)))
     }
 
     #[inline(always)]
-    fn load_masked(src: &[f32], at: isize, mask: u16) -> Self {
+    unsafe fn load_masked(src: &[f32], at: isize, mask: u16) -> Self {
         debug_assert!(
             lanes_inside(src.len(), at, |j| j as isize, mask),
             "a masked load leaves its slice"
         );
-        // Only the lanes of `mask` are read, and they lie inside `src`;
-        // the pointer is only formed, never read, outside it.
-        unsafe {
-            Avx512(arch::_mm512_maskz_loadu_ps(
-                mask,
-                src.as_ptr().wrapping_offset(at),
-            ))
-        }
+        // SAFETY: only the lanes of `mask` are read, and they lie inside
+        // `src` (the caller's contract); the pointer is only formed, never
+        // read, outside it.
+        Avx512(arch::_mm512_maskz_loadu_ps(
+            mask,
+            src.as_ptr().wrapping_offset(at),
+        ))
     }
 
     /// Out of the `reach / 16 + 1` 16-float windows from `at` by
     /// two-source permutes (and a blend past 32), each window loaded
     /// where it lies inside `src`; a gather past [`PERMUTE_REACH`].
     #[inline(always)]
-    fn pick(src: &[f32], at: isize, offsets: &Offsets, mask: u16) -> Self {
+    unsafe fn pick(src: &[f32], at: isize, offsets: &Offsets, mask: u16) -> Self {
         use arch::*;
         debug_assert!(
             lanes_inside(src.len(), at, |j| offsets.lanes[j] as isize, mask),
             "a picked lane leaves its slice"
         );
         let reach = offsets.reach;
-        // A gather reads the lanes of `mask` alone, which lie inside
-        // `src`, from a base pointer only formed outside it.
-        unsafe {
-            let idx = _mm512_loadu_epi32(offsets.lanes.as_ptr());
-            if reach >= PERMUTE_REACH {
-                let base = src.as_ptr().wrapping_offset(at);
-                return Avx512(_mm512_mask_i32gather_ps::<4>(
-                    _mm512_setzero_ps(),
-                    mask,
-                    idx,
-                    base,
-                ));
-            }
-            let zero = _mm512_setzero_ps();
-            let second = if reach >= LANES {
-                Self::window(src, at + LANES as isize)
-            } else {
-                zero
-            };
-            let lo = _mm512_permutex2var_ps(Self::window(src, at), idx, second);
-            if reach < 2 * LANES {
-                return Avx512(lo);
-            }
-            let fourth = if reach >= 3 * LANES {
-                Self::window(src, at + 3 * LANES as isize)
-            } else {
-                zero
-            };
-            let hi =
-                _mm512_permutex2var_ps(Self::window(src, at + 2 * LANES as isize), idx, fourth);
-            let upper = _mm512_test_epi32_mask(idx, _mm512_set1_epi32(2 * LANES as i32));
-            Avx512(_mm512_mask_blend_ps(upper, lo, hi))
+        let idx = _mm512_loadu_epi32(offsets.lanes.as_ptr());
+        if reach >= PERMUTE_REACH {
+            // SAFETY: only the lanes of `mask` are read, and they lie
+            // inside `src` (the caller's contract); the base pointer is
+            // only formed outside it.
+            let base = src.as_ptr().wrapping_offset(at);
+            return Avx512(_mm512_mask_i32gather_ps::<4>(
+                _mm512_setzero_ps(),
+                mask,
+                idx,
+                base,
+            ));
         }
+        let zero = _mm512_setzero_ps();
+        let second = if reach >= LANES {
+            Self::window(src, at + LANES as isize)
+        } else {
+            zero
+        };
+        let lo = _mm512_permutex2var_ps(Self::window(src, at), idx, second);
+        if reach < 2 * LANES {
+            return Avx512(lo);
+        }
+        let fourth = if reach >= 3 * LANES {
+            Self::window(src, at + 3 * LANES as isize)
+        } else {
+            zero
+        };
+        let hi = _mm512_permutex2var_ps(Self::window(src, at + 2 * LANES as isize), idx, fourth);
+        let upper = _mm512_test_epi32_mask(idx, _mm512_set1_epi32(2 * LANES as i32));
+        Avx512(_mm512_mask_blend_ps(upper, lo, hi))
     }
 
     #[inline(always)]
-    fn gather(src: &[f32], at: isize, offsets: &[i32; LANES], mask: u16) -> Self {
+    unsafe fn gather(src: &[f32], at: isize, offsets: &[i32; LANES], mask: u16) -> Self {
         use arch::*;
         debug_assert!(
             lanes_inside(src.len(), at, |j| offsets[j] as isize, mask),
             "a gathered lane leaves its slice"
         );
-        // Only the lanes of `mask` are read, and they lie inside `src`;
-        // the base pointer is only formed outside it.
-        unsafe {
-            let idx = _mm512_loadu_epi32(offsets.as_ptr());
-            let base = src.as_ptr().wrapping_offset(at);
-            Avx512(_mm512_mask_i32gather_ps::<4>(
-                _mm512_setzero_ps(),
-                mask,
-                idx,
-                base,
-            ))
-        }
+        // SAFETY: only the lanes of `mask` are read, and they lie inside
+        // `src` (the caller's contract); the base pointer is only formed
+        // outside it.
+        let idx = _mm512_loadu_epi32(offsets.as_ptr());
+        let base = src.as_ptr().wrapping_offset(at);
+        Avx512(_mm512_mask_i32gather_ps::<4>(
+            _mm512_setzero_ps(),
+            mask,
+            idx,
+            base,
+        ))
     }
 
     #[inline(always)]
@@ -750,9 +796,9 @@ impl V16 for Avx512 {
             lanes_inside(dst.len(), at, |j| offsets[j] as isize, mask),
             "a scattered lane leaves its slice"
         );
-        // Only the lanes of `mask` are written, inside `dst` and (the
-        // caller's contract) to elements no other thread accesses; the
-        // base pointer is only formed outside it.
+        // SAFETY: only the lanes of `mask` are written, to distinct
+        // elements inside `dst` that no other thread accesses (the
+        // caller's contract); the base pointer is only formed outside it.
         let idx = _mm512_loadu_epi32(offsets.as_ptr());
         let base = dst.as_mut_ptr().wrapping_offset(at);
         _mm512_mask_i32scatter_ps::<4>(base, mask, idx, self.0);
@@ -866,7 +912,8 @@ mod tests {
         mul_add: Vec<u32>,
         relu: Vec<u32>,
         store: Vec<u32>,
-        scatter: Vec<u32>,
+        /// `None` on the impls without a native scatter.
+        scatter: Option<Vec<u32>>,
     }
 
     struct Ops<'a>(&'a Case);
@@ -883,8 +930,11 @@ mod tests {
                 lanes.map(f32::to_bits).to_vec()
             };
             let len = c.src.len();
+            // SAFETY: every read below starts where the slice has room
+            // for 16 floats, or enables only the lanes `inside` finds in
+            // the slice.
             let load = match len.checked_sub(LANES) {
-                Some(room) => bits(V::load(&c.src, c.at.rem_euclid(room as isize + 1))),
+                Some(room) => bits(unsafe { V::load(&c.src, c.at.rem_euclid(room as isize + 1)) }),
                 None => Vec::new(),
             };
             let masked = inside(len, c.at, |j| j as isize, c.mask);
@@ -892,17 +942,19 @@ mod tests {
             let gather_mask = inside(len, c.at, |j| c.offsets[j] as isize, c.mask);
             // Masked-off lanes of a pick are unspecified: compare the
             // lanes of its mask alone.
-            let mut pick = bits(V::pick(&c.src, c.at, &Offsets::new(c.pick), pick_mask));
+            let offsets = Offsets::new(c.pick);
+            let mut pick = bits(unsafe { V::pick(&c.src, c.at, &offsets, pick_mask) });
             for (j, lane) in pick.iter_mut().enumerate() {
                 if pick_mask >> j & 1 == 0 {
                     *lane = 0;
                 }
             }
-            let (acc, w, x) = (V::load(&c.acc, 0), V::load(&c.w, 0), V::load(&c.x, 0));
+            let (acc, w, x) = unsafe { (V::load(&c.acc, 0), V::load(&c.w, 0), V::load(&c.x, 0)) };
             let mut store = vec![UNTOUCHED; LANES + 4];
             acc.store(&mut store[2..2 + c.store_len]);
-            // A scatter's lanes write distinct elements, as the movers'
-            // do: a repeated offset keeps its first lane only.
+            // Only the impls with a native scatter scatter. A scatter's
+            // lanes write distinct elements, as the movers' do: a
+            // repeated offset keeps its first lane only.
             let mut scatter_mask = 0u16;
             for j in (0..LANES).filter(|j| c.mask >> j & 1 != 0) {
                 let kept = (0..j).filter(|k| scatter_mask >> k & 1 != 0);
@@ -913,19 +965,21 @@ mod tests {
             let mut scattered = vec![UNTOUCHED; len];
             let scatter_mask = inside(len, c.at, |j| c.offsets[j] as isize, scatter_mask);
             let writer = DisjointWriter::new(&mut scattered);
-            // SAFETY: one thread, and nothing else reads `scattered`
-            // while it writes.
-            unsafe { x.scatter(&writer, c.at, &c.offsets, scatter_mask) };
+            if V::SCATTER {
+                // SAFETY: the lanes of `scatter_mask` write distinct
+                // elements inside `scattered`, on one thread.
+                unsafe { x.scatter(&writer, c.at, &c.offsets, scatter_mask) };
+            }
             Outcome {
                 splat: bits(V::splat(c.w[0])),
                 load,
-                load_masked: bits(V::load_masked(&c.src, c.at, masked)),
+                load_masked: bits(unsafe { V::load_masked(&c.src, c.at, masked) }),
                 pick,
-                gather: bits(V::gather(&c.src, c.at, &c.offsets, gather_mask)),
+                gather: bits(unsafe { V::gather(&c.src, c.at, &c.offsets, gather_mask) }),
                 mul_add: bits(acc.mul_add(c.mask, w, x)),
                 relu: bits(acc.relu()),
                 store: store.into_iter().map(f32::to_bits).collect(),
-                scatter: scattered.into_iter().map(f32::to_bits).collect(),
+                scatter: V::SCATTER.then(|| scattered.iter().map(|x| x.to_bits()).collect()),
             }
         }
     }
@@ -943,12 +997,13 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(2048))]
 
         /// Every op on every impl this host runs gives the portable
-        /// impl's bits (and the shared `store_rows` its definition's) — over random masks, offsets within ±64 and past
+        /// impl's bits — over random masks, offsets within ±64 and past
         /// `PERMUTE_REACH`, runs of stride 1 and 2, slices whose ends cut
         /// through the window, and NaN payloads, ±Inf and −0.0 — and the
-        /// portable impl gives each op's definition. Masked-off lanes
-        /// read 0.0 where the op promises it, and no store or scatter
-        /// touches an element outside its live lanes.
+        /// portable impl gives each op's definition, as do the shared
+        /// `store_rows` and every native scatter. Masked-off lanes read
+        /// 0.0 where the op promises it, and no store or scatter touches
+        /// an element outside its live lanes.
         #[test]
         fn every_op_matches_the_portable_impl(seed in 0u64..u64::MAX) {
             let c = Case::new(seed);
@@ -1001,7 +1056,6 @@ mod tests {
                     }
                 }
             }
-            prop_assert_eq!(&want.scatter, &scatter);
             for kernel in MicroKernel::available().skip(1) {
                 let got = run_on(kernel, &Ops(&c));
                 prop_assert_eq!(&got.splat, &want.splat, "{:?} splat", kernel);
@@ -1012,7 +1066,9 @@ mod tests {
                 prop_assert_eq!(any_nan(&got.mul_add), any_nan(&want.mul_add), "{:?} mul_add", kernel);
                 prop_assert_eq!(&got.relu, &want.relu, "{:?} relu", kernel);
                 prop_assert_eq!(&got.store, &want.store, "{:?} store", kernel);
-                prop_assert_eq!(&got.scatter, &want.scatter, "{:?} scatter", kernel);
+                if let Some(got) = &got.scatter {
+                    prop_assert_eq!(got, &scatter, "{:?} scatter", kernel);
+                }
             }
         }
     }

@@ -644,6 +644,8 @@ struct Lanes {
     /// Per lane: the tile's top-left relative to channel 0 of image 0,
     /// negative where the tile starts in the padding.
     at: [i32; NR],
+    /// Per lane: where channel 0 of its image starts (debug checks).
+    image: [usize; NR],
     /// Per tile row: the live lanes whose row lies inside the plane.
     rows: [u16; 6],
     /// Per tile column: the live lanes whose column lies inside.
@@ -665,6 +667,7 @@ impl Lanes {
     ) -> Lanes {
         let mut lanes = Lanes {
             at: [0; NR],
+            image: [0; NR],
             rows: [0; 6],
             cols: [0; 6],
             width: [0; NR],
@@ -677,6 +680,7 @@ impl Lanes {
             // batch runs image by image), so the offset does too.
             let top = (o.oy * w + o.ox) as isize - (shift * w + shift) as isize;
             lanes.at[l] = (image as isize + top) as i32;
+            lanes.image[l] = image;
             for r in 0..extent {
                 if (o.oy + r).wrapping_sub(shift) < h {
                     lanes.rows[r] |= 1 << l;
@@ -695,6 +699,15 @@ impl Lanes {
     fn fit(g: &WinogradGeometry) -> bool {
         let largest = g.n * g.in_c.max(g.out_c) * (g.h * g.w).max(g.out_h() * g.out_w());
         i32::try_from(largest).is_ok()
+    }
+
+    /// Whether every lane `l` of `mask` stays inside its image's channel-0
+    /// plane of `plane` floats when it moves value `at[l] + step`.
+    fn inside(&self, plane: usize, step: usize, mask: u16) -> bool {
+        (0..NR).filter(|l| mask >> l & 1 != 0).all(|l| {
+            let i = self.at[l] as isize + step as isize;
+            (self.image[l] as isize..(self.image[l] + plane) as isize).contains(&i)
+        })
     }
 }
 
@@ -722,9 +735,17 @@ fn load<T: Transform, V: V16>(job: &Job, lanes: &Lanes, c: usize, d: &mut Tile<N
     let plane = job.geom.h * w;
     for dy in 0..a {
         for dx in 0..a {
-            let at = (c * plane + dy * w + dx) as isize;
+            let step = dy * w + dx;
             let mask = lanes.rows[dy] & lanes.cols[dx];
-            V::gather(job.input, at, &lanes.at, mask).store(&mut d[dy * a + dx]);
+            debug_assert!(
+                lanes.inside(plane, step, mask),
+                "a gathered lane leaves its plane"
+            );
+            // SAFETY: the lanes of `mask` are live tiles whose value
+            // (dy, dx) lies inside the image (`Lanes::new`), so each reads
+            // inside channel `c`'s plane of its image in `input`.
+            let x = unsafe { V::gather(job.input, (c * plane + step) as isize, &lanes.at, mask) };
+            x.store(&mut d[dy * a + dx]);
         }
     }
 }
@@ -748,19 +769,38 @@ fn store<T: Transform, V: V16>(
     if V::SCATTER && m == 2 {
         for i in 0..m {
             for j in 0..m {
-                let at = (o * plane + i * out_w + j) as isize;
+                let step = i * out_w + j;
                 let mask = lanes.rows[i] & lanes.cols[j];
-                // SAFETY: grain (jp, ob) alone writes the tiles of panel
-                // `jp` in block `ob`'s channel planes, and tiles do not
-                // overlap.
-                unsafe { V::load(&d[i * m + j], 0).scatter(out, at, &lanes.at, mask) };
+                debug_assert!(
+                    lanes.inside(plane, step, mask),
+                    "a scattered lane leaves its plane"
+                );
+                // SAFETY: a lane array holds the 16 floats the load reads.
+                // The lanes of `mask` are live tiles whose value (i, j)
+                // lies inside the output (`Lanes::new`), so each writes
+                // inside channel `o`'s plane of its image in `out`.
+                // Tiles do not overlap, and grain (jp, ob) alone writes the
+                // tiles of panel `jp` in block `ob`'s channel planes.
+                unsafe {
+                    let x = V::load(&d[i * m + j], 0);
+                    x.scatter(out, (o * plane + step) as isize, &lanes.at, mask)
+                };
             }
         }
         return;
     }
     for i in 0..m {
         let at = o * plane + i * out_w;
-        // SAFETY: as above; each row run stays inside its plane.
+        debug_assert!(
+            (0..NR).filter(|l| lanes.rows[i] >> l & 1 != 0).all(|l| {
+                let last = i * out_w + lanes.width[l] - 1;
+                lanes.inside(plane, i * out_w, 1 << l) && lanes.inside(plane, last, 1 << l)
+            }),
+            "a stored row leaves its plane"
+        );
+        // SAFETY: as above: each lane of `rows[i]` writes its tile row's
+        // `width[l]` values inside the output, one run inside channel
+        // `o`'s plane of its image.
         unsafe {
             store_rows(
                 &d[i * m..][..m],

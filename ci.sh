@@ -89,9 +89,22 @@ echo "== tests =="
 #   width-0.5 TTQ VGG-16 server holds its 2-bit codes, masks, biases and
 #   arenas plus at most 1 MiB, and no dense master; a rung compiled on a
 #   replica of a prepared network allocates no master-sized buffer.
+# * weight-digest (tests/weight_digest.rs): a digest of every parameter
+#   of full-width VGG-16, MobileNet and ResNet-18 and of the TTQ VGG-16
+#   against pinned constants, so any drift in the initialisers' values
+#   fails (the e2e correctness check builds its reference with the same
+#   initialiser and cannot see one); and the keystream tests
+#   (`tensor::init::tests`): the portable ChaCha8 keystream against the
+#   vendored `ChaCha8Rng` word for word, every SIMD instantiation
+#   against the portable one at any block counter (across 2^32 and
+#   2^64), every fill against per-sample `gen_range` draws at lengths
+#   1-200, and the word->value maps on extreme words.
 cargo test --workspace -q
+# The vendored criterion is not a workspace member: its own tests (the
+# sampler and the command-line bench filter) run by name.
+cargo test -q -p criterion
 
-echo "== gemm, depthwise and winograd debug assertions =="
+echo "== gemm, depthwise, winograd and init debug assertions =="
 # The packed GEMM's tiles under debug assertions, forced on whatever the
 # test profile says: the AVX-512 skinny tile asserts that no lane load
 # leaves its A panel (an 8-float load at a panel's last k-step would read
@@ -104,13 +117,17 @@ echo "== gemm, depthwise and winograd debug assertions =="
 # its slice (the SIMD impls form pointers outside the slice at padded
 # edges), and the Winograd movers assert that every gathered, scattered
 # or row-stored lane stays inside its own image's channel plane; the
-# tests below run every op on every impl (`v16::`), and every depthwise
+# tests below run every op on every impl (`v16::`), every depthwise
 # instantiation and every Winograd mover, block size and instantiation
-# through them.
+# through them, and the initialisers' keystream (`init::`: each
+# instantiation's 16-block passes, which load their counter lanes
+# through the vocabulary, and every fill against its per-sample
+# reference).
 CARGO_PROFILE_TEST_DEBUG_ASSERTIONS=true cargo test -q -p cnn-stack-tensor gemm::
 CARGO_PROFILE_TEST_DEBUG_ASSERTIONS=true cargo test -q -p cnn-stack-tensor v16::
 CARGO_PROFILE_TEST_DEBUG_ASSERTIONS=true cargo test -q -p cnn-stack-tensor depthwise::
 CARGO_PROFILE_TEST_DEBUG_ASSERTIONS=true cargo test -q -p cnn-stack-tensor winograd::
+CARGO_PROFILE_TEST_DEBUG_ASSERTIONS=true cargo test -q -p cnn-stack-tensor init::
 
 echo "== fault-injection tests =="
 # The injector only compiles under this feature; the run above doubles
@@ -140,8 +157,9 @@ BENCH_SMOKE=1 cargo bench -p cnn-stack-bench --bench gemm
 
 echo "== kernels bench smoke =="
 # Five samples of every group in benches/kernels.rs: the depthwise
-# kernel and the Winograd convolution (VGG-16's Winograd layers at
-# batch 1 and 8), the fused im2col packer at VGG-16's batch-8 shapes,
+# kernel, the Winograd convolution (VGG-16's Winograd layers at batch 1
+# and 8) and the Kaiming initialiser (VGG-16's largest and smallest
+# filter banks), the fused im2col packer at VGG-16's batch-8 shapes,
 # and the prepacked GEMM, each on every instantiation this host
 # supports (reached by name through the doc-hidden bench hooks). The
 # `gemm_prepacked` group prints the core's register-only FMA rate first

@@ -1,15 +1,20 @@
 //! Criterion microbenchmarks of the compute kernels underlying every
 //! experiment: GEMM variants, the im2col lowering, the CSR convolution
-//! across sparsity levels, the depthwise kernel and the Winograd
-//! convolution on every instantiation the host has, and the two halves of the packed conv path — the fused im2col→pack-B
-//! packer and the prepacked GEMM on every micro-kernel the host has.
+//! across sparsity levels, the depthwise kernel, the Winograd
+//! convolution and the weight initialiser on every instantiation the
+//! host has, and the two halves of the packed conv path — the fused
+//! im2col→pack-B packer and the prepacked GEMM on every micro-kernel the
+//! host has.
 //!
 //! `BENCH_SMOKE=1` takes five samples of everything (CI: the groups
-//! run, nothing is read off them).
+//! run, nothing is read off them). A free argument runs only the benches
+//! whose `group/id` contains it: `cargo bench -p cnn-stack-bench --bench
+//! kernels -- init`.
 
 use cnn_stack_nn::{AlgoChoice, Conv2d, ExecConfig, Layer, WeightFormat};
 use cnn_stack_parallel::Schedule;
 use cnn_stack_sparse::CsrMatrix;
+use cnn_stack_tensor::init::{self, Init};
 use cnn_stack_tensor::{
     depthwise, gemm, im2col, pack_b_im2col_batch_into, AlignedBuf, Conv2dGeometry, GemmPlan,
     Tensor, TileConfig,
@@ -234,6 +239,27 @@ fn bench_winograd(c: &mut Criterion) {
     group.finish();
 }
 
+/// The Kaiming initialiser (what every conv layer draws) at VGG-16's
+/// largest filter bank, `512×512×3×3` (conv4_2 … conv5_3), and its
+/// smallest, `64×3×3×3` (conv1_1), on every instantiation of the
+/// keystream the host supports through the `init::initialise_named`
+/// bench hook (`scalar` is the portable twin; the dispatch runs the last
+/// one listed). The label carries the weight count: ns per weight is
+/// the time over it.
+fn bench_init(c: &mut Criterion) {
+    let mut group = group(c, "init", 50, 2);
+    for shape in [[512usize, 512, 3, 3], [64, 3, 3, 3]] {
+        let [o, i, kh, kw] = shape;
+        for kernel in gemm::gemm_kernel_names() {
+            let label = format!("kaiming_{o}x{i}x{kh}x{kw}_{}w/{kernel}", o * i * kh * kw);
+            group.bench_function(label, |bencher| {
+                bencher.iter(|| init::initialise_named(kernel, shape, Init::KaimingNormal, 7))
+            });
+        }
+    }
+    group.finish();
+}
+
 /// The fused im2col→pack-B packer at VGG-16's nine distinct conv shapes
 /// (batch 8, merged the way the engine merges them) plus MobileNet's
 /// strided 3→32 stem. One iteration packs one group — the unit the
@@ -366,17 +392,12 @@ fn fma_rate_gflops(samples: usize) -> Option<f64> {
 /// of the conv loop. One thread. Hand-timed rather than through
 /// Criterion so each row can print GFLOP/s and its share of the FMA
 /// rate: read `min`, and the share as a report, not a gate — the FMA
-/// row itself moves by several percent between runs of this host.
-fn bench_gemm_prepacked(_: &mut Criterion) {
+/// row itself moves by several percent between runs of this host. Rows
+/// the command-line filter misses are skipped (the FMA rate runs if any
+/// row does).
+fn bench_gemm_prepacked(c: &mut Criterion) {
     let samples = if cnn_stack_bench::smoke() { 5 } else { 50 };
-    let fma = fma_rate_gflops(samples);
-    match fma {
-        Some(rate) => {
-            println!("gemm_prepacked/fma_rate: {rate:.1} GFLOP/s (register-only, one core)")
-        }
-        None => println!("gemm_prepacked/fma_rate: n/a on this host"),
-    }
-    for (m, k, n, b_copies) in [
+    let shapes = [
         (96usize, 256usize, 64usize, 1usize),
         (512, 4608, 64, 8),
         (512, 4608, 128, 8),
@@ -385,7 +406,32 @@ fn bench_gemm_prepacked(_: &mut Criterion) {
         (128, 1152, 256, 8),
         (256, 2304, 64, 8),
         (256, 2304, 256, 8),
-    ] {
+    ];
+    let kernels = gemm::gemm_kernel_names();
+    let label = |m: usize, k: usize, n: usize, kernel: &str| {
+        let gflop = 2e-9 * (m * k * n) as f64;
+        format!("gemm_prepacked/{m}x{k}x{n}_{gflop:.3}GFLOP/{kernel}")
+    };
+    let wanted = |m, k, n| {
+        kernels
+            .iter()
+            .any(|kernel| c.matches(&label(m, k, n, kernel)))
+    };
+    if !c.matches("gemm_prepacked/fma_rate") && !shapes.iter().any(|&(m, k, n, _)| wanted(m, k, n))
+    {
+        return;
+    }
+    let fma = fma_rate_gflops(samples);
+    match fma {
+        Some(rate) => {
+            println!("gemm_prepacked/fma_rate: {rate:.1} GFLOP/s (register-only, one core)")
+        }
+        None => println!("gemm_prepacked/fma_rate: n/a on this host"),
+    }
+    for (m, k, n, b_copies) in shapes {
+        if !wanted(m, k, n) {
+            continue;
+        }
         let a = random([m, k], 1.0, 13);
         let b = random([k, n], 1.0, 14);
         let plan = GemmPlan::new(m, k, n);
@@ -400,7 +446,11 @@ fn bench_gemm_prepacked(_: &mut Criterion) {
             .collect();
         let mut out = vec![0.0f32; m * n];
         let gflop = 2e-9 * (m * k * n) as f64;
-        for kernel in gemm::gemm_kernel_names() {
+        for &kernel in &kernels {
+            let label = label(m, k, n, kernel);
+            if !c.matches(&label) {
+                continue;
+            }
             let mut run = |i: usize| {
                 let pb = &pbs[i % b_copies];
                 let t = std::time::Instant::now();
@@ -415,7 +465,7 @@ fn bench_gemm_prepacked(_: &mut Criterion) {
                 format!(", {:.0} % of the FMA rate", 100.0 * gflop / min / rate)
             });
             println!(
-                "gemm_prepacked/{m}x{k}x{n}_{gflop:.3}GFLOP/{kernel}: min {:.3} ms = {:.1} GFLOP/s{share}  (median {:.3} ms, {samples} samples)",
+                "{label}: min {:.3} ms = {:.1} GFLOP/s{share}  (median {:.3} ms, {samples} samples)",
                 min * 1e3,
                 gflop / min,
                 median * 1e3,
@@ -432,6 +482,7 @@ criterion_group!(
     bench_spmm,
     bench_depthwise,
     bench_winograd,
+    bench_init,
     bench_pack_im2col,
     bench_gemm_prepacked
 );

@@ -1,6 +1,9 @@
 //! One 16-lane vocabulary for the crate's lane-parallel kernels: the
-//! depthwise convolution's block and the Winograd transforms' moves into
-//! and out of their lane arrays are each written once over [`V16`] and
+//! depthwise convolution's block, the Winograd transforms' moves into
+//! and out of their lane arrays and the initialisers' ChaCha8 keystream
+//! (16 blocks per pass, one per lane, through the three integer ops
+//! [`V16::add_u32`], [`V16::xor`] and [`V16::rotl`], which read a lane's
+//! bits as a `u32`) are each written once over [`V16`] and
 //! instantiated per target behind the GEMM engine's one dispatch
 //! ([`run_on`], on the kernel [`active_kernel`](crate::gemm::active_kernel)
 //! picks, so `CNN_STACK_GEMM_FORCE_SCALAR` pins the portable impl).
@@ -8,7 +11,8 @@
 //! Three impls:
 //!
 //! * AVX-512F: one ZMM register per vector; masked loads, adds and
-//!   stores, two-source permutes, gathers and scatters.
+//!   stores, two-source permutes, gathers and scatters, and a native
+//!   rotate.
 //! * AVX2: two YMM halves per vector, with real blends for the masked
 //!   adds, 8-lane gathers, and plain loads or a fixed shuffle for picks
 //!   whose half steps by one or two. The lane-array form compiled for
@@ -30,10 +34,11 @@
 //!
 //! # Exactness
 //!
-//! The ops move bits or apply one IEEE operation per lane, so every impl
-//! gives the same bits (a NaN's payload aside where two NaNs meet in one
-//! arithmetic op: which one survives is the instruction's or compiler's
-//! pick). [`V16::mul_add`] is a separate multiply and add, never fused.
+//! The ops move bits, apply one IEEE operation per lane or apply one
+//! integer operation to its bits, so every impl gives the same bits (a
+//! NaN's payload aside where two NaNs meet in one arithmetic op: which
+//! one survives is the instruction's or compiler's pick).
+//! [`V16::mul_add`] is a separate multiply and add, never fused.
 
 use crate::gemm::MicroKernel;
 use cnn_stack_parallel::DisjointWriter;
@@ -149,6 +154,15 @@ pub(crate) trait V16: Copy {
 
     /// `max(self, 0.0)` in every lane.
     fn relu(self) -> Self;
+
+    /// The lanes' bits as `u32`s plus `other`'s, wrapping.
+    fn add_u32(self, other: Self) -> Self;
+
+    /// The lanes' bits xor `other`'s.
+    fn xor(self, other: Self) -> Self;
+
+    /// Each lane's bits rotated left by `R` (`0 < R < 32`).
+    fn rotl<const R: i32>(self) -> Self;
 
     /// Writes lanes `0..dst.len()` (at most 16) to `dst`.
     fn store(self, dst: &mut [f32]);
@@ -434,6 +448,51 @@ impl V16 for Portable {
     }
 
     #[inline(always)]
+    fn add_u32(self, other: Self) -> Self {
+        let mut v = self.0;
+        for (v, o) in v.iter_mut().zip(other.0) {
+            *v = f32::from_bits(v.to_bits().wrapping_add(o.to_bits()));
+        }
+        Portable(v)
+    }
+
+    #[inline(always)]
+    fn xor(self, other: Self) -> Self {
+        let mut v = self.0;
+        for (v, o) in v.iter_mut().zip(other.0) {
+            *v = f32::from_bits(v.to_bits() ^ o.to_bits());
+        }
+        Portable(v)
+    }
+
+    /// On x86-64, two SSE2 shifts and an or per four lanes. SSE2 has no
+    /// vector rotate, so the compiler keeps a lane loop's rotate as a
+    /// scalar `rol` per lane, and with it every add and xor of the chain
+    /// around it: the portable ChaCha8 keystream ran 2.9× slower so. A
+    /// lane loop elsewhere.
+    #[inline(always)]
+    fn rotl<const R: i32>(self) -> Self {
+        let mut v = self.0;
+        #[cfg(target_arch = "x86_64")]
+        for q in v.chunks_exact_mut(4) {
+            use core::arch::x86_64::*;
+            // SAFETY: each chunk holds the four floats the load and the
+            // store move; SSE2 is part of the x86-64 baseline.
+            unsafe {
+                let x = _mm_castps_si128(_mm_loadu_ps(q.as_ptr()));
+                let left = _mm_sll_epi32(x, _mm_cvtsi32_si128(R));
+                let right = _mm_srl_epi32(x, _mm_cvtsi32_si128(32 - R));
+                _mm_storeu_ps(q.as_mut_ptr(), _mm_castsi128_ps(_mm_or_si128(left, right)));
+            }
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        for v in &mut v {
+            *v = f32::from_bits(v.to_bits().rotate_left(R as u32));
+        }
+        Portable(v)
+    }
+
+    #[inline(always)]
     fn store(self, dst: &mut [f32]) {
         match <&mut [f32; LANES]>::try_from(&mut *dst) {
             Ok(all) => *all = self.0,
@@ -620,6 +679,49 @@ impl V16 for Avx2 {
     }
 
     #[inline(always)]
+    fn add_u32(self, other: Self) -> Self {
+        use arch::*;
+        let mut v = self.0;
+        for (v, o) in v.iter_mut().zip(other.0) {
+            *v = unsafe {
+                let sum = _mm256_add_epi32(_mm256_castps_si256(*v), _mm256_castps_si256(o));
+                _mm256_castsi256_ps(sum)
+            };
+        }
+        Avx2(v)
+    }
+
+    #[inline(always)]
+    fn xor(self, other: Self) -> Self {
+        use arch::*;
+        let mut v = self.0;
+        for (v, o) in v.iter_mut().zip(other.0) {
+            *v = unsafe {
+                let x = _mm256_xor_si256(_mm256_castps_si256(*v), _mm256_castps_si256(o));
+                _mm256_castsi256_ps(x)
+            };
+        }
+        Avx2(v)
+    }
+
+    /// Two shifts and an or per half (AVX2 has no rotate); the counts are
+    /// constants, so the shifts take immediates.
+    #[inline(always)]
+    fn rotl<const R: i32>(self) -> Self {
+        use arch::*;
+        let mut v = self.0;
+        for v in &mut v {
+            *v = unsafe {
+                let x = _mm256_castps_si256(*v);
+                let left = _mm256_sll_epi32(x, _mm_cvtsi32_si128(R));
+                let right = _mm256_srl_epi32(x, _mm_cvtsi32_si128(32 - R));
+                _mm256_castsi256_ps(_mm256_or_si256(left, right))
+            };
+        }
+        Avx2(v)
+    }
+
+    #[inline(always)]
     fn store(self, dst: &mut [f32]) {
         use arch::*;
         let (n, p) = (dst.len().min(LANES), dst.as_mut_ptr());
@@ -784,6 +886,33 @@ impl V16 for Avx512 {
     }
 
     #[inline(always)]
+    fn add_u32(self, other: Self) -> Self {
+        use arch::*;
+        unsafe {
+            let sum = _mm512_add_epi32(_mm512_castps_si512(self.0), _mm512_castps_si512(other.0));
+            Avx512(_mm512_castsi512_ps(sum))
+        }
+    }
+
+    #[inline(always)]
+    fn xor(self, other: Self) -> Self {
+        use arch::*;
+        unsafe {
+            let x = _mm512_xor_si512(_mm512_castps_si512(self.0), _mm512_castps_si512(other.0));
+            Avx512(_mm512_castsi512_ps(x))
+        }
+    }
+
+    #[inline(always)]
+    fn rotl<const R: i32>(self) -> Self {
+        use arch::*;
+        unsafe {
+            let x = _mm512_rol_epi32::<R>(_mm512_castps_si512(self.0));
+            Avx512(_mm512_castsi512_ps(x))
+        }
+    }
+
+    #[inline(always)]
     fn store(self, dst: &mut [f32]) {
         // The first `dst.len()` lanes (at most 16) lie inside `dst`.
         unsafe { arch::_mm512_mask_storeu_ps(dst.as_mut_ptr(), live_lanes(dst.len()), self.0) }
@@ -911,10 +1040,18 @@ mod tests {
         gather: Vec<u32>,
         mul_add: Vec<u32>,
         relu: Vec<u32>,
+        add_u32: Vec<u32>,
+        xor: Vec<u32>,
+        /// Rotations by each of [`ROTATIONS`], one after another.
+        rotl: Vec<u32>,
         store: Vec<u32>,
         /// `None` on the impls without a native scatter.
         scatter: Option<Vec<u32>>,
     }
+
+    /// The rotations the test holds [`V16::rotl`] to: ChaCha's four and
+    /// the extremes.
+    const ROTATIONS: [u32; 6] = [1, 7, 8, 12, 16, 31];
 
     struct Ops<'a>(&'a Case);
 
@@ -978,6 +1115,17 @@ mod tests {
                 gather: bits(unsafe { V::gather(&c.src, c.at, &c.offsets, gather_mask) }),
                 mul_add: bits(acc.mul_add(c.mask, w, x)),
                 relu: bits(acc.relu()),
+                add_u32: bits(acc.add_u32(w)),
+                xor: bits(acc.xor(w)),
+                rotl: [
+                    bits(acc.rotl::<1>()),
+                    bits(acc.rotl::<7>()),
+                    bits(acc.rotl::<8>()),
+                    bits(acc.rotl::<12>()),
+                    bits(acc.rotl::<16>()),
+                    bits(acc.rotl::<31>()),
+                ]
+                .concat(),
                 store: store.into_iter().map(f32::to_bits).collect(),
                 scatter: V::SCATTER.then(|| scattered.iter().map(|x| x.to_bits()).collect()),
             }
@@ -1025,6 +1173,12 @@ mod tests {
                 let sum = if c.mask >> j & 1 != 0 { c.acc[j] + c.w[j] * c.x[j] } else { c.acc[j] };
                 prop_assert_eq!(any_nan(&want.mul_add[j..=j]), any_nan(&[sum.to_bits()]));
                 prop_assert_eq!(want.relu[j], c.acc[j].max(0.0).to_bits());
+                let (a, w) = (c.acc[j].to_bits(), c.w[j].to_bits());
+                prop_assert_eq!(want.add_u32[j], a.wrapping_add(w));
+                prop_assert_eq!(want.xor[j], a ^ w);
+                for (r, &rotation) in ROTATIONS.iter().enumerate() {
+                    prop_assert_eq!(want.rotl[r * LANES + j], a.rotate_left(rotation));
+                }
             }
             // `store_rows` writes each lane's row of m values, cut to its
             // width, at its offset (distinct runs 4 apart), nothing else.
@@ -1065,6 +1219,9 @@ mod tests {
                 prop_assert_eq!(&got.gather, &want.gather, "{:?} gather", kernel);
                 prop_assert_eq!(any_nan(&got.mul_add), any_nan(&want.mul_add), "{:?} mul_add", kernel);
                 prop_assert_eq!(&got.relu, &want.relu, "{:?} relu", kernel);
+                prop_assert_eq!(&got.add_u32, &want.add_u32, "{:?} add_u32", kernel);
+                prop_assert_eq!(&got.xor, &want.xor, "{:?} xor", kernel);
+                prop_assert_eq!(&got.rotl, &want.rotl, "{:?} rotl", kernel);
                 prop_assert_eq!(&got.store, &want.store, "{:?} store", kernel);
                 if let Some(got) = &got.scatter {
                     prop_assert_eq!(got, &scatter, "{:?} scatter", kernel);

@@ -16,8 +16,8 @@ use cnn_stack_parallel::Schedule;
 use cnn_stack_sparse::CsrMatrix;
 use cnn_stack_tensor::init::{self, Init};
 use cnn_stack_tensor::{
-    depthwise, gemm, im2col, pack_b_im2col_batch_into, AlignedBuf, Conv2dGeometry, GemmPlan,
-    Tensor, TileConfig,
+    depthwise, gemm, im2col, pack_b_im2col_batch_into, AlignedBuf, CodePanels, Conv2dGeometry,
+    GemmPlan, PackedA, Tensor, TileConfig,
 };
 use criterion::{criterion_group, criterion_main, BenchmarkGroup, BenchmarkId, Criterion};
 use rand::{Rng, SeedableRng};
@@ -386,7 +386,12 @@ fn fma_rate_gflops(samples: usize) -> Option<f64> {
 /// (m = out channels, k = patch length, n = one group's merged columns
 /// — 256×2304×256, 512×4608×128 and 512×4608×32 are the four-, eight-
 /// and eight-image merges of conv3, conv4 and conv5), one row per
-/// micro-kernel this host can run. Packing is outside the timed body,
+/// micro-kernel this host can run. Then the skinny products, whose B
+/// panel has at most 8 live columns: VGG-16's conv5_x at batch 1 and 2
+/// (512×4608×4, ×8), a 512→512 linear at batch 1 and MobileNet's
+/// 1024-channel pointwise conv on its 2×2 plane, and the conv5_x
+/// product again with a 2-bit code A operand (`_codes`, decoded block
+/// by block into the same tile). Packing is outside the timed body,
 /// and the packed B of every product but the cache-resident one cycles
 /// through eight copies, so it is as cold as the freshly packed panels
 /// of the conv loop. One thread. Hand-timed rather than through
@@ -397,27 +402,37 @@ fn fma_rate_gflops(samples: usize) -> Option<f64> {
 /// row does).
 fn bench_gemm_prepacked(c: &mut Criterion) {
     let samples = if cnn_stack_bench::smoke() { 5 } else { 50 };
+    // (m, k, n, cold B copies, whether A is 2-bit codes)
     let shapes = [
-        (96usize, 256usize, 64usize, 1usize),
-        (512, 4608, 64, 8),
-        (512, 4608, 128, 8),
-        (512, 4608, 32, 8),
-        (64, 576, 1024, 8),
-        (128, 1152, 256, 8),
-        (256, 2304, 64, 8),
-        (256, 2304, 256, 8),
+        (96usize, 256usize, 64usize, 1usize, false),
+        (512, 4608, 64, 8, false),
+        (512, 4608, 128, 8, false),
+        (512, 4608, 32, 8, false),
+        (64, 576, 1024, 8, false),
+        (128, 1152, 256, 8, false),
+        (256, 2304, 64, 8, false),
+        (256, 2304, 256, 8, false),
+        (512, 4608, 4, 8, false),
+        (512, 4608, 8, 8, false),
+        (512, 512, 1, 8, false),
+        (1024, 1024, 4, 8, false),
+        (512, 4608, 4, 8, true),
     ];
     let kernels = gemm::gemm_kernel_names();
-    let label = |m: usize, k: usize, n: usize, kernel: &str| {
+    let label = |m: usize, k: usize, n: usize, codes: bool, kernel: &str| {
         let gflop = 2e-9 * (m * k * n) as f64;
-        format!("gemm_prepacked/{m}x{k}x{n}_{gflop:.3}GFLOP/{kernel}")
+        let operand = if codes { "_codes" } else { "" };
+        format!("gemm_prepacked/{m}x{k}x{n}{operand}_{gflop:.3}GFLOP/{kernel}")
     };
-    let wanted = |m, k, n| {
+    let wanted = |m, k, n, codes| {
         kernels
             .iter()
-            .any(|kernel| c.matches(&label(m, k, n, kernel)))
+            .any(|kernel| c.matches(&label(m, k, n, codes, kernel)))
     };
-    if !c.matches("gemm_prepacked/fma_rate") && !shapes.iter().any(|&(m, k, n, _)| wanted(m, k, n))
+    if !c.matches("gemm_prepacked/fma_rate")
+        && !shapes
+            .iter()
+            .any(|&(m, k, n, _, codes)| wanted(m, k, n, codes))
     {
         return;
     }
@@ -428,15 +443,30 @@ fn bench_gemm_prepacked(c: &mut Criterion) {
         }
         None => println!("gemm_prepacked/fma_rate: n/a on this host"),
     }
-    for (m, k, n, b_copies) in shapes {
-        if !wanted(m, k, n) {
+    for (m, k, n, b_copies, codes) in shapes {
+        if !wanted(m, k, n, codes) {
             continue;
         }
-        let a = random([m, k], 1.0, 13);
         let b = random([k, n], 1.0, 14);
         let plan = GemmPlan::new(m, k, n);
         let mut pa = AlignedBuf::zeroed(plan.packed_a_elems());
-        gemm::pack_a_into(&plan, a.data(), &mut pa);
+        let mut words = vec![0u32; plan.packed_a_code_words()];
+        let a = if codes {
+            // Exactly ternary, as a TTQ layer's weights: about a third
+            // each of +0.7, −0.4 and zero.
+            let mut rng = ChaCha8Rng::seed_from_u64(13);
+            let values = [0.7f32, -0.4, 0.0];
+            let a: Vec<f32> = (0..m * k).map(|_| values[rng.gen_range(0..3usize)]).collect();
+            gemm::pack_a_codes_into(&plan, &a, &mut words);
+            PackedA::Codes(CodePanels {
+                words: &words,
+                positive: 0.7,
+                negative: 0.4,
+            })
+        } else {
+            gemm::pack_a_into(&plan, random([m, k], 1.0, 13).data(), &mut pa);
+            PackedA::F32(&pa)
+        };
         let pbs: Vec<AlignedBuf> = (0..b_copies)
             .map(|_| {
                 let mut pb = AlignedBuf::zeroed(plan.packed_b_elems());
@@ -447,14 +477,14 @@ fn bench_gemm_prepacked(c: &mut Criterion) {
         let mut out = vec![0.0f32; m * n];
         let gflop = 2e-9 * (m * k * n) as f64;
         for &kernel in &kernels {
-            let label = label(m, k, n, kernel);
+            let label = label(m, k, n, codes, kernel);
             if !c.matches(&label) {
                 continue;
             }
             let mut run = |i: usize| {
                 let pb = &pbs[i % b_copies];
                 let t = std::time::Instant::now();
-                gemm::gemm_prepacked_named(kernel, &plan, &pa, pb, &mut out, 1, Schedule::Static);
+                gemm::gemm_prepacked_named(kernel, &plan, a, pb, &mut out, 1, Schedule::Static);
                 t.elapsed().as_secs_f64()
             };
             run(0);

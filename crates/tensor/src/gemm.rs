@@ -720,18 +720,19 @@ pub fn gemm_kernel_names() -> Vec<&'static str> {
     MicroKernel::available().map(MicroKernel::name).collect()
 }
 
-/// Bench hook, not API: [`gemm_prepacked`] on the micro-kernel called
-/// `kernel` (one of [`gemm_kernel_names`]).
+/// Bench hook, not API: [`gemm_prepacked_epilogue`] without an epilogue
+/// on the micro-kernel called `kernel` (one of [`gemm_kernel_names`]),
+/// on either A operand.
 ///
 /// # Panics
 ///
 /// Panics if this host has no kernel of that name, or as
-/// [`gemm_prepacked`].
+/// [`gemm_prepacked_epilogue`].
 #[doc(hidden)]
 pub fn gemm_prepacked_named(
     kernel: &str,
     plan: &GemmPlan,
-    packed_a: &[f32],
+    a: PackedA<'_>,
     packed_b: &[f32],
     c: &mut [f32],
     threads: usize,
@@ -741,7 +742,7 @@ pub fn gemm_prepacked_named(
     gemm_prepacked_on(
         kernel,
         plan,
-        PackedA::F32(packed_a),
+        a,
         packed_b,
         c,
         threads,

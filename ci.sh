@@ -105,24 +105,25 @@ cargo test --workspace -q
 cargo test -q -p criterion
 
 echo "== gemm, depthwise, winograd and init debug assertions =="
-# The packed GEMM's tiles under debug assertions, forced on whatever the
-# test profile says: the AVX-512 skinny tile asserts that no lane load
+# The vector kernels under debug assertions, forced on whatever the test
+# profile says. The packed GEMM's wide and skinny tiles and its code
+# decoder, the depthwise block and the Winograd movers touch memory only
+# through the 16-lane vocabulary (`tensor::v16::V16`), whose every load,
+# masked load, paired row load, pick, gather, store and scatter asserts
+# that each enabled lane stays inside its slice (the SIMD impls form
+# pointers outside the slice at padded edges): so no skinny row load
 # leaves its A panel (an 8-float load at a panel's last k-step would read
-# 2 floats past it, so that step must take the masked 6-float load) and
-# that no C row it writes is wider than its live columns; the driver
-# asserts its `DisjointWriter` slices stay in bounds. The depthwise block
-# and the Winograd movers touch memory only through the 16-lane
-# vocabulary (`tensor::v16::V16`), whose every load, masked load, pick,
-# gather, store and scatter asserts that each enabled lane stays inside
-# its slice (the SIMD impls form pointers outside the slice at padded
-# edges), and the Winograd movers assert that every gathered, scattered
-# or row-stored lane stays inside its own image's channel plane; the
-# tests below run every op on every impl (`v16::`), every depthwise
-# instantiation and every Winograd mover, block size and instantiation
-# through them, and the initialisers' keystream (`init::`: each
-# instantiation's 16-block passes, which load their counter lanes
-# through the vocabulary, and every fill against its per-sample
-# reference).
+# 2 floats past it, so that step loads its 6 rows under a mask), and no
+# wide tile's masked add into C leaves its row. The GEMM driver asserts
+# its `DisjointWriter` slices stay in bounds, and the Winograd movers
+# that every gathered, scattered or row-stored lane stays inside its own
+# image's channel plane. The tests below run every op on every impl
+# (`v16::`), every tile shape and the decoder on every impl and the
+# driver on every kernel (`gemm::`), every depthwise instantiation and
+# every Winograd mover, block size and instantiation through them, and
+# the initialisers' keystream (`init::`: each instantiation's 16-block
+# passes, which load their counter lanes through the vocabulary, and
+# every fill against its per-sample reference).
 CARGO_PROFILE_TEST_DEBUG_ASSERTIONS=true cargo test -q -p cnn-stack-tensor gemm::
 CARGO_PROFILE_TEST_DEBUG_ASSERTIONS=true cargo test -q -p cnn-stack-tensor v16::
 CARGO_PROFILE_TEST_DEBUG_ASSERTIONS=true cargo test -q -p cnn-stack-tensor depthwise::
@@ -206,22 +207,22 @@ echo "== conv-algo bench smoke =="
 BENCH_SMOKE=1 cargo bench -p cnn-stack-bench --bench conv_algo
 
 echo "== portable-kernels =="
-# Every dispatched kernel (packed GEMM full and half tile, the code
-# decoder through the conformance grid, depthwise) has a portable twin that an
-# AVX2 host never runs by default; pin it and re-run the suites that
-# hold the kernels to their references (the im2col packer property in
-# kernel_proptest is ISA-independent and simply runs again), and the
-# registry's table tests, which drive every row's dispatch arm. The same
-# holds one level up: on an AVX-512 host neither AVX2 f32 tile runs —
-# the AVX-512 body takes the odd tail panels too, and the AVX-512
-# skinny tile takes every B panel of at most 8 live columns (four A
-# panels' rows in two ZMM registers, the few B values broadcast), where
-# the AVX2 host runs its 6x8 half tile. No variable pins them — their
-# cover is the in-crate `gemm::tests::every_kernel_agrees_at_driver_level`
-# (and `half_tile_bit_matches_full_tile_lanes`), which passes each
-# supported kernel to the one shared loop nest explicitly, holds the
-# skinny tile bit for bit to the half tile, and runs in the workspace
-# test stage above.
+# Every dispatched kernel runs on the portable impl of the 16-lane
+# vocabulary on a host without AVX2, and a SIMD host never runs it by
+# default: CNN_STACK_GEMM_FORCE_SCALAR=1 pins it (the packed GEMM's wide
+# tile, skinny tile and code decoder, depthwise, the Winograd movers and
+# the keystream). Pin it and re-run the suites that hold the kernels to
+# their references (the im2col packer property in kernel_proptest is
+# ISA-independent and simply runs again), and the registry's table
+# tests, which drive every row's dispatch arm. The same holds one level
+# up: on an AVX-512 host the AVX2 instantiation never runs. No variable
+# pins it — its cover is the in-crate
+# `gemm::tests::every_kernel_agrees_at_driver_level`, which passes each
+# supported kernel to the one shared loop nest explicitly (the AVX2
+# skinny tile's two-pass seams at 5-8 columns among its shapes), and
+# `scalar_and_simd_kernels_agree` and
+# `skinny_tile_bit_matches_wide_tile_lanes`, which hold every impl's
+# tiles to each other; they run in the workspace test stage above.
 CNN_STACK_GEMM_FORCE_SCALAR=1 cargo test -q \
   --test kernel_proptest --test gemm_equivalence --test conv_conformance \
   --test quant_invalidation
@@ -313,11 +314,23 @@ if grep -rnE 'microkernel_avx512_pair|PROTO_' crates src tests examples; then
   exit 1
 fi
 
-# One skinny path per host: on AVX-512 a B panel of at most 8 live
-# columns runs the AVX-512 skinny tile, and the AVX-512 kernel never
-# reaches the AVX2 half tile again.
+# One skinny path: every impl runs a B panel of at most 8 live columns
+# on the skinny tile, and no kernel reaches a half tile again.
 if grep -rnF '(MicroKernel::Avx512, true)' crates src tests examples; then
   echo "ci: the AVX-512 kernel reaches the AVX2 half tile again" >&2
+  exit 1
+fi
+
+# The packed GEMM's tiles and code decoder are written once over the
+# 16-lane vocabulary: the per-ISA micro-kernels, the stack tile's
+# write-back and the AVX-512 decoder they replaced stay deleted, and
+# gemm.rs compiles nothing for a target feature itself.
+if grep -rnE 'microkernel_scalar|microkernel_avx2|microkernel_avx512|decode_words_avx512|fn write_back' crates src tests examples; then
+  echo "ci: a per-ISA GEMM micro-kernel, decoder or stack-tile write-back is back" >&2
+  exit 1
+fi
+if grep -nE 'target_feature|core::arch' crates/tensor/src/gemm.rs; then
+  echo "ci: crates/tensor/src/gemm.rs names a target feature or an intrinsic again" >&2
   exit 1
 fi
 

@@ -456,7 +456,9 @@ fn bench_gemm_prepacked(c: &mut Criterion) {
             // each of +0.7, −0.4 and zero.
             let mut rng = ChaCha8Rng::seed_from_u64(13);
             let values = [0.7f32, -0.4, 0.0];
-            let a: Vec<f32> = (0..m * k).map(|_| values[rng.gen_range(0..3usize)]).collect();
+            let a: Vec<f32> = (0..m * k)
+                .map(|_| values[rng.gen_range(0..3usize)])
+                .collect();
             gemm::pack_a_codes_into(&plan, &a, &mut words);
             PackedA::Codes(CodePanels {
                 words: &words,

@@ -282,8 +282,8 @@ impl Conv2d {
     /// plan's `nc`, 256 columns), at least 1.
     ///
     /// Merging pays while the merged columns fit one chunk: micro-kernel
-    /// lanes stop being zero-padded (a 2×2 output plane alone uses 4 of
-    /// the half tile's 8 lanes), and the weight A-panels — streamed from
+    /// lanes stop being zero-padded (a 2×2 output plane alone fills 4 of
+    /// the skinny tile's 8 columns), and the weight A-panels — streamed from
     /// memory once per column chunk — are read once per group instead of
     /// once per image (conv4 at batch 8: all 8 images in one product,
     /// conv3 four). Past one chunk the A traffic no longer falls with

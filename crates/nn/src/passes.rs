@@ -286,7 +286,7 @@ const BANK_STREAM_COST: f64 = 1.5;
 /// product: ragged edges run whole micro-kernels on zero-padded lanes,
 /// so tiny dimensions pay their round-up — rows to `MR`, columns to `NR`,
 /// except that a last panel of at most `NR / 2` live columns runs the
-/// half-width tile.
+/// skinny tile, priced as half a panel.
 fn tile_padded_flops(m: usize, k: usize, n: usize) -> f64 {
     use cnn_stack_tensor::{MR, NR};
     let m_pad = m.div_ceil(MR) * MR;

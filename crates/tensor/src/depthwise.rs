@@ -411,10 +411,10 @@ fn depthwise_on(
             // filter runs the same body on the geometry's extents. Each
             // variant is its own instantiation of the target's trampoline.
             match (geom.k_h, geom.k_w, layout.contiguous) {
-                (3, 3, true) => run_on(kernel, &Grains::<3, true> { job, table, grains }),
-                (3, 3, false) => run_on(kernel, &Grains::<3, false> { job, table, grains }),
-                (_, _, true) => run_on(kernel, &Grains::<0, true> { job, table, grains }),
-                (_, _, false) => run_on(kernel, &Grains::<0, false> { job, table, grains }),
+                (3, 3, true) => run_on(kernel, &mut Grains::<3, true> { job, table, grains }),
+                (3, 3, false) => run_on(kernel, &mut Grains::<3, false> { job, table, grains }),
+                (_, _, true) => run_on(kernel, &mut Grains::<0, true> { job, table, grains }),
+                (_, _, false) => run_on(kernel, &mut Grains::<0, false> { job, table, grains }),
             }
         });
     }
@@ -452,7 +452,7 @@ impl<const K: usize, const CONTIGUOUS: bool> Run for Grains<'_, K, CONTIGUOUS> {
     type Output = ();
 
     #[inline(always)]
-    fn run<V: V16>(&self) {
+    fn run<V: V16>(&mut self) {
         grains_of::<V, K, CONTIGUOUS>(self.job, self.table, self.grains.clone());
     }
 }

@@ -18,14 +18,13 @@
 //!   floor the guard ladder demotes to.
 //! * [`GemmAlgorithm::Packed`] — the tuned-BLAS analogue: a BLIS-style
 //!   packed engine that copies A into `MR`-row panels and B into
-//!   `NR`-column panels, then drives an `MR×NR` register-tiled
-//!   micro-kernel (scalar autovectorised, AVX2/FMA, or an AVX-512 tile
-//!   spanning up to two A panels × two B panels, with a skinny twin for
-//!   B panels of at most 8 live columns — whichever the CPU supports,
-//!   detected at runtime) over the panel grid, with the grid
-//!   distributed across the `cnn-stack-parallel` pool. Its A operand is
-//!   either f32 panels or 2-bit ternary codes in the same panel layout
-//!   ([`PackedA`]), decoded block by block into the same tile.
+//!   `NR`-column panels, then drives register tiles over the panel grid,
+//!   with the grid distributed across the `cnn-stack-parallel` pool. Its
+//!   A operand is either f32 panels or 2-bit ternary codes in the same
+//!   panel layout ([`PackedA`]), decoded block by block into the same
+//!   tile. The tiles and the decoder are written once over the crate's
+//!   16-lane vocabulary (`v16::V16`) and run on the widest impl the CPU
+//!   supports (AVX-512F, AVX2/FMA or portable), detected at runtime.
 //!
 //! # Packed engine layout
 //!
@@ -34,33 +33,18 @@
 //! (`packed_a[ip·MR·k + p·MR + r]`); B so panel `jp` holds columns
 //! `[jp·NR, jp·NR+NR)` (`packed_b[jp·NR·k + p·NR + c]`). Ragged edges
 //! are zero-padded inside the panels (the reduction dimension `k` is
-//! never padded, so padding can never contaminate valid outputs). The
-//! micro-kernel then streams both panels with unit stride: one `MR×NR`
-//! tile costs `kc` contiguous loads of `MR` A-values and `NR` B-values
-//! and `MR·NR` fused multiply-adds per step. A B panel with at most
-//! `NR/2` live columns (a 2×2 output plane at batch 1 has 4) runs the
-//! same ladder over its first vector only — a half-width `MR×NR/2` tile
-//! on the unchanged panel layout, bit-identical lane for lane. On an
-//! AVX-512 host a full-width tile instead *composes* the panels: two
-//! vertically adjacent A panels × two adjacent B panels (`2·MR×2·NR`,
-//! 24 ZMM accumulators fed by 2 B loads and 12 broadcasts per 24 FMAs),
-//! shrinking to 2×1, 1×2 or 1×1 panels at the odd edges — again on the
-//! unchanged panels, and again every lane sees the FMA sequence it
-//! would have seen, so every SIMD tile agrees bit for bit on every
-//! output that is not NaN (and on *which* outputs are NaN; see
-//! `microkernel_avx512` for why a NaN's payload is not promised).
+//! never padded, so padding can never contaminate valid outputs).
 //!
-//! An AVX-512 host runs a B panel of at most `NR/2` live columns on a
-//! *skinny* tile instead of the half tile: it vectorises over rows of A,
-//! not columns of B. Rows 0–5 of two adjacent A panels share one ZMM
-//! register (lanes 0–5 and 8–13), two registers cover four panels, and
-//! each of the `N` ∈ {1, 2, 4, 8} B values a step needs is broadcast
-//! into the `2·N` accumulators of its column — at `n = 4`, 4 broadcasts
-//! per 8 FMAs where the half tile issues one per FMA on half-padding
-//! vectors. It too reads the unchanged panels, and every output is one
-//! lane that sees the half tile's FMA sequence (zero start, ascending
-//! `p`) and its single `c + acc` per `kc` block, so it is bit-identical
-//! to it outside NaN payloads.
+//! Two register tiles read these panels unchanged. The *wide tile*
+//! (`wide_tile`) spans whole panels: up to two A panels × two B panels
+//! on AVX-512, one × one on AVX2 and the portable impl. A B panel of at
+//! most `NR/2` live columns (a 2×2 output plane at batch 1 has 4) runs
+//! the *skinny tile* (`skinny_tile`) instead, which vectorises over rows
+//! of A. Every output sees the same FMA sequence (zero start, ascending
+//! `p`) and one `c + acc` per `kc` block on either tile, so the SIMD
+//! impls agree bit for bit on every output that is not NaN (and on
+//! *which* outputs are NaN; see `wide_tile` for why a NaN's payload is
+//! not promised).
 //!
 //! # Loop nest
 //!
@@ -77,14 +61,15 @@
 //! [`pack_a_codes_into`] stores an exactly-ternary A as 2 bits per
 //! value in the f32 panel order, each panel starting on a word. Per
 //! block, the driver decodes one group of A panels' `kc` steps at a
-//! time — a pair, or four when the skinny tile runs — into a
-//! line-aligned L1 buffer and runs it against every B panel of the
-//! column chunk: every value is decoded once per column chunk, the
-//! tile and every output bit are the f32 engine's on the dequantised
-//! matrix, and A streams 16× fewer bytes.
+//! time — a pair, or four when the skinny tile runs — a code word per
+//! vector, into a line-aligned L1 buffer, and runs it against every B
+//! panel of the column chunk: every value is decoded once per column
+//! chunk, the tile and every output bit are the f32 engine's on the
+//! dequantised matrix, and A streams 16× fewer bytes.
 
 use crate::aligned::AlignedBuf;
 use crate::tensor::Tensor;
+use crate::v16::{live_lanes, run_on, Run, V16};
 use cnn_stack_obs::{self as obs, Metric};
 use cnn_stack_parallel::{parallel_tiles, DisjointWriter, Schedule};
 use std::sync::OnceLock;
@@ -253,7 +238,7 @@ const KC: usize = 256;
 /// 2-bit codes per `u32` code word.
 const CODES_PER_WORD: usize = 16;
 /// Floats of decoded A: four panels' `kc` steps (24 KiB), what the
-/// AVX-512 skinny tile reads at once (the full-width tile reads two).
+/// skinny tile reads at once on AVX-512 (the wide tile reads two).
 const DECODED_ELEMS: usize = SKINNY_PANELS * MR * KC;
 
 /// A grain's decoded A panels, on a cache line: the decoder's 64-byte
@@ -555,9 +540,10 @@ pub enum PackedA<'a> {
 }
 
 /// Decodes `out.len()` codes of one code panel, from code `start` on:
-/// portable code up to the first whole word and after the last one, and
-/// whole words on `kernel`'s decoder in between.
-fn decode_codes(kernel: MicroKernel, words: &[u32], start: usize, lut: [f32; 4], out: &mut [f32]) {
+/// one code at a time up to the first whole word and after the last one,
+/// and a word per vector ([`V16::decode`]) in between.
+#[inline(always)]
+fn decode_codes<V: V16>(words: &[u32], start: usize, lut: [f32; 4], out: &mut [f32]) {
     let decode_one =
         |i: usize| lut[(words[i / CODES_PER_WORD] >> (2 * (i % CODES_PER_WORD))) as usize & 0b11];
     let head = start
@@ -571,74 +557,32 @@ fn decode_codes(kernel: MicroKernel, words: &[u32], start: usize, lut: [f32; 4],
     let first = (start + head) / CODES_PER_WORD;
     let whole = rest.len() / CODES_PER_WORD;
     let (body, tail) = rest.split_at_mut(whole * CODES_PER_WORD);
-    decode_words(kernel, &words[first..first + whole], lut, body);
+    for (&word, dst) in words[first..first + whole]
+        .iter()
+        .zip(body.chunks_exact_mut(CODES_PER_WORD))
+    {
+        V::decode(lut, word).store(dst);
+    }
     for (i, v) in ((first + whole) * CODES_PER_WORD..).zip(tail) {
         *v = decode_one(i);
     }
 }
 
-/// Decodes whole code words: `out` holds 16 floats per word.
-fn decode_words(kernel: MicroKernel, words: &[u32], lut: [f32; 4], out: &mut [f32]) {
-    match kernel {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `Avx512` is only ever a kernel `MicroKernel::supported`
-        // confirmed (the driver asserts it on entry).
-        MicroKernel::Avx512 => unsafe { decode_words_avx512(words, lut, out) },
-        _ => {
-            for (&word, dst) in words.iter().zip(out.chunks_exact_mut(CODES_PER_WORD)) {
-                for (c, v) in dst.iter_mut().enumerate() {
-                    *v = lut[(word >> (2 * c)) as usize & 0b11];
-                }
-            }
-        }
-    }
-}
-
-/// [`decode_words`] on AVX-512F: per word, one broadcast and a variable
-/// right shift (`vpsrlvd`) that brings code `c` to the low bits of lane
-/// `c`, then a `vpermps` from the four-entry table repeated four times —
-/// `vpermps` reads an index's low four bits, so the next code in bits
-/// 2–3 needs no mask. Three instructions per 16 floats.
-///
-/// # Safety
-///
-/// Caller must ensure the CPU supports AVX-512F.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn decode_words_avx512(words: &[u32], lut: [f32; 4], out: &mut [f32]) {
-    use core::arch::x86_64::*;
-    let [a, b, c, d] = lut;
-    let table = _mm512_setr_ps(a, b, c, d, a, b, c, d, a, b, c, d, a, b, c, d);
-    let shifts = _mm512_setr_epi32(0, 2, 4, 6, 8, 10, 12, 14, 16, 18, 20, 22, 24, 26, 28, 30);
-    for (&word, dst) in words.iter().zip(out.chunks_exact_mut(CODES_PER_WORD)) {
-        let codes = _mm512_srlv_epi32(_mm512_set1_epi32(word as i32), shifts);
-        // SAFETY: `dst` is 16 floats, the store's width; the unaligned
-        // form needs no alignment.
-        _mm512_storeu_ps(dst.as_mut_ptr(), _mm512_permutexvar_ps(codes, table));
-    }
-}
-
-/// Which micro-kernel the packed engine (and every other dispatched
-/// kernel in this crate) runs.
+/// Which impl of the 16-lane vocabulary (`v16::V16`) the packed engine
+/// and every other dispatched kernel in this crate run on.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum MicroKernel {
     Scalar,
     #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
     Avx2Fma,
-    /// [`Avx2Fma`](Self::Avx2Fma) everywhere except the packed engine's
-    /// tiles, which add into C from ZMM registers: up to two A panels ×
-    /// two B panels ([`microkernel_avx512`]), or up to four A panels × a
-    /// B panel of at most [`HALF_NR`] live columns
-    /// ([`microkernel_avx512_skinny`]).
     #[cfg(target_arch = "x86_64")]
     Avx512,
 }
 
 impl MicroKernel {
-    /// Whether this host can execute the kernel. Every `unsafe` call
-    /// into a `#[target_feature]` body in this crate rests on it:
-    /// [`active_kernel`] only returns supported kernels and
-    /// [`gemm_prepacked_on`] asserts it on entry.
+    /// Whether this host can execute the kernel. Every call into a body
+    /// compiled for a target's features rests on it: `v16::run_on`
+    /// asserts it on entry.
     pub(crate) fn supported(self) -> bool {
         match self {
             MicroKernel::Scalar => true,
@@ -751,257 +695,123 @@ pub fn gemm_prepacked_named(
     );
 }
 
-/// Live-column count up to which a B panel runs the half-width tile:
-/// one 8-lane vector per accumulator row instead of two.
-const HALF_NR: usize = NR / 2;
+/// Live-column count up to which a B panel runs the skinny tile.
+const SKINNY_NR: usize = NR / 2;
 
-/// Portable micro-kernel: `acc[MR][..W] += A-panel-block · B-panel-block`
-/// over `a.len()/MR` reduction steps, `W` being the full tile width
-/// [`NR`] or the half tile [`HALF_NR`] (lanes `W..` are left untouched).
-/// Written so the inner loop autovectorises: fixed-width rows,
-/// `chunks_exact`, no bounds checks in the hot loop.
-fn microkernel_scalar<const W: usize>(a: &[f32], b: &[f32], acc: &mut [[f32; NR]; MR]) {
-    for (ap, bp) in a.chunks_exact(MR).zip(b.chunks_exact(NR)) {
-        let ap: &[f32; MR] = ap.try_into().expect("chunks_exact yields MR");
-        let bp: &[f32; NR] = bp.try_into().expect("chunks_exact yields NR");
-        for r in 0..MR {
-            let ar = ap[r];
-            let row = &mut acc[r];
-            for c in 0..W {
-                row[c] += ar * bp[c];
-            }
+/// A panels one skinny tile covers at most: two per vector of A rows,
+/// in up to two vectors.
+const SKINNY_PANELS: usize = 4;
+
+/// The part of C a tile adds into: `rows` live rows of `cols` live
+/// columns, row `r` from element `at + r·n` of the `n`-column matrix
+/// behind `writer`.
+#[derive(Clone, Copy)]
+struct CTile<'a> {
+    writer: &'a DisjointWriter,
+    at: usize,
+    n: usize,
+    rows: usize,
+    cols: usize,
+}
+
+impl CTile<'_> {
+    /// Row `r`'s live columns; empty past the live rows.
+    ///
+    /// # Safety
+    ///
+    /// The caller's grain owns the tile's rows and columns, and nothing
+    /// else holds a slice of row `r` while this one lives.
+    #[inline(always)]
+    unsafe fn row(&mut self, r: usize) -> &mut [f32] {
+        let at = self.at + r * self.n;
+        match r < self.rows {
+            true => self.writer.slice_mut(at, at + self.cols),
+            false => &mut [],
         }
     }
 }
 
-/// AVX2/FMA micro-kernel: 12 YMM accumulators (6 rows × 2 vectors of 8
-/// lanes), one broadcast per A value, two loads per B step.
+/// The wide tile: `AP` vertically adjacent A panels × `BP` adjacent B
+/// panels of the packed layouts (up to [`V16::TILE_PANELS`] each), `AP·MR
+/// × BP·NR` outputs in `AP·MR·BP` accumulator vectors. A vector is a
+/// whole `NR`-wide accumulator row, so the tile grows by whole panels;
+/// 2×1, 1×2 and 1×1 take the odd last panel of a row chunk or column
+/// chunk.
 ///
-/// # Safety
+/// Accumulators start at zero, run the `kc` steps of this block (one
+/// broadcast A value times one B vector, [`V16::fma`], in ascending step
+/// order), and are added into C **from registers**: `c + acc` over each
+/// row's live lanes (masked load, prefix store, so a ragged last panel or
+/// a short last A panel touches nothing beyond the tile's live rows and
+/// columns), clamped at zero when `relu` (the caller passes it on the last
+/// `kc` block only). Every output therefore sees the same FMA sequence
+/// and the same single add per block whatever the tile's shape, and the
+/// SIMD impls agree bit for bit on every output that is not NaN. A NaN
+/// output is a NaN on every impl, but its sign and payload are not
+/// promised: when an `Inf − Inf` partial sum meets a propagated input
+/// NaN, x86 returns whichever operand the compiler placed first, and
+/// LLVM may commute a floating-point add.
 ///
-/// Caller must ensure the CPU supports AVX2 and FMA (checked once in
-/// [`active_kernel`]). `a.len()` must be a multiple of `MR` and
-/// `b.len()/NR` must equal `a.len()/MR`.
-#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-#[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn microkernel_avx2(a: &[f32], b: &[f32], acc: &mut [[f32; NR]; MR]) {
-    #[cfg(target_arch = "x86")]
-    use core::arch::x86::*;
-    #[cfg(target_arch = "x86_64")]
-    use core::arch::x86_64::*;
-
-    debug_assert_eq!(a.len() % MR, 0);
-    debug_assert_eq!(b.len() % NR, 0);
-    debug_assert_eq!(a.len() / MR, b.len() / NR);
-    let kc = a.len() / MR;
-
-    // SAFETY (all intrinsics below): loads/stores stay inside `a`, `b`
-    // and `acc`, whose lengths are checked above; alignment is not
-    // required by the unaligned (`_mm256_loadu_ps`/`_mm256_storeu_ps`)
-    // forms.
-    let mut c00 = _mm256_loadu_ps(acc[0].as_ptr());
-    let mut c01 = _mm256_loadu_ps(acc[0].as_ptr().add(8));
-    let mut c10 = _mm256_loadu_ps(acc[1].as_ptr());
-    let mut c11 = _mm256_loadu_ps(acc[1].as_ptr().add(8));
-    let mut c20 = _mm256_loadu_ps(acc[2].as_ptr());
-    let mut c21 = _mm256_loadu_ps(acc[2].as_ptr().add(8));
-    let mut c30 = _mm256_loadu_ps(acc[3].as_ptr());
-    let mut c31 = _mm256_loadu_ps(acc[3].as_ptr().add(8));
-    let mut c40 = _mm256_loadu_ps(acc[4].as_ptr());
-    let mut c41 = _mm256_loadu_ps(acc[4].as_ptr().add(8));
-    let mut c50 = _mm256_loadu_ps(acc[5].as_ptr());
-    let mut c51 = _mm256_loadu_ps(acc[5].as_ptr().add(8));
-
-    let mut ap = a.as_ptr();
-    let mut bp = b.as_ptr();
-    for _ in 0..kc {
-        let b0 = _mm256_loadu_ps(bp);
-        let b1 = _mm256_loadu_ps(bp.add(8));
-        let a0 = _mm256_set1_ps(*ap);
-        c00 = _mm256_fmadd_ps(a0, b0, c00);
-        c01 = _mm256_fmadd_ps(a0, b1, c01);
-        let a1 = _mm256_set1_ps(*ap.add(1));
-        c10 = _mm256_fmadd_ps(a1, b0, c10);
-        c11 = _mm256_fmadd_ps(a1, b1, c11);
-        let a2 = _mm256_set1_ps(*ap.add(2));
-        c20 = _mm256_fmadd_ps(a2, b0, c20);
-        c21 = _mm256_fmadd_ps(a2, b1, c21);
-        let a3 = _mm256_set1_ps(*ap.add(3));
-        c30 = _mm256_fmadd_ps(a3, b0, c30);
-        c31 = _mm256_fmadd_ps(a3, b1, c31);
-        let a4 = _mm256_set1_ps(*ap.add(4));
-        c40 = _mm256_fmadd_ps(a4, b0, c40);
-        c41 = _mm256_fmadd_ps(a4, b1, c41);
-        let a5 = _mm256_set1_ps(*ap.add(5));
-        c50 = _mm256_fmadd_ps(a5, b0, c50);
-        c51 = _mm256_fmadd_ps(a5, b1, c51);
-        ap = ap.add(MR);
-        bp = bp.add(NR);
-    }
-
-    _mm256_storeu_ps(acc[0].as_mut_ptr(), c00);
-    _mm256_storeu_ps(acc[0].as_mut_ptr().add(8), c01);
-    _mm256_storeu_ps(acc[1].as_mut_ptr(), c10);
-    _mm256_storeu_ps(acc[1].as_mut_ptr().add(8), c11);
-    _mm256_storeu_ps(acc[2].as_mut_ptr(), c20);
-    _mm256_storeu_ps(acc[2].as_mut_ptr().add(8), c21);
-    _mm256_storeu_ps(acc[3].as_mut_ptr(), c30);
-    _mm256_storeu_ps(acc[3].as_mut_ptr().add(8), c31);
-    _mm256_storeu_ps(acc[4].as_mut_ptr(), c40);
-    _mm256_storeu_ps(acc[4].as_mut_ptr().add(8), c41);
-    _mm256_storeu_ps(acc[5].as_mut_ptr(), c50);
-    _mm256_storeu_ps(acc[5].as_mut_ptr().add(8), c51);
-}
-
-/// Half-width twin of [`microkernel_avx2`] for B panels with at most
-/// [`HALF_NR`] live columns: six accumulators over the first 8 lanes of
-/// the same `NR`-wide packed panel. Lane for lane it is the same FMA
-/// ladder, so the live lanes are bit-identical to the full tile's; the
-/// upper 8 lanes of `acc` are left untouched.
-///
-/// # Safety
-///
-/// As [`microkernel_avx2`].
-#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-#[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn microkernel_avx2_half(a: &[f32], b: &[f32], acc: &mut [[f32; NR]; MR]) {
-    #[cfg(target_arch = "x86")]
-    use core::arch::x86::*;
-    #[cfg(target_arch = "x86_64")]
-    use core::arch::x86_64::*;
-
-    debug_assert_eq!(a.len() % MR, 0);
-    debug_assert_eq!(b.len() % NR, 0);
-    debug_assert_eq!(a.len() / MR, b.len() / NR);
-    let kc = a.len() / MR;
-
-    // SAFETY (all intrinsics below): loads/stores stay inside `a`, `b`
-    // and the first 8 lanes of each `acc` row, whose lengths are
-    // checked above; the unaligned forms need no alignment.
-    let mut c0 = _mm256_loadu_ps(acc[0].as_ptr());
-    let mut c1 = _mm256_loadu_ps(acc[1].as_ptr());
-    let mut c2 = _mm256_loadu_ps(acc[2].as_ptr());
-    let mut c3 = _mm256_loadu_ps(acc[3].as_ptr());
-    let mut c4 = _mm256_loadu_ps(acc[4].as_ptr());
-    let mut c5 = _mm256_loadu_ps(acc[5].as_ptr());
-
-    let mut ap = a.as_ptr();
-    let mut bp = b.as_ptr();
-    for _ in 0..kc {
-        let b0 = _mm256_loadu_ps(bp);
-        c0 = _mm256_fmadd_ps(_mm256_set1_ps(*ap), b0, c0);
-        c1 = _mm256_fmadd_ps(_mm256_set1_ps(*ap.add(1)), b0, c1);
-        c2 = _mm256_fmadd_ps(_mm256_set1_ps(*ap.add(2)), b0, c2);
-        c3 = _mm256_fmadd_ps(_mm256_set1_ps(*ap.add(3)), b0, c3);
-        c4 = _mm256_fmadd_ps(_mm256_set1_ps(*ap.add(4)), b0, c4);
-        c5 = _mm256_fmadd_ps(_mm256_set1_ps(*ap.add(5)), b0, c5);
-        ap = ap.add(MR);
-        bp = bp.add(NR);
-    }
-
-    _mm256_storeu_ps(acc[0].as_mut_ptr(), c0);
-    _mm256_storeu_ps(acc[1].as_mut_ptr(), c1);
-    _mm256_storeu_ps(acc[2].as_mut_ptr(), c2);
-    _mm256_storeu_ps(acc[3].as_mut_ptr(), c3);
-    _mm256_storeu_ps(acc[4].as_mut_ptr(), c4);
-    _mm256_storeu_ps(acc[5].as_mut_ptr(), c5);
-}
-
-/// One C row per accumulator row of the largest AVX-512 tile. Row `r`
-/// of the tile adds into `c[r]`, whose length is the row's live column
-/// count; a row past the ragged bottom edge is an empty slice.
-#[cfg(target_arch = "x86_64")]
-type TileRows<'c> = [&'c mut [f32]; 2 * MR];
-
-/// The AVX-512F micro-kernel: `AP` ∈ {1, 2} vertically adjacent A panels
-/// × `BP` ∈ {1, 2} adjacent B panels of the unchanged packed layouts,
-/// `AP·MR × BP·NR` outputs in `AP·MR·BP` ZMM accumulators. The 2×2 tile
-/// issues 2 B loads and 12 broadcasts per 24 FMAs (the 2×1 tile it
-/// replaced: 1 + 12 per 12); 2×1, 1×2 and 1×1 take the odd last panel
-/// of a row chunk or column chunk. A ZMM register is a whole `NR`-wide
-/// accumulator row, so the packed layouts are exactly the ones
-/// [`microkernel_avx2`] reads.
-///
-/// Accumulators start at zero, run the `kc` FMAs of this block, and are
-/// added into C **from registers**: `c[r] = acc + c[r]` over the
-/// `c[r].len()` live lanes (masked load and store, so a ragged last
-/// panel or a short last A panel touches nothing beyond the slice),
-/// clamped at zero when `relu` (the caller passes it on the last `kc`
-/// block only). Every lane therefore sees the same FMA sequence and
-/// the same single add per block as the stack-tile kernels, so finite
-/// and infinite outputs are bit-identical to theirs. A NaN output is a
-/// NaN in both, but its sign and payload are not promised: when an
-/// `Inf − Inf` partial sum meets a propagated input NaN, x86 returns
-/// whichever operand the compiler placed first, and LLVM may commute a
-/// floating-point add.
-///
-/// # Safety
-///
-/// Caller must ensure the CPU supports AVX-512F
-/// ([`MicroKernel::supported`]). Every `a[i].len()` must be the same
-/// multiple `kc·MR` of `MR`, every `b[j].len()` must be `kc·NR`, and no
-/// `c[r]` may be longer than `BP·NR`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn microkernel_avx512<const AP: usize, const BP: usize>(
+/// Every `a[i]` must hold the same `kc` steps of `MR` floats as every
+/// `b[j]` holds of `NR`, and `c` at most `AP·MR` rows of `BP·NR`.
+#[inline(always)]
+fn wide_tile<V: V16, const AP: usize, const BP: usize>(
     a: [&[f32]; AP],
     b: [&[f32]; BP],
-    c: &mut TileRows<'_>,
+    mut c: CTile<'_>,
     relu: bool,
 ) {
-    use core::arch::x86_64::*;
-
-    let kc = a[0].len() / MR;
-    debug_assert!(a.iter().all(|p| p.len() == kc * MR));
-    debug_assert!(b.iter().all(|p| p.len() == kc * NR));
-    debug_assert!(c.iter().all(|row| row.len() <= BP * NR));
-
-    // SAFETY (all intrinsics below): the reduction loop reads `kc`
-    // steps of `MR` floats from each A panel and `NR` from each B panel
-    // — their checked lengths — through the unaligned load forms. The
-    // constant-trip loops unroll, so `acc` lives in `AP·MR·BP` ZMM
-    // registers.
-    let mut acc = [[[_mm512_setzero_ps(); BP]; MR]; AP];
-    let mut ap = a.map(<[f32]>::as_ptr);
-    let mut bp = b.map(<[f32]>::as_ptr);
-    for _ in 0..kc {
-        let mut bv = [_mm512_setzero_ps(); BP];
-        for (v, p) in bv.iter_mut().zip(&mut bp) {
-            *v = _mm512_loadu_ps(*p);
-            *p = p.add(NR);
+    debug_assert!(c.rows <= AP * MR && c.cols <= BP * NR);
+    let kc = b[0].len() / NR;
+    let mut a_steps: [&[[f32; MR]]; AP] = [&[]; AP];
+    let mut b_steps: [&[[f32; NR]]; BP] = [&[]; BP];
+    for i in 0..AP {
+        a_steps[i] = a[i].as_chunks().0;
+        assert_eq!(a_steps[i].len(), kc, "an A block is not kc steps");
+    }
+    for j in 0..BP {
+        b_steps[j] = b[j].as_chunks().0;
+        assert_eq!(b_steps[j].len(), kc, "a B block is not kc steps");
+    }
+    let mut acc = [[[V::splat(0.0); BP]; MR]; AP];
+    for p in 0..kc {
+        let mut bv = [V::splat(0.0); BP];
+        for j in 0..BP {
+            // SAFETY: step `p` of a B block is the 16 floats the load reads.
+            bv[j] = unsafe { V::load(&b_steps[j][p], 0) };
         }
-        for (tile, p) in acc.iter_mut().zip(&mut ap) {
-            for (r, row) in tile.iter_mut().enumerate() {
-                let av = _mm512_set1_ps(*p.add(r));
-                for (c, &v) in row.iter_mut().zip(&bv) {
-                    *c = _mm512_fmadd_ps(av, v, *c);
+        for i in 0..AP {
+            for r in 0..MR {
+                let av = V::splat(a_steps[i][p][r]);
+                for j in 0..BP {
+                    acc[i][r][j] = acc[i][r][j].fma(av, bv[j]);
                 }
             }
-            *p = p.add(MR);
         }
     }
-
-    // `c = acc + c`, written out per accumulator so every index into
+    // `c = c + acc`, written out per accumulator so that every index into
     // `acc` is a constant: a loop the optimiser declines to unroll would
-    // index it dynamically and push all of it through the stack on
-    // every reduction step. Arms beyond this instance's `AP`/`BP` fold
-    // away.
-    let zero = _mm512_setzero_ps();
+    // index it dynamically and keep all of it on the stack through the
+    // reduction. Arms beyond this instance's `AP` and `BP` fold away.
     macro_rules! add_into_c {
         ($i:literal, $r:literal, $j:literal) => {
-            if $i < AP && $j < BP && c[$i * MR + $r].len() > $j * NR {
-                let row = &mut *c[$i * MR + $r];
+            // SAFETY: the caller's grain owns the tile, and no other slice
+            // of this row lives.
+            let row = unsafe { c.row($i * MR + $r) };
+            if $i < AP && $j < BP && row.len() > $j * NR {
                 let lanes = (row.len() - $j * NR).min(NR);
-                let mask = ((1u32 << lanes) - 1) as __mmask16;
-                // SAFETY: `j·NR < row.len()`, and the mask enables only
-                // lanes `< row.len() − j·NR`, so the load and the store
-                // stay inside `row`.
-                let p = row.as_mut_ptr().add($j * NR);
-                let sum = _mm512_add_ps(acc[$i][$r][$j], _mm512_maskz_loadu_ps(mask, p));
-                // `max(sum, 0)` returns its second operand on NaN, like
-                // `f32::max(sum, 0.0)`.
-                let out = if relu { _mm512_max_ps(sum, zero) } else { sum };
-                _mm512_mask_storeu_ps(p, mask, out);
+                let dst = &mut row[$j * NR..][..lanes];
+                // SAFETY: the first `lanes` lanes lie inside `dst`. (A
+                // whole row is a plain load, which the lane loop of the
+                // portable impl's masked load is not.)
+                let sum = unsafe {
+                    match lanes {
+                        NR => V::load(dst, 0),
+                        _ => V::load_masked(dst, 0, live_lanes(lanes)),
+                    }
+                };
+                let sum = sum.add(acc[$i % AP][$r][$j % BP]);
+                if relu { sum.relu() } else { sum }.store(dst);
             }
         };
         ($i:literal, $r:literal) => {
@@ -1021,152 +831,96 @@ unsafe fn microkernel_avx512<const AP: usize, const BP: usize>(
     add_into_c!(1);
 }
 
-/// A panels the AVX-512 skinny tile covers: two per ZMM register, in
-/// two registers.
-const SKINNY_PANELS: usize = 4;
-
-/// One C row per accumulator row of the AVX-512 skinny tile: the `MR`
-/// rows of each of its [`SKINNY_PANELS`] A panels. Row `r` adds into
-/// `c[r]`, whose length is the live column count; a row past the short
-/// last A panel, or of a panel the tile does not cover, is an empty
-/// slice.
-#[cfg(target_arch = "x86_64")]
-type SkinnyRows<'c> = [&'c mut [f32]; SKINNY_PANELS * MR];
-
-/// The AVX-512F skinny tile, for a B panel with at most [`HALF_NR`] live
+/// The skinny tile, for a B panel with at most [`SKINNY_NR`] live
 /// columns (a 2×2 output plane at batch 1 has 4, a batch-1 linear 1): it
 /// vectorises over the rows of A instead of the columns of B. Rows 0–5
-/// of A panels `2v` and `2v + 1` share ZMM `v`, at lanes 0–5 and 8–13,
-/// for `V` ∈ {1, 2} registers — two or four panels per reduction step —
-/// and each of the step's first `N` ∈ {1, 2, 4, 8} B values is
-/// broadcast and FMA'd into the `V` accumulators of its column. At
-/// `N = 4, V = 2` a step costs 2 A loads (each two ymm halves and an
-/// insert) and 4 broadcasts per 8 FMAs, 96 of whose 128 lanes are live,
-/// where the AVX2 half tile issues one broadcast per 8-lane FMA, half of
-/// whose lanes are padding at `n = 4`.
+/// of A panels `2v` and `2v + 1` share vector `v`, at lanes 0–5 and
+/// 8–13 ([`V16::load_pair`]), for `VV` vectors — two or four panels per
+/// reduction step — and each of the step's `N` B values from column
+/// `j0` on is broadcast and FMA'd into the `VV` accumulators of its
+/// column. The caller runs the live columns in passes of at most
+/// [`V16::SKINNY`]`.0`.
 ///
-/// Every output is still accumulated from zero by one FMA per step in
-/// ascending `p`, then added into C as `c + acc` and clamped at zero
-/// when `relu` (the caller passes it on the last `kc` block only) —
-/// [`microkernel_avx2_half`]'s ladder and [`write_back`]'s add, so
-/// finite and infinite outputs are bit-identical to the half tile's
-/// (NaN payloads as for [`microkernel_avx512`]). Lanes 6–7 and 14–15
-/// hold the next step's first two rows, or zeros on the last step, and
-/// are never written back.
+/// Every output is still one lane accumulated from zero by one FMA per
+/// step in ascending order, then added into C as `c + acc` and clamped
+/// at zero when `relu`: the wide tile's sequence, so the two agree bit
+/// for bit outside NaN payloads. Lanes 6–7 and 14–15 hold the next
+/// step's first two rows, or zeros on the last step, and are never
+/// written back.
 ///
-/// # Safety
-///
-/// Caller must ensure the CPU supports AVX-512F
-/// ([`MicroKernel::supported`]). Every `a[i].len()` must be `kc·MR`
-/// with `kc ≥ 1`, `b.len()` must be `kc·NR`, and no `c[r]` may be longer
-/// than `N`. Panels from `2·V` on are not read, and a row of a panel the
-/// caller repeated to fill the tile must be empty in `c`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn microkernel_avx512_skinny<const N: usize, const V: usize>(
-    a: [&[f32]; SKINNY_PANELS],
+/// Every `a[i]` must hold the `kc ≥ 1` steps of `MR` floats that `b`
+/// holds of `NR`, `j0 + N` must not pass `NR`, and `c` must have no
+/// live row of a panel from `2·VV` on or of a panel the caller repeated
+/// to fill the tile.
+#[inline(always)]
+fn skinny_tile<V: V16, const N: usize, const VV: usize>(
+    a: &[&[f32]; SKINNY_PANELS],
     b: &[f32],
-    c: &mut SkinnyRows<'_>,
+    j0: usize,
+    mut c: CTile<'_>,
     relu: bool,
 ) {
-    use core::arch::x86_64::*;
-
-    let kc = b.len() / NR;
-    debug_assert!(N <= HALF_NR && 2 * V <= SKINNY_PANELS && kc > 0);
-    debug_assert!(a.iter().all(|p| p.len() == kc * MR));
-    debug_assert_eq!(b.len(), kc * NR);
-    debug_assert!(c.iter().all(|row| row.len() <= N));
-    debug_assert!(c[2 * V * MR..].iter().all(|row| row.is_empty()));
-
-    // ZMM `v`'s rows at step `p`: two 8-float loads joined by one
-    // insert, except on the last step, where 8 floats would read 2 past
-    // the panel and a masked 6-float load stops at its end.
-    macro_rules! rows {
-        ($v:expr, $p:expr, $last:expr) => {{
-            let (lo, hi) = (a[2 * $v], a[2 * $v + 1]);
-            let (at, width) = ($p * MR, if $last { MR } else { HALF_NR });
-            debug_assert!(
-                at + width <= lo.len() && at + width <= hi.len(),
-                "a lane load leaves its A panel"
-            );
-            // SAFETY: lanes `[at, at + width)` lie inside both panels
-            // (asserted above in debug builds: `p < kc − 1` leaves 2
-            // floats of the next step after an 8-float load); the masked
-            // form reads only its 6 enabled lanes.
-            let (lo, hi) = (lo.as_ptr().add(at), hi.as_ptr().add(at));
-            let (lo, hi) = if $last {
-                (
-                    _mm512_castps512_ps256(_mm512_maskz_loadu_ps(0x3F, lo)),
-                    _mm512_castps512_ps256(_mm512_maskz_loadu_ps(0x3F, hi)),
-                )
-            } else {
-                (_mm256_loadu_ps(lo), _mm256_loadu_ps(hi))
-            };
-            let lo = _mm512_castps_pd(_mm512_castps256_ps512(lo));
-            _mm512_castpd_ps(_mm512_insertf64x4::<1>(lo, _mm256_castps_pd(hi)))
-        }};
+    let b_steps: &[[f32; NR]] = b.as_chunks().0;
+    let kc = b_steps.len();
+    assert!(kc > 0 && j0 + N <= NR, "a skinny pass outside its B block");
+    for panel in &a[..2 * VV] {
+        assert_eq!(panel.len(), kc * MR, "an A block is not kc steps");
     }
-    // SAFETY (the broadcasts): `j < N ≤ NR`, so step `p`'s value `j`
-    // lies inside `b`, whose length is checked above.
-    let mut acc = [[_mm512_setzero_ps(); V]; N];
-    macro_rules! step {
-        ($p:expr, $last:expr) => {{
-            let mut av = [_mm512_setzero_ps(); V];
-            for (v, r) in av.iter_mut().enumerate() {
-                *r = rows!(v, $p, $last);
-            }
-            for (j, col) in acc.iter_mut().enumerate() {
-                let bv = _mm512_set1_ps(*b.as_ptr().add($p * NR + j));
-                for (c, &r) in col.iter_mut().zip(&av) {
-                    *c = _mm512_fmadd_ps(r, bv, *c);
-                }
-            }
-        }};
+    let mut acc = [[V::splat(0.0); VV]; N];
+    // An 8-float row load reads the next step's first two rows, so the
+    // last step loads its 6 rows alone.
+    for (p, step) in b_steps[..kc - 1].iter().enumerate() {
+        skinny_step(&mut acc, a, p, 0xff, &step[j0..j0 + N]);
     }
-    for p in 0..kc - 1 {
-        step!(p, false);
-    }
-    step!(kc - 1, true);
+    skinny_step(&mut acc, a, kc - 1, 0x3f, &b_steps[kc - 1][j0..j0 + N]);
 
     // `c = c + acc`, row by row and column by column out of a stack copy
     // of the accumulators: C's rows run across the lanes.
-    let mut sums = [[[0.0f32; NR]; V]; N];
-    for (col, out) in acc.iter().zip(&mut sums) {
-        for (&r, out) in col.iter().zip(out) {
-            // SAFETY: `out` is `NR` floats, the store's width.
-            _mm512_storeu_ps(out.as_mut_ptr(), r);
+    let mut sums = [[[0.0f32; NR]; VV]; N];
+    for (acc, sums) in acc.iter().zip(&mut sums) {
+        for (acc, sum) in acc.iter().zip(sums) {
+            acc.store(sum);
         }
     }
-    for (i, row) in c.iter_mut().enumerate() {
-        let (v, lane) = (i / (2 * MR), i / MR % 2 * HALF_NR + i % MR);
-        for (d, col) in row.iter_mut().zip(&sums) {
-            let sum = *d + col[v][lane];
-            *d = if relu { sum.max(0.0) } else { sum };
+    // The column loop has a constant trip count, so it unrolls rather
+    // than vectorising into gathers that wait for those stores to land.
+    let live = c.cols.saturating_sub(j0).min(N);
+    for i in 0..c.rows.min(2 * VV * MR) {
+        let (v, lane) = (i / (2 * MR), i / MR % 2 * SKINNY_NR + i % MR);
+        // SAFETY: the caller's grain owns the tile, and no other slice of
+        // this row lives.
+        let row = &mut unsafe { c.row(i) }[j0..j0 + live];
+        for (j, col) in sums.iter().enumerate() {
+            if j < live {
+                let sum = row[j] + col[v][lane];
+                row[j] = if relu { sum.max(0.0) } else { sum };
+            }
         }
     }
 }
 
-/// Dispatches one `MR×NR` reduction block to a kernel that accumulates
-/// into a stack tile; `half` selects the [`HALF_NR`]-lane tile (the
-/// caller's panel has no live column beyond it). [`MicroKernel::Avx512`]
-/// never comes here: its two tiles add into C themselves and are
-/// dispatched by the driver.
-#[inline]
-fn microkernel(kernel: MicroKernel, half: bool, a: &[f32], b: &[f32], acc: &mut [[f32; NR]; MR]) {
-    match (kernel, half) {
-        (MicroKernel::Scalar, false) => microkernel_scalar::<NR>(a, b, acc),
-        (MicroKernel::Scalar, true) => microkernel_scalar::<HALF_NR>(a, b, acc),
-        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-        // SAFETY: a SIMD variant only reaches here after
-        // `MicroKernel::supported` confirmed AVX2 and FMA (`Avx512`
-        // implies both); the slice-length contract is upheld by the
-        // panel driver.
-        (MicroKernel::Avx2Fma, false) => unsafe { microkernel_avx2(a, b, acc) },
-        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-        // SAFETY: as above.
-        (MicroKernel::Avx2Fma, true) => unsafe { microkernel_avx2_half(a, b, acc) },
-        #[cfg(target_arch = "x86_64")]
-        (MicroKernel::Avx512, _) => unreachable!("the AVX-512 tiles add into C themselves"),
+/// Step `p` of [`skinny_tile`]: the rows of `mask` of each pair of A
+/// panels times each of the `N` B values `b`.
+#[inline(always)]
+fn skinny_step<V: V16, const N: usize, const VV: usize>(
+    acc: &mut [[V; VV]; N],
+    a: &[&[f32]; SKINNY_PANELS],
+    p: usize,
+    mask: u8,
+    b: &[f32],
+) {
+    let mut av = [V::splat(0.0); VV];
+    for v in 0..VV {
+        // SAFETY: the tile asserted that both A blocks hold `kc` steps of
+        // `MR` floats: step `p`'s 6 lie inside them, and the 8 of a full
+        // mask (`p < kc − 1`) read 2 of step `p + 1`'s.
+        av[v] = unsafe { V::load_pair(a[2 * v], a[2 * v + 1], p * MR, mask) };
+    }
+    for j in 0..N {
+        let bv = V::splat(b[j]);
+        for v in 0..VV {
+            acc[j][v] = acc[j][v].fma(av[v], bv);
+        }
     }
 }
 
@@ -1187,10 +941,14 @@ struct Block {
     jp1: usize,
 }
 
+/// A grain's [`Block`]s in walk order: `kc` block by `kc` block, and
+/// within each, row chunk by row chunk.
+type Blocks<'a> = &'a mut dyn Iterator<Item = Block>;
+
 /// The one loop nest of the packed engine, shared by every kernel, A
 /// operand and thread count: column chunk → `kc` block → row chunk,
-/// `body` doing the panels of each [`Block`] with the state `grain`
-/// made for its grain (a code operand's decode buffer). With K
+/// `body` doing the panels of each of a grain's [`Blocks`] with the
+/// state `grain` made for it (a code operand's decode buffer). With K
 /// outside the row chunks, the `kc × nc` B block is re-read from L2 by
 /// every row chunk and A is streamed from memory once per column chunk.
 ///
@@ -1210,7 +968,7 @@ fn blocked_walk<S>(
     threads: usize,
     schedule: Schedule,
     grain: impl Fn() -> S + Sync,
-    body: impl Fn(&mut S, Block) + Sync,
+    body: impl Fn(&mut S, Blocks<'_>) + Sync,
 ) {
     assert!(threads > 0, "at least one thread required");
     let (m_panels, n_panels) = (plan.m_panels(), plan.n_panels());
@@ -1233,62 +991,22 @@ fn blocked_walk<S>(
             let jp1 = (jp0 + chunk_panels).min(n_panels);
             let p0 = 2 * (range * pairs / ranges);
             let p1 = (2 * ((range + 1) * pairs / ranges)).min(m_panels);
-            let mut state = grain();
-            let mut pc = 0;
-            while pc < plan.k {
+            let chunk = plan.mc / MR;
+            let mut blocks = (0..plan.k).step_by(plan.kc).flat_map(|pc| {
                 let kc = plan.kc.min(plan.k - pc);
-                for ip0 in (p0..p1).step_by(plan.mc / MR) {
-                    body(
-                        &mut state,
-                        Block {
-                            pc,
-                            kc,
-                            last: pc + kc >= plan.k,
-                            ip0,
-                            ip1: (ip0 + plan.mc / MR).min(p1),
-                            jp0,
-                            jp1,
-                        },
-                    );
-                }
-                pc += kc;
-            }
+                (p0..p1).step_by(chunk).map(move |ip0| Block {
+                    pc,
+                    kc,
+                    last: pc + kc >= plan.k,
+                    ip0,
+                    ip1: (ip0 + chunk).min(p1),
+                    jp0,
+                    jp1,
+                })
+            });
+            body(&mut grain(), &mut blocks);
         },
     );
-}
-
-/// `C += acc` (clamped at zero when `relu`) for the live rows and
-/// columns of A panel `ip` × B panel `jp`: the write-back of every
-/// kernel that accumulates into a stack tile.
-///
-/// # Safety
-///
-/// The caller's grain must own rows `[ip·MR, ip·MR + MR)` × columns
-/// `[jp·NR, jp·NR + NR)` of the `m×n` matrix behind `writer`.
-unsafe fn write_back(
-    writer: &DisjointWriter,
-    (m, n): (usize, usize),
-    (ip, jp): (usize, usize),
-    acc: &[[f32; NR]; MR],
-    relu: bool,
-) {
-    let (i0, j0) = (ip * MR, jp * NR);
-    let cols = NR.min(n - j0);
-    for (r, acc_row) in acc.iter().enumerate().take(MR.min(m - i0)) {
-        let at = (i0 + r) * n + j0;
-        // SAFETY: inside the tile the caller owns; distinct grains own
-        // disjoint tiles and the buffer outlives the parallel region.
-        let dst = unsafe { writer.slice_mut(at, at + cols) };
-        if relu {
-            for (d, &v) in dst.iter_mut().zip(&acc_row[..cols]) {
-                *d = (*d + v).max(0.0);
-            }
-        } else {
-            for (d, &v) in dst.iter_mut().zip(&acc_row[..cols]) {
-                *d += v;
-            }
-        }
-    }
 }
 
 /// Packed GEMM over pre-packed operands: `c[m×n] += packed_a · packed_b`.
@@ -1357,8 +1075,8 @@ pub fn gemm_prepacked_epilogue(
 
 /// [`gemm_prepacked_epilogue`] on an explicit micro-kernel: the driver
 /// body, split out so the cross-kernel tests can hold every kernel the
-/// host supports to the same product (on an AVX-512 host the AVX2 full
-/// tile is otherwise never reached).
+/// host supports to the same product (on an AVX-512 host the AVX2
+/// instantiation is otherwise never reached).
 ///
 /// # Panics
 ///
@@ -1438,7 +1156,6 @@ pub(crate) fn gemm_prepacked_on(
 
     let writer = DisjointWriter::new(c);
     let tiles = Tiles {
-        kernel,
         plan,
         packed_b,
         writer: &writer,
@@ -1450,248 +1167,197 @@ pub(crate) fn gemm_prepacked_on(
             threads,
             schedule,
             || (),
-            |(), blk| tiles.run(&blk, &packed_a[(blk.ip0 * k + blk.pc) * MR..], k * MR),
+            |(), blocks| run_on(kernel, &mut F32Grain(&tiles, blocks, packed_a)),
         ),
-        PackedA::Codes(codes) => {
-            let (words, lut) = (plan.code_panel_words(), codes.lut());
-            blocked_walk(
-                plan,
-                threads,
-                schedule,
-                || DecodedPanels([0.0; DECODED_ELEMS]),
-                |DecodedPanels(decoded), blk| {
-                    // Group by group of A panels — the height of the
-                    // AVX-512 tile that runs: four when the chunk ends
-                    // in a skinny B panel, else a pair — decoded into L1
-                    // and run against every B panel of the column chunk
-                    // before the next group: a panel is decoded once per
-                    // block, and the decoded floats never leave L1. Each
-                    // panel starts on a line.
-                    let panel = blk.kc * MR;
-                    let stride = panel.next_multiple_of(CODES_PER_WORD);
-                    let group = if tiles.skinny(blk.jp1 - 1) {
-                        SKINNY_PANELS
-                    } else {
-                        2
-                    };
-                    for ip0 in (blk.ip0..blk.ip1).step_by(group) {
-                        let ip1 = (ip0 + group).min(blk.ip1);
-                        for (ip, dst) in (ip0..ip1).zip(decoded.chunks_exact_mut(stride)) {
-                            let src = &codes.words[ip * words..(ip + 1) * words];
-                            decode_codes(kernel, src, blk.pc * MR, lut, &mut dst[..panel]);
-                        }
-                        tiles.run(&Block { ip0, ip1, ..blk }, &decoded[..], stride);
-                    }
-                },
-            );
-        }
+        PackedA::Codes(codes) => blocked_walk(
+            plan,
+            threads,
+            schedule,
+            || DecodedPanels([0.0; DECODED_ELEMS]),
+            |DecodedPanels(decoded), blocks| {
+                run_on(kernel, &mut CodeGrain(&tiles, blocks, codes, decoded))
+            },
+        ),
     }
 }
 
-/// What every block of one product shares: the tile, the shape, B, C
-/// and the epilogue.
+/// What every block of one product shares: the shape, B, C and the
+/// epilogue.
 struct Tiles<'a> {
-    kernel: MicroKernel,
     plan: &'a GemmPlan,
     packed_b: &'a [f32],
     writer: &'a DisjointWriter,
     epilogue: GemmEpilogue,
 }
 
+/// A grain of a product on f32 panels: the tiles, the grain's blocks and
+/// A.
+struct F32Grain<'a>(&'a Tiles<'a>, Blocks<'a>, &'a [f32]);
+
+impl Run for F32Grain<'_> {
+    type Output = ();
+
+    #[inline(always)]
+    fn run<V: V16>(&mut self) {
+        let F32Grain(tiles, ref mut blocks, a) = *self;
+        let k = tiles.plan.k;
+        for blk in blocks {
+            tiles.run::<V>(&blk, &a[(blk.ip0 * k + blk.pc) * MR..], k * MR);
+        }
+    }
+}
+
+/// A grain of a product on code panels, and its decode buffer.
+struct CodeGrain<'a>(&'a Tiles<'a>, Blocks<'a>, CodePanels<'a>, &'a mut [f32]);
+
+impl Run for CodeGrain<'_> {
+    type Output = ();
+
+    /// Per block, group by group of A panels — four when the chunk ends
+    /// in a skinny B panel (the height of the AVX-512 skinny tile), else
+    /// a pair — decoded into L1 and run against every B panel of the
+    /// column chunk before the next group: a panel is decoded once per
+    /// block, and the decoded floats never leave L1. Each panel starts
+    /// on a line.
+    #[inline(always)]
+    fn run<V: V16>(&mut self) {
+        let CodeGrain(tiles, ref mut blocks, codes, ref mut decoded) = *self;
+        let (words, lut) = (tiles.plan.code_panel_words(), codes.lut());
+        for blk in blocks {
+            let panel = blk.kc * MR;
+            let stride = panel.next_multiple_of(CODES_PER_WORD);
+            let group = if tiles.skinny(blk.jp1 - 1) {
+                SKINNY_PANELS
+            } else {
+                2
+            };
+            for ip0 in (blk.ip0..blk.ip1).step_by(group) {
+                let ip1 = (ip0 + group).min(blk.ip1);
+                for (ip, dst) in (ip0..ip1).zip(decoded.chunks_exact_mut(stride)) {
+                    let src = &codes.words[ip * words..(ip + 1) * words];
+                    decode_codes::<V>(src, blk.pc * MR, lut, &mut dst[..panel]);
+                }
+                tiles.run::<V>(&Block { ip0, ip1, ..blk }, decoded, stride);
+            }
+        }
+    }
+}
+
 impl Tiles<'_> {
-    /// Whether B panel `jp` runs the AVX-512 skinny tile: its live
-    /// columns fit [`HALF_NR`] and the kernel is AVX-512.
+    /// Whether B panel `jp` runs the skinny tile: its live columns fit
+    /// [`SKINNY_NR`].
     fn skinny(&self, jp: usize) -> bool {
-        #[cfg(target_arch = "x86_64")]
-        let avx512 = self.kernel == MicroKernel::Avx512;
-        #[cfg(not(target_arch = "x86_64"))]
-        let avx512 = false;
-        avx512 && self.plan.n - jp * NR <= HALF_NR
+        self.plan.n - jp * NR <= SKINNY_NR
+    }
+
+    /// Rows `[ip·MR, ip·MR + panels·MR)` below `m` × columns `[jp·NR,
+    /// jp·NR + cols)` of C: inside the caller's block, whose grain alone
+    /// owns rows `[ip0·MR, ip1·MR)` × columns `[jp0·NR, jp1·NR)` of C
+    /// while the buffer outlives the parallel region.
+    #[inline(always)]
+    fn c_tile(&self, ip: usize, panels: usize, jp: usize, cols: usize) -> CTile<'_> {
+        let GemmPlan { m, n, .. } = *self.plan;
+        CTile {
+            writer: self.writer,
+            at: ip * MR * n + jp * NR,
+            n,
+            rows: (panels * MR).min(m - ip * MR),
+            cols,
+        }
     }
 
     /// Runs the tiles of `blk`: every B panel (pair) of its column range
     /// against every A panel (pair) of its row chunk, A panel `ip`'s `kc`
     /// steps starting `(ip - blk.ip0) · a_stride` floats into `a`.
-    fn run(&self, blk: &Block, a: &[f32], a_stride: usize) {
-        let Tiles {
-            kernel,
-            plan,
-            packed_b,
-            writer,
-            epilogue,
-        } = *self;
-        let GemmPlan { m, k, n, .. } = *plan;
-        let relu = epilogue == GemmEpilogue::Relu && blk.last;
+    #[inline(always)]
+    fn run<V: V16>(&self, blk: &Block, a: &[f32], a_stride: usize) {
+        let GemmPlan { k, n, .. } = *self.plan;
+        let relu = self.epilogue == GemmEpilogue::Relu && blk.last;
         let a_block = |ip: usize| &a[(ip - blk.ip0) * a_stride..][..blk.kc * MR];
-        let b_block = |jp: usize| &packed_b[(jp * k + blk.pc) * NR..][..blk.kc * NR];
-        // The AVX-512 tile streams whole lines of B whenever the caller
-        // packed into line-aligned storage (`AlignedBuf`, the session
-        // arena): a panel and a `kc` block are both whole lines.
+        let b_block = |jp: usize| &self.packed_b[(jp * k + blk.pc) * NR..][..blk.kc * NR];
+        // The tiles stream whole lines of B whenever the caller packed
+        // into line-aligned storage (`AlignedBuf`, the session arena): a
+        // panel and a `kc` block are both whole lines.
         debug_assert_eq!(
             b_block(blk.jp0).as_ptr() as usize % 64,
-            packed_b.as_ptr() as usize % 64,
+            self.packed_b.as_ptr() as usize % 64,
             "a packed-B block left its base's cache-line phase"
         );
         let mut jp = blk.jp0;
         while jp < blk.jp1 {
-            // A panel whose live columns fit one vector runs the half
-            // tile, skipping the all-padding upper half — or, on
-            // AVX-512, the skinny tile.
-            let half = n - jp * NR <= HALF_NR;
-            #[cfg(target_arch = "x86_64")]
             if self.skinny(jp) {
-                self.run_skinny(blk, a_block, b_block(jp), jp, relu);
+                // The skinny tile down this panel, a group of the impl's
+                // panels at a time. A short group repeats its last panel;
+                // the copy's lanes are computed and dropped.
+                let cols = n - jp * NR;
+                let mut ip = blk.ip0;
+                while ip < blk.ip1 {
+                    let panels = (blk.ip1 - ip).min(2 * V::SKINNY.1);
+                    let mut a = [a_block(ip + panels - 1); SKINNY_PANELS];
+                    for (q, a) in a.iter_mut().enumerate().take(panels) {
+                        *a = a_block(ip + q);
+                    }
+                    let c = self.c_tile(ip, panels, jp, cols);
+                    skinny_passes::<V>(&a, b_block(jp), panels, cols, c, relu);
+                    ip += panels;
+                }
                 jp += 1;
                 continue;
             }
-            #[cfg(target_arch = "x86_64")]
-            if kernel == MicroKernel::Avx512 {
-                // Two B panels wide when the next one is in this chunk
-                // and is not itself a half tile (only the last panel of
-                // the product can be short).
-                let wide = jp + 1 < blk.jp1 && n - (jp + 1) * NR > HALF_NR;
-                let bp = if wide { 2 } else { 1 };
-                let cols = (bp * NR).min(n - jp * NR);
-                let mut ip = blk.ip0;
-                while ip < blk.ip1 {
-                    let tall = ip + 1 < blk.ip1;
-                    let ap = if tall { 2 } else { 1 };
-                    let rows = (ap * MR).min(m - ip * MR);
-                    // Rows past the short last A panel stay empty.
-                    let mut c_rows: TileRows<'_> = std::array::from_fn(|_| &mut [][..]);
-                    for (r, c_row) in c_rows.iter_mut().enumerate().take(rows) {
-                        let at = (ip * MR + r) * n + jp * NR;
-                        // SAFETY: this grain exclusively owns rows
-                        // [ip0·MR, ip1·MR) × cols [jp0·NR, jp1·NR) of C;
-                        // the tile's live rows and columns lie inside
-                        // it, ranges from distinct grains never overlap,
-                        // and the buffer outlives the parallel region
-                        // (`slice_mut` debug-asserts the bounds).
-                        *c_row = unsafe { writer.slice_mut(at, at + cols) };
+            // Two B panels wide where the impl's tile is and the next
+            // panel is in this chunk and not itself skinny (only the last
+            // panel of the product can be short).
+            let wide = V::TILE_PANELS > 1 && jp + 1 < blk.jp1 && !self.skinny(jp + 1);
+            let bp = 1 + usize::from(wide);
+            let cols = (bp * NR).min(n - jp * NR);
+            let mut ip = blk.ip0;
+            while ip < blk.ip1 {
+                let tall = V::TILE_PANELS > 1 && ip + 1 < blk.ip1;
+                let ap = 1 + usize::from(tall);
+                let c = self.c_tile(ip, ap, jp, cols);
+                let (a0, b0) = (a_block(ip), b_block(jp));
+                match (tall, wide) {
+                    (true, true) => {
+                        wide_tile::<V, 2, 2>([a0, a_block(ip + 1)], [b0, b_block(jp + 1)], c, relu)
                     }
-                    // SAFETY: `kernel.supported()` was asserted on
-                    // entry; every A and B block spans the same
-                    // `blk.kc` steps, and no C row is longer than
-                    // `bp·NR`.
-                    unsafe {
-                        match (tall, wide) {
-                            (true, true) => microkernel_avx512(
-                                [a_block(ip), a_block(ip + 1)],
-                                [b_block(jp), b_block(jp + 1)],
-                                &mut c_rows,
-                                relu,
-                            ),
-                            (true, false) => microkernel_avx512(
-                                [a_block(ip), a_block(ip + 1)],
-                                [b_block(jp)],
-                                &mut c_rows,
-                                relu,
-                            ),
-                            (false, true) => microkernel_avx512(
-                                [a_block(ip)],
-                                [b_block(jp), b_block(jp + 1)],
-                                &mut c_rows,
-                                relu,
-                            ),
-                            (false, false) => {
-                                microkernel_avx512([a_block(ip)], [b_block(jp)], &mut c_rows, relu)
-                            }
-                        }
-                    }
-                    ip += ap;
+                    (true, false) => wide_tile::<V, 2, 1>([a0, a_block(ip + 1)], [b0], c, relu),
+                    (false, true) => wide_tile::<V, 1, 2>([a0], [b0, b_block(jp + 1)], c, relu),
+                    (false, false) => wide_tile::<V, 1, 1>([a0], [b0], c, relu),
                 }
-                jp += bp;
-                continue;
+                ip += ap;
             }
-            for ip in blk.ip0..blk.ip1 {
-                let mut acc = [[0.0f32; NR]; MR];
-                microkernel(kernel, half, a_block(ip), b_block(jp), &mut acc);
-                // SAFETY: tile (ip, jp) lies in this grain's rows
-                // [ip0·MR, ip1·MR) × cols [jp0·NR, jp1·NR) of C.
-                unsafe { write_back(writer, (m, n), (ip, jp), &acc, relu) };
-            }
-            jp += 1;
-        }
-    }
-
-    /// The AVX-512 skinny tile down B panel `jp` (block `b`) over the A
-    /// panels of `blk`: four at a time, then the last one to three, a
-    /// tail of one or two on one ZMM register.
-    #[cfg(target_arch = "x86_64")]
-    fn run_skinny<'a>(
-        &self,
-        blk: &Block,
-        a_block: impl Fn(usize) -> &'a [f32],
-        b: &[f32],
-        jp: usize,
-        relu: bool,
-    ) {
-        let GemmPlan { m, n, .. } = *self.plan;
-        let cols = n - jp * NR;
-        let mut ip = blk.ip0;
-        while ip < blk.ip1 {
-            let panels = (blk.ip1 - ip).min(SKINNY_PANELS);
-            let rows = (panels * MR).min(m - ip * MR);
-            // Rows past the short last A panel stay empty.
-            let mut c_rows: SkinnyRows<'_> = std::array::from_fn(|_| &mut [][..]);
-            for (r, c_row) in c_rows.iter_mut().enumerate().take(rows) {
-                let at = (ip * MR + r) * n + jp * NR;
-                // SAFETY: this grain exclusively owns rows
-                // [ip0·MR, ip1·MR) × cols [jp0·NR, jp1·NR) of C; the
-                // tile's live rows and columns lie inside it, ranges
-                // from distinct grains never overlap, and the buffer
-                // outlives the parallel region (`slice_mut`
-                // debug-asserts the bounds).
-                *c_row = unsafe { self.writer.slice_mut(at, at + cols) };
-            }
-            // A tail short of four panels repeats its last one; the
-            // copy's lanes are computed and dropped.
-            let a = std::array::from_fn(|q| a_block(ip + q.min(panels - 1)));
-            // SAFETY: `kernel.supported()` was asserted on entry; every A
-            // block and `b` span the same `blk.kc ≥ 1` steps, no C row is
-            // longer than `cols`, and the rows of repeated panels are
-            // empty.
-            unsafe { skinny_tile(cols, panels, a, b, &mut c_rows, relu) };
-            ip += panels;
+            jp += bp;
         }
     }
 }
 
-/// [`microkernel_avx512_skinny`] at the narrowest `N` that covers `cols`
-/// live columns and the fewest registers `V` that cover `panels` A
-/// panels.
-///
-/// # Safety
-///
-/// As [`microkernel_avx512_skinny`], with `1 ≤ cols ≤ HALF_NR`,
-/// `1 ≤ panels ≤ SKINNY_PANELS` and `a[panels..]` repeating a panel.
-#[cfg(target_arch = "x86_64")]
-unsafe fn skinny_tile(
-    cols: usize,
-    panels: usize,
-    a: [&[f32]; SKINNY_PANELS],
+/// [`skinny_tile`] over `1 ≤ panels ≤ 2·V::SKINNY.1` A panels (`a`
+/// repeating the last) and `1 ≤ cols ≤ SKINNY_NR` live columns, in
+/// passes of at most `V::SKINNY.0` columns: each pass at the narrowest
+/// `N` that covers the columns left, on the fewest vectors that cover
+/// the panels.
+#[inline(always)]
+fn skinny_passes<V: V16>(
+    a: &[&[f32]; SKINNY_PANELS],
     b: &[f32],
-    c: &mut SkinnyRows<'_>,
+    panels: usize,
+    cols: usize,
+    c: CTile<'_>,
     relu: bool,
 ) {
-    macro_rules! tile {
-        ($n:literal) => {
-            // SAFETY: the caller's contract, and `$n ≥ cols`.
-            unsafe {
-                if panels > 2 {
-                    microkernel_avx512_skinny::<$n, 2>(a, b, c, relu)
-                } else {
-                    microkernel_avx512_skinny::<$n, 1>(a, b, c, relu)
-                }
-            }
-        };
-    }
-    debug_assert!((1..=HALF_NR).contains(&cols) && (1..=SKINNY_PANELS).contains(&panels));
-    match cols {
-        1 => tile!(1),
-        2 => tile!(2),
-        3 | 4 => tile!(4),
-        _ => tile!(8),
+    let (pass, vectors) = V::SKINNY;
+    debug_assert!((1..=2 * vectors).contains(&panels) && (1..=SKINNY_NR).contains(&cols));
+    for j0 in (0..cols).step_by(pass) {
+        match ((cols - j0).min(pass), vectors > 1 && panels > 2) {
+            (1, false) => skinny_tile::<V, 1, 1>(a, b, j0, c, relu),
+            (1, true) => skinny_tile::<V, 1, 2>(a, b, j0, c, relu),
+            (2, false) => skinny_tile::<V, 2, 1>(a, b, j0, c, relu),
+            (2, true) => skinny_tile::<V, 2, 2>(a, b, j0, c, relu),
+            (3 | 4, false) => skinny_tile::<V, 4, 1>(a, b, j0, c, relu),
+            (3 | 4, true) => skinny_tile::<V, 4, 2>(a, b, j0, c, relu),
+            (_, false) => skinny_tile::<V, 8, 1>(a, b, j0, c, relu),
+            (_, true) => skinny_tile::<V, 8, 2>(a, b, j0, c, relu),
+        }
     }
 }
 
@@ -1999,14 +1665,11 @@ mod tests {
                 threads,
                 schedule,
                 || (),
-                |(), b| {
-                    seen.lock().expect("no panic under the lock").push((
-                        b.pc,
-                        b.kc,
-                        b.last,
-                        b.ip0..b.ip1,
-                        b.jp0..b.jp1,
-                    ));
+                |(), blocks| {
+                    let mut seen = seen.lock().expect("no panic under the lock");
+                    for b in blocks {
+                        seen.push((b.pc, b.kc, b.last, b.ip0..b.ip1, b.jp0..b.jp1));
+                    }
                 },
             );
             seen.into_inner().expect("no panic under the lock")
@@ -2078,8 +1741,8 @@ mod tests {
     /// when an `Inf − Inf` partial sum is added to a C that already
     /// holds a propagated input NaN, x86 returns whichever operand came
     /// first, and the compiler may commute a floating-point add — so
-    /// `acc + C` from registers and `C += acc` from a stack tile can
-    /// legitimately yield `0xFFC00000` and `0x7FC00000`.
+    /// two tiles that both compute `c + acc` can legitimately yield
+    /// `0xFFC00000` and `0x7FC00000`.
     fn nan_blind_bits(values: &[f32]) -> Vec<u32> {
         values
             .iter()
@@ -2087,87 +1750,161 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn scalar_and_simd_kernels_agree() {
-        // Drive every micro-kernel directly over the same packed panels
-        // (two A panels × two B panels, so the AVX-512 tile has all four
-        // of its shapes): SIMD within 1e-4 of scalar, and the SIMD
-        // kernels equal bit for bit. On non-x86 hosts only the scalar
-        // kernel exists.
-        let (m, k, n) = (2 * MR, 37, 2 * NR);
-        let a = random_tensor([m, k], 21);
-        let b = random_tensor([k, n], 22);
-        let plan = GemmPlan::new(m, k, n);
-        let mut pa = vec![0.0f32; plan.packed_a_elems()];
-        let mut pb = vec![0.0f32; plan.packed_b_elems()];
-        pack_a_into(&plan, a.data(), &mut pa);
-        pack_b_into(&plan, b.data(), &mut pb);
-        let pa: [&[f32]; 2] = [&pa[..MR * k], &pa[MR * k..]];
-        let pb: [&[f32]; 2] = [&pb[..NR * k], &pb[NR * k..]];
-        // tile[i][j]: A panel i × B panel j, accumulated from zero.
-        let mut scalar = [[[[0.0f32; NR]; MR]; 2]; 2];
-        for i in 0..2 {
-            for j in 0..2 {
-                microkernel_scalar::<NR>(pa[i], pb[j], &mut scalar[i][j]);
-            }
-        }
-        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-        if MicroKernel::Avx2Fma.supported() {
-            let mut avx2 = [[[[0.0f32; NR]; MR]; 2]; 2];
-            for i in 0..2 {
-                for j in 0..2 {
-                    // SAFETY: AVX2+FMA presence just checked; panel
-                    // lengths are plan-consistent by construction.
-                    unsafe { microkernel_avx2(pa[i], pb[j], &mut avx2[i][j]) };
+    /// A tile on one impl, from C = 0.5 ([`TILE_C_ROWS`] rows of `2·NR`):
+    /// what C holds after it.
+    struct TileRun<'a> {
+        a: [&'a [f32]; SKINNY_PANELS],
+        b: [&'a [f32]; 2],
+        tile: Tile,
+        relu: bool,
+    }
+
+    #[derive(Clone, Copy, Debug)]
+    enum Tile {
+        /// The wide tile on A panels `..ap` × B panels `..bp`.
+        Wide(usize, usize),
+        /// The skinny tile's groups and passes, as the driver runs them,
+        /// on A panels `..panels` (rows `..rows` live) × `cols` live
+        /// columns of B panel 0.
+        Skinny {
+            panels: usize,
+            rows: usize,
+            cols: usize,
+        },
+    }
+
+    const TILE_C_ROWS: usize = SKINNY_PANELS * MR;
+
+    impl Run for TileRun<'_> {
+        type Output = Vec<f32>;
+
+        fn run<V: V16>(&mut self) -> Vec<f32> {
+            let (a, b, relu) = (self.a, self.b, self.relu);
+            let mut c = vec![0.5f32; TILE_C_ROWS * 2 * NR];
+            let writer = DisjointWriter::new(&mut c);
+            let (n, rows, cols) = match self.tile {
+                Tile::Wide(ap, bp) => (2 * NR, ap * MR, bp * NR),
+                Tile::Skinny { rows, cols, .. } => (2 * NR, rows, cols),
+            };
+            let tile = |at: usize, rows: usize| CTile {
+                writer: &writer,
+                at,
+                n,
+                rows,
+                cols,
+            };
+            match self.tile {
+                Tile::Wide(2, 2) => wide_tile::<V, 2, 2>([a[0], a[1]], b, tile(0, rows), relu),
+                Tile::Wide(2, 1) => wide_tile::<V, 2, 1>([a[0], a[1]], [b[0]], tile(0, rows), relu),
+                Tile::Wide(1, 2) => wide_tile::<V, 1, 2>([a[0]], b, tile(0, rows), relu),
+                Tile::Wide(..) => wide_tile::<V, 1, 1>([a[0]], [b[0]], tile(0, rows), relu),
+                Tile::Skinny { panels, .. } => {
+                    // Groups of the impl's panels, a short last one
+                    // repeating its last panel, as `Tiles::run` cuts them.
+                    let group = 2 * V::SKINNY.1;
+                    for g0 in (0..panels).step_by(group) {
+                        let n = (panels - g0).min(group);
+                        let mut tile_a = [a[g0 + n - 1]; SKINNY_PANELS];
+                        tile_a[..n].copy_from_slice(&a[g0..g0 + n]);
+                        let c = tile(g0 * MR * 2 * NR, rows.saturating_sub(g0 * MR).min(n * MR));
+                        skinny_passes::<V>(&tile_a, b[0], n, cols, c, relu);
+                    }
                 }
             }
-            let flat = |t: &[[[[f32; NR]; MR]; 2]; 2]| {
-                t.as_flattened().as_flattened().as_flattened().to_vec()
-            };
-            for (s, o) in flat(&scalar).iter().zip(flat(&avx2)) {
-                assert!((s - o).abs() <= 1e-4, "avx2 vs scalar: {o} vs {s}");
-            }
-            #[cfg(target_arch = "x86_64")]
-            if MicroKernel::Avx512.supported() {
-                // The AVX-512 tile adds into C itself; from C = 0.25 it
-                // must leave exactly `0.25 + acc` in its live lanes
-                // (clamped under ReLU) and nothing anywhere else.
-                for (ap, bp, relu) in [
-                    (2, 2, false),
-                    (2, 1, false),
-                    (1, 2, true),
-                    (1, 1, false),
-                    (2, 2, true),
-                ] {
-                    let mut c = [[0.25f32; 2 * NR]; 2 * MR];
-                    let mut rows = c.each_mut().map(|row| &mut row[..bp * NR]);
-                    for row in &mut rows[ap * MR..] {
-                        *row = &mut [];
-                    }
-                    // SAFETY: AVX-512F presence just checked; all panels
-                    // span `k` steps and no row exceeds `bp·NR`.
-                    unsafe {
-                        match (ap, bp) {
-                            (2, 2) => microkernel_avx512(pa, pb, &mut rows, relu),
-                            (2, 1) => microkernel_avx512(pa, [pb[0]], &mut rows, relu),
-                            (1, 2) => microkernel_avx512([pa[0]], pb, &mut rows, relu),
-                            _ => microkernel_avx512([pa[0]], [pb[0]], &mut rows, relu),
+            c
+        }
+    }
+
+    /// `got` equals `want` outside NaN payloads, or is within 1e-4 of it
+    /// when `near`.
+    fn assert_tile_matches(got: &[f32], want: &[f32], near: bool, what: &str) {
+        for (i, (&g, &w)) in got.iter().zip(want).enumerate() {
+            let close =
+                (g.is_nan() && w.is_nan()) || g == w || (g - w).abs() <= 1e-4 * w.abs().max(1.0);
+            let same = nan_blind_bits(&[g]) == nan_blind_bits(&[w]);
+            assert!(
+                if near { close } else { same },
+                "{what} at ({}, {}): {g} vs {w}",
+                i / (2 * NR),
+                i % (2 * NR)
+            );
+        }
+    }
+
+    /// Four A panels and two B panels of `k` steps, NaN and ±Inf in both.
+    fn tile_panels(k: usize, n: usize, seed: u64) -> (Vec<f32>, Vec<f32>) {
+        let m = SKINNY_PANELS * MR;
+        let mut a = random_tensor([m, k], seed);
+        let mut b = random_tensor([k, n], seed + 1);
+        a.data_mut()[(MR + 2) * k + k / 2] = f32::NAN;
+        a.data_mut()[(3 * MR + 5) * k] = f32::NEG_INFINITY;
+        b.data_mut()[(k - 1) * n] = f32::INFINITY;
+        b.data_mut()[k / 2 * n + 2] = f32::NAN;
+        let plan = GemmPlan::new(m, k, n);
+        let mut pa = vec![0.0f32; plan.packed_a_elems()];
+        let mut pb = vec![0.0f32; 2 * NR * k];
+        pack_a_into(&plan, a.data(), &mut pa);
+        pack_b_into(&plan, b.data(), &mut pb);
+        (pa, pb)
+    }
+
+    #[test]
+    fn scalar_and_simd_kernels_agree() {
+        // Every wide tile shape on every impl over the same packed panels
+        // (two A panels × two B panels, k = 1 and 37, NaN and ±Inf in
+        // both): from C = 0.5 each leaves exactly what the 1×1 tile
+        // leaves on each of its panel pairs in its live lanes (clamped
+        // under ReLU), outside NaN payloads, and C untouched elsewhere;
+        // the SIMD impls agree bit for bit, and the portable one within
+        // 1e-4 of them.
+        for k in [1, 37] {
+            let (pa, pb) = tile_panels(k, 2 * NR, 21 + k as u64);
+            let a = |q: usize| &pa[q * MR * k..(q + 1) * MR * k];
+            let b = |j: usize| &pb[j * NR * k..(j + 1) * NR * k];
+            let mut first_simd: Option<Vec<Vec<f32>>> = None;
+            let mut scalar = Vec::new();
+            for kernel in MicroKernel::available() {
+                let mut outs = Vec::new();
+                for relu in [false, true] {
+                    let run = |tile: Tile, i: usize, j: usize| {
+                        let a = [a(i), a(1 - i), a(2), a(3)];
+                        run_on(
+                            kernel,
+                            &mut TileRun {
+                                a,
+                                b: [b(j), b(1 - j)],
+                                tile,
+                                relu,
+                            },
+                        )
+                    };
+                    let one = |i: usize, j: usize| run(Tile::Wide(1, 1), i, j);
+                    let ones = [[one(0, 0), one(0, 1)], [one(1, 0), one(1, 1)]];
+                    for (ap, bp) in [(2, 2), (2, 1), (1, 2), (1, 1)] {
+                        let got = run(Tile::Wide(ap, bp), 0, 0);
+                        let mut want = vec![0.5f32; got.len()];
+                        for (at, w) in want.iter_mut().enumerate() {
+                            let (r, col) = (at / (2 * NR), at % (2 * NR));
+                            if r < ap * MR && col < bp * NR {
+                                *w = ones[r / MR][col / NR][r % MR * 2 * NR + col % NR];
+                            }
                         }
+                        let what = format!("{kernel:?} k={k} {ap}x{bp} relu={relu}");
+                        assert_tile_matches(&got, &want, false, &what);
+                        outs.push(got);
                     }
-                    for (r, row) in c.iter().enumerate() {
-                        for (col, got) in row.iter().enumerate() {
-                            let live = r < ap * MR && col < bp * NR;
-                            let sum = 0.25 + avx2[r / MR][col / NR][r % MR][col % NR];
-                            let want = match (live, relu) {
-                                (false, _) => 0.25,
-                                (true, false) => sum,
-                                (true, true) => sum.max(0.0),
-                            };
-                            assert_eq!(
-                                got.to_bits(),
-                                want.to_bits(),
-                                "avx512 {ap}x{bp} relu={relu} at ({r},{col})"
-                            );
+                }
+                match (kernel, &first_simd) {
+                    (MicroKernel::Scalar, _) => scalar = outs,
+                    (_, None) => {
+                        for (got, want) in outs.iter().zip(&scalar) {
+                            assert_tile_matches(got, want, true, &format!("{kernel:?} vs scalar"));
+                        }
+                        first_simd = Some(outs);
+                    }
+                    (_, Some(first)) => {
+                        for (got, want) in outs.iter().zip(first) {
+                            assert_tile_matches(got, want, false, &format!("{kernel:?} vs SIMD"));
                         }
                     }
                 }
@@ -2205,16 +1942,16 @@ mod tests {
         // quad and a one-panel tail), the 10⅔ panels of m = 64 and more
         // than one row chunk (three threads own a panel range each;
         // under m = 13 they split the column chunk instead); n the
-        // half tile at 1, 2, 3, 4, 5 and 8 live columns (every skinny
-        // width, masked or not), an
-        // exact and a ragged single panel, a pair whose second panel is
-        // a half tile (24, 40), ragged (25, 31, 33 → third) or exact
-        // (32, 48), and more than one 256-column chunk (257 leaves a
-        // one-column half tile in the second, 300 a ragged pair); k
-        // both sides of `kc`. Together they reach all four AVX-512
-        // tile shapes, the lane mask, the short last A panel, the
-        // skinny tile on one register and two, and the AVX2 half tile
-        // it stands in for. NaN and ±Inf sit in A and B — B's
+        // skinny tile at 1–8 live columns (every pass width, masked or
+        // not, and at 5–8 the two-pass seams of the AVX2 and portable
+        // tiles), an exact and a ragged single panel, a pair whose
+        // second panel is skinny (24, 40), ragged (25, 31, 33 → third)
+        // or exact (32, 48), and more than one 256-column chunk (257
+        // leaves a one-column skinny panel in the second, 300 a ragged
+        // pair); k both sides of `kc`. Together they reach all four
+        // AVX-512 wide tile shapes, the lane mask, the short last A
+        // panel and the skinny tile on one vector and two. NaN and ±Inf
+        // sit in A and B — B's
         // NaN in the last reduction row, so a NaN sum meets the ReLU
         // clamp on the last block. The SIMD kernels must agree bit for
         // bit outside NaNs and on where the NaNs are (same FMA sequence
@@ -2227,7 +1964,7 @@ mod tests {
         assert_eq!(*scalar, MicroKernel::Scalar);
         for m in [1, 5, 6, 7, 11, 12, 13, 19, 24, 30, 64, 97, 193] {
             for n in [
-                1, 2, 3, 4, 5, 8, 9, 16, 17, 24, 25, 31, 32, 33, 40, 48, 70, 257, 300,
+                1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 17, 24, 25, 31, 32, 33, 40, 48, 70, 257, 300,
             ] {
                 for k in [1, 37, 256, 257, 600] {
                     // The wide products only add column chunks: one k
@@ -2297,8 +2034,8 @@ mod tests {
         // starts at −0.0, and `max(−0.0, 0)` may be either zero unless
         // every write-back clamps the same way. One B column is NaN:
         // ReLU must flush it to zero in every tile shape. 13×41 and
-        // 13×40 reach the 2×2, 1×2, 2×1 and 1×1 tiles and the half
-        // tile.
+        // 13×40 reach the 2×2, 1×2, 2×1 and 1×1 wide tiles and the
+        // skinny tile.
         let simd: Vec<MicroKernel> = MicroKernel::available().skip(1).collect();
         for n in [40, 41] {
             let (m, k) = (13, 2);
@@ -2390,118 +2127,63 @@ mod tests {
     }
 
     #[test]
-    fn half_tile_bit_matches_full_tile_lanes() {
-        // Every stack-tile kernel: the half tile's 8 lanes carry the
-        // same bits as the full tile's first 8 (NaN/Inf included) and
-        // the upper lanes are not written. AVX-512 runs its skinny tile
-        // in the half tile's place: see `skinny_tile_bit_matches_half_tile`.
-        let (m, k, n) = (MR, 41, HALF_NR);
-        let a = random_tensor([m, k], 31);
-        let mut b = random_tensor([k, n], 32);
-        b.data_mut()[3] = f32::NAN;
-        b.data_mut()[n + 5] = f32::INFINITY;
-        let plan = GemmPlan::new(m, k, n);
-        let mut pa = vec![0.0f32; plan.packed_a_elems()];
-        let mut pb = vec![0.0f32; plan.packed_b_elems()];
-        pack_a_into(&plan, a.data(), &mut pa);
-        pack_b_into(&plan, b.data(), &mut pb);
-        for kernel in MicroKernel::available() {
-            #[cfg(target_arch = "x86_64")]
-            if kernel == MicroKernel::Avx512 {
-                skinny_tile_bit_matches_half_tile();
-                continue;
-            }
-            let mut full = [[0.5f32; NR]; MR];
-            let mut half = [[0.5f32; NR]; MR];
-            microkernel(kernel, false, &pa, &pb, &mut full);
-            microkernel(kernel, true, &pa, &pb, &mut half);
-            for r in 0..MR {
-                for c in 0..NR {
-                    let want = if c < HALF_NR { full[r][c] } else { 0.5 };
-                    assert_eq!(
-                        half[r][c].to_bits(),
-                        want.to_bits(),
-                        "{kernel:?} lane ({r},{c})"
-                    );
-                }
-            }
-        }
-    }
-
-    /// The AVX-512 skinny tile on 1–4 A panels (one ZMM register or two;
-    /// a repeated tail panel; a short last panel) × 1, 2, 3, 4, 5 and 8
-    /// live columns × k = 1 (only the masked last step), 2 and 41, with
-    /// NaN and ±Inf in A and B: from C = 0.5 it leaves exactly
-    /// `0.5 + acc` of the AVX2 half tile's accumulator in its live rows
-    /// and columns (clamped under ReLU), outside NaN payloads, within
-    /// 1e-4 of the scalar half tile, and C untouched everywhere else.
-    /// The caller has checked AVX-512F.
-    #[cfg(target_arch = "x86_64")]
-    fn skinny_tile_bit_matches_half_tile() {
+    fn skinny_tile_bit_matches_wide_tile_lanes() {
+        // Every impl's skinny tile on 1–4 A panels (one vector or two; a
+        // repeated tail panel; a short last panel) × 1–8 live columns
+        // (one pass or two) × k = 1 (only the masked last step), 2 and
+        // 41, with NaN and ±Inf in A and B: from C = 0.5 it leaves
+        // exactly what the impl's 1×1 wide tile leaves on each panel in
+        // its live rows and columns (clamped under ReLU), outside NaN
+        // payloads, and C untouched everywhere else; the SIMD impls
+        // agree bit for bit.
         for k in [1, 2, 41] {
-            let m = SKINNY_PANELS * MR;
-            let mut a = random_tensor([m, k], 41 + k as u64);
-            let mut b = random_tensor([k, HALF_NR], 42 + k as u64);
-            a.data_mut()[(MR + 2) * k + k / 2] = f32::NAN;
-            a.data_mut()[(3 * MR + 5) * k] = f32::NEG_INFINITY;
-            b.data_mut()[(k - 1) * HALF_NR] = f32::INFINITY;
-            b.data_mut()[k / 2 * HALF_NR + 2] = f32::NAN;
-            let plan = GemmPlan::new(m, k, HALF_NR);
-            let mut pa = vec![0.0f32; plan.packed_a_elems()];
-            let mut pb = vec![0.0f32; plan.packed_b_elems()];
-            pack_a_into(&plan, a.data(), &mut pa);
-            pack_b_into(&plan, b.data(), &mut pb);
-            let panel = |q: usize| &pa[q * MR * k..(q + 1) * MR * k];
-            let mut avx2 = [[[0.0f32; NR]; MR]; SKINNY_PANELS];
-            let mut scalar = [[[0.0f32; NR]; MR]; SKINNY_PANELS];
-            for q in 0..SKINNY_PANELS {
-                microkernel(MicroKernel::Avx2Fma, true, panel(q), &pb, &mut avx2[q]);
-                microkernel(MicroKernel::Scalar, true, panel(q), &pb, &mut scalar[q]);
-            }
-            for panels in 1..=SKINNY_PANELS {
-                for rows in [panels * MR, panels * MR - 1] {
-                    for cols in [1, 2, 3, 4, 5, 8] {
-                        for relu in [false, true] {
-                            let what = format!("k={k} rows={rows} cols={cols} relu={relu}");
-                            let mut c = [[0.5f32; HALF_NR]; SKINNY_PANELS * MR];
-                            let mut c_rows: SkinnyRows<'_> =
-                                c.each_mut().map(|row| &mut row[..cols]);
-                            for row in &mut c_rows[rows..] {
-                                *row = &mut [];
-                            }
-                            let tile_a = std::array::from_fn(|q| panel(q.min(panels - 1)));
-                            // SAFETY: AVX-512F presence just checked; all
-                            // panels span `k` steps, no row exceeds
-                            // `cols` and the repeated panels' rows are
-                            // empty.
-                            unsafe { skinny_tile(cols, panels, tile_a, &pb, &mut c_rows, relu) };
-                            for (r, row) in c.iter().enumerate() {
-                                for (col, &got) in row.iter().enumerate() {
-                                    let (q, i) = (r / MR, r % MR);
-                                    if r >= rows || col >= cols {
-                                        assert_eq!(
-                                            got.to_bits(),
-                                            0.5f32.to_bits(),
-                                            "{what} ({r},{col})"
-                                        );
-                                        continue;
+            let (pa, pb) = tile_panels(k, SKINNY_NR, 41 + k as u64);
+            let a: [&[f32]; SKINNY_PANELS] =
+                std::array::from_fn(|q| &pa[q * MR * k..(q + 1) * MR * k]);
+            let b = [&pb[..NR * k], &pb[NR * k..]];
+            let mut first_simd: Option<Vec<Vec<f32>>> = None;
+            for kernel in MicroKernel::available() {
+                let mut outs = Vec::new();
+                for relu in [false, true] {
+                    let wide: Vec<Vec<f32>> = (0..SKINNY_PANELS)
+                        .map(|q| {
+                            let a = [a[q], a[q], a[q], a[q]];
+                            run_on(
+                                kernel,
+                                &mut TileRun {
+                                    a,
+                                    b,
+                                    tile: Tile::Wide(1, 1),
+                                    relu,
+                                },
+                            )
+                        })
+                        .collect();
+                    for panels in 1..=SKINNY_PANELS {
+                        for rows in [panels * MR, panels * MR - 1] {
+                            for cols in 1..=SKINNY_NR {
+                                let tile = Tile::Skinny { panels, rows, cols };
+                                let got = run_on(kernel, &mut TileRun { a, b, tile, relu });
+                                let mut want = vec![0.5f32; got.len()];
+                                for (at, w) in want.iter_mut().enumerate() {
+                                    let (r, col) = (at / (2 * NR), at % (2 * NR));
+                                    if r < rows && col < cols {
+                                        *w = wide[r / MR][r % MR * 2 * NR + col];
                                     }
-                                    let clamp = |v: f32| if relu { v.max(0.0) } else { v };
-                                    let want = clamp(0.5 + avx2[q][i][col]);
-                                    assert_eq!(
-                                        nan_blind_bits(&[got]),
-                                        nan_blind_bits(&[want]),
-                                        "{what}: vs avx2 half at ({r},{col})"
-                                    );
-                                    let near = clamp(0.5 + scalar[q][i][col]);
-                                    assert!(
-                                        (got.is_nan() && near.is_nan())
-                                            || got == near
-                                            || (got - near).abs() <= 1e-4 * near.abs().max(1.0),
-                                        "{what}: vs scalar at ({r},{col}): {got} vs {near}"
-                                    );
                                 }
+                                let what = format!("{kernel:?} k={k} {tile:?} relu={relu}");
+                                assert_tile_matches(&got, &want, false, &what);
+                                outs.push(got);
                             }
+                        }
+                    }
+                }
+                match (kernel, &first_simd) {
+                    (MicroKernel::Scalar, _) => {}
+                    (_, None) => first_simd = Some(outs),
+                    (_, Some(first)) => {
+                        for (got, want) in outs.iter().zip(first) {
+                            assert_tile_matches(got, want, false, &format!("{kernel:?} vs SIMD"));
                         }
                     }
                 }
@@ -2765,6 +2447,20 @@ mod tests {
         words
     }
 
+    /// `decode_codes` of `.3` codes from code `.1` on, on one impl.
+    struct Decode<'a>(&'a [u32], usize, [f32; 4], usize);
+
+    impl Run for Decode<'_> {
+        type Output = Vec<f32>;
+
+        fn run<V: V16>(&mut self) -> Vec<f32> {
+            let Decode(words, start, lut, len) = *self;
+            let mut out = vec![f32::NAN; len];
+            decode_codes::<V>(words, start, lut, &mut out);
+            out
+        }
+    }
+
     #[test]
     fn codes_decode_to_the_f32_panels_bit_for_bit() {
         // Every kernel's decoder, from every offset into a panel and for
@@ -2789,8 +2485,8 @@ mod tests {
                 let want = &panels[ip * MR * k..(ip + 1) * MR * k];
                 for start in 0..40 {
                     for len in [0, 1, 15, 16, 17, 33, MR * k - start] {
-                        let mut got = vec![f32::NAN; len];
-                        decode_codes(kernel, src, start, codes.lut(), &mut got);
+                        let lut = codes.lut();
+                        let got = run_on(kernel, &mut Decode(src, start, lut, len));
                         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
                         assert_eq!(
                             bits(&got),
@@ -2838,7 +2534,7 @@ mod tests {
         // three threads, both epilogues. m walks a short last panel and
         // more than one row chunk; k one step, a panel whose codes end
         // mid-word (37, 257: 6·k is no multiple of 16), exactly one `kc`
-        // block and several; n the half tile and a column chunk plus a
+        // block and several; n a skinny panel and a column chunk plus a
         // ragged pair. NaN and ±Inf sit in B, one NaN where A's row is
         // all zeros: 0 · NaN stays NaN through a zero code.
         for m in [1, 5, 7, 13, 97, 193] {

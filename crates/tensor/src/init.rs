@@ -212,7 +212,7 @@ impl Run for Blocks {
     type Output = [[f32; LANES]; BLOCK_WORDS];
 
     #[inline(always)]
-    fn run<V: V16>(&self) -> Self::Output {
+    fn run<V: V16>(&mut self) -> Self::Output {
         // The counter of block `first + j` in lane `j`: its low word, then
         // its high word (the carry between them is the scalar add's).
         let (mut lo, mut hi) = ([0.0f32; LANES], [0.0f32; LANES]);
@@ -276,7 +276,7 @@ impl Pass {
     /// on `kernel`.
     fn new(kernel: MicroKernel, key: [u32; 8], index: usize) -> Pass {
         let first = (index * LANES) as u64;
-        Pass(run_on(kernel, &Blocks { key, first }))
+        Pass(run_on(kernel, &mut Blocks { key, first }))
     }
 
     /// Word `i` of the pass: word `i % 16` of its block `i / 16`.
@@ -365,10 +365,10 @@ mod tests {
                 1 => (1 << 32) - 16 + raw % 17,
                 _ => u64::MAX - raw % 17,
             };
-            let blocks = Blocks { key: key(seed), first };
-            let want = run_on(MicroKernel::Scalar, &blocks).map(|w| w.map(f32::to_bits));
+            let mut blocks = Blocks { key: key(seed), first };
+            let want = run_on(MicroKernel::Scalar, &mut blocks).map(|w| w.map(f32::to_bits));
             for kernel in MicroKernel::available().skip(1) {
-                let got = run_on(kernel, &blocks).map(|w| w.map(f32::to_bits));
+                let got = run_on(kernel, &mut blocks).map(|w| w.map(f32::to_bits));
                 prop_assert_eq!(got, want, "{:?}", kernel);
             }
         }

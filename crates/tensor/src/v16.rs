@@ -1,12 +1,16 @@
 //! One 16-lane vocabulary for the crate's lane-parallel kernels: the
-//! depthwise convolution's block, the Winograd transforms' moves into
-//! and out of their lane arrays and the initialisers' ChaCha8 keystream
-//! (16 blocks per pass, one per lane, through the three integer ops
-//! [`V16::add_u32`], [`V16::xor`] and [`V16::rotl`], which read a lane's
-//! bits as a `u32`) are each written once over [`V16`] and
-//! instantiated per target behind the GEMM engine's one dispatch
+//! packed GEMM's wide and skinny tiles and its 2-bit code decoder
+//! (through [`V16::fma`], [`V16::add`], [`V16::load_pair`] and
+//! [`V16::decode`]), the depthwise convolution's block, the Winograd
+//! transforms' moves into and out of their lane arrays and the
+//! initialisers' ChaCha8 keystream (16 blocks per pass, one per lane,
+//! through the three integer ops [`V16::add_u32`], [`V16::xor`] and
+//! [`V16::rotl`], which read a lane's bits as a `u32`) are each written
+//! once over [`V16`] and instantiated per target behind one dispatch
 //! ([`run_on`], on the kernel [`active_kernel`](crate::gemm::active_kernel)
-//! picks, so `CNN_STACK_GEMM_FORCE_SCALAR` pins the portable impl).
+//! picks, so `CNN_STACK_GEMM_FORCE_SCALAR` pins the portable impl). Each
+//! impl sizes the GEMM tiles to its registers ([`V16::TILE_PANELS`],
+//! [`V16::SKINNY`]).
 //!
 //! Three impls:
 //!
@@ -25,12 +29,12 @@
 //! impls form pointers outside the slice at padded edges and rely on the
 //! masks, so these asserts are the kernels' one bounds check. They are
 //! debug-only because checking 16 lanes costs as much as the op, so the
-//! ops whose lanes the caller places (`load`, `load_masked`, `pick`,
-//! `gather`, `scatter`, and the shared [`store_rows`]) are `unsafe fn`s:
-//! the caller derives every mask and offset from the geometry that sizes
-//! its slices and states why at each call, and `./ci.sh` runs the
-//! kernels' and this module's tests under debug assertions. `store`
-//! writes a prefix of its slice and is safe.
+//! ops whose lanes the caller places (`load`, `load_masked`,
+//! `load_pair`, `pick`, `gather`, `scatter`, and the shared
+//! [`store_rows`]) are `unsafe fn`s: the caller derives every mask and
+//! offset from the geometry that sizes its slices and states why at each
+//! call, and `./ci.sh` runs the kernels' and this module's tests under
+//! debug assertions. `store` writes a prefix of its slice and is safe.
 //!
 //! # Exactness
 //!
@@ -38,7 +42,12 @@
 //! integer operation to its bits, so every impl gives the same bits (a
 //! NaN's payload aside where two NaNs meet in one arithmetic op: which
 //! one survives is the instruction's or compiler's pick).
-//! [`V16::mul_add`] is a separate multiply and add, never fused.
+//! [`V16::mul_add`] is a separate multiply and add, never fused. The one
+//! exception is [`V16::fma`]: one fused multiply-add on the SIMD impls,
+//! which agree with each other bit for bit, and a multiply then an add on
+//! the portable impl, which rounds twice and so can differ from them in
+//! the last place. The packed GEMM's tiles run on it: the SIMD kernels
+//! give one set of bits and the portable kernel its own.
 
 use crate::gemm::MicroKernel;
 use cnn_stack_parallel::DisjointWriter;
@@ -112,6 +121,13 @@ pub(crate) trait V16: Copy {
     /// Whether [`scatter`](V16::scatter) is one instruction rather than
     /// a store per lane.
     const SCATTER: bool;
+    /// A panels × B panels of the packed GEMM's wide tile (`AP = BP`):
+    /// as many as its `AP·MR·BP` accumulators leave registers for.
+    const TILE_PANELS: usize;
+    /// B columns per pass of the packed GEMM's skinny tile, and vectors
+    /// of A rows (two A panels each) it keeps: as many of their products
+    /// as stay in registers.
+    const SKINNY: (usize, usize);
 
     /// `x` in every lane.
     fn splat(x: f32) -> Self;
@@ -148,9 +164,35 @@ pub(crate) trait V16: Copy {
     /// `mask`.
     unsafe fn gather(src: &[f32], at: isize, offsets: &[i32; LANES], mask: u16) -> Self;
 
+    /// `lo[at + j]` in lane `j` and `hi[at + j]` in lane `8 + j` for the
+    /// bits `j` of `mask`, 0.0 in the others: rows of two A panels side
+    /// by side.
+    ///
+    /// # Safety
+    ///
+    /// Element `at + j` of both `lo` and `hi` lies inside them for every
+    /// bit `j` of `mask`.
+    #[inline(always)]
+    unsafe fn load_pair(lo: &[f32], hi: &[f32], at: usize, mask: u8) -> Self {
+        // Two masked loads whose other lanes are +0.0, whose bits are
+        // zero, so the xor joins them exactly.
+        let (at, mask) = (at as isize, u16::from(mask));
+        // SAFETY: the lanes of `mask` lie inside `lo` and, 8 lanes on,
+        // inside `hi` (the caller's contract).
+        Self::load_masked(lo, at, mask).xor(Self::load_masked(hi, at - 8, mask << 8))
+    }
+
     /// `self + w·x` in the lanes of `mask` — a multiply, then an add,
     /// never fused — and `self` in the others.
     fn mul_add(self, mask: u16, w: Self, x: Self) -> Self;
+
+    /// `self + w·x` in every lane: one fused multiply-add on the SIMD
+    /// impls, a multiply then an add on the portable one (see the
+    /// module's exactness note).
+    fn fma(self, w: Self, x: Self) -> Self;
+
+    /// `self + other` in every lane.
+    fn add(self, other: Self) -> Self;
 
     /// `max(self, 0.0)` in every lane.
     fn relu(self) -> Self;
@@ -163,6 +205,9 @@ pub(crate) trait V16: Copy {
 
     /// Each lane's bits rotated left by `R` (`0 < R < 32`).
     fn rotl<const R: i32>(self) -> Self;
+
+    /// 16 2-bit codes: `lut[(word >> 2c) & 3]` in lane `c`.
+    fn decode(lut: [f32; 4], word: u32) -> Self;
 
     /// Writes lanes `0..dst.len()` (at most 16) to `dst`.
     fn store(self, dst: &mut [f32]);
@@ -279,8 +324,10 @@ pub(crate) trait Run {
     type Output;
     /// Runs the body on `V`. Implementations are `#[inline(always)]`, as
     /// is everything they call that uses `V`, so that the whole body is
-    /// compiled inside [`run_on`]'s target-feature trampoline.
-    fn run<V: V16>(&self) -> Self::Output;
+    /// compiled inside [`run_on`]'s target-feature trampoline. It takes
+    /// `&mut self` so that a body may write scratch it holds (the packed
+    /// GEMM's decode buffer).
+    fn run<V: V16>(&mut self) -> Self::Output;
 }
 
 /// Runs `body` on `kernel`'s [`V16`] impl, inside a function compiled for
@@ -290,7 +337,7 @@ pub(crate) trait Run {
 /// # Panics
 ///
 /// Panics if this host cannot run `kernel`.
-pub(crate) fn run_on<R: Run>(kernel: MicroKernel, body: &R) -> R::Output {
+pub(crate) fn run_on<R: Run>(kernel: MicroKernel, body: &mut R) -> R::Output {
     assert!(kernel.supported(), "{kernel:?} is not supported here");
     // SAFETY: `kernel` is supported (asserted above): on the SIMD
     // kernels the CPU has AVX2 and FMA, and AVX-512F for `Avx512`.
@@ -305,16 +352,15 @@ pub(crate) fn run_on<R: Run>(kernel: MicroKernel, body: &R) -> R::Output {
     }
 }
 
-/// [`Run::run`] on [`Avx2`], compiled for AVX2. (FMA is enabled to match
-/// the dispatch check; [`V16::mul_add`] keeps the multiply and the add
-/// separate.)
+/// [`Run::run`] on [`Avx2`], compiled for AVX2 and FMA ([`V16::fma`];
+/// [`V16::mul_add`] keeps its multiply and add separate).
 ///
 /// # Safety
 ///
 /// The CPU must support AVX2 and FMA ([`MicroKernel::supported`]).
 #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
 #[target_feature(enable = "avx2,fma")]
-unsafe fn run_avx2<R: Run>(body: &R) -> R::Output {
+unsafe fn run_avx2<R: Run>(body: &mut R) -> R::Output {
     body.run::<Avx2>()
 }
 
@@ -325,7 +371,7 @@ unsafe fn run_avx2<R: Run>(body: &R) -> R::Output {
 /// The CPU must support AVX-512F ([`MicroKernel::supported`]).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
-unsafe fn run_avx512<R: Run>(body: &R) -> R::Output {
+unsafe fn run_avx512<R: Run>(body: &mut R) -> R::Output {
     body.run::<Avx512>()
 }
 
@@ -336,6 +382,8 @@ struct Portable([f32; LANES]);
 impl V16 for Portable {
     const BLOCK: usize = 1;
     const SCATTER: bool = false;
+    const TILE_PANELS: usize = 1;
+    const SKINNY: (usize, usize) = (4, 1);
 
     #[inline(always)]
     fn splat(x: f32) -> Self {
@@ -439,6 +487,24 @@ impl V16 for Portable {
     }
 
     #[inline(always)]
+    fn fma(self, w: Self, x: Self) -> Self {
+        let mut v = self.0;
+        for (j, v) in v.iter_mut().enumerate() {
+            *v += w.0[j] * x.0[j];
+        }
+        Portable(v)
+    }
+
+    #[inline(always)]
+    fn add(self, other: Self) -> Self {
+        let mut v = self.0;
+        for (v, o) in v.iter_mut().zip(other.0) {
+            *v += o;
+        }
+        Portable(v)
+    }
+
+    #[inline(always)]
     fn relu(self) -> Self {
         let mut v = self.0;
         for v in &mut v {
@@ -488,6 +554,15 @@ impl V16 for Portable {
         #[cfg(not(target_arch = "x86_64"))]
         for v in &mut v {
             *v = f32::from_bits(v.to_bits().rotate_left(R as u32));
+        }
+        Portable(v)
+    }
+
+    #[inline(always)]
+    fn decode(lut: [f32; 4], word: u32) -> Self {
+        let mut v = [0.0; LANES];
+        for (c, v) in v.iter_mut().enumerate() {
+            *v = lut[(word >> (2 * c)) as usize & 0b11];
         }
         Portable(v)
     }
@@ -595,6 +670,10 @@ impl V16 for Avx2 {
     /// loads stay in the 16 YMM registers.
     const BLOCK: usize = 2;
     const SCATTER: bool = false;
+    /// 6 × 2 YMM accumulators, two B loads and a broadcast.
+    const TILE_PANELS: usize = 1;
+    /// 4 × 2 YMM accumulators: 8 columns would spill.
+    const SKINNY: (usize, usize) = (4, 1);
 
     #[inline(always)]
     fn splat(x: f32) -> Self {
@@ -670,6 +749,24 @@ impl V16 for Avx2 {
     }
 
     #[inline(always)]
+    fn fma(self, w: Self, x: Self) -> Self {
+        let mut v = self.0;
+        for (h, v) in v.iter_mut().enumerate() {
+            *v = unsafe { arch::_mm256_fmadd_ps(w.0[h], x.0[h], *v) };
+        }
+        Avx2(v)
+    }
+
+    #[inline(always)]
+    fn add(self, other: Self) -> Self {
+        let mut v = self.0;
+        for (v, o) in v.iter_mut().zip(other.0) {
+            *v = unsafe { arch::_mm256_add_ps(*v, o) };
+        }
+        Avx2(v)
+    }
+
+    #[inline(always)]
     fn relu(self) -> Self {
         let mut v = self.0;
         for v in &mut v {
@@ -719,6 +816,27 @@ impl V16 for Avx2 {
             };
         }
         Avx2(v)
+    }
+
+    /// Per half: a variable shift brings code `c` to lane `c`'s low bits
+    /// and a `vpermps` reads the table repeated twice (it reads an
+    /// index's low three bits, so the next code's low bit needs no mask).
+    #[inline(always)]
+    fn decode(lut: [f32; 4], word: u32) -> Self {
+        use arch::*;
+        let [a, b, c, d] = lut;
+        unsafe {
+            let (table, word) = (
+                _mm256_setr_ps(a, b, c, d, a, b, c, d),
+                _mm256_set1_epi32(word as i32),
+            );
+            let lo = _mm256_srlv_epi32(word, _mm256_setr_epi32(0, 2, 4, 6, 8, 10, 12, 14));
+            let hi = _mm256_srlv_epi32(word, _mm256_setr_epi32(16, 18, 20, 22, 24, 26, 28, 30));
+            Avx2([
+                _mm256_permutevar8x32_ps(table, lo),
+                _mm256_permutevar8x32_ps(table, hi),
+            ])
+        }
     }
 
     #[inline(always)]
@@ -772,6 +890,10 @@ impl V16 for Avx512 {
     /// Four accumulators overlap each output's chain of dependent adds.
     const BLOCK: usize = 4;
     const SCATTER: bool = true;
+    /// 2·6·2 ZMM accumulators: 2 B loads and 12 broadcasts per 24 FMAs.
+    const TILE_PANELS: usize = 2;
+    /// 8 × 2 ZMM accumulators: four A panels' rows per B broadcast.
+    const SKINNY: (usize, usize) = (8, 2);
 
     #[inline(always)]
     fn splat(x: f32) -> Self {
@@ -867,6 +989,33 @@ impl V16 for Avx512 {
         ))
     }
 
+    /// Two 8-float loads joined by an insert (two masked ZMM loads and
+    /// an xor, the default, ran the skinny tile 1.02–1.3× slower).
+    #[inline(always)]
+    unsafe fn load_pair(lo: &[f32], hi: &[f32], at: usize, mask: u8) -> Self {
+        use arch::*;
+        if mask != 0xff {
+            let (at, mask) = (at as isize, u16::from(mask));
+            // SAFETY: the caller's contract is the default's.
+            return Self::load_masked(lo, at, mask).xor(Self::load_masked(hi, at - 8, mask << 8));
+        }
+        debug_assert!(
+            at + 8 <= lo.len().min(hi.len()),
+            "a paired load leaves its panels"
+        );
+        // SAFETY: all 8 floats of each half lie inside the slices (the
+        // caller's contract).
+        let (lo, hi) = (
+            _mm256_loadu_ps(lo.as_ptr().add(at)),
+            _mm256_loadu_ps(hi.as_ptr().add(at)),
+        );
+        let lo = _mm512_castps_pd(_mm512_castps256_ps512(lo));
+        Avx512(_mm512_castpd_ps(_mm512_insertf64x4::<1>(
+            lo,
+            _mm256_castps_pd(hi),
+        )))
+    }
+
     #[inline(always)]
     fn mul_add(self, mask: u16, w: Self, x: Self) -> Self {
         use arch::*;
@@ -878,6 +1027,16 @@ impl V16 for Avx512 {
                 _mm512_mul_ps(w.0, x.0),
             ))
         }
+    }
+
+    #[inline(always)]
+    fn fma(self, w: Self, x: Self) -> Self {
+        unsafe { Avx512(arch::_mm512_fmadd_ps(w.0, x.0, self.0)) }
+    }
+
+    #[inline(always)]
+    fn add(self, other: Self) -> Self {
+        unsafe { Avx512(arch::_mm512_add_ps(self.0, other.0)) }
     }
 
     #[inline(always)]
@@ -909,6 +1068,22 @@ impl V16 for Avx512 {
         unsafe {
             let x = _mm512_rol_epi32::<R>(_mm512_castps_si512(self.0));
             Avx512(_mm512_castsi512_ps(x))
+        }
+    }
+
+    /// A variable shift brings code `c` to lane `c`'s low bits and a
+    /// `vpermps` reads the table repeated four times (it reads an index's
+    /// low four bits, so the next code in bits 2–3 needs no mask).
+    #[inline(always)]
+    fn decode(lut: [f32; 4], word: u32) -> Self {
+        use arch::*;
+        let [a, b, c, d] = lut;
+        unsafe {
+            let table = _mm512_setr_ps(a, b, c, d, a, b, c, d, a, b, c, d, a, b, c, d);
+            let shifts =
+                _mm512_setr_epi32(0, 2, 4, 6, 8, 10, 12, 14, 16, 18, 20, 22, 24, 26, 28, 30);
+            let codes = _mm512_srlv_epi32(_mm512_set1_epi32(word as i32), shifts);
+            Avx512(_mm512_permutexvar_ps(codes, table))
         }
     }
 
@@ -988,6 +1163,13 @@ mod tests {
         w: [f32; LANES],
         x: [f32; LANES],
         store_len: usize,
+        /// A paired load's second slice, origin and mask (its lanes
+        /// inside both slices).
+        hi: Vec<f32>,
+        pair_at: usize,
+        pair_mask: u8,
+        /// A word of 2-bit codes: every code in order, or any bits.
+        word: u32,
     }
 
     impl Case {
@@ -1017,7 +1199,20 @@ mod tests {
                 w: g.lanes(),
                 x: g.lanes(),
                 store_len: g.range(0, LANES as i64) as usize,
+                hi: (0..g.range(1, 200)).map(|_| g.value()).collect(),
+                pair_at: g.range(0, 200) as usize,
+                pair_mask: [0xff, 0x3f, g.next() as u8][g.range(0, 2) as usize],
+                word: [0xe4e4_e4e4, g.next() as u32][g.range(0, 1) as usize],
             }
+        }
+
+        /// The bits of `pair_mask` whose element lies inside both slices.
+        fn pair_mask(&self) -> u8 {
+            let len = self.src.len().min(self.hi.len());
+            (0..8)
+                .filter(|j| self.pair_at + j < len)
+                .fold(0, |m, j| m | 1 << j)
+                & self.pair_mask
         }
     }
 
@@ -1038,12 +1233,16 @@ mod tests {
         load_masked: Vec<u32>,
         pick: Vec<u32>,
         gather: Vec<u32>,
+        load_pair: Vec<u32>,
         mul_add: Vec<u32>,
+        fma: Vec<u32>,
+        add: Vec<u32>,
         relu: Vec<u32>,
         add_u32: Vec<u32>,
         xor: Vec<u32>,
         /// Rotations by each of [`ROTATIONS`], one after another.
         rotl: Vec<u32>,
+        decode: Vec<u32>,
         store: Vec<u32>,
         /// `None` on the impls without a native scatter.
         scatter: Option<Vec<u32>>,
@@ -1059,7 +1258,7 @@ mod tests {
         type Output = Outcome;
 
         #[inline(always)]
-        fn run<V: V16>(&self) -> Outcome {
+        fn run<V: V16>(&mut self) -> Outcome {
             let c = self.0;
             let bits = |v: V| {
                 let mut lanes = [UNTOUCHED; LANES];
@@ -1113,7 +1312,10 @@ mod tests {
                 load_masked: bits(unsafe { V::load_masked(&c.src, c.at, masked) }),
                 pick,
                 gather: bits(unsafe { V::gather(&c.src, c.at, &c.offsets, gather_mask) }),
+                load_pair: bits(unsafe { V::load_pair(&c.src, &c.hi, c.pair_at, c.pair_mask()) }),
                 mul_add: bits(acc.mul_add(c.mask, w, x)),
+                fma: bits(acc.fma(w, x)),
+                add: bits(acc.add(w)),
                 relu: bits(acc.relu()),
                 add_u32: bits(acc.add_u32(w)),
                 xor: bits(acc.xor(w)),
@@ -1126,6 +1328,7 @@ mod tests {
                     bits(acc.rotl::<31>()),
                 ]
                 .concat(),
+                decode: bits(V::decode([c.w[0], c.w[1], c.w[2], c.w[3]], c.word)),
                 store: store.into_iter().map(f32::to_bits).collect(),
                 scatter: V::SCATTER.then(|| scattered.iter().map(|x| x.to_bits()).collect()),
             }
@@ -1145,7 +1348,9 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(2048))]
 
         /// Every op on every impl this host runs gives the portable
-        /// impl's bits — over random masks, offsets within ±64 and past
+        /// impl's bits but `fma`, which the SIMD impls fuse (they give
+        /// `f32::mul_add`'s bits, the portable impl's within 1e-4) — over
+        /// random masks, offsets within ±64 and past
         /// `PERMUTE_REACH`, runs of stride 1 and 2, slices whose ends cut
         /// through the window, and NaN payloads, ±Inf and −0.0 — and the
         /// portable impl gives each op's definition, as do the shared
@@ -1172,6 +1377,19 @@ mod tests {
                 }
                 let sum = if c.mask >> j & 1 != 0 { c.acc[j] + c.w[j] * c.x[j] } else { c.acc[j] };
                 prop_assert_eq!(any_nan(&want.mul_add[j..=j]), any_nan(&[sum.to_bits()]));
+                let (unfused, fused) = (c.acc[j] + c.w[j] * c.x[j], c.w[j].mul_add(c.x[j], c.acc[j]));
+                prop_assert_eq!(any_nan(&want.fma[j..=j]), any_nan(&[unfused.to_bits()]));
+                // The two round apart by at most an ulp of each term.
+                let scale = (c.w[j] * c.x[j]).abs() + c.acc[j].abs() + fused.abs();
+                if scale.is_finite() {
+                    prop_assert!((unfused - fused).abs() <= 1e-4 * scale + f32::MIN_POSITIVE);
+                }
+                prop_assert_eq!(any_nan(&want.add[j..=j]), any_nan(&[(c.acc[j] + c.w[j]).to_bits()]));
+                let code = (c.word >> (2 * j)) as usize & 0b11;
+                prop_assert_eq!(want.decode[j], [c.w[0], c.w[1], c.w[2], c.w[3]][code].to_bits());
+                let (half, lane) = (if j < 8 { &c.src } else { &c.hi }, j % 8);
+                let pair = if c.pair_mask() >> lane & 1 != 0 { half[c.pair_at + lane].to_bits() } else { 0 };
+                prop_assert_eq!(want.load_pair[j], pair);
                 prop_assert_eq!(want.relu[j], c.acc[j].max(0.0).to_bits());
                 let (a, w) = (c.acc[j].to_bits(), c.w[j].to_bits());
                 prop_assert_eq!(want.add_u32[j], a.wrapping_add(w));
@@ -1211,13 +1429,19 @@ mod tests {
                 }
             }
             for kernel in MicroKernel::available().skip(1) {
-                let got = run_on(kernel, &Ops(&c));
+                let got = run_on(kernel, &mut Ops(&c));
                 prop_assert_eq!(&got.splat, &want.splat, "{:?} splat", kernel);
                 prop_assert_eq!(&got.load, &want.load, "{:?} load", kernel);
                 prop_assert_eq!(&got.load_masked, &want.load_masked, "{:?} load_masked", kernel);
                 prop_assert_eq!(&got.pick, &want.pick, "{:?} pick", kernel);
                 prop_assert_eq!(&got.gather, &want.gather, "{:?} gather", kernel);
                 prop_assert_eq!(any_nan(&got.mul_add), any_nan(&want.mul_add), "{:?} mul_add", kernel);
+                prop_assert_eq!(&got.load_pair, &want.load_pair, "{:?} load_pair", kernel);
+                // The SIMD impls fuse: `f32::mul_add`'s one rounding.
+                let fused: Vec<u32> = (0..LANES).map(|j| c.w[j].mul_add(c.x[j], c.acc[j]).to_bits()).collect();
+                prop_assert_eq!(any_nan(&got.fma), any_nan(&fused), "{:?} fma", kernel);
+                prop_assert_eq!(any_nan(&got.add), any_nan(&want.add), "{:?} add", kernel);
+                prop_assert_eq!(&got.decode, &want.decode, "{:?} decode", kernel);
                 prop_assert_eq!(&got.relu, &want.relu, "{:?} relu", kernel);
                 prop_assert_eq!(&got.add_u32, &want.add_u32, "{:?} add_u32", kernel);
                 prop_assert_eq!(&got.xor, &want.xor, "{:?} xor", kernel);

@@ -828,7 +828,7 @@ impl<T: Transform> Run for StageGrains<'_, T> {
     type Output = ();
 
     #[inline(always)]
-    fn run<V: V16>(&self) {
+    fn run<V: V16>(&mut self) {
         let StageGrains { job, chunk, .. } = *self;
         let grains = self.grains.clone();
         match self.stage {
@@ -843,12 +843,13 @@ impl<T: Transform> Run for StageGrains<'_, T> {
 /// Transform-domain values (panel rows × α², one row being one channel
 /// of one 16-tile panel) each worker must get before a transform stage
 /// is worth a parallel region; below it the thread start-up costs more
-/// than the split saves (batch-1 conv4_2's F(2×2) stages, 512 rows × 16,
-/// ran 1.15× slower on two). Above it the split does not pay on every
-/// host either: on a 2-vCPU Sapphire Rapids Xeon, VGG-16's whole batch-8
-/// conv1_2 (`run` on whole chunks) took 3.14 ms on two workers against
-/// 2.63 ms on one, and conv2_1 1.22 against 1.13 ms.
-const VALUES_PER_WORKER: usize = 8192;
+/// than the split saves. On a 2-vCPU Sapphire Rapids Xeon, over VGG-16's
+/// nine Winograd layers at batch 1 and 8 (whole convolutions, two
+/// workers, every stage split or none), the smallest stage that ran
+/// faster split was 18 432 values (conv3_x at batch 8: 0.615 against
+/// 0.692 ms for conv3_2), and 16 384 (conv4_x at batch 8) was not
+/// (conv4_1: 0.535 against 0.494 ms); no batch-1 stage reaches 18 432.
+const VALUES_PER_WORKER: usize = 9216;
 
 /// Runs one transform stage of `chunk` over its (panel × channel block)
 /// grid on `kernel`'s instantiation.
@@ -869,7 +870,7 @@ fn run_stage<T: Transform>(
         let transform = PhantomData::<T>;
         run_on(
             kernel,
-            &StageGrains {
+            &mut StageGrains {
                 job,
                 chunk,
                 stage,
@@ -1617,12 +1618,12 @@ mod tests {
         /// so NaN payloads must survive too.
         fn moved<T: Transform>(&self, kernel: MicroKernel, block: usize) -> Vec<u32> {
             let (case, transform) = (self, PhantomData::<T>);
-            let body = Moved {
+            let mut body = Moved {
                 case,
                 block,
                 transform,
             };
-            crate::v16::run_on(kernel, &body)
+            crate::v16::run_on(kernel, &mut body)
         }
 
         /// The stand-in lane values the movers store for output channel
@@ -1743,7 +1744,7 @@ mod tests {
         type Output = Vec<u32>;
 
         #[inline(always)]
-        fn run<V: V16>(&self) -> Vec<u32> {
+        fn run<V: V16>(&mut self) -> Vec<u32> {
             let Moved { case, block, .. } = *self;
             let g = &case.geom;
             let job = case.job();

@@ -1,6 +1,6 @@
 //! Criterion microbenchmarks of the compute kernels underlying every
 //! experiment: GEMM variants, the im2col lowering, the CSR convolution
-//! across sparsity levels, the depthwise kernel, the Winograd
+//! on VGG-16's 3×3 planes, the depthwise kernel, the Winograd
 //! convolution and the weight initialiser on every instantiation the
 //! host has, and the two halves of the packed conv path — the fused
 //! im2col→pack-B packer and the prepacked GEMM on every micro-kernel the
@@ -78,38 +78,36 @@ fn bench_im2col(c: &mut Criterion) {
     group.finish();
 }
 
-/// The CSR direct convolution the engine runs (a prepared `Conv2d`
-/// labelled `Csr` under direct convolution: the `csr` registry row)
-/// across sparsity levels, from fully dense weights stored as CSR up —
-/// the kernel-level version of Fig. 1's expected-vs-actual gap.
+/// The CSR convolution the engine runs — a prepared `Conv2d` labelled
+/// `Csr` on the `csr` registry row — on VGG-16's five 3×3 planes
+/// (`in->out` channels at `side²`), at the paper's 76.54 % elbow (density
+/// 0.2346) and at 99.5 % (0.005), batch 1 and 8: the kernel-level
+/// version of Fig. 1's expected-vs-actual gap. The workspace is the
+/// layer's own `forward_scratch_elems`.
 fn bench_sparse_conv(c: &mut Criterion) {
-    let mut group = group(c, "conv_64to64_16x16", 10, 2);
-    let shape = [1, 64, 16, 16];
-    let input = random(shape, 1.0, 3);
-    let cfg = ExecConfig::serial();
-    let csr_conv = |density: f64, seed: u64| {
-        let mut conv = Conv2d::new(64, 64, 3, 1, 1, seed);
-        conv.weight_mut().value = random([64, 64, 3, 3], density, seed);
-        conv.set_format(WeightFormat::Csr);
-        conv.prepare(&cfg);
-        assert_eq!(conv.runs(&cfg), AlgoChoice::CsrConv);
-        conv
-    };
-    let mut out = vec![0.0f32; 64 * 16 * 16];
-    let dense = csr_conv(1.0, 4);
-    group.bench_function("dense_as_csr_0pct", |bencher| {
-        bencher.iter(|| dense.forward_into(input.data(), &shape, &mut out, &mut [], &cfg))
-    });
-
-    for sparsity in [50u64, 80, 95] {
-        let conv = csr_conv(1.0 - sparsity as f64 / 100.0, sparsity);
-        group.bench_with_input(
-            BenchmarkId::new("csr", format!("{sparsity}pct")),
-            &conv,
-            |bencher, conv| {
-                bencher.iter(|| conv.forward_into(input.data(), &shape, &mut out, &mut [], &cfg))
-            },
-        );
+    let mut group = group(c, "conv_csr_vgg16", 10, 2);
+    let mut cfg = ExecConfig::serial();
+    AlgoChoice::CsrConv.select(&mut cfg);
+    for (channels, side) in [(64usize, 32usize), (128, 16), (256, 8), (512, 4), (512, 2)] {
+        for (density, seed) in [(0.2346, 23u64), (0.005, 5)] {
+            let mut conv = Conv2d::new(channels, channels, 3, 1, 1, seed);
+            conv.weight_mut().value = random([channels, channels, 3, 3], density, seed);
+            conv.set_format(WeightFormat::Csr);
+            conv.prepare(&cfg);
+            assert_eq!(conv.runs(&cfg), AlgoChoice::CsrConv);
+            for batch in [1usize, 8] {
+                let shape = [batch, channels, side, side];
+                let input = random(shape, 1.0, 3);
+                let mut out = vec![0.0f32; batch * channels * side * side];
+                let mut scratch = vec![0.0f32; conv.forward_scratch_elems(&shape, &cfg)];
+                let id = format!("{channels}to{channels}_{side}x{side}_d{density}_b{batch}");
+                group.bench_function(BenchmarkId::new("csr", id), |bencher| {
+                    bencher.iter(|| {
+                        conv.forward_into(input.data(), &shape, &mut out, &mut scratch, &cfg)
+                    })
+                });
+            }
+        }
     }
     group.finish();
 }

@@ -9,8 +9,8 @@ export CARGO_NET_OFFLINE=true
 
 # Cross-algorithm convolution conformance: every conv row of the kernel
 # registry (direct, im2col over the packed GEMM on f32 panels or 2-bit
-# codes and over the scalar GEMM, Winograd F(2x2)/F(4x4), both CSR
-# kernels) against the naive reference under per-kernel error budgets
+# codes, Winograd F(2x2)/F(4x4), CSR rows times im2col columns) against
+# the naive reference under per-kernel error budgets
 # (the code row bit-exact against im2col-packed), the registry's own
 # table tests, the
 # transform-ladder fault-injection rungs and a tiny-shape pass through
@@ -357,6 +357,15 @@ fi
 # with one exact identity test, and no serving knob nobody sets.
 if grep -rnE 'PanelOperand|BTransposed|unpack_b_transposed_into|eval_dense_packed_into|fn gemm_plan|fold_batchnorm_exact|is_inference_identity|rung_budget|default_deadline' crates src tests examples; then
   echo "ci: a second linear lowering, batch-norm fold or deleted serve knob is back" >&2
+  exit 1
+fi
+
+# Every conv row is one selection can pick: one CSR convolution (CSR
+# rows times the per-image im2col columns), no im2col over the scalar
+# GEMM (the direct loop is the conv floor), and no rows the planner may
+# not propose.
+if grep -rnE 'eval_csr_direct_into|sparse_channel_conv|eval_dense_im2col_into|CsrIm2col|Im2colScalar|fn proposed' crates src tests examples; then
+  echo "ci: a second CSR conv, the scalar im2col row or an unproposable row is back" >&2
   exit 1
 fi
 

@@ -66,7 +66,9 @@ fn main() {
     );
     println!(
         "\nReal executions on this host. Winograd applies to dense 3x3 stride-1\n\
-         layers only (CSR rows fall back to direct). Note that on this x86\n\
+         layers only. A CSR layer runs its one kernel (CSR rows times the\n\
+         im2col columns) under every algorithm, so its three columns time\n\
+         the same kernel. Note that on this x86\n\
          machine with these Rust kernels, CSR at 80% sparsity *does* beat\n\
          dense — unlike the paper's ARM/C measurements. Kernel-level sparse\n\
          performance is implementation- and platform-specific, which is why\n\

@@ -10,16 +10,15 @@
 //!
 //! * the layers dispatch, size their workspace, warm their weight form
 //!   and report their GEMM plan by matching on the resolved row;
-//! * the plan compiler proposes the rows that [`applies`] to an op and
-//!   may be [`proposed`] for it, prices them, puts the layer on the
-//!   winner ([`select`] it in the op's config, relabel the weights) and
-//!   names it by its [`tag`] in the step name;
+//! * the plan compiler proposes every row that [`applies`] to an op,
+//!   prices them, puts the layer on the winner ([`select`] it in the
+//!   op's config, relabel the weights) and names it by its [`tag`] in
+//!   the step name;
 //! * the guard ladder follows the [`demotes_to`] edge of the row that
 //!   *ran*, and puts the step on the target the same way;
 //! * the conformance suite runs every conv row in [`ALL`].
 //!
 //! [`applies`]: AlgoChoice::applies
-//! [`proposed`]: AlgoChoice::proposed
 //! [`select`]: AlgoChoice::select
 //! [`tag`]: AlgoChoice::tag
 //! [`demotes_to`]: AlgoChoice::demotes_to
@@ -34,20 +33,14 @@ use cnn_stack_tensor::{GemmAlgorithm, WinogradTile};
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum AlgoChoice {
     /// Direct 7-loop dense convolution. Zero workspace: the budget
-    /// solver's refuge and the conv ladder's floor for layers no
-    /// transform applies to.
+    /// solver's refuge and the conv ladder's floor.
     DirectConv,
     /// im2col lowering into the packed GEMM engine.
     Im2colPacked,
-    /// im2col lowering into the scalar blocked GEMM: what a failing
-    /// packed step is demoted to. Never proposed.
-    Im2colScalar,
-    /// CSR sparse-direct convolution.
+    /// im2col lowering multiplied by the CSR weight rows: each stored
+    /// weight scales one row of the per-image column matrix. What a
+    /// CSR-labelled layer runs under every `conv_algo`.
     CsrConv,
-    /// im2col lowering multiplied by the CSR weight rows: what a
-    /// CSR-labelled layer runs under `conv_algo = Im2col`. Never
-    /// proposed.
-    CsrIm2col,
     /// F(2×2, 3×3) Winograd (3×3 stride-1 convolutions only): its 16
     /// frequency products run on the packed engine against the layer's
     /// transformed filter bank. Wins where a small plane leaves F(4×4)
@@ -97,9 +90,7 @@ macro_rules! conv_rows {
     () => {
         AlgoChoice::DirectConv
             | AlgoChoice::Im2colPacked
-            | AlgoChoice::Im2colScalar
             | AlgoChoice::CsrConv
-            | AlgoChoice::CsrIm2col
             | AlgoChoice::Winograd
             | AlgoChoice::WinogradF4
             | AlgoChoice::TernaryConv
@@ -141,12 +132,10 @@ struct Row {
 impl AlgoChoice {
     /// Every row. Conv rows first, in the order the planner breaks
     /// cost ties.
-    pub const ALL: [AlgoChoice; 12] = [
+    pub const ALL: [AlgoChoice; 10] = [
         AlgoChoice::DirectConv,
         AlgoChoice::Im2colPacked,
-        AlgoChoice::Im2colScalar,
         AlgoChoice::CsrConv,
-        AlgoChoice::CsrIm2col,
         AlgoChoice::Winograd,
         AlgoChoice::WinogradF4,
         AlgoChoice::TernaryConv,
@@ -163,10 +152,8 @@ impl AlgoChoice {
         let (tag, conv_algo, gemm_algo, format, form, demotes_to) = match self {
             //                  tag               conv_algo            gemm_algo               label       form read             demotes to
             K::DirectConv    => ("direct",         Some(C::Direct),     None,                   F::Dense,   None,                 None),
-            K::Im2colPacked  => ("im2col-packed",  Some(C::Im2col),     Some(G::Packed),        F::Dense,   Some(Panels),         Some(K::Im2colScalar)),
-            K::Im2colScalar  => ("im2col-scalar",  Some(C::Im2col),     Some(G::Blocked),       F::Dense,   None,                 None),
-            K::CsrConv       => ("csr",            Some(C::Direct),     None,                   F::Csr,     Some(Csr),            Some(K::DirectConv)),
-            K::CsrIm2col     => ("csr-im2col",     Some(C::Im2col),     None,                   F::Csr,     Some(Csr),            Some(K::Im2colPacked)),
+            K::Im2colPacked  => ("im2col-packed",  Some(C::Im2col),     Some(G::Packed),        F::Dense,   Some(Panels),         Some(K::DirectConv)),
+            K::CsrConv       => ("csr",            Some(C::Im2col),     None,                   F::Csr,     Some(Csr),            Some(K::Im2colPacked)),
             K::Winograd      => ("winograd",       Some(C::Winograd),   None,                   F::Dense,   Some(Winograd(F2)),   Some(K::Im2colPacked)),
             K::WinogradF4    => ("winograd-f4",    Some(C::WinogradF4), None,                   F::Dense,   Some(Winograd(F4)),   Some(K::Winograd)),
             K::TernaryConv   => ("im2col-ternary", Some(C::Im2col),     Some(G::TernaryPacked), F::Ternary, Some(Codes),          Some(K::Im2colPacked)),
@@ -225,12 +212,6 @@ impl AlgoChoice {
         }
     }
 
-    /// Whether the planner may propose this row for a layer it applies
-    /// to: every row but the two reachable only by demotion or by hand.
-    pub fn proposed(self) -> bool {
-        !matches!(self, AlgoChoice::Im2colScalar | AlgoChoice::CsrIm2col)
-    }
-
     /// Writes the `conv_algo`/`gemm_algo` values that select this row
     /// into `cfg` (a field the row does not read is left alone) and
     /// returns the label the layer must carry.
@@ -267,10 +248,10 @@ impl AlgoChoice {
 /// The kernel a layer of `shape`, labelled `label`, runs under `cfg` —
 /// the routing, including every fall-back:
 ///
-/// * CSR storage has its own two kernels; any transform `conv_algo` on
-///   it runs the sparse-direct one;
+/// * CSR storage has one conv kernel, whatever `conv_algo` says;
 /// * a Winograd `conv_algo` on a layer it does not apply to runs the
-///   direct kernel;
+///   direct kernel, and so does im2col under the scalar `gemm_algo`:
+///   `Blocked` is the scalar floor on both layer kinds;
 /// * the packed engine reads a layer's 2-bit codes exactly when its
 ///   label is `Ternary` and its weights are exactly ternary, whichever
 ///   packed `gemm_algo` asked (`TernaryPacked` is how a code row records
@@ -289,16 +270,13 @@ pub fn resolve(
     use GemmAlgorithm as G;
     use WeightFormat as F;
     match shape {
-        LayerShape::Conv { .. } if label == F::Csr => match cfg.conv_algo {
-            C::Im2col => K::CsrIm2col,
-            C::Direct | C::Winograd | C::WinogradF4 => K::CsrConv,
-        },
+        LayerShape::Conv { .. } if label == F::Csr => K::CsrConv,
         LayerShape::Conv { .. } => match cfg.conv_algo {
             C::Winograd if K::Winograd.applies(shape, false) => K::Winograd,
             C::WinogradF4 if K::WinogradF4.applies(shape, false) => K::WinogradF4,
             C::Direct | C::Winograd | C::WinogradF4 => K::DirectConv,
             C::Im2col => match cfg.gemm_algo {
-                G::Blocked => K::Im2colScalar,
+                G::Blocked => K::DirectConv,
                 G::Packed | G::TernaryPacked => {
                     if label == F::Ternary && K::TernaryConv.applies(shape, exactly_ternary()) {
                         K::TernaryConv
@@ -504,14 +482,7 @@ mod tests {
             .into_iter()
             .filter(|r| r.demotes_to().is_none())
             .collect();
-        assert_eq!(
-            floors,
-            [
-                AlgoChoice::DirectConv,
-                AlgoChoice::Im2colScalar,
-                AlgoChoice::ScalarLinear
-            ]
-        );
+        assert_eq!(floors, [AlgoChoice::DirectConv, AlgoChoice::ScalarLinear]);
     }
 
     #[test]

@@ -10,8 +10,8 @@ use cnn_stack_parallel::DisjointWriter;
 use cnn_stack_tensor::init::{initialise, Init};
 use cnn_stack_tensor::{
     col2im, gemm, im2col, im2col_into, ops, pack_b_im2col_batch_into, pack_b_im2col_into,
-    winograd_conv2d_into, Conv2dGeometry, GemmAlgorithm, GemmPlan, PackedA, Tensor,
-    WinogradGeometry, WinogradTile,
+    winograd_conv2d_into, Conv2dGeometry, GemmPlan, PackedA, Tensor, WinogradGeometry,
+    WinogradTile,
 };
 
 /// A standard (grouped-by-1) 2-D convolution layer.
@@ -21,9 +21,10 @@ use cnn_stack_tensor::{
 /// (the paper's format layer), and the storage forms derived from the
 /// master — CSR, packed GEMM panels, ternary codes, Winograd filter
 /// banks — are built on first use and dropped by every route that can
-/// change the master. Both the direct and the im2col algorithms are
-/// implemented for dense and CSR storage; training (backward) always
-/// runs on the dense master.
+/// change the master. Dense storage runs the direct, im2col and
+/// Winograd algorithms; CSR storage runs its one im2col kernel under
+/// every algorithm; training (backward) always runs on the dense
+/// master.
 ///
 /// # Example
 ///
@@ -252,12 +253,6 @@ impl Conv2d {
         ));
     }
 
-    /// Scratch floats the im2col lowering needs for one image at the
-    /// given spatial extent (zero for the direct/sparse kernels).
-    fn im2col_scratch_elems(&self, geom: &Conv2dGeometry) -> usize {
-        geom.patch_len() * geom.out_positions()
-    }
-
     /// Blocking plan of the packed per-image GEMM: `[out_c × patch_len]`
     /// weights times the `[patch_len × out_positions]` column matrix.
     fn packed_plan(&self, geom: &Conv2dGeometry) -> GemmPlan {
@@ -337,14 +332,12 @@ impl Conv2d {
         out: &mut [f32],
         cfg: &ExecConfig,
     ) {
-        let (h, w) = (geom.in_h, geom.in_w);
-        let plane = geom.out_h * geom.out_w;
-        let in_img = self.in_channels * h * w;
+        let plane = geom.out_positions();
+        let in_img = self.in_channels * geom.in_h * geom.in_w;
         let out_img = self.out_channels * plane;
         let wdata = self.weight().value.data();
         let bdata = self.bias.value.data();
-        let k = self.kernel;
-        let row = self.in_channels * k * k;
+        let row = geom.patch_len();
         let writer = DisjointWriter::new(out);
         let writer = &writer;
         for img in 0..n {
@@ -358,75 +351,11 @@ impl Conv2d {
                     };
                     dst.fill(bdata[o]);
                     let filter = &wdata[o * row..(o + 1) * row];
-                    direct_channel_conv(x, filter, dst, geom, h, w, k);
+                    direct_channel_conv(x, filter, dst, geom);
                     if cfg.fused_relu {
                         for d in dst.iter_mut() {
                             *d = d.max(0.0);
                         }
-                    }
-                }
-            });
-        }
-    }
-
-    /// im2col + scalar blocked GEMM dense kernel over raw slices (what a
-    /// failing packed step is demoted to); `scratch` holds the per-image
-    /// column matrix ([`Self::im2col_scratch_elems`] floats).
-    #[allow(clippy::too_many_arguments)]
-    fn eval_dense_im2col_into(
-        &self,
-        in_data: &[f32],
-        n: usize,
-        h: usize,
-        w: usize,
-        geom: &Conv2dGeometry,
-        out: &mut [f32],
-        scratch: &mut [f32],
-        cfg: &ExecConfig,
-    ) {
-        let plane = geom.out_positions();
-        let in_img = self.in_channels * h * w;
-        let out_img = self.out_channels * plane;
-        let wmat = self.weight_matrix();
-        let k_dim = wmat.shape().dims()[1];
-        let bdata = self.bias.value.data();
-        let cols_len = self.im2col_scratch_elems(geom);
-        let writer = DisjointWriter::new(out);
-        let writer = &writer;
-        for img in 0..n {
-            im2col_into(
-                &in_data[img * in_img..(img + 1) * in_img],
-                geom,
-                &mut scratch[..cols_len],
-            );
-            let cols: &[f32] = &scratch[..cols_len];
-            parallel_for(cfg.threads, self.out_channels, LAYER_SCHEDULE, |range| {
-                // SAFETY: grain range covers whole output rows
-                // [start*plane, end*plane) of this image — disjoint.
-                let dst = unsafe {
-                    writer.slice_mut(
-                        img * out_img + range.start * plane,
-                        img * out_img + range.end * plane,
-                    )
-                };
-                for (local, o) in range.clone().enumerate() {
-                    dst[local * plane..(local + 1) * plane].fill(bdata[o]);
-                }
-                // One row-splittable scalar GEMM over the claimed row
-                // block.
-                let wslice = &wmat.data()[range.start * k_dim..range.end * k_dim];
-                gemm::gemm_into(
-                    wslice,
-                    cols,
-                    dst,
-                    range.end - range.start,
-                    k_dim,
-                    plane,
-                    GemmAlgorithm::Blocked,
-                );
-                if cfg.fused_relu {
-                    for d in dst.iter_mut() {
-                        *d = d.max(0.0);
                     }
                 }
             });
@@ -459,13 +388,7 @@ impl Conv2d {
         let bdata = self.bias.value.data();
         let group = self.packed_group(geom, n);
         let plan = self.packed_batch_plan(geom, group);
-        let c_elems = if group > 1 {
-            self.out_channels * group * plane
-        } else {
-            0
-        };
-        let (b_buf, c_buf) =
-            scratch[..plan.packed_b_elems() + c_elems].split_at_mut(plan.packed_b_elems());
+        let (b_buf, c_buf) = scratch.split_at_mut(plan.packed_b_elems());
         let mut img = 0;
         while img < n {
             let g = group.min(n - img);
@@ -537,47 +460,9 @@ impl Conv2d {
         }
     }
 
-    /// CSR sparse-direct kernel over raw slices.
-    fn eval_csr_direct_into(
-        &self,
-        in_data: &[f32],
-        n: usize,
-        geom: &Conv2dGeometry,
-        out: &mut [f32],
-        cfg: &ExecConfig,
-    ) {
-        let csr = self.weights.csr();
-        let (h, w) = (geom.in_h, geom.in_w);
-        let plane = geom.out_positions();
-        let in_img = self.in_channels * h * w;
-        let out_img = self.out_channels * plane;
-        let bdata = self.bias.value.data();
-        let k = self.kernel;
-        let writer = DisjointWriter::new(out);
-        let writer = &writer;
-        for img in 0..n {
-            let x = &in_data[img * in_img..(img + 1) * in_img];
-            parallel_for(cfg.threads, self.out_channels, LAYER_SCHEDULE, |range| {
-                for o in range {
-                    // SAFETY: one output plane per grain.
-                    let dst = unsafe {
-                        writer.slice_mut(img * out_img + o * plane, img * out_img + (o + 1) * plane)
-                    };
-                    dst.fill(bdata[o]);
-                    let (idx, val) = csr.row(o);
-                    sparse_channel_conv(x, idx, val, dst, geom, h, w, k);
-                    if cfg.fused_relu {
-                        for d in dst.iter_mut() {
-                            *d = d.max(0.0);
-                        }
-                    }
-                }
-            });
-        }
-    }
-
-    /// CSR × im2col kernel over raw slices: every stored weight scales
-    /// one row of the per-image column matrix held in `scratch`.
+    /// CSR × im2col kernel over raw slices: the CSR weight rows times
+    /// the per-image column matrix held in `scratch`, so every stored
+    /// weight scales one of its rows.
     fn eval_csr_im2col_into(
         &self,
         in_data: &[f32],
@@ -592,7 +477,7 @@ impl Conv2d {
         let in_img = self.in_channels * geom.in_h * geom.in_w;
         let out_img = self.out_channels * plane;
         let bdata = self.bias.value.data();
-        let cols_len = self.im2col_scratch_elems(geom);
+        let cols_len = geom.patch_len() * plane;
         let writer = DisjointWriter::new(out);
         let writer = &writer;
         for img in 0..n {
@@ -610,20 +495,13 @@ impl Conv2d {
                         img * out_img + range.end * plane,
                     )
                 };
-                for (local, o) in range.clone().enumerate() {
-                    dst[local * plane..(local + 1) * plane].fill(bdata[o]);
-                    let (idx, val) = csr.row(o);
-                    let drow = &mut dst[local * plane..(local + 1) * plane];
-                    for (&col, &v) in idx.iter().zip(val) {
-                        let brow = &cols[col as usize * plane..(col as usize + 1) * plane];
-                        for (d, &b) in drow.iter_mut().zip(brow) {
-                            *d += v * b;
-                        }
-                    }
-                    if cfg.fused_relu {
-                        for d in dst[local * plane..(local + 1) * plane].iter_mut() {
-                            *d = d.max(0.0);
-                        }
+                for (drow, o) in dst.chunks_exact_mut(plane).zip(range.clone()) {
+                    drow.fill(bdata[o]);
+                }
+                csr.spmm_rows_into(cols, dst, plane, range.start, range.end);
+                if cfg.fused_relu {
+                    for d in dst.iter_mut() {
+                        *d = d.max(0.0);
                     }
                 }
             });
@@ -674,80 +552,32 @@ pub(crate) fn packed_group_for(
     (GemmPlan::new(out_channels, patch_len, batch * plane).nc / plane).clamp(1, batch)
 }
 
-/// Accumulates one dense filter over one image into one output plane.
-fn direct_channel_conv(
-    x: &[f32],
-    filter: &[f32],
-    dst: &mut [f32],
-    geom: &Conv2dGeometry,
-    h: usize,
-    w: usize,
-    k: usize,
-) {
-    for c in 0..geom.in_channels {
-        let x_plane = &x[c * h * w..(c + 1) * h * w];
-        for kh in 0..k {
-            for kw in 0..k {
-                let wv = filter[(c * k + kh) * k + kw];
-                if wv == 0.0 {
-                    continue;
-                }
-                accumulate_tap(x_plane, wv, dst, geom, h, w, kh, kw);
-            }
-        }
-    }
-}
-
-/// Accumulates the non-zero taps of one CSR filter row into one plane.
-#[allow(clippy::too_many_arguments)]
-fn sparse_channel_conv(
-    x: &[f32],
-    idx: &[u32],
-    val: &[f32],
-    dst: &mut [f32],
-    geom: &Conv2dGeometry,
-    h: usize,
-    w: usize,
-    k: usize,
-) {
-    let kk = k * k;
-    for (&flat, &wv) in idx.iter().zip(val) {
-        let flat = flat as usize;
-        let c = flat / kk;
-        let kh = (flat % kk) / k;
-        let kw = flat % k;
-        let x_plane = &x[c * h * w..(c + 1) * h * w];
-        accumulate_tap(x_plane, wv, dst, geom, h, w, kh, kw);
-    }
-}
-
-/// Adds `wv * shifted(x_plane)` into the output plane for kernel tap
-/// `(kh, kw)`.
-#[allow(clippy::too_many_arguments)]
+/// Accumulates one dense filter over one image into one output plane,
+/// tap by tap in `(channel, kh, kw)` order: each non-zero weight adds its
+/// shifted input plane.
 #[allow(clippy::needless_range_loop)]
-fn accumulate_tap(
-    x_plane: &[f32],
-    wv: f32,
-    dst: &mut [f32],
-    geom: &Conv2dGeometry,
-    h: usize,
-    w: usize,
-    kh: usize,
-    kw: usize,
-) {
-    for oh in 0..geom.out_h {
-        let ih = (oh * geom.stride + kh) as isize - geom.padding as isize;
-        if ih < 0 || ih as usize >= h {
+fn direct_channel_conv(x: &[f32], filter: &[f32], dst: &mut [f32], geom: &Conv2dGeometry) {
+    let (h, w, k) = (geom.in_h, geom.in_w, geom.k_w);
+    for (tap, &wv) in filter.iter().enumerate() {
+        if wv == 0.0 {
             continue;
         }
-        let x_row = &x_plane[ih as usize * w..(ih as usize + 1) * w];
-        let d_row = &mut dst[oh * geom.out_w..(oh + 1) * geom.out_w];
-        for ow in 0..geom.out_w {
-            let iw = (ow * geom.stride + kw) as isize - geom.padding as isize;
-            if iw < 0 || iw as usize >= w {
+        let (c, kh, kw) = (tap / (k * k), tap / k % k, tap % k);
+        let x_plane = &x[c * h * w..(c + 1) * h * w];
+        for oh in 0..geom.out_h {
+            let ih = (oh * geom.stride + kh) as isize - geom.padding as isize;
+            if ih < 0 || ih as usize >= h {
                 continue;
             }
-            d_row[ow] += wv * x_row[iw as usize];
+            let x_row = &x_plane[ih as usize * w..(ih as usize + 1) * w];
+            let d_row = &mut dst[oh * geom.out_w..(oh + 1) * geom.out_w];
+            for ow in 0..geom.out_w {
+                let iw = (ow * geom.stride + kw) as isize - geom.padding as isize;
+                if iw < 0 || iw as usize >= w {
+                    continue;
+                }
+                d_row[ow] += wv * x_row[iw as usize];
+            }
         }
     }
 }
@@ -890,8 +720,9 @@ impl Layer for Conv2d {
         // sized as if the code form its label allows existed, and that
         // row's bound covers the f32 kernel it falls back to.
         match algo::resolve(self.shape(), self.format(), cfg, || true) {
-            K::DirectConv | K::CsrConv => 0,
-            K::Im2colScalar | K::CsrIm2col => self.im2col_scratch_elems(&geom),
+            K::DirectConv => 0,
+            // The per-image column matrix.
+            K::CsrConv => geom.patch_len() * geom.out_positions(),
             K::Winograd => winograd(WinogradTile::F2),
             K::WinogradF4 => winograd(WinogradTile::F4),
             K::Im2colPacked | K::TernaryConv => self.packed_scratch_elems(&geom, n),
@@ -944,11 +775,7 @@ impl Layer for Conv2d {
                 let a = PackedA::Codes(codes);
                 self.eval_im2col_packed_into(a, input, n, h, w, &geom, out, scratch, cfg)
             }
-            K::Im2colScalar => {
-                self.eval_dense_im2col_into(input, n, h, w, &geom, out, scratch, cfg)
-            }
-            K::CsrConv => self.eval_csr_direct_into(input, n, &geom, out, cfg),
-            K::CsrIm2col => self.eval_csr_im2col_into(input, n, &geom, out, scratch, cfg),
+            K::CsrConv => self.eval_csr_im2col_into(input, n, &geom, out, scratch, cfg),
             K::Winograd => {
                 self.eval_winograd_into(WinogradTile::F2, input, n, h, w, out, scratch, cfg)
             }
@@ -972,24 +799,21 @@ mod tests {
         Tensor::from_fn(shape.into(), |_| rng.gen_range(-1.0..1.0))
     }
 
+    /// The layer's output on each row that computes on its f32 values
+    /// without a transform (direct, im2col-packed, csr), at one and
+    /// three threads.
     fn all_paths(conv: &mut Conv2d, x: &Tensor) -> Vec<Tensor> {
         let mut outs = Vec::new();
-        for format in [WeightFormat::Dense, WeightFormat::Csr] {
-            conv.set_format(format);
-            for algo in [ConvAlgorithm::Direct, ConvAlgorithm::Im2col] {
-                // Both GEMM engines: packed (panels + micro-kernel) and the
-                // blocked fallback that the guard demotes to.
-                for gemm_algo in [gemm::GemmAlgorithm::Packed, gemm::GemmAlgorithm::Blocked] {
-                    for threads in [1, 3] {
-                        let cfg = ExecConfig {
-                            threads,
-                            conv_algo: algo,
-                            gemm_algo,
-                            ..ExecConfig::serial()
-                        };
-                        outs.push(conv.forward(x, Phase::Eval, &cfg));
-                    }
-                }
+        for row in [
+            AlgoChoice::DirectConv,
+            AlgoChoice::Im2colPacked,
+            AlgoChoice::CsrConv,
+        ] {
+            for threads in [1, 3] {
+                let mut cfg = ExecConfig::with_threads(threads);
+                conv.set_format(row.select(&mut cfg));
+                assert_eq!(conv.runs(&cfg), row);
+                outs.push(conv.forward(x, Phase::Eval, &cfg));
             }
         }
         conv.set_format(WeightFormat::Dense);

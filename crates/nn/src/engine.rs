@@ -1469,16 +1469,18 @@ mod tests {
 
     #[test]
     fn plan_im2col_sizes_scratch() {
-        let net = conv_net();
-        // Blocked GEMM: scratch is the materialised im2col matrix.
+        let mut net = conv_net();
+        // CSR rows times columns: scratch is the materialised im2col
+        // matrix of one image.
+        set_network_format(&mut net, WeightFormat::Csr);
         let cfg = ExecConfig {
             conv_algo: ConvAlgorithm::Im2col,
-            gemm_algo: cnn_stack_tensor::GemmAlgorithm::Blocked,
             ..ExecConfig::serial()
         };
         let plan = InferencePlan::compile(&net, &[1, 3, 8, 8], &cfg).unwrap();
         // First conv: patch 3*3*3=27, 64 positions -> 1728 floats.
         assert_eq!(largest(&plan, |s| s.workspace_elems), 27 * 64);
+        set_network_format(&mut net, WeightFormat::Dense);
         // Packed GEMM: scratch is the packed activation panels instead
         // (the weight panels live with the layer); the im2col matrix is
         // never materialised.

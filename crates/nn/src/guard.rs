@@ -216,6 +216,18 @@ impl HealthReport {
             && self.demotions.is_empty()
             && self.budget_breaches.is_empty()
     }
+
+    /// Adds everything `other` survived to this report: the counts sum,
+    /// and `other`'s demotions and budget breaches follow this one's.
+    /// How a server folds its sessions' reports into one.
+    pub fn merge(&mut self, other: &HealthReport) {
+        self.guards_tripped += other.guards_tripped;
+        self.panics_contained += other.panics_contained;
+        self.retries += other.retries;
+        self.demotions.extend(other.demotions.iter().cloned());
+        self.budget_breaches
+            .extend(other.budget_breaches.iter().cloned());
+    }
 }
 
 impl fmt::Display for HealthReport {
@@ -639,6 +651,40 @@ pub use inject::FaultPlan;
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn merge_sums_counts_and_appends_every_record() {
+        let report = HealthReport {
+            guards_tripped: 1,
+            panics_contained: 2,
+            retries: 3,
+            demotions: vec![DemotionRecord {
+                layer_index: 0,
+                layer_name: "conv".into(),
+                from: AlgoChoice::Im2colPacked,
+                to: AlgoChoice::DirectConv,
+                reason: DemotionReason::KernelPanicked,
+            }],
+            budget_breaches: vec![BudgetBreachRecord {
+                layer_index: 0,
+                layer_name: "conv".into(),
+                budget_bytes: 64,
+                peak_bytes: 128,
+            }],
+        };
+        let mut merged = report.clone();
+        merged.merge(&report);
+        let counts = (
+            merged.guards_tripped,
+            merged.panics_contained,
+            merged.retries,
+        );
+        assert_eq!(counts, (2, 4, 6));
+        let demotions = [&report.demotions[..], &report.demotions].concat();
+        assert_eq!(merged.demotions, demotions);
+        let breaches = [&report.budget_breaches[..], &report.budget_breaches].concat();
+        assert_eq!(merged.budget_breaches, breaches);
+    }
 
     #[test]
     fn scan_finds_first_offender_and_counts() {

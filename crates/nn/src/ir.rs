@@ -17,6 +17,7 @@ use crate::batchnorm::BatchNorm2d;
 use crate::descriptor::LayerKind;
 use crate::layer::{ExecConfig, Layer, WeightFormat};
 use crate::network::Network;
+use crate::residual::ResidualBlock;
 use crate::weights::Weights;
 use crate::ReLU;
 use cnn_stack_tensor::Conv2dGeometry;
@@ -66,8 +67,14 @@ pub enum OpKind {
     /// The ReLU activation specifically — fusable into a preceding
     /// conv/depthwise/linear kernel.
     Relu,
-    /// Anything else (pooling, reshapes, composites, other activations);
-    /// fusion and selection leave these alone.
+    /// A residual block: one step, one config for all its convolutions;
+    /// selection prices a row as the sum of their prices.
+    Composite {
+        /// One [`OpKind::Conv`] op per child convolution.
+        children: Vec<IrOp>,
+    },
+    /// Anything else (pooling, reshapes, other activations); fusion
+    /// and selection leave these alone.
     Other,
 }
 
@@ -123,53 +130,75 @@ pub fn lower(net: &Network, input_shape: &[usize], cfg: &ExecConfig) -> Vec<IrOp
     let mut shape = input_shape.to_vec();
     let mut ops = Vec::with_capacity(net.len());
     for (i, layer) in net.layers().iter().enumerate() {
-        let d = layer.descriptor(&shape);
-        let kind = match d.kind {
-            LayerKind::Conv { geom, out_channels } => OpKind::Conv {
-                geom,
-                out_channels,
-                format: d.format,
-                sparsity: measured_sparsity(layer.as_ref()),
-                ternary: exact_ternary(layer.as_ref()),
-            },
-            LayerKind::DepthwiseConv { .. } => OpKind::DepthwiseConv,
-            LayerKind::Linear {
-                in_features,
-                out_features,
-            } => OpKind::Linear {
-                in_features,
-                out_features,
-                format: d.format,
-                sparsity: measured_sparsity(layer.as_ref()),
-                ternary: exact_ternary(layer.as_ref()),
-            },
-            LayerKind::BatchNorm { .. } => OpKind::BatchNorm {
-                identity: layer
-                    .as_any()
-                    .downcast_ref::<BatchNorm2d>()
-                    .is_some_and(|bn| bn.is_exact_inference_identity()),
-            },
-            LayerKind::Activation => {
-                if layer.as_any().downcast_ref::<ReLU>().is_some() {
-                    OpKind::Relu
-                } else {
-                    OpKind::Other
-                }
-            }
-            LayerKind::Pool | LayerKind::Reshape | LayerKind::Composite => OpKind::Other,
-        };
-        ops.push(IrOp {
-            layer: i,
-            span: 1,
-            name: d.name,
-            kind,
-            input_shape: shape.clone(),
-            macs: d.macs,
-            cfg: *cfg,
-        });
-        shape = d.output_shape;
+        let (op, output_shape) = lower_layer(i, layer.as_ref(), &shape, cfg);
+        ops.push(op);
+        shape = output_shape;
     }
     ops
+}
+
+/// The op of network layer `index` at `shape`, and its output shape.
+fn lower_layer(
+    index: usize,
+    layer: &dyn Layer,
+    shape: &[usize],
+    cfg: &ExecConfig,
+) -> (IrOp, Vec<usize>) {
+    let d = layer.descriptor(shape);
+    let kind = match d.kind {
+        LayerKind::Conv { geom, out_channels } => OpKind::Conv {
+            geom,
+            out_channels,
+            format: d.format,
+            sparsity: measured_sparsity(layer),
+            ternary: exact_ternary(layer),
+        },
+        LayerKind::DepthwiseConv { .. } => OpKind::DepthwiseConv,
+        LayerKind::Linear {
+            in_features,
+            out_features,
+        } => OpKind::Linear {
+            in_features,
+            out_features,
+            format: d.format,
+            sparsity: measured_sparsity(layer),
+            ternary: exact_ternary(layer),
+        },
+        LayerKind::BatchNorm { .. } => OpKind::BatchNorm {
+            identity: layer
+                .as_any()
+                .downcast_ref::<BatchNorm2d>()
+                .is_some_and(|bn| bn.is_exact_inference_identity()),
+        },
+        LayerKind::Activation => {
+            if layer.as_any().downcast_ref::<ReLU>().is_some() {
+                OpKind::Relu
+            } else {
+                OpKind::Other
+            }
+        }
+        LayerKind::Composite => match layer.as_any().downcast_ref::<ResidualBlock>() {
+            Some(block) => OpKind::Composite {
+                children: block
+                    .conv_inputs(shape)
+                    .into_iter()
+                    .map(|(conv, input)| lower_layer(index, conv, &input, cfg).0)
+                    .collect(),
+            },
+            None => OpKind::Other,
+        },
+        LayerKind::Pool | LayerKind::Reshape => OpKind::Other,
+    };
+    let op = IrOp {
+        layer: index,
+        span: 1,
+        name: d.name,
+        kind,
+        input_shape: shape.to_vec(),
+        macs: d.macs,
+        cfg: *cfg,
+    };
+    (op, d.output_shape)
 }
 
 /// Whether the layer's weights are exactly ternary (the packed ternary

@@ -83,7 +83,9 @@ pub struct ExecConfig {
     /// GEMM kernel for the im2col-convolution and linear layers. The
     /// default is [`GemmAlgorithm::Packed`], the BLIS-style packed
     /// micro-kernel engine; [`GemmAlgorithm::Blocked`] is the scalar
-    /// fallback the guard's demotion ladder demotes to.
+    /// floor on both layer kinds: the row-loop GEMM on a linear layer,
+    /// and the direct loop on a dense convolution (an im2col
+    /// convolution under it resolves to direct).
     pub gemm_algo: GemmAlgorithm,
     /// Fuse a trailing ReLU into this layer's kernel (set by the plan
     /// compiler's fusion when a `conv → [identity BN] → ReLU`,

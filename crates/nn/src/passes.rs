@@ -17,11 +17,14 @@
 //!    packed GEMM write-back epilogue — no extra sweep over the output);
 //! 5. **select** — a per-layer cost model (FLOPs, im2col footprint,
 //!    measured weight sparsity) puts each conv/linear op on the cheapest
-//!    of the kernel registry's rows ([`crate::algo`]) that apply to it.
-//!    A non-default `conv_algo`/`gemm_algo` in the config is a user
-//!    override: the model chooses nothing and each op goes on the row
-//!    the override resolves to. Either way the step name is tagged with
-//!    the row it runs;
+//!    of the kernel registry's rows ([`crate::algo`]) that apply to it,
+//!    and each residual block on the cheapest row all its convolutions
+//!    run under their own labels (priced as the sum of theirs; a
+//!    composite is never relabelled). A non-default
+//!    `conv_algo`/`gemm_algo` in the config is a user override: the
+//!    model chooses nothing and each conv/linear op goes on the row the
+//!    override resolves to. Either way the step name is tagged with the
+//!    row it runs;
 //! 6. **fit** — with [`ExecConfig::plan_budget`] set, the fastest
 //!    selection whose liveness-coloured arena fits the budget;
 //! 7. **emit** — one [`PlanStep`] per op, with its span and its own
@@ -316,12 +319,13 @@ fn weight_bytes(choice: AlgoChoice, weights: usize) -> f64 {
 /// parallelises over the same outer loop, so thread count scales all
 /// candidates alike.
 fn predicted_seconds(op: &IrOp, choice: AlgoChoice) -> f64 {
+    if let OpKind::Composite { children } = &op.kind {
+        return children.iter().map(|c| predicted_seconds(c, choice)).sum();
+    }
     let flops = 2.0 * op.macs as f64;
     let batch = op.input_shape.first().copied().unwrap_or(1).max(1);
     match choice {
-        AlgoChoice::DirectConv | AlgoChoice::Im2colScalar | AlgoChoice::ScalarLinear => {
-            flops / (SCALAR_GFLOPS * 1e9)
-        }
+        AlgoChoice::DirectConv | AlgoChoice::ScalarLinear => flops / (SCALAR_GFLOPS * 1e9),
         AlgoChoice::Im2colPacked | AlgoChoice::TernaryConv => {
             let OpKind::Conv {
                 geom, out_channels, ..
@@ -406,7 +410,7 @@ fn predicted_seconds(op: &IrOp, choice: AlgoChoice) -> f64 {
             let transforms = (freqs * (ic + oc) * tiles * 4) as f64;
             products / (PACKED_GFLOPS * 1e9) + (bank_traffic + transforms) / PACK_BYTES_PER_SEC
         }
-        AlgoChoice::CsrConv | AlgoChoice::CsrIm2col | AlgoChoice::CsrLinear => {
+        AlgoChoice::CsrConv | AlgoChoice::CsrLinear => {
             let density = match &op.kind {
                 OpKind::Conv { sparsity, .. } | OpKind::Linear { sparsity, .. } => 1.0 - sparsity,
                 _ => 1.0,
@@ -440,37 +444,51 @@ fn facts(op: &IrOp) -> Option<(LayerShape, WeightFormat, bool)> {
     }
 }
 
-/// The kernel `op` runs under its current label and config.
-fn resolved(op: &IrOp) -> Option<AlgoChoice> {
+/// The kernel `op` runs under its current label and `cfg`.
+fn resolved(op: &IrOp, cfg: &ExecConfig) -> Option<AlgoChoice> {
     let (shape, label, ternary) = facts(op)?;
-    Some(algo::resolve(shape, label, &op.cfg, || ternary))
+    Some(algo::resolve(shape, label, cfg, || ternary))
 }
 
-/// Valid candidates for `op` — the proposable registry rows that apply
-/// to it — cheapest predicted first; empty for ops the selector does
-/// not touch.
+/// Whether `row` is a candidate for `op`: it applies to a conv/linear
+/// op; every child conv of a composite runs it, under its own label.
+fn proposable(op: &IrOp, row: AlgoChoice) -> bool {
+    if let OpKind::Composite { children } = &op.kind {
+        let mut cfg = op.cfg;
+        row.select(&mut cfg);
+        return children
+            .iter()
+            .all(|child| resolved(child, &cfg) == Some(row));
+    }
+    facts(op).is_some_and(|(shape, _, ternary)| row.applies(shape, ternary))
+}
+
+/// Valid candidates for `op` — the registry rows [`proposable`] for
+/// it — cheapest predicted first; empty for ops the selector does not
+/// touch.
 fn candidates(op: &IrOp) -> Vec<(AlgoChoice, f64)> {
-    let Some((shape, _, ternary)) = facts(op) else {
-        return Vec::new();
-    };
     let mut c: Vec<(AlgoChoice, f64)> = AlgoChoice::ALL
         .into_iter()
-        .filter(|row| row.applies(shape, ternary) && row.proposed())
+        .filter(|&row| proposable(op, row))
         .map(|row| (row, predicted_seconds(op, row)))
         .collect();
     c.sort_by(|a, b| a.1.total_cmp(&b.1));
     c
 }
 
-/// Applies `choice` to the op's config and to the layer's label, and
-/// tags the step name with it.
+/// Applies `choice` to the op's config and, for a conv/linear op, to
+/// the layer's label, and tags the step name with it.
 fn apply_choice(net: &mut Network, op: &mut IrOp, choice: AlgoChoice) {
-    let weights = Weights::of_mut(net.layers_mut()[op.layer].as_mut())
-        .expect("choices are only proposed for conv/linear ops");
-    choice.apply(&mut op.cfg, weights);
-    // Keep the IR's format fact in sync with the label.
-    if let OpKind::Conv { format, .. } | OpKind::Linear { format, .. } = &mut op.kind {
-        *format = weights.format();
+    match Weights::of_mut(net.layers_mut()[op.layer].as_mut()) {
+        Some(weights) => {
+            choice.apply(&mut op.cfg, weights);
+            // Keep the IR's format fact in sync with the label.
+            if let OpKind::Conv { format, .. } | OpKind::Linear { format, .. } = &mut op.kind {
+                *format = weights.format();
+            }
+        }
+        // A composite: its candidates run under the children's labels.
+        None => _ = choice.select(&mut op.cfg),
     }
     // Tag the step name with the algorithm so plan reports show
     // per-layer choices, replacing the tag of an earlier application
@@ -498,7 +516,7 @@ fn select(net: &mut Network, ops: &mut [IrOp], cfg: &ExecConfig) {
     let overridden = user_override(cfg);
     for op in ops {
         let choice = if overridden {
-            resolved(op)
+            resolved(op, &op.cfg)
         } else {
             candidates(op).first().map(|&(best, _)| best)
         };
@@ -806,8 +824,10 @@ mod tests {
             .unwrap();
         assert_eq!(plan.steps()[0].cfg.conv_algo, ConvAlgorithm::Im2col);
         assert_eq!(plan.steps()[0].cfg.gemm_algo, GemmAlgorithm::Packed);
-        // The sparse layer went CSR + direct.
-        assert_eq!(plan.steps()[1].cfg.conv_algo, ConvAlgorithm::Direct);
+        // The sparse layer went CSR, which selects itself with its
+        // im2col lowering.
+        assert_eq!(plan.steps()[1].cfg.conv_algo, ConvAlgorithm::Im2col);
+        assert!(plan.steps()[1].name.ends_with(" [csr]"));
         let sparse_layer = net.layers_mut()[1]
             .as_any_mut()
             .downcast_mut::<Conv2d>()
@@ -826,8 +846,11 @@ mod tests {
         let plan = PlanCompiler::standard()
             .run(&mut net, &[1, 3, 8, 8], &cfg)
             .unwrap();
-        // Non-default base knobs are a user override: kept verbatim.
-        assert_eq!(plan.steps()[0].cfg.conv_algo, ConvAlgorithm::Im2col);
+        // Non-default base knobs are a user override: the step goes on
+        // the row they resolve to, which on a conv under the scalar GEMM
+        // is the direct floor.
+        assert!(plan.steps()[0].name.ends_with(" [direct]"));
+        assert_eq!(plan.steps()[0].cfg.conv_algo, ConvAlgorithm::Direct);
         assert_eq!(plan.steps()[0].cfg.gemm_algo, GemmAlgorithm::Blocked);
     }
 

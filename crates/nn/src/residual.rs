@@ -88,6 +88,14 @@ impl ResidualBlock {
             .chain(self.shortcut.as_ref().map(|(conv, _)| conv))
     }
 
+    /// [`convs`](Self::convs), each with the shape that reaches it when
+    /// the block's input is `input_shape`.
+    pub(crate) fn conv_inputs(&self, input_shape: &[usize]) -> Vec<(&Conv2d, Vec<usize>)> {
+        let inner = self.conv1.descriptor(input_shape).output_shape;
+        let inputs = [input_shape.to_vec(), inner, input_shape.to_vec()];
+        self.convs().zip(inputs).collect()
+    }
+
     /// The children that hold parameters, in [`Layer::params`] order.
     fn param_children(&self) -> impl Iterator<Item = &dyn Layer> {
         let shortcut = self.shortcut.iter();
@@ -332,24 +340,18 @@ impl Layer for ResidualBlock {
     }
 
     fn forward_scratch_elems(&self, input_shape: &[usize], cfg: &ExecConfig) -> usize {
-        let (n, h, w) = (input_shape[0], input_shape[2], input_shape[3]);
-        let geom1 = self.conv1.geometry(h, w);
-        let main_elems = n * self.conv1.out_channels() * geom1.out_h * geom1.out_w;
-        let shape1 = [n, self.conv1.out_channels(), geom1.out_h, geom1.out_w];
-        let geom2 = self.conv2.geometry(geom1.out_h, geom1.out_w);
-        let out_elems = n * self.conv2.out_channels() * geom2.out_h * geom2.out_w;
-        let skip_elems = if self.shortcut.is_some() {
-            out_elems
-        } else {
-            0
+        let convs = self.conv_inputs(input_shape);
+        // conv2 reads conv1's output: the main-path buffer.
+        let main_elems: usize = convs[1].1.iter().product();
+        let skip_elems = match &self.shortcut {
+            Some((conv, _)) => conv.descriptor(input_shape).output_elems,
+            None => 0,
         };
-        let mut child = self
-            .conv1
-            .forward_scratch_elems(input_shape, cfg)
-            .max(self.conv2.forward_scratch_elems(&shape1, cfg));
-        if let Some((conv, _)) = &self.shortcut {
-            child = child.max(conv.forward_scratch_elems(input_shape, cfg));
-        }
+        let child = convs
+            .iter()
+            .map(|(conv, shape)| conv.forward_scratch_elems(shape, cfg))
+            .max()
+            .unwrap_or(0);
         main_elems + skip_elems + child
     }
 

@@ -232,14 +232,7 @@ impl SessionLadder {
     pub(crate) fn health(&self) -> cnn_stack_nn::HealthReport {
         let mut merged = cnn_stack_nn::HealthReport::default();
         for rung in &self.rungs {
-            let h = rung.session.health();
-            merged.guards_tripped += h.guards_tripped;
-            merged.panics_contained += h.panics_contained;
-            merged.retries += h.retries;
-            merged.demotions.extend(h.demotions.iter().cloned());
-            merged
-                .budget_breaches
-                .extend(h.budget_breaches.iter().cloned());
+            merged.merge(rung.session.health());
         }
         merged
     }

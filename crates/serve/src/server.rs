@@ -121,13 +121,6 @@ impl ServerInner {
     }
 }
 
-fn fold_health(into: &mut HealthReport, from: &HealthReport) {
-    into.guards_tripped += from.guards_tripped;
-    into.panics_contained += from.panics_contained;
-    into.retries += from.retries;
-    into.demotions.extend(from.demotions.iter().cloned());
-}
-
 /// Shared context the watchdog needs to fail over and respawn workers,
 /// whether it runs on the background monitor thread (threaded servers)
 /// or inside [`Server::supervise`] (manual servers).
@@ -365,7 +358,7 @@ impl Worker {
     /// worker untouched on error.
     fn rebuild(&mut self) -> Result<(), ServeError> {
         let mut base = self.engine_base.clone();
-        fold_health(&mut base, &self.ladder.health());
+        base.merge(&self.ladder.health());
         let ladder = self.template.instantiate(&*self.clock)?;
         self.engine_base = base;
         self.ladder = ladder;
@@ -377,7 +370,7 @@ impl Worker {
 
     fn publish_health(&self) {
         let mut merged = self.engine_base.clone();
-        fold_health(&mut merged, &self.ladder.health());
+        merged.merge(&self.ladder.health());
         self.slot.publish_engine(merged);
         if let Some(b) = &self.inner.breaker {
             self.inner.gauge(Metric::ServeBreakerState, b.state_gauge());

@@ -210,8 +210,10 @@ impl CsrMatrix {
         out
     }
 
-    /// SpMM over a sub-range of output rows, accumulating into `c`.
-    /// The unit of work distributed by the parallel executor.
+    /// SpMM over the output rows `row_start..row_end`, accumulating into
+    /// `c`, which holds exactly those rows: the unit of work a parallel
+    /// executor hands each grain, with its own disjoint slice of the
+    /// output.
     ///
     /// # Panics
     ///
@@ -229,9 +231,8 @@ impl CsrMatrix {
             "row range out of bounds"
         );
         assert_eq!(b.len(), self.cols * n, "B length mismatch");
-        assert_eq!(c.len(), self.rows * n, "C length mismatch");
-        for r in row_start..row_end {
-            let c_row = &mut c[r * n..(r + 1) * n];
+        assert_eq!(c.len(), (row_end - row_start) * n, "C length mismatch");
+        for (r, c_row) in (row_start..row_end).zip(c.chunks_exact_mut(n)) {
             for p in self.indptr[r]..self.indptr[r + 1] {
                 let col = self.indices[p] as usize;
                 let v = self.values[p];
@@ -411,8 +412,9 @@ mod tests {
         let csr = CsrMatrix::from_dense(&a, 0.0);
         let full = csr.spmm(&b);
         let mut c = vec![0.0; 8 * 7];
-        csr.spmm_rows_into(b.data(), &mut c, 7, 0, 3);
-        csr.spmm_rows_into(b.data(), &mut c, 7, 3, 8);
+        let (top, bottom) = c.split_at_mut(3 * 7);
+        csr.spmm_rows_into(b.data(), top, 7, 0, 3);
+        csr.spmm_rows_into(b.data(), bottom, 7, 3, 8);
         assert!(full.allclose(&Tensor::from_vec([8, 7], c), 1e-6));
     }
 

@@ -95,23 +95,6 @@ impl PlatformChoice {
     }
 }
 
-/// How the host-execution inference plan is constructed (the layer 3/4
-/// boundary of the stack).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub enum PlanMode {
-    /// One global algorithm/format choice applied to every layer
-    /// (`InferencePlan::compile`); this is the paper's sweep regime,
-    /// where each grid cell fixes a single stack-wide option.
-    #[default]
-    Global,
-    /// The plan compiler's pipeline (`PlanCompiler::standard`):
-    /// batch-norm fold + conv/linear+ReLU fusion, then a per-layer
-    /// algorithm/format choice from the cost model. When [`StackConfig`]
-    /// carries a non-default `algorithm` or `format`, those act as
-    /// global overrides and selection stands down.
-    Selection,
-}
-
 /// A complete across-stack configuration.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct StackConfig {
@@ -135,10 +118,6 @@ pub struct StackConfig {
     /// activations at layer boundaries, `Paranoid` additionally scans
     /// inputs and weights before every run.
     pub guard: GuardConfig,
-    /// How the host-execution plan is built: [`PlanMode::Global`] (the
-    /// default, one algorithm everywhere) or [`PlanMode::Selection`]
-    /// (fused, per-layer choices from the pass compiler).
-    pub plan: PlanMode,
     /// Peak activation-arena bytes the host-execution plan may claim.
     /// `None` (the default) defers to the platform's envelope —
     /// [`Platform::arena_budget_bytes`], a quarter of installed RAM.
@@ -164,7 +143,6 @@ impl StackConfig {
             threads: 1,
             platform,
             guard: GuardConfig::Off,
-            plan: PlanMode::Global,
             plan_budget: None,
             obs: ObsLevel::Off,
         }
@@ -204,12 +182,6 @@ impl StackConfig {
     /// Sets the runtime guard level for host executions (builder style).
     pub fn guard(mut self, guard: GuardConfig) -> Self {
         self.guard = guard;
-        self
-    }
-
-    /// Sets the host plan-construction mode (builder style).
-    pub fn plan(mut self, plan: PlanMode) -> Self {
-        self.plan = plan;
         self
     }
 
@@ -293,11 +265,11 @@ mod tests {
     }
 
     #[test]
-    fn plan_mode_defaults_global_and_is_configurable() {
+    fn plan_budget_defaults_to_the_platform_and_is_configurable() {
         let cfg = StackConfig::plain(ModelKind::Vgg16, PlatformChoice::IntelI7);
-        assert_eq!(cfg.plan, PlanMode::Global);
-        let cfg = cfg.plan(PlanMode::Selection);
-        assert_eq!(cfg.plan, PlanMode::Selection);
+        assert_eq!(cfg.plan_budget, None);
+        let cfg = cfg.plan_budget(4 << 20);
+        assert_eq!(cfg.plan_budget, Some(4 << 20));
     }
 
     #[test]

@@ -40,7 +40,7 @@ pub mod serve;
 pub use build::{materialise, try_materialise};
 pub use cnn_stack_nn::{GuardConfig, HealthReport};
 pub use cnn_stack_obs::ObsLevel;
-pub use config::{CompressionChoice, PlanMode, PlatformChoice, StackConfig};
+pub use config::{CompressionChoice, PlatformChoice, StackConfig};
 pub use pareto::{detect_elbow, pareto_curve, ParetoPoint};
 pub use runner::{evaluate, try_evaluate_with, CellResult};
 pub use serve::serve_cell;

@@ -2,11 +2,11 @@
 //! behind every bar of Figs. 4–6 and every entry of Tables IV/VI.
 
 use crate::build::try_materialise;
-use crate::config::{PlanMode, StackConfig};
+use crate::config::StackConfig;
 use cnn_stack_hwsim::{network_energy, network_time, EnergyModel, SimConfig};
 use cnn_stack_nn::memory::{network_memory, MemoryBreakdown};
 use cnn_stack_nn::{
-    ConvAlgorithm, Error, ExecConfig, HealthReport, InferencePlan, InferenceSession, PlanCompiler,
+    ConvAlgorithm, Error, ExecConfig, HealthReport, InferenceSession, PlanCompiler,
 };
 use cnn_stack_obs::{self as obs, MetricsSnapshot, Observer};
 use cnn_stack_tensor::Tensor;
@@ -41,8 +41,8 @@ pub struct CellResult {
     pub health: HealthReport,
     /// One line per compiled host-plan step — `name [span] conv/gemm`
     /// with a `+relu` suffix for fused epilogues. Empty when no host run
-    /// was requested. Under [`PlanMode::Selection`] this is where the
-    /// per-layer choices of the pass compiler become visible.
+    /// was requested. This is where the per-layer choices of the plan
+    /// compiler become visible.
     pub plan_steps: Vec<String>,
     /// Snapshot of every observability instrument recorded during the
     /// evaluation (GEMM calls/FLOPs, im2col traffic, pool activity,
@@ -124,12 +124,7 @@ pub fn try_evaluate_with(
         };
         // Compile once, execute via the arena-backed session: the timed
         // pass then measures arithmetic, not per-layer allocation.
-        let plan = match cfg.plan {
-            PlanMode::Global => InferencePlan::compile(&model.network, &input_shape, &exec)?,
-            PlanMode::Selection => {
-                PlanCompiler::standard().run(&mut model.network, &input_shape, &exec)?
-            }
-        };
+        let plan = PlanCompiler::standard().run(&mut model.network, &input_shape, &exec)?;
         let plan_steps = plan.steps().iter().map(|s| s.label(&s.cfg)).collect();
         let mut session = InferenceSession::with_guard(&mut model.network, plan, cfg.guard)?;
         observer = session.observer().cloned();
@@ -248,21 +243,26 @@ mod tests {
     }
 
     #[test]
-    fn selection_plan_mode_fuses_and_reports_steps() {
-        use crate::config::PlanMode;
-        let global = StackConfig::plain(ModelKind::Vgg16, PlatformChoice::IntelI7);
-        let selected = global.plan(PlanMode::Selection);
-        let g = try_evaluate_with(&global, 0.1, true).unwrap();
-        let s = try_evaluate_with(&selected, 0.1, true).unwrap();
-        // Global planning: one step per layer, nothing fused.
-        assert!(g.plan_steps.iter().all(|l| l.contains("[span 1]")));
-        // Selection planning: conv+bn+relu triples collapse, the fused
-        // epilogue is reported, and dense convs move off Direct.
-        assert!(s.plan_steps.len() < g.plan_steps.len());
-        assert!(s.plan_steps.iter().any(|l| l.contains("+relu")));
-        assert!(s.plan_steps.iter().any(|l| l.contains("Im2col")));
-        assert!(s.health.is_clean());
-        assert!(s.measured_host_s.is_some());
+    fn host_cells_run_the_compiled_plan() {
+        let cfg = StackConfig::plain(ModelKind::Vgg16, PlatformChoice::IntelI7);
+        let cell = try_evaluate_with(&cfg, 0.1, true).unwrap();
+        // Each conv+bn+relu triple is one step with a fused epilogue, and
+        // no dense conv is left on the direct loop.
+        let convs: Vec<&String> = cell
+            .plan_steps
+            .iter()
+            .filter(|l| l.starts_with("conv"))
+            .collect();
+        assert_eq!(convs.len(), 13, "{:?}", cell.plan_steps);
+        for line in convs {
+            assert!(
+                line.contains(" + bn + relu [") && line.ends_with("+relu"),
+                "{line}"
+            );
+            assert!(!line.contains("[direct]"), "{line}");
+        }
+        assert!(cell.health.is_clean());
+        assert!(cell.measured_host_s.is_some());
     }
 
     #[test]

@@ -1,18 +1,20 @@
 //! Cross-algorithm convolution conformance harness.
 //!
 //! Every convolution kernel in the registry (`AlgoChoice::ALL`: direct,
-//! im2col over the packed GEMM on f32 panels or on 2-bit codes and over
-//! the scalar GEMM, Winograd F(2×2,3×3) and F(4×4,3×3), and CSR
-//! sparse-direct and CSR × im2col) is run against one naive reference
+//! im2col over the packed GEMM on f32 panels or on 2-bit codes,
+//! Winograd F(2×2,3×3) and F(4×4,3×3), and CSR × im2col) is run
+//! against one naive reference
 //! (loop order matched to the direct kernel) across randomized
 //! shape/stride/pad/channel grids and a curated list of degenerate
 //! shapes. Each kernel carries its own error budget, stated once in
 //! [`tolerance`]:
 //!
-//! * **Bit-exact** — direct and both CSR kernels accumulate in the
-//!   reference order, so their outputs must match the reference to the
-//!   bit; the code row must match `im2col-packed` on the same
-//!   (dequantised) weights to the bit.
+//! * **Bit-exact** — direct and CSR accumulate in the reference order,
+//!   so their outputs must match the reference to the bit (CSR for
+//!   finite weights: with a ±Inf weight, the im2col lowering's padding
+//!   taps give NaN where the direct loop skips them); the code row must
+//!   match `im2col-packed` on the same (dequantised) weights to the
+//!   bit.
 //! * **Relative** — im2col reassociates the reduction (GEMM blocking),
 //!   Winograd evaluates it through transform matrices whose
 //!   conditioning amplifies rounding; each gets a max-norm relative
@@ -51,11 +53,9 @@ fn tolerance(row: AlgoChoice) -> Tolerance {
     match row {
         AlgoChoice::DirectConv => Tolerance::BitExact,
         AlgoChoice::Im2colPacked => Tolerance::Rel(1e-5),
-        AlgoChoice::Im2colScalar => Tolerance::Rel(1e-5),
-        AlgoChoice::CsrConv => Tolerance::BitExact,
         // Each stored weight scales one im2col row, in the reference's
         // tap order; padding taps add an exact 0.
-        AlgoChoice::CsrIm2col => Tolerance::BitExact,
+        AlgoChoice::CsrConv => Tolerance::BitExact,
         AlgoChoice::Winograd => Tolerance::Rel(2e-4),
         AlgoChoice::WinogradF4 => Tolerance::Rel(1e-3),
         // Its codes decode to the master's values, run on the packed

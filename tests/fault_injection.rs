@@ -98,10 +98,10 @@ fn winograd_kernel_panic_demotes_to_im2col_bit_identically() {
 }
 
 /// A panic inside the packed GEMM micro-kernel path demotes the step to
-/// the scalar blocked GEMM and re-runs, bit-identical to a session that
-/// ran the blocked GEMM from the start.
+/// the direct convolution and re-runs, bit-identical to a session that
+/// ran the direct kernel from the start.
 #[test]
-fn packed_gemm_panic_demotes_to_blocked_bit_identically() {
+fn packed_gemm_panic_demotes_to_direct_bit_identically() {
     use cnn_stack::tensor::GemmAlgorithm;
     let seed = 23;
     let input = ramp_input(4);
@@ -127,23 +127,23 @@ fn packed_gemm_panic_demotes_to_blocked_bit_identically() {
     assert_eq!(health.demotions[0].layer_index, 0);
     assert_eq!(
         edge(&health.demotions[0]),
-        (AlgoChoice::Im2colPacked, AlgoChoice::Im2colScalar)
+        (AlgoChoice::Im2colPacked, AlgoChoice::DirectConv)
     );
     assert_eq!(health.demotions[0].reason, DemotionReason::KernelPanicked);
 
     // Bit-identical to the demoted configuration run layer by layer:
-    // only the conv fell back to the blocked GEMM, the linear stays
+    // only the conv fell back to the direct kernel, the linear stays
     // packed. All `eval_*_into` kernels are shared verbatim between
     // `forward` and the arena engine, so this reference is exact.
     let want = {
         use cnn_stack::nn::Phase;
         let mut rnet = conv_stack(seed);
-        let blocked_cfg = ExecConfig {
-            gemm_algo: GemmAlgorithm::Blocked,
+        let direct_cfg = ExecConfig {
+            conv_algo: ConvAlgorithm::Direct,
             ..cfg
         };
         let layers = rnet.layers_mut();
-        let mut x = layers[0].forward(&input, Phase::Eval, &blocked_cfg);
+        let mut x = layers[0].forward(&input, Phase::Eval, &direct_cfg);
         for layer in &mut layers[1..] {
             x = layer.forward(&x, Phase::Eval, &cfg);
         }
@@ -182,7 +182,7 @@ fn guard_trip_on_csr_conv_demotes_to_dense() {
     assert_eq!(health.demotions[0].layer_index, 0);
     assert_eq!(
         edge(&health.demotions[0]),
-        (AlgoChoice::CsrIm2col, AlgoChoice::Im2colPacked)
+        (AlgoChoice::CsrConv, AlgoChoice::Im2colPacked)
     );
     assert_eq!(health.demotions[0].reason, DemotionReason::GuardTripped);
     assert!(got.data().iter().all(|v| v.is_finite()));
@@ -662,10 +662,10 @@ fn pointwise_conv_under_winograd_cfg_has_no_phantom_rung() {
 
 /// A `TernaryPacked` cfg over weights that are not exactly ternary runs
 /// the f32 packed kernel, so a failure there demotes straight to the
-/// scalar GEMM row — not through a quantised→packed rung that would
+/// direct floor — not through a quantised→packed rung that would
 /// re-run the very kernel that failed.
 #[test]
-fn ternary_cfg_over_non_ternary_weights_demotes_straight_to_scalar() {
+fn ternary_cfg_over_non_ternary_weights_demotes_straight_to_direct() {
     use cnn_stack::tensor::GemmAlgorithm;
     let seed = 29;
     let input = ramp_input(2);
@@ -685,18 +685,18 @@ fn ternary_cfg_over_non_ternary_weights_demotes_straight_to_scalar() {
     assert_eq!(health.demotions.len(), 1);
     assert_eq!(
         edge(&health.demotions[0]),
-        (AlgoChoice::Im2colPacked, AlgoChoice::Im2colScalar)
+        (AlgoChoice::Im2colPacked, AlgoChoice::DirectConv)
     );
-    // Bit-identical to the conv on the scalar GEMM from the start.
+    // Bit-identical to the conv on the direct kernel from the start.
     let want = {
         use cnn_stack::nn::Phase;
         let mut rnet = conv_stack(seed);
-        let scalar_cfg = ExecConfig {
-            gemm_algo: GemmAlgorithm::Blocked,
+        let direct_cfg = ExecConfig {
+            conv_algo: ConvAlgorithm::Direct,
             ..cfg
         };
         let layers = rnet.layers_mut();
-        let mut x = layers[0].forward(&input, Phase::Eval, &scalar_cfg);
+        let mut x = layers[0].forward(&input, Phase::Eval, &direct_cfg);
         for layer in &mut layers[1..] {
             x = layer.forward(&x, Phase::Eval, &cfg);
         }

@@ -5,8 +5,10 @@
 //! reference (property based, across strides/paddings/non-finite inputs
 //! and depthwise output rows narrower and wider than one 16-lane
 //! vector), the pointwise packed-GEMM fast path,
-//! weight-panel cache invalidation through residual-block accessors, and
-//! the selections and budget solutions pinned to measured VGG-16 plans.
+//! weight-panel cache invalidation through residual-block accessors, no
+//! selected conv (residual blocks' included) left on the direct floor,
+//! and the selections and budget solutions pinned to measured VGG-16
+//! plans.
 
 use cnn_stack::nn::{
     fold_batchnorm, BatchNorm2d, Conv2d, ConvAlgorithm, DepthwiseConv2d, Error, ExecConfig,
@@ -403,6 +405,46 @@ fn residual_set_format_refreshes_csr_from_current_weights() {
     assert!(got.allclose(&want, 0.0));
 }
 
+/// A residual block is one step on the cheapest row all its
+/// convolutions run under their own labels: pruned far past the CSR
+/// crossover, a Dense-labelled block stays on a dense row (a conv op
+/// would be relabelled onto `csr`, a composite never is) and a
+/// CSR-labelled one runs `csr`.
+#[test]
+fn residual_blocks_are_planned_under_their_childrens_labels() {
+    use cnn_stack::nn::AlgoChoice;
+    for format in [WeightFormat::Dense, WeightFormat::Csr] {
+        let mut block = ResidualBlock::new(8, 8, 1, 3);
+        let prune = |conv: &mut Conv2d| conv.weight_mut().value.data_mut()[5..].fill(0.0);
+        prune(block.conv1_mut());
+        prune(block.conv2_mut());
+        block.set_format(format);
+        let mut net = Network::new(vec![Box::new(block)]).unwrap();
+        let plan = PlanCompiler::standard()
+            .run(&mut net, &[2, 8, 8, 8], &ExecConfig::serial())
+            .unwrap();
+        let step = &plan.steps()[0];
+        let block = net.layers()[0]
+            .as_any()
+            .downcast_ref::<ResidualBlock>()
+            .unwrap();
+        let runs = block.conv1().runs(&step.cfg);
+        assert_eq!(block.conv2().runs(&step.cfg), runs);
+        assert_eq!(
+            (block.conv1().format(), block.conv2().format()),
+            (format, format)
+        );
+        assert_eq!(tag(step), runs.tag());
+        match format {
+            WeightFormat::Csr => assert_eq!(runs, AlgoChoice::CsrConv),
+            _ => assert!(!matches!(
+                runs,
+                AlgoChoice::CsrConv | AlgoChoice::DirectConv
+            )),
+        }
+    }
+}
+
 /// The kernel-registry tag a compiled step carries.
 fn tag(step: &cnn_stack::nn::PlanStep) -> &str {
     let open = step.name.rfind(" [").expect("conv steps are tagged");
@@ -516,26 +558,30 @@ const MOBILENET_B1_PLAN: &[&str] = &[
     "linear(1024->10) [gemm-scalar]",
 ];
 
-/// Full-width ResNet-18's batch-1 plan, likewise.
+/// Full-width ResNet-18's batch-1 plan: each residual block is planned
+/// as one step on the cheapest row all its convolutions run (the
+/// Winograd rows only on the blocks whose every conv is 3×3 stride 1),
+/// priced as the sum of their prices.
 const RESNET18_B1_PLAN: &[&str] = &[
     "conv3x3(3->64)/s1 + bn + relu [im2col-packed]",
-    "resblock(64->64)",
-    "resblock(64->64)",
-    "resblock(64->128, proj)",
-    "resblock(128->128)",
-    "resblock(128->256, proj)",
-    "resblock(256->256)",
-    "resblock(256->512, proj)",
-    "resblock(512->512)",
+    "resblock(64->64) [winograd-f4]",
+    "resblock(64->64) [winograd-f4]",
+    "resblock(64->128, proj) [im2col-packed]",
+    "resblock(128->128) [winograd]",
+    "resblock(128->256, proj) [im2col-packed]",
+    "resblock(256->256) [im2col-packed]",
+    "resblock(256->512, proj) [im2col-packed]",
+    "resblock(512->512) [im2col-packed]",
     "globalavgpool",
     "flatten",
     "linear(512->10) [gemm-scalar]",
 ];
 
 /// The Winograd rows move no plan they do not win: no 3-input-channel
-/// stem and no 2×2 plane of any paper model lands on one, and the
-/// MobileNet and ResNet-18 batch-1 plans name exactly the kernels they
-/// named before either row ran on the packed engine.
+/// stem and no 2×2 plane of any paper model lands on one, the MobileNet
+/// batch-1 plan names exactly the kernels it named before either row ran
+/// on the packed engine, and the ResNet-18 batch-1 plan is the one its
+/// planned residual blocks give.
 #[test]
 fn winograd_rows_leave_stems_tiny_planes_and_the_other_models_alone() {
     use cnn_stack::models::ModelKind;
@@ -575,6 +621,42 @@ fn winograd_rows_leave_stems_tiny_planes_and_the_other_models_alone() {
     };
     assert_eq!(steps(ModelKind::MobileNet), MOBILENET_B1_PLAN);
     assert_eq!(steps(ModelKind::ResNet18), RESNET18_B1_PLAN);
+}
+
+/// Selection leaves no convolution on the direct floor: in the paper's
+/// three models at batch 1 and 8, every conv a step runs — a residual
+/// block's children included, under the block's one config — resolves
+/// to a faster row. Only a user override or a guard demotion puts a
+/// conv there.
+#[test]
+fn no_selected_step_runs_a_conv_on_the_direct_floor() {
+    use cnn_stack::models::ModelKind;
+    use cnn_stack::nn::AlgoChoice;
+    for kind in ModelKind::all() {
+        for batch in [1, 8] {
+            let mut model = kind.build_width(10, 1.0);
+            let plan = model
+                .compile_plan(batch, &ExecConfig::serial(), &PlanCompiler::standard())
+                .unwrap();
+            let mut convs = 0;
+            for step in plan.steps() {
+                model.network.layers_mut()[step.layer].visit_mut(&mut |layer| {
+                    if let Some(conv) = layer.as_any().downcast_ref::<Conv2d>() {
+                        convs += 1;
+                        assert_ne!(
+                            conv.runs(&step.cfg),
+                            AlgoChoice::DirectConv,
+                            "{} at batch {batch}: {} in {}",
+                            kind.name(),
+                            conv.name(),
+                            step.name
+                        );
+                    }
+                });
+            }
+            assert!(convs > 0, "{}", kind.name());
+        }
+    }
 }
 
 /// Under a memory budget the solver must walk the conv off its fastest

@@ -436,7 +436,7 @@ pinned! {
 }
 
 /// A guard demotion from a layer whose master is dropped — codes → f32
-/// panels, packed → blocked — rebuilds the master from the form it
+/// panels, packed → direct — rebuilds the master from the form it
 /// leaves and lands bit-identical to a cold compile of the demoted plan.
 #[cfg(feature = "fault-inject")]
 #[test]
@@ -457,7 +457,7 @@ fn demotion_from_a_dropped_master_matches_a_cold_compile() {
     use {AlgoChoice::*, GemmAlgorithm::*};
     for (label, gemm_algo, from, to) in [
         (Ternary, TernaryPacked, TernaryConv, Im2colPacked),
-        (Dense, Packed, Im2colPacked, Im2colScalar),
+        (Dense, Packed, Im2colPacked, DirectConv),
     ] {
         let cfg = ExecConfig {
             conv_algo: ConvAlgorithm::Im2col,
@@ -472,10 +472,10 @@ fn demotion_from_a_dropped_master_matches_a_cold_compile() {
         let got = session.run(&x).expect("the session recovers by demotion");
         let demotions = &session.health().demotions;
         assert_eq!((demotions[0].from, demotions[0].to), (from, to));
-        // The blocked GEMM reads the master; the f32 panels stand in for
+        // The direct kernel reads the master; the f32 panels stand in for
         // it again.
         let storage = session.network().weight_storage()[0];
-        assert_eq!(storage.master.is_some(), to == Im2colScalar, "{storage:?}");
+        assert_eq!(storage.master.is_some(), to == DirectConv, "{storage:?}");
 
         let mut cold_cfg = cfg;
         let mut cold = net(to.select(&mut cold_cfg));

@@ -104,7 +104,7 @@ cargo test --workspace -q
 # sampler and the command-line bench filter) run by name.
 cargo test -q -p criterion
 
-echo "== gemm, depthwise, winograd and init debug assertions =="
+echo "== gemm, depthwise, winograd, init and compress debug assertions =="
 # The vector kernels under debug assertions, forced on whatever the test
 # profile says. The packed GEMM's wide and skinny tiles and its code
 # decoder, the depthwise block and the Winograd movers touch memory only
@@ -123,12 +123,18 @@ echo "== gemm, depthwise, winograd and init debug assertions =="
 # every Winograd mover, block size and instantiation through them, and
 # the initialisers' keystream (`init::`: each instantiation's 16-block
 # passes, which load their counter lanes through the vocabulary, and
-# every fill against its per-sample reference).
+# every fill against its per-sample reference). The compression passes
+# run last: their branch-free sweeps (the threshold's count-and-compact
+# store into its scratch, the mask words, the TTQ survivor words and bit
+# walks) index by counts and shifts that overflow checks cover only
+# here, and their differential tests hold every pass to its f32-mask
+# reference.
 CARGO_PROFILE_TEST_DEBUG_ASSERTIONS=true cargo test -q -p cnn-stack-tensor gemm::
 CARGO_PROFILE_TEST_DEBUG_ASSERTIONS=true cargo test -q -p cnn-stack-tensor v16::
 CARGO_PROFILE_TEST_DEBUG_ASSERTIONS=true cargo test -q -p cnn-stack-tensor depthwise::
 CARGO_PROFILE_TEST_DEBUG_ASSERTIONS=true cargo test -q -p cnn-stack-tensor winograd::
 CARGO_PROFILE_TEST_DEBUG_ASSERTIONS=true cargo test -q -p cnn-stack-tensor init::
+CARGO_PROFILE_TEST_DEBUG_ASSERTIONS=true cargo test -q -p cnn-stack-compress --lib
 
 echo "== fault-injection tests =="
 # The injector only compiles under this feature; the run above doubles
@@ -160,7 +166,8 @@ echo "== kernels bench smoke =="
 # Five samples of every group in benches/kernels.rs: the depthwise
 # kernel, the Winograd convolution (VGG-16's Winograd layers at batch 1
 # and 8) and the Kaiming initialiser (VGG-16's largest and smallest
-# filter banks), the fused im2col packer at VGG-16's batch-8 shapes,
+# filter banks), the two compression passes a served TTQ model is built
+# with (full-width VGG-16), the fused im2col packer at VGG-16's batch-8 shapes,
 # and the prepacked GEMM, each on every instantiation this host
 # supports (reached by name through the doc-hidden bench hooks). The
 # `gemm_prepacked` group prints the core's register-only FMA rate first
@@ -368,6 +375,18 @@ if grep -rnE 'eval_csr_direct_into|sparse_channel_conv|eval_dense_im2col_into|Cs
   echo "ci: a second CSR conv, the scalar im2col row or an unproposable row is back" >&2
   exit 1
 fi
+
+# Pruning and TTQ build their masks as words straight from a predicate
+# (`Param::set_mask_where`): no pass builds a tensor-sized f32 mask, or
+# counts one, again. Test modules keep their f32-mask references, so
+# only the lines above each file's `#[cfg(test)]` are searched.
+for f in crates/compress/src/{magnitude,ttq,random}.rs; do
+  if awk '/^#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' "$f" |
+    grep -E 'Tensor::from_fn|count_zeros\(0\.0\)'; then
+    echo "ci: a compression pass builds or counts an f32 mask tensor again" >&2
+    exit 1
+  fi
+done
 
 # One `extern "C"` block in the crates: glibc's `malloc_trim`, which
 # hands the pages of freed weight masters back to the kernel

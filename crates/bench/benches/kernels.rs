@@ -2,7 +2,8 @@
 //! experiment: GEMM variants, the im2col lowering, the CSR convolution
 //! on VGG-16's 3×3 planes, the depthwise kernel, the Winograd
 //! convolution and the weight initialiser on every instantiation the
-//! host has, and the two halves of the packed conv path — the fused
+//! host has, the two compression passes a served TTQ model is built
+//! with, and the two halves of the packed conv path — the fused
 //! im2col→pack-B packer and the prepacked GEMM on every micro-kernel the
 //! host has.
 //!
@@ -11,6 +12,8 @@
 //! whose `group/id` contains it: `cargo bench -p cnn-stack-bench --bench
 //! kernels -- init`.
 
+use cnn_stack_compress::{magnitude, ttq, AccuracyModel};
+use cnn_stack_models::ModelKind;
 use cnn_stack_nn::{AlgoChoice, Conv2d, ExecConfig, Layer, WeightFormat};
 use cnn_stack_parallel::Schedule;
 use cnn_stack_sparse::CsrMatrix;
@@ -19,7 +22,9 @@ use cnn_stack_tensor::{
     depthwise, gemm, im2col, pack_b_im2col_batch_into, AlignedBuf, CodePanels, Conv2dGeometry,
     GemmPlan, PackedA, Tensor, TileConfig,
 };
-use criterion::{criterion_group, criterion_main, BenchmarkGroup, BenchmarkId, Criterion};
+use criterion::{
+    black_box, criterion_group, criterion_main, BenchmarkGroup, BenchmarkId, Criterion,
+};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::time::Duration;
@@ -256,6 +261,48 @@ fn bench_init(c: &mut Criterion) {
         }
     }
     group.finish();
+}
+
+/// The two passes `stack::try_materialise` runs for a TTQ operating
+/// point, on full-width VGG-16 at the sparsity it serves (threshold
+/// 0.09): `prune_network`, then `ttq_quantise` at `t = 0` on the pruned
+/// weights. Each sample prunes and ternarises a fresh copy of one built
+/// model (a replica whose every master is un-shared before the clock
+/// starts). One thread; hand-timed, so the two passes of a sample print
+/// as two rows: read `min`.
+fn bench_compress(c: &mut Criterion) {
+    let rows = [
+        "compress/prune_network/vgg16",
+        "compress/ttq_quantise/vgg16",
+    ];
+    if !rows.iter().any(|row| c.matches(row)) {
+        return;
+    }
+    let samples = if cnn_stack_bench::smoke() { 5 } else { 20 };
+    let sparsity = (AccuracyModel::ttq_sparsity(ModelKind::Vgg16, 0.09) / 100.0).min(0.99);
+    let built = ModelKind::Vgg16.build_width(10, 1.0);
+    let mut times = [Vec::new(), Vec::new()];
+    let mut weights = 0;
+    for _ in 0..=samples {
+        let mut net = built.network.replica();
+        drop(net.params_mut());
+        let t = std::time::Instant::now();
+        weights = black_box(magnitude::prune_network(&mut net, sparsity)).total_weights;
+        times[0].push(t.elapsed().as_secs_f64());
+        let t = std::time::Instant::now();
+        black_box(ttq::ttq_quantise(&mut net, 0.0));
+        times[1].push(t.elapsed().as_secs_f64());
+    }
+    for (row, mut times) in rows.into_iter().zip(times) {
+        // The first sample is the warm-up.
+        times.remove(0);
+        times.sort_by(f64::total_cmp);
+        println!(
+            "{row}_{weights}w_s{sparsity:.4}: min {:.2} ms  (median {:.2} ms, {samples} samples)",
+            times[0] * 1e3,
+            times[samples / 2] * 1e3,
+        );
+    }
 }
 
 /// The fused im2col→pack-B packer at VGG-16's nine distinct conv shapes
@@ -513,6 +560,7 @@ criterion_group!(
     bench_depthwise,
     bench_winograd,
     bench_init,
+    bench_compress,
     bench_pack_im2col,
     bench_gemm_prepacked
 );

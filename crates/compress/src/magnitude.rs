@@ -5,10 +5,10 @@
 //! magnitude threshold are removed and the survivors fine-tuned; the
 //! threshold rises iteratively until the target sparsity is reached. The
 //! masks installed here pin pruned weights to zero so SGD fine-tuning
-//! cannot revive them (see [`cnn_stack_nn::Param::set_mask`]).
+//! cannot revive them (see [`cnn_stack_nn::Param::set_mask_where`]).
 
 use crate::visit::for_each_weight_param;
-use cnn_stack_nn::Network;
+use cnn_stack_nn::{Mask, Network};
 use cnn_stack_tensor::Tensor;
 
 /// Summary of one pruning pass.
@@ -41,11 +41,16 @@ pub fn prune_network(net: &mut Network, sparsity: f64) -> PruneReport {
     let mut total = 0usize;
     let mut pruned = 0usize;
     let mut per_layer = Vec::new();
+    let mut scratch = Vec::new();
 
     for_each_weight_param(net, |label, param| {
-        let (t, p, s) = prune_param_tensor(param, sparsity);
-        per_layer.push((label.to_string(), s));
-        total += t;
+        let n = param.value.len();
+        let threshold = threshold_in(param.value.data(), sparsity, &mut scratch);
+        // Kept: above the threshold, or NaN (which only a threshold of
+        // -1.0 lets through).
+        let p = n - param.set_mask_where(|v| v.is_nan() | (v.abs() > threshold));
+        per_layer.push((label.to_string(), p as f64 / n as f64));
+        total += n;
         pruned += p;
     });
 
@@ -61,44 +66,127 @@ pub fn prune_network(net: &mut Network, sparsity: f64) -> PruneReport {
     }
 }
 
-/// Prunes one parameter tensor to `sparsity`, installing a mask.
-/// Returns `(total, pruned, achieved_sparsity)`.
-fn prune_param_tensor(param: &mut cnn_stack_nn::Param, sparsity: f64) -> (usize, usize, f64) {
-    let n = param.value.len();
-    let threshold = magnitude_threshold(&param.value, sparsity);
-    let mask = Tensor::from_fn(param.value.shape().dims().to_vec(), |i| {
-        if param.value.data()[i].abs() <= threshold {
-            0.0
-        } else {
-            1.0
-        }
-    });
-    let pruned = mask.count_zeros(0.0);
-    param.set_mask(mask);
-    (n, pruned, pruned as f64 / n as f64)
-}
-
-/// The |w| value below which `sparsity` of the tensor's entries fall.
+/// The |w| value below which `sparsity` of the tensor's entries fall:
+/// the `k`-th smallest magnitude, `k = ⌊len · sparsity⌋` (at most
+/// `len − 1`), so that pruning every weight with `|w| ≤` it prunes `k`
+/// weights plus any tied with the `k`-th. Returns `−1.0`, which no
+/// magnitude is at or below, when `k` is 0.
+///
+/// The order statistic is exact: it is selected over the bit patterns
+/// of the magnitudes, which order as the magnitudes do (`−0.0` and
+/// `+0.0` are one magnitude). A tensor of at least 16 384 values first
+/// sorts a strided sample of 2048 magnitudes and reads a bracket around
+/// the `k`-th from it; one sweep then counts the magnitudes below the
+/// bracket and compacts those inside it, and the `k`-th is selected
+/// among the compacted ones. If the bracket misses (the sample was
+/// unrepresentative), the sweep repeats over the whole range, which is
+/// also how a smaller tensor is handled. `prune_network` keeps one
+/// compaction buffer for all its layers.
 ///
 /// # Panics
 ///
-/// Panics if `sparsity` is outside `[0, 1)`.
+/// Panics if `sparsity` is outside `[0, 1)`, or with "no NaN weights"
+/// if `k` is at least 1 and a weight is NaN (a NaN magnitude has no
+/// rank). When `k` is 0 no magnitude is ranked and NaNs pass.
 pub fn magnitude_threshold(weights: &Tensor, sparsity: f64) -> f32 {
+    threshold_in(weights.data(), sparsity, &mut Vec::new())
+}
+
+/// Magnitudes in the strided sample that brackets the `k`-th.
+const SAMPLE: usize = 2048;
+
+/// Tensors shorter than this are swept over the whole range at once.
+const BRACKET_MIN: usize = 8 * SAMPLE;
+
+/// The bits of a magnitude: `|v|` as an integer of the same order.
+fn magnitude_bits(v: f32) -> u32 {
+    v.to_bits() & 0x7FFF_FFFF
+}
+
+/// [`magnitude_threshold`] over a slice, compacting into `scratch`
+/// (grown as needed, so one buffer serves every layer of a network).
+fn threshold_in(values: &[f32], sparsity: f64, scratch: &mut Vec<u32>) -> f32 {
     assert!((0.0..1.0).contains(&sparsity), "sparsity must be in [0, 1)");
-    if sparsity == 0.0 {
-        return -1.0; // nothing is <= -1 in magnitude
-    }
-    let mut mags: Vec<f32> = weights.data().iter().map(|v| v.abs()).collect();
-    let k = ((mags.len() as f64 * sparsity) as usize).min(mags.len() - 1);
-    // Threshold sits at the k-th smallest magnitude: everything <= it is
-    // pruned. Only that one order statistic is read, so select it in
-    // O(n) instead of sorting.
+    let n = values.len();
+    let k = ((n as f64 * sparsity) as usize).min(n.saturating_sub(1));
     if k == 0 {
-        -1.0
-    } else {
-        let by_magnitude = |a: &f32, b: &f32| a.partial_cmp(b).expect("no NaN weights");
-        *mags.select_nth_unstable_by(k - 1, by_magnitude).1
+        return -1.0;
     }
+    let rank = k - 1;
+    if scratch.len() < n {
+        // Zeroed pages are mapped lazily: only the slots the sweep
+        // writes are ever touched.
+        *scratch = vec![0; n];
+    }
+    let (lo, hi) = sampled_bracket(values, rank);
+    let (below, inside) = count_and_compact(values, lo, hi, scratch);
+    let (below, inside) = if (below..below + inside).contains(&rank) {
+        (below, inside)
+    } else {
+        count_and_compact(values, 0, u32::MAX, scratch)
+    };
+    let (_, kth, _) = scratch[..inside].select_nth_unstable(rank - below);
+    f32::from_bits(*kth)
+}
+
+/// Magnitude bits `lo..=hi` that hold the `rank`-th smallest magnitude
+/// of `values` unless the strided sample misleads (the whole range for
+/// a tensor shorter than [`BRACKET_MIN`]).
+fn sampled_bracket(values: &[f32], rank: usize) -> (u32, u32) {
+    let n = values.len();
+    if n < BRACKET_MIN {
+        return (0, u32::MAX);
+    }
+    let mut sample: Vec<u32> = (0..SAMPLE)
+        .map(|j| magnitude_bits(values[j * n / SAMPLE]))
+        .collect();
+    sample.sort_unstable();
+    // How many sample magnitudes fall at or below the `rank`-th is
+    // binomial, with mean `q · SAMPLE` and standard deviation
+    // `√(SAMPLE · q(1 − q))`; the bracket reaches four of them (plus
+    // one) either side.
+    let q = (rank + 1) as f64 / n as f64;
+    let mean = q * SAMPLE as f64;
+    let margin = 4.0 * (SAMPLE as f64 * q * (1.0 - q)).sqrt() + 1.0;
+    let lo = (mean - margin).floor();
+    let hi = (mean + margin).ceil();
+    (
+        if lo < 0.0 { 0 } else { sample[lo as usize] },
+        if hi >= SAMPLE as f64 {
+            u32::MAX
+        } else {
+            sample[hi as usize]
+        },
+    )
+}
+
+/// One sweep over `values`, 64 at a time: counts the magnitudes below
+/// `lo` and compacts those in `lo..=hi` to the front of `scratch` (at
+/// least as long as `values`), in index order. Each chunk's tests are
+/// branch-free; only its word of bracketed magnitudes is walked bit by
+/// bit.
+///
+/// # Panics
+///
+/// Panics with "no NaN weights" if a value is NaN.
+fn count_and_compact(values: &[f32], lo: u32, hi: u32, scratch: &mut [u32]) -> (usize, usize) {
+    let (mut below, mut inside, mut nan) = (0usize, 0usize, false);
+    for chunk in values.chunks(64) {
+        let magnitudes = chunk.iter().map(|&v| magnitude_bits(v));
+        below += magnitudes
+            .clone()
+            .map(|m| usize::from(m < lo))
+            .sum::<usize>();
+        nan |= magnitudes.fold(false, |nan, m| nan | (m > f32::INFINITY.to_bits()));
+        let mut word = Mask::word_where(chunk, |v| (lo..=hi).contains(&magnitude_bits(v)));
+        while word != 0 {
+            scratch[inside] = magnitude_bits(chunk[word.trailing_zeros() as usize]);
+            inside += 1;
+            word &= word - 1;
+        }
+    }
+    assert!(!nan, "no NaN weights");
+    (below, inside)
 }
 
 /// An iterative pruning schedule: the sparsity targets of each
@@ -170,10 +258,10 @@ pub fn iterative_prune(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use cnn_stack_models::vgg16_width;
-    use cnn_stack_nn::{ExecConfig, Phase};
+    use cnn_stack_nn::{ExecConfig, Param, Phase};
 
     #[test]
     fn threshold_is_a_quantile() {
@@ -199,10 +287,23 @@ mod tests {
     fn threshold_bit_matches_the_sorting_reference() {
         use rand::{Rng, SeedableRng};
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(18);
+        let specials = [
+            -0.0f32,
+            0.0,
+            f32::from_bits(1),
+            -f32::from_bits(0x0007_FFFF),
+            f32::MIN_POSITIVE,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            -f32::MAX,
+        ];
         let mut cases: Vec<Vec<f32>> = Vec::new();
-        for len in [1usize, 2, 3, 7, 64, 1000, 4097] {
-            // Continuous values, then heavy ties (signed, so `abs`
-            // merges ±v and ±0), then all equal.
+        // Shorter than the bracketed length, then longer: one sweep over
+        // the whole range, then a sampled bracket.
+        for len in [1usize, 2, 3, 7, 64, 1000, 4097, BRACKET_MIN + 1, 70_001] {
+            // Continuous values, heavy ties (signed, so `abs` merges ±v
+            // and ±0), all equal, and specials (±0.0, subnormals, ±Inf)
+            // strewn through continuous values.
             cases.push((0..len).map(|_| rng.gen_range(-1.0f32..1.0)).collect());
             cases.push(
                 (0..len)
@@ -210,13 +311,33 @@ mod tests {
                     .collect(),
             );
             cases.push(vec![-0.75; len]);
+            cases.push(
+                (0..len)
+                    .map(|_| match rng.gen_range(0..4usize) {
+                        0 => specials[rng.gen_range(0..specials.len())],
+                        _ => rng.gen_range(-1.0f32..1.0),
+                    })
+                    .collect(),
+            );
         }
+        // A tensor that hides its distribution from the strided sample:
+        // every sampled position holds the largest magnitude, so the
+        // bracket misses and the sweep repeats over the whole range.
+        let n = 3 * BRACKET_MIN;
+        let mut hidden: Vec<f32> = (0..n).map(|_| rng.gen_range(-0.5f32..0.5)).collect();
+        for j in 0..SAMPLE {
+            hidden[j * n / SAMPLE] = 1.0;
+        }
+        cases.push(hidden);
         for data in cases {
             let n = data.len();
             let w = Tensor::from_vec([1, n], data);
-            // k = 0, 1, len - 1 (also via the clamp), and the interior.
+            // k = 0, 1, len - 1 (also via the clamp), the interior, and
+            // sparsities near 0 and 0.99.
             let edges = [0.0, 0.5 / n as f64, 1.5 / n as f64, 1.0 - 0.5 / n as f64];
-            let sparsities = edges.into_iter().chain([0.1, 0.5, 0.9, 0.999_999]);
+            let sparsities = edges
+                .into_iter()
+                .chain([1e-4, 0.01, 0.1, 0.5, 0.6956, 0.9, 0.98, 0.99, 0.999_999]);
             for sparsity in sparsities.filter(|s| *s < 1.0) {
                 assert_eq!(
                     magnitude_threshold(&w, sparsity).to_bits(),
@@ -224,6 +345,98 @@ mod tests {
                     "len {n}, sparsity {sparsity}"
                 );
             }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "no NaN weights")]
+    fn nan_weights_have_no_threshold() {
+        let mut data = vec![0.5f32; BRACKET_MIN + 5];
+        data[BRACKET_MIN + 2] = f32::NAN;
+        let _ = magnitude_threshold(&Tensor::from_vec([BRACKET_MIN + 5], data), 0.5);
+    }
+
+    #[test]
+    fn nan_weights_pass_when_nothing_is_ranked() {
+        let w = Tensor::from_vec([4], vec![f32::NAN, 1.0, -2.0, 3.0]);
+        assert_eq!(magnitude_threshold(&w, 0.2), -1.0);
+    }
+
+    /// The pass as it read with an f32 mask tensor: each layer's
+    /// threshold from the full sort, a `0.0`/`1.0` mask of
+    /// `|w| > threshold`, installed through [`Param::set_mask`].
+    fn f32_mask_reference(net: &mut Network, sparsity: f64) -> PruneReport {
+        let (mut total, mut pruned, mut per_layer) = (0, 0, Vec::new());
+        for_each_weight_param(net, |label, param| {
+            let threshold = sorted_reference(&param.value, sparsity);
+            let mask = Tensor::from_fn(param.value.shape().dims().to_vec(), |i| {
+                if param.value.data()[i].abs() <= threshold {
+                    0.0
+                } else {
+                    1.0
+                }
+            });
+            let (n, p) = (mask.len(), mask.count_zeros(0.0));
+            param.set_mask(mask);
+            per_layer.push((label.to_string(), p as f64 / n as f64));
+            total += n;
+            pruned += p;
+        });
+        PruneReport {
+            total_weights: total,
+            pruned_weights: pruned,
+            overall_sparsity: pruned as f64 / total as f64,
+            per_layer,
+        }
+    }
+
+    /// Writes `−0.0`, subnormals and ties through every weight tensor,
+    /// and `extra` (NaN, `±Inf`, …) in turn at one position in 89, so
+    /// masking meets each of them.
+    pub(crate) fn strew_specials(net: &mut Network, extra: &[f32]) {
+        for_each_weight_param(net, |_, param| {
+            for (i, v) in param.value.data_mut().iter_mut().enumerate() {
+                *v = match i % 89 {
+                    3 => -0.0,
+                    11 => -f32::from_bits(7),
+                    17 => f32::from_bits(0x0040_0000),
+                    23 => 0.015625,
+                    29 => -0.015625,
+                    41 if !extra.is_empty() => extra[i / 89 % extra.len()],
+                    _ => *v,
+                };
+            }
+        });
+    }
+
+    /// Every value's bits and every mask of two networks, pairwise.
+    pub(crate) fn assert_same_params(a: &mut Network, b: &mut Network) {
+        let bits = |p: &Param| {
+            p.value
+                .data()
+                .iter()
+                .map(|v| v.to_bits())
+                .collect::<Vec<_>>()
+        };
+        for (i, (p, q)) in a.params_mut().into_iter().zip(b.params_mut()).enumerate() {
+            assert_eq!(bits(p), bits(q), "parameter {i}'s values");
+            assert_eq!(p.mask, q.mask, "parameter {i}'s mask");
+        }
+    }
+
+    #[test]
+    fn predicate_masks_match_the_f32_mask_pass() {
+        // Width 0.25: the widest convs (147 456 weights) take the
+        // sampled bracket, the first ones sweep the whole range.
+        for sparsity in [0.0, 0.3, 0.6956, 0.99] {
+            let mut a = vgg16_width(10, 0.25).network;
+            let mut b = vgg16_width(10, 0.25).network;
+            let infinities = [f32::INFINITY, f32::NEG_INFINITY];
+            strew_specials(&mut a, &infinities);
+            strew_specials(&mut b, &infinities);
+            let got = prune_network(&mut a, sparsity);
+            assert_eq!(got, f32_mask_reference(&mut b, sparsity), "{sparsity}");
+            assert_same_params(&mut a, &mut b);
         }
     }
 

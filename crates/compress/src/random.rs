@@ -47,16 +47,8 @@ pub fn random_weight_prune(net: &mut Network, sparsity: f64, seed: u64) -> f64 {
             continue; // weight tensors only, as in the magnitude pruner
         }
         let n = p.value.len();
-        let mask = cnn_stack_tensor::Tensor::from_fn(p.value.shape().dims().to_vec(), |_| {
-            if rng.gen_bool(sparsity) {
-                0.0
-            } else {
-                1.0
-            }
-        });
-        pruned += mask.count_zeros(0.0);
+        pruned += n - p.set_mask_where(|_| !rng.gen_bool(sparsity));
         total += n;
-        p.set_mask(mask);
     }
     if total == 0 {
         0.0
@@ -160,6 +152,43 @@ mod tests {
         let mut model = vgg16_width(10, 0.2);
         let achieved = random_weight_prune(&mut model.network, 0.6, 5);
         assert!((achieved - 0.6).abs() < 0.02, "achieved {achieved}");
+    }
+
+    #[test]
+    fn predicate_masks_match_the_f32_mask_pass() {
+        use crate::magnitude::tests::{assert_same_params, strew_specials};
+        // The pass as it read with an f32 mask tensor: one draw per
+        // weight, in index order, `0.0` where it fires.
+        fn f32_mask_reference(net: &mut Network, sparsity: f64, seed: u64) -> f64 {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let (mut total, mut pruned) = (0usize, 0usize);
+            for p in net.params_mut() {
+                if p.value.shape().rank() < 2 {
+                    continue;
+                }
+                let mask = Tensor::from_fn(p.value.shape().dims().to_vec(), |_| {
+                    if rng.gen_bool(sparsity) {
+                        0.0
+                    } else {
+                        1.0
+                    }
+                });
+                pruned += mask.count_zeros(0.0);
+                total += mask.len();
+                p.set_mask(mask);
+            }
+            pruned as f64 / total as f64
+        }
+        for sparsity in [0.0, 0.4, 0.95] {
+            let mut a = vgg16_width(10, 0.1).network;
+            let mut b = vgg16_width(10, 0.1).network;
+            let extra = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY];
+            strew_specials(&mut a, &extra);
+            strew_specials(&mut b, &extra);
+            let got = random_weight_prune(&mut a, sparsity, 11);
+            assert_eq!(got, f32_mask_reference(&mut b, sparsity, 11));
+            assert_same_params(&mut a, &mut b);
+        }
     }
 
     #[test]

@@ -299,41 +299,21 @@ impl Param {
         }
     }
 
-    /// Installs a binary mask and immediately applies it.
+    /// Installs a binary mask and immediately applies it: a thin
+    /// validating wrapper over [`set_mask_where`](Param::set_mask_where)
+    /// that keeps the weights whose mask value is `1.0`.
     ///
     /// # Panics
     ///
     /// Panics if the mask shape differs from the value shape, or a mask
-    /// value is neither `0.0` nor `1.0`.
+    /// value is neither `0.0` nor `1.0` (a `−0.0` included: multiplying
+    /// by it is not multiplying by `0.0`).
     pub fn set_mask(&mut self, mask: Tensor) {
         assert_eq!(
             mask.shape(),
             self.value.shape(),
             "mask shape must match parameter shape"
         );
-        self.mask = Some(Mask::from_tensor(&mask));
-        self.apply_mask();
-    }
-}
-
-/// A binary pruning mask at one bit per weight: a set bit keeps the
-/// weight, a clear one pins it to zero — 1/32 of the f32 mask
-/// [`Param::set_mask`] builds it from.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Mask {
-    shape: Vec<usize>,
-    bits: Vec<u64>,
-}
-
-impl Mask {
-    /// Packs a mask of `0.0`s (prune) and `1.0`s (keep).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a value is neither `0.0` nor `1.0` (a `−0.0` included:
-    /// multiplying by it is not multiplying by `0.0`).
-    fn from_tensor(mask: &Tensor) -> Self {
-        const ONE: u32 = 0x3F80_0000;
         let data = mask.data();
         // Folds, not searches: a branch on each pruning decision would
         // mispredict on every other weight.
@@ -345,18 +325,50 @@ impl Mask {
                 .expect("the fold found one");
             panic!("mask values must be 0.0 or 1.0, got {} at {i}", data[i]);
         }
-        // Of `1.0` and `+0.0`, only `1.0` has bit 29 set.
-        let word = |chunk: &[f32]| {
-            (chunk.iter().enumerate()).fold(0u64, |word, (j, m)| {
-                word | u64::from(m.to_bits() >> 29 & 1) << j
-            })
-        };
-        Mask {
-            shape: mask.shape().dims().to_vec(),
-            bits: data.chunks(64).map(word).collect(),
-        }
+        // `keep` sees the values in index order, so it walks the mask
+        // in step with them.
+        let mut bits = data.iter();
+        self.set_mask_where(|_| bits.next().is_some_and(|m| m.to_bits() == ONE));
     }
 
+    /// Installs the mask that keeps exactly the weights `keep` accepts,
+    /// applies it, and returns how many it kept. `keep` is called once
+    /// per weight, in index order, with the weight's current value; this
+    /// is the one place mask bits are built. A weight it rejects becomes
+    /// `v * 0.0`, as under an f32 mask: `−0.0` if it was negative, NaN
+    /// if it was NaN or infinite.
+    pub fn set_mask_where(&mut self, mut keep: impl FnMut(f32) -> bool) -> usize {
+        let values = self.value.data_mut();
+        let mut bits = Vec::with_capacity(values.len().div_ceil(64));
+        // One sweep: each chunk of 64 is tested, then masked while it is
+        // still in cache.
+        for chunk in values.chunks_mut(64) {
+            let word = Mask::word_where(chunk, &mut keep);
+            Mask::apply_word(word, chunk);
+            bits.push(word);
+        }
+        let kept = bits.iter().map(|w| w.count_ones() as usize).sum();
+        self.mask = Some(Mask {
+            shape: self.value.shape().dims().to_vec(),
+            bits,
+        });
+        kept
+    }
+}
+
+/// The bits of `1.0f32`.
+const ONE: u32 = 0x3F80_0000;
+
+/// A binary pruning mask at one bit per weight: a set bit keeps the
+/// weight, a clear one pins it to zero — 1/32 of an f32 mask. Built only
+/// by [`Param::set_mask_where`].
+#[derive(Clone, Debug, PartialEq)]
+pub struct Mask {
+    shape: Vec<usize>,
+    bits: Vec<u64>,
+}
+
+impl Mask {
     /// The mask as the tensor of `0.0`s and `1.0`s it was built from.
     pub(crate) fn to_tensor(&self) -> Tensor {
         let mut mask = Tensor::ones(self.shape.clone());
@@ -364,14 +376,51 @@ impl Mask {
         mask
     }
 
+    /// The word of at most 64 `values` that has bit `j` set iff
+    /// `keep(values[j])`, calling `keep` once per value, in order. Every
+    /// mask bit is built here ([`Param::set_mask_where`]), and so are the
+    /// compression passes' other per-weight bit sets.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `values` holds more than 64 values.
+    pub fn word_where(values: &[f32], mut keep: impl FnMut(f32) -> bool) -> u64 {
+        // One byte per value, then eight bytes to eight bits by one
+        // multiply: no branch and no per-bit shift, both of which keep
+        // the tests from vectorising.
+        let mut bytes = [0u8; 64];
+        for (b, &v) in bytes[..values.len()].iter_mut().zip(values) {
+            *b = u8::from(keep(v));
+        }
+        (bytes.chunks_exact(8).enumerate()).fold(0, |word, (g, b)| {
+            let b = u64::from_le_bytes(b.try_into().expect("eight bytes"));
+            word | b.wrapping_mul(0x0102_0408_1020_4080) >> 56 << (8 * g)
+        })
+    }
+
     /// `v *= 1.0` where kept and `v *= 0.0` where pruned — the product
     /// the f32 mask it replaces computed, so a pruned NaN or infinity
     /// stays NaN and a pruned negative weight becomes `−0.0`.
     fn apply(&self, values: &mut [f32]) {
         for (&word, chunk) in self.bits.iter().zip(values.chunks_mut(64)) {
-            for (j, v) in chunk.iter_mut().enumerate() {
-                *v *= (word >> j & 1) as f32;
-            }
+            Mask::apply_word(word, chunk);
+        }
+    }
+
+    /// [`apply`](Mask::apply) on one word's chunk of at most 64 values.
+    fn apply_word(word: u64, chunk: &mut [f32]) {
+        // Each byte of the word spread to eight 0/1 bytes: bit `i` is
+        // isolated in byte `i`, and adding 0x7F carries it to the byte's
+        // top bit.
+        let mut keep = [0u8; 64];
+        for (g, k) in keep.chunks_exact_mut(8).enumerate() {
+            let spread = (word >> (8 * g) & 0xFF).wrapping_mul(0x0101_0101_0101_0101);
+            let isolated = spread & 0x8040_2010_0804_0201;
+            let ones = (isolated + 0x7F7F_7F7F_7F7F_7F7F) >> 7 & 0x0101_0101_0101_0101;
+            k.copy_from_slice(&ones.to_le_bytes());
+        }
+        for (v, &k) in chunk.iter_mut().zip(&keep) {
+            *v *= f32::from(k);
         }
     }
 
@@ -740,6 +789,48 @@ mod tests {
         let mask = p.mask.as_ref().expect("installed");
         assert_eq!(mask.to_tensor(), f32_mask);
         assert_eq!(mask.bytes(), 3 * 8, "one bit per weight");
+    }
+
+    #[test]
+    fn predicate_and_f32_masks_agree() {
+        // Every length around a word edge, a keep pattern that is no
+        // function of the value, and specials under both bits: the
+        // values `v *= m` left, the words of the f32 mask, the kept
+        // count, and re-applying after the values were overwritten.
+        let specials = [f32::NAN, -0.0, 0.0, f32::INFINITY, -1.5, f32::from_bits(9)];
+        for n in [1usize, 7, 63, 64, 65, 128, 200] {
+            let value = Tensor::from_fn([n], |i| specials[i % specials.len()]);
+            let f32_mask = Tensor::from_fn([n], |i| ((i * 7 + i / 3) % 5 < 3) as u8 as f32);
+            let masked = |v: &Tensor| {
+                let mut want = v.clone();
+                for (v, m) in want.data_mut().iter_mut().zip(f32_mask.data()) {
+                    *v *= m;
+                }
+                want.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+            };
+            let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            let mut by_tensor = Param::new(value.clone());
+            by_tensor.set_mask(f32_mask.clone());
+            let mut by_predicate = Param::new(value.clone());
+            let mut m = f32_mask.data().iter();
+            let kept = by_predicate.set_mask_where(|_| m.next() == Some(&1.0));
+            assert_eq!(kept, f32_mask.data().iter().filter(|&&m| m == 1.0).count());
+            assert_eq!(by_predicate.mask, by_tensor.mask, "n {n}");
+            assert_eq!(bits(&by_predicate.value), bits(&by_tensor.value), "n {n}");
+            assert_eq!(bits(&by_predicate.value), masked(&value), "n {n}");
+            let mask = by_predicate.mask.as_ref().expect("installed");
+            assert_eq!(mask.to_tensor(), f32_mask, "n {n}");
+            // Bit j of word i is weight 64 i + j.
+            for (i, word) in mask.bits.iter().enumerate() {
+                let want = (f32_mask.data()[64 * i..].iter().take(64).enumerate())
+                    .fold(0u64, |w, (j, &m)| w | u64::from(m == 1.0) << j);
+                assert_eq!(*word, want, "n {n}, word {i}");
+            }
+            let overwritten = Tensor::from_fn([n], |i| specials[(i + 1) % specials.len()]);
+            by_predicate.value = overwritten.clone();
+            by_predicate.apply_mask();
+            assert_eq!(bits(&by_predicate.value), masked(&overwritten), "n {n}");
+        }
     }
 
     #[test]

@@ -63,7 +63,8 @@ echo "== tests =="
 #   divide its 16-lane vectors, and thread counts, pooling, ReLU, the fused im2col
 #   packers vs im2col-then-pack, incl. the NaN/Inf corners) and
 #   metrics-vs-truth (gemm.flops == analytic MACs, clean runs never trip
-#   the guard, pool runs what it queues).
+#   the guard, every batch chunk's kernel metrics reach the session
+#   observer).
 # * serve-tests: deterministic ManualClock batching/shedding semantics
 #   and the serve crate's own unit + doc tests; serve-chaos's
 #   default-feature half: a counting `build_net` runs once across start,
@@ -387,6 +388,16 @@ for f in crates/compress/src/{magnitude,ttq,random}.rs; do
     exit 1
   fi
 done
+
+# Batch chunks run on `std::thread::scope` (chunk 0 on the calling
+# thread), `parallel_for` is the one fork-join mechanism, and per-step
+# `catch_unwind` the one containment boundary: the persistent pool, its
+# error and retry path, the chunk-worker faults that only it could
+# survive, and the event-sink trait with one implementation stay deleted.
+if grep -rnE 'ThreadPool|PoolError|DelayWorker|CrashWorker|worker_entry|trait Collector|with_collector' crates src tests; then
+  echo "ci: the thread pool, its worker faults or the Collector trait are back" >&2
+  exit 1
+fi
 
 # One `extern "C"` block in the crates: glibc's `malloc_trim`, which
 # hands the pages of freed weight masters back to the kernel

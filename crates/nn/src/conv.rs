@@ -366,7 +366,7 @@ impl Conv2d {
     /// the image (fused im2col→pack, the `[patch_len × out_positions]`
     /// matrix is never materialised) and multiplied against the weights'
     /// A operand — f32 panels or 2-bit codes — in one whole-layer GEMM
-    /// whose panel grid is distributed over the pool. `scratch` holds
+    /// whose panel grid is split over the step's threads. `scratch` holds
     /// the packed-B region plus, for grouped batches, the merged-C
     /// region.
     #[allow(clippy::too_many_arguments)]

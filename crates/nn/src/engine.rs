@@ -18,18 +18,25 @@
 //! and workspace get offsets such that buffers with overlapping live
 //! intervals never share bytes while everything else does.
 //!
-//! When the configuration asks for more than one thread, the session
-//! switches to data-parallel batch execution: the batch dimension is
-//! split into chunks, each chunk runs the whole layer pipeline on its
-//! own arena with one thread, and a persistent [`ThreadPool`] drives
-//! the chunks concurrently. Because each output element is computed by
-//! exactly the same loop nest either way, the result is bit-identical
-//! to the single-chunk path.
+//! When the configuration asks for more than one thread and the plan
+//! carries no memory budget, the session switches to data-parallel
+//! batch execution: the batch dimension is split into chunks, each
+//! chunk runs the whole layer pipeline on its own arena with one
+//! thread, and every run forks the chunks onto scoped threads (chunk 0
+//! on the calling thread) and joins them before it returns. Because
+//! each output element is computed by exactly the same loop nest either
+//! way, the result is bit-identical to the single-chunk path. A
+//! budgeted plan runs as one chunk whose steps keep their threads: a
+//! budget bounds the one arena the plan's peak describes, and one arena
+//! per chunk would exceed it.
 //!
 //! # Guarded execution
 //!
-//! Every kernel invocation runs under `catch_unwind`: a panicking kernel
-//! cannot kill the process or poison the worker pool. With a
+//! Every kernel invocation runs under `catch_unwind`, on the calling
+//! thread and on every chunk's thread alike: a panicking kernel cannot
+//! kill the process. A panic outside a kernel is an engine bug and
+//! propagates to the caller (a chunk's thread re-raises it at the
+//! join). With a
 //! [`GuardConfig`] above `Off` the session additionally scans each
 //! layer's output for non-finite values at the layer boundary, naming
 //! the first offending layer in a [`GuardReport`]. When a guard trips or
@@ -37,7 +44,6 @@
 //! *demotes* that step (Winograd→im2col, CSR→dense), records a
 //! [`DemotionRecord`] in the profile's [`HealthReport`], and re-runs —
 //! one bad kernel degrades throughput instead of killing the process.
-//! Transient [`PoolError`]s are retried up to a bounded attempt budget.
 //!
 //! # Example
 //!
@@ -75,14 +81,14 @@ use crate::liveness::{ArenaLayout, MemoryFootprint, StepExtent};
 use crate::network::Network;
 use crate::weights::Weights;
 use cnn_stack_obs::{Metric, NameId, Observer};
-use cnn_stack_parallel::{panic_message, PoolError, ThreadPool};
+use cnn_stack_parallel::panic_message;
 use cnn_stack_tensor::{AlignedBuf, Tensor};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Bounded attempt budget per `run_into` call: the first attempt plus up
-/// to three recoveries (demotions or pool retries).
+/// to three demotions.
 const MAX_ATTEMPTS: u32 = 4;
 
 /// One compiled top-level layer: shapes, costs, and how the engine will
@@ -230,9 +236,10 @@ impl InferencePlan {
     /// The plan's predicted arena requirement: the liveness-coloured
     /// peak (what a memory budget is compared against) and the
     /// counterfactual unshared footprint, for the full batch executed
-    /// in one chunk (batch-parallel sessions size one smaller arena per
-    /// chunk; their exact total is reported by
-    /// [`InferenceSession::arena_bytes`]).
+    /// in one chunk. A session of a budgeted plan runs one chunk, so its
+    /// [`InferenceSession::arena_bytes`] stays within this peak; an
+    /// unbudgeted batch-parallel session sizes one smaller arena per
+    /// chunk, and `arena_bytes` reports their exact total.
     pub fn footprint(&self) -> MemoryFootprint {
         MemoryFootprint::of(&self.step_extents())
     }
@@ -299,7 +306,7 @@ impl SessionProfile {
     }
 
     /// What the session survived: guards tripped, panics contained,
-    /// retries, and algorithm demotions, in order.
+    /// and algorithm demotions, in order.
     pub fn health(&self) -> &HealthReport {
         &self.health
     }
@@ -379,7 +386,6 @@ enum RunFailure {
         step: usize,
         message: String,
     },
-    Pool(PoolError),
 }
 
 impl RunFailure {
@@ -388,7 +394,6 @@ impl RunFailure {
     fn step(&self) -> usize {
         match self {
             RunFailure::Guard { step, .. } | RunFailure::Panic { step, .. } => *step,
-            RunFailure::Pool(_) => usize::MAX,
         }
     }
 }
@@ -410,10 +415,12 @@ fn step_extent(
 
 /// Sizes per-chunk arenas for the current execution state (`exec` holds
 /// each step's effective, possibly demoted, configuration): one chunk
-/// unless the configuration asks for batch parallelism.
+/// unless the configuration asks for batch parallelism. A plan that
+/// carries a memory budget runs as one chunk, so the session holds the
+/// one arena the budget was checked against.
 fn build_chunks(net: &Network, plan: &InferencePlan, exec: &[ExecConfig]) -> Vec<ChunkArena> {
     let n = plan.input_shape()[0];
-    let chunk_count = if plan.cfg().threads > 1 && n > 1 {
+    let chunk_count = if plan.cfg().threads > 1 && n > 1 && plan.cfg().plan_budget.is_none() {
         plan.cfg().threads.min(n)
     } else {
         1
@@ -560,11 +567,10 @@ pub struct InferenceSession<'n> {
     /// with every demotion so far applied.
     exec: Vec<ExecConfig>,
     chunks: Vec<ChunkArena>,
-    pool: Option<ThreadPool>,
     profile: SessionProfile,
     guard: GuardConfig,
     /// Total `run_into` calls, successful or not — the run index faults
-    /// and retries are keyed on (`profile.runs` counts only successes).
+    /// are keyed on (`profile.runs` counts only successes).
     invocations: u64,
     faults: FaultPlan,
     obs: Option<ObsWiring>,
@@ -573,8 +579,8 @@ pub struct InferenceSession<'n> {
 impl<'n> InferenceSession<'n> {
     /// Binds a compiled plan to its network with guards off, allocating
     /// every buffer the session will ever need (arenas, scratch, profile
-    /// rows, worker pool), so that [`run_into`](Self::run_into) is
-    /// allocation-free.
+    /// rows), so that [`run_into`](Self::run_into) is allocation-free
+    /// whenever the session runs one chunk.
     ///
     /// # Errors
     ///
@@ -629,7 +635,6 @@ impl<'n> InferenceSession<'n> {
         }
         let exec: Vec<ExecConfig> = plan.steps.iter().map(|s| s.cfg).collect();
         let chunks = build_chunks(&net, &plan, &exec);
-        let pool = (chunks.len() > 1).then(|| ThreadPool::new(chunks.len()));
         let profile = SessionProfile::new(&plan.steps);
         let obs = Observer::for_level(plan.cfg().observer).map(|observer| ObsWiring {
             run_name: observer.intern("run"),
@@ -641,7 +646,6 @@ impl<'n> InferenceSession<'n> {
             plan,
             exec,
             chunks,
-            pool,
             profile,
             guard,
             invocations: 0,
@@ -682,9 +686,9 @@ impl<'n> InferenceSession<'n> {
     }
 
     /// Re-derives the observer-facing state from the current execution
-    /// state: span names (step algorithms change under demotion), the
-    /// arena-footprint gauge, and the worker pool's observer hook. Cold
-    /// path — run at session build and after every rebuild.
+    /// state: span names (step algorithms change under demotion) and the
+    /// arena-footprint gauges. Cold path — run at session build and
+    /// after every rebuild.
     fn sync_obs(&mut self) {
         if self.obs.is_none() {
             return;
@@ -710,9 +714,6 @@ impl<'n> InferenceSession<'n> {
         w.observer
             .metrics()
             .set(Metric::ArenaReuseBytes, reuse_bytes as i64);
-        if let Some(pool) = &self.pool {
-            pool.set_observer(Some(w.observer.clone()));
-        }
     }
 
     /// Bytes of arena this session holds, summed over its chunks — the
@@ -766,7 +767,7 @@ impl<'n> InferenceSession<'n> {
 
     /// Arms a deterministic fault plan (see [`crate::guard`]). Weight
     /// bit-flip faults are applied immediately; the rest fire inside the
-    /// targeted kernel/worker invocation. Only compiled under
+    /// targeted kernel invocation. Only compiled under
     /// `--features fault-inject`.
     #[cfg(feature = "fault-inject")]
     pub fn inject_faults(&mut self, faults: FaultPlan) {
@@ -808,8 +809,7 @@ impl<'n> InferenceSession<'n> {
     /// heap allocation on the single-chunk hot path.
     ///
     /// Kernel panics are contained; guard trips and panics in steps with
-    /// a safer algorithm demote the step and re-run (bounded attempts);
-    /// transient pool failures are retried.
+    /// a safer algorithm demote the step and re-run (bounded attempts).
     ///
     /// # Errors
     ///
@@ -819,7 +819,6 @@ impl<'n> InferenceSession<'n> {
     ///   applied (or attempts ran out).
     /// * [`Error::KernelPanicked`] — a kernel panicked (contained) and
     ///   no demotion lever applied.
-    /// * [`Error::Pool`] — the worker pool failed persistently.
     pub fn run_into(&mut self, input: &Tensor, out: &mut Tensor) -> Result<(), Error> {
         if input.shape().dims() != self.plan.input_shape {
             return Err(Error::ShapeMismatch {
@@ -836,8 +835,8 @@ impl<'n> InferenceSession<'n> {
         let run = self.invocations;
         self.invocations += 1;
         // Make the observer current for the whole run so kernel-level
-        // instruments (GEMM, im2col) record without plumbing; the pool
-        // re-installs it inside each worker task.
+        // instruments (GEMM, im2col) record without plumbing; each
+        // spawned chunk installs it on its own thread.
         let _tls = self
             .obs
             .as_ref()
@@ -888,13 +887,6 @@ impl<'n> InferenceSession<'n> {
                             message,
                         });
                     }
-                }
-                RunFailure::Pool(e) => {
-                    if attempt >= MAX_ATTEMPTS {
-                        return Err(Error::Pool(e));
-                    }
-                    self.profile.health.retries += 1;
-                    self.obs_count(Metric::GuardRetries, 1);
                 }
             }
         }
@@ -947,7 +939,8 @@ impl<'n> InferenceSession<'n> {
     }
 
     /// One pass over the pipeline: in-line when there is a single
-    /// chunk, batch-parallel over the pool otherwise.
+    /// chunk; otherwise chunk 0 runs on the calling thread while chunks
+    /// 1.. run on scoped threads, all joined before the pass returns.
     fn execute_attempt(
         &mut self,
         input: &Tensor,
@@ -975,21 +968,16 @@ impl<'n> InferenceSession<'n> {
             let n = self.plan.input_shape[0];
             let in_per_image = self.plan.steps[0].input_elems / n;
             let out_per_image = self.plan.steps.last().expect("non-empty plan").output_elems / n;
-            let mut failures: Vec<Option<RunFailure>> = Vec::new();
-            failures.resize_with(self.chunks.len(), || None);
             let mut in_rest = input.data();
             let mut out_rest = out.data_mut();
-            let mut tasks: Vec<Box<dyn FnOnce() + Send + '_>> =
-                Vec::with_capacity(self.chunks.len());
-            for (ci, (chunk, failure)) in
-                self.chunks.iter_mut().zip(failures.iter_mut()).enumerate()
-            {
+            let mut jobs = self.chunks.iter_mut().enumerate().map(|(ci, chunk)| {
                 let (in_c, rest) = in_rest.split_at(chunk.len * in_per_image);
                 in_rest = rest;
-                let (out_c, rest) = out_rest.split_at_mut(chunk.len * out_per_image);
+                let (out_c, rest) =
+                    std::mem::take(&mut out_rest).split_at_mut(chunk.len * out_per_image);
                 out_rest = rest;
-                tasks.push(Box::new(move || {
-                    *failure = run_steps(
+                move || {
+                    run_steps(
                         layers,
                         chunk,
                         Some(ci),
@@ -1000,23 +988,34 @@ impl<'n> InferenceSession<'n> {
                         run,
                         obs,
                     )
-                    .err();
-                }));
-            }
-            let scoped = self
-                .pool
-                .as_ref()
-                .expect("parallel sessions own a pool")
-                .scope(tasks);
-            if let Err(e) = scoped {
-                return Err(RunFailure::Pool(e));
-            }
-            // Several chunks can fail in one attempt; report the earliest
-            // pipeline position (the first offender).
-            failures
-                .into_iter()
-                .flatten()
-                .reduce(|prev, f| if f.step() < prev.step() { f } else { prev })
+                    .err()
+                }
+            });
+            let mut first = jobs.next().expect("a batch-parallel session has chunks");
+            std::thread::scope(|scope| {
+                let spawned: Vec<_> = jobs
+                    .map(|mut job| {
+                        scope.spawn(move || {
+                            // Kernel instruments record into the current
+                            // observer, which is thread-local.
+                            let _tls = obs.map(|w| cnn_stack_obs::install(w.observer.clone()));
+                            job()
+                        })
+                    })
+                    .collect();
+                // Several chunks can fail in one attempt; report the
+                // earliest pipeline position (the first offender), the
+                // lowest chunk among equals.
+                spawned.into_iter().fold(first(), |prev, handle| {
+                    let failure = handle
+                        .join()
+                        .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
+                    match (prev, failure) {
+                        (Some(p), Some(f)) if f.step() < p.step() => Some(f),
+                        (prev, failure) => prev.or(failure),
+                    }
+                })
+            })
         };
         if let Some(f) = failure {
             return Err(f);
@@ -1088,10 +1087,10 @@ impl<'n> InferenceSession<'n> {
         }
     }
 
-    /// Re-derives layer caches, chunk arenas, and the worker pool after
-    /// the demotion of `demoted_step` changed its algorithm or weight
-    /// format. The rebuilt arena re-runs the liveness sizing; when the
-    /// plan carries a memory budget and the demoted plan no longer fits
+    /// Re-derives layer caches and chunk arenas after the demotion of
+    /// `demoted_step` changed its algorithm or weight format. The
+    /// rebuilt arena re-runs the liveness sizing; when the plan
+    /// carries a memory budget and the demoted plan no longer fits
     /// (a demotion can *raise* workspace need — e.g. Winograd→im2col
     /// trades the transform's small workspace for a real im2col
     /// buffer), the overshoot is recorded as a [`BudgetBreachRecord`]
@@ -1100,14 +1099,6 @@ impl<'n> InferenceSession<'n> {
     fn rebuild(&mut self, demoted_step: usize) {
         self.reprepare();
         self.chunks = build_chunks(&self.net, &self.plan, &self.exec);
-        let needed = self.chunks.len();
-        if needed > 1 {
-            if self.pool.as_ref().map_or(0, |p| p.threads()) != needed {
-                self.pool = Some(ThreadPool::new(needed));
-            }
-        } else {
-            self.pool = None;
-        }
         if let Some(budget) = self.plan.cfg().plan_budget {
             let peak = self.current_footprint_peak_bytes();
             if peak > budget {
@@ -1160,9 +1151,6 @@ fn run_steps(
     run: u64,
     obs: Option<&ObsWiring>,
 ) -> Result<(), RunFailure> {
-    if let Some(ci) = chunk_idx {
-        faults.worker_entry(ci, run);
-    }
     // Span lane: 0 for the in-line run, 1 + chunk index for workers.
     let lane = chunk_idx.map_or(0, |ci| ci as u32 + 1);
     let last = chunk.steps.len() - 1;
@@ -1541,6 +1529,41 @@ mod tests {
         }
     }
 
+    /// Chunks on scoped threads compute what one chunk does, to the
+    /// bit, NaN and ±Inf payloads included: the batch-parallel session
+    /// at 2–4 threads (chunk 0 in-line, the rest spawned) against a
+    /// budgeted session at the same thread count (one chunk, the
+    /// threads inside its kernels) and the serial session.
+    #[test]
+    fn chunked_sessions_bit_match_one_chunk_on_non_finite_inputs() {
+        let mut x = random([5, 3, 8, 8], 47);
+        let per_image = 3 * 8 * 8;
+        for (image, v) in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY]
+            .into_iter()
+            .enumerate()
+        {
+            x.data_mut()[2 * image * per_image + 17] = v;
+        }
+        let bits = |cfg: ExecConfig, chunks: usize| {
+            let mut net = resblock_net();
+            let plan = InferencePlan::compile(&net, x.shape().dims(), &cfg).unwrap();
+            let mut session = InferenceSession::new(&mut net, plan).unwrap();
+            assert_eq!(session.chunks.len(), chunks);
+            let y = session.run(&x).unwrap();
+            y.data().iter().map(|v| v.to_bits()).collect::<Vec<u32>>()
+        };
+        let serial = bits(ExecConfig::serial(), 1);
+        for threads in 2..=4 {
+            let cfg = ExecConfig::with_threads(threads);
+            let budgeted = ExecConfig {
+                plan_budget: Some(usize::MAX),
+                ..cfg
+            };
+            assert_eq!(bits(cfg, threads), serial, "{threads} chunks");
+            assert_eq!(bits(budgeted, 1), serial, "one chunk, {threads} threads");
+        }
+    }
+
     /// F(2×2) is an arena kernel like any other: its workspace is
     /// planned, the session splits the batch across chunks, and the
     /// output bit-matches `forward` (which wraps the same kernel).
@@ -1818,7 +1841,7 @@ mod tests {
     }
 
     #[test]
-    fn observer_counts_boundary_scans_and_parallel_pool_tasks() {
+    fn observer_counts_every_chunks_boundary_scans_and_steps() {
         use cnn_stack_obs::ObsLevel;
         let mut net = conv_net();
         let cfg = ExecConfig {
@@ -1832,13 +1855,11 @@ mod tests {
             InferenceSession::with_guard(&mut net, plan, GuardConfig::BoundaryCheck).unwrap();
         session.run(&x).unwrap();
         let m = session.observer().unwrap().metrics();
-        // Two chunks, each scanning every step boundary.
+        // Two chunks, each executing and scanning every step boundary.
+        assert_eq!(session.chunks.len(), 2);
         assert_eq!(m.counter(Metric::GuardScans), 2 * steps);
+        assert_eq!(m.counter(Metric::StepsExecuted), 2 * steps);
         assert_eq!(m.counter(Metric::GuardTrips), 0);
-        assert_eq!(m.gauge(Metric::PoolWorkers), 2);
-        assert_eq!(m.counter(Metric::PoolTasksQueued), 2);
-        assert_eq!(m.counter(Metric::PoolTasksRun), 2);
-        assert_eq!(m.counter(Metric::PoolPanicsContained), 0);
     }
 
     /// Packed-GEMM config for the panel-sharing tests (serial `Direct`

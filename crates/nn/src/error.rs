@@ -10,7 +10,6 @@
 
 use crate::guard::GuardReport;
 use crate::serialize::LoadParamsError;
-use cnn_stack_parallel::PoolError;
 
 /// Memory-planning failures (see [`crate::liveness`] and the budget
 /// solver in [`crate::passes`]).
@@ -82,8 +81,6 @@ pub enum Error {
         /// The panic payload rendered as a string.
         message: String,
     },
-    /// The worker pool failed persistently (retries exhausted).
-    Pool(PoolError),
     /// Memory planning failed (e.g. an infeasible peak-arena budget).
     Plan(PlanError),
 }
@@ -118,7 +115,6 @@ impl std::fmt::Display for Error {
                 f,
                 "kernel panicked in layer {layer} ({name}): {message} (contained; no safer algorithm available)"
             ),
-            Error::Pool(e) => write!(f, "worker pool failed: {e}"),
             Error::Plan(e) => write!(f, "memory planning failed: {e}"),
         }
     }
@@ -129,12 +125,6 @@ impl std::error::Error for Error {}
 impl From<LoadParamsError> for Error {
     fn from(e: LoadParamsError) -> Self {
         Error::Load(e)
-    }
-}
-
-impl From<PoolError> for Error {
-    fn from(e: PoolError) -> Self {
-        Error::Pool(e)
     }
 }
 

@@ -3,7 +3,7 @@
 //! The paper's cross-stack argument (§V) cuts both ways: a sparse format
 //! or fast convolution that wins on paper can fail in practice —
 //! numerical blow-up from aggressively quantised weights, pathological
-//! CSR patterns, a starved pool worker. This module gives the inference
+//! CSR patterns. This module gives the inference
 //! engine the vocabulary to talk about those failures:
 //!
 //! * [`GuardConfig`] — how much checking an
@@ -12,13 +12,13 @@
 //! * [`GuardReport`] / [`GuardViolation`] — what tripped, naming the
 //!   *first* offending layer.
 //! * [`HealthReport`] / [`DemotionRecord`] — what the session survived:
-//!   guards tripped, kernel panics contained, pool retries, and which
+//!   guards tripped, kernel panics contained, and which
 //!   steps were demoted to a safer kernel (Winograd→im2col,
 //!   CSR→dense: the edges of [`crate::algo`]'s registry).
 //! * `FaultPlan` — a deterministic fault injector, compiled only under
 //!   the `fault-inject` cargo feature, able to corrupt a chosen layer's
 //!   output with NaN/Inf, flip a weight bit, panic inside a chosen
-//!   kernel invocation, and delay or crash a chosen pool worker. The
+//!   kernel invocation, and crash, hang or stall a serving batch. The
 //!   default build compiles an inert zero-cost stand-in so the engine
 //!   hot path carries no injection code.
 
@@ -197,8 +197,6 @@ pub struct HealthReport {
     pub guards_tripped: u64,
     /// Kernel panics caught and contained (process kept alive).
     pub panics_contained: u64,
-    /// Transient pool failures retried.
-    pub retries: u64,
     /// Algorithm demotions applied, in order.
     pub demotions: Vec<DemotionRecord>,
     /// Demotion rebuilds whose re-sized arena exceeded the plan's
@@ -207,12 +205,11 @@ pub struct HealthReport {
 }
 
 impl HealthReport {
-    /// `true` when nothing went wrong: no guards, panics, retries,
-    /// demotions, or budget breaches.
+    /// `true` when nothing went wrong: no guards, panics, demotions,
+    /// or budget breaches.
     pub fn is_clean(&self) -> bool {
         self.guards_tripped == 0
             && self.panics_contained == 0
-            && self.retries == 0
             && self.demotions.is_empty()
             && self.budget_breaches.is_empty()
     }
@@ -223,7 +220,6 @@ impl HealthReport {
     pub fn merge(&mut self, other: &HealthReport) {
         self.guards_tripped += other.guards_tripped;
         self.panics_contained += other.panics_contained;
-        self.retries += other.retries;
         self.demotions.extend(other.demotions.iter().cloned());
         self.budget_breaches
             .extend(other.budget_breaches.iter().cloned());
@@ -234,10 +230,9 @@ impl fmt::Display for HealthReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "health: {} guard(s) tripped, {} panic(s) contained, {} retry(ies), {} demotion(s), {} budget breach(es)",
+            "health: {} guard(s) tripped, {} panic(s) contained, {} demotion(s), {} budget breach(es)",
             self.guards_tripped,
             self.panics_contained,
-            self.retries,
             self.demotions.len(),
             self.budget_breaches.len()
         )
@@ -357,25 +352,6 @@ mod inject {
             /// Target session invocation.
             run: u64,
         },
-        /// Sleep `millis` at the start of batch chunk `chunk`'s worker
-        /// task on invocation `run`.
-        DelayWorker {
-            /// Target batch chunk index.
-            chunk: usize,
-            /// Target session invocation.
-            run: u64,
-            /// Delay in milliseconds.
-            millis: u64,
-        },
-        /// Panic at the start of batch chunk `chunk`'s worker task on
-        /// invocation `run` — outside the per-step containment, so it
-        /// exercises the pool-level catch and the session's retry path.
-        CrashWorker {
-            /// Target batch chunk index.
-            chunk: usize,
-            /// Target session invocation.
-            run: u64,
-        },
         /// Panic in the *serving* batch worker at the start of its
         /// `batch`-th assembled batch (0-based, counted per worker) —
         /// outside every engine containment, so it kills the worker
@@ -456,16 +432,6 @@ mod inject {
         /// Adds a [`Fault::PanicInKernel`].
         pub fn panic_in_kernel(self, layer: usize, run: u64) -> Self {
             self.with(Fault::PanicInKernel { layer, run })
-        }
-
-        /// Adds a [`Fault::DelayWorker`].
-        pub fn delay_worker(self, chunk: usize, run: u64, millis: u64) -> Self {
-            self.with(Fault::DelayWorker { chunk, run, millis })
-        }
-
-        /// Adds a [`Fault::CrashWorker`].
-        pub fn crash_worker(self, chunk: usize, run: u64) -> Self {
-            self.with(Fault::CrashWorker { chunk, run })
         }
 
         /// Adds a [`Fault::CrashServeBatch`].
@@ -580,22 +546,6 @@ mod inject {
             }
             None
         }
-
-        /// Worker-entry hook: applies `DelayWorker` / `CrashWorker`
-        /// faults targeting this chunk and invocation.
-        pub(crate) fn worker_entry(&self, chunk: usize, run: u64) {
-            if let Some(Fault::DelayWorker { millis, .. }) = self.fire(
-                |f| matches!(f, Fault::DelayWorker { chunk: c, run: r, .. } if *c == chunk && *r == run),
-            ) {
-                std::thread::sleep(std::time::Duration::from_millis(millis));
-            }
-            if self
-                .fire(|f| matches!(f, Fault::CrashWorker { chunk: c, run: r } if *c == chunk && *r == run))
-                .is_some()
-            {
-                panic!("fault-inject: worker crash on chunk {chunk} (run {run})");
-            }
-        }
     }
 }
 
@@ -631,9 +581,6 @@ mod inject {
         ) {
         }
 
-        #[inline(always)]
-        pub(crate) fn worker_entry(&self, _chunk: usize, _run: u64) {}
-
         /// Inert serving-layer hook: never fires without `fault-inject`.
         #[inline(always)]
         pub fn serve_batch_entry(&self, _batch: u64) -> Option<super::ServeBatchFault> {
@@ -657,7 +604,6 @@ mod tests {
         let report = HealthReport {
             guards_tripped: 1,
             panics_contained: 2,
-            retries: 3,
             demotions: vec![DemotionRecord {
                 layer_index: 0,
                 layer_name: "conv".into(),
@@ -674,12 +620,8 @@ mod tests {
         };
         let mut merged = report.clone();
         merged.merge(&report);
-        let counts = (
-            merged.guards_tripped,
-            merged.panics_contained,
-            merged.retries,
-        );
-        assert_eq!(counts, (2, 4, 6));
+        let counts = (merged.guards_tripped, merged.panics_contained);
+        assert_eq!(counts, (2, 4));
         let demotions = [&report.demotions[..], &report.demotions].concat();
         assert_eq!(merged.demotions, demotions);
         let breaches = [&report.budget_breaches[..], &report.budget_breaches].concat();

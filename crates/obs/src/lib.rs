@@ -9,13 +9,12 @@
 //!   instrument is pre-registered in the [`Metric`] enum, so the hot
 //!   path is a single relaxed `fetch_add` into a fixed atomic slot —
 //!   counters for the GEMM engine (calls, FLOPs, panels, kernel
-//!   dispatch, bytes packed), the im2col lowering, the thread pool
-//!   (tasks queued/run, worker busy-ns, panics contained) and the
-//!   guard ladder (scans, trips, retries, demotions), plus gauges and
-//!   log₂-bucketed histograms;
-//! * a **span/event tracer** ([`Observer`], [`Collector`],
-//!   [`RingCollector`]): names interned at plan-build time, events
-//!   recorded into a bounded lock-free ring as three relaxed stores;
+//!   dispatch, bytes packed), the im2col lowering, the transform-domain
+//!   convolutions and the guard ladder (scans, trips, demotions), plus
+//!   gauges and log₂-bucketed histograms;
+//! * a **span/event tracer** ([`Observer`], [`RingCollector`]): names
+//!   interned at plan-build time, events recorded into a bounded
+//!   lock-free ring as three relaxed stores;
 //! * **exporters**: Chrome `trace_event` JSON ([`chrome_trace_json`],
 //!   loads in `chrome://tracing`/Perfetto) and a deterministic text
 //!   format ([`text_trace`]; stable ordering, no timestamps) built for
@@ -54,6 +53,6 @@ pub use metrics::{
     HISTOGRAM_BUCKETS,
 };
 pub use trace::{
-    count, current, enabled, gauge, install, observe, with_current, Collector, EventKind, NameId,
-    ObsGuard, ObsLevel, Observer, RingCollector, TraceEvent,
+    count, current, enabled, gauge, install, observe, with_current, EventKind, NameId, ObsGuard,
+    ObsLevel, Observer, RingCollector, TraceEvent,
 };

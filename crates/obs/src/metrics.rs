@@ -70,17 +70,9 @@ metrics! {
     Im2colBytesLowered => ("im2col.bytes_lowered", Counter),
     // Transform-domain convolution kernels (tensor::winograd).
     WinogradTiles => ("conv.winograd.tiles", Counter),
-    // Thread pool (parallel::ThreadPool).
-    PoolTasksQueued => ("pool.tasks_queued", Counter),
-    PoolTasksRun => ("pool.tasks_run", Counter),
-    PoolWorkerBusyNs => ("pool.worker_busy_ns", Counter),
-    PoolPanicsContained => ("pool.panics_contained", Counter),
-    PoolWorkers => ("pool.workers", Gauge),
-    PoolTaskNs => ("pool.task_ns", Histogram),
     // Guarded execution (nn::engine + nn::guard).
     GuardScans => ("guard.scans", Counter),
     GuardTrips => ("guard.trips", Counter),
-    GuardRetries => ("guard.retries", Counter),
     GuardDemotions => ("guard.demotions", Counter),
     // Session engine.
     StepsExecuted => ("engine.steps_executed", Counter),
@@ -388,9 +380,9 @@ mod tests {
     #[test]
     fn gauges_store_last_value() {
         let r = MetricsRegistry::new();
-        r.set(Metric::PoolWorkers, 4);
-        r.set(Metric::PoolWorkers, 2);
-        assert_eq!(r.gauge(Metric::PoolWorkers), 2);
+        r.set(Metric::ArenaBytes, 4);
+        r.set(Metric::ArenaBytes, 2);
+        assert_eq!(r.gauge(Metric::ArenaBytes), 2);
     }
 
     #[test]
@@ -418,7 +410,7 @@ mod tests {
         let snap = r.snapshot();
         assert_eq!(snap.counter("guard.trips"), Some(7));
         assert_eq!(snap.counter("no.such"), None);
-        assert_eq!(snap.gauge("pool.workers"), Some(0));
+        assert_eq!(snap.gauge("engine.arena_bytes"), Some(0));
     }
 
     #[test]

@@ -6,8 +6,9 @@
 //! no allocation, no lock. The thread-local *current observer* makes
 //! the instruments reachable from leaf crates (`tensor`, `parallel`)
 //! without threading a handle through every kernel signature: the
-//! session installs its observer for the duration of a run (including
-//! inside pool worker tasks) and uninstalls it on scope exit.
+//! session installs its observer for the duration of a run (and on
+//! every thread that runs one of its batch chunks) and uninstalls it on
+//! scope exit.
 
 use crate::metrics::{Metric, MetricsRegistry, MetricsSnapshot};
 use std::cell::RefCell;
@@ -64,24 +65,14 @@ pub struct TraceEvent {
     pub tid: u32,
 }
 
-/// An event sink. Implementations must be cheap and panic-free: the
-/// engine calls [`Collector::record`] from kernel hot paths and pool
-/// workers.
-pub trait Collector: Send + Sync {
-    /// Records one event (may drop under pressure, must not block).
-    fn record(&self, ev: TraceEvent);
-    /// Returns the retained events in chronological record order.
-    fn events(&self) -> Vec<TraceEvent>;
-    /// Number of events dropped/overwritten since creation.
-    fn dropped(&self) -> u64;
-}
-
-/// Bounded lock-free ring recorder: the default [`Collector`].
+/// Bounded lock-free ring recorder: the observer's event sink.
 ///
-/// Writers claim a slot with one `fetch_add` and write the event as
-/// three relaxed `u64` stores; when the ring wraps, the oldest events
-/// are overwritten (counted in [`Collector::dropped`]). Reads are meant
-/// for quiescent points (after a run, when the pool has joined); a read
+/// Recording is cheap and panic-free: the engine records from kernel
+/// hot paths and from every thread running a batch chunk. Writers claim
+/// a slot with one `fetch_add` and write the event as three relaxed
+/// `u64` stores; when the ring wraps, the oldest events are overwritten
+/// (counted in [`RingCollector::dropped`]). Reads are meant for
+/// quiescent points (after a run, when its chunks have joined); a read
 /// racing a wrapping writer can observe a torn event, never undefined
 /// behaviour.
 pub struct RingCollector {
@@ -131,16 +122,9 @@ impl RingCollector {
             tid: (w0 >> 40) as u32,
         }
     }
-}
 
-impl Default for RingCollector {
-    fn default() -> Self {
-        Self::with_capacity(Self::DEFAULT_CAPACITY)
-    }
-}
-
-impl Collector for RingCollector {
-    fn record(&self, ev: TraceEvent) {
+    /// Records one event (overwrites the oldest when full, never blocks).
+    pub fn record(&self, ev: TraceEvent) {
         let idx = self.head.fetch_add(1, Ordering::Relaxed) & (self.capacity - 1);
         let [w0, w1, w2] = Self::encode(&ev);
         self.slots[idx * 3].store(w0, Ordering::Relaxed);
@@ -148,7 +132,8 @@ impl Collector for RingCollector {
         self.slots[idx * 3 + 2].store(w2, Ordering::Release);
     }
 
-    fn events(&self) -> Vec<TraceEvent> {
+    /// Returns the retained events in chronological record order.
+    pub fn events(&self) -> Vec<TraceEvent> {
         let head = self.head.load(Ordering::Acquire);
         let n = head.min(self.capacity);
         let first = if head > self.capacity {
@@ -168,19 +153,26 @@ impl Collector for RingCollector {
             .collect()
     }
 
-    fn dropped(&self) -> u64 {
+    /// Number of events overwritten since creation.
+    pub fn dropped(&self) -> u64 {
         self.head
             .load(Ordering::Relaxed)
             .saturating_sub(self.capacity) as u64
     }
 }
 
+impl Default for RingCollector {
+    fn default() -> Self {
+        Self::with_capacity(Self::DEFAULT_CAPACITY)
+    }
+}
+
 /// The per-session observability hub: one metrics registry, an optional
-/// event collector, and the interned name table.
+/// event ring, and the interned name table.
 pub struct Observer {
     level: ObsLevel,
     metrics: MetricsRegistry,
-    collector: Option<Box<dyn Collector>>,
+    collector: Option<RingCollector>,
     names: Mutex<Vec<String>>,
     epoch: Instant,
 }
@@ -199,29 +191,15 @@ impl Observer {
     /// default-capacity [`RingCollector`]. Returns `None` for
     /// [`ObsLevel::Off`].
     pub fn for_level(level: ObsLevel) -> Option<Arc<Observer>> {
-        match level {
-            ObsLevel::Off => None,
-            ObsLevel::Metrics => Some(Arc::new(Observer::build(level, None))),
-            ObsLevel::Trace => Some(Arc::new(Observer::build(
+        level.is_on().then(|| {
+            Arc::new(Observer {
                 level,
-                Some(Box::new(RingCollector::default()) as Box<dyn Collector>),
-            ))),
-        }
-    }
-
-    /// Builds a tracing observer with a caller-supplied collector.
-    pub fn with_collector(collector: Box<dyn Collector>) -> Arc<Observer> {
-        Arc::new(Observer::build(ObsLevel::Trace, Some(collector)))
-    }
-
-    fn build(level: ObsLevel, collector: Option<Box<dyn Collector>>) -> Observer {
-        Observer {
-            level,
-            metrics: MetricsRegistry::new(),
-            collector,
-            names: Mutex::new(Vec::new()),
-            epoch: Instant::now(),
-        }
+                metrics: MetricsRegistry::new(),
+                collector: (level == ObsLevel::Trace).then(RingCollector::default),
+                names: Mutex::new(Vec::new()),
+                epoch: Instant::now(),
+            })
+        })
     }
 
     /// The observer's recording level.
@@ -294,13 +272,13 @@ impl Observer {
     pub fn events(&self) -> Vec<TraceEvent> {
         self.collector
             .as_ref()
-            .map(|c| c.events())
+            .map(RingCollector::events)
             .unwrap_or_default()
     }
 
     /// Events dropped by the collector (ring overwrites).
     pub fn dropped(&self) -> u64 {
-        self.collector.as_ref().map(|c| c.dropped()).unwrap_or(0)
+        self.collector.as_ref().map_or(0, RingCollector::dropped)
     }
 }
 

@@ -7,8 +7,8 @@
 //! * [`parallel_for`] — a fork-join parallel loop over an index range with
 //!   OpenMP's three classic schedules ([`Schedule::Static`],
 //!   [`Schedule::Dynamic`], [`Schedule::Guided`]).
-//! * [`ThreadPool`] — a persistent worker pool for `'static` tasks, used
-//!   where fork-join spawn cost must be amortised.
+//! * [`spawn_worker`] — a named long-lived thread, for workers that own
+//!   their loop (the serving layer's batch workers and monitor).
 //! * [`RegionStats`] — per-region instrumentation (chunks dispatched, load
 //!   imbalance) so the characterisation can quantify scheduling overheads,
 //!   which the paper calls out as a first-class effect.
@@ -27,9 +27,9 @@
 //! ```
 
 pub mod panel;
-pub mod pool;
 pub mod schedule;
+pub mod worker;
 
 pub use panel::{parallel_tiles, DisjointWriter};
-pub use pool::{panic_message, spawn_worker, PoolError, ThreadPool};
 pub use schedule::{parallel_for, parallel_for_stats, RegionStats, Schedule};
+pub use worker::{panic_message, spawn_worker};

@@ -52,7 +52,7 @@ pub(crate) struct RunInfo {
 
 impl Rung {
     /// Binds `plan` to `net` and pre-warms the session: the first run
-    /// settles lazy state (thread pools, page faults on the arenas) off
+    /// settles lazy state (page faults on the arenas) off
     /// the serving path. Timing it gives the watchdog its
     /// expected-latency baseline (zero under ManualClock — the hang
     /// floor covers that).

@@ -36,7 +36,7 @@ pub struct CellResult {
     /// Overall weight sparsity in `[0, 1]`.
     pub sparsity: f64,
     /// Runtime health of the host execution: guards tripped, panics
-    /// contained, retries, and kernel demotions. Always clean for
+    /// contained, and kernel demotions. Always clean for
     /// modelled-only evaluations (no host run happens).
     pub health: HealthReport,
     /// One line per compiled host-plan step — `name [span] conv/gemm`
@@ -72,7 +72,7 @@ pub fn evaluate_with(cfg: &StackConfig, width: f64, measure_host: bool) -> CellR
 /// one real forward pass on the build host for functional validation
 /// (`measure_host`). Host measurement uses the configured thread count,
 /// convolution algorithm and guard level; the session's
-/// [`HealthReport`] — guard trips, contained panics, retries, kernel
+/// [`HealthReport`] — guard trips, contained panics, kernel
 /// demotions — is attached to the returned cell.
 ///
 /// # Errors

@@ -12,7 +12,7 @@
 //! * [`models`] — VGG-16, ResNet-18, MobileNet for CIFAR-10.
 //! * [`dataset`] — synthetic CIFAR-10-shaped data with planted structure.
 //! * [`compress`] — weight pruning, Fisher channel pruning, TTQ.
-//! * [`parallel`] — OpenMP-style thread pool and loop scheduling.
+//! * [`parallel`] — OpenMP-style fork-join loops and scheduling.
 //! * [`hwsim`] — platform timing models and the simulated OpenCL device.
 //! * [`obs`] — metrics registry, span tracer, Chrome-trace export.
 //! * [`serve`] — multi-tenant serving: dynamic batching, session pool,

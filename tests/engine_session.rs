@@ -201,6 +201,46 @@ fn budget_demoted_vgg16_runs_inside_its_four_mib_arena() {
     assert_eq!(admitted, budget, "4 MiB is feasible for this model");
 }
 
+/// A budget bounds the arena a session holds at every thread count.
+/// The budget is checked against the one-chunk plan's peak, so a
+/// budgeted session runs its batch as one chunk, its kernels keeping
+/// the threads, rather than one arena per chunk: split two ways, the
+/// chunks' arenas of all three paper models sum past their serial
+/// batch-8 peak, which is the budget here.
+#[test]
+fn budgeted_sessions_keep_their_budget_at_every_thread_count() {
+    let batch = 8;
+    for kind in ModelKind::all() {
+        let budget = kind
+            .build_width(10, 0.25)
+            .compile_plan(batch, &ExecConfig::serial(), &PlanCompiler::standard())
+            .expect("unbudgeted compile")
+            .footprint()
+            .peak_bytes;
+        for threads in 1..=4 {
+            let mut model = kind.build_width(10, 0.25);
+            let cfg = ExecConfig::builder()
+                .threads(threads)
+                .plan_budget(budget)
+                .build()
+                .expect("valid config");
+            let plan = model
+                .compile_plan(batch, &cfg, &PlanCompiler::standard())
+                .expect("the serial peak admits the plan");
+            let peak = plan.footprint().peak_bytes;
+            let session =
+                InferenceSession::new(&mut model.network, plan).expect("plan matches this network");
+            let what = format!("{kind:?}, {threads} thread(s)");
+            assert!(peak <= budget, "{what}: peak {peak} B over {budget} B");
+            assert!(
+                session.arena_bytes() <= peak,
+                "{what}: arena {} B over the planned peak {peak} B",
+                session.arena_bytes()
+            );
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 

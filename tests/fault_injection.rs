@@ -1,7 +1,7 @@
 //! Fault-injection tests for the guarded inference runtime: injected
-//! kernel panics, worker crashes, and corrupted activations/weights must
-//! be contained, reported, and — where a safer kernel exists — recovered
-//! from by demotion, without killing the process or poisoning the pool.
+//! kernel panics and corrupted activations/weights must be contained,
+//! reported, and — where a safer kernel exists — recovered from by
+//! demotion, without killing the process or poisoning the session.
 //!
 //! The whole suite only exists under `--features fault-inject`; the
 //! default build compiles the injector down to a zero-sized no-op.
@@ -57,7 +57,7 @@ fn run_reference(seed: u64, cfg: &ExecConfig, input: &Tensor) -> Tensor {
 /// panics on a 4-thread session. The session must contain the panic,
 /// demote the step to im2col, re-run, and hand back a result
 /// bit-identical to an all-im2col session — with the process alive and
-/// the pool reusable afterwards.
+/// the session reusable afterwards.
 #[test]
 fn winograd_kernel_panic_demotes_to_im2col_bit_identically() {
     let seed = 42;
@@ -87,11 +87,11 @@ fn winograd_kernel_panic_demotes_to_im2col_bit_identically() {
     let want_bits: Vec<u32> = want.data().iter().map(|v| v.to_bits()).collect();
     assert_eq!(got_bits, want_bits);
 
-    // The pool is reusable: a second (fault-free) run still works and
-    // still matches, and no new demotions are recorded.
+    // The session is reusable: a second (fault-free) run still works
+    // and still matches, and no new demotions are recorded.
     let again = session
         .run(&input)
-        .expect("pool survives the contained panic");
+        .expect("session survives the contained panic");
     assert_eq!(again.data(), want.data());
     assert_eq!(session.health().demotions.len(), 1);
     assert_eq!(session.profile().runs(), 2);
@@ -162,7 +162,7 @@ fn packed_gemm_panic_demotes_to_direct_bit_identically() {
     assert_eq!(session.health().demotions.len(), 1);
 }
 
-/// A guard trip on a CSR conv densifies the step and retries.
+/// A guard trip on a CSR conv densifies the step and re-runs.
 #[test]
 fn guard_trip_on_csr_conv_demotes_to_dense() {
     let input = ramp_input(2);
@@ -255,43 +255,48 @@ fn inf_injection_is_reported_as_positive_infinity() {
     }
 }
 
-/// A crashed batch worker surfaces as a pool error, is counted as a
-/// retry, and the re-run still matches the serial reference bitwise.
+/// Two batch chunks fail in one attempt: chunk 1's image carries +Inf
+/// that trips the guard at step 0, while an injected NaN trips chunk 0
+/// (on the calling thread) at step 2. The report names the earliest
+/// offending step and the chunk that saw it, whatever order the chunks
+/// finish in.
 #[test]
-fn crashed_worker_is_retried_and_result_matches_serial() {
-    let seed = 11;
-    let input = ramp_input(8);
-    let mut net = conv_stack(seed);
-    let cfg = cfg_with(ConvAlgorithm::Im2col, 4);
+fn earliest_offending_step_is_reported_across_chunks() {
+    let input = Tensor::from_fn(
+        [2, 16],
+        |i| if i == 16 + 3 { f32::INFINITY } else { i as f32 },
+    );
+    let mut net = Network::new(vec![
+        Box::new(ReLU::new()) as Box<dyn Layer>,
+        Box::new(ReLU::new()),
+        Box::new(ReLU::new()),
+    ])
+    .unwrap();
+    let cfg = ExecConfig {
+        threads: 2,
+        ..ExecConfig::serial()
+    };
     let plan = InferencePlan::compile(&net, input.shape().dims(), &cfg).unwrap();
-    let mut session = InferenceSession::new(&mut net, plan).unwrap();
-    session.inject_faults(FaultPlan::new().crash_worker(1, 0));
+    let mut session =
+        InferenceSession::with_guard(&mut net, plan, GuardConfig::BoundaryCheck).unwrap();
+    session.inject_faults(FaultPlan::new().nan_output(2, 0));
 
-    let got = session.run(&input).expect("pool retry recovers the run");
-    assert_eq!(session.health().retries, 1);
-    assert!(session.health().demotions.is_empty());
-
-    let want = run_reference(seed, &cfg_with(ConvAlgorithm::Im2col, 1), &input);
-    assert_eq!(got.data(), want.data());
-}
-
-/// A delayed (straggler) worker is benign: the run completes, matches
-/// the serial reference, and leaves a clean health report.
-#[test]
-fn delayed_worker_is_harmless() {
-    let seed = 13;
-    let input = ramp_input(8);
-    let mut net = conv_stack(seed);
-    let cfg = cfg_with(ConvAlgorithm::Im2col, 4);
-    let plan = InferencePlan::compile(&net, input.shape().dims(), &cfg).unwrap();
-    let mut session = InferenceSession::new(&mut net, plan).unwrap();
-    session.inject_faults(FaultPlan::new().delay_worker(0, 0, 30));
-
-    let got = session.run(&input).expect("a slow worker is not a fault");
-    assert!(session.health().is_clean());
-
-    let want = run_reference(seed, &cfg_with(ConvAlgorithm::Im2col, 1), &input);
-    assert_eq!(got.data(), want.data());
+    match session.run(&input).unwrap_err() {
+        Error::GuardTripped(report) => {
+            assert_eq!(report.layer_index, 0);
+            assert_eq!(report.chunk, Some(1));
+            assert!(matches!(
+                report.violation,
+                GuardViolation::NonFiniteActivation {
+                    kind: NonFiniteKind::PosInf,
+                    first_index: 3,
+                    count: 1,
+                }
+            ));
+        }
+        other => panic!("expected GuardTripped, got {other:?}"),
+    }
+    assert_eq!(session.health().guards_tripped, 1);
 }
 
 /// Flipping the sign bit of one weight perturbs exactly that weight (the

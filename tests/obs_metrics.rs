@@ -6,8 +6,9 @@
 //!   mac-bearing step routes through the packed GEMM engine;
 //! * a clean run never trips the guard, and boundary-mode scan counts
 //!   equal one scan per step per run;
-//! * the worker pool runs exactly the tasks it queued — nothing lost,
-//!   nothing duplicated, no contained panics.
+//! * a batch-parallel session's kernel metrics are every chunk's: each
+//!   chunk's thread records into the session observer, so nothing is
+//!   lost or counted twice.
 
 use cnn_stack::nn::{
     Conv2d, ConvAlgorithm, ExecConfig, Flatten, GuardConfig, InferencePlan, InferenceSession,
@@ -97,7 +98,7 @@ proptest! {
     }
 
     /// Clean inputs and healthy weights: the guard scans every step
-    /// boundary but never trips, retries or demotes.
+    /// boundary but never trips or demotes.
     #[test]
     fn clean_runs_never_trip_the_guard(
         batch in 1usize..4,
@@ -113,7 +114,6 @@ proptest! {
         let steps = plan.steps().len() as u64;
         let m = run_and_snapshot(&mut net, &cfg, GuardConfig::BoundaryCheck, &input, runs);
         prop_assert_eq!(counter(&m, "guard.trips"), 0, "clean run must not trip");
-        prop_assert_eq!(counter(&m, "guard.retries"), 0);
         prop_assert_eq!(counter(&m, "guard.demotions"), 0);
         prop_assert_eq!(
             counter(&m, "guard.scans"),
@@ -122,34 +122,56 @@ proptest! {
         );
     }
 
-    /// Batch-parallel execution: every queued chunk task ran, none
-    /// panicked, and the pool gauge reflects the worker count.
+    /// Batch-parallel execution: chunks 1.. run on their own threads,
+    /// whose kernels record into the observer current on *that* thread,
+    /// so every chunk's GEMM work must reach the session observer.
+    /// `gemm.flops` is linear in the batch and equals the one-chunk
+    /// session's; `gemm.calls` equals the sum over one-chunk sessions of
+    /// each chunk's images (the packed conv merges the images of one
+    /// GEMM column block into one call, so the split changes the count).
     #[test]
-    fn pool_runs_exactly_the_tasks_it_queued(
+    fn every_chunks_kernel_metrics_reach_the_session_observer(
         threads in 2usize..5,
         extra in 0usize..3,
         runs in 1usize..3,
     ) {
         let batch = threads + extra;
-        let cfg = ExecConfig {
-            threads,
+        let serial = ExecConfig {
+            conv_algo: ConvAlgorithm::Im2col,
             observer: ObsLevel::Metrics,
             ..ExecConfig::serial()
         };
-        let mut net = small_net(3, 4, 4, 8);
-        let input = Tensor::from_fn([batch, 3, 8, 8], |i| ((i * 3 % 7) as f32) * 0.5 - 1.0);
-        let m = run_and_snapshot(&mut net, &cfg, GuardConfig::Off, &input, runs);
-        let queued = counter(&m, "pool.tasks_queued");
-        let ran = counter(&m, "pool.tasks_run");
-        prop_assert_eq!(queued, ran, "every queued task must run");
-        // One task per batch chunk per run; chunk count = min(threads, batch).
-        let chunks = threads.min(batch) as u64;
-        prop_assert_eq!(queued, chunks * runs as u64);
-        prop_assert_eq!(counter(&m, "pool.panics_contained"), 0);
-        prop_assert_eq!(
-            m.gauge("pool.workers").expect("worker gauge registered"),
-            threads as i64
+        let cfg = ExecConfig { threads, ..serial };
+        let images = |n: usize| {
+            Tensor::from_fn([n, 3, 8, 8], |i| ((i * 3 % 7) as f32) * 0.5 - 1.0)
+        };
+        let m = run_and_snapshot(&mut small_net(3, 4, 4, 8), &cfg, GuardConfig::Off, &images(batch), runs);
+        let whole = run_and_snapshot(
+            &mut small_net(3, 4, 4, 8),
+            &serial,
+            GuardConfig::Off,
+            &images(batch),
+            runs,
         );
+        prop_assert_eq!(counter(&m, "gemm.flops"), counter(&whole, "gemm.flops"));
+        // The session's split: min(threads, batch) chunks, the first
+        // `batch % chunks` one image larger.
+        let chunks = threads.min(batch);
+        let calls: u64 = (0..chunks)
+            .map(|c| batch / chunks + usize::from(c < batch % chunks))
+            .map(|len| {
+                let one = run_and_snapshot(
+                    &mut small_net(3, 4, 4, 8),
+                    &serial,
+                    GuardConfig::Off,
+                    &images(len),
+                    runs,
+                );
+                counter(&one, "gemm.calls")
+            })
+            .sum();
+        prop_assert_eq!(counter(&m, "gemm.calls"), calls);
+        prop_assert_eq!(counter(&m, "engine.runs_completed"), runs as u64);
     }
 }
 

@@ -94,12 +94,15 @@ echo "== tests =="
 #   of full-width VGG-16, MobileNet and ResNet-18 and of the TTQ VGG-16
 #   against pinned constants, so any drift in the initialisers' values
 #   fails (the e2e correctness check builds its reference with the same
-#   initialiser and cannot see one); and the keystream tests
+#   initialiser and cannot see one); and the initialiser's tests
 #   (`tensor::init::tests`): the portable ChaCha8 keystream against the
 #   vendored `ChaCha8Rng` word for word, every SIMD instantiation
 #   against the portable one at any block counter (across 2^32 and
 #   2^64), every fill against per-sample `gen_range` draws at lengths
-#   1-200, and the word->value maps on extreme words.
+#   1-200, the word->value maps on extreme words, and, on every
+#   instantiation, the vector `ln` and `cos` against libm on all 2^24
+#   values each can see and the whole draw against the per-sample
+#   Box-Muller draw on every u1 and every u2.
 cargo test --workspace -q
 # The vendored criterion is not a workspace member: its own tests (the
 # sampler and the command-line bench filter) run by name.
@@ -122,9 +125,13 @@ echo "== gemm, depthwise, winograd, init and compress debug assertions =="
 # (`v16::`), every tile shape and the decoder on every impl and the
 # driver on every kernel (`gemm::`), every depthwise instantiation and
 # every Winograd mover, block size and instantiation through them, and
-# the initialisers' keystream (`init::`: each instantiation's 16-block
-# passes, which load their counter lanes through the vocabulary, and
-# every fill against its per-sample reference). The compression passes
+# the initialisers (`init::`: each instantiation's 16-block keystream
+# passes, which load their counter lanes through the vocabulary; every
+# fill against its per-sample reference; and the Kaiming draws' `ln`
+# and `cos` on all 2^24 values each, which run on the wide ops `widen`,
+# `narrow`, `truncate`, `i32_to_f32`, the f64 `add`, `mul` and `fma`, and
+# `select`, a 16-entry table lookup whose lane index the AVX2 impl masks
+# to 0..16 before it gathers). The compression passes
 # run last: their branch-free sweeps (the threshold's count-and-compact
 # store into its scratch, the mask words, the TTQ survivor words and bit
 # walks) index by counts and shifts that overflow checks cover only
@@ -166,9 +173,11 @@ BENCH_SMOKE=1 cargo bench -p cnn-stack-bench --bench gemm
 echo "== kernels bench smoke =="
 # Five samples of every group in benches/kernels.rs: the depthwise
 # kernel, the Winograd convolution (VGG-16's Winograd layers at batch 1
-# and 8) and the Kaiming initialiser (VGG-16's largest and smallest
-# filter banks), the two compression passes a served TTQ model is built
-# with (full-width VGG-16), the fused im2col packer at VGG-16's batch-8 shapes,
+# and 8), the Kaiming initialiser (VGG-16's largest and smallest filter
+# banks, keystream and draw math together) and its draw math alone (a
+# fixed buffer of 65 536 word pairs -> normals), the two compression
+# passes a served TTQ model is built with (full-width VGG-16), the fused
+# im2col packer at VGG-16's batch-8 shapes,
 # and the prepacked GEMM, each on every instantiation this host
 # supports (reached by name through the doc-hidden bench hooks). The
 # `gemm_prepacked` group prints the core's register-only FMA rate first
@@ -396,6 +405,18 @@ done
 # survive, and the event-sink trait with one implementation stay deleted.
 if grep -rnE 'ThreadPool|PoolError|DelayWorker|CrashWorker|worker_entry|trait Collector|with_collector' crates src tests; then
   echo "ci: the thread pool, its worker faults or the Collector trait are back" >&2
+  exit 1
+fi
+
+# The Kaiming draws call no libm function: `ln` and `cos` are glibc's
+# table evaluations written over the 16-lane vocabulary, held to libm
+# bit for bit on the whole 2^24-value domain of each by `init::tests`.
+# No scalar `ln`, `cos` or `sin` returns to the initialiser outside its
+# tests (which keep libm as their reference), so only the lines above
+# the file's `#[cfg(test)]` are searched.
+if awk '/^#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' crates/tensor/src/init.rs |
+  grep -E '\.(ln|cos|sin)\('; then
+  echo "ci: a libm ln, cos or sin call is back in the initialiser" >&2
   exit 1
 fi
 

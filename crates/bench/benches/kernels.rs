@@ -25,7 +25,7 @@ use cnn_stack_tensor::{
 use criterion::{
     black_box, criterion_group, criterion_main, BenchmarkGroup, BenchmarkId, Criterion,
 };
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::time::Duration;
 
@@ -245,10 +245,12 @@ fn bench_winograd(c: &mut Criterion) {
 /// The Kaiming initialiser (what every conv layer draws) at VGG-16's
 /// largest filter bank, `512×512×3×3` (conv4_2 … conv5_3), and its
 /// smallest, `64×3×3×3` (conv1_1), on every instantiation of the
-/// keystream the host supports through the `init::initialise_named`
-/// bench hook (`scalar` is the portable twin; the dispatch runs the last
-/// one listed). The label carries the weight count: ns per weight is
-/// the time over it.
+/// keystream and the draw math the host supports through the
+/// `init::initialise_named` bench hook (`scalar` is the portable twin;
+/// the dispatch runs the last one listed); then the draw math alone
+/// (`init::normals_named`: Box–Muller on a fixed buffer of 65 536 word
+/// pairs, no keystream) on each. The label carries the value count: ns
+/// per weight is the time over it.
 fn bench_init(c: &mut Criterion) {
     let mut group = group(c, "init", 50, 2);
     for shape in [[512usize, 512, 3, 3], [64, 3, 3, 3]] {
@@ -259,6 +261,16 @@ fn bench_init(c: &mut Criterion) {
                 bencher.iter(|| init::initialise_named(kernel, shape, Init::KaimingNormal, 7))
             });
         }
+    }
+    let mut rng = ChaCha8Rng::seed_from_u64(7);
+    let n = 1 << 16;
+    let hi1: Vec<u32> = (0..n).map(|_| rng.next_u32()).collect();
+    let hi2: Vec<u32> = (0..n).map(|_| rng.next_u32()).collect();
+    let mut out = vec![0.0; n];
+    for kernel in gemm::gemm_kernel_names() {
+        group.bench_function(format!("draws_{n}w/{kernel}"), |bencher| {
+            bencher.iter(|| init::normals_named(kernel, &hi1, &hi2, black_box(&mut out)))
+        });
     }
     group.finish();
 }

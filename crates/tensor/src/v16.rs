@@ -2,10 +2,14 @@
 //! packed GEMM's wide and skinny tiles and its 2-bit code decoder
 //! (through [`V16::fma`], [`V16::add`], [`V16::load_pair`] and
 //! [`V16::decode`]), the depthwise convolution's block, the Winograd
-//! transforms' moves into and out of their lane arrays and the
+//! transforms' moves into and out of their lane arrays, the
 //! initialisers' ChaCha8 keystream (16 blocks per pass, one per lane,
 //! through the three integer ops [`V16::add_u32`], [`V16::xor`] and
-//! [`V16::rotl`], which read a lane's bits as a `u32`) are each written
+//! [`V16::rotl`], which read a lane's bits as a `u32`) and their
+//! Box–Muller draws (16 per vector: glibc's `logf` and `cosf` in f64 on
+//! the [`Wide`] lanes that [`V16::widen`] and [`V16::select`] make and
+//! [`V16::narrow`] and [`V16::truncate`] turn back, with [`V16::and`],
+//! [`V16::i32_to_f32`], [`V16::mul`] and [`V16::sqrt`]) are each written
 //! once over [`V16`] and instantiated per target behind one dispatch
 //! ([`run_on`], on the kernel [`active_kernel`](crate::gemm::active_kernel)
 //! picks, so `CNN_STACK_GEMM_FORCE_SCALAR` pins the portable impl). Each
@@ -14,15 +18,17 @@
 //!
 //! Three impls:
 //!
-//! * AVX-512F: one ZMM register per vector; masked loads, adds and
-//!   stores, two-source permutes, gathers and scatters, and a native
-//!   rotate.
-//! * AVX2: two YMM halves per vector, with real blends for the masked
-//!   adds, 8-lane gathers, and plain loads or a fixed shuffle for picks
-//!   whose half steps by one or two. The lane-array form compiled for
-//!   AVX2 measured 2–4× slower, so this impl is written in intrinsics.
-//! * Portable: a `[f32; 16]` whose lane loops the compiler vectorises
-//!   for the baseline target (SSE2 or NEON register pairs).
+//! * AVX-512F: one ZMM register per vector (two for its wide lanes);
+//!   masked loads, adds and stores, two-source permutes (the wide
+//!   `select` among them), gathers and scatters, and a native rotate.
+//! * AVX2: two YMM halves per vector (four for its wide lanes), with real
+//!   blends for the masked adds, 8-lane gathers (4-lane ones for the
+//!   wide `select`), and plain loads or a fixed shuffle for picks whose
+//!   half steps by one or two. The lane-array form compiled for AVX2
+//!   measured 2–4× slower, so this impl is written in intrinsics.
+//! * Portable: a `[f32; 16]` (and a `[f64; 16]`) whose lane loops the
+//!   compiler vectorises for the baseline target (SSE2 or NEON register
+//!   pairs).
 //!
 //! Every op that reads or writes memory takes a slice and
 //! `debug_assert!`s that each enabled lane stays inside it: the SIMD
@@ -38,16 +44,20 @@
 //!
 //! # Exactness
 //!
-//! The ops move bits, apply one IEEE operation per lane or apply one
-//! integer operation to its bits, so every impl gives the same bits (a
-//! NaN's payload aside where two NaNs meet in one arithmetic op: which
-//! one survives is the instruction's or compiler's pick).
-//! [`V16::mul_add`] is a separate multiply and add, never fused. The one
-//! exception is [`V16::fma`]: one fused multiply-add on the SIMD impls,
-//! which agree with each other bit for bit, and a multiply then an add on
-//! the portable impl, which rounds twice and so can differ from them in
-//! the last place. The packed GEMM's tiles run on it: the SIMD kernels
-//! give one set of bits and the portable kernel its own.
+//! The ops move bits, apply one IEEE operation per lane (a conversion
+//! among f32, f64 and `i32` is one, rounding to nearest or, for
+//! [`V16::truncate`], toward zero) or apply one integer operation to its
+//! bits, so every impl gives the same bits (a NaN's payload aside where
+//! two NaNs meet in one arithmetic op: which one survives is the
+//! instruction's or compiler's pick). [`V16::mul_add`] is a separate
+//! multiply and add, never fused. The exceptions are [`V16::fma`] and
+//! [`Wide::fma`]: one fused multiply-add on the SIMD impls, which agree
+//! with each other bit for bit, and a multiply then an add on the
+//! portable impl, which rounds twice and so can differ from them in the
+//! last place. The packed GEMM's tiles run on the first: the SIMD kernels
+//! give one set of bits and the portable kernel its own. The Kaiming
+//! draws run on the second and give libm's bits either way, which their
+//! tests check on every value they can see.
 
 use crate::gemm::MicroKernel;
 use cnn_stack_parallel::DisjointWriter;
@@ -128,6 +138,8 @@ pub(crate) trait V16: Copy {
     /// of A rows (two A panels each) it keeps: as many of their products
     /// as stay in registers.
     const SKINNY: (usize, usize);
+    /// The same 16 lanes as f64s, on the same target.
+    type Wide: Wide;
 
     /// `x` in every lane.
     fn splat(x: f32) -> Self;
@@ -206,6 +218,32 @@ pub(crate) trait V16: Copy {
     /// Each lane's bits rotated left by `R` (`0 < R < 32`).
     fn rotl<const R: i32>(self) -> Self;
 
+    /// The lanes' bits and `other`'s.
+    fn and(self, other: Self) -> Self;
+
+    /// `self · other` in every lane.
+    fn mul(self, other: Self) -> Self;
+
+    /// The square root of every lane.
+    fn sqrt(self) -> Self;
+
+    /// Each lane's bits read as an `i32`, rounded to the nearest f32.
+    fn i32_to_f32(self) -> Self;
+
+    /// The same 16 lanes as f64s (exact).
+    fn widen(self) -> Self::Wide;
+
+    /// Every lane of `wide` rounded to the nearest f32.
+    fn narrow(wide: Self::Wide) -> Self;
+
+    /// Every lane of `wide` truncated toward zero to an `i32`, as the
+    /// lane's bits: `i32::MIN` where that is NaN or out of range (x86's
+    /// "integer indefinite").
+    fn truncate(wide: Self::Wide) -> Self;
+
+    /// `table[b & 15]` in every lane, `b` the lane's bits as a `u32`.
+    fn select(self, table: &[f64; LANES]) -> Self::Wide;
+
     /// 16 2-bit codes: `lut[(word >> 2c) & 3]` in lane `c`.
     fn decode(lut: [f32; 4], word: u32) -> Self;
 
@@ -225,6 +263,28 @@ pub(crate) trait V16: Copy {
     unsafe fn scatter(self, _: &DisjointWriter, _: isize, _: &[i32; LANES], _: u16) {
         unreachable!("only impls with a native scatter scatter")
     }
+}
+
+/// A [`V16`]'s 16 lanes as f64s: its [`widen`](V16::widen),
+/// [`select`](V16::select) and [`narrow`](V16::narrow) move lanes in and
+/// out, for evaluations that round to f32 once at the end.
+pub(crate) trait Wide: Copy {
+    /// `x` in every lane.
+    fn splat(x: f64) -> Self;
+
+    /// `self + other` in every lane.
+    fn add(self, other: Self) -> Self;
+
+    /// `self · other` in every lane.
+    fn mul(self, other: Self) -> Self;
+
+    /// `self + w·x` in every lane: fused on the SIMD impls, a multiply
+    /// then an add on the portable one, as [`V16::fma`].
+    fn fma(self, w: Self, x: Self) -> Self;
+
+    /// The lanes, in order.
+    #[cfg(test)]
+    fn lanes(self) -> [f64; LANES];
 }
 
 /// Whether every lane `j` of `mask` addresses `at + offset(j)` inside a
@@ -384,6 +444,7 @@ impl V16 for Portable {
     const SCATTER: bool = false;
     const TILE_PANELS: usize = 1;
     const SKINNY: (usize, usize) = (4, 1);
+    type Wide = PortableWide;
 
     #[inline(always)]
     fn splat(x: f32) -> Self {
@@ -559,6 +620,80 @@ impl V16 for Portable {
     }
 
     #[inline(always)]
+    fn and(self, other: Self) -> Self {
+        let mut v = self.0;
+        for (v, o) in v.iter_mut().zip(other.0) {
+            *v = f32::from_bits(v.to_bits() & o.to_bits());
+        }
+        Portable(v)
+    }
+
+    #[inline(always)]
+    fn mul(self, other: Self) -> Self {
+        let mut v = self.0;
+        for (v, o) in v.iter_mut().zip(other.0) {
+            *v *= o;
+        }
+        Portable(v)
+    }
+
+    #[inline(always)]
+    fn sqrt(self) -> Self {
+        let mut v = self.0;
+        for v in &mut v {
+            *v = v.sqrt();
+        }
+        Portable(v)
+    }
+
+    #[inline(always)]
+    fn i32_to_f32(self) -> Self {
+        let mut v = self.0;
+        for v in &mut v {
+            *v = v.to_bits() as i32 as f32;
+        }
+        Portable(v)
+    }
+
+    #[inline(always)]
+    fn widen(self) -> PortableWide {
+        let mut w = [0.0; LANES];
+        for (w, v) in w.iter_mut().zip(self.0) {
+            *w = f64::from(v);
+        }
+        PortableWide(w)
+    }
+
+    #[inline(always)]
+    fn narrow(wide: PortableWide) -> Self {
+        let mut v = [0.0; LANES];
+        for (v, w) in v.iter_mut().zip(wide.0) {
+            *v = w as f32;
+        }
+        Portable(v)
+    }
+
+    /// `as i32` saturates, so the range is checked first.
+    #[inline(always)]
+    fn truncate(wide: PortableWide) -> Self {
+        let mut v = [0.0; LANES];
+        for (v, w) in v.iter_mut().zip(wide.0) {
+            let inside = w > -2_147_483_649.0 && w < 2_147_483_648.0;
+            *v = f32::from_bits(if inside { w as i32 } else { i32::MIN } as u32);
+        }
+        Portable(v)
+    }
+
+    #[inline(always)]
+    fn select(self, table: &[f64; LANES]) -> PortableWide {
+        let mut w = [0.0; LANES];
+        for (w, v) in w.iter_mut().zip(self.0) {
+            *w = table[(v.to_bits() & 15) as usize];
+        }
+        PortableWide(w)
+    }
+
+    #[inline(always)]
     fn decode(lut: [f32; 4], word: u32) -> Self {
         let mut v = [0.0; LANES];
         for (c, v) in v.iter_mut().enumerate() {
@@ -573,6 +708,49 @@ impl V16 for Portable {
             Ok(all) => *all = self.0,
             Err(_) => dst.copy_from_slice(&self.0[..dst.len()]),
         }
+    }
+}
+
+/// The portable impl's wide lanes: lane loops over a `[f64; 16]`.
+#[derive(Clone, Copy)]
+struct PortableWide([f64; LANES]);
+
+impl Wide for PortableWide {
+    #[inline(always)]
+    fn splat(x: f64) -> Self {
+        PortableWide([x; LANES])
+    }
+
+    #[inline(always)]
+    fn add(self, other: Self) -> Self {
+        let mut w = self.0;
+        for (w, o) in w.iter_mut().zip(other.0) {
+            *w += o;
+        }
+        PortableWide(w)
+    }
+
+    #[inline(always)]
+    fn mul(self, other: Self) -> Self {
+        let mut w = self.0;
+        for (w, o) in w.iter_mut().zip(other.0) {
+            *w *= o;
+        }
+        PortableWide(w)
+    }
+
+    #[inline(always)]
+    fn fma(self, w: Self, x: Self) -> Self {
+        let mut v = self.0;
+        for (j, v) in v.iter_mut().enumerate() {
+            *v += w.0[j] * x.0[j];
+        }
+        PortableWide(v)
+    }
+
+    #[cfg(test)]
+    fn lanes(self) -> [f64; LANES] {
+        self.0
     }
 }
 
@@ -674,6 +852,7 @@ impl V16 for Avx2 {
     const TILE_PANELS: usize = 1;
     /// 4 × 2 YMM accumulators: 8 columns would spill.
     const SKINNY: (usize, usize) = (4, 1);
+    type Wide = Avx2Wide;
 
     #[inline(always)]
     fn splat(x: f32) -> Self {
@@ -818,6 +997,102 @@ impl V16 for Avx2 {
         Avx2(v)
     }
 
+    #[inline(always)]
+    fn and(self, other: Self) -> Self {
+        let mut v = self.0;
+        for (v, o) in v.iter_mut().zip(other.0) {
+            *v = unsafe { arch::_mm256_and_ps(*v, o) };
+        }
+        Avx2(v)
+    }
+
+    #[inline(always)]
+    fn mul(self, other: Self) -> Self {
+        let mut v = self.0;
+        for (v, o) in v.iter_mut().zip(other.0) {
+            *v = unsafe { arch::_mm256_mul_ps(*v, o) };
+        }
+        Avx2(v)
+    }
+
+    #[inline(always)]
+    fn sqrt(self) -> Self {
+        let mut v = self.0;
+        for v in &mut v {
+            *v = unsafe { arch::_mm256_sqrt_ps(*v) };
+        }
+        Avx2(v)
+    }
+
+    #[inline(always)]
+    fn i32_to_f32(self) -> Self {
+        let mut v = self.0;
+        for v in &mut v {
+            *v = unsafe { arch::_mm256_cvtepi32_ps(arch::_mm256_castps_si256(*v)) };
+        }
+        Avx2(v)
+    }
+
+    /// Quarter `q` of the wide lanes is half `q / 2`'s 128-bit half `q % 2`.
+    #[inline(always)]
+    fn widen(self) -> Avx2Wide {
+        use arch::*;
+        let [lo, hi] = self.0;
+        unsafe {
+            Avx2Wide([
+                _mm256_cvtps_pd(_mm256_castps256_ps128(lo)),
+                _mm256_cvtps_pd(_mm256_extractf128_ps::<1>(lo)),
+                _mm256_cvtps_pd(_mm256_castps256_ps128(hi)),
+                _mm256_cvtps_pd(_mm256_extractf128_ps::<1>(hi)),
+            ])
+        }
+    }
+
+    #[inline(always)]
+    fn narrow(wide: Avx2Wide) -> Self {
+        use arch::*;
+        let [a, b, c, d] = wide.0;
+        unsafe {
+            let (lo, hi) = (_mm256_cvtpd_ps(a), _mm256_cvtpd_ps(c));
+            Avx2([
+                _mm256_insertf128_ps::<1>(_mm256_castps128_ps256(lo), _mm256_cvtpd_ps(b)),
+                _mm256_insertf128_ps::<1>(_mm256_castps128_ps256(hi), _mm256_cvtpd_ps(d)),
+            ])
+        }
+    }
+
+    #[inline(always)]
+    fn truncate(wide: Avx2Wide) -> Self {
+        use arch::*;
+        let [a, b, c, d] = wide.0;
+        unsafe {
+            let (lo, hi) = (_mm256_cvttpd_epi32(a), _mm256_cvttpd_epi32(c));
+            let lo =
+                _mm256_inserti128_si256::<1>(_mm256_castsi128_si256(lo), _mm256_cvttpd_epi32(b));
+            let hi =
+                _mm256_inserti128_si256::<1>(_mm256_castsi128_si256(hi), _mm256_cvttpd_epi32(d));
+            Avx2([_mm256_castsi256_ps(lo), _mm256_castsi256_ps(hi)])
+        }
+    }
+
+    /// Four 4-lane gathers from the table (AVX2 has no two-source
+    /// permute of f64s).
+    #[inline(always)]
+    fn select(self, table: &[f64; LANES]) -> Avx2Wide {
+        use arch::*;
+        let mut w = Avx2Wide::splat(0.0).0;
+        for (h, half) in self.0.into_iter().enumerate() {
+            // SAFETY: every index is masked to 0..16, inside `table`.
+            unsafe {
+                let idx = _mm256_and_si256(_mm256_castps_si256(half), _mm256_set1_epi32(15));
+                let p = table.as_ptr();
+                w[2 * h] = _mm256_i32gather_pd::<8>(p, _mm256_castsi256_si128(idx));
+                w[2 * h + 1] = _mm256_i32gather_pd::<8>(p, _mm256_extracti128_si256::<1>(idx));
+            }
+        }
+        Avx2Wide(w)
+    }
+
     /// Per half: a variable shift brings code `c` to lane `c`'s low bits
     /// and a `vpermps` reads the table repeated twice (it reads an
     /// index's low three bits, so the next code's low bit needs no mask).
@@ -854,6 +1129,57 @@ impl V16 for Avx2 {
                 _mm256_maskstore_ps(p.wrapping_add(8), half_mask(live, 1), self.0[1]);
             }
         }
+    }
+}
+
+/// The AVX2 impl's wide lanes: four 4-lane quarters.
+#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+#[derive(Clone, Copy)]
+struct Avx2Wide([arch::__m256d; 4]);
+
+// SAFETY (every `unsafe` block of this impl): as `Avx2`'s; only the
+// test-only `lanes` touches memory, four floats of its array per quarter.
+#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+impl Wide for Avx2Wide {
+    #[inline(always)]
+    fn splat(x: f64) -> Self {
+        unsafe { Avx2Wide([arch::_mm256_set1_pd(x); 4]) }
+    }
+
+    #[inline(always)]
+    fn add(self, other: Self) -> Self {
+        let mut w = self.0;
+        for (w, o) in w.iter_mut().zip(other.0) {
+            *w = unsafe { arch::_mm256_add_pd(*w, o) };
+        }
+        Avx2Wide(w)
+    }
+
+    #[inline(always)]
+    fn mul(self, other: Self) -> Self {
+        let mut w = self.0;
+        for (w, o) in w.iter_mut().zip(other.0) {
+            *w = unsafe { arch::_mm256_mul_pd(*w, o) };
+        }
+        Avx2Wide(w)
+    }
+
+    #[inline(always)]
+    fn fma(self, w: Self, x: Self) -> Self {
+        let mut v = self.0;
+        for (q, v) in v.iter_mut().enumerate() {
+            *v = unsafe { arch::_mm256_fmadd_pd(w.0[q], x.0[q], *v) };
+        }
+        Avx2Wide(v)
+    }
+
+    #[cfg(test)]
+    fn lanes(self) -> [f64; LANES] {
+        let mut lanes = [0.0; LANES];
+        for (q, w) in self.0.into_iter().enumerate() {
+            unsafe { arch::_mm256_storeu_pd(lanes[4 * q..][..4].as_mut_ptr(), w) };
+        }
+        lanes
     }
 }
 
@@ -894,6 +1220,7 @@ impl V16 for Avx512 {
     const TILE_PANELS: usize = 2;
     /// 8 × 2 ZMM accumulators: four A panels' rows per B broadcast.
     const SKINNY: (usize, usize) = (8, 2);
+    type Wide = Avx512Wide;
 
     #[inline(always)]
     fn splat(x: f32) -> Self {
@@ -1071,6 +1398,86 @@ impl V16 for Avx512 {
         }
     }
 
+    #[inline(always)]
+    fn and(self, other: Self) -> Self {
+        use arch::*;
+        unsafe {
+            let x = _mm512_and_si512(_mm512_castps_si512(self.0), _mm512_castps_si512(other.0));
+            Avx512(_mm512_castsi512_ps(x))
+        }
+    }
+
+    #[inline(always)]
+    fn mul(self, other: Self) -> Self {
+        unsafe { Avx512(arch::_mm512_mul_ps(self.0, other.0)) }
+    }
+
+    #[inline(always)]
+    fn sqrt(self) -> Self {
+        unsafe { Avx512(arch::_mm512_sqrt_ps(self.0)) }
+    }
+
+    #[inline(always)]
+    fn i32_to_f32(self) -> Self {
+        use arch::*;
+        unsafe { Avx512(_mm512_cvtepi32_ps(_mm512_castps_si512(self.0))) }
+    }
+
+    #[inline(always)]
+    fn widen(self) -> Avx512Wide {
+        use arch::*;
+        unsafe {
+            let hi = _mm512_extractf64x4_pd::<1>(_mm512_castps_pd(self.0));
+            Avx512Wide([
+                _mm512_cvtps_pd(_mm512_castps512_ps256(self.0)),
+                _mm512_cvtps_pd(_mm256_castpd_ps(hi)),
+            ])
+        }
+    }
+
+    #[inline(always)]
+    fn narrow(wide: Avx512Wide) -> Self {
+        use arch::*;
+        let [lo, hi] = wide.0;
+        unsafe {
+            let lo = _mm512_castps_pd(_mm512_castps256_ps512(_mm512_cvtpd_ps(lo)));
+            let hi = _mm256_castps_pd(_mm512_cvtpd_ps(hi));
+            Avx512(_mm512_castpd_ps(_mm512_insertf64x4::<1>(lo, hi)))
+        }
+    }
+
+    #[inline(always)]
+    fn truncate(wide: Avx512Wide) -> Self {
+        use arch::*;
+        let [lo, hi] = wide.0;
+        unsafe {
+            let lo = _mm512_castsi256_si512(_mm512_cvttpd_epi32(lo));
+            let x = _mm512_inserti64x4::<1>(lo, _mm512_cvttpd_epi32(hi));
+            Avx512(_mm512_castsi512_ps(x))
+        }
+    }
+
+    /// Two two-source permutes of the table's two halves per eight
+    /// lanes (they read an index's low four bits).
+    #[inline(always)]
+    fn select(self, table: &[f64; LANES]) -> Avx512Wide {
+        use arch::*;
+        unsafe {
+            // The table's 16 values, as two 8-lane halves.
+            let (t0, t1) = (
+                _mm512_loadu_pd(table.as_ptr()),
+                _mm512_loadu_pd(table[8..].as_ptr()),
+            );
+            let idx = _mm512_castps_si512(self.0);
+            let lo = _mm512_cvtepu32_epi64(_mm512_castsi512_si256(idx));
+            let hi = _mm512_cvtepu32_epi64(_mm512_extracti64x4_epi64::<1>(idx));
+            Avx512Wide([
+                _mm512_permutex2var_pd(t0, lo, t1),
+                _mm512_permutex2var_pd(t0, hi, t1),
+            ])
+        }
+    }
+
     /// A variable shift brings code `c` to lane `c`'s low bits and a
     /// `vpermps` reads the table repeated four times (it reads an index's
     /// low four bits, so the next code in bits 2–3 needs no mask).
@@ -1109,6 +1516,57 @@ impl V16 for Avx512 {
     }
 }
 
+/// The AVX-512 impl's wide lanes: two 8-lane halves.
+#[cfg(target_arch = "x86_64")]
+#[derive(Clone, Copy)]
+struct Avx512Wide([arch::__m512d; 2]);
+
+// SAFETY (every `unsafe` block of this impl): as `Avx512`'s; only the
+// test-only `lanes` touches memory, eight floats of its array per half.
+#[cfg(target_arch = "x86_64")]
+impl Wide for Avx512Wide {
+    #[inline(always)]
+    fn splat(x: f64) -> Self {
+        unsafe { Avx512Wide([arch::_mm512_set1_pd(x); 2]) }
+    }
+
+    #[inline(always)]
+    fn add(self, other: Self) -> Self {
+        let mut w = self.0;
+        for (w, o) in w.iter_mut().zip(other.0) {
+            *w = unsafe { arch::_mm512_add_pd(*w, o) };
+        }
+        Avx512Wide(w)
+    }
+
+    #[inline(always)]
+    fn mul(self, other: Self) -> Self {
+        let mut w = self.0;
+        for (w, o) in w.iter_mut().zip(other.0) {
+            *w = unsafe { arch::_mm512_mul_pd(*w, o) };
+        }
+        Avx512Wide(w)
+    }
+
+    #[inline(always)]
+    fn fma(self, w: Self, x: Self) -> Self {
+        let mut v = self.0;
+        for (h, v) in v.iter_mut().enumerate() {
+            *v = unsafe { arch::_mm512_fmadd_pd(w.0[h], x.0[h], *v) };
+        }
+        Avx512Wide(v)
+    }
+
+    #[cfg(test)]
+    fn lanes(self) -> [f64; LANES] {
+        let mut lanes = [0.0; LANES];
+        for (h, w) in self.0.into_iter().enumerate() {
+            unsafe { arch::_mm512_storeu_pd(lanes[8 * h..][..8].as_mut_ptr(), w) };
+        }
+        lanes
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1131,20 +1589,45 @@ mod tests {
         }
 
         /// Any bit pattern, with NaN payloads (quiet and signalling),
-        /// ±Inf and −0.0 drawn often.
+        /// subnormals, ±Inf and −0.0 drawn often.
         fn value(&mut self) -> f32 {
             let bits = self.next() as u32;
-            match self.range(0, 10) {
+            match self.range(0, 11) {
                 0..=3 => f32::from_bits(bits),
                 4..=7 => (bits >> 8) as f32 / (1u32 << 22) as f32 - 2.0,
                 8 => f32::from_bits(0x7fc0_0000 | bits >> 9),
                 9 => f32::from_bits(0xff80_0000 | (bits >> 10).max(1)),
+                10 => f32::from_bits(bits & 0x807f_ffff),
                 _ => [f32::INFINITY, f32::NEG_INFINITY, -0.0, 0.0][bits as usize % 4],
             }
         }
 
         fn lanes(&mut self) -> [f32; LANES] {
             std::array::from_fn(|_| self.value())
+        }
+
+        /// Any f64 bit pattern, with values inside and just outside the
+        /// `i32` range, halves, f32-subnormal and f64-subnormal
+        /// magnitudes, NaN payloads, ±Inf and ±0.0 drawn often.
+        fn wide(&mut self) -> f64 {
+            let bits = self.next();
+            let unit = (bits >> 11) as f64 / (1u64 << 53) as f64;
+            match self.range(0, 11) {
+                0..=2 => f64::from_bits(bits),
+                3 => (unit - 0.5) * 4.4e9,
+                4 => (self.range(-200, 200) as f64) / 2.0,
+                5 => (unit - 0.5) * 1e-38,
+                6 => f64::from_bits(bits >> 12) * if bits & 1 == 0 { 1.0 } else { -1.0 },
+                7 => [
+                    2_147_483_647.5,
+                    -2_147_483_648.5,
+                    2_147_483_648.0,
+                    -2_147_483_649.0,
+                ][bits as usize % 4],
+                8 => f64::from_bits(0x7ff0_0000_0000_0000 | (bits >> 12).max(1)),
+                9 => (unit - 0.5) * 20.0,
+                _ => [f64::INFINITY, f64::NEG_INFINITY, -0.0, 0.0][bits as usize % 4],
+            }
         }
     }
 
@@ -1170,6 +1653,8 @@ mod tests {
         pair_mask: u8,
         /// A word of 2-bit codes: every code in order, or any bits.
         word: u32,
+        /// A table the wide ops' operands are selected from.
+        table: [f64; LANES],
     }
 
     impl Case {
@@ -1203,6 +1688,7 @@ mod tests {
                 pair_at: g.range(0, 200) as usize,
                 pair_mask: [0xff, 0x3f, g.next() as u8][g.range(0, 2) as usize],
                 word: [0xe4e4_e4e4, g.next() as u32][g.range(0, 1) as usize],
+                table: std::array::from_fn(|_| g.wide()),
             }
         }
 
@@ -1243,6 +1729,19 @@ mod tests {
         /// Rotations by each of [`ROTATIONS`], one after another.
         rotl: Vec<u32>,
         decode: Vec<u32>,
+        and: Vec<u32>,
+        mul: Vec<u32>,
+        sqrt: Vec<u32>,
+        i32_to_f32: Vec<u32>,
+        widen: Vec<u64>,
+        /// `select` on `acc`'s, `w`'s and `x`'s bits, one after another:
+        /// the wide ops' operands.
+        select: Vec<u64>,
+        narrow: Vec<u32>,
+        truncate: Vec<u32>,
+        wide_add: Vec<u64>,
+        wide_mul: Vec<u64>,
+        wide_fma: Vec<u64>,
         store: Vec<u32>,
         /// `None` on the impls without a native scatter.
         scatter: Option<Vec<u32>>,
@@ -1265,6 +1764,7 @@ mod tests {
                 v.store(&mut lanes);
                 lanes.map(f32::to_bits).to_vec()
             };
+            let wide_bits = |w: V::Wide| w.lanes().map(f64::to_bits).to_vec();
             let len = c.src.len();
             // SAFETY: every read below starts where the slice has room
             // for 16 floats, or enables only the lanes `inside` finds in
@@ -1286,6 +1786,7 @@ mod tests {
                 }
             }
             let (acc, w, x) = unsafe { (V::load(&c.acc, 0), V::load(&c.w, 0), V::load(&c.x, 0)) };
+            let (wa, wb, wx) = (acc.select(&c.table), w.select(&c.table), x.select(&c.table));
             let mut store = vec![UNTOUCHED; LANES + 4];
             acc.store(&mut store[2..2 + c.store_len]);
             // Only the impls with a native scatter scatter. A scatter's
@@ -1329,6 +1830,17 @@ mod tests {
                 ]
                 .concat(),
                 decode: bits(V::decode([c.w[0], c.w[1], c.w[2], c.w[3]], c.word)),
+                and: bits(acc.and(w)),
+                mul: bits(acc.mul(w)),
+                sqrt: bits(acc.sqrt()),
+                i32_to_f32: bits(acc.i32_to_f32()),
+                widen: wide_bits(acc.widen()),
+                select: [wa, wb, wx].map(wide_bits).concat(),
+                narrow: bits(V::narrow(wa)),
+                truncate: bits(V::truncate(wa)),
+                wide_add: wide_bits(wa.add(wb)),
+                wide_mul: wide_bits(wa.mul(wb)),
+                wide_fma: wide_bits(wa.fma(wb, wx)),
                 store: store.into_iter().map(f32::to_bits).collect(),
                 scatter: V::SCATTER.then(|| scattered.iter().map(|x| x.to_bits()).collect()),
             }
@@ -1344,15 +1856,25 @@ mod tests {
             .collect()
     }
 
+    /// [`any_nan`] on f64 bits.
+    fn any_nan64(bits: &[u64]) -> Vec<u64> {
+        let nan = f64::NAN.to_bits();
+        bits.iter()
+            .map(|&b| if f64::from_bits(b).is_nan() { nan } else { b })
+            .collect()
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(2048))]
 
         /// Every op on every impl this host runs gives the portable
         /// impl's bits but `fma`, which the SIMD impls fuse (they give
-        /// `f32::mul_add`'s bits, the portable impl's within 1e-4) — over
-        /// random masks, offsets within ±64 and past
-        /// `PERMUTE_REACH`, runs of stride 1 and 2, slices whose ends cut
-        /// through the window, and NaN payloads, ±Inf and −0.0 — and the
+        /// `f32::mul_add`'s bits, the portable impl's within 1e-4), and
+        /// the wide `fma` (`f64::mul_add`'s bits) — over random masks,
+        /// offsets within ±64 and past `PERMUTE_REACH`, runs of stride 1
+        /// and 2, slices whose ends cut through the window, NaN payloads,
+        /// ±Inf, ±0.0, subnormals of both widths and wide values at the
+        /// edges of the `i32` range — and the
         /// portable impl gives each op's definition, as do the shared
         /// `store_rows` and every native scatter. Masked-off lanes read
         /// 0.0 where the op promises it, and no store or scatter touches
@@ -1392,6 +1914,22 @@ mod tests {
                 prop_assert_eq!(want.load_pair[j], pair);
                 prop_assert_eq!(want.relu[j], c.acc[j].max(0.0).to_bits());
                 let (a, w) = (c.acc[j].to_bits(), c.w[j].to_bits());
+                prop_assert_eq!(want.and[j], a & w);
+                prop_assert_eq!(any_nan(&want.mul[j..=j]), any_nan(&[(c.acc[j] * c.w[j]).to_bits()]));
+                prop_assert_eq!(any_nan(&want.sqrt[j..=j]), any_nan(&[c.acc[j].sqrt().to_bits()]));
+                prop_assert_eq!(want.i32_to_f32[j], (a as i32 as f32).to_bits());
+                prop_assert_eq!(any_nan64(&want.widen[j..=j]), any_nan64(&[f64::from(c.acc[j]).to_bits()]));
+                let [wa, wb, wx] = [a, w, c.x[j].to_bits()].map(|b| c.table[b as usize & 15]);
+                for (i, v) in [wa, wb, wx].into_iter().enumerate() {
+                    prop_assert_eq!(want.select[i * LANES + j], v.to_bits());
+                }
+                prop_assert_eq!(any_nan(&want.narrow[j..=j]), any_nan(&[(wa as f32).to_bits()]));
+                let inside = (-2_147_483_649.0..2_147_483_648.0).contains(&wa) && wa != -2_147_483_649.0;
+                let truncated = if inside { wa.trunc() as i32 } else { i32::MIN };
+                prop_assert_eq!(want.truncate[j], truncated as u32);
+                prop_assert_eq!(any_nan64(&want.wide_add[j..=j]), any_nan64(&[(wa + wb).to_bits()]));
+                prop_assert_eq!(any_nan64(&want.wide_mul[j..=j]), any_nan64(&[(wa * wb).to_bits()]));
+                prop_assert_eq!(any_nan64(&want.wide_fma[j..=j]), any_nan64(&[(wa + wb * wx).to_bits()]));
                 prop_assert_eq!(want.add_u32[j], a.wrapping_add(w));
                 prop_assert_eq!(want.xor[j], a ^ w);
                 for (r, &rotation) in ROTATIONS.iter().enumerate() {
@@ -1446,6 +1984,22 @@ mod tests {
                 prop_assert_eq!(&got.add_u32, &want.add_u32, "{:?} add_u32", kernel);
                 prop_assert_eq!(&got.xor, &want.xor, "{:?} xor", kernel);
                 prop_assert_eq!(&got.rotl, &want.rotl, "{:?} rotl", kernel);
+                prop_assert_eq!(&got.and, &want.and, "{:?} and", kernel);
+                prop_assert_eq!(any_nan(&got.mul), any_nan(&want.mul), "{:?} mul", kernel);
+                prop_assert_eq!(any_nan(&got.sqrt), any_nan(&want.sqrt), "{:?} sqrt", kernel);
+                prop_assert_eq!(&got.i32_to_f32, &want.i32_to_f32, "{:?} i32_to_f32", kernel);
+                prop_assert_eq!(any_nan64(&got.widen), any_nan64(&want.widen), "{:?} widen", kernel);
+                prop_assert_eq!(&got.select, &want.select, "{:?} select", kernel);
+                prop_assert_eq!(any_nan(&got.narrow), any_nan(&want.narrow), "{:?} narrow", kernel);
+                prop_assert_eq!(&got.truncate, &want.truncate, "{:?} truncate", kernel);
+                prop_assert_eq!(any_nan64(&got.wide_add), any_nan64(&want.wide_add), "{:?} wide add", kernel);
+                prop_assert_eq!(any_nan64(&got.wide_mul), any_nan64(&want.wide_mul), "{:?} wide mul", kernel);
+                // The SIMD impls fuse: `f64::mul_add`'s one rounding.
+                let operand = |i: usize, j: usize| f64::from_bits(want.select[i * LANES + j]);
+                let fused: Vec<u64> = (0..LANES)
+                    .map(|j| operand(1, j).mul_add(operand(2, j), operand(0, j)).to_bits())
+                    .collect();
+                prop_assert_eq!(any_nan64(&got.wide_fma), any_nan64(&fused), "{:?} wide fma", kernel);
                 prop_assert_eq!(&got.store, &want.store, "{:?} store", kernel);
                 if let Some(got) = &got.scatter {
                     prop_assert_eq!(got, &scatter, "{:?} scatter", kernel);

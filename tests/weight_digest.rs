@@ -1,9 +1,14 @@
 //! Every weight the model builders draw is pinned: a digest of every
 //! parameter of VGG-16, MobileNet and ResNet-18 at full width, and of the
 //! ternary-quantised VGG-16 the served workload materialises, against
-//! constants recorded before the initialisers were vectorised. The
-//! end-to-end correctness check cannot see an initialisation drift (its
-//! reference is built by the same `initialise`); this test fails on one.
+//! constants recorded before the initialisers were vectorised: the
+//! keystream at 16 blocks per pass, then the Box–Muller `ln` and `cos` as
+//! glibc's evaluations over the vector lanes, left every bit as it was.
+//! The initialiser calls no libm function, so the digests hold on any
+//! host whatever its libm, on the dispatched instantiation and under
+//! `CNN_STACK_GEMM_FORCE_SCALAR=1` alike. The end-to-end correctness
+//! check cannot see an initialisation drift (its reference is built by
+//! the same `initialise`); this test fails on one.
 
 use cnn_stack::models::ModelKind;
 use cnn_stack::nn::{Network, WeightFormat};

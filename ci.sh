@@ -88,8 +88,9 @@ echo "== tests =="
 # * resident-memory (tests/resident_memory.rs, its own binary: its
 #   counting allocator tracks the process's live bytes): a started
 #   width-0.5 TTQ VGG-16 server holds its 2-bit codes, masks, biases and
-#   arenas plus at most 1 MiB, and no dense master; a rung compiled on a
-#   replica of a prepared network allocates no master-sized buffer.
+#   one arena at max_batch plus at most 1 MiB, and no dense master; a
+#   plan compiled on a replica of a prepared network allocates no
+#   master-sized buffer.
 # * weight-digest (tests/weight_digest.rs): a digest of every parameter
 #   of full-width VGG-16, MobileNet and ResNet-18 and of the TTQ VGG-16
 #   against pinned constants, so any drift in the initialisers' values
@@ -155,9 +156,9 @@ echo "== fault-injection tests =="
 # tests (serve_supervision: worker-panic -> typed failures + respawn,
 # hung-batch watchdog failover, crash-loop backoff caps, breaker trip ->
 # degraded -> half-open recovery). The serve crate's run carries the
-# one-model-per-server proofs: every rung before and after each respawn
-# reads the frozen templates' buffers while an injected weight fault
-# stays in its rung.
+# one-model-per-server proofs: every worker session before and after
+# each respawn reads the frozen template's buffers while an injected
+# weight fault stays in its session.
 cargo test -q --features fault-inject
 cargo test -q -p cnn-stack-nn --features fault-inject
 cargo test -q -p cnn-stack-serve --features fault-inject
@@ -301,6 +302,14 @@ fi
 # kind it compiled stay deleted.
 if grep -rnE 'ForceThroughput|PlanCompiler::degraded|LadderKind|force-throughput' crates src tests examples; then
   echo "ci: a second (degraded) plan or ladder is back" >&2
+  exit 1
+fi
+
+# One session per serve worker, compiled at max_batch and run at the
+# batch that arrived: the per-batch-size session ladder, its templates,
+# its size rule and its per-rung test helpers stay deleted.
+if grep -rnE 'SessionLadder|LadderTemplate|RungTemplate|ladder_sizes|two_rung_cfg|inject_rung_faults' crates src tests examples; then
+  echo "ci: the serve session ladder is back" >&2
   exit 1
 fi
 

@@ -14,13 +14,14 @@
 //!    offered to a breaker-less server and to one with the brownout
 //!    circuit breaker. With the breaker, sustained misses switch the
 //!    workers' guard level from Paranoid to off — same sessions, same
-//!    plans, no second ladder — which carries more of the offered load;
+//!    plans, no second session — which carries more of the offered load;
 //!    the deadline-miss rates at equal offered load are the comparison.
 //! 3. **Recovery** — one worker crash on an otherwise idle server: the
 //!    time from the crashed batch's typed failure to the first request
 //!    served by the respawned worker. A respawn stamps replicas of the
 //!    compiled model (no build, no compile, no pack), so this is the
-//!    respawn backoff, the ladder's pre-warm runs, and one batch window.
+//!    respawn backoff, the session's two pre-warm runs, and one batch
+//!    window.
 //!
 //! Run modes (both need `--features fault-inject`):
 //!   cargo bench -p cnn-stack-bench --bench chaos --features fault-inject

@@ -19,8 +19,8 @@
 //! Every policy row also records what its server cost to bring up:
 //! `start_s` (`Server::start`, model build included) and
 //! `resident_mb_after_start` (the process's resident set once it is up:
-//! one model, its prepack and one arena per ladder rung, on top of what
-//! the harness itself holds).
+//! one model, its prepack and one arena per worker, on top of what the
+//! harness itself holds).
 //!
 //! Run modes:
 //!   cargo bench -p cnn-stack-bench --bench serve        # full, VGG-16

@@ -513,6 +513,27 @@ mod tests {
                     scratch.len(),
                     "{row:?} on {shape:?}"
                 );
+                // A session runs smaller batches in the slots laid out
+                // for its full one, so the bound never falls as the
+                // batch grows, at any thread count.
+                for threads in [1, 2, 4] {
+                    let cfg = ExecConfig { threads, ..cfg };
+                    let at = |batch: usize| {
+                        let mut dims = dims.to_vec();
+                        dims[0] = batch;
+                        layer.forward_scratch_elems(&dims, &cfg)
+                    };
+                    for batch in 1..8 {
+                        assert!(
+                            at(batch) <= at(batch + 1),
+                            "{row:?} on {shape:?}, {threads} threads: batch {batch} needs {}, \
+                             batch {} needs {}",
+                            at(batch),
+                            batch + 1,
+                            at(batch + 1)
+                        );
+                    }
+                }
             }
         }
     }

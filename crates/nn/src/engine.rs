@@ -16,7 +16,10 @@
 //! engine-vs-forward tests hold bit-identical. The arena is laid out by
 //! the liveness colouring in [`crate::liveness`]: each step's output
 //! and workspace get offsets such that buffers with overlapping live
-//! intervals never share bytes while everything else does.
+//! intervals never share bytes while everything else does. A session
+//! runs any batch from one image up to the plan's: each step runs at the
+//! batch that arrived, inside the arena laid out for the full one, and
+//! each image gets the bits a full-batch run gives it.
 //!
 //! When the configuration asks for more than one thread and the plan
 //! carries no memory budget, the session switches to data-parallel
@@ -344,7 +347,7 @@ struct ChunkStep {
 
 #[derive(Debug)]
 struct ChunkArena {
-    /// Images in this chunk.
+    /// Images in this chunk's share of the batch (0: idle).
     len: usize,
     steps: Vec<ChunkStep>,
     /// The chunk's single arena: every intermediate activation and
@@ -413,6 +416,12 @@ fn step_extent(
     }
 }
 
+/// Images chunk `c` of `count` carries in a run of `batch`: an even
+/// split, the remainder going one each to the first chunks.
+fn chunk_share(batch: usize, count: usize, c: usize) -> usize {
+    batch / count + usize::from(c < batch % count)
+}
+
 /// Sizes per-chunk arenas for the current execution state (`exec` holds
 /// each step's effective, possibly demoted, configuration): one chunk
 /// unless the configuration asks for batch parallelism. A plan that
@@ -425,11 +434,9 @@ fn build_chunks(net: &Network, plan: &InferencePlan, exec: &[ExecConfig]) -> Vec
     } else {
         1
     };
-    let base = n / chunk_count;
-    let extra = n % chunk_count;
     let mut chunks = Vec::with_capacity(chunk_count);
     for c in 0..chunk_count {
-        let m = base + usize::from(c < extra);
+        let m = chunk_share(n, chunk_count, c);
         let mut steps = Vec::with_capacity(plan.steps().len());
         let mut extents = Vec::with_capacity(plan.steps().len());
         for (ps, &step_cfg) in plan.steps().iter().zip(exec) {
@@ -567,6 +574,8 @@ pub struct InferenceSession<'n> {
     /// with every demotion so far applied.
     exec: Vec<ExecConfig>,
     chunks: Vec<ChunkArena>,
+    /// Images the chunks' steps are shaped for.
+    batch: usize,
     profile: SessionProfile,
     guard: GuardConfig,
     /// Total `run_into` calls, successful or not — the run index faults
@@ -635,6 +644,7 @@ impl<'n> InferenceSession<'n> {
         }
         let exec: Vec<ExecConfig> = plan.steps.iter().map(|s| s.cfg).collect();
         let chunks = build_chunks(&net, &plan, &exec);
+        let batch = plan.input_shape[0];
         let profile = SessionProfile::new(&plan.steps);
         let obs = Observer::for_level(plan.cfg().observer).map(|observer| ObsWiring {
             run_name: observer.intern("run"),
@@ -646,6 +656,7 @@ impl<'n> InferenceSession<'n> {
             plan,
             exec,
             chunks,
+            batch,
             profile,
             guard,
             invocations: 0,
@@ -796,41 +807,60 @@ impl<'n> InferenceSession<'n> {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::ShapeMismatch`] if `input` does not match the
-    /// plan's compiled input shape, plus the failure modes of
-    /// [`run_into`](Self::run_into).
+    /// The failure modes of [`run_into`](Self::run_into).
     pub fn run(&mut self, input: &Tensor) -> Result<Tensor, Error> {
-        let mut out = Tensor::zeros(self.plan.output_shape.clone());
+        let mut shape = self.plan.output_shape.clone();
+        shape[0] = self.batch_of(input)?;
+        let mut out = Tensor::zeros(shape);
         self.run_into(input, &mut out)?;
         Ok(out)
     }
 
+    /// The batch of `input`: between 1 and the plan's batch, with the
+    /// plan's per-image shape.
+    fn batch_of(&self, input: &Tensor) -> Result<usize, Error> {
+        match input.shape().dims().split_first() {
+            Some((&b, image))
+                if (1..=self.plan.input_shape[0]).contains(&b)
+                    && image == &self.plan.input_shape[1..] =>
+            {
+                Ok(b)
+            }
+            _ => Err(Error::ShapeMismatch {
+                expected: self.plan.input_shape.clone(),
+                actual: input.shape().dims().to_vec(),
+            }),
+        }
+    }
+
     /// Runs one inference into a caller-provided output tensor with zero
-    /// heap allocation on the single-chunk hot path.
+    /// heap allocation on the single-chunk hot path. `input` holds any
+    /// batch from one image to the plan's, and `out` as many rows; each
+    /// image gets the bits a full-batch run gives it.
     ///
     /// Kernel panics are contained; guard trips and panics in steps with
     /// a safer algorithm demote the step and re-run (bounded attempts).
     ///
     /// # Errors
     ///
-    /// * [`Error::ShapeMismatch`] — `input` or `out` does not match the
-    ///   plan's compiled input/output shape.
+    /// * [`Error::ShapeMismatch`] — `input` is not 1 to the plan's batch
+    ///   of its images, or `out` not as many of its output rows.
     /// * [`Error::GuardTripped`] — a guard tripped and no demotion lever
     ///   applied (or attempts ran out).
     /// * [`Error::KernelPanicked`] — a kernel panicked (contained) and
     ///   no demotion lever applied.
     pub fn run_into(&mut self, input: &Tensor, out: &mut Tensor) -> Result<(), Error> {
-        if input.shape().dims() != self.plan.input_shape {
+        let b = self.batch_of(input)?;
+        if out.shape().dims().split_first() != Some((&b, &self.plan.output_shape[1..])) {
+            let mut expected = self.plan.output_shape.clone();
+            expected[0] = b;
             return Err(Error::ShapeMismatch {
-                expected: self.plan.input_shape.clone(),
-                actual: input.shape().dims().to_vec(),
-            });
-        }
-        if out.shape().dims() != self.plan.output_shape {
-            return Err(Error::ShapeMismatch {
-                expected: self.plan.output_shape.clone(),
+                expected,
                 actual: out.shape().dims().to_vec(),
             });
+        }
+        if b != self.batch {
+            self.share_batch(b);
         }
         let run = self.invocations;
         self.invocations += 1;
@@ -892,9 +922,13 @@ impl<'n> InferenceSession<'n> {
         }
         self.profile.total_time += start.elapsed();
         self.profile.runs += 1;
+        // MACs and activation bytes scale with the batch; weight bytes
+        // do not.
+        let n = self.plan.input_shape[0];
         for (row, step) in self.profile.rows.iter_mut().zip(&self.plan.steps) {
-            row.macs += step.macs;
-            row.bytes += step.bytes;
+            row.macs += step.macs * b as u64 / n as u64;
+            row.bytes +=
+                step.bytes - 4 * ((step.input_elems + step.output_elems) / n * (n - b)) as u64;
         }
         if let Some(w) = &self.obs {
             w.observer.metrics().add(Metric::RunsCompleted, 1);
@@ -904,6 +938,25 @@ impl<'n> InferenceSession<'n> {
             }
         }
         Ok(())
+    }
+
+    /// Shapes every chunk's steps for a run of `b` images, split as the
+    /// full batch is. Arena offsets and workspace slots stay as laid out
+    /// for the full batch: no step's extents grow as its batch shrinks.
+    fn share_batch(&mut self, b: usize) {
+        let n = self.plan.input_shape[0];
+        let count = self.chunks.len();
+        for (c, chunk) in self.chunks.iter_mut().enumerate() {
+            let m = chunk_share(b, count, c);
+            debug_assert!(m <= chunk_share(n, count, c));
+            chunk.len = m;
+            for (step, ps) in chunk.steps.iter_mut().zip(&self.plan.steps) {
+                step.input_shape[0] = m;
+                step.input_elems = ps.input_elems / n * m;
+                step.output_elems = ps.output_elems / n * m;
+            }
+        }
+        self.batch = b;
     }
 
     /// Paranoid-mode pre-run scan of the input tensor and every
@@ -970,7 +1023,8 @@ impl<'n> InferenceSession<'n> {
             let out_per_image = self.plan.steps.last().expect("non-empty plan").output_elems / n;
             let mut in_rest = input.data();
             let mut out_rest = out.data_mut();
-            let mut jobs = self.chunks.iter_mut().enumerate().map(|(ci, chunk)| {
+            let active = self.chunks.iter_mut().enumerate();
+            let mut jobs = active.filter(|(_, c)| c.len > 0).map(|(ci, chunk)| {
                 let (in_c, rest) = in_rest.split_at(chunk.len * in_per_image);
                 in_rest = rest;
                 let (out_c, rest) =
@@ -1023,7 +1077,8 @@ impl<'n> InferenceSession<'n> {
         // Attribute per-layer time: chunks execute step i concurrently,
         // so the slowest chunk is the step's critical-path contribution.
         for (i, row) in self.profile.rows.iter_mut().enumerate() {
-            let ns = self.chunks.iter().map(|c| c.step_ns[i]).max().unwrap_or(0);
+            let active = self.chunks.iter().filter(|c| c.len > 0);
+            let ns = active.map(|c| c.step_ns[i]).max().unwrap_or(0);
             row.time += Duration::from_nanos(ns);
         }
         Ok(())
@@ -1099,6 +1154,8 @@ impl<'n> InferenceSession<'n> {
     fn rebuild(&mut self, demoted_step: usize) {
         self.reprepare();
         self.chunks = build_chunks(&self.net, &self.plan, &self.exec);
+        // The retry runs the batch that tripped.
+        self.share_batch(self.batch);
         if let Some(budget) = self.plan.cfg().plan_budget {
             let peak = self.current_footprint_peak_bytes();
             if peak > budget {
@@ -1596,20 +1653,75 @@ mod tests {
         }
     }
 
+    /// A batch below the plan's runs; more images than the plan's batch,
+    /// images of another shape, and an output whose batch is not the
+    /// input's are refused. (A batch of no images is refused too, but no
+    /// tensor can hold one: shapes have no zero extents.)
     #[test]
     fn run_rejects_mismatched_shapes() {
         let mut net = conv_net();
         let plan = InferencePlan::compile(&net, &[2, 3, 8, 8], &ExecConfig::serial()).unwrap();
         let mut session = InferenceSession::new(&mut net, plan).unwrap();
-        assert!(matches!(
-            session.run(&Tensor::zeros([1, 3, 8, 8])),
-            Err(Error::ShapeMismatch { .. })
-        ));
-        let mut wrong_out = Tensor::zeros([2, 4]);
-        assert!(matches!(
-            session.run_into(&Tensor::zeros([2, 3, 8, 8]), &mut wrong_out),
-            Err(Error::ShapeMismatch { .. })
-        ));
+        let y = session.run(&Tensor::zeros([1, 3, 8, 8])).unwrap();
+        assert_eq!(y.shape().dims(), &[1, 5]);
+        let inputs: [&[usize]; 5] = [
+            &[3, 8, 8],
+            &[3, 3, 8, 8],
+            &[2, 3, 8, 7],
+            &[2, 3, 64],
+            &[2, 3, 8, 8, 1],
+        ];
+        for dims in inputs {
+            assert!(
+                matches!(
+                    session.run(&Tensor::zeros(dims.to_vec())),
+                    Err(Error::ShapeMismatch { .. })
+                ),
+                "{dims:?}"
+            );
+        }
+        let outputs: [(usize, &[usize]); 4] =
+            [(2, &[2, 4]), (2, &[1, 5]), (1, &[2, 5]), (2, &[2, 5, 1])];
+        for (batch, dims) in outputs {
+            let mut out = Tensor::zeros(dims.to_vec());
+            assert!(
+                matches!(
+                    session.run_into(&Tensor::zeros([batch, 3, 8, 8]), &mut out),
+                    Err(Error::ShapeMismatch { .. })
+                ),
+                "batch {batch} into {dims:?}"
+            );
+        }
+    }
+
+    /// A prefix batch on a split session leaves the spare chunks idle,
+    /// writes only its own rows, and adds its share of every step's
+    /// MACs and activation bytes to the profile.
+    #[test]
+    fn prefix_runs_idle_spare_chunks_and_scale_the_profile() {
+        let x = random([4, 3, 8, 8], 53);
+        for threads in 1..=4 {
+            let mut net = conv_net();
+            let cfg = ExecConfig::with_threads(threads);
+            let plan = InferencePlan::compile(&net, x.shape().dims(), &cfg).unwrap();
+            let steps = plan.steps().to_vec();
+            let mut session = InferenceSession::new(&mut net, plan).unwrap();
+            assert_eq!(session.chunks.len(), threads);
+            let full = session.run(&x).unwrap();
+            session.reset_profile();
+            let prefix = Tensor::from_vec([1, 3, 8, 8], x.data()[..3 * 8 * 8].to_vec());
+            let y = session.run(&prefix).unwrap();
+            assert_eq!(y.data(), &full.data()[..5], "{threads} threads");
+            let active = session.chunks.iter().filter(|c| c.len > 0).count();
+            assert_eq!(active, 1, "{threads} threads");
+            for (row, step) in session.profile().rows().iter().zip(&steps) {
+                assert_eq!(row.macs * 4, step.macs, "{}", step.name);
+                let activations = 4 * (step.input_elems + step.output_elems) as u64;
+                assert_eq!(row.bytes, step.bytes - activations / 4 * 3, "{}", step.name);
+            }
+            // The next full batch runs on every chunk again.
+            assert_eq!(session.run(&x).unwrap().data(), full.data());
+        }
     }
 
     #[test]

@@ -12,9 +12,8 @@
 //!                  (any miss while half-open re-trips to Open)
 //! ```
 //!
-//! While **Open**, batch workers run their one session ladder with
-//! guards off ([`Route::Degraded`]) — the same plans, weights and
-//! arenas, minus the boundary checks, parameter scans and demotion
+//! While **Open**, batch workers run their one session with guards
+//! off ([`Route::Degraded`]) — the same plan, weights and arena, minus the boundary checks, parameter scans and demotion
 //! re-runs of the configured guard level — trading fidelity checks for
 //! latency headroom instead of shedding outright. The headroom is the
 //! guard's cost and nothing more: the plan does not change, so a model

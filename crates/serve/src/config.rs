@@ -111,8 +111,8 @@ impl ServeConfig {
     /// The engine configuration serving sessions compile against: every
     /// convolution on im2col and the packed engine, with this config's
     /// thread count. Not because it is fastest — Winograd wins several
-    /// VGG-16 layers at every rung — but because it keeps one weight
-    /// form per layer, shared by every rung: the f32 panels, or for a
+    /// VGG-16 layers at batch 8 — but because it keeps one weight form
+    /// per layer, shared by every session: the f32 panels, or for a
     /// `Ternary`-labelled (TTQ) model its 2-bit codes. Session-level
     /// observation stays off — the server's own instruments cover
     /// serving, and per-step tracing belongs to offline runs.
@@ -122,24 +122,6 @@ impl ServeConfig {
             conv_algo: ConvAlgorithm::Im2col,
             ..ExecConfig::serial()
         }
-    }
-
-    /// Session-ladder batch sizes: 1, 4, 16, … capped at `max_batch`
-    /// (always including both 1 and `max_batch`). Quarter steps bound
-    /// padding waste at 4× in the worst mid-size case. A rung costs no
-    /// weight memory — every rung is a replica of one model — so what
-    /// the coarse steps still save is one activation arena and one
-    /// pre-warm run per rung not built, at start-up and on every
-    /// respawn.
-    pub(crate) fn ladder_sizes(&self) -> Vec<usize> {
-        let mut sizes = Vec::new();
-        let mut s = 1usize;
-        while s < self.max_batch {
-            sizes.push(s);
-            s *= 4;
-        }
-        sizes.push(self.max_batch);
-        sizes
     }
 }
 
@@ -207,7 +189,7 @@ impl ServeConfigBuilder {
     }
 
     /// Worker-supervision tuning: hang-detection timeout (multiplier ×
-    /// expected rung latency, floored), the monitor sweep interval, and
+    /// expected batch latency, floored), the monitor sweep interval, and
     /// the capped exponential crash-respawn backoff. Supervision itself
     /// is always on; this only tunes it.
     pub fn supervision(mut self, supervision: SupervisionPolicy) -> Self {
@@ -216,7 +198,7 @@ impl ServeConfigBuilder {
     }
 
     /// Enables the brownout circuit breaker: while it is open, each
-    /// worker runs its one session ladder with guards off. Nothing
+    /// worker runs its one session with guards off. Nothing
     /// extra is compiled, packed or allocated; see [`BreakerPolicy`]
     /// for the trip/recovery knobs.
     pub fn breaker(mut self, breaker: BreakerPolicy) -> Self {
@@ -317,21 +299,5 @@ mod tests {
             })
             .build()
             .is_err());
-    }
-
-    #[test]
-    fn ladder_is_quarter_stepped_and_capped() {
-        let cfg = |mb| {
-            ServeConfig::builder([3, 32, 32])
-                .max_batch(mb)
-                .queue_depth(64)
-                .build()
-                .expect("a plain max_batch/queue_depth config validates")
-        };
-        assert_eq!(cfg(1).ladder_sizes(), vec![1]);
-        assert_eq!(cfg(4).ladder_sizes(), vec![1, 4]);
-        assert_eq!(cfg(8).ladder_sizes(), vec![1, 4, 8]);
-        assert_eq!(cfg(16).ladder_sizes(), vec![1, 4, 16]);
-        assert_eq!(cfg(20).ladder_sizes(), vec![1, 4, 16, 20]);
     }
 }

@@ -6,7 +6,7 @@ use cnn_stack_nn::HealthReport;
 use crate::breaker::BreakerSnapshot;
 
 /// One batch worker's view: serving counters plus the merged engine
-/// health of its session ladder.
+/// health of its session.
 ///
 /// Counters live on the worker's supervision slot, not its thread, so
 /// they persist across crash respawns and watchdog failovers.
@@ -24,14 +24,15 @@ pub struct WorkerHealth {
     pub failed: u64,
     /// Worker panics caught by the supervisor.
     pub crashes: u64,
-    /// Times this worker was rebuilt with a fresh session ladder
+    /// Times this worker was rebuilt with a fresh session
     /// (after a crash or a watchdog failover).
     pub respawns: u64,
     /// Batches the hung-batch watchdog failed over.
     pub hung_batches: u64,
     /// Batches served with guards off while the breaker was open.
     pub degraded_batches: u64,
-    /// Engine-level health merged across the worker's session ladder.
+    /// Engine-level health of the worker's session, folded across
+    /// respawns.
     pub engine: HealthReport,
 }
 

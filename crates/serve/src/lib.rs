@@ -8,8 +8,8 @@
 //! missing layer:
 //!
 //! ```text
-//!   submit() ──try_send──▶ [bounded queue] ──▶ Batcher ──▶ SessionLadder
-//!      │   full? Shed(QueueFull)   │  max_batch / max_delay │  smallest rung ≥ n
+//!   submit() ──try_send──▶ [bounded queue] ──▶ Batcher ──▶ worker session
+//!      │   full? Shed(QueueFull)   │  max_batch / max_delay │  runs the n that came
 //!      ▼                           ▼                        ▼
 //!   Ticket ◀──────── Response {Served | Shed | Failed} ◀────┘
 //!                                        ▲
@@ -29,10 +29,10 @@
 //!   is shed ([`ShedReason::DeadlineExpired`]) when its batch is
 //!   assembled, rather than burning batch capacity on an answer nobody
 //!   is waiting for.
-//! * **One physical model per server** — each worker owns a
-//!   quarter-stepped ladder of pre-warmed
-//!   [`cnn_stack_nn::InferenceSession`]s, and every session — each
-//!   rung, each worker, each respawn — runs on a copy-on-write
+//! * **One physical model per server** — each worker owns one
+//!   pre-warmed [`cnn_stack_nn::InferenceSession`], compiled at
+//!   `max_batch` and run at the batch that arrived, and every session —
+//!   each worker's, each respawn's — runs on a copy-on-write
 //!   [`replica`](cnn_stack_nn::Network::replica) of the one network
 //!   `build_net` returned: [`Server::start`] calls it exactly once, the
 //!   master weights, their pruning masks and each prepacked form exist
@@ -44,13 +44,14 @@
 //!   [`ShedReason::ShuttingDown`]. [`Ticket::wait`] never hangs.
 //! * **Worker supervision** — a panicking worker's batch resolves as
 //!   typed [`FailureCause::WorkerCrashed`] failures (never lost
-//!   tickets); the worker respawns with a fresh session ladder stamped
-//!   from the templates frozen at start-up — replicas and the plans
-//!   compiled for them, so a respawn builds no model, compiles no plan
+//!   tickets); the worker respawns with a fresh session stamped from
+//!   the template frozen at start-up — a replica and the plan compiled
+//!   for it, so a respawn builds no model, compiles no plan
 //!   and packs no weight — under capped exponential backoff
 //!   ([`SupervisionPolicy`]).
 //! * **Hung-batch watchdog** — a batch running past a configurable
-//!   multiple of its rung's expected latency gets its worker deposed:
+//!   multiple of its expected latency (the line through the pre-warm
+//!   runs at one request and at `max_batch`) gets its worker deposed:
 //!   in-flight tickets resolve as [`FailureCause::BatchHung`] and a
 //!   replacement takes over the queue.
 //! * **Brownout circuit breaker** — optionally

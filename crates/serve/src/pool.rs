@@ -1,23 +1,23 @@
-//! The pre-warmed session ladder: one owned [`InferenceSession`] per
-//! ladder batch size, every one of them a copy-on-write replica of the
-//! one network the server was started with ("build once, compile once
-//! per rung, serve many").
+//! Worker sessions: one owned, pre-warmed [`InferenceSession`] per
+//! worker, compiled at [`ServeConfig::max_batch`] and run at the batch
+//! that arrived, every one of them a copy-on-write replica of the one
+//! network the server was started with ("build once, compile once,
+//! serve many").
 //!
-//! Each worker owns a ladder (sessions are not `Sync`). A batch of `n`
-//! requests runs on the smallest ladder rung whose batch size covers
-//! `n`, padding the tail with zero images whose outputs are discarded;
-//! the quarter-stepped rung sizes (see
-//! [`ServeConfig`](crate::ServeConfig)) bound that padding waste.
+//! Each worker owns its session (sessions are not `Sync`). A batch of
+//! `n` requests runs as a batch of `n`: the engine shapes each step to
+//! the batch it is given, inside the arena laid out for the full one,
+//! and each request's output bits are those of a full-batch run.
 //!
-//! A [`LadderTemplate`] is what ladders are stamped from: per rung, a
-//! replica of the compiled and prepared network plus the plan compiled
-//! for it. Stamping a ladder — for another worker, or after a crash —
-//! clones `Arc`s, allocates arenas and pre-warms; it builds, compiles
-//! and packs nothing, and the new sessions read the same physical
-//! weights and prepack as every other session of the server.
+//! A [`SessionTemplate`] is what worker sessions are stamped from: a
+//! replica of the compiled and prepared network plus its plan. Stamping
+//! a session — for another worker, or after a crash — clones `Arc`s,
+//! allocates one arena and pre-warms; it builds, compiles and packs
+//! nothing, and the new session reads the same physical weights and
+//! prepack as every other session of the server.
 //!
-//! Brownout is a guard level, not a second ladder: while the breaker is
-//! open a batch runs on the same rung with guards off
+//! Brownout is a guard level, not a second session: while the breaker
+//! is open a batch runs on the same session with guards off
 //! ([`Route::Degraded`]), and the next primary run restores the
 //! configured level.
 
@@ -25,23 +25,12 @@ use crate::breaker::Route;
 use crate::clock::Clock;
 use crate::config::ServeConfig;
 use crate::error::ServeError;
-use cnn_stack_nn::{GuardConfig, InferencePlan, InferenceSession, Network, PlanCompiler};
+use cnn_stack_nn::{
+    GuardConfig, HealthReport, InferencePlan, InferenceSession, Network, PlanCompiler,
+};
 use cnn_stack_tensor::Tensor;
 
-/// One rung: a pre-warmed session at a fixed batch size plus its
-/// pre-allocated input/output staging tensors (runs are allocation-free).
-struct Rung {
-    batch: usize,
-    session: InferenceSession<'static>,
-    input: Tensor,
-    output: Tensor,
-    /// Pre-warm latency on the server clock, under the configured
-    /// guard; the hung-batch watchdog's baseline for "how long should a
-    /// batch on this rung take", browned out or not.
-    expected_ns: u64,
-}
-
-/// What one ladder run did, beyond the outputs themselves.
+/// What one session run did, beyond the outputs themselves.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct RunInfo {
     /// The guard demoted at least one step during this run.
@@ -50,223 +39,159 @@ pub(crate) struct RunInfo {
     pub guarded: bool,
 }
 
-impl Rung {
-    /// Binds `plan` to `net` and pre-warms the session: the first run
-    /// settles lazy state (page faults on the arenas) off
-    /// the serving path. Timing it gives the watchdog its
-    /// expected-latency baseline (zero under ManualClock — the hang
-    /// floor covers that).
+/// Everything needed to stamp out a [`WorkerSession`] without touching
+/// a weight: a replica of the compiled, prepared network (so it carries
+/// the built prepack) and its plan; see the [module docs](self).
+pub(crate) struct SessionTemplate {
+    net: Network,
+    plan: InferencePlan,
+    guard: GuardConfig,
+}
+
+impl SessionTemplate {
+    /// Compiles `net` at `max_batch` and prepares it (batch-norm
+    /// folding and weight packing happen once, here), returning the
+    /// template together with the first worker session, the one the
+    /// plan was prepared on.
+    pub(crate) fn compile(
+        cfg: &ServeConfig,
+        mut net: Network,
+        clock: &dyn Clock,
+    ) -> Result<(SessionTemplate, WorkerSession), ServeError> {
+        let mut shape = vec![cfg.max_batch()];
+        shape.extend_from_slice(cfg.input_shape());
+        let plan = PlanCompiler::standard().run(&mut net, &shape, &cfg.exec())?;
+        let session = WorkerSession::warm(net, plan.clone(), cfg.guard(), clock)?;
+        let template = SessionTemplate {
+            net: session.session.network().replica(),
+            plan,
+            guard: cfg.guard(),
+        };
+        Ok((template, session))
+    }
+
+    /// Stamps a fresh, pre-warmed session: one replica, one arena, two
+    /// warm-up runs.
+    pub(crate) fn instantiate(&self, clock: &dyn Clock) -> Result<WorkerSession, ServeError> {
+        WorkerSession::warm(self.net.replica(), self.plan.clone(), self.guard, clock)
+    }
+}
+
+/// A worker's one session and its hung-batch baseline.
+pub(crate) struct WorkerSession {
+    session: InferenceSession<'static>,
+    /// The configured guard level, restored on every primary run.
+    guard: GuardConfig,
+    /// Pre-warm latencies on the server clock, under the configured
+    /// guard, of one request and of a full batch: the two points the
+    /// watchdog's expected latency is drawn through.
+    warm_ns: [u64; 2],
+}
+
+impl WorkerSession {
+    /// Binds `plan` to `net` and pre-warms the session at one request
+    /// and at the full batch: the runs settle lazy state (page faults
+    /// on the arena) off the serving path, and timing them gives the
+    /// watchdog its baseline (zero under ManualClock — the hang floor
+    /// covers that).
     fn warm(
         net: Network,
         plan: InferencePlan,
         guard: GuardConfig,
         clock: &dyn Clock,
-    ) -> Result<Rung, ServeError> {
-        let input = Tensor::zeros(plan.input_shape().to_vec());
-        let mut output = Tensor::zeros(plan.output_shape().to_vec());
+    ) -> Result<WorkerSession, ServeError> {
+        let full = plan.input_shape()[0];
         let mut session = InferenceSession::owned(net, plan, guard)?;
-        let warm_start = clock.now_ns();
-        session.run_into(&input, &mut output)?;
-        let expected_ns = clock.now_ns().saturating_sub(warm_start);
-        Ok(Rung {
-            batch: input.shape().dims()[0],
+        let mut time = |batch: usize| {
+            let mut shape = session.plan().input_shape().to_vec();
+            shape[0] = batch;
+            let input = Tensor::zeros(shape);
+            let start = clock.now_ns();
+            session.run(&input)?;
+            Ok::<_, ServeError>(clock.now_ns().saturating_sub(start))
+        };
+        let one = time(1)?;
+        let warm_ns = [one, if full > 1 { time(full)? } else { one }];
+        Ok(WorkerSession {
             session,
-            input,
-            output,
-            expected_ns,
+            guard,
+            warm_ns,
         })
     }
-}
 
-/// What one rung is stamped from: a replica of the rung's compiled,
-/// prepared network (so it carries the built prepack) and its plan.
-struct RungTemplate {
-    net: Network,
-    plan: InferencePlan,
-}
-
-/// Everything needed to stamp out a [`SessionLadder`] without touching
-/// a weight; see the [module docs](self).
-pub(crate) struct LadderTemplate {
-    rungs: Vec<RungTemplate>,
-    guard: GuardConfig,
-    request_elems: usize,
-}
-
-impl LadderTemplate {
-    /// Compiles one plan per ladder size over replicas of `net`,
-    /// returning the template together with the first ladder stamped
-    /// from it (the sessions the plans were prepared on).
-    ///
-    /// The first rung compiles and prepares on `net` itself — batch-norm
-    /// folding and weight packing happen once, there. Every later rung
-    /// compiles on a replica of that prepared network: folding finds
-    /// nothing left to fold, preparing finds every form already built.
-    pub(crate) fn compile(
-        cfg: &ServeConfig,
-        net: Network,
-        clock: &dyn Clock,
-    ) -> Result<(LadderTemplate, SessionLadder), ServeError> {
-        let exec = cfg.exec();
-        let compiler = PlanCompiler::standard();
-        let guard = cfg.guard();
-        let mut templates: Vec<RungTemplate> = Vec::new();
-        let mut rungs = Vec::new();
-        let mut first = Some(net);
-        for &batch in &cfg.ladder_sizes() {
-            let mut shape = vec![batch];
-            shape.extend_from_slice(cfg.input_shape());
-            let mut net = match first.take() {
-                Some(net) => net,
-                None => templates[0].net.replica(),
-            };
-            let plan = compiler.run(&mut net, &shape, &exec)?;
-            let rung = Rung::warm(net, plan.clone(), guard, clock)?;
-            templates.push(RungTemplate {
-                net: rung.session.network().replica(),
-                plan,
-            });
-            rungs.push(rung);
-        }
-        let request_elems: usize = cfg.input_shape().iter().product();
-        let template = LadderTemplate {
-            rungs: templates,
-            guard,
-            request_elems,
-        };
-        let ladder = SessionLadder {
-            rungs,
-            guard,
-            request_elems,
-        };
-        Ok((template, ladder))
-    }
-
-    /// Stamps a fresh, pre-warmed ladder: per rung, one replica, one
-    /// arena, one warm-up run.
-    pub(crate) fn instantiate(&self, clock: &dyn Clock) -> Result<SessionLadder, ServeError> {
-        let rungs = self
-            .rungs
-            .iter()
-            .map(|t| Rung::warm(t.net.replica(), t.plan.clone(), self.guard, clock))
-            .collect::<Result<_, _>>()?;
-        Ok(SessionLadder {
-            rungs,
-            guard: self.guard,
-            request_elems: self.request_elems,
-        })
-    }
-}
-
-pub(crate) struct SessionLadder {
-    rungs: Vec<Rung>,
-    /// The configured guard level, restored on every primary run.
-    guard: GuardConfig,
-    request_elems: usize,
-}
-
-impl SessionLadder {
-    /// Expected latency of the rung that would carry an `n`-request
-    /// batch (the pre-warm measurement).
+    /// Expected latency of an `n`-request batch: the straight line
+    /// through the pre-warm runs at one request and at the full batch.
     pub(crate) fn expected_ns(&self, n: usize) -> u64 {
-        self.rungs
-            .iter()
-            .find(|r| r.batch >= n)
-            .map(|r| r.expected_ns)
-            .unwrap_or(0)
+        let [one, full] = self.warm_ns.map(i128::from);
+        let steps = (self.session.plan().input_shape()[0] - 1).max(1);
+        (one + (full - one) * (n as i128 - 1) / steps as i128) as u64
     }
 
-    /// Runs `inputs` as one batch on the smallest covering rung, under
-    /// the configured guard on the primary route and with guards off on
-    /// the degraded one, and returns each request's output (batch
-    /// dimension stripped).
+    /// Runs `inputs` as one batch, under the configured guard on the
+    /// primary route and with guards off on the degraded one, and
+    /// returns each request's output (batch dimension stripped).
     pub(crate) fn run(
         &mut self,
-        inputs: &[&Tensor],
+        inputs: &[Tensor],
         route: Route,
     ) -> Result<(Vec<Tensor>, RunInfo), cnn_stack_nn::Error> {
-        let n = inputs.len();
-        let rung = self
-            .rungs
-            .iter_mut()
-            .find(|r| r.batch >= n)
-            .expect("batcher never exceeds max_batch, the ladder's top rung");
-        let elems = self.request_elems;
-        let staged = rung.input.data_mut();
-        for (i, t) in inputs.iter().enumerate() {
-            staged[i * elems..(i + 1) * elems].copy_from_slice(t.data());
+        let mut shape = self.session.plan().input_shape().to_vec();
+        shape[0] = inputs.len();
+        let mut batch = Vec::with_capacity(shape.iter().product());
+        for t in inputs {
+            batch.extend_from_slice(t.data());
         }
-        // Zero the padding tail: stale images from a previous batch
-        // must not feed the guard (or the profile) garbage.
-        staged[n * elems..].fill(0.0);
-
-        rung.session.set_guard(match route {
+        self.session.set_guard(match route {
             Route::Primary => self.guard,
             Route::Degraded => GuardConfig::Off,
         });
-        let health_before = rung.session.health().clone();
-        rung.session.run_into(&rung.input, &mut rung.output)?;
-        let health = rung.session.health();
+        let health = self.session.health();
+        let (demotions, trips) = (health.demotions.len(), health.guards_tripped);
+        let output = self.session.run(&Tensor::from_vec(shape, batch))?;
+        let health = self.session.health();
         let info = RunInfo {
-            demoted: health.demotions.len() > health_before.demotions.len(),
-            guarded: health.guards_tripped > health_before.guards_tripped,
+            demoted: health.demotions.len() > demotions,
+            guarded: health.guards_tripped > trips,
         };
 
-        let out_elems = rung.output.len() / rung.batch;
-        let mut per_shape: Vec<usize> = rung.output.shape().dims()[1..].to_vec();
+        let mut per_shape: Vec<usize> = output.shape().dims()[1..].to_vec();
         if per_shape.is_empty() {
             per_shape.push(1);
         }
-        let outputs = (0..n)
-            .map(|i| {
-                Tensor::from_vec(
-                    per_shape.clone(),
-                    rung.output.data()[i * out_elems..(i + 1) * out_elems].to_vec(),
-                )
-            })
+        let outputs = output
+            .data()
+            .chunks_exact(output.len() / inputs.len())
+            .map(|row| Tensor::from_vec(per_shape.clone(), row.to_vec()))
             .collect();
         Ok((outputs, info))
     }
 
-    /// Engine-level health, merged across the ladder's sessions.
-    pub(crate) fn health(&self) -> cnn_stack_nn::HealthReport {
-        let mut merged = cnn_stack_nn::HealthReport::default();
-        for rung in &self.rungs {
-            merged.merge(rung.session.health());
-        }
-        merged
+    /// The session's engine-level health.
+    pub(crate) fn health(&self) -> &HealthReport {
+        self.session.health()
     }
 
-    /// Forwards a deterministic fault plan to every rung's session
-    /// (the serve-level fault-injection harness).
+    /// Arms a deterministic fault plan on the session (the serve-level
+    /// fault-injection harness).
     #[cfg(feature = "fault-inject")]
-    pub(crate) fn inject_faults(&mut self, faults: &dyn Fn() -> cnn_stack_nn::FaultPlan) {
-        for rung in &mut self.rungs {
-            rung.session.inject_faults(faults());
-        }
+    pub(crate) fn inject_faults(&mut self, faults: cnn_stack_nn::FaultPlan) {
+        self.session.inject_faults(faults);
     }
 }
 
 #[cfg(test)]
-impl SessionLadder {
-    /// Per rung, which buffers its session's weights live in.
-    pub(crate) fn weight_storage(&self) -> Vec<Vec<cnn_stack_nn::WeightStorage>> {
-        let storage = |r: &Rung| r.session.network().weight_storage();
-        self.rungs.iter().map(storage).collect()
-    }
-
-    /// Arms `faults` on the session of rung `rung` only.
-    #[cfg(feature = "fault-inject")]
-    pub(crate) fn inject_rung_faults(&mut self, rung: usize, faults: cnn_stack_nn::FaultPlan) {
-        self.rungs[rung].session.inject_faults(faults);
+impl WorkerSession {
+    /// Which buffers the session's weights live in.
+    pub(crate) fn weight_storage(&self) -> Vec<cnn_stack_nn::WeightStorage> {
+        self.session.network().weight_storage()
     }
 }
 
 #[cfg(test)]
-impl LadderTemplate {
-    /// Per rung, which buffers a ladder stamped from it will read.
-    pub(crate) fn weight_storage(&self) -> Vec<Vec<cnn_stack_nn::WeightStorage>> {
-        self.rungs.iter().map(|t| t.net.weight_storage()).collect()
+impl SessionTemplate {
+    /// Which buffers a session stamped from it will read.
+    pub(crate) fn weight_storage(&self) -> Vec<cnn_stack_nn::WeightStorage> {
+        self.net.weight_storage()
     }
 }
 
@@ -292,7 +217,8 @@ pub(crate) mod tests {
         .expect("stack is non-empty")
     }
 
-    pub(crate) fn two_rung_cfg() -> ServeConfig {
+    /// Batches of up to four `[3, 6, 6]` requests, pumped by hand.
+    pub(crate) fn batch4_cfg() -> ServeConfig {
         ServeConfig::builder([3, 6, 6])
             .max_batch(4)
             .workers(0)
@@ -300,22 +226,27 @@ pub(crate) mod tests {
             .expect("test config is valid")
     }
 
+    /// `n` distinct requests, so a misplaced row shows.
+    pub(crate) fn requests(n: usize) -> Vec<Tensor> {
+        (0..n)
+            .map(|r| Tensor::from_fn([3, 6, 6], |i| ((i + 41 * r) as f32 * 0.37).sin()))
+            .collect()
+    }
+
     #[test]
-    fn every_rung_shares_the_first_rungs_panels() {
+    fn stamped_sessions_share_the_first_sessions_panels() {
         let clock = ManualClock::new();
-        let (template, ladder) =
-            LadderTemplate::compile(&two_rung_cfg(), tiny_net(7), &clock).expect("ladder builds");
-        let storage = ladder.weight_storage();
-        assert_eq!(storage.len(), 2);
-        assert_eq!(storage[0].len(), 2, "conv + linear");
-        for layer in &storage[0] {
-            assert!(layer.forms[1].is_some(), "rung 1 packed no f32 panels");
+        let (template, first) =
+            SessionTemplate::compile(&batch4_cfg(), tiny_net(7), &clock).expect("session builds");
+        let storage = first.weight_storage();
+        assert_eq!(storage.len(), 2, "conv + linear");
+        for layer in &storage {
+            assert!(layer.forms[1].is_some(), "the session packed no f32 panels");
         }
-        assert_eq!(storage[1], storage[0], "rung 2 copied or re-packed");
         assert_eq!(template.weight_storage(), storage);
 
-        // So does every ladder stamped afterwards.
-        let stamped = template.instantiate(&clock).expect("ladder stamps");
+        // So does every session stamped afterwards.
+        let stamped = template.instantiate(&clock).expect("session stamps");
         assert_eq!(stamped.weight_storage(), storage);
     }
 
@@ -329,46 +260,46 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn ternary_rungs_hold_one_set_of_codes_and_no_panels() {
+    fn ternary_sessions_hold_one_set_of_codes_and_no_panels() {
         // Folding rescales the TTQ weights by one batch-norm scale, so
-        // they stay exactly ternary and every rung runs its codes.
+        // they stay exactly ternary and every batch size runs the codes.
         let clock = ManualClock::new();
-        let (template, mut ladder) =
-            LadderTemplate::compile(&two_rung_cfg(), ternary_tiny_net(7), &clock)
-                .expect("ladder builds");
-        let x = Tensor::from_fn([3, 6, 6], |i| (i as f32 * 0.37).sin());
-        ladder.run(&[&x], Route::Primary).expect("rung 1 runs");
-        ladder
-            .run(&[&x, &x, &x], Route::Primary)
-            .expect("rung 2 runs");
-        let stamped = template.instantiate(&clock).expect("ladder stamps");
-        let storage = ladder.weight_storage();
+        let (template, mut first) =
+            SessionTemplate::compile(&batch4_cfg(), ternary_tiny_net(7), &clock)
+                .expect("session builds");
+        let mut stamped = template.instantiate(&clock).expect("session stamps");
+        for n in 1..=4 {
+            first.run(&requests(n), Route::Primary).expect("batch runs");
+            stamped
+                .run(&requests(n), Route::Primary)
+                .expect("batch runs");
+        }
+        let storage = first.weight_storage();
         assert_eq!(stamped.weight_storage(), storage);
-        for rung in &storage {
-            for (layer, first) in rung.iter().zip(&storage[0]) {
-                assert!(layer.forms[2].is_some(), "a rung runs without codes");
-                assert_eq!(layer.forms[2], first.forms[2], "a rung re-packed codes");
-                assert_eq!(layer.master, None, "a master beside the codes");
-                assert_eq!(
-                    layer.forms.iter().flatten().count(),
-                    1,
-                    "a form beside the codes: {:?}",
-                    layer.forms
-                );
-            }
+        assert_eq!(template.weight_storage(), storage);
+        for layer in &storage {
+            assert!(layer.forms[2].is_some(), "a session runs without codes");
+            assert_eq!(layer.master, None, "a master beside the codes");
+            assert_eq!(
+                layer.forms.iter().flatten().count(),
+                1,
+                "a form beside the codes: {:?}",
+                layer.forms
+            );
         }
     }
 
     #[test]
-    fn compiled_pruned_and_ttq_rungs_hold_one_bit_per_masked_weight() {
+    fn compiled_pruned_and_ttq_sessions_hold_one_bit_per_masked_weight() {
         let clock = ManualClock::new();
         let mut pruned = tiny_net(7);
         cnn_stack_compress::magnitude::prune_network(&mut pruned, 0.5);
         for net in [pruned, ternary_tiny_net(7)] {
-            let (_, ladder) =
-                LadderTemplate::compile(&two_rung_cfg(), net, &clock).expect("ladder builds");
-            for rung in &ladder.rungs {
-                let params = rung.session.network().params();
+            let (template, first) =
+                SessionTemplate::compile(&batch4_cfg(), net, &clock).expect("session builds");
+            let stamped = template.instantiate(&clock).expect("session stamps");
+            for session in [&first, &stamped] {
+                let params = session.session.network().params();
                 let masked: Vec<_> = params
                     .iter()
                     .filter_map(|p| Some((p, p.mask.as_ref()?)))
@@ -382,39 +313,68 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn served_rungs_hold_no_gradient_buffers() {
+    fn worker_sessions_hold_no_gradient_buffers() {
         let clock = ManualClock::new();
-        let (template, mut ladder) =
-            LadderTemplate::compile(&two_rung_cfg(), tiny_net(7), &clock).expect("ladder builds");
-        let mut stamped = template.instantiate(&clock).expect("ladder stamps");
-        let x = Tensor::from_fn([3, 6, 6], |i| (i as f32 * 0.37).sin());
-        ladder.run(&[&x, &x], Route::Primary).expect("ladder runs");
+        let (template, mut first) =
+            SessionTemplate::compile(&batch4_cfg(), tiny_net(7), &clock).expect("session builds");
+        let mut stamped = template.instantiate(&clock).expect("session stamps");
+        first.run(&requests(2), Route::Primary).expect("batch runs");
         stamped
-            .run(&[&x], Route::Primary)
-            .expect("stamped ladder runs");
-        for rung in ladder.rungs.iter().chain(&stamped.rungs) {
-            let params = rung.session.network().params();
+            .run(&requests(1), Route::Primary)
+            .expect("batch runs");
+        for session in [&first, &stamped] {
+            let params = session.session.network().params();
             assert!(!params.is_empty());
             assert!(params.iter().all(|p| p.grad().is_none()));
         }
     }
 
+    /// A stamped session computes the first one's bits at every batch
+    /// size, on either route, and request `i` of an `n`-request batch
+    /// gets row `i` of the full batch.
     #[test]
-    fn stamped_ladders_compute_what_the_first_one_does() {
+    fn stamped_sessions_compute_what_the_first_one_does() {
         let clock = ManualClock::new();
         let (template, mut first) =
-            LadderTemplate::compile(&two_rung_cfg(), tiny_net(7), &clock).expect("ladder builds");
-        let mut stamped = template.instantiate(&clock).expect("ladder stamps");
-        let x = Tensor::from_fn([3, 6, 6], |i| (i as f32 * 0.37).sin());
-        for n in [1, 3] {
-            let inputs = vec![&x; n];
-            let (want, _) = first
-                .run(&inputs, Route::Primary)
-                .expect("first ladder runs");
-            let (got, _) = stamped
-                .run(&inputs, Route::Primary)
-                .expect("stamped ladder runs");
-            assert_eq!(want, got, "batch of {n}");
+            SessionTemplate::compile(&batch4_cfg(), tiny_net(7), &clock).expect("session builds");
+        let mut stamped = template.instantiate(&clock).expect("session stamps");
+        let (full, _) = first
+            .run(&requests(4), Route::Primary)
+            .expect("full batch runs");
+        for n in 1..=4 {
+            for route in [Route::Primary, Route::Degraded] {
+                let (want, _) = first.run(&requests(n), route).expect("first session runs");
+                let (got, _) = stamped
+                    .run(&requests(n), route)
+                    .expect("stamped session runs");
+                assert_eq!(want, got, "batch of {n}, {route:?}");
+                assert_eq!(want, full[..n], "batch of {n}, {route:?}");
+            }
         }
+    }
+
+    /// The hang baseline is the straight line through the two pre-warm
+    /// runs, falling or rising, and a one-request server has one point.
+    #[test]
+    fn expected_latency_interpolates_the_two_warm_runs() {
+        let clock = ManualClock::new();
+        let (_, mut session) =
+            SessionTemplate::compile(&batch4_cfg(), tiny_net(7), &clock).expect("session builds");
+        assert_eq!(session.warm_ns, [0, 0], "no simulated time passes in a run");
+        session.warm_ns = [1_000, 4_000];
+        let line: Vec<u64> = (1..=4).map(|n| session.expected_ns(n)).collect();
+        assert_eq!(line, [1_000, 2_000, 3_000, 4_000]);
+        session.warm_ns = [4_000, 1_000];
+        assert_eq!(session.expected_ns(3), 2_000);
+
+        let cfg = ServeConfig::builder([3, 6, 6])
+            .max_batch(1)
+            .workers(0)
+            .build()
+            .expect("test config is valid");
+        let (_, mut single) =
+            SessionTemplate::compile(&cfg, tiny_net(7), &clock).expect("session builds");
+        single.warm_ns = [5_000, 5_000];
+        assert_eq!(single.expected_ns(1), 5_000);
     }
 }

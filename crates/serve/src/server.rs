@@ -1,5 +1,5 @@
 //! The multi-tenant inference server: bounded queue → dynamic batcher
-//! → pre-warmed session ladder, with admission control, deadline
+//! → one pre-warmed session per worker, with admission control, deadline
 //! shedding, per-request typed outcomes — and self-healing: a
 //! supervisor that catches worker panics and respawns with capped
 //! backoff, a hung-batch watchdog that fails over wedged workers, and
@@ -22,7 +22,7 @@ use crate::clock::{Clock, MonotonicClock};
 use crate::config::ServeConfig;
 use crate::error::ServeError;
 use crate::health::{ServerHealth, WorkerHealth};
-use crate::pool::{LadderTemplate, SessionLadder};
+use crate::pool::{SessionTemplate, WorkerSession};
 use crate::supervisor::{lock_unpoisoned, SupervisionPolicy, WorkerSlot};
 use crate::ticket::{FailureCause, Outcome, Reply, Request, Served, ShedReason, Ticket};
 use cnn_stack_nn::{HealthReport, Network};
@@ -127,9 +127,9 @@ impl ServerInner {
 struct SupervisorCtx {
     inner: Arc<ServerInner>,
     batcher: Arc<Mutex<Batcher>>,
-    /// The ladder template frozen at start-up, which every respawn
+    /// The session template frozen at start-up, which every respawn
     /// stamps; see [`Worker::rebuild`].
-    template: Arc<LadderTemplate>,
+    template: Arc<SessionTemplate>,
     clock: Arc<dyn Clock>,
     /// Live worker threads, including replacements spawned after
     /// failovers; drained at shutdown.
@@ -138,7 +138,7 @@ struct SupervisorCtx {
 }
 
 /// One batch worker: drains the shared queue through the batcher and
-/// runs batches on its own session ladder. The thread half of a
+/// runs batches on its own session. The thread half of a
 /// worker — its durable half is the [`WorkerSlot`].
 struct Worker {
     slot: Arc<WorkerSlot>,
@@ -146,13 +146,13 @@ struct Worker {
     /// the watchdog deposed it and a replacement owns the queue.
     generation: u64,
     batcher: Arc<Mutex<Batcher>>,
-    ladder: SessionLadder,
-    /// Engine health inherited from ladders discarded by earlier
+    session: WorkerSession,
+    /// Engine health inherited from sessions discarded by earlier
     /// respawns, so history survives the rebuild.
     engine_base: HealthReport,
     inner: Arc<ServerInner>,
     clock: Arc<dyn Clock>,
-    template: Arc<LadderTemplate>,
+    template: Arc<SessionTemplate>,
     supervision: SupervisionPolicy,
     /// Only consulted by the injected-hang path, which is feature-gated.
     #[cfg_attr(not(feature = "fault-inject"), allow(dead_code))]
@@ -171,13 +171,13 @@ impl Worker {
         slot: Arc<WorkerSlot>,
         generation: u64,
     ) -> Result<Worker, ServeError> {
-        let ladder = ctx.template.instantiate(&*ctx.clock)?;
+        let session = ctx.template.instantiate(&*ctx.clock)?;
         let engine_base = slot.engine_health();
         Ok(Worker {
             slot,
             generation,
             batcher: Arc::clone(&ctx.batcher),
-            ladder,
+            session,
             engine_base,
             inner: Arc::clone(&ctx.inner),
             clock: Arc::clone(&ctx.clock),
@@ -232,14 +232,14 @@ impl Worker {
         }
 
         // Route: guards off while the breaker is open. Either way the
-        // batch runs on the same rung, so the hang baseline is that
-        // rung's pre-warm under the configured guard.
+        // batch runs on the same session, so the hang baseline is drawn
+        // through its pre-warm runs under the configured guard.
         let route = inner
             .breaker
             .as_ref()
             .map_or(Route::Primary, |b| b.route(now));
         let degraded_route = route == Route::Degraded;
-        let expected_ns = self.ladder.expected_ns(live.len());
+        let expected_ns = self.session.expected_ns(live.len());
 
         // Hand the replies to the slot BEFORE any fallible work: from
         // here on, a panic or hang resolves these tickets as typed
@@ -273,7 +273,7 @@ impl Worker {
         let _ = batch_idx;
 
         let batch_size = inputs.len();
-        let run = self.ladder.run(&inputs.iter().collect::<Vec<_>>(), route);
+        let run = self.session.run(&inputs, route);
         let done = self.clock.now_ns();
         let Some(replies) = self.slot.finish_batch(self.generation) else {
             // The watchdog gave up on this batch mid-run, already
@@ -348,20 +348,20 @@ impl Worker {
         self.slot.note_failure();
     }
 
-    /// Rebuilds the ladder in place from the frozen template (a
-    /// respawn), folding the dying ladder's engine health into the base
-    /// so history survives. A respawn stamps replicas of the one
+    /// Rebuilds the session in place from the frozen template (a
+    /// respawn), folding the dying session's engine health into the
+    /// base so history survives. A respawn stamps a replica of the one
     /// compiled model — no model build, no plan compile, no weight
-    /// pack — so it costs arenas and pre-warm runs, and a weight a dying
-    /// session corrupted never reaches it (the write copied that
+    /// pack — so it costs an arena and pre-warm runs, and a weight a
+    /// dying session corrupted never reaches it (the write copied that
     /// session's layer; the template kept the original). Leaves the
     /// worker untouched on error.
     fn rebuild(&mut self) -> Result<(), ServeError> {
         let mut base = self.engine_base.clone();
-        base.merge(&self.ladder.health());
-        let ladder = self.template.instantiate(&*self.clock)?;
+        base.merge(self.session.health());
+        let session = self.template.instantiate(&*self.clock)?;
         self.engine_base = base;
-        self.ladder = ladder;
+        self.session = session;
         self.slot.respawns.fetch_add(1, Ordering::Relaxed);
         self.inner.count(Metric::ServeRespawns, 1);
         self.publish_health();
@@ -370,7 +370,7 @@ impl Worker {
 
     fn publish_health(&self) {
         let mut merged = self.engine_base.clone();
-        merged.merge(&self.ladder.health());
+        merged.merge(self.session.health());
         self.slot.publish_engine(merged);
         if let Some(b) = &self.inner.breaker {
             self.inner.gauge(Metric::ServeBreakerState, b.state_gauge());
@@ -381,7 +381,7 @@ impl Worker {
 /// A threaded worker's life: cycle until the queue closes, catching
 /// panics; each crash resolves its batch as typed failures, backs off
 /// (capped exponential in the crash streak), and respawns in place
-/// with a fresh ladder. Exits quietly if the watchdog deposed it.
+/// with a fresh session. Exits quietly if the watchdog deposed it.
 fn worker_loop(mut worker: Worker) {
     loop {
         if worker.deposed() {
@@ -413,7 +413,7 @@ fn worker_loop(mut worker: Worker) {
 }
 
 /// Spawns a replacement thread for a deposed worker's slot. The
-/// replacement builds its ladder on its own thread (so the monitor
+/// replacement builds its session on its own thread (so the monitor
 /// never blocks on session construction), retrying with backoff.
 fn spawn_replacement(ctx: &Arc<SupervisorCtx>, slot: Arc<WorkerSlot>) {
     let generation = slot.generation();
@@ -459,7 +459,7 @@ fn sweep(ctx: &Arc<SupervisorCtx>, manual: Option<&Mutex<Worker>>) -> usize {
         ctx.inner.count(Metric::ServeHungBatches, 1);
         match manual {
             // Manual mode: recycle the one worker in place — unpark it
-            // under the new generation with a fresh ladder.
+            // under the new generation with a fresh session.
             Some(worker_mutex) => {
                 let mut worker = lock_unpoisoned(worker_mutex);
                 worker.generation = slot.generation();
@@ -491,11 +491,11 @@ pub struct Server {
 }
 
 impl Server {
-    /// Builds the session pool (one ladder per worker, with or without
+    /// Builds the session pool (one session per worker, with or without
     /// a breaker), pre-warms every session, and starts the
     /// batch workers plus the supervision monitor. `build_net` is
     /// called exactly once, here: every session the server ever runs —
-    /// each rung, each worker, each respawn after a crash or failover —
+    /// each worker's, each respawn's after a crash or failover —
     /// is a copy-on-write replica of the network it returns, so the
     /// server holds one physical copy of the weights and of each
     /// prepacked form.
@@ -546,14 +546,14 @@ impl Server {
         )));
 
         // Build and compile on this thread, once: the first worker's
-        // ladder is the sessions the plans were prepared on, every other
+        // session is the one the plan was prepared on, every other
         // worker's is stamped from the template, which is then frozen
         // for post-crash rebuilds.
-        let (template, first) = LadderTemplate::compile(&cfg, build_net(), &*clock)?;
+        let (template, first) = SessionTemplate::compile(&cfg, build_net(), &*clock)?;
         let template = Arc::new(template);
-        let mut ladders = vec![first];
+        let mut sessions = vec![first];
         for _ in 1..worker_count {
-            ladders.push(template.instantiate(&*clock)?);
+            sessions.push(template.instantiate(&*clock)?);
         }
         let ctx = Arc::new(SupervisorCtx {
             inner: Arc::clone(&inner),
@@ -564,14 +564,14 @@ impl Server {
             supervision: *cfg.supervision(),
         });
         let manual_mode = cfg.workers() == 0;
-        let mut workers: Vec<Worker> = ladders
+        let mut workers: Vec<Worker> = sessions
             .into_iter()
             .enumerate()
-            .map(|(index, ladder)| Worker {
+            .map(|(index, session)| Worker {
                 slot: Arc::clone(&inner.slots[index]),
                 generation: inner.slots[index].generation(),
                 batcher: Arc::clone(&batcher),
-                ladder,
+                session,
                 engine_base: HealthReport::default(),
                 inner: Arc::clone(&inner),
                 clock: Arc::clone(&clock),
@@ -776,9 +776,9 @@ impl Server {
         }
     }
 
-    /// Installs a deterministic fault plan into every session of the
-    /// manual worker's ladder — the serving end of the engine's
-    /// fault-injection harness. Manual mode only.
+    /// Installs a deterministic fault plan into the manual worker's
+    /// session — the serving end of the engine's fault-injection
+    /// harness. Manual mode only.
     ///
     /// # Panics
     ///
@@ -789,7 +789,7 @@ impl Server {
             .manual
             .as_ref()
             .expect("inject_faults requires a manual server (workers == 0)");
-        lock_unpoisoned(worker).ladder.inject_faults(&faults);
+        lock_unpoisoned(worker).session.inject_faults(faults());
     }
 
     /// Installs a serve-level fault plan: worker-crash, worker-hang
@@ -873,7 +873,7 @@ mod tests {
     use super::*;
     use crate::breaker::BreakerPolicy;
     use crate::clock::ManualClock;
-    use crate::pool::tests::{ternary_tiny_net, tiny_net};
+    use crate::pool::tests::{batch4_cfg, requests, ternary_tiny_net, tiny_net};
     use crate::ticket::Response;
 
     fn manual_server(cfg: ServeConfig, net: fn(u64) -> Network) -> Server {
@@ -1022,7 +1022,6 @@ mod tests {
             .breaker(BreakerPolicy::default())
             .build()
             .expect("test config is valid");
-        let x = Tensor::from_fn([3, 6, 6], |i| (i as f32 * 0.37).sin());
         for (net, ternary) in [
             (tiny_net as fn(u64) -> Network, false),
             (ternary_tiny_net, true),
@@ -1035,22 +1034,22 @@ mod tests {
                     worker.rebuild().expect("respawn succeeds");
                 }
                 for route in [Route::Primary, Route::Degraded] {
-                    worker.ladder.run(&[&x], route).expect("rung runs");
+                    worker.session.run(&requests(1), route).expect("batch runs");
                 }
-                let live = worker.ladder.weight_storage();
+                let live = worker.session.weight_storage();
                 assert_eq!(live, template, "respawn {respawn} left the template");
-                for layer in live.iter().flatten() {
+                for layer in &live {
                     let lossless = layer.forms[1].is_some() || layer.forms[2].is_some();
-                    assert!(lossless, "a rung runs neither panels nor codes");
+                    assert!(lossless, "a session runs neither panels nor codes");
                     assert_eq!(layer.master, None, "a master beside {:?}", layer.forms);
                 }
                 if !ternary {
                     continue;
                 }
-                for layer in live.iter().flatten() {
+                for layer in &live {
                     assert!(
                         layer.forms[2].is_some(),
-                        "a ternary rung runs without codes"
+                        "a ternary session runs without codes"
                     );
                     assert_eq!(
                         layer.forms.iter().flatten().count(),
@@ -1065,47 +1064,57 @@ mod tests {
         }
     }
 
-    /// A weight fault in one rung's session copies that one layer: the
-    /// sibling rung and the templates keep the original, so the sibling
-    /// computes the same bits and a respawn brings the pristine rung
-    /// back.
+    /// A weight fault in a worker's session copies that one layer: the
+    /// template and a session stamped from it keep the original, so the
+    /// stamped session computes the pristine bits, and a respawn brings
+    /// the pristine session back.
     #[cfg(feature = "fault-inject")]
     #[test]
-    fn a_weight_fault_stays_in_its_rung_and_dies_with_it() {
-        let server = manual_server(crate::pool::tests::two_rung_cfg(), tiny_net);
+    fn a_weight_fault_stays_in_its_session_and_dies_with_it() {
+        let server = manual_server(batch4_cfg(), tiny_net);
         let template = server.ctx.template.weight_storage();
+        let mut sibling = server
+            .ctx
+            .template
+            .instantiate(&*server.clock)
+            .expect("session stamps");
         let mut worker = lock_unpoisoned(server.manual.as_ref().expect("workers(0)"));
-        let x = Tensor::from_fn([3, 6, 6], |i| (i as f32 * 0.37).sin());
-        let run = |worker: &mut Worker, n: usize| {
-            let (outputs, _) = worker
-                .ladder
-                .run(&vec![&x; n], Route::Primary)
-                .expect("rung runs");
+        let run = |session: &mut WorkerSession, n: usize| {
+            let (outputs, _) = session
+                .run(&requests(n), Route::Primary)
+                .expect("batch runs");
             outputs
         };
-        let pristine = [run(&mut worker, 1), run(&mut worker, 3)];
+        let pristine = [run(&mut worker.session, 1), run(&mut worker.session, 3)];
 
-        // Flip the sign of the first conv weight in the batch-1 rung.
+        // Flip the sign of the first conv weight in the worker's session.
         let flip = cnn_stack_nn::FaultPlan::new().bit_flip_weight(0, 0, 0, 31);
-        worker.ladder.inject_rung_faults(0, flip);
-        let storage = worker.ladder.weight_storage();
-        assert_ne!(storage[0][0].forms, template[0][0].forms);
+        worker.session.inject_faults(flip);
+        let storage = worker.session.weight_storage();
+        assert_ne!(storage[0].forms, template[0].forms);
+        assert_eq!(storage[1], template[1], "the linear layer was not written");
         assert_eq!(
-            storage[0][1], template[0][1],
-            "the linear layer was not written"
+            sibling.weight_storage(),
+            template,
+            "the sibling was written"
         );
-        assert_eq!(storage[1], template[1], "the batch-4 rung was not written");
-        assert_ne!(
-            run(&mut worker, 1),
-            pristine[0],
-            "the flip changes the output"
-        );
-        assert_eq!(run(&mut worker, 3), pristine[1]);
+        for (n, want) in [1, 3].into_iter().zip(&pristine) {
+            assert_ne!(
+                &run(&mut worker.session, n),
+                want,
+                "the flip changes batch {n}"
+            );
+            assert_eq!(
+                &run(&mut sibling, n),
+                want,
+                "the sibling's batch {n} changed"
+            );
+        }
 
         worker.rebuild().expect("respawn succeeds");
-        assert_eq!(worker.ladder.weight_storage(), template);
-        assert_eq!(run(&mut worker, 1), pristine[0]);
-        assert_eq!(run(&mut worker, 3), pristine[1]);
+        assert_eq!(worker.session.weight_storage(), template);
+        assert_eq!(run(&mut worker.session, 1), pristine[0]);
+        assert_eq!(run(&mut worker.session, 3), pristine[1]);
         drop(worker);
         assert_every_ticket_counted_once(&server.shutdown());
     }

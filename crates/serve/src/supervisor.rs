@@ -4,7 +4,7 @@
 //!
 //! The design splits a worker into two halves:
 //!
-//! * the **thread** (or the manual pump) — owns the session ladder,
+//! * the **thread** (or the manual pump) — owns the worker session,
 //!   runs batches, and can die (panic) or wedge (hang);
 //! * the **slot** ([`WorkerSlot`]) — an `Arc`'d bookkeeping record
 //!   that *outlives* the thread: serving counters, the in-flight
@@ -51,8 +51,9 @@ pub(crate) fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 #[derive(Clone, Copy, Debug)]
 pub struct SupervisionPolicy {
     /// A batch is declared hung once it has been running longer than
-    /// `hang_multiplier ×` the rung's expected latency (measured at
-    /// pre-warm), floored by [`hang_floor`](Self::hang_floor).
+    /// `hang_multiplier ×` its expected latency (drawn through the
+    /// pre-warm runs at one request and at `max_batch`), floored by
+    /// [`hang_floor`](Self::hang_floor).
     pub hang_multiplier: f64,
     /// Minimum hang timeout. Keeps a near-zero expected latency (e.g.
     /// under `ManualClock`, whose pre-warm takes zero simulated time)
@@ -107,8 +108,8 @@ impl SupervisionPolicy {
         Ok(())
     }
 
-    /// Hang timeout for a batch whose covering rung's expected latency
-    /// is `expected_ns`.
+    /// Hang timeout for a batch whose expected latency is
+    /// `expected_ns`.
     pub(crate) fn hang_timeout_ns(&self, expected_ns: u64) -> u64 {
         let scaled = (expected_ns as f64 * self.hang_multiplier) as u64;
         scaled.max(self.hang_floor.as_nanos() as u64)
@@ -151,8 +152,8 @@ pub(crate) struct WorkerSlot {
     pub(crate) degraded_batches: AtomicU64,
     /// The batch in flight, if any: its owner resolves its tickets.
     inflight: Mutex<Option<InFlight>>,
-    /// Engine health merged across the worker's ladder, published
-    /// after each batch (and folded across respawns).
+    /// The worker session's engine health, published after each
+    /// batch (and folded across respawns).
     engine: Mutex<HealthReport>,
 }
 

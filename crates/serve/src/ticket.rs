@@ -24,7 +24,7 @@ pub struct Served {
     pub output: Tensor,
     /// End-to-end latency: submit to response, on the server's clock.
     pub latency: Duration,
-    /// How many requests shared the session run (before padding).
+    /// How many requests shared the session run.
     pub batch_size: usize,
     /// The guard demoted an algorithm during this run (the co-batched
     /// outputs are still complete — the engine re-runs after demoting).

@@ -58,9 +58,10 @@ fn main() {
 
     // --- Serving the same architecture under traffic ----------------
     // One ServeConfig gathers the serving knobs (batching, queue,
-    // deadlines, guard, threads); the server pre-warms a ladder of
-    // sessions sharing one set of prepacked weight panels, then
-    // coalesces concurrent requests into batched runs.
+    // deadlines, guard, threads); the server pre-warms one session per
+    // worker, compiled at max_batch over one set of prepacked weight
+    // panels, then coalesces concurrent requests into batched runs of
+    // whatever size arrived.
     let cfg = ServeConfig::builder([3, 32, 32])
         .max_batch(4)
         .build()

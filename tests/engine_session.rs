@@ -7,9 +7,11 @@
 //! their own integration-test file.
 
 use cnn_stack::models::ModelKind;
+use cnn_stack::nn::network::set_network_format;
 use cnn_stack::nn::{
     Conv2d, ConvAlgorithm, Error, ExecConfig, Flatten, GuardConfig, InferencePlan,
     InferenceSession, Layer, Linear, MaxPool2d, Network, Phase, PlanCompiler, PlanError, ReLU,
+    WeightFormat,
 };
 use cnn_stack::tensor::Tensor;
 use proptest::prelude::*;
@@ -447,5 +449,77 @@ fn session_bit_matches_forward_on_paper_models() {
             "{}: outputs diverge",
             kind.name()
         );
+    }
+}
+
+/// A session runs any batch from one image up to its plan's, and image
+/// `i` of a prefix batch gets the bits of row `i` of a full-batch run on
+/// that same session: on the standard plans of the three paper models
+/// (Winograd, depthwise and residual rows included) and on a TTQ VGG-16
+/// under the serving configuration (im2col, 2-bit codes), at 1–4
+/// threads so that spare chunks go idle, with NaN and ±Inf images in
+/// the batch. A one-chunk session runs every prefix without touching
+/// the heap.
+#[test]
+fn prefix_batches_match_the_full_batch_rows() {
+    const N: usize = 8;
+    let per_image = 3 * 32 * 32;
+    let mut input = Tensor::from_fn([N, 3, 32, 32], |i| {
+        ((i as u64 * 2654435761) % 197) as f32 * 0.01 - 1.0
+    });
+    for (image, v) in [(0, f32::NAN), (2, f32::INFINITY), (5, f32::NEG_INFINITY)] {
+        input.data_mut()[image * per_image + 100] = v;
+    }
+    let prefixes: Vec<Tensor> = (1..=N)
+        .map(|b| Tensor::from_vec([b, 3, 32, 32], input.data()[..b * per_image].to_vec()))
+        .collect();
+    let ttq_vgg16 = || {
+        let mut net = ModelKind::Vgg16.build_width(10, 0.25).network;
+        cnn_stack::compress::ttq::ttq_quantise(&mut net, 0.09);
+        set_network_format(&mut net, WeightFormat::Ternary);
+        net
+    };
+    let mut cases: Vec<(String, Network, ConvAlgorithm)> = ModelKind::all()
+        .into_iter()
+        .map(|kind| {
+            let net = kind.build_width(10, 0.25).network;
+            (kind.name().to_string(), net, ConvAlgorithm::default())
+        })
+        .collect();
+    cases.push(("TTQ VGG-16".into(), ttq_vgg16(), ConvAlgorithm::Im2col));
+    let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    for (name, net, conv_algo) in cases {
+        for threads in 1..=4 {
+            let cfg = ExecConfig {
+                conv_algo,
+                ..ExecConfig::with_threads(threads)
+            };
+            let mut net = net.replica();
+            let plan = PlanCompiler::standard()
+                .run(&mut net, input.shape().dims(), &cfg)
+                .expect("paper models accept CIFAR-shaped input");
+            let mut session =
+                InferenceSession::owned(net, plan, GuardConfig::Off).expect("plan matches");
+            let full = bits(&session.run(&input).expect("the full batch runs"));
+            let row = full.len() / N;
+            for (b, prefix) in (1..).zip(&prefixes) {
+                let got = bits(&session.run(prefix).expect("a prefix batch runs"));
+                assert_eq!(got, full[..b * row], "{name}, {threads} threads, batch {b}");
+            }
+            if threads == 1 {
+                let mut outs: Vec<Tensor> = (1..=N).map(|b| Tensor::zeros([b, 10])).collect();
+                let allocs = allocations_during(|| {
+                    for (prefix, out) in prefixes.iter().zip(&mut outs).rev() {
+                        session.run_into(prefix, out).expect("a prefix batch runs");
+                    }
+                });
+                assert_eq!(allocs, 0, "{name}: prefix runs allocated");
+            }
+            let again = bits(&session.run(&input).expect("the full batch runs"));
+            assert_eq!(
+                again, full,
+                "{name}, {threads} threads: full batch after prefixes"
+            );
+        }
     }
 }

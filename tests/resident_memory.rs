@@ -1,7 +1,7 @@
 //! Resident weight memory, counted by the allocator: a served TTQ model
 //! holds one physical form of its weights — the 2-bit codes — and not
-//! the dense master beside them, and a rung compiled on a replica of a
-//! prepared network rebuilds no master.
+//! the dense master beside them, its worker holds one arena, and a plan
+//! compiled on a replica of a prepared network rebuilds no master.
 //!
 //! The counting `#[global_allocator]` tracks the live bytes of the whole
 //! process, which is why these tests live in their own test binary and
@@ -85,7 +85,7 @@ fn ttq_vgg16() -> Network {
         .network
 }
 
-/// What the server compiles its rungs against ([`ServeConfig`]'s
+/// What the server compiles its session against ([`ServeConfig`]'s
 /// engine configuration).
 fn serve_exec(cfg: &ServeConfig) -> ExecConfig {
     ExecConfig {
@@ -93,15 +93,6 @@ fn serve_exec(cfg: &ServeConfig) -> ExecConfig {
         conv_algo: ConvAlgorithm::Im2col,
         ..ExecConfig::serial()
     }
-}
-
-/// The ladder's batch sizes: 1, 4, 16, … capped at `max_batch`.
-fn ladder(max_batch: usize) -> Vec<usize> {
-    let mut sizes: Vec<usize> = std::iter::successors(Some(1), |s| Some(s * 4))
-        .take_while(|&s| s < max_batch)
-        .collect();
-    sizes.push(max_batch);
-    sizes
 }
 
 /// Matrix extents (rows, columns) of every conv and linear layer the
@@ -123,14 +114,14 @@ fn weight_layers(net: &Network, plan: &InferencePlan) -> Vec<(usize, usize, Algo
 
 /// Bytes the served model may hold once started: per weight layer its
 /// 2-bit codes (every layer runs them) and its pruning mask, every other
-/// parameter (the folded biases), and per rung one session arena.
+/// parameter (the folded biases), and the worker's one session arena,
+/// laid out at `max_batch`.
 fn resident_bound(cfg: &ServeConfig) -> usize {
     let exec = serve_exec(cfg);
     let mut net = ttq_vgg16();
-    let shape = |batch| [batch, 3, 32, 32];
     let plan = PlanCompiler::standard()
-        .run(&mut net, &shape(1), &exec)
-        .expect("rung 1 compiles");
+        .run(&mut net, &[cfg.max_batch(), 3, 32, 32], &exec)
+        .expect("the served plan compiles");
     let layers = weight_layers(&net, &plan);
     let mut codes = 0;
     for &(rows, cols, row) in &layers {
@@ -147,20 +138,13 @@ fn resident_bound(cfg: &ServeConfig) -> usize {
         .iter()
         .filter_map(|p| Some(p.mask.as_ref()?.bytes()))
         .sum();
-    let mut arenas = 0;
-    for batch in ladder(cfg.max_batch()) {
-        let mut rung = net.replica();
-        let plan = PlanCompiler::standard()
-            .run(&mut rung, &shape(batch), &exec)
-            .expect("every rung compiles");
-        let session = InferenceSession::owned(rung, plan, cfg.guard()).expect("plan fits");
-        arenas += session.arena_bytes();
-    }
-    codes + masks + others + arenas
+    let session = InferenceSession::owned(net, plan, cfg.guard()).expect("plan fits");
+    codes + masks + others + session.arena_bytes()
 }
 
-/// A started TTQ VGG-16 server holds its codes, masks, biases and arenas
-/// and at most 1 MiB beside them: no f32 master, no f32 panels.
+/// A started TTQ VGG-16 server holds its codes, masks, biases and one
+/// arena and at most 1 MiB beside them: no f32 master, no f32 panels, no
+/// second arena.
 #[test]
 fn a_served_ttq_model_holds_its_codes_and_no_master() {
     let _turn = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
@@ -176,11 +160,11 @@ fn a_served_ttq_model_holds_its_codes_and_no_master() {
     assert!(
         held <= bound + (1 << 20),
         "a started server holds {held} B, over its {bound} B of codes, masks, biases and \
-         arenas by more than 1 MiB (the f32 parameters alone are {master} B)"
+         its arena by more than 1 MiB (the f32 parameters alone are {master} B)"
     );
 }
 
-/// A rung compiled on a replica of a prepared network finds its forms
+/// A plan compiled on a replica of a prepared network finds its forms
 /// built: no master is rebuilt for it, so no master-sized buffer is
 /// allocated.
 #[test]
@@ -193,7 +177,7 @@ fn a_replicas_compile_rebuilds_no_master() {
     let mut net = ttq_vgg16();
     let plan = PlanCompiler::standard()
         .run(&mut net, &[1, 3, 32, 32], &exec)
-        .expect("rung 1 compiles");
+        .expect("batch 1 compiles");
     let masters = weight_layers(&net, &plan);
     let session = InferenceSession::owned(net, plan, cfg.guard()).expect("plan fits");
     let prepared = session.into_network().expect("owned");
@@ -205,7 +189,7 @@ fn a_replicas_compile_rebuilds_no_master() {
     let mut replica = prepared.replica();
     let plan = PlanCompiler::standard()
         .run(&mut replica, &[4, 3, 32, 32], &exec)
-        .expect("rung 2 compiles");
+        .expect("batch 4 compiles");
     let session = InferenceSession::owned(replica, plan, GuardConfig::BoundaryCheck);
     let hits = WATCHED.load(Relaxed);
     WATCH.iter().for_each(|w| w.store(0, Relaxed));

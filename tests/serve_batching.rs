@@ -258,9 +258,10 @@ fn guard_demotion_never_corrupts_co_batched_requests() {
         .build()
         .unwrap();
     let server = Server::start_with_clock(cfg, Arc::new(clock.clone()), || small_net(7)).unwrap();
-    // Corrupt the conv output (layer 0) on each session's next run (the
-    // pre-warm run at build time was run 0).
-    server.inject_faults(|| FaultPlan::new().nan_output(0, 1));
+    // Corrupt the conv output (layer 0) on the session's next run (the
+    // pre-warm runs at build time, one request and a full batch, were
+    // runs 0 and 1).
+    server.inject_faults(|| FaultPlan::new().nan_output(0, 2));
 
     let tickets: Vec<Ticket> = (0..3)
         .map(|i| server.submit(request_input(i)).unwrap())
